@@ -109,15 +109,21 @@ go run ./cmd/gdeltbench -router-bench -router-json results/router_bench.json
 # mutable tail, compactor seals interleaved — must answer every registered
 # query kind exactly like the same rows batch-built in one shot, at
 # K in {1,4} x workers {1,4} on two seeded worlds. Pins the append-log
-# lifecycle end to end: COW clone depths, seal slicing, version
+# lifecycle end to end: copy-on-write sharing, seal slicing, version
 # carry-forward, and the derived-index rebuild of sealed parts.
 go test -race ./internal/baseline -run TestCompactionDifferential -count=1
 
-# Append-log crash-safety battery, under the race detector: the snapshot
-# isolation, seal, persist-roundtrip and cache-key-safety pins, plus the
-# crash harness that kills the compactor's persist protocol at every
-# write/sync/rename step and requires the reloaded manifest to be fully-old
-# or fully-new — never torn. The live-feed end-to-end test (outage,
+# Append-log battery, under the race detector: the snapshot isolation,
+# seal, persist-roundtrip and cache-key-safety pins; the incremental-append
+# pins (incrementally maintained world == cold-start rebuild after every
+# tick and seal of a 200-tick schedule incl. the counted full-merge
+# fallback; a held snapshot answers every kind byte-identically while a
+# writer appends 100+ ticks and seals; bytes allocated per append do not
+# grow with the sealed world); plus the crash harness that kills the
+# compactor's persist protocol at every write/sync/rename step and
+# requires the reloaded manifest to be fully-old or fully-new — never
+# torn. Append throughput itself is the live.ingest workload of the
+# benchmark (bench/, BENCHMARK.json). The live-feed end-to-end test (outage,
 # duplicate tick, reordered drop against a local feed server) and the
 # checkpoint-resume test (a restarted poller must drop checkpointed ticks
 # as duplicates and re-skip gaps too old for the grace window, never
@@ -125,14 +131,3 @@ go test -race ./internal/baseline -run TestCompactionDifferential -count=1
 go test -race ./internal/shard -run 'TestLog' -count=1
 go test -race ./internal/stream -run 'TestLiveFeedEndToEnd|TestLiveResumeFromCheckpoint|TestCheckpoint' -count=1
 
-# Streaming benchmark gate: the back half of a bench corpus arrives as
-# real-time feed ticks against a durable append log while querier
-# goroutines hammer the log's snapshots. Sustained append throughput and
-# the concurrent-query latency distribution land in
-# results/stream_bench.json; the hard gate is that no query is ever held
-# up longer than one feed tick, scaled by the host's oversubscription
-# factor when there are fewer cores than runnable goroutines (readers run
-# on copy-on-write snapshots and never take the writer's lock, so the only
-# legitimate delay is CPU contention).
-go run ./cmd/gdeltbench -stream-bench -stream-json results/stream_bench.json \
-  -stream-tick 200ms

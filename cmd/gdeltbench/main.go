@@ -58,17 +58,13 @@ func main() {
 		cacheJSON  = flag.String("cache-json", "", "write cache benchmark results as JSON to this file")
 		minSpeedup = flag.Float64("cache-min-speedup", 0, "fail when any kind's warm-cache speedup falls below this factor (0 disables)")
 
-		shardBench    = flag.Bool("shard-bench", false, "run the sharded-vs-monolith query panel benchmark instead of the paper artifacts")
-		shardK        = flag.Int("shard-k", 4, "shard count for the shard benchmark")
-		shardJSON     = flag.String("shard-json", "", "write shard benchmark results as JSON to this file")
-		shardSpeedup  = flag.Float64("shard-min-speedup", 0, "fail when the panel's geomean K=1/K=n speedup falls below this factor, scaled by min(1, cpus/shards) with a 0.9 floor (0 disables)")
+		shardBench   = flag.Bool("shard-bench", false, "run the sharded-vs-monolith query panel benchmark instead of the paper artifacts")
+		shardK       = flag.Int("shard-k", 4, "shard count for the shard benchmark")
+		shardJSON    = flag.String("shard-json", "", "write shard benchmark results as JSON to this file")
+		shardSpeedup = flag.Float64("shard-min-speedup", 0, "fail when the panel's geomean K=1/K=n speedup falls below this factor, scaled by min(1, cpus/shards) with a 0.9 floor (0 disables)")
 
 		routerBench = flag.Bool("router-bench", false, "run the routed-vs-direct serving benchmark instead of the paper artifacts")
 		routerJSON  = flag.String("router-json", "", "write router benchmark results as JSON to this file")
-
-		streamBench = flag.Bool("stream-bench", false, "run the streaming append+compaction benchmark with concurrent queries instead of the paper artifacts")
-		streamJSON  = flag.String("stream-json", "", "write stream benchmark results as JSON to this file")
-		streamTick  = flag.Duration("stream-tick", 200*time.Millisecond, "stream benchmark: wall time per feed tick; also the hard latency bound on concurrent queries")
 
 		kernelBench   = flag.Bool("kernel-bench", false, "run the scan-kernel micro-benchmark (closure vs typed vs pruned) instead of the paper artifacts")
 		kernelJSON    = flag.String("kernel-json", "", "write kernel benchmark results as JSON to this file")
@@ -112,16 +108,6 @@ func main() {
 				log.Fatal(err)
 			}
 		}()
-	}
-
-	// The stream bench builds its own world (it needs the raw corpus
-	// records as feed ticks, not a converted dataset), so it dispatches
-	// before the shared corpus pipeline.
-	if *streamBench {
-		if err := runStreamBench(*streamJSON, *streamTick); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	h := &harness{only: selection{table: *table, figure: *figure}, timings: map[string]float64{}}

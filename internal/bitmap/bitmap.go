@@ -349,7 +349,9 @@ func (c *container) appendRows(base int32, dst []int32) []int32 {
 // O(n) construction path. Rows must be non-negative.
 func FromSorted(rows []int32) *Bitmap {
 	b := &Bitmap{}
-	vals := make([]uint16, 0, chunkSize/8)
+	// Most postings of a small store (an append-log tail) are short or
+	// empty; do not pay a container-sized scratch buffer for each.
+	vals := make([]uint16, 0, min(len(rows), chunkSize/8))
 	var key uint16
 	flush := func() {
 		if len(vals) > 0 {

@@ -17,7 +17,7 @@ import (
 )
 
 // TestAppendTailRebuildsAndInvalidates pins the sharded stale-postings
-// hazard end to end: one chunk folded through AppendTail must (1) land in
+// hazard end to end: one chunk folded through Log.Append must (1) land in
 // the tail shard with its bitmap postings rebuilt, (2) home events the
 // chunk mentions that the tail never held, (3) keep the global per-event
 // metadata agreed across shards, (4) bump only the tail version so cached
@@ -40,18 +40,21 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	ranked, _ := queries.TopPublishers(engine.New(mono), mono.Sources.Len())
 	panel := append([]int32(nil), ranked[:16]...)
 
+	// Appends go through the log and queries read its current snapshot, the
+	// way serve.NewLive wires the cache.
+	lg := shard.NewLog(sdb)
 	ex := &registry.Executor{Cache: qcache.New(0)}
-	ex.Cache.SetStale(sdb.StaleKey)
+	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
 	d := registry.MustLookup("coreport")
 	p, err := d.ParseParams(func(string) []string { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := sdb.View()
-	cold := sdb.View().WithWindow(0, sdb.Bounds()[1])
-	run := func(v *shard.View) qcache.Outcome {
+	full := func() *shard.View { return lg.Snapshot().View() }
+	cold := func() *shard.View { return lg.Snapshot().View().WithWindow(0, sdb.Bounds()[1]) }
+	run := func(v func() *shard.View) qcache.Outcome {
 		t.Helper()
-		_, out, err := ex.ExecuteSharded(d, v, p)
+		_, out, err := ex.ExecuteSharded(d, v(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,17 +107,19 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	}
 
 	tailBefore := tail.Version()
-	st, err := sdb.AppendTail(evs, mns)
+	st, err := lg.Append(evs, mns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.AppendedMentions != 3 || st.AppendedEvents != 1 || st.DanglingMentions != 0 {
 		t.Fatalf("append stats %+v, want 3 mentions / 1 event / 0 dangling", st)
 	}
+	sdb = lg.Snapshot()
+	tail, p0 = sdb.Tail(), sdb.Part(0)
 	if got := tail.Version(); got != tailBefore+1 {
 		t.Fatalf("tail version %d after append, want %d", got, tailBefore+1)
 	}
-	if got := sdb.Part(0).Version(); got != 0 {
+	if got := p0.Version(); got != 0 {
 		t.Fatalf("cold shard version bumped to %d by a tail append", got)
 	}
 
@@ -173,11 +178,10 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	// A chunk below the tail window is rejected before any mutation.
 	low := web(earlyID, "tail-news.example")
 	low.MentionTime = gdelt.IntervalStart(base) // interval 0
-	v := tail.Version()
-	if _, err := sdb.AppendTail(nil, []gdelt.Mention{low}); err == nil {
+	if _, err := lg.Append(nil, []gdelt.Mention{low}); err == nil {
 		t.Fatal("append below the tail window succeeded")
 	}
-	if tail.Version() != v {
-		t.Fatal("rejected append bumped the tail version")
+	if lg.Snapshot() != sdb {
+		t.Fatal("rejected append published a new world")
 	}
 }

@@ -9,15 +9,24 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gdeltmine/internal/binfmt"
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/obs"
 	"gdeltmine/internal/store"
+)
+
+var (
+	mAppendSeconds = obs.Default.Histogram("shard_log_append_seconds",
+		"wall time of one Log.Append: tail clone, fold, index rebuild, publish", obs.LatencyBuckets)
+	mLogParts = obs.Default.Gauge("shard_log_parts",
+		"parts (sealed + tail) in the append log's current world")
 )
 
 // Log is the partitioned append log behind production-cadence streaming:
 // a time-sharded world whose last part is a mutable tail. 15-minute feed
-// ticks fold into the tail through the AppendTail path; a compactor
+// ticks fold into the tail through DB.appendTail; a compactor
 // (internal/stream.Compactor) periodically seals the tail past a size/age
 // threshold, rewriting it into an immutable sorted part with fully rebuilt
 // derived indexes and opening a fresh tail over the remaining interval
@@ -27,14 +36,16 @@ import (
 // query the returned world with no coordination whatsoever; writers
 // (Append, Seal) serialize on an internal mutex and publish complete new
 // worlds with an atomic pointer swap. A published snapshot is never
-// mutated — Append clones exactly the state the fold writes
-// (copy-on-write, see store.DB.DeepClone/CloneWithFreshEventMeta) and Seal
-// only slices fresh parts out of the old tail — so a query running against
-// an old snapshot keeps seeing the world it started on, and the per-shard
-// version vectors embedded in qcache keys keep results from different
-// snapshots apart: the fold bumps only the cloned tail's version, so
-// cached answers for tail-overlapping windows go stale while cold-window
-// entries stay warm.
+// mutated — Append builds the next world as a copy that shares what the
+// tick leaves alone and replaces what it changes (see DB.appendTail for
+// the sharing rules), and Seal only slices fresh parts out of the old tail
+// — so a query running against an old snapshot keeps seeing the world it
+// started on, and the per-shard version vectors embedded in qcache keys
+// keep results from different snapshots apart: the fold bumps only the
+// new tail's version, so cached answers for tail-overlapping windows go
+// stale while cold-window entries stay warm. The same mutex keeps the
+// log's history linear, which is what lets appends grow the global event
+// table in place (DB.ownGrowth).
 //
 // Durability contract: appended ticks live in memory only; recovery after
 // a crash is the stream checkpoint plus masterfile catch-up (the live
@@ -79,7 +90,8 @@ const LogManifestName = "MANIFEST.gdsm"
 // ever written to disk; Seal only swaps snapshots.
 func NewLog(db *DB) *Log {
 	lg := &Log{dirty: make([]bool, db.K())}
-	lg.cur.Store(db)
+	lg.cur.Store(db.ownGrowth())
+	mLogParts.Set(float64(db.K()))
 	return lg
 }
 
@@ -146,7 +158,8 @@ func OpenLog(dir string) (*Log, error) {
 		return nil, err
 	}
 	lg := &Log{dir: dir, files: files, dirty: make([]bool, len(files))}
-	lg.cur.Store(db)
+	lg.cur.Store(db) // freshly assembled: nobody else can grow its columns
+	mLogParts.Set(float64(db.K()))
 	lg.gen = scanMaxGen(dir, files)
 	lg.gc()
 	return lg, nil
@@ -190,61 +203,30 @@ func (lg *Log) TailSpan() int32 {
 	return t.Mentions.Interval[n-1] - t.Mentions.Interval[0] + 1
 }
 
-// Append folds one feed tick into the tail of a fresh copy-on-write world
-// and publishes it. Readers holding the previous snapshot are untouched:
-// the tail is deep-cloned (the fold rewrites its tables, dictionary and
-// every derived index), the other parts share all storage except the three
-// per-event metadata columns the fold propagates to adopted events, and
-// the global source dictionary is cloned before new sources are interned.
-// The cloned tail inherits the old tail's version and the fold bumps it.
+// Append folds one feed tick into the tail and publishes the resulting
+// world. Readers holding the previous snapshot are untouched: the next
+// world shares with it everything the tick leaves alone and holds private
+// copies of what the tick changes (DB.appendTail), so the work is
+// proportional to the tick and the compactor-bounded tail, not to the
+// sealed world. The new tail carries the old tail's version plus one.
 // Appended ticks are in memory only until the next Seal.
 func (lg *Log) Append(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
+	start := time.Now()
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	cur := lg.cur.Load()
-	next, err := cloneForAppend(cur)
-	if err != nil {
-		return store.AppendStats{}, err
-	}
-	st, err := next.AppendTail(evs, mns)
+	next, st, dirtied, err := lg.cur.Load().appendTail(evs, mns)
 	if err != nil {
 		return st, err
 	}
-	// The fold propagates per-event metadata to every part holding a copy
-	// of a touched event; mark those parts so the next seal rewrites their
-	// persisted image too (the on-disk copy just went stale).
-	tail := next.parts[len(next.parts)-1]
-	for _, r := range st.TouchedEventRows {
-		id := tail.Events.ID[r]
-		for i := 0; i < len(next.parts)-1; i++ {
-			if !lg.dirty[i] && next.parts[i].EventRowByID(id) >= 0 {
-				lg.dirty[i] = true
-			}
-		}
+	// The fold propagated per-event metadata into these parts' copies of
+	// touched events; the next seal must rewrite their persisted image too
+	// (the on-disk copy just went stale).
+	for _, i := range dirtied {
+		lg.dirty[i] = true
 	}
 	lg.cur.Store(next)
+	mAppendSeconds.ObserveSince(start)
 	return st, nil
-}
-
-// cloneForAppend builds the copy-on-write world an append may mutate.
-func cloneForAppend(cur *DB) (*DB, error) {
-	parts := make([]*store.DB, len(cur.parts))
-	for i, p := range cur.parts {
-		if i == len(cur.parts)-1 {
-			t, err := p.DeepClone()
-			if err != nil {
-				return nil, fmt.Errorf("shard: cloning tail: %w", err)
-			}
-			parts[i] = t
-		} else {
-			parts[i] = p.CloneWithFreshEventMeta()
-		}
-	}
-	next, err := New(parts, cur.bounds, cur.sources.Clone(), cur.themes, cur.report)
-	if err != nil {
-		return nil, fmt.Errorf("shard: rebuilding sharded view for append: %w", err)
-	}
-	return next, nil
 }
 
 // Seal closes the current tail: every filled interval (up to and including
@@ -287,12 +269,11 @@ func (lg *Log) Seal() (bool, error) {
 	sealed.SetVersion(v)
 	fresh.SetVersion(v)
 
-	parts := append(append([]*store.DB(nil), cur.parts[:len(cur.parts)-1]...), sealed, fresh)
-	bounds := append(append([]int32(nil), cur.bounds[:len(cur.bounds)-1]...), cut, cur.meta.Intervals)
-	next, err := New(parts, bounds, cur.sources, cur.themes, cur.report)
+	next, err := cur.replaceTail(sealed, fresh, cut)
 	if err != nil {
 		return false, fmt.Errorf("shard: rebuilding sharded view for seal: %w", err)
 	}
+	parts := next.parts
 
 	if lg.dir != "" {
 		// A failed attempt may leave temp files behind; never reuse its
@@ -327,6 +308,7 @@ func (lg *Log) Seal() (bool, error) {
 	}
 	lg.dirty = make([]bool, len(parts))
 	lg.cur.Store(next)
+	mLogParts.Set(float64(len(parts)))
 	return true, nil
 }
 

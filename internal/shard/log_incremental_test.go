@@ -1,0 +1,370 @@
+// Tests for the incremental append path (DB.appendTail / DB.replaceTail):
+// the incrementally maintained world must equal a cold-start rebuild after
+// every tick and seal, old snapshots must stay byte-identical while a
+// writer appends and seals (run under -race: this is what catches a shared
+// column written in place), and the bytes one append allocates must not
+// grow with the sealed world.
+package shard_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/gen"
+	"gdeltmine/internal/obs"
+	"gdeltmine/internal/registry"
+	"gdeltmine/internal/shard"
+	"gdeltmine/internal/store"
+)
+
+// feedTick is one 15-minute update as the feed delivers it: the events
+// first reported in the interval and every mention captured in it.
+type feedTick struct {
+	evs []gdelt.Event
+	mns []gdelt.Mention
+}
+
+// feedWorld batch-builds the rows a feed has delivered before interval cut
+// (events first seen before it, mentions captured before it) and renders
+// every later interval as a tick — bench/live_ingest.go's set-up without
+// the disk.
+func feedWorld(tb testing.TB, c *gen.Corpus, cut int32) (*store.DB, []feedTick) {
+	tb.Helper()
+	intervals := int32(c.World.Days() * gdelt.IntervalsPerDay)
+	b, err := store.NewBuilder(gdelt.Timestamp(c.World.Cfg.Start), intervals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ticks := make([]feedTick, intervals-cut)
+	for i := range c.Events {
+		ev := c.EventRecord(i)
+		if fm := c.Events[i].FirstMention; fm < cut {
+			b.AddEvent(&ev)
+		} else {
+			ticks[fm-cut].evs = append(ticks[fm-cut].evs, ev)
+		}
+	}
+	for j := range c.Mentions {
+		mn := c.MentionRecord(j)
+		if iv := c.Mentions[j].Interval; iv < cut {
+			b.AddMention(&mn)
+		} else {
+			ticks[iv-cut].mns = append(ticks[iv-cut].mns, mn)
+		}
+	}
+	base, _, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return base, ticks
+}
+
+// feedLog opens an in-memory log over the feed's base world: two sealed
+// parts and an empty tail from the cut on.
+func feedLog(tb testing.TB, cfg gen.Config, liveDays int32) (*gen.Corpus, *shard.Log, []feedTick, int32) {
+	tb.Helper()
+	c, err := gen.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	intervals := int32(c.World.Days() * gdelt.IntervalsPerDay)
+	cut := intervals - liveDays*gdelt.IntervalsPerDay
+	base, ticks := feedWorld(tb, c, cut)
+	sdb, err := shard.SplitAt(base, []int32{0, cut / 2, cut, intervals})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, shard.NewLog(sdb), ticks, cut
+}
+
+func appendFallbacks() float64 {
+	return obs.Default.Snapshot().Find("shard_log_append_fallback_total").Value
+}
+
+func TestLogIncrementalEqualsRebuild(t *testing.T) {
+	for _, seed := range []int64{42, 777} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := logWorldCfg()
+			cfg.Seed = seed
+			c, lg, ticks, cut := feedLog(t, cfg, 30)
+			check := func(when string) {
+				t.Helper()
+				if err := shard.DiffFromRebuild(lg.Snapshot()); err != nil {
+					t.Fatalf("%s: incremental world differs from a rebuild: %v", when, err)
+				}
+			}
+			check("initial world")
+			fallbacks := appendFallbacks()
+			fed, seals := 0, 0
+			for i, tk := range ticks {
+				if len(tk.evs)+len(tk.mns) == 0 {
+					continue
+				}
+				if _, err := lg.Append(tk.evs, tk.mns); err != nil {
+					t.Fatalf("tick %d: %v", i, err)
+				}
+				check(fmt.Sprintf("after tick %d", i))
+				if fed++; fed == 100 {
+					if got := appendFallbacks(); got != fallbacks {
+						t.Fatalf("%v appends of a feed-ordered schedule took the full-merge fallback", got-fallbacks)
+					}
+					appendOddTicks(t, c, lg, cut+int32(i))
+					check("after the odd ticks")
+					fallbacks = appendFallbacks()
+				}
+				if lg.TailSpan() >= gdelt.IntervalsPerDay {
+					if sealed, err := lg.Seal(); err != nil || !sealed {
+						t.Fatalf("seal after tick %d: (%v, %v)", i, sealed, err)
+					}
+					seals++
+					check(fmt.Sprintf("after the seal following tick %d", i))
+				}
+			}
+			if fed < 200 || seals < 5 {
+				t.Fatalf("schedule too short: %d ticks, %d seals", fed, seals)
+			}
+			if got := appendFallbacks(); got != fallbacks {
+				t.Fatalf("%v appends of a feed-ordered schedule took the full-merge fallback", got-fallbacks)
+			}
+		})
+	}
+}
+
+// appendOddTicks folds, at capture interval iv, the shapes the feed
+// contract does not promise: an event whose id lies below the stored
+// maximum (the counted fallback), a re-delivered record of an event only a
+// sealed part holds, a first-seen source, and an event that arrives with
+// no mention and a DateAdded before the tail window — which the next seal
+// slices out of the world, so the seal cannot keep the global table.
+func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
+	t.Helper()
+	ts := c.IntervalTimestamp(iv)
+	snap := lg.Snapshot()
+	web := func(id int64, src string) gdelt.Mention {
+		return gdelt.Mention{GlobalEventID: id, EventTime: ts, MentionTime: ts,
+			MentionType: gdelt.MentionTypeWeb, SourceName: src, DocLen: 700, Confidence: 60}
+	}
+	known := snap.Sources().Name(0)
+
+	before := appendFallbacks()
+	st, err := lg.Append(
+		[]gdelt.Event{{GlobalEventID: 1, Day: 20150501, DateAdded: ts, SourceURL: "http://late.example/1"}},
+		[]gdelt.Mention{web(1, known)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.AppendedEvents != 1 || st.AppendedMentions != 1 {
+		t.Fatalf("below-maximum tick: stats %+v, want 1 event / 1 mention", st)
+	}
+	if got := appendFallbacks() - before; got != 1 {
+		t.Fatalf("an event id below the stored maximum took the fallback %v times, want 1", got)
+	}
+	if err := shard.DiffFromRebuild(lg.Snapshot()); err != nil {
+		t.Fatalf("after the fallback tick: %v", err)
+	}
+
+	var old gdelt.Event
+	found := false
+	for i := range c.Events {
+		if id := c.Events[i].ID; snap.Part(0).EventRowByID(id) >= 0 && snap.Tail().EventRowByID(id) < 0 {
+			old, found = c.EventRecord(i), true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no event held by part 0 only; pick another world")
+	}
+	// (The mention-less event takes a low id as well: a high one would sit
+	// above every real id until the seal drops it, and push the feed's own
+	// events onto the fallback path.)
+	st, err = lg.Append(
+		[]gdelt.Event{old, {GlobalEventID: 2, Day: 20150219, DateAdded: c.IntervalTimestamp(0)}},
+		[]gdelt.Mention{web(1, "first-seen.example")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DuplicateEvents != 1 || st.AppendedEvents != 1 || st.AppendedMentions != 1 {
+		t.Fatalf("odd tick: stats %+v, want 1 duplicate / 1 event / 1 mention", st)
+	}
+	if lg.Snapshot().Sources().Lookup("first-seen.example") < 0 || snap.Sources().Lookup("first-seen.example") >= 0 {
+		t.Fatal("first-seen source must reach the new world's global dictionary and only it")
+	}
+}
+
+func TestLogSnapshotIsolationUnderAppends(t *testing.T) {
+	_, lg, ticks, _ := feedLog(t, logWorldCfg(), 30)
+	next := 0
+	feed := func(n int) (seals int) {
+		for fed := 0; fed < n; next++ {
+			if next >= len(ticks) {
+				t.Fatal("out of ticks")
+			}
+			tk := ticks[next]
+			if len(tk.evs)+len(tk.mns) == 0 {
+				continue
+			}
+			if _, err := lg.Append(tk.evs, tk.mns); err != nil {
+				t.Fatal(err)
+			}
+			fed++
+			if lg.TailSpan() >= gdelt.IntervalsPerDay {
+				if sealed, err := lg.Seal(); err != nil || !sealed {
+					t.Fatalf("seal: (%v, %v)", sealed, err)
+				}
+				seals++
+			}
+		}
+		return seals
+	}
+	// S0 is itself a product of the append path: it has an appended tail
+	// and shares grown columns with its successors.
+	feed(30)
+	s0 := lg.Snapshot()
+
+	var kinds []*registry.Descriptor
+	for _, d := range registry.All() {
+		if !d.NeedsGKG {
+			kinds = append(kinds, d)
+		}
+	}
+	answers := func() ([][]byte, error) {
+		out := make([][]byte, len(kinds))
+		for i, d := range kinds {
+			p, err := d.ParseParams(func(string) []string { return nil })
+			if err != nil {
+				return nil, err
+			}
+			res, err := d.RunSharded(s0.View().WithWorkers(2).WithKind(d.Kind), p)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", d.Kind, err)
+			}
+			if out[i], err = json.Marshal(res); err != nil {
+				return nil, fmt.Errorf("%s: %w", d.Kind, err)
+			}
+		}
+		return out, nil
+	}
+	want, err := answers()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var rounds atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got, err := answers()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%s: answer on the held snapshot changed while the log moved on", kinds[i].Kind)
+				}
+			}
+			rounds.Add(1)
+		}
+	}()
+	// The writer waits for a reader pass between batches, so reads and
+	// writes interleave however fast either side is.
+	appended, seals := 0, 0
+	for appended < 120 || seals < 2 {
+		r := rounds.Load()
+		seals += feed(10)
+		appended += 10
+		for rounds.Load() == r && !t.Failed() {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	<-done
+	if lg.Snapshot() == s0 {
+		t.Fatal("the log did not move")
+	}
+}
+
+// TestLogAppendAllocScaling is the scaling guard, as a count rather than a
+// timing. The same ticks go into a base world of N and of ~4N articles
+// (the archive four times as long). A tick of the shape the feed
+// mostly carries in fresh data — new events and their first mentions —
+// must allocate about the same in both: nothing in it is proportional to
+// the sealed world. A tick that adds a mention to an old event is allowed
+// exactly the documented copy-on-write: one int32 metadata column of the
+// global event table and of the sealed part holding the event.
+func TestLogAppendAllocScaling(t *testing.T) {
+	type result struct {
+		articles, events int
+		fresh, touch     uint64
+	}
+	measure := func(end gdelt.Timestamp) result {
+		cfg := logWorldCfg()
+		cfg.End = end
+		c, lg, _, cut := feedLog(t, cfg, 2)
+		snap := lg.Snapshot()
+		src := snap.Sources().Name(0)
+		tick := func(k int, ids ...int64) ([]gdelt.Event, []gdelt.Mention) {
+			ts := c.IntervalTimestamp(cut + int32(k))
+			var evs []gdelt.Event
+			var mns []gdelt.Mention
+			for _, id := range ids {
+				if id > 1<<40 {
+					evs = append(evs, gdelt.Event{GlobalEventID: id, Day: 20150601, DateAdded: ts,
+						SourceURL: "http://fresh.example/x"})
+				}
+				for n := 0; n < 3; n++ {
+					mns = append(mns, gdelt.Mention{GlobalEventID: id, EventTime: ts, MentionTime: ts,
+						MentionType: gdelt.MentionTypeWeb, SourceName: src, DocLen: 700, Confidence: 60})
+				}
+			}
+			return evs, mns
+		}
+		allocated := func(evs []gdelt.Event, mns []gdelt.Mention) uint64 {
+			var a, b runtime.MemStats
+			runtime.ReadMemStats(&a)
+			if _, err := lg.Append(evs, mns); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&b)
+			return b.TotalAlloc - a.TotalAlloc
+		}
+		// The first growth after NewLog reallocates the global columns once
+		// (the log takes ownership of their growth region); later ticks
+		// append into the headroom that leaves.
+		allocated(tick(0, 1<<41, 1<<41+1))
+		r := result{articles: len(c.Mentions), events: snap.EventCount()}
+		const rounds = 5
+		for k := 1; k <= rounds; k++ {
+			r.fresh += allocated(tick(k, 1<<41+int64(2*k), 1<<41+int64(2*k)+1))
+		}
+		r.fresh /= rounds
+		r.touch = allocated(tick(rounds+1, snap.Part(0).Events.ID[0]))
+		return r
+	}
+	small, large := measure(20150601000000), measure(20160401000000)
+	t.Logf("N=%d articles/%d events: fresh tick %d B, old-event tick %d B", small.articles, small.events, small.fresh, small.touch)
+	t.Logf("N=%d articles/%d events: fresh tick %d B, old-event tick %d B", large.articles, large.events, large.fresh, large.touch)
+	if large.articles < 3*small.articles {
+		t.Fatalf("worlds too close: %d vs %d articles", small.articles, large.articles)
+	}
+	if float64(large.fresh) >= 1.5*float64(small.fresh) {
+		t.Errorf("bytes per Append grew %.2fx for a %.1fx world: something on the append path scales with the sealed world",
+			float64(large.fresh)/float64(small.fresh), float64(large.articles)/float64(small.articles))
+	}
+	// Global NumArticles (with its 1/16 headroom) plus part 0's copy, which
+	// cannot hold more events than the world: at most ~8.25 B per event.
+	if limit := large.fresh + 9*uint64(large.events) + 16<<10; large.touch > limit {
+		t.Errorf("old-event tick allocated %d B, more than the documented copy-on-write allows (%d B)", large.touch, limit)
+	}
+}

@@ -550,7 +550,7 @@ func (sel *selection) shardRows(s *DB, ev int32, f func(i int, rows []int32)) {
 		return
 	}
 	for i := range s.parts {
-		if lr := s.g2lEv[i][ev]; lr >= 0 {
+		if lr := s.localEvent(i, ev); lr >= 0 {
 			ptr := sel.rowPtr[i]
 			if rows := sel.rowIdx[i][ptr[lr]:ptr[lr+1]]; len(rows) > 0 {
 				f(i, rows)
@@ -565,7 +565,7 @@ func (sel *selection) shardRows(s *DB, ev int32, f func(i int, rows []int32)) {
 // event-mention ordering.
 func (s *DB) shardEventRows(ev int32, f func(i int, rows []int32)) {
 	for i, p := range s.parts {
-		if lr := s.g2lEv[i][ev]; lr >= 0 {
+		if lr := s.localEvent(i, ev); lr >= 0 {
 			if rows := p.EventMentions(lr); len(rows) > 0 {
 				f(i, rows)
 			}
@@ -795,7 +795,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 			for ev := lo; ev < hi; ev++ {
 				total := 0
 				for i, p := range s.parts {
-					if lr := s.g2lEv[i][ev]; lr >= 0 {
+					if lr := s.localEvent(i, int32(ev)); lr >= 0 {
 						total += len(p.EventMentions(lr))
 					}
 				}
@@ -809,7 +809,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 					if s.bounds[i] >= cutoff {
 						break // every remaining mention is past the window
 					}
-					lr := s.g2lEv[i][ev]
+					lr := s.localEvent(i, int32(ev))
 					if lr < 0 {
 						continue
 					}

@@ -36,8 +36,8 @@ import (
 
 // DB is a time-partitioned sharded store: K independent store.DB shards
 // plus the assembly-time global dictionaries and remaps. Immutable after
-// New except for the per-shard snapshot versions (stream appends land in
-// the tail shard and bump only its version).
+// New: the append log derives each next world as a new DB (appendTail,
+// replaceTail) that shares what did not change.
 type DB struct {
 	meta   store.Meta
 	bounds []int32     // K+1 interval boundaries tiling [0, Intervals]
@@ -50,8 +50,10 @@ type DB struct {
 	eventCountryLUT []int32 // global event row -> country index, -1 untagged
 
 	l2gSrc [][]int32 // per shard: local source id -> global source id
-	l2gEv  [][]int32 // per shard: local event row -> global event row
-	g2lEv  [][]int32 // per shard: global event row -> local event row, -1 absent
+	l2gEv  [][]int32 // per shard: local event row -> global event row, ascending
+	// per shard: global event row -> local event row, -1 absent. May stop
+	// short of the global table; read it through localEvent.
+	g2lEv [][]int32
 
 	hasGKG   bool
 	themes   *store.Dictionary // global theme dictionary, nil without GKG
@@ -128,22 +130,31 @@ func New(parts []*store.DB, bounds []int32, sources, themes *store.Dictionary, r
 }
 
 // buildSourceRemaps derives each shard's local→global source remap by name.
-// A local source missing from the global dictionary is a corrupt manifest.
 func (s *DB) buildSourceRemaps() error {
 	s.l2gSrc = make([][]int32, len(s.parts))
 	for i, p := range s.parts {
-		remap := make([]int32, p.Sources.Len())
-		for ls := range remap {
-			g := s.sources.Lookup(p.Sources.Name(int32(ls)))
-			if g < 0 {
-				return fmt.Errorf("shard: shard %d source %q missing from global dictionary",
-					i, p.Sources.Name(int32(ls)))
-			}
-			remap[ls] = g
+		remap, err := nameRemap(p.Sources, s.sources)
+		if err != nil {
+			return fmt.Errorf("shard: shard %d source %w", i, err)
 		}
 		s.l2gSrc[i] = remap
 	}
 	return nil
+}
+
+// nameRemap maps every local dictionary id to the global id of the same
+// name. A local name missing from the global dictionary is a corrupt
+// manifest.
+func nameRemap(local, global *store.Dictionary) ([]int32, error) {
+	remap := make([]int32, local.Len())
+	for l := range remap {
+		g := global.Lookup(local.Name(int32(l)))
+		if g < 0 {
+			return nil, fmt.Errorf("%q missing from global dictionary", local.Name(int32(l)))
+		}
+		remap[l] = g
+	}
+	return remap, nil
 }
 
 // mergeEvents K-way merges the shards' ID-sorted event tables into the
@@ -197,16 +208,22 @@ func (s *DB) mergeEvents() error {
 	}
 	s.g2lEv = make([][]int32, K)
 	for i := range s.parts {
-		inv := make([]int32, ev.Len())
-		for g := range inv {
-			inv[g] = -1
-		}
-		for r, g := range s.l2gEv[i] {
-			inv[g] = int32(r)
-		}
-		s.g2lEv[i] = inv
+		s.g2lEv[i] = invertRemap(s.l2gEv[i], ev.Len())
 	}
 	return nil
+}
+
+// invertRemap returns the flat global→local inverse of a local→global
+// event remap over n global rows, -1 where the shard lacks the event.
+func invertRemap(l2g []int32, n int) []int32 {
+	inv := make([]int32, n)
+	for g := range inv {
+		inv[g] = -1
+	}
+	for r, g := range l2g {
+		inv[g] = int32(r)
+	}
+	return inv
 }
 
 // buildThemeRemaps wires the GKG side: all shards must agree on having GKG
@@ -232,18 +249,70 @@ func (s *DB) buildThemeRemaps(themes *store.Dictionary) error {
 	s.themes = themes
 	s.l2gTheme = make([][]int32, len(s.parts))
 	for i, p := range s.parts {
-		remap := make([]int32, p.GKG.Themes.Len())
-		for lt := range remap {
-			g := themes.Lookup(p.GKG.Themes.Name(int32(lt)))
-			if g < 0 {
-				return fmt.Errorf("shard: shard %d theme %q missing from global dictionary",
-					i, p.GKG.Themes.Name(int32(lt)))
-			}
-			remap[lt] = g
+		remap, err := nameRemap(p.GKG.Themes, themes)
+		if err != nil {
+			return fmt.Errorf("shard: shard %d theme %w", i, err)
 		}
 		s.l2gTheme[i] = remap
 	}
 	return nil
+}
+
+// replaceTail returns the world in which the tail part gives way to the
+// two parts a seal sliced out of it at interval cut; s is not written.
+// Slicing neither adds events nor changes their metadata, so the global
+// event table, eventCountryLUT, the global dictionaries and every other
+// part's remaps are shared with s, and only the two new parts' remaps are
+// built: O(tail) work plus one flat g2lEv for the sealed part. The fresh
+// tail gets none, like any tail an append produced (see localEvent).
+//
+// The one way slicing can change the global table is by dropping an event:
+// a tail event with no mention in the tail and an event interval below the
+// tail window lands in neither slice. If no other part holds it either,
+// the table a cold start would merge from these parts is smaller than the
+// shared one, so the world is rebuilt with New instead.
+func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
+	ti := len(s.parts) - 1
+	c := *s
+	next := &c
+	next.parts = append(s.parts[:ti:ti], sealed, fresh)
+	next.bounds = append(s.bounds[:ti+1:ti+1], cut, s.meta.Intervals)
+	next.l2gSrc = append(s.l2gSrc[:ti:ti], nil, nil)
+	next.l2gEv = append(s.l2gEv[:ti:ti], nil, nil)
+	next.g2lEv = append(s.g2lEv[:ti:ti], nil, nil)
+	if s.hasGKG {
+		next.l2gTheme = append(s.l2gTheme[:ti:ti], nil, nil)
+	}
+	for i := ti; i < len(next.parts); i++ {
+		p := next.parts[i]
+		var err error
+		if next.l2gSrc[i], err = nameRemap(p.Sources, s.sources); err != nil {
+			return nil, fmt.Errorf("shard: shard %d source %w", i, err)
+		}
+		if s.hasGKG {
+			if next.l2gTheme[i], err = nameRemap(p.GKG.Themes, s.themes); err != nil {
+				return nil, fmt.Errorf("shard: shard %d theme %w", i, err)
+			}
+		}
+		remap := make([]int32, p.Events.Len())
+		for r, id := range p.Events.ID {
+			if remap[r] = s.globalEventRow(id); remap[r] < 0 {
+				return nil, fmt.Errorf("shard: shard %d event %d missing from the global table", i, id)
+			}
+		}
+		next.l2gEv[i] = remap
+	}
+	for _, g := range s.l2gEv[ti] {
+		held := next.searchLocalEvent(ti, g) >= 0 || next.searchLocalEvent(ti+1, g) >= 0
+		for i := 0; i < ti && !held; i++ {
+			held = s.localEvent(i, g) >= 0
+		}
+		if !held {
+			return New(next.parts, next.bounds, s.sources, s.themes, s.report)
+		}
+	}
+	next.g2lEv[ti] = invertRemap(next.l2gEv[ti], s.events.Len())
+	return next, nil
 }
 
 // K returns the number of shards.

@@ -8,23 +8,32 @@ import (
 )
 
 // Stream appends. A feed chunk is one 15-minute update: an events file and a
-// mentions file. AppendChunk folds one chunk into an already-assembled DB —
-// the mutable exception to the store's otherwise immutable-after-assembly
-// contract. The dangerous part is not the column appends but the derived
-// state: the row-list postings, the per-source bitmap postings the planner
-// prunes with (srcRowBM/srcEvBM/srcRepEvBM), the quarter index, and the
-// typed LUTs are all materialized from the tables at assembly time, so an
-// append that extended the columns without rebuilding them would leave the
+// mentions file. There are two entry points over one table-mutation core
+// (appendRows / mergeEventRows):
+//
+//   - AppendChunk folds a chunk into an already-assembled DB in place — the
+//     mutable exception to the store's otherwise immutable-after-assembly
+//     contract, used where one owner serializes appends against queries
+//     (the stream monitor's single-threaded fold loop).
+//   - CloneAppend (clone.go) returns a new DB holding the chunk and leaves
+//     the receiver untouched — the copy-on-write step of the partitioned
+//     append log (internal/shard.Log), whose published snapshots are
+//     immutable.
+//
+// The dangerous part is not the column appends but the derived state: the
+// row-list postings, the per-source bitmap postings the planner prunes with
+// (srcRowBM/srcEvBM/srcRepEvBM), the value bitmaps, the quarter row index
+// and the typed LUTs are all materialized from the tables, so an append
+// that extended the columns without rebuilding them would leave the
 // bitmap-pruned plans answering from the pre-append snapshot while the
 // closure scan sees the new rows — a silent wrong-answer divergence, not a
-// crash. AppendChunk therefore rebuilds every derived index before it
-// returns and bumps the snapshot version so result caches keyed on
-// Version() retire everything computed against the old data.
+// crash. Both entry points therefore run buildDerived exactly once, after
+// all table mutation (event adoption included), and bump the snapshot
+// version so result caches keyed on Version() retire everything computed
+// against the old data. The rebuild is O(rows of this store); only the
+// capture-interval calendar, which depends on Meta alone, is kept.
 //
-// Appends are single-writer and must not race in-flight queries: the caller
-// serializes AppendChunk against query execution (the stream monitor's fold
-// loop is single-threaded, so this is the natural shape there). GKG
-// annotations are not extended by appends — the GKG table keeps its own
+// GKG annotations are not extended by appends — the GKG table keeps its own
 // interval column, so theme queries simply do not cover the appended span.
 
 // AppendStats reports what an append folded in and dropped, mirroring
@@ -60,14 +69,36 @@ type stagedMention struct {
 	order int32 // input position, for the stable interval sort
 }
 
-// AppendChunk folds one feed chunk's events and mentions into the store.
-// Chunk mentions must not regress: every accepted mention's capture
+// AppendChunk folds one feed chunk's events and mentions into the store in
+// place. Chunk mentions must not regress: every accepted mention's capture
 // interval has to be at or past the last stored interval (the tail-only
 // contract of the time-ordered feed); a regression is an error and nothing
 // is mutated. Non-web, out-of-range, and dangling mentions are dropped and
 // counted exactly as Builder.Finish drops them, so appending a suffix of a
 // feed equals rebuilding from the whole feed.
+//
+// Appends are single-writer and must not race in-flight queries: the caller
+// serializes AppendChunk against query execution.
 func (db *DB) AppendChunk(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, error) {
+	st, err := db.appendRows(evs, mns)
+	if err != nil {
+		return st, err
+	}
+	db.buildDerived()
+	if err := db.Validate(); err != nil {
+		return st, fmt.Errorf("store: append left an invalid db: %w", err)
+	}
+	db.BumpVersion()
+	return st, nil
+}
+
+// appendRows is the table half of an append: it stages and validates the
+// chunk, merges unknown events into the ID-sorted event table and appends
+// the accepted mentions. It reads and writes only the tables, the source
+// dictionary and the report — never a derived index — so the caller must
+// run buildDerived before the store is queried again. On error nothing has
+// been mutated.
+func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, error) {
 	var st AppendStats
 	base := db.Meta.Start.IntervalIndex()
 
@@ -122,9 +153,23 @@ func (db *DB) AppendChunk(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, 
 	}
 
 	// Merge the staged events into the ID-sorted table, rewriting the
-	// mention table's event-row references across the shift.
+	// mention table's event-row references across the shift. FirstMention
+	// falls back to the event interval until a mention arrives, matching
+	// Finish's treatment of mention-less events.
 	if len(newEvs) > 0 {
-		db.insertEvents(newEvs, base)
+		var add EventTable
+		for i := range newEvs {
+			ev := &newEvs[i]
+			iv := clampInterval(ev.DateAdded.IntervalIndex()-base, db.Meta.Intervals)
+			add.ID = append(add.ID, ev.GlobalEventID)
+			add.Day = append(add.Day, ev.Day)
+			add.Interval = append(add.Interval, iv)
+			add.Country = append(add.Country, int16(gdelt.CountryIndex(ev.ActionCountry)))
+			add.NumArticles = append(add.NumArticles, 0)
+			add.FirstMention = append(add.FirstMention, iv)
+			add.SourceURL = append(add.SourceURL, ev.SourceURL)
+		}
+		db.mergeEventRows(add)
 		st.AppendedEvents = len(newEvs)
 	}
 
@@ -172,116 +217,41 @@ func (db *DB) AppendChunk(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, 
 	sort.Slice(st.TouchedEventRows, func(a, b int) bool {
 		return st.TouchedEventRows[a] < st.TouchedEventRows[b]
 	})
-
-	// Rebuild every derived index the query layers read. buildPostings ends
-	// in buildSourceBitmaps, so the planner's bitmap postings can never be
-	// stale relative to the tables; buildSourceCountries and the typed LUTs
-	// cover dictionary growth from newly interned sources.
-	db.buildSourceCountries()
-	db.buildPostings()
-	db.buildQuarterIndex()
-	db.buildTypedLUTs()
-	if err := db.Validate(); err != nil {
-		return st, fmt.Errorf("store: append left an invalid db: %w", err)
-	}
-	db.BumpVersion()
 	return st, nil
 }
 
-// AdoptEventRows merges already-derived event rows — copied verbatim from
-// another shard of the same archive — into the event table, rewriting the
-// mention table's event-row references and rebuilding the row-dependent
-// derived indexes. The sharded tail append uses it to home events that a
-// new chunk mentions but the tail shard never held; unlike AppendChunk's
-// raw-event staging, the rows keep their global metadata (NumArticles,
-// FirstMention, Interval) unchanged. IDs already present are skipped. The
-// snapshot version is not bumped: adoption alone changes no query-visible
-// data, and the AppendChunk that follows bumps it.
-func (db *DB) AdoptEventRows(ev EventTable) error {
-	order := make([]int, 0, ev.Len())
-	for i := 0; i < ev.Len(); i++ {
-		if db.EventRowByID(ev.ID[i]) < 0 {
-			order = append(order, i)
-		}
+// mergeEventRows merges add — already-derived event rows, strictly
+// ascending by ID and disjoint from the stored IDs — into the ID-sorted
+// event table, and rewrites Mentions.EventRow across the row shift. The
+// merged columns are fresh allocations; the previous ones are not written.
+// Tables only: derived indexes are the caller's to rebuild.
+func (db *DB) mergeEventRows(add EventTable) {
+	old := db.Events
+	oldN, addN := old.Len(), add.Len()
+	if addN == 0 {
+		return
 	}
-	if len(order) == 0 {
-		return nil
+	n := oldN + addN
+	merged := EventTable{
+		ID:           make([]int64, 0, n),
+		Day:          make([]int32, 0, n),
+		Interval:     make([]int32, 0, n),
+		Country:      make([]int16, 0, n),
+		NumArticles:  make([]int32, 0, n),
+		FirstMention: make([]int32, 0, n),
+		SourceURL:    make([]string, 0, n),
 	}
-	sort.Slice(order, func(a, b int) bool { return ev.ID[order[a]] < ev.ID[order[b]] })
-	for k := 1; k < len(order); k++ {
-		if ev.ID[order[k]] == ev.ID[order[k-1]] {
-			return fmt.Errorf("store: adopting duplicate event %d", ev.ID[order[k]])
-		}
-	}
-
-	oldN := db.Events.Len()
-	var merged EventTable
 	remap := make([]int32, oldN)
-	oi, ni := 0, 0
-	for oi < oldN || ni < len(order) {
-		if ni >= len(order) || (oi < oldN && db.Events.ID[oi] < ev.ID[order[ni]]) {
+	oi, ai := 0, 0
+	for oi < oldN || ai < addN {
+		if ai >= addN || (oi < oldN && old.ID[oi] < add.ID[ai]) {
 			remap[oi] = int32(merged.Len())
-			merged.ID = append(merged.ID, db.Events.ID[oi])
-			merged.Day = append(merged.Day, db.Events.Day[oi])
-			merged.Interval = append(merged.Interval, db.Events.Interval[oi])
-			merged.Country = append(merged.Country, db.Events.Country[oi])
-			merged.NumArticles = append(merged.NumArticles, db.Events.NumArticles[oi])
-			merged.FirstMention = append(merged.FirstMention, db.Events.FirstMention[oi])
-			merged.SourceURL = append(merged.SourceURL, db.Events.SourceURL[oi])
+			merged.AppendRow(&old, oi)
 			oi++
-			continue
+		} else {
+			merged.AppendRow(&add, ai)
+			ai++
 		}
-		j := order[ni]
-		merged.ID = append(merged.ID, ev.ID[j])
-		merged.Day = append(merged.Day, ev.Day[j])
-		merged.Interval = append(merged.Interval, ev.Interval[j])
-		merged.Country = append(merged.Country, ev.Country[j])
-		merged.NumArticles = append(merged.NumArticles, ev.NumArticles[j])
-		merged.FirstMention = append(merged.FirstMention, ev.FirstMention[j])
-		merged.SourceURL = append(merged.SourceURL, ev.SourceURL[j])
-		ni++
-	}
-	for i, e := range db.Mentions.EventRow {
-		db.Mentions.EventRow[i] = remap[e]
-	}
-	db.Events = merged
-	db.buildPostings()
-	db.buildTypedLUTs()
-	return db.Validate()
-}
-
-// insertEvents merges ID-sorted new events into the event table and rewrites
-// Mentions.EventRow across the row shift.
-func (db *DB) insertEvents(newEvs []gdelt.Event, base int64) {
-	oldN := db.Events.Len()
-	var merged EventTable
-	remap := make([]int32, oldN)
-	oi, ni := 0, 0
-	for oi < oldN || ni < len(newEvs) {
-		if ni >= len(newEvs) || (oi < oldN && db.Events.ID[oi] < newEvs[ni].GlobalEventID) {
-			remap[oi] = int32(merged.Len())
-			merged.ID = append(merged.ID, db.Events.ID[oi])
-			merged.Day = append(merged.Day, db.Events.Day[oi])
-			merged.Interval = append(merged.Interval, db.Events.Interval[oi])
-			merged.Country = append(merged.Country, db.Events.Country[oi])
-			merged.NumArticles = append(merged.NumArticles, db.Events.NumArticles[oi])
-			merged.FirstMention = append(merged.FirstMention, db.Events.FirstMention[oi])
-			merged.SourceURL = append(merged.SourceURL, db.Events.SourceURL[oi])
-			oi++
-			continue
-		}
-		ev := &newEvs[ni]
-		iv := clampInterval(ev.DateAdded.IntervalIndex()-base, db.Meta.Intervals)
-		merged.ID = append(merged.ID, ev.GlobalEventID)
-		merged.Day = append(merged.Day, ev.Day)
-		merged.Interval = append(merged.Interval, iv)
-		merged.Country = append(merged.Country, int16(gdelt.CountryIndex(ev.ActionCountry)))
-		merged.NumArticles = append(merged.NumArticles, 0)
-		// FirstMention falls back to the event interval until a mention
-		// arrives, matching Finish's treatment of mention-less events.
-		merged.FirstMention = append(merged.FirstMention, iv)
-		merged.SourceURL = append(merged.SourceURL, ev.SourceURL)
-		ni++
 	}
 	for i, e := range db.Mentions.EventRow {
 		db.Mentions.EventRow[i] = remap[e]

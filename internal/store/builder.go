@@ -196,10 +196,7 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		}
 	}
 
-	db.buildSourceCountries()
-	db.buildPostings()
-	db.buildQuarterIndex()
-	db.buildTypedLUTs()
+	db.buildDerived()
 	if err := b.finishGKG(db); err != nil {
 		return nil, BuildStats{}, err
 	}
@@ -219,6 +216,18 @@ func clampInterval(iv int64, n int32) int32 {
 		return n - 1
 	}
 	return int32(iv)
+}
+
+// buildDerived (re)builds every derived index the query layers read from
+// the tables: source countries, row-list postings (which end in the source
+// and value bitmaps, so the planner's postings can never be stale relative
+// to the tables), the quarter index and the typed LUTs. It is the single
+// rebuild chain of assembly, batch build and both append entry points.
+func (db *DB) buildDerived() {
+	db.buildSourceCountries()
+	db.buildPostings()
+	db.buildQuarterIndex()
+	db.buildTypedLUTs()
 }
 
 func (db *DB) buildSourceCountries() {
@@ -270,14 +279,11 @@ func (db *DB) buildPostings() {
 }
 
 // buildTypedLUTs widens the int16 remap columns to the int32 lookup tables
-// the vectorized kernels index directly (quarter of interval, country of
-// source, country of event). Built once per assembly; ~4 bytes per
-// interval/source/event, negligible next to the mention table.
+// the vectorized kernels index directly (country of source, country of
+// event; the quarter-of-interval LUT belongs to the calendar). Built once
+// per assembly; ~4 bytes per source/event, negligible next to the mention
+// table.
 func (db *DB) buildTypedLUTs() {
-	db.quarterLUT = make([]int32, len(db.quarterOfInterval))
-	for i, q := range db.quarterOfInterval {
-		db.quarterLUT[i] = int32(q)
-	}
 	db.sourceCountryLUT = make([]int32, len(db.SourceCountry))
 	for i, c := range db.SourceCountry {
 		db.sourceCountryLUT[i] = int32(c)
@@ -288,10 +294,16 @@ func (db *DB) buildTypedLUTs() {
 	}
 }
 
-// buildQuarterIndex maps every capture interval to its calendar quarter and
-// records the first mention row of each quarter.
-func (db *DB) buildQuarterIndex() {
+// buildCalendar maps every capture interval to its calendar quarter, as
+// the int16 column and as the kernels' int32 LUT. It depends on Meta alone,
+// so a store that already carries it — an append in place, or an append-log
+// clone, which shares its original's — keeps it: the calendar is
+// O(archive span), not O(rows), and must not be paid per tick.
+func (db *DB) buildCalendar() {
 	n := int(db.Meta.Intervals)
+	if len(db.quarterOfInterval) == n {
+		return
+	}
 	db.quarterOfInterval = make([]int16, n)
 	baseAbs := db.Meta.Start.Year()*4 + (db.Meta.Start.Month()-1)/3
 	// Walk day by day; all 96 intervals of a day share a quarter.
@@ -306,7 +318,16 @@ func (db *DB) buildQuarterIndex() {
 		day++
 	}
 	db.quarters = int(db.quarterOfInterval[n-1]) + 1
+	db.quarterLUT = make([]int32, n)
+	for i, q := range db.quarterOfInterval {
+		db.quarterLUT[i] = int32(q)
+	}
+}
 
+// buildQuarterIndex records the first mention row of each calendar quarter
+// (and the equivalent quarter row bitmaps) over the calendar.
+func (db *DB) buildQuarterIndex() {
+	db.buildCalendar()
 	db.quarterRow = make([]int64, db.quarters+1)
 	nm := db.Mentions.Len()
 	for q := 1; q <= db.quarters; q++ {

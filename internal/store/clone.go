@@ -1,30 +1,41 @@
 package store
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"gdeltmine/internal/gdelt"
 )
 
-// Copy-on-write clone support for the partitioned append log
-// (internal/shard.Log). Published snapshots are immutable: the append path
-// clones exactly the state the tail fold will mutate and shares everything
-// else. Two clone depths exist because shard.AppendTail mutates two very
-// different amounts of state:
+// Copy-on-write support for the partitioned append log (internal/shard.Log).
+// Published snapshots are immutable, so a feed tick never mutates a store a
+// reader may hold: CloneAppend builds the next tail as a new DB, and the
+// shard layer shallow-copies the few non-tail parts whose per-event
+// metadata the tick changes (see shard.DB.appendTail). What a tail clone
+// copies and what it shares with its original:
 //
-//   - The tail part is rewritten wholesale (tables, local dictionary,
-//     every derived index) — it needs DeepClone.
-//   - Non-tail parts only have the three global per-event metadata columns
-//     (NumArticles, FirstMention, Interval) written in place for adopted
-//     events; no derived index reads those columns, so
-//     CloneWithFreshEventMeta copies just them and shares all other
-//     storage with the published snapshot.
+//   - copied: the mention columns and the three per-event metadata columns
+//     (the fold appends rows, renumbers Mentions.EventRow and bumps
+//     NumArticles/FirstMention/Interval in place on the copy) and the
+//     validation report (the fold records defects);
+//   - shared until the fold inserts an event row, which rebuilds all event
+//     columns as fresh allocations (mergeEventRows never writes the old
+//     ones): the per-event identity columns ID, Day, Country, SourceURL;
+//   - copied only if the chunk names a source the tail has not seen: the
+//     local source dictionary (Intern writes the map readers range over);
+//   - shared: the capture-interval calendar (a function of Meta) and the
+//     GKG store (appends never extend it);
+//   - rebuilt, once, after all table mutation: every other derived index.
+//
+// The cost is O(tail rows), bounded by the compactor's seal thresholds, and
+// independent of the sealed world.
 
 // SetVersion pins the snapshot version on a clone (AssembleDB starts every
-// assembly back at 0). The append log relies on it twice: a deep-cloned
-// tail must carry its original's version forward so tail-window cache keys
-// stay comparable, and a seal hands the old tail's version to both the
-// sealed part and the fresh tail. The carry-forward is safe for cache
+// assembly back at 0). The append log relies on it twice: a cloned tail
+// carries its original's version forward, plus one, so tail-window cache
+// keys stay comparable, and a seal hands the old tail's version to both
+// the sealed part and the fresh tail. The carry-forward is safe for cache
 // keys because data only ever changes through appends, and every append
 // bumps the (cloned) tail's version — so any window whose rows changed
 // gains a strictly larger version component than any key minted before.
@@ -59,51 +70,79 @@ func cloneReport(r *gdelt.ValidationReport) *gdelt.ValidationReport {
 	return c
 }
 
-// DeepClone returns a fully independent copy of the store: fresh table
-// columns, a cloned dictionary and report, and derived indexes rebuilt
-// from scratch by AssembleDB. The GKG store is shared by pointer — the
-// append path never extends GKG, and the cloned dictionary preserves every
-// source id GKG rows reference. The snapshot version carries over.
-func (db *DB) DeepClone() (*DB, error) {
-	ev := EventTable{
-		ID:           append([]int64(nil), db.Events.ID...),
-		Day:          append([]int32(nil), db.Events.Day...),
-		Interval:     append([]int32(nil), db.Events.Interval...),
-		Country:      append([]int16(nil), db.Events.Country...),
-		NumArticles:  append([]int32(nil), db.Events.NumArticles...),
-		FirstMention: append([]int32(nil), db.Events.FirstMention...),
-		SourceURL:    append([]string(nil), db.Events.SourceURL...),
+// CloneAppend returns a new store holding db's rows plus the adopted event
+// rows plus one feed chunk, at db's version + 1; db itself is not written.
+// adopt carries already-derived event rows copied verbatim from another
+// shard of the same archive (events the chunk mentions that this shard
+// never held): strictly ascending by ID, none of them stored here. Unlike
+// the chunk's raw events they keep their global metadata unchanged.
+// Chunk semantics and errors are AppendChunk's.
+func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Mention) (*DB, AppendStats, error) {
+	for i, id := range adopt.ID {
+		if (i > 0 && id <= adopt.ID[i-1]) || db.EventRowByID(id) >= 0 {
+			return nil, AppendStats{}, fmt.Errorf("store: adopting event %d: out of order or already stored", id)
+		}
 	}
-	mn := MentionTable{
-		EventRow:   append([]int32(nil), db.Mentions.EventRow...),
-		Source:     append([]int32(nil), db.Mentions.Source...),
-		Interval:   append([]int32(nil), db.Mentions.Interval...),
-		Delay:      append([]int32(nil), db.Mentions.Delay...),
-		DocLen:     append([]int32(nil), db.Mentions.DocLen...),
-		Tone:       append([]float32(nil), db.Mentions.Tone...),
-		Confidence: append([]int8(nil), db.Mentions.Confidence...),
+	sources := db.Sources
+	for i := range mns {
+		if mns[i].MentionType == gdelt.MentionTypeWeb && sources.Lookup(mns[i].SourceName) < 0 {
+			sources = sources.Clone()
+			break
+		}
 	}
-	c, err := AssembleDB(db.Meta, db.Sources.Clone(), ev, mn, cloneReport(db.Report))
+	c := &DB{
+		Meta:    db.Meta,
+		Sources: sources,
+		Events: EventTable{
+			ID:           db.Events.ID,
+			Day:          db.Events.Day,
+			Interval:     slices.Clone(db.Events.Interval),
+			Country:      db.Events.Country,
+			NumArticles:  slices.Clone(db.Events.NumArticles),
+			FirstMention: slices.Clone(db.Events.FirstMention),
+			SourceURL:    db.Events.SourceURL,
+		},
+		Mentions: MentionTable{
+			EventRow:   cloneWithRoom(db.Mentions.EventRow, len(mns)),
+			Source:     cloneWithRoom(db.Mentions.Source, len(mns)),
+			Interval:   cloneWithRoom(db.Mentions.Interval, len(mns)),
+			Delay:      cloneWithRoom(db.Mentions.Delay, len(mns)),
+			DocLen:     cloneWithRoom(db.Mentions.DocLen, len(mns)),
+			Tone:       cloneWithRoom(db.Mentions.Tone, len(mns)),
+			Confidence: cloneWithRoom(db.Mentions.Confidence, len(mns)),
+		},
+		quarterOfInterval: db.quarterOfInterval,
+		quarterLUT:        db.quarterLUT,
+		quarters:          db.quarters,
+		GKG:               db.GKG,
+		Report:            cloneReport(db.Report),
+	}
+	c.mergeEventRows(adopt)
+	st, err := c.appendRows(evs, mns)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	c.GKG = db.GKG
-	c.SetVersion(db.Version())
-	return c, nil
+	c.buildDerived()
+	if err := c.Validate(); err != nil {
+		return nil, st, fmt.Errorf("store: append left an invalid db: %w", err)
+	}
+	c.SetVersion(db.Version() + 1)
+	return c, st, nil
 }
 
-// CloneWithFreshEventMeta returns a shallow copy of the store with fresh
-// copies of only the three per-event metadata columns AppendTail
-// propagates in place (Interval, NumArticles, FirstMention). Everything
-// else — mention columns, dictionaries, postings, bitmaps, GKG — is shared
-// with the original, which stays untouched. The version field is a plain
+// cloneWithRoom copies s into a slice with capacity for extra more
+// elements, so the fold's appends do not reallocate what was just copied.
+func cloneWithRoom[T any](s []T, extra int) []T {
+	return append(make([]T, 0, len(s)+extra), s...)
+}
+
+// ShallowClone returns a copy of the store struct sharing all storage with
+// db. The append log uses it to replace single columns of a non-tail part
+// (the per-event metadata a tick propagates; no derived index reads them)
+// without touching the published original. The version field is a plain
 // word precisely so this struct copy is legal; the copy happens under the
 // append log's writer lock, never concurrently with a version bump.
-func (db *DB) CloneWithFreshEventMeta() *DB {
-	c := new(DB)
-	*c = *db
-	c.Events.Interval = append([]int32(nil), db.Events.Interval...)
-	c.Events.NumArticles = append([]int32(nil), db.Events.NumArticles...)
-	c.Events.FirstMention = append([]int32(nil), db.Events.FirstMention...)
-	return c
+func (db *DB) ShallowClone() *DB {
+	c := *db
+	return &c
 }

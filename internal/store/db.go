@@ -36,6 +36,17 @@ type EventTable struct {
 // Len returns the number of events.
 func (t *EventTable) Len() int { return len(t.ID) }
 
+// AppendRow appends row i of src, every column verbatim.
+func (t *EventTable) AppendRow(src *EventTable, i int) {
+	t.ID = append(t.ID, src.ID[i])
+	t.Day = append(t.Day, src.Day[i])
+	t.Interval = append(t.Interval, src.Interval[i])
+	t.Country = append(t.Country, src.Country[i])
+	t.NumArticles = append(t.NumArticles, src.NumArticles[i])
+	t.FirstMention = append(t.FirstMention, src.FirstMention[i])
+	t.SourceURL = append(t.SourceURL, src.SourceURL[i])
+}
+
 // MentionTable is the columnar Mentions table, sorted by capture interval.
 type MentionTable struct {
 	EventRow   []int32 // row index into the event table
@@ -225,10 +236,7 @@ func AssembleDB(meta Meta, sources *Dictionary, ev EventTable, mn MentionTable, 
 	if err := db.validateTables(); err != nil {
 		return nil, err
 	}
-	db.buildSourceCountries()
-	db.buildPostings()
-	db.buildQuarterIndex()
-	db.buildTypedLUTs()
+	db.buildDerived()
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
