@@ -116,8 +116,8 @@ go test -race ./internal/baseline -run TestCompactionDifferential -count=1
 # Append-log battery, under the race detector: the snapshot isolation,
 # seal, persist-roundtrip and cache-key-safety pins; the incremental-append
 # pins (incrementally maintained world == cold-start rebuild after every
-# tick and seal of a 200-tick schedule incl. the counted full-merge
-# fallback; a held snapshot answers every kind byte-identically while a
+# tick and seal of a 200-tick schedule whose event ids arrive out of
+# order; a held snapshot answers every kind byte-identically while a
 # writer appends 100+ ticks and seals; bytes allocated per append do not
 # grow with the sealed world); plus the crash harness that kills the
 # compactor's persist protocol at every write/sync/rename step and

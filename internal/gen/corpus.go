@@ -445,28 +445,6 @@ func (c *Corpus) finalize() {
 			ev.FirstSource = m.Source
 		}
 	}
-	c.renumberByArrival()
-}
-
-// renumberByArrival hands the GlobalEventIDs out again in first-mention
-// order (ties keep generation order). GDELT numbers event records as it
-// adds them, so in the real feed ids ascend with DateAdded and every
-// 15-minute update's new ids lie above all earlier ones; generation order
-// is by event day with a random interval inside it, which a replayed feed
-// would deliver out of order. Events stays in generation order — only the
-// id values move.
-func (c *Corpus) renumberByArrival() {
-	ids := make([]int64, len(c.Events))
-	order := make([]int, len(c.Events))
-	for i := range c.Events {
-		ids[i], order[i] = c.Events[i].ID, i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return c.Events[order[a]].FirstMention < c.Events[order[b]].FirstMention
-	})
-	for k, i := range order {
-		c.Events[i].ID = ids[k]
-	}
 }
 
 // injectDefects marks the configured number of missing-URL and future-date

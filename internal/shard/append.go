@@ -10,7 +10,7 @@ import (
 )
 
 var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
-	"appends that re-merged the whole global event table because a new event id was not above the stored maximum")
+	"appends that rebuilt the world with the cold-start K-way merge because the incremental result failed its row count")
 
 // appendTail returns the world after one feed tick is folded into the tail
 // part. s — a published snapshot — is never written: the result is a struct
@@ -19,34 +19,36 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // whose persisted image the tick made stale.
 //
 // Shared by reference with s: every sealed part the tick does not touch,
-// bounds, meta, report, theme remaps, the remaps of all non-tail parts, the
-// global source dictionary unless the tick interns a new source, and the
-// global event table's identity columns.
+// bounds, meta, report, theme remaps, the global source dictionary unless
+// the tick interns a new source, the frozen run of the global event table
+// and the event remaps of every part that holds no row of the recent run.
 //
 // Replaced:
 //
 //   - The tail: store.DB.CloneAppend builds the next tail (events the tick
 //     references but the tail never held are adopted verbatim from the
 //     global table first, so per-event metadata stays globally agreed), and
-//     its three remaps are rebuilt at O(tail) cost. The tail's flat g2lEv is
-//     dropped rather than copied — adoption renumbers tail rows, and a fresh
-//     flat inverse would cost O(global events) per tick — so tail lookups go
-//     through localEvent's search of the ascending l2gEv instead.
+//     its three remaps are rebuilt at O(tail) cost. The tail has no flat
+//     s2lEv — adoption and inserts renumber its rows every tick, and a flat
+//     inverse costs O(global events) — so tail lookups go through
+//     localEvent's search of the ascending l2gEv.
 //   - Per-event metadata (NumArticles, FirstMention, Interval) of events
-//     that gained mentions: a column of the global table, and of each
-//     non-tail part holding a copy of the event, is copied once when the
-//     tick first changes a value in it. These copies are the part of a tick
-//     that is not O(tick): one int32 column of the global table for nearly
-//     every non-empty tick, and of the touched parts.
-//   - New events extend the global table, eventCountryLUT and the tail's
-//     l2gEv by suffix. The feed assigns GlobalEventIDs in arrival order, so a
-//     tick's unknown ids exceed the stored maximum and land past every
-//     existing global row; the columns grow with append, into spare capacity
-//     past the length any earlier snapshot can see. That is safe only under
-//     a linear history — each world appended to at most once — which Log's
-//     writer lock provides (see ownGrowth). A tick that breaks the id
-//     property falls back to the cold-start constructor (New: full K-way
-//     re-merge), counted in shard_log_append_fallback_total.
+//     that gained mentions: a column of the global table's run holding the
+//     event, and of each non-tail part holding a copy of it, is copied once
+//     when the tick first changes a value in it.
+//   - New events are merged into the global table by id (globalEvents.insert)
+//     wherever their ids fall; the feed does not deliver ids in order. Rows
+//     past an insert move up, so l2gEv of each part reaching past the lowest
+//     insert is rewritten; the flat inverses go by seq and stay.
+//
+// What a tick costs beyond its own rows and the tail is therefore set by how
+// far down the global table it reaches: the recent run and the remaps of
+// the parts sealed since for the usual tick, one int32 column of the frozen
+// run for a mention of an older event, the whole table for an event whose
+// id lies below the recent run (see globalEvents for the measured shares).
+// The cold-start constructor (New: full K-way re-merge) is reached only if
+// the result fails its own row count, counted in
+// shard_log_append_fallback_total.
 //
 // Only the tail's snapshot version moves (CloneAppend bumps it): cached
 // results whose window touches the tail go stale through StaleKey while
@@ -85,7 +87,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		if tail.EventRowByID(id) >= 0 {
 			return
 		}
-		if g := s.globalEventRow(id); g >= 0 {
+		if g := s.events.row(id); g >= 0 {
 			adoptG = append(adoptG, g)
 		}
 	}
@@ -100,7 +102,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	slices.Sort(adoptG) // global rows ascend with ids
 	var adopt store.EventTable
 	for _, g := range adoptG {
-		adopt.AppendRow(&s.events, int(g))
+		adopt.AppendRow(s.events.at(int(g)))
 	}
 
 	newTail, st, err := tail.CloneAppend(adopt, evs, mns)
@@ -133,19 +135,21 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	// every other part's copy of each touched event. Touched rows unknown to
 	// the global table are this tick's new events.
 	te := &newTail.Events
-	global := newMetaCow(&next.events)
+	ev := &next.events
+	frozen, recent := newMetaCow(&ev.frozen), newMetaCow(&ev.recent)
 	partCow := make(map[int]*metaCow)
 	var newRows []int32
 	for _, r := range st.TouchedEventRows {
-		g := s.globalEventRow(te.ID[r])
+		g := s.events.row(te.ID[r])
 		if g < 0 {
 			newRows = append(newRows, r)
 			continue
 		}
 		n, fm, iv := te.NumArticles[r], te.FirstMention[r], te.Interval[r]
-		global.set(g, n, fm, iv)
+		ev.set(frozen, recent, g, n, fm, iv)
+		seq := s.events.seq(g)
 		for pi := 0; pi < ti; pi++ {
-			lr := s.localEvent(pi, g)
+			lr := s.localEvent(pi, seq, g)
 			if lr < 0 {
 				continue
 			}
@@ -165,13 +169,20 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		}
 	}
 
-	// New events: suffix extension when every new id lies past the stored
-	// maximum (touched rows ascend by id, so checking the first suffices),
-	// full re-merge otherwise.
-	oldE := s.events.Len()
-	tailRemap := mergeAscending(s.l2gEv[ti], adoptG)
-	if (len(newRows) > 0 && oldE > 0 && te.ID[newRows[0]] < s.events.ID[oldE-1]) ||
-		len(tailRemap)+len(newRows) != te.Len() {
+	// New events (touched rows ascend by id) and the row shift they cause.
+	at := ev.insert(te, newRows)
+	next.l2gEv = slices.Clone(s.l2gEv)
+	if len(at) > 0 {
+		for i := 0; i < ti; i++ {
+			if l := s.l2gEv[i]; len(l) > 0 && l[len(l)-1] >= at[0] {
+				next.l2gEv[i] = shiftRows(l, at)
+			}
+		}
+	}
+	// The tail's rows are its old ones and the adopted ones, shifted, with
+	// the new rows between them where their ids put them.
+	held := shiftRows(mergeAscending(s.l2gEv[ti], adoptG), at)
+	if len(held)+len(newRows) != te.Len() {
 		mAppendFallback.Inc()
 		next, err = New(next.parts, s.bounds, next.sources, s.themes, s.report)
 		if err != nil {
@@ -179,16 +190,20 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		}
 		return next, st, dirtied, nil
 	}
-	ev := &next.events
-	for _, r := range newRows {
-		tailRemap = append(tailRemap, int32(ev.Len()))
-		ev.AppendRow(te, int(r))
-		next.eventCountryLUT = append(next.eventCountryLUT, int32(te.Country[r]))
+	tailRemap := make([]int32, 0, te.Len())
+	h := 0
+	for j, r := range newRows {
+		for len(tailRemap) < int(r) {
+			tailRemap = append(tailRemap, held[h])
+			h++
+		}
+		tailRemap = append(tailRemap, at[j]+int32(j))
 	}
-	next.l2gEv = slices.Clone(s.l2gEv)
-	next.l2gEv[ti] = tailRemap
-	next.g2lEv = slices.Clone(s.g2lEv)
-	next.g2lEv[ti] = nil
+	next.l2gEv[ti] = append(tailRemap, held[h:]...)
+	if s.s2lEv[ti] != nil {
+		next.s2lEv = slices.Clone(s.s2lEv)
+		next.s2lEv[ti] = nil
+	}
 	return next, st, dirtied, nil
 }
 
@@ -213,9 +228,7 @@ func (m *metaCow) set(row, numArticles, firstMention, interval int32) {
 }
 
 // cowInt32 is one shared column: the first set that changes a value swaps
-// in a private copy, later sets write it in place. The copy carries spare
-// capacity so that the suffix appends of this and the following ticks do
-// not each pay a second whole-column reallocation.
+// in a private copy, later sets write it in place.
 type cowInt32 struct {
 	col   *[]int32
 	owned bool
@@ -226,10 +239,7 @@ func (c *cowInt32) set(i, v int32) {
 		return
 	}
 	if !c.owned {
-		n := len(*c.col)
-		own := make([]int32, n, n+n/16+64)
-		copy(own, *c.col)
-		*c.col, c.owned = own, true
+		*c.col, c.owned = slices.Clone(*c.col), true
 	}
 	(*c.col)[i] = v
 }
@@ -247,59 +257,29 @@ func mergeAscending(a, b []int32) []int32 {
 	return append(append(out, a...), b...)
 }
 
-// globalEventRow returns the global row of a GlobalEventID, or -1.
-func (s *DB) globalEventRow(id int64) int32 {
-	if g, ok := slices.BinarySearch(s.events.ID, id); ok {
-		return int32(g)
+// localEvent returns part i's local row of a global event, or -1 when the
+// part does not hold it. s2lEv[i] is the flat inverse of l2gEv[i] by event
+// seq, over the numbers handed out when the part was assembled or sealed.
+// The caller names the event both ways: by seq (globalEvents.seq) and row.
+func (s *DB) localEvent(i int, seq, row int32) int32 {
+	if f := s.s2lEv[i]; int(seq) < len(f) {
+		return f[seq]
 	}
-	return -1
+	return s.searchLocalEvent(i, row)
 }
 
-// localEvent returns part i's local row of global event ev, or -1 when the
-// part does not hold it. g2lEv[i] is the flat inverse of l2gEv[i] over the
-// global rows that existed when it was built (assembly, or the part's
-// seal): later events cannot be in a sealed part, and the appended tail has
-// no flat inverse at all (see appendTail), so rows past its end resolve
-// through the ascending l2gEv[i].
-func (s *DB) localEvent(i int, ev int32) int32 {
-	if g := s.g2lEv[i]; int(ev) < len(g) {
-		return g[ev]
-	}
-	return s.searchLocalEvent(i, ev)
-}
-
-// searchLocalEvent is localEvent's slow path; kept out of line so the flat
-// lookup inlines into the per-event kernel loops.
+// searchLocalEvent is localEvent past the flat inverse; kept out of line so
+// the flat lookup inlines into the per-event kernel loops. A sealed part
+// gains no events, so an event numbered past its inverse is not in it; the
+// tail has no flat inverse (see appendTail) and is searched by row.
 //
 //go:noinline
-func (s *DB) searchLocalEvent(i int, ev int32) int32 {
-	l2g := s.l2gEv[i]
-	if n := len(l2g); n == 0 || ev > l2g[n-1] {
+func (s *DB) searchLocalEvent(i int, row int32) int32 {
+	if s.s2lEv[i] != nil {
 		return -1
 	}
-	if lr, ok := slices.BinarySearch(l2g, ev); ok {
+	if lr, ok := slices.BinarySearch(s.l2gEv[i], row); ok {
 		return int32(lr)
 	}
 	return -1
-}
-
-// ownGrowth returns a copy of s whose growable global columns have no spare
-// capacity, so the first suffix append reallocates them. appendTail grows
-// these columns in place past their length, which is invisible to earlier
-// snapshots but would let two histories started from one world (two logs
-// over the same split, a log and its caller) overwrite each other's
-// suffix; a log therefore takes ownership of the growth region once, at
-// construction, and keeps its history linear under its writer lock.
-func (s *DB) ownGrowth() *DB {
-	c := *s
-	ev := &c.events
-	ev.ID = slices.Clip(ev.ID)
-	ev.Day = slices.Clip(ev.Day)
-	ev.Interval = slices.Clip(ev.Interval)
-	ev.Country = slices.Clip(ev.Country)
-	ev.NumArticles = slices.Clip(ev.NumArticles)
-	ev.FirstMention = slices.Clip(ev.FirstMention)
-	ev.SourceURL = slices.Clip(ev.SourceURL)
-	c.eventCountryLUT = slices.Clip(c.eventCountryLUT)
-	return &c
 }

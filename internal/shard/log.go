@@ -43,9 +43,7 @@ var (
 // started on, and the per-shard version vectors embedded in qcache keys
 // keep results from different snapshots apart: the fold bumps only the
 // new tail's version, so cached answers for tail-overlapping windows go
-// stale while cold-window entries stay warm. The same mutex keeps the
-// log's history linear, which is what lets appends grow the global event
-// table in place (DB.ownGrowth).
+// stale while cold-window entries stay warm.
 //
 // Durability contract: appended ticks live in memory only; recovery after
 // a crash is the stream checkpoint plus masterfile catch-up (the live
@@ -90,7 +88,7 @@ const LogManifestName = "MANIFEST.gdsm"
 // ever written to disk; Seal only swaps snapshots.
 func NewLog(db *DB) *Log {
 	lg := &Log{dirty: make([]bool, db.K())}
-	lg.cur.Store(db.ownGrowth())
+	lg.cur.Store(db)
 	mLogParts.Set(float64(db.K()))
 	return lg
 }
@@ -158,7 +156,7 @@ func OpenLog(dir string) (*Log, error) {
 		return nil, err
 	}
 	lg := &Log{dir: dir, files: files, dirty: make([]bool, len(files))}
-	lg.cur.Store(db) // freshly assembled: nobody else can grow its columns
+	lg.cur.Store(db)
 	mLogParts.Set(float64(db.K()))
 	lg.gen = scanMaxGen(dir, files)
 	lg.gc()

@@ -99,23 +99,40 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 				}
 			}
 			check("initial world")
+			// The generated feed does not deliver event ids in order; count
+			// the ticks that insert below the stored maximum, so the schedule
+			// is known to have exercised the insert.
+			var maxID int64
+			baseEvents := 0
+			for i := range c.Events {
+				if c.Events[i].FirstMention < cut {
+					maxID = max(maxID, c.Events[i].ID)
+					baseEvents++
+				}
+			}
 			fallbacks := appendFallbacks()
-			fed, seals := 0, 0
+			fed, seals, late, recent := 0, 0, 0, 0
 			for i, tk := range ticks {
 				if len(tk.evs)+len(tk.mns) == 0 {
 					continue
+				}
+				below := false
+				for _, ev := range tk.evs {
+					below = below || ev.GlobalEventID < maxID
+				}
+				for _, ev := range tk.evs {
+					maxID = max(maxID, ev.GlobalEventID)
+				}
+				if below {
+					late++
 				}
 				if _, err := lg.Append(tk.evs, tk.mns); err != nil {
 					t.Fatalf("tick %d: %v", i, err)
 				}
 				check(fmt.Sprintf("after tick %d", i))
 				if fed++; fed == 100 {
-					if got := appendFallbacks(); got != fallbacks {
-						t.Fatalf("%v appends of a feed-ordered schedule took the full-merge fallback", got-fallbacks)
-					}
 					appendOddTicks(t, c, lg, cut+int32(i))
 					check("after the odd ticks")
-					fallbacks = appendFallbacks()
 				}
 				if lg.TailSpan() >= gdelt.IntervalsPerDay {
 					if sealed, err := lg.Seal(); err != nil || !sealed {
@@ -123,24 +140,32 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 					}
 					seals++
 					check(fmt.Sprintf("after the seal following tick %d", i))
+					recent = max(recent, shard.RecentEvents(lg.Snapshot()))
 				}
 			}
-			if fed < 200 || seals < 5 {
-				t.Fatalf("schedule too short: %d ticks, %d seals", fed, seals)
+			if fed < 200 || seals < 5 || late < 50 {
+				t.Fatalf("schedule too short: %d ticks, %d seals, %d ticks with an id below the maximum", fed, seals, late)
 			}
 			if got := appendFallbacks(); got != fallbacks {
-				t.Fatalf("%v appends of a feed-ordered schedule took the full-merge fallback", got-fallbacks)
+				t.Fatalf("%v appends took the full-merge fallback", got-fallbacks)
+			}
+			// Seals freeze what the feed stopped writing: 30 days of events
+			// must not all still sit in the run every tick rebuilds.
+			final := lg.Snapshot()
+			if n, grown := shard.RecentEvents(final), final.EventCount()-baseEvents; recent == 0 || 2*n > grown {
+				t.Fatalf("recent run holds %d of the %d events appended (peak %d after a seal)", n, grown, recent)
 			}
 		})
 	}
 }
 
-// appendOddTicks folds, at capture interval iv, the shapes the feed
-// contract does not promise: an event whose id lies below the stored
-// maximum (the counted fallback), a re-delivered record of an event only a
-// sealed part holds, a first-seen source, and an event that arrives with
-// no mention and a DateAdded before the tail window — which the next seal
-// slices out of the world, so the seal cannot keep the global table.
+// appendOddTicks folds, at capture interval iv, the shapes the generated
+// feed does not carry: an event whose id lies below every stored one (an
+// insert at row 0 of the frozen run, moving every remap), a re-delivered
+// record of an event only a sealed part holds, a first-seen source, and an
+// event that arrives with no mention and a DateAdded before the tail
+// window — which the next seal slices out of the world, so the seal cannot
+// keep the global table.
 func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 	t.Helper()
 	ts := c.IntervalTimestamp(iv)
@@ -151,7 +176,6 @@ func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 	}
 	known := snap.Sources().Name(0)
 
-	before := appendFallbacks()
 	st, err := lg.Append(
 		[]gdelt.Event{{GlobalEventID: 1, Day: 20150501, DateAdded: ts, SourceURL: "http://late.example/1"}},
 		[]gdelt.Mention{web(1, known)})
@@ -161,11 +185,8 @@ func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 	if st.AppendedEvents != 1 || st.AppendedMentions != 1 {
 		t.Fatalf("below-maximum tick: stats %+v, want 1 event / 1 mention", st)
 	}
-	if got := appendFallbacks() - before; got != 1 {
-		t.Fatalf("an event id below the stored maximum took the fallback %v times, want 1", got)
-	}
 	if err := shard.DiffFromRebuild(lg.Snapshot()); err != nil {
-		t.Fatalf("after the fallback tick: %v", err)
+		t.Fatalf("after the lowest-id tick: %v", err)
 	}
 
 	var old gdelt.Event
@@ -179,9 +200,6 @@ func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 	if !found {
 		t.Fatal("no event held by part 0 only; pick another world")
 	}
-	// (The mention-less event takes a low id as well: a high one would sit
-	// above every real id until the seal drops it, and push the feed's own
-	// events onto the fallback path.)
 	st, err = lg.Append(
 		[]gdelt.Event{old, {GlobalEventID: 2, Day: 20150219, DateAdded: c.IntervalTimestamp(0)}},
 		[]gdelt.Mention{web(1, "first-seen.example")})
@@ -297,16 +315,19 @@ func TestLogSnapshotIsolationUnderAppends(t *testing.T) {
 
 // TestLogAppendAllocScaling is the scaling guard, as a count rather than a
 // timing. The same ticks go into a base world of N and of ~4N articles
-// (the archive four times as long). A tick of the shape the feed
-// mostly carries in fresh data — new events and their first mentions —
-// must allocate about the same in both: nothing in it is proportional to
-// the sealed world. A tick that adds a mention to an old event is allowed
-// exactly the documented copy-on-write: one int32 metadata column of the
-// global event table and of the sealed part holding the event.
+// (the archive four times as long). The ticks the feed mostly carries —
+// new events and their first mentions, with ids above the stored maximum
+// (fresh) or a little below it (late) — must allocate about the same in
+// both: nothing in them is proportional to the sealed world. The two ticks
+// that reach below the global table's recent run are allowed exactly the
+// documented copies: a mention of an old event one int32 metadata column
+// of the frozen run and of the sealed part holding the event, an event
+// with an id below the recent run the whole table and every event remap.
 func TestLogAppendAllocScaling(t *testing.T) {
 	type result struct {
-		articles, events int
-		fresh, touch     uint64
+		articles, events  int
+		fresh, late       uint64
+		touch, deepInsert uint64
 	}
 	measure := func(end gdelt.Timestamp) result {
 		cfg := logWorldCfg()
@@ -314,12 +335,14 @@ func TestLogAppendAllocScaling(t *testing.T) {
 		c, lg, _, cut := feedLog(t, cfg, 2)
 		snap := lg.Snapshot()
 		src := snap.Sources().Name(0)
-		tick := func(k int, ids ...int64) ([]gdelt.Event, []gdelt.Mention) {
+		k := 0
+		tick := func(ids ...int64) uint64 {
 			ts := c.IntervalTimestamp(cut + int32(k))
+			k++
 			var evs []gdelt.Event
 			var mns []gdelt.Mention
 			for _, id := range ids {
-				if id > 1<<40 {
+				if snap.Part(0).EventRowByID(id) < 0 {
 					evs = append(evs, gdelt.Event{GlobalEventID: id, Day: 20150601, DateAdded: ts,
 						SourceURL: "http://fresh.example/x"})
 				}
@@ -328,9 +351,6 @@ func TestLogAppendAllocScaling(t *testing.T) {
 						MentionType: gdelt.MentionTypeWeb, SourceName: src, DocLen: 700, Confidence: 60})
 				}
 			}
-			return evs, mns
-		}
-		allocated := func(evs []gdelt.Event, mns []gdelt.Mention) uint64 {
 			var a, b runtime.MemStats
 			runtime.ReadMemStats(&a)
 			if _, err := lg.Append(evs, mns); err != nil {
@@ -339,32 +359,45 @@ func TestLogAppendAllocScaling(t *testing.T) {
 			runtime.ReadMemStats(&b)
 			return b.TotalAlloc - a.TotalAlloc
 		}
-		// The first growth after NewLog reallocates the global columns once
-		// (the log takes ownership of their growth region); later ticks
-		// append into the headroom that leaves.
-		allocated(tick(0, 1<<41, 1<<41+1))
 		r := result{articles: len(c.Mentions), events: snap.EventCount()}
-		const rounds = 5
-		for k := 1; k <= rounds; k++ {
-			r.fresh += allocated(tick(k, 1<<41+int64(2*k), 1<<41+int64(2*k)+1))
+		const rounds, above = 5, int64(1) << 41
+		for i := int64(0); i < rounds; i++ {
+			r.fresh += tick(above+20*i, above+20*i+10)
+		}
+		for i := int64(0); i < rounds; i++ {
+			r.late += tick(above+20*i+5, above+20*i+15)
 		}
 		r.fresh /= rounds
-		r.touch = allocated(tick(rounds+1, snap.Part(0).Events.ID[0]))
+		r.late /= rounds
+		r.touch = tick(snap.Part(0).Events.ID[0])
+		r.deepInsert = tick(1)
 		return r
 	}
 	small, large := measure(20150601000000), measure(20160401000000)
-	t.Logf("N=%d articles/%d events: fresh tick %d B, old-event tick %d B", small.articles, small.events, small.fresh, small.touch)
-	t.Logf("N=%d articles/%d events: fresh tick %d B, old-event tick %d B", large.articles, large.events, large.fresh, large.touch)
+	for _, r := range []result{small, large} {
+		t.Logf("N=%d articles/%d events: fresh tick %d B, late tick %d B, old-event tick %d B, low-id tick %d B",
+			r.articles, r.events, r.fresh, r.late, r.touch, r.deepInsert)
+	}
 	if large.articles < 3*small.articles {
 		t.Fatalf("worlds too close: %d vs %d articles", small.articles, large.articles)
 	}
-	if float64(large.fresh) >= 1.5*float64(small.fresh) {
-		t.Errorf("bytes per Append grew %.2fx for a %.1fx world: something on the append path scales with the sealed world",
-			float64(large.fresh)/float64(small.fresh), float64(large.articles)/float64(small.articles))
+	for _, kind := range []struct {
+		name         string
+		small, large uint64
+	}{{"fresh", small.fresh, large.fresh}, {"late", small.late, large.late}} {
+		if float64(kind.large) >= 1.5*float64(kind.small) {
+			t.Errorf("bytes per %s-event Append grew %.2fx for a %.1fx world: something on the append path scales with the sealed world",
+				kind.name, float64(kind.large)/float64(kind.small), float64(large.articles)/float64(small.articles))
+		}
 	}
-	// Global NumArticles (with its 1/16 headroom) plus part 0's copy, which
-	// cannot hold more events than the world: at most ~8.25 B per event.
+	// Frozen NumArticles plus part 0's copy, which cannot hold more events
+	// than the world: at most 8 B per event.
 	if limit := large.fresh + 9*uint64(large.events) + 16<<10; large.touch > limit {
 		t.Errorf("old-event tick allocated %d B, more than the documented copy-on-write allows (%d B)", large.touch, limit)
+	}
+	// The merged table with its row remap (56 B per event) plus the three
+	// base parts' shifted l2gEv (4 B per event each, at most).
+	if limit := large.fresh + 72*uint64(large.events) + 16<<10; large.deepInsert > limit {
+		t.Errorf("low-id tick allocated %d B, more than one re-merge of the global table allows (%d B)", large.deepInsert, limit)
 	}
 }

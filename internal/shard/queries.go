@@ -109,7 +109,8 @@ func (v *View) Dataset() queries.DatasetStats {
 		out.Articles += int64(p.Mentions.Len())
 	}
 	var agg stats.IntSummary
-	for _, n := range s.events.NumArticles {
+	for ev := 0; ev < s.events.Len(); ev++ {
+		n := s.events.NumArticles(ev)
 		if n == 0 {
 			out.ZeroMentionEvents++
 			continue
@@ -130,14 +131,14 @@ func (v *View) Dataset() queries.DatasetStats {
 func (v *View) TopEvents(k int) []queries.TopEvent {
 	ev := &v.s.events
 	idx := engine.TopK(ev.Len(), k, func(i int) int64 {
-		return int64(ev.NumArticles[i])
+		return int64(ev.NumArticles(i))
 	})
 	out := make([]queries.TopEvent, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, queries.TopEvent{
-			Mentions:  int64(ev.NumArticles[i]),
-			EventID:   ev.ID[i],
-			SourceURL: ev.SourceURL[i],
+			Mentions:  int64(ev.NumArticles(i)),
+			EventID:   ev.ID(i),
+			SourceURL: ev.SourceURL(i),
 		})
 	}
 	return out
@@ -147,12 +148,10 @@ func (v *View) TopEvents(k int) []queries.TopEvent {
 func (v *View) EventSizes(xmin int) queries.EventSizeDistribution {
 	ev := &v.s.events
 	var maxN int32
-	for _, n := range ev.NumArticles {
-		if n > maxN {
-			maxN = n
-		}
+	for i := 0; i < ev.Len(); i++ {
+		maxN = max(maxN, ev.NumArticles(i))
 	}
-	counts := v.groupCountEvents(int(maxN)+1, func(i int) int { return int(ev.NumArticles[i]) })
+	counts := v.groupCountEvents(int(maxN)+1, func(i int) int { return int(ev.NumArticles(i)) })
 	out := queries.EventSizeDistribution{Counts: counts}
 	out.Fit, out.FitErr = stats.FitPowerLaw(counts, xmin)
 	return out
@@ -194,10 +193,10 @@ func (v *View) EventsPerQuarter() queries.QuarterlySeries {
 	ev := &s.events
 	qlut := s.parts[0].QuarterLUT()
 	vals := v.groupCountEvents(s.NumQuarters(), func(i int) int {
-		if ev.NumArticles[i] <= 0 {
+		if ev.NumArticles(i) <= 0 {
 			return -1
 		}
-		return int(qlut[ev.Interval[i]])
+		return int(qlut[ev.Interval(i)])
 	})
 	return queries.QuarterlySeries{Labels: v.quarterLabels(), Values: vals}
 }
@@ -368,10 +367,10 @@ func (v *View) CountryQuery() (*queries.CountryReport, error) {
 	)
 
 	eventCounts := v.groupCountEvents(nc, func(ev int) int {
-		if s.events.NumArticles[ev] <= 0 {
+		if s.events.NumArticles(ev) <= 0 {
 			return -1
 		}
-		return int(s.eventCountryLUT[ev])
+		return int(s.events.Country(ev))
 	})
 	return queries.FinishCountryReport(cross, res.pair, res.counts, eventCounts)
 }
@@ -549,8 +548,9 @@ func (sel *selection) shardRows(s *DB, ev int32, f func(i int, rows []int32)) {
 		s.shardEventRows(ev, f)
 		return
 	}
+	seq := s.events.seq(ev)
 	for i := range s.parts {
-		if lr := s.localEvent(i, ev); lr >= 0 {
+		if lr := s.localEvent(i, seq, ev); lr >= 0 {
 			ptr := sel.rowPtr[i]
 			if rows := sel.rowIdx[i][ptr[lr]:ptr[lr+1]]; len(rows) > 0 {
 				f(i, rows)
@@ -564,8 +564,9 @@ func (sel *selection) shardRows(s *DB, ev int32, f func(i int, rows []int32)) {
 // shards tile time in order, so the concatenation replays the monolith's
 // event-mention ordering.
 func (s *DB) shardEventRows(ev int32, f func(i int, rows []int32)) {
+	seq := s.events.seq(ev)
 	for i, p := range s.parts {
-		if lr := s.localEvent(i, ev); lr >= 0 {
+		if lr := s.localEvent(i, seq, ev); lr >= 0 {
 			if rows := p.EventMentions(lr); len(rows) > 0 {
 				f(i, rows)
 			}
@@ -793,23 +794,23 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
 			seen := map[int32]bool{}
 			for ev := lo; ev < hi; ev++ {
-				total := 0
+				total, seq := 0, s.events.seq(int32(ev))
 				for i, p := range s.parts {
-					if lr := s.localEvent(i, int32(ev)); lr >= 0 {
+					if lr := s.localEvent(i, seq, int32(ev)); lr >= 0 {
 						total += len(p.EventMentions(lr))
 					}
 				}
 				if total < minSources {
 					continue
 				}
-				cutoff := s.events.Interval[ev] + window
+				cutoff := s.events.Interval(ev) + window
 				clear(seen)
 				early := 0
 				for i, p := range s.parts {
 					if s.bounds[i] >= cutoff {
 						break // every remaining mention is past the window
 					}
-					lr := s.localEvent(i, int32(ev))
+					lr := s.localEvent(i, seq, int32(ev))
 					if lr < 0 {
 						continue
 					}
@@ -827,11 +828,11 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 				}
 				acc = append(acc, queries.Wildfire{
 					EventRow:      int32(ev),
-					EventID:       s.events.ID[ev],
-					SourceURL:     s.events.SourceURL[ev],
+					EventID:       s.events.ID(ev),
+					SourceURL:     s.events.SourceURL(ev),
 					EarlySources:  len(seen),
 					EarlyArticles: early,
-					TotalArticles: s.events.NumArticles[ev],
+					TotalArticles: s.events.NumArticles(ev),
 					Velocity:      float64(len(seen)) / float64(window),
 				})
 			}

@@ -44,16 +44,14 @@ type DB struct {
 	parts  []*store.DB // time-ordered shards
 
 	sources *store.Dictionary // global source dictionary (monolith id order)
-	events  store.EventTable  // K-way ID-merged global event table
+	events  globalEvents      // K-way ID-merged global event table
 	report  *gdelt.ValidationReport
-
-	eventCountryLUT []int32 // global event row -> country index, -1 untagged
 
 	l2gSrc [][]int32 // per shard: local source id -> global source id
 	l2gEv  [][]int32 // per shard: local event row -> global event row, ascending
-	// per shard: global event row -> local event row, -1 absent. May stop
-	// short of the global table; read it through localEvent.
-	g2lEv [][]int32
+	// per shard: event seq -> local event row, -1 absent; nil for a tail
+	// the log appended to. Read it through localEvent.
+	s2lEv [][]int32
 
 	hasGKG   bool
 	themes   *store.Dictionary // global theme dictionary, nil without GKG
@@ -122,10 +120,6 @@ func New(parts []*store.DB, bounds []int32, sources, themes *store.Dictionary, r
 	if err := s.buildThemeRemaps(themes); err != nil {
 		return nil, err
 	}
-	s.eventCountryLUT = make([]int32, s.events.Len())
-	for ev, c := range s.events.Country {
-		s.eventCountryLUT[ev] = int32(c)
-	}
 	return s, nil
 }
 
@@ -168,7 +162,7 @@ func (s *DB) mergeEvents() error {
 	for i, p := range s.parts {
 		s.l2gEv[i] = make([]int32, p.Events.Len())
 	}
-	ev := &s.events
+	ev := &s.events.frozen
 	for {
 		minID, found := int64(0), false
 		for i, p := range s.parts {
@@ -206,22 +200,29 @@ func (s *DB) mergeEvents() error {
 			cur[i]++
 		}
 	}
-	s.g2lEv = make([][]int32, K)
+	n := int32(ev.Len())
+	s.events.low, s.events.seqs = n, n
+	s.events.frozenSeq = make([]int32, n)
+	for g := range s.events.frozenSeq {
+		s.events.frozenSeq[g] = int32(g)
+	}
+	s.s2lEv = make([][]int32, K)
 	for i := range s.parts {
-		s.g2lEv[i] = invertRemap(s.l2gEv[i], ev.Len())
+		s.s2lEv[i] = s.invertRemap(i)
 	}
 	return nil
 }
 
-// invertRemap returns the flat global→local inverse of a local→global
-// event remap over n global rows, -1 where the shard lacks the event.
-func invertRemap(l2g []int32, n int) []int32 {
-	inv := make([]int32, n)
-	for g := range inv {
-		inv[g] = -1
+// invertRemap returns the flat seq→local inverse of part i's local→global
+// event remap over the numbers handed out so far, -1 where the part lacks
+// the event.
+func (s *DB) invertRemap(i int) []int32 {
+	inv := make([]int32, s.events.seqs)
+	for q := range inv {
+		inv[q] = -1
 	}
-	for r, g := range l2g {
-		inv[g] = int32(r)
+	for r, g := range s.l2gEv[i] {
+		inv[s.events.seq(g)] = int32(r)
 	}
 	return inv
 }
@@ -261,10 +262,13 @@ func (s *DB) buildThemeRemaps(themes *store.Dictionary) error {
 // replaceTail returns the world in which the tail part gives way to the
 // two parts a seal sliced out of it at interval cut; s is not written.
 // Slicing neither adds events nor changes their metadata, so the global
-// event table, eventCountryLUT, the global dictionaries and every other
-// part's remaps are shared with s, and only the two new parts' remaps are
-// built: O(tail) work plus one flat g2lEv for the sealed part. The fresh
-// tail gets none, like any tail an append produced (see localEvent).
+// event table keeps its rows, and the global dictionaries and every other
+// part's remaps are shared with s; only the two new parts' remaps are
+// built. The seal is also where the global table's settled rows join its
+// frozen run (globalEvents.freeze), and the sealed part gets its flat
+// s2lEv: O(tail) work plus two O(global events) allocations per seal. The
+// fresh tail gets no flat inverse, like any tail an append produced (see
+// localEvent).
 //
 // The one way slicing can change the global table is by dropping an event:
 // a tail event with no mention in the tail and an event interval below the
@@ -279,7 +283,7 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 	next.bounds = append(s.bounds[:ti+1:ti+1], cut, s.meta.Intervals)
 	next.l2gSrc = append(s.l2gSrc[:ti:ti], nil, nil)
 	next.l2gEv = append(s.l2gEv[:ti:ti], nil, nil)
-	next.g2lEv = append(s.g2lEv[:ti:ti], nil, nil)
+	next.s2lEv = append(s.s2lEv[:ti:ti], nil, nil)
 	if s.hasGKG {
 		next.l2gTheme = append(s.l2gTheme[:ti:ti], nil, nil)
 	}
@@ -296,22 +300,23 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 		}
 		remap := make([]int32, p.Events.Len())
 		for r, id := range p.Events.ID {
-			if remap[r] = s.globalEventRow(id); remap[r] < 0 {
+			if remap[r] = s.events.row(id); remap[r] < 0 {
 				return nil, fmt.Errorf("shard: shard %d event %d missing from the global table", i, id)
 			}
 		}
 		next.l2gEv[i] = remap
 	}
 	for _, g := range s.l2gEv[ti] {
-		held := next.searchLocalEvent(ti, g) >= 0 || next.searchLocalEvent(ti+1, g) >= 0
-		for i := 0; i < ti && !held; i++ {
-			held = s.localEvent(i, g) >= 0
+		seq, held := s.events.seq(g), false
+		for i := len(next.parts) - 1; i >= 0 && !held; i-- {
+			held = next.localEvent(i, seq, g) >= 0
 		}
 		if !held {
 			return New(next.parts, next.bounds, s.sources, s.themes, s.report)
 		}
 	}
-	next.g2lEv[ti] = invertRemap(next.l2gEv[ti], s.events.Len())
+	next.events = s.events.freeze()
+	next.s2lEv[ti] = next.invertRemap(ti)
 	return next, nil
 }
 

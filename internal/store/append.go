@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gdeltmine/internal/gdelt"
@@ -226,13 +227,23 @@ func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, e
 // merged columns are fresh allocations; the previous ones are not written.
 // Tables only: derived indexes are the caller's to rebuild.
 func (db *DB) mergeEventRows(add EventTable) {
-	old := db.Events
-	oldN, addN := old.Len(), add.Len()
-	if addN == 0 {
+	if add.Len() == 0 {
 		return
 	}
+	merged, remap := MergeEvents(&db.Events, &add)
+	for i, e := range db.Mentions.EventRow {
+		db.Mentions.EventRow[i] = remap[e]
+	}
+	db.Events = merged
+}
+
+// MergeEvents merges two event tables, each strictly ascending by ID and
+// sharing no ID, into a freshly allocated table; neither input is written.
+// remap[r] is the merged row of old's row r.
+func MergeEvents(old, add *EventTable) (merged EventTable, remap []int32) {
+	oldN, addN := old.Len(), add.Len()
 	n := oldN + addN
-	merged := EventTable{
+	merged = EventTable{
 		ID:           make([]int64, 0, n),
 		Day:          make([]int32, 0, n),
 		Interval:     make([]int32, 0, n),
@@ -241,20 +252,30 @@ func (db *DB) mergeEventRows(add EventTable) {
 		FirstMention: make([]int32, 0, n),
 		SourceURL:    make([]string, 0, n),
 	}
-	remap := make([]int32, oldN)
-	oi, ai := 0, 0
-	for oi < oldN || ai < addN {
-		if ai >= addN || (oi < oldN && old.ID[oi] < add.ID[ai]) {
-			remap[oi] = int32(merged.Len())
-			merged.AppendRow(&old, oi)
-			oi++
-		} else {
-			merged.AppendRow(&add, ai)
-			ai++
+	remap = make([]int32, oldN)
+	oi := 0
+	for ai := 0; ai <= addN; ai++ {
+		// The run of old rows below add's row ai; after its last row, the rest.
+		end := oldN
+		if ai < addN {
+			k, _ := slices.BinarySearch(old.ID[oi:], add.ID[ai])
+			end = oi + k
+		}
+		for r := oi; r < end; r++ {
+			remap[r] = int32(r + ai)
+		}
+		run := old.Slice(oi, end)
+		merged.ID = append(merged.ID, run.ID...)
+		merged.Day = append(merged.Day, run.Day...)
+		merged.Interval = append(merged.Interval, run.Interval...)
+		merged.Country = append(merged.Country, run.Country...)
+		merged.NumArticles = append(merged.NumArticles, run.NumArticles...)
+		merged.FirstMention = append(merged.FirstMention, run.FirstMention...)
+		merged.SourceURL = append(merged.SourceURL, run.SourceURL...)
+		oi = end
+		if ai < addN {
+			merged.AppendRow(add, ai)
 		}
 	}
-	for i, e := range db.Mentions.EventRow {
-		db.Mentions.EventRow[i] = remap[e]
-	}
-	db.Events = merged
+	return merged, remap
 }

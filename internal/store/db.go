@@ -47,6 +47,19 @@ func (t *EventTable) AppendRow(src *EventTable, i int) {
 	t.SourceURL = append(t.SourceURL, src.SourceURL[i])
 }
 
+// Slice returns rows [lo, hi) as a table sharing t's storage.
+func (t *EventTable) Slice(lo, hi int) EventTable {
+	return EventTable{
+		ID:           t.ID[lo:hi:hi],
+		Day:          t.Day[lo:hi:hi],
+		Interval:     t.Interval[lo:hi:hi],
+		Country:      t.Country[lo:hi:hi],
+		NumArticles:  t.NumArticles[lo:hi:hi],
+		FirstMention: t.FirstMention[lo:hi:hi],
+		SourceURL:    t.SourceURL[lo:hi:hi],
+	}
+}
+
 // MentionTable is the columnar Mentions table, sorted by capture interval.
 type MentionTable struct {
 	EventRow   []int32 // row index into the event table
