@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench fmt
+.PHONY: build test vet race check-bench check bench fmt
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: build vet test race
+# bench/ is its own module: the root ./... never sees it, so a change
+# could delete an API the benchmark imports and stay green without this.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet test check-bench race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -11,31 +11,24 @@
 //	gdeltbench -figure 12           # only the scaling sweep
 //	gdeltbench -db ./gdelt.gdmb     # reuse a converted database
 //	gdeltbench -stats               # append the obs metrics snapshot (JSON)
-//	gdeltbench -json t.json -baseline results/bench_baseline.json -threshold 2
-//	                                # regression gate: fail past 2x baseline
-//	gdeltbench -cache-bench -cache-json results/cache_bench.json -cache-min-speedup 10
-//	                                # repeated-query benchmark through the
-//	                                # result cache; fail below 10x warm speedup
 //
 // Without -db, the harness generates the preset corpus, writes it as a raw
 // GDELT dataset into a temporary directory, and converts it — exercising
 // the full pipeline and reproducing the Table II defect accounting.
+// Performance is measured by the benchmark under bench/ (BENCHMARK.json),
+// not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"gdeltmine"
 	"gdeltmine/internal/obs"
-	"gdeltmine/internal/qcache"
-	"gdeltmine/internal/registry"
 	"gdeltmine/internal/report"
 )
 
@@ -50,67 +43,10 @@ func main() {
 		keepRaw = flag.String("keep-raw", "", "write the raw dataset here instead of a temp dir")
 		workers = flag.Int("workers", 0, "default worker count for queries (0 = GOMAXPROCS)")
 		stats   = flag.Bool("stats", false, "print the engine-internal metrics snapshot as JSON after the run")
-		jsonOut = flag.String("json", "", "write per-step wall-clock timings (seconds) as JSON to this file")
-		basePth = flag.String("baseline", "", "compare timings against this baseline JSON; exit nonzero past -threshold")
-		thresh  = flag.Float64("threshold", 2.0, "regression factor: fail when a step exceeds threshold x baseline")
-
-		cacheBench = flag.Bool("cache-bench", false, "run the repeated-query cache benchmark instead of the paper artifacts")
-		cacheJSON  = flag.String("cache-json", "", "write cache benchmark results as JSON to this file")
-		minSpeedup = flag.Float64("cache-min-speedup", 0, "fail when any kind's warm-cache speedup falls below this factor (0 disables)")
-
-		shardBench   = flag.Bool("shard-bench", false, "run the sharded-vs-monolith query panel benchmark instead of the paper artifacts")
-		shardK       = flag.Int("shard-k", 4, "shard count for the shard benchmark")
-		shardJSON    = flag.String("shard-json", "", "write shard benchmark results as JSON to this file")
-		shardSpeedup = flag.Float64("shard-min-speedup", 0, "fail when the panel's geomean K=1/K=n speedup falls below this factor, scaled by min(1, cpus/shards) with a 0.9 floor (0 disables)")
-
-		routerBench = flag.Bool("router-bench", false, "run the routed-vs-direct serving benchmark instead of the paper artifacts")
-		routerJSON  = flag.String("router-json", "", "write router benchmark results as JSON to this file")
-
-		kernelBench   = flag.Bool("kernel-bench", false, "run the scan-kernel micro-benchmark (closure vs typed vs pruned) instead of the paper artifacts")
-		kernelJSON    = flag.String("kernel-json", "", "write kernel benchmark results as JSON to this file")
-		kernelWorkers = flag.Int("kernel-workers", 4, "worker count for the kernel benchmark")
-		kernelTyped   = flag.Float64("kernel-min-typed", 0, "fail when the typed cross-count speedup falls below this factor (0 disables)")
-		kernelPruned  = flag.Float64("kernel-min-pruned", 0, "fail when the pruned coreport-16 speedup falls below this factor (0 disables)")
-		kernelPlanner = flag.Float64("kernel-min-planner", 0, "fail when any planner-driven report kernel falls below this speedup vs the closure scan (0 disables)")
-
-		qlangBench   = flag.Bool("qlang-bench", false, "run the qlang pushdown-vs-closure benchmark instead of the paper artifacts")
-		qlangJSON    = flag.String("qlang-json", "", "write qlang benchmark results as JSON to this file")
-		qlangWorkers = flag.Int("qlang-workers", 4, "worker count for the qlang benchmark")
-		qlangMinSel  = flag.Float64("qlang-min-selective", 0, "fail when the selective-panel pushdown speedup falls below this factor (0 disables)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	h := &harness{only: selection{table: *table, figure: *figure}, timings: map[string]float64{}}
+	h := &harness{only: selection{table: *table, figure: *figure}}
 	var err error
 	switch {
 	case *dbPath != "":
@@ -145,7 +81,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		h.timings["generate"] = time.Since(start).Seconds()
 		fmt.Printf("generated corpus (%s articles) in %v\n",
 			report.Int(int64(len(corpus.Mentions))), time.Since(start).Round(time.Millisecond))
 		start = time.Now()
@@ -158,42 +93,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		h.timings["convert"] = time.Since(start).Seconds()
 		fmt.Printf("converted in %v\n", time.Since(start).Round(time.Millisecond))
 		h.rawDir = dir
 	}
 	h.ds = h.ds.WithWorkers(*workers)
 	fmt.Println()
-	if *cacheBench {
-		if err := runCacheBench(h.ds, *cacheJSON, *minSpeedup); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *kernelBench {
-		if err := runKernelBench(h.ds, *kernelWorkers, *kernelJSON, *kernelTyped, *kernelPruned, *kernelPlanner); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *qlangBench {
-		if err := runQlangBench(h.ds, *qlangWorkers, *qlangJSON, *qlangMinSel); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shardBench {
-		if err := runShardBench(h.ds, *shardK, *shardJSON, *shardSpeedup); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *routerBench {
-		if err := runRouterBench(h.ds, *routerJSON); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	h.run()
 
 	if *stats {
@@ -203,150 +107,6 @@ func main() {
 		}
 		fmt.Printf("--- metrics snapshot ---\n%s\n", data)
 	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(h.timings, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *basePth != "" {
-		if err := checkRegressions(h.timings, *basePth, *thresh); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("timings within %.1fx of baseline %s\n", *thresh, *basePth)
-	}
-}
-
-// checkRegressions compares the run's timings against a checked-in baseline:
-// any step present in both that ran slower than threshold x its baseline
-// value fails the gate. Steps only in one of the two maps are ignored, so
-// the baseline file stays valid across partial runs (-table N).
-func checkRegressions(timings map[string]float64, path string, threshold float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	baseline := map[string]float64{}
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	var failures []string
-	for name, base := range baseline {
-		cur, ok := timings[name]
-		if !ok || base <= 0 {
-			continue
-		}
-		if cur > threshold*base {
-			failures = append(failures, fmt.Sprintf("%s: %.4fs > %.1fx baseline %.4fs", name, cur, threshold, base))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "regression: %s\n", f)
-		}
-		return fmt.Errorf("%d step(s) regressed past %.1fx baseline", len(failures), threshold)
-	}
-	return nil
-}
-
-// cacheBenchResult is one kind's cold-vs-warm measurement as written to
-// -cache-json. Times are seconds; Speedup is MissSeconds / HitSeconds.
-type cacheBenchResult struct {
-	Kind        string  `json:"kind"`
-	MissSeconds float64 `json:"miss_seconds"`
-	HitSeconds  float64 `json:"hit_seconds"`
-	Speedup     float64 `json:"speedup"`
-	WarmIters   int     `json:"warm_iters"`
-}
-
-// runCacheBench measures the result cache on repeated identical queries: for
-// each representative kind it executes once cold (a miss that runs the full
-// scan) and then many times warm (hits served from the cache), and reports
-// the per-request speedup. The outcomes are asserted, not assumed — a warm
-// request that misses fails the benchmark, so this doubles as an end-to-end
-// check that cache keys are stable across identical requests.
-func runCacheBench(ds *gdeltmine.Dataset, jsonPath string, minSpeedup float64) error {
-	const warmIters = 200
-	ex := &registry.Executor{Cache: qcache.New(0)}
-	eng := ds.Engine()
-
-	var results []cacheBenchResult
-	for _, name := range []string{"country", "top-publishers"} {
-		d, ok := registry.Lookup(name)
-		if !ok {
-			return fmt.Errorf("cache-bench: unknown kind %q", name)
-		}
-		p, err := d.ParseParams(func(string) []string { return nil })
-		if err != nil {
-			return fmt.Errorf("cache-bench: %s: %w", name, err)
-		}
-		e := eng.WithKind(d.Kind)
-
-		start := time.Now()
-		cold, outcome, err := ex.Execute(d, e, p)
-		if err != nil {
-			return fmt.Errorf("cache-bench: %s cold run: %w", name, err)
-		}
-		if outcome != qcache.Miss {
-			return fmt.Errorf("cache-bench: %s cold run was %v, want miss", name, outcome)
-		}
-		missSec := time.Since(start).Seconds()
-
-		start = time.Now()
-		for i := 0; i < warmIters; i++ {
-			warm, outcome, err := ex.Execute(d, e, p)
-			if err != nil {
-				return fmt.Errorf("cache-bench: %s warm run %d: %w", name, i, err)
-			}
-			if outcome != qcache.Hit {
-				return fmt.Errorf("cache-bench: %s warm run %d was %v, want hit", name, i, outcome)
-			}
-			if i == 0 {
-				coldJSON, _ := json.Marshal(cold)
-				warmJSON, _ := json.Marshal(warm)
-				if string(coldJSON) != string(warmJSON) {
-					return fmt.Errorf("cache-bench: %s warm result diverges from cold result", name)
-				}
-			}
-		}
-		hitSec := time.Since(start).Seconds() / warmIters
-		if hitSec <= 0 {
-			hitSec = 1e-9 // sub-resolution timer; avoid dividing by zero
-		}
-		r := cacheBenchResult{
-			Kind:        name,
-			MissSeconds: missSec,
-			HitSeconds:  hitSec,
-			Speedup:     missSec / hitSec,
-			WarmIters:   warmIters,
-		}
-		results = append(results, r)
-		fmt.Printf("cache-bench %-16s miss %8.4fms  hit %8.4fms  speedup %8.1fx\n",
-			r.Kind, r.MissSeconds*1e3, r.HitSeconds*1e3, r.Speedup)
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	if minSpeedup > 0 {
-		for _, r := range results {
-			if r.Speedup < minSpeedup {
-				return fmt.Errorf("cache-bench: %s speedup %.1fx below required %.1fx", r.Kind, r.Speedup, minSpeedup)
-			}
-		}
-		fmt.Printf("all kinds at or above %.1fx warm-cache speedup\n", minSpeedup)
-	}
-	return nil
 }
 
 type selection struct{ table, figure int }
@@ -360,17 +120,15 @@ func (s selection) wantFigure(n int) bool {
 }
 
 type harness struct {
-	ds      *gdeltmine.Dataset
-	rawDir  string
-	only    selection
-	timings map[string]float64
+	ds     *gdeltmine.Dataset
+	rawDir string
+	only   selection
 }
 
 func (h *harness) artifact(name string, body func() string) {
 	start := time.Now()
 	out := body()
 	elapsed := time.Since(start)
-	h.timings[name] = elapsed.Seconds()
 	fmt.Print(out)
 	fmt.Printf("[%s regenerated in %v]\n\n", name, elapsed.Round(time.Microsecond))
 }
@@ -405,7 +163,6 @@ func (h *harness) run() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		h.timings["country-query"] = time.Since(start).Seconds()
 		fmt.Printf("[aggregated country query (Section VI-G) ran in %v]\n\n", time.Since(start).Round(time.Microsecond))
 	}
 	if h.only.wantTable(5) {

@@ -18,11 +18,8 @@
 // schema. Every kind also accepts the common engine parameters workers,
 // from and to (e.g. -param from=20160101000000).
 //
-// The pre-registry spellings stay as aliases: -query <kind> selects the
-// kind as a flag, legacy names (delay, series, ...) resolve to their
-// registered successors, and the -k/-where/-workers flags feed the
-// matching parameters. The graph and cluster subcommands (not part of the
-// servable registry) keep their original behavior.
+// The graph and cluster subcommands are not part of the servable registry;
+// they size their publisher panel from -param k=N (default 10).
 package main
 
 import (
@@ -72,10 +69,7 @@ func main() {
 	log.SetPrefix("gdeltquery: ")
 	var (
 		dbPath  = flag.String("db", "", "binary database path (required)")
-		query   = flag.String("query", "", "query kind (legacy spelling of the positional argument; see `gdeltquery list`)")
-		k       = flag.Int("k", 0, "result size for top-k style queries (legacy; same as -param k=N)")
 		workers = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS; same as -param workers=N)")
-		where   = flag.String("where", "", "filter expression (legacy; same as -param where=...)")
 		stats   = flag.Bool("stats", false, "print the engine-internal metrics snapshot as JSON after the query")
 		jsonOut = flag.Bool("json", false, "print the raw query result as JSON (the /api/v1 response body)")
 		params  paramList
@@ -85,7 +79,7 @@ func main() {
 
 	// Positional form: gdeltquery [flags] <kind> [-param n=v ...]. The
 	// global flag set stops at the kind; a sub flag set picks up the rest.
-	kind := *query
+	kind := "stats"
 	if rest := flag.Args(); len(rest) > 0 {
 		kind = rest[0]
 		sub := flag.NewFlagSet(kind, flag.ExitOnError)
@@ -97,9 +91,6 @@ func main() {
 		}
 		*jsonOut = *jsonOut || *subJSON
 		*stats = *stats || *subStats
-	}
-	if kind == "" {
-		kind = "stats"
 	}
 	if kind == "list" {
 		printKindList()
@@ -119,18 +110,12 @@ func main() {
 
 	start = time.Now()
 	switch kind {
-	case "series":
-		// Legacy umbrella: the one -query that fanned out to several
-		// registered kinds. Kept as a spelling, not a registry entry.
-		runRegistry(ds, "series-active-sources", &params, *k, *workers, *where, *jsonOut)
-		runRegistry(ds, "series-events", &params, *k, *workers, *where, *jsonOut)
-		runRegistry(ds, "series-articles", &params, *k, *workers, *where, *jsonOut)
 	case "graph":
-		runGraph(ds.WithWorkers(*workers).WithQueryKind(kind), orDefault(*k, 10))
+		runGraph(ds.WithWorkers(*workers).WithQueryKind(kind), panelSize(&params))
 	case "cluster":
-		runCluster(ds.WithWorkers(*workers).WithQueryKind(kind), orDefault(*k, 10))
+		runCluster(ds.WithWorkers(*workers).WithQueryKind(kind), panelSize(&params))
 	default:
-		runRegistry(ds, kind, &params, *k, *workers, *where, *jsonOut)
+		runRegistry(ds, kind, &params, *workers, *jsonOut)
 	}
 	fmt.Printf("\nquery time: %v (workers=%d)\n", time.Since(start).Round(time.Millisecond), workersOrDefault(*workers))
 	if *stats {
@@ -144,7 +129,7 @@ func main() {
 
 // runRegistry resolves kind against the registry, executes it, and renders
 // the result (human tables by default, raw JSON with -json).
-func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, k, workers int, where string, jsonOut bool) {
+func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, workers int, jsonOut bool) {
 	d, ok := registry.Lookup(kind)
 	if !ok {
 		log.Fatalf("unknown query %q (run `gdeltquery list` for the inventory)", kind)
@@ -152,18 +137,13 @@ func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, k, worke
 	if err := d.CheckKnown(params.names); err != nil {
 		log.Fatal(err)
 	}
-	// The legacy -k/-where/-workers flags backfill parameters that were
-	// not given explicitly via -param.
+	// The -workers flag backfills the parameter when -param workers=N
+	// was not given.
 	get := func(name string) []string {
 		if vs, ok := params.vals[name]; ok {
 			return vs
 		}
-		switch {
-		case name == "k" && k > 0:
-			return []string{strconv.Itoa(k)}
-		case name == "where" && where != "":
-			return []string{where}
-		case name == registry.ParamWorkers && workers > 0:
+		if name == registry.ParamWorkers && workers > 0 {
 			return []string{strconv.Itoa(workers)}
 		}
 		return nil
@@ -177,8 +157,7 @@ func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, k, worke
 	if err != nil {
 		log.Fatal(err)
 	}
-	var ex *registry.Executor // nil: one-shot CLI queries bypass the cache
-	v, _, err := ex.Execute(d, e, p)
+	v, err := d.Run(e, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -311,7 +290,7 @@ func printKindList() {
 	fmt.Println("      -param from=<YYYYMMDDHHMMSS>  restrict to captures at or after this time")
 	fmt.Println("      -param to=<YYYYMMDDHHMMSS>    restrict to captures before this time")
 	fmt.Println()
-	fmt.Println("Extra subcommands: list, graph, cluster, series (legacy umbrella for the series-* kinds)")
+	fmt.Println("Extra subcommands: list, graph, cluster (publisher panel size via -param k=N)")
 }
 
 func runGraph(ds *gdeltmine.Dataset, k int) {
@@ -353,11 +332,17 @@ func runCluster(ds *gdeltmine.Dataset, k int) {
 	}
 }
 
-func orDefault(v, def int) int {
-	if v > 0 {
-		return v
+// panelSize reads the graph/cluster publisher panel size from -param k=N.
+func panelSize(params *paramList) int {
+	vs := params.vals["k"]
+	if len(vs) == 0 {
+		return 10
 	}
-	return def
+	k, err := strconv.Atoi(vs[len(vs)-1])
+	if err != nil || k < 1 {
+		log.Fatalf("invalid k %q", vs[len(vs)-1])
+	}
+	return k
 }
 
 func workersOrDefault(w int) int {

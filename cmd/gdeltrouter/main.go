@@ -23,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -72,7 +71,7 @@ func main() {
 		replicas = append(replicas, router.Replica{ID: fmt.Sprintf("r%d", i), URL: u})
 	}
 	if *shards == 0 {
-		k, err := discoverShards(replicas)
+		k, err := router.DiscoverShards(replicas)
 		if err != nil {
 			log.Fatalf("shard discovery: %v (pass -shards explicitly)", err)
 		}
@@ -126,34 +125,4 @@ func main() {
 		os.Exit(1)
 	}
 	log.Print("drained cleanly")
-}
-
-// discoverShards asks each replica's /readyz for its shard count until one
-// answers — the shard-aware readyz body carries {"shards": {"count": K}}.
-func discoverShards(replicas []router.Replica) (int, error) {
-	client := &http.Client{Timeout: 3 * time.Second}
-	var lastErr error
-	for _, rep := range replicas {
-		resp, err := client.Get(strings.TrimRight(rep.URL, "/") + "/readyz")
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var st struct {
-			Shards *struct {
-				Count int `json:"count"`
-			} `json:"shards"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if st.Shards != nil && st.Shards.Count > 0 {
-			return st.Shards.Count, nil
-		}
-		lastErr = fmt.Errorf("%s: /readyz reports no shard status (monolith replica?)", rep.URL)
-	}
-	return 0, lastErr
 }

@@ -20,12 +20,13 @@
 //	           [-max-inflight 64] [-shutdown-grace 15s] [-cache-bytes 268435456]
 //	           [-shards 4]
 //
-// With -shards K > 1 the loaded store is re-sliced into K time-range
-// shards (internal/shard) and every query fans out per shard, reducing
-// through a shared global dictionary; results are identical to the
-// monolith. Cache keys then embed the per-shard version vector, so a
-// tail-shard append invalidates only entries whose window touches the
-// tail.
+// Every dataset is served as a time-partitioned shard set (internal/shard):
+// a .shards manifest loads as written, and a monolithic .gdmb file is the
+// one-shard world unless -shards K > 1 re-slices it into K time-range
+// shards. Every query fans out per shard, reducing through a shared global
+// dictionary; results do not depend on K. Cache keys embed the per-shard
+// version vector, so a tail-shard append invalidates only entries whose
+// window touches the tail.
 //
 // The query surface is registry-driven: every kind known to
 // internal/registry is served under /api/v1/<kind> (run `gdeltquery list`
@@ -37,10 +38,6 @@
 //	/metrics               Prometheus text exposition (obs registry)
 //	/debug/pprof/          profiling handlers (only with -pprof)
 //	/api/v1/<kind>         any registered query kind
-//
-// The pre-versioning /api/... endpoints (e.g. /api/stats, /api/country,
-// /api/series/articles) remain as deprecated aliases of their /api/v1
-// successors; they answer identically but add a Deprecation header.
 package main
 
 import (
@@ -75,7 +72,7 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", qcache.DefaultMaxBytes,
 			"approximate memory budget of the query result cache; 0 disables caching")
 		shards = flag.Int("shards", 0,
-			"partition the store into K time-range shards and fan queries out per shard; 0/1 serves the monolith")
+			"re-slice a monolithic -db into K time-range shards and fan queries out per shard; 0/1 serves it as one shard")
 	)
 	flag.Parse()
 	if *dbPath == "" {
@@ -94,18 +91,17 @@ func main() {
 		CacheBytes:     cacheBudget,
 	}
 	start := time.Now()
-	var srv *serve.Server
+	var sdb *shard.DB
 	if strings.HasSuffix(*dbPath, ".shards") {
 		// A sharded layout written by `gdeltconvert -shards` or
 		// shard.WriteFiles: manifest plus one store file per shard.
-		sdb, err := shard.LoadFile(*dbPath)
-		if err != nil {
+		var err error
+		if sdb, err = shard.LoadFile(*dbPath); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("loaded %s articles (%d shards) from %s in %v\n",
 			report.Int(sdb.View().Dataset().Articles), sdb.K(), *dbPath,
 			time.Since(start).Round(time.Millisecond))
-		srv = serve.NewSharded(sdb, cfg)
 	} else {
 		db, err := binfmt.ReadFile(*dbPath)
 		if err != nil {
@@ -114,16 +110,16 @@ func main() {
 		fmt.Printf("loaded %s articles from %s in %v\n",
 			report.Int(int64(db.Mentions.Len())), *dbPath, time.Since(start).Round(time.Millisecond))
 		if *shards > 1 {
-			sdb, err := shard.Split(db, *shards)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("sharded into %d time partitions\n", sdb.K())
-			srv = serve.NewSharded(sdb, cfg)
+			sdb, err = shard.Split(db, *shards)
 		} else {
-			srv = serve.NewWithConfig(db, cfg)
+			sdb, err = shard.Single(db)
 		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("sharded into %d time partitions\n", sdb.K())
 	}
+	srv := serve.NewSharded(sdb, cfg)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

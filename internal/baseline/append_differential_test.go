@@ -12,8 +12,8 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// Append-then-query battery: the stream append path (store.DB.AppendChunk)
-// mutates tables whose derived indexes — above all the per-source bitmap
+// Append-then-query battery: the stream append path (store.DB.CloneAppend)
+// extends tables whose derived indexes — above all the per-source bitmap
 // postings the planner prunes with — are built at assembly time. The hazard
 // class pinned here is an append that extends the columns but leaves a
 // derived index stale: the closure scan would see the new rows while the
@@ -51,7 +51,7 @@ func buildTruncated(t *testing.T, c *gen.Corpus, cut int32) (*store.DB, store.Bu
 	return db, stats
 }
 
-func TestAppendChunkEqualsRebuild(t *testing.T) {
+func TestAppendEqualsRebuild(t *testing.T) {
 	c, err := gen.Generate(gen.Small())
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestAppendChunkEqualsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := db.AppendChunk(nil, suffix)
+	db, st, err := db.CloneAppend(store.EventTable{}, nil, suffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestAppendChunkEqualsRebuild(t *testing.T) {
 	}
 }
 
-func TestAppendChunkNewEventsAndSources(t *testing.T) {
+func TestAppendNewEventsAndSources(t *testing.T) {
 	c, err := gen.Generate(gen.Small())
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestAppendChunkNewEventsAndSources(t *testing.T) {
 		}(),
 	}
 
-	st, err := db.AppendChunk(evs, mns)
+	db, st, err := db.CloneAppend(store.EventTable{}, evs, mns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestAppendChunkNewEventsAndSources(t *testing.T) {
 	v, nm := db.Version(), db.Mentions.Len()
 	m := web(existingID, "tail-news.example")
 	m.MentionTime = gdelt.IntervalStart(base) // interval 0
-	if _, err := db.AppendChunk(nil, []gdelt.Mention{m}); err == nil {
+	if _, _, err := db.CloneAppend(store.EventTable{}, nil, []gdelt.Mention{m}); err == nil {
 		t.Fatal("append behind the stored tail succeeded")
 	}
 	if db.Version() != v || db.Mentions.Len() != nm {

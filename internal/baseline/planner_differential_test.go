@@ -119,11 +119,10 @@ func TestPlannerDifferentialSharded(t *testing.T) {
 // TestPlannerParamThroughRegistry pins the plan parameter's plumbing: for
 // the eligible kinds, executions forced to each plan through the registry's
 // common "plan" parameter must serialize to identical JSON (1e-9 floats),
-// and an invalid value must be a parameter error. Executors are nil — the
-// plan never reaches cache keys.
+// and an invalid value must be a parameter error. Run is called directly —
+// the plan never reaches cache keys.
 func TestPlannerParamThroughRegistry(t *testing.T) {
 	db := kernelWorlds(t)[0]
-	var ex *registry.Executor
 	for _, kind := range []string{"coreport", "follow"} {
 		d, ok := registry.Lookup(kind)
 		if !ok {
@@ -145,7 +144,7 @@ func TestPlannerParamThroughRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v, _, err := ex.Execute(d, e, p)
+			v, err := d.Run(e, p)
 			if err != nil {
 				t.Fatal(err)
 			}

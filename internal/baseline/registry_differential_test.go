@@ -12,6 +12,7 @@ import (
 	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
+	"gdeltmine/internal/shard"
 )
 
 // floatTol is the relative tolerance for float comparisons across runs:
@@ -96,6 +97,10 @@ func TestRegistryDifferentialCachedVsUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := res.DB
+	sdb, err := shard.Single(db)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cached := &registry.Executor{Cache: qcache.New(0)}
 	var uncached *registry.Executor
@@ -129,7 +134,7 @@ func TestRegistryDifferentialCachedVsUncached(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ref, out, err := uncached.Execute(d, engine.New(db).WithWorkers(1).WithKind(d.Kind), p)
+			ref, out, err := uncached.ExecuteSharded(d, sdb.View().WithWorkers(1).WithKind(d.Kind), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,15 +142,15 @@ func TestRegistryDifferentialCachedVsUncached(t *testing.T) {
 				t.Fatalf("uncached outcome %v", out)
 			}
 
-			e := engine.New(db).WithWorkers(4).WithKind(d.Kind)
-			cold, out, err := cached.Execute(d, e, p)
+			e := sdb.View().WithWorkers(4).WithKind(d.Kind)
+			cold, out, err := cached.ExecuteSharded(d, e, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if out != qcache.Miss {
 				t.Fatalf("cold outcome %v, want miss", out)
 			}
-			warm, out, err := cached.Execute(d, e, p)
+			warm, out, err := cached.ExecuteSharded(d, e, p)
 			if err != nil {
 				t.Fatal(err)
 			}

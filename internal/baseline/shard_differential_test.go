@@ -43,13 +43,36 @@ func themeParam(t *testing.T, db *store.DB) string {
 	return tc[0].Theme
 }
 
+// shardWorld builds the k-shard world over db. k == 0 is shard.Single — the
+// world a server wraps a loaded monolith in — whose one part must be db
+// itself, not a Split copy of its columns.
+func shardWorld(t *testing.T, db *store.DB, k int) *shard.DB {
+	t.Helper()
+	if k == 0 {
+		sdb, err := shard.Single(db)
+		if err != nil {
+			t.Fatalf("Single: %v", err)
+		}
+		if sdb.K() != 1 || sdb.Part(0) != db {
+			t.Fatal("Single copied its input: part 0 is not the monolith")
+		}
+		return sdb
+	}
+	sdb, err := shard.Split(db, k)
+	if err != nil {
+		t.Fatalf("Split(%d): %v", k, err)
+	}
+	return sdb
+}
+
 // TestShardDifferentialAllKinds is the shard-vs-monolith battery: every
-// registered query kind, on two generated worlds, sharded at K in {1,3,5}
-// and executed with 1 and 4 workers, must produce the monolith's answer —
-// integers bit-exact, floats within 1e-9 relative (eqTree). K=1 pins the
-// degenerate single-shard path, odd K puts shard boundaries away from any
-// structure in the data, and the worker sweep forbids results that depend
-// on reduction schedule. ci.sh runs this battery under -race.
+// registered query kind, on two generated worlds, sharded at K in
+// {Single,1,3,5} (shardWorld's k0 is Single) and executed with 1 and 4
+// workers, must produce the monolith's answer — integers bit-exact, floats
+// within 1e-9 relative (eqTree). Single and K=1 pin the degenerate
+// single-shard paths, odd K puts shard boundaries away from any structure
+// in the data, and the worker sweep forbids results that depend on
+// reduction schedule. ci.sh runs this battery under -race.
 func TestShardDifferentialAllKinds(t *testing.T) {
 	alt := gen.Small()
 	alt.Seed = 777
@@ -91,11 +114,8 @@ func TestShardDifferentialAllKinds(t *testing.T) {
 				refs[d.Kind] = jsonTree(t, ref)
 			}
 
-			for _, k := range []int{1, 3, 5} {
-				sdb, err := shard.Split(db, k)
-				if err != nil {
-					t.Fatalf("Split(%d): %v", k, err)
-				}
+			for _, k := range []int{0, 1, 3, 5} {
+				sdb := shardWorld(t, db, k)
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("k%d/w%d", k, workers), func(t *testing.T) {
 						v := sdb.View().WithWorkers(workers)
@@ -217,11 +237,8 @@ func TestShardDifferentialWindowed(t *testing.T) {
 		{0, 0},                 // explicitly empty
 		{iv - iv/13, iv},       // tail-only: the streaming case
 	}
-	for _, k := range []int{1, 3, 5} {
-		sdb, err := shard.Split(db, k)
-		if err != nil {
-			t.Fatalf("Split(%d): %v", k, err)
-		}
+	for _, k := range []int{0, 1, 3, 5} {
+		sdb := shardWorld(t, db, k)
 		for _, win := range windows {
 			win := win
 			t.Run(fmt.Sprintf("k%d/win%d-%d", k, win[0], win[1]), func(t *testing.T) {

@@ -3,55 +3,25 @@ package registry
 import (
 	"fmt"
 
-	"gdeltmine/internal/engine"
 	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/shard"
 )
 
 // Executor runs registered queries through an optional result cache. It is
 // the one place that knows how a descriptor execution becomes a cache key:
-// kind, canonical params, the engine view's mention-row window, and the
-// store's snapshot version at dispatch time. A nil Executor (or nil Cache)
-// executes directly — the CLI's one-shot queries take that path.
+// kind, canonical params, the view's interval window with the version
+// vector of the shards it overlaps, and the view's shard subset. A nil
+// Executor (or nil Cache) executes directly.
 type Executor struct {
 	Cache *qcache.Cache
 }
 
-// Execute runs descriptor d with resolved params p against engine view e,
+// ExecuteSharded runs descriptor d with resolved params p against view v,
 // returning the (possibly shared, treat-as-immutable) result and how it was
 // obtained. Results of cancelled computations are never cached and surface
 // as the context's error, so transports keep their timeout semantics;
 // waiters joining a cancelled leader retry as the new leader while their
-// own context is live (qcache.Do's retry loop).
-func (x *Executor) Execute(d *Descriptor, e *engine.Engine, p Params) (any, qcache.Outcome, error) {
-	compute := func() (any, error) {
-		v, err := d.Run(e, p)
-		if err != nil {
-			return nil, err
-		}
-		// A cancelled scan returns a partial aggregate; poisoning the cache
-		// with it would serve truncated results forever. The context error
-		// wins over the value.
-		if cerr := e.Context().Err(); cerr != nil {
-			return nil, cerr
-		}
-		return v, nil
-	}
-	if x == nil || x.Cache == nil || (d.Bypass != nil && d.Bypass(p)) {
-		v, err := compute()
-		return v, qcache.Bypass, err
-	}
-	lo, hi := e.Window()
-	key := qcache.Key{
-		Kind:    d.Kind,
-		Params:  d.Canonical(p),
-		Window:  fmt.Sprintf("%d:%d", lo, hi),
-		Version: e.DB().Version(),
-	}
-	return x.Cache.Do(e.Context(), key, compute)
-}
-
-// ExecuteSharded is Execute against a sharded view. The cache key's Window
+// own context is live (qcache.Do's retry loop). The cache key's Window
 // embeds the per-shard version vector of the overlapping shards (see
 // shard.DB.WindowVersionKey) and Version is the max over them, so a
 // tail-shard append invalidates exactly the entries whose windows touch
@@ -68,6 +38,9 @@ func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, 
 		if err != nil {
 			return nil, err
 		}
+		// A cancelled scan returns a partial aggregate; poisoning the cache
+		// with it would serve truncated results forever. The context error
+		// wins over the value.
 		if cerr := v.Context().Err(); cerr != nil {
 			return nil, cerr
 		}

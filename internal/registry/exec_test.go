@@ -8,11 +8,12 @@ import (
 
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/engine"
+	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/obs"
 	"gdeltmine/internal/qcache"
+	"gdeltmine/internal/shard"
 	"gdeltmine/internal/store"
-	"gdeltmine/internal/stream"
 )
 
 var cachedDB *store.DB
@@ -33,6 +34,17 @@ func testDB(t testing.TB) *store.DB {
 	return cachedDB
 }
 
+// testWorld wraps the shared dataset as the K=1 world a server runs a
+// monolith through, so one query costs one scan per kernel.
+func testWorld(t testing.TB) *shard.DB {
+	t.Helper()
+	sdb, err := shard.Single(testDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sdb
+}
+
 // scanCounter returns the engine's scan counter for a kind label; obs
 // deduplicates by name+labels, so this is the same counter the engine
 // increments.
@@ -50,39 +62,37 @@ func defaultParams(t *testing.T, d *Descriptor) Params {
 }
 
 func TestNilExecutorBypasses(t *testing.T) {
-	db := testDB(t)
 	d := MustLookup("stats")
-	e := engine.New(db).WithKind(d.Kind)
+	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
 
 	var ex *Executor
-	v, out, err := ex.Execute(d, e, p)
+	v, out, err := ex.ExecuteSharded(d, e, p)
 	if err != nil || v == nil || out != qcache.Bypass {
 		t.Fatalf("nil executor: %v %v %v", v, out, err)
 	}
-	v, out, err = (&Executor{}).Execute(d, e, p)
+	v, out, err = (&Executor{}).ExecuteSharded(d, e, p)
 	if err != nil || v == nil || out != qcache.Bypass {
 		t.Fatalf("nil cache: %v %v %v", v, out, err)
 	}
 }
 
 func TestExecutorMissThenHit(t *testing.T) {
-	db := testDB(t)
 	d := MustLookup("top-publishers")
 	ex := &Executor{Cache: qcache.New(0)}
-	e := engine.New(db).WithKind(d.Kind)
+	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
 
 	scans := scanCounter(d.Kind)
 	before := scans.Value()
-	v1, out, err := ex.Execute(d, e, p)
+	v1, out, err := ex.ExecuteSharded(d, e, p)
 	if err != nil || out != qcache.Miss {
 		t.Fatalf("first: %v %v", out, err)
 	}
 	if scans.Value() != before+1 {
 		t.Fatalf("miss ran %d scans, want 1", scans.Value()-before)
 	}
-	v2, out, err := ex.Execute(d, e, p)
+	v2, out, err := ex.ExecuteSharded(d, e, p)
 	if err != nil || out != qcache.Hit {
 		t.Fatalf("second: %v %v", out, err)
 	}
@@ -102,30 +112,30 @@ func TestExecutorMissThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, out, _ := ex.Execute(d, e, p5); out != qcache.Miss {
+	if _, out, _ := ex.ExecuteSharded(d, e, p5); out != qcache.Miss {
 		t.Fatalf("distinct params outcome %v, want miss", out)
 	}
 }
 
 func TestExecutorWindowIsPartOfKey(t *testing.T) {
-	db := testDB(t)
+	sdb := testWorld(t)
 	d := MustLookup("stats")
 	ex := &Executor{Cache: qcache.New(0)}
 	p := defaultParams(t, d)
 
-	full := engine.New(db).WithKind(d.Kind)
-	if _, out, _ := ex.Execute(d, full, p); out != qcache.Miss {
+	full := sdb.View().WithKind(d.Kind)
+	if _, out, _ := ex.ExecuteSharded(d, full, p); out != qcache.Miss {
 		t.Fatal("full window should miss")
 	}
-	windowed := full.WithInterval(0, db.Meta.Intervals/2)
-	v, out, err := ex.Execute(d, windowed, p)
+	windowed := full.WithWindow(0, sdb.Meta().Intervals/2)
+	v, out, err := ex.ExecuteSharded(d, windowed, p)
 	if err != nil || out != qcache.Miss {
 		t.Fatalf("windowed view must have its own key: %v %v", out, err)
 	}
 	if v == nil {
 		t.Fatal("windowed result nil")
 	}
-	if _, out, _ := ex.Execute(d, windowed, p); out != qcache.Hit {
+	if _, out, _ := ex.ExecuteSharded(d, windowed, p); out != qcache.Hit {
 		t.Fatal("repeated windowed query should hit")
 	}
 }
@@ -135,10 +145,9 @@ func TestExecutorWindowIsPartOfKey(t *testing.T) {
 // exactly one underlying scan, one miss, 31 hits or coalesced waiters, and
 // byte-identical results.
 func TestSingleFlight32Goroutines(t *testing.T) {
-	db := testDB(t)
 	d := MustLookup("top-publishers")
 	ex := &Executor{Cache: qcache.New(0)}
-	e := engine.New(db).WithKind(d.Kind)
+	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
 
 	scans := scanCounter(d.Kind)
@@ -158,7 +167,7 @@ func TestSingleFlight32Goroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			results[i], outcomes[i], errs[i] = ex.Execute(d, e, p)
+			results[i], outcomes[i], errs[i] = ex.ExecuteSharded(d, e, p)
 		}()
 	}
 	close(start)
@@ -189,58 +198,51 @@ func TestSingleFlight32Goroutines(t *testing.T) {
 	}
 }
 
-func TestVersionBumpInvalidates(t *testing.T) {
+// TestLogAppendInvalidates proves the end-to-end invalidation protocol: a
+// feed chunk folded through shard.Log.Append publishes a world whose tail
+// carries the next snapshot version, which forces the next identical query
+// to recompute and lets the fresh result cache at the new version.
+func TestLogAppendInvalidates(t *testing.T) {
 	db := testDB(t)
+	lg := shard.NewLog(testWorld(t))
 	d := MustLookup("top-publishers")
 	ex := &Executor{Cache: qcache.New(0)}
-	e := engine.New(db).WithKind(d.Kind)
+	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
 	p := defaultParams(t, d)
+	run := func() qcache.Outcome {
+		t.Helper()
+		_, out, err := ex.ExecuteSharded(d, lg.Snapshot().View().WithKind(d.Kind), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Miss {
+	if out := run(); out != qcache.Miss {
 		t.Fatal("want initial miss")
 	}
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Hit {
-		t.Fatal("want hit at stable version")
-	}
-	db.BumpVersion()
-	scans := scanCounter(d.Kind)
-	before := scans.Value()
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Miss {
-		t.Fatal("version bump must retire the cached result")
-	}
-	if scans.Value() <= before {
-		t.Fatal("post-bump query did not rescan")
-	}
-}
-
-// TestStreamAppendInvalidates proves the end-to-end invalidation protocol:
-// a monitor bound to the store bumps the snapshot version on every folded
-// feed chunk, which forces the next identical query to recompute.
-func TestStreamAppendInvalidates(t *testing.T) {
-	db := testDB(t)
-	d := MustLookup("top-publishers")
-	ex := &Executor{Cache: qcache.New(0)}
-	e := engine.New(db).WithKind(d.Kind)
-	p := defaultParams(t, d)
-
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Miss {
-		t.Fatal("want initial miss")
-	}
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Hit {
+	if out := run(); out != qcache.Hit {
 		t.Fatal("want hit before the append")
 	}
 
-	m := stream.NewMonitor(db.Meta.Start, stream.Config{})
-	m.BindStore(db)
-	v0 := db.Version()
-	m.MarkChunk(db.Meta.Start) // one folded feed chunk = one append
-	if db.Version() != v0+1 {
-		t.Fatalf("version %d after append, want %d", db.Version(), v0+1)
+	ts := gdelt.IntervalStart(db.Meta.Start.IntervalIndex() + int64(db.Meta.Intervals) - 1)
+	v0 := lg.Snapshot().Tail().Version()
+	if _, err := lg.Append(nil, []gdelt.Mention{{GlobalEventID: db.Events.ID[0], EventTime: ts,
+		MentionTime: ts, MentionType: gdelt.MentionTypeWeb, SourceName: db.Sources.Name(0)}}); err != nil {
+		t.Fatal(err)
 	}
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Miss {
+	if got := lg.Snapshot().Tail().Version(); got != v0+1 {
+		t.Fatalf("version %d after append, want %d", got, v0+1)
+	}
+	scans := scanCounter(d.Kind)
+	before := scans.Value()
+	if out := run(); out != qcache.Miss {
 		t.Fatal("append must invalidate the cached result")
 	}
-	if _, out, _ := ex.Execute(d, e, p); out != qcache.Hit {
+	if scans.Value() <= before {
+		t.Fatal("post-append query did not rescan")
+	}
+	if out := run(); out != qcache.Hit {
 		t.Fatal("fresh result should cache at the new version")
 	}
 }
@@ -248,21 +250,21 @@ func TestStreamAppendInvalidates(t *testing.T) {
 // TestCancelledComputationNotCached: a context cancelled mid-execution must
 // surface as the context error and leave nothing poisoned in the cache.
 func TestCancelledComputationNotCached(t *testing.T) {
-	db := testDB(t)
+	sdb := testWorld(t)
 	d := MustLookup("stats")
 	ex := &Executor{Cache: qcache.New(0)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the scan even starts: worst-case partial
-	e := engine.New(db).WithContext(ctx).WithKind(d.Kind)
+	e := sdb.View().WithContext(ctx).WithKind(d.Kind)
 	p := defaultParams(t, d)
 
-	_, _, err := ex.Execute(d, e, p)
+	_, _, err := ex.ExecuteSharded(d, e, p)
 	if err == nil {
 		t.Fatal("cancelled execution returned no error")
 	}
 	// The next request with a live context recomputes: nothing was cached.
-	live := engine.New(db).WithKind(d.Kind)
-	if _, out, _ := ex.Execute(d, live, p); out != qcache.Miss {
+	live := sdb.View().WithKind(d.Kind)
+	if _, out, _ := ex.ExecuteSharded(d, live, p); out != qcache.Miss {
 		t.Fatal("cancelled partial result was cached")
 	}
 }

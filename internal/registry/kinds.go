@@ -178,10 +178,9 @@ func init() {
 	})
 
 	register(&Descriptor{
-		Kind:       "top-publishers",
-		Help:       "k most productive publishers by article count",
-		Params:     []ParamSpec{kParam("number of publishers")},
-		BenchPanel: true,
+		Kind:   "top-publishers",
+		Help:   "k most productive publishers by article count",
+		Params: []ParamSpec{kParam("number of publishers")},
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			k := clampK(p.Int("k"), e.DB().Sources.Len())
 			ids, counts := queries.TopPublishers(e, k)
@@ -222,7 +221,6 @@ func init() {
 		Help: "aggregated country cross-/co-reporting query (Tables V-VII)",
 		Params: []ParamSpec{{Name: "k", Type: IntParam, Default: "10", Max: len(gdelt.Countries),
 			Help: "matrix corner size"}},
-		BenchPanel: true,
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			cr, err := queries.CountryQuery(e)
 			if err != nil {
@@ -307,9 +305,8 @@ func init() {
 	})
 
 	register(&Descriptor{
-		Kind:       "series-articles",
-		Help:       "articles per quarter (Figure 4)",
-		BenchPanel: true,
+		Kind: "series-articles",
+		Help: "articles per quarter (Figure 4)",
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			return queries.ArticlesPerQuarter(e), nil
 		},
@@ -330,9 +327,8 @@ func init() {
 	})
 
 	register(&Descriptor{
-		Kind:       "series-active-sources",
-		Help:       "active sources per quarter (Figure 6)",
-		BenchPanel: true,
+		Kind: "series-active-sources",
+		Help: "active sources per quarter (Figure 6)",
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			return queries.ActiveSourcesPerQuarter(e), nil
 		},
@@ -342,9 +338,8 @@ func init() {
 	})
 
 	register(&Descriptor{
-		Kind:       "series-slow-articles",
-		Help:       "slow articles (delay > 1 interval) per quarter (Figure 11)",
-		BenchPanel: true,
+		Kind: "series-slow-articles",
+		Help: "slow articles (delay > 1 interval) per quarter (Figure 11)",
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			return queries.SlowArticlesPerQuarter(e), nil
 		},
@@ -482,10 +477,4 @@ func init() {
 			return TranslatedShareResult{Labels: labels, Share: share}, nil
 		},
 	})
-
-	// Legacy spellings kept alive for old CLI invocations and docs.
-	registerAlias("delay", "delays")
-	registerAlias("quarterly", "quarterly-delay")
-	registerAlias("publishers", "top-publishers")
-	registerAlias("events", "top-events")
 }

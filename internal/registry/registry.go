@@ -1,10 +1,10 @@
 // Package registry is the single source of truth for the system's query
 // surface: one table of query descriptors — kind, parameter schema, and an
 // execution function against the engine — that the HTTP server
-// (internal/serve), the CLI (cmd/gdeltquery), the benchmark harness
-// (cmd/gdeltbench) and the differential test harness (internal/baseline)
-// all dispatch through. Before the registry the same query inventory was
-// wired three separate times; now a kind registered here is automatically
+// (internal/serve), the CLI (cmd/gdeltquery), the benchmark (bench/) and
+// the differential test harness (internal/baseline) all dispatch through.
+// Before the registry the same query inventory was wired three separate
+// times; now a kind registered here is automatically
 // served under /api/v1/<kind>, runnable as `gdeltquery <kind>`, covered by
 // the differential harness, and — because a descriptor plus its resolved
 // parameters canonicalize to a stable string — keyable in the result
@@ -158,11 +158,6 @@ type Descriptor struct {
 	// deliberately excluded from cache keys because executed results are
 	// plan-independent.
 	Bypass func(p Params) bool
-	// BenchPanel marks kinds included in the shard-speedup benchmark panel
-	// (gdeltbench -shard-bench): scan-heavy kinds whose sharded execution
-	// fans out across the worker pool, each runnable with default
-	// parameters.
-	BenchPanel bool
 }
 
 // ParseParams resolves the descriptor's schema against get, which returns
@@ -275,9 +270,6 @@ func (d *Descriptor) Canonical(p Params) string {
 var (
 	kinds   = make(map[string]*Descriptor)
 	ordered []*Descriptor
-	// aliases maps legacy spellings (CLI -query values, old endpoint
-	// names) to canonical kinds.
-	aliases = make(map[string]string)
 )
 
 // register adds a descriptor at package init; duplicate kinds are a
@@ -291,23 +283,10 @@ func register(d *Descriptor) *Descriptor {
 	return d
 }
 
-// registerAlias maps a legacy spelling to an existing kind.
-func registerAlias(alias, kind string) {
-	if _, ok := kinds[kind]; !ok {
-		panic("registry: alias to unknown kind " + kind)
-	}
-	aliases[alias] = kind
-}
-
-// Lookup resolves a kind name or legacy alias to its descriptor.
+// Lookup resolves a kind name to its descriptor.
 func Lookup(name string) (*Descriptor, bool) {
-	if d, ok := kinds[name]; ok {
-		return d, true
-	}
-	if canonical, ok := aliases[name]; ok {
-		return kinds[canonical], true
-	}
-	return nil, false
+	d, ok := kinds[name]
+	return d, ok
 }
 
 // MustLookup is Lookup for names known at compile time.
@@ -323,18 +302,6 @@ func MustLookup(name string) *Descriptor {
 func All() []*Descriptor {
 	out := make([]*Descriptor, len(ordered))
 	copy(out, ordered)
-	return out
-}
-
-// Panel returns the descriptors marked for the shard-speedup benchmark
-// panel, in registration order.
-func Panel() []*Descriptor {
-	var out []*Descriptor
-	for _, d := range ordered {
-		if d.BenchPanel {
-			out = append(out, d)
-		}
-	}
 	return out
 }
 

@@ -101,20 +101,14 @@ func TestCheckKnown(t *testing.T) {
 	}
 }
 
-func TestLookupAliases(t *testing.T) {
-	for alias, canonical := range map[string]string{
-		"delay":      "delays",
-		"quarterly":  "quarterly-delay",
-		"publishers": "top-publishers",
-		"events":     "top-events",
-	} {
-		d, ok := Lookup(alias)
-		if !ok || d.Kind != canonical {
-			t.Fatalf("alias %q resolved to %v, want %s", alias, d, canonical)
-		}
+func TestLookupKnowsOnlyCanonicalKinds(t *testing.T) {
+	if d, ok := Lookup("delays"); !ok || d.Kind != "delays" {
+		t.Fatalf("canonical kind resolved to %v", d)
 	}
-	if _, ok := Lookup("nonsense"); ok {
-		t.Fatal("unknown kind resolved")
+	for _, name := range []string{"delay", "publishers", "nonsense"} {
+		if _, ok := Lookup(name); ok {
+			t.Fatalf("%q resolved; only canonical kinds are registered", name)
+		}
 	}
 }
 

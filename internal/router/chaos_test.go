@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"gdeltmine/internal/convert"
+	"gdeltmine/internal/engine"
 	"gdeltmine/internal/faults"
 	"gdeltmine/internal/gen"
+	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
 	"gdeltmine/internal/serve"
 	"gdeltmine/internal/shard"
@@ -26,7 +28,8 @@ import (
 // The chaos battery drives a real 4-replica, 2-group fleet: every replica
 // is an httptest gdeltserve wrapped in a faults.ReplicaChaos middleware, so
 // scenarios kill, slow and partition replicas deterministically and the
-// router's failover is observed end to end against a monolith reference.
+// router's failover is observed end to end against the kinds' Run on the
+// monolith.
 
 var chaosDB *store.DB
 
@@ -47,7 +50,7 @@ func chaosData(t testing.TB) *store.DB {
 }
 
 type chaosHarness struct {
-	mono  *httptest.Server
+	db    *store.DB
 	chaos *faults.ReplicaChaos
 	reps  map[string]*httptest.Server
 	rt    *Router
@@ -58,7 +61,7 @@ var chaosReplicaIDs = []string{"r0", "r1", "r2", "r3"}
 
 // newChaosHarness builds the fleet: K=4 shards, 2 groups (shards {0,1} on
 // r0/r1, shards {2,3} on r2/r3), every replica serving the full sharded
-// dataset, plus an unsharded monolith as the bit-identical reference.
+// dataset; the monolith it was split from is the bit-identical reference.
 func newChaosHarness(t *testing.T, plan faults.ReplicaPlan, mut func(*Config)) *chaosHarness {
 	t.Helper()
 	db := chaosData(t)
@@ -67,11 +70,10 @@ func newChaosHarness(t *testing.T, plan faults.ReplicaPlan, mut func(*Config)) *
 		t.Fatal(err)
 	}
 	h := &chaosHarness{
+		db:    db,
 		chaos: faults.NewReplicaChaos(plan),
 		reps:  make(map[string]*httptest.Server),
 	}
-	h.mono = httptest.NewServer(serve.New(db))
-	t.Cleanup(h.mono.Close)
 	var replicas []Replica
 	for _, id := range chaosReplicaIDs {
 		srv := httptest.NewServer(h.chaos.Middleware(id, serve.NewSharded(sdb, serve.Config{})))
@@ -131,21 +133,42 @@ func get(t *testing.T, base, path, query string, hdr map[string]string) (int, []
 	return resp.StatusCode, body, resp.Header
 }
 
-// topTheme resolves a real theme name for theme-trends queries.
-func topTheme(t *testing.T, h *chaosHarness) string {
+// monoBody is the reference answer: the kind's Run on the monolith, encoded
+// the way a replica encodes a 200.
+func monoBody(t *testing.T, db *store.DB, d *registry.Descriptor, query string) []byte {
 	t.Helper()
-	code, body, _ := get(t, h.mono.URL, "/api/v1/themes", "k=1", nil)
-	if code != http.StatusOK {
-		t.Fatalf("themes: status %d: %s", code, body)
-	}
-	var rows []struct{ Theme string }
-	if err := json.Unmarshal(body, &rows); err != nil {
+	q, err := url.ParseQuery(query)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) == 0 {
+	p, err := d.ParseURLValues(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := d.Run(engine.New(db), p)
+	if err != nil {
+		t.Fatalf("%s: monolith: %v", d.Kind, err)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// topTheme resolves a real theme name for theme-trends queries.
+func topTheme(t *testing.T, db *store.DB) string {
+	t.Helper()
+	tc, err := queries.TopThemes(engine.New(db), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tc) == 0 {
 		t.Fatal("dataset has no themes")
 	}
-	return rows[0].Theme
+	return tc[0].Theme
 }
 
 // queryFor supplies the parameters a kind needs to answer 200.
@@ -157,18 +180,18 @@ func queryFor(d *registry.Descriptor, theme string) string {
 }
 
 // requireMonolithMatch fetches every registered kind through the router and
-// requires status and body to be bit-identical to the monolith, with full
-// coverage advertised.
-func requireMonolithMatch(t *testing.T, h *chaosHarness) {
+// requires a 200 whose body is bit-identical to the monolith's, with full
+// coverage of all `shards` shards advertised.
+func requireMonolithMatch(t *testing.T, front string, db *store.DB, shards int) {
 	t.Helper()
-	theme := topTheme(t, h)
+	theme := topTheme(t, db)
 	for _, d := range registry.All() {
 		path := "/api/v1/" + d.Kind
 		q := queryFor(d, theme)
-		wantCode, wantBody, _ := get(t, h.mono.URL, path, q, nil)
-		gotCode, gotBody, hdr := get(t, h.front.URL, path, q, nil)
-		if gotCode != wantCode {
-			t.Fatalf("%s: routed status %d, monolith %d: %s", d.Kind, gotCode, wantCode, gotBody)
+		wantBody := monoBody(t, db, d, q)
+		gotCode, gotBody, hdr := get(t, front, path, q, nil)
+		if gotCode != http.StatusOK {
+			t.Fatalf("%s: routed status %d: %s", d.Kind, gotCode, gotBody)
 		}
 		if !bytes.Equal(gotBody, wantBody) {
 			t.Fatalf("%s: routed body differs from monolith\nrouted:   %.200s\nmonolith: %.200s",
@@ -177,8 +200,8 @@ func requireMonolithMatch(t *testing.T, h *chaosHarness) {
 		if cov := hdr.Get("X-Gdelt-Coverage"); cov != "full" {
 			t.Fatalf("%s: coverage %q, want full", d.Kind, cov)
 		}
-		if sh := hdr.Get("X-Gdelt-Shards"); sh != "4/4" {
-			t.Fatalf("%s: shards %q, want 4/4", d.Kind, sh)
+		if sh, want := hdr.Get("X-Gdelt-Shards"), fmt.Sprintf("%d/%d", shards, shards); sh != want {
+			t.Fatalf("%s: shards %q, want %s", d.Kind, sh, want)
 		}
 		if hdr.Get("X-Gdelt-Replica") == "" {
 			t.Fatalf("%s: no X-Gdelt-Replica header", d.Kind)
@@ -188,7 +211,7 @@ func requireMonolithMatch(t *testing.T, h *chaosHarness) {
 
 func TestChaosAllHealthyMatchesMonolith(t *testing.T) {
 	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
-	requireMonolithMatch(t, h)
+	requireMonolithMatch(t, h.front.URL, h.db, 4)
 }
 
 func TestChaosOneReplicaPerGroupDownStaysFull(t *testing.T) {
@@ -197,7 +220,7 @@ func TestChaosOneReplicaPerGroupDownStaysFull(t *testing.T) {
 	// every kind must still answer full-coverage and bit-identical.
 	h.chaos.Set("r1", faults.ReplicaDead)
 	h.chaos.Set("r3", faults.ReplicaDead)
-	requireMonolithMatch(t, h)
+	requireMonolithMatch(t, h.front.URL, h.db, 4)
 	stats := h.chaos.Stats()
 	if stats[faults.ReplicaDead] == 0 {
 		t.Fatal("dead replicas were never consulted — failover untested")
@@ -212,7 +235,7 @@ func TestChaosWholeGroupDownDegradesToPartial(t *testing.T) {
 	h.chaos.Set("r3", faults.ReplicaDead)
 	h.rt.ProbeAll(context.Background())
 
-	theme := topTheme(t, h)
+	theme := topTheme(t, h.db)
 	partBefore := h.rt.met.coverPart.Value()
 	for _, d := range registry.All() {
 		path := "/api/v1/" + d.Kind
@@ -318,9 +341,9 @@ func TestChaosHealRestoresFullCoverageAndCleanCache(t *testing.T) {
 	h.chaos.Heal("r2")
 	h.chaos.Heal("r3")
 	h.rt.ProbeAll(context.Background())
-	wantCode, wantBody, _ := get(t, h.mono.URL, "/api/v1/count", "", nil)
+	wantBody := monoBody(t, h.db, registry.MustLookup("count"), "")
 	gotCode, gotBody, hdr := get(t, h.front.URL, "/api/v1/count", "", nil)
-	if gotCode != wantCode || hdr.Get("X-Gdelt-Coverage") != "full" {
+	if gotCode != http.StatusOK || hdr.Get("X-Gdelt-Coverage") != "full" {
 		t.Fatalf("healed phase: status %d coverage %q", gotCode, hdr.Get("X-Gdelt-Coverage"))
 	}
 	// The partial result must not leak out of the cache as a full answer.
@@ -508,4 +531,35 @@ func TestChaosRoutezTopology(t *testing.T) {
 			t.Fatalf("healthy group reported down: %s", body)
 		}
 	}
+}
+
+// TestMonolithReplicasRouteAsOneShard: a router in front of replicas that
+// each serve a monolithic store (the K=1 world of shard.Single) must work
+// like any other fleet — discovery reads shard count 1 off /readyz, the
+// routed shards=0 restriction is valid, and every kind answers with full
+// coverage, bit-identical to Run on the monolith.
+func TestMonolithReplicasRouteAsOneShard(t *testing.T) {
+	db := chaosData(t)
+	var replicas []Replica
+	for _, id := range []string{"r0", "r1"} {
+		sdb, err := shard.Single(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(serve.NewSharded(sdb, serve.Config{}))
+		t.Cleanup(srv.Close)
+		replicas = append(replicas, Replica{ID: id, URL: srv.URL})
+	}
+	k, err := DiscoverShards(replicas)
+	if err != nil || k != 1 {
+		t.Fatalf("DiscoverShards = %d, %v; want 1", k, err)
+	}
+	rt, err := New(Config{Replicas: replicas, Shards: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	requireMonolithMatch(t, front.URL, db, 1)
 }

@@ -3,8 +3,10 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,4 +108,35 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 		}(rep)
 	}
 	wg.Wait()
+}
+
+// DiscoverShards asks each replica's /readyz for its shard count until one
+// answers — every ready replica's body carries {"shards": {"count": K}}; a
+// monolithic .gdmb replica reports K=1.
+func DiscoverShards(replicas []Replica) (int, error) {
+	client := &http.Client{Timeout: 3 * time.Second}
+	var lastErr error
+	for _, rep := range replicas {
+		resp, err := client.Get(strings.TrimRight(rep.URL, "/") + "/readyz")
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		var st struct {
+			Shards struct {
+				Count int `json:"count"`
+			} `json:"shards"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if st.Shards.Count > 0 {
+			return st.Shards.Count, nil
+		}
+		lastErr = fmt.Errorf("%s: /readyz carries no shard count (status %d)", rep.URL, resp.StatusCode)
+	}
+	return 0, lastErr
 }

@@ -11,14 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"gdeltmine/internal/store"
+	"gdeltmine/internal/shard"
 )
-
-func hardTestDB(t testing.TB) *store.DB {
-	t.Helper()
-	testServer(t) // populates cachedDB
-	return cachedDB
-}
 
 // errorEnvelope decodes the uniform {"error": "..."} body.
 func errorEnvelope(t *testing.T, body io.Reader) string {
@@ -35,9 +29,11 @@ func errorEnvelope(t *testing.T, body io.Reader) string {
 	return env.Error
 }
 
-func TestMethodNotAllowed(t *testing.T) {
-	srv := testServer(t)
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/api/stats", strings.NewReader("{}"))
+func TestMethodNotAllowed(t *testing.T) { eachWorld(t, testMethodNotAllowed) }
+
+func testMethodNotAllowed(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
+	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/api/v1/stats", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +52,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 	// POST is part of the query surface (form-encoded qlang expressions),
 	// so it must answer like the GET.
-	post, err := http.Post(srv.URL+"/api/stats", "application/x-www-form-urlencoded", nil)
+	post, err := http.Post(srv.URL+"/api/v1/stats", "application/x-www-form-urlencoded", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +62,15 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-func TestErrorsUseJSONEnvelope(t *testing.T) {
-	srv := testServer(t)
+func TestErrorsUseJSONEnvelope(t *testing.T) { eachWorld(t, testErrorsUseJSONEnvelope) }
+
+func testErrorsUseJSONEnvelope(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	for _, path := range []string{
-		"/api/stats?workers=potato",  // bad query parameter
-		"/api/series/nope",           // unknown series
-		"/api/top-publishers?k=zero", // bad k
-		"/api/theme-trends",          // missing required parameter
+		"/api/v1/stats?workers=potato",  // bad query parameter
+		"/api/v1/series-nope",           // unknown series
+		"/api/v1/top-publishers?k=zero", // bad k
+		"/api/v1/theme-trends",          // missing required parameter
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -89,9 +87,10 @@ func TestErrorsUseJSONEnvelope(t *testing.T) {
 	}
 }
 
-func TestHealthAndReadiness(t *testing.T) {
-	db := hardTestDB(t)
-	s := New(db)
+func TestHealthAndReadiness(t *testing.T) { eachWorld(t, testHealthAndReadiness) }
+
+func testHealthAndReadiness(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -127,9 +126,10 @@ func TestHealthAndReadiness(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestLoadShedding(t *testing.T) {
-	db := hardTestDB(t)
-	s := NewWithConfig(db, Config{MaxInFlight: 1})
+func TestLoadShedding(t *testing.T) { eachWorld(t, testLoadShedding) }
+
+func testLoadShedding(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{MaxInFlight: 1})
 
 	// Occupy the single slot with a request parked inside a handler.
 	release := make(chan struct{})
@@ -146,7 +146,7 @@ func TestLoadShedding(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := http.Get(srv.URL + "/api/stats")
+		resp, err := http.Get(srv.URL + "/api/v1/stats")
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -154,7 +154,7 @@ func TestLoadShedding(t *testing.T) {
 	<-entered
 
 	// Second request must be shed immediately with 503, not queued.
-	resp, err := http.Get(srv.URL + "/api/stats")
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +170,17 @@ func TestLoadShedding(t *testing.T) {
 	<-done
 }
 
-func TestPanicRecoveryReturnsJSON500(t *testing.T) {
-	db := hardTestDB(t)
-	s := New(db)
+func TestPanicRecoveryReturnsJSON500(t *testing.T) { eachWorld(t, testPanicRecoveryReturnsJSON500) }
+
+func testPanicRecoveryReturnsJSON500(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{})
 	boom := s.protect(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("handler exploded")
 	}))
 	srv := httptest.NewServer(boom)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/stats")
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +197,14 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 // TestRequestTimeoutCancelsQuery gives requests a deadline that expires
 // before the query can finish and checks the server reports the timeout via
 // the envelope instead of serving a silently partial aggregate.
-func TestRequestTimeoutCancelsQuery(t *testing.T) {
-	db := hardTestDB(t)
-	s := NewWithConfig(db, Config{RequestTimeout: time.Nanosecond})
+func TestRequestTimeoutCancelsQuery(t *testing.T) { eachWorld(t, testRequestTimeoutCancelsQuery) }
+
+func testRequestTimeoutCancelsQuery(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{RequestTimeout: time.Nanosecond})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/api/country")
+	resp, err := http.Get(srv.URL + "/api/v1/country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +222,10 @@ func TestRequestTimeoutCancelsQuery(t *testing.T) {
 // shuts down — the race-detector drill for the drain path (run under
 // go test -race). Every request must either succeed or fail with a
 // well-formed shed/timeout/connection error; nothing may panic or race.
-func TestShutdownUnderLoad(t *testing.T) {
-	db := hardTestDB(t)
-	s := NewWithConfig(db, Config{RequestTimeout: 2 * time.Second, MaxInFlight: 8})
+func TestShutdownUnderLoad(t *testing.T) { eachWorld(t, testShutdownUnderLoad) }
+
+func testShutdownUnderLoad(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{RequestTimeout: 2 * time.Second, MaxInFlight: 8})
 	httpSrv := httptest.NewServer(s)
 
 	var wg sync.WaitGroup
@@ -231,7 +234,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			paths := []string{"/api/stats", "/api/top-publishers", "/api/count?where=delay>4", "/readyz"}
+			paths := []string{"/api/v1/stats", "/api/v1/top-publishers", "/api/v1/count?where=delay>4", "/readyz"}
 			for i := 0; ; i++ {
 				select {
 				case <-stopped:
@@ -262,14 +265,15 @@ func TestShutdownUnderLoad(t *testing.T) {
 // TestCancelledRequestStopsEngine issues a query whose context is cancelled
 // mid-flight and checks the handler notices: the engine scan stops and the
 // response never arrives as a 200.
-func TestCancelledRequestStopsEngine(t *testing.T) {
-	db := hardTestDB(t)
-	s := New(db)
+func TestCancelledRequestStopsEngine(t *testing.T) { eachWorld(t, testCancelledRequestStopsEngine) }
+
+func testCancelledRequestStopsEngine(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/api/country?workers=2", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/api/v1/country?workers=2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +295,11 @@ func TestCancelledRequestStopsEngine(t *testing.T) {
 	}
 }
 
-func TestHeadRequestAllowed(t *testing.T) {
-	srv := testServer(t)
-	resp, err := http.Head(srv.URL + "/api/stats")
+func TestHeadRequestAllowed(t *testing.T) { eachWorld(t, testHeadRequestAllowed) }
+
+func testHeadRequestAllowed(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
+	resp, err := http.Head(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestLiveServerSeesAppends(t *testing.T) {
 	if code := getJSON(t, srv, "/readyz", &rs); code != http.StatusOK {
 		t.Fatalf("readyz status %d", code)
 	}
-	if rs.Shards == nil || rs.Shards.TailVersion != lg.Snapshot().Tail().Version() {
+	if rs.Shards.TailVersion != lg.Snapshot().Tail().Version() {
 		t.Fatalf("readyz shard status %+v, want live tail version %d", rs.Shards, lg.Snapshot().Tail().Version())
 	}
 }

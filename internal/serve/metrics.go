@@ -53,11 +53,6 @@ func kindOf(r *http.Request) string {
 	return ""
 }
 
-// handle mounts h on mux under path, instrumented as the given query kind.
-func (s *Server) handle(mux *http.ServeMux, path, kind string, h http.HandlerFunc) {
-	mux.HandleFunc(path, s.instrument(kind, h))
-}
-
 // instrument wraps h with the per-endpoint metrics (request counter,
 // latency histogram, error counter) and stores the kind in the request
 // context for the shared error/timeout helpers.

@@ -11,15 +11,9 @@ import (
 	"time"
 
 	"gdeltmine/internal/obs"
+	"gdeltmine/internal/registry"
+	"gdeltmine/internal/shard"
 )
-
-// allEndpointKinds is the full query-endpoint inventory; /metrics must list
-// per-endpoint series for every one of them even before traffic arrives.
-var allEndpointKinds = []string{
-	"stats", "defects", "top-publishers", "top-events", "event-sizes",
-	"country", "follow", "coreport", "delays", "quarterly-delay", "series",
-	"wildfires", "count", "themes", "theme-trends", "translated-share",
-}
 
 func scrape(t *testing.T, srv *httptest.Server) string {
 	t.Helper()
@@ -44,10 +38,12 @@ func scrape(t *testing.T, srv *httptest.Server) string {
 // TestMetricsCoverEveryEndpoint asserts the acceptance criterion: the
 // Prometheus exposition carries request counters and latency histograms
 // for every query endpoint, pre-registered at construction.
-func TestMetricsCoverEveryEndpoint(t *testing.T) {
-	srv := testServer(t)
+func TestMetricsCoverEveryEndpoint(t *testing.T) { eachWorld(t, testMetricsCoverEveryEndpoint) }
+
+func testMetricsCoverEveryEndpoint(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	out := scrape(t, srv)
-	for _, kind := range allEndpointKinds {
+	for _, kind := range registry.Kinds() {
 		for _, series := range []string{
 			`http_requests_total{endpoint="` + kind + `"}`,
 			`http_request_seconds_count{endpoint="` + kind + `"}`,
@@ -73,7 +69,11 @@ func TestMetricsCoverEveryEndpoint(t *testing.T) {
 // TestRequestsAdvanceEndpointMetrics runs one query and checks its counter
 // and latency histogram moved, and that the engine recorded per-kind scans.
 func TestRequestsAdvanceEndpointMetrics(t *testing.T) {
-	srv := testServer(t)
+	eachWorld(t, testRequestsAdvanceEndpointMetrics)
+}
+
+func testRequestsAdvanceEndpointMetrics(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	before := obs.Default.Snapshot()
 	req0 := before.Find("http_requests_total", obs.L("endpoint", "country")).Value
 	scan0 := float64(0)
@@ -81,7 +81,7 @@ func TestRequestsAdvanceEndpointMetrics(t *testing.T) {
 		scan0 = m.Value
 	}
 	var out any
-	if code := getJSON(t, srv, "/api/country", &out); code != 200 {
+	if code := getJSON(t, srv, "/api/v1/country", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	after := obs.Default.Snapshot()
@@ -101,14 +101,15 @@ func TestRequestsAdvanceEndpointMetrics(t *testing.T) {
 // TestTimeoutRecordsCounterAndKind exercises the hardened 504 path: a
 // nanosecond deadline expires before writeJSON, the envelope names the
 // query, and queries_timeout_total{kind} advances.
-func TestTimeoutRecordsCounterAndKind(t *testing.T) {
-	db := hardTestDB(t)
-	s := NewWithConfig(db, Config{RequestTimeout: time.Nanosecond})
+func TestTimeoutRecordsCounterAndKind(t *testing.T) { eachWorld(t, testTimeoutRecordsCounterAndKind) }
+
+func testTimeoutRecordsCounterAndKind(t *testing.T, sdb *shard.DB) {
+	s := NewSharded(sdb, Config{RequestTimeout: time.Nanosecond})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
 	before := obs.Default.Counter("queries_timeout_total", "", obs.L("kind", "stats")).Value()
-	resp, err := http.Get(srv.URL + "/api/stats")
+	resp, err := http.Get(srv.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +119,13 @@ func TestTimeoutRecordsCounterAndKind(t *testing.T) {
 	}
 	var env struct {
 		Error string `json:"error"`
-		Query string `json:"query"`
+		Kind  string `json:"kind"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Query != "stats" {
-		t.Fatalf("error envelope query = %q, want \"stats\" (envelope %+v)", env.Query, env)
+	if env.Kind != "stats" {
+		t.Fatalf("error envelope kind = %q, want \"stats\" (envelope %+v)", env.Kind, env)
 	}
 	if env.Error == "" {
 		t.Fatal("error envelope missing error text")
@@ -136,9 +137,10 @@ func TestTimeoutRecordsCounterAndKind(t *testing.T) {
 }
 
 // TestPprofGatedByConfig: the profiling endpoints exist only when enabled.
-func TestPprofGatedByConfig(t *testing.T) {
-	db := hardTestDB(t)
-	off := httptest.NewServer(New(db))
+func TestPprofGatedByConfig(t *testing.T) { eachWorld(t, testPprofGatedByConfig) }
+
+func testPprofGatedByConfig(t *testing.T, sdb *shard.DB) {
+	off := httptest.NewServer(NewSharded(sdb, Config{}))
 	defer off.Close()
 	resp, err := http.Get(off.URL + "/debug/pprof/")
 	if err != nil {
@@ -149,7 +151,7 @@ func TestPprofGatedByConfig(t *testing.T) {
 		t.Fatal("pprof served without EnablePprof")
 	}
 
-	on := httptest.NewServer(NewWithConfig(db, Config{EnablePprof: true}))
+	on := httptest.NewServer(NewSharded(sdb, Config{EnablePprof: true}))
 	defer on.Close()
 	resp, err = http.Get(on.URL + "/debug/pprof/cmdline")
 	if err != nil {
@@ -166,9 +168,13 @@ func TestPprofGatedByConfig(t *testing.T) {
 // histogram snapshots) while query workers drive the engine's lock-free
 // writers, and the JSON -stats snapshot path runs alongside.
 func TestConcurrentMetricsScrapesDuringQueries(t *testing.T) {
-	srv := testServer(t)
+	eachWorld(t, testConcurrentMetricsScrapesDuringQueries)
+}
+
+func testConcurrentMetricsScrapesDuringQueries(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	const scrapers, queriers, iters = 4, 4, 8
-	paths := []string{"/api/stats", "/api/country", "/api/top-publishers", "/api/series/articles"}
+	paths := []string{"/api/v1/stats", "/api/v1/country", "/api/v1/top-publishers", "/api/v1/series-articles"}
 	var wg sync.WaitGroup
 	errs := make(chan error, scrapers+queriers+1)
 	wg.Add(scrapers + queriers + 1)

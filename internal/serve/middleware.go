@@ -8,8 +8,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"time"
-
-	"gdeltmine/internal/obs"
 )
 
 // Config tunes the server's protective limits. The zero value disables all
@@ -42,32 +40,14 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // jsonErrorQuery is jsonError with the query kind named in the envelope,
 // so a client that fans out requests can attribute a failure to the query
-// that caused it: {"error": "...", "kind": "country"}. The legacy "query"
-// field carries the same value for clients written against the
-// unversioned API.
+// that caused it: {"error": "...", "kind": "country"}.
 func jsonErrorQuery(w http.ResponseWriter, status int, kind, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(struct {
 		Error string `json:"error"`
 		Kind  string `json:"kind,omitempty"`
-		Query string `json:"query,omitempty"`
-	}{fmt.Sprintf(format, args...), kind, kind})
-}
-
-// deprecate wraps a legacy unversioned endpoint: responses carry a
-// Deprecation header plus a Link to the successor /api/v1 path, and a
-// per-endpoint counter tracks how much traffic still arrives on the old
-// spelling so its removal can be scheduled on evidence.
-func (s *Server) deprecate(kind, successor string, h http.HandlerFunc) http.HandlerFunc {
-	c := obs.Default.Counter("http_deprecated_requests_total",
-		"requests served on deprecated unversioned /api/ paths", obs.L("endpoint", kind))
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		c.Inc()
-		h(w, r)
-	}
+	}{fmt.Sprintf(format, args...), kind})
 }
 
 // SetReady flips the /readyz probe. A freshly constructed server is ready
@@ -85,8 +65,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{"ok"})
 }
 
-// ShardStatus is the per-shard readiness detail a sharded server reports
-// on /readyz. The routing tier's health prober reads it to learn the shard
+// ShardStatus is the per-shard readiness detail a server reports on
+// /readyz. The routing tier's health prober reads it to learn the shard
 // count of a replica and to watch the tail shard's snapshot version advance
 // under stream appends — the shard-aware half of its failover decisions.
 type ShardStatus struct {
@@ -100,40 +80,31 @@ type ShardStatus struct {
 	TailVersion uint64 `json:"tailVersion"`
 }
 
-// ReadyStatus is the /readyz response body. Shards is nil on a monolithic
-// server.
+// ReadyStatus is the /readyz response body.
 type ReadyStatus struct {
-	Status string       `json:"status"`
-	Shards *ShardStatus `json:"shards,omitempty"`
+	Status string      `json:"status"`
+	Shards ShardStatus `json:"shards"`
 }
 
-// handleReadyz reports readiness: liveness plus "not draining". A sharded
-// server additionally reports per-shard status so the router's prober can
-// make shard-aware decisions.
+// handleReadyz reports readiness: liveness plus "not draining", with the
+// per-shard status of the current world so the router's prober can make
+// shard-aware decisions.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		jsonError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	st := ReadyStatus{Status: "ready"}
-	view := s.sview
-	if s.snap != nil {
-		view = s.snap()
+	sdb := s.snap().DB()
+	sh := ShardStatus{
+		Count:       sdb.K(),
+		Bounds:      sdb.Bounds(),
+		Versions:    make([]uint64, sdb.K()),
+		TailVersion: sdb.Tail().Version(),
 	}
-	if view != nil {
-		sdb := view.DB()
-		sh := &ShardStatus{
-			Count:       sdb.K(),
-			Bounds:      sdb.Bounds(),
-			Versions:    make([]uint64, sdb.K()),
-			TailVersion: sdb.Tail().Version(),
-		}
-		for i := range sh.Versions {
-			sh.Versions[i] = sdb.Part(i).Version()
-		}
-		st.Shards = sh
+	for i := range sh.Versions {
+		sh.Versions[i] = sdb.Part(i).Version()
 	}
-	writeJSON(w, r, st)
+	writeJSON(w, r, ReadyStatus{Status: "ready", Shards: sh})
 }
 
 // protect is the middleware chain applied outside the mux: panic recovery,

@@ -1,28 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
 
+	"gdeltmine/internal/engine"
+	"gdeltmine/internal/registry"
 	"gdeltmine/internal/shard"
 )
-
-func testShardedServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	testServer(t) // ensures cachedDB is built
-	sdb, err := shard.Split(cachedDB, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewSharded(sdb, Config{}))
-	t.Cleanup(srv.Close)
-	return srv
-}
 
 // /api/v1/query endpoint coverage (DESIGN.md §13): the composable ad-hoc
 // surface — where/group/agg/k parameters, GET and POST, the explain=1 plan
@@ -41,8 +31,10 @@ type queryResult struct {
 	} `json:"rows"`
 }
 
-func TestQueryEndpointGET(t *testing.T) {
-	srv := testServer(t)
+func TestQueryEndpointGET(t *testing.T) { eachWorld(t, testQueryEndpointGET) }
+
+func testQueryEndpointGET(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	var res queryResult
 	if code := getJSON(t, srv, "/api/v1/query?where="+url.QueryEscape("delay>0")+
 		"&group=source&agg=count&k=5", &res); code != 200 {
@@ -71,8 +63,10 @@ func TestQueryEndpointGET(t *testing.T) {
 
 // TestQueryEndpointPOST: POST form bodies carry the same parameters (long
 // expressions outgrow URLs) and must answer identically to GET.
-func TestQueryEndpointPOST(t *testing.T) {
-	srv := testServer(t)
+func TestQueryEndpointPOST(t *testing.T) { eachWorld(t, testQueryEndpointPOST) }
+
+func testQueryEndpointPOST(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	params := "where=" + url.QueryEscape("sourcecountry=US and delay>2") + "&group=quarter&agg=sum:doclen"
 	_, getBody := get(t, srv, "/api/v1/query?"+params)
 	resp, err := http.Post(srv.URL+"/api/v1/query", "application/x-www-form-urlencoded",
@@ -94,7 +88,11 @@ func TestQueryEndpointPOST(t *testing.T) {
 // the HTTP layer: two spellings of one expression — reordered clauses,
 // "&&" vs "and", "==" vs "=" — must hit the same cache entry.
 func TestQueryCanonicalizationSharesCache(t *testing.T) {
-	srv := testServer(t)
+	eachWorld(t, testQueryCanonicalizationSharesCache)
+}
+
+func testQueryCanonicalizationSharesCache(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	a := "/api/v1/query?where=" + url.QueryEscape("tone>1 and delay>2") + "&group=source"
 	b := "/api/v1/query?where=" + url.QueryEscape("delay>2 && tone>1.0") + "&group=source"
 	ra, abody := get(t, srv, a)
@@ -124,8 +122,10 @@ type planResponse struct {
 // TestQueryExplain: explain=1 returns the chosen plan without executing,
 // and bypasses the result cache (the plan depends on the plan parameter,
 // which executed results — and so cache keys — exclude).
-func TestQueryExplain(t *testing.T) {
-	srv := testServer(t)
+func TestQueryExplain(t *testing.T) { eachWorld(t, testQueryExplain) }
+
+func testQueryExplain(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	q := "where=" + url.QueryEscape("sourcecountry=US and tone>0") + "&group=source&explain=1"
 	resp, body := get(t, srv, "/api/v1/query?"+q)
 	if resp.StatusCode != 200 {
@@ -156,8 +156,10 @@ func TestQueryExplain(t *testing.T) {
 	}
 }
 
-func TestQueryBadParamEnvelopes(t *testing.T) {
-	srv := testServer(t)
+func TestQueryBadParamEnvelopes(t *testing.T) { eachWorld(t, testQueryBadParamEnvelopes) }
+
+func testQueryBadParamEnvelopes(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	cases := []struct{ name, query string }{
 		{"bad-where", "where=" + url.QueryEscape("bogusfield=1")},
 		{"bad-where-syntax", "where=" + url.QueryEscape("tone>")},
@@ -187,18 +189,33 @@ func TestQueryBadParamEnvelopes(t *testing.T) {
 	}
 }
 
-// TestQueryEndpointSharded: the same surface over a sharded dataset must
-// agree with the monolith byte-for-byte on integer aggregates.
-func TestQueryEndpointSharded(t *testing.T) {
-	srv := testServer(t)
-	ssrv := testShardedServer(t)
-	q := "/api/v1/query?where=" + url.QueryEscape("delay>4 and sourcecountry=US") + "&group=quarter"
-	_, mono := get(t, srv, q)
-	resp, sharded := get(t, ssrv, q)
-	if resp.StatusCode != 200 {
-		t.Fatalf("sharded status %d: %s", resp.StatusCode, sharded)
+// TestQueryEndpointMatchesRun: the served answer of every world must equal
+// the kind's Run on the monolith byte-for-byte on integer aggregates.
+func TestQueryEndpointMatchesRun(t *testing.T) { eachWorld(t, testQueryEndpointMatchesRun) }
+
+func testQueryEndpointMatchesRun(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
+	params := url.Values{"where": {"delay>4 and sourcecountry=US"}, "group": {"quarter"}}
+	d := registry.MustLookup("query")
+	p, err := d.ParseURLValues(params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(mono) != string(sharded) {
-		t.Fatalf("sharded result differs from monolith:\n%s\nvs\n%s", sharded, mono)
+	v, err := d.Run(engine.New(testDB(t)), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	resp, served := get(t, srv, "/api/v1/query?"+params.Encode())
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, served)
+	}
+	if !bytes.Equal(served, want.Bytes()) {
+		t.Fatalf("served result differs from Run on the monolith:\n%s\nvs\n%s", served, want.Bytes())
 	}
 }

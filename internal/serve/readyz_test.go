@@ -8,32 +8,14 @@ import (
 	"gdeltmine/internal/shard"
 )
 
-// TestReadyzMonolithHasNoShardStatus keeps the monolith /readyz shape
-// stable: status only, no shards block.
-func TestReadyzMonolithHasNoShardStatus(t *testing.T) {
-	srv := testServer(t)
-	var st ReadyStatus
-	if code := getJSON(t, srv, "/readyz", &st); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if st.Status != "ready" {
-		t.Fatalf("status %q, want ready", st.Status)
-	}
-	if st.Shards != nil {
-		t.Fatalf("monolith /readyz reports shard status: %+v", st.Shards)
-	}
-}
+// TestReadyzReportsPerShardStatus checks the shard-aware /readyz a routing
+// tier's prober depends on: shard count, the interval tiling, the per-shard
+// version vector, and the tail shard's version — for a K=1 world too, which
+// is what lets a router front monolithic replicas.
+func TestReadyzReportsPerShardStatus(t *testing.T) { eachWorld(t, testReadyzReportsPerShardStatus) }
 
-// TestReadyzShardedReportsPerShardStatus checks the shard-aware /readyz a
-// routing tier's prober depends on: shard count, the interval tiling, the
-// per-shard version vector, and the tail shard's version.
-func TestReadyzShardedReportsPerShardStatus(t *testing.T) {
-	testServer(t) // populates cachedDB
-	const k = 3
-	sdb, err := shard.Split(cachedDB, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+func testReadyzReportsPerShardStatus(t *testing.T, sdb *shard.DB) {
+	k := sdb.K()
 	server := NewSharded(sdb, Config{})
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
@@ -42,8 +24,8 @@ func TestReadyzShardedReportsPerShardStatus(t *testing.T) {
 	if code := getJSON(t, srv, "/readyz", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st.Status != "ready" || st.Shards == nil {
-		t.Fatalf("sharded /readyz %+v", st)
+	if st.Status != "ready" {
+		t.Fatalf("/readyz %+v", st)
 	}
 	sh := st.Shards
 	if sh.Count != k {

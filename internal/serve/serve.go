@@ -4,12 +4,10 @@
 //
 // Routing is registry-driven: every query kind registered in
 // internal/registry is served under /api/v1/<kind>, parameters validated
-// against the kind's schema, results produced by the kind's Run function
-// and memoized in a snapshot-keyed result cache (internal/qcache) with
-// single-flight execution — N concurrent identical requests cost one scan.
-// The pre-versioning /api/<endpoint> paths remain mounted as deprecated
-// aliases: same results, same cache, plus a Deprecation header and a
-// counter so operators can watch old clients drain before removal.
+// against the kind's schema, results produced by the kind's RunSharded
+// function over the dataset's current shard.View and memoized in a
+// snapshot-keyed result cache (internal/qcache) with single-flight
+// execution — N concurrent identical requests cost one scan.
 //
 // Every endpoint accepts the common workers, from and to parameters to pin
 // parallelism and restrict the capture-time window, and every failure path
@@ -24,24 +22,20 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"gdeltmine/internal/engine"
 	"gdeltmine/internal/obs"
 	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
 	"gdeltmine/internal/shard"
-	"gdeltmine/internal/store"
 )
 
-// Server serves analysis queries over one immutable dataset — either a
-// monolithic store or a time-partitioned shard set (NewSharded), in which
-// case queries fan out per shard and reduce through the global dictionary
-// remaps.
+// Server serves analysis queries over one dataset, always a shard.DB world:
+// a loaded monolith is the K=1 world shard.Single builds. Queries fan out
+// per shard and reduce through the global dictionary remaps.
 type Server struct {
-	db        *store.DB
-	eng       *engine.Engine
-	sview     *shard.View // non-nil when serving a sharded dataset
-	snap      func() *shard.View // non-nil when serving a live append log
+	// snap resolves the world a request reads: the one prebuilt view of a
+	// static dataset, or the append log's snapshot as of the call.
+	snap      func() *shard.View
 	cfg       Config
 	handler   http.Handler
 	slots     chan struct{} // load-shedding semaphore, nil when unlimited
@@ -54,65 +48,27 @@ type Server struct {
 	v1 map[string]http.HandlerFunc
 }
 
-// legacyEndpoints maps the deprecated unversioned paths to registry kinds.
-// The series paths are handled separately (one legacy endpoint fans out to
-// four registered kinds).
-var legacyEndpoints = []struct{ path, kind string }{
-	{"/api/stats", "stats"},
-	{"/api/defects", "defects"},
-	{"/api/top-publishers", "top-publishers"},
-	{"/api/top-events", "top-events"},
-	{"/api/event-sizes", "event-sizes"},
-	{"/api/country", "country"},
-	{"/api/follow", "follow"},
-	{"/api/coreport", "coreport"},
-	{"/api/delays", "delays"},
-	{"/api/quarterly-delay", "quarterly-delay"},
-	{"/api/wildfires", "wildfires"},
-	{"/api/count", "count"},
-	{"/api/themes", "themes"},
-	{"/api/theme-trends", "theme-trends"},
-	{"/api/translated-share", "translated-share"},
-}
-
-// New returns a server over the database with no protective limits and the
-// default result-cache budget.
-func New(db *store.DB) *Server { return NewWithConfig(db, Config{}) }
-
-// NewWithConfig returns a server with the given timeout, load-shedding and
-// cache limits applied to every query endpoint.
-func NewWithConfig(db *store.DB, cfg Config) *Server {
-	return newServer(&Server{db: db, eng: engine.New(db)}, cfg)
-}
-
-// NewSharded returns a server over a time-partitioned shard set. Every
-// query fans out per shard (registry ExecuteSharded); cache keys embed the
-// per-shard version vector, and the cache's staleness predicate retires
-// exactly the entries whose window overlaps a bumped shard — a tail-shard
-// append keeps results for cold shards warm.
+// NewSharded returns a server over an immutable time-partitioned shard set.
 func NewSharded(sdb *shard.DB, cfg Config) *Server {
-	return newServer(&Server{sview: sdb.View()}, cfg)
+	v := sdb.View()
+	return newServer(func() *shard.View { return v }, cfg)
 }
 
 // NewLive returns a server over a live append log. Each request resolves
 // the log's current snapshot, so results reflect every append folded
 // before the request arrived while in-flight queries keep reading the
 // snapshot they started on (shard.Log publishes copy-on-write worlds).
-// The cache staleness predicate also consults the current snapshot:
-// append bumps the tail shard's version, so exactly the cached windows
-// overlapping the tail retire while cold-shard results stay warm.
 func NewLive(lg *shard.Log, cfg Config) *Server {
-	s := &Server{snap: func() *shard.View { return lg.Snapshot().View() }}
-	s = newServer(s, cfg)
-	if s.exec.Cache != nil {
-		s.exec.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
-	}
-	return s
+	return newServer(func() *shard.View { return lg.Snapshot().View() }, cfg)
 }
 
-func newServer(s *Server, cfg Config) *Server {
-	s.cfg = cfg
-	s.endpoints = make(map[string]*endpointMetrics)
+// newServer builds the handler tree over snap. Cache keys embed the
+// per-shard version vector, and the cache's staleness predicate consults
+// the current world: an append bumps the tail shard's version, so exactly
+// the cached windows overlapping the tail retire while cold-shard results
+// stay warm.
+func newServer(snap func() *shard.View, cfg Config) *Server {
+	s := &Server{snap: snap, cfg: cfg, endpoints: make(map[string]*endpointMetrics)}
 	if cfg.MaxInFlight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -120,14 +76,11 @@ func newServer(s *Server, cfg Config) *Server {
 		s.exec = &registry.Executor{} // caching disabled: every query scans
 	} else {
 		s.exec = &registry.Executor{Cache: qcache.New(cfg.CacheBytes)}
-	}
-	if s.sview != nil && s.exec.Cache != nil {
-		s.exec.Cache.SetStale(s.sview.DB().StaleKey)
+		s.exec.Cache.SetStale(func(k qcache.Key) bool { return snap().DB().StaleKey(k) })
 	}
 	s.ready.Store(true)
 	mux := http.NewServeMux()
-	// Versioned surface: one instrumented handler per registered kind,
-	// dispatched by routeV1.
+	// One instrumented handler per registered kind, dispatched by routeV1.
 	s.v1 = make(map[string]http.HandlerFunc)
 	for _, d := range registry.All() {
 		d := d
@@ -136,15 +89,9 @@ func newServer(s *Server, cfg Config) *Server {
 		})
 	}
 	mux.HandleFunc("/api/v1/", s.routeV1)
-	// Deprecated unversioned aliases: same descriptors, same cache, plus
-	// the Deprecation header and drain counter.
-	for _, l := range legacyEndpoints {
-		d := registry.MustLookup(l.kind)
-		h := func(w http.ResponseWriter, r *http.Request) { s.serveQuery(w, r, d) }
-		s.handle(mux, l.path, l.kind, s.deprecate(l.kind, "/api/v1/"+l.kind, h))
-	}
-	s.handle(mux, "/api/series/", "series",
-		s.deprecate("series", "/api/v1/series-articles", s.legacySeries))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		jsonError(w, http.StatusNotFound, "no such endpoint %q; query kinds are served under /api/v1/", r.URL.Path)
+	})
 	// Health probes and the metrics scrape stay outside the protective
 	// chain: a loaded or draining server must still answer liveness checks
 	// and report what it is doing.
@@ -178,27 +125,6 @@ func (s *Server) routeV1(w http.ResponseWriter, r *http.Request) {
 	s.v1[d.Kind](w, r)
 }
 
-// legacySeries fans the old /api/series/<which> paths out to the four
-// registered series kinds, keeping the single "series" metric label the
-// unversioned surface always had.
-func (s *Server) legacySeries(w http.ResponseWriter, r *http.Request) {
-	var kind string
-	switch r.URL.Path {
-	case "/api/series/articles":
-		kind = "series-articles"
-	case "/api/series/events":
-		kind = "series-events"
-	case "/api/series/active-sources":
-		kind = "series-active-sources"
-	case "/api/series/slow-articles":
-		kind = "series-slow-articles"
-	default:
-		jsonErrorQuery(w, http.StatusNotFound, kindOf(r), "unknown series %q", r.URL.Path)
-		return
-	}
-	s.serveQuery(w, r, registry.MustLookup(kind))
-}
-
 // serveQuery is the one code path every query endpoint runs: derive the
 // engine view from the common parameters, validate the kind's own
 // parameters against its schema, and execute through the cache. The
@@ -223,39 +149,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, d *registry.
 		jsonErrorQuery(w, http.StatusBadRequest, kind, "%v", err)
 		return
 	}
-	get := func(name string) []string { return q[name] }
-	var (
-		v       any
-		outcome qcache.Outcome
-	)
-	base := s.sview
-	if s.snap != nil {
-		// Live mode: pin this request to the log's snapshot as of now.
-		base = s.snap()
+	sv := s.snap().WithContext(r.Context()).WithKind(kind)
+	sv, err = registry.DeriveView(sv, func(name string) []string { return q[name] })
+	if err != nil {
+		jsonErrorQuery(w, http.StatusBadRequest, kind, "%v", err)
+		return
 	}
-	if base != nil {
-		sv := base.WithContext(r.Context())
-		if kind != "" {
-			sv = sv.WithKind(kind)
-		}
-		sv, err = registry.DeriveView(sv, get)
-		if err != nil {
-			jsonErrorQuery(w, http.StatusBadRequest, kind, "%v", err)
-			return
-		}
-		v, outcome, err = s.exec.ExecuteSharded(d, sv, p)
-	} else {
-		e := s.eng.WithContext(r.Context())
-		if kind != "" {
-			e = e.WithKind(kind)
-		}
-		e, err = registry.DeriveEngine(e, get)
-		if err != nil {
-			jsonErrorQuery(w, http.StatusBadRequest, kind, "%v", err)
-			return
-		}
-		v, outcome, err = s.exec.Execute(d, e, p)
-	}
+	v, outcome, err := s.exec.ExecuteSharded(d, sv, p)
 	if err != nil {
 		s.queryError(w, kind, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gdeltmine/internal/obs"
+	"gdeltmine/internal/shard"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
@@ -24,71 +25,30 @@ func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byt
 	return resp, body
 }
 
-// TestV1MatchesLegacy: the versioned and deprecated surfaces dispatch
-// through the same descriptors and cache, so their bodies must be
-// byte-identical.
-func TestV1MatchesLegacy(t *testing.T) {
-	srv := testServer(t)
-	pairs := []struct{ legacy, v1 string }{
-		{"/api/stats", "/api/v1/stats"},
-		{"/api/defects", "/api/v1/defects"},
-		{"/api/top-publishers?k=5", "/api/v1/top-publishers?k=5"},
-		{"/api/country?k=4", "/api/v1/country?k=4"},
-		{"/api/series/articles", "/api/v1/series-articles"},
-		{"/api/series/slow-articles", "/api/v1/series-slow-articles"},
-		{"/api/wildfires?window=4&min=2&k=5", "/api/v1/wildfires?window=4&min=2&k=5"},
-	}
-	for _, p := range pairs {
-		lr, lbody := get(t, srv, p.legacy)
-		vr, vbody := get(t, srv, p.v1)
-		if lr.StatusCode != 200 || vr.StatusCode != 200 {
-			t.Fatalf("%s=%d %s=%d", p.legacy, lr.StatusCode, p.v1, vr.StatusCode)
+// TestUnversionedAndAliasPathsAre404: the pre-versioning /api/<kind> paths
+// and the legacy /api/v1/<alias> spellings are gone; both answer the
+// uniform 404 envelope instead of the mux's plain-text page.
+func TestUnversionedAndAliasPathsAre404(t *testing.T) {
+	eachWorld(t, testUnversionedAndAliasPathsAre404)
+}
+
+func testUnversionedAndAliasPathsAre404(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
+	for _, path := range []string{"/api/stats", "/api/series/articles", "/api/v1/publishers", "/api/v1/delay"} {
+		resp, body := get(t, srv, path)
+		var env struct {
+			Error string `json:"error"`
 		}
-		if string(lbody) != string(vbody) {
-			t.Fatalf("%s and %s disagree:\n%s\nvs\n%s", p.legacy, p.v1, lbody, vbody)
+		if resp.StatusCode != 404 || json.Unmarshal(body, &env) != nil || env.Error == "" {
+			t.Fatalf("%s: status %d body %q, want the 404 JSON envelope", path, resp.StatusCode, body)
 		}
 	}
 }
 
-func TestV1ServesAliases(t *testing.T) {
-	srv := testServer(t)
-	canon, cbody := get(t, srv, "/api/v1/top-publishers")
-	alias, abody := get(t, srv, "/api/v1/publishers")
-	if canon.StatusCode != 200 || alias.StatusCode != 200 {
-		t.Fatalf("status %d / %d", canon.StatusCode, alias.StatusCode)
-	}
-	if string(cbody) != string(abody) {
-		t.Fatal("alias body differs from canonical kind")
-	}
-}
+func TestV1UnknownKindEnvelope(t *testing.T) { eachWorld(t, testV1UnknownKindEnvelope) }
 
-func TestLegacyDeprecationHeaderAndCounter(t *testing.T) {
-	srv := testServer(t)
-	c := obs.Default.Counter("http_deprecated_requests_total",
-		"requests served on deprecated unversioned /api/ paths", obs.L("endpoint", "stats"))
-	before := c.Value()
-	resp, _ := get(t, srv, "/api/stats")
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy path missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); link != `</api/v1/stats>; rel="successor-version"` {
-		t.Fatalf("Link header %q", link)
-	}
-	if c.Value() != before+1 {
-		t.Fatalf("deprecated counter delta %d, want 1", c.Value()-before)
-	}
-	// The versioned path carries neither.
-	resp, _ = get(t, srv, "/api/v1/stats")
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/api/v1 must not be marked deprecated")
-	}
-	if c.Value() != before+1 {
-		t.Fatal("v1 request bumped the deprecated counter")
-	}
-}
-
-func TestV1UnknownKindEnvelope(t *testing.T) {
-	srv := testServer(t)
+func testV1UnknownKindEnvelope(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	var env struct {
 		Error string `json:"error"`
 		Kind  string `json:"kind"`
@@ -105,8 +65,10 @@ func TestV1UnknownKindEnvelope(t *testing.T) {
 	}
 }
 
-func TestV1BadParamEnvelope(t *testing.T) {
-	srv := testServer(t)
+func TestV1BadParamEnvelope(t *testing.T) { eachWorld(t, testV1BadParamEnvelope) }
+
+func testV1BadParamEnvelope(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	var env struct {
 		Error string `json:"error"`
 		Kind  string `json:"kind"`
@@ -126,8 +88,10 @@ func TestV1BadParamEnvelope(t *testing.T) {
 // TestV1CacheHitServesWithoutScan is the ISSUE's serving acceptance test: a
 // repeated identical request answers from the cache (X-Cache: hit) and runs
 // zero engine scans.
-func TestV1CacheHitServesWithoutScan(t *testing.T) {
-	srv := testServer(t)
+func TestV1CacheHitServesWithoutScan(t *testing.T) { eachWorld(t, testV1CacheHitServesWithoutScan) }
+
+func testV1CacheHitServesWithoutScan(t *testing.T, sdb *shard.DB) {
+	srv := testServer(t, sdb)
 	scans := obs.Default.Counter("engine_scans_total", "scan kernels executed",
 		obs.L("kind", "top-publishers"))
 
@@ -152,9 +116,10 @@ func TestV1CacheHitServesWithoutScan(t *testing.T) {
 	}
 }
 
-func TestCacheDisabledByConfig(t *testing.T) {
-	testServer(t) // ensures cachedDB is built
-	srv := httptest.NewServer(NewWithConfig(cachedDB, Config{CacheBytes: -1}))
+func TestCacheDisabledByConfig(t *testing.T) { eachWorld(t, testCacheDisabledByConfig) }
+
+func testCacheDisabledByConfig(t *testing.T, sdb *shard.DB) {
+	srv := httptest.NewServer(NewSharded(sdb, Config{CacheBytes: -1}))
 	defer srv.Close()
 	for i := 0; i < 2; i++ {
 		resp, _ := get(t, srv, "/api/v1/stats")
@@ -167,13 +132,14 @@ func TestCacheDisabledByConfig(t *testing.T) {
 	}
 }
 
-func TestCacheAccessor(t *testing.T) {
-	testServer(t)
-	s := New(cachedDB)
-	if s.Cache() == nil {
+func TestCacheAccessor(t *testing.T) { eachWorld(t, testCacheAccessor) }
+
+func testCacheAccessor(t *testing.T, sdb *shard.DB) {
+	testServer(t, sdb)
+	if NewSharded(sdb, Config{}).Cache() == nil {
 		t.Fatal("default server should expose its cache")
 	}
-	if NewWithConfig(cachedDB, Config{CacheBytes: -1}).Cache() != nil {
+	if NewSharded(sdb, Config{CacheBytes: -1}).Cache() != nil {
 		t.Fatal("disabled cache should be nil")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
 	"gdeltmine/internal/shard"
+	"gdeltmine/internal/store"
 )
 
 // TestAppendTailRebuildsAndInvalidates pins the sharded stale-postings
@@ -100,9 +101,9 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 		web(maxID+1000, "tail-news.example"),
 	}
 
-	// Fold the same chunk into the monolith reference first (shared global
-	// dictionary, so intern order is consistent either way).
-	if _, err := mono.AppendChunk(evs, mns); err != nil {
+	// Fold the same chunk into the monolith reference.
+	mono, _, err = mono.CloneAppend(store.EventTable{}, evs, mns)
+	if err != nil {
 		t.Fatal(err)
 	}
 

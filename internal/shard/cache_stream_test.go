@@ -1,6 +1,6 @@
-// Package shard_test holds the shard tests that need the streaming layer:
-// stream imports shard (Monitor.BindSharded), so these live outside the
-// shard package to keep the import graph acyclic.
+// Package shard_test holds the shard tests that dispatch through the
+// registry: registry imports shard, so these live outside the shard package
+// to keep the import graph acyclic.
 package shard_test
 
 import (
@@ -9,9 +9,7 @@ import (
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/qcache"
-	"gdeltmine/internal/registry"
 	"gdeltmine/internal/shard"
-	"gdeltmine/internal/stream"
 )
 
 func buildSharded(t *testing.T, k int) *shard.DB {
@@ -29,73 +27,6 @@ func buildSharded(t *testing.T, k int) *shard.DB {
 		t.Fatal(err)
 	}
 	return sdb
-}
-
-// TestTailAppendInvalidatesOnlyTailWindows is the regression test for the
-// stale-aggregate bug class the per-shard version vector exists to kill:
-// a stream append lands in the tail shard, so any cached result whose
-// window overlaps the tail must go stale — and, the other half of the
-// contract, results over cold shards must STAY warm. Before cache keys
-// carried per-shard versions, a tail append could keep serving a stale
-// cross-shard aggregate (same kind+params+window key, version check passed
-// by the untouched shard the query was keyed on).
-func TestTailAppendInvalidatesOnlyTailWindows(t *testing.T) {
-	sdb := buildSharded(t, 3)
-	ex := &registry.Executor{Cache: qcache.New(0)}
-	ex.Cache.SetStale(sdb.StaleKey)
-
-	d := registry.MustLookup("count")
-	p, err := d.ParseParams(func(string) []string { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := sdb.View()                                // crosses every shard, tail included
-	cold := sdb.View().WithWindow(0, sdb.Bounds()[1]) // first shard only
-
-	run := func(v *shard.View) qcache.Outcome {
-		t.Helper()
-		res, out, err := ex.ExecuteSharded(d, v, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res == nil {
-			t.Fatal("nil result")
-		}
-		return out
-	}
-
-	if out := run(full); out != qcache.Miss {
-		t.Fatalf("first full-window run: %v, want miss", out)
-	}
-	if out := run(full); out != qcache.Hit {
-		t.Fatalf("second full-window run: %v, want hit", out)
-	}
-	if out := run(cold); out != qcache.Miss {
-		t.Fatalf("first cold-window run: %v, want miss", out)
-	}
-	if out := run(cold); out != qcache.Hit {
-		t.Fatalf("second cold-window run: %v, want hit", out)
-	}
-
-	// A feed chunk arrives: the monitor is bound to the sharded store, so
-	// the append bumps ONLY the tail shard's version.
-	mon := stream.NewMonitor(sdb.Meta().Start, stream.Config{})
-	mon.BindSharded(sdb)
-	tailBefore := sdb.Tail().Version()
-	mon.MarkChunk(sdb.Meta().Start)
-	if got := sdb.Tail().Version(); got != tailBefore+1 {
-		t.Fatalf("tail version %d after MarkChunk, want %d", got, tailBefore+1)
-	}
-	if got := sdb.Part(0).Version(); got != 0 {
-		t.Fatalf("cold shard version bumped to %d by a tail append", got)
-	}
-
-	if out := run(full); out != qcache.Miss {
-		t.Fatalf("full-window run after tail append: %v, want miss (stale aggregate!)", out)
-	}
-	if out := run(cold); out != qcache.Hit {
-		t.Fatalf("cold-window run after tail append: %v, want hit (cold shard untouched)", out)
-	}
 }
 
 // TestStaleKeyUnparseableWindow: keys whose window string the shard layer

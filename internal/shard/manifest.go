@@ -31,15 +31,10 @@ import (
 // Magic identifies a shard manifest file.
 var Magic = [4]byte{'G', 'D', 'S', 'M'}
 
-// manifestVersion is the format version this package writes. Version 1
-// manifests (no bitmap sections) and version 2 manifests (source-row
-// bitmaps only, no value bitmaps) are still accepted: every bitmap is
-// derivable, so the sections are an integrity cross-check, not a
-// requirement.
+// manifestVersion is the one format version this package writes and reads.
+// Versions 1 (no bitmap sections) and 2 (source-row bitmaps only) have no
+// writer left and are rejected like any unknown version.
 const manifestVersion = 3
-
-// minManifestVersion is the oldest version the decoder accepts.
-const minManifestVersion = 1
 
 const (
 	secMeta    = 0x01
@@ -47,8 +42,7 @@ const (
 	secSources = 0x03
 	secThemes  = 0x04
 	secBitmaps = 0x05
-	// Version 3 value-bitmap sections (qlang predicate pushdown,
-	// DESIGN.md §13): per-shard mention-row bitmaps keyed by publisher
+	// Value-bitmap sections (qlang predicate pushdown, DESIGN.md §13): per-shard mention-row bitmaps keyed by publisher
 	// country, event country, and calendar quarter.
 	secCountryBM   = 0x06
 	secEvCountryBM = 0x07
@@ -90,15 +84,15 @@ type ShardBitmaps struct {
 
 // Manifest describes a sharded layout on disk: the shared dataset
 // geometry, the shard files with their interval ranges, the global
-// dictionaries as ordered name lists, and (version 2) per-shard persisted
-// source-row bitmaps used as an assembly-time integrity cross-check.
+// dictionaries as ordered name lists, and per-shard persisted source-row
+// bitmaps used as an assembly-time integrity cross-check.
 type Manifest struct {
 	Meta    store.Meta
 	Entries []ManifestEntry
 	Sources []string
-	Themes  []string       // nil when the shards carry no GKG data
-	Bitmaps []ShardBitmaps // nil in version 1 manifests
-	// Version 3 value-bitmap sections, persisted as integrity cross-checks
+	Themes  []string // nil when the shards carry no GKG data
+	Bitmaps []ShardBitmaps
+	// Value-bitmap sections, persisted as integrity cross-checks
 	// like Bitmaps. Keys are country indexes (CountryBMs, EventCountryBMs)
 	// or quarter indexes (QuarterBMs); only non-empty bitmaps travel.
 	CountryBMs      []ShardBitmaps
@@ -248,7 +242,7 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 	if !bytes.Equal(hdr[:4], Magic[:]) {
 		return nil, fmt.Errorf("shard: bad manifest magic %q", hdr[:4])
 	}
-	if hdr[4] < minManifestVersion || hdr[4] > manifestVersion {
+	if hdr[4] != manifestVersion {
 		return nil, fmt.Errorf("shard: unsupported manifest version %d", hdr[4])
 	}
 	m := &Manifest{}
@@ -495,8 +489,8 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 			return nil, fmt.Errorf("shard: part %d meta %+v disagrees with manifest %+v", i, p.Meta, m.Meta)
 		}
 	}
-	// Version 2 manifests persist per-shard source-row bitmaps, version 3
-	// adds country/event-country/quarter value bitmaps; validate each
+	// Manifests persist per-shard source-row bitmaps and country/
+	// event-country/quarter value bitmaps; validate each
 	// against the bitmap rebuilt from the loaded part. The canonical codec
 	// makes this a byte comparison: any disagreement means the part file and
 	// manifest are from different builds (or one is corrupt).

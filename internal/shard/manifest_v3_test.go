@@ -2,14 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"gdeltmine/internal/store"
 )
 
 // Version 3 manifest coverage: the value-bitmap sections (country,
-// event-country, quarter) round-trip, older versions still load, and the
-// assembly-time cross-check catches bitmaps that disagree with the part
+// event-country, quarter) round-trip, every other version is rejected, and
+// the assembly-time cross-check catches bitmaps that disagree with the part
 // data. See DESIGN.md §13.
 
 func tinyManifestAndParts(tb testing.TB) (*Manifest, []*store.DB) {
@@ -50,42 +51,19 @@ func TestManifestV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestV2StillLoads pins backward compatibility: a manifest without
-// the value-bitmap sections, stamped version 2, must decode and assemble.
-// The version byte is not checksummed, so the test patches it in place.
-func TestManifestV2StillLoads(t *testing.T) {
-	m, parts := tinyManifestAndParts(t)
-	m.CountryBMs, m.EventCountryBMs, m.QuarterBMs = nil, nil, nil
-	var buf bytes.Buffer
-	if err := EncodeManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[4] = 2 // rewrite the version byte: a v2 writer's output
-	m2, err := DecodeManifest(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("decoding v2 manifest: %v", err)
-	}
-	if m2.CountryBMs != nil || m2.EventCountryBMs != nil || m2.QuarterBMs != nil {
-		t.Fatalf("v2 manifest decoded with value bitmap sections")
-	}
-	s, err := AssembleSharded(m2, parts)
-	if err != nil {
-		t.Fatalf("assembling v2 manifest: %v", err)
-	}
-	if s.K() != len(parts) {
-		t.Fatalf("assembled K=%d, want %d", s.K(), len(parts))
-	}
-}
-
-// TestManifestFutureVersionRejected: the decoder must refuse versions it
-// does not understand rather than silently skipping sections.
-func TestManifestFutureVersionRejected(t *testing.T) {
+// TestManifestOtherVersionsRejected: the decoder must refuse versions it
+// does not read — the retired v1/v2 layouts nothing writes any more and
+// anything from the future — rather than silently skipping sections. The
+// version byte is not checksummed, so the test patches it in place.
+func TestManifestOtherVersionsRejected(t *testing.T) {
 	_, raw := tinyShardedWorld(t)
-	mut := bytes.Clone(raw)
-	mut[4] = manifestVersion + 1
-	if _, err := DecodeManifest(bytes.NewReader(mut)); err == nil {
-		t.Fatal("decoder accepted a future manifest version")
+	for _, v := range []byte{1, 2, manifestVersion + 1} {
+		mut := bytes.Clone(raw)
+		mut[4] = v
+		_, err := DecodeManifest(bytes.NewReader(mut))
+		if err == nil || !strings.Contains(err.Error(), "unsupported manifest version") {
+			t.Fatalf("version %d: got %v, want an unsupported-version error", v, err)
+		}
 	}
 }
 

@@ -7,6 +7,18 @@ import (
 	"gdeltmine/internal/store"
 )
 
+// Single wraps a loaded monolithic store as a K=1 world: db itself is the
+// one part (no Split copy of its mention, GKG or index columns) and its own
+// dictionaries are the global ones, so the remaps are identities. It is how
+// a server or test runs a monolith through the sharded execution path.
+func Single(db *store.DB) (*DB, error) {
+	var themes *store.Dictionary
+	if db.GKG != nil {
+		themes = db.GKG.Themes
+	}
+	return New([]*store.DB{db}, []int32{0, db.Meta.Intervals}, db.Sources, themes, db.Report)
+}
+
 // Split re-slices a loaded monolithic store into k equal time-range shards
 // (k is clamped to the interval count). The global dictionaries are the
 // monolith's own, so global ids — and therefore every id-order tie-break in

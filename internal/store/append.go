@@ -9,17 +9,11 @@ import (
 )
 
 // Stream appends. A feed chunk is one 15-minute update: an events file and a
-// mentions file. There are two entry points over one table-mutation core
-// (appendRows / mergeEventRows):
-//
-//   - AppendChunk folds a chunk into an already-assembled DB in place — the
-//     mutable exception to the store's otherwise immutable-after-assembly
-//     contract, used where one owner serializes appends against queries
-//     (the stream monitor's single-threaded fold loop).
-//   - CloneAppend (clone.go) returns a new DB holding the chunk and leaves
-//     the receiver untouched — the copy-on-write step of the partitioned
-//     append log (internal/shard.Log), whose published snapshots are
-//     immutable.
+// mentions file. CloneAppend (clone.go) is the one entry point over the
+// table-mutation core here (appendRows / mergeEventRows): it returns a new DB
+// holding the chunk and leaves the receiver untouched — the copy-on-write
+// step of the partitioned append log (internal/shard.Log), whose published
+// snapshots are immutable.
 //
 // The dangerous part is not the column appends but the derived state: the
 // row-list postings, the per-source bitmap postings the planner prunes with
@@ -28,11 +22,11 @@ import (
 // that extended the columns without rebuilding them would leave the
 // bitmap-pruned plans answering from the pre-append snapshot while the
 // closure scan sees the new rows — a silent wrong-answer divergence, not a
-// crash. Both entry points therefore run buildDerived exactly once, after
-// all table mutation (event adoption included), and bump the snapshot
-// version so result caches keyed on Version() retire everything computed
-// against the old data. The rebuild is O(rows of this store); only the
-// capture-interval calendar, which depends on Meta alone, is kept.
+// crash. CloneAppend therefore runs buildDerived exactly once, after all
+// table mutation (event adoption included), and gives the clone the next
+// snapshot version so result caches keyed on Version() retire everything
+// computed against the old data. The rebuild is O(rows of this store); only
+// the capture-interval calendar, which depends on Meta alone, is kept.
 //
 // GKG annotations are not extended by appends — the GKG table keeps its own
 // interval column, so theme queries simply do not cover the appended span.
@@ -70,35 +64,17 @@ type stagedMention struct {
 	order int32 // input position, for the stable interval sort
 }
 
-// AppendChunk folds one feed chunk's events and mentions into the store in
-// place. Chunk mentions must not regress: every accepted mention's capture
-// interval has to be at or past the last stored interval (the tail-only
-// contract of the time-ordered feed); a regression is an error and nothing
-// is mutated. Non-web, out-of-range, and dangling mentions are dropped and
-// counted exactly as Builder.Finish drops them, so appending a suffix of a
-// feed equals rebuilding from the whole feed.
-//
-// Appends are single-writer and must not race in-flight queries: the caller
-// serializes AppendChunk against query execution.
-func (db *DB) AppendChunk(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, error) {
-	st, err := db.appendRows(evs, mns)
-	if err != nil {
-		return st, err
-	}
-	db.buildDerived()
-	if err := db.Validate(); err != nil {
-		return st, fmt.Errorf("store: append left an invalid db: %w", err)
-	}
-	db.BumpVersion()
-	return st, nil
-}
-
 // appendRows is the table half of an append: it stages and validates the
 // chunk, merges unknown events into the ID-sorted event table and appends
-// the accepted mentions. It reads and writes only the tables, the source
-// dictionary and the report — never a derived index — so the caller must
-// run buildDerived before the store is queried again. On error nothing has
-// been mutated.
+// the accepted mentions. Chunk mentions must not regress: every accepted
+// mention's capture interval has to be at or past the last stored interval
+// (the tail-only contract of the time-ordered feed); a regression is an
+// error and nothing is mutated. Non-web, out-of-range, and dangling mentions
+// are dropped and counted exactly as Builder.Finish drops them, so appending
+// a suffix of a feed equals rebuilding from the whole feed. It reads and
+// writes only the tables, the source dictionary and the report — never a
+// derived index — so the caller must run buildDerived before the store is
+// queried again.
 func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, error) {
 	var st AppendStats
 	base := db.Meta.Start.IntervalIndex()

@@ -76,7 +76,7 @@ func cloneReport(r *gdelt.ValidationReport) *gdelt.ValidationReport {
 // shard of the same archive (events the chunk mentions that this shard
 // never held): strictly ascending by ID, none of them stored here. Unlike
 // the chunk's raw events they keep their global metadata unchanged.
-// Chunk semantics and errors are AppendChunk's.
+// Chunk semantics and errors are appendRows'.
 func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Mention) (*DB, AppendStats, error) {
 	for i, id := range adopt.ID {
 		if (i > 0 && id <= adopt.ID[i-1]) || db.EventRowByID(id) >= 0 {

@@ -133,12 +133,11 @@ type DB struct {
 	Report *gdelt.ValidationReport
 
 	// version is the snapshot version of the store: 0 for a freshly built
-	// database, bumped once per append by any writer that extends the data
-	// (the stream monitor's chunk folds). Result caches key on it, so a
-	// bump retires every cached answer computed against the old snapshot
-	// without TTL guesswork. Monotonic; accessed only through the atomic
-	// Version/BumpVersion methods (a plain word, not atomic.Uint64, so
-	// shallow DB copies stay legal).
+	// database, one more than its predecessor's for every CloneAppend.
+	// Result caches key on it, so an append retires every cached answer
+	// computed against the old snapshot without TTL guesswork. Accessed
+	// only through the atomic Version/SetVersion methods (a plain word,
+	// not atomic.Uint64, so shallow DB copies stay legal).
 	version uint64
 }
 
@@ -147,11 +146,6 @@ type DB struct {
 // a query result computed at version v may be served for any later request
 // that still reads version v.
 func (db *DB) Version() uint64 { return atomic.LoadUint64(&db.version) }
-
-// BumpVersion advances the snapshot version and returns the new value.
-// Writers call it once per append (e.g. one folded feed chunk); queries in
-// flight keep their old version and their results are simply never reused.
-func (db *DB) BumpVersion() uint64 { return atomic.AddUint64(&db.version, 1) }
 
 // NumQuarters returns the number of calendar quarters covered.
 func (db *DB) NumQuarters() int { return db.quarters }

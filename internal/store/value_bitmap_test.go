@@ -81,7 +81,7 @@ func TestValueBitmapsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// TestValueBitmapsRebuiltOnAppend: AppendChunk must refresh the value
+// TestValueBitmapsRebuiltOnAppend: CloneAppend must refresh the value
 // bitmaps along with the postings they derive from.
 func TestValueBitmapsRebuiltOnAppend(t *testing.T) {
 	db, _ := buildTinyDB(t)
@@ -93,7 +93,8 @@ func TestValueBitmapsRebuiltOnAppend(t *testing.T) {
 		SourceURL: "https://d.com/1", DateAdded: gdelt.IntervalStart(iv)}}
 	mns := []gdelt.Mention{{GlobalEventID: 500, EventTime: gdelt.IntervalStart(iv),
 		MentionTime: gdelt.IntervalStart(iv), MentionType: 1, SourceName: "d.com", DocLen: 50}}
-	if _, err := db.AppendChunk(evs, mns); err != nil {
+	db, _, err := db.CloneAppend(EventTable{}, evs, mns)
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := db.CountryRowBitmap(int(us)).Cardinality()

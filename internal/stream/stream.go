@@ -14,9 +14,7 @@ import (
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/obs"
-	"gdeltmine/internal/shard"
 	"gdeltmine/internal/stats"
-	"gdeltmine/internal/store"
 )
 
 // Monitor observability: process-wide counters for the feed volume plus
@@ -145,24 +143,7 @@ type Monitor struct {
 	chunkSeen             map[int32]struct{}
 	firstChunk, lastChunk int32
 	haveChunks            bool
-
-	// boundDB, when set, has its snapshot version bumped once per chunk
-	// fold so result caches keyed on store.DB.Version stop serving answers
-	// computed before the append.
-	boundDB *store.DB
 }
-
-// BindStore ties the monitor to the store its stream extends: every
-// MarkChunk (one folded feed chunk = one append) bumps the store's
-// snapshot version, which is the invalidation signal of the query result
-// cache. Pass nil to unbind.
-func (m *Monitor) BindStore(db *store.DB) { m.boundDB = db }
-
-// BindSharded ties the monitor to a sharded store. Stream appends always
-// land in the time-ordered tail shard, so only the tail's version is
-// bumped: cache entries whose window touches the tail go stale while
-// results over cold shards stay warm (see shard.DB.StaleKey).
-func (m *Monitor) BindSharded(s *shard.DB) { m.BindStore(s.Tail()) }
 
 // NewMonitor returns a monitor for a feed starting at the given timestamp.
 func NewMonitor(start gdelt.Timestamp, cfg Config) *Monitor {
@@ -190,9 +171,6 @@ func (m *Monitor) MarkChunk(ts gdelt.Timestamp) {
 	}
 	m.haveChunks = true
 	m.chunkSeen[iv] = struct{}{}
-	if m.boundDB != nil {
-		m.boundDB.BumpVersion()
-	}
 	mChunkLag.Set(float64(m.now - m.lastChunk))
 }
 
