@@ -110,14 +110,15 @@ func main() {
 		fmt.Printf("loaded %s articles from %s in %v\n",
 			report.Int(int64(db.Mentions.Len())), *dbPath, time.Since(start).Round(time.Millisecond))
 		if *shards > 1 {
-			sdb, err = shard.Split(db, *shards)
+			if sdb, err = shard.Split(db, *shards); err == nil {
+				fmt.Printf("sharded into %d time partitions\n", sdb.K())
+			}
 		} else {
 			sdb, err = shard.Single(db)
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("sharded into %d time partitions\n", sdb.K())
 	}
 	srv := serve.NewSharded(sdb, cfg)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}

@@ -363,8 +363,8 @@ func MergeAdhocPlans(spec AdhocSpec, plans []AdhocPlan) AdhocPlan {
 
 // GroupSpec describes the dictionary-encoded grouping column of one DB:
 // group id = Remap[Col[row]] (or Col[row] when Remap is nil), ids outside
-// [0, N) dropped. The sharded view passes global-width specs (l2gSrc for
-// source grouping); the monolith uses AdhocGroupSpec.
+// [0, N) dropped. AdhocGroupSpec builds it; the sharded view groups each
+// part in the part's own id space and remaps the groups when it merges.
 type GroupSpec struct {
 	N     int
 	Col   []int32

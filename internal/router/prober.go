@@ -27,6 +27,16 @@ type replica struct {
 	tailVersion atomic.Uint64
 }
 
+// readyz is what the router reads of a replica's /readyz body
+// (serve.ReadyStatus): every ready replica reports its world's shard count
+// and tail version; a monolithic .gdmb replica is a K=1 world.
+type readyz struct {
+	Shards struct {
+		Count       int    `json:"count"`
+		TailVersion uint64 `json:"tailVersion"`
+	} `json:"shards"`
+}
+
 // probeOnce checks a replica's /readyz, feeding the verdict into both the
 // readiness flag and the circuit breaker. Probes bypass Allow: they are the
 // mechanism that moves an open breaker back to closed, so they must run even
@@ -53,16 +63,10 @@ func (rt *Router) probeOnce(ctx context.Context, rep *replica) {
 		rep.brk.Failure()
 		return
 	}
-	// Shard-aware /readyz bodies (serve.ReadyStatus) carry the shard count
-	// and tail version; use them for topology discovery and drift checks.
-	var st struct {
-		Status string `json:"status"`
-		Shards *struct {
-			Count       int    `json:"count"`
-			TailVersion uint64 `json:"tailVersion"`
-		} `json:"shards"`
-	}
-	if json.Unmarshal(body, &st) == nil && st.Shards != nil {
+	// Use the shard count and tail version for topology discovery and drift
+	// checks.
+	var st readyz
+	if json.Unmarshal(body, &st) == nil {
 		rep.shardCount.Store(int64(st.Shards.Count))
 		rep.tailVersion.Store(st.Shards.TailVersion)
 	}
@@ -111,8 +115,7 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 }
 
 // DiscoverShards asks each replica's /readyz for its shard count until one
-// answers — every ready replica's body carries {"shards": {"count": K}}; a
-// monolithic .gdmb replica reports K=1.
+// answers.
 func DiscoverShards(replicas []Replica) (int, error) {
 	client := &http.Client{Timeout: 3 * time.Second}
 	var lastErr error
@@ -122,11 +125,7 @@ func DiscoverShards(replicas []Replica) (int, error) {
 			lastErr = err
 			continue
 		}
-		var st struct {
-			Shards struct {
-				Count int `json:"count"`
-			} `json:"shards"`
-		}
+		var st readyz
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {

@@ -16,26 +16,6 @@ import (
 // merges bit-exact and float merges in a fixed order regardless of which
 // shard finished first.
 
-// adhocGroupSpec returns shard i's grouping column spec in GLOBAL group
-// space: source grouping remaps local ids through l2gSrc; country and
-// quarter ids are already global (every part shares the Meta), so the
-// per-part LUTs apply directly, sized to the global width.
-func (v *View) adhocGroupSpec(i int, group string) queries.GroupSpec {
-	s := v.s
-	p := s.parts[i]
-	switch group {
-	case "source":
-		return queries.GroupSpec{N: s.sources.Len(), Col: p.Mentions.Source, Remap: s.l2gSrc[i]}
-	case "sourcecountry":
-		return queries.GroupSpec{N: len(gdelt.Countries), Col: p.Mentions.Source, Remap: p.SourceCountryLUT()}
-	case "eventcountry":
-		return queries.GroupSpec{N: len(gdelt.Countries), Col: p.Mentions.EventRow, Remap: p.EventCountryLUT()}
-	case "quarter":
-		return queries.GroupSpec{N: s.NumQuarters(), Col: p.Mentions.Interval, Remap: p.QuarterLUT()}
-	}
-	return queries.GroupSpec{}
-}
-
 // adhocKey resolves global group ids to display keys.
 func (v *View) adhocKey(group string) func(g int) string {
 	s := v.s
@@ -51,14 +31,17 @@ func (v *View) adhocKey(group string) func(g int) string {
 }
 
 // adhocVectors fans the spec out over every shard concurrently and merges
-// the raw vectors in ascending shard order.
+// the raw vectors in ascending shard order. Each shard groups in its own id
+// space — the monolith's spec, so a scan pays no remap load per row — and
+// the merge maps a shard's groups to global ones: source ids through l2gSrc,
+// country and quarter ids as they are (every part shares the Meta).
 func (v *View) adhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
-	k := v.s.K()
+	s := v.s
+	k := s.K()
 	vecs := make([]queries.AdhocVec, k)
 	errs := make([]error, k)
 	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
-		g := v.adhocGroupSpec(i, spec.Group)
-		vecs[i], errs[i] = queries.AdhocVectors(e, spec, g)
+		vecs[i], errs[i] = queries.AdhocVectors(e, spec, queries.AdhocGroupSpec(s.parts[i], spec.Group))
 	})
 	// First error by shard index, matching the sequential loop's reporting.
 	for _, err := range errs {
@@ -67,23 +50,27 @@ func (v *View) adhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
 		}
 	}
 	var vec queries.AdhocVec
-	for _, pv := range vecs {
+	for i, pv := range vecs {
 		vec.Count += pv.Count
 		vec.Sum += pv.Sum
+		n, global := max(len(pv.Counts), len(pv.Sums)), func(g int) int { return g }
+		if spec.Group == "source" {
+			n, global = s.sources.Len(), func(g int) int { return int(s.l2gSrc[i][g]) }
+		}
 		if pv.Counts != nil {
 			if vec.Counts == nil {
-				vec.Counts = make([]int64, len(pv.Counts))
+				vec.Counts = make([]int64, n)
 			}
-			for gid, c := range pv.Counts {
-				vec.Counts[gid] += c
+			for g, c := range pv.Counts {
+				vec.Counts[global(g)] += c
 			}
 		}
 		if pv.Sums != nil {
 			if vec.Sums == nil {
-				vec.Sums = make([]float64, len(pv.Sums))
+				vec.Sums = make([]float64, n)
 			}
-			for gid, sum := range pv.Sums {
-				vec.Sums[gid] += sum
+			for g, sum := range pv.Sums {
+				vec.Sums[global(g)] += sum
 			}
 		}
 	}

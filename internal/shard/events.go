@@ -53,6 +53,12 @@ func (e *globalEvents) at(g int) (*store.EventTable, int) {
 	return &e.frozen, g
 }
 
+// runs returns the two runs in row order, for scans that read whole
+// columns: row r of runs()[1] is global row frozen.Len()+r.
+func (e *globalEvents) runs() [2]*store.EventTable {
+	return [2]*store.EventTable{&e.frozen, &e.recent}
+}
+
 func (e *globalEvents) ID(g int) int64          { t, r := e.at(g); return t.ID[r] }
 func (e *globalEvents) Interval(g int) int32    { t, r := e.at(g); return t.Interval[r] }
 func (e *globalEvents) Country(g int) int16     { t, r := e.at(g); return t.Country[r] }

@@ -12,6 +12,7 @@ import (
 	"gdeltmine/internal/parallel"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/stats"
+	"gdeltmine/internal/store"
 )
 
 // The sharded executions below mirror the monolithic functions in
@@ -73,28 +74,34 @@ func (v *View) sumPerShard(n int, f func(i int, e *engine.Engine) []int64) []int
 }
 
 // groupCountEvents is the global-event-table analogue of the engine's
-// GroupCountEventsCol: a parallel scan over the merged event table where
-// groupOf returns the counter for an event, or a negative/out-of-range
-// value to skip it. Event scans ignore the mention window, matching the
-// monolith.
-func (v *View) groupCountEvents(numGroups int, groupOf func(ev int) int) []int64 {
-	return parallel.MapReduce(v.s.events.Len(), v.opt(),
-		func() []int64 { return make([]int64, numGroups) },
-		func(acc []int64, lo, hi int) []int64 {
-			for ev := lo; ev < hi; ev++ {
-				if g := groupOf(ev); g >= 0 && g < numGroups {
-					acc[g]++
+// GroupCountEventsCol: a parallel scan over the merged event table, one run
+// at a time, where count adds rows [lo, hi) of run t to the counters — a
+// plain loop over the run's columns, no call per event. Event scans ignore
+// the mention window, matching the monolith.
+func (v *View) groupCountEvents(numGroups int, count func(acc []int64, t *store.EventTable, lo, hi int)) []int64 {
+	out := make([]int64, numGroups)
+	for _, t := range v.s.events.runs() {
+		if t.Len() == 0 {
+			continue
+		}
+		part := parallel.MapReduce(t.Len(), v.opt(),
+			func() []int64 { return make([]int64, numGroups) },
+			func(acc []int64, lo, hi int) []int64 {
+				count(acc, t, lo, hi)
+				return acc
+			},
+			func(dst, src []int64) []int64 {
+				for i, c := range src {
+					dst[i] += c
 				}
-			}
-			return acc
-		},
-		func(dst, src []int64) []int64 {
-			for i, c := range src {
-				dst[i] += c
-			}
-			return dst
-		},
-	)
+				return dst
+			},
+		)
+		for i, c := range part {
+			out[i] += c
+		}
+	}
+	return out
 }
 
 // Dataset computes Table I over the sharded store.
@@ -109,13 +116,14 @@ func (v *View) Dataset() queries.DatasetStats {
 		out.Articles += int64(p.Mentions.Len())
 	}
 	var agg stats.IntSummary
-	for ev := 0; ev < s.events.Len(); ev++ {
-		n := s.events.NumArticles(ev)
-		if n == 0 {
-			out.ZeroMentionEvents++
-			continue
+	for _, t := range s.events.runs() {
+		for _, n := range t.NumArticles {
+			if n == 0 {
+				out.ZeroMentionEvents++
+				continue
+			}
+			agg.Add(int64(n))
 		}
-		agg.Add(int64(n))
 	}
 	if agg.N > 0 {
 		out.MinArticles = agg.Min
@@ -146,27 +154,40 @@ func (v *View) TopEvents(k int) []queries.TopEvent {
 
 // EventSizes computes the Figure 2 distribution over the global events.
 func (v *View) EventSizes(xmin int) queries.EventSizeDistribution {
-	ev := &v.s.events
 	var maxN int32
-	for i := 0; i < ev.Len(); i++ {
-		maxN = max(maxN, ev.NumArticles(i))
+	for _, t := range v.s.events.runs() {
+		for _, n := range t.NumArticles {
+			maxN = max(maxN, n)
+		}
 	}
-	counts := v.groupCountEvents(int(maxN)+1, func(i int) int { return int(ev.NumArticles(i)) })
+	counts := v.groupCountEvents(int(maxN)+1, func(acc []int64, t *store.EventTable, lo, hi int) {
+		for _, n := range t.NumArticles[lo:hi] {
+			acc[n]++
+		}
+	})
 	out := queries.EventSizeDistribution{Counts: counts}
 	out.Fit, out.FitErr = stats.FitPowerLaw(counts, xmin)
 	return out
 }
 
 // TopPublishers ranks global sources by windowed article count: per-shard
-// typed group-counts remapped through l2gSrc and summed, then the same
-// top-k selection (global ids preserve the monolith order, so ties break
+// typed group-counts over local source ids — no remap load per row — whose
+// counters scatter through l2gSrc into the global ones, then the same top-k
+// selection (global ids preserve the monolith order, so ties break
 // identically).
 func (v *View) TopPublishers(k int) (ids []int32, counts []int64) {
 	s := v.s
-	perSource := v.sumPerShard(s.sources.Len(), func(i int, e *engine.Engine) []int64 {
+	local := make([][]int64, s.K())
+	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
 		p := s.parts[i]
-		return e.GroupCountCol(s.sources.Len(), p.Mentions.Source, s.l2gSrc[i])
+		local[i] = e.GroupCountCol(p.Sources.Len(), p.Mentions.Source, nil)
 	})
+	perSource := make([]int64, s.sources.Len())
+	for i, part := range local { // nil for a shard cancellation skipped
+		for ls, c := range part {
+			perSource[s.l2gSrc[i][ls]] += c
+		}
+	}
 	top := engine.TopK(len(perSource), k, func(i int) int64 { return perSource[i] })
 	for _, g := range top {
 		ids = append(ids, int32(g))
@@ -190,13 +211,16 @@ func (v *View) ArticlesPerQuarter() queries.QuarterlySeries {
 // EventsPerQuarter computes Figure 4 over the merged global event table.
 func (v *View) EventsPerQuarter() queries.QuarterlySeries {
 	s := v.s
-	ev := &s.events
 	qlut := s.parts[0].QuarterLUT()
-	vals := v.groupCountEvents(s.NumQuarters(), func(i int) int {
-		if ev.NumArticles(i) <= 0 {
-			return -1
+	nq := uint32(s.NumQuarters())
+	vals := v.groupCountEvents(int(nq), func(acc []int64, t *store.EventTable, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			if t.NumArticles[r] > 0 {
+				if q := qlut[t.Interval[r]]; uint32(q) < nq {
+					acc[q]++
+				}
+			}
 		}
-		return int(qlut[ev.Interval(i)])
 	})
 	return queries.QuarterlySeries{Labels: v.quarterLabels(), Values: vals}
 }
@@ -277,13 +301,9 @@ func (v *View) SlowArticlesPerQuarter() queries.QuarterlySeries {
 // CountryQuery runs the aggregated country query (Tables V-VII). Pass 1
 // fans the per-shard typed cross-count matrices out across the pool
 // (country ids are global, so no remap is needed) and folds them through a
-// merge tree; pass 2 builds per-event country bitmasks over global events,
-// unioning each shard's slice of the event. Shards now scan concurrently,
-// and one global event's mentions can span a shard boundary, so the
-// cross-shard mask union is an atomic OR — commutative and idempotent,
-// hence exact under any interleaving; within a shard distinct local events
-// map to distinct global rows, so the atomic is one op per local event,
-// not per mention row.
+// merge tree; pass 2 folds per-event reporting-country bitmasks into the
+// pair and singleton counts, per shard where a shard holds the whole event
+// and through a shared mask table where an event spans shards.
 func (v *View) CountryQuery() (*queries.CountryReport, error) {
 	s := v.s
 	nc := len(gdelt.Countries)
@@ -320,57 +340,80 @@ func (v *View) CountryQuery() (*queries.CountryReport, error) {
 		merged.Data = nil
 	}
 
+	// Pass 2. An event's article count is global metadata every shard
+	// carries, so a shard can tell that it holds all of an event's mentions
+	// and folds that event's mask on the spot, like the monolith. Only an
+	// event whose mentions span shards goes through the shared mask table:
+	// each shard ORs its slice in — atomically, shards run concurrently;
+	// OR is commutative and idempotent, so any interleaving is exact — and
+	// notes the row, and the union folds once every shard is done.
+	type partial struct {
+		pair     *matrix.Int64
+		counts   []int64
+		spanning []int32 // global rows ORed into masks
+	}
+	mergePartials := func(dst, src *partial) *partial {
+		if err := dst.pair.AddMatrix(src.pair); err != nil {
+			panic(err) // identical nc×nc shapes by construction
+		}
+		for i, c := range src.counts {
+			dst.counts[i] += c
+		}
+		dst.spanning = append(dst.spanning, src.spanning...)
+		return dst
+	}
 	masks := make([]uint64, s.events.Len())
+	perShard := make([]*partial, s.K())
 	v.forEachShard(func(w *parallel.Worker, i int, _ *engine.Engine) {
 		p := s.parts[i]
 		remap := s.l2gEv[i]
-		parallel.ForOpt(p.Events.Len(), v.optW(w), func(lo, hi int) {
-			for le := lo; le < hi; le++ {
-				rows := p.EventMentions(int32(le))
-				if len(rows) == 0 {
-					continue
-				}
-				var mask uint64
-				for _, row := range rows {
-					if c := p.SourceCountry[p.Mentions.Source[row]]; c >= 0 {
-						mask |= 1 << uint(c)
+		perShard[i] = parallel.MapReduce(p.Events.Len(), v.optW(w),
+			func() *partial {
+				return &partial{pair: matrix.NewInt64(nc, nc), counts: make([]int64, nc)}
+			},
+			func(acc *partial, lo, hi int) *partial {
+				for le := lo; le < hi; le++ {
+					rows := p.EventMentions(int32(le))
+					if len(rows) == 0 {
+						continue
+					}
+					var mask uint64
+					for _, row := range rows {
+						if c := p.SourceCountry[p.Mentions.Source[row]]; c >= 0 {
+							mask |= 1 << uint(c)
+						}
+					}
+					if len(rows) == int(p.Events.NumArticles[le]) {
+						foldCountryMask(acc.pair, acc.counts, mask)
+					} else if mask != 0 {
+						atomic.OrUint64(&masks[remap[le]], mask)
+						acc.spanning = append(acc.spanning, remap[le])
 					}
 				}
-				atomic.OrUint64(&masks[remap[le]], mask)
-			}
-		})
+				return acc
+			},
+			mergePartials,
+		)
 	})
-
-	type partial struct {
-		pair   *matrix.Int64
-		counts []int64
-	}
-	res := parallel.MapReduce(s.events.Len(), v.opt(),
-		func() *partial {
-			return &partial{pair: matrix.NewInt64(nc, nc), counts: make([]int64, nc)}
-		},
-		func(acc *partial, lo, hi int) *partial {
-			for ev := lo; ev < hi; ev++ {
-				foldCountryMask(acc.pair, acc.counts, masks[ev])
-			}
-			return acc
-		},
-		func(dst, src *partial) *partial {
-			if err := dst.pair.AddMatrix(src.pair); err != nil {
-				panic(err)
-			}
-			for i, c := range src.counts {
-				dst.counts[i] += c
-			}
-			return dst
-		},
-	)
-
-	eventCounts := v.groupCountEvents(nc, func(ev int) int {
-		if s.events.NumArticles(ev) <= 0 {
-			return -1
+	res := &partial{pair: matrix.NewInt64(nc, nc), counts: make([]int64, nc)}
+	for _, part := range perShard {
+		if part != nil { // nil: shard skipped by cancellation
+			mergePartials(res, part)
 		}
-		return int(s.events.Country(ev))
+	}
+	for _, g := range res.spanning {
+		foldCountryMask(res.pair, res.counts, masks[g])
+		masks[g] = 0 // several shards note the same row; fold it once
+	}
+
+	eventCounts := v.groupCountEvents(nc, func(acc []int64, t *store.EventTable, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			if t.NumArticles[r] > 0 {
+				if c := t.Country[r]; uint32(c) < uint32(nc) {
+					acc[c]++
+				}
+			}
+		}
 	})
 	return queries.FinishCountryReport(cross, res.pair, res.counts, eventCounts)
 }
@@ -433,12 +476,13 @@ func (v *View) PlanSelection(sources []int32) engine.PlanMode {
 
 // selection holds the per-shard execution plan for a global source
 // selection: local slot lookup tables (local source id → selection index,
-// -1 unselected), the ascending list of candidate global events, and —
-// under the rows plan — per-shard CSRs of exactly the selected mention
-// rows keyed by local event. Candidate events are discovered from the
-// union of the selected sources' event bitmaps (O(containers) per source)
-// rather than a walk over their postings; the scan plan skips discovery
-// and lists every global event.
+// -1 unselected), the ascending list of global events to fold, and — under
+// the rows plan — per-shard CSRs of exactly the selected mention rows keyed
+// by local event. The events come from the selected sources' event bitmaps
+// (O(containers) per source) rather than a walk over their postings: every
+// event a selected source reports (rows plan), or only the events that can
+// contribute to follow-reporting (events plan, see contributingEvents); the
+// scan plan skips discovery and lists every global event.
 type selection struct {
 	slots [][]int32
 	evs   []int32
@@ -448,7 +492,8 @@ type selection struct {
 	rowIdx [][]int32
 }
 
-func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
+// slotTables returns each shard's local source id → selection index table.
+func (v *View) slotTables(sources []int32) [][]int32 {
 	s := v.s
 	slotG := make([]int32, s.sources.Len())
 	for i := range slotG {
@@ -457,34 +502,117 @@ func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
 	for i, src := range sources {
 		slotG[src] = int32(i) // duplicates resolve to the last occurrence
 	}
-	sel := &selection{slots: make([][]int32, len(s.parts))}
-	if plan == engine.PlanRows {
-		sel.rowPtr = make([][]int32, len(s.parts))
-		sel.rowIdx = make([][]int32, len(s.parts))
+	slots := make([][]int32, len(s.parts))
+	for i, p := range s.parts {
+		slots[i] = make([]int32, p.Sources.Len())
+		for ls := range slots[i] {
+			slots[i][ls] = slotG[s.l2gSrc[i][ls]]
+		}
 	}
-	// Candidate discovery runs one fan-out job per shard: slot tables and
-	// (under the rows plan) the per-shard CSR are shard-indexed, while the
-	// candidate set is a shared bitset — one global event can be discovered
-	// by two shards at once, so bits are set with atomic OR (idempotent and
-	// commutative, exact under any interleaving).
-	var candWords []uint64
-	if plan != engine.PlanScan {
-		candWords = make([]uint64, (s.events.Len()+63)/64)
+	return slots
+}
+
+// liftEvents maps a bitmap over shard i's local event rows to global rows.
+// l2gEv is ascending, so the image is rebuilt in one pass; a shard holding
+// every global event maps each row to itself, and its bitmaps are shared
+// instead of copied.
+func (s *DB) liftEvents(i int, b *bitmap.Bitmap) *bitmap.Bitmap {
+	remap := s.l2gEv[i]
+	if len(remap) == s.events.Len() {
+		return b
 	}
+	rows := b.AppendRows(make([]int32, 0, b.Cardinality()))
+	for j, r := range rows {
+		rows[j] = remap[r]
+	}
+	return bitmap.FromSorted(rows)
+}
+
+// selectedEventBitmaps returns, per selection index, the global events the
+// source reports (evs) and — when asked — those it reports more than once
+// (reps): the union over shards of its lifted event bitmaps, and the union
+// of its lifted repeat-event bitmaps with the events two shards both hold
+// for it. Indices shadowed by a later duplicate stay nil.
+func (v *View) selectedEventBitmaps(slots [][]int32, n int, repeats bool) (evs, reps []*bitmap.Bitmap) {
+	s := v.s
+	evP := make([][]*bitmap.Bitmap, s.K()) // [shard][selection index]
+	repP := make([][]*bitmap.Bitmap, s.K())
 	v.forEachShard(func(_ *parallel.Worker, i int, _ *engine.Engine) {
 		p := s.parts[i]
-		slots := make([]int32, p.Sources.Len())
-		for ls := range slots {
-			slots[ls] = slotG[s.l2gSrc[i][ls]]
+		ev := make([]*bitmap.Bitmap, n)
+		rep := make([]*bitmap.Bitmap, n)
+		for ls, sl := range slots[i] {
+			if sl < 0 {
+				continue
+			}
+			ev[sl] = s.liftEvents(i, p.SourceEventBitmap(int32(ls)))
+			if repeats {
+				rep[sl] = s.liftEvents(i, p.SourceRepeatEventBitmap(int32(ls)))
+			}
 		}
-		sel.slots[i] = slots
-		if plan == engine.PlanScan {
-			return
+		evP[i], repP[i] = ev, rep
+	})
+	evs = make([]*bitmap.Bitmap, n)
+	reps = make([]*bitmap.Bitmap, n)
+	var per, rper []*bitmap.Bitmap
+	for a := 0; a < n; a++ {
+		per, rper = per[:0], rper[:0]
+		for i := range evP {
+			if evP[i] != nil && evP[i][a] != nil { // nil slot: shard skipped by cancellation
+				per = append(per, evP[i][a])
+				rper = append(rper, repP[i][a])
+			}
 		}
-		var bms []*bitmap.Bitmap
-		for ls, sl := range slots {
+		if len(per) == 0 {
+			continue
+		}
+		evs[a] = bitmap.UnionAll(per)
+		if repeats {
+			reps[a] = bitmap.UnionAll(append(rper, bitmap.AtLeastTwo(per)))
+		}
+	}
+	return evs, reps
+}
+
+// contributingEvents returns, ascending, the global events that can
+// contribute to follow-reporting among the selection — the monolith's
+// rule: an event matters only when it holds at least two selected mention
+// rows, i.e. two selected sources co-occur on it or one reports it twice.
+func (v *View) contributingEvents(slots [][]int32, n int) []int32 {
+	evs, reps := v.selectedEventBitmaps(slots, n, true)
+	u := bitmap.UnionAll(append(reps, bitmap.AtLeastTwo(evs)))
+	return u.AppendRows(make([]int32, 0, u.Cardinality()))
+}
+
+func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
+	s := v.s
+	sel := &selection{slots: v.slotTables(sources)}
+	switch plan {
+	case engine.PlanScan:
+		sel.evs = make([]int32, s.events.Len())
+		for ev := range sel.evs {
+			sel.evs[ev] = int32(ev)
+		}
+		return sel
+	case engine.PlanEvents:
+		sel.evs = v.contributingEvents(sel.slots, len(sources))
+		return sel
+	}
+	sel.rowPtr = make([][]int32, len(s.parts))
+	sel.rowIdx = make([][]int32, len(s.parts))
+	// Candidate discovery runs one fan-out job per shard: the per-shard CSR
+	// is shard-indexed, while the candidate set is a shared bitset — one
+	// global event can be discovered by two shards at once, so bits are set
+	// with atomic OR (idempotent and commutative, exact under any
+	// interleaving).
+	candWords := make([]uint64, (s.events.Len()+63)/64)
+	v.forEachShard(func(_ *parallel.Worker, i int, _ *engine.Engine) {
+		p := s.parts[i]
+		var bms, rbms []*bitmap.Bitmap
+		for ls, sl := range sel.slots[i] {
 			if sl >= 0 {
 				bms = append(bms, p.SourceEventBitmap(int32(ls)))
+				rbms = append(rbms, p.SourceRowBitmap(int32(ls)))
 			}
 		}
 		u := bitmap.UnionAll(bms)
@@ -493,39 +621,24 @@ func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
 			ev := remap[le]
 			atomic.OrUint64(&candWords[ev>>6], 1<<uint(ev&63))
 		})
-		if plan == engine.PlanRows {
-			var rbms []*bitmap.Bitmap
-			for ls, sl := range slots {
-				if sl >= 0 {
-					rbms = append(rbms, p.SourceRowBitmap(int32(ls)))
-				}
-			}
-			ru := bitmap.UnionAll(rbms)
-			rows := ru.AppendRows(make([]int32, 0, ru.Cardinality()))
-			ptr := make([]int32, p.Events.Len()+1)
-			for _, r := range rows {
-				ptr[p.Mentions.EventRow[r]+1]++
-			}
-			for le := 0; le < p.Events.Len(); le++ {
-				ptr[le+1] += ptr[le]
-			}
-			idx := make([]int32, len(rows))
-			cur := make([]int32, p.Events.Len())
-			for _, r := range rows {
-				le := p.Mentions.EventRow[r]
-				idx[ptr[le]+cur[le]] = r
-				cur[le]++
-			}
-			sel.rowPtr[i], sel.rowIdx[i] = ptr, idx
+		ru := bitmap.UnionAll(rbms)
+		rows := ru.AppendRows(make([]int32, 0, ru.Cardinality()))
+		ptr := make([]int32, p.Events.Len()+1)
+		for _, r := range rows {
+			ptr[p.Mentions.EventRow[r]+1]++
 		}
+		for le := 0; le < p.Events.Len(); le++ {
+			ptr[le+1] += ptr[le]
+		}
+		idx := make([]int32, len(rows))
+		cur := make([]int32, p.Events.Len())
+		for _, r := range rows {
+			le := p.Mentions.EventRow[r]
+			idx[ptr[le]+cur[le]] = r
+			cur[le]++
+		}
+		sel.rowPtr[i], sel.rowIdx[i] = ptr, idx
 	})
-	if plan == engine.PlanScan {
-		sel.evs = make([]int32, s.events.Len())
-		for ev := range sel.evs {
-			sel.evs[ev] = int32(ev)
-		}
-		return sel
-	}
 	// Walking words in order and bits low-to-high yields the same ascending
 	// candidate list as the sequential boolean walk did.
 	for wi, word := range candWords {
@@ -575,14 +688,17 @@ func (s *DB) shardEventRows(ev int32, f func(i int, rows []int32)) {
 }
 
 // CoReport computes co-reporting among the selected global sources through
-// the planner-resolved plan: selected rows only (rows), candidate events'
-// full mention lists (events), or every global event (scan, forced only).
-// All plans reduce through the same per-event fold and produce identical
-// results.
+// the planner-resolved plan: selected rows only (rows), event-bitmap
+// algebra (events, coReportEvents), or every global event (scan, forced
+// only). All plans produce identical results.
 func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 	s := v.s
 	n := len(sources)
-	sel := v.selection(sources, v.PlanSelection(sources))
+	plan := v.PlanSelection(sources)
+	if plan == engine.PlanEvents {
+		return v.coReportEvents(sources)
+	}
+	sel := v.selection(sources, plan)
 	type partial struct {
 		pair   *matrix.Int64
 		counts []int64
@@ -630,6 +746,29 @@ func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 		},
 	)
 	return queries.FinishCoReporting(sources, v.sourceNames(sources), res.counts, res.pair)
+}
+
+// coReportEvents is the event-bitmap algebra plan, as in the monolith: a
+// source's event count is the cardinality of its global event bitmap and a
+// pair count the cardinality of two bitmaps' intersection, so no mention
+// row is touched. Shadowed duplicate positions stay all-zero, matching the
+// fold's last-occurrence slot resolution.
+func (v *View) coReportEvents(sources []int32) (*queries.CoReporting, error) {
+	n := len(sources)
+	evs, _ := v.selectedEventBitmaps(v.slotTables(sources), n, false)
+	counts := make([]int64, n)
+	for i, b := range evs {
+		if b != nil {
+			counts[i] = b.Cardinality()
+		}
+	}
+	pair := matrix.NewInt64(n, n)
+	for i, row := range bitmap.PairwiseIntersectCards(evs) {
+		for j, c := range row {
+			pair.Set(i, j, c)
+		}
+	}
+	return queries.FinishCoReporting(sources, v.sourceNames(sources), counts, pair)
 }
 
 // FollowReport computes follow-reporting among the selected global
@@ -794,15 +933,12 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
 			seen := map[int32]bool{}
 			for ev := lo; ev < hi; ev++ {
-				total, seq := 0, s.events.seq(int32(ev))
-				for i, p := range s.parts {
-					if lr := s.localEvent(i, seq, int32(ev)); lr >= 0 {
-						total += len(p.EventMentions(lr))
-					}
-				}
-				if total < minSources {
+				// The event's article count is global metadata every part
+				// carries verbatim, so the threshold needs no recount.
+				if int(s.events.NumArticles(ev)) < minSources {
 					continue
 				}
+				seq := s.events.seq(int32(ev))
 				cutoff := s.events.Interval(ev) + window
 				clear(seen)
 				early := 0

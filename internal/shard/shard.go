@@ -200,6 +200,16 @@ func (s *DB) mergeEvents() error {
 			cur[i]++
 		}
 	}
+	// A shard that holds every event holds the merged table row for row —
+	// the loop above compared the columns — so the world shares its columns
+	// instead of keeping a copy (a Single world never has a second event
+	// table). Neither is ever written: appends copy what they change.
+	for _, p := range s.parts {
+		if p.Events.Len() == ev.Len() {
+			*ev = p.Events.Slice(0, ev.Len())
+			break
+		}
+	}
 	n := int32(ev.Len())
 	s.events.low, s.events.seqs = n, n
 	s.events.frozenSeq = make([]int32, n)
