@@ -8,6 +8,10 @@ go build ./...
 go vet ./...
 go test ./...
 
+# Seal smoke: a durable append log grown to K ≈ 50 and K ≈ 200 parts, three
+# timed seals each (ns and written bytes per seal); fails if a seal does.
+go test ./internal/shard -run '^$' -bench LogSeal -benchtime 3x
+
 # bench/ is its own module, so the root ./... above never sees it: vet and
 # test it here, or a PR could delete an API the benchmark imports and stay
 # green.

@@ -15,8 +15,7 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // appendTail returns the world after one feed tick is folded into the tail
 // part. s — a published snapshot — is never written: the result is a struct
 // copy of s that shares everything the tick does not change and replaces,
-// copy-on-write, exactly what it does. dirtied lists the non-tail parts
-// whose persisted image the tick made stale.
+// copy-on-write, exactly what it does.
 //
 // Shared by reference with s: every sealed part the tick does not touch,
 // bounds, meta, report, theme remaps, the global source dictionary unless
@@ -54,7 +53,7 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // results whose window touches the tail go stale through StaleKey while
 // cold windows stay warm. Non-tail parts keep their versions — per-event
 // metadata is the same global-not-windowed data it was at split time.
-func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st store.AppendStats, dirtied []int, err error) {
+func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st store.AppendStats, err error) {
 	ti := len(s.parts) - 1
 	tail := s.parts[ti]
 	tailLo := s.bounds[ti]
@@ -65,7 +64,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		}
 		iv := mns[i].MentionTime.IntervalIndex() - base
 		if iv >= 0 && iv < int64(s.meta.Intervals) && int32(iv) < tailLo {
-			return nil, st, nil, fmt.Errorf(
+			return nil, st, fmt.Errorf(
 				"shard: append mention at interval %d below the tail window [%d, %d)",
 				iv, tailLo, s.meta.Intervals)
 		}
@@ -107,7 +106,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 
 	newTail, st, err := tail.CloneAppend(adopt, evs, mns)
 	if err != nil {
-		return nil, st, nil, err
+		return nil, st, err
 	}
 	c := *s
 	next = &c
@@ -163,7 +162,6 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 				next.parts[pi] = cp
 				mc = newMetaCow(&cp.Events)
 				partCow[pi] = mc
-				dirtied = append(dirtied, pi)
 			}
 			mc.set(lr, n, fm, iv)
 		}
@@ -186,9 +184,9 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		mAppendFallback.Inc()
 		next, err = New(next.parts, s.bounds, next.sources, s.themes, s.report)
 		if err != nil {
-			return nil, st, nil, fmt.Errorf("shard: append left shards disagreeing: %w", err)
+			return nil, st, fmt.Errorf("shard: append left shards disagreeing: %w", err)
 		}
-		return next, st, dirtied, nil
+		return next, st, nil
 	}
 	tailRemap := make([]int32, 0, te.Len())
 	h := 0
@@ -204,7 +202,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		next.s2lEv = slices.Clone(s.s2lEv)
 		next.s2lEv[ti] = nil
 	}
-	return next, st, dirtied, nil
+	return next, st, nil
 }
 
 // metaCow puts the three per-event metadata columns of one event table

@@ -56,6 +56,18 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 	if len(chunks) < 2 {
 		t.Fatalf("world too small: %d chunks", len(chunks))
 	}
+	sdb0, err := shard.Split(buildPrefix(t, c, cut), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last tick mentions an event only the sealed base part holds, so
+	// the seal under test leaves that part's file stale on disk and every
+	// reopen of a new world below goes through OpenLog's metadata reconcile.
+	last := cut
+	for j := range c.Mentions {
+		last = max(last, c.Mentions[j].Interval)
+	}
+	chunks = append(chunks, []gdelt.Mention{oldEventMention(t, c, sdb0, last)})
 
 	// setup replays the identical workload into a fresh directory and
 	// stops right before the seal under test.
@@ -81,10 +93,6 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 	// pinning the legal post-crash worlds. oldDisk is the last persisted
 	// world (appends are in-memory until a seal lands); oldMem is the
 	// published snapshot a failed seal must leave untouched.
-	sdb0, err := shard.Split(buildPrefix(t, c, cut), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oldDisk := captureWorld(t, sdb0)
 	rec := &faults.FSPlan{}
 	lg := setup(t)

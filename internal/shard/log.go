@@ -22,6 +22,10 @@ var (
 		"wall time of one Log.Append: tail clone, fold, index rebuild, publish", obs.LatencyBuckets)
 	mLogParts = obs.Default.Gauge("shard_log_parts",
 		"parts (sealed + tail) in the append log's current world")
+	mSealBytes = obs.Default.Counter("shard_log_seal_written_bytes_total",
+		"bytes of part files and manifests durable seals wrote")
+	mSealParts = obs.Default.Counter("shard_log_seal_parts_written_total",
+		"part files durable seals wrote")
 )
 
 // Log is the partitioned append log behind production-cadence streaming:
@@ -49,15 +53,23 @@ var (
 // a crash is the stream checkpoint plus masterfile catch-up (the live
 // poller re-folds ticks the checkpoint has not marked). Seal is the
 // durability point: when the log has a directory, every seal persists the
-// new world with the crash-safe protocol below before publishing it.
+// new world with the crash-safe protocol below before publishing it. A
+// seal writes only the two parts it creates; the per-event metadata an
+// append changes in older parts' copies reaches disk through the newer
+// part that holds the event, and OpenLog copies it back down
+// (reconcileEventMeta) — so no single part file of a log is authoritative
+// for per-event metadata.
 type Log struct {
 	mu    sync.Mutex
 	cur   atomic.Pointer[DB]
 	dir   string   // "" = in-memory log, never persisted
 	gen   uint64   // generation stamp for freshly written part files
 	files []string // part file basenames aligned with the current parts
-	dirty []bool   // non-tail parts whose persisted image went stale
-	hook  StepHook
+	// bitmaps caches each referenced part file's manifest bitmap sections
+	// by file name, so a seal encodes only its two new parts'. Nil until the
+	// first seal, which fills it.
+	bitmaps map[string]partBitmaps
+	hook    StepHook
 }
 
 // StepHook observes — and can abort — each step of the crash-safe persist
@@ -87,7 +99,7 @@ const LogManifestName = "MANIFEST.gdsm"
 // NewLog returns an in-memory append log over an initial world. Nothing is
 // ever written to disk; Seal only swaps snapshots.
 func NewLog(db *DB) *Log {
-	lg := &Log{dirty: make([]bool, db.K())}
+	lg := &Log{}
 	lg.cur.Store(db)
 	mLogParts.Set(float64(db.K()))
 	return lg
@@ -151,16 +163,55 @@ func OpenLog(dir string) (*Log, error) {
 		}
 		parts[i] = p
 	}
+	reconcileEventMeta(parts)
 	db, err := AssembleSharded(m, parts)
 	if err != nil {
 		return nil, err
 	}
-	lg := &Log{dir: dir, files: files, dirty: make([]bool, len(files))}
+	lg := &Log{dir: dir, files: files}
 	lg.cur.Store(db)
 	mLogParts.Set(float64(db.K()))
 	lg.gen = scanMaxGen(dir, files)
 	lg.gc()
 	return lg, nil
+}
+
+// reconcileEventMeta overwrites the per-event metadata (NumArticles,
+// FirstMention, Interval) of every copy of an event with the values of the
+// copy in the highest-indexed part holding it. parts are a log's loaded
+// part files in time order; their event tables are merged by id in one
+// pass.
+//
+// Why the last holder is right: metadata changes only when a tick mentions
+// the event, the tick lands in the tail, and the tail holds the event from
+// then on (it adopts the event if it had no copy). The next seal slices
+// every tail mention into the sealed part it writes, with the event's
+// current values, and every part above it — the fresh tail, written by the
+// same seal — holds current values too. Older part files are never
+// rewritten, so they may hold stale copies, but always below a current one.
+// An event no tick has changed since a file was written has the same values
+// in every copy written since.
+func reconcileEventMeta(parts []*store.DB) {
+	cur := make([]int, len(parts))
+	for {
+		id, last := int64(0), -1
+		for i, p := range parts {
+			if r := cur[i]; r < p.Events.Len() && (last < 0 || p.Events.ID[r] <= id) {
+				id, last = p.Events.ID[r], i
+			}
+		}
+		if last < 0 {
+			return
+		}
+		src, sr := &parts[last].Events, cur[last]
+		for i := 0; i <= last; i++ {
+			ev, r := &parts[i].Events, cur[i]
+			if r < ev.Len() && ev.ID[r] == id {
+				ev.NumArticles[r], ev.FirstMention[r], ev.Interval[r] = src.NumArticles[sr], src.FirstMention[sr], src.Interval[sr]
+				cur[i]++
+			}
+		}
+	}
 }
 
 // Snapshot returns the current published world. The result is immutable:
@@ -212,15 +263,9 @@ func (lg *Log) Append(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats
 	start := time.Now()
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	next, st, dirtied, err := lg.cur.Load().appendTail(evs, mns)
+	next, st, err := lg.cur.Load().appendTail(evs, mns)
 	if err != nil {
 		return st, err
-	}
-	// The fold propagated per-event metadata into these parts' copies of
-	// touched events; the next seal must rewrite their persisted image too
-	// (the on-disk copy just went stale).
-	for _, i := range dirtied {
-		lg.dirty[i] = true
 	}
 	lg.cur.Store(next)
 	mAppendSeconds.ObserveSince(start)
@@ -278,33 +323,34 @@ func (lg *Log) Seal() (bool, error) {
 		// generation, so a retry cannot collide with them. OpenLog's GC
 		// sweeps the strays.
 		lg.gen++
-		// Rewrite the two parts born from the old tail plus every non-tail
-		// part whose event metadata appends dirtied — all under fresh
-		// generation-stamped names, never over files the published
-		// manifest references.
-		files := append([]string(nil), lg.files[:len(lg.files)-1]...)
-		var changed []int
-		for i, d := range lg.dirty {
-			if d && i < len(files) {
-				files[i] = partFileName(lg.gen, i)
-				changed = append(changed, i)
-			}
+		// Write only the two parts born from the old tail, under fresh
+		// generation-stamped names. Older part files stay as they are even
+		// where appends changed their events' metadata in memory (see
+		// reconcileEventMeta).
+		ti := len(lg.files) - 1
+		files := append(lg.files[:ti:ti], partFileName(lg.gen, ti), partFileName(lg.gen, ti+1))
+		if lg.bitmaps == nil {
+			lg.bitmaps = make(map[string]partBitmaps, len(files))
 		}
-		files = append(files, partFileName(lg.gen, len(parts)-2), partFileName(lg.gen, len(parts)-1))
-		changed = append(changed, len(parts)-2, len(parts)-1)
-		if err := lg.persist(next, files, changed); err != nil {
+		if err := lg.persist(next, files, []int{ti, ti + 1}); err != nil {
 			return false, err
 		}
-		// Files the new manifest no longer references are dead; removal is
-		// best-effort cleanup (a crash here leaves them for OpenLog's GC).
-		for i, old := range lg.files {
-			if i >= len(files) || files[i] != old {
-				os.Remove(filepath.Join(lg.dir, old))
+		// The old tail's file is dead; removal is best-effort cleanup (a
+		// crash here leaves it for OpenLog's GC).
+		os.Remove(filepath.Join(lg.dir, lg.files[ti]))
+		lg.files = files
+		live := make(map[string]partBitmaps, len(files))
+		for _, f := range files {
+			live[f] = lg.bitmaps[f]
+		}
+		lg.bitmaps = live
+		for _, f := range []string{files[ti], files[ti+1], LogManifestName} {
+			if fi, err := os.Stat(filepath.Join(lg.dir, f)); err == nil {
+				mSealBytes.Add(fi.Size())
 			}
 		}
-		lg.files = files
+		mSealParts.Add(2)
 	}
-	lg.dirty = make([]bool, len(parts))
 	lg.cur.Store(next)
 	mLogParts.Set(float64(len(parts)))
 	return true, nil
@@ -319,9 +365,20 @@ func (lg *Log) Seal() (bool, error) {
 // manifest rename itself is durable. A crash before the manifest rename
 // leaves the old world, after it the new world — never a torn mix. Every
 // step consults the hook first, which is how the crash harness simulates
-// dying at that exact point.
+// dying at that exact point. A part's manifest bitmap sections come from
+// lg.bitmaps when cached there and are added to it when encoded, unless
+// the cache is nil.
 func (lg *Log) persist(db *DB, files []string, changed []int) error {
-	m, err := ManifestFromDB(db, files)
+	m, err := manifestOf(db, files, func(i int) partBitmaps {
+		b, ok := lg.bitmaps[files[i]]
+		if !ok {
+			b = encodePartBitmaps(db.parts[i])
+			if lg.bitmaps != nil {
+				lg.bitmaps[files[i]] = b
+			}
+		}
+		return b
+	})
 	if err != nil {
 		return err
 	}

@@ -64,9 +64,10 @@ func feedWorld(tb testing.TB, c *gen.Corpus, cut int32) (*store.DB, []feedTick) 
 	return base, ticks
 }
 
-// feedLog opens an in-memory log over the feed's base world: two sealed
-// parts and an empty tail from the cut on.
-func feedLog(tb testing.TB, cfg gen.Config, liveDays int32) (*gen.Corpus, *shard.Log, []feedTick, int32) {
+// feedLog opens a log over the feed's base world: two sealed parts and an
+// empty tail from the cut on. The log is in memory for dir "", else
+// persisted under dir.
+func feedLog(tb testing.TB, cfg gen.Config, liveDays int32, dir string) (*gen.Corpus, *shard.Log, []feedTick, int32) {
 	tb.Helper()
 	c, err := gen.Generate(cfg)
 	if err != nil {
@@ -79,7 +80,14 @@ func feedLog(tb testing.TB, cfg gen.Config, liveDays int32) (*gen.Corpus, *shard
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return c, shard.NewLog(sdb), ticks, cut
+	if dir == "" {
+		return c, shard.NewLog(sdb), ticks, cut
+	}
+	lg, err := shard.CreateLog(dir, sdb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, lg, ticks, cut
 }
 
 func appendFallbacks() float64 {
@@ -91,7 +99,7 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := logWorldCfg()
 			cfg.Seed = seed
-			c, lg, ticks, cut := feedLog(t, cfg, 30)
+			c, lg, ticks, cut := feedLog(t, cfg, 30, "")
 			check := func(when string) {
 				t.Helper()
 				if err := shard.DiffFromRebuild(lg.Snapshot()); err != nil {
@@ -215,7 +223,7 @@ func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 }
 
 func TestLogSnapshotIsolationUnderAppends(t *testing.T) {
-	_, lg, ticks, _ := feedLog(t, logWorldCfg(), 30)
+	_, lg, ticks, _ := feedLog(t, logWorldCfg(), 30, "")
 	next := 0
 	feed := func(n int) (seals int) {
 		for fed := 0; fed < n; next++ {
@@ -332,7 +340,7 @@ func TestLogAppendAllocScaling(t *testing.T) {
 	measure := func(end gdelt.Timestamp) result {
 		cfg := logWorldCfg()
 		cfg.End = end
-		c, lg, _, cut := feedLog(t, cfg, 2)
+		c, lg, _, cut := feedLog(t, cfg, 2, "")
 		snap := lg.Snapshot()
 		src := snap.Sources().Name(0)
 		k := 0

@@ -103,6 +103,12 @@ type Manifest struct {
 // ManifestFromDB renders the manifest for a sharded DB whose part files
 // will be written under the given names (one per shard, in shard order).
 func ManifestFromDB(s *DB, files []string) (*Manifest, error) {
+	return manifestOf(s, files, func(i int) partBitmaps { return encodePartBitmaps(s.parts[i]) })
+}
+
+// manifestOf is ManifestFromDB with part i's bitmap sections supplied by
+// bitmaps(i) — freshly encoded, or cached by the append log.
+func manifestOf(s *DB, files []string, bitmaps func(i int) partBitmaps) (*Manifest, error) {
 	if len(files) != s.K() {
 		return nil, fmt.Errorf("shard: %d file names for %d shards", len(files), s.K())
 	}
@@ -116,66 +122,66 @@ func ManifestFromDB(s *DB, files []string) (*Manifest, error) {
 	if s.hasGKG {
 		m.Themes = append([]string(nil), s.themes.Names()...)
 	}
-	for i, p := range s.parts {
-		sb := ShardBitmaps{Shard: int32(i)}
-		for src := 0; src < p.Sources.Len(); src++ {
-			sb.Entries = append(sb.Entries, BitmapEntry{
-				Source: int32(src),
-				Data:   p.SourceRowBitmap(int32(src)).AppendTo(nil),
-			})
+	for i := range s.parts {
+		b := bitmaps(i)
+		for sec, dst := range []*[]ShardBitmaps{&m.Bitmaps, &m.CountryBMs, &m.EventCountryBMs, &m.QuarterBMs} {
+			*dst = append(*dst, ShardBitmaps{Shard: int32(i), Entries: b[sec]})
 		}
-		m.Bitmaps = append(m.Bitmaps, sb)
-		nc := len(gdelt.Countries)
-		m.CountryBMs = append(m.CountryBMs,
-			valueBitmaps(int32(i), nc, p.CountryRowBitmap))
-		m.EventCountryBMs = append(m.EventCountryBMs,
-			valueBitmaps(int32(i), nc, p.EventCountryRowBitmap))
-		m.QuarterBMs = append(m.QuarterBMs,
-			valueBitmaps(int32(i), p.NumQuarters(), p.QuarterRowBitmap))
 	}
 	return m, nil
 }
 
-// valueBitmaps collects one shard's non-empty value bitmaps over a keyed
-// index of width n.
-func valueBitmaps(shard int32, n int, get func(k int) *bitmap.Bitmap) ShardBitmaps {
-	sb := ShardBitmaps{Shard: shard}
-	for k := 0; k < n; k++ {
-		if bm := get(k); bm.Cardinality() > 0 {
-			sb.Entries = append(sb.Entries, BitmapEntry{Source: int32(k), Data: bm.AppendTo(nil)})
-		}
+// partBitmaps is one part's share of the manifest's four bitmap sections,
+// in section order: source rows, then the country, event-country and
+// quarter value bitmaps. All four are functions of the part's mention rows
+// alone — not of the per-event metadata appends change — so the encoding
+// of a part file never goes stale.
+type partBitmaps [4][]BitmapEntry
+
+func encodePartBitmaps(p *store.DB) partBitmaps {
+	var b partBitmaps
+	for src := 0; src < p.Sources.Len(); src++ {
+		b[0] = append(b[0], BitmapEntry{Source: int32(src), Data: p.SourceRowBitmap(int32(src)).AppendTo(nil)})
 	}
-	return sb
+	nc := len(gdelt.Countries)
+	b[1] = valueBitmaps(nc, p.CountryRowBitmap)
+	b[2] = valueBitmaps(nc, p.EventCountryRowBitmap)
+	b[3] = valueBitmaps(p.NumQuarters(), p.QuarterRowBitmap)
+	return b
 }
 
-// EncodeManifest writes the manifest in the sectioned binary format.
-func EncodeManifest(w io.Writer, m *Manifest) error {
-	hdr := append(append([]byte(nil), Magic[:]...), byte(manifestVersion))
-	if _, err := w.Write(hdr); err != nil {
-		return err
+// valueBitmaps collects one shard's non-empty value bitmaps over a keyed
+// index of width n.
+func valueBitmaps(n int, get func(k int) *bitmap.Bitmap) []BitmapEntry {
+	var out []BitmapEntry
+	for k := 0; k < n; k++ {
+		if bm := get(k); bm.Cardinality() > 0 {
+			out = append(out, BitmapEntry{Source: int32(k), Data: bm.AppendTo(nil)})
+		}
 	}
+	return out
+}
+
+// EncodeManifest writes the manifest in the sectioned binary format,
+// through one buffer: a section costs no syscall of its own.
+func EncodeManifest(w io.Writer, m *Manifest) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(Magic[:])
+	bw.WriteByte(manifestVersion)
 	var buf []byte
 	buf = binary.AppendVarint(buf, int64(m.Meta.Start))
 	buf = binary.AppendVarint(buf, int64(m.Meta.Intervals))
-	if err := writeSection(w, secMeta, buf); err != nil {
-		return err
-	}
+	writeSection(bw, secMeta, buf)
 	for _, e := range m.Entries {
 		buf = buf[:0]
 		buf = appendString(buf, e.File)
 		buf = binary.AppendVarint(buf, int64(e.Lo))
 		buf = binary.AppendVarint(buf, int64(e.Hi))
-		if err := writeSection(w, secEntry, buf); err != nil {
-			return err
-		}
+		writeSection(bw, secEntry, buf)
 	}
-	if err := writeSection(w, secSources, appendStrings(nil, m.Sources)); err != nil {
-		return err
-	}
+	writeSection(bw, secSources, appendStrings(nil, m.Sources))
 	if m.Themes != nil {
-		if err := writeSection(w, secThemes, appendStrings(nil, m.Themes)); err != nil {
-			return err
-		}
+		writeSection(bw, secThemes, appendStrings(nil, m.Themes))
 	}
 	for _, sec := range []struct {
 		tag  byte
@@ -195,27 +201,20 @@ func EncodeManifest(w io.Writer, m *Manifest) error {
 				buf = binary.AppendUvarint(buf, uint64(len(e.Data)))
 				buf = append(buf, e.Data...)
 			}
-			if err := writeSection(w, sec.tag, buf); err != nil {
-				return err
-			}
+			writeSection(bw, sec.tag, buf)
 		}
 	}
-	return writeSection(w, secEnd, nil)
+	writeSection(bw, secEnd, nil)
+	// A bufio.Writer keeps the first write error and returns it from every
+	// later call, Flush included, so the writes above go unchecked.
+	return bw.Flush()
 }
 
-func writeSection(w io.Writer, tag byte, payload []byte) error {
-	hdr := []byte{tag}
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(sum[:])
-	return err
+func writeSection(w *bufio.Writer, tag byte, payload []byte) {
+	w.WriteByte(tag)
+	w.Write(binary.AppendUvarint(nil, uint64(len(payload))))
+	w.Write(payload)
+	w.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)))
 }
 
 func appendString(dst []byte, s string) []byte {

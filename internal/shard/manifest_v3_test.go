@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -94,6 +96,36 @@ func TestManifestValueBitmapCrossCheck(t *testing.T) {
 				t.Fatalf("%s corruption assembled cleanly", c.name)
 			}
 		})
+	}
+}
+
+// TestEncodeManifestFileEqualsBuffer: the buffered encoder writes a file
+// byte for byte what it writes into memory, for a manifest with a section
+// larger than its buffer too.
+func TestEncodeManifestFileEqualsBuffer(t *testing.T) {
+	m, _ := tinyManifestAndParts(t)
+	m.Sources = append(m.Sources, strings.Repeat("x", 100<<10))
+	var want bytes.Buffer
+	if err := EncodeManifest(&want, m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.gdsm")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeManifest(f, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %d bytes, buffer %d; contents differ", len(got), want.Len())
 	}
 }
 
