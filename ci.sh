@@ -12,6 +12,11 @@ go test ./...
 # timed seals each (ns and written bytes per seal); fails if a seal does.
 go test ./internal/shard -run '^$' -bench LogSeal -benchtime 3x
 
+# K=1 parity smoke (~3 s on 2 vCPUs): every kind, GKG ones included, runs
+# once on the monolith's engine and once on shard.Single; fails if either
+# path errors. Ratios need -benchtime 31x (DESIGN.md §10).
+go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
+
 # bench/ is its own module, so the root ./... above never sees it: vet and
 # test it here, or a PR could delete an API the benchmark imports and stay
 # green.

@@ -28,7 +28,7 @@ func buildCorpus(t *testing.T, cfg gen.Config) *store.DB {
 }
 
 // themeParam picks a real theme name for the theme-trends kind, or "".
-func themeParam(t *testing.T, db *store.DB) string {
+func themeParam(t testing.TB, db *store.DB) string {
 	t.Helper()
 	if db.GKG == nil {
 		return ""

@@ -12,19 +12,17 @@ import (
 	"gdeltmine/internal/shard"
 )
 
-// BenchmarkSingleVsEngine times every non-GKG kind's cold execution two
-// ways on the Bench preset: Descriptor.Run on the monolith's engine (the
+// BenchmarkSingleVsEngine times every kind's cold execution two ways on the
+// Bench preset, GKG included: Descriptor.Run on the monolith's engine (the
 // library path) and Descriptor.RunSharded on shard.Single of the same store
 // (what a server runs for a plain .gdmb). The two alternate inside one loop,
 // so machine drift hits both, and each reports its median: engine-µs,
-// single-µs and their ratio, which must stay near 1 — a served monolith
-// pays for no second, slower copy of the kernels.
+// single-µs and their ratio, which must stay near 1 or below — a served
+// monolith pays for no second, slower copy of the kernels.
 //
 //	go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 31x
 func BenchmarkSingleVsEngine(b *testing.B) {
-	cfg := gen.Bench()
-	cfg.GKG = false
-	c, err := gen.Generate(cfg)
+	c, err := gen.Generate(gen.Bench())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,11 +39,14 @@ func BenchmarkSingleVsEngine(b *testing.B) {
 		slices.Sort(d)
 		return float64(d[len(d)/2]) / float64(time.Microsecond)
 	}
+	theme := themeParam(b, db)
 	for _, d := range registry.All() {
-		if d.NeedsGKG {
-			continue
-		}
-		p, err := d.ParseParams(func(string) []string { return nil })
+		p, err := d.ParseParams(func(name string) []string {
+			if name == "theme" {
+				return []string{theme}
+			}
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

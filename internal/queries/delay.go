@@ -9,9 +9,9 @@ import (
 	"gdeltmine/internal/stats"
 )
 
-// maxDelay bounds delays in 15-minute intervals: one year plus a day, the
+// MaxDelay bounds delays in 15-minute intervals: one year plus a day, the
 // cap the store's builder enforces (Table VIII's shared maximum ~35135).
-const maxDelay = gdelt.IntervalsPerYear + gdelt.IntervalsPerDay
+const MaxDelay = gdelt.IntervalsPerYear + gdelt.IntervalsPerDay
 
 // SourceDelayStats is one publisher's row of Table VIII.
 type SourceDelayStats struct {
@@ -56,7 +56,7 @@ func PublisherDelays(e *engine.Engine, sources []int32) []SourceDelayStats {
 
 // DelayDistribution is Figure 9: for every source with at least one
 // article, the distribution of its minimum, average, median and maximum
-// delay, as log-binned histograms (base 2 over [1, maxDelay]) plus the raw
+// delay, as log-binned histograms (base 2 over [1, MaxDelay]) plus the raw
 // per-source statistics.
 type DelayDistribution struct {
 	PerSource []SourceDelayStats
@@ -66,7 +66,7 @@ type DelayDistribution struct {
 	Max       *stats.LogHistogram
 }
 
-// delayHistBuckets covers 1..2^17 = 131072 > maxDelay.
+// delayHistBuckets covers 1..2^17 = 131072 > MaxDelay.
 const delayHistBuckets = 17
 
 // DelayDistributionAll computes Figure 9 over all sources.
@@ -116,7 +116,7 @@ func QuarterlyDelays(e *engine.Engine) QuarterlyDelay {
 		Median:  make([]int64, nq),
 	}
 	parallel.ForOpt(nq, scanOptGrain1(e), func(qlo, qhi int) {
-		ct := stats.NewCountTable(maxDelay)
+		ct := stats.NewCountTable(MaxDelay)
 		for q := qlo; q < qhi; q++ {
 			for i := range ct.Counts {
 				ct.Counts[i] = 0

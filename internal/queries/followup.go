@@ -32,7 +32,7 @@ type FirstReportLatency struct {
 func FirstReports(e *engine.Engine) FirstReportLatency {
 	db := e.DB()
 	ct := parallel.MapReduce(db.Events.Len(), e.ScanOptions(),
-		func() *stats.CountTable { return stats.NewCountTable(maxDelay) },
+		func() *stats.CountTable { return stats.NewCountTable(MaxDelay) },
 		func(acc *stats.CountTable, lo, hi int) *stats.CountTable {
 			for ev := lo; ev < hi; ev++ {
 				if db.Events.NumArticles[ev] == 0 {

@@ -11,53 +11,22 @@ import (
 // dictionary, which preserves the monolith's id order so top-k tie-breaks
 // agree.
 
-// TopThemes returns the k most frequent GKG themes across all shards.
+// TopThemes returns the k most frequent GKG themes across all shards. A
+// theme's count is the sum of its postings lengths: the theme postings hold
+// one entry per (row, theme) occurrence, a row listing a theme twice
+// included, which is exactly what a scan of every row's themes counts. The
+// cost is O(themes × K), not O(theme occurrences).
 func (v *View) TopThemes(k int) ([]queries.ThemeCount, error) {
 	s := v.s
 	if !s.hasGKG {
 		return nil, queries.ErrNoGKG
 	}
 	nt := s.themes.Len()
-	// One fan-out job per shard, each an internally parallel count in the
-	// global theme space; shard partials fold through a merge tree (exact
-	// integer sums under any fold shape).
-	partials := make([][]int64, s.K())
-	v.forEachShard(func(w *parallel.Worker, i int, _ *engine.Engine) {
-		p := s.parts[i]
-		g := p.GKG
-		remap := s.l2gTheme[i]
-		partials[i] = parallel.MapReduce(g.Table.Len(), v.optW(w),
-			func() []int64 { return make([]int64, nt) },
-			func(acc []int64, lo, hi int) []int64 {
-				for r := lo; r < hi; r++ {
-					for _, id := range g.Table.RowThemes(r) {
-						acc[remap[id]]++
-					}
-				}
-				return acc
-			},
-			func(dst, src []int64) []int64 {
-				for i, c := range src {
-					dst[i] += c
-				}
-				return dst
-			},
-		)
-	})
-	live := partials[:0]
-	for _, p := range partials {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
 	counts := make([]int64, nt)
-	if len(live) > 0 {
-		counts = parallel.MergeTree(live, func(dst, src []int64) []int64 {
-			for i, c := range src {
-				dst[i] += c
-			}
-			return dst
-		})
+	for i, p := range s.parts {
+		for lt, gt := range s.l2gTheme[i] {
+			counts[gt] += int64(len(p.GKG.ThemeRows(int32(lt))))
+		}
 	}
 	top := engine.TopK(nt, k, func(i int) int64 { return counts[i] })
 	out := make([]queries.ThemeCount, 0, len(top))

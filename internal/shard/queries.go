@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"gdeltmine/internal/bitmap"
@@ -26,9 +27,9 @@ import (
 // produce identical outputs up to the usual non-associativity-free 1e-9.
 // Window semantics follow the monolith precisely: mention-window kernels
 // honor the view window, event-table, postings and GKG scans ignore it.
-
-// maxDelay mirrors queries' unexported delay cap (one year plus a day).
-const maxDelay = gdelt.IntervalsPerYear + gdelt.IntervalsPerDay
+// Where an index already holds an answer, the kernel reads the index rather
+// than recounting rows (DESIGN.md §10, "answer from the index"); the row
+// scans in internal/queries stay the reference they are tested against.
 
 func (v *View) grain1() parallel.Options {
 	opt := v.opt()
@@ -231,7 +232,11 @@ func (v *View) EventsPerQuarter() queries.QuarterlySeries {
 // distinct global rows, so the shard's inner loop is race-free even when
 // parallel), the tables union through a merge tree — boolean OR is
 // idempotent and commutative, so the fold shape is immaterial — and the
-// per-quarter distinct counts come off the union.
+// per-quarter distinct counts come off the union. A shard visits one
+// posting per (source, quarter): rows are interval-sorted and the quarter
+// of an interval is monotone, so a source's row-ascending postings group by
+// quarter, and after marking quarter q the walk bisects to the first
+// posting at or past the quarter's last row.
 func (v *View) ActiveSourcesPerQuarter() queries.QuarterlySeries {
 	s := v.s
 	nq := s.NumQuarters()
@@ -244,12 +249,13 @@ func (v *View) ActiveSourcesPerQuarter() queries.QuarterlySeries {
 		parallel.ForOpt(p.Sources.Len(), v.optW(w), func(lo, hi int) {
 			for ls := lo; ls < hi; ls++ {
 				rows := p.SourceMentions(int32(ls))
-				if len(rows) == 0 {
-					continue
-				}
 				base := int(remap[ls]) * nq
-				for _, r := range rows {
-					seen[base+p.QuarterOfInterval(p.Mentions.Interval[r])] = true
+				for len(rows) > 0 {
+					q := p.QuarterOfInterval(p.Mentions.Interval[rows[0]])
+					seen[base+q] = true
+					_, end := p.QuarterMentionRange(q)
+					next, _ := slices.BinarySearch(rows, int32(end))
+					rows = rows[next:]
 				}
 			}
 		})
@@ -851,18 +857,18 @@ func (v *View) sourceArticles(src int32) int64 {
 }
 
 // PublisherDelays computes Table VIII rows for the given global sources,
-// concatenating each source's per-shard delay streams (the monolith sorts
-// the stream anyway, so segment order is immaterial).
+// concatenating each source's per-shard delay streams (only order
+// statistics are taken, so segment order is immaterial).
 func (v *View) PublisherDelays(sources []int32) []queries.SourceDelayStats {
 	s := v.s
 	out := make([]queries.SourceDelayStats, len(sources))
-	parallel.ForOpt(len(sources), v.opt(), func(lo, hi int) {
-		var buf []int64
+	parallel.ForOpt(len(sources), v.grain1(), func(lo, hi int) {
+		var buf, counts []int64
 		for i := lo; i < hi; i++ {
 			src := sources[i]
 			name := s.sources.Name(src)
 			st := queries.SourceDelayStats{Source: src, Name: name}
-			buf = buf[:0]
+			buf = slices.Grow(buf[:0], int(v.sourceArticles(src)))
 			var agg stats.IntSummary
 			for _, p := range s.parts {
 				ls := p.Sources.Lookup(name)
@@ -877,14 +883,31 @@ func (v *View) PublisherDelays(sources []int32) []queries.SourceDelayStats {
 			}
 			st.Articles = int64(len(buf))
 			if len(buf) > 0 {
-				sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
 				st.Min, st.Max, st.Average = agg.Min, agg.Max, agg.Mean()
-				st.Median = buf[(len(buf)-1)/2] // lower median
+				st.Median, counts = lowerMedian(buf, agg.Min, agg.Max, counts)
 			}
 			out[i] = st
 		}
 	})
 	return out
+}
+
+// lowerMedian returns the lower median of xs, whose values lie in [lo, hi],
+// and the count table it may have grown for reuse. When the span is no
+// wider than the sample, a count table over [lo, hi] finds the median in
+// O(n); otherwise xs is sorted in place. Both yield the exact order
+// statistic, so which one runs is decided by the data alone.
+func lowerMedian(xs []int64, lo, hi int64, counts []int64) (int64, []int64) {
+	if hi-lo > int64(len(xs)) {
+		slices.Sort(xs)
+		return xs[(len(xs)-1)/2], counts
+	}
+	counts = slices.Grow(counts[:0], int(hi-lo)+1)[:hi-lo+1]
+	clear(counts)
+	for _, x := range xs {
+		counts[x-lo]++
+	}
+	return lo + stats.CountingMedian(counts, int64(len(xs))), counts
 }
 
 // QuarterlyDelays computes Figure 10; each quarter's exact value→count
@@ -898,7 +921,7 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 		Median:  make([]int64, nq),
 	}
 	parallel.ForOpt(nq, v.grain1(), func(qlo, qhi int) {
-		ct := stats.NewCountTable(maxDelay)
+		ct := stats.NewCountTable(queries.MaxDelay)
 		for q := qlo; q < qhi; q++ {
 			for i := range ct.Counts {
 				ct.Counts[i] = 0
@@ -920,9 +943,11 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 }
 
 // FastSpreadingEvents ranks global events by distinct early reporters.
-// Early sources are keyed by global id; the shard walk stops at the first
-// shard starting at or past the cutoff (later shards hold only later
-// mentions).
+// Early sources are keyed by global id and counted through a stamp array:
+// stamp[g] == ev+1 once source g has reported event ev, so a source counts
+// the first time it is stamped and no set is cleared between events. The
+// shard walk stops at the first shard starting at or past the cutoff
+// (later shards hold only later mentions).
 func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wildfire {
 	s := v.s
 	if window < 1 {
@@ -931,7 +956,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 	candidates := parallel.MapReduce(s.events.Len(), v.opt(),
 		func() []queries.Wildfire { return nil },
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
-			seen := map[int32]bool{}
+			stamp := make([]int32, s.sources.Len())
 			for ev := lo; ev < hi; ev++ {
 				// The event's article count is global metadata every part
 				// carries verbatim, so the threshold needs no recount.
@@ -940,8 +965,8 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 				}
 				seq := s.events.seq(int32(ev))
 				cutoff := s.events.Interval(ev) + window
-				clear(seen)
-				early := 0
+				tag := int32(ev) + 1
+				distinct, early := 0, 0
 				for i, p := range s.parts {
 					if s.bounds[i] >= cutoff {
 						break // every remaining mention is past the window
@@ -956,31 +981,34 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 							break // postings are interval-sorted
 						}
 						early++
-						seen[remap[p.Mentions.Source[r]]] = true
+						if g := remap[p.Mentions.Source[r]]; stamp[g] != tag {
+							stamp[g] = tag
+							distinct++
+						}
 					}
 				}
-				if len(seen) < minSources {
+				if distinct < minSources {
 					continue
 				}
 				acc = append(acc, queries.Wildfire{
 					EventRow:      int32(ev),
 					EventID:       s.events.ID(ev),
 					SourceURL:     s.events.SourceURL(ev),
-					EarlySources:  len(seen),
+					EarlySources:  distinct,
 					EarlyArticles: early,
 					TotalArticles: s.events.NumArticles(ev),
-					Velocity:      float64(len(seen)) / float64(window),
+					Velocity:      float64(distinct) / float64(window),
 				})
 			}
 			return acc
 		},
 		func(dst, src []queries.Wildfire) []queries.Wildfire { return append(dst, src...) },
 	)
-	sort.Slice(candidates, func(a, b int) bool {
-		if candidates[a].EarlySources != candidates[b].EarlySources {
-			return candidates[a].EarlySources > candidates[b].EarlySources
+	slices.SortFunc(candidates, func(a, b queries.Wildfire) int {
+		if c := cmp.Compare(b.EarlySources, a.EarlySources); c != 0 {
+			return c
 		}
-		return candidates[a].EventID < candidates[b].EventID
+		return cmp.Compare(a.EventID, b.EventID)
 	})
 	if len(candidates) > k {
 		candidates = candidates[:k]

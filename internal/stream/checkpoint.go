@@ -73,10 +73,19 @@ func (m *Monitor) Checkpoint() *Checkpoint {
 	return cp
 }
 
-// FromCheckpoint rebuilds a monitor from a snapshot.
+// FromCheckpoint rebuilds a monitor from a snapshot, rejecting states no
+// monitor writes.
 func FromCheckpoint(cp *Checkpoint) (*Monitor, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	}
+	if q := cp.Median.Q; !(q > 0 && q < 1) {
+		return nil, fmt.Errorf("stream: checkpoint median quantile %v outside (0, 1)", q)
+	}
+	// The estimator primes on its fifth observation; an unprimed state
+	// holding five or more would never prime and buffer without bound.
+	if !cp.Median.Primed && len(cp.Median.InitBuf) >= 5 {
+		return nil, fmt.Errorf("stream: checkpoint median holds %d unprimed observations", len(cp.Median.InitBuf))
 	}
 	m := NewMonitor(cp.Start, cp.Config)
 	m.now = cp.Now

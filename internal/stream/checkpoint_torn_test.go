@@ -10,7 +10,7 @@ import (
 
 // tornMonitor builds a monitor with enough state that a truncated
 // checkpoint cannot accidentally remain valid JSON.
-func tornMonitor(t *testing.T) *Monitor {
+func tornMonitor(t testing.TB) *Monitor {
 	t.Helper()
 	base := gdelt.Timestamp(testBase)
 	m := NewMonitor(base, Config{Window: 16, MinSources: 3, GraceIntervals: 8, ChunkIntervals: 1})
