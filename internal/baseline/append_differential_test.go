@@ -57,18 +57,17 @@ func TestAppendEqualsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	intervals := int32(c.World.Days() * gdelt.IntervalsPerDay)
-	cut := intervals - 45*gdelt.IntervalsPerDay
+	cut := intervals - 10*gdelt.IntervalsPerDay
 
 	full, fullStats := buildTruncated(t, c, -1)
 	db, preStats := buildTruncated(t, c, cut)
-	var suffix []gdelt.Mention
+	// The suffix arrives the way a feed delivers it: one tick per capture
+	// interval.
+	ticks := make([][]gdelt.Mention, intervals-cut)
 	for j := range c.Mentions {
-		if c.Mentions[j].Interval >= cut {
-			suffix = append(suffix, c.MentionRecord(j))
+		if iv := c.Mentions[j].Interval; iv >= cut {
+			ticks[iv-cut] = append(ticks[iv-cut], c.MentionRecord(j))
 		}
-	}
-	if len(suffix) == 0 {
-		t.Fatal("corpus has no mentions past the cut; lower it")
 	}
 
 	// The same panel resolves in both builds: intern order is identical.
@@ -82,18 +81,37 @@ func TestAppendEqualsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, st, err := db.CloneAppend(store.EventTable{}, nil, suffix)
-	if err != nil {
-		t.Fatal(err)
+	// Every append rebuilds only the derived keys its tick dirtied; each
+	// must equal a rebuild from scratch.
+	appends := uint64(0)
+	dangling, dropped := preStats.DanglingMentions, preStats.DroppedMentions
+	for i, tick := range ticks {
+		if len(tick) == 0 {
+			continue
+		}
+		next, st, err := db.CloneAppend(store.EventTable{}, nil, tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := next.DiffFromRebuild(); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+		db = next
+		appends++
+		dangling += st.DanglingMentions
+		dropped += st.DroppedMentions
 	}
-	if db.Version() != 1 {
-		t.Fatalf("version %d after one append, want 1", db.Version())
+	if appends < 100 {
+		t.Fatalf("only %d ticks past the cut; lower it", appends)
 	}
-	// Drop accounting composes: truncated build + appended chunk == full build.
-	if got, want := preStats.DanglingMentions+st.DanglingMentions, fullStats.DanglingMentions; got != want {
+	if db.Version() != appends {
+		t.Fatalf("version %d after %d appends", db.Version(), appends)
+	}
+	// Drop accounting composes: truncated build + appended ticks == full build.
+	if got, want := dangling, fullStats.DanglingMentions; got != want {
 		t.Errorf("dangling mentions: truncated+append = %d, full build = %d", got, want)
 	}
-	if got, want := preStats.DroppedMentions+st.DroppedMentions, fullStats.DroppedMentions; got != want {
+	if got, want := dropped, fullStats.DroppedMentions; got != want {
 		t.Errorf("dropped mentions: truncated+append = %d, full build = %d", got, want)
 	}
 

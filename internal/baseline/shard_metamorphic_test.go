@@ -95,9 +95,9 @@ func TestShardMetamorphicPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := make([]string, sdb.K())
+	files := make([]shard.ManifestEntry, sdb.K())
 	for i := range files {
-		files[i] = fmt.Sprintf("part%d", i)
+		files[i].File = fmt.Sprintf("part%d", i)
 	}
 	m, err := shard.ManifestFromDB(sdb, files)
 	if err != nil {

@@ -10,8 +10,8 @@
 //
 // Bitmaps built by FromSorted and the set operations are canonical: a given
 // row set always has exactly one representation (and therefore exactly one
-// encoding — the shard manifest relies on this to cross-check persisted
-// postings against rebuilt ones by byte equality). Containers are immutable
+// encoding — so a postings bitmap an append carried over from the previous
+// tail equals, structurally, the one a rebuild makes). Containers are immutable
 // once built; set operations share container memory with their inputs
 // rather than copying, so results must be treated as read-only, like the
 // store's postings slices. Add is the one mutating method and is only for

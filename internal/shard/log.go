@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,6 +27,8 @@ var (
 		"bytes of part files and manifests durable seals wrote")
 	mSealParts = obs.Default.Counter("shard_log_seal_parts_written_total",
 		"part files durable seals wrote")
+	mManifestBytes = obs.Default.Gauge("shard_log_manifest_bytes",
+		"size of the append log's manifest as last persisted")
 )
 
 // Log is the partitioned append log behind production-cadence streaming:
@@ -60,16 +63,15 @@ var (
 // (reconcileEventMeta) — so no single part file of a log is authoritative
 // for per-event metadata.
 type Log struct {
-	mu    sync.Mutex
-	cur   atomic.Pointer[DB]
-	dir   string   // "" = in-memory log, never persisted
-	gen   uint64   // generation stamp for freshly written part files
-	files []string // part file basenames aligned with the current parts
-	// bitmaps caches each referenced part file's manifest bitmap sections
-	// by file name, so a seal encodes only its two new parts'. Nil until the
-	// first seal, which fills it.
-	bitmaps map[string]partBitmaps
-	hook    StepHook
+	mu  sync.Mutex
+	cur atomic.Pointer[DB]
+	dir string // "" = in-memory log, never persisted
+	gen uint64 // generation stamp for freshly written part files
+	// files are the part files' basenames and digests, aligned with the
+	// current parts. Their Lo and Hi are not kept: a manifest takes the
+	// ranges from the world's bounds.
+	files []ManifestEntry
+	hook  StepHook
 }
 
 // StepHook observes — and can abort — each step of the crash-safe persist
@@ -117,20 +119,21 @@ func CreateLog(dir string, db *DB) (*Log, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	lg.gen = 1
-	files := make([]string, db.K())
+	files := make([]ManifestEntry, db.K())
 	changed := make([]int, db.K())
 	for i := range files {
-		files[i] = partFileName(lg.gen, i)
+		files[i].File = partFileName(lg.gen, i)
 		changed[i] = i
 	}
-	if err := lg.persist(db, files, changed); err != nil {
+	if _, err := lg.persist(db, files, changed); err != nil {
 		return nil, err
 	}
 	lg.files = files
 	return lg, nil
 }
 
-// OpenLog loads a persisted append log. Because the persist protocol never
+// OpenLog loads a persisted append log, checking every part file against
+// its manifest digest before decoding it. Because the persist protocol never
 // touches files the published manifest references, the directory always
 // holds a loadable world: fully-old if a seal crashed before the manifest
 // rename, fully-new after it. Stray files an interrupted seal left behind
@@ -151,13 +154,11 @@ func OpenLog(dir string) (*Log, error) {
 	entries := append([]ManifestEntry(nil), m.Entries...)
 	sort.SliceStable(entries, func(a, b int) bool { return entries[a].Lo < entries[b].Lo })
 	parts := make([]*store.DB, len(entries))
-	files := make([]string, len(entries))
 	for i, e := range entries {
 		if e.File != filepath.Base(e.File) || e.File == "." || e.File == "" {
 			return nil, fmt.Errorf("shard: log manifest entry file %q escapes the log directory", e.File)
 		}
-		files[i] = e.File
-		p, err := binfmt.ReadFile(filepath.Join(dir, e.File))
+		p, err := readPart(filepath.Join(dir, e.File), e.Digest)
 		if err != nil {
 			return nil, fmt.Errorf("shard: log part %d (%s): %w", i, e.File, err)
 		}
@@ -168,10 +169,10 @@ func OpenLog(dir string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg := &Log{dir: dir, files: files}
+	lg := &Log{dir: dir, files: entries}
 	lg.cur.Store(db)
 	mLogParts.Set(float64(db.K()))
-	lg.gen = scanMaxGen(dir, files)
+	lg.gen = scanMaxGen(dir, entries)
 	lg.gc()
 	return lg, nil
 }
@@ -328,27 +329,17 @@ func (lg *Log) Seal() (bool, error) {
 		// where appends changed their events' metadata in memory (see
 		// reconcileEventMeta).
 		ti := len(lg.files) - 1
-		files := append(lg.files[:ti:ti], partFileName(lg.gen, ti), partFileName(lg.gen, ti+1))
-		if lg.bitmaps == nil {
-			lg.bitmaps = make(map[string]partBitmaps, len(files))
-		}
-		if err := lg.persist(next, files, []int{ti, ti + 1}); err != nil {
+		files := append(lg.files[:ti:ti],
+			ManifestEntry{File: partFileName(lg.gen, ti)}, ManifestEntry{File: partFileName(lg.gen, ti+1)})
+		manifestBytes, err := lg.persist(next, files, []int{ti, ti + 1})
+		if err != nil {
 			return false, err
 		}
 		// The old tail's file is dead; removal is best-effort cleanup (a
 		// crash here leaves it for OpenLog's GC).
-		os.Remove(filepath.Join(lg.dir, lg.files[ti]))
+		os.Remove(filepath.Join(lg.dir, lg.files[ti].File))
 		lg.files = files
-		live := make(map[string]partBitmaps, len(files))
-		for _, f := range files {
-			live[f] = lg.bitmaps[f]
-		}
-		lg.bitmaps = live
-		for _, f := range []string{files[ti], files[ti+1], LogManifestName} {
-			if fi, err := os.Stat(filepath.Join(lg.dir, f)); err == nil {
-				mSealBytes.Add(fi.Size())
-			}
-		}
+		mSealBytes.Add(files[ti].Size + files[ti+1].Size + manifestBytes)
 		mSealParts.Add(2)
 	}
 	lg.cur.Store(next)
@@ -365,85 +356,81 @@ func (lg *Log) Seal() (bool, error) {
 // manifest rename itself is durable. A crash before the manifest rename
 // leaves the old world, after it the new world — never a torn mix. Every
 // step consults the hook first, which is how the crash harness simulates
-// dying at that exact point. A part's manifest bitmap sections come from
-// lg.bitmaps when cached there and are added to it when encoded, unless
-// the cache is nil.
-func (lg *Log) persist(db *DB, files []string, changed []int) error {
-	m, err := manifestOf(db, files, func(i int) partBitmaps {
-		b, ok := lg.bitmaps[files[i]]
-		if !ok {
-			b = encodePartBitmaps(db.parts[i])
-			if lg.bitmaps != nil {
-				lg.bitmaps[files[i]] = b
-			}
-		}
-		return b
-	})
-	if err != nil {
-		return err
-	}
+// dying at that exact point. Each changed part's digest is recorded in
+// files[i] as it is written; the manifest records every part's. Returns
+// the manifest's size in bytes.
+func (lg *Log) persist(db *DB, files []ManifestEntry, changed []int) (int64, error) {
 	for _, i := range changed {
-		final := filepath.Join(lg.dir, files[i])
-		if err := writeFileSteps(lg.hook, OpWritePart, OpSyncPart, OpRenamePart, final, func(f *os.File) error {
-			return binfmt.Write(f, db.parts[i])
-		}); err != nil {
-			return fmt.Errorf("shard: persisting part %s: %w", files[i], err)
+		final := filepath.Join(lg.dir, files[i].File)
+		d, err := writeFileSteps(lg.hook, OpWritePart, OpSyncPart, OpRenamePart, final, func(w io.Writer) error {
+			return binfmt.Write(w, db.parts[i])
+		})
+		if err != nil {
+			return 0, fmt.Errorf("shard: persisting part %s: %w", files[i].File, err)
 		}
+		files[i].Digest = d
+	}
+	m, err := ManifestFromDB(db, files)
+	if err != nil {
+		return 0, err
 	}
 	final := filepath.Join(lg.dir, LogManifestName)
-	if err := writeFileSteps(lg.hook, OpWriteManifest, OpSyncManifest, OpRenameManifest, final, func(f *os.File) error {
-		return EncodeManifest(f, m)
-	}); err != nil {
-		return fmt.Errorf("shard: persisting manifest: %w", err)
+	d, err := writeFileSteps(lg.hook, OpWriteManifest, OpSyncManifest, OpRenameManifest, final, func(w io.Writer) error {
+		return EncodeManifest(w, m)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("shard: persisting manifest: %w", err)
 	}
 	if lg.hook != nil {
 		if err := lg.hook(OpSyncDir, lg.dir); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := syncDir(lg.dir); err != nil {
-		return fmt.Errorf("shard: syncing log dir: %w", err)
+		return 0, fmt.Errorf("shard: syncing log dir: %w", err)
 	}
-	return nil
+	mManifestBytes.Set(float64(d.Size))
+	return d.Size, nil
 }
 
 // writeFileSteps runs one write/sync/rename leg of the persist protocol:
 // write the payload to <final>.tmp, fsync it, rename into place — each
-// step gated by the hook.
-func writeFileSteps(hook StepHook, writeOp, syncOp, renameOp, final string, write func(*os.File) error) error {
+// step gated by the hook. It returns the digest of the bytes written.
+func writeFileSteps(hook StepHook, writeOp, syncOp, renameOp, final string, write func(io.Writer) error) (Digest, error) {
 	tmp := final + ".tmp"
 	if hook != nil {
 		if err := hook(writeOp, tmp); err != nil {
-			return err
+			return Digest{}, err
 		}
 	}
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return Digest{}, err
 	}
-	if err := write(f); err != nil {
+	dw := &digestWriter{w: f}
+	if err := write(dw); err != nil {
 		f.Close()
-		return err
+		return Digest{}, err
 	}
 	if hook != nil {
 		if err := hook(syncOp, tmp); err != nil {
 			f.Close()
-			return err
+			return Digest{}, err
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return Digest{}, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return Digest{}, err
 	}
 	if hook != nil {
 		if err := hook(renameOp, final); err != nil {
-			return err
+			return Digest{}, err
 		}
 	}
-	return os.Rename(tmp, final)
+	return dw.d, os.Rename(tmp, final)
 }
 
 // syncDir fsyncs a directory so a rename inside it survives a power cut.
@@ -487,10 +474,10 @@ func parseGen(name string) (uint64, bool) {
 // scanMaxGen finds the highest generation present in the directory —
 // including strays from an interrupted seal, so the next seal starts past
 // all of them — and never below the referenced files' generations.
-func scanMaxGen(dir string, files []string) uint64 {
+func scanMaxGen(dir string, files []ManifestEntry) uint64 {
 	var max uint64
 	for _, f := range files {
-		if g, ok := parseGen(f); ok && g > max {
+		if g, ok := parseGen(f.File); ok && g > max {
 			max = g
 		}
 	}
@@ -510,7 +497,7 @@ func scanMaxGen(dir string, files []string) uint64 {
 func (lg *Log) gc() {
 	refd := map[string]bool{LogManifestName: true}
 	for _, f := range lg.files {
-		refd[f] = true
+		refd[f.File] = true
 	}
 	ents, err := os.ReadDir(lg.dir)
 	if err != nil {

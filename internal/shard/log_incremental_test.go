@@ -100,10 +100,19 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 			cfg := logWorldCfg()
 			cfg.Seed = seed
 			c, lg, ticks, cut := feedLog(t, cfg, 30, "")
+			// check holds the world and the derived indexes of its newest parts
+			// — the tail an append rebuilt by the dirty-key rule, and after a
+			// seal the two parts sliced out of it — to rebuilds from scratch.
 			check := func(when string) {
 				t.Helper()
-				if err := shard.DiffFromRebuild(lg.Snapshot()); err != nil {
+				s := lg.Snapshot()
+				if err := shard.DiffFromRebuild(s); err != nil {
 					t.Fatalf("%s: incremental world differs from a rebuild: %v", when, err)
+				}
+				for i := max(0, s.K()-2); i < s.K(); i++ {
+					if err := s.Part(i).DiffFromRebuild(); err != nil {
+						t.Fatalf("%s: part %d: %v", when, i, err)
+					}
 				}
 			}
 			check("initial world")
@@ -195,6 +204,9 @@ func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 	}
 	if err := shard.DiffFromRebuild(lg.Snapshot()); err != nil {
 		t.Fatalf("after the lowest-id tick: %v", err)
+	}
+	if err := lg.Snapshot().Tail().DiffFromRebuild(); err != nil {
+		t.Fatalf("tail after the lowest-id tick: %v", err)
 	}
 
 	var old gdelt.Event

@@ -37,10 +37,11 @@ func oldEventMention(tb testing.TB, c *gen.Corpus, s *shard.DB, iv int32) gdelt.
 	return gdelt.Mention{}
 }
 
-// checkReopen loads lg's directory cold and requires the world to equal the
-// live snapshot: every part's event ids and per-event metadata, the probe
-// kinds' answers, and the manifest bytes, against a fresh encoding of the
-// snapshot under the same file names.
+// checkReopen loads lg's directory cold — every part checked against its
+// digest — and requires the world to equal the live snapshot: every part's
+// event ids and per-event metadata, the probe kinds' answers, and the
+// manifest bytes, against a fresh encoding of the snapshot under the same
+// file names and digests.
 func checkReopen(t *testing.T, lg *shard.Log) {
 	t.Helper()
 	live := lg.Snapshot()
@@ -72,11 +73,7 @@ func checkReopen(t *testing.T, lg *shard.Log) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := make([]string, len(m.Entries))
-	for i, e := range m.Entries {
-		files[i] = e.File
-	}
-	fresh, err := shard.ManifestFromDB(live, files)
+	fresh, err := shard.ManifestFromDB(live, m.Entries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"gdeltmine/internal/binfmt"
-	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/store"
 )
@@ -21,7 +20,8 @@ import (
 // mirroring the GDMB container of internal/binfmt): after the header, each
 // section is a tag byte, a uvarint payload length, the payload, and a
 // CRC32 (IEEE) of the payload. Sections: one meta, one entry per shard
-// (file name + interval range), the global source-name list, and an
+// (file name, interval range, and the part file's digest: its byte size
+// and a CRC-32C of the whole file), the global source-name list, and an
 // optional global theme-name list. The global dictionaries travel as
 // ordered name lists — the local→global remaps are re-derived by name at
 // assembly, so there are no index arrays to corrupt. The decoder is
@@ -32,22 +32,17 @@ import (
 var Magic = [4]byte{'G', 'D', 'S', 'M'}
 
 // manifestVersion is the one format version this package writes and reads.
-// Versions 1 (no bitmap sections) and 2 (source-row bitmaps only) have no
-// writer left and are rejected like any unknown version.
-const manifestVersion = 3
+// Versions 1–3 (no part digests; 2 and 3 persisted per-part bitmaps the
+// loader rebuilds anyway) have no writer left and are rejected like any
+// unknown version.
+const manifestVersion = 4
 
 const (
 	secMeta    = 0x01
 	secEntry   = 0x02
 	secSources = 0x03
 	secThemes  = 0x04
-	secBitmaps = 0x05
-	// Value-bitmap sections (qlang predicate pushdown, DESIGN.md §13): per-shard mention-row bitmaps keyed by publisher
-	// country, event country, and calendar quarter.
-	secCountryBM   = 0x06
-	secEvCountryBM = 0x07
-	secQuarterBM   = 0x08
-	secEnd         = 0xFF
+	secEnd     = 0xFF
 )
 
 // Decoder allocation caps: far above anything a real manifest holds, low
@@ -59,107 +54,78 @@ const (
 	maxNameLen = 1 << 20
 )
 
-// ManifestEntry names one shard file and the interval range it owns.
+// ManifestEntry names one shard file, the interval range it owns, and the
+// digest of the file's bytes as written.
 type ManifestEntry struct {
 	File string
 	Lo   int32 // first capture interval (inclusive)
 	Hi   int32 // last capture interval (exclusive)
+	Digest
 }
 
-// BitmapEntry carries one persisted row bitmap of a shard: the bitmap's
-// key — a source id in the shard's local dictionary (secBitmaps), a
-// country index (secCountryBM, secEvCountryBM) or a quarter index
-// (secQuarterBM) — and the canonical codec bytes.
-type BitmapEntry struct {
-	Source int32
-	Data   []byte
+// Digest identifies a part file's exact bytes: LoadFile and OpenLog refuse
+// a part whose file does not match it before decoding a byte, which catches
+// a corrupt or truncated part and one from another build or generation,
+// whatever column the difference is in.
+type Digest struct {
+	Size int64  // file length in bytes
+	CRC  uint32 // CRC-32C (Castagnoli) of the whole file
 }
 
-// ShardBitmaps groups the persisted bitmaps of one shard, keyed by the
-// shard's manifest-entry index.
-type ShardBitmaps struct {
-	Shard   int32
-	Entries []BitmapEntry
+// digestTable is Castagnoli, not the IEEE polynomial binfmt checksums each
+// section with: a payload followed by its own IEEE CRC adds nothing to an
+// IEEE CRC over the whole, so a section rewritten with its checksum
+// recomputed would leave a whole-file IEEE CRC unchanged.
+var digestTable = crc32.MakeTable(crc32.Castagnoli)
+
+func digestOf(data []byte) Digest {
+	return Digest{Size: int64(len(data)), CRC: crc32.Checksum(data, digestTable)}
+}
+
+// digestWriter passes writes through to w and digests the bytes on the way,
+// so a part's digest costs no second read.
+type digestWriter struct {
+	w io.Writer
+	d Digest
+}
+
+func (dw *digestWriter) Write(p []byte) (int, error) {
+	n, err := dw.w.Write(p)
+	dw.d.Size += int64(n)
+	dw.d.CRC = crc32.Update(dw.d.CRC, digestTable, p[:n])
+	return n, err
 }
 
 // Manifest describes a sharded layout on disk: the shared dataset
-// geometry, the shard files with their interval ranges, the global
-// dictionaries as ordered name lists, and per-shard persisted source-row
-// bitmaps used as an assembly-time integrity cross-check.
+// geometry, the shard files with their interval ranges and digests, and
+// the global dictionaries as ordered name lists.
 type Manifest struct {
 	Meta    store.Meta
 	Entries []ManifestEntry
 	Sources []string
 	Themes  []string // nil when the shards carry no GKG data
-	Bitmaps []ShardBitmaps
-	// Value-bitmap sections, persisted as integrity cross-checks
-	// like Bitmaps. Keys are country indexes (CountryBMs, EventCountryBMs)
-	// or quarter indexes (QuarterBMs); only non-empty bitmaps travel.
-	CountryBMs      []ShardBitmaps
-	EventCountryBMs []ShardBitmaps
-	QuarterBMs      []ShardBitmaps
 }
 
 // ManifestFromDB renders the manifest for a sharded DB whose part files
-// will be written under the given names (one per shard, in shard order).
-func ManifestFromDB(s *DB, files []string) (*Manifest, error) {
-	return manifestOf(s, files, func(i int) partBitmaps { return encodePartBitmaps(s.parts[i]) })
-}
-
-// manifestOf is ManifestFromDB with part i's bitmap sections supplied by
-// bitmaps(i) — freshly encoded, or cached by the append log.
-func manifestOf(s *DB, files []string, bitmaps func(i int) partBitmaps) (*Manifest, error) {
+// were written as files (name and digest, one per shard, in shard order);
+// the interval ranges are the DB's.
+func ManifestFromDB(s *DB, files []ManifestEntry) (*Manifest, error) {
 	if len(files) != s.K() {
-		return nil, fmt.Errorf("shard: %d file names for %d shards", len(files), s.K())
+		return nil, fmt.Errorf("shard: %d file entries for %d shards", len(files), s.K())
 	}
 	m := &Manifest{
 		Meta:    s.meta,
+		Entries: make([]ManifestEntry, len(files)),
 		Sources: append([]string(nil), s.sources.Names()...),
 	}
-	for i, f := range files {
-		m.Entries = append(m.Entries, ManifestEntry{File: f, Lo: s.bounds[i], Hi: s.bounds[i+1]})
+	for i, e := range files {
+		e.Lo, e.Hi = s.bounds[i], s.bounds[i+1]
+		m.Entries[i] = e
 	}
 	if s.hasGKG {
 		m.Themes = append([]string(nil), s.themes.Names()...)
 	}
-	for i := range s.parts {
-		b := bitmaps(i)
-		for sec, dst := range []*[]ShardBitmaps{&m.Bitmaps, &m.CountryBMs, &m.EventCountryBMs, &m.QuarterBMs} {
-			*dst = append(*dst, ShardBitmaps{Shard: int32(i), Entries: b[sec]})
-		}
-	}
 	return m, nil
-}
-
-// partBitmaps is one part's share of the manifest's four bitmap sections,
-// in section order: source rows, then the country, event-country and
-// quarter value bitmaps. All four are functions of the part's mention rows
-// alone — not of the per-event metadata appends change — so the encoding
-// of a part file never goes stale.
-type partBitmaps [4][]BitmapEntry
-
-func encodePartBitmaps(p *store.DB) partBitmaps {
-	var b partBitmaps
-	for src := 0; src < p.Sources.Len(); src++ {
-		b[0] = append(b[0], BitmapEntry{Source: int32(src), Data: p.SourceRowBitmap(int32(src)).AppendTo(nil)})
-	}
-	nc := len(gdelt.Countries)
-	b[1] = valueBitmaps(nc, p.CountryRowBitmap)
-	b[2] = valueBitmaps(nc, p.EventCountryRowBitmap)
-	b[3] = valueBitmaps(p.NumQuarters(), p.QuarterRowBitmap)
-	return b
-}
-
-// valueBitmaps collects one shard's non-empty value bitmaps over a keyed
-// index of width n.
-func valueBitmaps(n int, get func(k int) *bitmap.Bitmap) []BitmapEntry {
-	var out []BitmapEntry
-	for k := 0; k < n; k++ {
-		if bm := get(k); bm.Cardinality() > 0 {
-			out = append(out, BitmapEntry{Source: int32(k), Data: bm.AppendTo(nil)})
-		}
-	}
-	return out
 }
 
 // EncodeManifest writes the manifest in the sectioned binary format,
@@ -177,32 +143,13 @@ func EncodeManifest(w io.Writer, m *Manifest) error {
 		buf = appendString(buf, e.File)
 		buf = binary.AppendVarint(buf, int64(e.Lo))
 		buf = binary.AppendVarint(buf, int64(e.Hi))
+		buf = binary.AppendVarint(buf, e.Size)
+		buf = binary.AppendUvarint(buf, uint64(e.CRC))
 		writeSection(bw, secEntry, buf)
 	}
 	writeSection(bw, secSources, appendStrings(nil, m.Sources))
 	if m.Themes != nil {
 		writeSection(bw, secThemes, appendStrings(nil, m.Themes))
-	}
-	for _, sec := range []struct {
-		tag  byte
-		list []ShardBitmaps
-	}{
-		{secBitmaps, m.Bitmaps},
-		{secCountryBM, m.CountryBMs},
-		{secEvCountryBM, m.EventCountryBMs},
-		{secQuarterBM, m.QuarterBMs},
-	} {
-		for _, sb := range sec.list {
-			buf = buf[:0]
-			buf = binary.AppendUvarint(buf, uint64(sb.Shard))
-			buf = binary.AppendUvarint(buf, uint64(len(sb.Entries)))
-			for _, e := range sb.Entries {
-				buf = binary.AppendUvarint(buf, uint64(e.Source))
-				buf = binary.AppendUvarint(buf, uint64(len(e.Data)))
-				buf = append(buf, e.Data...)
-			}
-			writeSection(bw, sec.tag, buf)
-		}
 	}
 	writeSection(bw, secEnd, nil)
 	// A bufio.Writer keeps the first write error and returns it from every
@@ -271,11 +218,16 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 			var e ManifestEntry
 			e.File = d.str()
 			lo, hi := d.varint(), d.varint()
+			size, crc := d.varint(), d.uvarint()
 			if d.err == nil {
 				if lo < 0 || hi <= lo || hi > 1<<31-1 {
 					return nil, fmt.Errorf("shard: entry range [%d, %d) invalid", lo, hi)
 				}
+				if size < 0 || crc > 1<<32-1 {
+					return nil, fmt.Errorf("shard: entry digest (%d bytes, crc %#x) invalid", size, crc)
+				}
 				e.Lo, e.Hi = int32(lo), int32(hi)
+				e.Digest = Digest{Size: size, CRC: uint32(crc)}
 			}
 			m.Entries = append(m.Entries, e)
 		case secSources:
@@ -290,47 +242,6 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 			}
 			haveThemes = true
 			m.Themes = d.strs()
-		case secBitmaps, secCountryBM, secEvCountryBM, secQuarterBM:
-			sb := ShardBitmaps{Shard: int32(d.uvarint())}
-			n := d.uvarint()
-			if d.err == nil && (n > maxEntries || n > uint64(len(d.buf))) {
-				return nil, fmt.Errorf("shard: bitmap section claims %d entries", n)
-			}
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				src := d.uvarint()
-				nb := d.uvarint()
-				if d.err != nil {
-					break
-				}
-				if src > maxNames {
-					return nil, fmt.Errorf("shard: bitmap key %d out of range", src)
-				}
-				if nb > maxPayload || nb > uint64(len(d.buf)) {
-					return nil, fmt.Errorf("shard: bitmap payload %d exceeds section", nb)
-				}
-				sb.Entries = append(sb.Entries, BitmapEntry{
-					Source: int32(src),
-					Data:   append([]byte(nil), d.buf[:nb]...),
-				})
-				d.buf = d.buf[nb:]
-			}
-			var dst *[]ShardBitmaps
-			switch tag {
-			case secBitmaps:
-				dst = &m.Bitmaps
-			case secCountryBM:
-				dst = &m.CountryBMs
-			case secEvCountryBM:
-				dst = &m.EventCountryBMs
-			default:
-				dst = &m.QuarterBMs
-			}
-			for _, prev := range *dst {
-				if prev.Shard == sb.Shard {
-					return nil, fmt.Errorf("shard: duplicate 0x%02x bitmap section for shard %d", tag, sb.Shard)
-				}
-			}
-			*dst = append(*dst, sb)
 		case secEnd:
 			haveEnd = true
 		default:
@@ -458,7 +369,9 @@ func (d *mdecoder) strs() []string {
 // jointly with their entries by interval range before assembly. Every
 // manifest defect — ranges that do not tile the archive, dictionaries
 // missing names, duplicated names, shards disagreeing on shared events —
-// is an error, never a panic.
+// is an error, never a panic. The parts' bytes were checked against the
+// entries' digests when they were read (readPart); their derived indexes
+// are rebuilt from the tables on load, so there is nothing else to check.
 func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 	if len(parts) != len(m.Entries) {
 		return nil, fmt.Errorf("shard: %d parts for %d manifest entries", len(parts), len(m.Entries))
@@ -488,57 +401,6 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 			return nil, fmt.Errorf("shard: part %d meta %+v disagrees with manifest %+v", i, p.Meta, m.Meta)
 		}
 	}
-	// Manifests persist per-shard source-row bitmaps and country/
-	// event-country/quarter value bitmaps; validate each
-	// against the bitmap rebuilt from the loaded part. The canonical codec
-	// makes this a byte comparison: any disagreement means the part file and
-	// manifest are from different builds (or one is corrupt).
-	checkBitmaps := func(kind string, list []ShardBitmaps,
-		width func(p *store.DB) int, rebuild func(p *store.DB, key int32) []byte) error {
-		for _, sb := range list {
-			if sb.Shard < 0 || int(sb.Shard) >= len(parts) {
-				return fmt.Errorf("shard: %s bitmap section for shard %d of %d", kind, sb.Shard, len(parts))
-			}
-			p := parts[sb.Shard]
-			seen := make(map[int32]bool, len(sb.Entries))
-			for _, e := range sb.Entries {
-				if seen[e.Source] {
-					return fmt.Errorf("shard %d: duplicate %s bitmap for key %d", sb.Shard, kind, e.Source)
-				}
-				seen[e.Source] = true
-				if e.Source < 0 || int(e.Source) >= width(p) {
-					return fmt.Errorf("shard %d: %s bitmap for key %d of %d", sb.Shard, kind, e.Source, width(p))
-				}
-				if !bytes.Equal(e.Data, rebuild(p, e.Source)) {
-					return fmt.Errorf("shard %d: persisted %s bitmap for key %d disagrees with part data", sb.Shard, kind, e.Source)
-				}
-			}
-		}
-		return nil
-	}
-	for _, c := range []struct {
-		kind    string
-		list    []ShardBitmaps
-		width   func(p *store.DB) int
-		rebuild func(p *store.DB, key int32) []byte
-	}{
-		{"source", m.Bitmaps,
-			func(p *store.DB) int { return p.Sources.Len() },
-			func(p *store.DB, k int32) []byte { return p.SourceRowBitmap(k).AppendTo(nil) }},
-		{"country", m.CountryBMs,
-			func(p *store.DB) int { return len(gdelt.Countries) },
-			func(p *store.DB, k int32) []byte { return p.CountryRowBitmap(int(k)).AppendTo(nil) }},
-		{"event-country", m.EventCountryBMs,
-			func(p *store.DB) int { return len(gdelt.Countries) },
-			func(p *store.DB, k int32) []byte { return p.EventCountryRowBitmap(int(k)).AppendTo(nil) }},
-		{"quarter", m.QuarterBMs,
-			func(p *store.DB) int { return p.NumQuarters() },
-			func(p *store.DB, k int32) []byte { return p.QuarterRowBitmap(int(k)).AppendTo(nil) }},
-	} {
-		if err := checkBitmaps(c.kind, c.list, c.width, c.rebuild); err != nil {
-			return nil, err
-		}
-	}
 	sources, err := store.FromNames(m.Sources)
 	if err != nil {
 		return nil, fmt.Errorf("shard: global sources: %w", err)
@@ -554,31 +416,39 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 
 // WriteFiles writes the sharded DB as one binfmt part file per shard plus
 // the manifest at path; part files are named "<base>.shard<i>" next to the
-// manifest.
+// manifest, and the manifest records the digest of each as written.
 func WriteFiles(path string, s *DB) error {
 	dir, base := filepath.Split(path)
-	files := make([]string, s.K())
-	for i := range files {
-		files[i] = fmt.Sprintf("%s.shard%d", base, i)
+	files := make([]ManifestEntry, s.K())
+	for i, p := range s.parts {
+		files[i].File = fmt.Sprintf("%s.shard%d", base, i)
+		d, err := createFile(filepath.Join(dir, files[i].File), func(w io.Writer) error { return binfmt.Write(w, p) })
+		if err != nil {
+			return err
+		}
+		files[i].Digest = d
 	}
 	m, err := ManifestFromDB(s, files)
 	if err != nil {
 		return err
 	}
-	for i, p := range s.parts {
-		if err := binfmt.WriteFile(filepath.Join(dir, files[i]), p); err != nil {
-			return err
-		}
-	}
+	_, err = createFile(path, func(w io.Writer) error { return EncodeManifest(w, m) })
+	return err
+}
+
+// createFile writes a file through write and returns the digest of what it
+// wrote.
+func createFile(path string, write func(io.Writer) error) (Digest, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return Digest{}, err
 	}
-	if err := EncodeManifest(f, m); err != nil {
+	dw := &digestWriter{w: f}
+	if err := write(dw); err != nil {
 		f.Close()
-		return err
+		return Digest{}, err
 	}
-	return f.Close()
+	return dw.d, f.Close()
 }
 
 // LoadFile reads a manifest and its part files (resolved relative to the
@@ -599,11 +469,25 @@ func LoadFile(path string) (*DB, error) {
 		if filepath.IsAbs(e.File) || e.File != filepath.Base(e.File) {
 			return nil, fmt.Errorf("shard: manifest entry file %q escapes the manifest directory", e.File)
 		}
-		p, err := binfmt.ReadFile(filepath.Join(dir, e.File))
+		p, err := readPart(filepath.Join(dir, e.File), e.Digest)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d (%s): %w", i, e.File, err)
 		}
 		parts[i] = p
 	}
 	return AssembleSharded(m, parts)
+}
+
+// readPart loads a part file once its bytes match the digest the manifest
+// recorded for it.
+func readPart(path string, want Digest) (*store.DB, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if got := digestOf(data); got != want {
+		return nil, fmt.Errorf("part file holds %d bytes with crc %08x, the manifest records %d bytes with crc %08x",
+			got.Size, got.CRC, want.Size, want.CRC)
+	}
+	return binfmt.Read(bytes.NewReader(data))
 }

@@ -2,11 +2,13 @@ package shard
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"gdeltmine/internal/binfmt"
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/store"
@@ -42,9 +44,13 @@ func tinyShardedWorld(tb testing.TB) (*DB, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	files := make([]string, sdb.K())
+	files := make([]ManifestEntry, sdb.K())
 	for i := range files {
-		files[i] = "part" + strconv.Itoa(i)
+		dw := &digestWriter{w: io.Discard}
+		if err := binfmt.Write(dw, sdb.Part(i)); err != nil {
+			tb.Fatal(err)
+		}
+		files[i] = ManifestEntry{File: "part" + strconv.Itoa(i), Digest: dw.d}
 	}
 	m, err := ManifestFromDB(sdb, files)
 	if err != nil {
@@ -78,13 +84,14 @@ func manifestFuzzSeeds(tb testing.TB) map[string][]byte {
 }
 
 // FuzzManifestDecode asserts the manifest decoder's contract on arbitrary
-// bytes: DecodeManifest either errors or returns a manifest that (a)
-// survives an encode/decode round trip and (b) can be fed to
-// AssembleSharded without panicking — corrupt manifests must surface as
-// errors, never as crashes, because LoadFile hands attacker-adjacent disk
-// bytes straight to this path. The checked-in corpus under
+// bytes: DecodeManifest either errors or returns a manifest that (a) is a
+// version 4 one, (b) survives an encode/decode round trip and (c) can be
+// fed to AssembleSharded without panicking — corrupt manifests must surface
+// as errors, never as crashes, because LoadFile hands attacker-adjacent
+// disk bytes straight to this path. The checked-in corpus under
 // testdata/fuzz/FuzzManifestDecode replays known-interesting inputs on
-// every plain `go test` run.
+// every plain `go test` run: the seed-v4-* files, and the seeds of the
+// retired versions 1–3, which (a) makes must-error inputs.
 func FuzzManifestDecode(f *testing.F) {
 	for _, seed := range manifestFuzzSeeds(f) {
 		f.Add(seed)
@@ -98,6 +105,9 @@ func FuzzManifestDecode(f *testing.F) {
 		m, err := DecodeManifest(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input; the contract is only "no panic"
+		}
+		if data[4] != manifestVersion {
+			t.Fatalf("accepted a version %d manifest", data[4])
 		}
 		var buf bytes.Buffer
 		if err := EncodeManifest(&buf, m); err != nil {
@@ -129,7 +139,7 @@ func TestWriteManifestFuzzSeedCorpus(t *testing.T) {
 	}
 	for name, data := range manifestFuzzSeeds(t) {
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "seed-v4-"+name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,8 +25,9 @@ import (
 // crash. CloneAppend therefore runs buildDerived exactly once, after all
 // table mutation (event adoption included), and gives the clone the next
 // snapshot version so result caches keyed on Version() retire everything
-// computed against the old data. The rebuild is O(rows of this store); only
-// the capture-interval calendar, which depends on Meta alone, is kept.
+// computed against the old data. The rebuild is O(rows of this store) for
+// the CSR postings and rebuilds only the dirty keys of every keyed index;
+// DiffFromRebuild is its oracle.
 //
 // GKG annotations are not extended by appends — the GKG table keeps its own
 // interval column, so theme queries simply do not cover the appended span.

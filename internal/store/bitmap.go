@@ -1,34 +1,61 @@
 package store
 
 import (
+	"slices"
+
 	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 )
 
 // Bitmap postings (DESIGN.md §12): alongside the row-list postings built by
-// buildPostings, each source carries two roaring bitmaps — its mention rows
-// and its event rows. The row bitmap gives the planner O(containers)
-// cardinalities for selectivity estimation and lets the pruned CoReport /
-// FollowReport path union a selection's rows in ascending order without the
-// concat-and-sort the row lists need. The event bitmap answers "which events
-// does this selection touch at all" for the candidate-events plan. Both are
-// canonical (FromSorted), so equal row sets encode to identical bytes and the
-// GDSM manifest can cross-check persisted bitmaps against rebuilt ones.
+// buildPostings, each source carries roaring bitmaps — its mention rows, its
+// event rows and its repeat-event rows. The row bitmap gives the planner
+// O(containers) cardinalities for selectivity estimation and lets the pruned
+// CoReport / FollowReport path union a selection's rows in ascending order
+// without the concat-and-sort the row lists need. The event bitmap answers
+// "which events does this selection touch at all" for the candidate-events
+// plan. All are canonical (FromSorted), so equal row sets have equal
+// encodings whether a key was rebuilt or carried over from the previous
+// tail.
 
-// buildSourceBitmaps derives the per-source row and event bitmaps from the
-// freshly built postings. Row bitmaps come straight from the ascending
-// posting lists; event bitmaps are built with one counting pass over the
-// event-sorted mention order so each source's event list is ascending and
-// deduplicated before FromSorted.
-func (db *DB) buildSourceBitmaps() {
+// buildSourceBitmaps derives the per-source row, event and repeat-event
+// bitmaps from the freshly built postings, for the sources buildDerived's
+// offsets make dirty; the rest are prev's. A source's row bitmap changes
+// when it gains rows (a new source always does); its event bitmaps also
+// change when an event it mentions moves row, i.e. sits at or above
+// movedEv. Row bitmaps come straight from the ascending posting lists; event
+// bitmaps are built with one counting pass over the event-sorted mention
+// order so each source's event list is ascending and deduplicated before
+// FromSorted.
+func (db *DB) buildSourceBitmaps(prev *DB, newRow, newSrc, movedEv int) {
 	ns := db.Sources.Len()
+	dirtyRows := make([]bool, ns)
+	for s := newSrc; s < ns; s++ {
+		dirtyRows[s] = true
+	}
+	for _, s := range db.Mentions.Source[newRow:] {
+		dirtyRows[s] = true
+	}
+	dirtyEvs := slices.Clone(dirtyRows)
+	for _, m := range db.byEventIdx[db.byEventPtr[movedEv]:] {
+		dirtyEvs[db.Mentions.Source[m]] = true
+	}
 	db.srcRowBM = make([]*bitmap.Bitmap, ns)
+	db.srcEvBM = make([]*bitmap.Bitmap, ns)
+	db.srcRepEvBM = make([]*bitmap.Bitmap, ns)
 	for s := 0; s < ns; s++ {
-		db.srcRowBM[s] = bitmap.FromSorted(db.SourceMentions(int32(s)))
+		if dirtyRows[s] {
+			db.srcRowBM[s] = bitmap.FromSorted(db.SourceMentions(int32(s)))
+		} else {
+			db.srcRowBM[s] = prev.srcRowBM[s]
+		}
+		if !dirtyEvs[s] {
+			db.srcEvBM[s], db.srcRepEvBM[s] = prev.srcEvBM[s], prev.srcRepEvBM[s]
+		}
 	}
 
-	// Count distinct events per source by walking events in ascending row
-	// order and deduplicating consecutive repeats per source.
+	// Count distinct events per dirty source by walking events in ascending
+	// row order and deduplicating consecutive repeats per source.
 	lastEv := make([]int32, ns)
 	for s := range lastEv {
 		lastEv[s] = -1
@@ -38,7 +65,7 @@ func (db *DB) buildSourceBitmaps() {
 	for e := 0; e < ne; e++ {
 		for _, m := range db.EventMentions(int32(e)) {
 			s := db.Mentions.Source[m]
-			if lastEv[s] != int32(e) {
+			if dirtyEvs[s] && lastEv[s] != int32(e) {
 				lastEv[s] = int32(e)
 				counts[s]++
 			}
@@ -46,7 +73,9 @@ func (db *DB) buildSourceBitmaps() {
 	}
 	evs := make([][]int32, ns)
 	for s := 0; s < ns; s++ {
-		evs[s] = make([]int32, 0, counts[s])
+		if dirtyEvs[s] {
+			evs[s] = make([]int32, 0, counts[s])
+		}
 		lastEv[s] = -1
 	}
 	// Repeat events: events a source mentions at least twice. lastRep marks
@@ -60,6 +89,9 @@ func (db *DB) buildSourceBitmaps() {
 	for e := 0; e < ne; e++ {
 		for _, m := range db.EventMentions(int32(e)) {
 			s := db.Mentions.Source[m]
+			if !dirtyEvs[s] {
+				continue
+			}
 			if lastEv[s] != int32(e) {
 				lastEv[s] = int32(e)
 				evs[s] = append(evs[s], int32(e))
@@ -69,105 +101,78 @@ func (db *DB) buildSourceBitmaps() {
 			}
 		}
 	}
-	db.srcEvBM = make([]*bitmap.Bitmap, ns)
-	db.srcRepEvBM = make([]*bitmap.Bitmap, ns)
 	for s := 0; s < ns; s++ {
-		db.srcEvBM[s] = bitmap.FromSorted(evs[s])
-		db.srcRepEvBM[s] = bitmap.FromSorted(reps[s])
+		if dirtyEvs[s] {
+			db.srcEvBM[s] = bitmap.FromSorted(evs[s])
+			db.srcRepEvBM[s] = bitmap.FromSorted(reps[s])
+		}
 	}
-	// The value bitmaps depend on the same inputs (mention columns, source
-	// countries, event tags), so every rebuild chain that refreshes the
-	// source bitmaps — assembly, chunk appends, event adoption — refreshes
-	// them too.
-	db.buildValueBitmaps()
 }
 
 // buildValueBitmaps derives the per-country mention-row bitmaps for qlang
 // predicate pushdown: one bitmap per publisher country (the source's
 // TLD-attributed country) and one per event country (the mentioned event's
-// tag). Rows are appended in ascending order, so FromSorted yields the
-// canonical encoding the shard manifest cross-checks. Unattributable (-1)
-// rows appear in no bitmap — matching the closure semantics, where an
-// untagged row never satisfies an equality.
-func (db *DB) buildValueBitmaps() {
-	nc := len(gdelt.Countries)
-	nm := db.Mentions.Len()
-	countsS := make([]int64, nc)
-	countsE := make([]int64, nc)
-	for row := 0; row < nm; row++ {
-		if c := db.SourceCountry[db.Mentions.Source[row]]; c >= 0 {
-			countsS[c]++
-		}
-		if c := db.Events.Country[db.Mentions.EventRow[row]]; c >= 0 {
-			countsE[c]++
-		}
+// tag). Unattributable (-1) rows appear in no bitmap — matching the closure
+// semantics, where an untagged row never satisfies an equality.
+func (db *DB) buildValueBitmaps(prev *DB, newRow int) {
+	var prevS, prevE []*bitmap.Bitmap
+	if prev != nil {
+		prevS, prevE = prev.ctryRowBM, prev.evCtryRowBM
 	}
-	rowsS := make([][]int32, nc)
-	rowsE := make([][]int32, nc)
-	for c := 0; c < nc; c++ {
-		rowsS[c] = make([]int32, 0, countsS[c])
-		rowsE[c] = make([]int32, 0, countsE[c])
-	}
-	for row := 0; row < nm; row++ {
-		if c := db.SourceCountry[db.Mentions.Source[row]]; c >= 0 {
-			rowsS[c] = append(rowsS[c], int32(row))
-		}
-		if c := db.Events.Country[db.Mentions.EventRow[row]]; c >= 0 {
-			rowsE[c] = append(rowsE[c], int32(row))
-		}
-	}
-	db.ctryRowBM = make([]*bitmap.Bitmap, nc)
-	db.evCtryRowBM = make([]*bitmap.Bitmap, nc)
-	for c := 0; c < nc; c++ {
-		db.ctryRowBM[c] = bitmap.FromSorted(rowsS[c])
-		db.evCtryRowBM[c] = bitmap.FromSorted(rowsE[c])
-	}
+	db.ctryRowBM = db.countryBitmaps(prevS, newRow, func(row int) int16 { return db.SourceCountry[db.Mentions.Source[row]] })
+	db.evCtryRowBM = db.countryBitmaps(prevE, newRow, func(row int) int16 { return db.Events.Country[db.Mentions.EventRow[row]] })
 }
 
-// buildQuarterBitmaps derives one mention-row bitmap per calendar quarter
-// from the quarter row index. Each is a contiguous range, which the roaring
-// run containers encode in O(1) space per 64K block.
-func (db *DB) buildQuarterBitmaps() {
-	db.qtrRowBM = make([]*bitmap.Bitmap, db.quarters)
-	var buf []int32
-	for q := 0; q < db.quarters; q++ {
-		lo, hi := db.quarterRow[q], db.quarterRow[q+1]
-		buf = buf[:0]
-		for r := lo; r < hi; r++ {
-			buf = append(buf, int32(r))
+// countryBitmaps returns one mention-row bitmap per country index, nil
+// where no row has the country. A row's country never changes and mention
+// rows never move, so only the countries of rows from newRow on are
+// rebuilt; the others are prev's (all nil without one).
+func (db *DB) countryBitmaps(prev []*bitmap.Bitmap, newRow int, country func(row int) int16) []*bitmap.Bitmap {
+	nc, nm := len(gdelt.Countries), db.Mentions.Len()
+	dirty := make([]bool, nc)
+	for row := newRow; row < nm; row++ {
+		if c := country(row); c >= 0 {
+			dirty[c] = true
 		}
-		db.qtrRowBM[q] = bitmap.FromSorted(buf)
 	}
+	rows := make([][]int32, nc)
+	for row := 0; row < nm; row++ {
+		if c := country(row); c >= 0 && dirty[c] {
+			rows[c] = append(rows[c], int32(row))
+		}
+	}
+	out := make([]*bitmap.Bitmap, nc)
+	copy(out, prev)
+	for c := range out {
+		if dirty[c] {
+			out[c] = bitmap.FromSorted(rows[c])
+		}
+	}
+	return out
+}
+
+// valueBitmap returns key k's bitmap of a keyed value index: an empty
+// bitmap for an out-of-range or empty key.
+func valueBitmap(bms []*bitmap.Bitmap, k int) *bitmap.Bitmap {
+	if k < 0 || k >= len(bms) || bms[k] == nil {
+		return bitmap.New()
+	}
+	return bms[k]
 }
 
 // CountryRowBitmap returns the bitmap of mention rows whose source is
 // TLD-attributed to country index c (into gdelt.Countries). Out-of-range
 // indexes return an empty bitmap. Read-only.
-func (db *DB) CountryRowBitmap(c int) *bitmap.Bitmap {
-	if c < 0 || c >= len(db.ctryRowBM) {
-		return bitmap.New()
-	}
-	return db.ctryRowBM[c]
-}
+func (db *DB) CountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.ctryRowBM, c) }
 
 // EventCountryRowBitmap returns the bitmap of mention rows whose mentioned
 // event is tagged with country index c. Out-of-range indexes return an
 // empty bitmap. Read-only.
-func (db *DB) EventCountryRowBitmap(c int) *bitmap.Bitmap {
-	if c < 0 || c >= len(db.evCtryRowBM) {
-		return bitmap.New()
-	}
-	return db.evCtryRowBM[c]
-}
+func (db *DB) EventCountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.evCtryRowBM, c) }
 
 // QuarterRowBitmap returns the bitmap of mention rows captured in quarter
 // q. Out-of-range quarters return an empty bitmap. Read-only.
-func (db *DB) QuarterRowBitmap(q int) *bitmap.Bitmap {
-	if q < 0 || q >= len(db.qtrRowBM) {
-		return bitmap.New()
-	}
-	return db.qtrRowBM[q]
-}
+func (db *DB) QuarterRowBitmap(q int) *bitmap.Bitmap { return valueBitmap(db.qtrRowBM, q) }
 
 // SourceRowBitmap returns the bitmap of mention rows of source s. Read-only;
 // canonical, so AppendTo bytes are deterministic.

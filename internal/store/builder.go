@@ -3,7 +3,9 @@ package store
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
+	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 )
 
@@ -196,7 +198,7 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		}
 	}
 
-	db.buildDerived()
+	db.buildDerived(nil)
 	if err := b.finishGKG(db); err != nil {
 		return nil, BuildStats{}, err
 	}
@@ -219,22 +221,59 @@ func clampInterval(iv int64, n int32) int32 {
 }
 
 // buildDerived (re)builds every derived index the query layers read from
-// the tables: source countries, row-list postings (which end in the source
-// and value bitmaps, so the planner's postings can never be stale relative
-// to the tables), the quarter index and the typed LUTs. It is the single
-// rebuild chain of assembly, batch build and both append entry points.
-func (db *DB) buildDerived() {
-	db.buildSourceCountries()
+// the tables: source countries, row-list postings, the source and value
+// bitmaps (so the planner's postings can never be stale relative to the
+// tables), the quarter index and the typed LUTs. It is the single rebuild
+// chain of assembly, batch build and appends.
+//
+// prev is nil, or the store CloneAppend cloned db from: db then holds
+// prev's mention rows — event rows renumbered past inserted events — and
+// prev's sources, each followed by new ones. A keyed index is rebuilt only
+// where the append changed its inputs and shared with prev elsewhere (the
+// dirty-key rule, DESIGN.md §15); nil prev makes every key dirty. The CSR
+// postings are rebuilt whole, O(rows).
+func (db *DB) buildDerived(prev *DB) {
+	// First appended mention row, first new source, first event row an
+	// insert moved: an insert shifts every row above it, and a row below
+	// the first insert keeps its ID, so the ID columns part at that row.
+	newRow, newSrc, movedEv := 0, 0, 0
+	if prev != nil {
+		newRow, newSrc = prev.Mentions.Len(), prev.Sources.Len()
+		movedEv = sort.Search(prev.Events.Len(), func(r int) bool { return db.Events.ID[r] != prev.Events.ID[r] })
+	}
+	db.buildSourceCountries(prev)
 	db.buildPostings()
-	db.buildQuarterIndex()
-	db.buildTypedLUTs()
+	db.buildSourceBitmaps(prev, newRow, newSrc, movedEv)
+	db.buildValueBitmaps(prev, newRow)
+	db.buildQuarterIndex(prev)
+	db.buildTypedLUTs(prev)
 }
 
-func (db *DB) buildSourceCountries() {
-	db.SourceCountry = make([]int16, db.Sources.Len())
-	for s, name := range db.Sources.Names() {
-		db.SourceCountry[s] = int16(gdelt.CountryFromDomain(name))
+// extend returns prev followed by f(i) for i in [len(prev), n): prev itself
+// when nothing is added, else a fresh slice — never prev's array, which a
+// published store owns.
+func extend[T any](prev []T, n int, f func(i int) T) []T {
+	if len(prev) == n {
+		return prev
 	}
+	out := make([]T, n)
+	copy(out, prev)
+	for i := len(prev); i < n; i++ {
+		out[i] = f(i)
+	}
+	return out
+}
+
+// buildSourceCountries attributes each source to a country by its domain;
+// prev's sources keep their attribution.
+func (db *DB) buildSourceCountries(prev *DB) {
+	var sc []int16
+	if prev != nil {
+		sc = prev.SourceCountry
+	}
+	db.SourceCountry = extend(sc, db.Sources.Len(), func(s int) int16 {
+		return int16(gdelt.CountryFromDomain(db.Sources.Name(int32(s))))
+	})
 }
 
 // buildPostings builds the by-source and by-event mention indexes with two
@@ -274,69 +313,91 @@ func (db *DB) buildPostings() {
 		db.byEventIdx[db.byEventPtr[e]+ecur[e]] = int32(i)
 		ecur[e]++
 	}
-
-	db.buildSourceBitmaps()
 }
 
 // buildTypedLUTs widens the int16 remap columns to the int32 lookup tables
 // the vectorized kernels index directly (country of source, country of
-// event; the quarter-of-interval LUT belongs to the calendar). Built once
-// per assembly; ~4 bytes per source/event, negligible next to the mention
-// table.
-func (db *DB) buildTypedLUTs() {
-	db.sourceCountryLUT = make([]int32, len(db.SourceCountry))
-	for i, c := range db.SourceCountry {
-		db.sourceCountryLUT[i] = int32(c)
+// event; the quarter-of-interval LUT belongs to the calendar); ~4 bytes per
+// source/event, negligible next to the mention table. prev's entries carry
+// over: sources keep their ids, and event rows move only when an insert
+// adds one.
+func (db *DB) buildTypedLUTs(prev *DB) {
+	var src, ev []int32
+	if prev != nil {
+		src = prev.sourceCountryLUT
+		if prev.Events.Len() == db.Events.Len() {
+			ev = prev.eventCountryLUT
+		}
 	}
-	db.eventCountryLUT = make([]int32, db.Events.Len())
-	for i, c := range db.Events.Country {
-		db.eventCountryLUT[i] = int32(c)
-	}
+	db.sourceCountryLUT = extend(src, len(db.SourceCountry), func(s int) int32 { return int32(db.SourceCountry[s]) })
+	db.eventCountryLUT = extend(ev, db.Events.Len(), func(e int) int32 { return int32(db.Events.Country[e]) })
 }
 
-// buildCalendar maps every capture interval to its calendar quarter, as
-// the int16 column and as the kernels' int32 LUT. It depends on Meta alone,
-// so a store that already carries it — an append in place, or an append-log
-// clone, which shares its original's — keeps it: the calendar is
-// O(archive span), not O(rows), and must not be paid per tick.
-func (db *DB) buildCalendar() {
-	n := int(db.Meta.Intervals)
-	if len(db.quarterOfInterval) == n {
-		return
+// calendar maps every capture interval of an archive to its calendar
+// quarter, as the kernels' int32 LUT. It depends on Meta alone and is
+// O(archive span), not O(rows), so stores share one read-only instance:
+// an append-log clone its original's, and every other assembly — batch
+// build, part loads, a split's or seal's slices — the last one built, while
+// the Meta matches.
+type calendar struct {
+	meta     Meta
+	lut      []int32 // capture interval -> quarter index
+	quarters int
+}
+
+var lastCalendar atomic.Pointer[calendar]
+
+func calendarOf(m Meta) *calendar {
+	if c := lastCalendar.Load(); c != nil && c.meta == m {
+		return c
 	}
-	db.quarterOfInterval = make([]int16, n)
-	baseAbs := db.Meta.Start.Year()*4 + (db.Meta.Start.Month()-1)/3
+	n := int(m.Intervals)
+	c := &calendar{meta: m, lut: make([]int32, n)}
+	baseAbs := m.Start.Year()*4 + (m.Start.Month()-1)/3
 	// Walk day by day; all 96 intervals of a day share a quarter.
-	t := db.Meta.Start.Time()
-	day := 0
-	for iv := 0; iv < n; iv += gdelt.IntervalsPerDay {
+	t := m.Start.Time()
+	for iv, day := 0, 0; iv < n; iv, day = iv+gdelt.IntervalsPerDay, day+1 {
 		dt := t.AddDate(0, 0, day)
-		q := dt.Year()*4 + (int(dt.Month())-1)/3 - baseAbs
+		q := int32(dt.Year()*4 + (int(dt.Month())-1)/3 - baseAbs)
 		for k := iv; k < iv+gdelt.IntervalsPerDay && k < n; k++ {
-			db.quarterOfInterval[k] = int16(q)
+			c.lut[k] = q
 		}
-		day++
 	}
-	db.quarters = int(db.quarterOfInterval[n-1]) + 1
-	db.quarterLUT = make([]int32, n)
-	for i, q := range db.quarterOfInterval {
-		db.quarterLUT[i] = int32(q)
-	}
+	c.quarters = int(c.lut[n-1]) + 1
+	lastCalendar.Store(c)
+	return c
 }
 
 // buildQuarterIndex records the first mention row of each calendar quarter
-// (and the equivalent quarter row bitmaps) over the calendar.
-func (db *DB) buildQuarterIndex() {
-	db.buildCalendar()
-	db.quarterRow = make([]int64, db.quarters+1)
-	nm := db.Mentions.Len()
-	for q := 1; q <= db.quarters; q++ {
+// over the calendar, and the equivalent quarter row bitmaps: nil for an
+// empty quarter, prev's for a quarter whose row range the append left
+// alone.
+func (db *DB) buildQuarterIndex(prev *DB) {
+	if prev != nil {
+		db.cal = prev.cal
+	} else {
+		db.cal = calendarOf(db.Meta)
+	}
+	nq, nm := db.cal.quarters, db.Mentions.Len()
+	db.quarterRow = make([]int64, nq+1)
+	for q := 1; q <= nq; q++ {
 		// First mention row whose quarter >= q.
 		db.quarterRow[q] = int64(sort.Search(nm, func(i int) bool {
-			return int(db.quarterOfInterval[db.Mentions.Interval[i]]) >= q
+			return int(db.cal.lut[db.Mentions.Interval[i]]) >= q
 		}))
 	}
-	db.quarterRow[db.quarters] = int64(nm)
-
-	db.buildQuarterBitmaps()
+	db.qtrRowBM = make([]*bitmap.Bitmap, nq)
+	for q := range nq {
+		lo, hi := db.quarterRow[q], db.quarterRow[q+1]
+		switch {
+		case prev != nil && prev.quarterRow[q] == lo && prev.quarterRow[q+1] == hi:
+			db.qtrRowBM[q] = prev.qtrRowBM[q]
+		case hi > lo:
+			rows := make([]int32, 0, hi-lo)
+			for r := lo; r < hi; r++ {
+				rows = append(rows, int32(r))
+			}
+			db.qtrRowBM[q] = bitmap.FromSorted(rows)
+		}
+	}
 }

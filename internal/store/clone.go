@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 )
 
@@ -26,7 +27,10 @@ import (
 //     local source dictionary (Intern writes the map readers range over);
 //   - shared: the capture-interval calendar (a function of Meta) and the
 //     GKG store (appends never extend it);
-//   - rebuilt, once, after all table mutation: every other derived index.
+//   - rebuilt, once, after all table mutation: the CSR postings, and every
+//     keyed index — source, country and quarter bitmaps, source countries,
+//     LUTs — where the tick changed its inputs; the other keys are shared
+//     (buildDerived's dirty-key rule).
 //
 // The cost is O(tail rows), bounded by the compactor's seal thresholds, and
 // independent of the sealed world.
@@ -111,23 +115,68 @@ func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Menti
 			Tone:       cloneWithRoom(db.Mentions.Tone, len(mns)),
 			Confidence: cloneWithRoom(db.Mentions.Confidence, len(mns)),
 		},
-		quarterOfInterval: db.quarterOfInterval,
-		quarterLUT:        db.quarterLUT,
-		quarters:          db.quarters,
-		GKG:               db.GKG,
-		Report:            cloneReport(db.Report),
+		GKG:    db.GKG,
+		Report: cloneReport(db.Report),
 	}
 	c.mergeEventRows(adopt)
 	st, err := c.appendRows(evs, mns)
 	if err != nil {
 		return nil, st, err
 	}
-	c.buildDerived()
+	c.buildDerived(db)
 	if err := c.Validate(); err != nil {
 		return nil, st, fmt.Errorf("store: append left an invalid db: %w", err)
 	}
 	c.SetVersion(db.Version() + 1)
 	return c, st, nil
+}
+
+// DiffFromRebuild compares every derived index of db with what a fresh
+// buildDerived over the same tables builds — the oracle for the dirty-key
+// rule CloneAppend rebuilds by — and returns the first difference, or nil:
+// the CSR postings, quarterRow, SourceCountry, the LUTs, and the three
+// source-bitmap families and the country, event-country and quarter
+// bitmaps, nil exactly where the rebuild's are.
+func (db *DB) DiffFromRebuild() error {
+	want := &DB{Meta: db.Meta, Sources: db.Sources, Events: db.Events, Mentions: db.Mentions}
+	want.buildDerived(nil)
+	for _, c := range []struct {
+		name  string
+		equal bool
+	}{
+		{"source postings", slices.Equal(db.bySourcePtr, want.bySourcePtr) && slices.Equal(db.bySourceIdx, want.bySourceIdx)},
+		{"event postings", slices.Equal(db.byEventPtr, want.byEventPtr) && slices.Equal(db.byEventIdx, want.byEventIdx)},
+		{"quarterRow", slices.Equal(db.quarterRow, want.quarterRow)},
+		{"SourceCountry", slices.Equal(db.SourceCountry, want.SourceCountry)},
+		{"source country LUT", slices.Equal(db.sourceCountryLUT, want.sourceCountryLUT)},
+		{"event country LUT", slices.Equal(db.eventCountryLUT, want.eventCountryLUT)},
+		{"quarter LUT", slices.Equal(db.cal.lut, want.cal.lut)},
+	} {
+		if !c.equal {
+			return fmt.Errorf("%s differs from a rebuild", c.name)
+		}
+	}
+	for _, f := range []struct {
+		name      string
+		got, want []*bitmap.Bitmap
+	}{
+		{"source row", db.srcRowBM, want.srcRowBM},
+		{"source event", db.srcEvBM, want.srcEvBM},
+		{"source repeat-event", db.srcRepEvBM, want.srcRepEvBM},
+		{"country", db.ctryRowBM, want.ctryRowBM},
+		{"event-country", db.evCtryRowBM, want.evCtryRowBM},
+		{"quarter", db.qtrRowBM, want.qtrRowBM},
+	} {
+		if len(f.got) != len(f.want) {
+			return fmt.Errorf("%s bitmaps: %d keys, the rebuild %d", f.name, len(f.got), len(f.want))
+		}
+		for k := range f.got {
+			if (f.got[k] == nil) != (f.want[k] == nil) || !bitmap.Equal(f.got[k], f.want[k]) {
+				return fmt.Errorf("%s bitmap of key %d differs from a rebuild", f.name, k)
+			}
+		}
+	}
+	return nil
 }
 
 // cloneWithRoom copies s into a slice with capacity for extra more

@@ -102,26 +102,25 @@ type DB struct {
 
 	// Value bitmaps for qlang predicate pushdown (DESIGN.md §13): mention
 	// rows per publisher country (TLD attribution), per event country, and
-	// per calendar quarter. Quarter bitmaps are contiguous row ranges (run
-	// containers, a few bytes each) — the capture-interval range index in
-	// bitmap form, persisted and cross-checked like the others even though
-	// execution prefers the equivalent binary-searched row range.
+	// per calendar quarter; nil where no row carries the key. Quarter
+	// bitmaps are contiguous row ranges (run containers, a few bytes each) —
+	// the capture-interval range index in bitmap form, even though execution
+	// prefers the equivalent binary-searched row range.
 	ctryRowBM   []*bitmap.Bitmap
 	evCtryRowBM []*bitmap.Bitmap
 	qtrRowBM    []*bitmap.Bitmap
 
-	// quarterOfInterval maps a capture interval to a quarter index;
-	// quarterRow[q] is the first mention row of quarter q (mentions are
-	// interval-sorted), with a final sentinel row count.
-	quarterOfInterval []int16
-	quarterRow        []int64
-	quarters          int
+	// cal is the capture-interval calendar, shared read-only by every store
+	// of the same Meta; quarterRow[q] is the first mention row of quarter q
+	// (mentions are interval-sorted), with a final sentinel row count.
+	cal        *calendar
+	quarterRow []int64
 
 	// Typed lookup tables for the vectorized scan kernels (DESIGN.md §9):
 	// int32 remap columns the engine indexes directly inside its worker
 	// loops, avoiding per-row closure calls and int16→int conversions.
-	// Derived, immutable after assembly (like the postings).
-	quarterLUT       []int32 // capture interval -> quarter index
+	// Derived, immutable after assembly (like the postings); the
+	// quarter-of-interval LUT belongs to the calendar.
 	sourceCountryLUT []int32 // source id -> country index, -1 unattributable
 	eventCountryLUT  []int32 // event row -> country index, -1 untagged
 
@@ -148,11 +147,11 @@ type DB struct {
 func (db *DB) Version() uint64 { return atomic.LoadUint64(&db.version) }
 
 // NumQuarters returns the number of calendar quarters covered.
-func (db *DB) NumQuarters() int { return db.quarters }
+func (db *DB) NumQuarters() int { return db.cal.quarters }
 
 // QuarterLUT returns the capture-interval→quarter lookup table as an int32
 // remap column for the typed scan kernels. Read-only; do not mutate.
-func (db *DB) QuarterLUT() []int32 { return db.quarterLUT }
+func (db *DB) QuarterLUT() []int32 { return db.cal.lut }
 
 // SourceCountryLUT returns the source→country remap column (-1 for
 // unattributable sources) for the typed scan kernels. Read-only.
@@ -168,10 +167,10 @@ func (db *DB) QuarterOfInterval(iv int32) int {
 	if iv < 0 {
 		return 0
 	}
-	if int(iv) >= len(db.quarterOfInterval) {
-		return db.quarters - 1
+	if int(iv) >= len(db.cal.lut) {
+		return db.cal.quarters - 1
 	}
-	return int(db.quarterOfInterval[iv])
+	return int(db.cal.lut[iv])
 }
 
 // QuarterLabel renders quarter q as e.g. "2016Q3".
@@ -243,7 +242,7 @@ func AssembleDB(meta Meta, sources *Dictionary, ev EventTable, mn MentionTable, 
 	if err := db.validateTables(); err != nil {
 		return nil, err
 	}
-	db.buildDerived()
+	db.buildDerived(nil)
 	if err := db.Validate(); err != nil {
 		return nil, err
 	}
@@ -302,8 +301,8 @@ func (db *DB) Validate() error {
 	if got := db.byEventPtr[ne]; got != int64(nm) {
 		return fmt.Errorf("store: event postings cover %d of %d mentions", got, nm)
 	}
-	if db.quarterRow[db.quarters] != int64(nm) {
-		return fmt.Errorf("store: quarter index covers %d of %d mentions", db.quarterRow[db.quarters], nm)
+	if q := db.cal.quarters; db.quarterRow[q] != int64(nm) {
+		return fmt.Errorf("store: quarter index covers %d of %d mentions", db.quarterRow[q], nm)
 	}
 	return nil
 }
