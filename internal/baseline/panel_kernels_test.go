@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,22 +15,45 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// The four scan.cold kinds whose shard kernels answer from the store's
-// indexes instead of scanning rows: each answer must still equal the engine
-// row scan exactly, on a hand-built store that puts every edge those index
+// The scan.cold kinds whose shard kernels answer from the store's indexes
+// instead of scanning rows: each answer must still equal the engine row
+// scan exactly, on a hand-built store that puts every edge those index
 // arguments rely on where a generated corpus seldom does.
-var indexKinds = []string{"delays", "themes", "series-active-sources", "wildfires"}
+var indexKinds = []string{"delays", "themes", "series-active-sources", "wildfires", "top-publishers"}
 
-// edgeParams asks every kind for its widest answer: delays over all
-// sources, wildfires with a threshold the fixture's fires cross.
+// edgeParams asks every kind for its widest answer: delays and publishers
+// over all sources, wildfires with a threshold the fixture's two fires
+// cross and its tie class does not, and k above the candidate count.
 func edgeParams(name string) []string {
 	switch name {
 	case "k":
 		return []string{"100000"}
 	case "min":
-		return []string{"3"}
+		return []string{"4"}
 	}
 	return nil
+}
+
+// fireCases rank the wildfire tie class too (min 3): k = 1 keeps only the
+// six-source fire, and k = 2 + tieCut puts the cut inside the tie class,
+// whose members span grain boundaries at four workers.
+var fireCases = []struct{ min, k int }{{3, 1}, {3, 2 + tieCut}}
+
+const (
+	tieFires = 1500 // events with exactly three early sources
+	tieCut   = 300  // tie-class members fireCases keeps
+)
+
+func edgeDay(d int) int64 { return int64(d * gdelt.IntervalsPerDay) }
+
+// publisherWindows are top-publishers capture windows: the first starts on
+// some.com's day-5 mention and ends exactly on its day-333 one, so both
+// edges fall inside its postings; edges.com has no row in the second; the
+// third is the explicitly empty window.
+var publisherWindows = [][2]int32{
+	{int32(edgeDay(5) + 40), int32(edgeDay(333) + 40)},
+	{int32(edgeDay(100)), int32(edgeDay(200))},
+	{0, 0},
 }
 
 // edgeMention is one fixture mention: capture and event intervals are
@@ -45,7 +69,7 @@ const edgeDays = 400 // five calendar quarters from the 2015-02-18 epoch
 // edgeFixture returns the events and interval-sorted mentions of the
 // fixture, plus its GKG records.
 func edgeFixture() ([]gdelt.Event, []edgeMention, []gdelt.GKGRecord) {
-	day := func(d int) int64 { return int64(d * gdelt.IntervalsPerDay) }
+	day := edgeDay
 	var evs []gdelt.Event
 	event := func(evIv int64) int64 {
 		id := int64(len(evs) + 1)
@@ -88,6 +112,14 @@ func edgeFixture() ([]gdelt.Event, []edgeMention, []gdelt.GKGRecord) {
 	for _, d := range []int{1, 2, 391, 395} {
 		delayed("edges.com", day(d), 2)
 	}
+	// Two sources with equal counts, first seen on days 5 and 6, whose local
+	// order in the last part of a split (days 390 and 392) is the reverse.
+	for _, m := range []struct {
+		src string
+		d   int
+	}{{"tie-x.com", 5}, {"tie-y.com", 6}, {"tie-y.com", 390}, {"tie-x.com", 392}} {
+		delayed(m.src, day(m.d)+41, 1)
+	}
 	// Wildfires within a window of 8: one fire with a repeat reporter and a
 	// late article, one straddling the K=5 boundary at day 80 with a source
 	// on both sides of it, and a busy event with too few distinct sources.
@@ -103,6 +135,9 @@ func edgeFixture() ([]gdelt.Event, []edgeMention, []gdelt.GKGRecord) {
 		"f2.com", "f3.com", "f1.com", "f2.com", "f4.com", "f7.com")
 	fire(day(210), []int{0, 0, 1, 1, 2, 3},
 		"f1.com", "f2.com", "f1.com", "f2.com", "f1.com", "f2.com")
+	for i := range tieFires {
+		fire(day(1)+int64(25*i), []int{0, 1, 2}, "t1.com", "t2.com", "t3.com")
+	}
 	sort.SliceStable(mns, func(a, b int) bool { return mns[a].mnIv < mns[b].mnIv })
 
 	gkg := func(d int, themes ...string) gdelt.GKGRecord {
@@ -155,11 +190,17 @@ func (m edgeMention) record() gdelt.Mention {
 		SourceName: m.src, DocLen: 100, Confidence: 50}
 }
 
-// runKind runs one registry kind through the engine (v == nil) or a view.
+// runKind runs one registry kind with edgeParams through the engine
+// (v == nil) or a view.
 func runKind(t *testing.T, kind string, db *store.DB, v *shard.View) any {
 	t.Helper()
+	return runKindWith(t, kind, edgeParams, db, v)
+}
+
+func runKindWith(t *testing.T, kind string, get func(string) []string, db *store.DB, v *shard.View) any {
+	t.Helper()
 	d := registry.MustLookup(kind)
-	p, err := d.ParseParams(edgeParams)
+	p, err := d.ParseParams(get)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +222,11 @@ func TestPanelKernelsExactEdges(t *testing.T) {
 	for _, kind := range indexKinds {
 		refs[kind] = runKind(t, kind, db, nil)
 	}
-	checkEdgeFixture(t, db, refs)
+	fireRefs := make([]any, len(fireCases))
+	for i, c := range fireCases {
+		fireRefs[i] = runKindWith(t, "wildfires", fireParams(c.min, c.k), db, nil)
+	}
+	checkEdgeFixture(t, db, refs, fireRefs)
 
 	for _, k := range []int{0, 1, 3, 5} {
 		sdb := shardWorld(t, db, k)
@@ -193,6 +238,12 @@ func TestPanelKernelsExactEdges(t *testing.T) {
 						t.Errorf("%s: shard kernel\n got %+v\nwant %+v", kind, got, refs[kind])
 					}
 				}
+				for i, c := range fireCases {
+					if got := runKindWith(t, "wildfires", fireParams(c.min, c.k), db, v); !reflect.DeepEqual(got, fireRefs[i]) {
+						t.Errorf("wildfires min %d k %d: shard kernel\n got %+v\nwant %+v", c.min, c.k, got, fireRefs[i])
+					}
+				}
+				checkPublisherEdges(t, db, v)
 			})
 		}
 	}
@@ -242,10 +293,64 @@ func TestPanelKernelsExactEdges(t *testing.T) {
 	}
 }
 
+// fireParams asks wildfires for the top k events with at least min early
+// sources in the default window.
+func fireParams(min, k int) func(string) []string {
+	return func(name string) []string {
+		switch name {
+		case "k":
+			return []string{fmt.Sprint(k)}
+		case "min":
+			return []string{fmt.Sprint(min)}
+		}
+		return nil
+	}
+}
+
+// checkPublisherEdges compares v's windowed top-publishers answers with the
+// engine's over the monolith, and — when v's world has three or more
+// shards — its answer with shard 1 excluded with a count over the
+// monolith's rows outside that shard's range.
+func checkPublisherEdges(t *testing.T, db *store.DB, v *shard.View) {
+	t.Helper()
+	k := db.Sources.Len()
+	for _, w := range publisherWindows {
+		ids, counts := queries.TopPublishers(engine.New(db).WithWorkers(1).WithInterval(w[0], w[1]), k)
+		gotIDs, gotCounts := v.WithWindow(w[0], w[1]).TopPublishers(k)
+		if !slices.Equal(gotIDs, ids) || !slices.Equal(gotCounts, counts) {
+			t.Errorf("top-publishers in [%d, %d):\n got %v %v\nwant %v %v", w[0], w[1], gotIDs, gotCounts, ids, counts)
+		}
+	}
+	sdb := v.DB()
+	if sdb.K() < 3 {
+		return
+	}
+	b := sdb.Bounds()
+	per := make([]int64, k)
+	for r, s := range db.Mentions.Source {
+		if iv := db.Mentions.Interval[r]; iv < b[1] || iv >= b[2] {
+			per[s]++
+		}
+	}
+	var ids []int32
+	var counts []int64
+	for _, g := range engine.TopK(k, k, func(i int) int64 { return per[i] }) {
+		ids, counts = append(ids, int32(g)), append(counts, per[g])
+	}
+	keep := []int{0}
+	for i := 2; i < sdb.K(); i++ {
+		keep = append(keep, i)
+	}
+	gotIDs, gotCounts := v.WithShards(keep).TopPublishers(k)
+	if !slices.Equal(gotIDs, ids) || !slices.Equal(gotCounts, counts) {
+		t.Errorf("top-publishers without shard 1:\n got %v %v\nwant %v %v", gotIDs, gotCounts, ids, counts)
+	}
+}
+
 // checkEdgeFixture pins that the reference answers exercise the edges the
 // fixture was built for, so a change to the builder cannot quietly blunt
 // the test.
-func checkEdgeFixture(t *testing.T, db *store.DB, refs map[string]any) {
+func checkEdgeFixture(t *testing.T, db *store.DB, refs map[string]any, fireRefs []any) {
 	t.Helper()
 	type median struct {
 		lower  int64
@@ -287,5 +392,38 @@ func checkEdgeFixture(t *testing.T, db *store.DB, refs map[string]any) {
 	fires := refs["wildfires"].([]queries.Wildfire)
 	if len(fires) != 2 || fires[0].EarlySources != 6 || fires[0].EarlyArticles != 7 || fires[1].EarlySources != 5 {
 		t.Errorf("wildfires %+v, want the two fires and not the busy event", fires)
+	}
+	if one := fireRefs[0].([]queries.Wildfire); len(one) != 1 || one[0].EventID != fires[0].EventID {
+		t.Errorf("wildfires k=1 %+v, want the six-source fire", one)
+	}
+	if cut := fireRefs[1].([]queries.Wildfire); len(cut) != 2+tieCut || cut[len(cut)-1].EarlySources != 3 {
+		t.Errorf("wildfires k=%d ends %+v, want the cut inside the three-source tie class", 2+tieCut, cut[len(cut)-1])
+	}
+
+	rank := map[string]registry.PublisherRow{}
+	for _, r := range refs["top-publishers"].([]registry.PublisherRow) {
+		rank[r.Source] = r
+	}
+	if x, y := rank["tie-x.com"], rank["tie-y.com"]; x.Articles != 2 || y.Articles != 2 || x.Rank > y.Rank {
+		t.Errorf("tied publishers %+v and %+v, want two articles each, tie-x first", x, y)
+	}
+	last := shardWorld(t, db, 5).Part(4).Sources
+	if last.Lookup("tie-y.com") > last.Lookup("tie-x.com") {
+		t.Error("the last part's local ids do not reverse the tied publishers' global order")
+	}
+	ivs := func(src string) (out []int32) {
+		for _, r := range db.SourceMentions(db.Sources.Lookup(src)) {
+			out = append(out, db.Mentions.Interval[r])
+		}
+		return out
+	}
+	w := publisherWindows
+	if some := ivs("some.com"); !slices.Contains(some, w[0][0]) || !slices.Contains(some, w[0][1]) {
+		t.Errorf("some.com intervals %v, want mentions on both edges of window %v", some, w[0])
+	}
+	for _, iv := range ivs("edges.com") {
+		if iv >= w[1][0] && iv < w[1][1] {
+			t.Errorf("edges.com has a mention at %d inside window %v", iv, w[1])
+		}
 	}
 }

@@ -78,7 +78,7 @@ func TestNilExecutorBypasses(t *testing.T) {
 }
 
 func TestExecutorMissThenHit(t *testing.T) {
-	d := MustLookup("top-publishers")
+	d := MustLookup("series-articles")
 	ex := &Executor{Cache: qcache.New(0)}
 	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
@@ -102,8 +102,15 @@ func TestExecutorMissThenHit(t *testing.T) {
 	if !reflect.DeepEqual(v1, v2) {
 		t.Fatal("hit returned a different result")
 	}
-	// Different k = different canonical params = different entry.
-	p5, err := d.ParseParams(func(name string) []string {
+	// Different k = different canonical params = different entry. The
+	// scan counter above needs a kind that scans; top-publishers takes k
+	// but answers from the postings, so it only checks the keys.
+	tp := MustLookup("top-publishers")
+	te := e.WithKind(tp.Kind)
+	if _, out, _ := ex.ExecuteSharded(tp, te, defaultParams(t, tp)); out != qcache.Miss {
+		t.Fatalf("default k outcome %v, want miss", out)
+	}
+	p5, err := tp.ParseParams(func(name string) []string {
 		if name == "k" {
 			return []string{"5"}
 		}
@@ -112,8 +119,11 @@ func TestExecutorMissThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, out, _ := ex.ExecuteSharded(d, e, p5); out != qcache.Miss {
+	if _, out, _ := ex.ExecuteSharded(tp, te, p5); out != qcache.Miss {
 		t.Fatalf("distinct params outcome %v, want miss", out)
+	}
+	if _, out, _ := ex.ExecuteSharded(tp, te, p5); out != qcache.Hit {
+		t.Fatalf("repeated k=5 outcome %v, want hit", out)
 	}
 }
 
@@ -145,7 +155,7 @@ func TestExecutorWindowIsPartOfKey(t *testing.T) {
 // exactly one underlying scan, one miss, 31 hits or coalesced waiters, and
 // byte-identical results.
 func TestSingleFlight32Goroutines(t *testing.T) {
-	d := MustLookup("top-publishers")
+	d := MustLookup("series-articles")
 	ex := &Executor{Cache: qcache.New(0)}
 	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
@@ -205,7 +215,7 @@ func TestSingleFlight32Goroutines(t *testing.T) {
 func TestLogAppendInvalidates(t *testing.T) {
 	db := testDB(t)
 	lg := shard.NewLog(testWorld(t))
-	d := MustLookup("top-publishers")
+	d := MustLookup("series-articles")
 	ex := &Executor{Cache: qcache.New(0)}
 	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
 	p := defaultParams(t, d)

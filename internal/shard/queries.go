@@ -171,17 +171,31 @@ func (v *View) EventSizes(xmin int) queries.EventSizeDistribution {
 	return out
 }
 
-// TopPublishers ranks global sources by windowed article count: per-shard
-// typed group-counts over local source ids — no remap load per row — whose
-// counters scatter through l2gSrc into the global ones, then the same top-k
-// selection (global ids preserve the monolith order, so ties break
-// identically).
+// TopPublishers ranks global sources by windowed article count, answered
+// from the by-source postings: a local source's count is the length of its
+// postings when the shard's engine window spans every row, and otherwise
+// the number of its row-ascending postings inside that row window, two
+// bisections. The counters scatter through l2gSrc into the global ones,
+// then the same top-k selection (global ids preserve the monolith order,
+// so ties break identically).
 func (v *View) TopPublishers(k int) (ids []int32, counts []int64) {
 	s := v.s
 	local := make([][]int64, s.K())
 	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
 		p := s.parts[i]
-		local[i] = e.GroupCountCol(p.Sources.Len(), p.Mentions.Source, nil)
+		lo, hi := e.Window()
+		full := lo == 0 && hi == p.Mentions.Len()
+		c := make([]int64, p.Sources.Len())
+		for ls := range c {
+			rows := p.SourceMentions(int32(ls))
+			if !full {
+				a, _ := slices.BinarySearch(rows, int32(lo))
+				b, _ := slices.BinarySearch(rows[a:], int32(hi))
+				rows = rows[a : a+b]
+			}
+			c[ls] = int64(len(rows))
+		}
+		local[i] = c
 	})
 	perSource := make([]int64, s.sources.Len())
 	for i, part := range local { // nil for a shard cancellation skipped
@@ -379,17 +393,17 @@ func (v *View) CountryQuery() (*queries.CountryReport, error) {
 			},
 			func(acc *partial, lo, hi int) *partial {
 				for le := lo; le < hi; le++ {
-					rows := p.EventMentions(int32(le))
-					if len(rows) == 0 {
+					srcs := p.EventMentionSources(int32(le))
+					if len(srcs) == 0 {
 						continue
 					}
 					var mask uint64
-					for _, row := range rows {
-						if c := p.SourceCountry[p.Mentions.Source[row]]; c >= 0 {
+					for _, src := range srcs {
+						if c := p.SourceCountry[src]; c >= 0 {
 							mask |= 1 << uint(c)
 						}
 					}
-					if len(rows) == int(p.Events.NumArticles[le]) {
+					if len(srcs) == int(p.Events.NumArticles[le]) {
 						foldCountryMask(acc.pair, acc.counts, mask)
 					} else if mask != 0 {
 						atomic.OrUint64(&masks[remap[le]], mask)
@@ -484,7 +498,8 @@ func (v *View) PlanSelection(sources []int32) engine.PlanMode {
 // selection: local slot lookup tables (local source id → selection index,
 // -1 unselected), the ascending list of global events to fold, and — under
 // the rows plan — per-shard CSRs of exactly the selected mention rows keyed
-// by local event. The events come from the selected sources' event bitmaps
+// by local event, holding each row's source and interval rather than its
+// id. The events come from the selected sources' event bitmaps
 // (O(containers) per source) rather than a walk over their postings: every
 // event a selected source reports (rows plan), or only the events that can
 // contribute to follow-reporting (events plan, see contributingEvents); the
@@ -492,10 +507,11 @@ func (v *View) PlanSelection(sources []int32) engine.PlanMode {
 type selection struct {
 	slots [][]int32
 	evs   []int32
-	// rows plan only: rowIdx[i][rowPtr[i][le]:rowPtr[i][le+1]] are shard
-	// i's selected mention rows of local event le, ascending by interval.
-	rowPtr [][]int32
-	rowIdx [][]int32
+	// rows plan only: rowSrc[i][rowPtr[i][le]:rowPtr[i][le+1]] are the
+	// sources of shard i's selected mention rows of local event le,
+	// ascending by interval, and rowIv the same rows' intervals.
+	rowPtr        [][]int32
+	rowSrc, rowIv [][]int32
 }
 
 // slotTables returns each shard's local source id → selection index table.
@@ -605,7 +621,8 @@ func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
 		return sel
 	}
 	sel.rowPtr = make([][]int32, len(s.parts))
-	sel.rowIdx = make([][]int32, len(s.parts))
+	sel.rowSrc = make([][]int32, len(s.parts))
+	sel.rowIv = make([][]int32, len(s.parts))
 	// Candidate discovery runs one fan-out job per shard: the per-shard CSR
 	// is shard-indexed, while the candidate set is a shared bitset — one
 	// global event can be discovered by two shards at once, so bits are set
@@ -636,14 +653,16 @@ func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
 		for le := 0; le < p.Events.Len(); le++ {
 			ptr[le+1] += ptr[le]
 		}
-		idx := make([]int32, len(rows))
+		srcs := make([]int32, len(rows))
+		ivs := make([]int32, len(rows))
 		cur := make([]int32, p.Events.Len())
 		for _, r := range rows {
 			le := p.Mentions.EventRow[r]
-			idx[ptr[le]+cur[le]] = r
+			j := ptr[le] + cur[le]
+			srcs[j], ivs[j] = p.Mentions.Source[r], p.Mentions.Interval[r]
 			cur[le]++
 		}
-		sel.rowPtr[i], sel.rowIdx[i] = ptr, idx
+		sel.rowPtr[i], sel.rowSrc[i], sel.rowIv[i] = ptr, srcs, ivs
 	})
 	// Walking words in order and bits low-to-high yields the same ascending
 	// candidate list as the sequential boolean walk did.
@@ -657,12 +676,12 @@ func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
 	return sel
 }
 
-// shardRows calls f with each shard's mention rows for global event ev, in
-// shard (= time) order: the full event mention lists, or — under the rows
-// plan — only the selected rows. Within a shard rows ascend by interval and
-// shards tile time in order, so the concatenation replays the monolith's
-// ordering either way.
-func (sel *selection) shardRows(s *DB, ev int32, f func(i int, rows []int32)) {
+// shardRows calls f with the local sources and intervals of each shard's
+// mention rows for global event ev, in shard (= time) order: the full event
+// mention lists, or — under the rows plan — only the selected rows. Within
+// a shard rows ascend by interval and shards tile time in order, so the
+// concatenation replays the monolith's ordering either way.
+func (sel *selection) shardRows(s *DB, ev int32, f func(i int, srcs, ivs []int32)) {
 	if sel.rowPtr == nil {
 		s.shardEventRows(ev, f)
 		return
@@ -671,23 +690,24 @@ func (sel *selection) shardRows(s *DB, ev int32, f func(i int, rows []int32)) {
 	for i := range s.parts {
 		if lr := s.localEvent(i, seq, ev); lr >= 0 {
 			ptr := sel.rowPtr[i]
-			if rows := sel.rowIdx[i][ptr[lr]:ptr[lr+1]]; len(rows) > 0 {
-				f(i, rows)
+			if lo, hi := ptr[lr], ptr[lr+1]; hi > lo {
+				f(i, sel.rowSrc[i][lo:hi], sel.rowIv[i][lo:hi])
 			}
 		}
 	}
 }
 
-// shardEventRows calls f with each shard's mention rows for global event
-// ev, in shard (= time) order. Within a shard rows ascend by interval and
-// shards tile time in order, so the concatenation replays the monolith's
-// event-mention ordering.
-func (s *DB) shardEventRows(ev int32, f func(i int, rows []int32)) {
+// shardEventRows calls f with the local sources and intervals of each
+// shard's mention rows for global event ev, read from the event-major
+// payload, in shard (= time) order. Within a shard rows ascend by interval
+// and shards tile time in order, so the concatenation replays the
+// monolith's event-mention ordering.
+func (s *DB) shardEventRows(ev int32, f func(i int, srcs, ivs []int32)) {
 	seq := s.events.seq(ev)
 	for i, p := range s.parts {
 		if lr := s.localEvent(i, seq, ev); lr >= 0 {
-			if rows := p.EventMentions(lr); len(rows) > 0 {
-				f(i, rows)
+			if srcs := p.EventMentionSources(lr); len(srcs) > 0 {
+				f(i, srcs, p.EventMentionIntervals(lr))
 			}
 		}
 	}
@@ -718,11 +738,10 @@ func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 			mark := make([]bool, n)
 			for _, ev := range sel.evs[lo:hi] {
 				present = present[:0]
-				sel.shardRows(s, ev, func(i int, rows []int32) {
-					p := s.parts[i]
+				sel.shardRows(s, ev, func(i int, srcs, _ []int32) {
 					slots := sel.slots[i]
-					for _, row := range rows {
-						if sl := slots[p.Mentions.Source[row]]; sl >= 0 && !mark[sl] {
+					for _, src := range srcs {
+						if sl := slots[src]; sl >= 0 && !mark[sl] {
 							mark[sl] = true
 							present = append(present, sl)
 						}
@@ -794,19 +813,21 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 			}
 			touched := make([]int32, 0, 16)
 			for _, ev := range sel.evs[lo:hi] {
-				sel.shardRows(s, ev, func(i int, rows []int32) {
-					p := s.parts[i]
+				sel.shardRows(s, ev, func(i int, srcs, ivs []int32) {
 					slots := sel.slots[i]
-					for _, row := range rows {
-						j := slots[p.Mentions.Source[row]]
+					for x, src := range srcs {
+						j := slots[src]
 						if j < 0 {
 							continue
 						}
-						t := p.Mentions.Interval[row]
+						// Leaders are touched in time order, so their
+						// first-seen intervals ascend along touched.
+						t := ivs[x]
 						for _, l := range touched {
-							if firstSeen[l] < t {
-								acc.Inc(int(l), int(j))
+							if firstSeen[l] >= t {
+								break
 							}
+							acc.Inc(int(l), int(j))
 						}
 						if firstSeen[j] < 0 {
 							firstSeen[j] = t
@@ -946,21 +967,28 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 // Early sources are keyed by global id and counted through a stamp array:
 // stamp[g] == ev+1 once source g has reported event ev, so a source counts
 // the first time it is stamped and no set is cleared between events. The
-// shard walk stops at the first shard starting at or past the cutoff
-// (later shards hold only later mentions).
+// shard walk reads the event-major payload and stops at the first shard
+// starting at or past the cutoff (later shards hold only later mentions).
+// Each grain and each merge keeps a bounded top-k (topFires); once a grain
+// has truncated, an event with fewer articles or early sources than its
+// k-th candidate cannot enter it and is skipped. Only the k winners look
+// up their SourceURL.
 func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wildfire {
 	s := v.s
 	if window < 1 {
 		window = 1
 	}
+	bound := 2*k + 256
 	candidates := parallel.MapReduce(s.events.Len(), v.opt(),
 		func() []queries.Wildfire { return nil },
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
 			stamp := make([]int32, s.sources.Len())
+			floor := minSources
 			for ev := lo; ev < hi; ev++ {
 				// The event's article count is global metadata every part
-				// carries verbatim, so the threshold needs no recount.
-				if int(s.events.NumArticles(ev)) < minSources {
+				// carries verbatim, so the threshold needs no recount; an
+				// event has no more distinct early sources than articles.
+				if int(s.events.NumArticles(ev)) < floor {
 					continue
 				}
 				seq := s.events.seq(int32(ev))
@@ -976,42 +1004,63 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 						continue
 					}
 					remap := s.l2gSrc[i]
-					for _, r := range p.EventMentions(lr) {
-						if p.Mentions.Interval[r] >= cutoff {
+					srcs := p.EventMentionSources(lr)
+					for x, iv := range p.EventMentionIntervals(lr) {
+						if iv >= cutoff {
 							break // postings are interval-sorted
 						}
 						early++
-						if g := remap[p.Mentions.Source[r]]; stamp[g] != tag {
+						if g := remap[srcs[x]]; stamp[g] != tag {
 							stamp[g] = tag
 							distinct++
 						}
 					}
 				}
-				if distinct < minSources {
+				if distinct < floor {
 					continue
 				}
 				acc = append(acc, queries.Wildfire{
 					EventRow:      int32(ev),
 					EventID:       s.events.ID(ev),
-					SourceURL:     s.events.SourceURL(ev),
 					EarlySources:  distinct,
 					EarlyArticles: early,
 					TotalArticles: s.events.NumArticles(ev),
 					Velocity:      float64(distinct) / float64(window),
 				})
+				if len(acc) >= bound {
+					if acc = topFires(acc, k); len(acc) > 0 {
+						floor = acc[len(acc)-1].EarlySources
+					}
+				}
 			}
 			return acc
 		},
-		func(dst, src []queries.Wildfire) []queries.Wildfire { return append(dst, src...) },
+		func(dst, src []queries.Wildfire) []queries.Wildfire {
+			if dst = append(dst, src...); len(dst) >= bound {
+				dst = topFires(dst, k)
+			}
+			return dst
+		},
 	)
-	slices.SortFunc(candidates, func(a, b queries.Wildfire) int {
+	candidates = topFires(candidates, k)
+	for i := range candidates {
+		candidates[i].SourceURL = s.events.SourceURL(int(candidates[i].EventRow))
+	}
+	return candidates
+}
+
+// topFires sorts wildfire candidates by EarlySources descending, then
+// EventID, and keeps the first k. Event ids are unique, so the order is
+// total and the k kept are exactly the k best of any superset.
+func topFires(c []queries.Wildfire, k int) []queries.Wildfire {
+	slices.SortFunc(c, func(a, b queries.Wildfire) int {
 		if c := cmp.Compare(b.EarlySources, a.EarlySources); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.EventID, b.EventID)
 	})
-	if len(candidates) > k {
-		candidates = candidates[:k]
+	if len(c) > k {
+		c = c[:k]
 	}
-	return candidates
+	return c
 }

@@ -37,8 +37,8 @@ func (db *DB) buildSourceBitmaps(prev *DB, newRow, newSrc, movedEv int) {
 		dirtyRows[s] = true
 	}
 	dirtyEvs := slices.Clone(dirtyRows)
-	for _, m := range db.byEventIdx[db.byEventPtr[movedEv]:] {
-		dirtyEvs[db.Mentions.Source[m]] = true
+	for _, s := range db.byEventSrc[db.byEventPtr[movedEv]:] {
+		dirtyEvs[s] = true
 	}
 	db.srcRowBM = make([]*bitmap.Bitmap, ns)
 	db.srcEvBM = make([]*bitmap.Bitmap, ns)
@@ -63,8 +63,7 @@ func (db *DB) buildSourceBitmaps(prev *DB, newRow, newSrc, movedEv int) {
 	counts := make([]int64, ns)
 	ne := db.Events.Len()
 	for e := 0; e < ne; e++ {
-		for _, m := range db.EventMentions(int32(e)) {
-			s := db.Mentions.Source[m]
+		for _, s := range db.EventMentionSources(int32(e)) {
 			if dirtyEvs[s] && lastEv[s] != int32(e) {
 				lastEv[s] = int32(e)
 				counts[s]++
@@ -87,8 +86,7 @@ func (db *DB) buildSourceBitmaps(prev *DB, newRow, newSrc, movedEv int) {
 		lastRep[s] = -1
 	}
 	for e := 0; e < ne; e++ {
-		for _, m := range db.EventMentions(int32(e)) {
-			s := db.Mentions.Source[m]
+		for _, s := range db.EventMentionSources(int32(e)) {
 			if !dirtyEvs[s] {
 				continue
 			}

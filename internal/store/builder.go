@@ -231,7 +231,7 @@ func clampInterval(iv int64, n int32) int32 {
 // prev's sources, each followed by new ones. A keyed index is rebuilt only
 // where the append changed its inputs and shared with prev elsewhere (the
 // dirty-key rule, DESIGN.md §15); nil prev makes every key dirty. The CSR
-// postings are rebuilt whole, O(rows).
+// postings and their event-major payload are rebuilt whole, O(rows).
 func (db *DB) buildDerived(prev *DB) {
 	// First appended mention row, first new source, first event row an
 	// insert moved: an insert shifts every row above it, and a row below
@@ -278,13 +278,14 @@ func (db *DB) buildSourceCountries(prev *DB) {
 
 // buildPostings builds the by-source and by-event mention indexes with two
 // counting sorts over the interval-sorted mention table, so every posting
-// list is ascending by interval.
+// list is ascending by interval. The by-event sort also writes each
+// posting's Source and Interval into the aligned payload columns.
 func (db *DB) buildPostings() {
 	nm := db.Mentions.Len()
 	ns := db.Sources.Len()
 	ne := db.Events.Len()
 
-	db.bySourcePtr = make([]int64, ns+1)
+	db.bySourcePtr = make([]int32, ns+1)
 	for _, s := range db.Mentions.Source {
 		db.bySourcePtr[s+1]++
 	}
@@ -292,14 +293,14 @@ func (db *DB) buildPostings() {
 		db.bySourcePtr[s+1] += db.bySourcePtr[s]
 	}
 	db.bySourceIdx = make([]int32, nm)
-	cur := make([]int64, ns)
+	cur := make([]int32, ns)
 	for i := 0; i < nm; i++ {
 		s := db.Mentions.Source[i]
 		db.bySourceIdx[db.bySourcePtr[s]+cur[s]] = int32(i)
 		cur[s]++
 	}
 
-	db.byEventPtr = make([]int64, ne+1)
+	db.byEventPtr = make([]int32, ne+1)
 	for _, e := range db.Mentions.EventRow {
 		db.byEventPtr[e+1]++
 	}
@@ -307,10 +308,15 @@ func (db *DB) buildPostings() {
 		db.byEventPtr[e+1] += db.byEventPtr[e]
 	}
 	db.byEventIdx = make([]int32, nm)
-	ecur := make([]int64, ne)
+	db.byEventSrc = make([]int32, nm)
+	db.byEventIv = make([]int32, nm)
+	ecur := make([]int32, ne)
 	for i := 0; i < nm; i++ {
 		e := db.Mentions.EventRow[i]
-		db.byEventIdx[db.byEventPtr[e]+ecur[e]] = int32(i)
+		j := db.byEventPtr[e] + ecur[e]
+		db.byEventIdx[j] = int32(i)
+		db.byEventSrc[j] = db.Mentions.Source[i]
+		db.byEventIv[j] = db.Mentions.Interval[i]
 		ecur[e]++
 	}
 }

@@ -27,10 +27,10 @@ import (
 //     local source dictionary (Intern writes the map readers range over);
 //   - shared: the capture-interval calendar (a function of Meta) and the
 //     GKG store (appends never extend it);
-//   - rebuilt, once, after all table mutation: the CSR postings, and every
-//     keyed index — source, country and quarter bitmaps, source countries,
-//     LUTs — where the tick changed its inputs; the other keys are shared
-//     (buildDerived's dirty-key rule).
+//   - rebuilt, once, after all table mutation: the CSR postings with their
+//     event-major payload, and every keyed index — source, country and
+//     quarter bitmaps, source countries, LUTs — where the tick changed its
+//     inputs; the other keys are shared (buildDerived's dirty-key rule).
 //
 // The cost is O(tail rows), bounded by the compactor's seal thresholds, and
 // independent of the sealed world.
@@ -134,10 +134,15 @@ func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Menti
 // DiffFromRebuild compares every derived index of db with what a fresh
 // buildDerived over the same tables builds — the oracle for the dirty-key
 // rule CloneAppend rebuilds by — and returns the first difference, or nil:
-// the CSR postings, quarterRow, SourceCountry, the LUTs, and the three
-// source-bitmap families and the country, event-country and quarter
-// bitmaps, nil exactly where the rebuild's are.
+// the CSR postings and their event-major payload, quarterRow,
+// SourceCountry, the LUTs, and the three source-bitmap families and the
+// country, event-country and quarter bitmaps, nil exactly where the
+// rebuild's are. The payload is also checked against the mention columns
+// directly, since the rebuild shares its builder.
 func (db *DB) DiffFromRebuild() error {
+	if err := db.checkEventPayload(); err != nil {
+		return err
+	}
 	want := &DB{Meta: db.Meta, Sources: db.Sources, Events: db.Events, Mentions: db.Mentions}
 	want.buildDerived(nil)
 	for _, c := range []struct {
@@ -146,6 +151,7 @@ func (db *DB) DiffFromRebuild() error {
 	}{
 		{"source postings", slices.Equal(db.bySourcePtr, want.bySourcePtr) && slices.Equal(db.bySourceIdx, want.bySourceIdx)},
 		{"event postings", slices.Equal(db.byEventPtr, want.byEventPtr) && slices.Equal(db.byEventIdx, want.byEventIdx)},
+		{"event payload", slices.Equal(db.byEventSrc, want.byEventSrc) && slices.Equal(db.byEventIv, want.byEventIv)},
 		{"quarterRow", slices.Equal(db.quarterRow, want.quarterRow)},
 		{"SourceCountry", slices.Equal(db.SourceCountry, want.SourceCountry)},
 		{"source country LUT", slices.Equal(db.sourceCountryLUT, want.sourceCountryLUT)},
@@ -173,6 +179,23 @@ func (db *DB) DiffFromRebuild() error {
 		for k := range f.got {
 			if (f.got[k] == nil) != (f.want[k] == nil) || !bitmap.Equal(f.got[k], f.want[k]) {
 				return fmt.Errorf("%s bitmap of key %d differs from a rebuild", f.name, k)
+			}
+		}
+	}
+	return nil
+}
+
+// checkEventPayload checks that position j of every event's payload holds
+// the Source and Interval of the mention row at position j of its postings.
+func (db *DB) checkEventPayload() error {
+	if len(db.byEventSrc) != len(db.byEventIdx) || len(db.byEventIv) != len(db.byEventIdx) {
+		return fmt.Errorf("event payload covers %d/%d of %d postings", len(db.byEventSrc), len(db.byEventIv), len(db.byEventIdx))
+	}
+	for e := range int32(db.Events.Len()) {
+		srcs, ivs := db.EventMentionSources(e), db.EventMentionIntervals(e)
+		for j, r := range db.EventMentions(e) {
+			if srcs[j] != db.Mentions.Source[r] || ivs[j] != db.Mentions.Interval[r] {
+				return fmt.Errorf("event payload of event row %d at posting %d differs from mention row %d", e, j, r)
 			}
 		}
 	}

@@ -86,11 +86,18 @@ type DB struct {
 	SourceCountry []int16
 
 	// bySource[s] lists mention rows of source s, ascending by interval.
-	bySourcePtr []int64
+	// Offsets are int32 like the row ids they index.
+	bySourcePtr []int32
 	bySourceIdx []int32
 	// byEvent[e] lists mention rows of event row e, ascending by interval.
-	byEventPtr []int64
+	// byEventSrc and byEventIv are its event-major payload: the Source and
+	// Interval of the mention at the same posting, so per-event folds read
+	// contiguous memory instead of gathering from the interval-sorted
+	// columns (DESIGN.md §10, +8 B per mention).
+	byEventPtr []int32
 	byEventIdx []int32
+	byEventSrc []int32
+	byEventIv  []int32
 
 	// Bitmap postings (DESIGN.md §12): per-source roaring bitmaps over
 	// mention rows and event rows, derived from the row-list postings at
@@ -214,6 +221,20 @@ func (db *DB) EventMentions(e int32) []int32 {
 	return db.byEventIdx[db.byEventPtr[e]:db.byEventPtr[e+1]]
 }
 
+// EventMentionSources returns the source ids of event row e's mentions,
+// aligned with EventMentions(e): position j is Mentions.Source of
+// EventMentions(e)[j]. Read-only.
+func (db *DB) EventMentionSources(e int32) []int32 {
+	return db.byEventSrc[db.byEventPtr[e]:db.byEventPtr[e+1]]
+}
+
+// EventMentionIntervals returns the capture intervals of event row e's
+// mentions, aligned with EventMentions(e) and therefore ascending.
+// Read-only.
+func (db *DB) EventMentionIntervals(e int32) []int32 {
+	return db.byEventIv[db.byEventPtr[e]:db.byEventPtr[e+1]]
+}
+
 // EventRowByID returns the event row for a GlobalEventID, or -1.
 func (db *DB) EventRowByID(id int64) int32 {
 	i := sort.Search(len(db.Events.ID), func(i int) bool { return db.Events.ID[i] >= id })
@@ -295,10 +316,10 @@ func (db *DB) Validate() error {
 	if len(db.SourceCountry) != db.Sources.Len() {
 		return fmt.Errorf("store: source country column length %d != %d", len(db.SourceCountry), db.Sources.Len())
 	}
-	if got := db.bySourcePtr[db.Sources.Len()]; got != int64(nm) {
+	if got := db.bySourcePtr[db.Sources.Len()]; int(got) != nm {
 		return fmt.Errorf("store: source postings cover %d of %d mentions", got, nm)
 	}
-	if got := db.byEventPtr[ne]; got != int64(nm) {
+	if got := db.byEventPtr[ne]; int(got) != nm {
 		return fmt.Errorf("store: event postings cover %d of %d mentions", got, nm)
 	}
 	if q := db.cal.quarters; db.quarterRow[q] != int64(nm) {
