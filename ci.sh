@@ -59,11 +59,11 @@ go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
 #
 # Qlang differential battery (internal/baseline, TestQlangDifferential*,
 # TestQlangExplain*): randomized qlang expressions x 2 seeded worlds x
-# {monolith, K in {1,4}} x workers {1,4} x all three plan modes must agree
-# with an independent naive evaluator — exact for counts, 1e-9 relative for
-# float aggregates — and explain=1 must report a plan without executing.
-# Guards the bitmap pushdown path against the closure fallback it replaces
-# (DESIGN.md §13).
+# {monolith, K in {1,4}} x workers {1,4}, run through the planner's own path
+# choice, must agree with an independent naive evaluator — exact for counts,
+# 1e-9 relative for float aggregates — every world's cases must reach the
+# pushdown, range and scan paths, and explain=1 must report a plan without
+# executing (DESIGN.md §13).
 #
 # Router chaos (internal/router, TestChaos*): a real 4-replica 2-group fleet
 # behind the scatter/gather router, with deterministic replica faults

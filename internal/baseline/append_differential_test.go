@@ -14,13 +14,14 @@ import (
 
 // Append-then-query battery: the stream append path (store.DB.CloneAppend)
 // extends tables whose derived indexes — above all the per-source bitmap
-// postings the planner prunes with — are built at assembly time. The hazard
+// postings the selection queries answer from — are built at assembly time. The hazard
 // class pinned here is an append that extends the columns but leaves a
 // derived index stale: the closure scan would see the new rows while the
-// bitmap-pruned plans keep answering from the pre-append snapshot, a silent
-// wrong answer. Two pins: appending a feed suffix must be byte-equivalent
-// to rebuilding from the whole feed (tables, dictionary, and every bitmap),
-// and every planner mode must agree with the scan on the post-append data.
+// bitmap-algebra selection queries keep answering from the pre-append
+// snapshot, a silent wrong answer. Two pins: appending a feed suffix must be
+// byte-equivalent to rebuilding from the whole feed (tables, dictionary, and
+// every bitmap), and the selection queries must agree with the scan on the
+// post-append data.
 
 // buildTruncated assembles a store from the corpus records with mentions
 // restricted to capture intervals below cut (cut < 0 keeps everything),
@@ -74,9 +75,9 @@ func TestAppendEqualsRebuild(t *testing.T) {
 	ranked, _ := queries.TopPublishers(engine.New(full), full.Sources.Len())
 	panel := ranked[:min(16, len(ranked))]
 
-	// Pre-append answer through the bitmap-pruned plan; its post-append
+	// Pre-append answer from the event bitmaps; its post-append
 	// disagreement with the scan is exactly the stale-postings hazard.
-	pre, err := queries.CoReport(engine.New(db).WithPlan(engine.PlanRows), panel)
+	pre, err := queries.CoReport(engine.New(db), panel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,26 +136,23 @@ func TestAppendEqualsRebuild(t *testing.T) {
 		}
 	}
 
-	// Every planner mode answers the post-append question identically...
+	// The selection queries answer the post-append question like the scan...
 	wantCo, err := queries.CoReportScan(engine.New(db), panel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantFo := queries.FollowReportScan(engine.New(db), panel)
-	for _, mode := range plannerModes {
-		e := engine.New(db).WithPlan(mode)
-		gotCo, err := queries.CoReport(e, panel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eqSeries(t, "post-append coreport pair", gotCo.Pair.Data, wantCo.Pair.Data)
-		eqSeries(t, "post-append coreport events", gotCo.EventCounts, wantCo.EventCounts)
-		eqFloats(t, "post-append coreport jaccard", gotCo.Jaccard.Data, wantCo.Jaccard.Data, 1)
-		gotFo := queries.FollowReport(e, panel)
-		eqSeries(t, "post-append follow n", gotFo.N.Data, wantFo.N.Data)
-		eqSeries(t, "post-append follow articles", gotFo.Articles, wantFo.Articles)
-		eqFloats(t, "post-append follow f", gotFo.F.Data, wantFo.F.Data, 1)
+	gotCo, err := queries.CoReport(engine.New(db), panel)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eqSeries(t, "post-append coreport pair", gotCo.Pair.Data, wantCo.Pair.Data)
+	eqSeries(t, "post-append coreport events", gotCo.EventCounts, wantCo.EventCounts)
+	eqFloats(t, "post-append coreport jaccard", gotCo.Jaccard.Data, wantCo.Jaccard.Data, 1)
+	gotFo := queries.FollowReport(engine.New(db), panel)
+	eqSeries(t, "post-append follow n", gotFo.N.Data, wantFo.N.Data)
+	eqSeries(t, "post-append follow articles", gotFo.Articles, wantFo.Articles)
+	eqFloats(t, "post-append follow f", gotFo.F.Data, wantFo.F.Data, 1)
 	// ...and differently from before the append, so the pin has teeth.
 	if reflect.DeepEqual(pre.Pair.Data, wantCo.Pair.Data) {
 		t.Fatal("append did not change the co-reporting answer; hazard pin is vacuous")
@@ -235,22 +233,20 @@ func TestAppendNewEventsAndSources(t *testing.T) {
 		t.Fatalf("new source event bitmap has %d events, want 2", got)
 	}
 
-	// Post-append, all planner modes still agree on a panel that includes
-	// the brand-new source.
+	// Post-append, co-reporting still agrees with the scan on a panel that
+	// includes the brand-new source.
 	ranked, _ := queries.TopPublishers(engine.New(db), db.Sources.Len())
 	panel := append([]int32{ns}, ranked[:min(8, len(ranked))]...)
 	want, err := queries.CoReportScan(engine.New(db), panel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range plannerModes {
-		got, err := queries.CoReport(engine.New(db).WithPlan(mode), panel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eqSeries(t, "new-source coreport pair", got.Pair.Data, want.Pair.Data)
-		eqSeries(t, "new-source coreport events", got.EventCounts, want.EventCounts)
+	got, err := queries.CoReport(engine.New(db), panel)
+	if err != nil {
+		t.Fatal(err)
 	}
+	eqSeries(t, "new-source coreport pair", got.Pair.Data, want.Pair.Data)
+	eqSeries(t, "new-source coreport events", got.EventCounts, want.EventCounts)
 
 	// A chunk regressing behind the stored tail errors without mutating.
 	v, nm := db.Version(), db.Mentions.Len()

@@ -15,11 +15,11 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// qlang pushdown differential battery (DESIGN.md §13): the bitmap pushdown
-// plan, the range-narrowed scan and the closure fallback must aggregate
-// bit-identically for every expression, and all of them must agree with an
-// independent naive per-row evaluator written right here against the raw
-// columns — no engine, no qlang.Filter, no bitmaps. Randomized expressions
+// qlang pushdown differential battery (DESIGN.md §13): whichever path the
+// planner resolves — bitmap pushdown, range-narrowed scan or closure scan —
+// must agree with an independent naive per-row evaluator written right here
+// against the raw columns — no engine, no qlang.Filter, no bitmaps — and
+// every world's cases must reach all three paths. Randomized expressions
 // over every field and operator run on the two seeded worlds, workers
 // {1,4}, full and windowed views, and against time-sharded splits K∈{1,4}.
 // Integer aggregates are exact; float sums allow the usual 1e-9 merge-order
@@ -263,7 +263,23 @@ func eqAdhocVec(t *testing.T, spec queries.AdhocSpec, got, want queries.AdhocVec
 	}
 }
 
-var qlangPlanModes = []engine.PlanMode{engine.PlanAuto, engine.PlanRows, engine.PlanScan}
+// retiredAdhocPlans names the plan modes the query kind could once be
+// forced into. Every name now runs the planner's own choice; the repeated
+// executions re-draw pooled accumulators, so a buffer that comes back dirty
+// fails here. Closure-path coverage comes from the planner itself:
+// checkPathCoverage asserts each world's cases resolve to every path.
+var retiredAdhocPlans = []string{"auto", "rows", "scan"}
+
+// checkPathCoverage fails unless the planner resolved the cases to each of
+// the pushdown, range and scan paths at least once.
+func checkPathCoverage(t *testing.T, world int, paths map[string]bool) {
+	t.Helper()
+	for _, p := range []string{"pushdown", "range", "scan"} {
+		if !paths[p] {
+			t.Errorf("world%d: no case resolves to the %s path (got %v)", world, p, paths)
+		}
+	}
+}
 
 func TestQlangDifferentialMonolith(t *testing.T) {
 	for seedIdx, db := range kernelWorlds(t) {
@@ -272,6 +288,7 @@ func TestQlangDifferentialMonolith(t *testing.T) {
 			"full":   {0, n},
 			"window": {n / 4, 3 * n / 4},
 		}
+		paths := map[string]bool{}
 		for ci, c := range randomAdhocCases(db, int64(seedIdx)*977+13, 16) {
 			spec, err := queries.ParseAdhocSpec(c.where, c.group, c.agg, queries.DefaultAdhocK)
 			if err != nil {
@@ -280,10 +297,10 @@ func TestQlangDifferentialMonolith(t *testing.T) {
 			for viewName, win := range windows {
 				want := naiveAdhoc(db, spec, win[0], win[1])
 				for _, w := range differentialWorkers {
-					base := engine.New(db).WithWorkers(w).WithInterval(win[0], win[1])
-					for _, mode := range qlangPlanModes {
-						e := base.WithPlan(mode)
-						name := fmt.Sprintf("world%d/case%d/%s/w%d/%v", seedIdx, ci, viewName, w, mode)
+					e := engine.New(db).WithWorkers(w).WithInterval(win[0], win[1])
+					paths[queries.ExplainAdhoc(e, spec).Path] = true
+					for _, plan := range retiredAdhocPlans {
+						name := fmt.Sprintf("world%d/case%d/%s/w%d/%s", seedIdx, ci, viewName, w, plan)
 						t.Run(name, func(t *testing.T) {
 							got, err := queries.AdhocVectors(e, spec, queries.AdhocGroupSpec(db, spec.Group))
 							if err != nil {
@@ -301,12 +318,26 @@ func TestQlangDifferentialMonolith(t *testing.T) {
 				}
 			}
 		}
+		checkPathCoverage(t, seedIdx, paths)
 	}
+}
+
+// naiveAdhocKey resolves naive group ids to the display keys the served
+// result carries.
+func naiveAdhocKey(db *store.DB, group string) func(g int) string {
+	switch group {
+	case "source":
+		return func(g int) string { return db.Sources.Name(int32(g)) }
+	case "quarter":
+		return db.QuarterLabel
+	}
+	return func(g int) string { return gdelt.Countries[g].FIPS }
 }
 
 func TestQlangDifferentialSharded(t *testing.T) {
 	for seedIdx, db := range kernelWorlds(t) {
 		cases := randomAdhocCases(db, int64(seedIdx)*1511+7, 8)
+		paths := map[string]bool{}
 		for _, k := range []int{1, 4} {
 			sdb, err := shard.Split(db, k)
 			if err != nil {
@@ -317,17 +348,15 @@ func TestQlangDifferentialSharded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("case %d %q: %v", ci, c.where, err)
 				}
-				ref, err := queries.AdhocQuery(
-					engine.New(db).WithWorkers(1).WithPlan(engine.PlanScan), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
+				paths[sdb.View().AdhocExplain(spec).Path] = true
+				ref := queries.ShapeAdhoc(spec, naiveAdhoc(db, spec, 0, db.Meta.Intervals),
+					naiveAdhocKey(db, spec.Group))
 				refTree := jsonTree(t, ref)
 				for _, w := range differentialWorkers {
-					for _, mode := range qlangPlanModes {
-						name := fmt.Sprintf("world%d/K%d/case%d/w%d/%v", seedIdx, k, ci, w, mode)
+					for _, plan := range retiredAdhocPlans {
+						name := fmt.Sprintf("world%d/K%d/case%d/w%d/%s", seedIdx, k, ci, w, plan)
 						t.Run(name, func(t *testing.T) {
-							got, err := sdb.View().WithWorkers(w).WithPlan(mode).AdhocQuery(spec)
+							got, err := sdb.View().WithWorkers(w).AdhocQuery(spec)
 							if err != nil {
 								t.Fatalf("%q: %v", c.where, err)
 							}
@@ -370,10 +399,5 @@ func TestQlangExplainDoesNotExecute(t *testing.T) {
 	}
 	if plan.Path != "pushdown" && plan.Path != "range" && plan.Path != "scan" {
 		t.Errorf("plan path %q unknown", plan.Path)
-	}
-	// Forcing the scan plan must demote every clause to fallback.
-	scanPlan := queries.ExplainAdhoc(engine.New(db).WithPlan(engine.PlanScan), spec)
-	if scanPlan.Path != "scan" || len(scanPlan.Pushdown) != 0 {
-		t.Errorf("forced scan plan still pushes down: %+v", scanPlan)
 	}
 }

@@ -318,8 +318,8 @@ func (c *container) orInto(dst []uint64) {
 
 // appendRows appends the container's rows (offset by base) to dst with
 // direct per-representation loops — the extraction inner loop of the
-// planner's row and candidate-event plans, kept free of per-value closure
-// calls.
+// ad-hoc pushdown and FollowReport's candidate events, kept free of
+// per-value closure calls.
 func (c *container) appendRows(base int32, dst []int32) []int32 {
 	switch c.typ {
 	case typeArray:
@@ -522,8 +522,8 @@ func (b *Bitmap) Select(i int64) (int32, bool) {
 }
 
 // AppendRows appends every set row to dst in ascending order and returns
-// the extended slice — the bitmap-pruned row extraction of the planner's
-// rows path.
+// the extended slice — the bitmap-pruned row extraction of the ad-hoc
+// pushdown path.
 func (b *Bitmap) AppendRows(dst []int32) []int32 {
 	if b == nil {
 		return dst
@@ -532,17 +532,6 @@ func (b *Bitmap) AppendRows(dst []int32) []int32 {
 		dst = b.cs[ci].appendRows(int32(b.keys[ci])<<chunkBits, dst)
 	}
 	return dst
-}
-
-// ForEach calls f with every set row in ascending order.
-func (b *Bitmap) ForEach(f func(row int32)) {
-	if b == nil {
-		return
-	}
-	for ci := range b.cs {
-		base := int32(b.keys[ci]) << chunkBits
-		b.cs[ci].forEach(func(v uint16) { f(base | int32(v)) })
-	}
 }
 
 // Union returns a ∪ b. Inputs are never modified; the result may share
@@ -622,8 +611,8 @@ func unionContainers(x, y *container) container {
 // per input — each chunk is accumulated once in a word-parallel bitset
 // scratch and canonicalized once, so the cost is O(inputs × words) machine
 // words regardless of how dense the accumulator gets. This is the
-// selection-union primitive of the query planner, where the inputs are the
-// per-source postings bitmaps of a panel.
+// selection-union primitive of the selection queries, where the inputs are
+// the per-source postings bitmaps of a panel.
 func UnionAll(bs []*Bitmap) *Bitmap {
 	live := make([]*Bitmap, 0, len(bs))
 	for _, b := range bs {
@@ -683,7 +672,7 @@ func UnionAll(bs []*Bitmap) *Bitmap {
 // AtLeastTwo returns the set of rows present in two or more of the input
 // bitmaps — equivalently the union of all pairwise intersections, computed
 // in one O(inputs × words) pass with a seen/duplicate word pair instead of
-// O(inputs²) intersections. The planner uses it to find events where two
+// O(inputs²) intersections. FollowReport uses it to find events where two
 // distinct selected sources co-occur.
 func AtLeastTwo(bs []*Bitmap) *Bitmap {
 	live := make([]*Bitmap, 0, len(bs))

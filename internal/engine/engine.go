@@ -32,9 +32,6 @@ type Engine struct {
 	ctx     context.Context
 	// kind labels the engine's scan metrics with the query being served.
 	kind string
-	// plan pins selection queries to a physical plan; PlanAuto defers to
-	// the cost-based planner (planner.go).
-	plan PlanMode
 	// worker binds kernels to the pool worker executing this view (shard
 	// affinity + worker-keyed accumulator reuse); see WithWorker.
 	worker *parallel.Worker

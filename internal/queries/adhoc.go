@@ -17,7 +17,7 @@ import (
 //
 //   - bitmap clauses (equalities on source, sourcecountry, eventcountry)
 //     intersect precomputed roaring row bitmaps; when the estimated
-//     selectivity is at or below engine.RowsPlanThreshold the plan
+//     selectivity is at or below pushdownThreshold the plan
 //     materializes the intersection and runs row-list kernels over exactly
 //     the surviving rows.
 //   - range clauses (interval/quarter comparisons) narrow the engine's
@@ -27,9 +27,8 @@ import (
 //     clauses let through.
 //
 // Every path produces bit-identical integer results (the differential
-// battery in internal/baseline pins pushdown ≡ closure ≡ raw rescan), so
-// the plan choice is excluded from cache keys, exactly like the selection
-// planner's.
+// battery in internal/baseline pins every path against a raw rescan), so
+// the path is a function of the snapshot and the spec alone.
 
 // DefaultAdhocK is the row limit applied to grouped results when the
 // request does not set k.
@@ -84,8 +83,7 @@ type AdhocPlan struct {
 	Selectivity float64  `json:"selectivity"`
 }
 
-// adhocPlans counts resolved ad-hoc plans by path, one counter per value —
-// the qlang analogue of planner_choice_total.
+// adhocPlans counts resolved ad-hoc plans by path, one counter per value.
 var adhocPlans = map[string]*obs.Counter{
 	"pushdown": obs.Default.Counter("qlang_plan_total",
 		"ad-hoc qlang plans resolved by the pushdown planner", obs.L("path", "pushdown")),
@@ -109,21 +107,17 @@ type adhocResolution struct {
 	windowRows int64
 }
 
-// resolveAdhoc plans a spec against an engine view. Forced plan modes map
-// onto the ad-hoc paths: PlanScan runs every clause as a closure over the
-// original window (the honest baseline), PlanRows forces bitmap pushdown
-// whenever a bitmap clause exists, and PlanAuto (or PlanEvents, which has
-// no ad-hoc meaning) estimates selectivity from bitmap cardinalities and
-// pushes down at or below engine.RowsPlanThreshold.
+// pushdownThreshold is the estimated selectivity at or below which bitmap
+// clauses are pushed down: below it the surviving rows are sparse enough
+// that materializing exactly them beats the closure pass over the window.
+const pushdownThreshold = 0.20
+
+// resolveAdhoc plans a spec against an engine view: range clauses always
+// narrow the window, and bitmap clauses push down when the selectivity
+// estimated from their cardinalities is at or below pushdownThreshold.
 func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 	db := e.DB()
 	r := adhocResolution{windowRows: int64(e.WindowSize())}
-	if e.Plan() == engine.PlanScan {
-		r.path, r.eng = "scan", e
-		r.residual = spec.Expr.Clauses
-		r.estRows = r.windowRows
-		return r
-	}
 	bm, rng, residual := qlang.Split(spec.Expr.Clauses)
 	ne := e
 	for _, c := range rng {
@@ -159,7 +153,7 @@ func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 	if r.windowRows > 0 {
 		sel = float64(r.estRows) / float64(r.windowRows)
 	}
-	if e.Plan() == engine.PlanRows || sel <= engine.RowsPlanThreshold {
+	if sel <= pushdownThreshold {
 		r.path = "pushdown"
 		r.bms = bms
 		r.pushdown = append(append([]qlang.Clause{}, bm...), rng...)

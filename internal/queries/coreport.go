@@ -37,75 +37,10 @@ func slotLUT(nSources int, sources []int32) []int32 {
 	return slot
 }
 
-// eventGroups is the postings-pruned execution plan for a source selection:
-// every mention row published by a selected source, grouped by the event it
-// reports on, rows ascending (= ascending capture interval) within each
-// group. Groups[g] = rows[ptr[g]:ptr[g+1]]. Events with no selected-source
-// mention have no group — they cannot contribute to co- or follow-reporting
-// among the selection — and mention rows of unselected sources are never
-// touched at all, so building and scanning the plan costs O(Σ postings of
-// the selected sources · log + events) instead of a pass over every mention
-// of every event.
-type eventGroups struct {
-	rows []int32
-	ptr  []int32
-	// idx enumerates the groups (0..len(ptr)-2) for engine.ScanRows.
-	idx []int32
-}
-
-func groupSelectedMentions(e *engine.Engine, sources []int32) *eventGroups {
-	db := e.DB()
-	// Union the selected sources' row bitmaps: duplicates in the selection
-	// collapse for free, and extraction yields every selected row in globally
-	// ascending order. Ascending rows stay ascending within each group under
-	// a stable counting sort, so no per-group re-sorting is needed — the
-	// per-group insertion sorts this replaces were the cost that regressed
-	// high-selectivity top-k panels below the full scan.
-	bms := make([]*bitmap.Bitmap, len(sources))
-	for i, s := range sources {
-		bms[i] = db.SourceRowBitmap(s)
-	}
-	u := bitmap.UnionAll(bms)
-	total := u.Cardinality()
-	selRows := u.AppendRows(make([]int32, 0, total))
-
-	// Dense event index (first-appearance order) and a stable counting sort
-	// of the selected rows into per-event groups.
-	evIndex := make([]int32, db.Events.Len()) // dense group index + 1; 0 = absent
-	counts := make([]int32, 0, 256)
-	for _, r := range selRows {
-		ev := db.Mentions.EventRow[r]
-		g := evIndex[ev]
-		if g == 0 {
-			counts = append(counts, 0)
-			g = int32(len(counts))
-			evIndex[ev] = g
-		}
-		counts[g-1]++
-	}
-	groups := len(counts)
-	ptr := make([]int32, groups+1)
-	for g, c := range counts {
-		ptr[g+1] = ptr[g] + c
-	}
-	grouped := make([]int32, total)
-	cur := make([]int32, groups)
-	for _, r := range selRows {
-		g := evIndex[db.Mentions.EventRow[r]] - 1
-		grouped[int(ptr[g])+int(cur[g])] = r
-		cur[g]++
-	}
-	eg := &eventGroups{rows: grouped, ptr: ptr, idx: make([]int32, groups)}
-	for g := range eg.idx {
-		eg.idx[g] = int32(g)
-	}
-	return eg
-}
-
 // activeSlots returns the panel positions that survive duplicate
 // resolution: slot[sources[i]] == i exactly when position i is the last
 // occurrence of its source. Shadowed positions are inert — the scan never
-// marks them present — so the bitmap-algebra plans must compute them as
+// marks them present — so the bitmap-algebra kernels must compute them as
 // zeros, which skipping them here achieves.
 func activeSlots(sources []int32, slot []int32) []int32 {
 	act := make([]int32, 0, len(sources))
@@ -139,9 +74,6 @@ func contributingEvents(e *engine.Engine, sources []int32, slot []int32) []int32
 	u := bitmap.UnionAll(repBMs)
 	return u.AppendRows(make([]int32, 0, u.Cardinality()))
 }
-
-// group returns the mention rows of dense group g, ascending by interval.
-func (eg *eventGroups) group(g int32) []int32 { return eg.rows[eg.ptr[g]:eg.ptr[g+1]] }
 
 // coPartial is a worker-local accumulator for co-reporting scans.
 type coPartial struct {
@@ -219,46 +151,15 @@ func FinishCoReporting(sources []int32, names []string, counts []int64, pair *ma
 	}, nil
 }
 
-// CoReport computes co-reporting among the selected sources through the
-// plan the cost-based planner resolves (engine.PlanSelection): bitmap-pruned
-// row extraction when the selection is sparse, the candidate-events plan
-// when it is dense, or — only when forced — the full closure scan. All three
-// produce identical results (the planner differential battery pins this).
+// CoReport computes co-reporting among the selected sources by event-bitmap
+// algebra: the scan's pair count is, by definition, the number of events
+// where both sources appear — exactly the intersection cardinality of their
+// event bitmaps — and its singleton count is the event-bitmap cardinality.
+// No mention row is touched at all: the k×k result costs O(k² × containers)
+// register work, which on dense top-k panels is an order of magnitude under
+// the scan it replaces. Shadowed duplicate panel positions stay all-zero,
+// matching the scan's last-occurrence slot resolution.
 func CoReport(e *engine.Engine, sources []int32) (*CoReporting, error) {
-	switch e.PlanSelection(sources) {
-	case engine.PlanScan:
-		return CoReportScan(e, sources)
-	case engine.PlanEvents:
-		return coReportEvents(e, sources)
-	}
-	db := e.DB()
-	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
-	eg := groupSelectedMentions(e, sources)
-	res := engine.ScanRows(e, eg.idx, db.Events.Len(),
-		func() *coPartial { return newCoPartial(n) },
-		func(acc *coPartial, groups []int32) *coPartial {
-			present := make([]int32, 0, 16)
-			mark := make([]bool, n)
-			for _, g := range groups {
-				coReportRows(db, acc, eg.group(g), slot, present, mark)
-			}
-			return acc
-		},
-		mergeCoPartials,
-	)
-	return finishCoReport(e, sources, res)
-}
-
-// coReportEvents is the event-bitmap algebra plan: the scan's pair count is,
-// by definition, the number of events where both sources appear — exactly
-// the intersection cardinality of their event bitmaps — and its singleton
-// count is the event-bitmap cardinality. No mention row is touched at all:
-// the k×k result costs O(k² × containers) register work, which on dense
-// top-k panels is an order of magnitude under the scan it replaces.
-// Shadowed duplicate panel positions stay all-zero, matching the scan's
-// last-occurrence slot resolution.
-func coReportEvents(e *engine.Engine, sources []int32) (*CoReporting, error) {
 	db := e.DB()
 	n := len(sources)
 	slot := slotLUT(db.Sources.Len(), sources)
@@ -280,11 +181,11 @@ func coReportEvents(e *engine.Engine, sources []int32) (*CoReporting, error) {
 	return finishCoReport(e, sources, res)
 }
 
-// CoReportScan is the full-scan closure fallback of CoReport: a parallel
+// CoReportScan is the full-scan closure reference of CoReport: a parallel
 // pass over every event and every one of its mentions, with per-worker pair
-// matrices. It is kept as the reference implementation the differential
-// harness pins the pruned path against, and as the baseline the kernel
-// benchmark measures pruning from.
+// matrices. It is never served; it is the reference the differential
+// harness pins CoReport against, and the baseline the kernel benchmark
+// measures pruning from.
 func CoReportScan(e *engine.Engine, sources []int32) (*CoReporting, error) {
 	db := e.DB()
 	n := len(sources)
@@ -419,8 +320,7 @@ type FollowReporting struct {
 
 // followReportRows folds one event's mention rows (ascending by capture
 // interval, so a single forward pass sees leaders before followers) into
-// acc. Unselected rows contribute nothing, so the pruned path may pass only
-// the event's selected-source rows and get the identical result.
+// acc. Unselected rows contribute nothing.
 func followReportRows(db *store.DB, acc *matrix.Int64, rows []int32, slot []int32, firstSeen []int32, touched []int32) []int32 {
 	for _, row := range rows {
 		j := slot[db.Mentions.Source[row]]
@@ -485,43 +385,11 @@ func selectedArticles(e *engine.Engine, sources []int32) []int64 {
 	return articles
 }
 
-// FollowReport computes follow-reporting among the selected sources through
-// the planner-resolved plan, like CoReport. FollowReportScan is the closure
-// reference, reachable only by forcing engine.PlanScan.
+// FollowReport computes follow-reporting among the selected sources over
+// the full mention lists of only the events that can contribute — at least
+// two selected rows (contributingEvents) — so the ascending-interval leader
+// pass sees exactly the rows whose contribution is nonzero.
 func FollowReport(e *engine.Engine, sources []int32) *FollowReporting {
-	switch e.PlanSelection(sources) {
-	case engine.PlanScan:
-		return FollowReportScan(e, sources)
-	case engine.PlanEvents:
-		return followReportEvents(e, sources)
-	}
-	db := e.DB()
-	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
-	eg := groupSelectedMentions(e, sources)
-	nm := engine.ScanRows(e, eg.idx, db.Events.Len(),
-		func() *matrix.Int64 { return &matrix.Int64{Rows: n, Cols: n, Data: parallel.GetInt64(n * n)} },
-		func(acc *matrix.Int64, groups []int32) *matrix.Int64 {
-			firstSeen := make([]int32, n)
-			for i := range firstSeen {
-				firstSeen[i] = -1
-			}
-			touched := make([]int32, 0, 16)
-			for _, g := range groups {
-				touched = followReportRows(db, acc, eg.group(g), slot, firstSeen, touched)
-			}
-			return acc
-		},
-		mergeReleaseMatrixSerial,
-	)
-	return finishFollowReport(e, sources, selectedArticles(e, sources), nm)
-}
-
-// followReportEvents is the contributing-events plan of FollowReport: full
-// mention lists of only the events that can contribute — at least two
-// selected rows — so the ascending-interval leader pass sees exactly the
-// rows whose contribution is nonzero.
-func followReportEvents(e *engine.Engine, sources []int32) *FollowReporting {
 	db := e.DB()
 	n := len(sources)
 	slot := slotLUT(db.Sources.Len(), sources)
@@ -544,8 +412,8 @@ func followReportEvents(e *engine.Engine, sources []int32) *FollowReporting {
 	return finishFollowReport(e, sources, selectedArticles(e, sources), nm)
 }
 
-// FollowReportScan is the full-scan fallback of FollowReport, kept as the
-// reference implementation for the differential harness and the kernel
+// FollowReportScan is the full-scan closure reference of FollowReport, never
+// served: the reference for the differential harness and the kernel
 // benchmark's pruning baseline.
 func FollowReportScan(e *engine.Engine, sources []int32) *FollowReporting {
 	db := e.DB()

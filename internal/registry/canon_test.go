@@ -1,8 +1,12 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/url"
 	"testing"
+
+	"gdeltmine/internal/qcache"
 )
 
 // Parameter canonicalization (DESIGN.md §13): the shared where/group/agg/
@@ -76,20 +80,32 @@ func TestQueryParamCanonDefaults(t *testing.T) {
 	}
 }
 
-func TestQueryExplainBypassesCache(t *testing.T) {
-	d, ok := Lookup("query")
-	if !ok {
-		t.Fatal("query kind not registered")
-	}
-	if d.Bypass == nil {
-		t.Fatal("query kind has no cache bypass")
-	}
-	_, pExplain := parseQuery(t, "query", "explain=yes")
-	if !d.Bypass(pExplain) {
-		t.Error("explain=yes request must bypass the result cache")
-	}
+// TestQueryExplainIsCached: an explain answer depends only on the snapshot
+// and the params, so it goes through the cache like every other answer —
+// miss, then a hit with a byte-identical body — under its own key, never
+// the executed query's.
+func TestQueryExplainIsCached(t *testing.T) {
+	ex := &Executor{Cache: qcache.New(0)}
+	d, pExplain := parseQuery(t, "query", "explain=yes&where="+url.QueryEscape("tone>0"))
 	_, pRun := parseQuery(t, "query", "where="+url.QueryEscape("tone>0"))
-	if d.Bypass(pRun) {
-		t.Error("executing request must not bypass the result cache")
+	if d.Canonical(pExplain) == d.Canonical(pRun) {
+		t.Fatalf("explain and executed query share a key: %q", d.Canonical(pRun))
+	}
+	v := testWorld(t).View().WithKind(d.Kind)
+	var bodies [2][]byte
+	for i, want := range []qcache.Outcome{qcache.Miss, qcache.Hit} {
+		val, out, err := ex.ExecuteSharded(d, v, pExplain)
+		if err != nil || out != want {
+			t.Fatalf("explain request %d: outcome %v (%v), want %v", i, out, err, want)
+		}
+		if bodies[i], err = json.Marshal(val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("cached explain body differs:\n%s\n%s", bodies[0], bodies[1])
+	}
+	if _, out, err := ex.ExecuteSharded(d, v, pRun); err != nil || out != qcache.Miss {
+		t.Fatalf("executed query after explain: outcome %v (%v), want miss", out, err)
 	}
 }

@@ -26,19 +26,13 @@ const (
 	// surviving shards and flags the response as partial coverage. Only
 	// valid against a sharded dataset.
 	ParamShards = "shards"
-	// ParamPlan pins selection queries to a physical plan ("auto", "rows",
-	// "events" or "scan"). All plans produce identical results — the
-	// parameter selects a strategy, not a query — so it is deliberately
-	// excluded from result-cache keys; differential tests force plans
-	// through it via uncached executors.
-	ParamPlan = "plan"
 )
 
 // IsCommonParam reports whether name is one of the engine-view parameters
 // every kind accepts.
 func IsCommonParam(name string) bool {
 	return name == ParamWorkers || name == ParamFrom || name == ParamTo ||
-		name == ParamShards || name == ParamPlan
+		name == ParamShards
 }
 
 // Query-shaping parameters shared by several kinds. One constructor per
@@ -121,7 +115,6 @@ type commonParams struct {
 	hasWorkers bool
 	lo, hi     int32
 	windowed   bool
-	plan       engine.PlanMode
 }
 
 // lastValue resolves url.Values-style repetition: the last occurrence wins,
@@ -198,13 +191,6 @@ func parseCommon(meta store.Meta, get func(name string) []string) (commonParams,
 		}
 		c.lo, c.hi, c.windowed = int32(lo), int32(hi), true
 	}
-	if ps := one(ParamPlan); ps != "" {
-		m, err := engine.ParsePlanMode(ps)
-		if err != nil {
-			return c, BadParamf("invalid plan: %v", err)
-		}
-		c.plan = m
-	}
 	return c, nil
 }
 
@@ -227,9 +213,6 @@ func DeriveEngine(e *engine.Engine, get func(name string) []string) (*engine.Eng
 	if c.windowed {
 		e = e.WithInterval(c.lo, c.hi)
 	}
-	if c.plan != engine.PlanAuto {
-		e = e.WithPlan(c.plan)
-	}
 	return e, nil
 }
 
@@ -245,9 +228,6 @@ func DeriveView(v *shard.View, get func(name string) []string) (*shard.View, err
 	}
 	if c.windowed {
 		v = v.WithWindow(c.lo, c.hi)
-	}
-	if c.plan != engine.PlanAuto {
-		v = v.WithPlan(c.plan)
 	}
 	if raw := lastValue(get, ParamShards); raw != "" {
 		idx, err := ParseShards(v.DB().K(), raw)

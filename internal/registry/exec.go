@@ -46,7 +46,7 @@ func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, 
 		}
 		return val, nil
 	}
-	if x == nil || x.Cache == nil || (d.Bypass != nil && d.Bypass(p)) {
+	if x == nil || x.Cache == nil {
 		val, err := compute()
 		return val, qcache.Bypass, err
 	}

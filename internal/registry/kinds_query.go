@@ -10,8 +10,9 @@ import (
 // where-conjunction with a group-by field and an aggregate, executed
 // through the bitmap pushdown planner. explain=1 returns the resolved plan
 // — pushdown clauses, fallback clauses, estimated selectivity, kernel —
-// without executing; explain responses bypass the result cache because
-// they depend on the forced plan mode, which executed results do not.
+// without executing. The plan depends only on the snapshot and the params,
+// and explain is a schema parameter, so explain answers are cached under
+// their own keys like every other answer.
 
 func adhocSpec(p Params) (queries.AdhocSpec, error) {
 	spec, err := queries.ParseAdhocSpec(p.Str("where"), p.Str("group"), p.Str("agg"), p.Int("k"))
@@ -32,7 +33,6 @@ func init() {
 			{Name: "k", Type: IntParam, Default: "20", Help: "grouped result row limit"},
 			explainParam(),
 		},
-		Bypass: func(p Params) bool { return p.Str("explain") == "1" },
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			explain, err := parseExplain(p)
 			if err != nil {

@@ -153,11 +153,6 @@ type Descriptor struct {
 	// the equivalent monolith — the invariant the differential battery in
 	// internal/baseline pins for every kind.
 	RunSharded func(v *shard.View, p Params) (any, error)
-	// Bypass, when non-nil, marks requests whose results must not be
-	// cached: explain output depends on the forced plan mode, which is
-	// deliberately excluded from cache keys because executed results are
-	// plan-independent.
-	Bypass func(p Params) bool
 }
 
 // ParseParams resolves the descriptor's schema against get, which returns

@@ -119,40 +119,49 @@ type planResponse struct {
 	Selectivity float64  `json:"selectivity"`
 }
 
-// TestQueryExplain: explain=1 returns the chosen plan without executing,
-// and bypasses the result cache (the plan depends on the plan parameter,
-// which executed results — and so cache keys — exclude).
+// TestQueryExplain: explain=1 returns the chosen plan without executing.
+// The plan depends only on the snapshot and the params, so explain answers
+// go through the result cache like every other answer.
 func TestQueryExplain(t *testing.T) { eachWorld(t, testQueryExplain) }
 
 func testQueryExplain(t *testing.T, sdb *shard.DB) {
 	srv := testServer(t, sdb)
-	q := "where=" + url.QueryEscape("sourcecountry=US and tone>0") + "&group=source&explain=1"
-	resp, body := get(t, srv, "/api/v1/query?"+q)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	explain := func(where string) planResponse {
+		t.Helper()
+		q := "/api/v1/query?where=" + url.QueryEscape(where) + "&group=source&explain=1"
+		var plan planResponse
+		var first []byte
+		for _, want := range []string{"miss", "hit"} {
+			resp, body := get(t, srv, q)
+			if resp.StatusCode != 200 {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			if xc := resp.Header.Get("X-Cache"); xc != want {
+				t.Fatalf("%q explain X-Cache %q, want %q", where, xc, want)
+			}
+			if first == nil {
+				first = body
+			} else if string(body) != string(first) {
+				t.Fatalf("%q: cached explain body differs", where)
+			}
+		}
+		if err := json.Unmarshal(first, &plan); err != nil {
+			t.Fatalf("explain body %q: %v", first, err)
+		}
+		return plan
 	}
-	if xc := resp.Header.Get("X-Cache"); xc != "" {
-		t.Fatalf("explain response carries X-Cache %q; it must bypass the cache", xc)
-	}
-	var plan planResponse
-	if err := json.Unmarshal(body, &plan); err != nil {
-		t.Fatalf("explain body %q: %v", body, err)
-	}
+	plan := explain("sourcecountry=US and tone>0")
 	if plan.Path == "" || plan.WindowRows <= 0 {
 		t.Fatalf("plan %+v", plan)
 	}
 	if len(plan.Pushdown)+len(plan.Fallback) != 2 {
 		t.Fatalf("plan splits %d+%d clauses, want 2", len(plan.Pushdown), len(plan.Fallback))
 	}
-	// Forcing plan=scan must flip the same request to the scan path — and
-	// because explain bypasses the cache, the change is visible immediately.
-	_, body = get(t, srv, "/api/v1/query?"+q+"&plan=scan")
-	var scanPlan planResponse
-	if err := json.Unmarshal(body, &scanPlan); err != nil {
-		t.Fatal(err)
-	}
-	if scanPlan.Path != "scan" || len(scanPlan.Pushdown) != 0 {
-		t.Fatalf("plan=scan explain %+v", scanPlan)
+	// A broad residual-only expression takes the other side of the
+	// pushdown choice: nothing to push down, every clause on the closure.
+	broad := explain("tone<0")
+	if broad.Path != "scan" || len(broad.Pushdown) != 0 || len(broad.Fallback) != 1 {
+		t.Fatalf("tone<0 explain %+v, want the scan path with one fallback clause", broad)
 	}
 }
 

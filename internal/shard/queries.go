@@ -454,66 +454,6 @@ func foldCountryMask(pair *matrix.Int64, counts []int64, mask uint64) {
 	}
 }
 
-// PlanSelection resolves the physical plan for a selection query over the
-// sharded store, mirroring engine.PlanSelection: forced modes pass through;
-// PlanAuto estimates selectivity from the per-shard row-bitmap cardinalities
-// of the selected sources against the total mention count.
-func (v *View) PlanSelection(sources []int32) engine.PlanMode {
-	m := v.plan
-	if m == engine.PlanAuto {
-		s := v.s
-		selG := make([]bool, s.sources.Len())
-		for _, src := range sources {
-			selG[src] = true
-		}
-		// Per-shard cardinality sums land in shard-indexed slots and fold
-		// afterwards (exact integer sums, any order).
-		selP := make([]int64, s.K())
-		nmP := make([]int64, s.K())
-		v.forEachShard(func(_ *parallel.Worker, i int, _ *engine.Engine) {
-			p := s.parts[i]
-			nmP[i] = int64(p.Mentions.Len())
-			remap := s.l2gSrc[i]
-			for ls := 0; ls < p.Sources.Len(); ls++ {
-				if selG[remap[ls]] {
-					selP[i] += p.SourceRowBitmap(int32(ls)).Cardinality()
-				}
-			}
-		})
-		var sel, nm int64
-		for i := range selP {
-			sel += selP[i]
-			nm += nmP[i]
-		}
-		m = engine.PlanRows
-		if nm > 0 && float64(sel)/float64(nm) > engine.RowsPlanThreshold {
-			m = engine.PlanEvents
-		}
-	}
-	engine.ObservePlan(m)
-	return m
-}
-
-// selection holds the per-shard execution plan for a global source
-// selection: local slot lookup tables (local source id → selection index,
-// -1 unselected), the ascending list of global events to fold, and — under
-// the rows plan — per-shard CSRs of exactly the selected mention rows keyed
-// by local event, holding each row's source and interval rather than its
-// id. The events come from the selected sources' event bitmaps
-// (O(containers) per source) rather than a walk over their postings: every
-// event a selected source reports (rows plan), or only the events that can
-// contribute to follow-reporting (events plan, see contributingEvents); the
-// scan plan skips discovery and lists every global event.
-type selection struct {
-	slots [][]int32
-	evs   []int32
-	// rows plan only: rowSrc[i][rowPtr[i][le]:rowPtr[i][le+1]] are the
-	// sources of shard i's selected mention rows of local event le,
-	// ascending by interval, and rowIv the same rows' intervals.
-	rowPtr        [][]int32
-	rowSrc, rowIv [][]int32
-}
-
 // slotTables returns each shard's local source id → selection index table.
 func (v *View) slotTables(sources []int32) [][]int32 {
 	s := v.s
@@ -606,97 +546,6 @@ func (v *View) contributingEvents(slots [][]int32, n int) []int32 {
 	return u.AppendRows(make([]int32, 0, u.Cardinality()))
 }
 
-func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
-	s := v.s
-	sel := &selection{slots: v.slotTables(sources)}
-	switch plan {
-	case engine.PlanScan:
-		sel.evs = make([]int32, s.events.Len())
-		for ev := range sel.evs {
-			sel.evs[ev] = int32(ev)
-		}
-		return sel
-	case engine.PlanEvents:
-		sel.evs = v.contributingEvents(sel.slots, len(sources))
-		return sel
-	}
-	sel.rowPtr = make([][]int32, len(s.parts))
-	sel.rowSrc = make([][]int32, len(s.parts))
-	sel.rowIv = make([][]int32, len(s.parts))
-	// Candidate discovery runs one fan-out job per shard: the per-shard CSR
-	// is shard-indexed, while the candidate set is a shared bitset — one
-	// global event can be discovered by two shards at once, so bits are set
-	// with atomic OR (idempotent and commutative, exact under any
-	// interleaving).
-	candWords := make([]uint64, (s.events.Len()+63)/64)
-	v.forEachShard(func(_ *parallel.Worker, i int, _ *engine.Engine) {
-		p := s.parts[i]
-		var bms, rbms []*bitmap.Bitmap
-		for ls, sl := range sel.slots[i] {
-			if sl >= 0 {
-				bms = append(bms, p.SourceEventBitmap(int32(ls)))
-				rbms = append(rbms, p.SourceRowBitmap(int32(ls)))
-			}
-		}
-		u := bitmap.UnionAll(bms)
-		remap := s.l2gEv[i]
-		u.ForEach(func(le int32) {
-			ev := remap[le]
-			atomic.OrUint64(&candWords[ev>>6], 1<<uint(ev&63))
-		})
-		ru := bitmap.UnionAll(rbms)
-		rows := ru.AppendRows(make([]int32, 0, ru.Cardinality()))
-		ptr := make([]int32, p.Events.Len()+1)
-		for _, r := range rows {
-			ptr[p.Mentions.EventRow[r]+1]++
-		}
-		for le := 0; le < p.Events.Len(); le++ {
-			ptr[le+1] += ptr[le]
-		}
-		srcs := make([]int32, len(rows))
-		ivs := make([]int32, len(rows))
-		cur := make([]int32, p.Events.Len())
-		for _, r := range rows {
-			le := p.Mentions.EventRow[r]
-			j := ptr[le] + cur[le]
-			srcs[j], ivs[j] = p.Mentions.Source[r], p.Mentions.Interval[r]
-			cur[le]++
-		}
-		sel.rowPtr[i], sel.rowSrc[i], sel.rowIv[i] = ptr, srcs, ivs
-	})
-	// Walking words in order and bits low-to-high yields the same ascending
-	// candidate list as the sequential boolean walk did.
-	for wi, word := range candWords {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			sel.evs = append(sel.evs, int32(wi*64+b))
-		}
-	}
-	return sel
-}
-
-// shardRows calls f with the local sources and intervals of each shard's
-// mention rows for global event ev, in shard (= time) order: the full event
-// mention lists, or — under the rows plan — only the selected rows. Within
-// a shard rows ascend by interval and shards tile time in order, so the
-// concatenation replays the monolith's ordering either way.
-func (sel *selection) shardRows(s *DB, ev int32, f func(i int, srcs, ivs []int32)) {
-	if sel.rowPtr == nil {
-		s.shardEventRows(ev, f)
-		return
-	}
-	seq := s.events.seq(ev)
-	for i := range s.parts {
-		if lr := s.localEvent(i, seq, ev); lr >= 0 {
-			ptr := sel.rowPtr[i]
-			if lo, hi := ptr[lr], ptr[lr+1]; hi > lo {
-				f(i, sel.rowSrc[i][lo:hi], sel.rowIv[i][lo:hi])
-			}
-		}
-	}
-}
-
 // shardEventRows calls f with the local sources and intervals of each
 // shard's mention rows for global event ev, read from the event-major
 // payload, in shard (= time) order. Within a shard rows ascend by interval
@@ -713,72 +562,13 @@ func (s *DB) shardEventRows(ev int32, f func(i int, srcs, ivs []int32)) {
 	}
 }
 
-// CoReport computes co-reporting among the selected global sources through
-// the planner-resolved plan: selected rows only (rows), event-bitmap
-// algebra (events, coReportEvents), or every global event (scan, forced
-// only). All plans produce identical results.
+// CoReport computes co-reporting among the selected global sources by
+// event-bitmap algebra, as in the monolith: a source's event count is the
+// cardinality of its global event bitmap and a pair count the cardinality
+// of two bitmaps' intersection, so no mention row is touched. Shadowed
+// duplicate positions stay all-zero, matching the scan's last-occurrence
+// slot resolution.
 func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
-	s := v.s
-	n := len(sources)
-	plan := v.PlanSelection(sources)
-	if plan == engine.PlanEvents {
-		return v.coReportEvents(sources)
-	}
-	sel := v.selection(sources, plan)
-	type partial struct {
-		pair   *matrix.Int64
-		counts []int64
-	}
-	res := parallel.MapReduce(len(sel.evs), v.opt(),
-		func() *partial {
-			return &partial{pair: matrix.NewInt64(n, n), counts: make([]int64, n)}
-		},
-		func(acc *partial, lo, hi int) *partial {
-			present := make([]int32, 0, 16)
-			mark := make([]bool, n)
-			for _, ev := range sel.evs[lo:hi] {
-				present = present[:0]
-				sel.shardRows(s, ev, func(i int, srcs, _ []int32) {
-					slots := sel.slots[i]
-					for _, src := range srcs {
-						if sl := slots[src]; sl >= 0 && !mark[sl] {
-							mark[sl] = true
-							present = append(present, sl)
-						}
-					}
-				})
-				for _, i := range present {
-					mark[i] = false
-					acc.counts[i]++
-				}
-				for a := 0; a < len(present); a++ {
-					for b := a + 1; b < len(present); b++ {
-						acc.pair.Inc(int(present[a]), int(present[b]))
-						acc.pair.Inc(int(present[b]), int(present[a]))
-					}
-				}
-			}
-			return acc
-		},
-		func(dst, src *partial) *partial {
-			if err := dst.pair.AddMatrix(src.pair); err != nil {
-				panic(err)
-			}
-			for i, c := range src.counts {
-				dst.counts[i] += c
-			}
-			return dst
-		},
-	)
-	return queries.FinishCoReporting(sources, v.sourceNames(sources), res.counts, res.pair)
-}
-
-// coReportEvents is the event-bitmap algebra plan, as in the monolith: a
-// source's event count is the cardinality of its global event bitmap and a
-// pair count the cardinality of two bitmaps' intersection, so no mention
-// row is touched. Shadowed duplicate positions stay all-zero, matching the
-// fold's last-occurrence slot resolution.
-func (v *View) coReportEvents(sources []int32) (*queries.CoReporting, error) {
 	n := len(sources)
 	evs, _ := v.selectedEventBitmaps(v.slotTables(sources), n, false)
 	counts := make([]int64, n)
@@ -797,14 +587,16 @@ func (v *View) coReportEvents(sources []int32) (*queries.CoReporting, error) {
 }
 
 // FollowReport computes follow-reporting among the selected global
-// sources. The per-event leader state (firstSeen/touched) persists across
-// the event's shard segments — one event's mentions may span several
-// shards, and the fold must see them as one ascending-interval stream.
+// sources over the events that can contribute (contributingEvents). The
+// per-event leader state (firstSeen/touched) persists across the event's
+// shard segments — one event's mentions may span several shards, and the
+// fold must see them as one ascending-interval stream.
 func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 	s := v.s
 	n := len(sources)
-	sel := v.selection(sources, v.PlanSelection(sources))
-	nm := parallel.MapReduce(len(sel.evs), v.opt(),
+	slots := v.slotTables(sources)
+	evs := v.contributingEvents(slots, n)
+	nm := parallel.MapReduce(len(evs), v.opt(),
 		func() *matrix.Int64 { return matrix.NewInt64(n, n) },
 		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
 			firstSeen := make([]int32, n)
@@ -812,11 +604,10 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 				firstSeen[i] = -1
 			}
 			touched := make([]int32, 0, 16)
-			for _, ev := range sel.evs[lo:hi] {
-				sel.shardRows(s, ev, func(i int, srcs, ivs []int32) {
-					slots := sel.slots[i]
+			for _, ev := range evs[lo:hi] {
+				s.shardEventRows(ev, func(i int, srcs, ivs []int32) {
 					for x, src := range srcs {
-						j := slots[src]
+						j := slots[i][src]
 						if j < 0 {
 							continue
 						}

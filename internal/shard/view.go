@@ -19,7 +19,6 @@ type View struct {
 	workers  int
 	ctx      context.Context
 	kind     string
-	plan     engine.PlanMode
 	from, to int32
 	windowed bool
 	// subset, when non-nil, restricts mention-scan fan-out to the marked
@@ -56,17 +55,6 @@ func (v *View) WithKind(kind string) *View {
 	w.kind = kind
 	return &w
 }
-
-// WithPlan returns a copy pinned to a selection-query plan mode; PlanAuto
-// (the default) defers to the cost-based planner per query.
-func (v *View) WithPlan(m engine.PlanMode) *View {
-	w := *v
-	w.plan = m
-	return &w
-}
-
-// Plan returns the view's plan mode.
-func (v *View) Plan() engine.PlanMode { return v.plan }
 
 // WithWindow returns a copy restricted to capture intervals [from, to).
 // Mirrors engine.WithInterval: from == to == 0 means an explicitly empty
@@ -205,7 +193,7 @@ func (v *View) forEachShard(job func(w *parallel.Worker, i int, e *engine.Engine
 func (v *View) engines() []*engine.Engine {
 	es := make([]*engine.Engine, v.s.K())
 	for i, p := range v.s.parts {
-		e := engine.New(p).WithWorkers(v.workers).WithContext(v.ctx).WithKind(v.kind).WithPlan(v.plan)
+		e := engine.New(p).WithWorkers(v.workers).WithContext(v.ctx).WithKind(v.kind)
 		switch {
 		case v.subset != nil && !v.subset[i]:
 			// Excluded shard: an explicitly empty window, so its kernels

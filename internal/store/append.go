@@ -16,7 +16,7 @@ import (
 // snapshots are immutable.
 //
 // The dangerous part is not the column appends but the derived state: the
-// row-list postings, the per-source bitmap postings the planner prunes with
+// row-list postings, the per-source bitmap postings the selection queries read
 // (srcRowBM/srcEvBM/srcRepEvBM), the value bitmaps, the quarter row index
 // and the typed LUTs are all materialized from the tables, so an append
 // that extended the columns without rebuilding them would leave the

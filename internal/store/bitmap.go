@@ -9,12 +9,11 @@ import (
 
 // Bitmap postings (DESIGN.md §12): alongside the row-list postings built by
 // buildPostings, each source carries roaring bitmaps — its mention rows, its
-// event rows and its repeat-event rows. The row bitmap gives the planner
-// O(containers) cardinalities for selectivity estimation and lets the pruned
-// CoReport / FollowReport path union a selection's rows in ascending order
-// without the concat-and-sort the row lists need. The event bitmap answers
-// "which events does this selection touch at all" for the candidate-events
-// plan. All are canonical (FromSorted), so equal row sets have equal
+// event rows and its repeat-event rows. The row bitmap gives the ad-hoc
+// pushdown planner O(containers) cardinalities for selectivity estimation
+// and the ascending rows of a source clause. The event bitmaps answer
+// CoReport by intersection cardinalities and FollowReport's "which events
+// can contribute at all". All are canonical (FromSorted), so equal row sets have equal
 // encodings whether a key was rebuilt or carried over from the previous
 // tail.
 
@@ -181,8 +180,8 @@ func (db *DB) SourceRowBitmap(s int32) *bitmap.Bitmap { return db.srcRowBM[s] }
 func (db *DB) SourceEventBitmap(s int32) *bitmap.Bitmap { return db.srcEvBM[s] }
 
 // SourceRepeatEventBitmap returns the bitmap of event rows source s mentions
-// two or more times — the events where a source can follow itself. The
-// planner's contributing-events plan for FollowReport needs them: an event
+// two or more times — the events where a source can follow itself.
+// FollowReport's contributing-events set needs them: an event
 // contributes only when it holds at least two selected rows, i.e. when two
 // distinct selected sources co-occur or one selected source repeats.
 // Read-only.

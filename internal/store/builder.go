@@ -222,7 +222,7 @@ func clampInterval(iv int64, n int32) int32 {
 
 // buildDerived (re)builds every derived index the query layers read from
 // the tables: source countries, row-list postings, the source and value
-// bitmaps (so the planner's postings can never be stale relative to the
+// bitmaps (so the bitmap postings can never be stale relative to the
 // tables), the quarter index and the typed LUTs. It is the single rebuild
 // chain of assembly, batch build and appends.
 //

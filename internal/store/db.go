@@ -101,8 +101,8 @@ type DB struct {
 
 	// Bitmap postings (DESIGN.md §12): per-source roaring bitmaps over
 	// mention rows and event rows, derived from the row-list postings at
-	// assembly time. The planner reads cardinalities from them; the pruned
-	// kernels union them for ascending row extraction.
+	// assembly time. The ad-hoc pushdown planner reads cardinalities from
+	// them; CoReport and FollowReport run on the event bitmaps.
 	srcRowBM   []*bitmap.Bitmap
 	srcEvBM    []*bitmap.Bitmap
 	srcRepEvBM []*bitmap.Bitmap
