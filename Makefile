@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check-bench check bench fmt
+.PHONY: build test vet fmt-check race check-bench check bench fmt
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,12 @@ race:
 check-bench:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet test check-bench race
+# fmt-check fails when any package directory of the root module is not
+# gofmt-clean; `make fmt` fixes it.
+fmt-check:
+	test -z "$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...))"
+
+check: build vet fmt-check test check-bench race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

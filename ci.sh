@@ -6,7 +6,19 @@ set -eux
 
 go build ./...
 go vet ./...
+# gofmt gate: every package directory of the root module must be
+# gofmt-clean (bench/ is its own module and keeps its own formatting).
+test -z "$(gofmt -l $(go list -f '{{.Dir}}' ./...))"
 go test ./...
+
+# Fuzz smoke: plain `go test` only replays each target's seed corpus; this
+# runs every Fuzz* target for 5 s of fresh inputs (seven targets, ~1 min on
+# 2 vCPUs). A failure leaves its input under the package's testdata/fuzz.
+for f in $(grep -l '^func Fuzz' $(go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$.Dir}}/{{.}} {{end}}' ./...)); do
+	for fz in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$f"); do
+		go test "$(dirname "$f")" -run '^$' -fuzz "^$fz\$" -fuzztime 5s
+	done
+done
 
 # Append-log smoke: three appends on the live.ingest-shaped world; a durable
 # log grown to K ≈ 50 and K ≈ 200 parts, three timed seals each (ns and

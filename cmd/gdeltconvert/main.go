@@ -14,9 +14,10 @@
 //	             [-shards 4]
 //
 // With -shards K > 1 the converted store is additionally split on
-// capture-interval boundaries into K time-range shards written next to
-// -out (one <out>.shard<i> per shard plus a <out>.shards manifest), ready
-// for `gdeltserve -db <out>.shards`.
+// capture-interval boundaries into K time-range shards, written as the
+// append-log directory <out>.shards/ (a manifest plus one part file per
+// shard, each fsynced and renamed into place), ready for
+// `gdeltserve -db <out>.shards`. An existing <out>.shards is replaced.
 //
 // Exit codes: 0 success, 1 fatal error, 2 usage,
 // 3 quarantine threshold exceeded (dataset too damaged).
@@ -47,7 +48,7 @@ func main() {
 		out     = flag.String("out", "", "output binary database path (required)")
 		retries = flag.Int("retries", 5, "chunk read attempts before quarantining (transient failures only)")
 		maxQuar = flag.Float64("max-quarantine-frac", 1.0, "abort when more than this fraction of chunks quarantine")
-		shards  = flag.Int("shards", 0, "also write a K-shard layout next to -out (manifest <out>.shards + one file per shard); 0 disables")
+		shards  = flag.Int("shards", 0, "also write a K-shard layout next to -out (directory <out>.shards: manifest + one file per shard); 0 disables")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -107,12 +108,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		manifest := *out + ".shards"
-		if err := shard.WriteFiles(manifest, sdb); err != nil {
+		dir := *out + ".shards"
+		if err := os.RemoveAll(dir); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %d-shard layout (manifest %s) in %v\n",
-			sdb.K(), manifest, time.Since(start).Round(time.Millisecond))
+		if _, err := shard.CreateLog(dir, sdb); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %d-shard layout (directory %s) in %v\n",
+			sdb.K(), dir, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println()
 	fmt.Print(report.TableII(ds.Report()))

@@ -21,12 +21,12 @@
 //	           [-shards 4]
 //
 // Every dataset is served as a time-partitioned shard set (internal/shard):
-// a .shards manifest loads as written, and a monolithic .gdmb file is the
-// one-shard world unless -shards K > 1 re-slices it into K time-range
-// shards. Every query fans out per shard, reducing through a shared global
-// dictionary; results do not depend on K. Cache keys embed the per-shard
-// version vector, so a tail-shard append invalidates only entries whose
-// window touches the tail.
+// a .shards directory (written by `gdeltconvert -shards`) loads as written,
+// and a monolithic .gdmb file is the one-shard world unless -shards K > 1
+// re-slices it into K time-range shards. Every query fans out per shard,
+// reducing through a shared global dictionary; results do not depend on K.
+// Cache keys embed the per-shard version vector, so a tail-shard append
+// invalidates only entries whose window touches the tail.
 //
 // The query surface is registry-driven: every kind known to
 // internal/registry is served under /api/v1/<kind> (run `gdeltquery list`
@@ -63,7 +63,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gdeltserve: ")
 	var (
-		dbPath     = flag.String("db", "", "binary database path (required)")
+		dbPath     = flag.String("db", "", "binary database path, or a .shards directory from gdeltconvert -shards (required)")
 		addr       = flag.String("addr", ":8321", "listen address")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline; 0 disables")
 		maxFlight  = flag.Int("max-inflight", 64, "max concurrent requests before shedding with 503; 0 disables")
@@ -92,16 +92,19 @@ func main() {
 	}
 	start := time.Now()
 	var sdb *shard.DB
-	if strings.HasSuffix(*dbPath, ".shards") {
-		// A sharded layout written by `gdeltconvert -shards` or
-		// shard.WriteFiles: manifest plus one store file per shard.
-		var err error
-		if sdb, err = shard.LoadFile(*dbPath); err != nil {
+	if fi, err := os.Stat(*dbPath); err == nil && fi.IsDir() {
+		// A sharded layout written by `gdeltconvert -shards`: an append-log
+		// directory holding a manifest plus one store file per shard.
+		lg, err := shard.OpenLog(*dbPath)
+		if err != nil {
 			log.Fatal(err)
 		}
+		sdb = lg.Snapshot()
 		fmt.Printf("loaded %s articles (%d shards) from %s in %v\n",
 			report.Int(sdb.View().Dataset().Articles), sdb.K(), *dbPath,
 			time.Since(start).Round(time.Millisecond))
+	} else if strings.HasSuffix(*dbPath, ".shards") {
+		log.Fatalf("%s is not a directory: re-run `gdeltconvert -shards` to rewrite this older sharded layout", *dbPath)
 	} else {
 		db, err := binfmt.ReadFile(*dbPath)
 		if err != nil {

@@ -140,7 +140,11 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 					eqSeries(t, "cross-count country int16 remap", got16.Data, want.Data)
 				})
 				t.Run(prefix+"/sum-by-group", func(t *testing.T) {
-					got := e.SumByGroupCol(ns, db.Mentions.Source, nil, db.Mentions.Tone)
+					// The per-group sum is CrossSumCols with one column:
+					// an all-zero column remap folds every row into it,
+					// and the row column goes through the nil-remap path.
+					got := e.CrossSumCols(ns, 1, db.Mentions.Source, nil,
+						db.Mentions.Source, make([]int32, ns), db.Mentions.Tone)
 					want := e.SumByGroup(ns, func(row int) (int, float64) {
 						return int(db.Mentions.Source[row]), float64(db.Mentions.Tone[row])
 					})

@@ -17,8 +17,8 @@ type refSet struct {
 
 func newRef(n int32) *refSet { return &refSet{words: make([]uint64, (n+63)/64), n: n} }
 
-func (r *refSet) add(row int32)           { r.words[row>>6] |= 1 << (row & 63) }
-func (r *refSet) has(row int32) bool      { return r.words[row>>6]&(1<<(row&63)) != 0 }
+func (r *refSet) add(row int32)      { r.words[row>>6] |= 1 << (row & 63) }
+func (r *refSet) has(row int32) bool { return r.words[row>>6]&(1<<(row&63)) != 0 }
 func (r *refSet) union(o *refSet) *refSet {
 	out := newRef(r.n)
 	for i := range out.words {

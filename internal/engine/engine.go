@@ -33,7 +33,7 @@ type Engine struct {
 	// kind labels the engine's scan metrics with the query being served.
 	kind string
 	// worker binds kernels to the pool worker executing this view (shard
-	// affinity + worker-keyed accumulator reuse); see WithWorker.
+	// affinity); see WithWorker.
 	worker *parallel.Worker
 	// Mention-row window [rowLo, rowHi); rowHi == 0 means the full table.
 	rowLo, rowHi int64
@@ -81,11 +81,10 @@ func (e *Engine) Kind() string {
 // WithWorker returns a copy of the engine bound to the pool worker whose
 // goroutine will execute the view's kernels — the handle a parallel.FanOut
 // shard job receives. Kernels then advertise their grains on that worker's
-// own deque (the worker that started a shard keeps draining it while idle
-// peers steal) and draw accumulators from the worker's freelists, so the
-// same worker re-executing a shard reuses the same memory. The binding is
-// goroutine-local by contract: bind only the worker currently executing
-// the caller, and never share the bound view across goroutines.
+// own deque, so the worker that started a shard keeps draining it while
+// idle peers steal. The binding is goroutine-local by contract: bind only
+// the worker currently executing the caller, and never share the bound view
+// across goroutines.
 func (e *Engine) WithWorker(w *parallel.Worker) *Engine {
 	cp := *e
 	cp.worker = w
@@ -193,8 +192,8 @@ func (e *Engine) CountMentions(pred func(row int) bool) int64 {
 func (e *Engine) GroupCount(numGroups int, groupOf func(row int) int) []int64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
-	res := parallel.MapReduceW(whi-wlo, e.opt(),
-		newInt64W(numGroups),
+	res := parallel.MapReduce(whi-wlo, e.opt(),
+		newInt64(numGroups),
 		func(acc []int64, lo, hi int) []int64 {
 			for row := wlo + lo; row < wlo+hi; row++ {
 				if g := groupOf(row); g >= 0 {
@@ -205,14 +204,14 @@ func (e *Engine) GroupCount(numGroups int, groupOf func(row int) int) []int64 {
 		},
 		mergeReleaseInt64,
 	)
-	return e.copyOutInt64(res)
+	return copyOutInt64(res)
 }
 
 // GroupCountEvents aggregates event rows into numGroups counters.
 func (e *Engine) GroupCountEvents(numGroups int, groupOf func(row int) int) []int64 {
 	defer e.observeScan(e.db.Events.Len(), time.Now())
-	res := parallel.MapReduceW(e.db.Events.Len(), e.opt(),
-		newInt64W(numGroups),
+	res := parallel.MapReduce(e.db.Events.Len(), e.opt(),
+		newInt64(numGroups),
 		func(acc []int64, lo, hi int) []int64 {
 			for row := lo; row < hi; row++ {
 				if g := groupOf(row); g >= 0 {
@@ -223,7 +222,7 @@ func (e *Engine) GroupCountEvents(numGroups int, groupOf func(row int) int) []in
 		},
 		mergeReleaseInt64,
 	)
-	return e.copyOutInt64(res)
+	return copyOutInt64(res)
 }
 
 // CrossCount aggregates mention rows in the window into a rows×cols
@@ -233,8 +232,8 @@ func (e *Engine) GroupCountEvents(numGroups int, groupOf func(row int) int) []in
 func (e *Engine) CrossCount(rows, cols int, keys func(row int) (r, c int)) *matrix.Int64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
-	return parallel.MapReduceW(whi-wlo, e.opt(),
-		func(w *parallel.Worker) *matrix.Int64 { return newPooledInt64Matrix(w, rows, cols) },
+	return parallel.MapReduce(whi-wlo, e.opt(),
+		newPooledInt64Matrix(rows, cols),
 		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
 			for row := wlo + lo; row < wlo+hi; row++ {
 				r, c := keys(row)
@@ -244,7 +243,7 @@ func (e *Engine) CrossCount(rows, cols int, keys func(row int) (r, c int)) *matr
 			}
 			return acc
 		},
-		e.mergeReleaseMatrix,
+		mergeReleaseMatrix,
 	)
 }
 
@@ -252,8 +251,8 @@ func (e *Engine) CrossCount(rows, cols int, keys func(row int) (r, c int)) *matr
 func (e *Engine) SumByGroup(numGroups int, keyVal func(row int) (g int, v float64)) []float64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
-	res := parallel.MapReduceW(whi-wlo, e.opt(),
-		newFloat64W(numGroups),
+	res := parallel.MapReduce(whi-wlo, e.opt(),
+		newFloat64(numGroups),
 		func(acc []float64, lo, hi int) []float64 {
 			for row := wlo + lo; row < wlo+hi; row++ {
 				if g, v := keyVal(row); g >= 0 {
@@ -264,7 +263,7 @@ func (e *Engine) SumByGroup(numGroups int, keyVal func(row int) (g int, v float6
 		},
 		mergeReleaseFloat64,
 	)
-	return e.copyOutFloat64(res)
+	return copyOutFloat64(res)
 }
 
 // TopK returns the indexes of the k largest values (ties broken toward the

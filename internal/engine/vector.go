@@ -40,16 +40,6 @@ func PredGT(col []int32, v int32) ColPred {
 	return ColPred{Col: col, Min: v + 1, Max: math.MaxInt32}
 }
 
-// PredLE selects rows whose column value is at most v.
-func PredLE(col []int32, v int32) ColPred {
-	return ColPred{Col: col, Min: math.MinInt32, Max: v}
-}
-
-// PredRange selects rows whose column value lies in [min, max].
-func PredRange(col []int32, min, max int32) ColPred {
-	return ColPred{Col: col, Min: min, Max: max}
-}
-
 // empty reports whether the predicate is the match-everything zero value.
 func (p ColPred) empty() bool { return p.Col == nil }
 
@@ -65,54 +55,49 @@ func (p ColPred) sel(lo, hi int, out []int32) []int32 {
 	return out
 }
 
-// The accumulator helpers below are worker-keyed: partials are drawn from
-// the freelist of the pool worker executing the runner and released back to
-// the worker that folds them, so a worker repeatedly executing the same
-// shard's kernels cycles the same buffers. Off-pool (nil worker) they
-// degrade to the shared sync.Pool.
+// The accumulator helpers below draw worker partials from the shared
+// parallel pools and release each folded source back to them, so repeated
+// scans cycle the same buffers; only the final merged result escapes.
 
-// newInt64W returns a partial allocator drawing from the executing
-// worker's freelist.
-func newInt64W(n int) func(*parallel.Worker) []int64 {
-	return func(w *parallel.Worker) []int64 { return w.GetInt64(n) }
+// newInt64 returns a partial allocator for n-element int64 accumulators.
+func newInt64(n int) func() []int64 {
+	return func() []int64 { return parallel.GetInt64(n) }
 }
 
-// newFloat64W is newInt64W's float64 counterpart.
-func newFloat64W(n int) func(*parallel.Worker) []float64 {
-	return func(w *parallel.Worker) []float64 { return w.GetFloat64(n) }
+// newFloat64 is newInt64's float64 counterpart.
+func newFloat64(n int) func() []float64 {
+	return func() []float64 { return parallel.GetFloat64(n) }
 }
 
-// mergeReleaseInt64 folds src into dst and recycles src's buffer to the
-// folding worker.
-func mergeReleaseInt64(w *parallel.Worker, dst, src []int64) []int64 {
+// mergeReleaseInt64 folds src into dst and recycles src's buffer.
+func mergeReleaseInt64(dst, src []int64) []int64 {
 	for i, v := range src {
 		dst[i] += v
 	}
-	w.PutInt64(src)
+	parallel.PutInt64(src)
 	return dst
 }
 
-// mergeReleaseFloat64 folds src into dst and recycles src's buffer to the
-// folding worker.
-func mergeReleaseFloat64(w *parallel.Worker, dst, src []float64) []float64 {
+// mergeReleaseFloat64 folds src into dst and recycles src's buffer.
+func mergeReleaseFloat64(dst, src []float64) []float64 {
 	for i, v := range src {
 		dst[i] += v
 	}
-	w.PutFloat64(src)
+	parallel.PutFloat64(src)
 	return dst
 }
 
 // copyOutInt64 copies a pooled result into a caller-owned slice and
-// recycles the buffer to the view's bound worker.
-func (e *Engine) copyOutInt64(res []int64) []int64 {
+// recycles the buffer.
+func copyOutInt64(res []int64) []int64 {
 	out := append([]int64(nil), res...)
-	e.worker.PutInt64(res)
+	parallel.PutInt64(res)
 	return out
 }
 
-func (e *Engine) copyOutFloat64(res []float64) []float64 {
+func copyOutFloat64(res []float64) []float64 {
 	out := append([]float64(nil), res...)
-	e.worker.PutFloat64(res)
+	parallel.PutFloat64(res)
 	return out
 }
 
@@ -143,15 +128,15 @@ func groupCountSeg(acc []int64, seg []int32, remap []int32) {
 func (e *Engine) GroupCountCol(numGroups int, col []int32, remap []int32) []int64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
-	res := parallel.MapReduceW(whi-wlo, e.opt(),
-		newInt64W(numGroups),
+	res := parallel.MapReduce(whi-wlo, e.opt(),
+		newInt64(numGroups),
 		func(acc []int64, lo, hi int) []int64 {
 			groupCountSeg(acc, col[wlo+lo:wlo+hi], remap)
 			return acc
 		},
 		mergeReleaseInt64,
 	)
-	return e.copyOutInt64(res)
+	return copyOutInt64(res)
 }
 
 // GroupCountColSel is GroupCountCol behind a typed predicate: each grain
@@ -164,8 +149,8 @@ func (e *Engine) GroupCountColSel(numGroups int, col, remap []int32, pred ColPre
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
 	n := uint32(numGroups)
-	res := parallel.MapReduceW(whi-wlo, e.opt(),
-		newInt64W(numGroups),
+	res := parallel.MapReduce(whi-wlo, e.opt(),
+		newInt64(numGroups),
 		func(acc []int64, lo, hi int) []int64 {
 			sel := pred.sel(wlo+lo, wlo+hi, parallel.GetInt32(0))
 			if remap == nil {
@@ -186,7 +171,7 @@ func (e *Engine) GroupCountColSel(numGroups int, col, remap []int32, pred ColPre
 		},
 		mergeReleaseInt64,
 	)
-	return e.copyOutInt64(res)
+	return copyOutInt64(res)
 }
 
 // GroupCountEventsCol is the typed fast path of GroupCountEvents, with an
@@ -195,8 +180,8 @@ func (e *Engine) GroupCountColSel(numGroups int, col, remap []int32, pred ColPre
 func (e *Engine) GroupCountEventsCol(numGroups int, col, remap []int32, pred ColPred) []int64 {
 	ne := e.db.Events.Len()
 	defer e.observeScan(ne, time.Now())
-	res := parallel.MapReduceW(ne, e.opt(),
-		newInt64W(numGroups),
+	res := parallel.MapReduce(ne, e.opt(),
+		newInt64(numGroups),
 		func(acc []int64, lo, hi int) []int64 {
 			if pred.empty() {
 				groupCountSeg(acc, col[lo:hi], remap)
@@ -222,7 +207,7 @@ func (e *Engine) GroupCountEventsCol(numGroups int, col, remap []int32, pred Col
 		},
 		mergeReleaseInt64,
 	)
-	return e.copyOutInt64(res)
+	return copyOutInt64(res)
 }
 
 // remapElem is the element type of a remap lookup table. Narrow tables
@@ -299,10 +284,12 @@ func crossCountSeg[R, C remapElem](acc *matrix.Int64, lo, hi int, rcol []int32, 
 	}
 }
 
-// newPooledInt64Matrix backs a worker-partial matrix with a buffer from
-// the executing worker's freelist (shared pool off-worker).
-func newPooledInt64Matrix(w *parallel.Worker, rows, cols int) *matrix.Int64 {
-	return &matrix.Int64{Rows: rows, Cols: cols, Data: w.GetInt64(rows * cols)}
+// newPooledInt64Matrix returns a partial allocator for rows×cols matrices
+// backed by pooled buffers.
+func newPooledInt64Matrix(rows, cols int) func() *matrix.Int64 {
+	return func() *matrix.Int64 {
+		return &matrix.Int64{Rows: rows, Cols: cols, Data: parallel.GetInt64(rows * cols)}
+	}
 }
 
 // parallelMergeMin is the matrix size (elements) past which partial-matrix
@@ -310,8 +297,8 @@ func newPooledInt64Matrix(w *parallel.Worker, rows, cols int) *matrix.Int64 {
 const parallelMergeMin = 1 << 16
 
 // mergeReleaseMatrix folds src into dst (in parallel for large matrices)
-// and recycles src's pooled backing buffer to the folding worker.
-func (e *Engine) mergeReleaseMatrix(w *parallel.Worker, dst, src *matrix.Int64) *matrix.Int64 {
+// and recycles src's pooled backing buffer.
+func mergeReleaseMatrix(dst, src *matrix.Int64) *matrix.Int64 {
 	var err error
 	if len(dst.Data) >= parallelMergeMin {
 		err = dst.AddMatrixParallel(src, 4)
@@ -321,7 +308,7 @@ func (e *Engine) mergeReleaseMatrix(w *parallel.Worker, dst, src *matrix.Int64) 
 	if err != nil {
 		panic(err) // identical shapes by construction
 	}
-	w.PutInt64(src.Data)
+	parallel.PutInt64(src.Data)
 	src.Data = nil
 	return dst
 }
@@ -343,45 +330,14 @@ func (e *Engine) CrossCountCols(rows, cols int, rcol, rmap, ccol, cmap []int32) 
 func CrossCountRemap[R, C remapElem](e *Engine, rows, cols int, rcol []int32, rmap []R, ccol []int32, cmap []C) *matrix.Int64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
-	return parallel.MapReduceW(whi-wlo, e.opt(),
-		func(w *parallel.Worker) *matrix.Int64 { return newPooledInt64Matrix(w, rows, cols) },
+	return parallel.MapReduce(whi-wlo, e.opt(),
+		newPooledInt64Matrix(rows, cols),
 		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
 			crossCountSeg(acc, wlo+lo, wlo+hi, rcol, rmap, ccol, cmap)
 			return acc
 		},
-		e.mergeReleaseMatrix,
+		mergeReleaseMatrix,
 	)
-}
-
-// SumByGroupCol is the typed fast path of SumByGroup: accumulate the
-// float32 value column into numGroups sums, grouped by remap[gcol[row]]
-// (or gcol[row] when remap is nil).
-func (e *Engine) SumByGroupCol(numGroups int, gcol, remap []int32, vals []float32) []float64 {
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	n := uint32(numGroups)
-	res := parallel.MapReduceW(whi-wlo, e.opt(),
-		newFloat64W(numGroups),
-		func(acc []float64, lo, hi int) []float64 {
-			gseg, vseg := gcol[wlo+lo:wlo+hi], vals[wlo+lo:wlo+hi]
-			if remap == nil {
-				for i, g := range gseg {
-					if uint32(g) < n {
-						acc[g] += float64(vseg[i])
-					}
-				}
-			} else {
-				for i, v := range gseg {
-					if g := remap[v]; uint32(g) < n {
-						acc[g] += float64(vseg[i])
-					}
-				}
-			}
-			return acc
-		},
-		mergeReleaseFloat64,
-	)
-	return e.copyOutFloat64(res)
 }
 
 // CrossSumCols accumulates the float32 value column into a flattened
@@ -392,8 +348,8 @@ func (e *Engine) CrossSumCols(rows, cols int, rcol, rmap, ccol, cmap []int32, va
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
 	nr, nc := uint32(rows), uint32(cols)
-	res := parallel.MapReduceW(whi-wlo, e.opt(),
-		newFloat64W(rows * cols),
+	res := parallel.MapReduce(whi-wlo, e.opt(),
+		newFloat64(rows*cols),
 		func(acc []float64, lo, hi int) []float64 {
 			rseg, cseg, vseg := rcol[wlo+lo:wlo+hi], ccol[wlo+lo:wlo+hi], vals[wlo+lo:wlo+hi]
 			for i, rv := range rseg {
@@ -412,7 +368,7 @@ func (e *Engine) CrossSumCols(rows, cols int, rcol, rmap, ccol, cmap []int32, va
 		},
 		mergeReleaseFloat64,
 	)
-	return e.copyOutFloat64(res)
+	return copyOutFloat64(res)
 }
 
 // ClipRows narrows an ascending row list (a postings list — ascending by
@@ -448,8 +404,8 @@ func ScanRows[A any](e *Engine, rows []int32, domain int,
 // remap[col[r]] for every r in rows. domain sizes the pruning metric.
 func (e *Engine) GroupCountRows(numGroups int, rows []int32, domain int, col, remap []int32) []int64 {
 	defer e.observeScanPruned(len(rows), domain, time.Now())
-	res := parallel.MapReduceW(len(rows), e.opt(),
-		newInt64W(numGroups),
+	res := parallel.MapReduce(len(rows), e.opt(),
+		newInt64(numGroups),
 		func(acc []int64, lo, hi int) []int64 {
 			n := uint32(numGroups)
 			seg := rows[lo:hi]
@@ -470,7 +426,7 @@ func (e *Engine) GroupCountRows(numGroups int, rows []int32, domain int, col, re
 		},
 		mergeReleaseInt64,
 	)
-	return e.copyOutInt64(res)
+	return copyOutInt64(res)
 }
 
 // CrossCountRows is CrossCountCols over an explicit row list: cell
@@ -479,8 +435,8 @@ func (e *Engine) GroupCountRows(numGroups int, rows []int32, domain int, col, re
 func (e *Engine) CrossCountRows(nr, nc int, rows []int32, domain int, rcol, rmap, ccol, cmap []int32) *matrix.Int64 {
 	defer e.observeScanPruned(len(rows), domain, time.Now())
 	unr, unc := uint32(nr), uint32(nc)
-	return parallel.MapReduceW(len(rows), e.opt(),
-		func(w *parallel.Worker) *matrix.Int64 { return newPooledInt64Matrix(w, nr, nc) },
+	return parallel.MapReduce(len(rows), e.opt(),
+		newPooledInt64Matrix(nr, nc),
 		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
 			data := acc.Data
 			if rmap != nil && cmap != nil {
@@ -506,6 +462,6 @@ func (e *Engine) CrossCountRows(nr, nc int, rows []int32, domain int, rcol, rmap
 			}
 			return acc
 		},
-		e.mergeReleaseMatrix,
+		mergeReleaseMatrix,
 	)
 }

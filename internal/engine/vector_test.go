@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestColPredZeroValuePassesEverything(t *testing.T) {
 	var p ColPred
@@ -12,15 +15,15 @@ func TestColPredZeroValuePassesEverything(t *testing.T) {
 	if len(sel) != 2 || sel[0] != 1 || sel[1] != 2 {
 		t.Fatalf("PredGT selection = %v, want [1 2]", sel)
 	}
-	p = PredRange([]int32{0, 5, 10}, 5, 5)
+	p = ColPred{Col: []int32{0, 5, 10}, Min: 5, Max: 5}
 	sel = p.sel(0, 3, nil)
 	if len(sel) != 1 || sel[0] != 1 {
-		t.Fatalf("PredRange selection = %v, want [1]", sel)
+		t.Fatalf("[5, 5] selection = %v, want [1]", sel)
 	}
-	p = PredLE([]int32{0, 5, 10}, 0)
+	p = ColPred{Col: []int32{0, 5, 10}, Min: math.MinInt32, Max: 0}
 	sel = p.sel(1, 3, nil) // offset segment: indices are absolute
 	if len(sel) != 0 {
-		t.Fatalf("PredLE selection = %v, want empty", sel)
+		t.Fatalf("<= 0 selection = %v, want empty", sel)
 	}
 }
 

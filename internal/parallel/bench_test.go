@@ -79,25 +79,3 @@ func BenchmarkMapReduceHistogram(b *testing.B) {
 			})
 	}
 }
-
-// BenchmarkShardedCounterVsAtomic quantifies why per-worker padded shards
-// beat one shared atomic under contention.
-func BenchmarkShardedCounter(b *testing.B) {
-	c := NewShardedCounter(DefaultWorkers())
-	b.RunParallel(func(pb *testing.PB) {
-		w := 0
-		for pb.Next() {
-			c.AtomicAdd(w, 1)
-			w++
-		}
-	})
-}
-
-func BenchmarkSingleAtomicCounter(b *testing.B) {
-	var c atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Add(1)
-		}
-	})
-}

@@ -26,58 +26,3 @@ func (c *cursor) next(grain, limit int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// paddedInt64 is an int64 alone on its cache line.
-type paddedInt64 struct {
-	v int64
-	_ [56]byte
-}
-
-// ShardedCounter is a contention-free counter: each worker increments its own
-// cache-line-padded shard and Value folds the shards. It mirrors the
-// per-thread counters a NUMA-aware OpenMP code would keep per core.
-type ShardedCounter struct {
-	shards []paddedInt64
-}
-
-// NewShardedCounter returns a counter with one shard per worker. workers <= 0
-// means DefaultWorkers().
-func NewShardedCounter(workers int) *ShardedCounter {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	return &ShardedCounter{shards: make([]paddedInt64, workers)}
-}
-
-// Shards returns the number of shards.
-func (c *ShardedCounter) Shards() int { return len(c.shards) }
-
-// Add adds delta to the given worker's shard. worker must be in
-// [0, Shards()). Each shard must only be written by its owning worker;
-// no atomics are used on the fast path.
-func (c *ShardedCounter) Add(worker int, delta int64) {
-	c.shards[worker].v += delta
-}
-
-// AtomicAdd adds delta to the shard chosen by worker modulo the shard count
-// using an atomic operation, for callers without exclusive shard ownership.
-func (c *ShardedCounter) AtomicAdd(worker int, delta int64) {
-	atomic.AddInt64(&c.shards[worker%len(c.shards)].v, delta)
-}
-
-// Value folds all shards and returns the total. It must only be called after
-// the writing workers have finished (e.g. after a For loop returns).
-func (c *ShardedCounter) Value() int64 {
-	var total int64
-	for i := range c.shards {
-		total += atomic.LoadInt64(&c.shards[i].v)
-	}
-	return total
-}
-
-// Reset zeroes all shards.
-func (c *ShardedCounter) Reset() {
-	for i := range c.shards {
-		atomic.StoreInt64(&c.shards[i].v, 0)
-	}
-}

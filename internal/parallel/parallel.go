@@ -1,6 +1,6 @@
 // Package parallel provides the data-parallel runtime used by the query
 // engine: chunked parallel-for loops with static or dynamic scheduling,
-// map-reduce helpers, and padded sharded accumulators.
+// a map-reduce with pooled per-worker accumulators, and the shard fan-out.
 //
 // It plays the role OpenMP plays in the original C++ system: flat
 // data-parallel iteration over row ranges with per-worker partial results
@@ -59,8 +59,8 @@ type Options struct {
 	// goroutine is making the call (as handed to FanOut jobs). The loop
 	// advertises its subtasks on that worker's own deque — shard
 	// affinity: the spawner keeps draining them LIFO while idle peers
-	// steal — and accumulator helpers reuse that worker's freelists. It
-	// must only ever name the worker currently executing the caller.
+	// steal. It must only ever name the worker currently executing the
+	// caller.
 	Worker *Worker
 	// Pool overrides the process-default work-stealing pool. Tests use
 	// private pools to exercise multi-worker interleavings; production
@@ -108,19 +108,6 @@ func (o Options) grain(n, workers int) int {
 		}
 	}
 	return g
-}
-
-// For runs body over the half-open index range [0, n) using the default
-// options. body receives a contiguous sub-range [lo, hi) and must be safe to
-// call concurrently with other sub-ranges.
-func For(n int, body func(lo, hi int)) {
-	ForOpt(n, Options{}, body)
-}
-
-// ForWorkers runs body over [0, n) with an explicit worker count. It is the
-// primitive used by the strong-scaling experiment (Figure 12).
-func ForWorkers(n, workers int, body func(lo, hi int)) {
-	ForOpt(n, Options{Workers: workers}, body)
 }
 
 // ForOpt runs body over the half-open index range [0, n) with the given
@@ -204,25 +191,4 @@ func ForOpt(n int, opt Options, body func(lo, hi int)) {
 	p.advertise(s, opt.Worker, workers-1)
 	s.join(opt.Worker)
 	recordScan(n, perRunner)
-}
-
-// ForEachWorker runs body once per worker, passing the worker id and the
-// total worker count. Workers partition work themselves (e.g. over shards).
-func ForEachWorker(workers int, body func(worker, workers int)) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers == 1 {
-		body(0, 1)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			body(w, workers)
-		}(w)
-	}
-	wg.Wait()
 }

@@ -9,7 +9,7 @@ import (
 func TestForCoversAllIndicesExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 10000} {
 		seen := make([]int32, n)
-		For(n, func(lo, hi int) {
+		ForOpt(n, Options{}, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -42,8 +42,8 @@ func TestForStaticCoversAllIndices(t *testing.T) {
 
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
-	For(0, func(lo, hi int) { called = true })
-	For(-5, func(lo, hi int) { called = true })
+	ForOpt(0, Options{}, func(lo, hi int) { called = true })
+	ForOpt(-5, Options{}, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for empty range")
 	}
@@ -62,12 +62,12 @@ func TestForSingleWorkerRunsInline(t *testing.T) {
 	}
 }
 
-func TestForWorkersMatchesSerialSum(t *testing.T) {
+func TestForOptWorkersMatchesSerialSum(t *testing.T) {
 	const n = 5000
 	want := int64(n) * (n - 1) / 2
 	for _, w := range []int{1, 2, 4, 8, 64} {
 		var got atomic.Int64
-		ForWorkers(n, w, func(lo, hi int) {
+		ForOpt(n, Options{Workers: w}, func(lo, hi int) {
 			var s int64
 			for i := lo; i < hi; i++ {
 				s += int64(i)
@@ -101,10 +101,10 @@ func TestGrainClamping(t *testing.T) {
 func TestGrainSmallInputsFanOut(t *testing.T) {
 	o := Options{}
 	for _, tc := range []struct{ n, workers, want int }{
-		{100, 4, 25},    // below the floor: cap at ceil(n/workers)
-		{10, 4, 3},      // tiny loop still yields 4 claimable grains
-		{1, 8, 1},       // never below 1
-		{256, 4, 64},    // floor engages exactly at the per-worker share
+		{100, 4, 25}, // below the floor: cap at ceil(n/workers)
+		{10, 4, 3},   // tiny loop still yields 4 claimable grains
+		{1, 8, 1},    // never below 1
+		{256, 4, 64}, // floor engages exactly at the per-worker share
 		{100_000, 4, 6250},
 		{10_000_000, 4, 8192}, // ceiling unchanged
 	} {
@@ -193,16 +193,8 @@ func TestMapReduceSliceAccumulators(t *testing.T) {
 	}
 }
 
-func TestSumInt64AndFloat64AndCountIf(t *testing.T) {
+func TestCountIf(t *testing.T) {
 	const n = 10000
-	si := SumInt64(n, Options{}, func(i int) int64 { return int64(i) })
-	if want := int64(n) * (n - 1) / 2; si != want {
-		t.Fatalf("SumInt64 %d want %d", si, want)
-	}
-	sf := SumFloat64(n, Options{}, func(i int) float64 { return 1.0 })
-	if sf != float64(n) {
-		t.Fatalf("SumFloat64 %v want %v", sf, float64(n))
-	}
 	c := CountIf(n, Options{}, func(i int) bool { return i%3 == 0 })
 	want := int64((n + 2) / 3)
 	if c != want {
@@ -210,61 +202,25 @@ func TestSumInt64AndFloat64AndCountIf(t *testing.T) {
 	}
 }
 
-func TestSumInt64PropertyMatchesSerial(t *testing.T) {
+func TestMapReducePropertyMatchesSerial(t *testing.T) {
 	f := func(vals []int16, workers uint8) bool {
 		var want int64
 		for _, v := range vals {
 			want += int64(v)
 		}
-		got := SumInt64(len(vals), Options{Workers: int(workers%16) + 1},
-			func(i int) int64 { return int64(vals[i]) })
+		got := MapReduce(len(vals), Options{Workers: int(workers%16) + 1},
+			func() int64 { return 0 },
+			func(acc int64, lo, hi int) int64 {
+				for i := lo; i < hi; i++ {
+					acc += int64(vals[i])
+				}
+				return acc
+			},
+			func(dst, src int64) int64 { return dst + src })
 		return got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestForEachWorker(t *testing.T) {
-	var mask atomic.Int64
-	ForEachWorker(8, func(w, n int) {
-		if n != 8 {
-			t.Errorf("workers=%d want 8", n)
-		}
-		mask.Add(1 << w)
-	})
-	if mask.Load() != (1<<8)-1 {
-		t.Fatalf("not all workers ran: mask=%b", mask.Load())
-	}
-}
-
-func TestShardedCounter(t *testing.T) {
-	c := NewShardedCounter(4)
-	ForEachWorker(4, func(w, n int) {
-		for i := 0; i < 1000; i++ {
-			c.Add(w, 1)
-		}
-	})
-	if c.Value() != 4000 {
-		t.Fatalf("value %d want 4000", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatalf("after reset: %d", c.Value())
-	}
-	c.AtomicAdd(9, 5) // wraps modulo shards
-	if c.Value() != 5 {
-		t.Fatalf("atomic add: %d", c.Value())
-	}
-	if c.Shards() != 4 {
-		t.Fatalf("shards %d", c.Shards())
-	}
-}
-
-func TestShardedCounterDefaultWorkers(t *testing.T) {
-	c := NewShardedCounter(0)
-	if c.Shards() != DefaultWorkers() {
-		t.Fatalf("shards %d want %d", c.Shards(), DefaultWorkers())
 	}
 }
 

@@ -8,32 +8,21 @@ import "sync"
 // The final merged partial is returned. This is the canonical pattern for the
 // paper's "parallel aggregated queries": each worker owns a private
 // accumulator (histogram, matrix block, counter set) and the results are
-// combined once at the end, avoiding shared-write contention.
+// combined once at the end, avoiding shared-write contention. Runners are
+// scheduled on the work-stealing pool; a runner that never claims a grain
+// allocates nothing and is skipped at merge time, which leaves results
+// bit-identical for the package's pure dst += src merges.
 func MapReduce[A any](n int, opt Options, newPartial func() A, body func(acc A, lo, hi int) A, merge func(dst, src A) A) A {
-	return MapReduceW(n, opt,
-		func(*Worker) A { return newPartial() },
-		body,
-		func(_ *Worker, dst, src A) A { return merge(dst, src) })
-}
-
-// MapReduceW is MapReduce with worker-keyed allocation: newPartial receives
-// the pool worker executing the runner (nil off-pool) so accumulators come
-// from that worker's freelist, and merge receives the joining worker so
-// released buffers return to it. Runners are scheduled on the
-// work-stealing pool; a runner that never claims a grain allocates nothing
-// and is skipped at merge time, which leaves results bit-identical for the
-// package's pure dst += src merges.
-func MapReduceW[A any](n int, opt Options, newPartial func(w *Worker) A, body func(acc A, lo, hi int) A, merge func(w *Worker, dst, src A) A) A {
 	workers := opt.workers(max(n, 1))
 	if n <= 0 || opt.cancelled() {
-		return newPartial(opt.Worker)
+		return newPartial()
 	}
 	if workers == 1 {
 		defer recordScan(n, nil)
 		if opt.Context == nil {
-			return body(newPartial(opt.Worker), 0, n)
+			return body(newPartial(), 0, n)
 		}
-		acc := newPartial(opt.Worker)
+		acc := newPartial()
 		grain := opt.grain(n, workers)
 		for lo := 0; lo < n && !opt.cancelled(); lo += grain {
 			hi := lo + grain
@@ -50,7 +39,7 @@ func MapReduceW[A any](n int, opt Options, newPartial func(w *Worker) A, body fu
 	touched := make([]bool, workers)
 	perRunner := make([]int64, workers)
 	p := opt.pool()
-	s := p.newScope(workers, func(w *Worker, r int) {
+	s := p.newScope(workers, func(_ *Worker, r int) {
 		var acc A
 		have := false
 		for !opt.cancelled() {
@@ -60,7 +49,7 @@ func MapReduceW[A any](n int, opt Options, newPartial func(w *Worker) A, body fu
 			}
 			if !have {
 				have = true
-				acc = newPartial(w)
+				acc = newPartial()
 			}
 			perRunner[r]++
 			acc = body(acc, lo, hi)
@@ -83,87 +72,48 @@ func MapReduceW[A any](n int, opt Options, newPartial func(w *Worker) A, body fu
 	if k == 0 {
 		// Cancelled before any grain was claimed: return an empty
 		// accumulator, as the serial path would.
-		return newPartial(opt.Worker)
+		return newPartial()
 	}
-	return mergeTreeW(opt.Worker, partials[:k], merge)
+	return MergeTree(partials[:k], merge)
 }
 
-// MergeTree folds partials pairwise into partials[0] and returns it; with
-// four or more entries disjoint pairs merge concurrently, giving O(log n)
-// merge latency. Exported for cross-shard reduction: internal/shard folds
-// per-shard partial vectors and matrices through the same machinery the
-// in-shard MapReduce uses. merge must be a pure dst += src fold. An empty
-// slice returns the zero value.
+// MergeTree folds partials pairwise into partials[0] and returns it. With
+// four or more partials it runs a pairwise merge tree — level k merges
+// partials[i] and partials[i+2^k] concurrently for all even multiples i of
+// 2^(k+1) — so a large accumulator (a per-worker contingency matrix, say)
+// folds in O(log n) merge latency instead of a serial O(n) chain on one
+// goroutine. MapReduce merges its worker partials through it, and
+// internal/shard folds per-shard partial vectors and matrices through the
+// same machinery. merge must be a pure dst += src fold; it may itself run
+// parallel loops, since helper goroutines join their own scopes
+// self-sufficiently and need no pool capacity to progress. An empty slice
+// returns the zero value.
 func MergeTree[A any](partials []A, merge func(dst, src A) A) A {
-	if len(partials) == 0 {
+	n := len(partials)
+	if n == 0 {
 		var zero A
 		return zero
 	}
-	return mergeTreeW(nil, partials, func(_ *Worker, dst, src A) A { return merge(dst, src) })
-}
-
-// mergeTreeW folds worker partials into partials[0]. With four or more
-// partials it runs a pairwise merge tree — level k merges partials[i] and
-// partials[i+2^k] concurrently for all even multiples i of 2^(k+1) — so a
-// large accumulator (a per-worker contingency matrix, say) folds in
-// O(log workers) merge latency instead of a serial O(workers) chain on one
-// goroutine. The merge at index 0 runs on the calling goroutine and is
-// handed w, so released buffers land in the joining worker's freelist;
-// helper-goroutine merges get nil and fall back to the shared pool. merge
-// may itself run parallel loops: helper goroutines join their own scopes
-// self-sufficiently, so no pool capacity is required for progress.
-func mergeTreeW[A any](w *Worker, partials []A, merge func(w *Worker, dst, src A) A) A {
-	workers := len(partials)
-	if workers < 4 {
+	if n < 4 {
 		out := partials[0]
-		for i := 1; i < workers; i++ {
-			out = merge(w, out, partials[i])
+		for i := 1; i < n; i++ {
+			out = merge(out, partials[i])
 		}
 		return out
 	}
-	for stride := 1; stride < workers; stride *= 2 {
+	for stride := 1; stride < n; stride *= 2 {
 		var wg sync.WaitGroup
-		for i := 2 * stride; i+stride < workers; i += 2 * stride {
+		for i := 2 * stride; i+stride < n; i += 2 * stride {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				partials[i] = merge(nil, partials[i], partials[i+stride])
+				partials[i] = merge(partials[i], partials[i+stride])
 			}(i)
 		}
-		partials[0] = merge(w, partials[0], partials[stride])
+		partials[0] = merge(partials[0], partials[stride])
 		wg.Wait()
 	}
 	return partials[0]
-}
-
-// SumInt64 computes the sum of f(i) over [0, n) in parallel.
-func SumInt64(n int, opt Options, f func(i int) int64) int64 {
-	return MapReduce(n, opt,
-		func() int64 { return 0 },
-		func(acc int64, lo, hi int) int64 {
-			for i := lo; i < hi; i++ {
-				acc += f(i)
-			}
-			return acc
-		},
-		func(dst, src int64) int64 { return dst + src },
-	)
-}
-
-// SumFloat64 computes the sum of f(i) over [0, n) in parallel. Each worker
-// keeps a private partial sum, so results are deterministic up to the
-// merge order of at most Workers partials.
-func SumFloat64(n int, opt Options, f func(i int) float64) float64 {
-	return MapReduce(n, opt,
-		func() float64 { return 0 },
-		func(acc float64, lo, hi int) float64 {
-			for i := lo; i < hi; i++ {
-				acc += f(i)
-			}
-			return acc
-		},
-		func(dst, src float64) float64 { return dst + src },
-	)
 }
 
 // CountIf counts indices in [0, n) for which pred returns true.

@@ -48,8 +48,6 @@ var (
 		obs.LatencyBuckets)
 	mPoolTaskSeconds = obs.Default.Histogram("parallel_pool_task_seconds",
 		"single runner execution latency", obs.LatencyBuckets)
-	mWorkerCacheHits = obs.Default.Counter("parallel_worker_cache_hits_total",
-		"accumulator gets served from a worker-local freelist")
 )
 
 // scope is one parallel construct in flight: nrun logical runners drained
@@ -96,96 +94,17 @@ func (s *scope) join(w *Worker) {
 	<-s.fin
 }
 
-// workerCacheSlots bounds each per-worker accumulator freelist; overflow
-// falls back to the shared sync.Pool.
-const workerCacheSlots = 8
-
-// Worker is one goroutine of a Pool plus its scratch state: a deque of
-// scope advertisements and freelists of accumulator buffers keyed to this
-// worker, so the kernels of a shard this worker keeps executing reuse the
-// same memory run after run. Freelists are only ever touched from the
-// worker's own goroutine (or, for the nil Worker, from the caller's) and
-// need no locking.
+// Worker is one goroutine of a Pool plus its deque of scope
+// advertisements. A FanOut job receives the Worker executing it and binds
+// it into inner loop Options, which puts the shard's inner grains on this
+// deque: the worker that started a shard keeps draining it while idle peers
+// steal.
 type Worker struct {
 	pool *Pool
 	id   int
 
 	mu sync.Mutex
 	dq []*scope
-
-	i64 [][]int64
-	f64 [][]float64
-}
-
-// Pool returns the pool this worker belongs to.
-func (w *Worker) Pool() *Pool { return w.pool }
-
-// ID returns the worker's index within its pool.
-func (w *Worker) ID() int { return w.id }
-
-// GetInt64 returns a zeroed length-n slice, preferring this worker's local
-// freelist over the shared pool. Safe on a nil receiver — callers not
-// running on a pool worker fall through to the shared sync.Pool.
-func (w *Worker) GetInt64(n int) []int64 {
-	if w != nil {
-		for i := len(w.i64) - 1; i >= 0; i-- {
-			if cap(w.i64[i]) >= n {
-				s := w.i64[i][:n]
-				last := len(w.i64) - 1
-				w.i64[i] = w.i64[last]
-				w.i64[last] = nil
-				w.i64 = w.i64[:last]
-				clear(s)
-				mWorkerCacheHits.Inc()
-				return s
-			}
-		}
-	}
-	return GetInt64(n)
-}
-
-// PutInt64 returns a slice obtained from GetInt64 to this worker's
-// freelist (or the shared pool when nil, or when the freelist is full).
-func (w *Worker) PutInt64(s []int64) {
-	if s == nil {
-		return
-	}
-	if w != nil && len(w.i64) < workerCacheSlots {
-		w.i64 = append(w.i64, s)
-		return
-	}
-	PutInt64(s)
-}
-
-// GetFloat64 is GetInt64's float64 counterpart.
-func (w *Worker) GetFloat64(n int) []float64 {
-	if w != nil {
-		for i := len(w.f64) - 1; i >= 0; i-- {
-			if cap(w.f64[i]) >= n {
-				s := w.f64[i][:n]
-				last := len(w.f64) - 1
-				w.f64[i] = w.f64[last]
-				w.f64[last] = nil
-				w.f64 = w.f64[:last]
-				clear(s)
-				mWorkerCacheHits.Inc()
-				return s
-			}
-		}
-	}
-	return GetFloat64(n)
-}
-
-// PutFloat64 is PutInt64's float64 counterpart.
-func (w *Worker) PutFloat64(s []float64) {
-	if s == nil {
-		return
-	}
-	if w != nil && len(w.f64) < workerCacheSlots {
-		w.f64 = append(w.f64, s)
-		return
-	}
-	PutFloat64(s)
 }
 
 // Pool is a persistent set of worker goroutines executing scope runners.
@@ -384,10 +303,10 @@ func (w *Worker) attach(s *scope, stolen bool) {
 // runners, and each job receives the pool worker executing it (nil when a
 // non-pool joiner runs it) to bind into inner loop Options — that handle
 // is what routes a shard's inner grains to the worker that started the
-// shard and keys accumulator reuse. When the effective worker count is 1
-// the jobs run inline, sequentially. Jobs observe cancellation between
-// (not during) jobs; a job already claimed when the context fires is
-// skipped. FanOut returns only after every claimed job has finished.
+// shard. When the effective worker count is 1 the jobs run inline,
+// sequentially. Jobs observe cancellation between (not during) jobs; a job
+// already claimed when the context fires is skipped. FanOut returns only
+// after every claimed job has finished.
 func FanOut(k int, opt Options, job func(w *Worker, i int)) {
 	if k <= 0 || opt.cancelled() {
 		return

@@ -49,7 +49,7 @@ func TestFanOutNestedInsidePoolTask(t *testing.T) {
 			// Inner fan-out bound to the executing worker (affinity path).
 			FanOut(4, Options{Workers: 4, Worker: w, Pool: p}, func(w2 *Worker, j int) {
 				opt := Options{Workers: 4, Worker: w2, Pool: p, Grain: 1}
-				total.Add(SumInt64(100, opt, func(int) int64 { return 1 }))
+				total.Add(CountIf(100, opt, func(int) bool { return true }))
 			})
 		})
 	}()
@@ -136,51 +136,6 @@ func TestJoinDrainsWithoutPoolWorkers(t *testing.T) {
 	}
 }
 
-func TestWorkerAccumulatorCacheReuse(t *testing.T) {
-	w := &Worker{} // freelist behavior needs no running pool
-	a := w.GetInt64(128)
-	for i := range a {
-		a[i] = 7
-	}
-	w.PutInt64(a)
-	b := w.GetInt64(64)
-	if &b[0] != &a[0] {
-		t.Error("worker freelist did not reuse the buffer")
-	}
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("reused worker buffer not zeroed at %d: %d", i, v)
-		}
-	}
-	w.PutInt64(b)
-
-	f := w.GetFloat64(32)
-	f[0] = 1.5
-	w.PutFloat64(f)
-	g := w.GetFloat64(32)
-	if g[0] != 0 {
-		t.Error("reused worker float buffer not zeroed")
-	}
-
-	// A nil worker degrades to the shared pool.
-	var nilw *Worker
-	s := nilw.GetInt64(16)
-	if len(s) != 16 {
-		t.Fatalf("nil worker GetInt64 len %d", len(s))
-	}
-	nilw.PutInt64(s)
-}
-
-func TestWorkerCacheOverflowFallsBackToSharedPool(t *testing.T) {
-	w := &Worker{}
-	for i := 0; i < workerCacheSlots+4; i++ {
-		w.PutInt64(make([]int64, 8))
-	}
-	if len(w.i64) != workerCacheSlots {
-		t.Fatalf("freelist holds %d slots, cap is %d", len(w.i64), workerCacheSlots)
-	}
-}
-
 // TestDefaultPoolIsSingleton asserts the process-default pool starts once
 // no matter how many loops run — the property the ci.sh smoke checks via
 // the parallel_pool_starts_total counter.
@@ -215,31 +170,5 @@ func TestPoolNoGoroutineLeakAcrossLoops(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Fatalf("goroutines grew from %d to %d across 200 pooled loops", before, after)
-	}
-}
-
-func TestMapReduceWWorkerKeyedAllocation(t *testing.T) {
-	p := testPool(t, 4)
-	got := MapReduceW(10_000, Options{Workers: 4, Pool: p, Grain: 64},
-		func(w *Worker) []int64 { return w.GetInt64(4) },
-		func(acc []int64, lo, hi int) []int64 {
-			for i := lo; i < hi; i++ {
-				acc[i%4]++
-			}
-			return acc
-		},
-		func(w *Worker, dst, src []int64) []int64 {
-			for i, v := range src {
-				dst[i] += v
-			}
-			w.PutInt64(src)
-			return dst
-		})
-	var total int64
-	for _, v := range got {
-		total += v
-	}
-	if total != 10_000 {
-		t.Fatalf("MapReduceW covered %d of 10000", total)
 	}
 }

@@ -46,6 +46,16 @@ func kParam(help string) ParamSpec {
 	return ParamSpec{Name: "k", Type: IntParam, Default: "10", Help: help}
 }
 
+// pairKParam is kParam capped at 512 for the kinds that build a k×k
+// publisher matrix (co-report's pair algebra costs O(k² × containers)). The
+// cap is a static clamp, like themes' k, so the clamped value is what
+// reaches the cache key.
+func pairKParam(help string) ParamSpec {
+	p := kParam(help)
+	p.Max = 512
+	return p
+}
+
 // whereParam is a qlang filter expression, canonicalized (sorted clauses,
 // one operator spelling, minimal quoting) before queries and cache keys
 // see it. Expressions that fail to parse pass through and fail in the

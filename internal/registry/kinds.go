@@ -240,7 +240,7 @@ func init() {
 	register(&Descriptor{
 		Kind:   "follow",
 		Help:   "follow-reporting fractions among top publishers (Table IV)",
-		Params: []ParamSpec{kParam("number of publishers")},
+		Params: []ParamSpec{pairKParam("number of publishers")},
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			k := clampK(p.Int("k"), e.DB().Sources.Len())
 			ids, _ := queries.TopPublishers(e, k)
@@ -256,7 +256,7 @@ func init() {
 	register(&Descriptor{
 		Kind:   "coreport",
 		Help:   "co-reporting Jaccard matrix among top publishers",
-		Params: []ParamSpec{kParam("number of publishers")},
+		Params: []ParamSpec{pairKParam("number of publishers")},
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			k := clampK(p.Int("k"), e.DB().Sources.Len())
 			ids, _ := queries.TopPublishers(e, k)

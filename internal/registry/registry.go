@@ -237,6 +237,7 @@ func (d *Descriptor) CheckKnown(names []string) error {
 // Canonical renders resolved parameters as the stable string the cache
 // keys on: spec-ordered name=value pairs with defaults materialized, so
 // "?k=10", "?" (absent) and any parameter ordering all map to one key.
+// Parsing the result again yields the same string (FuzzQueryParams).
 func (d *Descriptor) Canonical(p Params) string {
 	var b strings.Builder
 	for i, spec := range d.Params {
@@ -251,9 +252,11 @@ func (d *Descriptor) Canonical(p Params) string {
 		case StringParam:
 			b.WriteString(url.QueryEscape(p.Str(spec.Name)))
 		case StringListParam:
+			// One name=value pair per value, the spelling the list parses
+			// from, so Canonical reparses to itself.
 			for j, v := range p.Strings(spec.Name) {
 				if j > 0 {
-					b.WriteByte(',')
+					b.WriteString("&" + spec.Name + "=")
 				}
 				b.WriteString(url.QueryEscape(v))
 			}

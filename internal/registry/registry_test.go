@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,23 +34,34 @@ func TestCanonicalMaterializesDefaults(t *testing.T) {
 }
 
 func TestCanonicalLastValueWinsAndClamping(t *testing.T) {
-	d := MustLookup("themes") // k max 1000
-	p, err := d.ParseParams(getter(map[string][]string{"k": {"3", "7"}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Int("k") != 7 {
-		t.Fatalf("last value should win, got %d", p.Int("k"))
-	}
-	p, err = d.ParseParams(getter(map[string][]string{"k": {"99999"}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Int("k") != 1000 {
-		t.Fatalf("static max not applied: %d", p.Int("k"))
-	}
-	if got := d.Canonical(p); got != "k=1000" {
-		t.Fatalf("canonical %q should carry the clamped value", got)
+	for _, tc := range []struct {
+		kind string
+		max  int
+	}{
+		{"themes", 1000},
+		{"coreport", 512},
+		{"follow", 512},
+	} {
+		d := MustLookup(tc.kind)
+		p, err := d.ParseParams(getter(map[string][]string{"k": {"3", "7"}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Int("k") != 7 {
+			t.Fatalf("%s: last value should win, got %d", tc.kind, p.Int("k"))
+		}
+		for _, raw := range []string{strconv.Itoa(tc.max), strconv.Itoa(tc.max + 1), "99999"} {
+			p, err = d.ParseParams(getter(map[string][]string{"k": {raw}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Int("k") != tc.max {
+				t.Fatalf("%s: k=%s parsed to %d, want the static max %d", tc.kind, raw, p.Int("k"), tc.max)
+			}
+			if got, want := d.Canonical(p), "k="+strconv.Itoa(tc.max); got != want {
+				t.Fatalf("%s: canonical %q should carry the clamped value %q", tc.kind, got, want)
+			}
+		}
 	}
 }
 

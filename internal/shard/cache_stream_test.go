@@ -4,6 +4,7 @@
 package shard_test
 
 import (
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -42,21 +43,32 @@ func TestStaleKeyUnparseableWindow(t *testing.T) {
 	}
 }
 
-// TestWriteLoadRoundTrip pins the on-disk layout: WriteFiles then LoadFile
-// reproduces a sharded DB that answers queries identically.
+// TestWriteLoadRoundTrip pins the on-disk layout `gdeltconvert -shards`
+// writes and gdeltserve loads: CreateLog then OpenLog reproduces a sharded
+// DB with the same bounds, the same per-part event metadata and the same
+// dataset statistics.
 func TestWriteLoadRoundTrip(t *testing.T) {
 	sdb := buildSharded(t, 3)
-	path := t.TempDir() + "/world.shards"
-	if err := shard.WriteFiles(path, sdb); err != nil {
+	dir := t.TempDir() + "/world.shards"
+	if _, err := shard.CreateLog(dir, sdb); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := shard.LoadFile(path)
+	lg, err := shard.OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.K() != sdb.K() || loaded.EventCount() != sdb.EventCount() {
-		t.Fatalf("loaded K=%d events=%d, want K=%d events=%d",
-			loaded.K(), loaded.EventCount(), sdb.K(), sdb.EventCount())
+	loaded := lg.Snapshot()
+	if loaded.K() != sdb.K() || loaded.EventCount() != sdb.EventCount() ||
+		!slices.Equal(loaded.Bounds(), sdb.Bounds()) {
+		t.Fatalf("loaded K=%d events=%d bounds=%v, want K=%d events=%d bounds=%v",
+			loaded.K(), loaded.EventCount(), loaded.Bounds(), sdb.K(), sdb.EventCount(), sdb.Bounds())
+	}
+	for i := 0; i < sdb.K(); i++ {
+		a, b := &loaded.Part(i).Events, &sdb.Part(i).Events
+		if !slices.Equal(a.ID, b.ID) || !slices.Equal(a.NumArticles, b.NumArticles) ||
+			!slices.Equal(a.FirstMention, b.FirstMention) || !slices.Equal(a.Interval, b.Interval) {
+			t.Fatalf("part %d: loaded event metadata differs from the written world", i)
+		}
 	}
 	a := sdb.View().Dataset()
 	b := loaded.View().Dataset()

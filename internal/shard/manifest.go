@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"gdeltmine/internal/binfmt"
@@ -63,7 +62,7 @@ type ManifestEntry struct {
 	Digest
 }
 
-// Digest identifies a part file's exact bytes: LoadFile and OpenLog refuse
+// Digest identifies a part file's exact bytes: OpenLog refuses
 // a part whose file does not match it before decoding a byte, which catches
 // a corrupt or truncated part and one from another build or generation,
 // whatever column the difference is in.
@@ -412,70 +411,6 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 		}
 	}
 	return New(sorted, bounds, sources, themes, sorted[0].Report)
-}
-
-// WriteFiles writes the sharded DB as one binfmt part file per shard plus
-// the manifest at path; part files are named "<base>.shard<i>" next to the
-// manifest, and the manifest records the digest of each as written.
-func WriteFiles(path string, s *DB) error {
-	dir, base := filepath.Split(path)
-	files := make([]ManifestEntry, s.K())
-	for i, p := range s.parts {
-		files[i].File = fmt.Sprintf("%s.shard%d", base, i)
-		d, err := createFile(filepath.Join(dir, files[i].File), func(w io.Writer) error { return binfmt.Write(w, p) })
-		if err != nil {
-			return err
-		}
-		files[i].Digest = d
-	}
-	m, err := ManifestFromDB(s, files)
-	if err != nil {
-		return err
-	}
-	_, err = createFile(path, func(w io.Writer) error { return EncodeManifest(w, m) })
-	return err
-}
-
-// createFile writes a file through write and returns the digest of what it
-// wrote.
-func createFile(path string, write func(io.Writer) error) (Digest, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return Digest{}, err
-	}
-	dw := &digestWriter{w: f}
-	if err := write(dw); err != nil {
-		f.Close()
-		return Digest{}, err
-	}
-	return dw.d, f.Close()
-}
-
-// LoadFile reads a manifest and its part files (resolved relative to the
-// manifest's directory) and assembles the sharded DB.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := DecodeManifest(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Dir(path)
-	parts := make([]*store.DB, len(m.Entries))
-	for i, e := range m.Entries {
-		if filepath.IsAbs(e.File) || e.File != filepath.Base(e.File) {
-			return nil, fmt.Errorf("shard: manifest entry file %q escapes the manifest directory", e.File)
-		}
-		p, err := readPart(filepath.Join(dir, e.File), e.Digest)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d (%s): %w", i, e.File, err)
-		}
-		parts[i] = p
-	}
-	return AssembleSharded(m, parts)
 }
 
 // readPart loads a part file once its bytes match the digest the manifest

@@ -87,7 +87,7 @@ func manifestFuzzSeeds(tb testing.TB) map[string][]byte {
 // bytes: DecodeManifest either errors or returns a manifest that (a) is a
 // version 4 one, (b) survives an encode/decode round trip and (c) can be
 // fed to AssembleSharded without panicking — corrupt manifests must surface
-// as errors, never as crashes, because LoadFile hands attacker-adjacent
+// as errors, never as crashes, because OpenLog hands attacker-adjacent
 // disk bytes straight to this path. The checked-in corpus under
 // testdata/fuzz/FuzzManifestDecode replays known-interesting inputs on
 // every plain `go test` run: the seed-v4-* files, and the seeds of the

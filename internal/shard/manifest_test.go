@@ -3,7 +3,6 @@ package shard
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,8 +13,8 @@ import (
 )
 
 // Version 4 manifest coverage: entries round-trip with their part digests,
-// every other version is rejected, and the digest check in LoadFile and
-// OpenLog refuses a tampered part before decoding it. See DESIGN.md §13.
+// every other version is rejected, and the digest check in OpenLog refuses
+// a tampered part before decoding it. See DESIGN.md §13.
 
 func tinyManifestAndParts(tb testing.TB) (*Manifest, []*store.DB) {
 	tb.Helper()
@@ -79,45 +78,25 @@ func TestManifestOtherVersionsRejected(t *testing.T) {
 }
 
 // TestManifestDigestCatchesTampering: a part file that is not byte for byte
-// the one the manifest recorded must fail LoadFile and OpenLog with an
-// error naming the part — never load, never panic — whether the change
+// the one the manifest recorded must fail OpenLog with an error naming the
+// part — never load, never panic — whether the change
 // would have decoded cleanly (a rewritten Source value with the binfmt
 // section CRC recomputed, two valid parts swapped) or not (a truncated
 // part), and when the manifest's entry is what is wrong.
 func TestManifestDigestCatchesTampering(t *testing.T) {
 	sdb, _ := tinyShardedWorld(t)
-	layouts := []struct {
-		name   string
-		create func(t *testing.T, dir string) (manifest string, parts []string)
-		load   func(dir string) error
-	}{
-		{"LoadFile", func(t *testing.T, dir string) (string, []string) {
-			path := filepath.Join(dir, "w.shards")
-			if err := WriteFiles(path, sdb); err != nil {
-				t.Fatal(err)
-			}
-			var parts []string
-			for i := 0; i < sdb.K(); i++ {
-				parts = append(parts, fmt.Sprintf("%s.shard%d", path, i))
-			}
-			return path, parts
-		}, func(dir string) error {
-			_, err := LoadFile(filepath.Join(dir, "w.shards"))
-			return err
-		}},
-		{"OpenLog", func(t *testing.T, dir string) (string, []string) {
-			if _, err := CreateLog(dir, sdb); err != nil {
-				t.Fatal(err)
-			}
-			var parts []string
-			for i := 0; i < sdb.K(); i++ {
-				parts = append(parts, filepath.Join(dir, partFileName(1, i)))
-			}
-			return filepath.Join(dir, LogManifestName), parts
-		}, func(dir string) error {
-			_, err := OpenLog(dir)
-			return err
-		}},
+	create := func(t *testing.T, dir string) (manifest string, parts []string) {
+		if _, err := CreateLog(dir, sdb); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sdb.K(); i++ {
+			parts = append(parts, filepath.Join(dir, partFileName(1, i)))
+		}
+		return filepath.Join(dir, LogManifestName), parts
+	}
+	load := func(dir string) error {
+		_, err := OpenLog(dir)
+		return err
 	}
 	tampers := []struct {
 		name   string
@@ -173,24 +152,22 @@ func TestManifestDigestCatchesTampering(t *testing.T) {
 			}
 		}},
 	}
-	for _, l := range layouts {
-		for _, tc := range tampers {
-			t.Run(l.name+"/"+tc.name, func(t *testing.T) {
-				dir := t.TempDir()
-				manifest, parts := l.create(t, dir)
-				if err := l.load(dir); err != nil {
-					t.Fatalf("untampered layout: %v", err)
-				}
-				tc.tamper(t, manifest, parts)
-				err := l.load(dir)
-				if err == nil {
-					t.Fatal("tampered layout loaded")
-				}
-				if name := filepath.Base(parts[tc.part]); !strings.Contains(err.Error(), name) {
-					t.Fatalf("error %q does not name part %s", err, name)
-				}
-			})
-		}
+	for _, tc := range tampers {
+		t.Run("OpenLog/"+tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			manifest, parts := create(t, dir)
+			if err := load(dir); err != nil {
+				t.Fatalf("untampered layout: %v", err)
+			}
+			tc.tamper(t, manifest, parts)
+			err := load(dir)
+			if err == nil {
+				t.Fatal("tampered layout loaded")
+			}
+			if name := filepath.Base(parts[tc.part]); !strings.Contains(err.Error(), name) {
+				t.Fatalf("error %q does not name part %s", err, name)
+			}
+		})
 	}
 }
 
