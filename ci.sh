@@ -50,6 +50,16 @@ go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
 # uncached and through the result cache (cold and warm, at different worker
 # counts) and all three answers must agree — exact for integers, 1e-9
 # relative for floats. Catches cache-key instability and reduction-order bugs.
+# Its windowed K=3 half (TestRegistryDifferentialCachedVsUncachedWindowed)
+# runs every kind over five windows through one shared cache, cold and warm
+# against uncached, and requires country's archive half to be computed once
+# for all five windows.
+#
+# Stale-key table test (internal/baseline, TestRegistryStaleKeyAfterAppend):
+# on a K=3 log every kind is cached at a first-shard window, one tick appends
+# a new event and a mention of a first-shard event, and every cached answer
+# must then equal the uncached one, while the window-only series-articles
+# over the untouched shard must still hit.
 #
 # Shard differential + metamorphic battery (internal/baseline,
 # TestShardDifferential*, TestShardMetamorphic*, TestShardCancellation*):

@@ -2,8 +2,10 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -276,6 +278,107 @@ func TestCancelledComputationNotCached(t *testing.T) {
 	live := sdb.View().WithKind(d.Kind)
 	if _, out, _ := ex.ExecuteSharded(d, live, p); out != qcache.Miss {
 		t.Fatal("cancelled partial result was cached")
+	}
+}
+
+// TestCancelledArchiveNotCached: a cancelled computation of a kind's
+// archive half must surface as the context error and leave no archive
+// entry behind, and the next live request recomputes it and caches it.
+func TestCancelledArchiveNotCached(t *testing.T) {
+	sdb := testWorld(t)
+	d := MustLookup("country")
+	ex := &Executor{Cache: qcache.New(0)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := defaultParams(t, d)
+
+	_, _, err := ex.ExecuteSharded(d, sdb.View().WithContext(ctx).WithKind(d.Kind), p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled execution returned %v, want the context error", err)
+	}
+	if _, ok := ex.Cache.Get(archiveKey(d, sdb)); ok {
+		t.Fatal("cancelled archive half was cached")
+	}
+	if ex.Cache.Len() != 0 {
+		t.Fatalf("cancelled execution left %d cache entries", ex.Cache.Len())
+	}
+
+	live := sdb.View().WithKind(d.Kind)
+	got, out, err := ex.ExecuteSharded(d, live, p)
+	if err != nil || out != qcache.Miss {
+		t.Fatalf("live request after the cancelled one: %v %v, want miss", out, err)
+	}
+	archive, ok := ex.Cache.Get(archiveKey(d, sdb))
+	if !ok {
+		t.Fatal("live request did not cache the archive half")
+	}
+	// The archive is charged to the budget, and stays compact: the
+	// symmetric pair counts are stored once (~15 KB at 60 countries).
+	if size := qcache.Approx(archive); size > 20<<10 || ex.Cache.UsedBytes() < size {
+		t.Fatalf("archive costs %d B of %d B used, want ≤ 20 KiB and charged", size, ex.Cache.UsedBytes())
+	}
+	want, err := d.RunSharded(live, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("answer over the recomputed archive differs from the uncached one")
+	}
+}
+
+// TestArchiveSharedAcrossConcurrentWindows: concurrent country misses at
+// eight different windows compute the archive half once (single-flight on
+// its key) and finish from the one shared value; every answer equals the
+// uncached one. Run under -race, it checks that Finish only reads the
+// shared archive.
+func TestArchiveSharedAcrossConcurrentWindows(t *testing.T) {
+	sdb := testWorld(t)
+	iv := sdb.Meta().Intervals
+	registered := MustLookup("country")
+	var archives atomic.Int64
+	d := *registered
+	d.Archive = func(v *shard.View) any {
+		archives.Add(1)
+		return registered.Archive(v)
+	}
+	ex := &Executor{Cache: qcache.New(0)}
+	p := defaultParams(t, &d)
+
+	const windows = 8
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		got   [windows]any
+		errs  [windows]error
+	)
+	view := func(i int) *shard.View {
+		return sdb.View().WithWindow(int32(i)*iv/(2*windows), iv-int32(i)*iv/(4*windows)).WithKind(d.Kind)
+	}
+	for i := 0; i < windows; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], _, errs[i] = ex.ExecuteSharded(&d, view(i), p)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if n := archives.Load(); n != 1 {
+		t.Fatalf("%d concurrent windows computed the archive %d times, want 1", windows, n)
+	}
+	for i := 0; i < windows; i++ {
+		if errs[i] != nil {
+			t.Fatalf("window %d: %v", i, errs[i])
+		}
+		want, err := registered.RunSharded(view(i), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("window %d: cached answer differs from the uncached one", i)
+		}
 	}
 }
 

@@ -228,8 +228,12 @@ func init() {
 			}
 			return countryResult(cr, p.Int("k")), nil
 		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			cr, err := v.CountryQuery()
+		// Table V's pair counts and the per-country event counts read every
+		// event whatever the window; only Table VI/VII's cross-count reads
+		// the window's mentions.
+		Archive: func(v *shard.View) any { return v.CountryArchive() },
+		Finish: func(v *shard.View, p Params, archive any) (any, error) {
+			cr, err := v.CountryFinish(archive.(*shard.CountryArchive))
 			if err != nil {
 				return nil, err
 			}
@@ -305,8 +309,9 @@ func init() {
 	})
 
 	register(&Descriptor{
-		Kind: "series-articles",
-		Help: "articles per quarter (Figure 4)",
+		Kind:       "series-articles",
+		Help:       "articles per quarter (Figure 4)",
+		WindowOnly: true,
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			return queries.ArticlesPerQuarter(e), nil
 		},
@@ -338,8 +343,9 @@ func init() {
 	})
 
 	register(&Descriptor{
-		Kind: "series-slow-articles",
-		Help: "slow articles (delay > 1 interval) per quarter (Figure 11)",
+		Kind:       "series-slow-articles",
+		Help:       "slow articles (delay > 1 interval) per quarter (Figure 11)",
+		WindowOnly: true,
 		Run: func(e *engine.Engine, p Params) (any, error) {
 			return queries.SlowArticlesPerQuarter(e), nil
 		},

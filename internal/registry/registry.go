@@ -153,6 +153,24 @@ type Descriptor struct {
 	// the equivalent monolith — the invariant the differential battery in
 	// internal/baseline pins for every kind.
 	RunSharded func(v *shard.View, p Params) (any, error)
+	// WindowOnly marks a kind whose sharded answer reads nothing but the
+	// mention rows inside the view's window, so it changes only when a
+	// shard the window overlaps does. Its cache key carries the versions
+	// of those shards alone, and an append to the tail leaves answers over
+	// cold shards warm. The default (false) is the safe one: the answer
+	// may read event tables, postings or per-event metadata that an append
+	// changes in every part, so its key carries every part's version.
+	WindowOnly bool
+	// Archive and Finish, when set, split a kind whose answer is mostly
+	// window-independent into two halves. Archive computes the half that
+	// reads the whole archive whatever the view's window, shard subset or
+	// parameters, and returns a read-only value; Finish completes the
+	// answer for one view and parameter set from it. register derives
+	// RunSharded as Finish(v, p, Archive(v)), and a cached Executor keeps
+	// the Archive value under its own key, so a miss at a new window or
+	// parameter set computes only Finish.
+	Archive func(v *shard.View) any
+	Finish  func(v *shard.View, p Params, archive any) (any, error)
 }
 
 // ParseParams resolves the descriptor's schema against get, which returns
@@ -275,6 +293,14 @@ var (
 func register(d *Descriptor) *Descriptor {
 	if _, dup := kinds[d.Kind]; dup {
 		panic("registry: duplicate kind " + d.Kind)
+	}
+	if d.Archive != nil || d.Finish != nil {
+		if d.Archive == nil || d.Finish == nil || d.RunSharded != nil {
+			panic("registry: kind " + d.Kind + " must set Archive and Finish, and no RunSharded")
+		}
+		d.RunSharded = func(v *shard.View, p Params) (any, error) {
+			return d.Finish(v, p, d.Archive(v))
+		}
 	}
 	kinds[d.Kind] = d
 	ordered = append(ordered, d)

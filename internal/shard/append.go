@@ -49,10 +49,12 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // the result fails its own row count, counted in
 // shard_log_append_fallback_total.
 //
-// Only the tail's snapshot version moves (CloneAppend bumps it): cached
-// results whose window touches the tail go stale through StaleKey while
-// cold windows stay warm. Non-tail parts keep their versions — per-event
-// metadata is the same global-not-windowed data it was at split time.
+// Only the tail's snapshot version moves (CloneAppend bumps it). Non-tail
+// parts keep their versions although their copies of a mentioned event's
+// metadata change, so only answers that read nothing but their window's
+// mention rows may key on the overlapping shards alone: such entries over
+// cold windows stay warm, and every other entry goes stale through
+// StaleKey (see DB.CacheWindow).
 func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st store.AppendStats, err error) {
 	ti := len(s.parts) - 1
 	tail := s.parts[ti]

@@ -4,6 +4,7 @@
 package shard_test
 
 import (
+	"reflect"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -22,8 +23,9 @@ import (
 // the tail shard with its bitmap postings rebuilt, (2) home events the
 // chunk mentions that the tail never held, (3) keep the global per-event
 // metadata agreed across shards, (4) bump only the tail version so cached
-// full-window results go stale while cold windows stay warm, and (5) leave
-// the sharded answers identical to a monolith that folded the same chunk.
+// answers that read every part go stale while window-only answers over
+// cold windows stay warm, and (5) leave the sharded answers identical to a
+// monolith that folded the same chunk.
 func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	c, err := gen.Generate(gen.Small())
 	if err != nil {
@@ -46,27 +48,31 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	lg := shard.NewLog(sdb)
 	ex := &registry.Executor{Cache: qcache.New(0)}
 	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
-	d := registry.MustLookup("coreport")
-	p, err := d.ParseParams(func(string) []string { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	coreport := registry.MustLookup("coreport")
+	series := registry.MustLookup("series-articles") // window-only
 	full := func() *shard.View { return lg.Snapshot().View() }
 	cold := func() *shard.View { return lg.Snapshot().View().WithWindow(0, sdb.Bounds()[1]) }
-	run := func(v func() *shard.View) qcache.Outcome {
+	run := func(d *registry.Descriptor, v func() *shard.View) (any, qcache.Outcome) {
 		t.Helper()
-		_, out, err := ex.ExecuteSharded(d, v(), p)
+		p, err := d.ParseParams(func(string) []string { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		res, out, err := ex.ExecuteSharded(d, v().WithKind(d.Kind), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, out
 	}
 	for _, want := range []qcache.Outcome{qcache.Miss, qcache.Hit} {
-		if out := run(full); out != want {
+		if _, out := run(coreport, full); out != want {
 			t.Fatalf("full-window warmup: %v, want %v", out, want)
 		}
-		if out := run(cold); out != want {
+		if _, out := run(coreport, cold); out != want {
 			t.Fatalf("cold-window warmup: %v, want %v", out, want)
+		}
+		if _, out := run(series, cold); out != want {
+			t.Fatalf("cold-window series warmup: %v, want %v", out, want)
 		}
 	}
 
@@ -142,12 +148,26 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 		t.Fatal("appended event missing from the tail")
 	}
 
-	// Cache: the full window went stale, the cold window stayed warm.
-	if out := run(full); out != qcache.Miss {
-		t.Fatalf("full-window run after append: %v, want miss (stale aggregate!)", out)
+	// Cache: co-report reads event bitmaps that the append changed in
+	// every part, so its entries went stale at both windows and recompute
+	// the uncached answer; the window-only series over the cold window
+	// stayed warm.
+	for name, v := range map[string]func() *shard.View{"full": full, "cold": cold} {
+		got, out := run(coreport, v)
+		if out != qcache.Miss {
+			t.Fatalf("%s-window coreport after append: %v, want miss (stale aggregate!)", name, out)
+		}
+		p, _ := coreport.ParseParams(func(string) []string { return nil })
+		want, err := coreport.RunSharded(v().WithKind(coreport.Kind), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s-window coreport after append differs from the uncached answer", name)
+		}
 	}
-	if out := run(cold); out != qcache.Hit {
-		t.Fatalf("cold-window run after append: %v, want hit (cold shard untouched)", out)
+	if _, out := run(series, cold); out != qcache.Hit {
+		t.Fatalf("cold-window series after append: %v, want hit (cold shard untouched)", out)
 	}
 
 	// Sharded answers equal the monolith that folded the same chunk —

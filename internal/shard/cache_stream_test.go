@@ -35,7 +35,7 @@ func buildSharded(t *testing.T, k int) *shard.DB {
 // conservative direction.
 func TestStaleKeyUnparseableWindow(t *testing.T) {
 	sdb := buildSharded(t, 2)
-	for _, win := range []string{"", "0:10", "iv0:10", "ivx:y/v0", "iv0:10/vnope"} {
+	for _, win := range []string{"", "0:10", "iv0:10", "ivx:y/v0", "iv0:10/vnope", "iv0:10/anope", "anope", "a"} {
 		k := qcache.Key{Kind: "count", Window: win}
 		if !sdb.StaleKey(k) {
 			t.Errorf("StaleKey(%q) = false, want true for unparseable window", win)

@@ -318,55 +318,35 @@ func (v *View) SlowArticlesPerQuarter() queries.QuarterlySeries {
 	return queries.QuarterlySeries{Labels: v.quarterLabels(), Values: vals}
 }
 
-// CountryQuery runs the aggregated country query (Tables V-VII). Pass 1
-// fans the per-shard typed cross-count matrices out across the pool
-// (country ids are global, so no remap is needed) and folds them through a
-// merge tree; pass 2 folds per-event reporting-country bitmasks into the
-// pair and singleton counts, per shard where a shard holds the whole event
-// and through a shared mask table where an event spans shards.
-func (v *View) CountryQuery() (*queries.CountryReport, error) {
+// CountryArchive is the window-independent half of the aggregated country
+// query: Table V's per-event reporting-country pair and singleton counts,
+// and the per-country event counts. It reads every event of every part
+// whatever the view's window or shard subset (event-table and postings
+// scans ignore both), so one value serves every window of a snapshot and
+// the result cache keeps it under its own archive key. The pair-count
+// matrix is symmetric and stored once: Pairs holds its upper triangle with
+// the diagonal, row by row — (0,0), (0,1), …, (0,nc-1), (1,1), ….
+type CountryArchive struct {
+	Pairs       []int64
+	Counts      []int64 // Counts[c]: events reported by some country-c source
+	EventCounts []int64 // EventCounts[c]: observed events located in c
+}
+
+// CountryArchive computes the archive half of the country query. Each
+// event's reporting-country bitmask folds into the pair and singleton
+// counts, per shard where a shard holds the whole event and through a
+// shared mask table where an event spans shards.
+func (v *View) CountryArchive() *CountryArchive {
 	s := v.s
 	nc := len(gdelt.Countries)
 
-	parts := make([]*matrix.Int64, s.K())
-	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
-		p := s.parts[i]
-		parts[i] = engine.CrossCountRemap(e, nc, nc,
-			p.Mentions.EventRow, p.Events.Country,
-			p.Mentions.Source, p.SourceCountry)
-	})
-	cross := matrix.NewInt64(nc, nc)
-	liveParts := parts[:0]
-	for _, m := range parts {
-		if m != nil {
-			liveParts = append(liveParts, m)
-		}
-	}
-	if len(liveParts) > 0 {
-		merged := parallel.MergeTree(liveParts, func(dst, src *matrix.Int64) *matrix.Int64 {
-			if err := dst.AddMatrix(src); err != nil {
-				panic(err) // identical nc×nc shapes by construction
-			}
-			parallel.PutInt64(src.Data)
-			src.Data = nil
-			return dst
-		})
-		// The merged partial is backed by a pooled buffer; fold it into a
-		// caller-owned matrix and recycle the backing.
-		if err := cross.AddMatrix(merged); err != nil {
-			return nil, err
-		}
-		parallel.PutInt64(merged.Data)
-		merged.Data = nil
-	}
-
-	// Pass 2. An event's article count is global metadata every shard
-	// carries, so a shard can tell that it holds all of an event's mentions
-	// and folds that event's mask on the spot, like the monolith. Only an
-	// event whose mentions span shards goes through the shared mask table:
-	// each shard ORs its slice in — atomically, shards run concurrently;
-	// OR is commutative and idempotent, so any interleaving is exact — and
-	// notes the row, and the union folds once every shard is done.
+	// An event's article count is global metadata every shard carries, so
+	// a shard can tell that it holds all of an event's mentions and folds
+	// that event's mask on the spot, like the monolith. Only an event whose
+	// mentions span shards goes through the shared mask table: each shard
+	// ORs its slice in — atomically, shards run concurrently; OR is
+	// commutative and idempotent, so any interleaving is exact — and notes
+	// the row, and the union folds once every shard is done.
 	type partial struct {
 		pair     *matrix.Int64
 		counts   []int64
@@ -426,6 +406,10 @@ func (v *View) CountryQuery() (*queries.CountryReport, error) {
 		masks[g] = 0 // several shards note the same row; fold it once
 	}
 
+	pairs := make([]int64, 0, nc*(nc+1)/2)
+	for i := 0; i < nc; i++ {
+		pairs = append(pairs, res.pair.Row(i)[i:]...)
+	}
 	eventCounts := v.groupCountEvents(nc, func(acc []int64, t *store.EventTable, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			if t.NumArticles[r] > 0 {
@@ -435,7 +419,60 @@ func (v *View) CountryQuery() (*queries.CountryReport, error) {
 			}
 		}
 	})
-	return queries.FinishCountryReport(cross, res.pair, res.counts, eventCounts)
+	return &CountryArchive{Pairs: pairs, Counts: res.counts, EventCounts: eventCounts}
+}
+
+// CountryFinish completes the country query (Tables V-VII) from its
+// archive half: it fans the per-shard typed cross-count matrices over the
+// view's window out across the pool (country ids are global, so no remap
+// is needed), folds them through a merge tree, and derives the report.
+// The archive is only read, so a cached one serves concurrent requests.
+func (v *View) CountryFinish(a *CountryArchive) (*queries.CountryReport, error) {
+	s := v.s
+	nc := len(gdelt.Countries)
+
+	parts := make([]*matrix.Int64, s.K())
+	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
+		p := s.parts[i]
+		parts[i] = engine.CrossCountRemap(e, nc, nc,
+			p.Mentions.EventRow, p.Events.Country,
+			p.Mentions.Source, p.SourceCountry)
+	})
+	cross := matrix.NewInt64(nc, nc)
+	liveParts := parts[:0]
+	for _, m := range parts {
+		if m != nil {
+			liveParts = append(liveParts, m)
+		}
+	}
+	if len(liveParts) > 0 {
+		merged := parallel.MergeTree(liveParts, func(dst, src *matrix.Int64) *matrix.Int64 {
+			if err := dst.AddMatrix(src); err != nil {
+				panic(err) // identical nc×nc shapes by construction
+			}
+			parallel.PutInt64(src.Data)
+			src.Data = nil
+			return dst
+		})
+		// The merged partial is backed by a pooled buffer; fold it into a
+		// caller-owned matrix and recycle the backing.
+		if err := cross.AddMatrix(merged); err != nil {
+			return nil, err
+		}
+		parallel.PutInt64(merged.Data)
+		merged.Data = nil
+	}
+
+	pair := matrix.NewInt64(nc, nc)
+	tri := a.Pairs
+	for i := 0; i < nc; i++ {
+		for j, c := range tri[:nc-i] {
+			pair.Set(i, i+j, c)
+			pair.Set(i+j, i, c)
+		}
+		tri = tri[nc-i:]
+	}
+	return queries.FinishCountryReport(cross, pair, a.Counts, slices.Clone(a.EventCounts))
 }
 
 // foldCountryMask expands one event's reporting-country bitmask into the

@@ -387,50 +387,72 @@ func (s *DB) overlapping(from, to int32) (lo, hi int) {
 	return lo, hi
 }
 
-// VersionMax returns the maximum snapshot version over the shards
-// overlapping [from, to) — the Version component of a sharded cache key.
-// An append that bumps only the tail shard raises the max for windows that
-// touch the tail and leaves cold-window versions unchanged.
-func (s *DB) VersionMax(from, to int32) uint64 {
-	lo, hi := s.overlapping(from, to)
-	var max uint64
-	for i := lo; i < hi; i++ {
-		if v := s.parts[i].Version(); v > max {
-			max = v
-		}
+// CacheWindow returns the Window and Version components of the cache key
+// of an answer over the capture window [from, to). A window-only answer
+// (one that reads nothing but the mention rows inside its window) keys on
+// the version vector of the shards the window overlaps, "iv0:96/v3.4", and
+// the max over them: an append that bumps only the tail shard leaves
+// cold-window entries servable. Any other answer reads event tables,
+// postings or per-event metadata that an append may change in every part,
+// so it keys on the version vector of every part, "iv0:96/a0.3.4", and the
+// max over all of them. Embedding the per-shard versions (not just the
+// max) is what lets the staleness sweep keep warm entries whose shards did
+// not change — see StaleKey and qcache.Cache.SetStale.
+func (s *DB) CacheWindow(from, to int32, windowOnly bool) (window string, version uint64) {
+	lo, hi := 0, len(s.parts)
+	tag := "/a"
+	if windowOnly {
+		lo, hi = s.overlapping(from, to)
+		tag = "/v"
 	}
-	return max
-}
-
-// WindowVersionKey renders the Window component of a sharded cache key:
-// the interval window plus the version vector of every overlapping shard.
-// Embedding the per-shard versions (not just the max) is what lets the
-// staleness sweep keep warm entries whose shards did not change — see
-// StaleKey and qcache.Cache.SetStale.
-func (s *DB) WindowVersionKey(from, to int32) string {
 	var b strings.Builder
 	b.WriteString("iv")
 	b.WriteString(strconv.FormatInt(int64(from), 10))
 	b.WriteByte(':')
 	b.WriteString(strconv.FormatInt(int64(to), 10))
-	b.WriteString("/v")
-	lo, hi := s.overlapping(from, to)
+	b.WriteString(tag)
+	version = s.writeVersions(&b, lo, hi)
+	return b.String(), version
+}
+
+// ArchiveWindow returns the Window and Version components of the cache key
+// of a value that reads every part and no mention window (a kind's archive
+// half): the version vector of every part, "a0.3.4", and its max. A log
+// that has grown parts since the value was cached therefore never matches.
+func (s *DB) ArchiveWindow() (window string, version uint64) {
+	var b strings.Builder
+	b.WriteByte('a')
+	version = s.writeVersions(&b, 0, len(s.parts))
+	return b.String(), version
+}
+
+// writeVersions appends the dot-joined versions of parts [lo, hi) and
+// returns their max.
+func (s *DB) writeVersions(b *strings.Builder, lo, hi int) uint64 {
+	var top uint64
 	for i := lo; i < hi; i++ {
 		if i > lo {
 			b.WriteByte('.')
 		}
-		b.WriteString(strconv.FormatUint(s.parts[i].Version(), 10))
+		v := s.parts[i].Version()
+		b.WriteString(strconv.FormatUint(v, 10))
+		top = max(top, v)
 	}
-	return b.String()
+	return top
 }
 
-// StaleKey reports whether a cached entry's key refers to a window whose
-// overlapping shards have moved past the versions the entry was computed
-// at. It re-derives the expected window key from the entry's interval
-// window and compares: a tail-shard append makes every tail-overlapping
-// entry stale while entries over cold shards stay servable. Keys that do
-// not parse are conservatively stale.
+// StaleKey reports whether a cached entry's key refers to part versions
+// that have moved on. It re-derives the expected Window from the entry's
+// own: an archive key ("a…") or an all-parts answer ("iv…/a…") is stale
+// once any part's version moved or a part was added; a window-only answer
+// ("iv…/v…") only once a shard its window overlaps did, so a tail-shard
+// append leaves entries over cold shards servable. Keys that do not parse
+// are conservatively stale.
 func (s *DB) StaleKey(k qcache.Key) bool {
+	if strings.HasPrefix(k.Window, "a") {
+		w, _ := s.ArchiveWindow()
+		return k.Window != w
+	}
 	rest, ok := strings.CutPrefix(k.Window, "iv")
 	if !ok {
 		return true
@@ -439,7 +461,7 @@ func (s *DB) StaleKey(k qcache.Key) bool {
 	if !ok {
 		return true
 	}
-	toStr, _, ok := strings.Cut(rest, "/")
+	toStr, versions, ok := strings.Cut(rest, "/")
 	if !ok {
 		return true
 	}
@@ -451,5 +473,6 @@ func (s *DB) StaleKey(k qcache.Key) bool {
 	if err != nil {
 		return true
 	}
-	return k.Window != s.WindowVersionKey(int32(from), int32(to))
+	w, _ := s.CacheWindow(int32(from), int32(to), strings.HasPrefix(versions, "v"))
+	return k.Window != w
 }
