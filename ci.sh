@@ -12,7 +12,7 @@ test -z "$(gofmt -l $(go list -f '{{.Dir}}' ./...))"
 go test ./...
 
 # Fuzz smoke: plain `go test` only replays each target's seed corpus; this
-# runs every Fuzz* target for 5 s of fresh inputs (seven targets, ~1 min on
+# runs every Fuzz* target for 5 s of fresh inputs (eight targets, ~1 min on
 # 2 vCPUs). A failure leaves its input under the package's testdata/fuzz.
 for f in $(grep -l '^func Fuzz' $(go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$.Dir}}/{{.}} {{end}}' ./...)); do
 	for fz in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$f"); do
@@ -85,7 +85,16 @@ go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
 # choice, must agree with an independent naive evaluator — exact for counts,
 # 1e-9 relative for float aggregates — every world's cases must reach the
 # pushdown, range and scan paths, and explain=1 must report a plan without
-# executing (DESIGN.md §13).
+# executing (DESIGN.md §13). TestQlangFusedScanMetrics pins the fused
+# fold's one scan per shard for a grouped mean with a residual clause.
+#
+# Qlang stage table (internal/qlang, TestStagesMatchNaiveEvaluator,
+# TestStagesUntaggedEvents): every field x every operator x edge literals
+# (int64 limits, values past each column type's range, NaN and the
+# infinities, quarters outside the archive, unknown sources and countries)
+# compiled to typed batch stages must select exactly the rows of a per-row
+# evaluator written in the test, over empty, one-row, odd-sized and full
+# windows, appending after an existing prefix; Refine must equal Select.
 #
 # Router chaos (internal/router, TestChaos*): a real 4-replica 2-group fleet
 # behind the scatter/gather router, with deterministic replica faults

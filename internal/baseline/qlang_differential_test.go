@@ -9,6 +9,7 @@ import (
 
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/obs"
 	"gdeltmine/internal/qlang"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/shard"
@@ -399,5 +400,43 @@ func TestQlangExplainDoesNotExecute(t *testing.T) {
 	}
 	if plan.Path != "pushdown" && plan.Path != "range" && plan.Path != "scan" {
 		t.Errorf("plan path %q unknown", plan.Path)
+	}
+}
+
+// TestQlangFusedScanMetrics pins the fused fold's scan accounting: a
+// grouped mean with a residual clause on a K=4 split runs one window scan
+// per shard — it used to run three (count, group counts, sums) — and
+// engine_rows_scanned_total moves by the window's rows once, full and
+// windowed.
+func TestQlangFusedScanMetrics(t *testing.T) {
+	db := kernelWorlds(t)[0]
+	sdb, err := shard.Split(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := queries.ParseAdhocSpec("tone<0", "sourcecountry", "mean:tone", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scans := obs.Default.Counter("engine_scans_total", "scan kernels executed", obs.L("kind", "query"))
+	rows := obs.Default.Counter("engine_rows_scanned_total",
+		"table rows actually touched by scan kernels", obs.L("kind", "query"))
+	n := db.Meta.Intervals
+	for _, win := range [][2]int32{{0, n}, {n / 3, 2 * n / 3}} {
+		v := sdb.View().WithKind("query").WithWindow(win[0], win[1])
+		if p := v.AdhocExplain(spec); p.Path != "scan" || p.Kernel != "SelectFold" {
+			t.Fatalf("window %v: plan %s/%s, want scan/SelectFold", win, p.Path, p.Kernel)
+		}
+		lo, hi := db.MentionRowRange(win[0], win[1])
+		s0, r0 := scans.Value(), rows.Value()
+		if _, err := v.AdhocQuery(spec); err != nil {
+			t.Fatal(err)
+		}
+		if d := scans.Value() - s0; d != int64(sdb.K()) {
+			t.Errorf("window %v: %d scans, want one per shard (%d)", win, d, sdb.K())
+		}
+		if d := rows.Value() - r0; d != hi-lo {
+			t.Errorf("window %v: %d rows scanned, want the window's %d", win, d, hi-lo)
+		}
 	}
 }

@@ -400,6 +400,19 @@ func ScanRows[A any](e *Engine, rows []int32, domain int,
 	)
 }
 
+// ScanWindow is the window twin of ScanRows: a MapReduce-style aggregation
+// over the mention window, with body receiving absolute row bounds
+// [lo, hi) of one grain. It records one scan of the window's rows.
+func ScanWindow[A any](e *Engine,
+	newPartial func() A, body func(acc A, lo, hi int) A, merge func(dst, src A) A) A {
+	wlo, whi := e.mentionWindow()
+	defer e.observeScan(whi-wlo, time.Now())
+	return parallel.MapReduce(whi-wlo, e.opt(), newPartial,
+		func(acc A, lo, hi int) A { return body(acc, wlo+lo, wlo+hi) },
+		merge,
+	)
+}
+
 // GroupCountRows is GroupCountCol over an explicit row list: counts
 // remap[col[r]] for every r in rows. domain sizes the pruning metric.
 func (e *Engine) GroupCountRows(numGroups int, rows []int32, domain int, col, remap []int32) []int64 {

@@ -13,14 +13,14 @@ package qlang
 //     the scan to a contiguous row range by binary search — no bitmap
 //     materialization needed.
 //   - residual: everything else (tone, doclen, confidence, delay,
-//     articles, and any != clause). Residual clauses bind to the closure
-//     evaluator and run only over the rows the indexed clauses survive.
+//     articles, and any != clause). Residual clauses compile to typed
+//     batch stages and run only over the rows the indexed clauses survive.
 
 // ClauseClass is the pushdown class of one clause.
 type ClauseClass int
 
 const (
-	// ClassResidual clauses evaluate as per-row closures.
+	// ClassResidual clauses evaluate as typed batch stages.
 	ClassResidual ClauseClass = iota
 	// ClassBitmap clauses intersect precomputed row bitmaps.
 	ClassBitmap

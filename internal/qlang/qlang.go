@@ -3,11 +3,10 @@
 // small composable algebra (ast.go) with an optional group-by/aggregate
 // spec (agg.go). An expression canonicalizes to a stable string for result
 // caching, classifies statically into index-answerable and residual
-// clauses for predicate pushdown (plan.go), and binds against a store into
-// a per-row closure filter — the fallback evaluation path, and the
-// reference the pushdown plans are differentially tested against. It gives
-// CLI and HTTP users ad-hoc filtering ("sourcecountry=UK and delay>96 and
-// quarter>=2016Q1") without writing Go.
+// clauses for predicate pushdown (plan.go), and compiles against a store
+// into typed batch stages (stage.go) that select the passing rows of a
+// window or narrow a row list. It gives CLI and HTTP users ad-hoc filtering
+// ("sourcecountry=UK and delay>96 and quarter>=2016Q1") without writing Go.
 //
 // Grammar (conjunction-only; AND may be written "and" or "&&"):
 //
@@ -32,6 +31,7 @@ package qlang
 
 import (
 	"fmt"
+	"math"
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/store"
@@ -72,35 +72,61 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Filter is a compiled predicate over mention rows of one DB — the
-// closure-evaluation path. The pushdown planner binds only the residual
-// (non-indexed) clauses of an expression this way; Compile binds all of
-// them, which is the reference behavior differential tests pin plans to.
+// Filter is an expression compiled against one DB: one typed batch stage
+// per clause (stage.go), evaluated as a selection-vector pipeline. The
+// pushdown planner binds only the residual (non-indexed) clauses of an
+// expression this way; Compile binds all of them.
 type Filter struct {
-	db    *store.DB
-	preds []func(row int) bool
-	expr  string
+	stages  []stage
+	none    bool // some clause holds for no row: the filter selects nothing
+	clauses int
+	expr    string
 }
 
 // Expr returns the source expression.
 func (f *Filter) Expr() string { return f.expr }
 
-// Match reports whether mention row satisfies every clause. A nil Filter
-// matches every row, so "no residual clauses" needs no special casing.
-func (f *Filter) Match(row int) bool {
-	if f == nil {
-		return true
+// Clauses returns the number of compiled clauses.
+func (f *Filter) Clauses() int { return f.clauses }
+
+// Select appends the mention rows of [lo, hi) that satisfy every clause to
+// out, ascending, and returns the extended slice; out's existing elements
+// are kept. The range must lie within the DB's mention table. A nil Filter
+// selects every row, so "no residual clauses" needs no special casing.
+func (f *Filter) Select(lo, hi int, out []int32) []int32 {
+	if lo >= hi || f != nil && f.none {
+		return out
 	}
-	for _, p := range f.preds {
-		if !p(row) {
-			return false
+	if f == nil || len(f.stages) == 0 {
+		for r := lo; r < hi; r++ {
+			out = append(out, int32(r))
 		}
+		return out
 	}
-	return true
+	n := len(out)
+	out = f.stages[0].sel(lo, hi, out)
+	sel := out[n:]
+	for _, s := range f.stages[1:] {
+		sel = s.refine(sel)
+	}
+	return out[:n+len(sel)]
 }
 
-// Clauses returns the number of compiled clauses.
-func (f *Filter) Clauses() int { return len(f.preds) }
+// Refine narrows the mention rows of sel in place to those satisfying
+// every clause, keeping their order, and returns the prefix of sel that
+// holds them. A nil Filter keeps every row.
+func (f *Filter) Refine(sel []int32) []int32 {
+	if f == nil {
+		return sel
+	}
+	if f.none {
+		return sel[:0]
+	}
+	for _, s := range f.stages {
+		sel = s.refine(sel)
+	}
+	return sel
+}
 
 // Compile parses and compiles expr against db. An empty expression compiles
 // to the match-everything filter.
@@ -115,15 +141,26 @@ func Compile(db *store.DB, expr string) (*Filter, error) {
 // Bind compiles an already-parsed clause list against db, labelling the
 // filter with expr. The pushdown planner uses it to bind just the residual
 // clauses of an expression whose indexed clauses a bitmap plan answers.
+// A clause whose outcome does not depend on the row compiles to no stage.
+// Direct-column stages run before gathered ones, so the random lookups
+// only test rows the sequential stages let through.
 func Bind(db *store.DB, clauses []Clause, expr string) (*Filter, error) {
-	f := &Filter{db: db, expr: expr}
+	f := &Filter{expr: expr, clauses: len(clauses)}
+	var gathered []stage
 	for _, c := range clauses {
-		pred, err := bindClause(db, c)
-		if err != nil {
+		s, pass, err := bindClause(db, c)
+		switch {
+		case err != nil:
 			return nil, err
+		case s == nil:
+			f.none = f.none || !pass
+		case s.gathered():
+			gathered = append(gathered, s)
+		default:
+			f.stages = append(f.stages, s)
 		}
-		f.preds = append(f.preds, pred)
 	}
+	f.stages = append(f.stages, gathered...)
 	return f, nil
 }
 
@@ -135,87 +172,87 @@ func QuarterIndex(db *store.DB, v Value) int {
 	return int(v.Int) - baseAbs
 }
 
-// bindClause resolves the field and builds a closure over the columns. The
-// clause arrives type-checked by Parse, so value conversions cannot fail;
-// only store-dependent resolution happens here.
-func bindClause(db *store.DB, c Clause) (func(row int) bool, error) {
+// bindClause resolves the field and compiles the clause to its typed
+// stage; when the clause's outcome does not depend on the row it returns a
+// nil stage and that outcome. The clause arrives type-checked by Parse, so
+// value conversions cannot fail; only store-dependent resolution happens
+// here.
+func bindClause(db *store.DB, c Clause) (s stage, pass bool, err error) {
 	op, v := c.Op, c.Value
+	m := &db.Mentions
 	switch c.Field {
 	case "delay":
-		return intPred(op, v.Int, func(row int) int64 { return int64(db.Mentions.Delay[row]) }), nil
+		s, pass = colStageOf(m.Delay, intSpan(op, v.Int))
 	case "interval":
-		return intPred(op, v.Int, func(row int) int64 { return int64(db.Mentions.Interval[row]) }), nil
+		s, pass = colStageOf(m.Interval, intSpan(op, v.Int))
 	case "doclen":
-		return intPred(op, v.Int, func(row int) int64 { return int64(db.Mentions.DocLen[row]) }), nil
+		s, pass = colStageOf(m.DocLen, intSpan(op, v.Int))
 	case "confidence":
-		return intPred(op, v.Int, func(row int) int64 { return int64(db.Mentions.Confidence[row]) }), nil
+		s, pass = colStageOf(m.Confidence, intSpan(op, v.Int))
 	case "articles":
-		return intPred(op, v.Int, func(row int) int64 {
-			return int64(db.Events.NumArticles[db.Mentions.EventRow[row]])
-		}), nil
-	case "tone":
-		fv := v.Float
-		return func(row int) bool { return cmpFloat(float64(db.Mentions.Tone[row]), fv, op) }, nil
+		s, pass = gatherStageOf(m.EventRow, db.Events.NumArticles, intSpan(op, v.Int))
 	case "quarter":
-		q := int64(QuarterIndex(db, v))
-		return intPred(op, q, func(row int) int64 {
-			return int64(db.QuarterOfInterval(db.Mentions.Interval[row]))
-		}), nil
+		s, pass = gatherStageOf(m.Interval, db.QuarterLUT(), intSpan(op, int64(QuarterIndex(db, v))))
+	case "tone":
+		s, pass = floatStageOf(m.Tone, op, v.Float)
 	case "source":
-		id := db.Sources.Lookup(v.Str)
-		eq := op == OpEq
-		return func(row int) bool {
-			return (db.Mentions.Source[row] == id) == eq
-		}, nil
-	case "sourcecountry", "eventcountry":
-		want := int16(gdelt.CountryIndex(v.Str))
-		eq := op == OpEq
-		if c.Field == "sourcecountry" {
-			return func(row int) bool {
-				return (db.SourceCountry[db.Mentions.Source[row]] == want) == eq
-			}, nil
+		id := int64(db.Sources.Lookup(v.Str))
+		s, pass = colStageOf(m.Source, span{id, id, op == OpNe})
+	case "sourcecountry":
+		want := int64(gdelt.CountryIndex(v.Str))
+		s, pass = gatherStageOf(m.Source, db.SourceCountry, span{want, want, op == OpNe})
+	case "eventcountry":
+		want := int64(gdelt.CountryIndex(v.Str))
+		s, pass = gatherStageOf(m.EventRow, db.Events.Country, span{want, want, op == OpNe})
+	default:
+		return nil, false, fmt.Errorf("qlang: unknown field %q", c.Field)
+	}
+	return s, pass, nil
+}
+
+// span is an integer clause lowered to an inclusive range test: a value
+// passes when lo <= v <= hi, inverted when neg (the != operator). lo > hi
+// is the empty range.
+type span struct {
+	lo, hi int64
+	neg    bool
+}
+
+// intSpan lowers an integer comparison against v to a span, saturating at
+// the int64 limits: "< MinInt64" and "> MaxInt64" are empty.
+func intSpan(op Op, v int64) span {
+	switch op {
+	case OpEq:
+		return span{v, v, false}
+	case OpNe:
+		return span{v, v, true}
+	case OpLt:
+		if v == math.MinInt64 {
+			return span{1, 0, false}
 		}
-		return func(row int) bool {
-			return (db.Events.Country[db.Mentions.EventRow[row]] == want) == eq
-		}, nil
-	}
-	return nil, fmt.Errorf("qlang: unknown field %q", c.Field)
-}
-
-func intPred(op Op, v int64, get func(row int) int64) func(row int) bool {
-	return func(row int) bool { return cmpInt(get(row), v, op) }
-}
-
-func cmpInt(a, b int64, op Op) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
+		return span{math.MinInt64, v - 1, false}
 	case OpLe:
-		return a <= b
+		return span{math.MinInt64, v, false}
 	case OpGt:
-		return a > b
+		if v == math.MaxInt64 {
+			return span{1, 0, false}
+		}
+		return span{v + 1, math.MaxInt64, false}
 	default:
-		return a >= b
+		return span{v, math.MaxInt64, false}
 	}
 }
 
-func cmpFloat(a, b float64, op Op) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
-	case OpLe:
-		return a <= b
-	case OpGt:
-		return a > b
-	default:
-		return a >= b
+// clamp restricts s to [dmin, dmax], the values a column element can hold.
+// When the test's outcome then no longer depends on the value (no value,
+// or every value, is in range), constant is true and pass is the outcome.
+func (s span) clamp(dmin, dmax int64) (c span, constant, pass bool) {
+	lo, hi := max(s.lo, dmin), min(s.hi, dmax)
+	switch {
+	case lo > hi:
+		return s, true, s.neg
+	case lo == dmin && hi == dmax:
+		return s, true, !s.neg
 	}
+	return span{lo, hi, s.neg}, false, false
 }

@@ -7,6 +7,7 @@ import (
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/obs"
+	"gdeltmine/internal/parallel"
 	"gdeltmine/internal/qlang"
 	"gdeltmine/internal/store"
 )
@@ -23,8 +24,10 @@ import (
 //   - range clauses (interval/quarter comparisons) narrow the engine's
 //     mention window by binary search — free regardless of selectivity.
 //   - residual clauses (tone, doclen, confidence, delay, articles, any !=)
-//     bind to the closure evaluator and run only over the rows the indexed
-//     clauses let through.
+//     compile to typed batch stages (qlang.Filter) and run only over the
+//     rows the indexed clauses let through, fused with the aggregation: one
+//     pass selects each batch of rows and folds count, group counts and
+//     sums from the survivors.
 //
 // Every path produces bit-identical integer results (the differential
 // battery in internal/baseline pins every path against a raw rescan), so
@@ -95,8 +98,8 @@ var adhocPlans = map[string]*obs.Counter{
 
 // adhocResolution is the outcome of planning one spec against one engine
 // view: the chosen path, the (possibly range-narrowed) engine, the bitmaps
-// to intersect under pushdown, and the clauses left to the closure
-// evaluator.
+// to intersect under pushdown, and the residual clauses left to the typed
+// filter.
 type adhocResolution struct {
 	path       string // "pushdown", "range" or "scan"
 	eng        *engine.Engine
@@ -109,7 +112,7 @@ type adhocResolution struct {
 
 // pushdownThreshold is the estimated selectivity at or below which bitmap
 // clauses are pushed down: below it the surviving rows are sparse enough
-// that materializing exactly them beats the closure pass over the window.
+// that materializing exactly them beats the filter pass over the window.
 const pushdownThreshold = 0.20
 
 // resolveAdhoc plans a spec against an engine view: range clauses always
@@ -159,7 +162,7 @@ func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 		r.pushdown = append(append([]qlang.Clause{}, bm...), rng...)
 	} else {
 		// Too dense to be worth materializing: keep the free range
-		// narrowing, demote the bitmap clauses to the closure evaluator.
+		// narrowing, demote the bitmap clauses to the residual filter.
 		r.path = "range"
 		if len(rng) == 0 {
 			r.path = "scan"
@@ -171,7 +174,7 @@ func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 
 // rangeClauseRows maps one range clause to the half-open mention row span
 // it admits, clamped to the archive. Out-of-archive literals resolve to an
-// empty or full span exactly as the closure evaluator would.
+// empty or full span exactly as the residual filter would.
 func rangeClauseRows(db *store.DB, c qlang.Clause) (lo, hi int) {
 	switch c.Field {
 	case "interval":
@@ -256,7 +259,7 @@ func quarterRows(db *store.DB, fromQ, toQ int) (lo, hi int) {
 
 // clauseBitmap resolves one bitmap clause to its precomputed row bitmap. A
 // literal absent from the store (unseen source) yields an empty bitmap —
-// the same "matches nothing" the closure evaluator produces.
+// the same "matches nothing" the residual filter produces.
 func clauseBitmap(db *store.DB, c qlang.Clause) *bitmap.Bitmap {
 	switch c.Field {
 	case "source":
@@ -272,35 +275,27 @@ func clauseBitmap(db *store.DB, c qlang.Clause) *bitmap.Bitmap {
 }
 
 // kernel names the aggregation kernel the resolved plan will run, for the
-// explain output.
+// explain output. A count with nothing to filter takes a typed count fast
+// path; everything else runs the fused selection fold — RefineFold over
+// the pushdown row list, SelectFold over the window.
 func (r *adhocResolution) kernel(spec AdhocSpec) string {
 	grouped := spec.Group != ""
-	hasResidual := len(r.residual) > 0
-	count := spec.Agg.Kind == qlang.AggCount
-	if r.path == "pushdown" {
+	if spec.Agg.Kind == qlang.AggCount && len(r.residual) == 0 {
 		switch {
-		case grouped && count && !hasResidual:
+		case r.path == "pushdown" && grouped:
 			return "GroupCountRows"
-		case !grouped && count && !hasResidual:
+		case r.path == "pushdown":
 			return "RowCount"
+		case grouped:
+			return "GroupCountCol"
 		default:
-			return "ScanRows"
+			return "WindowSize"
 		}
 	}
-	switch {
-	case grouped && count && !hasResidual:
-		return "GroupCountCol"
-	case grouped && count:
-		return "GroupCount"
-	case grouped:
-		return "GroupCount+SumByGroup"
-	case count && !hasResidual:
-		return "WindowSize"
-	case count:
-		return "CountMentions"
-	default:
-		return "CountMentions+SumByGroup"
+	if r.path == "pushdown" {
+		return "RefineFold"
 	}
+	return "SelectFold"
 }
 
 // plan renders the resolution as the explain structure.
@@ -426,148 +421,217 @@ func (r *adhocResolution) materialize() []int32 {
 	return r.eng.ClipRows(rows)
 }
 
-// adhocAcc is the generic ScanRows accumulator for pushdown aggregation
-// with residual clauses or value aggregates.
+// selBatch is the number of rows a fused fold selects at a time: the
+// selection vector (16 KiB) stays in L1 between the filter stages and the
+// fold, and a worker's pooled buffer never grows past it.
+const selBatch = 4096
+
+// adhocFold is one fused aggregation over a DB: each batch of rows passes
+// through the residual filter (nil keeps every row), and the survivors are
+// folded into the count, the per-group counts and, for sum/mean, the
+// value sums — one pass whatever the aggregate.
+type adhocFold struct {
+	residual *qlang.Filter
+	g        GroupSpec
+	grouped  bool
+	val      valueCol // nil for count
+}
+
+// adhocAcc is a fused fold's per-worker partial. The group vectors come
+// from the shared pools; mergeAdhocAcc recycles folded partials.
 type adhocAcc struct {
 	count  int64
-	sum    float64
-	counts []int64
+	sum    float64 // ungrouped value aggregates only
+	counts []int64 // grouped only
 	sums   []float64
 }
 
-// adhocRows aggregates over a materialized row list. The no-residual count
-// cases take the typed fast paths; everything else runs the generic
-// row-list scan.
+func (f *adhocFold) newAcc() *adhocAcc {
+	a := &adhocAcc{}
+	if f.grouped {
+		a.counts = parallel.GetInt64(f.g.N)
+		if f.val != nil {
+			a.sums = parallel.GetFloat64(f.g.N)
+		}
+	}
+	return a
+}
+
+// fold adds the selected rows to a.
+func (f *adhocFold) fold(a *adhocAcc, sel []int32) {
+	a.count += int64(len(sel))
+	switch {
+	case f.val != nil:
+		f.val.fold(a, sel, f.g)
+	case f.grouped:
+		n := uint32(len(a.counts))
+		col, remap := f.g.Col, f.g.Remap
+		if remap == nil {
+			for _, r := range sel {
+				if gid := col[r]; uint32(gid) < n {
+					a.counts[gid]++
+				}
+			}
+			return
+		}
+		for _, r := range sel {
+			if gid := remap[col[r]]; uint32(gid) < n {
+				a.counts[gid]++
+			}
+		}
+	}
+}
+
+// selectFold folds the window rows [lo, hi) the filter selects.
+func (f *adhocFold) selectFold(a *adhocAcc, lo, hi int) *adhocAcc {
+	sel := parallel.GetInt32(0)
+	for b := lo; b < hi; b += selBatch {
+		sel = f.residual.Select(b, min(b+selBatch, hi), sel[:0])
+		f.fold(a, sel)
+	}
+	parallel.PutInt32(sel)
+	return a
+}
+
+// refineFold folds the rows of seg the filter keeps. It refines a pooled
+// copy: seg belongs to the materialized row list.
+func (f *adhocFold) refineFold(a *adhocAcc, seg []int32) *adhocAcc {
+	sel := parallel.GetInt32(0)
+	for b := 0; b < len(seg); b += selBatch {
+		sel = f.residual.Refine(append(sel[:0], seg[b:min(b+selBatch, len(seg))]...))
+		f.fold(a, sel)
+	}
+	parallel.PutInt32(sel)
+	return a
+}
+
+// mergeAdhocAcc folds src into dst and recycles src's buffers.
+func mergeAdhocAcc(dst, src *adhocAcc) *adhocAcc {
+	dst.count += src.count
+	dst.sum += src.sum
+	for i, c := range src.counts {
+		dst.counts[i] += c
+	}
+	for i, s := range src.sums {
+		dst.sums[i] += s
+	}
+	parallel.PutInt64(src.counts)
+	parallel.PutFloat64(src.sums)
+	return dst
+}
+
+// vec copies the merged partial out of the pooled buffers into an
+// AdhocVec and recycles them.
+func (a *adhocAcc) vec() AdhocVec {
+	v := AdhocVec{Count: a.count, Sum: a.sum}
+	if a.counts != nil {
+		v.Counts = append([]int64(nil), a.counts...)
+		parallel.PutInt64(a.counts)
+	}
+	if a.sums != nil {
+		v.Sums = append([]float64(nil), a.sums...)
+		parallel.PutFloat64(a.sums)
+	}
+	return v
+}
+
+// adhocRows aggregates over a materialized row list. A count with no
+// residual takes the typed fast paths; everything else is one RefineFold
+// scan.
 func adhocRows(e *engine.Engine, spec AdhocSpec, g GroupSpec, rows []int32, residual *qlang.Filter) AdhocVec {
+	f := &adhocFold{residual: residual, g: g, grouped: spec.Group != "", val: adhocValue(e.DB(), spec.Agg.Field)}
 	domain := e.WindowSize()
-	grouped := spec.Group != ""
-	if spec.Agg.Kind == qlang.AggCount && residual == nil {
+	if f.val == nil && residual == nil {
 		vec := AdhocVec{Count: int64(len(rows))}
-		if grouped {
+		if f.grouped {
 			vec.Counts = e.GroupCountRows(g.N, rows, domain, g.Col, g.Remap)
 		}
 		return vec
 	}
-	val := adhocValue(e.DB(), spec.Agg.Field)
-	res := engine.ScanRows(e, rows, domain,
-		func() *adhocAcc {
-			a := &adhocAcc{}
-			if grouped {
-				a.counts = make([]int64, g.N)
-				if val != nil {
-					a.sums = make([]float64, g.N)
-				}
-			}
-			return a
-		},
-		func(a *adhocAcc, seg []int32) *adhocAcc {
-			for _, row := range seg {
-				if !residual.Match(int(row)) {
-					continue
-				}
-				a.count++
-				var v float64
-				if val != nil {
-					v = val(int(row))
-					a.sum += v
-				}
-				if grouped {
-					gid := int(g.Col[row])
-					if g.Remap != nil {
-						gid = int(g.Remap[gid])
-					}
-					if gid >= 0 && gid < g.N {
-						a.counts[gid]++
-						if val != nil {
-							a.sums[gid] += v
-						}
-					}
-				}
-			}
-			return a
-		},
-		func(dst, src *adhocAcc) *adhocAcc {
-			dst.count += src.count
-			dst.sum += src.sum
-			for i, c := range src.counts {
-				dst.counts[i] += c
-			}
-			for i, s := range src.sums {
-				dst.sums[i] += s
-			}
-			return dst
-		},
-	)
-	return AdhocVec{Count: res.count, Sum: res.sum, Counts: res.counts, Sums: res.sums}
+	return engine.ScanRows(e, rows, domain, f.newAcc, f.refineFold, mergeAdhocAcc).vec()
 }
 
 // adhocWindow aggregates over the engine window — the range and scan
-// paths. Typed kernels handle the no-residual counts; residual clauses and
-// value aggregates go through the closure kernels.
+// paths. A count with no residual takes the typed fast paths; everything
+// else is one SelectFold scan.
 func adhocWindow(e *engine.Engine, spec AdhocSpec, g GroupSpec, residual *qlang.Filter) AdhocVec {
-	grouped := spec.Group != ""
-	val := adhocValue(e.DB(), spec.Agg.Field)
-	groupOf := func(row int) int {
-		gid := int(g.Col[row])
-		if g.Remap != nil {
-			gid = int(g.Remap[gid])
-		}
-		return gid
-	}
-	var vec AdhocVec
-	if residual == nil {
-		vec.Count = int64(e.WindowSize())
-		if grouped {
+	f := &adhocFold{residual: residual, g: g, grouped: spec.Group != "", val: adhocValue(e.DB(), spec.Agg.Field)}
+	if f.val == nil && residual == nil {
+		vec := AdhocVec{Count: int64(e.WindowSize())}
+		if f.grouped {
 			vec.Counts = e.GroupCountCol(g.N, g.Col, g.Remap)
 		}
-	} else {
-		vec.Count = e.CountMentions(residual.Match)
-		if grouped {
-			vec.Counts = e.GroupCount(g.N, func(row int) int {
-				if !residual.Match(row) {
-					return -1
-				}
-				return groupOf(row)
-			})
-		}
+		return vec
 	}
-	if val != nil {
-		if grouped {
-			vec.Sums = e.SumByGroup(g.N, func(row int) (int, float64) {
-				if !residual.Match(row) {
-					return -1, 0
-				}
-				return groupOf(row), val(row)
-			})
-		} else {
-			s := e.SumByGroup(1, func(row int) (int, float64) {
-				if !residual.Match(row) {
-					return -1, 0
-				}
-				return 0, val(row)
-			})
-			vec.Sum = s[0]
-		}
-	}
-	return vec
+	return engine.ScanWindow(e, f.newAcc, f.selectFold, mergeAdhocAcc).vec()
 }
 
-// adhocValue returns the per-row value accessor of an aggregate field, or
-// nil for count.
-func adhocValue(db *store.DB, field string) func(row int) float64 {
+// valueCol is the typed value column of a sum/mean aggregate.
+type valueCol interface {
+	// fold adds the values of the selected rows to a: to the scalar sum,
+	// or, when a is grouped, to the per-group counts and sums.
+	fold(a *adhocAcc, sel []int32, g GroupSpec)
+}
+
+// numCol is a numeric value column: a row's value is vals[row], or
+// vals[idx[row]] when the column is gathered through idx.
+type numCol[V int8 | int32 | float32] struct {
+	vals []V
+	idx  []int32
+}
+
+// adhocValue returns the typed value column of an aggregate field, or nil
+// for count.
+func adhocValue(db *store.DB, field string) valueCol {
+	m := &db.Mentions
 	switch field {
 	case "delay":
-		return func(row int) float64 { return float64(db.Mentions.Delay[row]) }
+		return numCol[int32]{vals: m.Delay}
 	case "doclen":
-		return func(row int) float64 { return float64(db.Mentions.DocLen[row]) }
+		return numCol[int32]{vals: m.DocLen}
 	case "tone":
-		return func(row int) float64 { return float64(db.Mentions.Tone[row]) }
+		return numCol[float32]{vals: m.Tone}
 	case "confidence":
-		return func(row int) float64 { return float64(db.Mentions.Confidence[row]) }
+		return numCol[int8]{vals: m.Confidence}
 	case "articles":
-		return func(row int) float64 { return float64(db.Events.NumArticles[db.Mentions.EventRow[row]]) }
+		return numCol[int32]{vals: db.Events.NumArticles, idx: m.EventRow}
 	}
 	return nil
+}
+
+// fold adds values in row order, so a batch's float sums add exactly as a
+// row-at-a-time loop would.
+func (c numCol[V]) fold(a *adhocAcc, sel []int32, g GroupSpec) {
+	vals, idx := c.vals, c.idx
+	if a.counts == nil {
+		s := a.sum
+		if idx == nil {
+			for _, r := range sel {
+				s += float64(vals[r])
+			}
+		} else {
+			for _, r := range sel {
+				s += float64(vals[idx[r]])
+			}
+		}
+		a.sum = s
+		return
+	}
+	n := uint32(len(a.counts))
+	for _, r := range sel {
+		j := r
+		if idx != nil {
+			j = idx[r]
+		}
+		gid := g.Col[r]
+		if g.Remap != nil {
+			gid = g.Remap[gid]
+		}
+		if uint32(gid) < n {
+			a.counts[gid]++
+			a.sums[gid] += float64(vals[j])
+		}
+	}
 }
 
 // AdhocRow is one grouped result row. Value carries the sum or mean when
