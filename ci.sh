@@ -73,6 +73,21 @@ go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
 # concurrently, so -race here guards the remap-and-reduce merge code and the
 # cross-shard atomics.
 #
+# Plan-kind battery (internal/baseline, TestPlanKindsMatchRowStore): the six
+# kinds declared as plans (top-publishers, series-articles,
+# series-slow-articles, count, filtered-series, filtered-publishers) on the
+# monolith's engine and on K in {Single,1,3,5}, over the full archive, one
+# quarter and the publisher edge windows (the empty one included), at k = 1,
+# the default and every source, with a where matching nothing and wheres
+# with residual clauses, must encode to the JSON of a row-store count. The
+# batteries retargeted at the plan kinds ride along: the plan-kind subtests
+# of TestDifferentialEngineVsRowStore, TestPanelKernelsExactEdges'
+# publisher edges, TestShardMetamorphicWindowSplit and
+# TestShardMetamorphicTopKUnion through the registry, and the selection,
+# append and windowed-registry batteries ranking their panels with a
+# per-row loop. The reference closure kernels (internal/baseline,
+# kernels.go) run their own serial-loop tests here too.
+#
 # Executor pool smoke (internal/parallel, TestDefaultPoolIsSingleton,
 # TestPoolNoGoroutineLeakAcrossLoops, TestFanOut*): the process-default
 # work-stealing pool must be built exactly once no matter how many parallel

@@ -287,7 +287,10 @@ func (d *Dataset) ActiveSourcesPerQuarter() QuarterlySeries {
 func (d *Dataset) EventsPerQuarter() QuarterlySeries { return queries.EventsPerQuarter(d.eng) }
 
 // ArticlesPerQuarter computes Figure 5.
-func (d *Dataset) ArticlesPerQuarter() QuarterlySeries { return queries.ArticlesPerQuarter(d.eng) }
+func (d *Dataset) ArticlesPerQuarter() QuarterlySeries {
+	s, _ := d.quarterSeries("") // an empty where cannot fail
+	return s
+}
 
 // TopPublisherSeries computes Figure 6 for the k most productive sources.
 func (d *Dataset) TopPublisherSeries(k int) PublisherSeries {
@@ -336,7 +339,8 @@ func (d *Dataset) QuarterlyDelays() QuarterlyDelay { return queries.QuarterlyDel
 
 // SlowArticlesPerQuarter computes Figure 11 (articles delayed over 24h).
 func (d *Dataset) SlowArticlesPerQuarter() QuarterlySeries {
-	return queries.SlowArticlesPerQuarter(d.eng)
+	s, _ := d.quarterSeries(queries.SlowWhere) // a constant, valid where
+	return s
 }
 
 // GKG query result types.
@@ -408,19 +412,46 @@ type (
 // language, e.g. "sourcecountry=UK and delay>96 and quarter>=2016Q1".
 // See internal/qlang for the grammar and field list.
 func (d *Dataset) CountWhere(expr string) (int64, error) {
-	return queries.CountWhere(d.eng, expr)
+	vec, err := d.countPlan(expr, "")
+	return vec.Count, err
 }
 
 // ArticlesPerQuarterWhere computes the quarterly article series restricted
 // to a filter expression.
 func (d *Dataset) ArticlesPerQuarterWhere(expr string) (QuarterlySeries, error) {
-	return queries.ArticlesPerQuarterWhere(d.eng, expr)
+	return d.quarterSeries(expr)
 }
 
 // TopPublishersWhere ranks sources by article count within a filter
 // expression.
 func (d *Dataset) TopPublishersWhere(expr string, k int) (ids []int32, counts []int64, err error) {
-	return queries.TopPublishersWhere(d.eng, expr, k)
+	vec, err := d.countPlan(expr, "source")
+	if err != nil {
+		return nil, nil, err
+	}
+	ids, counts = queries.TopGroups(vec.Counts, k, false)
+	return ids, counts, nil
+}
+
+// countPlan runs the ad-hoc plan counting the articles matching a filter
+// expression, grouped by group ("" for one count) — the plan the
+// registry's count, filtered-series and filtered-publishers kinds run.
+func (d *Dataset) countPlan(expr, group string) (queries.AdhocVec, error) {
+	spec, err := queries.ParseAdhocSpec(expr, group, "", 0)
+	if err != nil {
+		return queries.AdhocVec{}, err
+	}
+	return queries.AdhocVectors(d.eng, spec)
+}
+
+// quarterSeries is the quarterly series of the articles matching a filter
+// expression.
+func (d *Dataset) quarterSeries(expr string) (QuarterlySeries, error) {
+	vec, err := d.countPlan(expr, "quarter")
+	if err != nil {
+		return QuarterlySeries{}, err
+	}
+	return queries.QuarterSeries(vec, d.db.QuarterLabel), nil
 }
 
 // FirstReports computes the first-report latency distribution — how fast

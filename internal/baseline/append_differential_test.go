@@ -72,7 +72,7 @@ func TestAppendEqualsRebuild(t *testing.T) {
 	}
 
 	// The same panel resolves in both builds: intern order is identical.
-	ranked, _ := queries.TopPublishers(engine.New(full), full.Sources.Len())
+	ranked := rankSources(full)
 	panel := ranked[:min(16, len(ranked))]
 
 	// Pre-append answer from the event bitmaps; its post-append
@@ -235,7 +235,7 @@ func TestAppendNewEventsAndSources(t *testing.T) {
 
 	// Post-append, co-reporting still agrees with the scan on a panel that
 	// includes the brand-new source.
-	ranked, _ := queries.TopPublishers(engine.New(db), db.Sources.Len())
+	ranked := rankSources(db)
 	panel := append([]int32{ns}, ranked[:min(8, len(ranked))]...)
 	want, err := queries.CoReportScan(engine.New(db), panel)
 	if err != nil {

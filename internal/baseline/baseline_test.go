@@ -48,7 +48,7 @@ func TestRowStoreSlowArticles(t *testing.T) {
 	rs := NewRowStore(res.DB)
 	got := rs.CountSlowArticles(gdelt.IntervalsPerDay)
 	e := engine.New(res.DB)
-	want := e.CountMentions(func(row int) bool {
+	want := CountMentions(e, func(row int) bool {
 		return res.DB.Mentions.Delay[row] > gdelt.IntervalsPerDay
 	})
 	if got != want {

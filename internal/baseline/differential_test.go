@@ -9,6 +9,7 @@ import (
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/queries"
+	"gdeltmine/internal/registry"
 )
 
 // The differential harness: every query kind runs through the parallel
@@ -59,6 +60,21 @@ func checkTopK[K comparable](t *testing.T, kind string, keys []K, counts []int64
 	eqSeries(t, kind+" (top counts)", counts, TopCounts(ref, k))
 }
 
+// runEngine runs a registry kind at its default parameters on e.
+func runEngine(t *testing.T, kind string, e *engine.Engine) any {
+	t.Helper()
+	d := registry.MustLookup(kind)
+	p, err := d.ParseParams(func(string) []string { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Run(e, p)
+	if err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	return res
+}
+
 func TestDifferentialEngineVsRowStore(t *testing.T) {
 	for _, cfg := range differentialConfigs() {
 		c, err := gen.Generate(cfg)
@@ -98,10 +114,11 @@ func TestDifferentialEngineVsRowStore(t *testing.T) {
 				}
 			})
 			t.Run(prefix+"/top-publishers", func(t *testing.T) {
-				ids, counts := queries.TopPublishers(e, 10)
-				names := make([]string, len(ids))
-				for i, id := range ids {
-					names[i] = db.Sources.Name(id)
+				rows := runEngine(t, "top-publishers", e).([]registry.PublisherRow)
+				names := make([]string, len(rows))
+				counts := make([]int64, len(rows))
+				for i, r := range rows {
+					names[i], counts[i] = r.Source, r.Articles
 				}
 				checkTopK(t, "top-publishers", names, counts, refBySource, 10)
 			})
@@ -138,7 +155,8 @@ func TestDifferentialEngineVsRowStore(t *testing.T) {
 				eqSeries(t, "country cross matrix", cr.Cross.Data, refCross.Data)
 			})
 			t.Run(prefix+"/series-articles", func(t *testing.T) {
-				eqSeries(t, "articles per quarter", queries.ArticlesPerQuarter(e).Values, refArticlesQ)
+				got := runEngine(t, "series-articles", e).(queries.QuarterlySeries)
+				eqSeries(t, "articles per quarter", got.Values, refArticlesQ)
 			})
 			t.Run(prefix+"/series-events", func(t *testing.T) {
 				eqSeries(t, "events per quarter", queries.EventsPerQuarter(e).Values, refEventsQ)
@@ -147,11 +165,12 @@ func TestDifferentialEngineVsRowStore(t *testing.T) {
 				eqSeries(t, "active sources per quarter", queries.ActiveSourcesPerQuarter(e).Values, refActiveQ)
 			})
 			t.Run(prefix+"/series-slow-articles", func(t *testing.T) {
-				eqSeries(t, "slow articles per quarter", queries.SlowArticlesPerQuarter(e).Values, refSlowQ)
+				got := runEngine(t, "series-slow-articles", e).(queries.QuarterlySeries)
+				eqSeries(t, "slow articles per quarter", got.Values, refSlowQ)
 			})
 			t.Run(prefix+"/slow-count", func(t *testing.T) {
 				want := rs.CountSlowArticles(gdelt.IntervalsPerDay)
-				got := e.CountMentions(func(row int) bool {
+				got := CountMentions(e, func(row int) bool {
 					return db.Mentions.Delay[row] > gdelt.IntervalsPerDay
 				})
 				if got != want {

@@ -90,20 +90,29 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 
 				t.Run(prefix+"/group-count", func(t *testing.T) {
 					got := e.GroupCountCol(ns, db.Mentions.Source, nil)
-					want := e.GroupCount(ns, func(row int) int { return int(db.Mentions.Source[row]) })
+					want := GroupCount(e, ns, func(row int) int { return int(db.Mentions.Source[row]) })
 					eqSeries(t, "group-count source", got, want)
 				})
 				t.Run(prefix+"/group-count-remap", func(t *testing.T) {
 					got := e.GroupCountCol(nq, db.Mentions.Interval, db.QuarterLUT())
-					want := e.GroupCount(nq, func(row int) int {
+					want := GroupCount(e, nq, func(row int) int {
 						return db.QuarterOfInterval(db.Mentions.Interval[row])
 					})
 					eqSeries(t, "group-count quarter", got, want)
 				})
 				t.Run(prefix+"/group-count-sel", func(t *testing.T) {
-					got := e.GroupCountColSel(nq, db.Mentions.Interval, db.QuarterLUT(),
-						engine.PredGT(db.Mentions.Delay, gdelt.IntervalsPerDay))
-					want := e.GroupCount(nq, func(row int) int {
+					// The typed selected group-count is the slow-articles
+					// plan now: a fused delay filter grouped by quarter.
+					spec, err := queries.ParseAdhocSpec(queries.SlowWhere, "quarter", "", 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					vec, err := queries.AdhocVectors(e, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := vec.Counts
+					want := GroupCount(e, nq, func(row int) int {
 						if db.Mentions.Delay[row] <= gdelt.IntervalsPerDay {
 							return -1
 						}
@@ -114,7 +123,7 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 				t.Run(prefix+"/group-count-events", func(t *testing.T) {
 					got := e.GroupCountEventsCol(nq, db.Events.Interval, db.QuarterLUT(),
 						engine.PredGT(db.Events.NumArticles, 0))
-					want := e.GroupCountEvents(nq, func(row int) int {
+					want := GroupCountEvents(e, nq, func(row int) int {
 						if db.Events.NumArticles[row] == 0 {
 							return -1
 						}
@@ -126,7 +135,7 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 					got := e.CrossCountCols(nc, nc,
 						db.Mentions.EventRow, db.EventCountryLUT(),
 						db.Mentions.Source, db.SourceCountryLUT())
-					want := e.CrossCount(nc, nc, func(row int) (int, int) {
+					want := CrossCount(e, nc, nc, func(row int) (int, int) {
 						ev := db.Mentions.EventRow[row]
 						return int(db.Events.Country[ev]), int(db.SourceCountry[db.Mentions.Source[row]])
 					})
@@ -145,7 +154,7 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 					// and the row column goes through the nil-remap path.
 					got := e.CrossSumCols(ns, 1, db.Mentions.Source, nil,
 						db.Mentions.Source, make([]int32, ns), db.Mentions.Tone)
-					want := e.SumByGroup(ns, func(row int) (int, float64) {
+					want := SumByGroup(e, ns, func(row int) (int, float64) {
 						return int(db.Mentions.Source[row]), float64(db.Mentions.Tone[row])
 					})
 					eqFloats(t, "sum-by-group tone", got, want, w)
@@ -154,7 +163,7 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 					got := e.CrossSumCols(nc, nq,
 						db.Mentions.Source, db.SourceCountryLUT(),
 						db.Mentions.Interval, db.QuarterLUT(), db.Mentions.Tone)
-					want := e.SumByGroup(nc*nq, func(row int) (int, float64) {
+					want := SumByGroup(e, nc*nq, func(row int) (int, float64) {
 						c := db.SourceCountry[db.Mentions.Source[row]]
 						if c < 0 {
 							return -1, 0
@@ -174,7 +183,7 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 // counts, follow matrices and article totals must agree exactly.
 func TestKernelDifferentialPrunedReports(t *testing.T) {
 	for seedIdx, db := range kernelWorlds(t) {
-		ids, _ := queries.TopPublishers(engine.New(db), 16)
+		ids := rankSources(db)[:16]
 		for _, w := range differentialWorkers {
 			e := engine.New(db).WithWorkers(w)
 			prefix := fmt.Sprintf("world%d/w%d", seedIdx, w)
@@ -252,12 +261,12 @@ func TestScanRowsRandomizedWindows(t *testing.T) {
 			name := fmt.Sprintf("world%d/iter%d/w%d/[%d,%d)/k%d", seedIdx, iter, w, a, b, k)
 			t.Run(name, func(t *testing.T) {
 				got := e.GroupCountRows(k, rows, e.WindowSize(), db.Mentions.Source, slot)
-				want := e.GroupCount(k, func(row int) int { return int(slot[db.Mentions.Source[row]]) })
+				want := GroupCount(e, k, func(row int) int { return int(slot[db.Mentions.Source[row]]) })
 				eqSeries(t, "pruned group-count", got, want)
 
 				gotX := e.CrossCountRows(k, nq, rows, e.WindowSize(),
 					db.Mentions.Source, slot, db.Mentions.Interval, db.QuarterLUT())
-				wantX := e.CrossCount(k, nq, func(row int) (int, int) {
+				wantX := CrossCount(e, k, nq, func(row int) (int, int) {
 					i := slot[db.Mentions.Source[row]]
 					if i < 0 {
 						return -1, -1
@@ -271,7 +280,7 @@ func TestScanRowsRandomizedWindows(t *testing.T) {
 					func(acc int64, rows []int32) int64 { return acc + int64(len(rows)) },
 					func(dst, src int64) int64 { return dst + src },
 				)
-				wantS := e.CountMentions(func(row int) bool { return slot[db.Mentions.Source[row]] >= 0 })
+				wantS := CountMentions(e, func(row int) bool { return slot[db.Mentions.Source[row]] >= 0 })
 				if gotS != wantS {
 					t.Errorf("pruned row count: %d, closure filter %d", gotS, wantS)
 				}

@@ -307,44 +307,81 @@ func fireParams(min, k int) func(string) []string {
 	}
 }
 
-// checkPublisherEdges compares v's windowed top-publishers answers with the
-// engine's over the monolith, and — when v's world has three or more
-// shards — its answer with shard 1 excluded with a count over the
-// monolith's rows outside that shard's range.
+// checkPublisherEdges checks the top-publishers plan over every source —
+// on v and on the monolith's engine — in each publisherWindows window
+// and, when v's world has three or more shards, on v with shard 1
+// excluded, against publisherRef over the monolith's rows.
 func checkPublisherEdges(t *testing.T, db *store.DB, v *shard.View) {
 	t.Helper()
-	k := db.Sources.Len()
-	for _, w := range publisherWindows {
-		ids, counts := queries.TopPublishers(engine.New(db).WithWorkers(1).WithInterval(w[0], w[1]), k)
-		gotIDs, gotCounts := v.WithWindow(w[0], w[1]).TopPublishers(k)
-		if !slices.Equal(gotIDs, ids) || !slices.Equal(gotCounts, counts) {
-			t.Errorf("top-publishers in [%d, %d):\n got %v %v\nwant %v %v", w[0], w[1], gotIDs, gotCounts, ids, counts)
+	d := registry.MustLookup("top-publishers")
+	p, err := d.ParseParams(edgeParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, want []registry.PublisherRow, got any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("top-publishers %s: %v", what, err)
 		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("top-publishers %s:\n got %v\nwant %v", what, got, want)
+		}
+	}
+	for _, w := range publisherWindows {
+		want := publisherRef(db, func(iv int32) bool { return iv >= w[0] && iv < w[1] })
+		what := fmt.Sprintf("in [%d, %d)", w[0], w[1])
+		got, err := d.RunSharded(v.WithWindow(w[0], w[1]), p)
+		check(what, want, got, err)
+		got, err = d.Run(engine.New(db).WithWorkers(1).WithInterval(w[0], w[1]), p)
+		check(what+" on the monolith", want, got, err)
 	}
 	sdb := v.DB()
 	if sdb.K() < 3 {
 		return
 	}
 	b := sdb.Bounds()
-	per := make([]int64, k)
-	for r, s := range db.Mentions.Source {
-		if iv := db.Mentions.Interval[r]; iv < b[1] || iv >= b[2] {
-			per[s]++
-		}
-	}
-	var ids []int32
-	var counts []int64
-	for _, g := range engine.TopK(k, k, func(i int) int64 { return per[i] }) {
-		ids, counts = append(ids, int32(g)), append(counts, per[g])
-	}
 	keep := []int{0}
 	for i := 2; i < sdb.K(); i++ {
 		keep = append(keep, i)
 	}
-	gotIDs, gotCounts := v.WithShards(keep).TopPublishers(k)
-	if !slices.Equal(gotIDs, ids) || !slices.Equal(gotCounts, counts) {
-		t.Errorf("top-publishers without shard 1:\n got %v %v\nwant %v %v", gotIDs, gotCounts, ids, counts)
+	got, err := d.RunSharded(v.WithShards(keep), p)
+	check("without shard 1", publisherRef(db, func(iv int32) bool { return iv < b[1] || iv >= b[2] }), got, err)
+}
+
+// publisherRef is top-publishers over every source of db, counting the
+// mention rows whose capture interval keep admits (sourceRanking).
+func publisherRef(db *store.DB, keep func(iv int32) bool) []registry.PublisherRow {
+	ids, per := sourceRanking(db, keep)
+	rows := make([]registry.PublisherRow, len(ids))
+	for i, s := range ids {
+		rows[i] = registry.PublisherRow{Rank: i + 1, Source: db.Sources.Name(s), Articles: per[s]}
 	}
+	return rows
+}
+
+// sourceRanking ranks every source of db by its mention rows whose capture
+// interval keep admits — a per-row loop and a sort, sharing no code with
+// the planner — and returns the ranked ids with the per-source counts.
+// Ties rank the lower id first; sources with no admitted row rank last.
+func sourceRanking(db *store.DB, keep func(iv int32) bool) (ids []int32, per []int64) {
+	per = make([]int64, db.Sources.Len())
+	for r, s := range db.Mentions.Source {
+		if keep(db.Mentions.Interval[r]) {
+			per[s]++
+		}
+	}
+	ids = make([]int32, len(per))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	sort.SliceStable(ids, func(a, b int) bool { return per[ids[a]] > per[ids[b]] })
+	return ids, per
+}
+
+// rankSources ranks db's sources by article count over the whole archive.
+func rankSources(db *store.DB) []int32 {
+	ids, _ := sourceRanking(db, func(int32) bool { return true })
+	return ids
 }
 
 // checkEdgeFixture pins that the reference answers exercise the edges the

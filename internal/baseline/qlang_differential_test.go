@@ -303,7 +303,7 @@ func TestQlangDifferentialMonolith(t *testing.T) {
 					for _, plan := range retiredAdhocPlans {
 						name := fmt.Sprintf("world%d/case%d/%s/w%d/%s", seedIdx, ci, viewName, w, plan)
 						t.Run(name, func(t *testing.T) {
-							got, err := queries.AdhocVectors(e, spec, queries.AdhocGroupSpec(db, spec.Group))
+							got, err := queries.AdhocVectors(e, spec)
 							if err != nil {
 								t.Fatalf("%q: %v", c.where, err)
 							}

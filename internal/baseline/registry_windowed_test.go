@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"testing"
 
-	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/obs"
 	"gdeltmine/internal/qcache"
-	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
 	"gdeltmine/internal/shard"
 	"gdeltmine/internal/store"
@@ -194,7 +192,7 @@ func TestRegistryStaleKeyAfterAppend(t *testing.T) {
 // first shard holds and the tail does not.
 func staleTick(t *testing.T, db *store.DB, sdb *shard.DB) ([]gdelt.Event, []gdelt.Mention) {
 	t.Helper()
-	ranked, _ := queries.TopPublishers(engine.New(db), db.Sources.Len())
+	ranked := rankSources(db)
 	var srcs []string
 	seen := make(map[int16]bool)
 	for _, s := range ranked {

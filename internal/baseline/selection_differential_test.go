@@ -81,7 +81,7 @@ func checkSelection(t *testing.T, prefix string, w int, refCo *queries.CoReporti
 
 func TestPlannerDifferentialMonolith(t *testing.T) {
 	for seedIdx, db := range kernelWorlds(t) {
-		ranked, _ := queries.TopPublishers(engine.New(db), db.Sources.Len())
+		ranked := rankSources(db)
 		for name, ids := range selectionPanels(ranked) {
 			refCo, refFo := selectionRefs(t, db, ids)
 			for _, w := range differentialWorkers {
@@ -96,7 +96,7 @@ func TestPlannerDifferentialMonolith(t *testing.T) {
 
 func TestPlannerDifferentialSharded(t *testing.T) {
 	for seedIdx, db := range kernelWorlds(t) {
-		ranked, _ := queries.TopPublishers(engine.New(db), db.Sources.Len())
+		ranked := rankSources(db)
 		layouts := map[string]*shard.DB{}
 		single, err := shard.Single(db)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
@@ -149,28 +150,38 @@ func TestShardMetamorphicWindowSplit(t *testing.T) {
 			left := v.WithWindow(a, mid)
 			right := v.WithWindow(mid, b)
 
-			wc, err := whole.CountWhere("")
-			if err != nil {
-				t.Fatal(err)
+			run := func(kind string, v *shard.View) any {
+				t.Helper()
+				res, err := registry.MustLookup(kind).RunSharded(v, registry.Params{})
+				if err != nil {
+					t.Fatalf("%s: %v", kind, err)
+				}
+				return res
 			}
-			lc, err := left.CountWhere("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc, err := right.CountWhere("")
-			if err != nil {
-				t.Fatal(err)
-			}
+			wc := run("count", whole).(registry.CountResult).Articles
+			lc := run("count", left).(registry.CountResult).Articles
+			rc := run("count", right).(registry.CountResult).Articles
 			if wc != lc+rc {
 				t.Errorf("count[%d,%d) = %d, but [%d,%d)+[%d,%d) = %d+%d",
 					a, b, wc, a, mid, mid, b, lc, rc)
 			}
-
-			for name, f := range map[string]func(*shard.View) queries.QuarterlySeries{
-				"series-articles":      (*shard.View).ArticlesPerQuarter,
-				"series-slow-articles": (*shard.View).SlowArticlesPerQuarter,
-			} {
-				w, l, r := f(whole), f(left), f(right)
+			// The whole window's answers against per-row loops over the
+			// monolith, so a split that is additive but wrong still fails.
+			inWhole := func(r int) bool { iv := db.Mentions.Interval[r]; return iv >= a && iv < b }
+			if want := perRowQuarters(db, inWhole); wc != sum(want) {
+				t.Errorf("count[%d,%d) = %d, per-row loop %d", a, b, wc, sum(want))
+			}
+			refs := map[string][]int64{
+				"series-articles": perRowQuarters(db, inWhole),
+				"series-slow-articles": perRowQuarters(db, func(r int) bool {
+					return inWhole(r) && db.Mentions.Delay[r] > gdelt.IntervalsPerDay
+				}),
+			}
+			for name, ref := range refs {
+				w := run(name, whole).(queries.QuarterlySeries)
+				l := run(name, left).(queries.QuarterlySeries)
+				r := run(name, right).(queries.QuarterlySeries)
+				eqSeries(t, name, w.Values, ref)
 				for q := range w.Values {
 					if w.Values[q] != l.Values[q]+r.Values[q] {
 						t.Errorf("%s quarter %d: whole %d != left %d + right %d",
@@ -200,24 +211,56 @@ func TestShardMetamorphicTopKUnion(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := sdb.View().WithWorkers(2)
-			union := map[int32]bool{}
+			d := registry.MustLookup("top-publishers")
+			p, err := d.ParseParams(func(string) []string { return []string{fmt.Sprint(k)} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := func(v *shard.View) []registry.PublisherRow {
+				t.Helper()
+				res, err := d.RunSharded(v, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.([]registry.PublisherRow)
+			}
+			union := map[string]bool{}
 			var threshold int64
 			for i := 0; i < sdb.K(); i++ {
-				ids, counts := v.WithWindow(sdb.Bounds()[i], sdb.Bounds()[i+1]).TopPublishers(k)
-				for _, id := range ids {
-					union[id] = true
+				rows := top(v.WithWindow(sdb.Bounds()[i], sdb.Bounds()[i+1]))
+				for _, r := range rows {
+					union[r.Source] = true
 				}
-				if len(counts) >= k {
-					threshold += counts[k-1]
+				if len(rows) >= k {
+					threshold += rows[k-1].Articles
 				}
 			}
-			ids, counts := v.TopPublishers(k)
-			for i, id := range ids {
-				if counts[i] > threshold && !union[id] {
+			for i, r := range top(v) {
+				if r.Articles > threshold && !union[r.Source] {
 					t.Errorf("global rank %d publisher %q (score %d > threshold %d) missing from per-shard candidates",
-						i+1, sdb.Sources().Name(id), counts[i], threshold)
+						i+1, r.Source, r.Articles, threshold)
 				}
 			}
 		})
 	}
+}
+
+// perRowQuarters counts db's mention rows that keep admits per calendar
+// quarter, one row at a time through the quarter index.
+func perRowQuarters(db *store.DB, keep func(r int) bool) []int64 {
+	out := make([]int64, db.NumQuarters())
+	for r := range db.Mentions.Interval {
+		if keep(r) {
+			out[db.QuarterOfInterval(db.Mentions.Interval[r])]++
+		}
+	}
+	return out
+}
+
+func sum(xs []int64) int64 {
+	var n int64
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }

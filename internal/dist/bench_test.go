@@ -3,6 +3,7 @@ package dist
 import (
 	"testing"
 
+	"gdeltmine/internal/baseline"
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
 )
@@ -19,7 +20,7 @@ func BenchmarkSharedMemoryCrossCountry(b *testing.B) {
 	nc := len(gdelt.Countries)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := e.CrossCount(nc, nc, func(row int) (int, int) {
+		m := baseline.CrossCount(e, nc, nc, func(row int) (int, int) {
 			ev := db.Mentions.EventRow[row]
 			return int(db.Events.Country[ev]), int(db.SourceCountry[db.Mentions.Source[row]])
 		})

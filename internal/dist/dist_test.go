@@ -3,6 +3,7 @@ package dist
 import (
 	"testing"
 
+	"gdeltmine/internal/baseline"
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
@@ -55,19 +56,21 @@ func TestCrossCountryMatchesSharedMemory(t *testing.T) {
 
 func TestArticlesPerQuarterMatches(t *testing.T) {
 	db := testDB(t)
-	want := queries.ArticlesPerQuarter(engine.New(db))
+	want := baseline.GroupCount(engine.New(db), db.NumQuarters(), func(row int) int {
+		return db.QuarterOfInterval(db.Mentions.Interval[row])
+	})
 	cl := NewCluster(db, 3)
 	defer cl.Close()
 	got, err := cl.ArticlesPerQuarter()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want.Values) {
+	if len(got) != len(want) {
 		t.Fatal("length")
 	}
 	for q := range got {
-		if got[q] != want.Values[q] {
-			t.Fatalf("quarter %d: %d want %d", q, got[q], want.Values[q])
+		if got[q] != want[q] {
+			t.Fatalf("quarter %d: %d want %d", q, got[q], want[q])
 		}
 	}
 }
@@ -75,7 +78,7 @@ func TestArticlesPerQuarterMatches(t *testing.T) {
 func TestCountSlowMatches(t *testing.T) {
 	db := testDB(t)
 	e := engine.New(db)
-	want := e.CountMentions(func(row int) bool {
+	want := baseline.CountMentions(e, func(row int) bool {
 		return int64(db.Mentions.Delay[row]) > gdelt.IntervalsPerDay
 	})
 	cl := NewCluster(db, 5)

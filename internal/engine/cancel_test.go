@@ -16,7 +16,7 @@ func TestWithContextStopsScanEarly(t *testing.T) {
 	e := New(db).WithWorkers(4).WithContext(ctx)
 
 	var visited atomic.Int64
-	e.CountMentions(func(row int) bool {
+	countRows(e, func(row int) bool {
 		if visited.Add(1) == 100 {
 			cancel()
 		}
@@ -34,14 +34,14 @@ func TestWithContextStopsScanEarly(t *testing.T) {
 func TestWithContextNilBehavesNormally(t *testing.T) {
 	db := testDB(t)
 	e := New(db).WithWorkers(4)
-	all := e.CountMentions(func(row int) bool { return true })
+	all := countRows(e, func(row int) bool { return true })
 	if all != int64(db.Mentions.Len()) {
 		t.Fatalf("uncancelled count %d, want %d", all, db.Mentions.Len())
 	}
 	// An already-cancelled context yields an (empty) partial aggregate.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got := e.WithContext(ctx).CountMentions(func(row int) bool { return true })
+	got := countRows(e.WithContext(ctx), func(row int) bool { return true })
 	if got != 0 {
 		t.Fatalf("pre-cancelled count %d, want 0", got)
 	}

@@ -9,9 +9,7 @@ import (
 	"container/heap"
 	"context"
 	"sort"
-	"time"
 
-	"gdeltmine/internal/matrix"
 	"gdeltmine/internal/parallel"
 	"gdeltmine/internal/store"
 )
@@ -178,93 +176,6 @@ func (e *Engine) ScanOptions() parallel.Options {
 }
 
 func (e *Engine) opt() parallel.Options { return e.ScanOptions() }
-
-// CountMentions counts mention rows in the window satisfying pred.
-func (e *Engine) CountMentions(pred func(row int) bool) int64 {
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	return parallel.CountIf(whi-wlo, e.opt(), func(i int) bool { return pred(wlo + i) })
-}
-
-// GroupCount aggregates mention rows in the window into numGroups counters.
-// groupOf returns the group of a row, or a negative value to skip it. Each
-// worker owns a private counter array; arrays merge once at the end.
-func (e *Engine) GroupCount(numGroups int, groupOf func(row int) int) []int64 {
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	res := parallel.MapReduce(whi-wlo, e.opt(),
-		newInt64(numGroups),
-		func(acc []int64, lo, hi int) []int64 {
-			for row := wlo + lo; row < wlo+hi; row++ {
-				if g := groupOf(row); g >= 0 {
-					acc[g]++
-				}
-			}
-			return acc
-		},
-		mergeReleaseInt64,
-	)
-	return copyOutInt64(res)
-}
-
-// GroupCountEvents aggregates event rows into numGroups counters.
-func (e *Engine) GroupCountEvents(numGroups int, groupOf func(row int) int) []int64 {
-	defer e.observeScan(e.db.Events.Len(), time.Now())
-	res := parallel.MapReduce(e.db.Events.Len(), e.opt(),
-		newInt64(numGroups),
-		func(acc []int64, lo, hi int) []int64 {
-			for row := lo; row < hi; row++ {
-				if g := groupOf(row); g >= 0 {
-					acc[g]++
-				}
-			}
-			return acc
-		},
-		mergeReleaseInt64,
-	)
-	return copyOutInt64(res)
-}
-
-// CrossCount aggregates mention rows in the window into a rows×cols
-// contingency matrix. keys returns the cell of a row; either coordinate
-// negative skips the row. This is the kernel behind the single aggregated
-// query that produces Tables V, VI and VII (Section VI-G / Figure 12).
-func (e *Engine) CrossCount(rows, cols int, keys func(row int) (r, c int)) *matrix.Int64 {
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	return parallel.MapReduce(whi-wlo, e.opt(),
-		newPooledInt64Matrix(rows, cols),
-		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
-			for row := wlo + lo; row < wlo+hi; row++ {
-				r, c := keys(row)
-				if r >= 0 && c >= 0 {
-					acc.Inc(r, c)
-				}
-			}
-			return acc
-		},
-		mergeReleaseMatrix,
-	)
-}
-
-// SumByGroup accumulates val(row) over the window into numGroups sums.
-func (e *Engine) SumByGroup(numGroups int, keyVal func(row int) (g int, v float64)) []float64 {
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	res := parallel.MapReduce(whi-wlo, e.opt(),
-		newFloat64(numGroups),
-		func(acc []float64, lo, hi int) []float64 {
-			for row := wlo + lo; row < wlo+hi; row++ {
-				if g, v := keyVal(row); g >= 0 {
-					acc[g] += v
-				}
-			}
-			return acc
-		},
-		mergeReleaseFloat64,
-	)
-	return copyOutFloat64(res)
-}
 
 // TopK returns the indexes of the k largest values (ties broken toward the
 // lower index), in descending value order. It runs a single pass with a

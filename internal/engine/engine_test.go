@@ -8,6 +8,7 @@ import (
 
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/gen"
+	"gdeltmine/internal/matrix"
 	"gdeltmine/internal/store"
 )
 
@@ -29,6 +30,12 @@ func testDB(t testing.TB) *store.DB {
 	return cachedDB
 }
 
+// The kernel tests below pin the engine's scan primitives against serial
+// loops: ScanWindow (through the closure helpers at the end of this file,
+// the primitive the fused qlang folds run on) and the typed group- and
+// cross-count kernels. The generic closure kernels they once exercised are
+// references in internal/baseline now, with their own tests there.
+
 func TestCountMentionsMatchesSerial(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
@@ -40,7 +47,7 @@ func TestCountMentionsMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 2, 7} {
-		if got := e.WithWorkers(w).CountMentions(pred); got != want {
+		if got := countRows(e.WithWorkers(w), pred); got != want {
 			t.Fatalf("workers=%d count %d want %d", w, got, want)
 		}
 	}
@@ -49,7 +56,7 @@ func TestCountMentionsMatchesSerial(t *testing.T) {
 func TestGroupCountBySource(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	got := e.GroupCount(db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
+	got := groupRows(e, db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
 	want := make([]int64, db.Sources.Len())
 	for _, s := range db.Mentions.Source {
 		want[s]++
@@ -70,7 +77,7 @@ func TestGroupCountBySource(t *testing.T) {
 func TestGroupCountSkipsNegative(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	got := e.GroupCount(1, func(row int) int {
+	got := groupRows(e, 1, func(row int) int {
 		if db.Mentions.Delay[row] > 10 {
 			return -1
 		}
@@ -90,9 +97,7 @@ func TestGroupCountSkipsNegative(t *testing.T) {
 func TestGroupCountEvents(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	got := e.GroupCountEvents(db.NumQuarters(), func(row int) int {
-		return db.QuarterOfInterval(db.Events.Interval[row])
-	})
+	got := e.GroupCountEventsCol(db.NumQuarters(), db.Events.Interval, db.QuarterLUT(), ColPred{})
 	var total int64
 	for _, v := range got {
 		total += v
@@ -111,7 +116,7 @@ func TestCrossCountMatchesSerial(t *testing.T) {
 		cc := int(db.SourceCountry[db.Mentions.Source[row]])
 		return rc, cc
 	}
-	got := e.CrossCount(61, 61, keys)
+	got := crossCountries(e)
 	want := make(map[[2]int]int64)
 	for row := 0; row < db.Mentions.Len(); row++ {
 		r, c := keys(row)
@@ -131,7 +136,7 @@ func TestCrossCountMatchesSerial(t *testing.T) {
 	}
 	// Worker counts do not change the result.
 	for _, w := range []int{1, 3, 16} {
-		alt := e.WithWorkers(w).CrossCount(61, 61, keys)
+		alt := crossCountries(e.WithWorkers(w))
 		for i := range got.Data {
 			if alt.Data[i] != got.Data[i] {
 				t.Fatalf("workers=%d cell %d differs", w, i)
@@ -143,7 +148,7 @@ func TestCrossCountMatchesSerial(t *testing.T) {
 func TestSumByGroup(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	got := e.SumByGroup(db.NumQuarters(), func(row int) (int, float64) {
+	got := sumRows(e, db.NumQuarters(), func(row int) (int, float64) {
 		return db.QuarterOfInterval(db.Mentions.Interval[row]), float64(db.Mentions.Delay[row])
 	})
 	want := make([]float64, db.NumQuarters())
@@ -265,4 +270,65 @@ func TestTopKMatchesSortRandomized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countRows counts the window rows satisfying pred through ScanWindow.
+func countRows(e *Engine, pred func(row int) bool) int64 {
+	return ScanWindow(e, func() int64 { return 0 },
+		func(acc int64, lo, hi int) int64 {
+			for row := lo; row < hi; row++ {
+				if pred(row) {
+					acc++
+				}
+			}
+			return acc
+		},
+		func(dst, src int64) int64 { return dst + src })
+}
+
+// groupRows counts the window rows into n groups through ScanWindow;
+// groupOf returns a row's group, or a negative value to skip it.
+func groupRows(e *Engine, n int, groupOf func(row int) int) []int64 {
+	return ScanWindow(e, func() []int64 { return make([]int64, n) },
+		func(acc []int64, lo, hi int) []int64 {
+			for row := lo; row < hi; row++ {
+				if g := groupOf(row); g >= 0 {
+					acc[g]++
+				}
+			}
+			return acc
+		},
+		func(dst, src []int64) []int64 {
+			for i, c := range src {
+				dst[i] += c
+			}
+			return dst
+		})
+}
+
+// sumRows sums keyVal's value of every window row into n groups through
+// ScanWindow.
+func sumRows(e *Engine, n int, keyVal func(row int) (g int, v float64)) []float64 {
+	return ScanWindow(e, func() []float64 { return make([]float64, n) },
+		func(acc []float64, lo, hi int) []float64 {
+			for row := lo; row < hi; row++ {
+				if g, v := keyVal(row); g >= 0 {
+					acc[g] += v
+				}
+			}
+			return acc
+		},
+		func(dst, src []float64) []float64 {
+			for i, v := range src {
+				dst[i] += v
+			}
+			return dst
+		})
+}
+
+// crossCountries is the typed event-country × source-country cross-count
+// of the window, over the store's narrow country columns.
+func crossCountries(e *Engine) *matrix.Int64 {
+	db := e.DB()
+	return CrossCountRemap(e, 61, 61, db.Mentions.EventRow, db.Events.Country, db.Mentions.Source, db.SourceCountry)
 }

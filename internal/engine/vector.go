@@ -1,11 +1,12 @@
 // Vectorized scan kernels and postings-pruned execution (DESIGN.md §9).
 //
-// The closure kernels in engine.go dispatch through a func value per row —
-// a call the compiler cannot inline, sitting between the worker loop and
-// the column data. The typed kernels below are the batch fast path: they
-// take the int32 column slices themselves (plus optional int32 remap
-// lookup tables) and iterate them directly inside the worker loop, with
-// bounds checks hoisted to one slice header per grain. Predicates run as a
+// A closure kernel dispatches through a func value per row — a call the
+// compiler cannot inline, sitting between the worker loop and the column
+// data — so closure kernels survive only as references in
+// internal/baseline. The typed kernels below take the int32 column slices
+// themselves (plus optional int32 remap lookup tables) and iterate them
+// directly inside the worker loop, with bounds checks hoisted to one slice
+// header per grain. Predicates run as a
 // separate stage that materializes pooled selection vectors — row-index
 // batches — which the aggregation stage then consumes, the classic
 // filter→aggregate decomposition of vectorized engines.
@@ -20,7 +21,7 @@ package engine
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"gdeltmine/internal/matrix"
@@ -121,10 +122,9 @@ func groupCountSeg(acc []int64, seg []int32, remap []int32) {
 	}
 }
 
-// GroupCountCol is the typed fast path of GroupCount: aggregate the mention
-// window into numGroups counters where a row's group is remap[col[row]]
-// (or col[row] itself when remap is nil). Out-of-range and negative groups
-// are skipped, matching the closure contract.
+// GroupCountCol aggregates the mention window into numGroups counters
+// where a row's group is remap[col[row]] (or col[row] itself when remap is
+// nil). Out-of-range and negative groups are skipped.
 func (e *Engine) GroupCountCol(numGroups int, col []int32, remap []int32) []int64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
@@ -139,44 +139,9 @@ func (e *Engine) GroupCountCol(numGroups int, col []int32, remap []int32) []int6
 	return copyOutInt64(res)
 }
 
-// GroupCountColSel is GroupCountCol behind a typed predicate: each grain
-// first materializes a pooled selection vector of passing rows, then
-// aggregates over it — no per-row closure call in either stage.
-func (e *Engine) GroupCountColSel(numGroups int, col, remap []int32, pred ColPred) []int64 {
-	if pred.empty() {
-		return e.GroupCountCol(numGroups, col, remap)
-	}
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	n := uint32(numGroups)
-	res := parallel.MapReduce(whi-wlo, e.opt(),
-		newInt64(numGroups),
-		func(acc []int64, lo, hi int) []int64 {
-			sel := pred.sel(wlo+lo, wlo+hi, parallel.GetInt32(0))
-			if remap == nil {
-				for _, r := range sel {
-					if g := col[r]; uint32(g) < n {
-						acc[g]++
-					}
-				}
-			} else {
-				for _, r := range sel {
-					if g := remap[col[r]]; uint32(g) < n {
-						acc[g]++
-					}
-				}
-			}
-			parallel.PutInt32(sel)
-			return acc
-		},
-		mergeReleaseInt64,
-	)
-	return copyOutInt64(res)
-}
-
-// GroupCountEventsCol is the typed fast path of GroupCountEvents, with an
+// GroupCountEventsCol is GroupCountCol over the event table, with an
 // optional predicate (ColPred{} scans every event). Event scans ignore the
-// mention window, like their closure counterpart.
+// mention window.
 func (e *Engine) GroupCountEventsCol(numGroups int, col, remap []int32, pred ColPred) []int64 {
 	ne := e.db.Events.Len()
 	defer e.observeScan(ne, time.Now())
@@ -313,10 +278,10 @@ func mergeReleaseMatrix(dst, src *matrix.Int64) *matrix.Int64 {
 	return dst
 }
 
-// CrossCountCols is the typed fast path of CrossCount: build a rows×cols
-// contingency matrix over the mention window where a row's cell is
-// (rmap[rcol[row]], cmap[ccol[row]]). This is the kernel behind the
-// aggregated country query's cross-reporting pass (Section VI-G).
+// CrossCountCols builds a rows×cols contingency matrix over the mention
+// window where a row's cell is (rmap[rcol[row]], cmap[ccol[row]]). This is
+// the kernel behind the aggregated country query's cross-reporting pass
+// (Section VI-G).
 func (e *Engine) CrossCountCols(rows, cols int, rcol, rmap, ccol, cmap []int32) *matrix.Int64 {
 	return CrossCountRemap(e, rows, cols, rcol, rmap, ccol, cmap)
 }
@@ -379,9 +344,9 @@ func (e *Engine) ClipRows(rows []int32) []int32 {
 	if wlo == 0 && whi == e.db.Mentions.Len() {
 		return rows
 	}
-	lo := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= wlo })
-	hi := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= whi })
-	return rows[lo:hi]
+	lo, _ := slices.BinarySearch(rows, int32(wlo))
+	hi, _ := slices.BinarySearch(rows[lo:], int32(whi))
+	return rows[lo : lo+hi]
 }
 
 // ScanRows runs a MapReduce-style aggregation over an explicit row list —

@@ -7,7 +7,7 @@ import (
 func TestWithIntervalRestrictsScans(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	total := e.CountMentions(func(int) bool { return true })
+	total := countRows(e, func(int) bool { return true })
 	if total != int64(db.Mentions.Len()) {
 		t.Fatalf("unwindowed count %d", total)
 	}
@@ -17,8 +17,8 @@ func TestWithIntervalRestrictsScans(t *testing.T) {
 	mid := db.Meta.Intervals / 2
 	first := e.WithInterval(0, mid)
 	second := e.WithInterval(mid, db.Meta.Intervals)
-	c1 := first.CountMentions(func(int) bool { return true })
-	c2 := second.CountMentions(func(int) bool { return true })
+	c1 := countRows(first, func(int) bool { return true })
+	c2 := countRows(second, func(int) bool { return true })
 	if c1+c2 != total {
 		t.Fatalf("window halves %d+%d != %d", c1, c2, total)
 	}
@@ -30,7 +30,7 @@ func TestWithIntervalRestrictsScans(t *testing.T) {
 	}
 
 	// Every row visible in the first window is actually before mid.
-	bad := first.CountMentions(func(row int) bool { return db.Mentions.Interval[row] >= mid })
+	bad := countRows(first, func(row int) bool { return db.Mentions.Interval[row] >= mid })
 	if bad != 0 {
 		t.Fatalf("%d rows outside window visible", bad)
 	}
@@ -39,7 +39,7 @@ func TestWithIntervalRestrictsScans(t *testing.T) {
 func TestWithIntervalEmptyWindow(t *testing.T) {
 	db := testDB(t)
 	e := New(db).WithInterval(5, 5)
-	if got := e.CountMentions(func(int) bool { return true }); got != 0 {
+	if got := countRows(e, func(int) bool { return true }); got != 0 {
 		t.Fatalf("empty window counted %d", got)
 	}
 	if e.WindowSize() != 0 {
@@ -55,10 +55,10 @@ func TestWithIntervalEmptyWindow(t *testing.T) {
 func TestWindowedGroupCountPartitions(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	whole := e.GroupCount(db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
+	whole := groupRows(e, db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
 	mid := db.Meta.Intervals / 3
-	a := e.WithInterval(0, mid).GroupCount(db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
-	b := e.WithInterval(mid, db.Meta.Intervals).GroupCount(db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
+	a := groupRows(e.WithInterval(0, mid), db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
+	b := groupRows(e.WithInterval(mid, db.Meta.Intervals), db.Sources.Len(), func(row int) int { return int(db.Mentions.Source[row]) })
 	for s := range whole {
 		if a[s]+b[s] != whole[s] {
 			t.Fatalf("source %d: %d+%d != %d", s, a[s], b[s], whole[s])
@@ -72,10 +72,10 @@ func TestWindowedSumByGroupPartitions(t *testing.T) {
 	keyVal := func(row int) (int, float64) {
 		return db.QuarterOfInterval(db.Mentions.Interval[row]), float64(db.Mentions.Delay[row])
 	}
-	whole := e.SumByGroup(db.NumQuarters(), keyVal)
+	whole := sumRows(e, db.NumQuarters(), keyVal)
 	mid := db.Meta.Intervals / 2
-	a := e.WithInterval(0, mid).SumByGroup(db.NumQuarters(), keyVal)
-	b := e.WithInterval(mid, db.Meta.Intervals).SumByGroup(db.NumQuarters(), keyVal)
+	a := sumRows(e.WithInterval(0, mid), db.NumQuarters(), keyVal)
+	b := sumRows(e.WithInterval(mid, db.Meta.Intervals), db.NumQuarters(), keyVal)
 	for q := range whole {
 		if diff := a[q] + b[q] - whole[q]; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("quarter %d: %v + %v != %v", q, a[q], b[q], whole[q])
@@ -86,15 +86,8 @@ func TestWindowedSumByGroupPartitions(t *testing.T) {
 func TestWindowedCrossCountSubsetOfWhole(t *testing.T) {
 	db := testDB(t)
 	e := New(db)
-	keys := func(row int) (int, int) {
-		ev := db.Mentions.EventRow[row]
-		return int(db.Events.Country[ev]), int(db.SourceCountry[db.Mentions.Source[row]])
-	}
-	whole := e.CrossCount(61, 61, keys)
-	quarterLo, quarterHi := db.QuarterMentionRange(4)
-	_ = quarterLo
-	_ = quarterHi
-	win := e.WithInterval(0, db.Meta.Intervals/2).CrossCount(61, 61, keys)
+	whole := crossCountries(e)
+	win := crossCountries(e.WithInterval(0, db.Meta.Intervals/2))
 	for i := range whole.Data {
 		if win.Data[i] > whole.Data[i] {
 			t.Fatalf("windowed cell %d exceeds whole", i)

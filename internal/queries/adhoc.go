@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math"
+	"slices"
 
 	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/engine"
@@ -276,8 +277,9 @@ func clauseBitmap(db *store.DB, c qlang.Clause) *bitmap.Bitmap {
 
 // kernel names the aggregation kernel the resolved plan will run, for the
 // explain output. A count with nothing to filter takes a typed count fast
-// path; everything else runs the fused selection fold — RefineFold over
-// the pushdown row list, SelectFold over the window.
+// path — over a window, a group=source count reads postings lengths
+// (PostingsCount) — and everything else runs the fused selection fold:
+// RefineFold over the pushdown row list, SelectFold over the window.
 func (r *adhocResolution) kernel(spec AdhocSpec) string {
 	grouped := spec.Group != ""
 	if spec.Agg.Kind == qlang.AggCount && len(r.residual) == 0 {
@@ -286,6 +288,8 @@ func (r *adhocResolution) kernel(spec AdhocSpec) string {
 			return "GroupCountRows"
 		case r.path == "pushdown":
 			return "RowCount"
+		case spec.Group == "source":
+			return "PostingsCount"
 		case grouped:
 			return "GroupCountCol"
 		default:
@@ -350,37 +354,40 @@ func MergeAdhocPlans(spec AdhocSpec, plans []AdhocPlan) AdhocPlan {
 	return out
 }
 
-// GroupSpec describes the dictionary-encoded grouping column of one DB:
+// groupSpec describes the dictionary-encoded grouping column of one DB:
 // group id = Remap[Col[row]] (or Col[row] when Remap is nil), ids outside
-// [0, N) dropped. AdhocGroupSpec builds it; the sharded view groups each
-// part in the part's own id space and remaps the groups when it merges.
-type GroupSpec struct {
+// [0, N) dropped. The zero groupSpec means no grouping. The sharded view
+// groups each part in the part's own id space and remaps the groups when
+// it merges.
+type groupSpec struct {
 	N     int
 	Col   []int32
 	Remap []int32
 }
 
-// AdhocGroupSpec returns the grouping column spec for a group field
-// against a monolithic DB. The zero GroupSpec means no grouping.
-func AdhocGroupSpec(db *store.DB, group string) GroupSpec {
+// adhocGroupSpec returns the grouping column spec for a group field
+// against one DB.
+func adhocGroupSpec(db *store.DB, group string) groupSpec {
 	switch group {
 	case "source":
-		return GroupSpec{N: db.Sources.Len(), Col: db.Mentions.Source}
+		return groupSpec{N: db.Sources.Len(), Col: db.Mentions.Source}
 	case "sourcecountry":
-		return GroupSpec{N: len(gdelt.Countries), Col: db.Mentions.Source, Remap: db.SourceCountryLUT()}
+		return groupSpec{N: len(gdelt.Countries), Col: db.Mentions.Source, Remap: db.SourceCountryLUT()}
 	case "eventcountry":
-		return GroupSpec{N: len(gdelt.Countries), Col: db.Mentions.EventRow, Remap: db.EventCountryLUT()}
+		return groupSpec{N: len(gdelt.Countries), Col: db.Mentions.EventRow, Remap: db.EventCountryLUT()}
 	case "quarter":
-		return GroupSpec{N: db.NumQuarters(), Col: db.Mentions.Interval, Remap: db.QuarterLUT()}
+		return groupSpec{N: db.NumQuarters(), Col: db.Mentions.Interval, Remap: db.QuarterLUT()}
 	}
-	return GroupSpec{}
+	return groupSpec{}
 }
 
 // AdhocVec is the raw aggregation output of one engine view: the matched
 // row count, the scalar sum (sum/mean aggregates), and — when grouped —
-// the per-group vectors. Integer counts are exact; sums are float64 and
-// exact for the integer-valued fields (delay, doclen, confidence,
-// articles) below 2^53.
+// the per-group vectors, one slot per id of the group's dictionary
+// (Counts always; Sums for sum/mean). Integer counts are exact; sums are
+// float64 and exact for the integer-valued fields (delay, doclen,
+// confidence, articles) below 2^53. It is also the sharded view's
+// per-part partial: parts merge by adding vectors through the group remap.
 type AdhocVec struct {
 	Count  int64
 	Sum    float64
@@ -391,7 +398,8 @@ type AdhocVec struct {
 // AdhocVectors plans and executes a spec against one engine view,
 // returning raw vectors for the caller to shape (or, sharded, to merge).
 // The resolved path is recorded in qlang_plan_total{path=...}.
-func AdhocVectors(e *engine.Engine, spec AdhocSpec, g GroupSpec) (AdhocVec, error) {
+func AdhocVectors(e *engine.Engine, spec AdhocSpec) (AdhocVec, error) {
+	g := adhocGroupSpec(e.DB(), spec.Group)
 	r := resolveAdhoc(e, spec)
 	if c := adhocPlans[r.path]; c != nil {
 		c.Inc()
@@ -432,7 +440,7 @@ const selBatch = 4096
 // value sums — one pass whatever the aggregate.
 type adhocFold struct {
 	residual *qlang.Filter
-	g        GroupSpec
+	g        groupSpec
 	grouped  bool
 	val      valueCol // nil for count
 }
@@ -538,39 +546,66 @@ func (a *adhocAcc) vec() AdhocVec {
 // adhocRows aggregates over a materialized row list. A count with no
 // residual takes the typed fast paths; everything else is one RefineFold
 // scan.
-func adhocRows(e *engine.Engine, spec AdhocSpec, g GroupSpec, rows []int32, residual *qlang.Filter) AdhocVec {
-	f := &adhocFold{residual: residual, g: g, grouped: spec.Group != "", val: adhocValue(e.DB(), spec.Agg.Field)}
+func adhocRows(e *engine.Engine, spec AdhocSpec, g groupSpec, rows []int32, residual *qlang.Filter) AdhocVec {
+	val := adhocValue(e.DB(), spec.Agg.Field)
 	domain := e.WindowSize()
-	if f.val == nil && residual == nil {
+	if val == nil && residual == nil {
 		vec := AdhocVec{Count: int64(len(rows))}
-		if f.grouped {
+		if spec.Group != "" {
 			vec.Counts = e.GroupCountRows(g.N, rows, domain, g.Col, g.Remap)
 		}
 		return vec
 	}
+	f := &adhocFold{residual: residual, g: g, grouped: spec.Group != "", val: val}
 	return engine.ScanRows(e, rows, domain, f.newAcc, f.refineFold, mergeAdhocAcc).vec()
 }
 
 // adhocWindow aggregates over the engine window — the range and scan
 // paths. A count with no residual takes the typed fast paths; everything
 // else is one SelectFold scan.
-func adhocWindow(e *engine.Engine, spec AdhocSpec, g GroupSpec, residual *qlang.Filter) AdhocVec {
-	f := &adhocFold{residual: residual, g: g, grouped: spec.Group != "", val: adhocValue(e.DB(), spec.Agg.Field)}
-	if f.val == nil && residual == nil {
+func adhocWindow(e *engine.Engine, spec AdhocSpec, g groupSpec, residual *qlang.Filter) AdhocVec {
+	val := adhocValue(e.DB(), spec.Agg.Field)
+	if val == nil && residual == nil {
 		vec := AdhocVec{Count: int64(e.WindowSize())}
-		if f.grouped {
+		switch {
+		case spec.Group == "source":
+			vec.Counts = postingsCount(e)
+		case spec.Group != "":
 			vec.Counts = e.GroupCountCol(g.N, g.Col, g.Remap)
 		}
 		return vec
 	}
+	f := &adhocFold{residual: residual, g: g, grouped: spec.Group != "", val: val}
 	return engine.ScanWindow(e, f.newAcc, f.selectFold, mergeAdhocAcc).vec()
+}
+
+// postingsCount answers a group=source count over the window from the
+// by-source postings (DESIGN.md §10, "answer from the index"): a source's
+// count is its postings length when the window spans the table, and
+// otherwise the number of its row-ascending postings inside the window,
+// two bisections. No mention row is read.
+func postingsCount(e *engine.Engine) []int64 {
+	db := e.DB()
+	lo, hi := e.Window()
+	full := lo == 0 && hi == db.Mentions.Len()
+	counts := make([]int64, db.Sources.Len())
+	for s := range counts {
+		rows := db.SourceMentions(int32(s))
+		if !full {
+			a, _ := slices.BinarySearch(rows, int32(lo))
+			b, _ := slices.BinarySearch(rows[a:], int32(hi))
+			rows = rows[a : a+b]
+		}
+		counts[s] = int64(len(rows))
+	}
+	return counts
 }
 
 // valueCol is the typed value column of a sum/mean aggregate.
 type valueCol interface {
 	// fold adds the values of the selected rows to a: to the scalar sum,
 	// or, when a is grouped, to the per-group counts and sums.
-	fold(a *adhocAcc, sel []int32, g GroupSpec)
+	fold(a *adhocAcc, sel []int32, g groupSpec)
 }
 
 // numCol is a numeric value column: a row's value is vals[row], or
@@ -601,7 +636,7 @@ func adhocValue(db *store.DB, field string) valueCol {
 
 // fold adds values in row order, so a batch's float sums add exactly as a
 // row-at-a-time loop would.
-func (c numCol[V]) fold(a *adhocAcc, sel []int32, g GroupSpec) {
+func (c numCol[V]) fold(a *adhocAcc, sel []int32, g groupSpec) {
 	vals, idx := c.vals, c.idx
 	if a.counts == nil {
 		s := a.sum
@@ -673,18 +708,15 @@ func ShapeAdhoc(spec AdhocSpec, vec AdhocVec, key func(g int) string) AdhocResul
 		}
 		return out
 	}
-	top := engine.TopK(len(vec.Counts), spec.K, func(i int) int64 { return vec.Counts[i] })
-	for _, gid := range top {
-		if vec.Counts[gid] == 0 {
-			break
-		}
-		row := AdhocRow{Key: key(gid), Count: vec.Counts[gid]}
+	ids, counts := TopGroups(vec.Counts, spec.K, false)
+	for i, g := range ids {
+		row := AdhocRow{Key: key(int(g)), Count: counts[i]}
 		switch spec.Agg.Kind {
 		case qlang.AggSum:
-			v := vec.Sums[gid]
+			v := vec.Sums[g]
 			row.Value = &v
 		case qlang.AggMean:
-			v := vec.Sums[gid] / float64(vec.Counts[gid])
+			v := vec.Sums[g] / float64(counts[i])
 			row.Value = &v
 		}
 		out.Rows = append(out.Rows, row)
@@ -692,8 +724,8 @@ func ShapeAdhoc(spec AdhocSpec, vec AdhocVec, key func(g int) string) AdhocResul
 	return out
 }
 
-// adhocKey resolves group ids to display keys against a monolithic DB.
-func adhocKey(db *store.DB, group string) func(g int) string {
+// AdhocKey resolves group ids to display keys against a monolithic DB.
+func AdhocKey(db *store.DB, group string) func(g int) string {
 	switch group {
 	case "source":
 		return func(g int) string { return db.Sources.Name(int32(g)) }
@@ -708,10 +740,9 @@ func adhocKey(db *store.DB, group string) func(g int) string {
 // AdhocQuery plans, executes and shapes a spec against a monolithic engine
 // view.
 func AdhocQuery(e *engine.Engine, spec AdhocSpec) (AdhocResult, error) {
-	db := e.DB()
-	vec, err := AdhocVectors(e, spec, AdhocGroupSpec(db, spec.Group))
+	vec, err := AdhocVectors(e, spec)
 	if err != nil {
 		return AdhocResult{}, err
 	}
-	return ShapeAdhoc(spec, vec, adhocKey(db, spec.Group)), nil
+	return ShapeAdhoc(spec, vec, AdhocKey(e.DB(), spec.Group)), nil
 }

@@ -9,20 +9,24 @@ import (
 
 // TestAdhocKernelNames pins explain's kernel over path × grouped × agg ×
 // residual: a count with nothing to filter names its typed count fast
-// path, and every other plan names the fused fold that executes it —
-// RefineFold over a pushdown row list, SelectFold over a window.
+// path — postings lengths for a group=source count over a window — and
+// every other plan names the fused fold that executes it: RefineFold over
+// a pushdown row list, SelectFold over a window.
 func TestAdhocKernelNames(t *testing.T) {
 	// Keyed path/group.
 	countOnly := map[string]string{
-		"pushdown/":       "RowCount",
-		"pushdown/source": "GroupCountRows",
-		"range/":          "WindowSize",
-		"range/source":    "GroupCountCol",
-		"scan/":           "WindowSize",
-		"scan/source":     "GroupCountCol",
+		"pushdown/":        "RowCount",
+		"pushdown/source":  "GroupCountRows",
+		"pushdown/quarter": "GroupCountRows",
+		"range/":           "WindowSize",
+		"range/source":     "PostingsCount",
+		"range/quarter":    "GroupCountCol",
+		"scan/":            "WindowSize",
+		"scan/source":      "PostingsCount",
+		"scan/quarter":     "GroupCountCol",
 	}
 	for _, path := range []string{"pushdown", "range", "scan"} {
-		for _, group := range []string{"", "source"} {
+		for _, group := range []string{"", "source", "quarter"} {
 			for _, agg := range []string{"count", "sum:doclen", "mean:tone"} {
 				for _, residual := range []bool{false, true} {
 					a, err := qlang.ParseAgg(agg)

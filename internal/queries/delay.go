@@ -134,15 +134,3 @@ func QuarterlyDelays(e *engine.Engine) QuarterlyDelay {
 	})
 	return out
 }
-
-// SlowArticlesPerQuarter computes Figure 11: the number of articles per
-// quarter with a publishing delay of more than 24 hours.
-func SlowArticlesPerQuarter(e *engine.Engine) QuarterlySeries {
-	db := e.DB()
-	// Vectorized filter→aggregate: the predicate stage selects delayed rows
-	// into pooled selection vectors, the aggregation stage groups them by
-	// quarter via the interval→quarter remap table.
-	vals := e.GroupCountColSel(db.NumQuarters(), db.Mentions.Interval, db.QuarterLUT(),
-		engine.PredGT(db.Mentions.Delay, gdelt.IntervalsPerDay))
-	return QuarterlySeries{Labels: quarterLabels(e), Values: vals}
-}

@@ -144,9 +144,25 @@ func TestTopPublishersAreMediaGroup(t *testing.T) {
 	}
 }
 
+// planSeries runs the quarterly article series plan of the articles
+// matching where — what the series-articles, series-slow-articles and
+// filtered-series kinds run.
+func planSeries(t *testing.T, e *engine.Engine, where string) QuarterlySeries {
+	t.Helper()
+	spec, err := ParseAdhocSpec(where, "quarter", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := AdhocVectors(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return QuarterSeries(vec, e.DB().QuarterLabel)
+}
+
 func TestQuarterlySeriesShapes(t *testing.T) {
 	e := testEngine(t)
-	arts := ArticlesPerQuarter(e)
+	arts := planSeries(t, e, "")
 	evs := EventsPerQuarter(e)
 	act := ActiveSourcesPerQuarter(e)
 	nq := cachedDB.NumQuarters()
@@ -542,8 +558,8 @@ func TestQuarterlyDelaysTrend(t *testing.T) {
 
 func TestSlowArticlesDecline(t *testing.T) {
 	e := testEngine(t)
-	sa := SlowArticlesPerQuarter(e)
-	arts := ArticlesPerQuarter(e)
+	sa := planSeries(t, e, SlowWhere)
+	arts := planSeries(t, e, "")
 	// Figure 11: the >24h fraction declines significantly by 2019.
 	frac := func(q int) float64 { return float64(sa.Values[q]) / float64(arts.Values[q]) }
 	f2016 := (frac(4) + frac(5) + frac(6) + frac(7)) / 4

@@ -20,14 +20,6 @@ func quarterLabels(e *engine.Engine) []string {
 	return labels
 }
 
-// ArticlesPerQuarter computes Figure 5: the number of articles observed in
-// each quarter.
-func ArticlesPerQuarter(e *engine.Engine) QuarterlySeries {
-	db := e.DB()
-	vals := e.GroupCountCol(db.NumQuarters(), db.Mentions.Interval, db.QuarterLUT())
-	return QuarterlySeries{Labels: quarterLabels(e), Values: vals}
-}
-
 // EventsPerQuarter computes Figure 4: the number of events observed (by
 // event time) in each quarter.
 func EventsPerQuarter(e *engine.Engine) QuarterlySeries {

@@ -112,19 +112,6 @@ func EventSizes(e *engine.Engine, xmin int) EventSizeDistribution {
 	return out
 }
 
-// TopPublishers returns the source ids of the k most productive sources and
-// their article counts, in descending order (Section VI-A).
-func TopPublishers(e *engine.Engine, k int) (ids []int32, counts []int64) {
-	db := e.DB()
-	perSource := e.GroupCountCol(db.Sources.Len(), db.Mentions.Source, nil)
-	top := engine.TopK(len(perSource), k, func(i int) int64 { return perSource[i] })
-	for _, s := range top {
-		ids = append(ids, int32(s))
-		counts = append(counts, perSource[s])
-	}
-	return ids, counts
-}
-
 // countryCount is the number of known countries; country-set bitmasks rely
 // on it fitting a uint64.
 var countryCount = len(gdelt.Countries)

@@ -5,7 +5,6 @@ import (
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/shard"
-	"gdeltmine/internal/store"
 )
 
 // The named result types below freeze the JSON shapes the HTTP API serves;
@@ -15,7 +14,8 @@ import (
 // Every kind carries both Run (monolithic engine) and RunSharded (fan-out
 // over a shard.View); the shaping helpers are shared so the two paths can
 // only diverge in the aggregation itself — which the differential battery
-// then pins to zero divergence.
+// then pins to zero divergence. The kinds declared as plans share even
+// that: both sides run the one planner.
 
 // Defect is one row of the defects report (Table II classes).
 type Defect struct {
@@ -82,14 +82,40 @@ func clampK(k, n int) int {
 	return k
 }
 
-// topPublisherRows resolves ids/counts into ranked display rows against
-// the dictionary that owns the ids (store-local or shard-global).
-func topPublisherRows(dict *store.Dictionary, ids []int32, counts []int64) []PublisherRow {
+// countPlan is the plan counting the rows matching where, grouped by
+// group; a where that does not parse is a parameter error.
+func countPlan(where, group string) (queries.AdhocSpec, error) {
+	spec, err := queries.ParseAdhocSpec(where, group, "", 0)
+	return spec, BadParam(err)
+}
+
+// publishersPlan is top-publishers' plan: articles per source in the
+// window. follow, coreport and delays rank their panel with it too.
+func publishersPlan(Params) (queries.AdhocSpec, error) { return queries.SourceCounts, nil }
+
+// publisherRows shapes a group=source count vector as the k top ranked
+// publisher rows. With pad, zero-count sources fill the ranking up to k
+// (top-publishers); without, it ends at the last source with a match
+// (filtered-publishers).
+func publisherRows(p Params, vec queries.AdhocVec, key func(g int) string, pad bool) []PublisherRow {
+	ids, counts := queries.TopGroups(vec.Counts, p.Int("k"), pad)
 	out := make([]PublisherRow, len(ids))
 	for i := range ids {
-		out[i] = PublisherRow{Rank: i + 1, Source: dict.Name(ids[i]), Articles: counts[i]}
+		out[i] = PublisherRow{Rank: i + 1, Source: key(int(ids[i])), Articles: counts[i]}
 	}
 	return out
+}
+
+// viewPanel returns the view's k top publishers by publishersPlan.
+func viewPanel(v *shard.View, k int) []int32 {
+	vec, _ := v.AdhocVectors(queries.SourceCounts) // no clause to bind: cannot fail
+	ids, _ := queries.TopGroups(vec.Counts, k, true)
+	return ids
+}
+
+// quarterSeries is the Shape of the kinds planned as group=quarter counts.
+func quarterSeries(_ Params, vec queries.AdhocVec, key func(q int) string) any {
+	return queries.QuarterSeries(vec, key)
 }
 
 func defectRows(rep *gdelt.ValidationReport) []Defect {
@@ -181,15 +207,9 @@ func init() {
 		Kind:   "top-publishers",
 		Help:   "k most productive publishers by article count",
 		Params: []ParamSpec{kParam("number of publishers")},
-		Run: func(e *engine.Engine, p Params) (any, error) {
-			k := clampK(p.Int("k"), e.DB().Sources.Len())
-			ids, counts := queries.TopPublishers(e, k)
-			return topPublisherRows(e.DB().Sources, ids, counts), nil
-		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			k := clampK(p.Int("k"), v.DB().Sources().Len())
-			ids, counts := v.TopPublishers(k)
-			return topPublisherRows(v.DB().Sources(), ids, counts), nil
+		Plan:   publishersPlan,
+		Shape: func(p Params, vec queries.AdhocVec, key func(g int) string) any {
+			return publisherRows(p, vec, key, true)
 		},
 	})
 
@@ -246,14 +266,11 @@ func init() {
 		Help:   "follow-reporting fractions among top publishers (Table IV)",
 		Params: []ParamSpec{pairKParam("number of publishers")},
 		Run: func(e *engine.Engine, p Params) (any, error) {
-			k := clampK(p.Int("k"), e.DB().Sources.Len())
-			ids, _ := queries.TopPublishers(e, k)
+			ids, _ := queries.TopPublishers(e, p.Int("k"))
 			return followResult(queries.FollowReport(e, ids)), nil
 		},
 		RunSharded: func(v *shard.View, p Params) (any, error) {
-			k := clampK(p.Int("k"), v.DB().Sources().Len())
-			ids, _ := v.TopPublishers(k)
-			return followResult(v.FollowReport(ids)), nil
+			return followResult(v.FollowReport(viewPanel(v, p.Int("k")))), nil
 		},
 	})
 
@@ -262,8 +279,7 @@ func init() {
 		Help:   "co-reporting Jaccard matrix among top publishers",
 		Params: []ParamSpec{pairKParam("number of publishers")},
 		Run: func(e *engine.Engine, p Params) (any, error) {
-			k := clampK(p.Int("k"), e.DB().Sources.Len())
-			ids, _ := queries.TopPublishers(e, k)
+			ids, _ := queries.TopPublishers(e, p.Int("k"))
 			co, err := queries.CoReport(e, ids)
 			if err != nil {
 				return nil, err
@@ -271,9 +287,7 @@ func init() {
 			return coreportResult(co), nil
 		},
 		RunSharded: func(v *shard.View, p Params) (any, error) {
-			k := clampK(p.Int("k"), v.DB().Sources().Len())
-			ids, _ := v.TopPublishers(k)
-			co, err := v.CoReport(ids)
+			co, err := v.CoReport(viewPanel(v, p.Int("k")))
 			if err != nil {
 				return nil, err
 			}
@@ -286,14 +300,11 @@ func init() {
 		Help:   "publishing delay statistics of top publishers (Table VIII)",
 		Params: []ParamSpec{kParam("number of publishers")},
 		Run: func(e *engine.Engine, p Params) (any, error) {
-			k := clampK(p.Int("k"), e.DB().Sources.Len())
-			ids, _ := queries.TopPublishers(e, k)
+			ids, _ := queries.TopPublishers(e, p.Int("k"))
 			return queries.PublisherDelays(e, ids), nil
 		},
 		RunSharded: func(v *shard.View, p Params) (any, error) {
-			k := clampK(p.Int("k"), v.DB().Sources().Len())
-			ids, _ := v.TopPublishers(k)
-			return v.PublisherDelays(ids), nil
+			return v.PublisherDelays(viewPanel(v, p.Int("k"))), nil
 		},
 	})
 
@@ -312,12 +323,8 @@ func init() {
 		Kind:       "series-articles",
 		Help:       "articles per quarter (Figure 4)",
 		WindowOnly: true,
-		Run: func(e *engine.Engine, p Params) (any, error) {
-			return queries.ArticlesPerQuarter(e), nil
-		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			return v.ArticlesPerQuarter(), nil
-		},
+		Plan:       func(Params) (queries.AdhocSpec, error) { return countPlan("", "quarter") },
+		Shape:      quarterSeries,
 	})
 
 	register(&Descriptor{
@@ -346,12 +353,8 @@ func init() {
 		Kind:       "series-slow-articles",
 		Help:       "slow articles (delay > 1 interval) per quarter (Figure 11)",
 		WindowOnly: true,
-		Run: func(e *engine.Engine, p Params) (any, error) {
-			return queries.SlowArticlesPerQuarter(e), nil
-		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			return v.SlowArticlesPerQuarter(), nil
-		},
+		Plan:       func(Params) (queries.AdhocSpec, error) { return countPlan(queries.SlowWhere, "quarter") },
+		Shape:      quarterSeries,
 	})
 
 	register(&Descriptor{
@@ -377,21 +380,9 @@ func init() {
 		Kind:   "count",
 		Help:   "count articles matching a filter expression",
 		Params: []ParamSpec{whereParam()},
-		Run: func(e *engine.Engine, p Params) (any, error) {
-			expr := p.Str("where")
-			n, err := queries.CountWhere(e, expr)
-			if err != nil {
-				return nil, BadParam(err)
-			}
-			return CountResult{Where: expr, Articles: n}, nil
-		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			expr := p.Str("where")
-			n, err := v.CountWhere(expr)
-			if err != nil {
-				return nil, BadParam(err)
-			}
-			return CountResult{Where: expr, Articles: n}, nil
+		Plan:   func(p Params) (queries.AdhocSpec, error) { return countPlan(p.Str("where"), "") },
+		Shape: func(p Params, vec queries.AdhocVec, _ func(int) string) any {
+			return CountResult{Where: p.Str("where"), Articles: vec.Count}
 		},
 	})
 
@@ -399,21 +390,9 @@ func init() {
 		Kind:   "filtered-publishers",
 		Help:   "top publishers among articles matching a filter expression",
 		Params: []ParamSpec{whereParam(), kParam("number of publishers")},
-		Run: func(e *engine.Engine, p Params) (any, error) {
-			k := clampK(p.Int("k"), e.DB().Sources.Len())
-			ids, counts, err := queries.TopPublishersWhere(e, p.Str("where"), k)
-			if err != nil {
-				return nil, BadParam(err)
-			}
-			return topPublisherRows(e.DB().Sources, ids, counts), nil
-		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			k := clampK(p.Int("k"), v.DB().Sources().Len())
-			ids, counts, err := v.TopPublishersWhere(p.Str("where"), k)
-			if err != nil {
-				return nil, BadParam(err)
-			}
-			return topPublisherRows(v.DB().Sources(), ids, counts), nil
+		Plan:   func(p Params) (queries.AdhocSpec, error) { return countPlan(p.Str("where"), "source") },
+		Shape: func(p Params, vec queries.AdhocVec, key func(g int) string) any {
+			return publisherRows(p, vec, key, false)
 		},
 	})
 
@@ -421,20 +400,8 @@ func init() {
 		Kind:   "filtered-series",
 		Help:   "articles per quarter among articles matching a filter expression",
 		Params: []ParamSpec{whereParam()},
-		Run: func(e *engine.Engine, p Params) (any, error) {
-			s, err := queries.ArticlesPerQuarterWhere(e, p.Str("where"))
-			if err != nil {
-				return nil, BadParam(err)
-			}
-			return s, nil
-		},
-		RunSharded: func(v *shard.View, p Params) (any, error) {
-			s, err := v.ArticlesPerQuarterWhere(p.Str("where"))
-			if err != nil {
-				return nil, BadParam(err)
-			}
-			return s, nil
-		},
+		Plan:   func(p Params) (queries.AdhocSpec, error) { return countPlan(p.Str("where"), "quarter") },
+		Shape:  quarterSeries,
 	})
 
 	register(&Descriptor{

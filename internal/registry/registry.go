@@ -1,14 +1,18 @@
 // Package registry is the single source of truth for the system's query
 // surface: one table of query descriptors — kind, parameter schema, and an
-// execution function against the engine — that the HTTP server
-// (internal/serve), the CLI (cmd/gdeltquery), the benchmark (bench/) and
-// the differential test harness (internal/baseline) all dispatch through.
+// execution function against the engine and the sharded view — that the
+// HTTP server (internal/serve), the CLI (cmd/gdeltquery), the benchmark
+// (bench/) and the differential test harness (internal/baseline) all
+// dispatch through.
 // Before the registry the same query inventory was wired three separate
 // times; now a kind registered here is automatically
 // served under /api/v1/<kind>, runnable as `gdeltquery <kind>`, covered by
 // the differential harness, and — because a descriptor plus its resolved
 // parameters canonicalize to a stable string — keyable in the result
-// cache (internal/qcache).
+// cache (internal/qcache). A kind that is a filtered, grouped count
+// declares only a plan template and a Shape (Descriptor.Plan/Shape); its
+// Run and RunSharded are derived from them, so it has no kernel of its
+// own on either side (DESIGN.md §13, "Kinds declared as plans").
 package registry
 
 import (
@@ -19,6 +23,7 @@ import (
 	"strings"
 
 	"gdeltmine/internal/engine"
+	"gdeltmine/internal/queries"
 	"gdeltmine/internal/shard"
 )
 
@@ -146,12 +151,14 @@ type Descriptor struct {
 	// Run executes the query against an engine view. The result must be a
 	// freshly built, JSON-encodable value that callers treat as immutable
 	// — it may be shared by reference across concurrent cached requests.
+	// register derives it for a kind declared by Plan and Shape.
 	Run func(e *engine.Engine, p Params) (any, error)
 	// RunSharded executes the query against a sharded view, fanning out
 	// per shard and reducing through the global dictionary remaps. It must
 	// produce the same value (bit-exact integers, 1e-9 floats) as Run on
 	// the equivalent monolith — the invariant the differential battery in
-	// internal/baseline pins for every kind.
+	// internal/baseline pins for every kind. register derives it for a kind
+	// declared by Plan and Shape, or by Archive and Finish.
 	RunSharded func(v *shard.View, p Params) (any, error)
 	// WindowOnly marks a kind whose sharded answer reads nothing but the
 	// mention rows inside the view's window, so it changes only when a
@@ -171,6 +178,17 @@ type Descriptor struct {
 	// parameter set computes only Finish.
 	Archive func(v *shard.View) any
 	Finish  func(v *shard.View, p Params, archive any) (any, error)
+	// Plan and Shape, when set, declare the kind as an ad-hoc plan. Plan
+	// maps the parameters to the plan's spec; Shape renders the plan's
+	// merged vectors as the kind's value, with key naming a group id.
+	// register derives Run (queries.AdhocVectors on the engine) and
+	// RunSharded (shard.View.AdhocVectors, merged over the parts) from
+	// them, so each side supplies only its vectors and its key names, and
+	// the planner's paths, fast paths and qlang_plan_total accounting are
+	// the kind's too. Plan fails only with a parameter error; an execution
+	// error (a clause the store cannot bind) surfaces as one as well.
+	Plan  func(p Params) (queries.AdhocSpec, error)
+	Shape func(p Params, vec queries.AdhocVec, key func(g int) string) any
 }
 
 // ParseParams resolves the descriptor's schema against get, which returns
@@ -293,6 +311,33 @@ var (
 func register(d *Descriptor) *Descriptor {
 	if _, dup := kinds[d.Kind]; dup {
 		panic("registry: duplicate kind " + d.Kind)
+	}
+	if d.Plan != nil || d.Shape != nil {
+		if d.Plan == nil || d.Shape == nil || d.Run != nil || d.RunSharded != nil || d.Archive != nil {
+			panic("registry: kind " + d.Kind + " must set Plan and Shape, and no Run, RunSharded or Archive")
+		}
+		d.Run = func(e *engine.Engine, p Params) (any, error) {
+			spec, err := d.Plan(p)
+			if err != nil {
+				return nil, err
+			}
+			vec, err := queries.AdhocVectors(e, spec)
+			if err != nil {
+				return nil, BadParam(err)
+			}
+			return d.Shape(p, vec, queries.AdhocKey(e.DB(), spec.Group)), nil
+		}
+		d.RunSharded = func(v *shard.View, p Params) (any, error) {
+			spec, err := d.Plan(p)
+			if err != nil {
+				return nil, err
+			}
+			vec, err := v.AdhocVectors(spec)
+			if err != nil {
+				return nil, BadParam(err)
+			}
+			return d.Shape(p, vec, v.AdhocKey(spec.Group)), nil
+		}
 	}
 	if d.Archive != nil || d.Finish != nil {
 		if d.Archive == nil || d.Finish == nil || d.RunSharded != nil {

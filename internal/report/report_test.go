@@ -8,6 +8,7 @@ import (
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/queries"
+	"gdeltmine/internal/registry"
 )
 
 func TestInt(t *testing.T) {
@@ -171,7 +172,11 @@ func TestPaperRenderersEndToEnd(t *testing.T) {
 	if !strings.Contains(f10, "average,median") {
 		t.Fatalf("Figure 10: %q", f10)
 	}
-	f11 := FigureSeries("Figure 11", queries.SlowArticlesPerQuarter(e))
+	slow, err := registry.MustLookup("series-slow-articles").Run(e, registry.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f11 := FigureSeries("Figure 11", slow.(queries.QuarterlySeries))
 	if !strings.Contains(f11, "value") {
 		t.Fatalf("Figure 11: %q", f11)
 	}

@@ -45,35 +45,6 @@ func (v *View) quarterLabels() []string {
 	return labels
 }
 
-// sumPerShard fans a per-shard kernel out over every shard — every kernel
-// runs concurrently as a pool task, each bound to the worker executing it —
-// and folds the n-length partial counters through a pairwise merge tree.
-// Integer addition is associative and commutative, so the result is exact
-// under any fold shape and matches the monolith bit for bit. Partials land
-// in shard-indexed slots (no cross-shard writes); shards skipped by
-// cancellation leave nil slots, which the merge drops.
-func (v *View) sumPerShard(n int, f func(i int, e *engine.Engine) []int64) []int64 {
-	partials := make([][]int64, v.s.K())
-	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
-		partials[i] = f(i, e)
-	})
-	live := partials[:0]
-	for _, p := range partials {
-		if p != nil {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return make([]int64, n)
-	}
-	return parallel.MergeTree(live, func(dst, src []int64) []int64 {
-		for g, c := range src {
-			dst[g] += c
-		}
-		return dst
-	})
-}
-
 // groupCountEvents is the global-event-table analogue of the engine's
 // GroupCountEventsCol: a parallel scan over the merged event table, one run
 // at a time, where count adds rows [lo, hi) of run t to the counters — a
@@ -171,58 +142,6 @@ func (v *View) EventSizes(xmin int) queries.EventSizeDistribution {
 	return out
 }
 
-// TopPublishers ranks global sources by windowed article count, answered
-// from the by-source postings: a local source's count is the length of its
-// postings when the shard's engine window spans every row, and otherwise
-// the number of its row-ascending postings inside that row window, two
-// bisections. The counters scatter through l2gSrc into the global ones,
-// then the same top-k selection (global ids preserve the monolith order,
-// so ties break identically).
-func (v *View) TopPublishers(k int) (ids []int32, counts []int64) {
-	s := v.s
-	local := make([][]int64, s.K())
-	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
-		p := s.parts[i]
-		lo, hi := e.Window()
-		full := lo == 0 && hi == p.Mentions.Len()
-		c := make([]int64, p.Sources.Len())
-		for ls := range c {
-			rows := p.SourceMentions(int32(ls))
-			if !full {
-				a, _ := slices.BinarySearch(rows, int32(lo))
-				b, _ := slices.BinarySearch(rows[a:], int32(hi))
-				rows = rows[a : a+b]
-			}
-			c[ls] = int64(len(rows))
-		}
-		local[i] = c
-	})
-	perSource := make([]int64, s.sources.Len())
-	for i, part := range local { // nil for a shard cancellation skipped
-		for ls, c := range part {
-			perSource[s.l2gSrc[i][ls]] += c
-		}
-	}
-	top := engine.TopK(len(perSource), k, func(i int) int64 { return perSource[i] })
-	for _, g := range top {
-		ids = append(ids, int32(g))
-		counts = append(counts, perSource[g])
-	}
-	return ids, counts
-}
-
-// ArticlesPerQuarter computes Figure 5 by summing per-shard quarter
-// group-counts (quarter ids are global — every shard shares the Meta).
-func (v *View) ArticlesPerQuarter() queries.QuarterlySeries {
-	s := v.s
-	nq := s.NumQuarters()
-	vals := v.sumPerShard(nq, func(i int, e *engine.Engine) []int64 {
-		p := s.parts[i]
-		return e.GroupCountCol(nq, p.Mentions.Interval, p.QuarterLUT())
-	})
-	return queries.QuarterlySeries{Labels: v.quarterLabels(), Values: vals}
-}
-
 // EventsPerQuarter computes Figure 4 over the merged global event table.
 func (v *View) EventsPerQuarter() queries.QuarterlySeries {
 	s := v.s
@@ -302,19 +221,6 @@ func (v *View) ActiveSourcesPerQuarter() queries.QuarterlySeries {
 			}
 		}
 	}
-	return queries.QuarterlySeries{Labels: v.quarterLabels(), Values: vals}
-}
-
-// SlowArticlesPerQuarter computes Figure 11 via the per-shard typed
-// filter→aggregate kernel.
-func (v *View) SlowArticlesPerQuarter() queries.QuarterlySeries {
-	s := v.s
-	nq := s.NumQuarters()
-	vals := v.sumPerShard(nq, func(i int, e *engine.Engine) []int64 {
-		p := s.parts[i]
-		return e.GroupCountColSel(nq, p.Mentions.Interval, p.QuarterLUT(),
-			engine.PredGT(p.Mentions.Delay, gdelt.IntervalsPerDay))
-	})
 	return queries.QuarterlySeries{Labels: v.quarterLabels(), Values: vals}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"gdeltmine/internal/baseline"
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
@@ -55,7 +56,7 @@ func TestMonitorTotalsMatchBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engine.New(res.DB)
-	batchSlow := e.CountMentions(func(row int) bool {
+	batchSlow := baseline.CountMentions(e, func(row int) bool {
 		return int64(res.DB.Mentions.Delay[row]) > gdelt.IntervalsPerDay
 	})
 	if snap.SlowArticles != batchSlow {
