@@ -12,7 +12,7 @@ test -z "$(gofmt -l $(go list -f '{{.Dir}}' ./...))"
 go test ./...
 
 # Fuzz smoke: plain `go test` only replays each target's seed corpus; this
-# runs every Fuzz* target for 5 s of fresh inputs (eight targets, ~1 min on
+# runs every Fuzz* target for 5 s of fresh inputs (seven targets, ~1 min on
 # 2 vCPUs). A failure leaves its input under the package's testdata/fuzz.
 for f in $(grep -l '^func Fuzz' $(go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$.Dir}}/{{.}} {{end}}' ./...)); do
 	for fz in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$f"); do
@@ -30,6 +30,46 @@ go test ./internal/shard -run '^$' -bench 'LogSeal|LogOpen|LogAppend' -benchtime
 # once on the monolith's engine and once on shard.Single; fails if either
 # path errors. Ratios need -benchtime 31x (DESIGN.md §10).
 go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
+
+# Stream restart smoke (small preset, ~10 s): the append-log directory is
+# gdeltstream's only state. An uninterrupted replay is the reference. A
+# replay into a log directory is interrupted with SIGINT — retried with a
+# longer delay until the signal lands after at least one tick — and rerun:
+# the rerun must find exactly the interrupted run's ticks in the log and
+# fold only the rest, exit 3 on the preset's two withheld archives, print
+# the reference's totals and gap list, and fire, with the first run, the
+# reference's alerts. gdeltserve must then serve the directory's world.
+smoke=$(mktemp -d)
+go build -o "$smoke/" ./cmd/gdeltgen ./cmd/gdeltstream ./cmd/gdeltserve
+"$smoke/gdeltgen" -out "$smoke/ds" -preset small
+rc=0
+"$smoke/gdeltstream" -in "$smoke/ds" -progress 0 >"$smoke/full.txt" || rc=$?
+test "$rc" -eq 3
+for delay in 0.05 0.1 0.2 0.4 0.8; do
+	rm -rf "$smoke/log"
+	rc=0
+	timeout --preserve-status -s INT "$delay" "$smoke/gdeltstream" -in "$smoke/ds" -progress 0 \
+		-checkpoint "$smoke/log" >"$smoke/run1.txt" 2>"$smoke/run1.err" || rc=$?
+	folded=$(sed -n 's/.*interrupted after \([0-9]*\) ticks.*/\1/p' "$smoke/run1.err")
+	if [ "$rc" -eq 1 ] && [ "${folded:-0}" -gt 0 ]; then break; fi
+done
+test "$rc" -eq 1 && test "$folded" -gt 0
+rc=0
+"$smoke/gdeltstream" -in "$smoke/ds" -progress 0 -checkpoint "$smoke/log" >"$smoke/run2.txt" || rc=$?
+test "$rc" -eq 3
+grep -q "^resumed log: $folded ticks already folded" "$smoke/run2.txt"
+totals() { grep -E '^(log:|  [0-9]+\. |  [0-9]{14}$)' "$@"; }
+test "$(totals "$smoke/full.txt")" = "$(totals "$smoke/run2.txt")"
+test "$(grep '^ALERT' "$smoke/full.txt" | sort)" = "$(cat "$smoke/run1.txt" "$smoke/run2.txt" | grep '^ALERT' | sort)"
+articles=$(sed -n 's/^log: \([0-9,]*\) articles.*/\1/p' "$smoke/run2.txt" | tr -d ,)
+"$smoke/gdeltserve" -db "$smoke/log" -addr 127.0.0.1:18391 &
+serve=$!
+for i in $(seq 50); do curl -sf http://127.0.0.1:18391/readyz >/dev/null && break; sleep 0.2; done
+stats=$(curl -sf http://127.0.0.1:18391/api/v1/stats) || true
+kill "$serve"
+wait "$serve" || true
+echo "$stats" | grep -q "\"Articles\": $articles,"
+rm -rf "$smoke"
 
 # bench/ is its own module, so the root ./... above never sees it: vet and
 # test it here, or a PR could delete an API the benchmark imports and stay
@@ -140,8 +180,10 @@ go test ./internal/baseline -run '^$' -bench SingleVsEngine -benchtime 1x
 # manifest to be fully-old or fully-new — never torn. Append throughput
 # itself is the live.ingest workload of the benchmark. The live-feed
 # end-to-end test (outage, duplicate tick, reordered drop against a local
-# feed server) and the checkpoint-resume test (a restarted poller must drop
-# checkpointed ticks as duplicates and re-skip gaps too old for the grace
-# window, never re-folding them) ride along in internal/stream
-# (TestLiveFeedEndToEnd, TestLiveResumeFromCheckpoint, TestCheckpoint*).
+# feed server) and the restart tests (a poller or replay resumed over its
+# reopened log directory must drop the ticks the ledger holds as
+# duplicates, re-skip gaps too old for the grace window, and end in the
+# world of an uninterrupted run for every kind) ride along in
+# internal/stream (TestLiveFeedEndToEnd, TestLiveResumeFromCheckpoint,
+# TestCheckpointResume).
 go test -race ./...

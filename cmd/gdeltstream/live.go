@@ -4,25 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log"
 	"net/http"
 	"os"
 	"time"
 
 	"gdeltmine/internal/faults"
-	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/report"
-	"gdeltmine/internal/shard"
-	"gdeltmine/internal/store"
 	"gdeltmine/internal/stream"
 )
 
 // runLive polls a live feed endpoint (the real GDELT lastupdate/masterfile
 // convention, or this command's own -serve-feed) and folds every tick into
-// the monitor and a partitioned append log, with the background compactor
-// sealing the tail as it grows. Exit codes match the replay path: 0 clean,
-// 1 fatal/interrupted, 3 finished with unresolved gaps.
+// the append log, with the compactor sealing the tail as it grows. Exit
+// codes match the replay path: 0 clean, 1 fatal/interrupted, 3 finished
+// with unresolved gaps.
 func runLive(ctx context.Context, base string, mcfg stream.Config, lcfg stream.LiveConfig,
 	ccfg stream.CompactorConfig, poll time.Duration, maxPolls int, ckptPath string) {
 	cl := &stream.FeedClient{Base: base}
@@ -32,65 +28,19 @@ func runLive(ctx context.Context, base string, mcfg stream.Config, lcfg stream.L
 	if err != nil {
 		log.Fatalf("reading feed master list: %v", err)
 	}
-	var lo, hi gdelt.Timestamp
-	for _, e := range ml.Entries {
-		iv, err := e.Interval()
-		if err != nil {
-			continue
-		}
-		if lo == 0 || iv < lo {
-			lo = iv
-		}
-		if iv > hi {
-			hi = iv
-		}
-	}
-	if lo == 0 {
+	ticks := stream.Ticks(ml)
+	if len(ticks) == 0 {
 		log.Fatal("feed master list advertises no parseable chunks")
 	}
-	// The master list is cumulative: observed mid-archive it under-advertises
-	// what the feed will eventually serve, and even a fully-caught-up list
-	// says nothing about tomorrow. Size the world generously past the newest
-	// advertised tick — the cost is 2 bytes per capture interval — so a
-	// live-started client doesn't outrun its own archive span: a year, or 64
-	// feed ticks, whichever is longer.
-	headroom := 64 * lcfg.TickIntervals
-	if yr := int32(366 * gdelt.IntervalsPerDay); headroom < yr {
-		headroom = yr
-	}
-	intervals := int32(hi.IntervalIndex()-lo.IntervalIndex()) + headroom
-	b, err := store.NewBuilder(lo, intervals)
-	if err != nil {
-		log.Fatal(err)
-	}
-	db, _, err := b.Finish()
-	if err != nil {
-		log.Fatal(err)
-	}
-	sdb, err := shard.Split(db, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lg := shard.NewLog(sdb)
-
-	mon := stream.NewMonitor(lo, mcfg)
-	start := lo
-	if ckptPath != "" {
-		cp, err := stream.ReadCheckpointFile(ckptPath)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-		case err != nil:
-			log.Fatal(err)
-		default:
-			if mon, err = stream.FromCheckpoint(cp); err != nil {
-				log.Fatal(err)
-			}
-			start = stream.ResumePoint(mon, lo, lcfg.TickIntervals)
-			log.Printf("resuming live feed at %s", start)
-		}
+	lg := openLog(ckptPath, ticks[0].TS, ticks[len(ticks)-1].TS, lcfg.TickIntervals)
+	mon := stream.NewMonitor(lg, mcfg)
+	start := lg.Snapshot().Meta().Start
+	if len(lg.Ledger()) > 0 {
+		start = mon.ResumePoint(start, lcfg.TickIntervals)
+		log.Printf("resuming live feed at %s", start)
 	}
 
-	runner := stream.NewLiveRunner(cl, mon, lg, start, lcfg)
+	runner := stream.NewLiveRunner(cl, mon, start, lcfg)
 	comp := stream.NewCompactor(lg, ccfg)
 	t := time.NewTicker(poll)
 	defer t.Stop()
@@ -115,24 +65,18 @@ func runLive(ctx context.Context, base string, mcfg stream.Config, lcfg stream.L
 			break
 		}
 	}
-	// Seal whatever the tail still holds so the final world is compacted.
+	// Seal whatever the tail still holds so the final world is compacted
+	// and, with -checkpoint, durable together with its ledger.
 	if _, err := lg.Seal(); err != nil {
 		log.Fatalf("final seal: %v", err)
 	}
 
-	if ckptPath != "" {
-		if err := mon.Checkpoint().WriteFile(ckptPath); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	st := runner.Stats()
-	snap := mon.Snapshot()
-	fmt.Printf("\nlive: %d polls, %d ticks folded (%s events, %s mentions), %d duplicates, %d outages, %d catch-ups\n",
-		st.Polls, st.Ticks, report.Int(int64(st.Events)), report.Int(int64(st.Mentions)),
-		st.Duplicates, st.Outages, st.CatchUps)
-	fmt.Printf("log: %d shards, tail holds %d rows; %s articles observed, %d wildfire alerts\n",
-		lg.Snapshot().K(), lg.TailRows(), report.Int(snap.Articles), len(snap.Alerts))
+	fmt.Printf("\nlive: %d polls, %d ticks folded (%s events, %s mentions, %s late), %d duplicates, %d outages, %d catch-ups, %d wildfire alerts\n",
+		st.Polls, st.Ticks, report.Int(int64(st.Events)), report.Int(int64(st.Mentions)), report.Int(int64(st.Late)),
+		st.Duplicates, st.Outages, st.CatchUps, st.Alerts)
+	fmt.Printf("log: %d shards, %d ticks in the ledger\n", lg.Snapshot().K(), len(lg.Ledger()))
+	printTotals(lg.Snapshot())
 	if len(st.Skipped) > 0 {
 		fmt.Printf("WARNING: %d ticks skipped after repeated stalls: %v\n", len(st.Skipped), st.Skipped)
 	}

@@ -1,53 +1,52 @@
 // Command gdeltstream replays a raw GDELT dataset through the real-time
-// monitoring engine: chunks are consumed in feed order (as a live
-// deployment would consume each 15-minute update), incremental statistics
-// are maintained, and digital-wildfire alerts print the moment their
-// distinct-source threshold is crossed — within one capture interval of
-// ignition, the latency that matters when tracking fast-spreading
-// misinformation.
+// monitoring engine: ticks — each interval's export and mentions chunks —
+// fold in feed order into a partitioned append log (as a live deployment
+// folds each 15-minute update), and digital-wildfire alerts print the
+// moment a tick carries an event past its distinct-source threshold —
+// within one tick of ignition, the latency that matters when tracking
+// fast-spreading misinformation.
 //
 // The replay is fault-tolerant: transient chunk reads are retried with
-// backoff, chunks that stay unreadable are reported as gaps, and late
-// mentions inside -grace intervals are folded in without breaking feed
-// order. With -checkpoint the monitor state is persisted so a restarted
-// replay resumes from where it stopped, consuming only unseen chunks.
+// backoff, ticks that stay unreadable are reported as gaps, and a tick
+// caught up late within -grace intervals still folds when the log can take
+// it. With -checkpoint DIR the append log itself is durable: DIR is created
+// on the first run, every seal persists the log's world together with its
+// chunk ledger, and a rerun reopens DIR and folds only the ticks the
+// ledger lacks. gdeltserve -db DIR serves what the stream folded.
 //
 // Beyond replay, two production-cadence modes cover the live loop end to
 // end. -live polls a feed endpoint speaking the real GDELT convention
 // (lastupdate.txt for the newest tick, masterfilelist.txt for catch-up)
-// and folds every tick into a partitioned append log whose background
-// compactor seals the mutable tail into immutable indexed shards.
-// -serve-feed turns a raw dataset directory into such an endpoint locally,
-// advancing one tick per -feed-tick with optional fault injection
-// (outages, duplicate advertisements, reordered drops) for resilience
-// drills.
+// and folds every tick the same way. -serve-feed turns a raw dataset
+// directory into such an endpoint locally, advancing one tick per
+// -feed-tick with optional fault injection (outages, duplicate
+// advertisements, reordered drops) for resilience drills. In both folding
+// modes a compactor seals the log's mutable tail into immutable indexed
+// parts past -seal-rows rows or -seal-span intervals.
 //
 // Usage:
 //
 //	gdeltstream -in ./dataset [-window 8] [-min 5] [-grace 8] [-retries 5]
-//	            [-checkpoint state.json] [-progress 10000]
+//	            [-checkpoint DIR] [-progress 10000] [-seal-rows N] [-seal-span N]
 //	gdeltstream -live http://host:8090 [-poll 2s] [-max-polls N]
-//	            [-seal-rows N] [-seal-span N] [-checkpoint state.json]
+//	            [-tick-intervals N] [-seal-rows N] [-seal-span N] [-checkpoint DIR]
 //	gdeltstream -in ./dataset -serve-feed :8090 [-feed-tick 2s]
 //	            [-feed-outage 0.05] [-feed-dup 0.05] [-feed-drop 0.05]
 //
 // Exit codes: 0 success, 1 fatal error (or interrupted), 2 usage,
-// 3 replay finished with unresolved missing intervals.
+// 3 finished with unresolved missing ticks.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"syscall"
 	"time"
 
@@ -55,8 +54,12 @@ import (
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/ingest"
+	"gdeltmine/internal/queries"
+	"gdeltmine/internal/registry"
 	"gdeltmine/internal/report"
 	"gdeltmine/internal/retry"
+	"gdeltmine/internal/shard"
+	"gdeltmine/internal/store"
 	"gdeltmine/internal/stream"
 )
 
@@ -67,10 +70,12 @@ func main() {
 		in       = flag.String("in", "", "raw dataset directory (required)")
 		window   = flag.Int("window", 8, "wildfire window in 15-minute intervals")
 		minSrc   = flag.Int("min", 5, "distinct sources that trigger an alert")
-		grace    = flag.Int("grace", 8, "intervals of clock regression tolerated for late chunks")
+		grace    = flag.Int("grace", 8, "intervals behind the newest tick a late tick may still fold")
 		retries  = flag.Int("retries", 5, "chunk read attempts before declaring a gap")
-		ckptPath = flag.String("checkpoint", "", "persist monitor state here and resume from it if present")
-		progress = flag.Int("progress", 100000, "print a snapshot every N articles (0 disables)")
+		ckptPath = flag.String("checkpoint", "", "append-log directory: created on the first run, reopened and resumed after")
+		progress = flag.Int("progress", 100000, "print progress every N folded articles (0 disables)")
+		sealRows = flag.Int("seal-rows", 0, "compactor row threshold (0 = default)")
+		sealSpan = flag.Int("seal-span", 0, "compactor age threshold in intervals (0 = default)")
 
 		// Live-feed mode: poll a lastupdate/masterfile endpoint instead of
 		// replaying a local directory.
@@ -78,8 +83,6 @@ func main() {
 		poll     = flag.Duration("poll", 2*time.Second, "live mode: poll period")
 		maxPolls = flag.Int("max-polls", 0, "live mode: stop after N polls (0 = until interrupted)")
 		tickIv   = flag.Int("tick-intervals", 1, "live mode: capture intervals per feed tick")
-		sealRows = flag.Int("seal-rows", 0, "live mode: compactor row threshold (0 = default)")
-		sealSpan = flag.Int("seal-span", 0, "live mode: compactor age threshold in intervals (0 = default)")
 
 		// Feed-server mode: serve -in over the live protocol for local drills.
 		serveFeed = flag.String("serve-feed", "", "serve -in as a live feed on this address (e.g. :8090)")
@@ -98,23 +101,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	if *serveFeed != "" {
+	mcfg := stream.Config{Window: int32(*window), MinSources: *minSrc, GraceIntervals: int32(*grace)}
+	ccfg := stream.CompactorConfig{MaxTailRows: *sealRows, MaxTailSpan: int32(*sealSpan)}
+	switch {
+	case *serveFeed != "":
 		runFeedServer(ctx, *serveFeed, *in, *feedTick, &faults.FeedChaos{
 			Seed: *feedSeed, OutageProb: *feedOut, DuplicateProb: *feedDup, DropProb: *feedDrop,
 		})
-		return
+	case *live != "":
+		mcfg.ChunkIntervals = int32(*tickIv)
+		runLive(ctx, *live, mcfg, stream.LiveConfig{TickIntervals: int32(*tickIv)}, ccfg, *poll, *maxPolls, *ckptPath)
+	default:
+		runReplay(ctx, *in, mcfg, ccfg, *retries, *progress, *ckptPath)
 	}
-	if *live != "" {
-		runLive(ctx, *live,
-			stream.Config{Window: int32(*window), MinSources: *minSrc,
-				GraceIntervals: int32(*grace), ChunkIntervals: int32(*tickIv)},
-			stream.LiveConfig{TickIntervals: int32(*tickIv)},
-			stream.CompactorConfig{MaxTailRows: *sealRows, MaxTailSpan: int32(*sealSpan)},
-			*poll, *maxPolls, *ckptPath)
-		return
-	}
+}
 
-	f, err := os.Open(filepath.Join(*in, gen.MasterFileName))
+// runReplay folds the dataset under dir tick by tick, in feed order.
+func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.CompactorConfig,
+	retries, progress int, ckptPath string) {
+	f, err := os.Open(filepath.Join(dir, gen.MasterFileName))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,144 +128,101 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Feed order: mentions chunks by interval.
-	type feedChunk struct {
-		entry gdelt.MasterEntry
-		ts    gdelt.Timestamp
+	ticks := stream.Ticks(ml)
+	if len(ticks) == 0 {
+		log.Fatal("master list advertises no parseable chunks")
 	}
-	var chunks []feedChunk
-	var first gdelt.Timestamp
-	for _, e := range ml.Entries {
-		iv, err := e.Interval()
-		if err != nil {
-			continue
-		}
-		if first == 0 || iv < first {
-			first = iv
-		}
-		if e.Kind() == "mentions" {
-			chunks = append(chunks, feedChunk{entry: e, ts: iv})
-		}
+	spacing := int32(1)
+	if len(ticks) > 1 {
+		spacing = int32(ticks[1].TS.IntervalIndex() - ticks[0].TS.IntervalIndex())
 	}
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].entry.Path < chunks[b].entry.Path })
-
-	cfg := stream.Config{
-		Window:         int32(*window),
-		MinSources:     *minSrc,
-		GraceIntervals: int32(*grace),
-	}
-	mon := stream.NewMonitor(first, cfg)
-	resumed := 0
-	if *ckptPath != "" {
-		cp, err := stream.ReadCheckpointFile(*ckptPath)
-		switch {
-		case errors.Is(err, fs.ErrNotExist):
-			// First run: nothing to resume.
-		case err != nil:
-			log.Fatal(err)
-		default:
-			mon, err = stream.FromCheckpoint(cp)
-			if err != nil {
-				log.Fatal(err)
-			}
-			resumed = 1
-		}
-	}
+	lg := openLog(ckptPath, ticks[0].TS, ticks[len(ticks)-1].TS, spacing)
+	mon := stream.NewMonitor(lg, mcfg)
+	comp := stream.NewCompactor(lg, ccfg)
 
 	pol := retry.DefaultPolicy()
-	pol.MaxAttempts = *retries
-	reader := &ingest.Reader{Src: ingest.Dir(*in), Retry: pol}
+	pol.MaxAttempts = retries
+	reader := &ingest.Reader{Src: ingest.Dir(dir), Retry: pol}
+	read := func(ctx context.Context, e gdelt.MasterEntry) ([]byte, error) {
+		data, err := reader.Read(ctx, e)
+		var ce *ingest.ChecksumError
+		if errors.As(err, &ce) {
+			return data, nil // damaged but present: fold what survived
+		}
+		return data, err
+	}
 
 	start := time.Now()
-	var fields [][]byte
-	alertsSeen := len(mon.Snapshot().Alerts)
-	skipped, unreadable := 0, 0
+	var folded, already, stale, unreadable, alerts int
+	var mentions, late int64
 	interrupted := false
-feed:
-	for _, chunk := range chunks {
+	for _, t := range ticks {
 		if ctx.Err() != nil {
 			interrupted = true
 			break
 		}
-		if resumed > 0 && mon.SeenChunk(chunk.ts) {
-			skipped++
+		if mon.SeenChunk(t.TS) {
+			already++
 			continue
 		}
-		data, err := reader.Read(ctx, chunk.entry)
-		var ce *ingest.ChecksumError
-		switch {
-		case errors.As(err, &ce):
-			// Damaged but present: parse what survived, the gap is closed.
-		case errors.Is(err, context.Canceled):
-			interrupted = true
-			break feed
-		case err != nil:
-			unreadable++
-			log.Printf("chunk %s unreadable after %d attempts: %v", chunk.entry.Path, *retries, err)
-			continue // the interval stays unmarked and shows up as a gap
+		if !mon.Foldable(t.TS) {
+			stale++ // stays a gap in the ledger
+			continue
 		}
-		mon.MarkChunk(chunk.ts)
-		for len(data) > 0 {
-			var line []byte
-			if i := bytes.IndexByte(data, '\n'); i >= 0 {
-				line, data = data[:i], data[i+1:]
-			} else {
-				line, data = data, nil
-			}
-			if len(line) == 0 {
-				continue
-			}
-			fields = gdelt.SplitTabs(line, fields)
-			mn, err := gdelt.ParseMentionFields(fields)
-			if err != nil {
-				continue
-			}
-			if err := mon.ObserveMention(&mn); err != nil {
-				log.Fatalf("feed order violated: %v", err)
-			}
-			snap := mon.Snapshot()
-			for _, a := range snap.Alerts[alertsSeen:] {
-				fmt.Printf("ALERT interval=%d event=%d sources=%d\n", a.FiredAt, a.EventID, a.Sources)
-				alertsSeen++
-			}
-			if *progress > 0 && snap.Articles%int64(*progress) == 0 {
-				fmt.Printf("... %s articles, %s slow, %d tracked events, %d alerts\n",
-					report.Int(snap.Articles), report.Int(snap.SlowArticles),
-					snap.TrackedEvents, len(snap.Alerts))
-			}
+		evs, mns, err := stream.ReadTick(ctx, t.Entries, read)
+		if ctx.Err() != nil {
+			interrupted = true
+			break
+		}
+		if err != nil {
+			unreadable++
+			log.Printf("tick %s unreadable after %d attempts: %v", t.TS, retries, err)
+			continue // the tick stays unmarked and shows up as a gap
+		}
+		fd, err := mon.Fold(t.TS, evs, mns)
+		if err != nil {
+			log.Fatalf("folding tick %s: %v", t.TS, err)
+		}
+		folded++
+		for _, a := range fd.Alerts {
+			fmt.Printf("ALERT interval=%d event=%d sources=%d\n", a.FiredAt, a.EventID, a.Sources)
+		}
+		alerts += len(fd.Alerts)
+		n := int64(fd.AppendedMentions)
+		if fd.Late {
+			late += n
+		}
+		if progress > 0 && mentions/int64(progress) != (mentions+n)/int64(progress) {
+			fmt.Printf("... %d ticks, %s articles folded, %d alerts\n", folded, report.Int(mentions+n), alerts)
+		}
+		mentions += n
+		if _, err := comp.RunOnce(); err != nil {
+			log.Fatalf("compactor: %v", err)
 		}
 	}
-
-	if *ckptPath != "" {
-		if err := mon.Checkpoint().WriteFile(*ckptPath); err != nil {
-			log.Fatal(err)
-		}
+	// Seal whatever the tail still holds: the final world is compacted and,
+	// with -checkpoint, durable together with its ledger.
+	if _, err := lg.Seal(); err != nil {
+		log.Fatalf("final seal: %v", err)
 	}
 	if interrupted {
-		if *ckptPath != "" {
-			log.Printf("interrupted; state saved to %s — rerun to resume", *ckptPath)
+		if ckptPath != "" {
+			log.Printf("interrupted after %d ticks; log sealed in %s — rerun to resume", folded, ckptPath)
 		} else {
 			log.Print("interrupted")
 		}
 		os.Exit(1)
 	}
 
-	snap := mon.Snapshot()
-	top := mon.TopPublishers(5)
-	fmt.Printf("\nreplayed %s articles in %v: %s slow (>24h), %s late, %d wildfire alerts\n",
-		report.Int(snap.Articles), time.Since(start).Round(time.Millisecond),
-		report.Int(snap.SlowArticles), report.Int(snap.LateArticles), len(snap.Alerts))
-	if skipped > 0 {
-		fmt.Printf("resumed from checkpoint: %d chunks already consumed\n", skipped)
+	fmt.Printf("\nfolded %d ticks (%s articles) in %v: %s late, %d wildfire alerts\n",
+		folded, report.Int(mentions), time.Since(start).Round(time.Millisecond), report.Int(late), alerts)
+	if already > 0 {
+		fmt.Printf("resumed log: %d ticks already folded\n", already)
 	}
-	fmt.Println("most productive sources so far:")
-	for i, p := range top {
-		fmt.Printf("  %d. %-32s %s articles\n", i+1, p.Source, report.Int(p.Articles))
-	}
-
+	printTotals(lg.Snapshot())
 	if gaps := mon.Gaps(); len(gaps) > 0 {
-		fmt.Printf("\nWARNING: replay ended with %d unresolved missing intervals (%d chunks unreadable):\n",
-			len(gaps), unreadable)
+		fmt.Printf("\nWARNING: replay ended with %d unresolved missing ticks (%d unreadable, %d too old to fold):\n",
+			len(gaps), unreadable, stale)
 		for i, g := range gaps {
 			if i == 10 {
 				fmt.Printf("  ... and %d more\n", len(gaps)-10)
@@ -270,4 +232,80 @@ feed:
 		}
 		os.Exit(3)
 	}
+}
+
+// openLog returns the append log a run folds into: in memory when dir is
+// empty, else the log persisted under dir — reopened when its manifest
+// exists, created over an empty world otherwise. The world starts at the
+// first tick and reaches a year, or 64 ticks, past the last one: a
+// master list observed mid-archive under-advertises what the feed will
+// serve, and a seal needs interval range left after the newest data. The
+// cost is 2 bytes per capture interval.
+func openLog(dir string, first, last gdelt.Timestamp, spacing int32) *shard.Log {
+	if dir != "" {
+		if _, err := os.Stat(filepath.Join(dir, shard.LogManifestName)); err == nil {
+			lg, err := shard.OpenLog(dir)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return lg
+		}
+	}
+	headroom := max(64*spacing, int32(366*gdelt.IntervalsPerDay))
+	b, err := store.NewBuilder(first, int32(last.IntervalIndex()-first.IntervalIndex())+headroom)
+	if err != nil {
+		log.Fatal(err)
+	}
+	db, _, err := b.Finish()
+	if err != nil {
+		log.Fatal(err)
+	}
+	sdb, err := shard.Split(db, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if dir == "" {
+		return shard.NewLog(sdb)
+	}
+	lg, err := shard.CreateLog(dir, sdb)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return lg
+}
+
+// printTotals prints what the log holds through the registry kinds a
+// server answers with: stats, the slow-article count and the top
+// publishers.
+func printTotals(s *shard.DB) {
+	ds := runKind(s, "stats").(queries.DatasetStats)
+	slow := runKind(s, "count", "where", queries.SlowWhere).(registry.CountResult)
+	fmt.Printf("log: %s articles, %s events, %d sources; %s slow (>24h)\n",
+		report.Int(ds.Articles), report.Int(ds.Events), ds.Sources, report.Int(slow.Articles))
+	fmt.Println("most productive sources:")
+	for _, p := range runKind(s, "top-publishers", "k", "5").([]registry.PublisherRow) {
+		fmt.Printf("  %d. %-32s %s articles\n", p.Rank, p.Source, report.Int(p.Articles))
+	}
+}
+
+// runKind answers one registry kind on s; kv are parameter name/value
+// pairs.
+func runKind(s *shard.DB, kind string, kv ...string) any {
+	d := registry.MustLookup(kind)
+	p, err := d.ParseParams(func(name string) []string {
+		for i := 0; i+1 < len(kv); i += 2 {
+			if kv[i] == name {
+				return kv[i+1 : i+2]
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := d.RunSharded(s.View().WithKind(kind), p)
+	if err != nil {
+		log.Fatalf("%s: %v", kind, err)
+	}
+	return out
 }

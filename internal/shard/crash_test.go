@@ -5,13 +5,16 @@
 // each simulated crash must yield a fully-old or fully-new world — never a
 // torn mix, never a load error — where "old" is the world as of the last
 // successful persist (appended ticks are in-memory by contract and are
-// re-folded from the feed on recovery).
+// re-folded from the feed on recovery). A world is its data and its chunk
+// ledger together: a reopen must never pair one generation's rows with
+// another's ledger.
 package shard_test
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/faults"
@@ -20,17 +23,20 @@ import (
 	"gdeltmine/internal/shard"
 )
 
-// crashWorld captures the comparable identity of a sharded world.
+// crashWorld captures the comparable identity of a log's world: the
+// sharded data and the ledger of the ticks it holds.
 type crashWorld struct {
 	k       int
 	bounds  []int32
 	rows    []int
+	ledger  []int32
 	answers map[string]any
 }
 
-func captureWorld(t *testing.T, s *shard.DB) crashWorld {
+func captureWorld(t *testing.T, lg *shard.Log) crashWorld {
 	t.Helper()
-	w := crashWorld{k: s.K(), bounds: s.Bounds(), answers: map[string]any{}}
+	s := lg.Snapshot()
+	w := crashWorld{k: s.K(), bounds: s.Bounds(), ledger: lg.Ledger(), answers: map[string]any{}}
 	for i := 0; i < s.K(); i++ {
 		w.rows = append(w.rows, s.Part(i).Mentions.Len())
 	}
@@ -41,7 +47,7 @@ func captureWorld(t *testing.T, s *shard.DB) crashWorld {
 }
 
 func sameWorld(a, b crashWorld) bool {
-	return a.k == b.k && reflect.DeepEqual(a.bounds, b.bounds) &&
+	return a.k == b.k && reflect.DeepEqual(a.bounds, b.bounds) && slices.Equal(a.ledger, b.ledger) &&
 		reflect.DeepEqual(a.rows, b.rows) && reflect.DeepEqual(a.answers, b.answers)
 }
 
@@ -68,9 +74,25 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 		last = max(last, c.Mentions[j].Interval)
 	}
 	chunks = append(chunks, []gdelt.Mention{oldEventMention(t, c, sdb0, last)})
+	// Each chunk is one tick, marked at its first mention's capture time.
+	for i := 1; i < len(chunks); i++ {
+		if chunks[i][0].MentionTime <= chunks[i-1][0].MentionTime {
+			t.Fatalf("ticks %d and %d share a mark", i-1, i)
+		}
+	}
+	fold := func(t *testing.T, lg *shard.Log, chunks [][]gdelt.Mention) {
+		t.Helper()
+		for _, ch := range chunks {
+			if _, err := lg.AppendTick(ch[0].MentionTime, nil, ch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
-	// setup replays the identical workload into a fresh directory and
-	// stops right before the seal under test.
+	// setup replays the identical workload into a fresh directory: the
+	// first tick folded and durably sealed (the old world on disk carries a
+	// ledger too), the rest folded in memory; it stops right before the
+	// seal under test.
 	setup := func(t *testing.T) *shard.Log {
 		t.Helper()
 		sdb, err := shard.Split(buildPrefix(t, c, cut), 2)
@@ -81,10 +103,9 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ch := range chunks {
-			if _, err := lg.Append(nil, ch); err != nil {
-				t.Fatal(err)
-			}
+		fold(t, lg, chunks[:1])
+		if sealed, err := lg.Seal(); err != nil || !sealed {
+			t.Fatalf("setup seal: (%v, %v)", sealed, err)
 		}
 		return lg
 	}
@@ -93,15 +114,19 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 	// pinning the legal post-crash worlds. oldDisk is the last persisted
 	// world (appends are in-memory until a seal lands); oldMem is the
 	// published snapshot a failed seal must leave untouched.
-	oldDisk := captureWorld(t, sdb0)
 	rec := &faults.FSPlan{}
 	lg := setup(t)
-	oldMem := captureWorld(t, lg.Snapshot())
+	oldDisk := captureWorld(t, lg)
+	fold(t, lg, chunks[1:])
+	oldMem := captureWorld(t, lg)
 	lg.SetStepHook(rec.Hook)
 	if sealed, err := lg.Seal(); err != nil || !sealed {
 		t.Fatalf("recording seal: (%v, %v)", sealed, err)
 	}
-	newWorld := captureWorld(t, lg.Snapshot())
+	newWorld := captureWorld(t, lg)
+	if len(oldDisk.ledger) != 1 || len(newWorld.ledger) != len(chunks) {
+		t.Fatalf("ledgers old %v, new %v; want 1 and %d ticks", oldDisk.ledger, newWorld.ledger, len(chunks))
+	}
 	steps := rec.Steps()
 	if len(steps) < 7 {
 		t.Fatalf("recorded only %d protocol steps: %v", len(steps), steps)
@@ -122,6 +147,7 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 		fail := fail
 		t.Run(fmt.Sprintf("step%02d-%s", fail, steps[fail-1].Op), func(t *testing.T) {
 			lg := setup(t)
+			fold(t, lg, chunks[1:])
 			plan := &faults.FSPlan{FailStep: fail}
 			lg.SetStepHook(plan.Hook)
 			sealed, err := lg.Seal()
@@ -137,7 +163,7 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 			}
 			// The in-memory world must still be the appended one (the
 			// process, had it survived, keeps serving and retries later).
-			if got := captureWorld(t, lg.Snapshot()); !sameWorld(got, oldMem) {
+			if got := captureWorld(t, lg); !sameWorld(got, oldMem) {
 				t.Fatal("failed seal left a mutated in-memory world published")
 			}
 			// Simulated restart: reopen the directory cold.
@@ -145,7 +171,12 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopening after crash at step %d: %v", fail, err)
 			}
-			got := captureWorld(t, re.Snapshot())
+			got := captureWorld(t, re)
+			// The ledger decides what recovery folds: a tick it holds is
+			// refused, one it lacks goes back in.
+			if _, err := re.AppendTick(chunks[0][0].MentionTime, nil, chunks[0]); err == nil {
+				t.Fatal("reopened log folded the durably sealed tick again")
+			}
 			switch {
 			case sameWorld(got, oldDisk):
 				sawOld++
@@ -155,15 +186,11 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 				// Real recovery: re-fold the lost ticks (the live poller
 				// replays them from the feed), then seal again — the
 				// directory must not have been poisoned by the crash.
-				for _, ch := range chunks {
-					if _, err := re.Append(nil, ch); err != nil {
-						t.Fatalf("replaying ticks after recovery: %v", err)
-					}
-				}
+				fold(t, re, chunks[1:])
 				if sealed, err := re.Seal(); err != nil || !sealed {
 					t.Fatalf("post-recovery seal: (%v, %v)", sealed, err)
 				}
-				if got := captureWorld(t, re.Snapshot()); !sameWorld(got, newWorld) {
+				if got := captureWorld(t, re); !sameWorld(got, newWorld) {
 					t.Fatal("post-recovery replay+seal did not converge to the sealed world")
 				}
 			case sameWorld(got, newWorld):
@@ -179,8 +206,8 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 					t.Fatalf("seal on fully-new recovery: (%v, %v), want (false, nil)", sealed, err)
 				}
 			default:
-				t.Fatalf("crash at step %d (%s) left a TORN world: k=%d bounds=%v rows=%v",
-					fail, steps[fail-1].Op, got.k, got.bounds, got.rows)
+				t.Fatalf("crash at step %d (%s) left a TORN world: k=%d bounds=%v rows=%v ledger=%v",
+					fail, steps[fail-1].Op, got.k, got.bounds, got.rows, got.ledger)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,10 +54,12 @@ var (
 // stale while cold-window entries stay warm.
 //
 // Durability contract: appended ticks live in memory only; recovery after
-// a crash is the stream checkpoint plus masterfile catch-up (the live
-// poller re-folds ticks the checkpoint has not marked). Seal is the
+// a crash is the log's own chunk ledger plus masterfile catch-up (the
+// stream re-folds the ticks the reopened ledger does not hold). Seal is the
 // durability point: when the log has a directory, every seal persists the
-// new world with the crash-safe protocol below before publishing it. A
+// new world and the ledger of the ticks it holds, with the crash-safe
+// protocol below, before publishing it — data and ledger are both old or
+// both new on disk. A
 // seal writes only the two parts it creates; the per-event metadata an
 // append changes in older parts' copies reaches disk through the newer
 // part that holds the event, and OpenLog copies it back down
@@ -72,6 +75,11 @@ type Log struct {
 	// ranges from the world's bounds.
 	files []ManifestEntry
 	hook  StepHook
+	// marks is the chunk ledger: the start of every tick AppendTick folded,
+	// as a capture-interval offset, ascending. A mark is only ever added at
+	// the end of the backing array or into a fresh copy, so a slice handed
+	// out by Ledger never changes under its holder.
+	marks []int32
 }
 
 // StepHook observes — and can abort — each step of the crash-safe persist
@@ -169,7 +177,7 @@ func OpenLog(dir string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg := &Log{dir: dir, files: entries}
+	lg := &Log{dir: dir, files: entries, marks: m.Ledger}
 	lg.cur.Store(db)
 	mLogParts.Set(float64(db.K()))
 	lg.gen = scanMaxGen(dir, entries)
@@ -261,9 +269,43 @@ func (lg *Log) TailSpan() int32 {
 // sealed world. The new tail carries the old tail's version plus one.
 // Appended ticks are in memory only until the next Seal.
 func (lg *Log) Append(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
-	start := time.Now()
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
+	return lg.appendLocked(evs, mns)
+}
+
+// AppendTick is Append for one whole feed tick starting at ts: the tick
+// joins the chunk ledger in the critical section that publishes its rows,
+// so a seal persists both or neither — the marks of ticks that leave the
+// tail without mentions reach disk with the next seal that has some. A
+// tick the ledger already holds, or one starting outside the archive, is
+// refused before anything is appended.
+func (lg *Log) AppendTick(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	meta := lg.cur.Load().meta
+	iv := ts.IntervalIndex() - meta.Start.IntervalIndex()
+	if iv < 0 || iv >= int64(meta.Intervals) {
+		return store.AppendStats{}, fmt.Errorf("shard: tick %s outside the archive span", ts)
+	}
+	at, found := slices.BinarySearch(lg.marks, int32(iv))
+	if found {
+		return store.AppendStats{}, fmt.Errorf("shard: tick %s already folded", ts)
+	}
+	st, err := lg.appendLocked(evs, mns)
+	if err != nil {
+		return st, err
+	}
+	if at == len(lg.marks) {
+		lg.marks = append(lg.marks, int32(iv))
+	} else {
+		lg.marks = slices.Insert(slices.Clip(lg.marks), at, int32(iv))
+	}
+	return st, nil
+}
+
+func (lg *Log) appendLocked(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
+	start := time.Now()
 	next, st, err := lg.cur.Load().appendTail(evs, mns)
 	if err != nil {
 		return st, err
@@ -271,6 +313,15 @@ func (lg *Log) Append(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats
 	lg.cur.Store(next)
 	mAppendSeconds.ObserveSince(start)
 	return st, nil
+}
+
+// Ledger returns the chunk ledger: the start of every tick the log holds,
+// as a capture-interval offset from the archive start, ascending. The
+// slice is shared: it never changes, and the caller must not write it.
+func (lg *Log) Ledger() []int32 {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	return lg.marks
 }
 
 // Seal closes the current tail: every filled interval (up to and including
@@ -357,8 +408,8 @@ func (lg *Log) Seal() (bool, error) {
 // leaves the old world, after it the new world — never a torn mix. Every
 // step consults the hook first, which is how the crash harness simulates
 // dying at that exact point. Each changed part's digest is recorded in
-// files[i] as it is written; the manifest records every part's. Returns
-// the manifest's size in bytes.
+// files[i] as it is written; the manifest records every part's, and the
+// chunk ledger as of this world. Returns the manifest's size in bytes.
 func (lg *Log) persist(db *DB, files []ManifestEntry, changed []int) (int64, error) {
 	for _, i := range changed {
 		final := filepath.Join(lg.dir, files[i].File)
@@ -374,6 +425,7 @@ func (lg *Log) persist(db *DB, files []ManifestEntry, changed []int) (int64, err
 	if err != nil {
 		return 0, err
 	}
+	m.Ledger = lg.marks
 	final := filepath.Join(lg.dir, LogManifestName)
 	d, err := writeFileSteps(lg.hook, OpWriteManifest, OpSyncManifest, OpRenameManifest, final, func(w io.Writer) error {
 		return EncodeManifest(w, m)

@@ -20,8 +20,10 @@ import (
 // section is a tag byte, a uvarint payload length, the payload, and a
 // CRC32 (IEEE) of the payload. Sections: one meta, one entry per shard
 // (file name, interval range, and the part file's digest: its byte size
-// and a CRC-32C of the whole file), the global source-name list, and an
-// optional global theme-name list. The global dictionaries travel as
+// and a CRC-32C of the whole file), the global source-name list, an
+// optional global theme-name list, and an optional chunk ledger (the ticks
+// a log's world holds, written only when there are any, as runs of evenly
+// spaced marks). The global dictionaries travel as
 // ordered name lists — the local→global remaps are re-derived by name at
 // assembly, so there are no index arrays to corrupt. The decoder is
 // defensive end to end: every length is bounded before allocation and
@@ -41,6 +43,7 @@ const (
 	secEntry   = 0x02
 	secSources = 0x03
 	secThemes  = 0x04
+	secLedger  = 0x09 // 0x05–0x08 held the bitmaps of retired versions
 	secEnd     = 0xFF
 )
 
@@ -51,6 +54,7 @@ const (
 	maxEntries = 1 << 16
 	maxNames   = 1 << 24
 	maxNameLen = 1 << 20
+	maxMarks   = 1 << 22
 )
 
 // ManifestEntry names one shard file, the interval range it owns, and the
@@ -103,6 +107,9 @@ type Manifest struct {
 	Entries []ManifestEntry
 	Sources []string
 	Themes  []string // nil when the shards carry no GKG data
+	// Ledger is the chunk ledger of the ticks the world holds (Log.Ledger):
+	// capture-interval offsets, ascending, inside the archive span.
+	Ledger []int32
 }
 
 // ManifestFromDB renders the manifest for a sharded DB whose part files
@@ -150,6 +157,9 @@ func EncodeManifest(w io.Writer, m *Manifest) error {
 	if m.Themes != nil {
 		writeSection(bw, secThemes, appendStrings(nil, m.Themes))
 	}
+	if len(m.Ledger) > 0 {
+		writeSection(bw, secLedger, appendLedger(nil, m.Ledger))
+	}
 	writeSection(bw, secEnd, nil)
 	// A bufio.Writer keeps the first write error and returns it from every
 	// later call, Flush included, so the writes above go unchecked.
@@ -166,6 +176,27 @@ func writeSection(w *bufio.Writer, tag byte, payload []byte) {
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// appendLedger encodes ascending marks as a run count followed by runs of
+// (first mark, step, marks): a feed folded without gaps is one run.
+func appendLedger(dst []byte, marks []int32) []byte {
+	var runs []byte
+	n := 0
+	for i := 0; i < len(marks); n++ {
+		j, step := i+1, int32(0)
+		if j < len(marks) {
+			step = marks[j] - marks[i]
+			for j < len(marks) && marks[j]-marks[j-1] == step {
+				j++
+			}
+		}
+		runs = binary.AppendUvarint(runs, uint64(marks[i]))
+		runs = binary.AppendUvarint(runs, uint64(step))
+		runs = binary.AppendUvarint(runs, uint64(j-i))
+		i = j
+	}
+	return append(binary.AppendUvarint(dst, uint64(n)), runs...)
 }
 
 func appendStrings(dst []byte, names []string) []byte {
@@ -191,7 +222,7 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: unsupported manifest version %d", hdr[4])
 	}
 	m := &Manifest{}
-	var haveMeta, haveSources, haveThemes, haveEnd bool
+	var haveMeta, haveSources, haveThemes, haveLedger, haveEnd bool
 	for !haveEnd {
 		tag, payload, err := readSection(br)
 		if err != nil {
@@ -241,6 +272,17 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 			}
 			haveThemes = true
 			m.Themes = d.strs()
+		case secLedger:
+			if haveLedger {
+				return nil, fmt.Errorf("shard: duplicate ledger section")
+			}
+			haveLedger = true
+			if !haveMeta {
+				return nil, fmt.Errorf("shard: ledger section before meta")
+			}
+			if m.Ledger, err = d.ledger(m.Meta.Intervals); err != nil {
+				return nil, err
+			}
 		case secEnd:
 			haveEnd = true
 		default:
@@ -360,6 +402,44 @@ func (d *mdecoder) strs() []string {
 		out = append(out, d.str())
 	}
 	return out
+}
+
+// ledger decodes a chunk ledger and checks it against an archive of
+// intervals capture intervals: every run is non-empty, advances when it has
+// more than one mark, starts past the previous run's last mark and ends
+// inside the span. Truncation is latched in d.err like any other field.
+func (d *mdecoder) ledger(intervals int32) ([]int32, error) {
+	n := d.uvarint()
+	if n > uint64(d.rem()) {
+		d.fail("run count %d exceeds payload", n)
+	}
+	span := uint64(intervals)
+	var marks []int32
+	prevFirst := int32(-1)
+	for r := uint64(0); r < n; r++ {
+		first, step, count := d.uvarint(), d.uvarint(), d.uvarint()
+		switch {
+		case d.err != nil:
+			return nil, nil
+		case count == 0:
+			return nil, fmt.Errorf("shard: ledger run %d is empty", r)
+		case count > 1 && step == 0:
+			return nil, fmt.Errorf("shard: ledger run %d repeats mark %d", r, first)
+		case first >= span || step >= span || count > span || first+(count-1)*step >= span:
+			return nil, fmt.Errorf("shard: ledger run %d leaves the archive span [0, %d)", r, intervals)
+		case uint64(len(marks))+count > maxMarks:
+			return nil, fmt.Errorf("shard: ledger holds more than %d marks", maxMarks)
+		case int32(first) < prevFirst:
+			return nil, fmt.Errorf("shard: ledger run %d starts before the run preceding it", r)
+		case len(marks) > 0 && int32(first) <= marks[len(marks)-1]:
+			return nil, fmt.Errorf("shard: ledger run %d overlaps the run preceding it", r)
+		}
+		prevFirst = int32(first)
+		for i := uint64(0); i < count; i++ {
+			marks = append(marks, int32(first+i*step))
+		}
+	}
+	return marks, nil
 }
 
 // AssembleSharded builds a sharded DB from a decoded manifest and its

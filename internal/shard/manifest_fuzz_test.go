@@ -65,7 +65,9 @@ func tinyShardedWorld(tb testing.TB) (*DB, []byte) {
 
 // manifestFuzzSeeds are the interesting starting points: a fully valid
 // manifest, truncations at the header and mid-section, a corrupt magic,
-// and bit flips landing in tags, lengths, varints, name bytes, and CRCs.
+// bit flips landing in tags, lengths, varints, name bytes, and CRCs, and
+// manifests carrying a chunk ledger — a valid one and every malformed run
+// shape the decoder refuses.
 func manifestFuzzSeeds(tb testing.TB) map[string][]byte {
 	_, valid := tinyShardedWorld(tb)
 	seeds := map[string][]byte{
@@ -80,13 +82,19 @@ func manifestFuzzSeeds(tb testing.TB) map[string][]byte {
 		mut[off] ^= 0xff
 		seeds["flip-"+strconv.Itoa(off)] = mut
 	}
+	seeds["ledger-valid"] = ledgerManifest(tb, ledgerRuns([3]uint64{0, 96, 3}, [3]uint64{500, 1, 3}))
+	sdb, _ := tinyShardedWorld(tb)
+	for _, c := range malformedLedgers(uint64(sdb.Meta().Intervals)) {
+		seeds["ledger-"+c.name] = ledgerManifest(tb, c.payload)
+	}
 	return seeds
 }
 
 // FuzzManifestDecode asserts the manifest decoder's contract on arbitrary
 // bytes: DecodeManifest either errors or returns a manifest that (a) is a
 // version 4 one, (b) survives an encode/decode round trip and (c) can be
-// fed to AssembleSharded without panicking — corrupt manifests must surface
+// fed to AssembleSharded without panicking, and holds a ledger of ascending
+// marks inside the archive span — corrupt manifests must surface
 // as errors, never as crashes, because OpenLog hands attacker-adjacent
 // disk bytes straight to this path. The checked-in corpus under
 // testdata/fuzz/FuzzManifestDecode replays known-interesting inputs on
@@ -108,6 +116,11 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		if data[4] != manifestVersion {
 			t.Fatalf("accepted a version %d manifest", data[4])
+		}
+		for i, iv := range m.Ledger {
+			if iv < 0 || iv >= m.Meta.Intervals || (i > 0 && iv <= m.Ledger[i-1]) {
+				t.Fatalf("accepted ledger %v: mark %d out of order or outside [0, %d)", m.Ledger, i, m.Meta.Intervals)
+			}
 		}
 		var buf bytes.Buffer
 		if err := EncodeManifest(&buf, m); err != nil {

@@ -3,8 +3,11 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -58,6 +61,130 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := AssembleSharded(m, parts); err != nil {
 		t.Fatalf("assembling v4 manifest: %v", err)
+	}
+
+	// A chunk ledger round-trips, irregular runs included; an empty one
+	// writes no section, so a manifest without ticks keeps the bytes an
+	// earlier build wrote (the checked-in seed corpus holds one).
+	m.Ledger = []int32{0, 96, 192, 288, 500, 501, 502, 900, m.Meta.Intervals - 1}
+	var withLedger bytes.Buffer
+	if err := EncodeManifest(&withLedger, m); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeManifest(bytes.NewReader(withLedger.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back.Ledger, m.Ledger) {
+		t.Fatalf("ledger %v decoded as %v", m.Ledger, back.Ledger)
+	}
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzManifestDecode", "seed-v4-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := strconv.Unquote(strings.TrimSuffix(strings.SplitN(string(seed), "[]byte(", 2)[1], ")\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := DecodeManifest(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again2 bytes.Buffer
+	if err := EncodeManifest(&again2, pre); err != nil {
+		t.Fatal(err)
+	}
+	if pre.Ledger != nil || again2.String() != old {
+		t.Fatal("a manifest without a ledger no longer re-encodes to its original bytes")
+	}
+}
+
+// ledgerManifest returns the tiny world's manifest with a ledger section
+// holding payload spliced in front of the end section, checksum intact.
+func ledgerManifest(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	m, _ := tinyManifestAndParts(tb)
+	var raw bytes.Buffer
+	if err := EncodeManifest(&raw, m); err != nil {
+		tb.Fatal(err)
+	}
+	end := raw.Len() - 6 // tag, zero length, four checksum bytes
+	var out bytes.Buffer
+	out.Write(raw.Bytes()[:end])
+	w := bufio.NewWriter(&out)
+	writeSection(w, secLedger, payload)
+	w.Flush()
+	out.Write(raw.Bytes()[end:])
+	return out.Bytes()
+}
+
+// ledgerRuns encodes runs of (first mark, step, marks) as a ledger payload.
+func ledgerRuns(runs ...[3]uint64) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(runs)))
+	for _, r := range runs {
+		for _, v := range r {
+			out = binary.AppendUvarint(out, v)
+		}
+	}
+	return out
+}
+
+// malformedLedger is a ledger payload the decoder must refuse with an
+// error containing want.
+type malformedLedger struct {
+	name, want string
+	payload    []byte
+}
+
+func malformedLedgers(intervals uint64) []malformedLedger {
+	return []malformedLedger{
+		{"unsorted", "starts before", ledgerRuns([3]uint64{96, 96, 3}, [3]uint64{0, 0, 1})},
+		{"interleaved", "overlaps", ledgerRuns([3]uint64{0, 96, 3}, [3]uint64{100, 1, 2})},
+		{"shared-mark", "overlaps", ledgerRuns([3]uint64{0, 10, 2}, [3]uint64{10, 0, 1})},
+		{"past-end", "span", ledgerRuns([3]uint64{intervals - 10, 5, 3})},
+		{"at-end", "span", ledgerRuns([3]uint64{intervals, 0, 1})},
+		{"huge-step", "span", ledgerRuns([3]uint64{0, 1 << 40, 2})},
+		{"empty-run", "empty", ledgerRuns([3]uint64{0, 1, 0})},
+		{"zero-step", "repeats", ledgerRuns([3]uint64{5, 0, 2})},
+		{"truncated", "truncated", ledgerRuns([3]uint64{0, 1, 2})[:3]},
+		{"run-count", "exceeds", binary.AppendUvarint(nil, 1<<40)},
+	}
+}
+
+// TestManifestLedgerRejectsMalformedRuns: unsorted, overlapping,
+// out-of-span, empty and repeating runs, a truncated payload, a ledger
+// before the meta section and a second ledger section are decode errors.
+func TestManifestLedgerRejectsMalformedRuns(t *testing.T) {
+	m, _ := tinyManifestAndParts(t)
+	for _, c := range malformedLedgers(uint64(m.Meta.Intervals)) {
+		_, err := DecodeManifest(bytes.NewReader(ledgerManifest(t, c.payload)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	valid := ledgerRuns([3]uint64{0, 96, 3})
+	if _, err := DecodeManifest(bytes.NewReader(ledgerManifest(t, valid))); err != nil {
+		t.Fatalf("valid ledger refused: %v", err)
+	}
+	twice := ledgerManifest(t, valid)
+	end := len(twice) - 6
+	var spliced bytes.Buffer
+	spliced.Write(twice[:end])
+	w := bufio.NewWriter(&spliced)
+	writeSection(w, secLedger, valid)
+	w.Flush()
+	spliced.Write(twice[end:])
+	if _, err := DecodeManifest(&spliced); err == nil || !strings.Contains(err.Error(), "duplicate ledger") {
+		t.Errorf("second ledger section: got %v", err)
+	}
+	var early bytes.Buffer
+	early.Write(twice[:5])
+	w = bufio.NewWriter(&early)
+	writeSection(w, secLedger, valid)
+	w.Flush()
+	early.Write(twice[5:])
+	if _, err := DecodeManifest(&early); err == nil || !strings.Contains(err.Error(), "before meta") {
+		t.Errorf("ledger before meta: got %v", err)
 	}
 }
 

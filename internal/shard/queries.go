@@ -706,7 +706,8 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 // Each grain and each merge keeps a bounded top-k (topFires); once a grain
 // has truncated, an event with fewer articles or early sources than its
 // k-th candidate cannot enter it and is skipped. Only the k winners look
-// up their SourceURL.
+// up their SourceURL. The per-event count is earlySources, which the live
+// stream's alerts share.
 func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wildfire {
 	s := v.s
 	if window < 1 {
@@ -725,31 +726,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 				if int(s.events.NumArticles(ev)) < floor {
 					continue
 				}
-				seq := s.events.seq(int32(ev))
-				cutoff := s.events.Interval(ev) + window
-				tag := int32(ev) + 1
-				distinct, early := 0, 0
-				for i, p := range s.parts {
-					if s.bounds[i] >= cutoff {
-						break // every remaining mention is past the window
-					}
-					lr := s.localEvent(i, seq, int32(ev))
-					if lr < 0 {
-						continue
-					}
-					remap := s.l2gSrc[i]
-					srcs := p.EventMentionSources(lr)
-					for x, iv := range p.EventMentionIntervals(lr) {
-						if iv >= cutoff {
-							break // postings are interval-sorted
-						}
-						early++
-						if g := remap[srcs[x]]; stamp[g] != tag {
-							stamp[g] = tag
-							distinct++
-						}
-					}
-				}
+				distinct, early := s.earlySources(int32(ev), window, stamp, int32(ev)+1)
 				if distinct < floor {
 					continue
 				}
@@ -781,6 +758,55 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 		candidates[i].SourceURL = s.events.SourceURL(int(candidates[i].EventRow))
 	}
 	return candidates
+}
+
+// earlySources counts global event ev's early articles — those captured
+// within window intervals of the event — and their distinct sources, the
+// two numbers wildfires ranks by. A source counts once it is stamped with
+// tag in stamp (indexed by global source id), so the caller hands every
+// event its own tag and never clears stamp. The walk stops at the first
+// shard starting past the window: later shards hold only later mentions.
+func (s *DB) earlySources(ev, window int32, stamp []int32, tag int32) (distinct, early int) {
+	seq := s.events.seq(ev)
+	cutoff := s.events.Interval(int(ev)) + window
+	for i, p := range s.parts {
+		if s.bounds[i] >= cutoff {
+			break
+		}
+		lr := s.localEvent(i, seq, ev)
+		if lr < 0 {
+			continue
+		}
+		remap := s.l2gSrc[i]
+		srcs := p.EventMentionSources(lr)
+		for x, iv := range p.EventMentionIntervals(lr) {
+			if iv >= cutoff {
+				break // postings are interval-sorted
+			}
+			early++
+			if g := remap[srcs[x]]; stamp[g] != tag {
+				stamp[g] = tag
+				distinct++
+			}
+		}
+	}
+	return distinct, early
+}
+
+// EarlySources returns, for each event id, the number of distinct sources
+// that reported the event within window capture intervals of it — the
+// count FastSpreadingEvents ranks and thresholds by — or 0 for an id the
+// world does not hold.
+func (s *DB) EarlySources(ids []int64, window int32) []int {
+	window = max(window, 1)
+	stamp := make([]int32, s.sources.Len())
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		if ev := s.events.row(id); ev >= 0 {
+			out[i], _ = s.earlySources(ev, window, stamp, int32(i)+1)
+		}
+	}
+	return out
 }
 
 // topFires sorts wildfire candidates by EarlySources descending, then

@@ -81,8 +81,9 @@ func CountingMedian(counts []int64, total int64) int64 {
 }
 
 // P2Quantile is the P² streaming quantile estimator (Jain & Chlamtac 1985):
-// a five-marker approximation that uses O(1) memory per tracked quantile.
-// It is used for progress reporting over streams too large to sort.
+// a five-marker approximation that uses O(1) memory per tracked quantile,
+// for streams too large to sort. No query or stream path calls it: the
+// live stream answers delay questions exactly from its append log.
 type P2Quantile struct {
 	q       float64
 	n       int64
@@ -187,39 +188,3 @@ func (p *P2Quantile) Value() float64 {
 
 // N returns the number of observations folded in so far.
 func (p *P2Quantile) N() int64 { return p.n }
-
-// P2State is the full serializable state of a P2Quantile, used by the
-// stream monitor's checkpoint/resume snapshot.
-type P2State struct {
-	Q       float64    `json:"q"`
-	N       int64      `json:"n"`
-	Heights [5]float64 `json:"heights"`
-	Pos     [5]float64 `json:"pos"`
-	Desired [5]float64 `json:"desired"`
-	Primed  bool       `json:"primed"`
-	InitBuf []float64  `json:"initBuf,omitempty"`
-}
-
-// State captures the estimator for checkpointing.
-func (p *P2Quantile) State() P2State {
-	return P2State{
-		Q: p.q, N: p.n,
-		Heights: p.heights, Pos: p.pos, Desired: p.desired,
-		Primed:  p.primed,
-		InitBuf: append([]float64(nil), p.initBuf...),
-	}
-}
-
-// P2FromState rebuilds an estimator from a checkpointed state. Feeding the
-// restored estimator the remaining observations yields exactly the value
-// the uninterrupted estimator would have produced.
-func P2FromState(st P2State) *P2Quantile {
-	p := NewP2Quantile(st.Q)
-	p.n = st.N
-	p.heights = st.Heights
-	p.pos = st.Pos
-	p.desired = st.Desired
-	p.primed = st.Primed
-	p.initBuf = append([]float64(nil), st.InitBuf...)
-	return p
-}

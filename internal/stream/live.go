@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/obs"
-	"gdeltmine/internal/shard"
 )
 
 var (
@@ -107,7 +105,7 @@ type LiveConfig struct {
 	// SkipAfterPolls is how many consecutive polls a tick may stay
 	// missing — while newer ticks are already buffered — before the
 	// poller declares it lost and moves on (the gap then shows in the
-	// monitor's ledger). Catch-up via the master list is attempted on
+	// log's ledger). Catch-up via the master list is attempted on
 	// every such poll first. 0 means 3.
 	SkipAfterPolls int
 }
@@ -122,12 +120,15 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	return c
 }
 
-// LiveStats counts what the poller has seen.
+// LiveStats counts what the poller has seen: the feed-health counters.
+// They describe one run; the data itself lives in the monitor's log.
 type LiveStats struct {
 	Polls      int // PollOnce calls
 	Ticks      int // ticks fetched, parsed and folded
 	Events     int // event records folded
 	Mentions   int // mention records folded
+	Late       int // mentions folded from ticks behind the ledger's newest mark
+	Alerts     int // wildfire alerts the folds fired
 	Duplicates int // lastupdate polls re-advertising a known tick
 	Outages    int // polls that found the feed down
 	CatchUps   int // ticks recovered via the master list
@@ -135,21 +136,18 @@ type LiveStats struct {
 }
 
 // LiveRunner polls a live feed and folds each tick, strictly in feed
-// order, into a Monitor (incremental stats, alerts, chunk ledger) and an
-// optional shard.Log (the queryable append log). Out-of-order arrivals —
-// the reordered-drop fault — are buffered until the missing tick is
-// recovered through the master list or given up on; duplicate
-// advertisements are dropped by tick timestamp. The runner is
-// single-goroutine: call PollOnce from one loop.
+// order, through a Monitor into its log. Out-of-order arrivals — the
+// reordered-drop fault — are buffered until the missing tick is recovered
+// through the master list or given up on; duplicate advertisements are
+// dropped by tick timestamp. The runner is single-goroutine: call PollOnce
+// from one loop.
 type LiveRunner struct {
 	cl  *FeedClient
 	mon *Monitor
-	lg  *shard.Log
 	cfg LiveConfig
 
-	base    int64 // interval index of the archive start
 	next    int64 // interval index of the next tick to apply
-	end     int64 // one past the last valid interval index
+	head    int64 // interval index of the newest tick advertised
 	stall   int
 	failIv  int64 // tick whose fetch keeps failing
 	fails   int   // consecutive fetch failures of failIv
@@ -157,35 +155,15 @@ type LiveRunner struct {
 	stats   LiveStats
 }
 
-// NewLiveRunner starts polling at the tick whose timestamp is start. mon
-// is required (it owns the chunk ledger and gap accounting); lg may be nil
-// for a stats-only deployment. When resuming from a checkpoint, pass
-// ResumePoint's result as start so already-folded ticks are not re-applied.
-func NewLiveRunner(cl *FeedClient, mon *Monitor, lg *shard.Log, start gdelt.Timestamp, cfg LiveConfig) *LiveRunner {
-	r := &LiveRunner{
-		cl: cl, mon: mon, lg: lg, cfg: cfg.withDefaults(),
+// NewLiveRunner starts polling at the tick whose timestamp is start. Over
+// a reopened log, pass Monitor.ResumePoint's result as start so folded
+// ticks are not fetched again.
+func NewLiveRunner(cl *FeedClient, mon *Monitor, start gdelt.Timestamp, cfg LiveConfig) *LiveRunner {
+	return &LiveRunner{
+		cl: cl, mon: mon, cfg: cfg.withDefaults(),
+		next: start.IntervalIndex(), head: start.IntervalIndex(),
 		pending: map[int64][]gdelt.MasterEntry{},
 	}
-	r.base = start.IntervalIndex()
-	r.next = r.base
-	r.end = 0
-	if lg != nil {
-		meta := lg.Snapshot().Meta()
-		r.end = meta.Start.IntervalIndex() + int64(meta.Intervals)
-	}
-	return r
-}
-
-// ResumePoint returns the first tick at or after start that the monitor's
-// chunk ledger has not marked — where a restarted poller should resume so
-// checkpointed ticks are not double-counted. spacing is the feed's tick
-// spacing in capture intervals.
-func ResumePoint(m *Monitor, start gdelt.Timestamp, spacing int32) gdelt.Timestamp {
-	iv := start.IntervalIndex()
-	for m.SeenChunk(gdelt.IntervalStart(iv)) {
-		iv += int64(spacing)
-	}
-	return gdelt.IntervalStart(iv)
 }
 
 // Stats returns a snapshot of the poll counters.
@@ -203,9 +181,16 @@ func (r *LiveRunner) Pending() int { return len(r.pending) }
 // tick, recover older missing ticks through the master list when newer
 // ones are already waiting, and apply every applicable tick in strict feed
 // order. A feed outage is not an error — it is counted and the cycle
-// continues with whatever is already buffered.
+// continues with whatever is already buffered. Each cycle refreshes the
+// chunk-lag and missing-chunk gauges from the ledger.
 func (r *LiveRunner) PollOnce(ctx context.Context) error {
 	r.stats.Polls++
+	defer func() {
+		if newest := r.mon.newest(); newest >= 0 {
+			mChunkLag.Set(float64(r.head - r.mon.base - newest))
+		}
+		r.mon.Gaps()
+	}()
 	entries, err := r.cl.LastUpdate(ctx)
 	switch {
 	case errors.Is(err, ErrFeedDown):
@@ -248,8 +233,8 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 	// but a tick that keeps failing for SkipAfterPolls polls (an advertised
 	// chunk the feed never actually serves) is given up on like a
 	// never-advertised one: dropped, recorded, its interval left as a gap
-	// in the monitor's ledger. Fold errors are returned undamped: the fold
-	// runs only after a fully successful fetch, and a failed Append leaves
+	// in the log's ledger. Fold errors are returned undamped: the fold
+	// runs only after a fully successful fetch, and a failed fold leaves
 	// the log unmutated, so they signal a logic error, not feed weather.
 	for {
 		entries, ok := r.pending[r.next]
@@ -257,11 +242,10 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 			break
 		}
 		// A restarted poller resumes at the first UNSEEN tick (ResumePoint
-		// returns the earliest ledger gap), so every already-checkpointed
-		// tick between that gap and the previous run's frontier comes past
-		// here again — consumed ticks must be dropped like any duplicate,
-		// never re-fetched: re-folding them would double-count the monitor
-		// and append below the log's sealed window.
+		// returns the earliest ledger gap), so every tick the reopened log
+		// already holds between that gap and the previous run's frontier
+		// comes past here again — folded ticks must be dropped like any
+		// duplicate, never re-fetched (the log would refuse them anyway).
 		if r.mon.SeenChunk(gdelt.IntervalStart(r.next)) {
 			r.stats.Duplicates++
 			mLiveDup.Inc()
@@ -270,12 +254,10 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 			r.stall = 0
 			continue
 		}
-		// An unseen tick the monitor can no longer accept (a ledger gap
-		// deeper than the grace window, surfacing only after a restart)
-		// is unrecoverable: folding it would regress the stream clock
-		// beyond grace. Skip it BEFORE fetching — and before the log
-		// append, which must never run for a tick the monitor will then
-		// reject. The gap stays on the ledger.
+		// An unseen tick the monitor can no longer fold (a ledger gap
+		// deeper than the grace window or behind the log's newest mention,
+		// surfacing only after a restart) is unrecoverable. Skip it BEFORE
+		// fetching; the gap stays on the ledger.
 		if !r.mon.Foldable(gdelt.IntervalStart(r.next)) {
 			r.stats.Skipped = append(r.stats.Skipped, gdelt.IntervalStart(r.next))
 			mLiveSkipped.Inc()
@@ -284,7 +266,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 			r.stall = 0
 			continue
 		}
-		evs, mns, err := r.fetchTick(ctx, entries)
+		evs, mns, err := ReadTick(ctx, entries, r.cl.Fetch)
 		if err != nil {
 			if r.failIv != r.next {
 				r.failIv, r.fails = r.next, 0
@@ -299,9 +281,18 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 			return err
 		}
 		r.fails = 0
-		if err := r.foldTick(r.next, evs, mns); err != nil {
-			return err
+		f, err := r.mon.Fold(gdelt.IntervalStart(r.next), evs, mns)
+		if err != nil {
+			return fmt.Errorf("stream: folding tick %s: %w", gdelt.IntervalStart(r.next), err)
 		}
+		r.stats.Ticks++
+		r.stats.Events += len(evs)
+		r.stats.Mentions += len(mns)
+		if f.Late {
+			r.stats.Late += f.AppendedMentions
+		}
+		r.stats.Alerts += len(f.Alerts)
+		mLiveTicks.Inc()
 		delete(r.pending, r.next)
 		r.next += int64(r.cfg.TickIntervals)
 		r.stall = 0
@@ -312,15 +303,10 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 // buffer files advertised entries under their tick, dropping ticks already
 // applied or already buffered (duplicates).
 func (r *LiveRunner) buffer(entries []gdelt.MasterEntry) {
-	byTick := map[int64][]gdelt.MasterEntry{}
-	for _, e := range entries {
-		ts, err := e.Interval()
-		if err != nil {
-			continue
-		}
-		byTick[ts.IntervalIndex()] = append(byTick[ts.IntervalIndex()], e)
-	}
-	for iv, group := range byTick {
+	ticks := Ticks(&gdelt.MasterList{Entries: entries})
+	for _, tk := range ticks {
+		iv := tk.TS.IntervalIndex()
+		r.head = max(r.head, iv)
 		switch {
 		case iv < r.next:
 			r.stats.Duplicates++
@@ -328,12 +314,12 @@ func (r *LiveRunner) buffer(entries []gdelt.MasterEntry) {
 		case r.pending[iv] != nil:
 			// Re-advertised while buffered: only lastupdate repeats count
 			// as duplicates; master-list sightings are the normal case.
-			if len(byTick) == 1 {
+			if len(ticks) == 1 {
 				r.stats.Duplicates++
 				mLiveDup.Inc()
 			}
 		default:
-			r.pending[iv] = group
+			r.pending[iv] = tk.Entries
 		}
 	}
 }
@@ -346,74 +332,4 @@ func (r *LiveRunner) aheadOfNext() bool {
 		}
 	}
 	return false
-}
-
-// fetchTick fetches and parses one tick's files without side effects, so a
-// failure here can be retried or the tick skipped. GKG files are ignored —
-// the append path extends the event/mention tables only.
-func (r *LiveRunner) fetchTick(ctx context.Context, entries []gdelt.MasterEntry) ([]gdelt.Event, []gdelt.Mention, error) {
-	// Deterministic order: export before mentions.
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Kind() < entries[b].Kind() })
-	var evs []gdelt.Event
-	var mns []gdelt.Mention
-	var fields [][]byte
-	for _, e := range entries {
-		kind := e.Kind()
-		if kind != "export" && kind != "mentions" {
-			continue
-		}
-		data, err := r.cl.Fetch(ctx, e)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, line := range bytes.Split(data, []byte{'\n'}) {
-			if len(line) == 0 {
-				continue
-			}
-			fields = gdelt.SplitTabs(line, fields[:0])
-			if kind == "export" {
-				ev, err := gdelt.ParseEventFields(fields)
-				if err != nil {
-					return nil, nil, fmt.Errorf("stream: %s: %w", e.Path, err)
-				}
-				evs = append(evs, ev)
-			} else {
-				mn, err := gdelt.ParseMentionFields(fields)
-				if err != nil {
-					return nil, nil, fmt.Errorf("stream: %s: %w", e.Path, err)
-				}
-				mns = append(mns, mn)
-			}
-		}
-	}
-	return evs, mns, nil
-}
-
-// foldTick folds one fully fetched tick: events and mentions into the
-// append log first (a failed fold must not mark the tick consumed), then
-// the monitor's ledger and incremental stats.
-func (r *LiveRunner) foldTick(iv int64, evs []gdelt.Event, mns []gdelt.Mention) error {
-	if r.end > 0 && iv >= r.end {
-		return fmt.Errorf("stream: tick %s beyond the append log's archive span", gdelt.IntervalStart(iv))
-	}
-	if r.lg != nil {
-		if _, err := r.lg.Append(evs, mns); err != nil {
-			return fmt.Errorf("stream: folding tick %s: %w", gdelt.IntervalStart(iv), err)
-		}
-	}
-	ts := gdelt.IntervalStart(iv)
-	r.mon.MarkChunk(ts)
-	for i := range evs {
-		r.mon.ObserveEvent(&evs[i])
-	}
-	for i := range mns {
-		if err := r.mon.ObserveMention(&mns[i]); err != nil {
-			return err
-		}
-	}
-	r.stats.Ticks++
-	r.stats.Events += len(evs)
-	r.stats.Mentions += len(mns)
-	mLiveTicks.Inc()
-	return nil
 }

@@ -1,15 +1,17 @@
 // End-to-end live-feed test: a FeedServer speaking the real
 // lastupdate/masterfile convention over a generated raw dataset, with
 // chaos injecting an outage, a duplicate tick, and a reordered drop; a
-// LiveRunner polling it, folding every tick into a Monitor and an append
-// log with a compactor sealing along the way. The final world must answer
-// queries identically to the same rows batch-built in one shot.
+// LiveRunner polling it, folding every tick through a Monitor into an
+// append log with a compactor sealing along the way. The final world must
+// answer queries identically to the same rows batch-built in one shot.
 package stream_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/faults"
@@ -36,12 +38,13 @@ func liveCfg() gen.Config {
 	return c
 }
 
-// emptyWorld builds an empty sharded world spanning the corpus, the
-// append log's starting point.
-func emptyWorld(t *testing.T, c *gen.Corpus) *shard.DB {
+// emptyWorld builds an empty sharded world spanning the corpus and extra
+// intervals past it, the append log's starting point. A durable log needs
+// the extra range: a seal leaves a fresh tail behind the newest data.
+func emptyWorld(t *testing.T, c *gen.Corpus, extra int32) *shard.DB {
 	t.Helper()
 	b, err := store.NewBuilder(gdelt.Timestamp(c.World.Cfg.Start),
-		int32(c.World.Days()*gdelt.IntervalsPerDay))
+		int32(c.World.Days()*gdelt.IntervalsPerDay)+extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +132,10 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	start := gdelt.Timestamp(cfg.Start)
-	mon := stream.NewMonitor(start, stream.Config{ChunkIntervals: 96, GraceIntervals: 96})
-	lg := shard.NewLog(emptyWorld(t, c))
+	lg := shard.NewLog(emptyWorld(t, c, 0))
+	mon := stream.NewMonitor(lg, stream.Config{ChunkIntervals: 96, GraceIntervals: 96})
 	comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailRows: 1 << 30, MaxTailSpan: 5 * 96})
-	runner := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon, lg,
+	runner := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon,
 		start, stream.LiveConfig{TickIntervals: 96, SkipAfterPolls: 2})
 
 	ctx := context.Background()
@@ -169,10 +172,7 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 		t.Fatalf("folded %d ticks, feed served %d", st.Ticks, fs.Ticks())
 	}
 	if gaps := mon.Gaps(); len(gaps) != 0 {
-		t.Errorf("monitor ledger has gaps: %v", gaps)
-	}
-	if err := mon.Err(); err != nil {
-		t.Errorf("monitor broke: %v", err)
+		t.Errorf("log ledger has gaps: %v", gaps)
 	}
 
 	// The compactor sealed along the way, and the final world answers like
@@ -190,17 +190,21 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 			t.Errorf("%s: live-fed world diverges from batch build", kind)
 		}
 	}
+	// Every wildfire of the final world was alerted once on the way.
+	if fires := live.View().FastSpreadingEvents(8, 5, 1<<30); st.Alerts != len(fires) {
+		t.Errorf("%d alerts fired, the final world has %d wildfires", st.Alerts, len(fires))
+	}
 }
 
-// TestLiveResumeFromCheckpoint restarts the poller mid-feed from a monitor
-// checkpoint whose ledger holds an interior gap (a dropped tick the first
-// run gave up on). ResumePoint lands ON the gap, so the resumed runner
-// walks back through already-consumed territory: it must drop every
-// checkpointed tick as a duplicate without re-fetching it, recognize the
-// stale gap as unrecoverable (folding it would regress the monitor clock
-// beyond grace — and before the fix, the log append ran first and left an
-// orphaned below-the-window chunk that wedged every later fold), and then
-// fold exactly the ticks the first run never saw.
+// TestLiveResumeFromCheckpoint restarts the poller mid-feed over its
+// reopened log directory, whose ledger holds an interior gap (a dropped
+// tick the first run gave up on). ResumePoint lands ON the gap, so the
+// resumed runner walks back through territory the log already holds: it
+// must drop every folded tick as a duplicate without re-fetching it,
+// recognize the stale gap as unrecoverable (it is older than the grace
+// window), and then fold exactly the ticks the first run never saw. The
+// final world must answer every kind like an uninterrupted run's, with the
+// same ledger gaps and skips.
 func TestLiveResumeFromCheckpoint(t *testing.T) {
 	cfg := liveCfg()
 	c, err := gen.Generate(cfg)
@@ -213,8 +217,8 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	}
 
 	// Tick 1 is a reordered drop. With SkipAfterPolls=1 and one poll per
-	// advance, the first run skips it before its files land (they surface
-	// at tick 3, by which point the runner moved on) — a durable ledger gap.
+	// advance, a run skips it before its files land (they surface at tick
+	// 3, by which point the runner moved on) — a durable ledger gap.
 	probe, err := stream.NewFeedServer(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -222,30 +226,56 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	chaos := &faults.FeedChaos{Plan: map[string]faults.FeedFault{
 		probe.TickTS(1).String(): faults.FeedDrop,
 	}}
-	fs, err := stream.NewFeedServer(dir, chaos)
-	if err != nil {
-		t.Fatal(err)
+	feed := func() (*stream.FeedServer, *stream.FeedClient) {
+		fs, err := stream.NewFeedServer(dir, chaos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.Ticks() < 12 {
+			t.Fatalf("dataset has only %d ticks", fs.Ticks())
+		}
+		srv := httptest.NewServer(fs)
+		t.Cleanup(srv.Close)
+		return fs, &stream.FeedClient{Base: srv.URL}
 	}
-	if fs.Ticks() < 12 {
-		t.Fatalf("dataset has only %d ticks", fs.Ticks())
-	}
-	srv := httptest.NewServer(fs)
-	defer srv.Close()
 
 	start := gdelt.Timestamp(cfg.Start)
 	mcfg := stream.Config{ChunkIntervals: 96, GraceIntervals: 96}
 	lcfg := stream.LiveConfig{TickIntervals: 96, SkipAfterPolls: 1}
 	ctx := context.Background()
-
-	// First run: consume the first 8 ticks, skipping the dropped one.
-	mon := stream.NewMonitor(start, mcfg)
-	lg := shard.NewLog(emptyWorld(t, c))
-	runner := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon, lg, start, lcfg)
-	for i := 0; i < 8 && fs.Advance(); i++ {
-		if err := runner.PollOnce(ctx); err != nil {
-			t.Fatalf("first run, poll %d: %v", i, err)
+	// drain polls once per feed advance, up to polls advances (all when
+	// negative), then drains what is still buffered at the feed head.
+	drain := func(r *stream.LiveRunner, fs *stream.FeedServer, polls int) {
+		t.Helper()
+		for i := 0; i != polls && fs.Advance(); i++ {
+			if err := r.PollOnce(ctx); err != nil {
+				t.Fatalf("poll at tick %d: %v", fs.Pos(), err)
+			}
+		}
+		for i := 0; polls < 0 && i < 4 && r.Pending() > 0; i++ {
+			if err := r.PollOnce(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+
+	// Uninterrupted reference run.
+	refFS, refCl := feed()
+	refLog := shard.NewLog(emptyWorld(t, c, 96))
+	ref := stream.NewMonitor(refLog, mcfg)
+	refRun := stream.NewLiveRunner(refCl, ref, start, lcfg)
+	drain(refRun, refFS, -1)
+
+	// First run: consume the first 8 ticks into a log directory, skipping
+	// the dropped one, and seal on the way out.
+	fs, cl := feed()
+	logDir := t.TempDir()
+	lg, err := shard.CreateLog(logDir, emptyWorld(t, c, 96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := stream.NewLiveRunner(cl, stream.NewMonitor(lg, mcfg), start, lcfg)
+	drain(runner, fs, 8)
 	st := runner.Stats()
 	if len(st.Skipped) != 1 || st.Skipped[0] != fs.TickTS(1) {
 		t.Fatalf("first run skipped %v, want exactly the dropped tick %s", st.Skipped, fs.TickTS(1))
@@ -253,30 +283,23 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	if st.Ticks != 7 {
 		t.Fatalf("first run folded %d ticks, want 7", st.Ticks)
 	}
+	if _, err := lg.Seal(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Restart: monitor state survives through the checkpoint, the log is
-	// rebuilt empty (appends are in-memory; the feed is the WAL). The
-	// resume point is the gap — the first unseen tick.
-	mon2, err := stream.FromCheckpoint(mon.Checkpoint())
+	// Restart: the log directory is the only state. The resume point is
+	// the gap — the first tick the ledger lacks.
+	lg2, err := shard.OpenLog(logDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resume := stream.ResumePoint(mon2, start, lcfg.TickIntervals)
+	mon2 := stream.NewMonitor(lg2, mcfg)
+	resume := mon2.ResumePoint(start, lcfg.TickIntervals)
 	if resume != fs.TickTS(1) {
 		t.Fatalf("resume point %s, want the gap %s", resume, fs.TickTS(1))
 	}
-	lg2 := shard.NewLog(emptyWorld(t, c))
-	runner2 := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon2, lg2, resume, lcfg)
-	for fs.Advance() {
-		if err := runner2.PollOnce(ctx); err != nil {
-			t.Fatalf("resumed run: %v", err)
-		}
-	}
-	for i := 0; i < 4 && runner2.Pending() > 0; i++ {
-		if err := runner2.PollOnce(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runner2 := stream.NewLiveRunner(cl, mon2, resume, lcfg)
+	drain(runner2, fs, -1)
 
 	st2 := runner2.Stats()
 	if want := fs.Ticks() - 8; st2.Ticks != want {
@@ -287,32 +310,44 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	if len(st2.Skipped) != 1 || st2.Skipped[0] != fs.TickTS(1) {
 		t.Errorf("resumed run skipped %v, want exactly the stale gap %s", st2.Skipped, fs.TickTS(1))
 	}
+	if refSt := refRun.Stats(); !slices.Equal(refSt.Skipped, st2.Skipped) || refSt.Alerts != st.Alerts+st2.Alerts {
+		t.Errorf("uninterrupted run skipped %v with %d alerts; interrupted runs %v with %d+%d",
+			refSt.Skipped, refSt.Alerts, st2.Skipped, st.Alerts, st2.Alerts)
+	}
 	if st2.Duplicates < 7 {
-		t.Errorf("resumed run counted %d duplicates, want >= the 7 checkpointed ticks", st2.Duplicates)
+		t.Errorf("resumed run counted %d duplicates, want >= the 7 folded ticks", st2.Duplicates)
 	}
-	if err := mon2.Err(); err != nil {
-		t.Errorf("resumed monitor broke: %v", err)
-	}
-	if gaps := mon2.Gaps(); len(gaps) != 1 {
-		t.Errorf("ledger has %d gaps, want the dropped tick only: %v", len(gaps), gaps)
+	if g, w := mon2.Gaps(), ref.Gaps(); !slices.Equal(g, w) || len(w) != 1 {
+		t.Errorf("ledger gaps %v, uninterrupted %v; want the dropped tick only", g, w)
 	}
 
-	// The rebuilt log holds exactly the resumed run's ticks — nothing
-	// double-appended from checkpointed territory. Mentions referencing
-	// events whose export row was published in a pre-frontier chunk are
-	// dangling in the from-empty rebuild and dropped (counted, like
-	// Builder.Finish drops them), so the expectation excludes them.
-	want := 0
-	frontier := int32(8 * 96)
-	for j := range c.Mentions {
-		m := &c.Mentions[j]
-		if m.Interval >= frontier && c.Events[m.Event].FirstMention >= frontier {
-			want++
+	// The resumed world — reopened from disk once more — is the
+	// uninterrupted one: nothing lost at the restart, nothing folded twice.
+	if _, err := lg2.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	final, err := shard.OpenLog(logDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range registry.All() {
+		if d.NeedsGKG {
+			continue
+		}
+		got, want := jsonKind(t, final.Snapshot(), d.Kind), jsonKind(t, refLog.Snapshot(), d.Kind)
+		if got != want {
+			t.Errorf("%s: resumed world diverges from the uninterrupted one\n got  %.200s\n want %.200s", d.Kind, got, want)
 		}
 	}
-	if got := totalMentions(lg2.Snapshot()); got != want {
-		t.Errorf("resumed log holds %d mention rows, want the %d past the checkpoint frontier", got, want)
+}
+
+func jsonKind(t *testing.T, s *shard.DB, kind string) string {
+	t.Helper()
+	js, err := json.Marshal(runLiveKind(t, s, kind))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(js)
 }
 
 func totalMentions(s *shard.DB) int {

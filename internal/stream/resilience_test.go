@@ -1,239 +1,169 @@
 package stream
 
 import (
-	"math"
-	"path/filepath"
-	"strings"
+	"errors"
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/shard"
 )
 
-// ivTS returns the timestamp of interval offset iv from the test base.
-func ivTS(base gdelt.Timestamp, iv int64) gdelt.Timestamp {
-	return gdelt.IntervalStart(base.IntervalIndex() + iv)
-}
-
-// mention builds a synthetic mention at interval offset iv for an event
-// ignited at interval offset evIv.
-func mention(base gdelt.Timestamp, id int64, evIv, iv int64, source string) gdelt.Mention {
-	return gdelt.Mention{
-		GlobalEventID: id,
-		EventTime:     ivTS(base, evIv),
-		MentionTime:   ivTS(base, iv),
-		SourceName:    source,
-	}
-}
-
-const testBase = gdelt.Timestamp(20150218000000)
-
 func TestGapDetection(t *testing.T) {
-	m := NewMonitor(testBase, Config{})
-	// Chunks arrive every interval; interval 2 never shows up.
+	m := testMonitor(t, Config{GraceIntervals: 4})
+	// Ticks arrive every interval; interval 2 never shows up.
 	for _, iv := range []int64{0, 1, 3, 4} {
-		m.MarkChunk(ivTS(testBase, iv))
+		fold(t, m, iv, nil)
 	}
 	gaps := m.Gaps()
-	if len(gaps) != 1 || gaps[0] != ivTS(testBase, 2) {
-		t.Fatalf("gaps = %v, want [%v]", gaps, ivTS(testBase, 2))
+	if len(gaps) != 1 || gaps[0] != ivTS(2) {
+		t.Fatalf("gaps = %v, want [%v]", gaps, ivTS(2))
 	}
-	if got := m.Snapshot().MissingChunks; got != 1 {
-		t.Fatalf("MissingChunks = %d, want 1", got)
-	}
-	if m.SeenChunk(ivTS(testBase, 2)) {
+	if m.SeenChunk(ivTS(2)) {
 		t.Fatal("SeenChunk reported an unmarked interval")
 	}
 
-	// Catch-up: the late chunk arrives, closing the gap.
-	m.MarkChunk(ivTS(testBase, 2))
+	// Catch-up: the late tick arrives within grace, closing the gap.
+	if f := fold(t, m, 2, nil); !f.Late {
+		t.Fatal("a tick behind the newest mark was not reported late")
+	}
 	if gaps := m.Gaps(); len(gaps) != 0 {
 		t.Fatalf("gaps after catch-up = %v, want none", gaps)
 	}
-	if !m.SeenChunk(ivTS(testBase, 2)) {
+	if !m.SeenChunk(ivTS(2)) {
 		t.Fatal("SeenChunk missed a marked interval")
+	}
+	if got := m.ResumePoint(ivTS(0), 1); got != ivTS(5) {
+		t.Fatalf("ResumePoint = %v, want %v", got, ivTS(5))
 	}
 }
 
 func TestGapDetectionConfiguredSpacing(t *testing.T) {
-	// Chunks every 4 intervals; two consecutive arrivals lost.
-	m := NewMonitor(testBase, Config{ChunkIntervals: 4})
+	// Ticks every 4 intervals; two consecutive arrivals lost.
+	m := testMonitor(t, Config{ChunkIntervals: 4})
 	for _, iv := range []int64{0, 4, 16} {
-		m.MarkChunk(ivTS(testBase, iv))
+		fold(t, m, iv, nil)
 	}
 	gaps := m.Gaps()
-	want := []gdelt.Timestamp{ivTS(testBase, 8), ivTS(testBase, 12)}
-	if len(gaps) != len(want) || gaps[0] != want[0] || gaps[1] != want[1] {
+	want := []gdelt.Timestamp{ivTS(8), ivTS(12)}
+	if !slices.Equal(gaps, want) {
 		t.Fatalf("gaps = %v, want %v", gaps, want)
 	}
 }
 
+// TestGraceWindowAcceptsLateMentions: a late tick within grace folds, and
+// its mentions count as late, where the log can still take them; a tick
+// beyond grace, or one behind the log's newest mention, is stale and
+// leaves the log untouched.
 func TestGraceWindowAcceptsLateMentions(t *testing.T) {
-	m := NewMonitor(testBase, Config{GraceIntervals: 4, MinSources: 2})
-	for i, iv := range []int64{0, 5, 6} {
-		mn := mention(testBase, int64(i+1), iv, iv, "a.example")
-		if err := m.ObserveMention(&mn); err != nil {
-			t.Fatal(err)
+	m := testMonitor(t, Config{GraceIntervals: 4, MinSources: 2})
+	fold(t, m, 0, []gdelt.Event{event(1, 0)}, mention(1, 0, 0, "a.example"))
+	fold(t, m, 5, []gdelt.Event{event(2, 5)}) // export-only ticks: the
+	fold(t, m, 6, []gdelt.Event{event(3, 6)}) // log's newest mention stays 0
+	// A tick 3 intervals behind the newest mark: inside grace, accepted.
+	f := fold(t, m, 3, []gdelt.Event{event(10, 3)}, mention(10, 3, 3, "late.example"))
+	if !f.Late || f.AppendedMentions != 1 {
+		t.Fatalf("late tick: Late %v, %d mentions appended; want true, 1", f.Late, f.AppendedMentions)
+	}
+	if got := m.lg.Snapshot().Tail().Mentions.Len(); got != 2 {
+		t.Fatalf("log holds %d mentions, want 2", got)
+	}
+
+	stale := func(m *Monitor, iv int64) {
+		t.Helper()
+		before := m.lg.Snapshot()
+		_, err := m.Fold(ivTS(iv), []gdelt.Event{event(20+iv, iv)}, []gdelt.Mention{mention(20+iv, iv, iv, "b.example")})
+		if !errors.Is(err, ErrStale) {
+			t.Fatalf("tick %d: err %v, want ErrStale", iv, err)
+		}
+		if m.lg.Snapshot() != before || m.SeenChunk(ivTS(iv)) {
+			t.Fatalf("stale tick %d changed the log", iv)
 		}
 	}
-	// A mention 3 intervals behind the clock: inside grace, accepted.
-	late := mention(testBase, 10, 3, 3, "late.example")
-	if err := m.ObserveMention(&late); err != nil {
-		t.Fatalf("late mention inside grace rejected: %v", err)
-	}
-	snap := m.Snapshot()
-	if snap.LateArticles != 1 {
-		t.Fatalf("LateArticles = %d, want 1", snap.LateArticles)
-	}
-	if snap.Interval != 6 {
-		t.Fatalf("clock regressed: interval %d, want 6", snap.Interval)
-	}
-	if snap.Articles != 4 {
-		t.Fatalf("Articles = %d, want 4", snap.Articles)
-	}
+	stale(m, 1) // 5 intervals behind the newest mark: beyond grace
+	stale(m, 2) // within grace, but behind the log's newest mention (3)
 
-	// A mention beyond grace is an error and breaks the stream.
-	m2 := NewMonitor(testBase, Config{GraceIntervals: 2})
-	ahead := mention(testBase, 1, 8, 8, "a.example")
-	if err := m2.ObserveMention(&ahead); err != nil {
-		t.Fatal(err)
-	}
-	deep := mention(testBase, 2, 1, 1, "b.example")
-	err := m2.ObserveMention(&deep)
-	if err == nil || !strings.Contains(err.Error(), "grace") {
-		t.Fatalf("deep regression err = %v, want grace-window error", err)
-	}
-	if m2.Err() == nil {
-		t.Fatal("Err() not set after deep regression")
-	}
-
-	// Strict mode (zero grace) rejects any regression — legacy behavior.
-	m3 := NewMonitor(testBase, Config{})
-	fwd := mention(testBase, 1, 2, 2, "a.example")
-	if err := m3.ObserveMention(&fwd); err != nil {
-		t.Fatal(err)
-	}
-	back := mention(testBase, 2, 1, 1, "b.example")
-	if err := m3.ObserveMention(&back); err == nil {
-		t.Fatal("strict monitor accepted a regression")
-	}
+	// Strict mode (zero grace) refuses any regression.
+	m3 := testMonitor(t, Config{})
+	fold(t, m3, 2, nil)
+	stale(m3, 1)
 }
 
+// TestLateMentionStillCountsTowardAlert: a late tick's mention inside an
+// event's window fires the alert like an on-time one.
 func TestLateMentionStillCountsTowardAlert(t *testing.T) {
-	m := NewMonitor(testBase, Config{Window: 8, MinSources: 2, GraceIntervals: 4})
-	first := mention(testBase, 7, 2, 3, "a.example")
-	if err := m.ObserveMention(&first); err != nil {
-		t.Fatal(err)
-	}
-	// Clock moves ahead.
-	other := mention(testBase, 8, 5, 5, "b.example")
-	if err := m.ObserveMention(&other); err != nil {
-		t.Fatal(err)
-	}
-	// A late mention of event 7 from a second source fires the alert.
-	catchup := mention(testBase, 7, 2, 4, "c.example")
-	if err := m.ObserveMention(&catchup); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	if len(snap.Alerts) != 1 || snap.Alerts[0].EventID != 7 {
-		t.Fatalf("alerts = %+v, want one for event 7", snap.Alerts)
+	m := testMonitor(t, Config{Window: 8, MinSources: 2, GraceIntervals: 4})
+	fold(t, m, 3, []gdelt.Event{event(7, 2)}, mention(7, 2, 3, "a.example"))
+	fold(t, m, 5, []gdelt.Event{event(8, 5)}) // the clock moves ahead
+	f := fold(t, m, 4, nil, mention(7, 2, 4, "c.example"))
+	if !f.Late || len(f.Alerts) != 1 || f.Alerts[0].EventID != 7 {
+		t.Fatalf("late tick: Late %v, alerts %+v; want one alert for event 7", f.Late, f.Alerts)
 	}
 }
 
-// TestCheckpointResume is the restart drill: a monitor interrupted mid-feed
-// and restored from its checkpoint must end in exactly the state of an
-// uninterrupted monitor, and must know which chunks it already consumed.
+// TestCheckpointResume is the restart drill on the log directory: a replay
+// interrupted mid-feed — one unreadable tick left behind as a gap — and
+// resumed from the reopened directory folds only the ticks the ledger
+// lacks, fires exactly the alerts an uninterrupted replay fires, and ends
+// in a world answering every kind like the uninterrupted one, with the
+// same ledger gaps.
 func TestCheckpointResume(t *testing.T) {
 	c := streamCorpus(t)
-	base := gdelt.Timestamp(c.World.Cfg.Start)
-	cfg := Config{Window: 16, MinSources: 3, GraceIntervals: 8, ChunkIntervals: 1}
+	spacing := int32(c.World.Cfg.IntervalsPerFile)
+	ticks := corpusTicks(c, spacing)
+	cfg := Config{Window: 16, MinSources: 3}
+	start := gdelt.Timestamp(c.World.Cfg.Start)
+	// The seal of the last tick needs interval range left after its data.
+	intervals := int32(c.World.Days()*gdelt.IntervalsPerDay) + spacing
+	const gap, cut = 7, 20
 
-	full := NewMonitor(base, cfg)
-	half := NewMonitor(base, cfg)
-	for i := range c.Events {
-		ev := c.EventRecord(i)
-		full.ObserveEvent(&ev)
-		half.ObserveEvent(&ev)
-	}
-	cut := len(c.Mentions) / 2
-	for j := range c.Mentions {
-		mn := c.MentionRecord(j)
-		if err := full.ObserveMention(&mn); err != nil {
-			t.Fatal(err)
-		}
-		if j < cut {
-			mn2 := c.MentionRecord(j)
-			if err := half.ObserveMention(&mn2); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, iv := range []int64{0, 1, 2} {
-		full.MarkChunk(ivTS(base, iv))
-		half.MarkChunk(ivTS(base, iv))
-	}
+	full := NewMonitor(shard.NewLog(emptyWorld(t, start, intervals)), cfg)
+	want := foldTicks(t, full, ticks, gap)
 
-	// Round-trip the interrupted monitor through a checkpoint file.
-	path := filepath.Join(t.TempDir(), "stream.ckpt")
-	if err := half.Checkpoint().WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := ReadCheckpointFile(path)
+	dir := t.TempDir()
+	lg, err := shard.CreateLog(dir, emptyWorld(t, start, intervals))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := FromCheckpoint(cp)
+	got := foldTicks(t, NewMonitor(lg, cfg), ticks[:cut], gap)
+	if _, err := lg.Seal(); err != nil { // the interrupted run's last act
+		t.Fatal(err)
+	}
+
+	re, err := shard.OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.SeenChunk(ivTS(base, 2)) || resumed.SeenChunk(ivTS(base, 3)) {
-		t.Fatal("resumed monitor lost the chunk ledger")
+	if !slices.Equal(re.Ledger(), lg.Ledger()) {
+		t.Fatalf("reopened ledger %v, want %v", re.Ledger(), lg.Ledger())
+	}
+	resumed := NewMonitor(re, cfg)
+	if got := resumed.ResumePoint(start, spacing); got != ticks[gap].ts {
+		t.Fatalf("resume point %s, want the gap %s", got, ticks[gap].ts)
+	}
+	if resumed.Foldable(ticks[gap].ts) {
+		t.Fatal("the stale gap reported foldable")
+	}
+	if _, err := re.AppendTick(ticks[3].ts, ticks[3].evs, ticks[3].mns); err == nil {
+		t.Fatal("the log folded a tick its ledger already holds")
+	}
+	got = append(got, foldTicks(t, resumed, ticks)...)
+	if _, err := re.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if len(re.Ledger()) != len(ticks)-1 {
+		t.Fatalf("ledger holds %d ticks, want %d", len(re.Ledger()), len(ticks)-1)
 	}
 
-	// Replay the unseen tail into the resumed monitor.
-	for j := cut; j < len(c.Mentions); j++ {
-		mn := c.MentionRecord(j)
-		if err := resumed.ObserveMention(&mn); err != nil {
-			t.Fatal(err)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("interrupted+resumed runs fired %d alerts, an uninterrupted one %d", len(got), len(want))
 	}
-
-	got, want := resumed.Snapshot(), full.Snapshot()
-	if got.Interval != want.Interval || got.Events != want.Events ||
-		got.Articles != want.Articles || got.SlowArticles != want.SlowArticles ||
-		got.TrackedEvents != want.TrackedEvents || got.LateArticles != want.LateArticles ||
-		got.MissingChunks != want.MissingChunks {
-		t.Fatalf("resumed snapshot %+v != uninterrupted %+v", got, want)
+	final, err := shard.OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.IsNaN(got.ApproxMedianDelay) != math.IsNaN(want.ApproxMedianDelay) ||
-		(!math.IsNaN(got.ApproxMedianDelay) && got.ApproxMedianDelay != want.ApproxMedianDelay) {
-		t.Fatalf("median delay %v != %v", got.ApproxMedianDelay, want.ApproxMedianDelay)
-	}
-	if len(got.Alerts) != len(want.Alerts) {
-		t.Fatalf("alerts %d != %d", len(got.Alerts), len(want.Alerts))
-	}
-	for i := range got.Alerts {
-		if got.Alerts[i] != want.Alerts[i] {
-			t.Fatalf("alert %d: %+v != %+v", i, got.Alerts[i], want.Alerts[i])
-		}
-	}
-
-	gotPub, wantPub := resumed.TopPublishers(10), full.TopPublishers(10)
-	if len(gotPub) != len(wantPub) {
-		t.Fatalf("publishers %d != %d", len(gotPub), len(wantPub))
-	}
-	for i := range gotPub {
-		if gotPub[i] != wantPub[i] {
-			t.Fatalf("publisher %d: %+v != %+v", i, gotPub[i], wantPub[i])
-		}
-	}
-}
-
-func TestCheckpointVersionMismatch(t *testing.T) {
-	m := NewMonitor(testBase, Config{})
-	cp := m.Checkpoint()
-	cp.Version = 99
-	if _, err := FromCheckpoint(cp); err == nil {
-		t.Fatal("FromCheckpoint accepted an unknown version")
+	sameAnswers(t, kindAnswers(t, final.Snapshot()), kindAnswers(t, full.lg.Snapshot()), "resumed vs uninterrupted")
+	if g, w := NewMonitor(final, cfg).Gaps(), full.Gaps(); !slices.Equal(g, w) || len(w) != 1 {
+		t.Fatalf("gaps: resumed %v, uninterrupted %v, want the one unreadable tick", g, w)
 	}
 }

@@ -1,41 +1,47 @@
-// Package stream implements the real-time monitoring mode: a Monitor
-// consumes the GDELT feed chunk by chunk (the 15-minute update cycle) and
-// maintains incremental statistics plus a live digital-wildfire detector.
-// It is the streaming counterpart of the batch system — where Lu and
+// Package stream implements the real-time monitoring mode. Feed ticks —
+// one GDELT update each, an export and a mentions file — fold whole into a
+// shard.Log, the only state a stream keeps: the log holds the rows, its
+// chunk ledger records which ticks they came from, and a seal persists both
+// at once, so a restarted stream reopens the log and resumes at the first
+// tick the ledger lacks. Wildfire alerts are read off the log as well:
+// after each tick, every event the tick mentions is counted on the
+// snapshots before and after the fold with the wildfires query's own
+// per-event count, and an alert fires when the count crosses the
+// threshold — within one tick of a wildfire igniting, the latency that
+// matters when tracking fast-spreading misinformation. Where Lu and
 // Szymanski (Section II) stream GDELT for viral-event prediction, this
-// monitor incrementally tracks exactly the quantities the batch queries
-// compute, so a live deployment can alert within one capture interval of a
-// wildfire igniting.
+// monitor serves the batch queries' answers as the feed arrives.
 package stream
 
 import (
+	"bytes"
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/obs"
-	"gdeltmine/internal/stats"
+	"gdeltmine/internal/shard"
+	"gdeltmine/internal/store"
 )
 
-// Monitor observability: process-wide counters for the feed volume plus
-// gauges describing the live monitor's health — how far the clock has run
-// past the last marked chunk (chunk lag), how many expected intervals are
-// still missing, and how much wildfire state is held. When several
-// monitors run in one process (tests), the counters aggregate across them
-// and the gauges reflect the most recent writer.
+// Stream observability: counters for late mentions and fired alerts, and
+// gauges read from the chunk ledger — how far the newest advertised tick
+// is past the ledger's newest mark (chunk lag) and how many expected ticks
+// the ledger lacks. When several monitors run in one process (tests), the
+// counters aggregate across them and the gauges reflect the most recent
+// writer.
 var (
-	mArticles = obs.Default.Counter("stream_articles_total",
-		"mentions folded into stream monitors")
 	mLate = obs.Default.Counter("stream_late_articles_total",
-		"late mentions accepted within the grace window")
+		"mentions folded from ticks behind the ledger's newest mark, within the grace window")
 	mAlerts = obs.Default.Counter("stream_alerts_total",
 		"wildfire alerts fired")
-	mTracked = obs.Default.Gauge("stream_tracked_events",
-		"events currently inside the wildfire horizon")
 	mChunkLag = obs.Default.Gauge("stream_chunk_lag_intervals",
-		"monitor clock minus last marked chunk interval")
+		"newest advertised feed tick minus the ledger's newest mark, in intervals")
 	mMissing = obs.Default.Gauge("stream_missing_chunks",
-		"expected chunk intervals never marked (open gaps)")
+		"expected ticks between the ledger's first and newest marks that it lacks (open gaps)")
 )
 
 // Config tunes the monitor.
@@ -47,17 +53,15 @@ type Config struct {
 	// MinSources is the distinct-source threshold that fires an alert.
 	// Zero means 5.
 	MinSources int
-	// SlowThreshold classifies slow articles, in intervals. Zero means 96
-	// (the 24-hour cycle boundary of Figure 11).
-	SlowThreshold int64
-	// GraceIntervals tolerates late mentions: a mention up to this many
-	// intervals behind the monitor clock (a gap chunk caught up on
-	// arrival) is folded into the totals without moving the clock
-	// backward. Zero means strict feed order — any regression is an
-	// error, the pre-gap-handling behavior.
+	// GraceIntervals tolerates late ticks: a tick starting up to this many
+	// intervals behind the ledger's newest mark (a gap chunk caught up on
+	// arrival) may still fold, and its mentions count as late. Zero means
+	// strict feed order. A late tick folds only where the log can take it
+	// — its mentions must not fall behind the log's newest mention, the
+	// tail's time order — and is otherwise stale like one beyond grace.
 	GraceIntervals int32
-	// ChunkIntervals is the expected spacing of chunk arrivals, for gap
-	// detection. Zero infers it from the first two distinct chunk marks.
+	// ChunkIntervals is the expected spacing of ticks, for gap detection.
+	// Zero infers it from the two closest marks in the ledger.
 	ChunkIntervals int32
 }
 
@@ -68,9 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.MinSources == 0 {
 		c.MinSources = 5
 	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = gdelt.IntervalsPerDay
-	}
 	return c
 }
 
@@ -78,277 +79,228 @@ func (c Config) withDefaults() Config {
 type Alert struct {
 	// EventID is the global id of the igniting event.
 	EventID int64
-	// FiredAt is the capture interval at which the threshold was crossed.
+	// FiredAt is the capture interval of the tick whose fold crossed the
+	// threshold.
 	FiredAt int32
-	// Sources is the distinct-source count at firing time (== MinSources).
+	// Sources is the event's distinct early-source count after that tick:
+	// at least MinSources, more when one tick brought several sources.
 	Sources int
 }
 
-// PublisherCount pairs a source with its running article count.
-type PublisherCount struct {
-	Source   string
-	Articles int64
-}
+// ErrStale reports a tick the monitor no longer folds: further behind the
+// ledger's newest mark than the grace window, or behind the log's newest
+// mention. Nothing of it is appended; it stays a gap in the ledger.
+var ErrStale = errors.New("stream: tick too old to fold")
 
-// Snapshot is the monitor's current aggregate state.
-type Snapshot struct {
-	// Interval is the latest capture interval observed.
-	Interval int32
-	// Events and Articles are running totals.
-	Events, Articles int64
-	// SlowArticles counts articles with delay above the slow threshold.
-	SlowArticles int64
-	// TrackedEvents is the number of events currently inside the wildfire
-	// horizon (a memory gauge).
-	TrackedEvents int
-	// LateArticles counts mentions accepted within the grace window after
-	// the clock had already passed their interval (gap catch-up).
-	LateArticles int64
-	// MissingChunks is the number of expected chunk intervals with no
-	// arrival so far (open gaps).
-	MissingChunks int
-	// ApproxMedianDelay is the running P² estimate of the median publishing
-	// delay in intervals (O(1) memory; NaN before any articles).
-	ApproxMedianDelay float64
-	// Alerts lists fired wildfire alarms in firing order.
+// Folded reports one tick's fold.
+type Folded struct {
+	store.AppendStats
+	// Late is set when the tick started behind the ledger's newest mark.
+	Late bool
+	// Alerts lists the events the tick made wildfires, by event id.
 	Alerts []Alert
 }
 
-// eventState tracks one event inside the wildfire horizon.
-type eventState struct {
-	ignition int32
-	sources  map[string]struct{}
-	alerted  bool
-}
-
-// Monitor incrementally aggregates a time-ordered mention stream.
+// Monitor folds feed ticks into a shard.Log and reads wildfire alerts off
+// the snapshots on either side of each fold. It keeps no state of its own:
+// the ledger, the rows and the counts alerts compare all live in the log,
+// so a monitor over a reopened log carries on where the last one stopped.
+// Fold is for one goroutine; a compactor may seal the log concurrently.
 type Monitor struct {
+	lg   *shard.Log
 	cfg  Config
-	base int64 // interval index of the archive start
-
-	now          int32
-	events       int64
-	articles     int64
-	slow         int64
-	late         int64
-	medianDelay  *stats.P2Quantile
-	perSource    map[string]int64
-	tracked      map[int64]*eventState
-	alerts       []Alert
-	evictedUpTo  int32
-	streamBroken error
-
-	// Chunk-arrival ledger for gap detection: which chunk intervals have
-	// been marked, and the observed span of marks.
-	chunkSeen             map[int32]struct{}
-	firstChunk, lastChunk int32
-	haveChunks            bool
+	base int64 // interval index of the log's archive start
 }
 
-// NewMonitor returns a monitor for a feed starting at the given timestamp.
-func NewMonitor(start gdelt.Timestamp, cfg Config) *Monitor {
-	return &Monitor{
-		cfg:         cfg.withDefaults(),
-		base:        start.IntervalIndex(),
-		medianDelay: stats.NewP2Quantile(0.5),
-		perSource:   make(map[string]int64),
-		tracked:     make(map[int64]*eventState),
-		chunkSeen:   make(map[int32]struct{}),
-	}
+// NewMonitor returns a monitor folding into lg.
+func NewMonitor(lg *shard.Log, cfg Config) *Monitor {
+	return &Monitor{lg: lg, cfg: cfg.withDefaults(), base: lg.Snapshot().Meta().Start.IntervalIndex()}
 }
 
-// MarkChunk records the arrival of the chunk covering the interval at ts.
-// The feeder calls it once per chunk it manages to read — including late
-// reads that resolve an earlier gap. Gaps() reports the expected intervals
-// never marked.
-func (m *Monitor) MarkChunk(ts gdelt.Timestamp) {
-	iv := int32(ts.IntervalIndex() - m.base)
-	if !m.haveChunks || iv < m.firstChunk {
-		m.firstChunk = iv
+// newest returns the ledger's newest mark as an archive offset, or -1
+// while the ledger is empty.
+func (m *Monitor) newest() int64 {
+	marks := m.lg.Ledger()
+	if len(marks) == 0 {
+		return -1
 	}
-	if !m.haveChunks || iv > m.lastChunk {
-		m.lastChunk = iv
-	}
-	m.haveChunks = true
-	m.chunkSeen[iv] = struct{}{}
-	mChunkLag.Set(float64(m.now - m.lastChunk))
+	return int64(marks[len(marks)-1])
 }
 
-// SeenChunk reports whether the chunk covering ts was already marked —
-// the test a resumed monitor uses to replay only unseen intervals.
+// SeenChunk reports whether the ledger holds the tick starting at ts.
 func (m *Monitor) SeenChunk(ts gdelt.Timestamp) bool {
-	_, ok := m.chunkSeen[int32(ts.IntervalIndex()-m.base)]
+	iv := ts.IntervalIndex() - m.base
+	if iv < 0 || iv > 1<<31-1 {
+		return false
+	}
+	_, ok := slices.BinarySearch(m.lg.Ledger(), int32(iv))
 	return ok
 }
 
-// Foldable reports whether a chunk starting at ts could still be folded:
-// at or ahead of the clock, or behind it within the grace window. A
-// resumed or catching-up feeder uses it to recognize gaps too old to
-// recover — ObserveMention rejects clock regressions deeper than grace,
-// so folding such a chunk would break the stream.
+// Foldable reports whether a tick starting at ts could still fold: within
+// the grace window of the ledger's newest mark and at or past the log's
+// newest mention. A resumed or catching-up feeder uses it to give up on
+// gaps too old to recover before fetching them.
 func (m *Monitor) Foldable(ts gdelt.Timestamp) bool {
-	iv := int32(ts.IntervalIndex() - m.base)
-	return m.now-iv <= m.cfg.GraceIntervals
+	iv := ts.IntervalIndex() - m.base
+	if newest := m.newest(); newest-iv > int64(m.cfg.GraceIntervals) {
+		return false
+	}
+	s := m.lg.Snapshot()
+	floor := s.Bounds()[s.K()-1]
+	if t := s.Tail().Mentions; t.Len() > 0 {
+		floor = max(floor, t.Interval[t.Len()-1])
+	}
+	return iv >= int64(floor)
 }
 
-// chunkSpacing returns the expected gap between chunk marks: the
-// configured value, or the smallest observed spacing, or 0 when fewer than
-// two distinct marks exist (no gap detection possible yet).
-func (m *Monitor) chunkSpacing() int32 {
-	if m.cfg.ChunkIntervals > 0 {
-		return m.cfg.ChunkIntervals
+// ResumePoint returns the first tick at or after start, stepping spacing
+// intervals, that the ledger does not hold: where a restarted feeder
+// resumes so no folded tick is fetched again.
+func (m *Monitor) ResumePoint(start gdelt.Timestamp, spacing int32) gdelt.Timestamp {
+	for m.SeenChunk(start) {
+		start = gdelt.IntervalStart(start.IntervalIndex() + int64(spacing))
 	}
-	spacing := int32(0)
-	marks := m.sortedMarks()
-	for i := 1; i < len(marks); i++ {
-		if d := marks[i] - marks[i-1]; d > 0 && (spacing == 0 || d < spacing) {
-			spacing = d
-		}
-	}
-	return spacing
+	return start
 }
 
-func (m *Monitor) sortedMarks() []int32 {
-	marks := make([]int32, 0, len(m.chunkSeen))
-	for iv := range m.chunkSeen {
-		marks = append(marks, iv)
-	}
-	sort.Slice(marks, func(a, b int) bool { return marks[a] < marks[b] })
-	return marks
-}
-
-// Gaps returns the start timestamps of expected chunk intervals between
-// the first and last marked chunk that never arrived, in feed order. A
-// late chunk that was eventually marked no longer counts as a gap.
+// Gaps returns the start of every expected tick between the ledger's first
+// and newest marks that the ledger lacks, in feed order, and refreshes the
+// stream_missing_chunks gauge. Expected ticks are ChunkIntervals apart, or
+// as far apart as the two closest marks when that is zero.
 func (m *Monitor) Gaps() []gdelt.Timestamp {
-	spacing := m.chunkSpacing()
-	if spacing <= 0 || !m.haveChunks {
-		return nil
+	marks := m.lg.Ledger()
+	spacing := m.cfg.ChunkIntervals
+	if spacing <= 0 {
+		for i := 1; i < len(marks); i++ {
+			if d := marks[i] - marks[i-1]; spacing <= 0 || d < spacing {
+				spacing = d
+			}
+		}
 	}
 	var out []gdelt.Timestamp
-	for iv := m.firstChunk; iv < m.lastChunk; iv += spacing {
-		if _, ok := m.chunkSeen[iv]; !ok {
-			out = append(out, gdelt.IntervalStart(m.base+int64(iv)))
+	if spacing > 0 && len(marks) > 0 {
+		i := 0
+		for iv := marks[0]; iv < marks[len(marks)-1]; iv += spacing {
+			for marks[i] < iv {
+				i++
+			}
+			if marks[i] != iv {
+				out = append(out, gdelt.IntervalStart(m.base+int64(iv)))
+			}
 		}
 	}
+	mMissing.Set(float64(len(out)))
 	return out
 }
 
-// ObserveEvent folds a newly published event row into the running totals.
-func (m *Monitor) ObserveEvent(ev *gdelt.Event) {
-	m.events++
-}
+// Fold appends one whole tick starting at ts to the log, marking it in the
+// ledger, and returns the alerts it fired: the events it mentions whose
+// distinct early-source count (shard.DB.EarlySources, the wildfires
+// count) was below MinSources before the fold and is at least MinSources
+// after it. A stale tick is refused with ErrStale before anything is
+// appended.
+func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mention) (Folded, error) {
+	if !m.Foldable(ts) {
+		return Folded{}, fmt.Errorf("%w: %s", ErrStale, ts)
+	}
+	iv := ts.IntervalIndex() - m.base
+	f := Folded{Late: iv < m.newest()}
+	ids := make([]int64, len(mns))
+	for i := range mns {
+		ids[i] = mns[i].GlobalEventID
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 
-// ObserveMention folds one article. Mentions must arrive in non-decreasing
-// capture-interval order (the natural order of the 15-minute feed); a
-// regression within Config.GraceIntervals is accepted as a late gap
-// catch-up (counted, clock unchanged), while a deeper regression is
-// reported as an error and the mention is dropped.
-func (m *Monitor) ObserveMention(mn *gdelt.Mention) error {
-	iv := int32(mn.MentionTime.IntervalIndex() - m.base)
-	if iv < m.now {
-		if m.now-iv > m.cfg.GraceIntervals {
-			err := fmt.Errorf("stream: mention at interval %d after clock reached %d (grace %d)",
-				iv, m.now, m.cfg.GraceIntervals)
-			m.streamBroken = err
-			return err
-		}
-		m.late++
-		mLate.Inc()
+	before := m.lg.Snapshot()
+	var err error
+	if f.AppendStats, err = m.lg.AppendTick(ts, evs, mns); err != nil {
+		return Folded{}, err
 	}
-	if iv > m.now {
-		m.advance(iv)
-	}
-	m.articles++
-	mArticles.Inc()
-	m.perSource[mn.SourceName]++
-	delay := mn.Delay()
-	m.medianDelay.Add(float64(delay))
-	if delay > m.cfg.SlowThreshold {
-		m.slow++
-	}
-
-	// Wildfire tracking: only articles within the window of the event's
-	// ignition count.
-	evIv := int32(mn.EventTime.IntervalIndex() - m.base)
-	if iv-evIv >= m.cfg.Window {
-		return nil
-	}
-	if evIv < m.evictedUpTo {
-		// A late mention of an event already evicted from the horizon:
-		// its window state is gone, so it cannot contribute to an alert.
-		return nil
-	}
-	st, ok := m.tracked[mn.GlobalEventID]
-	if !ok {
-		st = &eventState{ignition: evIv, sources: make(map[string]struct{}, 4)}
-		m.tracked[mn.GlobalEventID] = st
-	}
-	st.sources[mn.SourceName] = struct{}{}
-	if !st.alerted && len(st.sources) >= m.cfg.MinSources {
-		st.alerted = true
-		m.alerts = append(m.alerts, Alert{EventID: mn.GlobalEventID, FiredAt: iv, Sources: len(st.sources)})
-		mAlerts.Inc()
-	}
-	mTracked.Set(float64(len(m.tracked)))
-	return nil
-}
-
-// advance moves the monitor clock forward and evicts events that fell out
-// of the wildfire horizon, bounding tracked state to the active window.
-func (m *Monitor) advance(iv int32) {
-	m.now = iv
-	if m.haveChunks {
-		mChunkLag.Set(float64(m.now - m.lastChunk))
-	}
-	cutoff := iv - m.cfg.Window
-	if cutoff <= m.evictedUpTo {
-		return
-	}
-	for id, st := range m.tracked {
-		if st.ignition < cutoff {
-			delete(m.tracked, id)
+	var hot []int64
+	var counts []int
+	for i, n := range m.lg.Snapshot().EarlySources(ids, m.cfg.Window) {
+		if n >= m.cfg.MinSources {
+			hot, counts = append(hot, ids[i]), append(counts, n)
 		}
 	}
-	m.evictedUpTo = cutoff
-}
-
-// Snapshot returns the current aggregate state. Taking a snapshot also
-// refreshes the stream_missing_chunks gauge, whose value requires the
-// (non-constant-time) gap walk.
-func (m *Monitor) Snapshot() Snapshot {
-	gaps := len(m.Gaps())
-	mMissing.Set(float64(gaps))
-	return Snapshot{
-		Interval:          m.now,
-		Events:            m.events,
-		Articles:          m.articles,
-		SlowArticles:      m.slow,
-		TrackedEvents:     len(m.tracked),
-		LateArticles:      m.late,
-		MissingChunks:     gaps,
-		ApproxMedianDelay: m.medianDelay.Value(),
-		Alerts:            append([]Alert(nil), m.alerts...),
-	}
-}
-
-// TopPublishers returns the k most productive sources observed so far.
-func (m *Monitor) TopPublishers(k int) []PublisherCount {
-	out := make([]PublisherCount, 0, len(m.perSource))
-	for s, n := range m.perSource {
-		out = append(out, PublisherCount{Source: s, Articles: n})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Articles != out[b].Articles {
-			return out[a].Articles > out[b].Articles
+	for i, n := range before.EarlySources(hot, m.cfg.Window) {
+		if n < m.cfg.MinSources {
+			f.Alerts = append(f.Alerts, Alert{EventID: hot[i], FiredAt: int32(iv), Sources: counts[i]})
 		}
-		return out[a].Source < out[b].Source
-	})
-	if len(out) > k {
-		out = out[:k]
 	}
+	if f.Late {
+		mLate.Add(int64(f.AppendedMentions))
+	}
+	mAlerts.Add(int64(len(f.Alerts)))
+	return f, nil
+}
+
+// ReadTick reads one tick's export and mentions files through read and
+// parses their rows; GKG files are ignored, since appends extend the event
+// and mention tables only. Rows that do not parse are skipped, as the batch
+// converter skips them. A read error fails the whole tick, so nothing of it
+// folds and a retry or a later run can fold it whole.
+func ReadTick(ctx context.Context, entries []gdelt.MasterEntry,
+	read func(context.Context, gdelt.MasterEntry) ([]byte, error)) ([]gdelt.Event, []gdelt.Mention, error) {
+	var evs []gdelt.Event
+	var mns []gdelt.Mention
+	var fields [][]byte
+	for _, e := range entries {
+		kind := e.Kind()
+		if kind != "export" && kind != "mentions" {
+			continue
+		}
+		data, err := read(ctx, e)
+		if err != nil {
+			return nil, nil, err
+		}
+		for len(data) > 0 {
+			var line []byte
+			if i := bytes.IndexByte(data, '\n'); i >= 0 {
+				line, data = data[:i], data[i+1:]
+			} else {
+				line, data = data, nil
+			}
+			if len(line) == 0 {
+				continue
+			}
+			fields = gdelt.SplitTabs(line, fields[:0])
+			if kind == "export" {
+				if ev, err := gdelt.ParseEventFields(fields); err == nil {
+					evs = append(evs, ev)
+				}
+			} else if mn, err := gdelt.ParseMentionFields(fields); err == nil {
+				mns = append(mns, mn)
+			}
+		}
+	}
+	return evs, mns, nil
+}
+
+// Tick is one feed update: where it starts and its chunk files.
+type Tick struct {
+	TS      gdelt.Timestamp
+	Entries []gdelt.MasterEntry
+}
+
+// Ticks groups a master list's entries by the tick they start, in feed
+// order. Entries whose name carries no timestamp are left out, and a path
+// listed twice is kept once, as the batch converter keeps it.
+func Ticks(ml *gdelt.MasterList) []Tick {
+	byTS := map[gdelt.Timestamp][]gdelt.MasterEntry{}
+	seen := map[string]bool{}
+	for _, e := range ml.Entries {
+		if ts, err := e.Interval(); err == nil && !seen[e.Path] {
+			seen[e.Path] = true
+			byTS[ts] = append(byTS[ts], e)
+		}
+	}
+	out := make([]Tick, 0, len(byTS))
+	for ts, entries := range byTS {
+		out = append(out, Tick{TS: ts, Entries: entries})
+	}
+	slices.SortFunc(out, func(a, b Tick) int { return cmp.Compare(a.TS, b.TS) })
 	return out
 }
-
-// Err returns the first stream-order violation seen, if any.
-func (m *Monitor) Err() error { return m.streamBroken }
