@@ -105,7 +105,7 @@ func BenchmarkTable5CountryCoReporting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cr, err := ds.CountryReport()
-		if err != nil || cr.CoReporting.Sum() == 0 {
+		if err != nil || total(cr.CoReporting.Data) == 0 {
 			b.Fatalf("country query: %v", err)
 		}
 	}
@@ -117,7 +117,7 @@ func BenchmarkTable6CrossReporting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cr, err := ds.CountryReport()
-		if err != nil || cr.Cross.Sum() == 0 {
+		if err != nil || total(cr.Cross.Data) == 0 {
 			b.Fatalf("country query: %v", err)
 		}
 	}
@@ -129,7 +129,7 @@ func BenchmarkTable7CrossReportingPct(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cr, err := ds.CountryReport()
-		if err != nil || cr.Fractions.Sum() == 0 {
+		if err != nil || total(cr.Fractions.Data) == 0 {
 			b.Fatalf("country query: %v", err)
 		}
 	}
@@ -317,7 +317,7 @@ func BenchmarkBaselineRowScan(b *testing.B) {
 	rs := ds.RowStoreBaseline()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m := rs.CrossCountry(); m.Sum() == 0 {
+		if m := rs.CrossCountry(); total(m.Data) == 0 {
 			b.Fatal("empty")
 		}
 	}
@@ -399,7 +399,7 @@ func BenchmarkGKGThemeCooccurrence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		co, err := ds.ThemeCooccurrences(10)
-		if err != nil || co.Counts.Sum() == 0 {
+		if err != nil || total(co.Counts.Data) == 0 {
 			b.Fatalf("cooccurrence: %v", err)
 		}
 	}

@@ -11,6 +11,15 @@ go vet ./...
 test -z "$(gofmt -l $(go list -f '{{.Dir}}' ./...))"
 go test ./...
 
+# Link gate: production code is what a binary links. linkgate.go builds every
+# command, example and the benchmark with inlining off and fails when a
+# function declared in a non-test file under internal/ is linked by none of
+# them and is not on its allowlist (oracles, test seams, the bitmap codec kept
+# for serialized index sections, the X2 sliced co-report, public-API bodies,
+# test packages — each entry with its reason), or when an allowlist entry has
+# gone stale.
+go run linkgate.go
+
 # Fuzz smoke: plain `go test` only replays each target's seed corpus; this
 # runs every Fuzz* target for 5 s of fresh inputs (seven targets, ~1 min on
 # 2 vCPUs). A failure leaves its input under the package's testdata/fuzz.

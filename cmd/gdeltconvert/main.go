@@ -3,14 +3,15 @@
 // validates the data, and writes the indexed binary database. The defect
 // tally it prints reproduces Table II.
 //
-// The conversion is fault-tolerant: transient chunk-read failures are
-// retried with capped exponential backoff, permanently unreadable chunks
-// are quarantined (the build completes partially and reports the loss),
-// and a damage level above -max-quarantine-frac aborts.
+// The conversion is fault-tolerant: unreadable chunks are quarantined (the
+// build completes partially and reports the loss), and a damage level
+// above -max-quarantine-frac aborts. Local file reads fail permanently, so
+// they are not retried; the retry schedule applies only to sources that
+// report transient failures.
 //
 // Usage:
 //
-//	gdeltconvert -in ./dataset -out ./gdelt.gdmb [-retries 5] [-max-quarantine-frac 1.0]
+//	gdeltconvert -in ./dataset -out ./gdelt.gdmb [-max-quarantine-frac 1.0]
 //	             [-shards 4]
 //
 // With -shards K > 1 the converted store is additionally split on
@@ -36,7 +37,6 @@ import (
 
 	"gdeltmine"
 	"gdeltmine/internal/report"
-	"gdeltmine/internal/retry"
 	"gdeltmine/internal/shard"
 )
 
@@ -46,7 +46,6 @@ func main() {
 	var (
 		in      = flag.String("in", "", "raw dataset directory (required)")
 		out     = flag.String("out", "", "output binary database path (required)")
-		retries = flag.Int("retries", 5, "chunk read attempts before quarantining (transient failures only)")
 		maxQuar = flag.Float64("max-quarantine-frac", 1.0, "abort when more than this fraction of chunks quarantine")
 		shards  = flag.Int("shards", 0, "also write a K-shard layout next to -out (directory <out>.shards: manifest + one file per shard); 0 disables")
 	)
@@ -59,12 +58,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	pol := retry.DefaultPolicy()
-	pol.MaxAttempts = *retries
-
 	start := time.Now()
 	ds, err := gdeltmine.ConvertRawOpts(ctx, *in, gdeltmine.ConvertOptions{
-		Retry:             pol,
 		MaxQuarantineFrac: *maxQuar,
 	})
 	if err != nil {

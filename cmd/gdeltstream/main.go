@@ -6,10 +6,11 @@
 // within one tick of ignition, the latency that matters when tracking
 // fast-spreading misinformation.
 //
-// The replay is fault-tolerant: transient chunk reads are retried with
-// backoff, ticks that stay unreadable are reported as gaps, and a tick
-// caught up late within -grace intervals still folds when the log can take
-// it. With -checkpoint DIR the append log itself is durable: DIR is created
+// The replay is fault-tolerant: a tick with an unreadable chunk is not
+// folded and is reported as a gap (local file reads fail permanently, so
+// they are not retried), a damaged but present chunk folds what parses,
+// and a tick caught up late within -grace intervals still folds when the
+// log can take it. With -checkpoint DIR the append log itself is durable: DIR is created
 // on the first run, every seal persists the log's world together with its
 // chunk ledger, and a rerun reopens DIR and folds only the ticks the
 // ledger lacks. gdeltserve -db DIR serves what the stream folded.
@@ -26,7 +27,7 @@
 //
 // Usage:
 //
-//	gdeltstream -in ./dataset [-window 8] [-min 5] [-grace 8] [-retries 5]
+//	gdeltstream -in ./dataset [-window 8] [-min 5] [-grace 8]
 //	            [-checkpoint DIR] [-progress 10000] [-seal-rows N] [-seal-span N]
 //	gdeltstream -live http://host:8090 [-poll 2s] [-max-polls N]
 //	            [-tick-intervals N] [-seal-rows N] [-seal-span N] [-checkpoint DIR]
@@ -71,7 +72,6 @@ func main() {
 		window   = flag.Int("window", 8, "wildfire window in 15-minute intervals")
 		minSrc   = flag.Int("min", 5, "distinct sources that trigger an alert")
 		grace    = flag.Int("grace", 8, "intervals behind the newest tick a late tick may still fold")
-		retries  = flag.Int("retries", 5, "chunk read attempts before declaring a gap")
 		ckptPath = flag.String("checkpoint", "", "append-log directory: created on the first run, reopened and resumed after")
 		progress = flag.Int("progress", 100000, "print progress every N folded articles (0 disables)")
 		sealRows = flag.Int("seal-rows", 0, "compactor row threshold (0 = default)")
@@ -112,13 +112,13 @@ func main() {
 		mcfg.ChunkIntervals = int32(*tickIv)
 		runLive(ctx, *live, mcfg, stream.LiveConfig{TickIntervals: int32(*tickIv)}, ccfg, *poll, *maxPolls, *ckptPath)
 	default:
-		runReplay(ctx, *in, mcfg, ccfg, *retries, *progress, *ckptPath)
+		runReplay(ctx, *in, mcfg, ccfg, *progress, *ckptPath)
 	}
 }
 
 // runReplay folds the dataset under dir tick by tick, in feed order.
 func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.CompactorConfig,
-	retries, progress int, ckptPath string) {
+	progress int, ckptPath string) {
 	f, err := os.Open(filepath.Join(dir, gen.MasterFileName))
 	if err != nil {
 		log.Fatal(err)
@@ -140,9 +140,7 @@ func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.
 	mon := stream.NewMonitor(lg, mcfg)
 	comp := stream.NewCompactor(lg, ccfg)
 
-	pol := retry.DefaultPolicy()
-	pol.MaxAttempts = retries
-	reader := &ingest.Reader{Src: ingest.Dir(dir), Retry: pol}
+	reader := &ingest.Reader{Src: ingest.Dir(dir), Retry: retry.DefaultPolicy()}
 	read := func(ctx context.Context, e gdelt.MasterEntry) ([]byte, error) {
 		data, err := reader.Read(ctx, e)
 		var ce *ingest.ChecksumError
@@ -176,7 +174,7 @@ func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.
 		}
 		if err != nil {
 			unreadable++
-			log.Printf("tick %s unreadable after %d attempts: %v", t.TS, retries, err)
+			log.Printf("tick %s unreadable: %v", t.TS, err)
 			continue // the tick stays unmarked and shows up as a gap
 		}
 		fd, err := mon.Fold(t.TS, evs, mns)

@@ -216,11 +216,23 @@ func (d *Dataset) WithQueryKind(kind string) *Dataset {
 	return &cp
 }
 
-// Window returns a view of the dataset whose mention-scan queries (counts,
-// quarterly series, cross-reporting, slow-article counts) cover only
-// articles captured in [from, to). Timestamps clamp to the archive span.
-// Postings-based queries (co-/follow-reporting, per-source delays) are not
-// windowed; use quarterly slicing for those.
+// Window returns a view of the dataset whose mention-scan queries cover
+// only articles captured in [from, to). Timestamps clamp to the archive
+// span. TestDatasetWindowScope pins both lists below.
+//
+// Windowed: WindowArticles, TopPublishers, ArticlesPerQuarter,
+// SlowArticlesPerQuarter, TopPublisherSeries, CountWhere,
+// ArticlesPerQuarterWhere, TopPublishersWhere, ToneByCountry and
+// CountryReport (its cross-reporting and article counts; its per-country
+// event counts scan the event table and are archive-wide).
+//
+// Archive-wide — they scan the event table, walk postings or read the GKG,
+// so the window does not reach them: Stats, TopEvents, EventSizes,
+// ActiveSourcesPerQuarter, EventsPerQuarter, QuarterlyDelays,
+// DelayDistribution, PublisherDelays, CoReport, CoReportSliced,
+// FollowReport, ClusterSources, SourceGraph, FirstReports, Repeats,
+// SpeedGroups, FastSpreadingEvents, TopThemes, ThemeTrends,
+// ThemeCooccurrences, PersonsForTheme and TranslatedShare.
 func (d *Dataset) Window(from, to Timestamp) *Dataset {
 	base := d.db.Meta.Start.IntervalIndex()
 	lo := from.IntervalIndex() - base

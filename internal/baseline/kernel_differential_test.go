@@ -132,13 +132,13 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 					eqSeries(t, "group-count events", got, want)
 				})
 				t.Run(prefix+"/cross-count", func(t *testing.T) {
-					got := e.CrossCountCols(nc, nc,
-						db.Mentions.EventRow, db.EventCountryLUT(),
-						db.Mentions.Source, db.SourceCountryLUT())
 					want := CrossCount(e, nc, nc, func(row int) (int, int) {
 						ev := db.Mentions.EventRow[row]
 						return int(db.Events.Country[ev]), int(db.SourceCountry[db.Mentions.Source[row]])
 					})
+					got := engine.CrossCountRemap(e, nc, nc,
+						db.Mentions.EventRow, db.EventCountryLUT(),
+						db.Mentions.Source, db.SourceCountryLUT())
 					eqSeries(t, "cross-count country", got.Data, want.Data)
 					// The int16-remap instantiation (what CountryMatrix runs):
 					// narrow store columns used directly as remap tables must
@@ -149,20 +149,21 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 					eqSeries(t, "cross-count country int16 remap", got16.Data, want.Data)
 				})
 				t.Run(prefix+"/sum-by-group", func(t *testing.T) {
-					// The per-group sum is CrossSumCols with one column:
-					// an all-zero column remap folds every row into it,
-					// and the row column goes through the nil-remap path.
-					got := e.CrossSumCols(ns, 1, db.Mentions.Source, nil,
-						db.Mentions.Source, make([]int32, ns), db.Mentions.Tone)
+					// The per-group sum the server runs: the ad-hoc
+					// plan's typed value column folded per source.
+					got := adhocSums(t, e, "", "source")
 					want := SumByGroup(e, ns, func(row int) (int, float64) {
 						return int(db.Mentions.Source[row]), float64(db.Mentions.Tone[row])
 					})
 					eqFloats(t, "sum-by-group tone", got, want, w)
 				})
 				t.Run(prefix+"/cross-sum", func(t *testing.T) {
-					got := e.CrossSumCols(nc, nq,
-						db.Mentions.Source, db.SourceCountryLUT(),
-						db.Mentions.Interval, db.QuarterLUT(), db.Mentions.Tone)
+					// ToneByCountry's grid: one sourcecountry plan per
+					// country, grouped by quarter.
+					got := make([]float64, 0, nc*nq)
+					for c := range nc {
+						got = append(got, adhocSums(t, e, "sourcecountry="+gdelt.Countries[c].FIPS, "quarter")...)
+					}
 					want := SumByGroup(e, nc*nq, func(row int) (int, float64) {
 						c := db.SourceCountry[db.Mentions.Source[row]]
 						if c < 0 {
@@ -287,4 +288,19 @@ func TestScanRowsRandomizedWindows(t *testing.T) {
 			})
 		}
 	}
+}
+
+// adhocSums runs "where <where> group=<group> agg=sum:tone" on e and returns
+// its per-group tone sums.
+func adhocSums(t *testing.T, e *engine.Engine, where, group string) []float64 {
+	t.Helper()
+	spec, err := queries.ParseAdhocSpec(where, group, "sum:tone", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := queries.AdhocVectors(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vec.Sums
 }

@@ -16,7 +16,18 @@ import (
 // CountMentions counts mention rows in e's window satisfying pred.
 func CountMentions(e *engine.Engine, pred func(row int) bool) int64 {
 	wlo, whi := e.Window()
-	return parallel.CountIf(whi-wlo, e.ScanOptions(), func(i int) bool { return pred(wlo + i) })
+	return parallel.MapReduce(whi-wlo, e.ScanOptions(),
+		func() int64 { return 0 },
+		func(acc int64, lo, hi int) int64 {
+			for row := wlo + lo; row < wlo+hi; row++ {
+				if pred(row) {
+					acc++
+				}
+			}
+			return acc
+		},
+		func(dst, src int64) int64 { return dst + src },
+	)
 }
 
 // GroupCount aggregates mention rows in e's window into numGroups

@@ -14,13 +14,13 @@
 // tail equals, structurally, the one a rebuild makes). Containers are immutable
 // once built; set operations share container memory with their inputs
 // rather than copying, so results must be treated as read-only, like the
-// store's postings slices. Add is the one mutating method and is only for
-// incremental construction of a private bitmap.
+// store's postings slices.
 package bitmap
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 const (
@@ -162,31 +162,6 @@ func fromBits(words []uint64) (container, bool) {
 	}
 }
 
-// forEach calls f with every value of the container in ascending order.
-func (c *container) forEach(f func(v uint16)) {
-	switch c.typ {
-	case typeArray:
-		for _, v := range c.arr {
-			f(v)
-		}
-	case typeRun:
-		for i := 0; i < len(c.arr); i += 2 {
-			start, last := c.arr[i], c.arr[i+1]
-			for v := int(start); v <= int(last); v++ {
-				f(uint16(v))
-			}
-		}
-	case typeBitset:
-		for wi, w := range c.bits {
-			base := uint16(wi << 6)
-			for w != 0 {
-				f(base + uint16(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-	}
-}
-
 // contains reports whether the container holds v.
 func (c *container) contains(v uint16) bool {
 	switch c.typ {
@@ -215,74 +190,6 @@ func (c *container) contains(v uint16) bool {
 		return c.bits[v>>6]&(1<<(v&63)) != 0
 	}
 	return false
-}
-
-// rank counts the container values <= v.
-func (c *container) rank(v uint16) int64 {
-	switch c.typ {
-	case typeArray:
-		lo, hi := 0, len(c.arr)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if c.arr[mid] <= v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return int64(lo)
-	case typeRun:
-		var n int64
-		for i := 0; i < len(c.arr); i += 2 {
-			start, last := c.arr[i], c.arr[i+1]
-			if v < start {
-				break
-			}
-			if v < last {
-				n += int64(v-start) + 1
-				break
-			}
-			n += int64(last-start) + 1
-		}
-		return n
-	case typeBitset:
-		word := int(v >> 6)
-		var n int64
-		for wi := 0; wi < word; wi++ {
-			n += int64(bits.OnesCount64(c.bits[wi]))
-		}
-		mask := uint64(2)<<(v&63) - 1
-		return n + int64(bits.OnesCount64(c.bits[word]&mask))
-	}
-	return 0
-}
-
-// selectN returns the i-th smallest value (0-based, i < card).
-func (c *container) selectN(i int32) uint16 {
-	switch c.typ {
-	case typeArray:
-		return c.arr[i]
-	case typeRun:
-		for r := 0; r < len(c.arr); r += 2 {
-			n := int32(c.arr[r+1]-c.arr[r]) + 1
-			if i < n {
-				return c.arr[r] + uint16(i)
-			}
-			i -= n
-		}
-	case typeBitset:
-		for wi, w := range c.bits {
-			n := int32(bits.OnesCount64(w))
-			if i < n {
-				for ; i > 0; i-- {
-					w &= w - 1
-				}
-				return uint16(wi<<6) + uint16(bits.TrailingZeros64(w))
-			}
-			i -= n
-		}
-	}
-	return 0
 }
 
 // toBits expands the container into dst (a bitsetWords-long scratch slice,
@@ -380,99 +287,6 @@ func FromSorted(rows []int32) *Bitmap {
 	return b
 }
 
-// findKey returns the index of key k in b.keys, or the insertion point with
-// found=false.
-func (b *Bitmap) findKey(k uint16) (int, bool) {
-	lo, hi := 0, len(b.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b.keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(b.keys) && b.keys[lo] == k
-}
-
-// Add inserts one row. It is the incremental-construction path (tail
-// appends, tests); it keeps containers canonical for array/bitset shapes
-// but does not re-detect runs — rebuild with FromSorted where canonical
-// encoding matters.
-func (b *Bitmap) Add(row int32) {
-	if row < 0 {
-		panic("bitmap: negative row")
-	}
-	k := uint16(row >> chunkBits)
-	v := uint16(row & (chunkSize - 1))
-	i, ok := b.findKey(k)
-	if !ok {
-		b.keys = append(b.keys, 0)
-		copy(b.keys[i+1:], b.keys[i:])
-		b.keys[i] = k
-		b.cs = append(b.cs, container{})
-		copy(b.cs[i+1:], b.cs[i:])
-		b.cs[i] = container{typ: typeArray, card: 1, arr: []uint16{v}}
-		return
-	}
-	c := &b.cs[i]
-	if c.contains(v) {
-		return
-	}
-	if c.typ == typeRun {
-		// Denormalize: expand the runs so the insert is a plain array or
-		// bitset update.
-		words := make([]uint64, bitsetWords)
-		c.toBits(words)
-		nc, _ := fromBits(words)
-		if nc.typ == typeRun { // force a mutable shape
-			vals := make([]uint16, 0, nc.card)
-			nc.forEach(func(u uint16) { vals = append(vals, u) })
-			if len(vals) <= arrayMax {
-				nc = container{typ: typeArray, card: int32(len(vals)), arr: vals}
-			}
-		}
-		*c = nc
-	}
-	switch c.typ {
-	case typeArray:
-		if int(c.card) >= arrayMax {
-			words := make([]uint64, bitsetWords)
-			c.toBits(words)
-			words[v>>6] |= 1 << (v & 63)
-			*c = container{typ: typeBitset, card: c.card + 1, bits: words}
-			return
-		}
-		lo, hi := 0, len(c.arr)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if c.arr[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		c.arr = append(c.arr, 0)
-		copy(c.arr[lo+1:], c.arr[lo:])
-		c.arr[lo] = v
-		c.card++
-	case typeBitset:
-		c.bits[v>>6] |= 1 << (v & 63)
-		c.card++
-	}
-}
-
-// Contains reports whether row is set.
-func (b *Bitmap) Contains(row int32) bool {
-	if row < 0 {
-		return false
-	}
-	if i, ok := b.findKey(uint16(row >> chunkBits)); ok {
-		return b.cs[i].contains(uint16(row & (chunkSize - 1)))
-	}
-	return false
-}
-
 // Cardinality returns the number of set rows in O(containers).
 func (b *Bitmap) Cardinality() int64 {
 	if b == nil {
@@ -483,42 +297,6 @@ func (b *Bitmap) Cardinality() int64 {
 		n += int64(b.cs[i].card)
 	}
 	return n
-}
-
-// Rank counts the set rows <= row.
-func (b *Bitmap) Rank(row int32) int64 {
-	if b == nil || row < 0 {
-		return 0
-	}
-	k := uint16(row >> chunkBits)
-	var n int64
-	for i := range b.keys {
-		if b.keys[i] < k {
-			n += int64(b.cs[i].card)
-			continue
-		}
-		if b.keys[i] == k {
-			n += b.cs[i].rank(uint16(row & (chunkSize - 1)))
-		}
-		break
-	}
-	return n
-}
-
-// Select returns the i-th smallest set row (0-based), or false when i is
-// out of range.
-func (b *Bitmap) Select(i int64) (int32, bool) {
-	if b == nil || i < 0 {
-		return 0, false
-	}
-	for ci := range b.cs {
-		card := int64(b.cs[ci].card)
-		if i < card {
-			return int32(b.keys[ci])<<chunkBits | int32(b.cs[ci].selectN(int32(i))), true
-		}
-		i -= card
-	}
-	return 0, false
 }
 
 // AppendRows appends every set row to dst in ascending order and returns
@@ -801,75 +579,6 @@ func PairwiseIntersectCards(bs []*Bitmap) [][]int64 {
 	}
 }
 
-// IntersectCard returns |a ∩ b| without materializing the intersection.
-func IntersectCard(a, b *Bitmap) int64 {
-	if a == nil || b == nil {
-		return 0
-	}
-	var n int64
-	i, j := 0, 0
-	for i < len(a.keys) && j < len(b.keys) {
-		switch {
-		case a.keys[i] < b.keys[j]:
-			i++
-		case a.keys[i] > b.keys[j]:
-			j++
-		default:
-			n += intersectCard(&a.cs[i], &b.cs[j])
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-func intersectCard(x, y *container) int64 {
-	if y.typ == typeArray && x.typ != typeArray {
-		x, y = y, x
-	}
-	if x.typ == typeArray {
-		var n int64
-		if y.typ == typeArray {
-			i, j := 0, 0
-			for i < len(x.arr) && j < len(y.arr) {
-				switch {
-				case x.arr[i] < y.arr[j]:
-					i++
-				case x.arr[i] > y.arr[j]:
-					j++
-				default:
-					n++
-					i++
-					j++
-				}
-			}
-			return n
-		}
-		for _, v := range x.arr {
-			if y.contains(v) {
-				n++
-			}
-		}
-		return n
-	}
-	if x.typ == typeBitset && y.typ == typeBitset {
-		var n int64
-		for w, v := range x.bits {
-			n += int64(bits.OnesCount64(v & y.bits[w]))
-		}
-		return n
-	}
-	words := make([]uint64, bitsetWords)
-	x.toBits(words)
-	scratch := make([]uint64, bitsetWords)
-	y.toBits(scratch)
-	var n int64
-	for w, v := range words {
-		n += int64(bits.OnesCount64(v & scratch[w]))
-	}
-	return n
-}
-
 // Intersect returns a ∩ b.
 func Intersect(a, b *Bitmap) *Bitmap {
 	out := New()
@@ -937,56 +646,6 @@ func intersectContainers(x, y *container) (container, bool) {
 	return fromBits(words)
 }
 
-// Difference returns a \ b.
-func Difference(a, b *Bitmap) *Bitmap {
-	out := New()
-	if a == nil {
-		return out
-	}
-	if b == nil {
-		b = out
-	}
-	j := 0
-	for i := range a.keys {
-		for j < len(b.keys) && b.keys[j] < a.keys[i] {
-			j++
-		}
-		if j >= len(b.keys) || b.keys[j] != a.keys[i] {
-			out.keys = append(out.keys, a.keys[i])
-			out.cs = append(out.cs, a.cs[i])
-			continue
-		}
-		if c, ok := differenceContainers(&a.cs[i], &b.cs[j]); ok {
-			out.keys = append(out.keys, a.keys[i])
-			out.cs = append(out.cs, c)
-		}
-	}
-	return out
-}
-
-func differenceContainers(x, y *container) (container, bool) {
-	if x.typ == typeArray {
-		vals := make([]uint16, 0, x.card)
-		for _, v := range x.arr {
-			if !y.contains(v) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return container{}, false
-		}
-		return fromValues(vals), true
-	}
-	words := make([]uint64, bitsetWords)
-	x.toBits(words)
-	scratch := make([]uint64, bitsetWords)
-	y.toBits(scratch)
-	for w := range words {
-		words[w] &^= scratch[w]
-	}
-	return fromBits(words)
-}
-
 // Equal reports whether a and b hold the same row set. Canonical
 // representations make this a structural comparison.
 func Equal(a, b *Bitmap) bool {
@@ -1003,39 +662,8 @@ func Equal(a, b *Bitmap) bool {
 		if a.keys[i] != b.keys[i] || a.cs[i].card != b.cs[i].card {
 			return false
 		}
-		eq := true
 		x, y := &a.cs[i], &b.cs[i]
-		if x.typ == y.typ {
-			switch x.typ {
-			case typeBitset:
-				for w := range x.bits {
-					if x.bits[w] != y.bits[w] {
-						eq = false
-						break
-					}
-				}
-			default:
-				for v := range x.arr {
-					if x.arr[v] != y.arr[v] {
-						eq = false
-						break
-					}
-				}
-			}
-		} else {
-			// Add can leave a non-canonical shape; fall back to a value walk.
-			vals := make([]uint16, 0, x.card)
-			x.forEach(func(v uint16) { vals = append(vals, v) })
-			k := 0
-			y.forEach(func(v uint16) {
-				if k >= len(vals) || vals[k] != v {
-					eq = false
-				}
-				k++
-			})
-			eq = eq && k == len(vals)
-		}
-		if !eq {
+		if x.typ != y.typ || !slices.Equal(x.arr, y.arr) || !slices.Equal(x.bits, y.bits) {
 			return false
 		}
 	}

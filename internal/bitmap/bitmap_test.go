@@ -33,13 +33,6 @@ func (r *refSet) intersect(o *refSet) *refSet {
 	}
 	return out
 }
-func (r *refSet) difference(o *refSet) *refSet {
-	out := newRef(r.n)
-	for i := range out.words {
-		out.words[i] = r.words[i] &^ o.words[i]
-	}
-	return out
-}
 func (r *refSet) rows() []int32 {
 	var out []int32
 	for i := int32(0); i < r.n; i++ {
@@ -48,15 +41,6 @@ func (r *refSet) rows() []int32 {
 		}
 	}
 	return out
-}
-func (r *refSet) rank(row int32) int64 {
-	var n int64
-	for i := int32(0); i <= row && i < r.n; i++ {
-		if r.has(i) {
-			n++
-		}
-	}
-	return n
 }
 
 // genRef draws a random row set designed to hit every container shape:
@@ -118,7 +102,7 @@ func checkRows(t *testing.T, tag string, b *Bitmap, want []int32) {
 }
 
 // TestBitmapAgainstReference is the property battery: randomized sets built
-// through FromSorted and Add, every operation cross-checked bit-exactly
+// through FromSorted, every operation cross-checked bit-exactly
 // against the naive bitset reference.
 func TestBitmapAgainstReference(t *testing.T) {
 	const domain = 3 * chunkSize // three chunks, so boundary cases repeat
@@ -129,44 +113,26 @@ func TestBitmapAgainstReference(t *testing.T) {
 		checkRows(t, "a", a, ra.rows())
 		checkRows(t, "b", b, rb.rows())
 
-		// Add in shuffled order must converge to the same set.
-		rows := ra.rows()
-		perm := rng.Perm(len(rows))
-		inc := New()
-		for _, i := range perm {
-			inc.Add(rows[i])
-		}
-		inc.Add(rows[len(rows)/2]) // duplicate adds are no-ops
-		if !Equal(inc, a) {
-			t.Fatalf("seed %d: incremental Add disagrees with FromSorted", seed)
-		}
-		checkRows(t, "inc", inc, rows)
-
 		checkRows(t, "union", Union(a, b), ra.union(rb).rows())
 		checkRows(t, "intersect", Intersect(a, b), ra.intersect(rb).rows())
-		checkRows(t, "difference", Difference(a, b), ra.difference(rb).rows())
 
 		// Algebraic identities (metamorphic checks).
-		if !Equal(Union(Intersect(a, b), Difference(a, b)), a) {
-			t.Fatalf("seed %d: (a∩b) ∪ (a\\b) != a", seed)
+		if !Equal(Union(Intersect(a, b), a), a) {
+			t.Fatalf("seed %d: (a∩b) ∪ a != a", seed)
 		}
-		if !Equal(Difference(a, Difference(a, b)), Intersect(a, b)) {
-			t.Fatalf("seed %d: a \\ (a\\b) != a∩b", seed)
+		if !Equal(Intersect(a, b), Intersect(b, a)) {
+			t.Fatalf("seed %d: intersect not commutative", seed)
 		}
 		if !Equal(Union(a, b), Union(b, a)) {
 			t.Fatalf("seed %d: union not commutative", seed)
 		}
 
 		// Multi-way operations against the reference: UnionAll and
-		// AtLeastTwo over a small family, IntersectCard vs the materialized
-		// intersection.
+		// AtLeastTwo over a small family.
 		rc := genRef(rng, domain)
 		c := fromRef(t, rc)
 		family := []*Bitmap{a, b, c, nil, New()}
 		checkRows(t, "unionAll", UnionAll(family), ra.union(rb).union(rc).rows())
-		if got, want := IntersectCard(a, b), Intersect(a, b).Cardinality(); got != want {
-			t.Fatalf("seed %d: IntersectCard = %d, want %d", seed, got, want)
-		}
 		// AtLeastTwo == union of pairwise intersections.
 		pairwise := ra.intersect(rb).union(ra.intersect(rc)).union(rb.intersect(rc))
 		checkRows(t, "atLeastTwo", AtLeastTwo(family), pairwise.rows())
@@ -188,29 +154,6 @@ func TestBitmapAgainstReference(t *testing.T) {
 						seed, i, j, cards[i][j], want)
 				}
 			}
-		}
-
-		// Rank / Select / Contains against the reference.
-		for i := 0; i < 64; i++ {
-			v := rng.Int31n(domain)
-			if a.Contains(v) != ra.has(v) {
-				t.Fatalf("seed %d: Contains(%d) = %v", seed, v, a.Contains(v))
-			}
-			if got, want := a.Rank(v), ra.rank(v); got != want {
-				t.Fatalf("seed %d: Rank(%d) = %d, want %d", seed, v, got, want)
-			}
-		}
-		for i, want := range rows {
-			got, ok := a.Select(int64(i))
-			if !ok || got != want {
-				t.Fatalf("seed %d: Select(%d) = %d,%v, want %d", seed, i, got, ok, want)
-			}
-		}
-		if _, ok := a.Select(int64(len(rows))); ok {
-			t.Fatalf("seed %d: Select past the end succeeded", seed)
-		}
-		if got := a.Rank(domain - 1); got != int64(len(rows)) {
-			t.Fatalf("seed %d: Rank(max) = %d, want %d", seed, got, len(rows))
 		}
 
 		// Codec round trip: deterministic bytes, equal decode.
@@ -279,8 +222,6 @@ func TestConcurrentReads(t *testing.T) {
 					t.Errorf("cardinality changed under concurrent reads")
 					return
 				}
-				_ = a.Contains(int32(g*1000 + i))
-				_ = a.Rank(int32(i * 100))
 				_ = Union(a, b).AppendRows(nil)
 				_ = Intersect(a, b)
 				_ = a.AppendTo(nil)

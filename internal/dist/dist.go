@@ -39,7 +39,6 @@ type node struct {
 
 type request struct {
 	kind  queryKind
-	arg   int64
 	reply chan []byte // serialized partial result
 }
 
@@ -47,8 +46,6 @@ type queryKind int
 
 const (
 	qCrossCountry queryKind = iota
-	qQuarterArticles
-	qCountSlow
 	qShutdown
 )
 
@@ -77,9 +74,6 @@ func NewCluster(db *store.DB, n int) *Cluster {
 	return c
 }
 
-// Nodes returns the number of simulated nodes.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // BytesTransferred returns the total volume of gathered messages so far —
 // the inter-node traffic a shared-memory deployment would not pay.
 func (c *Cluster) BytesTransferred() int64 { return c.bytesSent.Load() }
@@ -97,14 +91,14 @@ func (c *Cluster) Close() {
 }
 
 // scatterGather broadcasts a request and collects the serialized partials.
-func (c *Cluster) scatterGather(kind queryKind, arg int64) ([][]byte, error) {
+func (c *Cluster) scatterGather(kind queryKind) ([][]byte, error) {
 	if c.closed {
 		return nil, fmt.Errorf("dist: cluster is closed")
 	}
 	replies := make([]chan []byte, len(c.nodes))
 	for i, nd := range c.nodes {
 		replies[i] = make(chan []byte, 1)
-		nd.inbox <- request{kind: kind, arg: arg, reply: replies[i]}
+		nd.inbox <- request{kind: kind, reply: replies[i]}
 	}
 	out := make([][]byte, len(c.nodes))
 	for i, ch := range replies {
@@ -119,7 +113,7 @@ func (c *Cluster) scatterGather(kind queryKind, arg int64) ([][]byte, error) {
 // node builds its local country contingency matrix, the coordinator
 // deserializes and sums the partials.
 func (c *Cluster) CrossCountry() (*matrix.Int64, error) {
-	msgs, err := c.scatterGather(qCrossCountry, 0)
+	msgs, err := c.scatterGather(qCrossCountry)
 	if err != nil {
 		return nil, err
 	}
@@ -135,43 +129,6 @@ func (c *Cluster) CrossCountry() (*matrix.Int64, error) {
 		}
 	}
 	return sum, nil
-}
-
-// ArticlesPerQuarter runs the Figure 5 query across the cluster.
-func (c *Cluster) ArticlesPerQuarter() ([]int64, error) {
-	msgs, err := c.scatterGather(qQuarterArticles, 0)
-	if err != nil {
-		return nil, err
-	}
-	nq := c.nodes[0].db.NumQuarters()
-	sum := make([]int64, nq)
-	for _, msg := range msgs {
-		part, err := decodeInt64s(msg, nq)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range part {
-			sum[i] += v
-		}
-	}
-	return sum, nil
-}
-
-// CountSlow counts articles with delay above threshold across the cluster.
-func (c *Cluster) CountSlow(threshold int64) (int64, error) {
-	msgs, err := c.scatterGather(qCountSlow, threshold)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, msg := range msgs {
-		part, err := decodeInt64s(msg, 1)
-		if err != nil {
-			return 0, err
-		}
-		total += part[0]
-	}
-	return total, nil
 }
 
 // serve is the node main loop: receive, compute locally, serialize, reply.
@@ -194,22 +151,6 @@ func (nd *node) serve() {
 				}
 			}
 			req.reply <- encodeInt64s(local)
-		case qQuarterArticles:
-			db := nd.db
-			local := make([]int64, db.NumQuarters())
-			for row := nd.lo; row < nd.hi; row++ {
-				local[db.QuarterOfInterval(db.Mentions.Interval[row])]++
-			}
-			req.reply <- encodeInt64s(local)
-		case qCountSlow:
-			db := nd.db
-			var n int64
-			for row := nd.lo; row < nd.hi; row++ {
-				if int64(db.Mentions.Delay[row]) > req.arg {
-					n++
-				}
-			}
-			req.reply <- encodeInt64s([]int64{n})
 		}
 	}
 }

@@ -3,10 +3,8 @@ package dist
 import (
 	"testing"
 
-	"gdeltmine/internal/baseline"
 	"gdeltmine/internal/convert"
 	"gdeltmine/internal/engine"
-	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/store"
@@ -54,44 +52,6 @@ func TestCrossCountryMatchesSharedMemory(t *testing.T) {
 	}
 }
 
-func TestArticlesPerQuarterMatches(t *testing.T) {
-	db := testDB(t)
-	want := baseline.GroupCount(engine.New(db), db.NumQuarters(), func(row int) int {
-		return db.QuarterOfInterval(db.Mentions.Interval[row])
-	})
-	cl := NewCluster(db, 3)
-	defer cl.Close()
-	got, err := cl.ArticlesPerQuarter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatal("length")
-	}
-	for q := range got {
-		if got[q] != want[q] {
-			t.Fatalf("quarter %d: %d want %d", q, got[q], want[q])
-		}
-	}
-}
-
-func TestCountSlowMatches(t *testing.T) {
-	db := testDB(t)
-	e := engine.New(db)
-	want := baseline.CountMentions(e, func(row int) bool {
-		return int64(db.Mentions.Delay[row]) > gdelt.IntervalsPerDay
-	})
-	cl := NewCluster(db, 5)
-	defer cl.Close()
-	got, err := cl.CountSlow(gdelt.IntervalsPerDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("slow %d want %d", got, want)
-	}
-}
-
 func TestCommunicationGrowsWithNodes(t *testing.T) {
 	db := testDB(t)
 	volume := func(nodes int) int64 {
@@ -113,8 +73,8 @@ func TestCommunicationGrowsWithNodes(t *testing.T) {
 func TestClusterLifecycle(t *testing.T) {
 	db := testDB(t)
 	cl := NewCluster(db, 0) // clamps to 1
-	if cl.Nodes() != 1 {
-		t.Fatalf("nodes %d", cl.Nodes())
+	if len(cl.nodes) != 1 {
+		t.Fatalf("nodes %d", len(cl.nodes))
 	}
 	cl.Close()
 	cl.Close() // idempotent

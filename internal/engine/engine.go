@@ -6,7 +6,6 @@
 package engine
 
 import (
-	"container/heap"
 	"context"
 	"sort"
 
@@ -179,67 +178,66 @@ func (e *Engine) opt() parallel.Options { return e.ScanOptions() }
 
 // TopK returns the indexes of the k largest values (ties broken toward the
 // lower index), in descending value order. It runs a single pass with a
-// size-k min-heap, the selection used for "ten most productive websites"
-// and "ten most reported events".
-func TopK(n, k int, value func(i int) int64) []int {
-	if k <= 0 || n <= 0 {
+// size-k min-heap of indexes, the selection used for "ten most productive
+// websites" and "ten most reported events".
+func TopK[V int32 | int64](vals []V, k int) []int {
+	if k <= 0 || len(vals) == 0 {
 		return nil
 	}
-	if k > n {
-		k = n
-	}
-	h := &topHeap{value: value}
-	for i := 0; i < n; i++ {
-		if h.Len() < k {
-			heap.Push(h, i)
+	k = min(k, len(vals))
+	// h[0] is the weakest kept index: the smallest value, the highest index
+	// among equal values. Indexes arrive ascending, so a later value equal
+	// to h[0]'s never displaces it.
+	h := make([]int, 0, k)
+	for i, v := range vals {
+		if len(h) < k {
+			h = append(h, i)
+			siftUp(vals, h, len(h)-1)
 			continue
 		}
-		if less(h, i, h.items[0]) {
+		if v <= vals[h[0]] {
 			continue
 		}
-		h.items[0] = i
-		heap.Fix(h, 0)
+		h[0] = i
+		siftDown(vals, h, 0)
 	}
-	out := h.items
-	sort.Slice(out, func(a, b int) bool {
-		va, vb := value(out[a]), value(out[b])
-		if va != vb {
-			return va > vb
+	sort.Slice(h, func(a, b int) bool { return weaker(vals, h[b], h[a]) })
+	return h
+}
+
+// weaker reports whether index i ranks below index j: a smaller value, or
+// the higher index on ties.
+func weaker[V int32 | int64](vals []V, i, j int) bool {
+	if vals[i] != vals[j] {
+		return vals[i] < vals[j]
+	}
+	return i > j
+}
+
+func siftUp[V int32 | int64](vals []V, h []int, c int) {
+	for c > 0 {
+		p := (c - 1) / 2
+		if !weaker(vals, h[c], h[p]) {
+			return
 		}
-		return out[a] < out[b]
-	})
-	return out
-}
-
-// less reports whether candidate i ranks below heap element j (i.e. i
-// should not displace j).
-func less(h *topHeap, i, j int) bool {
-	vi, vj := h.value(i), h.value(j)
-	if vi != vj {
-		return vi < vj
+		h[c], h[p] = h[p], h[c]
+		c = p
 	}
-	return i > j // prefer the lower index on ties
 }
 
-type topHeap struct {
-	items []int
-	value func(i int) int64
-}
-
-func (h *topHeap) Len() int { return len(h.items) }
-func (h *topHeap) Less(a, b int) bool {
-	va, vb := h.value(h.items[a]), h.value(h.items[b])
-	if va != vb {
-		return va < vb
+func siftDown[V int32 | int64](vals []V, h []int, p int) {
+	for {
+		c := 2*p + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && weaker(vals, h[c+1], h[c]) {
+			c++
+		}
+		if !weaker(vals, h[c], h[p]) {
+			return
+		}
+		h[c], h[p] = h[p], h[c]
+		p = c
 	}
-	return h.items[a] > h.items[b]
-}
-func (h *topHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *topHeap) Push(x interface{}) { h.items = append(h.items, x.(int)) }
-func (h *topHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
 }

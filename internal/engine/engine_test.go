@@ -223,16 +223,16 @@ func TestDerivedViewsNeverMutateParent(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	vals := []int64{5, 1, 9, 9, 3, 0, 7}
-	got := TopK(len(vals), 3, func(i int) int64 { return vals[i] })
+	got := TopK(vals, 3)
 	if len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 6 {
 		t.Fatalf("top3 %v", got)
 	}
 	// k > n returns all, sorted.
-	got = TopK(len(vals), 100, func(i int) int64 { return vals[i] })
+	got = TopK(vals, 100)
 	if len(got) != len(vals) || got[0] != 2 || got[len(got)-1] != 5 {
 		t.Fatalf("topAll %v", got)
 	}
-	if TopK(0, 3, nil) != nil || TopK(5, 0, nil) != nil {
+	if TopK([]int64(nil), 3) != nil || TopK(vals, 0) != nil {
 		t.Fatal("degenerate TopK should be nil")
 	}
 }
@@ -246,7 +246,7 @@ func TestTopKMatchesSortRandomized(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(rng.Intn(50))
 		}
-		got := TopK(n, k, func(i int) int64 { return vals[i] })
+		got := TopK(vals, k)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i

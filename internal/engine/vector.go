@@ -65,11 +65,6 @@ func newInt64(n int) func() []int64 {
 	return func() []int64 { return parallel.GetInt64(n) }
 }
 
-// newFloat64 is newInt64's float64 counterpart.
-func newFloat64(n int) func() []float64 {
-	return func() []float64 { return parallel.GetFloat64(n) }
-}
-
 // mergeReleaseInt64 folds src into dst and recycles src's buffer.
 func mergeReleaseInt64(dst, src []int64) []int64 {
 	for i, v := range src {
@@ -79,26 +74,11 @@ func mergeReleaseInt64(dst, src []int64) []int64 {
 	return dst
 }
 
-// mergeReleaseFloat64 folds src into dst and recycles src's buffer.
-func mergeReleaseFloat64(dst, src []float64) []float64 {
-	for i, v := range src {
-		dst[i] += v
-	}
-	parallel.PutFloat64(src)
-	return dst
-}
-
 // copyOutInt64 copies a pooled result into a caller-owned slice and
 // recycles the buffer.
 func copyOutInt64(res []int64) []int64 {
 	out := append([]int64(nil), res...)
 	parallel.PutInt64(res)
-	return out
-}
-
-func copyOutFloat64(res []float64) []float64 {
-	out := append([]float64(nil), res...)
-	parallel.PutFloat64(res)
 	return out
 }
 
@@ -278,16 +258,12 @@ func mergeReleaseMatrix(dst, src *matrix.Int64) *matrix.Int64 {
 	return dst
 }
 
-// CrossCountCols builds a rows×cols contingency matrix over the mention
-// window where a row's cell is (rmap[rcol[row]], cmap[ccol[row]]). This is
-// the kernel behind the aggregated country query's cross-reporting pass
-// (Section VI-G).
-func (e *Engine) CrossCountCols(rows, cols int, rcol, rmap, ccol, cmap []int32) *matrix.Int64 {
-	return CrossCountRemap(e, rows, cols, rcol, rmap, ccol, cmap)
-}
-
-// CrossCountRemap is CrossCountCols with remap tables of any supported
-// element width. It is a free function because Go methods cannot be generic;
+// CrossCountRemap builds a rows×cols contingency matrix over the mention
+// window where a row's cell is (rmap[rcol[row]], cmap[ccol[row]]); a nil
+// remap reads the column directly. This is the kernel behind the aggregated
+// country query's cross-reporting pass (Section VI-G). Remap tables may be
+// of any supported element width. It is a free function because Go methods
+// cannot be generic;
 // pass the narrowest table available — store columns like the int16 country
 // attributions can be used as remaps directly, without widening to a
 // separate int32 LUT that doubles the cache footprint of the hot loop's one
@@ -303,37 +279,6 @@ func CrossCountRemap[R, C remapElem](e *Engine, rows, cols int, rcol []int32, rm
 		},
 		mergeReleaseMatrix,
 	)
-}
-
-// CrossSumCols accumulates the float32 value column into a flattened
-// rows×cols grid of sums: cell (rmap[rcol[row]], cmap[ccol[row]]), row-major
-// in the returned slice. It is the float companion of CrossCountCols (the
-// tone-by-country query sums tone per country×quarter with it).
-func (e *Engine) CrossSumCols(rows, cols int, rcol, rmap, ccol, cmap []int32, vals []float32) []float64 {
-	wlo, whi := e.mentionWindow()
-	defer e.observeScan(whi-wlo, time.Now())
-	nr, nc := uint32(rows), uint32(cols)
-	res := parallel.MapReduce(whi-wlo, e.opt(),
-		newFloat64(rows*cols),
-		func(acc []float64, lo, hi int) []float64 {
-			rseg, cseg, vseg := rcol[wlo+lo:wlo+hi], ccol[wlo+lo:wlo+hi], vals[wlo+lo:wlo+hi]
-			for i, rv := range rseg {
-				cv := cseg[i]
-				if rmap != nil {
-					rv = rmap[rv]
-				}
-				if cmap != nil {
-					cv = cmap[cv]
-				}
-				if uint32(rv) < nr && uint32(cv) < nc {
-					acc[int(rv)*cols+int(cv)] += float64(vseg[i])
-				}
-			}
-			return acc
-		},
-		mergeReleaseFloat64,
-	)
-	return copyOutFloat64(res)
 }
 
 // ClipRows narrows an ascending row list (a postings list — ascending by
@@ -407,7 +352,7 @@ func (e *Engine) GroupCountRows(numGroups int, rows []int32, domain int, col, re
 	return copyOutInt64(res)
 }
 
-// CrossCountRows is CrossCountCols over an explicit row list: cell
+// CrossCountRows is CrossCountRemap over an explicit row list: cell
 // (rmap[rcol[r]], cmap[ccol[r]]) for every r in rows. domain sizes the
 // pruning metric.
 func (e *Engine) CrossCountRows(nr, nc int, rows []int32, domain int, rcol, rmap, ccol, cmap []int32) *matrix.Int64 {

@@ -104,15 +104,6 @@ func CountryIndex(fips string) int {
 	return -1
 }
 
-// CountryByFIPS returns the country for a FIPS code.
-func CountryByFIPS(fips string) (Country, bool) {
-	i := CountryIndex(fips)
-	if i < 0 {
-		return Country{}, false
-	}
-	return Countries[i], true
-}
-
 // CountryFromDomain attributes a news source domain to a country by its
 // top-level domain, the Section VI-C heuristic. Compound suffixes
 // ("co.uk", "com.au") are matched before single-label ones, and the generic

@@ -35,11 +35,10 @@ func TestPaperCountriesPresent(t *testing.T) {
 }
 
 func TestCountryLookups(t *testing.T) {
-	c, ok := CountryByFIPS("UK")
-	if !ok || c.Name != "United Kingdom" {
-		t.Fatalf("UK lookup: %v %+v", ok, c)
+	if i := CountryIndex("UK"); i < 0 || Countries[i].Name != "United Kingdom" {
+		t.Fatalf("UK lookup: index %d", i)
 	}
-	if _, ok := CountryByFIPS("XX"); ok {
+	if CountryIndex("XX") != -1 {
 		t.Fatal("unknown FIPS should miss")
 	}
 	if CountryIndex("US") != 1 {

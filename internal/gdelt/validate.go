@@ -2,7 +2,6 @@ package gdelt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -70,22 +69,6 @@ func (r *ValidationReport) Record(c DefectClass, example string) {
 	}
 }
 
-// Merge folds another report into r.
-func (r *ValidationReport) Merge(o *ValidationReport) {
-	maxEx := r.MaxExamples
-	if maxEx == 0 {
-		maxEx = 5
-	}
-	for c := DefectClass(0); c < numDefectClasses; c++ {
-		r.Counts[c] += o.Counts[c]
-		for _, ex := range o.Examples[c] {
-			if len(r.Examples[c]) < maxEx {
-				r.Examples[c] = append(r.Examples[c], ex)
-			}
-		}
-	}
-}
-
 // Total returns the total number of recorded defects.
 func (r *ValidationReport) Total() int64 {
 	var t int64
@@ -93,17 +76,6 @@ func (r *ValidationReport) Total() int64 {
 		t += c
 	}
 	return t
-}
-
-// Classes returns the defect classes with nonzero counts, in class order.
-func (r *ValidationReport) Classes() []DefectClass {
-	var out []DefectClass
-	for c := DefectClass(0); c < numDefectClasses; c++ {
-		if r.Counts[c] > 0 {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // String renders the report in the layout of Table II.
@@ -127,16 +99,4 @@ func ValidateEvent(r *ValidationReport, ev *Event, firstMention Timestamp) {
 		r.Record(DefectFutureEventDate,
 			fmt.Sprintf("event %d: day %d after first mention %s", ev.GlobalEventID, ev.Day, firstMention))
 	}
-}
-
-// SortedExampleClasses returns classes that retained examples, sorted.
-func (r *ValidationReport) SortedExampleClasses() []DefectClass {
-	var out []DefectClass
-	for c := DefectClass(0); c < numDefectClasses; c++ {
-		if len(r.Examples[c]) > 0 {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -52,20 +52,6 @@ func TestValidationReportExampleCap(t *testing.T) {
 	}
 }
 
-func TestValidationReportMerge(t *testing.T) {
-	var a, b ValidationReport
-	a.Record(DefectMissingSourceURL, "e1")
-	b.Record(DefectMissingSourceURL, "e2")
-	b.Record(DefectFutureEventDate, "e3")
-	a.Merge(&b)
-	if a.Counts[DefectMissingSourceURL] != 2 || a.Counts[DefectFutureEventDate] != 1 {
-		t.Fatalf("merged counts %v", a.Counts)
-	}
-	if got := a.Classes(); len(got) != 2 {
-		t.Fatalf("classes %v", got)
-	}
-}
-
 func TestValidateEvent(t *testing.T) {
 	var r ValidationReport
 	ev := Event{GlobalEventID: 1, Day: 20150301, SourceURL: "http://x"}
@@ -98,15 +84,5 @@ func TestValidationReportString(t *testing.T) {
 	s := r.String()
 	if !strings.Contains(s, "Missing archives") || !strings.Contains(s, "1") {
 		t.Fatalf("render %q", s)
-	}
-}
-
-func TestSortedExampleClasses(t *testing.T) {
-	var r ValidationReport
-	r.Record(DefectBadRow, "x")
-	r.Record(DefectMalformedMasterEntry, "y")
-	got := r.SortedExampleClasses()
-	if len(got) != 2 || got[0] != DefectMalformedMasterEntry || got[1] != DefectBadRow {
-		t.Fatalf("classes %v", got)
 	}
 }

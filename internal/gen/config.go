@@ -33,21 +33,6 @@ const (
 	numSpeedClasses
 )
 
-// String names the speed class.
-func (s SpeedClass) String() string {
-	switch s {
-	case SpeedFast:
-		return "fast"
-	case SpeedAverage:
-		return "average"
-	case SpeedSlow:
-		return "slow"
-	case SpeedArchive:
-		return "archive"
-	}
-	return "unknown"
-}
-
 // Config parameterizes a synthetic corpus. The zero value is not usable;
 // start from one of the presets.
 type Config struct {

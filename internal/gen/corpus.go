@@ -571,38 +571,3 @@ func (c *Corpus) MentionRecord(j int) gdelt.Mention {
 func (c *Corpus) articleURL(src int32, eventID int64, k int) string {
 	return fmt.Sprintf("https://%s/article/%d-%d", c.World.Sources[src].Name, eventID, k)
 }
-
-// Stats summarizes the corpus for Table I.
-type Stats struct {
-	Sources          int
-	Events           int
-	CaptureIntervals int
-	Articles         int
-	MinArticles      int32
-	MaxArticles      int32
-	WeightedAvg      float64
-}
-
-// Stats computes the Table I summary of the corpus.
-func (c *Corpus) Stats() Stats {
-	s := Stats{
-		Sources:          len(c.World.Sources),
-		Events:           len(c.Events),
-		Articles:         len(c.Mentions),
-		CaptureIntervals: c.World.Days() * gdelt.IntervalsPerDay,
-	}
-	if len(c.Events) > 0 {
-		s.MinArticles = math.MaxInt32
-		for i := range c.Events {
-			n := c.Events[i].NumArticles
-			if n < s.MinArticles {
-				s.MinArticles = n
-			}
-			if n > s.MaxArticles {
-				s.MaxArticles = n
-			}
-		}
-		s.WeightedAvg = float64(len(c.Mentions)) / float64(len(c.Events))
-	}
-	return s
-}

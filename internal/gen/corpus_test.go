@@ -51,7 +51,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestCorpusBasicShape(t *testing.T) {
 	c := testCorpus(t)
-	s := c.Stats()
+	s := tableIOf(c)
 	if s.Events < 5000 {
 		t.Fatalf("too few events: %d", s.Events)
 	}
@@ -388,7 +388,7 @@ func TestWriteRawRowsParse(t *testing.T) {
 
 func TestStatsWeightedAverage(t *testing.T) {
 	c := testCorpus(t)
-	s := c.Stats()
+	s := tableIOf(c)
 	var sum int64
 	for i := range c.Events {
 		sum += int64(c.Events[i].NumArticles)
@@ -407,4 +407,39 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(bad); err == nil {
 		t.Fatal("bad config should fail")
 	}
+}
+
+// tableI summarizes a corpus for Table I.
+type tableI struct {
+	Sources          int
+	Events           int
+	CaptureIntervals int
+	Articles         int
+	MinArticles      int32
+	MaxArticles      int32
+	WeightedAvg      float64
+}
+
+// tableIOf computes the Table I summary of c.
+func tableIOf(c *Corpus) tableI {
+	s := tableI{
+		Sources:          len(c.World.Sources),
+		Events:           len(c.Events),
+		Articles:         len(c.Mentions),
+		CaptureIntervals: c.World.Days() * gdelt.IntervalsPerDay,
+	}
+	if len(c.Events) > 0 {
+		s.MinArticles = math.MaxInt32
+		for i := range c.Events {
+			n := c.Events[i].NumArticles
+			if n < s.MinArticles {
+				s.MinArticles = n
+			}
+			if n > s.MaxArticles {
+				s.MaxArticles = n
+			}
+		}
+		s.WeightedAvg = float64(len(c.Mentions)) / float64(len(c.Events))
+	}
+	return s
 }

@@ -60,16 +60,6 @@ func TestConfigCalendar(t *testing.T) {
 	}
 }
 
-func TestSpeedClassString(t *testing.T) {
-	names := map[SpeedClass]string{SpeedFast: "fast", SpeedAverage: "average",
-		SpeedSlow: "slow", SpeedArchive: "archive", SpeedClass(9): "unknown"}
-	for c, want := range names {
-		if c.String() != want {
-			t.Fatalf("%d -> %q want %q", c, c.String(), want)
-		}
-	}
-}
-
 func TestWorldDeterminism(t *testing.T) {
 	a, err := NewWorld(Small())
 	if err != nil {

@@ -167,12 +167,6 @@ func englishSpeaking(country int16) bool {
 	return false
 }
 
-// ThemeName returns theme vocabulary entry i.
-func ThemeName(i int) string { return themeVocab[i].Name }
-
-// NumThemes returns the theme vocabulary size.
-func NumThemes() int { return len(themeVocab) }
-
 // GKGRecord materializes the GKG row of mention j. Annotations come from
 // the event; the translation flag reflects the source's country (non-anglo
 // press is machine-translated, Section III's 65-language feed).

@@ -6,13 +6,10 @@ import (
 )
 
 func TestThemeVocabularyConsistent(t *testing.T) {
-	if NumThemes() != len(themeVocab) {
-		t.Fatal("NumThemes mismatch")
-	}
 	seen := map[string]bool{}
 	violent := 0
-	for i := 0; i < NumThemes(); i++ {
-		name := ThemeName(i)
+	for i := range themeVocab {
+		name := themeVocab[i].Name
 		if name == "" || seen[name] {
 			t.Fatalf("theme %d invalid or duplicate: %q", i, name)
 		}
@@ -34,7 +31,7 @@ func TestAnnotationsWithinBounds(t *testing.T) {
 			t.Fatalf("event %d theme count %d", i, a.NumThemes)
 		}
 		for k := uint8(0); k < a.NumThemes; k++ {
-			if int(a.Themes[k]) >= NumThemes() {
+			if int(a.Themes[k]) >= len(themeVocab) {
 				t.Fatalf("event %d theme id out of range", i)
 			}
 		}
@@ -68,7 +65,7 @@ func TestHeadlineEventsCarryViolentThemes(t *testing.T) {
 		headlines++
 		a := &c.Events[i].Notes
 		for k := uint8(0); k < a.NumThemes; k++ {
-			if violentName[ThemeName(int(a.Themes[k]))] {
+			if violentName[themeVocab[a.Themes[k]].Name] {
 				withViolent++
 				break
 			}

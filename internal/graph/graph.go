@@ -176,18 +176,3 @@ func (g *Graph) PageRank(opt PageRankOptions) []float64 {
 	}
 	return rank
 }
-
-// DegreeDistribution returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeDistribution() []int64 {
-	maxD := 0
-	for i := 0; i < g.N; i++ {
-		if d := g.Degree(i); d > maxD {
-			maxD = d
-		}
-	}
-	counts := make([]int64, maxD+1)
-	for i := 0; i < g.N; i++ {
-		counts[g.Degree(i)]++
-	}
-	return counts
-}

@@ -137,14 +137,3 @@ func TestPageRankEmptyGraph(t *testing.T) {
 		t.Fatalf("empty graph rank %v", pr)
 	}
 }
-
-func TestDegreeDistribution(t *testing.T) {
-	g, err := FromSimilarity(twoTriangles(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dd := g.DegreeDistribution()
-	if dd[0] != 1 || dd[2] != 6 {
-		t.Fatalf("distribution %v", dd)
-	}
-}

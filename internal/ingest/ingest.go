@@ -9,7 +9,6 @@ package ingest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -82,9 +81,6 @@ type Reader struct {
 	Retry retry.Policy
 }
 
-// NewReader returns a Reader over src with the default retry policy.
-func NewReader(src Source) *Reader { return &Reader{Src: src, Retry: retry.DefaultPolicy()} }
-
 // Read fetches the chunk named by entry, retrying transient failures. On
 // success it verifies size and checksum; a mismatch returns the data
 // together with a *ChecksumError so the caller can both record the defect
@@ -109,7 +105,3 @@ func (r *Reader) Read(ctx context.Context, entry gdelt.MasterEntry) ([]byte, err
 	}
 	return data, nil
 }
-
-// IsNotExist reports whether err means the chunk file is permanently
-// absent — the Table II missing-archive defect.
-func IsNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }

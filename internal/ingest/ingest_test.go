@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,7 +27,7 @@ func TestDirSource(t *testing.T) {
 	if err != nil || string(data) != "hello\n" {
 		t.Fatalf("data %q err %v", data, err)
 	}
-	if _, err := src.ReadChunk(context.Background(), "absent.csv"); !IsNotExist(err) {
+	if _, err := src.ReadChunk(context.Background(), "absent.csv"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("want not-exist, got %v", err)
 	}
 	// A master entry pointing at a directory is a permanent read failure,
@@ -102,7 +103,7 @@ func TestReaderChecksumMismatchKeepsData(t *testing.T) {
 func TestReaderPermanentMissing(t *testing.T) {
 	r := &Reader{Src: Mem(nil), Retry: instantPolicy(5)}
 	_, err := r.Read(context.Background(), entryFor("gone.export.csv", nil))
-	if !IsNotExist(err) {
+	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err %v", err)
 	}
 }
@@ -110,7 +111,7 @@ func TestReaderPermanentMissing(t *testing.T) {
 func TestReaderContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewReader(Mem(map[string][]byte{"x.export.csv": nil}))
+	r := &Reader{Src: Mem(map[string][]byte{"x.export.csv": nil}), Retry: retry.DefaultPolicy()}
 	if _, err := r.Read(ctx, entryFor("x.export.csv", nil)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v", err)
 	}

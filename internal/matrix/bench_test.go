@@ -9,11 +9,11 @@ func randomCSRPieces(n, pieces, nnzPer int, seed int64) []*CSR {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*CSR, pieces)
 	for p := range out {
-		coo := NewCOO(n, n)
+		d := NewDense(n, n)
 		for k := 0; k < nnzPer; k++ {
-			coo.Add(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(4)))
+			d.Add(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(4)))
 		}
-		out[p] = coo.ToCSR()
+		out[p] = FromDense(d, 0)
 	}
 	return out
 }
@@ -40,8 +40,8 @@ func BenchmarkAssembleDenseSum(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sum := NewDense(2000, 2000)
 		for _, d := range dense {
-			if err := sum.AddMatrix(d); err != nil {
-				b.Fatal(err)
+			for k, v := range d.Data {
+				sum.Data[k] += v
 			}
 		}
 	}
@@ -103,23 +103,5 @@ func BenchmarkMatMul200(b *testing.B) {
 		if _, err := m.MatMul(m); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkCOOToCSR(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n, nnz = 1000, 100000
-	is := make([]int, nnz)
-	js := make([]int, nnz)
-	for k := 0; k < nnz; k++ {
-		is[k], js[k] = rng.Intn(n), rng.Intn(n)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coo := NewCOO(n, n)
-		for k := 0; k < nnz; k++ {
-			coo.Add(is[k], js[k], 1)
-		}
-		coo.ToCSR()
 	}
 }

@@ -1,7 +1,7 @@
 // Package matrix provides the dense and sparse matrix types behind the
 // co-reporting, follow-reporting, and cross-reporting analyses: row-major
 // dense matrices (the paper computes the 20996² co-reporting matrix densely
-// in ~1.8 GB), CSR sparse matrices with a COO builder, time-sliced sparse
+// in ~1.8 GB), CSR sparse matrices built from dense slices, time-sliced sparse
 // assembly (Section VI-B's strategy for larger source populations), and the
 // Jaccard index arithmetic.
 package matrix
@@ -44,33 +44,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// AddMatrix accumulates o into m elementwise. Shapes must match.
-func (m *Dense) AddMatrix(o *Dense) error {
-	if o.Rows != m.Rows || o.Cols != m.Cols {
-		return fmt.Errorf("matrix: adding %dx%d into %dx%d", o.Rows, o.Cols, m.Rows, m.Cols)
-	}
-	for i, v := range o.Data {
-		m.Data[i] += v
-	}
-	return nil
-}
-
-// Scale multiplies every element by s.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
 // ColSums returns the per-column sums (the "Sum" row of Table IV).
 func (m *Dense) ColSums() []float64 {
 	sums := make([]float64, m.Cols)
@@ -81,34 +54,6 @@ func (m *Dense) ColSums() []float64 {
 		}
 	}
 	return sums
-}
-
-// RowSums returns the per-row sums.
-func (m *Dense) RowSums() []float64 {
-	sums := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for _, v := range row {
-			s += v
-		}
-		sums[i] = s
-	}
-	return sums
-}
-
-// MaxOffDiagonal returns the largest element outside the diagonal, or 0 for
-// matrices smaller than 2x2.
-func (m *Dense) MaxOffDiagonal() float64 {
-	var best float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i != j && m.At(i, j) > best {
-				best = m.At(i, j)
-			}
-		}
-	}
-	return best
 }
 
 // IsSymmetric reports whether the matrix equals its transpose within tol.
@@ -173,9 +118,6 @@ func (m *Int64) Set(i, j int, v int64) { m.Data[i*m.Cols+j] = v }
 // Inc adds one to element (i, j).
 func (m *Int64) Inc(i, j int) { m.Data[i*m.Cols+j]++ }
 
-// Add accumulates v into element (i, j).
-func (m *Int64) Add(i, j int, v int64) { m.Data[i*m.Cols+j] += v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Int64) Row(i int) []int64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
@@ -222,15 +164,6 @@ func (m *Int64) AddMatrixParallel(o *Int64, workers int) error {
 	}
 	wg.Wait()
 	return nil
-}
-
-// Sum returns the sum of all elements.
-func (m *Int64) Sum() int64 {
-	var s int64
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
 }
 
 // ToDense converts to a float64 dense matrix.

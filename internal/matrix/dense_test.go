@@ -16,9 +16,6 @@ func TestDenseBasics(t *testing.T) {
 	if r := m.Row(1); len(r) != 3 || r[2] != 5 {
 		t.Fatalf("row %v", r)
 	}
-	if m.Sum() != 8 {
-		t.Fatalf("sum %v", m.Sum())
-	}
 }
 
 func TestDensePanicsOnBadShape(t *testing.T) {
@@ -40,27 +37,6 @@ func TestDenseCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestDenseAddMatrixAndScale(t *testing.T) {
-	a := NewDense(2, 2)
-	b := NewDense(2, 2)
-	a.Set(0, 0, 1)
-	b.Set(0, 0, 2)
-	b.Set(1, 1, 4)
-	if err := a.AddMatrix(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0) != 3 || a.At(1, 1) != 4 {
-		t.Fatalf("sum %v", a.Data)
-	}
-	a.Scale(0.5)
-	if a.At(0, 0) != 1.5 || a.At(1, 1) != 2 {
-		t.Fatalf("scaled %v", a.Data)
-	}
-	if err := a.AddMatrix(NewDense(3, 2)); err == nil {
-		t.Fatal("shape mismatch should fail")
-	}
-}
-
 func TestDenseColRowSums(t *testing.T) {
 	m := NewDense(2, 3)
 	for i := 0; i < 2; i++ {
@@ -69,12 +45,8 @@ func TestDenseColRowSums(t *testing.T) {
 		}
 	}
 	cs := m.ColSums()
-	rs := m.RowSums()
 	if cs[0] != 3 || cs[1] != 5 || cs[2] != 7 {
 		t.Fatalf("col sums %v", cs)
-	}
-	if rs[0] != 3 || rs[1] != 12 {
-		t.Fatalf("row sums %v", rs)
 	}
 }
 
@@ -83,9 +55,6 @@ func TestDenseMaxOffDiagonalAndSymmetry(t *testing.T) {
 	m.Set(0, 0, 100)
 	m.Set(0, 2, 7)
 	m.Set(2, 0, 7)
-	if got := m.MaxOffDiagonal(); got != 7 {
-		t.Fatalf("max off diag %v", got)
-	}
 	if !m.IsSymmetric(0) {
 		t.Fatal("should be symmetric")
 	}
@@ -129,13 +98,10 @@ func TestInt64Matrix(t *testing.T) {
 	m := NewInt64(2, 2)
 	m.Inc(0, 1)
 	m.Inc(0, 1)
-	m.Add(1, 0, 5)
+	m.Set(1, 0, 5)
 	m.Set(1, 1, 7)
 	if m.At(0, 1) != 2 || m.At(1, 0) != 5 || m.At(1, 1) != 7 {
 		t.Fatalf("data %v", m.Data)
-	}
-	if m.Sum() != 14 {
-		t.Fatalf("sum %d", m.Sum())
 	}
 	o := NewInt64(2, 2)
 	o.Set(0, 0, 1)

@@ -117,3 +117,49 @@ func TestJaccardSetsPropertyAgainstMaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// JaccardSets computes the Jaccard index of two ascending-sorted int32 sets
+// by a linear merge: the reference JaccardFromPairCounts is checked against.
+func JaccardSets(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	var inter int
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+// IntersectionSize returns |a ∩ b| for ascending-sorted int32 sets.
+func IntersectionSize(a, b []int32) int64 {
+	var inter int64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	return inter
+}

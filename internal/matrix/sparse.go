@@ -63,67 +63,6 @@ func FromDense(d *Dense, threshold float64) *CSR {
 	return m
 }
 
-// COO is a coordinate-format builder for sparse matrices. Duplicate
-// coordinates are summed when converting to CSR.
-type COO struct {
-	Rows, Cols int
-	is, js     []int32
-	vs         []float64
-}
-
-// NewCOO returns an empty builder for a rows×cols matrix.
-func NewCOO(rows, cols int) *COO {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("matrix: invalid shape %dx%d", rows, cols))
-	}
-	return &COO{Rows: rows, Cols: cols}
-}
-
-// Add records v at (i, j).
-func (c *COO) Add(i, j int, v float64) {
-	if i < 0 || i >= c.Rows || j < 0 || j >= c.Cols {
-		panic(fmt.Sprintf("matrix: COO index (%d,%d) out of %dx%d", i, j, c.Rows, c.Cols))
-	}
-	c.is = append(c.is, int32(i))
-	c.js = append(c.js, int32(j))
-	c.vs = append(c.vs, v)
-}
-
-// Len returns the number of recorded entries (before duplicate folding).
-func (c *COO) Len() int { return len(c.vs) }
-
-// ToCSR sorts and deduplicates the entries into a CSR matrix.
-func (c *COO) ToCSR() *CSR {
-	order := make([]int, len(c.vs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		oa, ob := order[a], order[b]
-		if c.is[oa] != c.is[ob] {
-			return c.is[oa] < c.is[ob]
-		}
-		return c.js[oa] < c.js[ob]
-	})
-	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1)}
-	prevI, prevJ := int32(-1), int32(-1)
-	for _, o := range order {
-		i, j, v := c.is[o], c.js[o], c.vs[o]
-		if i == prevI && j == prevJ {
-			m.Vals[len(m.Vals)-1] += v
-			continue
-		}
-		m.ColIdx = append(m.ColIdx, j)
-		m.Vals = append(m.Vals, v)
-		prevI, prevJ = i, j
-		m.RowPtr[i+1]++
-	}
-	for i := 0; i < c.Rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
-	}
-	return m
-}
-
 // AssembleCSR sums sparse matrices of identical shape into one, the
 // Section VI-B strategy of building a global co-reporting matrix from
 // compressed per-time-span pieces. It merges rows pairwise like a k-way

@@ -6,41 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCOOToCSRWithDuplicates(t *testing.T) {
-	c := NewCOO(3, 4)
-	c.Add(0, 1, 1)
-	c.Add(0, 1, 2) // duplicate folds
-	c.Add(2, 0, 5)
-	c.Add(0, 3, 7)
-	if c.Len() != 4 {
-		t.Fatalf("len %d", c.Len())
-	}
-	m := c.ToCSR()
-	if m.NNZ() != 3 {
-		t.Fatalf("nnz %d want 3", m.NNZ())
-	}
-	if m.At(0, 1) != 3 || m.At(0, 3) != 7 || m.At(2, 0) != 5 || m.At(1, 2) != 0 {
-		t.Fatalf("values wrong: %+v", m)
-	}
-	cols, vals := m.RowNNZ(0)
-	if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 || vals[0] != 3 {
-		t.Fatalf("row 0 nnz: %v %v", cols, vals)
-	}
-	if cols, _ := m.RowNNZ(1); len(cols) != 0 {
-		t.Fatal("row 1 should be empty")
-	}
-}
-
-func TestCOOBoundsPanic(t *testing.T) {
-	c := NewCOO(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Add(2, 0, 1)
-}
-
 func TestDenseSparseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := NewDense(20, 30)
@@ -68,13 +33,13 @@ func TestFromDenseThreshold(t *testing.T) {
 }
 
 func TestAssembleCSR(t *testing.T) {
-	a := NewCOO(2, 2)
-	a.Add(0, 0, 1)
-	a.Add(1, 1, 2)
-	b := NewCOO(2, 2)
-	b.Add(0, 0, 3)
-	b.Add(0, 1, 4)
-	sum, err := AssembleCSR([]*CSR{a.ToCSR(), b.ToCSR()})
+	a := NewDense(2, 2)
+	a.Set(0, 0, 1)
+	a.Set(1, 1, 2)
+	b := NewDense(2, 2)
+	b.Set(0, 0, 3)
+	b.Set(0, 1, 4)
+	sum, err := AssembleCSR([]*CSR{FromDense(a, 0), FromDense(b, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +55,8 @@ func TestAssembleCSRErrors(t *testing.T) {
 	if _, err := AssembleCSR(nil); err == nil {
 		t.Fatal("empty assembly should fail")
 	}
-	a := NewCOO(2, 2).ToCSR()
-	b := NewCOO(3, 2).ToCSR()
+	a := FromDense(NewDense(2, 2), 0)
+	b := FromDense(NewDense(3, 2), 0)
 	if _, err := AssembleCSR([]*CSR{a, b}); err == nil {
 		t.Fatal("shape mismatch should fail")
 	}
@@ -106,13 +71,13 @@ func TestAssembleMatchesDenseSum(t *testing.T) {
 		var pieces []*CSR
 		want := NewDense(rows, cols)
 		for p := 0; p < 4; p++ {
-			c := NewCOO(rows, cols)
+			c := NewDense(rows, cols)
 			for k := 0; k < 25; k++ {
 				i, j, v := rng.Intn(rows), rng.Intn(cols), float64(rng.Intn(5))
 				c.Add(i, j, v)
 				want.Add(i, j, v)
 			}
-			pieces = append(pieces, c.ToCSR())
+			pieces = append(pieces, FromDense(c, 0))
 		}
 		got, err := AssembleCSR(pieces)
 		if err != nil {
@@ -131,13 +96,23 @@ func TestAssembleMatchesDenseSum(t *testing.T) {
 	}
 }
 
+// TestCSRColumnOrderInvariant pins the k-way merge of AssembleCSR: every
+// assembled row keeps strictly increasing columns, which At's binary search
+// relies on.
 func TestCSRColumnOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	c := NewCOO(5, 40)
-	for k := 0; k < 200; k++ {
-		c.Add(rng.Intn(5), rng.Intn(40), 1)
+	var pieces []*CSR
+	for p := 0; p < 3; p++ {
+		c := NewDense(5, 40)
+		for k := 0; k < 70; k++ {
+			c.Add(rng.Intn(5), rng.Intn(40), 1)
+		}
+		pieces = append(pieces, FromDense(c, 0))
 	}
-	m := c.ToCSR()
+	m, err := AssembleCSR(pieces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < m.Rows; i++ {
 		cols, _ := m.RowNNZ(i)
 		for k := 1; k < len(cols); k++ {

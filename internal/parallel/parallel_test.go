@@ -193,15 +193,6 @@ func TestMapReduceSliceAccumulators(t *testing.T) {
 	}
 }
 
-func TestCountIf(t *testing.T) {
-	const n = 10000
-	c := CountIf(n, Options{}, func(i int) bool { return i%3 == 0 })
-	want := int64((n + 2) / 3)
-	if c != want {
-		t.Fatalf("CountIf %d want %d", c, want)
-	}
-}
-
 func TestMapReducePropertyMatchesSerial(t *testing.T) {
 	f := func(vals []int16, workers uint8) bool {
 		var want int64

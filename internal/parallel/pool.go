@@ -22,9 +22,6 @@ var (
 		"pool misses that fell through to a fresh allocation")
 )
 
-// PoolGets returns the number of pooled-buffer requests so far.
-func PoolGets() int64 { return mPoolGets.Value() }
-
 // PoolAllocs returns the number of pool misses (fresh allocations) so far.
 func PoolAllocs() int64 { return mPoolAllocs.Value() }
 

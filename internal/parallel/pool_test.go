@@ -44,11 +44,11 @@ func TestPooledBuffersComeBackZeroed(t *testing.T) {
 }
 
 func TestPoolMetricsCountMisses(t *testing.T) {
-	gets0, allocs0 := PoolGets(), PoolAllocs()
+	gets0, allocs0 := mPoolGets.Value(), PoolAllocs()
 	buf := GetInt64(8)
 	PutInt64(buf)
-	if PoolGets() <= gets0 {
-		t.Error("PoolGets did not advance")
+	if mPoolGets.Value() <= gets0 {
+		t.Error("parallel_pool_gets_total did not advance")
 	}
 	if PoolAllocs() < allocs0 {
 		t.Error("PoolAllocs went backwards")

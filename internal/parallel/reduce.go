@@ -116,22 +116,6 @@ func MergeTree[A any](partials []A, merge func(dst, src A) A) A {
 	return partials[0]
 }
 
-// CountIf counts indices in [0, n) for which pred returns true.
-func CountIf(n int, opt Options, pred func(i int) bool) int64 {
-	return MapReduce(n, opt,
-		func() int64 { return 0 },
-		func(acc int64, lo, hi int) int64 {
-			for i := lo; i < hi; i++ {
-				if pred(i) {
-					acc++
-				}
-			}
-			return acc
-		},
-		func(dst, src int64) int64 { return dst + src },
-	)
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

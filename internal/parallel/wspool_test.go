@@ -49,7 +49,10 @@ func TestFanOutNestedInsidePoolTask(t *testing.T) {
 			// Inner fan-out bound to the executing worker (affinity path).
 			FanOut(4, Options{Workers: 4, Worker: w, Pool: p}, func(w2 *Worker, j int) {
 				opt := Options{Workers: 4, Worker: w2, Pool: p, Grain: 1}
-				total.Add(CountIf(100, opt, func(int) bool { return true }))
+				total.Add(MapReduce(100, opt,
+					func() int64 { return 0 },
+					func(acc int64, lo, hi int) int64 { return acc + int64(hi-lo) },
+					func(dst, src int64) int64 { return dst + src }))
 			})
 		})
 	}()

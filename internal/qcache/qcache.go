@@ -166,9 +166,6 @@ func New(maxBytes int64) *Cache {
 	}
 }
 
-// MaxBytes returns the configured memory budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
-
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -313,15 +310,6 @@ func (c *Cache) sweepLocked(version uint64) {
 		}
 	}
 	c.publishLocked()
-}
-
-// Invalidate retires every entry older than version (the push-style
-// counterpart of the lazy sweep, for writers that want memory back before
-// the next lookup arrives).
-func (c *Cache) Invalidate(version uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sweepLocked(version)
 }
 
 func (c *Cache) removeLocked(el *list.Element) {

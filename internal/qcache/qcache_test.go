@@ -124,7 +124,7 @@ func TestLRUEvictionByMemoryBudget(t *testing.T) {
 			t.Fatalf("%s evicted; only b should have been", k)
 		}
 	}
-	if used, max := c.UsedBytes(), c.MaxBytes(); used > max {
+	if used, max := c.UsedBytes(), c.maxBytes; used > max {
 		t.Fatalf("used %d exceeds budget %d", used, max)
 	}
 }
@@ -164,17 +164,6 @@ func TestVersionSweepRetiresOldEntries(t *testing.T) {
 	}
 	if _, ok := c.Get(key("b", 1)); ok {
 		t.Fatal("stale v1 entry survived the sweep")
-	}
-}
-
-func TestInvalidatePush(t *testing.T) {
-	c := New(0)
-	if _, _, err := c.Do(context.Background(), key("a", 1), func() (any, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate(2)
-	if c.Len() != 0 || c.UsedBytes() != 0 {
-		t.Fatalf("after Invalidate: %d entries, %d bytes", c.Len(), c.UsedBytes())
 	}
 }
 

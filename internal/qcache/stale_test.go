@@ -22,7 +22,7 @@ func TestSetStalePredicate(t *testing.T) {
 	}
 
 	c.SetStale(func(k Key) bool { return strings.Contains(k.Window, "v0.0.3") })
-	c.Invalidate(4) // sweep at a newer version: predicate decides, not age
+	sweep(c, 4) // sweep at a newer version: predicate decides, not age
 
 	if _, ok := c.Get(hot); ok {
 		t.Error("predicate-condemned entry survived the sweep")
@@ -41,8 +41,15 @@ func TestSweepDefaultWithoutPredicate(t *testing.T) {
 	if _, _, err := c.Do(context.Background(), old, compute); err != nil {
 		t.Fatal(err)
 	}
-	c.Invalidate(2)
+	sweep(c, 2)
 	if _, ok := c.Get(old); ok {
 		t.Error("stale-by-version entry survived a sweep with no predicate installed")
 	}
+}
+
+// sweep runs the lazy version sweep a lookup at version would run.
+func sweep(c *Cache, version uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sweepLocked(version)
 }

@@ -57,11 +57,7 @@ func (c Clause) String() string {
 // every row.
 type Expr struct {
 	Clauses []Clause
-	src     string
 }
-
-// Source returns the expression text as written.
-func (e *Expr) Source() string { return e.src }
 
 // Canonical renders the expression in canonical form: clauses sorted by
 // (field, op, value), duplicates collapsed, one spelling per operator
@@ -138,7 +134,7 @@ func Parse(expr string) (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Expr{src: expr}
+	e := &Expr{}
 	pos := 0
 	for pos < len(toks) {
 		if toks[pos].kind == tokAnd {

@@ -77,17 +77,9 @@ func (o Op) String() string {
 // pushdown planner binds only the residual (non-indexed) clauses of an
 // expression this way; Compile binds all of them.
 type Filter struct {
-	stages  []stage
-	none    bool // some clause holds for no row: the filter selects nothing
-	clauses int
-	expr    string
+	stages []stage
+	none   bool // some clause holds for no row: the filter selects nothing
 }
-
-// Expr returns the source expression.
-func (f *Filter) Expr() string { return f.expr }
-
-// Clauses returns the number of compiled clauses.
-func (f *Filter) Clauses() int { return f.clauses }
 
 // Select appends the mention rows of [lo, hi) that satisfy every clause to
 // out, ascending, and returns the extended slice; out's existing elements
@@ -135,17 +127,16 @@ func Compile(db *store.DB, expr string) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Bind(db, e.Clauses, expr)
+	return Bind(db, e.Clauses)
 }
 
-// Bind compiles an already-parsed clause list against db, labelling the
-// filter with expr. The pushdown planner uses it to bind just the residual
+// Bind compiles an already-parsed clause list against db. The pushdown planner uses it to bind just the residual
 // clauses of an expression whose indexed clauses a bitmap plan answers.
 // A clause whose outcome does not depend on the row compiles to no stage.
 // Direct-column stages run before gathered ones, so the random lookups
 // only test rows the sequential stages let through.
-func Bind(db *store.DB, clauses []Clause, expr string) (*Filter, error) {
-	f := &Filter{expr: expr, clauses: len(clauses)}
+func Bind(db *store.DB, clauses []Clause) (*Filter, error) {
+	f := &Filter{}
 	var gathered []stage
 	for _, c := range clauses {
 		s, pass, err := bindClause(db, c)

@@ -38,8 +38,8 @@ func TestEmptyExpressionMatchesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Clauses() != 0 {
-		t.Fatal("clauses in empty filter")
+	if len(f.stages) != 0 || f.none {
+		t.Fatal("stages in empty filter")
 	}
 	if got := count(t, f, db); got != int64(db.Mentions.Len()) {
 		t.Fatalf("matched %d of %d", got, db.Mentions.Len())
@@ -209,16 +209,5 @@ func TestOpString(t *testing.T) {
 		if op.String() == "?" {
 			t.Fatalf("op %d has no name", op)
 		}
-	}
-}
-
-func TestFilterExpr(t *testing.T) {
-	db := testDB(t)
-	f, err := Compile(db, "delay>1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Expr() != "delay>1" || f.Clauses() != 1 {
-		t.Fatal("metadata")
 	}
 }

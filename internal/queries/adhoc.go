@@ -406,7 +406,7 @@ func AdhocVectors(e *engine.Engine, spec AdhocSpec) (AdhocVec, error) {
 	}
 	var residual *qlang.Filter
 	if len(r.residual) > 0 {
-		f, err := qlang.Bind(e.DB(), r.residual, spec.Where)
+		f, err := qlang.Bind(e.DB(), r.residual)
 		if err != nil {
 			return AdhocVec{}, err
 		}

@@ -131,7 +131,7 @@ func FinishCountryReport(cross, pair *matrix.Int64, counts, eventCounts []int64)
 		CoReporting:   jac,
 		Cross:         cross,
 		Fractions:     fractions,
-		TopReported:   engine.TopK(nc, nc, func(c int) int64 { return eventCounts[c] }),
-		TopPublishing: engine.TopK(nc, nc, func(c int) int64 { return artInts[c] }),
+		TopReported:   engine.TopK(eventCounts, nc),
+		TopPublishing: engine.TopK(artInts, nc),
 	}, nil
 }

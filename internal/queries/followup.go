@@ -146,7 +146,7 @@ func Repeats(e *engine.Engine, k int) RepeatedCoverage {
 			out.Events++
 		}
 	}
-	for _, s := range engine.TopK(len(res.perSource), k, func(i int) int64 { return res.perSource[i] }) {
+	for _, s := range engine.TopK(res.perSource, k) {
 		if res.perSource[s] == 0 {
 			break
 		}
@@ -170,19 +170,6 @@ const (
 	SpeedGroupSlow
 	numSpeedGroups
 )
-
-// String names the group.
-func (g SpeedGroup) String() string {
-	switch g {
-	case SpeedGroupFast:
-		return "fast"
-	case SpeedGroupAverage:
-		return "average"
-	case SpeedGroupSlow:
-		return "slow"
-	}
-	return "unknown"
-}
 
 // SpeedGroupBreakdown decomposes the source population and article volume
 // by speed group.

@@ -27,7 +27,7 @@ var SourceCounts, _ = ParseAdhocSpec("", "source", "", 0)
 // With pad, zero-count groups fill the selection up to k; without, the
 // selection ends before the first zero.
 func TopGroups(counts []int64, k int, pad bool) (ids []int32, top []int64) {
-	sel := engine.TopK(len(counts), k, func(i int) int64 { return counts[i] })
+	sel := engine.TopK(counts, k)
 	ids, top = make([]int32, 0, len(sel)), make([]int64, 0, len(sel))
 	for _, g := range sel {
 		if counts[g] == 0 && !pad {

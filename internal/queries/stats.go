@@ -71,9 +71,7 @@ type TopEvent struct {
 // TopEvents returns the k most-reported events (Table III).
 func TopEvents(e *engine.Engine, k int) []TopEvent {
 	db := e.DB()
-	idx := engine.TopK(db.Events.Len(), k, func(i int) int64 {
-		return int64(db.Events.NumArticles[i])
-	})
+	idx := engine.TopK(db.Events.NumArticles, k)
 	out := make([]TopEvent, 0, len(idx))
 	for _, i := range idx {
 		out = append(out, TopEvent{

@@ -43,7 +43,7 @@ func TopThemes(e *engine.Engine, k int) ([]ThemeCount, error) {
 			return dst
 		},
 	)
-	top := engine.TopK(nt, k, func(i int) int64 { return counts[i] })
+	top := engine.TopK(counts, k)
 	out := make([]ThemeCount, 0, len(top))
 	for _, t := range top {
 		out = append(out, ThemeCount{Theme: g.Themes.Name(int32(t)), Articles: counts[t]})
@@ -175,7 +175,7 @@ func PersonsForTheme(e *engine.Engine, theme string, k int) ([]EntityCount, erro
 			counts[p]++
 		}
 	}
-	top := engine.TopK(len(counts), k, func(i int) int64 { return counts[i] })
+	top := engine.TopK(counts, k)
 	out := make([]EntityCount, 0, len(top))
 	for _, p := range top {
 		if counts[p] == 0 {

@@ -115,7 +115,7 @@ func TestThemeCooccurrences(t *testing.T) {
 	// Violent themes co-occur heavily (headline events always carry
 	// several): find two violent themes and check their cell tops the
 	// matrix median.
-	if co.Counts.Sum() == 0 {
+	if total(co.Counts.Data) == 0 {
 		t.Fatal("no co-occurrence at all")
 	}
 }

@@ -17,46 +17,37 @@ type ToneSeries struct {
 }
 
 // ToneByCountry computes the quarterly average document tone of each listed
-// publishing country's press in one parallel pass over the mention table.
+// publishing country's press. Each known country is one ad-hoc plan,
+// "where sourcecountry=<fips> group=quarter agg=sum:tone", the path the
+// server runs for the same query.
 func ToneByCountry(e *engine.Engine, fips []string) []ToneSeries {
-	db := e.DB()
-	nq := db.NumQuarters()
-	idx := make(map[int16]int, len(fips))
-	out := make([]ToneSeries, len(fips))
+	nq := e.DB().NumQuarters()
 	labels := quarterLabels(e)
+	out := make([]ToneSeries, len(fips))
 	for i, f := range fips {
-		ci := gdelt.CountryIndex(f)
-		if ci >= 0 {
-			idx[int16(ci)] = i
-		}
 		out[i] = ToneSeries{
 			Country: f,
 			Labels:  labels,
 			Average: make([]float64, nq),
 			Count:   make([]int64, nq),
 		}
-	}
-	// Typed cross kernels over the (country slot, quarter) grid. The map
-	// lookup of the closure version becomes a source→slot remap column: one
-	// build pass over the dictionary, then the hot loop is pure array
-	// indexing.
-	srcSlot := make([]int32, db.Sources.Len())
-	for s := range srcSlot {
-		srcSlot[s] = -1
-		if i, ok := idx[db.SourceCountry[s]]; ok {
-			srcSlot[s] = int32(i)
+		if gdelt.CountryIndex(f) < 0 {
+			continue
 		}
-	}
-	sums := e.CrossSumCols(len(fips), nq,
-		db.Mentions.Source, srcSlot, db.Mentions.Interval, db.QuarterLUT(), db.Mentions.Tone)
-	counts := e.CrossCountCols(len(fips), nq,
-		db.Mentions.Source, srcSlot, db.Mentions.Interval, db.QuarterLUT())
-	for i := range out {
-		for q := 0; q < nq; q++ {
-			n := counts.At(i, q)
+		// A known country code always parses and binds; only a cancelled
+		// engine context fails, and then the series stays zero.
+		spec, err := ParseAdhocSpec("sourcecountry="+f, "quarter", "sum:tone", 0)
+		if err != nil {
+			continue
+		}
+		vec, err := AdhocVectors(e, spec)
+		if err != nil {
+			continue
+		}
+		for q, n := range vec.Counts {
 			out[i].Count[q] = n
 			if n > 0 {
-				out[i].Average[q] = sums[i*nq+q] / float64(n)
+				out[i].Average[q] = vec.Sums[q] / float64(n)
 			}
 		}
 	}

@@ -88,19 +88,6 @@ func DefaultPolicy() Policy {
 	return Policy{MaxAttempts: 5, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second, Multiplier: 2, Jitter: 0.2}
 }
 
-// Delays returns the backoff schedule the policy would wait through if
-// every attempt failed: one duration per retry (MaxAttempts-1 entries),
-// jitter applied. Useful for logging and for asserting determinism.
-func (p Policy) Delays() []time.Duration {
-	attempts := p.attempts()
-	rng := p.rng()
-	out := make([]time.Duration, 0, attempts-1)
-	for a := 1; a < attempts; a++ {
-		out = append(out, p.delay(a, rng))
-	}
-	return out
-}
-
 func (p Policy) attempts() int {
 	if p.MaxAttempts < 1 {
 		return 1

@@ -104,7 +104,7 @@ func TestDoContextCancel(t *testing.T) {
 func TestBackoffScheduleDeterministic(t *testing.T) {
 	p := Policy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond,
 		Multiplier: 2, Jitter: 0.5, Seed: 42}
-	a, b := p.Delays(), p.Delays()
+	a, b := delays(p), delays(p)
 	if len(a) != 5 {
 		t.Fatalf("delays %d want 5", len(a))
 	}
@@ -126,7 +126,7 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 	// A different seed gives a different jitter sequence.
 	p2 := p
 	p2.Seed = 43
-	c := p2.Delays()
+	c := delays(p2)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -141,7 +141,7 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 func TestBackoffGrowthAndCap(t *testing.T) {
 	p := Policy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Multiplier: 2}
 	want := []time.Duration{10, 20, 40, 40}
-	got := p.Delays()
+	got := delays(p)
 	for i := range want {
 		if got[i] != want[i]*time.Millisecond {
 			t.Fatalf("delay %d = %v want %v", i, got[i], want[i]*time.Millisecond)
@@ -158,4 +158,15 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err %v", err)
 	}
+}
+
+// delays returns the backoff schedule p waits through when every attempt
+// fails: one duration per retry, jitter applied.
+func delays(p Policy) []time.Duration {
+	rng := p.rng()
+	out := make([]time.Duration, 0, p.attempts()-1)
+	for a := 1; a < p.attempts(); a++ {
+		out = append(out, p.delay(a, rng))
+	}
+	return out
 }

@@ -7,13 +7,11 @@ import (
 	"gdeltmine/internal/obs"
 )
 
-// breaker is a per-replica circuit breaker with the classic three-state
-// machine:
+// breaker is a per-replica circuit breaker:
 //
 //	closed ──(threshold consecutive failures)──> open
-//	open ──(cooldown elapsed)──> half-open
-//	half-open ──(probe succeeds)──> closed
-//	half-open ──(probe fails)──> open (cooldown restarts)
+//	open ──(cooldown elapsed)──> tried again (canTry)
+//	any ──(success)──> closed
 //
 // Failures are replica failures only — transport errors, per-try timeouts
 // and upstream 5xx. Client-shaped responses (2xx–4xx) count as successes:
@@ -26,15 +24,12 @@ type breakerState int
 const (
 	breakerClosed breakerState = iota
 	breakerOpen
-	breakerHalfOpen
 )
 
 func (s breakerState) String() string {
 	switch s {
 	case breakerOpen:
 		return "open"
-	case breakerHalfOpen:
-		return "half-open"
 	default:
 		return "closed"
 	}
@@ -42,7 +37,7 @@ func (s breakerState) String() string {
 
 type breaker struct {
 	threshold int           // consecutive failures that trip the breaker
-	cooldown  time.Duration // open -> half-open delay
+	cooldown  time.Duration // how long an open breaker refuses tries
 	now       func() time.Time
 	trips     *obs.Counter
 
@@ -50,7 +45,6 @@ type breaker struct {
 	state    breakerState
 	fails    int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last tripped
-	probing  bool      // a half-open probe request is in flight
 }
 
 func newBreaker(replicaID string, threshold int, cooldown time.Duration, now func() time.Time) *breaker {
@@ -72,43 +66,12 @@ func newBreaker(replicaID string, threshold int, cooldown time.Duration, now fun
 	}
 }
 
-// Allow reports whether a request may be sent to the replica, consuming
-// the single half-open probe slot when the cooldown has elapsed.
-func (b *breaker) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return true
-	default: // half-open: one probe at a time
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// canTry is the side-effect-free preview of Allow, used when computing
-// coverage and candidate orders without consuming the half-open slot.
+// canTry reports whether a request may be sent to the replica: always
+// when closed, and once the cooldown has elapsed when open.
 func (b *breaker) canTry() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		return b.now().Sub(b.openedAt) >= b.cooldown
-	default:
-		return true
-	}
+	return b.state == breakerClosed || b.now().Sub(b.openedAt) >= b.cooldown
 }
 
 // Success records a healthy interaction and closes the breaker.
@@ -116,28 +79,22 @@ func (b *breaker) Success() {
 	b.mu.Lock()
 	b.state = breakerClosed
 	b.fails = 0
-	b.probing = false
 	b.mu.Unlock()
 }
 
 // Failure records a replica failure, tripping the breaker at the
-// threshold and re-opening a failed half-open probe.
+// threshold. Failures while open change nothing.
 func (b *breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerHalfOpen:
+	if b.state != breakerClosed {
+		return
+	}
+	b.fails++
+	if b.fails >= b.threshold {
 		b.state = breakerOpen
 		b.openedAt = b.now()
-		b.probing = false
 		b.trips.Inc()
-	case breakerClosed:
-		b.fails++
-		if b.fails >= b.threshold {
-			b.state = breakerOpen
-			b.openedAt = b.now()
-			b.trips.Inc()
-		}
 	}
 }
 

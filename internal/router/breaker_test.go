@@ -16,12 +16,12 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 	b := newBreaker("r0", 3, time.Second, clk.now)
 	for i := 0; i < 2; i++ {
 		b.Failure()
-		if !b.Allow() {
+		if !b.canTry() {
 			t.Fatalf("breaker open after %d failures, threshold 3", i+1)
 		}
 	}
 	b.Failure()
-	if b.Allow() {
+	if b.canTry() {
 		t.Fatal("breaker still closed after threshold failures")
 	}
 	if b.State() != "open" {
@@ -34,46 +34,32 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	b.Failure()
 	b.Success()
 	b.Failure()
-	if !b.Allow() {
+	if !b.canTry() {
 		t.Fatal("non-consecutive failures tripped the breaker")
 	}
 }
 
-func TestBreakerHalfOpenProbe(t *testing.T) {
+// TestBreakerCooldown: an open breaker refuses tries until its cooldown
+// has passed; failures while open neither extend the cooldown nor count,
+// and a success closes it.
+func TestBreakerCooldown(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := newBreaker("r0", 1, time.Second, clk.now)
 	b.Failure()
-	if b.Allow() {
+	if b.canTry() {
 		t.Fatal("breaker should be open")
 	}
-	if b.canTry() {
-		t.Fatal("canTry should mirror open state before cooldown")
-	}
-	clk.advance(time.Second)
+	clk.advance(time.Second / 2)
+	b.Failure()
+	clk.advance(time.Second / 2)
 	if !b.canTry() {
 		t.Fatal("canTry should allow after cooldown")
 	}
-	// First Allow consumes the single half-open probe slot.
-	if !b.Allow() {
-		t.Fatal("half-open probe refused")
-	}
-	if b.Allow() {
-		t.Fatal("second concurrent half-open probe allowed")
-	}
-	// Probe failure reopens and restarts the cooldown.
-	b.Failure()
 	if b.State() != "open" {
-		t.Fatalf("state %q after failed probe, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("breaker reusable immediately after failed probe")
-	}
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused after second cooldown")
+		t.Fatalf("state %q before a success, want open", b.State())
 	}
 	b.Success()
-	if b.State() != "closed" || !b.Allow() {
-		t.Fatal("successful probe did not close the breaker")
+	if b.State() != "closed" || !b.canTry() {
+		t.Fatal("success did not close the breaker")
 	}
 }

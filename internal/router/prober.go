@@ -38,7 +38,7 @@ type readyz struct {
 }
 
 // probeOnce checks a replica's /readyz, feeding the verdict into both the
-// readiness flag and the circuit breaker. Probes bypass Allow: they are the
+// readiness flag and the circuit breaker. Probes bypass canTry: they are the
 // mechanism that moves an open breaker back to closed, so they must run even
 // when the breaker would refuse traffic.
 func (rt *Router) probeOnce(ctx context.Context, rep *replica) {

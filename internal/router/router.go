@@ -71,7 +71,8 @@ type Config struct {
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// replica's circuit breaker. Zero means 3.
 	BreakerThreshold int
-	// BreakerCooldown is the open -> half-open delay. Zero means 5s.
+	// BreakerCooldown is how long an open breaker refuses traffic before
+	// the replica is tried again. Zero means 5s.
 	BreakerCooldown time.Duration
 	// ProbeInterval is the background /readyz polling period. Zero disables
 	// the prober; breakers are then fed by live traffic only.

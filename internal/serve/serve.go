@@ -110,9 +110,6 @@ func newServer(snap func() *shard.View, cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// Cache returns the server's result cache, or nil when caching is disabled.
-func (s *Server) Cache() *qcache.Cache { return s.exec.Cache }
-
 // routeV1 resolves /api/v1/<kind> against the registry. Unknown kinds get
 // the uniform 404 envelope naming the kind they asked for.
 func (s *Server) routeV1(w http.ResponseWriter, r *http.Request) {

@@ -136,10 +136,10 @@ func TestCacheAccessor(t *testing.T) { eachWorld(t, testCacheAccessor) }
 
 func testCacheAccessor(t *testing.T, sdb *shard.DB) {
 	testServer(t, sdb)
-	if NewSharded(sdb, Config{}).Cache() == nil {
+	if NewSharded(sdb, Config{}).exec.Cache == nil {
 		t.Fatal("default server should expose its cache")
 	}
-	if NewSharded(sdb, Config{CacheBytes: -1}).Cache() != nil {
+	if NewSharded(sdb, Config{CacheBytes: -1}).exec.Cache != nil {
 		t.Fatal("disabled cache should be nil")
 	}
 }

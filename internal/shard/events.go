@@ -61,7 +61,6 @@ func (e *globalEvents) runs() [2]*store.EventTable {
 
 func (e *globalEvents) ID(g int) int64          { t, r := e.at(g); return t.ID[r] }
 func (e *globalEvents) Interval(g int) int32    { t, r := e.at(g); return t.Interval[r] }
-func (e *globalEvents) Country(g int) int16     { t, r := e.at(g); return t.Country[r] }
 func (e *globalEvents) NumArticles(g int) int32 { t, r := e.at(g); return t.NumArticles[r] }
 func (e *globalEvents) SourceURL(g int) string  { t, r := e.at(g); return t.SourceURL[r] }
 

@@ -28,7 +28,7 @@ func (v *View) TopThemes(k int) ([]queries.ThemeCount, error) {
 			counts[gt] += int64(len(p.GKG.ThemeRows(int32(lt))))
 		}
 	}
-	top := engine.TopK(nt, k, func(i int) int64 { return counts[i] })
+	top := engine.TopK(counts, k)
 	out := make([]queries.ThemeCount, 0, len(top))
 	for _, t := range top {
 		out = append(out, queries.ThemeCount{Theme: s.themes.Name(int32(t)), Articles: counts[t]})

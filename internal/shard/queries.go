@@ -107,18 +107,25 @@ func (v *View) Dataset() queries.DatasetStats {
 
 // TopEvents returns the k most-reported events (Table III) from the merged
 // global event table, with the same lower-row tie-break as the monolith
-// (the merge preserves ID order, which is the monolith's row order).
+// (the merge preserves ID order, which is the monolith's row order). Each
+// run of the table is ranked on its own; the two candidate lists then merge
+// with the frozen run first on ties, since its rows precede the recent ones.
 func (v *View) TopEvents(k int) []queries.TopEvent {
 	ev := &v.s.events
-	idx := engine.TopK(ev.Len(), k, func(i int) int64 {
-		return int64(ev.NumArticles(i))
-	})
-	out := make([]queries.TopEvent, 0, len(idx))
-	for _, i := range idx {
+	runs := ev.runs()
+	a, b := engine.TopK(runs[0].NumArticles, k), engine.TopK(runs[1].NumArticles, k)
+	out := make([]queries.TopEvent, 0, len(a)+len(b))
+	for len(out) < k && len(a)+len(b) > 0 {
+		var g int
+		if len(b) == 0 || len(a) > 0 && runs[0].NumArticles[a[0]] >= runs[1].NumArticles[b[0]] {
+			g, a = a[0], a[1:]
+		} else {
+			g, b = runs[0].Len()+b[0], b[1:]
+		}
 		out = append(out, queries.TopEvent{
-			Mentions:  int64(ev.NumArticles(i)),
-			EventID:   ev.ID(i),
-			SourceURL: ev.SourceURL(i),
+			Mentions:  int64(ev.NumArticles(g)),
+			EventID:   ev.ID(g),
+			SourceURL: ev.SourceURL(g),
 		})
 	}
 	return out

@@ -368,9 +368,6 @@ func (s *DB) NumQuarters() int { return s.parts[0].NumQuarters() }
 // QuarterLabel renders quarter q as e.g. "2016Q3".
 func (s *DB) QuarterLabel(q int) string { return s.parts[0].QuarterLabel(q) }
 
-// QuarterOfInterval maps a capture interval to a quarter index.
-func (s *DB) QuarterOfInterval(iv int32) int { return s.parts[0].QuarterOfInterval(iv) }
-
 // overlapping returns the half-open shard index range whose interval
 // ranges intersect the window [from, to).
 func (s *DB) overlapping(from, to int32) (lo, hi int) {

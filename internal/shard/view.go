@@ -128,12 +128,6 @@ func (v *View) ShardScope() string {
 // DB returns the underlying sharded store.
 func (v *View) DB() *DB { return v.s }
 
-// Workers reports the configured worker count.
-func (v *View) Workers() int { return v.workers }
-
-// Kind reports the query-kind label.
-func (v *View) Kind() string { return v.kind }
-
 // Context returns the cancellation context (Background when unset).
 func (v *View) Context() context.Context {
 	if v.ctx == nil {

@@ -5,67 +5,6 @@ import (
 	"math"
 )
 
-// Histogram is a fixed-width linear histogram over [Lo, Hi). Observations
-// below Lo land in bucket 0 and observations at or above Hi land in the last
-// bucket, so no data is ever dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	width  float64
-}
-
-// NewHistogram returns a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram range [%g,%g)", lo, hi))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, n), width: (hi - lo) / float64(n)}
-}
-
-// Bucket returns the bucket index for x.
-func (h *Histogram) Bucket(x float64) int {
-	if x < h.Lo {
-		return 0
-	}
-	i := int((x - h.Lo) / h.width)
-	if i >= len(h.Counts) {
-		return len(h.Counts) - 1
-	}
-	return i
-}
-
-// Add folds one observation into the histogram.
-func (h *Histogram) Add(x float64) { h.Counts[h.Bucket(x)]++ }
-
-// Merge folds another histogram with identical geometry into h.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o.Lo != h.Lo || o.Hi != h.Hi || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("stats: merging incompatible histograms [%g,%g)x%d vs [%g,%g)x%d",
-			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	return nil
-}
-
-// Total returns the number of folded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BucketBounds returns the [lo, hi) range covered by bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	return h.Lo + float64(i)*h.width, h.Lo + float64(i+1)*h.width
-}
-
 // LogHistogram buckets positive values by logarithm: bucket i covers
 // [base^i, base^(i+1)). It is the natural binning for the power-law plots
 // (Figures 2 and 9) where values span five decades.
@@ -109,30 +48,9 @@ func (h *LogHistogram) Add(x float64) { h.Counts[h.Bucket(x)]++ }
 // AddN folds n identical observations.
 func (h *LogHistogram) AddN(x float64, n int64) { h.Counts[h.Bucket(x)] += n }
 
-// Merge folds another histogram with identical geometry into h.
-func (h *LogHistogram) Merge(o *LogHistogram) error {
-	if o.Base != h.Base || len(o.Counts) != len(h.Counts) {
-		return fmt.Errorf("stats: merging incompatible log histograms base=%g/%g n=%d/%d",
-			h.Base, o.Base, len(h.Counts), len(o.Counts))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	return nil
-}
-
 // BucketBounds returns the [lo, hi) value range of bucket i.
 func (h *LogHistogram) BucketBounds(i int) (lo, hi float64) {
 	return math.Pow(h.Base, float64(i)), math.Pow(h.Base, float64(i+1))
-}
-
-// Total returns the number of folded observations.
-func (h *LogHistogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // CountTable is an exact value->count table over small non-negative integers
@@ -170,26 +88,6 @@ func (t *CountTable) Merge(o *CountTable) error {
 	}
 	t.N += o.N
 	return nil
-}
-
-// Min returns the smallest value with a nonzero count, or -1 when empty.
-func (t *CountTable) Min() int64 {
-	for v, c := range t.Counts {
-		if c > 0 {
-			return int64(v)
-		}
-	}
-	return -1
-}
-
-// Max returns the largest value with a nonzero count, or -1 when empty.
-func (t *CountTable) Max() int64 {
-	for v := len(t.Counts) - 1; v >= 0; v-- {
-		if t.Counts[v] > 0 {
-			return int64(v)
-		}
-	}
-	return -1
 }
 
 // Mean returns the mean value, or NaN when empty.

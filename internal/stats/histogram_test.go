@@ -6,47 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	// -1,0,1.9 -> bucket 0; 2 -> bucket 1; 9.99,10,100 -> bucket 4
-	if h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[4] != 3 {
-		t.Fatalf("counts %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total %d", h.Total())
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("bounds [%v,%v)", lo, hi)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 5)
-	b := NewHistogram(0, 10, 5)
-	a.Add(1)
-	b.Add(1)
-	b.Add(9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts[0] != 2 || a.Counts[4] != 1 {
-		t.Fatalf("counts %v", a.Counts)
-	}
-	c := NewHistogram(0, 20, 5)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging incompatible histograms should fail")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	assertPanics(t, func() { NewHistogram(0, 10, 0) })
-	assertPanics(t, func() { NewHistogram(5, 5, 3) })
-}
-
 func TestLogHistogramBuckets(t *testing.T) {
 	h := NewLogHistogram(2, 10)
 	cases := map[float64]int{0.5: 0, 1: 0, 2: 1, 3: 1, 4: 2, 1023: 9, 1 << 20: 9}
@@ -64,22 +23,6 @@ func TestLogHistogramBuckets(t *testing.T) {
 	if math.Abs(lo-8) > 1e-9 || math.Abs(hi-16) > 1e-9 {
 		t.Fatalf("bounds [%v,%v)", lo, hi)
 	}
-	if h.Total() != 3 {
-		t.Fatalf("total %d", h.Total())
-	}
-}
-
-func TestLogHistogramMergeGeometryCheck(t *testing.T) {
-	a := NewLogHistogram(2, 4)
-	b := NewLogHistogram(2, 4)
-	b.Add(2)
-	if err := a.Merge(b); err != nil || a.Counts[1] != 1 {
-		t.Fatalf("merge err=%v counts=%v", err, a.Counts)
-	}
-	c := NewLogHistogram(3, 4)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging different base should fail")
-	}
 }
 
 func TestLogHistogramPanics(t *testing.T) {
@@ -89,15 +32,15 @@ func TestLogHistogramPanics(t *testing.T) {
 
 func TestCountTable(t *testing.T) {
 	ct := NewCountTable(100)
-	if ct.Min() != -1 || ct.Max() != -1 || ct.Median() != -1 || !math.IsNaN(ct.Mean()) {
+	if ct.Median() != -1 || !math.IsNaN(ct.Mean()) {
 		t.Fatal("empty table accessors wrong")
 	}
 	for _, v := range []int64{5, 5, 7, 200, -3} {
 		ct.Add(v)
 	}
 	// 200 clamps to 100, -3 clamps to 0.
-	if ct.N != 5 || ct.Min() != 0 || ct.Max() != 100 {
-		t.Fatalf("table %+v min=%d max=%d", ct.N, ct.Min(), ct.Max())
+	if ct.N != 5 || ct.Counts[0] != 1 || ct.Counts[100] != 1 {
+		t.Fatalf("table n=%d counts[0]=%d counts[100]=%d", ct.N, ct.Counts[0], ct.Counts[100])
 	}
 	if ct.Median() != 5 {
 		t.Fatalf("median %d", ct.Median())

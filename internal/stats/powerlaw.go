@@ -41,29 +41,6 @@ func FitPowerLaw(counts []int64, xmin int) (PowerLawFit, error) {
 	return PowerLawFit{Alpha: -slope, C: intercept, R2: r2, N: len(xs)}, nil
 }
 
-// PowerLawAlphaMLE estimates the exponent of a discrete power law by the
-// continuous-approximation maximum-likelihood estimator of Clauset, Shalizi
-// and Newman: alpha = 1 + n / sum(ln(x_i / (xmin - 0.5))). values holds raw
-// observations (e.g. the article count of each event).
-func PowerLawAlphaMLE(values []int64, xmin int64) (float64, error) {
-	if xmin < 1 {
-		xmin = 1
-	}
-	denom := float64(xmin) - 0.5
-	var n int
-	var sum float64
-	for _, v := range values {
-		if v >= xmin {
-			n++
-			sum += math.Log(float64(v) / denom)
-		}
-	}
-	if n < 2 || sum <= 0 {
-		return 0, errors.New("stats: too few observations above xmin for MLE")
-	}
-	return 1 + float64(n)/sum, nil
-}
-
 // linearRegression returns the least-squares slope, intercept and R² of
 // y = slope*x + intercept.
 func linearRegression(xs, ys []float64) (slope, intercept, r2 float64) {
@@ -91,17 +68,4 @@ func linearRegression(xs, ys []float64) (slope, intercept, r2 float64) {
 	}
 	r2 = (sxy * sxy) / (sxx * syy)
 	return slope, intercept, r2
-}
-
-// LinearRegression exposes the least-squares fit for callers outside the
-// package (e.g. trend checks over quarterly series in EXPERIMENTS.md).
-func LinearRegression(xs, ys []float64) (slope, intercept, r2 float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, 0, errors.New("stats: regression inputs have different lengths")
-	}
-	if len(xs) < 2 {
-		return 0, 0, 0, errors.New("stats: regression needs at least two points")
-	}
-	slope, intercept, r2 = linearRegression(xs, ys)
-	return slope, intercept, r2, nil
 }

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -80,50 +78,5 @@ func TestCountingMedianMatchesMedianInt64(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestP2QuantileSmallStreams(t *testing.T) {
-	p := NewP2Quantile(0.5)
-	if !math.IsNaN(p.Value()) {
-		t.Fatal("empty P2 should be NaN")
-	}
-	for _, x := range []float64{5, 1, 3} {
-		p.Add(x)
-	}
-	if got := p.Value(); got != 3 {
-		t.Fatalf("buffered exact median = %v want 3", got)
-	}
-	if p.N() != 3 {
-		t.Fatalf("N = %d", p.N())
-	}
-}
-
-func TestP2QuantileApproximatesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		p := NewP2Quantile(q)
-		xs := make([]float64, 50000)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()*10 + 100
-			p.Add(xs[i])
-		}
-		sort.Float64s(xs)
-		exact := Quantile(xs, q)
-		got := p.Value()
-		if math.Abs(got-exact) > 0.5 {
-			t.Fatalf("q=%v: P2=%v exact=%v", q, got, exact)
-		}
-	}
-}
-
-func TestP2QuantileMonotoneTransformSane(t *testing.T) {
-	// On a sorted input stream the estimator must stay within observed range.
-	p := NewP2Quantile(0.5)
-	for i := 0; i < 1000; i++ {
-		p.Add(float64(i))
-	}
-	if v := p.Value(); v < 0 || v > 999 {
-		t.Fatalf("estimate %v outside data range", v)
 	}
 }

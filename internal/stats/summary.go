@@ -1,83 +1,14 @@
-// Package stats provides the statistical substrate for the analyses: running
-// summaries, quantiles, linear and log-binned histograms, power-law fitting
-// for the event-size distribution (Figure 2), and the quarter calendar used
-// by every time series in the paper (Figures 3-6, 10, 11).
+// Package stats provides the statistical substrate for the analyses: an
+// integer running summary, exact quantiles and medians, log-binned
+// histograms and integer count tables, and the log-log power-law fit for the
+// event-size distribution (Figure 2). Quarter labels come from the store's
+// calendar (store.DB.QuarterLabel), not from this package.
 package stats
 
 import "math"
 
-// Summary accumulates count, sum, min, max and mean of a stream of float64
-// observations. The zero value is ready to use.
-type Summary struct {
-	N   int64
-	Sum float64
-	Min float64
-	Max float64
-}
-
-// Add folds one observation into the summary.
-func (s *Summary) Add(x float64) {
-	if s.N == 0 {
-		s.Min, s.Max = x, x
-	} else {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.N++
-	s.Sum += x
-}
-
-// AddN folds n identical observations into the summary.
-func (s *Summary) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if s.N == 0 {
-		s.Min, s.Max = x, x
-	} else {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.N += n
-	s.Sum += x * float64(n)
-}
-
-// Merge folds another summary into s, enabling parallel partial summaries.
-func (s *Summary) Merge(o Summary) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.N += o.N
-	s.Sum += o.Sum
-}
-
-// Mean returns the arithmetic mean, or NaN for an empty summary.
-func (s *Summary) Mean() float64 {
-	if s.N == 0 {
-		return math.NaN()
-	}
-	return s.Sum / float64(s.N)
-}
-
-// IntSummary is Summary over int64 observations with exact integer sums.
+// IntSummary accumulates count, sum, min and max of a stream of int64
+// observations, with exact integer sums. The zero value is ready to use.
 type IntSummary struct {
 	N   int64
 	Sum int64
@@ -99,25 +30,6 @@ func (s *IntSummary) Add(x int64) {
 	}
 	s.N++
 	s.Sum += x
-}
-
-// Merge folds another summary into s.
-func (s *IntSummary) Merge(o IntSummary) {
-	if o.N == 0 {
-		return
-	}
-	if s.N == 0 {
-		*s = o
-		return
-	}
-	if o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.N += o.N
-	s.Sum += o.Sum
 }
 
 // Mean returns the arithmetic mean, or NaN for an empty summary.

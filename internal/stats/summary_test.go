@@ -3,72 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	if !math.IsNaN(s.Mean()) {
-		t.Fatal("empty summary mean should be NaN")
-	}
-	for _, x := range []float64{3, 1, 4, 1, 5} {
-		s.Add(x)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Sum != 14 {
-		t.Fatalf("summary %+v", s)
-	}
-	if got := s.Mean(); math.Abs(got-2.8) > 1e-12 {
-		t.Fatalf("mean %v", got)
-	}
-}
-
-func TestSummaryAddN(t *testing.T) {
-	var s Summary
-	s.AddN(2, 3)
-	s.AddN(10, 0) // ignored
-	s.AddN(-1, 1)
-	if s.N != 4 || s.Min != -1 || s.Max != 2 || s.Sum != 5 {
-		t.Fatalf("summary %+v", s)
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	f := func(a, b []int32) bool {
-		var whole, left, right Summary
-		for _, v := range a {
-			x := float64(v)
-			whole.Add(x)
-			left.Add(x)
-		}
-		for _, v := range b {
-			x := float64(v)
-			whole.Add(x)
-			right.Add(x)
-		}
-		left.Merge(right)
-		if whole.N != left.N || whole.Min != left.Min || whole.Max != left.Max {
-			return false
-		}
-		return math.Abs(whole.Sum-left.Sum) < 1e-9*(1+math.Abs(whole.Sum))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryMergeEmptySides(t *testing.T) {
-	var a, b Summary
-	b.Add(7)
-	a.Merge(b)
-	if a.N != 1 || a.Min != 7 || a.Max != 7 {
-		t.Fatalf("merge into empty: %+v", a)
-	}
-	var c Summary
-	a.Merge(c)
-	if a.N != 1 {
-		t.Fatalf("merge of empty changed summary: %+v", a)
-	}
-}
 
 func TestIntSummary(t *testing.T) {
 	var s IntSummary
@@ -80,16 +15,5 @@ func TestIntSummary(t *testing.T) {
 	}
 	if s.N != 3 || s.Min != -2 || s.Max != 10 || s.Sum != 15 {
 		t.Fatalf("summary %+v", s)
-	}
-	var o IntSummary
-	o.Add(-5)
-	s.Merge(o)
-	if s.Min != -5 || s.N != 4 {
-		t.Fatalf("after merge %+v", s)
-	}
-	var e IntSummary
-	e.Merge(s)
-	if e != s {
-		t.Fatalf("merge into empty should copy: %+v vs %+v", e, s)
 	}
 }

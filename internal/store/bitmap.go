@@ -167,10 +167,6 @@ func (db *DB) CountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.ctr
 // empty bitmap. Read-only.
 func (db *DB) EventCountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.evCtryRowBM, c) }
 
-// QuarterRowBitmap returns the bitmap of mention rows captured in quarter
-// q. Out-of-range quarters return an empty bitmap. Read-only.
-func (db *DB) QuarterRowBitmap(q int) *bitmap.Bitmap { return valueBitmap(db.qtrRowBM, q) }
-
 // SourceRowBitmap returns the bitmap of mention rows of source s. Read-only;
 // canonical, so AppendTo bytes are deterministic.
 func (db *DB) SourceRowBitmap(s int32) *bitmap.Bitmap { return db.srcRowBM[s] }
@@ -186,16 +182,3 @@ func (db *DB) SourceEventBitmap(s int32) *bitmap.Bitmap { return db.srcEvBM[s] }
 // distinct selected sources co-occur or one selected source repeats.
 // Read-only.
 func (db *DB) SourceRepeatEventBitmap(s int32) *bitmap.Bitmap { return db.srcRepEvBM[s] }
-
-// ThemeBitmap returns the bitmap of GKG rows annotated with theme id t.
-// Read-only.
-func (g *GKGStore) ThemeBitmap(t int32) *bitmap.Bitmap { return g.themeBM[t] }
-
-// buildThemeBitmaps derives per-theme row bitmaps from the theme postings.
-func (g *GKGStore) buildThemeBitmaps() {
-	nt := g.Themes.Len()
-	g.themeBM = make([]*bitmap.Bitmap, nt)
-	for t := 0; t < nt; t++ {
-		g.themeBM[t] = bitmap.FromSorted(g.ThemeRows(int32(t)))
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 )
 
@@ -375,9 +374,7 @@ func calendarOf(m Meta) *calendar {
 }
 
 // buildQuarterIndex records the first mention row of each calendar quarter
-// over the calendar, and the equivalent quarter row bitmaps: nil for an
-// empty quarter, prev's for a quarter whose row range the append left
-// alone.
+// over the calendar, sharing prev's calendar when there is one.
 func (db *DB) buildQuarterIndex(prev *DB) {
 	if prev != nil {
 		db.cal = prev.cal
@@ -391,19 +388,5 @@ func (db *DB) buildQuarterIndex(prev *DB) {
 		db.quarterRow[q] = int64(sort.Search(nm, func(i int) bool {
 			return int(db.cal.lut[db.Mentions.Interval[i]]) >= q
 		}))
-	}
-	db.qtrRowBM = make([]*bitmap.Bitmap, nq)
-	for q := range nq {
-		lo, hi := db.quarterRow[q], db.quarterRow[q+1]
-		switch {
-		case prev != nil && prev.quarterRow[q] == lo && prev.quarterRow[q+1] == hi:
-			db.qtrRowBM[q] = prev.qtrRowBM[q]
-		case hi > lo:
-			rows := make([]int32, 0, hi-lo)
-			for r := lo; r < hi; r++ {
-				rows = append(rows, int32(r))
-			}
-			db.qtrRowBM[q] = bitmap.FromSorted(rows)
-		}
 	}
 }

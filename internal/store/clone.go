@@ -171,7 +171,6 @@ func (db *DB) DiffFromRebuild() error {
 		{"source repeat-event", db.srcRepEvBM, want.srcRepEvBM},
 		{"country", db.ctryRowBM, want.ctryRowBM},
 		{"event-country", db.evCtryRowBM, want.evCtryRowBM},
-		{"quarter", db.qtrRowBM, want.qtrRowBM},
 	} {
 		if len(f.got) != len(f.want) {
 			return fmt.Errorf("%s bitmaps: %d keys, the rebuild %d", f.name, len(f.got), len(f.want))

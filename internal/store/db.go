@@ -17,11 +17,6 @@ type Meta struct {
 	Intervals int32
 }
 
-// EndExclusive returns the timestamp just past the archive end.
-func (m Meta) EndExclusive() gdelt.Timestamp {
-	return gdelt.IntervalStart(m.Start.IntervalIndex() + int64(m.Intervals))
-}
-
 // EventTable is the columnar Events table, sorted by GlobalEventID.
 type EventTable struct {
 	ID           []int64
@@ -108,14 +103,12 @@ type DB struct {
 	srcRepEvBM []*bitmap.Bitmap
 
 	// Value bitmaps for qlang predicate pushdown (DESIGN.md §13): mention
-	// rows per publisher country (TLD attribution), per event country, and
-	// per calendar quarter; nil where no row carries the key. Quarter
-	// bitmaps are contiguous row ranges (run containers, a few bytes each) —
-	// the capture-interval range index in bitmap form, even though execution
-	// prefers the equivalent binary-searched row range.
+	// rows per publisher country (TLD attribution) and per event country;
+	// nil where no row carries the key. Quarter and interval clauses need
+	// no bitmap: mentions are interval-sorted, so they prune to the
+	// binary-searched row range of quarterRow.
 	ctryRowBM   []*bitmap.Bitmap
 	evCtryRowBM []*bitmap.Bitmap
-	qtrRowBM    []*bitmap.Bitmap
 
 	// cal is the capture-interval calendar, shared read-only by every store
 	// of the same Meta; quarterRow[q] is the first mention row of quarter q

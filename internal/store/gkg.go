@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 )
 
@@ -92,10 +91,6 @@ type GKGStore struct {
 	// themePost[t] lists GKG rows carrying theme t, ascending by interval.
 	themePtr []int64
 	themeIdx []int32
-
-	// themeBM[t] is the roaring bitmap of rows carrying theme t, derived
-	// from the postings (DESIGN.md §12).
-	themeBM []*bitmap.Bitmap
 }
 
 // ThemeRows returns the GKG rows annotated with theme id t.
@@ -121,8 +116,6 @@ func (g *GKGStore) buildThemePostings() {
 			cur[id]++
 		}
 	}
-
-	g.buildThemeBitmaps()
 }
 
 // Validate checks the store's invariants.

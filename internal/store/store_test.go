@@ -244,14 +244,6 @@ func TestQuarterIndex(t *testing.T) {
 	}
 }
 
-func TestMetaEndExclusive(t *testing.T) {
-	db, _ := buildTinyDB(t)
-	want := gdelt.IntervalStart(int64(400 * 96))
-	if got := db.Meta.EndExclusive(); got != want {
-		t.Fatalf("end %v want %v", got, want)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	db, _ := buildTinyDB(t)
 	if err := db.Validate(); err != nil {

@@ -56,24 +56,10 @@ func TestValueBitmapsMatchBruteForce(t *testing.T) {
 		t.Fatal("test world has no country-attributed rows; bitmaps unexercised")
 	}
 
-	for q := 0; q < db.NumQuarters(); q++ {
-		lo, hi := db.QuarterMentionRange(q)
-		rows := db.QuarterRowBitmap(q).AppendRows(nil)
-		if int64(len(rows)) != hi-lo {
-			t.Fatalf("quarter %d bitmap has %d rows, want %d", q, len(rows), hi-lo)
-		}
-		for i, r := range rows {
-			if int64(r) != lo+int64(i) {
-				t.Fatalf("quarter %d bitmap row %d = %d, want %d", q, i, r, lo+int64(i))
-			}
-		}
-	}
-
 	// Out-of-range keys answer with an empty bitmap, never a panic.
 	for _, bm := range []interface{ Cardinality() int64 }{
 		db.CountryRowBitmap(-1), db.CountryRowBitmap(nc + 5),
 		db.EventCountryRowBitmap(-1), db.EventCountryRowBitmap(nc + 5),
-		db.QuarterRowBitmap(-1), db.QuarterRowBitmap(db.NumQuarters()),
 	} {
 		if bm.Cardinality() != 0 {
 			t.Fatal("out-of-range value bitmap not empty")

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"sync"
 	"time"
 
 	"gdeltmine/internal/obs"
@@ -21,7 +20,7 @@ var (
 		"capture intervals of data accumulated in the tail since the last seal")
 )
 
-// CompactorConfig sets the seal thresholds of the background compactor.
+// CompactorConfig sets the seal thresholds of the compactor.
 type CompactorConfig struct {
 	// MaxTailRows seals the tail once it holds at least this many mention
 	// rows (size threshold). 0 means 50000.
@@ -29,10 +28,6 @@ type CompactorConfig struct {
 	// MaxTailSpan seals the tail once its data spans at least this many
 	// capture intervals (age threshold — one day is 96). 0 means 96.
 	MaxTailSpan int32
-	// Poll is the background check period. 0 means one second; ticks land
-	// every 15 minutes, so anything well under that keeps compaction lag
-	// bounded by the thresholds rather than the poll.
-	Poll time.Duration
 }
 
 func (c CompactorConfig) withDefaults() CompactorConfig {
@@ -42,31 +37,23 @@ func (c CompactorConfig) withDefaults() CompactorConfig {
 	if c.MaxTailSpan == 0 {
 		c.MaxTailSpan = 96
 	}
-	if c.Poll == 0 {
-		c.Poll = time.Second
-	}
 	return c
 }
 
 // Compactor seals a Log's mutable tail into immutable sorted parts once it
-// crosses a size or age threshold. It is the background half of the
-// append-log design: appends stay cheap because the tail is small, queries
-// stay fast because sealed parts carry full derived indexes, and the seal
-// itself is crash-safe (shard.Log's persist protocol). Run it either
-// deterministically via RunOnce (tests, the live poller's tick loop) or as
-// a goroutine via Start/Stop.
+// crosses a size or age threshold. Appends stay cheap because the tail is
+// small, queries stay fast because sealed parts carry full derived indexes,
+// and the seal itself is crash-safe (shard.Log's persist protocol). The
+// writer calls RunOnce after each append (gdeltstream's replay and live
+// loops, the benchmark's feeder); a failed seal leaves the log servable on
+// the old world, and the next RunOnce tries again.
 type Compactor struct {
 	lg  *shard.Log
 	cfg CompactorConfig
-
-	mu   sync.Mutex
-	err  error // first seal failure, sticky
-	stop chan struct{}
-	done chan struct{}
 }
 
-// NewCompactor returns a compactor over lg. Nothing runs until RunOnce or
-// Start is called.
+// NewCompactor returns a compactor over lg. Nothing runs until RunOnce is
+// called.
 func NewCompactor(lg *shard.Log, cfg CompactorConfig) *Compactor {
 	return &Compactor{lg: lg, cfg: cfg.withDefaults()}
 }
@@ -85,11 +72,6 @@ func (c *Compactor) RunOnce() (bool, error) {
 	sealed, err := c.lg.Seal()
 	if err != nil {
 		mCompactorErrors.Inc()
-		c.mu.Lock()
-		if c.err == nil {
-			c.err = err
-		}
-		c.mu.Unlock()
 		return false, err
 	}
 	if sealed {
@@ -99,52 +81,4 @@ func (c *Compactor) RunOnce() (bool, error) {
 		mCompactionLag.Set(float64(c.lg.TailSpan()))
 	}
 	return sealed, nil
-}
-
-// Err returns the first seal failure observed by the background loop (or
-// RunOnce), if any.
-func (c *Compactor) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Start launches the background seal loop. A seal failure is recorded in
-// Err and the loop keeps polling — the log stays servable on the old world
-// and a later attempt may succeed (transient disk pressure).
-func (c *Compactor) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stop != nil {
-		return
-	}
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(c.cfg.Poll)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				c.RunOnce()
-			}
-		}
-	}(c.stop, c.done)
-}
-
-// Stop halts the background loop and waits for an in-flight seal to
-// finish. Safe to call without Start.
-func (c *Compactor) Stop() {
-	c.mu.Lock()
-	stop, done := c.stop, c.done
-	c.stop, c.done = nil, nil
-	c.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }
