@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race check-bench check bench fmt
+.PHONY: build test vet fmt-check linkgate race check-bench check bench fmt
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,12 @@ check-bench:
 fmt-check:
 	test -z "$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...))"
 
-check: build vet fmt-check test check-bench race
+# linkgate fails on any function under internal/ that no command, example
+# or the benchmark links and its allowlist does not name (linkgate.go).
+linkgate:
+	$(GO) run linkgate.go
+
+check: build vet fmt-check test linkgate check-bench race
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -18,15 +18,14 @@
 //
 //	gdeltserve -db ./gdelt.gdmb -addr :8321 [-request-timeout 30s]
 //	           [-max-inflight 64] [-shutdown-grace 15s] [-cache-bytes 268435456]
-//	           [-shards 4]
+//	gdeltserve -db ./gdelt.gdmb.shards ...
 //
 // Every dataset is served as a time-partitioned shard set (internal/shard):
-// a .shards directory (written by `gdeltconvert -shards`) loads as written,
-// and a monolithic .gdmb file is the one-shard world unless -shards K > 1
-// re-slices it into K time-range shards. Every query fans out per shard,
-// reducing through a shared global dictionary; results do not depend on K.
-// Cache keys embed the per-shard version vector, so a tail-shard append
-// invalidates only entries whose window touches the tail.
+// a .shards directory (written by `gdeltconvert -shards K`) loads as
+// written, and a monolithic .gdmb file is the one-shard world. Every query
+// fans out per shard, reducing through a shared global dictionary; results
+// do not depend on K. Cache keys embed the per-shard version vector, so a
+// tail-shard append invalidates only entries whose window touches the tail.
 //
 // The query surface is registry-driven: every kind known to
 // internal/registry is served under /api/v1/<kind> (run `gdeltquery list`
@@ -71,8 +70,6 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		cacheBytes = flag.Int64("cache-bytes", qcache.DefaultMaxBytes,
 			"approximate memory budget of the query result cache; 0 disables caching")
-		shards = flag.Int("shards", 0,
-			"re-slice a monolithic -db into K time-range shards and fan queries out per shard; 0/1 serves it as one shard")
 	)
 	flag.Parse()
 	if *dbPath == "" {
@@ -112,14 +109,7 @@ func main() {
 		}
 		fmt.Printf("loaded %s articles from %s in %v\n",
 			report.Int(int64(db.Mentions.Len())), *dbPath, time.Since(start).Round(time.Millisecond))
-		if *shards > 1 {
-			if sdb, err = shard.Split(db, *shards); err == nil {
-				fmt.Printf("sharded into %d time partitions\n", sdb.K())
-			}
-		} else {
-			sdb, err = shard.Single(db)
-		}
-		if err != nil {
+		if sdb, err = shard.Single(db); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/bitmap"
@@ -127,9 +128,9 @@ func TestAppendEqualsRebuild(t *testing.T) {
 		t.Fatal("source dictionary after append differs from a fresh rebuild")
 	}
 
-	// Every bitmap posting identical to a fresh build — the stale-bitmap pin.
+	// Every source posting identical to a fresh build — the stale-index pin.
 	for s := int32(0); int(s) < db.Sources.Len(); s++ {
-		if !bitmap.Equal(db.SourceRowBitmap(s), full.SourceRowBitmap(s)) ||
+		if !slices.Equal(db.SourceMentions(s), full.SourceMentions(s)) ||
 			!bitmap.Equal(db.SourceEventBitmap(s), full.SourceEventBitmap(s)) ||
 			!bitmap.Equal(db.SourceRepeatEventBitmap(s), full.SourceRepeatEventBitmap(s)) {
 			t.Fatalf("source %d bitmap postings differ from a fresh rebuild", s)
@@ -226,8 +227,8 @@ func TestAppendNewEventsAndSources(t *testing.T) {
 	if ns < int32(oldSrc) {
 		t.Fatalf("new source interned at %d, want a fresh id >= %d", ns, oldSrc)
 	}
-	if got := db.SourceRowBitmap(ns).Cardinality(); got != 2 {
-		t.Fatalf("new source row bitmap has %d rows, want 2", got)
+	if got := len(db.SourceMentions(ns)); got != 2 {
+		t.Fatalf("new source postings hold %d rows, want 2", got)
 	}
 	if got := db.SourceEventBitmap(ns).Cardinality(); got != 2 {
 		t.Fatalf("new source event bitmap has %d events, want 2", got)

@@ -90,7 +90,7 @@ func randomAdhocCases(db *store.DB, seed int64, n int) []adhocCase {
 	}
 	groups := []string{"", "source", "sourcecountry", "eventcountry", "quarter"}
 	aggs := []string{"count", "count", "sum:doclen", "mean:tone", "sum:articles", "mean:delay"}
-	cases := make([]adhocCase, 0, n+2)
+	cases := make([]adhocCase, 0, n+12)
 	for i := 0; i < n; i++ {
 		where := clause()
 		for j := rng.Intn(3); j > 0; j-- {
@@ -98,12 +98,62 @@ func randomAdhocCases(db *store.DB, seed int64, n int) []adhocCase {
 		}
 		cases = append(cases, adhocCase{where, groups[rng.Intn(len(groups))], aggs[rng.Intn(len(aggs))]})
 	}
-	// Two fixed edges: the empty expression, and an eventcountry bitmap
-	// clause with a value aggregate.
+	// Fixed edges: the empty expression, an eventcountry bitmap clause with
+	// a value aggregate, and the source= pushdown cases.
 	cases = append(cases,
 		adhocCase{"", "quarter", "sum:doclen"},
 		adhocCase{"eventcountry=" + countries[0] + " and tone>0", "source", "mean:tone"})
-	return cases
+	return append(cases, sourceEdgeCases(db, countries)...)
+}
+
+// sourceEdgeCases are the fixed cases of a source= clause, which the
+// planner answers from the source's postings: alone, intersected with a
+// sourcecountry= and an eventcountry= bitmap, narrowed by a quarter range,
+// an unseen source, and the busiest source with no mention in some part of
+// a K=4 split (equal interval quarters, as shard.Split cuts).
+func sourceEdgeCases(db *store.DB, countries []string) []adhocCase {
+	ids := make([]int32, db.Sources.Len())
+	for s := range ids {
+		ids[s] = int32(s)
+	}
+	volume := func(s int32) int { return len(db.SourceMentions(s)) }
+	sort.SliceStable(ids, func(a, b int) bool { return volume(ids[a]) < volume(ids[b]) })
+	src := ids[len(ids)/2] // the median-volume source: selective enough to push down
+	rows := db.SourceMentions(src)
+	fips := func(c int16) string {
+		if c < 0 {
+			return countries[0]
+		}
+		return gdelt.Countries[c].FIPS
+	}
+	srcCtry := fips(db.SourceCountry[src])
+	evCtry := fips(db.Events.Country[db.Mentions.EventRow[rows[0]]])
+	quarter := db.QuarterLabel(db.QuarterOfInterval(db.Mentions.Interval[rows[len(rows)/2]]))
+	name := "source=" + db.Sources.Name(src)
+
+	n := int(db.Meta.Intervals)
+	absent := ""
+	for i := len(ids) - 1; i >= 0 && absent == ""; i-- {
+		var parts [4]bool
+		for _, r := range db.SourceMentions(ids[i]) {
+			parts[int(db.Mentions.Interval[r])*4/n] = true
+		}
+		if parts != [4]bool{true, true, true, true} {
+			absent = "source=" + db.Sources.Name(ids[i])
+		}
+	}
+	return []adhocCase{
+		{name, "", "count"},
+		{name, "quarter", "sum:doclen"},
+		{name + " and sourcecountry=" + srcCtry, "eventcountry", "count"},
+		{name + " and eventcountry=" + evCtry, "", "mean:tone"},
+		{name + " and quarter=" + quarter, "source", "count"},
+		{name + " and quarter>=" + quarter + " and delay>2", "sourcecountry", "mean:delay"},
+		{"source=unseen.example", "source", "count"},
+		{"source=unseen.example and sourcecountry=" + srcCtry, "", "sum:articles"},
+		{absent, "quarter", "count"},
+		{absent + " and sourcecountry=" + srcCtry, "source", "mean:tone"},
+	}
 }
 
 // naiveAdhoc is the independent reference: a single sequential pass over

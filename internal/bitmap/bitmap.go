@@ -287,6 +287,76 @@ func FromSorted(rows []int32) *Bitmap {
 	return b
 }
 
+// FilterSorted appends to dst the rows of the ascending list rows that b
+// holds, in order: a postings list intersected with a bitmap without
+// building a bitmap of the list. Each chunk's rows merge against its
+// container in one forward pass.
+func (b *Bitmap) FilterSorted(rows []int32, dst []int32) []int32 {
+	if b == nil {
+		return dst
+	}
+	ci := 0
+	for lo := 0; lo < len(rows); {
+		k := uint16(rows[lo] >> chunkBits)
+		hi := lo + 1
+		for hi < len(rows) && uint16(rows[hi]>>chunkBits) == k {
+			hi++
+		}
+		for ci < len(b.keys) && b.keys[ci] < k {
+			ci++
+		}
+		if ci == len(b.keys) {
+			break
+		}
+		if b.keys[ci] == k {
+			dst = b.cs[ci].filter(rows[lo:hi], dst)
+		}
+		lo = hi
+	}
+	return dst
+}
+
+// filter appends the rows of seg — ascending, all in this container's
+// chunk — that the container holds.
+func (c *container) filter(seg []int32, dst []int32) []int32 {
+	a, p := c.arr, 0
+	switch c.typ {
+	case typeArray:
+		for _, r := range seg {
+			v := uint16(r)
+			for p < len(a) && a[p] < v {
+				p++
+			}
+			if p == len(a) {
+				break
+			}
+			if a[p] == v {
+				dst = append(dst, r)
+			}
+		}
+	case typeRun:
+		for _, r := range seg {
+			v := uint16(r)
+			for p < len(a) && a[p+1] < v {
+				p += 2
+			}
+			if p == len(a) {
+				break
+			}
+			if a[p] <= v {
+				dst = append(dst, r)
+			}
+		}
+	case typeBitset:
+		for _, r := range seg {
+			if v := uint16(r); c.bits[v>>6]&(1<<(v&63)) != 0 {
+				dst = append(dst, r)
+			}
+		}
+	}
+	return dst
+}
+
 // Cardinality returns the number of set rows in O(containers).
 func (b *Bitmap) Cardinality() int64 {
 	if b == nil {

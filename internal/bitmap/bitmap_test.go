@@ -3,6 +3,7 @@ package bitmap
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -115,6 +116,12 @@ func TestBitmapAgainstReference(t *testing.T) {
 
 		checkRows(t, "union", Union(a, b), ra.union(rb).rows())
 		checkRows(t, "intersect", Intersect(a, b), ra.intersect(rb).rows())
+		// FilterSorted of b's rows through a is the intersection, appended
+		// after what dst held.
+		filtered := a.FilterSorted(rb.rows(), []int32{-1})
+		if want := append([]int32{-1}, ra.intersect(rb).rows()...); !slices.Equal(filtered, want) {
+			t.Fatalf("seed %d: FilterSorted kept %d rows, want %d", seed, len(filtered), len(want))
+		}
 
 		// Algebraic identities (metamorphic checks).
 		if !Equal(Union(Intersect(a, b), a), a) {

@@ -17,11 +17,12 @@ import (
 // /api/v1/query. A parsed qlang expression plus an optional group/aggregate
 // spec lowers onto the typed kernels through a pushdown planner:
 //
-//   - bitmap clauses (equalities on source, sourcecountry, eventcountry)
-//     intersect precomputed roaring row bitmaps; when the estimated
-//     selectivity is at or below pushdownThreshold the plan
-//     materializes the intersection and runs row-list kernels over exactly
-//     the surviving rows.
+//   - index clauses (equalities on source, sourcecountry, eventcountry)
+//     read the store's row indexes: a source clause its by-source
+//     postings, a country clause its roaring row bitmap. When the
+//     estimated selectivity is at or below pushdownThreshold the plan
+//     materializes their intersection and runs row-list kernels over
+//     exactly the surviving rows.
 //   - range clauses (interval/quarter comparisons) narrow the engine's
 //     mention window by binary search — free regardless of selectivity.
 //   - residual clauses (tone, doclen, confidence, delay, articles, any !=)
@@ -98,13 +99,13 @@ var adhocPlans = map[string]*obs.Counter{
 }
 
 // adhocResolution is the outcome of planning one spec against one engine
-// view: the chosen path, the (possibly range-narrowed) engine, the bitmaps
-// to intersect under pushdown, and the residual clauses left to the typed
-// filter.
+// view: the chosen path, the (possibly range-narrowed) engine, the index
+// clauses' rows to intersect under pushdown, and the residual clauses left
+// to the typed filter.
 type adhocResolution struct {
 	path       string // "pushdown", "range" or "scan"
 	eng        *engine.Engine
-	bms        []*bitmap.Bitmap
+	sets       []clauseRows
 	pushdown   []qlang.Clause
 	residual   []qlang.Clause
 	estRows    int64
@@ -117,7 +118,7 @@ type adhocResolution struct {
 const pushdownThreshold = 0.20
 
 // resolveAdhoc plans a spec against an engine view: range clauses always
-// narrow the window, and bitmap clauses push down when the selectivity
+// narrow the window, and index clauses push down when the selectivity
 // estimated from their cardinalities is at or below pushdownThreshold.
 func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 	db := e.DB()
@@ -140,13 +141,13 @@ func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 		return r
 	}
 	// The intersection can only shrink the smallest operand, so the
-	// smallest cardinality (an O(containers) register sum) bounds the rows
-	// the pushdown plan touches.
-	bms := make([]*bitmap.Bitmap, len(bm))
+	// smallest cardinality (a postings length, or an O(containers)
+	// register sum) bounds the rows the pushdown plan touches.
+	sets := make([]clauseRows, len(bm))
 	minCard := int64(-1)
 	for i, c := range bm {
-		bms[i] = clauseBitmap(db, c)
-		if card := bms[i].Cardinality(); minCard < 0 || card < minCard {
+		sets[i] = indexClauseRows(db, c)
+		if card := sets[i].card(); minCard < 0 || card < minCard {
 			minCard = card
 		}
 	}
@@ -159,7 +160,7 @@ func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 	}
 	if sel <= pushdownThreshold {
 		r.path = "pushdown"
-		r.bms = bms
+		r.sets = sets
 		r.pushdown = append(append([]qlang.Clause{}, bm...), rng...)
 	} else {
 		// Too dense to be worth materializing: keep the free range
@@ -258,20 +259,36 @@ func quarterRows(db *store.DB, fromQ, toQ int) (lo, hi int) {
 	return int(l), int(h)
 }
 
-// clauseBitmap resolves one bitmap clause to its precomputed row bitmap. A
-// literal absent from the store (unseen source) yields an empty bitmap —
+// clauseRows is the mention rows one index clause admits: a source
+// clause's by-source postings (ascending; nil for a source absent from the
+// store), or a country clause's row bitmap.
+type clauseRows struct {
+	rows []int32
+	bm   *bitmap.Bitmap
+}
+
+// card is the clause's row count.
+func (c clauseRows) card() int64 {
+	if c.bm != nil {
+		return c.bm.Cardinality()
+	}
+	return int64(len(c.rows))
+}
+
+// indexClauseRows resolves one index clause to the store's index of its
+// rows. A literal absent from the store (unseen source) matches no row —
 // the same "matches nothing" the residual filter produces.
-func clauseBitmap(db *store.DB, c qlang.Clause) *bitmap.Bitmap {
+func indexClauseRows(db *store.DB, c qlang.Clause) clauseRows {
 	switch c.Field {
 	case "source":
 		if id := db.Sources.Lookup(c.Value.Str); id >= 0 {
-			return db.SourceRowBitmap(id)
+			return clauseRows{rows: db.SourceMentions(id)}
 		}
-		return bitmap.New()
+		return clauseRows{}
 	case "sourcecountry":
-		return db.CountryRowBitmap(gdelt.CountryIndex(c.Value.Str))
+		return clauseRows{bm: db.CountryRowBitmap(gdelt.CountryIndex(c.Value.Str))}
 	default: // eventcountry; Classify admits no other field
-		return db.EventCountryRowBitmap(gdelt.CountryIndex(c.Value.Str))
+		return clauseRows{bm: db.EventCountryRowBitmap(gdelt.CountryIndex(c.Value.Str))}
 	}
 }
 
@@ -418,15 +435,37 @@ func AdhocVectors(e *engine.Engine, spec AdhocSpec) (AdhocVec, error) {
 	return adhocWindow(r.eng, spec, g, residual), nil
 }
 
-// materialize intersects the pushdown bitmaps and clips the ascending row
-// list to the (range-narrowed) window.
+// materialize returns the ascending rows of the (range-narrowed) window
+// that every pushdown clause admits. With a source clause the rows start
+// as its postings, clipped to the window (returned as is, read-only, when
+// the clause is alone), and every other clause filters them through its
+// bitmap; a second source clause's clipped postings become one
+// (FromSorted). Country clauses alone intersect their bitmaps.
 func (r *adhocResolution) materialize() []int32 {
-	bm := r.bms[0]
-	for _, b := range r.bms[1:] {
+	var rows []int32
+	var bms []*bitmap.Bitmap
+	listed := false
+	for _, c := range r.sets {
+		switch {
+		case c.bm != nil:
+			bms = append(bms, c.bm)
+		case !listed:
+			rows, listed = r.eng.ClipRows(c.rows), true
+		default:
+			bms = append(bms, bitmap.FromSorted(r.eng.ClipRows(c.rows)))
+		}
+	}
+	if listed {
+		for _, b := range bms {
+			rows = b.FilterSorted(rows, make([]int32, 0, len(rows)))
+		}
+		return rows
+	}
+	bm := bms[0]
+	for _, b := range bms[1:] {
 		bm = bitmap.Intersect(bm, b)
 	}
-	rows := bm.AppendRows(make([]int32, 0, bm.Cardinality()))
-	return r.eng.ClipRows(rows)
+	return r.eng.ClipRows(bm.AppendRows(make([]int32, 0, bm.Cardinality())))
 }
 
 // selBatch is the number of rows a fused fold selects at a time: the

@@ -7,7 +7,6 @@ import (
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/matrix"
 	"gdeltmine/internal/parallel"
-	"gdeltmine/internal/store"
 )
 
 // CoReporting is the Section VI-B co-reporting result over a selected set
@@ -101,13 +100,13 @@ func mergeCoPartials(dst, src *coPartial) *coPartial {
 	return dst
 }
 
-// coReportRows folds the selected mention rows of one event into acc: mark
-// the selected sources present, bump their event counts, and count every
+// coReportRows folds one event's mention sources srcs into acc: mark the
+// selected sources present, bump their event counts, and count every
 // unordered present pair in both triangles.
-func coReportRows(db *store.DB, acc *coPartial, rows []int32, slot []int32, present []int32, mark []bool) {
+func coReportRows(acc *coPartial, srcs []int32, slot []int32, present []int32, mark []bool) {
 	present = present[:0]
-	for _, row := range rows {
-		if i := slot[db.Mentions.Source[row]]; i >= 0 && !mark[i] {
+	for _, s := range srcs {
+		if i := slot[s]; i >= 0 && !mark[i] {
 			mark[i] = true
 			present = append(present, i)
 		}
@@ -196,7 +195,7 @@ func CoReportScan(e *engine.Engine, sources []int32) (*CoReporting, error) {
 			present := make([]int32, 0, 16)
 			mark := make([]bool, n)
 			for ev := lo; ev < hi; ev++ {
-				coReportRows(db, acc, db.EventMentions(int32(ev)), slot, present, mark)
+				coReportRows(acc, db.EventMentionSources(int32(ev)), slot, present, mark)
 			}
 			return acc
 		},
@@ -225,10 +224,7 @@ type SliceStats struct {
 func CoReportSliced(e *engine.Engine, sources []int32) (*CoReporting, *SliceStats, error) {
 	db := e.DB()
 	n := len(sources)
-	sel := make(map[int32]int, n)
-	for i, s := range sources {
-		sel[s] = i
-	}
+	slot := slotLUT(db.Sources.Len(), sources)
 	nq := db.NumQuarters()
 	pieces := make([]*matrix.CSR, nq)
 	counts := make([]int64, n)
@@ -243,33 +239,17 @@ func CoReportSliced(e *engine.Engine, sources []int32) (*CoReporting, *SliceStat
 
 	parallel.ForOpt(nq, scanOptGrain1(e), func(qlo, qhi int) {
 		localCounts := make([]int64, n)
-		present := make([]int, 0, 16)
+		present := make([]int32, 0, 16)
 		mark := make([]bool, n)
 		for q := qlo; q < qhi; q++ {
 			// Accumulate the slice densely (within one limited time span
 			// the active selection is small), then compress — exactly the
 			// paper's "compressed into a sparse format and assembled".
-			slice := matrix.NewInt64(n, n)
+			slice := &coPartial{pair: matrix.NewInt64(n, n), counts: localCounts}
 			for _, ev := range evByQuarter[q] {
-				present = present[:0]
-				for _, row := range db.EventMentions(ev) {
-					if i, ok := sel[db.Mentions.Source[row]]; ok && !mark[i] {
-						mark[i] = true
-						present = append(present, i)
-					}
-				}
-				for _, i := range present {
-					mark[i] = false
-					localCounts[i]++
-				}
-				for a := 0; a < len(present); a++ {
-					for b := a + 1; b < len(present); b++ {
-						slice.Inc(present[a], present[b])
-						slice.Inc(present[b], present[a])
-					}
-				}
+				coReportRows(slice, db.EventMentionSources(ev), slot, present, mark)
 			}
-			pieces[q] = matrix.FromDense(slice.ToDense(), 0)
+			pieces[q] = matrix.FromDense(slice.pair.ToDense(), 0)
 		}
 		mu.Lock()
 		for i, v := range localCounts {
@@ -291,15 +271,8 @@ func CoReportSliced(e *engine.Engine, sources []int32) (*CoReporting, *SliceStat
 	for i := range dense.Data {
 		pair.Data[i] = int64(dense.Data[i])
 	}
-	jac, err := matrix.JaccardFromPairCounts(pair, counts)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &CoReporting{Sources: sources, EventCounts: counts, Pair: pair, Jaccard: jac}
-	for _, s := range sources {
-		out.Names = append(out.Names, db.Sources.Name(s))
-	}
-	return out, stats, nil
+	out, err := finishCoReport(e, sources, &coPartial{pair: pair, counts: counts})
+	return out, stats, err
 }
 
 // FollowReporting is the Table IV / Figure 7 result: f_ij = n_ij / n_j where
@@ -318,16 +291,17 @@ type FollowReporting struct {
 	ColSums []float64
 }
 
-// followReportRows folds one event's mention rows (ascending by capture
-// interval, so a single forward pass sees leaders before followers) into
-// acc. Unselected rows contribute nothing.
-func followReportRows(db *store.DB, acc *matrix.Int64, rows []int32, slot []int32, firstSeen []int32, touched []int32) []int32 {
-	for _, row := range rows {
-		j := slot[db.Mentions.Source[row]]
+// followReportRows folds one event's mentions — their sources srcs and
+// capture intervals ivs, ascending by interval, so a single forward pass
+// sees leaders before followers — into acc. Unselected mentions contribute
+// nothing.
+func followReportRows(acc *matrix.Int64, srcs, ivs []int32, slot []int32, firstSeen []int32, touched []int32) []int32 {
+	for x, s := range srcs {
+		j := slot[s]
 		if j < 0 {
 			continue
 		}
-		t := db.Mentions.Interval[row]
+		t := ivs[x]
 		// Every selected source first seen strictly earlier is a leader of
 		// this article.
 		for _, i := range touched {
@@ -403,7 +377,7 @@ func FollowReport(e *engine.Engine, sources []int32) *FollowReporting {
 			}
 			touched := make([]int32, 0, 16)
 			for _, ev := range events {
-				touched = followReportRows(db, acc, db.EventMentions(ev), slot, firstSeen, touched)
+				touched = followReportRows(acc, db.EventMentionSources(ev), db.EventMentionIntervals(ev), slot, firstSeen, touched)
 			}
 			return acc
 		},
@@ -428,7 +402,7 @@ func FollowReportScan(e *engine.Engine, sources []int32) *FollowReporting {
 			}
 			touched := make([]int32, 0, 16)
 			for ev := lo; ev < hi; ev++ {
-				touched = followReportRows(db, acc, db.EventMentions(int32(ev)), slot, firstSeen, touched)
+				touched = followReportRows(acc, db.EventMentionSources(int32(ev)), db.EventMentionIntervals(int32(ev)), slot, firstSeen, touched)
 			}
 			return acc
 		},

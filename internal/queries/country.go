@@ -63,8 +63,8 @@ func CountryQuery(e *engine.Engine) (*CountryReport, error) {
 		func(acc *partial, lo, hi int) *partial {
 			for ev := lo; ev < hi; ev++ {
 				var mask uint64
-				for _, row := range db.EventMentions(int32(ev)) {
-					if c := db.SourceCountry[db.Mentions.Source[row]]; c >= 0 {
+				for _, s := range db.EventMentionSources(int32(ev)) {
+					if c := db.SourceCountry[s]; c >= 0 {
 						mask |= 1 << uint(c)
 					}
 				}

@@ -106,14 +106,13 @@ func Repeats(e *engine.Engine, k int) RepeatedCoverage {
 		func(acc *partial, lo, hi int) *partial {
 			seen := map[int32]bool{}
 			for ev := lo; ev < hi; ev++ {
-				rows := db.EventMentions(int32(ev))
-				if len(rows) < 2 {
+				srcs := db.EventMentionSources(int32(ev))
+				if len(srcs) < 2 {
 					continue
 				}
 				clear(seen)
 				had := false
-				for _, r := range rows {
-					s := db.Mentions.Source[r]
+				for _, s := range srcs {
 					if seen[s] {
 						acc.repeats++
 						acc.perSource[s]++

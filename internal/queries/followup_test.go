@@ -68,16 +68,12 @@ func TestRepeats(t *testing.T) {
 		}
 	}
 	// Accounting identity: repeat articles = total articles - sum over
-	// events of distinct sources.
-	var distinct int64
-	seen := map[int32]bool{}
-	for ev := 0; ev < cachedDB.Events.Len(); ev++ {
-		clear(seen)
-		for _, r := range cachedDB.EventMentions(int32(ev)) {
-			seen[cachedDB.Mentions.Source[r]] = true
-		}
-		distinct += int64(len(seen))
+	// events of distinct sources, counted from the mention columns.
+	seen := map[[2]int32]bool{}
+	for r, ev := range cachedDB.Mentions.EventRow {
+		seen[[2]int32{ev, cachedDB.Mentions.Source[r]}] = true
 	}
+	distinct := int64(len(seen))
 	if rc.RepeatArticles != int64(cachedDB.Mentions.Len())-distinct {
 		t.Fatalf("repeat accounting: %d want %d", rc.RepeatArticles, int64(cachedDB.Mentions.Len())-distinct)
 	}

@@ -42,19 +42,19 @@ func FastSpreadingEvents(e *engine.Engine, window int32, minSources, k int) []Wi
 		func(acc []Wildfire, lo, hi int) []Wildfire {
 			seen := map[int32]bool{}
 			for ev := lo; ev < hi; ev++ {
-				rows := db.EventMentions(int32(ev))
-				if len(rows) < minSources {
+				srcs := db.EventMentionSources(int32(ev))
+				if len(srcs) < minSources {
 					continue
 				}
 				cutoff := db.Events.Interval[ev] + window
 				clear(seen)
 				early := 0
-				for _, r := range rows {
-					if db.Mentions.Interval[r] >= cutoff {
-						break // postings are interval-sorted
+				for j, iv := range db.EventMentionIntervals(int32(ev)) {
+					if iv >= cutoff {
+						break // the payload is interval-sorted
 					}
 					early++
-					seen[db.Mentions.Source[r]] = true
+					seen[srcs[j]] = true
 				}
 				if len(seen) < minSources {
 					continue

@@ -58,11 +58,12 @@ func TestFastSpreadingEventsEarlyCountsExact(t *testing.T) {
 		t.Skip("no candidates at this threshold")
 	}
 	w := fires[0]
-	// Recompute the early distinct-source count directly.
+	// Recompute the early distinct-source count directly from the mention
+	// columns.
 	cutoff := db.Events.Interval[w.EventRow] + 16
 	seen := map[int32]bool{}
-	for _, r := range db.EventMentions(w.EventRow) {
-		if db.Mentions.Interval[r] < cutoff {
+	for r, ev := range db.Mentions.EventRow {
+		if ev == w.EventRow && db.Mentions.Interval[r] < cutoff {
 			seen[db.Mentions.Source[r]] = true
 		}
 	}

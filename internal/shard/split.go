@@ -88,21 +88,22 @@ func slice(db *store.DB, lo, hi int32) (*store.DB, error) {
 		include[db.Mentions.EventRow[r]] = true
 	}
 
+	// Every column is allocated at its final length: no spare capacity
+	// stays resident in a part.
 	g2l := make([]int32, ne)
-	var ev store.EventTable
-	for e := 0; e < ne; e++ {
+	nl := 0
+	for e := range ne {
 		g2l[e] = -1
-		if !include[e] {
-			continue
+		if include[e] {
+			g2l[e] = int32(nl)
+			nl++
 		}
-		g2l[e] = int32(ev.Len())
-		ev.ID = append(ev.ID, db.Events.ID[e])
-		ev.Day = append(ev.Day, db.Events.Day[e])
-		ev.Interval = append(ev.Interval, db.Events.Interval[e])
-		ev.Country = append(ev.Country, db.Events.Country[e])
-		ev.NumArticles = append(ev.NumArticles, db.Events.NumArticles[e])
-		ev.FirstMention = append(ev.FirstMention, db.Events.FirstMention[e])
-		ev.SourceURL = append(ev.SourceURL, db.Events.SourceURL[e])
+	}
+	ev := store.MakeEventTable(nl)
+	for e := range ne {
+		if include[e] {
+			ev.AppendRow(&db.Events, e)
+		}
 	}
 
 	// Intern every source the shard will reference — mention rows and GKG
@@ -123,7 +124,7 @@ func slice(db *store.DB, lo, hi int32) (*store.DB, error) {
 		}
 	}
 
-	var mn store.MentionTable
+	mn := store.MakeMentionTable(int(rHi - rLo))
 	for r := rLo; r < rHi; r++ {
 		mn.EventRow = append(mn.EventRow, g2l[db.Mentions.EventRow[r]])
 		mn.Source = append(mn.Source, ldict.Intern(db.Sources.Name(db.Mentions.Source[r])))

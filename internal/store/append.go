@@ -16,18 +16,18 @@ import (
 // snapshots are immutable.
 //
 // The dangerous part is not the column appends but the derived state: the
-// row-list postings, the per-source bitmap postings the selection queries read
-// (srcRowBM/srcEvBM/srcRepEvBM), the value bitmaps, the quarter row index
-// and the typed LUTs are all materialized from the tables, so an append
-// that extended the columns without rebuilding them would leave the
-// bitmap-pruned plans answering from the pre-append snapshot while the
-// closure scan sees the new rows — a silent wrong-answer divergence, not a
-// crash. CloneAppend therefore runs buildDerived exactly once, after all
-// table mutation (event adoption included), and gives the clone the next
-// snapshot version so result caches keyed on Version() retire everything
-// computed against the old data. The rebuild is O(rows of this store) for
-// the CSR postings and rebuilds only the dirty keys of every keyed index;
-// DiffFromRebuild is its oracle.
+// by-source postings, the event-major payload, the per-source event bitmaps
+// the selection queries read (srcEvBM/srcRepEvBM), the value bitmaps, the
+// quarter row index and the typed LUTs are all materialized from the
+// tables, so an append that extended the columns without rebuilding them
+// would leave the index-pruned plans answering from the pre-append snapshot
+// while the closure scan sees the new rows — a silent wrong-answer
+// divergence, not a crash. CloneAppend therefore runs buildDerived exactly
+// once, after all table mutation (event adoption included), and gives the
+// clone the next snapshot version so result caches keyed on Version()
+// retire everything computed against the old data. The rebuild is O(rows
+// of this store) for the postings and the payload, and rebuilds only the
+// dirty keys of every keyed index; DiffFromRebuild is its oracle.
 //
 // GKG annotations are not extended by appends — the GKG table keeps its own
 // interval column, so theme queries simply do not cover the appended span.
@@ -220,15 +220,7 @@ func (db *DB) mergeEventRows(add EventTable) {
 func MergeEvents(old, add *EventTable) (merged EventTable, remap []int32) {
 	oldN, addN := old.Len(), add.Len()
 	n := oldN + addN
-	merged = EventTable{
-		ID:           make([]int64, 0, n),
-		Day:          make([]int32, 0, n),
-		Interval:     make([]int32, 0, n),
-		Country:      make([]int16, 0, n),
-		NumArticles:  make([]int32, 0, n),
-		FirstMention: make([]int32, 0, n),
-		SourceURL:    make([]string, 0, n),
-	}
+	merged = MakeEventTable(n)
 	remap = make([]int32, oldN)
 	oi := 0
 	for ai := 0; ai <= addN; ai++ {

@@ -1,107 +1,68 @@
 package store
 
 import (
-	"slices"
-
 	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/gdelt"
 )
 
-// Bitmap postings (DESIGN.md §12): alongside the row-list postings built by
-// buildPostings, each source carries roaring bitmaps — its mention rows, its
-// event rows and its repeat-event rows. The row bitmap gives the ad-hoc
-// pushdown planner O(containers) cardinalities for selectivity estimation
-// and the ascending rows of a source clause. The event bitmaps answer
-// CoReport by intersection cardinalities and FollowReport's "which events
-// can contribute at all". All are canonical (FromSorted), so equal row sets have equal
-// encodings whether a key was rebuilt or carried over from the previous
-// tail.
+// Bitmap postings (DESIGN.md §12): each source carries two roaring bitmaps
+// over event rows — the events it mentions and the events it mentions at
+// least twice. They answer CoReport by intersection cardinalities and
+// FollowReport's "which events can contribute at all". Both are canonical
+// (FromSorted), so equal row sets have equal encodings whether a key was
+// rebuilt or carried over from the previous tail. A source's mention rows
+// need no bitmap: they are its by-source postings.
 
-// buildSourceBitmaps derives the per-source row, event and repeat-event
-// bitmaps from the freshly built postings, for the sources buildDerived's
-// offsets make dirty; the rest are prev's. A source's row bitmap changes
-// when it gains rows (a new source always does); its event bitmaps also
-// change when an event it mentions moves row, i.e. sits at or above
-// movedEv. Row bitmaps come straight from the ascending posting lists; event
-// bitmaps are built with one counting pass over the event-sorted mention
-// order so each source's event list is ascending and deduplicated before
-// FromSorted.
+// buildSourceBitmaps derives the per-source event and repeat-event bitmaps
+// from the event payload, for the sources buildDerived's offsets make
+// dirty; the rest are prev's. A source's bitmaps change when it gains rows
+// (a new source always does) or when an event it mentions moves row, i.e.
+// sits at or above movedEv.
 func (db *DB) buildSourceBitmaps(prev *DB, newRow, newSrc, movedEv int) {
 	ns := db.Sources.Len()
-	dirtyRows := make([]bool, ns)
+	dirty := make([]bool, ns)
 	for s := newSrc; s < ns; s++ {
-		dirtyRows[s] = true
+		dirty[s] = true
 	}
 	for _, s := range db.Mentions.Source[newRow:] {
-		dirtyRows[s] = true
+		dirty[s] = true
 	}
-	dirtyEvs := slices.Clone(dirtyRows)
 	for _, s := range db.byEventSrc[db.byEventPtr[movedEv]:] {
-		dirtyEvs[s] = true
+		dirty[s] = true
 	}
-	db.srcRowBM = make([]*bitmap.Bitmap, ns)
-	db.srcEvBM = make([]*bitmap.Bitmap, ns)
-	db.srcRepEvBM = make([]*bitmap.Bitmap, ns)
-	for s := 0; s < ns; s++ {
-		if dirtyRows[s] {
-			db.srcRowBM[s] = bitmap.FromSorted(db.SourceMentions(int32(s)))
-		} else {
-			db.srcRowBM[s] = prev.srcRowBM[s]
-		}
-		if !dirtyEvs[s] {
-			db.srcEvBM[s], db.srcRepEvBM[s] = prev.srcEvBM[s], prev.srcRepEvBM[s]
-		}
-	}
-
-	// Count distinct events per dirty source by walking events in ascending
-	// row order and deduplicating consecutive repeats per source.
-	lastEv := make([]int32, ns)
-	for s := range lastEv {
-		lastEv[s] = -1
-	}
-	counts := make([]int64, ns)
-	ne := db.Events.Len()
-	for e := 0; e < ne; e++ {
-		for _, s := range db.EventMentionSources(int32(e)) {
-			if dirtyEvs[s] && lastEv[s] != int32(e) {
-				lastEv[s] = int32(e)
-				counts[s]++
-			}
+	// One walk over the payload in ascending event order: a dirty source's
+	// first sighting in an event appends the event to its list, the second
+	// to its repeat list (events it mentions at least twice), so both stay
+	// ascending and deduplicated for FromSorted. A source's postings length
+	// bounds its list.
+	evs, reps := make([][]int32, ns), make([][]int32, ns)
+	lastEv, lastRep := make([]int32, ns), make([]int32, ns)
+	for s := range ns {
+		lastEv[s], lastRep[s] = -1, -1
+		if dirty[s] {
+			evs[s] = make([]int32, 0, len(db.SourceMentions(int32(s))))
 		}
 	}
-	evs := make([][]int32, ns)
-	for s := 0; s < ns; s++ {
-		if dirtyEvs[s] {
-			evs[s] = make([]int32, 0, counts[s])
-		}
-		lastEv[s] = -1
-	}
-	// Repeat events: events a source mentions at least twice. lastRep marks
-	// the second sighting within one event, so each repeat event is appended
-	// exactly once and the lists stay ascending.
-	reps := make([][]int32, ns)
-	lastRep := make([]int32, ns)
-	for s := range lastRep {
-		lastRep[s] = -1
-	}
-	for e := 0; e < ne; e++ {
-		for _, s := range db.EventMentionSources(int32(e)) {
-			if !dirtyEvs[s] {
+	for e := range int32(db.Events.Len()) {
+		for _, s := range db.EventMentionSources(e) {
+			if !dirty[s] {
 				continue
 			}
-			if lastEv[s] != int32(e) {
-				lastEv[s] = int32(e)
-				evs[s] = append(evs[s], int32(e))
-			} else if lastRep[s] != int32(e) {
-				lastRep[s] = int32(e)
-				reps[s] = append(reps[s], int32(e))
+			if lastEv[s] != e {
+				lastEv[s] = e
+				evs[s] = append(evs[s], e)
+			} else if lastRep[s] != e {
+				lastRep[s] = e
+				reps[s] = append(reps[s], e)
 			}
 		}
 	}
-	for s := 0; s < ns; s++ {
-		if dirtyEvs[s] {
-			db.srcEvBM[s] = bitmap.FromSorted(evs[s])
-			db.srcRepEvBM[s] = bitmap.FromSorted(reps[s])
+	db.srcEvBM, db.srcRepEvBM = make([]*bitmap.Bitmap, ns), make([]*bitmap.Bitmap, ns)
+	for s := range ns {
+		if dirty[s] {
+			db.srcEvBM[s], db.srcRepEvBM[s] = bitmap.FromSorted(evs[s]), bitmap.FromSorted(reps[s])
+		} else {
+			db.srcEvBM[s], db.srcRepEvBM[s] = prev.srcEvBM[s], prev.srcRepEvBM[s]
 		}
 	}
 }
@@ -166,10 +127,6 @@ func (db *DB) CountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.ctr
 // event is tagged with country index c. Out-of-range indexes return an
 // empty bitmap. Read-only.
 func (db *DB) EventCountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.evCtryRowBM, c) }
-
-// SourceRowBitmap returns the bitmap of mention rows of source s. Read-only;
-// canonical, so AppendTo bytes are deterministic.
-func (db *DB) SourceRowBitmap(s int32) *bitmap.Bitmap { return db.srcRowBM[s] }
 
 // SourceEventBitmap returns the bitmap of event rows source s mentions.
 // Read-only.

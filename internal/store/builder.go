@@ -113,19 +113,25 @@ func (b *Builder) AddMention(mn *gdelt.Mention) {
 func (b *Builder) Finish() (*DB, BuildStats, error) {
 	db := &DB{Meta: b.meta, Sources: b.sources, Report: b.report}
 
-	// Deduplicate and sort events by id.
+	// Deduplicate and sort events by id. Duplicate ids sort adjacent, and
+	// the first of each run wins.
 	order := make([]int32, len(b.evID))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	sort.Slice(order, func(a, c int) bool { return b.evID[order[a]] < b.evID[order[c]] })
-	rowOf := make(map[int64]int32, len(order))
+	uniq := order[:0]
 	for _, o := range order {
-		id := b.evID[o]
-		if _, dup := rowOf[id]; dup {
+		if n := len(uniq); n > 0 && b.evID[uniq[n-1]] == b.evID[o] {
 			b.duplicates++
 			continue
 		}
+		uniq = append(uniq, o)
+	}
+	db.Events = MakeEventTable(len(uniq))
+	rowOf := make(map[int64]int32, len(uniq))
+	for _, o := range uniq {
+		id := b.evID[o]
 		rowOf[id] = int32(db.Events.Len())
 		db.Events.ID = append(db.Events.ID, id)
 		db.Events.Day = append(db.Events.Day, b.evDay[o])
@@ -135,27 +141,34 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		// EventTimeDate below (DateAdded is the first capture).
 		iv := b.evAdded[o].IntervalIndex() - b.base
 		db.Events.Interval = append(db.Events.Interval, clampInterval(iv, b.meta.Intervals))
+		db.Events.NumArticles = append(db.Events.NumArticles, 0)
+		db.Events.FirstMention = append(db.Events.FirstMention, -1)
 	}
 	ne := db.Events.Len()
 
-	// Sort mention staging rows by capture interval (stable on input order).
+	// Sort mention staging rows by capture interval (stable on input order)
+	// and resolve their event rows first (-1: dangling), so the columns are
+	// sized to the mentions kept.
 	morder := make([]int32, len(b.mnIv))
 	for i := range morder {
 		morder[i] = int32(i)
 	}
 	sort.SliceStable(morder, func(a, c int) bool { return b.mnIv[morder[a]] < b.mnIv[morder[c]] })
-
-	db.Events.NumArticles = make([]int32, ne)
-	db.Events.FirstMention = make([]int32, ne)
-	for i := range db.Events.FirstMention {
-		db.Events.FirstMention[i] = -1
-	}
-	firstMentionTS := make([]gdelt.Timestamp, ne)
-
-	for _, o := range morder {
+	evRow := make([]int32, len(morder))
+	for i, o := range morder {
 		row, ok := rowOf[b.mnEventID[o]]
 		if !ok {
+			row = -1
 			b.dangling++
+		}
+		evRow[i] = row
+	}
+	db.Mentions = MakeMentionTable(len(morder) - int(b.dangling))
+	firstMentionTS := make([]gdelt.Timestamp, ne)
+
+	for i, o := range morder {
+		row := evRow[i]
+		if row < 0 {
 			continue
 		}
 		evIv := b.mnEvIv[o]
@@ -275,10 +288,10 @@ func (db *DB) buildSourceCountries(prev *DB) {
 	})
 }
 
-// buildPostings builds the by-source and by-event mention indexes with two
-// counting sorts over the interval-sorted mention table, so every posting
-// list is ascending by interval. The by-event sort also writes each
-// posting's Source and Interval into the aligned payload columns.
+// buildPostings builds the by-source mention rows and the by-event payload
+// with two counting sorts over the interval-sorted mention table, so every
+// posting list is ascending by interval. The by-event sort writes each
+// mention's Source and Interval, not its row: no kernel reads the row.
 func (db *DB) buildPostings() {
 	nm := db.Mentions.Len()
 	ns := db.Sources.Len()
@@ -306,14 +319,12 @@ func (db *DB) buildPostings() {
 	for e := 0; e < ne; e++ {
 		db.byEventPtr[e+1] += db.byEventPtr[e]
 	}
-	db.byEventIdx = make([]int32, nm)
 	db.byEventSrc = make([]int32, nm)
 	db.byEventIv = make([]int32, nm)
 	ecur := make([]int32, ne)
 	for i := 0; i < nm; i++ {
 		e := db.Mentions.EventRow[i]
 		j := db.byEventPtr[e] + ecur[e]
-		db.byEventIdx[j] = int32(i)
 		db.byEventSrc[j] = db.Mentions.Source[i]
 		db.byEventIv[j] = db.Mentions.Interval[i]
 		ecur[e]++

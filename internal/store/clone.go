@@ -27,9 +27,9 @@ import (
 //     local source dictionary (Intern writes the map readers range over);
 //   - shared: the capture-interval calendar (a function of Meta) and the
 //     GKG store (appends never extend it);
-//   - rebuilt, once, after all table mutation: the CSR postings with their
-//     event-major payload, and every keyed index — source, country and
-//     quarter bitmaps, source countries, LUTs — where the tick changed its
+//   - rebuilt, once, after all table mutation: the by-source postings and
+//     the event-major payload, and every keyed index — source event and
+//     country bitmaps, source countries, LUTs — where the tick changed its
 //     inputs; the other keys are shared (buildDerived's dirty-key rule).
 //
 // The cost is O(tail rows), bounded by the compactor's seal thresholds, and
@@ -134,15 +134,12 @@ func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Menti
 // DiffFromRebuild compares every derived index of db with what a fresh
 // buildDerived over the same tables builds — the oracle for the dirty-key
 // rule CloneAppend rebuilds by — and returns the first difference, or nil:
-// the CSR postings and their event-major payload, quarterRow,
-// SourceCountry, the LUTs, and the three source-bitmap families and the
-// country, event-country and quarter bitmaps, nil exactly where the
-// rebuild's are. The payload is also checked against the mention columns
-// directly, since the rebuild shares its builder.
+// the by-source postings, the event payload and its offsets, quarterRow,
+// SourceCountry, the LUTs, and the two source-bitmap families and the
+// country and event-country bitmaps, nil exactly where the rebuild's are.
+// The payload is then checked against the mention columns directly, since
+// the rebuild shares its builder.
 func (db *DB) DiffFromRebuild() error {
-	if err := db.checkEventPayload(); err != nil {
-		return err
-	}
 	want := &DB{Meta: db.Meta, Sources: db.Sources, Events: db.Events, Mentions: db.Mentions}
 	want.buildDerived(nil)
 	for _, c := range []struct {
@@ -150,8 +147,8 @@ func (db *DB) DiffFromRebuild() error {
 		equal bool
 	}{
 		{"source postings", slices.Equal(db.bySourcePtr, want.bySourcePtr) && slices.Equal(db.bySourceIdx, want.bySourceIdx)},
-		{"event postings", slices.Equal(db.byEventPtr, want.byEventPtr) && slices.Equal(db.byEventIdx, want.byEventIdx)},
-		{"event payload", slices.Equal(db.byEventSrc, want.byEventSrc) && slices.Equal(db.byEventIv, want.byEventIv)},
+		{"event payload", slices.Equal(db.byEventPtr, want.byEventPtr) &&
+			slices.Equal(db.byEventSrc, want.byEventSrc) && slices.Equal(db.byEventIv, want.byEventIv)},
 		{"quarterRow", slices.Equal(db.quarterRow, want.quarterRow)},
 		{"SourceCountry", slices.Equal(db.SourceCountry, want.SourceCountry)},
 		{"source country LUT", slices.Equal(db.sourceCountryLUT, want.sourceCountryLUT)},
@@ -166,7 +163,6 @@ func (db *DB) DiffFromRebuild() error {
 		name      string
 		got, want []*bitmap.Bitmap
 	}{
-		{"source row", db.srcRowBM, want.srcRowBM},
 		{"source event", db.srcEvBM, want.srcEvBM},
 		{"source repeat-event", db.srcRepEvBM, want.srcRepEvBM},
 		{"country", db.ctryRowBM, want.ctryRowBM},
@@ -181,21 +177,31 @@ func (db *DB) DiffFromRebuild() error {
 			}
 		}
 	}
-	return nil
+	return db.checkEventPayload()
 }
 
-// checkEventPayload checks that position j of every event's payload holds
-// the Source and Interval of the mention row at position j of its postings.
+// checkEventPayload walks the mention columns in row order and checks that
+// each mention's Source and Interval sit at the next free posting of its
+// event's payload, and that every event's payload holds exactly its
+// mentions: the payload is the row-order walk, grouped by event. The
+// payload columns must already have the lengths a rebuild gives them.
 func (db *DB) checkEventPayload() error {
-	if len(db.byEventSrc) != len(db.byEventIdx) || len(db.byEventIv) != len(db.byEventIdx) {
-		return fmt.Errorf("event payload covers %d/%d of %d postings", len(db.byEventSrc), len(db.byEventIv), len(db.byEventIdx))
+	ne := db.Events.Len()
+	next := slices.Clone(db.byEventPtr[:ne])
+	for r := range db.Mentions.Len() {
+		e := db.Mentions.EventRow[r]
+		j := next[e]
+		if j >= db.byEventPtr[e+1] {
+			return fmt.Errorf("event payload of event row %d is shorter than its mentions", e)
+		}
+		if db.byEventSrc[j] != db.Mentions.Source[r] || db.byEventIv[j] != db.Mentions.Interval[r] {
+			return fmt.Errorf("event payload of event row %d at posting %d differs from mention row %d", e, j, r)
+		}
+		next[e]++
 	}
-	for e := range int32(db.Events.Len()) {
-		srcs, ivs := db.EventMentionSources(e), db.EventMentionIntervals(e)
-		for j, r := range db.EventMentions(e) {
-			if srcs[j] != db.Mentions.Source[r] || ivs[j] != db.Mentions.Interval[r] {
-				return fmt.Errorf("event payload of event row %d at posting %d differs from mention row %d", e, j, r)
-			}
+	for e := range ne {
+		if next[e] != db.byEventPtr[e+1] {
+			return fmt.Errorf("event payload of event row %d is longer than its mentions", e)
 		}
 	}
 	return nil

@@ -28,6 +28,20 @@ type EventTable struct {
 	SourceURL    []string
 }
 
+// MakeEventTable returns an empty event table with room for exactly n
+// rows, so a table filled by append holds no spare capacity.
+func MakeEventTable(n int) EventTable {
+	return EventTable{
+		ID:           make([]int64, 0, n),
+		Day:          make([]int32, 0, n),
+		Interval:     make([]int32, 0, n),
+		Country:      make([]int16, 0, n),
+		NumArticles:  make([]int32, 0, n),
+		FirstMention: make([]int32, 0, n),
+		SourceURL:    make([]string, 0, n),
+	}
+}
+
 // Len returns the number of events.
 func (t *EventTable) Len() int { return len(t.ID) }
 
@@ -66,6 +80,20 @@ type MentionTable struct {
 	Confidence []int8
 }
 
+// MakeMentionTable returns an empty mention table with room for exactly n
+// rows, so a table filled by append holds no spare capacity.
+func MakeMentionTable(n int) MentionTable {
+	return MentionTable{
+		EventRow:   make([]int32, 0, n),
+		Source:     make([]int32, 0, n),
+		Interval:   make([]int32, 0, n),
+		Delay:      make([]int32, 0, n),
+		DocLen:     make([]int32, 0, n),
+		Tone:       make([]float32, 0, n),
+		Confidence: make([]int8, 0, n),
+	}
+}
+
 // Len returns the number of mentions.
 func (t *MentionTable) Len() int { return len(t.EventRow) }
 
@@ -84,21 +112,18 @@ type DB struct {
 	// Offsets are int32 like the row ids they index.
 	bySourcePtr []int32
 	bySourceIdx []int32
-	// byEvent[e] lists mention rows of event row e, ascending by interval.
-	// byEventSrc and byEventIv are its event-major payload: the Source and
-	// Interval of the mention at the same posting, so per-event folds read
-	// contiguous memory instead of gathering from the interval-sorted
-	// columns (DESIGN.md §10, +8 B per mention).
+	// byEvent[e] is the event-major payload of event row e's mentions,
+	// ascending by interval: byEventSrc and byEventIv hold the Source and
+	// Interval of each, so per-event folds read contiguous memory instead
+	// of gathering from the interval-sorted columns (DESIGN.md §10, 8 B per
+	// mention). No kernel needs the mention rows themselves.
 	byEventPtr []int32
-	byEventIdx []int32
 	byEventSrc []int32
 	byEventIv  []int32
 
 	// Bitmap postings (DESIGN.md §12): per-source roaring bitmaps over
-	// mention rows and event rows, derived from the row-list postings at
-	// assembly time. The ad-hoc pushdown planner reads cardinalities from
-	// them; CoReport and FollowReport run on the event bitmaps.
-	srcRowBM   []*bitmap.Bitmap
+	// event rows, derived from the event payload at assembly time.
+	// CoReport and FollowReport run on them.
 	srcEvBM    []*bitmap.Bitmap
 	srcRepEvBM []*bitmap.Bitmap
 
@@ -208,21 +233,14 @@ func (db *DB) SourceMentions(s int32) []int32 {
 	return db.bySourceIdx[db.bySourcePtr[s]:db.bySourcePtr[s+1]]
 }
 
-// EventMentions returns the mention rows of event row e, ascending by
-// interval.
-func (db *DB) EventMentions(e int32) []int32 {
-	return db.byEventIdx[db.byEventPtr[e]:db.byEventPtr[e+1]]
-}
-
-// EventMentionSources returns the source ids of event row e's mentions,
-// aligned with EventMentions(e): position j is Mentions.Source of
-// EventMentions(e)[j]. Read-only.
+// EventMentionSources returns the source ids of event row e's mentions in
+// mention-row order, hence ascending by interval. Read-only.
 func (db *DB) EventMentionSources(e int32) []int32 {
 	return db.byEventSrc[db.byEventPtr[e]:db.byEventPtr[e+1]]
 }
 
 // EventMentionIntervals returns the capture intervals of event row e's
-// mentions, aligned with EventMentions(e) and therefore ascending.
+// mentions, aligned with EventMentionSources(e) and therefore ascending.
 // Read-only.
 func (db *DB) EventMentionIntervals(e int32) []int32 {
 	return db.byEventIv[db.byEventPtr[e]:db.byEventPtr[e+1]]

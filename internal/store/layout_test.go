@@ -1,31 +1,43 @@
-package store
+package store_test
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
+	"gdeltmine/internal/shard"
+	"gdeltmine/internal/store"
 )
 
-// residentBytes is the backing-array size of s, spare capacity included.
-func residentBytes[T any](s []T) int {
-	var z T
-	return cap(s) * int(unsafe.Sizeof(z))
+// exactColumns fails for every column of table (an EventTable or a
+// MentionTable) that holds spare capacity beyond its rows.
+func exactColumns(t *testing.T, what string, table any) {
+	t.Helper()
+	v := reflect.ValueOf(table)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Cap() != f.Len() {
+			t.Errorf("%s %s: cap %d, len %d", what, v.Type().Field(i).Name, f.Cap(), f.Len())
+		}
+	}
 }
 
 // TestPostingsLayout is the counted layout guard of the mention postings
 // (DESIGN.md §10): on the Small preset their resident bytes must equal the
-// documented layout — 4 B per mention for each of bySourceIdx, byEventIdx,
-// byEventSrc and byEventIv, and a 4 B offset per source and per event plus
-// one sentinel each. A change that adds resident bytes here has to update
-// the figure.
+// documented layout — 4 B per mention for bySourceIdx, 8 B per mention for
+// the event payload (byEventSrc, byEventIv), and a 4 B offset per source
+// and per event plus one sentinel each; there is no other postings column.
+// Every mention and event column must sit at its exact length, on the built
+// store and on each part of a shard.Split. A change that adds resident
+// bytes here has to update the figures.
 func TestPostingsLayout(t *testing.T) {
 	c, err := gen.Generate(gen.Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBuilder(gdelt.Timestamp(c.World.Cfg.Start), int32(c.World.Days()*gdelt.IntervalsPerDay))
+	b, err := store.NewBuilder(gdelt.Timestamp(c.World.Cfg.Start), int32(c.World.Days()*gdelt.IntervalsPerDay))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,20 +54,32 @@ func TestPostingsLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	nm, ns, ne := db.Mentions.Len(), db.Sources.Len(), db.Events.Len()
-	for _, f := range []struct {
-		name      string
-		got, want int
-	}{
-		{"bySourcePtr", residentBytes(db.bySourcePtr), 4 * (ns + 1)},
-		{"bySourceIdx", residentBytes(db.bySourceIdx), 4 * nm},
-		{"byEventPtr", residentBytes(db.byEventPtr), 4 * (ne + 1)},
-		{"byEventIdx", residentBytes(db.byEventIdx), 4 * nm},
-		{"byEventSrc", residentBytes(db.byEventSrc), 4 * nm},
-		{"byEventIv", residentBytes(db.byEventIv), 4 * nm},
-	} {
-		if f.got != f.want {
-			t.Errorf("%s holds %d B, the layout says %d B", f.name, f.got, f.want)
+	want := map[string]int{
+		"bySourcePtr": 4 * (ns + 1),
+		"bySourceIdx": 4 * nm,
+		"byEventPtr":  4 * (ne + 1),
+		"byEventSrc":  4 * nm,
+		"byEventIv":   4 * nm,
+	}
+	got := store.PostingsBytes(db)
+	if !slices.Equal(slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want))) {
+		t.Errorf("postings columns %v, the layout names %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s holds %d B, the layout says %d B", name, got[name], w)
 		}
 	}
-	t.Logf("postings of %d mentions, %d sources, %d events: %d B", nm, ns, ne, 16*nm+4*(ns+1)+4*(ne+1))
+	t.Logf("postings of %d mentions, %d sources, %d events: %d B", nm, ns, ne, 12*nm+4*(ns+1)+4*(ne+1))
+
+	exactColumns(t, "built", db.Mentions)
+	exactColumns(t, "built", db.Events)
+	sdb, err := shard.Split(db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sdb.K() {
+		exactColumns(t, "part", sdb.Part(i).Mentions)
+		exactColumns(t, "part", sdb.Part(i).Events)
+	}
 }

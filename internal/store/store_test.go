@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/gdelt"
@@ -174,11 +175,12 @@ func TestPostings(t *testing.T) {
 	if got := len(db.SourceMentions(bsrc)); got != 2 {
 		t.Fatalf("b.co.uk mentions %d", got)
 	}
-	em := db.EventMentions(0)
-	if len(em) != 2 {
-		t.Fatalf("event 10 mentions %v", em)
+	// Event 10's payload is its mentions in row order: (a, 0), (b, 16).
+	if srcs, ivs := db.EventMentionSources(0), db.EventMentionIntervals(0); !slices.Equal(srcs, []int32{a, bsrc}) ||
+		!slices.Equal(ivs, []int32{0, 16}) {
+		t.Fatalf("event 10 payload sources %v intervals %v", srcs, ivs)
 	}
-	if got := len(db.EventMentions(2)); got != 1 {
+	if got := len(db.EventMentionSources(2)); got != 1 {
 		t.Fatalf("event 30 mentions %d", got)
 	}
 }

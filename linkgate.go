@@ -42,7 +42,7 @@ var allowlist = map[string]string{
 	"internal/store.DB.DiffFromRebuild":   "oracle: an incrementally appended store must equal a cold rebuild",
 	"internal/store.DB.checkEventPayload": "oracle: DiffFromRebuild's per-event payload comparison",
 	"internal/queries.CoReportScan":       "oracle: the full-scan reference of the pruned co-report kernels",
-	"internal/queries.coReportRows":       "oracle: CoReportScan's per-event fold",
+	"internal/queries.coReportRows":       "oracle: the per-event fold of CoReportScan and of the X2 CoReportSliced",
 	"internal/queries.mergeCoPartials":    "oracle: CoReportScan's partial merge",
 	"internal/queries.FollowReportScan":   "oracle: the full-scan reference of the pruned follow kernels",
 	"internal/bitmap.Equal":               "oracle: append_differential_test.go compares appended and rebuilt postings",
