@@ -80,6 +80,32 @@ wait "$serve" || true
 echo "$stats" | grep -q "\"Articles\": $articles,"
 rm -rf "$smoke"
 
+# Convert smoke (small preset, ~10 s): the on-disk round trip of a converted
+# sharded layout. gdeltconvert -shards 4 writes the monolith and its .shards
+# directory (every part over the world's dictionary ids); gdeltserve serves
+# each, and every kind below must answer byte-identically from the two.
+conv=$(mktemp -d)
+go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve
+"$conv/gdeltgen" -out "$conv/ds" -preset small
+"$conv/gdeltconvert" -in "$conv/ds" -out "$conv/db.gdmb" -shards 4
+"$conv/gdeltserve" -db "$conv/db.gdmb" -addr 127.0.0.1:18392 &
+mono=$!
+"$conv/gdeltserve" -db "$conv/db.gdmb.shards" -addr 127.0.0.1:18393 &
+sharded=$!
+for port in 18392 18393; do
+	for i in $(seq 50); do curl -sf "http://127.0.0.1:$port/readyz" >/dev/null && break; sleep 0.2; done
+done
+rc=0
+for kind in stats top-publishers coreport follow country wildfires themes series-active-sources; do
+	curl -sf "http://127.0.0.1:18392/api/v1/$kind" >"$conv/mono.json" || rc=1
+	curl -sf "http://127.0.0.1:18393/api/v1/$kind" >"$conv/sharded.json" || rc=1
+	{ test -s "$conv/mono.json" && cmp "$conv/mono.json" "$conv/sharded.json"; } || rc=1
+done
+kill "$mono" "$sharded"
+wait "$mono" "$sharded" || true
+test "$rc" -eq 0
+rm -rf "$conv"
+
 # bench/ is its own module, so the root ./... above never sees it: vet and
 # test it here, or a PR could delete an API the benchmark imports and stay
 # green.

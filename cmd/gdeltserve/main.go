@@ -23,7 +23,7 @@
 // Every dataset is served as a time-partitioned shard set (internal/shard):
 // a .shards directory (written by `gdeltconvert -shards K`) loads as
 // written, and a monolithic .gdmb file is the one-shard world. Every query
-// fans out per shard, reducing through a shared global dictionary; results
+// fans out per shard over the world's one dictionary id space; results
 // do not depend on K. Cache keys embed the per-shard version vector, so a
 // tail-shard append invalidates only entries whose window touches the tail.
 //

@@ -16,9 +16,11 @@ import (
 // FollowReport — on the engine and on every sharded layout. Each must equal
 // the closure-scan reference (CoReportScan / FollowReportScan at workers=1)
 // on panels spanning the selectivities the retired rows plan used to own
-// (top-1, top-2) up to dense top-16, a mid-spectrum panel, and a panel that
-// repeats a source id (a shadowed slot that must stay all-zero): 2 seeded
-// worlds, workers {1,4}. Integers exact, floats 1e-9 (workers=1 bit-equal).
+// (top-1, top-2) up to dense top-16, the served k range's top-64 and
+// top-512 (the pairKParam clamp; every source of a world smaller than
+// that), a mid-spectrum panel, and a panel that repeats a source id (a
+// shadowed slot that must stay all-zero): 2 seeded worlds, workers {1,4}.
+// Integers exact, floats 1e-9 (workers=1 bit-equal).
 //
 // Every point runs once under each name of the retired plan modes. All four
 // now resolve to the same plan; the repeated executions re-draw the pooled
@@ -29,10 +31,12 @@ var retiredSelectionPlans = []string{"auto", "rows", "events", "scan"}
 func selectionPanels(ranked []int32) map[string][]int32 {
 	top := func(k int) []int32 { return ranked[:min(k, len(ranked))] }
 	panels := map[string][]int32{
-		"top1":  top(1),
-		"top2":  top(2),
-		"top16": top(16),
-		"mid16": top(16),
+		"top1":   top(1),
+		"top2":   top(2),
+		"top16":  top(16),
+		"top64":  top(64),
+		"top512": top(512),
+		"mid16":  top(16),
 	}
 	if base := len(ranked) / 8; base+16 <= len(ranked) {
 		panels["mid16"] = ranked[base : base+16]

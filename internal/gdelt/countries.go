@@ -112,21 +112,23 @@ func CountryIndex(fips string) int {
 // theguardian.com counts as US — the inaccuracy the paper acknowledges).
 func CountryFromDomain(domain string) int {
 	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
-	labels := strings.Split(domain, ".")
-	if len(labels) >= 3 {
-		if i, ok := tldIndex[labels[len(labels)-2]+"."+labels[len(labels)-1]]; ok {
+	dot := strings.LastIndexByte(domain, '.')
+	if dot < 0 {
+		return -1 // one label: no suffix to attribute
+	}
+	// The suffixes are substrings of domain: a lookup allocates nothing.
+	if dot2 := strings.LastIndexByte(domain[:dot], '.'); dot2 >= 0 {
+		if i, ok := tldIndex[domain[dot2+1:]]; ok {
 			return i
 		}
 	}
-	if len(labels) >= 2 {
-		last := labels[len(labels)-1]
-		switch last {
-		case "org", "net":
-			return CountryIndex("US")
-		}
-		if i, ok := tldIndex[last]; ok {
-			return i
-		}
+	last := domain[dot+1:]
+	switch last {
+	case "org", "net":
+		return CountryIndex("US")
+	}
+	if i, ok := tldIndex[last]; ok {
+		return i
 	}
 	return -1
 }

@@ -154,7 +154,7 @@ type Descriptor struct {
 	// register derives it for a kind declared by Plan and Shape.
 	Run func(e *engine.Engine, p Params) (any, error)
 	// RunSharded executes the query against a sharded view, fanning out
-	// per shard and reducing through the global dictionary remaps. It must
+	// per shard and reducing by global id. It must
 	// produce the same value (bit-exact integers, 1e-9 floats) as Run on
 	// the equivalent monolith — the invariant the differential battery in
 	// internal/baseline pins for every kind. register derives it for a kind

@@ -31,7 +31,7 @@ import (
 
 // Server serves analysis queries over one dataset, always a shard.DB world:
 // a loaded monolith is the K=1 world shard.Single builds. Queries fan out
-// per shard and reduce through the global dictionary remaps.
+// per shard and reduce by global id.
 type Server struct {
 	// snap resolves the world a request reads: the one prebuilt view of a
 	// static dataset, or the append log's snapshot as of the call.

@@ -10,20 +10,20 @@ import (
 // Sharded ad-hoc queries (DESIGN.md §13): each shard plans and executes
 // the spec independently through queries.AdhocVectors — so a selective
 // clause pushes down on every shard exactly as on the monolith — and the
-// raw vectors merge through the local→global remaps. Shards execute
-// concurrently on the work-stealing pool into shard-indexed slots; the
-// merge then folds the slots in ascending shard order, keeping integer
-// merges bit-exact and float merges in a fixed order regardless of which
-// shard finished first. The registry kinds declared as plans (top
-// publishers, the article series, the filtered counts) run through
-// AdhocVectors too: it is their only sharded execution.
+// raw vectors add up group by group, every part grouping in the world's id
+// space. Shards execute concurrently on the work-stealing pool into
+// shard-indexed slots; the merge then folds the slots in ascending shard
+// order, keeping integer merges bit-exact and float merges in a fixed
+// order regardless of which shard finished first. The registry kinds
+// declared as plans (top publishers, the article series, the filtered
+// counts) run through AdhocVectors too: it is their only sharded execution.
 
 // AdhocKey resolves global group ids to display keys.
 func (v *View) AdhocKey(group string) func(g int) string {
 	s := v.s
 	switch group {
 	case "source":
-		return func(g int) string { return s.sources.Name(int32(g)) }
+		return func(g int) string { return s.Sources().Name(int32(g)) }
 	case "sourcecountry", "eventcountry":
 		return func(g int) string { return gdelt.Countries[g].FIPS }
 	case "quarter":
@@ -33,12 +33,11 @@ func (v *View) AdhocKey(group string) func(g int) string {
 }
 
 // AdhocVectors fans the spec out over every shard concurrently and merges
-// the raw vectors in ascending shard order. Each shard groups in its own id
-// space — the monolith's spec, so a scan pays no remap load per row — and
-// the merge maps a shard's groups to global ones: source ids through l2gSrc,
-// country and quarter ids as they are (every part shares the Meta). A
-// grouped answer carries one count per global group id even when no shard
-// contributes, as the monolith's does.
+// the raw vectors in ascending shard order. Each shard runs the monolith's
+// spec, and its group ids are global ones: a part's source ids are a prefix
+// of the world's, and country and quarter ids agree because every part
+// shares the Meta. A grouped answer carries one count per global group id
+// even when no shard contributes, as the monolith's does.
 func (v *View) AdhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
 	s := v.s
 	k := s.K()
@@ -57,7 +56,7 @@ func (v *View) AdhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
 	n := 0
 	switch spec.Group {
 	case "source":
-		n = s.sources.Len()
+		n = s.Sources().Len()
 	case "sourcecountry", "eventcountry":
 		n = len(gdelt.Countries)
 	case "quarter":
@@ -66,17 +65,10 @@ func (v *View) AdhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
 	if spec.Group != "" {
 		vec.Counts = make([]int64, n)
 	}
-	for i, pv := range vecs {
+	for _, pv := range vecs {
 		vec.Count += pv.Count
 		vec.Sum += pv.Sum
-		var remap []int32 // nil: the part's group ids are global
-		if spec.Group == "source" {
-			remap = s.l2gSrc[i]
-		}
 		for g, c := range pv.Counts {
-			if remap != nil {
-				g = int(remap[g])
-			}
 			vec.Counts[g] += c
 		}
 		if pv.Sums != nil {
@@ -84,9 +76,6 @@ func (v *View) AdhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
 				vec.Sums = make([]float64, n)
 			}
 			for g, sum := range pv.Sums {
-				if remap != nil {
-					g = int(remap[g])
-				}
 				vec.Sums[g] += sum
 			}
 		}

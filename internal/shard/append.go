@@ -18,19 +18,20 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // copy-on-write, exactly what it does.
 //
 // Shared by reference with s: every sealed part the tick does not touch,
-// bounds, meta, report, theme remaps, the global source dictionary unless
-// the tick interns a new source, the frozen run of the global event table
-// and the event remaps of every part that holds no row of the recent run.
+// bounds, meta, report, the frozen run of the global event table and the
+// event remaps of every part that holds no row of the recent run.
 //
 // Replaced:
 //
 //   - The tail: store.DB.CloneAppend builds the next tail (events the tick
 //     references but the tail never held are adopted verbatim from the
 //     global table first, so per-event metadata stays globally agreed), and
-//     its three remaps are rebuilt at O(tail) cost. The tail has no flat
-//     s2lEv — adoption and inserts renumber its rows every tick, and a flat
-//     inverse costs O(global events) — so tail lookups go through
-//     localEvent's search of the ascending l2gEv.
+//     its event remap is rebuilt at O(tail) cost. A source first seen in
+//     the tick is interned into a clone of the tail's dictionary, which
+//     becomes the world's; older parts keep the prefix they had. The tail
+//     has no flat s2lEv — adoption and inserts renumber its rows every
+//     tick, and a flat inverse costs O(global events) — so tail lookups go
+//     through localEvent's search of the ascending l2gEv.
 //   - Per-event metadata (NumArticles, FirstMention, Interval) of events
 //     that gained mentions: a column of the global table's run holding the
 //     event, and of each non-tail part holding a copy of it, is copied once
@@ -115,23 +116,6 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	next.parts = slices.Clone(s.parts)
 	next.parts[ti] = newTail
 
-	// Extend the tail's source remap for sources first seen in this tick,
-	// interning into a private copy of the global dictionary if it lacks one.
-	srcRemap := append(make([]int32, 0, newTail.Sources.Len()), s.l2gSrc[ti]...)
-	for ls := len(srcRemap); ls < newTail.Sources.Len(); ls++ {
-		name := newTail.Sources.Name(int32(ls))
-		g := next.sources.Lookup(name)
-		if g < 0 {
-			if next.sources == s.sources {
-				next.sources = s.sources.Clone()
-			}
-			g = next.sources.Intern(name)
-		}
-		srcRemap = append(srcRemap, g)
-	}
-	next.l2gSrc = slices.Clone(s.l2gSrc)
-	next.l2gSrc[ti] = srcRemap
-
 	// Propagate the tail's per-event metadata to the global table and to
 	// every other part's copy of each touched event. Touched rows unknown to
 	// the global table are this tick's new events.
@@ -184,7 +168,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	held := shiftRows(mergeAscending(s.l2gEv[ti], adoptG), at)
 	if len(held)+len(newRows) != te.Len() {
 		mAppendFallback.Inc()
-		next, err = New(next.parts, s.bounds, next.sources, s.themes, s.report)
+		next, err = New(next.parts, s.bounds, s.report)
 		if err != nil {
 			return nil, st, fmt.Errorf("shard: append left shards disagreeing: %w", err)
 		}

@@ -11,14 +11,14 @@ func RecentEvents(s *DB) int { return s.events.recent.Len() }
 
 // DiffFromRebuild compares s — a world the append log maintained
 // incrementally — against the oracle: New run from scratch on the same
-// parts, bounds and dictionaries (the cold-start K-way merge). It returns
-// the first difference in the global event table (column for column, the
-// two runs of each table read as one), l2gSrc, l2gEv or the global→local
-// event lookup, or nil. The flat inverses are compared through localEvent,
-// because an incrementally maintained world numbers its events differently
-// and keeps none for the tail.
+// parts and bounds (the cold-start K-way merge). It returns the first
+// difference in the global event table (column for column, the two runs of
+// each table read as one), l2gEv or the global→local event lookup, or nil.
+// The flat inverses are compared through localEvent, because an
+// incrementally maintained world numbers its events differently and keeps
+// none for the tail.
 func DiffFromRebuild(s *DB) error {
-	want, err := New(s.parts, s.bounds, s.sources, s.themes, s.report)
+	want, err := New(s.parts, s.bounds, s.report)
 	if err != nil {
 		return fmt.Errorf("oracle rebuild: %w", err)
 	}
@@ -46,9 +46,6 @@ func DiffFromRebuild(s *DB) error {
 		return fmt.Errorf("global SourceURL column differs")
 	}
 	for i := range s.parts {
-		if !slices.Equal(s.l2gSrc[i], want.l2gSrc[i]) {
-			return fmt.Errorf("part %d: l2gSrc differs", i)
-		}
 		if !slices.Equal(s.l2gEv[i], want.l2gEv[i]) {
 			return fmt.Errorf("part %d: l2gEv differs", i)
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // Sharded GKG queries. GKG scans ignore the mention window (like the
-// monolith); theme ids remap through l2gTheme into the global theme
-// dictionary, which preserves the monolith's id order so top-k tie-breaks
-// agree.
+// monolith); a part's theme ids are the world's (its theme dictionary is a
+// prefix of the tail's), which keeps the monolith's id order so top-k
+// tie-breaks agree.
 
 // TopThemes returns the k most frequent GKG themes across all shards. A
 // theme's count is the sum of its postings lengths: the theme postings hold
@@ -18,29 +18,31 @@ import (
 // cost is O(themes × K), not O(theme occurrences).
 func (v *View) TopThemes(k int) ([]queries.ThemeCount, error) {
 	s := v.s
-	if !s.hasGKG {
+	themes := s.Themes()
+	if themes == nil {
 		return nil, queries.ErrNoGKG
 	}
-	nt := s.themes.Len()
-	counts := make([]int64, nt)
-	for i, p := range s.parts {
-		for lt, gt := range s.l2gTheme[i] {
-			counts[gt] += int64(len(p.GKG.ThemeRows(int32(lt))))
+	counts := make([]int64, themes.Len())
+	for _, p := range s.parts {
+		for t := range p.GKG.Themes.Len() {
+			counts[t] += int64(len(p.GKG.ThemeRows(int32(t))))
 		}
 	}
 	top := engine.TopK(counts, k)
 	out := make([]queries.ThemeCount, 0, len(top))
 	for _, t := range top {
-		out = append(out, queries.ThemeCount{Theme: s.themes.Name(int32(t)), Articles: counts[t]})
+		out = append(out, queries.ThemeCount{Theme: themes.Name(int32(t)), Articles: counts[t]})
 	}
 	return out, nil
 }
 
 // ThemeTrends computes quarterly coverage for the named themes, walking
-// each shard's local theme postings.
+// each shard's theme postings. A theme's id is looked up once in the
+// world's dictionary; a part whose dictionary stops short of it holds no
+// row of it.
 func (v *View) ThemeTrends(themes []string) ([]queries.ThemeTrend, error) {
 	s := v.s
-	if !s.hasGKG {
+	if !s.HasGKG() {
 		return nil, queries.ErrNoGKG
 	}
 	nq := s.NumQuarters()
@@ -49,10 +51,10 @@ func (v *View) ThemeTrends(themes []string) ([]queries.ThemeTrend, error) {
 	parallel.ForOpt(len(themes), v.grain1(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			tr := queries.ThemeTrend{Theme: themes[i], Labels: labels, Values: make([]int64, nq)}
+			id := s.Themes().Lookup(themes[i])
 			for _, p := range s.parts {
 				g := p.GKG
-				id := g.Themes.Lookup(themes[i])
-				if id < 0 {
+				if id < 0 || int(id) >= g.Themes.Len() {
 					continue
 				}
 				for _, r := range g.ThemeRows(id) {
@@ -69,7 +71,7 @@ func (v *View) ThemeTrends(themes []string) ([]queries.ThemeTrend, error) {
 // summing per-shard per-quarter totals before the division.
 func (v *View) TranslatedShare() (labels []string, share []float64, err error) {
 	s := v.s
-	if !s.hasGKG {
+	if !s.HasGKG() {
 		return nil, nil, queries.ErrNoGKG
 	}
 	nq := s.NumQuarters()

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"gdeltmine/internal/binfmt"
@@ -23,9 +25,9 @@ import (
 // and a CRC-32C of the whole file), the global source-name list, an
 // optional global theme-name list, and an optional chunk ledger (the ticks
 // a log's world holds, written only when there are any, as runs of evenly
-// spaced marks). The global dictionaries travel as
-// ordered name lists — the local→global remaps are re-derived by name at
-// assembly, so there are no index arrays to corrupt. The decoder is
+// spaced marks). The global dictionaries travel as ordered name lists;
+// they restate the tail part's dictionaries, which assembly checks them
+// against (every other part's are prefixes of those). The decoder is
 // defensive end to end: every length is bounded before allocation and
 // every failure is an error, never a panic (FuzzManifestDecode pins this).
 
@@ -122,14 +124,14 @@ func ManifestFromDB(s *DB, files []ManifestEntry) (*Manifest, error) {
 	m := &Manifest{
 		Meta:    s.meta,
 		Entries: make([]ManifestEntry, len(files)),
-		Sources: append([]string(nil), s.sources.Names()...),
+		Sources: append([]string(nil), s.Sources().Names()...),
 	}
 	for i, e := range files {
 		e.Lo, e.Hi = s.bounds[i], s.bounds[i+1]
 		m.Entries[i] = e
 	}
-	if s.hasGKG {
-		m.Themes = append([]string(nil), s.themes.Names()...)
+	if t := s.Themes(); t != nil {
+		m.Themes = append([]string(nil), t.Names()...)
 	}
 	return m, nil
 }
@@ -447,13 +449,20 @@ func (d *mdecoder) ledger(intervals int32) ([]int32, error) {
 // time order (the permutation metamorphic property): parts are sorted
 // jointly with their entries by interval range before assembly. Every
 // manifest defect — ranges that do not tile the archive, dictionaries
-// missing names, duplicated names, shards disagreeing on shared events —
-// is an error, never a panic. The parts' bytes were checked against the
-// entries' digests when they were read (readPart); their derived indexes
-// are rebuilt from the tables on load, so there is nothing else to check.
+// that disagree with the manifest's lists, shards disagreeing on shared
+// events — is an error, never a panic. So is a part whose dictionary is
+// not a prefix of the manifest's list: parts share the world's ids, and a
+// layout whose parts were encoded against dictionaries of their own (one
+// written before they shared them) is refused by name, never remapped. The
+// parts' bytes were checked against the entries' digests when they were
+// read (readPart); their derived indexes are rebuilt from the tables on
+// load, so there is nothing else to check.
 func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 	if len(parts) != len(m.Entries) {
 		return nil, fmt.Errorf("shard: %d parts for %d manifest entries", len(parts), len(m.Entries))
+	}
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("shard: no parts")
 	}
 	order := make([]int, len(parts))
 	for i := range order {
@@ -480,17 +489,25 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 			return nil, fmt.Errorf("shard: part %d meta %+v disagrees with manifest %+v", i, p.Meta, m.Meta)
 		}
 	}
-	sources, err := store.FromNames(m.Sources)
-	if err != nil {
-		return nil, fmt.Errorf("shard: global sources: %w", err)
+	rerun := func(i int, err error) error {
+		return fmt.Errorf("shard: part %s %w; re-run gdeltconvert -shards to rewrite the layout "+
+			"(parts share the world's dictionary ids)", m.Entries[order[i]].File, err)
 	}
-	var themes *store.Dictionary
-	if m.Themes != nil {
-		if themes, err = store.FromNames(m.Themes); err != nil {
-			return nil, fmt.Errorf("shard: global themes: %w", err)
+	ti := len(sorted) - 1
+	tail := sorted[ti]
+	var tailThemes []string
+	if tail.GKG != nil {
+		tailThemes = tail.GKG.Themes.Names()
+	}
+	if !slices.Equal(tail.Sources.Names(), m.Sources) || !slices.Equal(tailThemes, m.Themes) {
+		return nil, rerun(ti, errors.New("dictionaries differ from the manifest's lists"))
+	}
+	for i, p := range sorted {
+		if err := sameIDSpace(p, tail); err != nil {
+			return nil, rerun(i, err)
 		}
 	}
-	return New(sorted, bounds, sources, themes, sorted[0].Report)
+	return New(sorted, bounds, sorted[0].Report)
 }
 
 // readPart loads a part file once its bytes match the digest the manifest

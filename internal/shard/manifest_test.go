@@ -357,3 +357,129 @@ func TestManifestDuplicateSectionRejected(t *testing.T) {
 		}
 	}
 }
+
+// recoded returns part p re-encoded over the source and theme dictionaries
+// srcs and themes, which must hold every name p references: the same rows,
+// other ids.
+func recoded(t *testing.T, p *store.DB, srcs, themes *store.Dictionary) *store.DB {
+	t.Helper()
+	mn := p.Mentions
+	mn.Source = make([]int32, len(p.Mentions.Source))
+	for r, s := range p.Mentions.Source {
+		mn.Source[r] = srcs.Lookup(p.Sources.Name(s))
+	}
+	q, err := store.AssembleDB(p.Meta, srcs, p.Events, mn, p.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.GKG.Table
+	g.Source = make([]int32, len(p.GKG.Table.Source))
+	for r, s := range p.GKG.Table.Source {
+		g.Source[r] = srcs.Lookup(p.Sources.Name(s))
+	}
+	g.ThemeIDs = make([]int32, len(p.GKG.Table.ThemeIDs))
+	for i, id := range p.GKG.Table.ThemeIDs {
+		g.ThemeIDs[i] = themes.Lookup(p.GKG.Themes.Name(id))
+	}
+	if err := store.AssembleGKG(q, g, themes, p.GKG.Persons, p.GKG.Orgs); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestOldLayoutsRefused: a log directory whose part was encoded against a
+// dictionary that is not a prefix of the manifest's list must fail OpenLog
+// with an error naming the part and saying to re-run gdeltconvert -shards —
+// never load through a remap, never panic. Each tampered part is rewritten
+// with its manifest digest recomputed, so only the dictionary check can
+// catch it: a layout written before parts shared the world's ids (every
+// part over dictionaries of its own, interned in row order), a non-tail
+// part whose source dictionary has two names swapped, and a tail whose
+// theme dictionary does.
+func TestOldLayoutsRefused(t *testing.T) {
+	sdb, _ := tinyShardedWorld(t)
+	rowOrder := func(p *store.DB) (srcs, themes *store.Dictionary) {
+		srcs, themes = store.NewDictionary(), store.NewDictionary()
+		for _, s := range p.Mentions.Source {
+			srcs.Intern(p.Sources.Name(s))
+		}
+		for _, s := range p.GKG.Table.Source {
+			srcs.Intern(p.Sources.Name(s))
+		}
+		for _, id := range p.GKG.Table.ThemeIDs {
+			themes.Intern(p.GKG.Themes.Name(id))
+		}
+		return srcs, themes
+	}
+	swapped := func(t *testing.T, d *store.Dictionary) *store.Dictionary {
+		names := slices.Clone(d.Names())
+		names[0], names[1] = names[1], names[0]
+		out, err := store.FromNames(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ti := sdb.K() - 1
+	for _, tc := range []struct {
+		name  string
+		parts []int // the parts rewritten
+		named int   // the part the error must name
+		dicts func(t *testing.T, p *store.DB) (srcs, themes *store.Dictionary)
+	}{
+		{"local-dictionaries", []int{0, 1, ti}, ti, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+			return rowOrder(p)
+		}},
+		{"permuted-sources", []int{1}, 1, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+			return swapped(t, p.Sources), p.GKG.Themes
+		}},
+		{"permuted-tail-themes", []int{ti}, ti, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+			return p.Sources, swapped(t, p.GKG.Themes)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := CreateLog(dir, sdb); err != nil {
+				t.Fatal(err)
+			}
+			mpath := filepath.Join(dir, LogManifestName)
+			raw, err := os.ReadFile(mpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := DecodeManifest(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range tc.parts {
+				p := sdb.Part(i)
+				srcs, themes := tc.dicts(t, p)
+				var buf bytes.Buffer
+				if err := binfmt.Write(&buf, recoded(t, p, srcs, themes)); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, m.Entries[i].File), buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				m.Entries[i].Digest = digestOf(buf.Bytes())
+			}
+			var mbuf bytes.Buffer
+			if err := EncodeManifest(&mbuf, m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(mpath, mbuf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = OpenLog(dir)
+			if err == nil {
+				t.Fatal("a part off the world's id space loaded")
+			}
+			if file := m.Entries[tc.named].File; !strings.Contains(err.Error(), file) {
+				t.Errorf("error %q does not name part %s", err, file)
+			}
+			if !strings.Contains(err.Error(), "re-run gdeltconvert -shards") {
+				t.Errorf("error %q does not say to re-run gdeltconvert -shards", err)
+			}
+		})
+	}
+}

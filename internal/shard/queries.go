@@ -20,7 +20,8 @@ import (
 // internal/queries operation for operation: mention scans fan out through
 // per-shard engines over the same typed kernels (so the per-shard window
 // clipping, predicate selection and merge trees are shared code), and the
-// partial results reduce through the local→global remaps. Integer
+// partial results reduce by global id: a part's source and theme ids are
+// the world's, and its event rows map through l2gEv. Integer
 // aggregates are exact sums, so they match the monolith bit for bit;
 // float derivations (Jaccard, fractions, fits) go through the same
 // exported finishers in queries, so they see identical integer inputs and
@@ -80,7 +81,7 @@ func (v *View) groupCountEvents(numGroups int, count func(acc []int64, t *store.
 func (v *View) Dataset() queries.DatasetStats {
 	s := v.s
 	out := queries.DatasetStats{
-		Sources:          s.sources.Len(),
+		Sources:          s.Sources().Len(),
 		Events:           int64(s.events.Len()),
 		CaptureIntervals: int64(s.meta.Intervals),
 	}
@@ -168,11 +169,10 @@ func (v *View) EventsPerQuarter() queries.QuarterlySeries {
 
 // ActiveSourcesPerQuarter computes Figure 3. A source's quarters of
 // activity are the union over shards, so each shard fills its own
-// source×quarter seen table (within one shard local sources map to
-// distinct global rows, so the shard's inner loop is race-free even when
-// parallel), the tables union through a merge tree — boolean OR is
-// idempotent and commutative, so the fold shape is immaterial — and the
-// per-quarter distinct counts come off the union. A shard visits one
+// source×quarter seen table (its workers own disjoint source rows, so the
+// inner loop is race-free even when parallel), the tables union through a
+// merge tree — boolean OR is idempotent and commutative, so the fold shape
+// is immaterial — and the per-quarter distinct counts come off the union. A shard visits one
 // posting per (source, quarter): rows are interval-sorted and the quarter
 // of an interval is monotone, so a source's row-ascending postings group by
 // quarter, and after marking quarter q the walk bisects to the first
@@ -180,16 +180,15 @@ func (v *View) EventsPerQuarter() queries.QuarterlySeries {
 func (v *View) ActiveSourcesPerQuarter() queries.QuarterlySeries {
 	s := v.s
 	nq := s.NumQuarters()
-	ns := s.sources.Len()
+	ns := s.Sources().Len()
 	partials := make([][]bool, s.K())
 	v.forEachShard(func(w *parallel.Worker, i int, _ *engine.Engine) {
 		p := s.parts[i]
-		remap := s.l2gSrc[i]
 		seen := make([]bool, ns*nq)
 		parallel.ForOpt(p.Sources.Len(), v.optW(w), func(lo, hi int) {
-			for ls := lo; ls < hi; ls++ {
-				rows := p.SourceMentions(int32(ls))
-				base := int(remap[ls]) * nq
+			for src := lo; src < hi; src++ {
+				rows := p.SourceMentions(int32(src))
+				base := src * nq
 				for len(rows) > 0 {
 					q := p.QuarterOfInterval(p.Mentions.Interval[rows[0]])
 					seen[base+q] = true
@@ -404,22 +403,15 @@ func foldCountryMask(pair *matrix.Int64, counts []int64, mask uint64) {
 	}
 }
 
-// slotTables returns each shard's local source id → selection index table.
-func (v *View) slotTables(sources []int32) [][]int32 {
-	s := v.s
-	slotG := make([]int32, s.sources.Len())
-	for i := range slotG {
-		slotG[i] = -1
+// slotTable returns the source id → selection index table, -1 for a source
+// not selected; it serves every part, whose source ids are the world's.
+func (v *View) slotTable(sources []int32) []int32 {
+	slots := make([]int32, v.s.Sources().Len())
+	for i := range slots {
+		slots[i] = -1
 	}
 	for i, src := range sources {
-		slotG[src] = int32(i) // duplicates resolve to the last occurrence
-	}
-	slots := make([][]int32, len(s.parts))
-	for i, p := range s.parts {
-		slots[i] = make([]int32, p.Sources.Len())
-		for ls := range slots[i] {
-			slots[i][ls] = slotG[s.l2gSrc[i][ls]]
-		}
+		slots[src] = int32(i) // duplicates resolve to the last occurrence
 	}
 	return slots
 }
@@ -444,22 +436,24 @@ func (s *DB) liftEvents(i int, b *bitmap.Bitmap) *bitmap.Bitmap {
 // source reports (evs) and — when asked — those it reports more than once
 // (reps): the union over shards of its lifted event bitmaps, and the union
 // of its lifted repeat-event bitmaps with the events two shards both hold
-// for it. Indices shadowed by a later duplicate stay nil.
-func (v *View) selectedEventBitmaps(slots [][]int32, n int, repeats bool) (evs, reps []*bitmap.Bitmap) {
+// for it. Indices shadowed by a later duplicate (slots names the last
+// occurrence) stay nil.
+func (v *View) selectedEventBitmaps(sources, slots []int32, repeats bool) (evs, reps []*bitmap.Bitmap) {
 	s := v.s
+	n := len(sources)
 	evP := make([][]*bitmap.Bitmap, s.K()) // [shard][selection index]
 	repP := make([][]*bitmap.Bitmap, s.K())
 	v.forEachShard(func(_ *parallel.Worker, i int, _ *engine.Engine) {
 		p := s.parts[i]
 		ev := make([]*bitmap.Bitmap, n)
 		rep := make([]*bitmap.Bitmap, n)
-		for ls, sl := range slots[i] {
-			if sl < 0 {
+		for sl, src := range sources {
+			if slots[src] != int32(sl) {
 				continue
 			}
-			ev[sl] = s.liftEvents(i, p.SourceEventBitmap(int32(ls)))
+			ev[sl] = s.liftEvents(i, p.SourceEventBitmap(src))
 			if repeats {
-				rep[sl] = s.liftEvents(i, p.SourceRepeatEventBitmap(int32(ls)))
+				rep[sl] = s.liftEvents(i, p.SourceRepeatEventBitmap(src))
 			}
 		}
 		evP[i], repP[i] = ev, rep
@@ -490,23 +484,23 @@ func (v *View) selectedEventBitmaps(slots [][]int32, n int, repeats bool) (evs, 
 // contribute to follow-reporting among the selection — the monolith's
 // rule: an event matters only when it holds at least two selected mention
 // rows, i.e. two selected sources co-occur on it or one reports it twice.
-func (v *View) contributingEvents(slots [][]int32, n int) []int32 {
-	evs, reps := v.selectedEventBitmaps(slots, n, true)
+func (v *View) contributingEvents(sources, slots []int32) []int32 {
+	evs, reps := v.selectedEventBitmaps(sources, slots, true)
 	u := bitmap.UnionAll(append(reps, bitmap.AtLeastTwo(evs)))
 	return u.AppendRows(make([]int32, 0, u.Cardinality()))
 }
 
-// shardEventRows calls f with the local sources and intervals of each
+// shardEventRows calls f with the sources and intervals of each
 // shard's mention rows for global event ev, read from the event-major
 // payload, in shard (= time) order. Within a shard rows ascend by interval
 // and shards tile time in order, so the concatenation replays the
 // monolith's event-mention ordering.
-func (s *DB) shardEventRows(ev int32, f func(i int, srcs, ivs []int32)) {
+func (s *DB) shardEventRows(ev int32, f func(srcs, ivs []int32)) {
 	seq := s.events.seq(ev)
 	for i, p := range s.parts {
 		if lr := s.localEvent(i, seq, ev); lr >= 0 {
 			if srcs := p.EventMentionSources(lr); len(srcs) > 0 {
-				f(i, srcs, p.EventMentionIntervals(lr))
+				f(srcs, p.EventMentionIntervals(lr))
 			}
 		}
 	}
@@ -520,7 +514,7 @@ func (s *DB) shardEventRows(ev int32, f func(i int, srcs, ivs []int32)) {
 // slot resolution.
 func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 	n := len(sources)
-	evs, _ := v.selectedEventBitmaps(v.slotTables(sources), n, false)
+	evs, _ := v.selectedEventBitmaps(sources, v.slotTable(sources), false)
 	counts := make([]int64, n)
 	for i, b := range evs {
 		if b != nil {
@@ -544,8 +538,8 @@ func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 	s := v.s
 	n := len(sources)
-	slots := v.slotTables(sources)
-	evs := v.contributingEvents(slots, n)
+	slots := v.slotTable(sources)
+	evs := v.contributingEvents(sources, slots)
 	nm := parallel.MapReduce(len(evs), v.opt(),
 		func() *matrix.Int64 { return matrix.NewInt64(n, n) },
 		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
@@ -555,9 +549,9 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 			}
 			touched := make([]int32, 0, 16)
 			for _, ev := range evs[lo:hi] {
-				s.shardEventRows(ev, func(i int, srcs, ivs []int32) {
+				s.shardEventRows(ev, func(srcs, ivs []int32) {
 					for x, src := range srcs {
-						j := slots[i][src]
+						j := slots[src]
 						if j < 0 {
 							continue
 						}
@@ -600,20 +594,17 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 func (v *View) sourceNames(sources []int32) []string {
 	names := make([]string, 0, len(sources))
 	for _, src := range sources {
-		names = append(names, v.s.sources.Name(src))
+		names = append(names, v.s.Sources().Name(src))
 	}
 	return names
 }
 
-// sourceArticles sums a global source's postings lengths over the shards
-// holding it (full archive, window-insensitive like the monolith).
+// sourceArticles sums a source's postings lengths over the shards (full
+// archive, window-insensitive like the monolith).
 func (v *View) sourceArticles(src int32) int64 {
 	var total int64
-	name := v.s.sources.Name(src)
 	for _, p := range v.s.parts {
-		if ls := p.Sources.Lookup(name); ls >= 0 {
-			total += int64(len(p.SourceMentions(ls)))
-		}
+		total += int64(len(p.SourceMentions(src)))
 	}
 	return total
 }
@@ -628,16 +619,11 @@ func (v *View) PublisherDelays(sources []int32) []queries.SourceDelayStats {
 		var buf, counts []int64
 		for i := lo; i < hi; i++ {
 			src := sources[i]
-			name := s.sources.Name(src)
-			st := queries.SourceDelayStats{Source: src, Name: name}
+			st := queries.SourceDelayStats{Source: src, Name: s.Sources().Name(src)}
 			buf = slices.Grow(buf[:0], int(v.sourceArticles(src)))
 			var agg stats.IntSummary
 			for _, p := range s.parts {
-				ls := p.Sources.Lookup(name)
-				if ls < 0 {
-					continue
-				}
-				for _, r := range p.SourceMentions(ls) {
+				for _, r := range p.SourceMentions(src) {
 					d := int64(p.Mentions.Delay[r])
 					agg.Add(d)
 					buf = append(buf, d)
@@ -705,9 +691,9 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 }
 
 // FastSpreadingEvents ranks global events by distinct early reporters.
-// Early sources are keyed by global id and counted through a stamp array:
-// stamp[g] == ev+1 once source g has reported event ev, so a source counts
-// the first time it is stamped and no set is cleared between events. The
+// Early sources are counted through a stamp array: stamp[g] == ev+1 once
+// source g has reported event ev, so a source counts the first time it is
+// stamped and no set is cleared between events. The
 // shard walk reads the event-major payload and stops at the first shard
 // starting at or past the cutoff (later shards hold only later mentions).
 // Each grain and each merge keeps a bounded top-k (topFires); once a grain
@@ -724,7 +710,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 	candidates := parallel.MapReduce(s.events.Len(), v.opt(),
 		func() []queries.Wildfire { return nil },
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
-			stamp := make([]int32, s.sources.Len())
+			stamp := make([]int32, s.Sources().Len())
 			floor := minSources
 			for ev := lo; ev < hi; ev++ {
 				// The event's article count is global metadata every part
@@ -770,8 +756,8 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 // earlySources counts global event ev's early articles — those captured
 // within window intervals of the event — and their distinct sources, the
 // two numbers wildfires ranks by. A source counts once it is stamped with
-// tag in stamp (indexed by global source id), so the caller hands every
-// event its own tag and never clears stamp. The walk stops at the first
+// tag in stamp (indexed by source id), so the caller hands every event its
+// own tag and never clears stamp. The walk stops at the first
 // shard starting past the window: later shards hold only later mentions.
 func (s *DB) earlySources(ev, window int32, stamp []int32, tag int32) (distinct, early int) {
 	seq := s.events.seq(ev)
@@ -784,15 +770,14 @@ func (s *DB) earlySources(ev, window int32, stamp []int32, tag int32) (distinct,
 		if lr < 0 {
 			continue
 		}
-		remap := s.l2gSrc[i]
 		srcs := p.EventMentionSources(lr)
 		for x, iv := range p.EventMentionIntervals(lr) {
 			if iv >= cutoff {
 				break // postings are interval-sorted
 			}
 			early++
-			if g := remap[srcs[x]]; stamp[g] != tag {
-				stamp[g] = tag
+			if src := srcs[x]; stamp[src] != tag {
+				stamp[src] = tag
 				distinct++
 			}
 		}
@@ -806,7 +791,7 @@ func (s *DB) earlySources(ev, window int32, stamp []int32, tag int32) (distinct,
 // world does not hold.
 func (s *DB) EarlySources(ids []int64, window int32) []int {
 	window = max(window, 1)
-	stamp := make([]int32, s.sources.Len())
+	stamp := make([]int32, s.Sources().Len())
 	out := make([]int, len(ids))
 	for i, id := range ids {
 		if ev := s.events.row(id); ev >= 0 {

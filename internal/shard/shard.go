@@ -1,11 +1,11 @@
 // Package shard implements the time-partitioned shard layer: a DB that
-// holds K time-range shards, each an independent store.DB with its own
-// dictionaries, plus the global dictionaries and the local→global remaps
+// holds K time-range shards, each an independent store.DB over the world's
+// dictionary ids, plus the global event table and the event-row remaps
 // built at assembly time. Query execution (view.go, queries.go) fans out
 // per shard over the existing typed kernels and reduces the partial
-// results through the remaps into one global answer that is bit-exact
-// (1e-9 for floats) against the monolithic execution — the invariant the
-// differential battery in internal/baseline pins.
+// results into one global answer that is bit-exact (1e-9 for floats)
+// against the monolithic execution — the invariant the differential
+// battery in internal/baseline pins.
 //
 // Layout invariants (enforced by New, never assumed):
 //
@@ -20,8 +20,10 @@
 //     homed in its range), with per-event metadata (NumArticles,
 //     FirstMention, ...) copied verbatim from the monolith, so the K-way
 //     merge of shard event tables reproduces the global table exactly.
-//   - Dictionaries are local; the global source (and theme) dictionary plus
-//     the name-derived local→global remaps are what assembly adds.
+//   - One id space: every part's source and theme dictionaries are
+//     prefixes of the tail's, which are the world's — a name has the same
+//     id in every part that holds it. A part's columns are therefore read
+//     with global ids and nothing is remapped by name.
 package shard
 
 import (
@@ -35,40 +37,31 @@ import (
 )
 
 // DB is a time-partitioned sharded store: K independent store.DB shards
-// plus the assembly-time global dictionaries and remaps. Immutable after
-// New: the append log derives each next world as a new DB (appendTail,
+// over one id space plus the assembly-time global event table and event
+// remaps. The tail's dictionaries are the world's. Immutable after New:
+// the append log derives each next world as a new DB (appendTail,
 // replaceTail) that shares what did not change.
 type DB struct {
 	meta   store.Meta
-	bounds []int32     // K+1 interval boundaries tiling [0, Intervals]
-	parts  []*store.DB // time-ordered shards
+	bounds []int32      // K+1 interval boundaries tiling [0, Intervals]
+	parts  []*store.DB  // time-ordered shards
+	events globalEvents // K-way ID-merged global event table
+	report *gdelt.ValidationReport
 
-	sources *store.Dictionary // global source dictionary (monolith id order)
-	events  globalEvents      // K-way ID-merged global event table
-	report  *gdelt.ValidationReport
-
-	l2gSrc [][]int32 // per shard: local source id -> global source id
-	l2gEv  [][]int32 // per shard: local event row -> global event row, ascending
+	l2gEv [][]int32 // per shard: local event row -> global event row, ascending
 	// per shard: event seq -> local event row, -1 absent; nil for a tail
 	// the log appended to. Read it through localEvent.
 	s2lEv [][]int32
-
-	hasGKG   bool
-	themes   *store.Dictionary // global theme dictionary, nil without GKG
-	l2gTheme [][]int32         // per shard: local theme id -> global theme id
 }
 
 // New assembles a sharded DB from time-ordered parts. bounds must tile
-// [0, Intervals]; sources (and themes, when the parts carry GKG) are the
-// global dictionaries every local dictionary remaps into by name. All
+// [0, Intervals]; every part's source (and theme, when the parts carry GKG)
+// dictionary must be a prefix of the tail's, which becomes the world's. All
 // inputs are validated — corrupt manifests and disagreeing shards error,
 // they never panic.
-func New(parts []*store.DB, bounds []int32, sources, themes *store.Dictionary, report *gdelt.ValidationReport) (*DB, error) {
+func New(parts []*store.DB, bounds []int32, report *gdelt.ValidationReport) (*DB, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("shard: no shards")
-	}
-	if sources == nil {
-		return nil, fmt.Errorf("shard: nil global source dictionary")
 	}
 	for i, p := range parts {
 		if p == nil {
@@ -89,11 +82,10 @@ func New(parts []*store.DB, bounds []int32, sources, themes *store.Dictionary, r
 		}
 	}
 	s := &DB{
-		meta:    meta,
-		bounds:  append([]int32(nil), bounds...),
-		parts:   append([]*store.DB(nil), parts...),
-		sources: sources,
-		report:  report,
+		meta:   meta,
+		bounds: append([]int32(nil), bounds...),
+		parts:  append([]*store.DB(nil), parts...),
+		report: report,
 	}
 	if s.report == nil {
 		s.report = parts[0].Report
@@ -110,45 +102,50 @@ func New(parts []*store.DB, bounds []int32, sources, themes *store.Dictionary, r
 				return nil, fmt.Errorf("shard: shard %d mention interval %d past bound %d", i, iv, bounds[i+1])
 			}
 		}
-	}
-	if err := s.buildSourceRemaps(); err != nil {
-		return nil, err
+		if err := sameIDSpace(p, s.Tail()); err != nil {
+			return nil, fmt.Errorf("shard: shard %d %w", i, err)
+		}
 	}
 	if err := s.mergeEvents(); err != nil {
-		return nil, err
-	}
-	if err := s.buildThemeRemaps(themes); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// buildSourceRemaps derives each shard's local→global source remap by name.
-func (s *DB) buildSourceRemaps() error {
-	s.l2gSrc = make([][]int32, len(s.parts))
-	for i, p := range s.parts {
-		remap, err := nameRemap(p.Sources, s.sources)
-		if err != nil {
-			return fmt.Errorf("shard: shard %d source %w", i, err)
+// sameIDSpace reports whether part p reads its source and theme ids in the
+// id space of tail: each of its dictionaries must be a prefix of tail's,
+// and it carries GKG data exactly when tail does.
+func sameIDSpace(p, tail *store.DB) error {
+	if err := isPrefix(p.Sources, tail.Sources); err != nil {
+		return fmt.Errorf("source dictionary %w", err)
+	}
+	if (p.GKG == nil) != (tail.GKG == nil) {
+		return fmt.Errorf("disagrees with the tail on carrying GKG data")
+	}
+	if p.GKG != nil {
+		if err := isPrefix(p.GKG.Themes, tail.GKG.Themes); err != nil {
+			return fmt.Errorf("theme dictionary %w", err)
 		}
-		s.l2gSrc[i] = remap
 	}
 	return nil
 }
 
-// nameRemap maps every local dictionary id to the global id of the same
-// name. A local name missing from the global dictionary is a corrupt
-// manifest.
-func nameRemap(local, global *store.Dictionary) ([]int32, error) {
-	remap := make([]int32, local.Len())
-	for l := range remap {
-		g := global.Lookup(local.Name(int32(l)))
-		if g < 0 {
-			return nil, fmt.Errorf("%q missing from global dictionary", local.Name(int32(l)))
-		}
-		remap[l] = g
+// isPrefix returns nil when every id of local names what the same id of
+// world names, and otherwise an error naming the first id that differs.
+func isPrefix(local, world *store.Dictionary) error {
+	if local == world {
+		return nil
 	}
-	return remap, nil
+	w := world.Names()
+	if local.Len() > len(w) {
+		return fmt.Errorf("holds %d names, the world's %d", local.Len(), len(w))
+	}
+	for id, name := range local.Names() {
+		if name != w[id] {
+			return fmt.Errorf("names id %d %q, the world's dictionary %q", id, name, w[id])
+		}
+	}
+	return nil
 }
 
 // mergeEvents K-way merges the shards' ID-sorted event tables into the
@@ -237,48 +234,16 @@ func (s *DB) invertRemap(i int) []int32 {
 	return inv
 }
 
-// buildThemeRemaps wires the GKG side: all shards must agree on having GKG
-// data, and when they do, a global theme dictionary is required and every
-// local theme must resolve in it.
-func (s *DB) buildThemeRemaps(themes *store.Dictionary) error {
-	withGKG := 0
-	for _, p := range s.parts {
-		if p.GKG != nil {
-			withGKG++
-		}
-	}
-	if withGKG == 0 {
-		return nil
-	}
-	if withGKG != len(s.parts) {
-		return fmt.Errorf("shard: %d of %d shards carry GKG data", withGKG, len(s.parts))
-	}
-	if themes == nil {
-		return fmt.Errorf("shard: shards carry GKG data but no global theme dictionary given")
-	}
-	s.hasGKG = true
-	s.themes = themes
-	s.l2gTheme = make([][]int32, len(s.parts))
-	for i, p := range s.parts {
-		remap, err := nameRemap(p.GKG.Themes, themes)
-		if err != nil {
-			return fmt.Errorf("shard: shard %d theme %w", i, err)
-		}
-		s.l2gTheme[i] = remap
-	}
-	return nil
-}
-
 // replaceTail returns the world in which the tail part gives way to the
 // two parts a seal sliced out of it at interval cut; s is not written.
-// Slicing neither adds events nor changes their metadata, so the global
-// event table keeps its rows, and the global dictionaries and every other
-// part's remaps are shared with s; only the two new parts' remaps are
-// built. The seal is also where the global table's settled rows join its
-// frozen run (globalEvents.freeze), and the sealed part gets its flat
-// s2lEv: O(tail) work plus two O(global events) allocations per seal. The
-// fresh tail gets no flat inverse, like any tail an append produced (see
-// localEvent).
+// Both parts keep the tail's dictionaries, so the world's id space is
+// unchanged. Slicing neither adds events nor changes their metadata, so
+// the global event table keeps its rows, and every other part's remaps
+// are shared with s; only the two new parts' event remaps are built. The
+// seal is also where the global table's settled rows join its frozen run
+// (globalEvents.freeze), and the sealed part gets its flat s2lEv: O(tail)
+// work plus two O(global events) allocations per seal. The fresh tail gets
+// no flat inverse, like any tail an append produced (see localEvent).
 //
 // The one way slicing can change the global table is by dropping an event:
 // a tail event with no mention in the tail and an event interval below the
@@ -291,23 +256,10 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 	next := &c
 	next.parts = append(s.parts[:ti:ti], sealed, fresh)
 	next.bounds = append(s.bounds[:ti+1:ti+1], cut, s.meta.Intervals)
-	next.l2gSrc = append(s.l2gSrc[:ti:ti], nil, nil)
 	next.l2gEv = append(s.l2gEv[:ti:ti], nil, nil)
 	next.s2lEv = append(s.s2lEv[:ti:ti], nil, nil)
-	if s.hasGKG {
-		next.l2gTheme = append(s.l2gTheme[:ti:ti], nil, nil)
-	}
 	for i := ti; i < len(next.parts); i++ {
 		p := next.parts[i]
-		var err error
-		if next.l2gSrc[i], err = nameRemap(p.Sources, s.sources); err != nil {
-			return nil, fmt.Errorf("shard: shard %d source %w", i, err)
-		}
-		if s.hasGKG {
-			if next.l2gTheme[i], err = nameRemap(p.GKG.Themes, s.themes); err != nil {
-				return nil, fmt.Errorf("shard: shard %d theme %w", i, err)
-			}
-		}
 		remap := make([]int32, p.Events.Len())
 		for r, id := range p.Events.ID {
 			if remap[r] = s.events.row(id); remap[r] < 0 {
@@ -322,7 +274,7 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 			held = next.localEvent(i, seq, g) >= 0
 		}
 		if !held {
-			return New(next.parts, next.bounds, s.sources, s.themes, s.report)
+			return New(next.parts, next.bounds, s.report)
 		}
 	}
 	next.events = s.events.freeze()
@@ -349,17 +301,25 @@ func (s *DB) Meta() store.Meta { return s.meta }
 // Report returns the shared conversion defect report.
 func (s *DB) Report() *gdelt.ValidationReport { return s.report }
 
-// Sources returns the global source dictionary (monolith id order).
-func (s *DB) Sources() *store.Dictionary { return s.sources }
+// Sources returns the world's source dictionary: the tail's, of which every
+// part's is a prefix (monolith id order for a split monolith).
+func (s *DB) Sources() *store.Dictionary { return s.Tail().Sources }
 
 // EventCount returns the number of global events.
 func (s *DB) EventCount() int { return s.events.Len() }
 
-// HasGKG reports whether the shards carry Global Knowledge Graph data.
-func (s *DB) HasGKG() bool { return s.hasGKG }
+// HasGKG reports whether the shards carry Global Knowledge Graph data (New
+// checks that all of them do or none).
+func (s *DB) HasGKG() bool { return s.Tail().GKG != nil }
 
-// Themes returns the global theme dictionary, or nil without GKG.
-func (s *DB) Themes() *store.Dictionary { return s.themes }
+// Themes returns the world's theme dictionary, the tail's, or nil without
+// GKG.
+func (s *DB) Themes() *store.Dictionary {
+	if g := s.Tail().GKG; g != nil {
+		return g.Themes
+	}
+	return nil
+}
 
 // NumQuarters returns the number of calendar quarters covered. All shards
 // share the global Meta, so quarter geometry is identical everywhere.

@@ -8,20 +8,16 @@ import (
 )
 
 // Single wraps a loaded monolithic store as a K=1 world: db itself is the
-// one part (no Split copy of its mention, GKG or index columns) and its own
-// dictionaries are the global ones, so the remaps are identities. It is how
-// a server or test runs a monolith through the sharded execution path.
+// one part (no Split copy of its mention, GKG or index columns) and, being
+// the tail, its dictionaries are the world's. It is how a server or test
+// runs a monolith through the sharded execution path.
 func Single(db *store.DB) (*DB, error) {
-	var themes *store.Dictionary
-	if db.GKG != nil {
-		themes = db.GKG.Themes
-	}
-	return New([]*store.DB{db}, []int32{0, db.Meta.Intervals}, db.Sources, themes, db.Report)
+	return New([]*store.DB{db}, []int32{0, db.Meta.Intervals}, db.Report)
 }
 
 // Split re-slices a loaded monolithic store into k equal time-range shards
-// (k is clamped to the interval count). The global dictionaries are the
-// monolith's own, so global ids — and therefore every id-order tie-break in
+// (k is clamped to the interval count). Every part shares the monolith's
+// dictionaries, so global ids — and therefore every id-order tie-break in
 // top-k selections — are identical to the monolithic execution.
 func Split(db *store.DB, k int) (*DB, error) {
 	if k < 1 {
@@ -53,20 +49,17 @@ func SplitAt(db *store.DB, bounds []int32) (*DB, error) {
 		}
 		parts[i] = p
 	}
-	var themes *store.Dictionary
-	if db.GKG != nil {
-		themes = db.GKG.Themes
-	}
-	return New(parts, bounds, db.Sources, themes, db.Report)
+	return New(parts, bounds, db.Report)
 }
 
 // slice builds one shard: the monolith's mentions captured in [lo, hi)
 // plus the events they reference and the events homed in the range (so the
 // union of shard event tables covers every event, including zero-mention
-// ones), all re-encoded against shard-local dictionaries. Per-event
-// metadata is copied verbatim — it stays global on purpose, so queries
-// reading it (event sizes, qlang's articles field, wildfire thresholds)
-// agree with the monolith without cross-shard recounting.
+// ones), and the GKG rows captured in the range. The shard shares db's
+// dictionaries, so every id column but the event rows is copied as it is.
+// Per-event metadata is copied verbatim — it stays global on purpose, so
+// queries reading it (event sizes, qlang's articles field, wildfire
+// thresholds) agree with the monolith without cross-shard recounting.
 func slice(db *store.DB, lo, hi int32) (*store.DB, error) {
 	rLo, rHi := db.MentionRowRange(lo, hi)
 
@@ -106,76 +99,69 @@ func slice(db *store.DB, lo, hi int32) (*store.DB, error) {
 		}
 	}
 
-	// Intern every source the shard will reference — mention rows and GKG
-	// rows — before assembly, because AssembleDB sizes the postings and the
-	// source-country column by the dictionary length.
-	ldict := store.NewDictionary()
-	for r := rLo; r < rHi; r++ {
-		ldict.Intern(db.Sources.Name(db.Mentions.Source[r]))
+	m := &db.Mentions
+	mn := store.MentionTable{
+		EventRow:   make([]int32, rHi-rLo),
+		Source:     rows(m.Source, rLo, rHi),
+		Interval:   rows(m.Interval, rLo, rHi),
+		Delay:      rows(m.Delay, rLo, rHi),
+		DocLen:     rows(m.DocLen, rLo, rHi),
+		Tone:       rows(m.Tone, rLo, rHi),
+		Confidence: rows(m.Confidence, rLo, rHi),
 	}
-	gLo, gHi := 0, 0
-	if db.GKG != nil {
-		t := &db.GKG.Table
-		n := t.Len()
-		gLo = sort.Search(n, func(i int) bool { return t.Interval[i] >= lo })
-		gHi = sort.Search(n, func(i int) bool { return t.Interval[i] >= hi })
-		for r := gLo; r < gHi; r++ {
-			ldict.Intern(db.Sources.Name(t.Source[r]))
-		}
+	for i, e := range m.EventRow[rLo:rHi] {
+		mn.EventRow[i] = g2l[e]
 	}
 
-	mn := store.MakeMentionTable(int(rHi - rLo))
-	for r := rLo; r < rHi; r++ {
-		mn.EventRow = append(mn.EventRow, g2l[db.Mentions.EventRow[r]])
-		mn.Source = append(mn.Source, ldict.Intern(db.Sources.Name(db.Mentions.Source[r])))
-		mn.Interval = append(mn.Interval, db.Mentions.Interval[r])
-		mn.Delay = append(mn.Delay, db.Mentions.Delay[r])
-		mn.DocLen = append(mn.DocLen, db.Mentions.DocLen[r])
-		mn.Tone = append(mn.Tone, db.Mentions.Tone[r])
-		mn.Confidence = append(mn.Confidence, db.Mentions.Confidence[r])
-	}
-
-	p, err := store.AssembleDB(db.Meta, ldict, ev, mn, db.Report)
+	p, err := store.AssembleDB(db.Meta, db.Sources, ev, mn, db.Report)
 	if err != nil {
 		return nil, err
 	}
 	if db.GKG != nil {
-		if err := sliceGKG(db, p, ldict, gLo, gHi); err != nil {
+		if err := sliceGKG(db.GKG, p, lo, hi); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// sliceGKG carves the (interval-sorted, hence contiguous) GKG row range
-// [gLo, gHi) into shard-local tables with local theme/person/org
-// dictionaries interned in row order.
-func sliceGKG(db *store.DB, p *store.DB, ldict *store.Dictionary, gLo, gHi int) error {
-	src := &db.GKG.Table
-	themes := store.NewDictionary()
-	persons := store.NewDictionary()
-	orgs := store.NewDictionary()
-	var t store.GKGTable
-	t.ThemePtr = append(t.ThemePtr, 0)
-	t.PersonPtr = append(t.PersonPtr, 0)
-	t.OrgPtr = append(t.OrgPtr, 0)
-	for r := gLo; r < gHi; r++ {
-		t.Source = append(t.Source, ldict.Intern(db.Sources.Name(src.Source[r])))
-		t.Interval = append(t.Interval, src.Interval[r])
-		t.Tone = append(t.Tone, src.Tone[r])
-		t.Translated = append(t.Translated, src.Translated[r])
-		for _, id := range src.RowThemes(r) {
-			t.ThemeIDs = append(t.ThemeIDs, themes.Intern(db.GKG.Themes.Name(id)))
-		}
-		t.ThemePtr = append(t.ThemePtr, int64(len(t.ThemeIDs)))
-		for _, id := range src.RowPersons(r) {
-			t.PersonIDs = append(t.PersonIDs, persons.Intern(db.GKG.Persons.Name(id)))
-		}
-		t.PersonPtr = append(t.PersonPtr, int64(len(t.PersonIDs)))
-		for _, id := range src.RowOrgs(r) {
-			t.OrgIDs = append(t.OrgIDs, orgs.Intern(db.GKG.Orgs.Name(id)))
-		}
-		t.OrgPtr = append(t.OrgPtr, int64(len(t.OrgIDs)))
+// sliceGKG carves the (interval-sorted, hence contiguous) GKG rows captured
+// in [lo, hi) into p's table over g's dictionaries.
+func sliceGKG(g *store.GKGStore, p *store.DB, lo, hi int32) error {
+	src := &g.Table
+	n := src.Len()
+	gLo := sort.Search(n, func(i int) bool { return src.Interval[i] >= lo })
+	gHi := sort.Search(n, func(i int) bool { return src.Interval[i] >= hi })
+	themePtr, themeIDs := csrRows(src.ThemePtr, src.ThemeIDs, gLo, gHi)
+	personPtr, personIDs := csrRows(src.PersonPtr, src.PersonIDs, gLo, gHi)
+	orgPtr, orgIDs := csrRows(src.OrgPtr, src.OrgIDs, gLo, gHi)
+	t := store.GKGTable{
+		Source:     rows(src.Source, gLo, gHi),
+		Interval:   rows(src.Interval, gLo, gHi),
+		Tone:       rows(src.Tone, gLo, gHi),
+		Translated: rows(src.Translated, gLo, gHi),
+		ThemePtr:   themePtr,
+		ThemeIDs:   themeIDs,
+		PersonPtr:  personPtr,
+		PersonIDs:  personIDs,
+		OrgPtr:     orgPtr,
+		OrgIDs:     orgIDs,
 	}
-	return store.AssembleGKG(p, t, themes, persons, orgs)
+	return store.AssembleGKG(p, t, g.Themes, g.Persons, g.Orgs)
+}
+
+// rows returns a copy of s[lo:hi] with no spare capacity.
+func rows[T any, I int | int64](s []T, lo, hi I) []T {
+	return append(make([]T, 0, hi-lo), s[lo:hi]...)
+}
+
+// csrRows returns rows [lo, hi) of a CSR list column: the row pointers
+// rebased to start at 0, and the ids they cover.
+func csrRows(ptr []int64, ids []int32, lo, hi int) ([]int64, []int32) {
+	base := ptr[lo]
+	out := make([]int64, hi-lo+1)
+	for i, q := range ptr[lo : hi+1] {
+		out[i] = q - base
+	}
+	return out, rows(ids, base, ptr[hi])
 }

@@ -10,8 +10,11 @@ import (
 // least twice. They answer CoReport by intersection cardinalities and
 // FollowReport's "which events can contribute at all". Both are canonical
 // (FromSorted), so equal row sets have equal encodings whether a key was
-// rebuilt or carried over from the previous tail. A source's mention rows
-// need no bitmap: they are its by-source postings.
+// rebuilt or carried over from the previous tail, and an empty one is
+// stored as nil, like an empty country key: a part holds a key for every
+// source of the world's dictionary it shares, most of them with no events
+// in the part. A source's mention rows need no bitmap: they are its
+// by-source postings.
 
 // buildSourceBitmaps derives the per-source event and repeat-event bitmaps
 // from the event payload, for the sources buildDerived's offsets make
@@ -20,50 +23,60 @@ import (
 // sits at or above movedEv.
 func (db *DB) buildSourceBitmaps(prev *DB, newRow, newSrc, movedEv int) {
 	ns := db.Sources.Len()
-	dirty := make([]bool, ns)
+	// The dirty sources, numbered densely: slot[s] is s's place in dirty
+	// plus one, 0 for a clean source. A tick's scratch is then sized by the
+	// sources it touched, not by the dictionary, which in a log's tail is
+	// the whole world's.
+	slot := make([]int32, ns)
+	var dirty []int32
+	mark := func(s int32) {
+		if slot[s] == 0 {
+			dirty = append(dirty, s)
+			slot[s] = int32(len(dirty))
+		}
+	}
 	for s := newSrc; s < ns; s++ {
-		dirty[s] = true
+		mark(int32(s))
 	}
 	for _, s := range db.Mentions.Source[newRow:] {
-		dirty[s] = true
+		mark(s)
 	}
 	for _, s := range db.byEventSrc[db.byEventPtr[movedEv]:] {
-		dirty[s] = true
+		mark(s)
 	}
 	// One walk over the payload in ascending event order: a dirty source's
 	// first sighting in an event appends the event to its list, the second
 	// to its repeat list (events it mentions at least twice), so both stay
 	// ascending and deduplicated for FromSorted. A source's postings length
 	// bounds its list.
-	evs, reps := make([][]int32, ns), make([][]int32, ns)
-	lastEv, lastRep := make([]int32, ns), make([]int32, ns)
-	for s := range ns {
-		lastEv[s], lastRep[s] = -1, -1
-		if dirty[s] {
-			evs[s] = make([]int32, 0, len(db.SourceMentions(int32(s))))
-		}
+	evs, reps := make([][]int32, len(dirty)), make([][]int32, len(dirty))
+	lastEv, lastRep := make([]int32, len(dirty)), make([]int32, len(dirty))
+	for d, s := range dirty {
+		lastEv[d], lastRep[d] = -1, -1
+		evs[d] = make([]int32, 0, len(db.SourceMentions(s)))
 	}
 	for e := range int32(db.Events.Len()) {
 		for _, s := range db.EventMentionSources(e) {
-			if !dirty[s] {
+			d := slot[s] - 1
+			if d < 0 {
 				continue
 			}
-			if lastEv[s] != e {
-				lastEv[s] = e
-				evs[s] = append(evs[s], e)
-			} else if lastRep[s] != e {
-				lastRep[s] = e
-				reps[s] = append(reps[s], e)
+			if lastEv[d] != e {
+				lastEv[d] = e
+				evs[d] = append(evs[d], e)
+			} else if lastRep[d] != e {
+				lastRep[d] = e
+				reps[d] = append(reps[d], e)
 			}
 		}
 	}
 	db.srcEvBM, db.srcRepEvBM = make([]*bitmap.Bitmap, ns), make([]*bitmap.Bitmap, ns)
-	for s := range ns {
-		if dirty[s] {
-			db.srcEvBM[s], db.srcRepEvBM[s] = bitmap.FromSorted(evs[s]), bitmap.FromSorted(reps[s])
-		} else {
-			db.srcEvBM[s], db.srcRepEvBM[s] = prev.srcEvBM[s], prev.srcRepEvBM[s]
-		}
+	if prev != nil {
+		copy(db.srcEvBM, prev.srcEvBM)
+		copy(db.srcRepEvBM, prev.srcRepEvBM)
+	}
+	for d, s := range dirty {
+		db.srcEvBM[s], db.srcRepEvBM[s] = keyBitmap(evs[d]), keyBitmap(reps[d])
 	}
 }
 
@@ -109,6 +122,15 @@ func (db *DB) countryBitmaps(prev []*bitmap.Bitmap, newRow int, country func(row
 	return out
 }
 
+// keyBitmap returns the bitmap of a source's ascending event rows, or nil
+// when it has none.
+func keyBitmap(rows []int32) *bitmap.Bitmap {
+	if len(rows) == 0 {
+		return nil
+	}
+	return bitmap.FromSorted(rows)
+}
+
 // valueBitmap returns key k's bitmap of a keyed value index: an empty
 // bitmap for an out-of-range or empty key.
 func valueBitmap(bms []*bitmap.Bitmap, k int) *bitmap.Bitmap {
@@ -128,9 +150,9 @@ func (db *DB) CountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.ctr
 // empty bitmap. Read-only.
 func (db *DB) EventCountryRowBitmap(c int) *bitmap.Bitmap { return valueBitmap(db.evCtryRowBM, c) }
 
-// SourceEventBitmap returns the bitmap of event rows source s mentions.
-// Read-only.
-func (db *DB) SourceEventBitmap(s int32) *bitmap.Bitmap { return db.srcEvBM[s] }
+// SourceEventBitmap returns the bitmap of event rows source s mentions,
+// empty for an id past the dictionary (see SourceMentions). Read-only.
+func (db *DB) SourceEventBitmap(s int32) *bitmap.Bitmap { return valueBitmap(db.srcEvBM, int(s)) }
 
 // SourceRepeatEventBitmap returns the bitmap of event rows source s mentions
 // two or more times — the events where a source can follow itself.
@@ -138,4 +160,6 @@ func (db *DB) SourceEventBitmap(s int32) *bitmap.Bitmap { return db.srcEvBM[s] }
 // contributes only when it holds at least two selected rows, i.e. when two
 // distinct selected sources co-occur or one selected source repeats.
 // Read-only.
-func (db *DB) SourceRepeatEventBitmap(s int32) *bitmap.Bitmap { return db.srcRepEvBM[s] }
+func (db *DB) SourceRepeatEventBitmap(s int32) *bitmap.Bitmap {
+	return valueBitmap(db.srcRepEvBM, int(s))
+}

@@ -24,7 +24,8 @@ import (
 //     columns as fresh allocations (mergeEventRows never writes the old
 //     ones): the per-event identity columns ID, Day, Country, SourceURL;
 //   - copied only if the chunk names a source the tail has not seen: the
-//     local source dictionary (Intern writes the map readers range over);
+//     source dictionary, which the tail shares with the world and with
+//     the parts sealed from it (Intern writes the map readers range over);
 //   - shared: the capture-interval calendar (a function of Meta) and the
 //     GKG store (appends never extend it);
 //   - rebuilt, once, after all table mutation: the by-source postings and
@@ -46,9 +47,9 @@ import (
 func (db *DB) SetVersion(v uint64) { atomic.StoreUint64(&db.version, v) }
 
 // Clone returns an independent dictionary with identical ids. The append
-// path clones the shard-global dictionary before interning new chunk
-// sources into it: Intern writes the map that readers of the published
-// snapshot may be ranging over.
+// path clones the tail's dictionary — the world's — before interning new
+// chunk sources into it: Intern writes the map that readers of the
+// published snapshot may be ranging over.
 func (d *Dictionary) Clone() *Dictionary {
 	c := &Dictionary{
 		byName: make(map[string]int32, len(d.byName)),

@@ -228,8 +228,12 @@ func (db *DB) MentionRowRange(fromIv, toIv int32) (lo, hi int64) {
 }
 
 // SourceMentions returns the mention rows of source s, ascending by
-// interval.
+// interval, and none for an id past the dictionary: in a part of a sharded
+// world, a source of the world's that the part has not seen.
 func (db *DB) SourceMentions(s int32) []int32 {
+	if int(s)+1 >= len(db.bySourcePtr) {
+		return nil
+	}
 	return db.bySourceIdx[db.bySourcePtr[s]:db.bySourcePtr[s+1]]
 }
 

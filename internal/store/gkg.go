@@ -33,9 +33,6 @@ func (t *GKGTable) RowThemes(r int) []int32 { return t.ThemeIDs[t.ThemePtr[r]:t.
 // RowPersons returns the person ids of row r.
 func (t *GKGTable) RowPersons(r int) []int32 { return t.PersonIDs[t.PersonPtr[r]:t.PersonPtr[r+1]] }
 
-// RowOrgs returns the organization ids of row r.
-func (t *GKGTable) RowOrgs(r int) []int32 { return t.OrgIDs[t.OrgPtr[r]:t.OrgPtr[r+1]] }
-
 // Validate checks the table's internal invariants against the dictionaries.
 func (t *GKGTable) Validate(sources, themes, persons, orgs *Dictionary) error {
 	n := t.Len()

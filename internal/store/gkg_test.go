@@ -50,7 +50,7 @@ func TestGKGBuilderSortsAndIndexes(t *testing.T) {
 		t.Fatalf("intervals %v", g.Table.Interval)
 	}
 	// Row 0 is the r1 record (two themes, one org, tone -5).
-	if len(g.Table.RowThemes(0)) != 2 || len(g.Table.RowOrgs(0)) != 1 || g.Table.Tone[0] != -5 {
+	if len(g.Table.RowThemes(0)) != 2 || g.Table.OrgPtr[1]-g.Table.OrgPtr[0] != 1 || g.Table.Tone[0] != -5 {
 		t.Fatalf("row 0 annotations wrong")
 	}
 	if g.Table.Translated[0] || !g.Table.Translated[1] {

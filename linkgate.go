@@ -76,8 +76,6 @@ var allowlist = map[string]string{
 	"internal/retry.Transientf":              "test seam: fault injectors mark their errors retryable",
 	"internal/router.Router.Placement":       "test seam: observes shard placement",
 	"internal/router.Router.PreferenceOrder": "test seam: observes replica preference order",
-	"internal/shard.DB.HasGKG":               "test seam: lets batteries skip GKG kinds on GKG-less worlds",
-	"internal/shard.DB.Sources":              "test seam: the global source dictionary",
 	"internal/shard.Log.Gen":                 "test seam: observes the manifest generation",
 	"internal/shard.Log.SetStepHook":         "test seam: the crash harness fails the persist protocol at a named step",
 	"internal/stream.FeedServer.TickTS":      "test seam: names a feed tick to inject a fault at",
