@@ -27,7 +27,8 @@ fmt-check:
 	test -z "$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...))"
 
 # linkgate fails on any function under internal/ that no command, example
-# or the benchmark links and its allowlist does not name (linkgate.go).
+# or the benchmark links and its allowlist does not name, and on any stored
+# field only its plumbing set selects (linkgate.go).
 linkgate:
 	$(GO) run linkgate.go
 

@@ -11,13 +11,16 @@ go vet ./...
 test -z "$(gofmt -l $(go list -f '{{.Dir}}' ./...))"
 go test ./...
 
-# Link gate: production code is what a binary links. linkgate.go builds every
-# command, example and the benchmark with inlining off and fails when a
-# function declared in a non-test file under internal/ is linked by none of
-# them and is not on its allowlist (oracles, test seams, the bitmap codec kept
-# for serialized index sections, the X2 sliced co-report, public-API bodies,
-# test packages — each entry with its reason), or when an allowlist entry has
-# gone stale.
+# Link gate: production code is what a binary links, and resident data is
+# what it reads. linkgate.go builds every command, example and the benchmark
+# with inlining off and fails when a function declared in a non-test file
+# under internal/ is linked by none of them and is not on its allowlist
+# (oracles, test seams, the bitmap codec kept for serialized index sections,
+# the X2 sliced co-report, public-API bodies, test packages — each entry with
+# its reason); when a field of store.DB, EventTable, MentionTable, GKGStore or
+# GKGTable is selected (go/types) by no linked function outside its plumbing
+# set (codec, builder, row copies, splits, invariant checks — each entry with
+# its reason); or when an allowlist or plumbing entry has gone stale.
 go run linkgate.go
 
 # Fuzz smoke: plain `go test` only replays each target's seed corpus; this

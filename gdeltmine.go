@@ -363,7 +363,7 @@ type (
 	ThemeTrend = queries.ThemeTrend
 	// ThemeCooccurrence is the theme co-occurrence matrix result.
 	ThemeCooccurrence = queries.ThemeCooccurrence
-	// EntityCount pairs a person or organization with its article count.
+	// EntityCount pairs a person with its article count.
 	EntityCount = queries.EntityCount
 )
 

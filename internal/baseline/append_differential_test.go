@@ -173,6 +173,7 @@ func TestAppendNewEventsAndSources(t *testing.T) {
 	existingID := db.Events.ID[len(db.Events.ID)/2]
 	exRow := db.EventRowByID(existingID)
 	exArticles := db.Events.NumArticles[exRow]
+	exURL := db.Events.SourceURL[exRow]
 	oldSrc := db.Sources.Len()
 
 	evs := []gdelt.Event{
@@ -180,7 +181,8 @@ func TestAppendNewEventsAndSources(t *testing.T) {
 			SourceURL: "http://brand-new.example/a"},
 		{GlobalEventID: maxID + 20, Day: 20191230, DateAdded: ts,
 			SourceURL: "http://brand-new.example/b"},
-		{GlobalEventID: existingID, Day: 19000101, DateAdded: ts}, // duplicate: stored row wins
+		{GlobalEventID: existingID, Day: 19000101, DateAdded: ts,
+			SourceURL: "http://duplicate.example/"}, // duplicate: stored row wins
 	}
 	web := func(id int64, src string) gdelt.Mention {
 		return gdelt.Mention{GlobalEventID: id, EventTime: ts, MentionTime: ts,
@@ -220,7 +222,7 @@ func TestAppendNewEventsAndSources(t *testing.T) {
 	if got := db.Events.NumArticles[db.EventRowByID(existingID)]; got != exArticles+1 {
 		t.Fatalf("existing event articles %d, want %d", got, exArticles+1)
 	}
-	if db.Events.Day[db.EventRowByID(existingID)] == 19000101 {
+	if db.Events.SourceURL[db.EventRowByID(existingID)] != exURL {
 		t.Fatal("duplicate chunk event overwrote the stored record")
 	}
 	ns := db.Sources.Lookup("tail-news.example")

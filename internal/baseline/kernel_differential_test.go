@@ -136,17 +136,10 @@ func TestKernelDifferentialTypedVsClosure(t *testing.T) {
 						ev := db.Mentions.EventRow[row]
 						return int(db.Events.Country[ev]), int(db.SourceCountry[db.Mentions.Source[row]])
 					})
-					got := engine.CrossCountRemap(e, nc, nc,
-						db.Mentions.EventRow, db.EventCountryLUT(),
-						db.Mentions.Source, db.SourceCountryLUT())
-					eqSeries(t, "cross-count country", got.Data, want.Data)
-					// The int16-remap instantiation (what CountryMatrix runs):
-					// narrow store columns used directly as remap tables must
-					// agree with the widened int32 LUTs.
-					got16 := engine.CrossCountRemap(e, nc, nc,
+					got := e.CrossCountRemap(nc, nc,
 						db.Mentions.EventRow, db.Events.Country,
 						db.Mentions.Source, db.SourceCountry)
-					eqSeries(t, "cross-count country int16 remap", got16.Data, want.Data)
+					eqSeries(t, "cross-count country", got.Data, want.Data)
 				})
 				t.Run(prefix+"/sum-by-group", func(t *testing.T) {
 					// The per-group sum the server runs: the ad-hoc

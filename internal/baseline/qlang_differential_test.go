@@ -32,7 +32,7 @@ type adhocCase struct{ where, group, agg string }
 // presentCountries collects the FIPS codes that actually appear in the
 // world, so random country clauses hit non-empty bitmaps most of the time.
 func presentCountries(db *store.DB) []string {
-	seen := map[int16]bool{}
+	seen := map[int32]bool{}
 	for _, c := range db.SourceCountry {
 		if c >= 0 {
 			seen[c] = true
@@ -120,7 +120,7 @@ func sourceEdgeCases(db *store.DB, countries []string) []adhocCase {
 	sort.SliceStable(ids, func(a, b int) bool { return volume(ids[a]) < volume(ids[b]) })
 	src := ids[len(ids)/2] // the median-volume source: selective enough to push down
 	rows := db.SourceMentions(src)
-	fips := func(c int16) string {
+	fips := func(c int32) string {
 		if c < 0 {
 			return countries[0]
 		}
@@ -213,10 +213,10 @@ func naiveAdhoc(db *store.DB, spec queries.AdhocSpec, ivLo, ivHi int32) queries.
 			case "source":
 				ok = (db.Sources.Name(db.Mentions.Source[row]) == c.Value.Str) == (c.Op == qlang.OpEq)
 			case "sourcecountry":
-				want := int16(gdelt.CountryIndex(c.Value.Str))
+				want := int32(gdelt.CountryIndex(c.Value.Str))
 				ok = (db.SourceCountry[db.Mentions.Source[row]] == want) == (c.Op == qlang.OpEq)
 			case "eventcountry":
-				want := int16(gdelt.CountryIndex(c.Value.Str))
+				want := int32(gdelt.CountryIndex(c.Value.Str))
 				ok = (db.Events.Country[db.Mentions.EventRow[row]] == want) == (c.Op == qlang.OpEq)
 			}
 			if !ok {

@@ -194,7 +194,7 @@ func staleTick(t *testing.T, db *store.DB, sdb *shard.DB) ([]gdelt.Event, []gdel
 	t.Helper()
 	ranked := rankSources(db)
 	var srcs []string
-	seen := make(map[int16]bool)
+	seen := make(map[int32]bool)
 	for _, s := range ranked {
 		if c := db.SourceCountry[s]; c >= 0 && !seen[c] && len(srcs) < 3 {
 			seen[c] = true

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,8 +31,14 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// Version is the current format version.
-const Version = 1
+// Version is the current format version. Version 2 dropped the columns no
+// query reads (the event day, the GKG source, tone and organizations) and
+// widened the event country to int32.
+const Version = 2
+
+// ErrOldFormat marks a file written in a format version older than Version,
+// which this build does not read: the file has to be converted again.
+var ErrOldFormat = errors.New("binfmt: file written in an older format version")
 
 var magic = [4]byte{'G', 'D', 'M', 'B'}
 
@@ -93,7 +100,10 @@ func Read(r io.Reader) (*store.DB, error) {
 	if [4]byte(hdr[:4]) != magic {
 		return nil, fmt.Errorf("binfmt: bad magic %q", hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != Version {
+	switch v := binary.LittleEndian.Uint32(hdr[4:]); {
+	case v < Version:
+		return nil, fmt.Errorf("%w (version %d; this build reads %d)", ErrOldFormat, v, Version)
+	case v > Version:
 		return nil, fmt.Errorf("binfmt: unsupported version %d (want %d)", v, Version)
 	}
 	var (
@@ -178,14 +188,19 @@ func WriteFile(path string, db *store.DB) error {
 	return f.Close()
 }
 
-// ReadFile loads a database from path.
+// ReadFile loads a database from path. A file of an older format version
+// is refused with its path and the re-run hint.
 func ReadFile(path string) (*store.DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	db, err := Read(f)
+	if errors.Is(err, ErrOldFormat) {
+		return nil, fmt.Errorf("%s: %w; re-run gdeltconvert to rewrite it", path, err)
+	}
+	return db, err
 }
 
 func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
@@ -371,9 +386,6 @@ func encodeEvents(t *store.EventTable) []byte {
 		out = putUvarint(out, uint64(id-prev))
 		prev = id
 	}
-	for _, v := range t.Day {
-		out = putUvarint(out, uint64(v))
-	}
 	for _, v := range t.Interval {
 		out = putUvarint(out, uint64(v))
 	}
@@ -406,17 +418,19 @@ func decodeEvents(b []byte) (store.EventTable, error) {
 		prev += int64(d.uvarint())
 		t.ID[i] = prev
 	}
-	t.Day = make([]int32, n)
-	for i := range t.Day {
-		t.Day[i] = int32(d.uvarint())
-	}
 	t.Interval = make([]int32, n)
 	for i := range t.Interval {
 		t.Interval[i] = int32(d.uvarint())
 	}
-	t.Country = make([]int16, n)
+	// A country indexes per-country tables (the value bitmaps), so one
+	// outside gdelt.Countries is refused here, where it enters.
+	t.Country = make([]int32, n)
 	for i := range t.Country {
-		t.Country[i] = int16(d.varint())
+		c := d.varint()
+		if c < -1 || c >= int64(len(gdelt.Countries)) {
+			return t, fmt.Errorf("binfmt: event %d has country %d of %d", i, c, len(gdelt.Countries))
+		}
+		t.Country[i] = int32(c)
 	}
 	t.NumArticles = make([]int32, n)
 	for i := range t.NumArticles {

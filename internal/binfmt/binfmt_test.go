@@ -54,7 +54,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("row counts differ")
 	}
 	for i := range db.Events.ID {
-		if got.Events.ID[i] != db.Events.ID[i] || got.Events.Day[i] != db.Events.Day[i] ||
+		if got.Events.ID[i] != db.Events.ID[i] ||
 			got.Events.Interval[i] != db.Events.Interval[i] || got.Events.Country[i] != db.Events.Country[i] ||
 			got.Events.NumArticles[i] != db.Events.NumArticles[i] ||
 			got.Events.FirstMention[i] != db.Events.FirstMention[i] ||
@@ -197,6 +197,30 @@ func TestDecodeMetaRejectsImplausible(t *testing.T) {
 	}
 	if _, err := decodeMeta(nil); err == nil {
 		t.Fatal("empty meta accepted")
+	}
+}
+
+// TestDecodeEventsRejectsBadCountry: a checksummed event section whose
+// country lies outside gdelt.Countries is refused, not left to index the
+// per-country bitmaps out of range.
+func TestDecodeEventsRejectsBadCountry(t *testing.T) {
+	ev := store.MakeEventTable(1)
+	ev.ID = append(ev.ID, 7)
+	ev.Interval = append(ev.Interval, 0)
+	ev.NumArticles = append(ev.NumArticles, 0)
+	ev.FirstMention = append(ev.FirstMention, 0)
+	ev.SourceURL = append(ev.SourceURL, "x")
+	for _, c := range []int32{-1, int32(len(gdelt.Countries)) - 1} {
+		ev.Country = append(ev.Country[:0], c)
+		if _, err := decodeEvents(encodeEvents(&ev)); err != nil {
+			t.Fatalf("country %d refused: %v", c, err)
+		}
+	}
+	for _, c := range []int32{-2, int32(len(gdelt.Countries))} {
+		ev.Country = append(ev.Country[:0], c)
+		if _, err := decodeEvents(encodeEvents(&ev)); err == nil {
+			t.Fatalf("country %d accepted", c)
+		}
 	}
 }
 

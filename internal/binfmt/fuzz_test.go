@@ -2,9 +2,11 @@ package binfmt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -114,6 +116,40 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestVersion1Refused: the corpus keeps one version-1 file, a valid
+// database as the previous format wrote it. ReadFile must refuse it with
+// ErrOldFormat, naming the file and saying to re-run gdeltconvert.
+func TestVersion1Refused(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRead", "seed-v1-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatal("seed-v1-valid is not a fuzz corpus file")
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := data[4]; v != 1 {
+		t.Fatalf("seed-v1-valid holds version %d", v)
+	}
+	path := filepath.Join(t.TempDir(), "old.gdmb")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadFile(path)
+	if !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("version-1 file: err %v, want ErrOldFormat", err)
+	}
+	for _, want := range []string{path, "re-run gdeltconvert"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
 		}
 	}
 }

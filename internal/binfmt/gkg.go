@@ -1,36 +1,22 @@
 package binfmt
 
-import (
-	"encoding/binary"
-	"math"
+import "gdeltmine/internal/store"
 
-	"gdeltmine/internal/store"
-)
-
-// GKG section layout: three string dictionaries (themes, persons, orgs)
-// followed by the columnar table with varint/delta encodings.
+// GKG section layout: two string dictionaries (themes, persons) followed by
+// the columnar table with varint/delta encodings.
 
 func encodeGKG(g *store.GKGStore) []byte {
 	var out []byte
 	out = append(out, encodeStrings(g.Themes.Names())...)
 	out = append(out, encodeStrings(g.Persons.Names())...)
-	out = append(out, encodeStrings(g.Orgs.Names())...)
 
 	t := &g.Table
 	n := t.Len()
 	out = putUvarint(out, uint64(n))
-	for _, v := range t.Source {
-		out = putUvarint(out, uint64(v))
-	}
 	var prev int32
 	for _, v := range t.Interval { // sorted: delta-encode
 		out = putUvarint(out, uint64(v-prev))
 		prev = v
-	}
-	for _, v := range t.Tone {
-		var f4 [4]byte
-		binary.LittleEndian.PutUint32(f4[:], math.Float32bits(v))
-		out = append(out, f4[:]...)
 	}
 	for _, v := range t.Translated {
 		if v {
@@ -41,7 +27,6 @@ func encodeGKG(g *store.GKGStore) []byte {
 	}
 	out = encodeCSR(out, t.ThemePtr, t.ThemeIDs)
 	out = encodeCSR(out, t.PersonPtr, t.PersonIDs)
-	out = encodeCSR(out, t.OrgPtr, t.OrgIDs)
 	return out
 }
 
@@ -67,19 +52,11 @@ func decodeGKGInto(db *store.DB, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	orgNames, err := decodeStringsFrom(d)
-	if err != nil {
-		return err
-	}
 	themes, err := store.FromNames(themesNames)
 	if err != nil {
 		return err
 	}
 	persons, err := store.FromNames(personNames)
-	if err != nil {
-		return err
-	}
-	orgs, err := store.FromNames(orgNames)
 	if err != nil {
 		return err
 	}
@@ -89,23 +66,11 @@ func decodeGKGInto(db *store.DB, payload []byte) error {
 		return d.err
 	}
 	var t store.GKGTable
-	t.Source = make([]int32, n)
-	for i := range t.Source {
-		t.Source[i] = int32(d.uvarint())
-	}
 	t.Interval = make([]int32, n)
 	var prev int32
 	for i := range t.Interval {
 		prev += int32(d.uvarint())
 		t.Interval[i] = prev
-	}
-	t.Tone = make([]float32, n)
-	for i := range t.Tone {
-		f := d.bytes(4)
-		if d.err != nil {
-			return d.err
-		}
-		t.Tone[i] = math.Float32frombits(binary.LittleEndian.Uint32(f))
 	}
 	t.Translated = make([]bool, n)
 	tr := d.bytes(n)
@@ -121,13 +86,10 @@ func decodeGKGInto(db *store.DB, payload []byte) error {
 	if t.PersonPtr, t.PersonIDs, err = decodeCSRFrom(d, n); err != nil {
 		return err
 	}
-	if t.OrgPtr, t.OrgIDs, err = decodeCSRFrom(d, n); err != nil {
-		return err
-	}
 	if d.err != nil {
 		return d.err
 	}
-	return store.AssembleGKG(db, t, themes, persons, orgs)
+	return store.AssembleGKG(db, t, themes, persons)
 }
 
 func decodeStringsFrom(d *decoder) ([]string, error) {

@@ -26,8 +26,7 @@ func TestGKGRoundTrip(t *testing.T) {
 		t.Fatalf("rows %d vs %d", a.Len(), b.Len())
 	}
 	for r := 0; r < a.Len(); r++ {
-		if a.Source[r] != b.Source[r] || a.Interval[r] != b.Interval[r] ||
-			a.Tone[r] != b.Tone[r] || a.Translated[r] != b.Translated[r] {
+		if a.Interval[r] != b.Interval[r] || a.Translated[r] != b.Translated[r] {
 			t.Fatalf("row %d scalar columns differ", r)
 		}
 		at, bt := a.RowThemes(r), b.RowThemes(r)
@@ -41,8 +40,7 @@ func TestGKGRoundTrip(t *testing.T) {
 		}
 	}
 	if got.GKG.Themes.Len() != db.GKG.Themes.Len() ||
-		got.GKG.Persons.Len() != db.GKG.Persons.Len() ||
-		got.GKG.Orgs.Len() != db.GKG.Orgs.Len() {
+		got.GKG.Persons.Len() != db.GKG.Persons.Len() {
 		t.Fatal("dictionary sizes differ")
 	}
 	// Theme postings rebuilt correctly.

@@ -327,8 +327,8 @@ func sumRows(e *Engine, n int, keyVal func(row int) (g int, v float64)) []float6
 }
 
 // crossCountries is the typed event-country × source-country cross-count
-// of the window, over the store's narrow country columns.
+// of the window, over the store's country columns.
 func crossCountries(e *Engine) *matrix.Int64 {
 	db := e.DB()
-	return CrossCountRemap(e, 61, 61, db.Mentions.EventRow, db.Events.Country, db.Mentions.Source, db.SourceCountry)
+	return e.CrossCountRemap(61, 61, db.Mentions.EventRow, db.Events.Country, db.Mentions.Source, db.SourceCountry)
 }

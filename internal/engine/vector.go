@@ -155,14 +155,6 @@ func (e *Engine) GroupCountEventsCol(numGroups int, col, remap []int32, pred Col
 	return copyOutInt64(res)
 }
 
-// remapElem is the element type of a remap lookup table. Narrow tables
-// (int16 country or quarter columns) matter: the remap load is the one
-// random access in the cross-count hot loop, and halving the table halves
-// its cache footprint.
-type remapElem interface {
-	~int16 | ~int32
-}
-
 // crossCountSeg accumulates one contiguous row segment into a contingency
 // matrix: cell (rmap[rcol[row]], cmap[ccol[row]]), nil remaps meaning the
 // column holds the coordinate directly. Rows with either coordinate out of
@@ -170,7 +162,7 @@ type remapElem interface {
 // conversion). The nil checks are hoisted out of the row loop — four
 // specialized loops — so the hot path is two loads, two unsigned compares
 // and one indexed increment per row.
-func crossCountSeg[R, C remapElem](acc *matrix.Int64, lo, hi int, rcol []int32, rmap []R, ccol []int32, cmap []C) {
+func crossCountSeg(acc *matrix.Int64, lo, hi int, rcol, rmap, ccol, cmap []int32) {
 	nr, nc := uint32(acc.Rows), uint32(acc.Cols)
 	cols := acc.Cols
 	data := acc.Data
@@ -261,14 +253,9 @@ func mergeReleaseMatrix(dst, src *matrix.Int64) *matrix.Int64 {
 // CrossCountRemap builds a rows×cols contingency matrix over the mention
 // window where a row's cell is (rmap[rcol[row]], cmap[ccol[row]]); a nil
 // remap reads the column directly. This is the kernel behind the aggregated
-// country query's cross-reporting pass (Section VI-G). Remap tables may be
-// of any supported element width. It is a free function because Go methods
-// cannot be generic;
-// pass the narrowest table available — store columns like the int16 country
-// attributions can be used as remaps directly, without widening to a
-// separate int32 LUT that doubles the cache footprint of the hot loop's one
-// random load.
-func CrossCountRemap[R, C remapElem](e *Engine, rows, cols int, rcol []int32, rmap []R, ccol []int32, cmap []C) *matrix.Int64 {
+// country query's cross-reporting pass (Section VI-G); the store's int32
+// country columns serve as its remaps directly.
+func (e *Engine) CrossCountRemap(rows, cols int, rcol, rmap, ccol, cmap []int32) *matrix.Int64 {
 	wlo, whi := e.mentionWindow()
 	defer e.observeScan(whi-wlo, time.Now())
 	return parallel.MapReduce(whi-wlo, e.opt(),

@@ -68,9 +68,9 @@ func TestTypedKernelsRepeatedCallsStayClean(t *testing.T) {
 			}
 		}
 	}
-	m1 := CrossCountRemap[int32, int32](e, 2, 4, db.Mentions.Source, nil, db.Mentions.Interval, nil)
+	m1 := e.CrossCountRemap(2, 4, db.Mentions.Source, nil, db.Mentions.Interval, nil)
 	for i := 0; i < 10; i++ {
-		m2 := CrossCountRemap[int32, int32](e, 2, 4, db.Mentions.Source, nil, db.Mentions.Interval, nil)
+		m2 := e.CrossCountRemap(2, 4, db.Mentions.Source, nil, db.Mentions.Interval, nil)
 		for j := range m1.Data {
 			if m2.Data[j] != m1.Data[j] {
 				t.Fatalf("call %d: cell %d = %d, first call %d", i, j, m2.Data[j], m1.Data[j])

@@ -92,8 +92,8 @@ func TestCountryClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uk := int16(gdelt.CountryIndex("UK"))
-	us := int16(gdelt.CountryIndex("US"))
+	uk := int32(gdelt.CountryIndex("UK"))
+	us := int32(gdelt.CountryIndex("US"))
 	var want int64
 	for row := 0; row < db.Mentions.Len(); row++ {
 		if db.SourceCountry[db.Mentions.Source[row]] == uk &&

@@ -34,7 +34,7 @@ type stage interface {
 
 // intElem is an integer column or lookup-table element.
 type intElem interface {
-	int8 | int16 | int32
+	int8 | int32
 }
 
 // elemBounds returns the value range of T.
@@ -42,8 +42,6 @@ func elemBounds[T intElem]() (lo, hi int64) {
 	switch any(T(0)).(type) {
 	case int8:
 		return math.MinInt8, math.MaxInt8
-	case int16:
-		return math.MinInt16, math.MaxInt16
 	}
 	return math.MinInt32, math.MaxInt32
 }

@@ -106,7 +106,7 @@ func stageLiterals(db *store.DB) map[string][]string {
 	lim := []int64{math.MinInt64, math.MaxInt64, math.MinInt32 - 1, math.MaxInt32 + 1}
 	absent := gdelt.Countries[len(gdelt.Countries)-1].FIPS
 	for i := len(gdelt.Countries) - 1; i >= 0; i-- {
-		if !slices.Contains(db.SourceCountry, int16(i)) && !slices.Contains(db.Events.Country, int16(i)) {
+		if !slices.Contains(db.SourceCountry, int32(i)) && !slices.Contains(db.Events.Country, int32(i)) {
 			absent = gdelt.Countries[i].FIPS
 			break
 		}

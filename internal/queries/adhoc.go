@@ -389,9 +389,9 @@ func adhocGroupSpec(db *store.DB, group string) groupSpec {
 	case "source":
 		return groupSpec{N: db.Sources.Len(), Col: db.Mentions.Source}
 	case "sourcecountry":
-		return groupSpec{N: len(gdelt.Countries), Col: db.Mentions.Source, Remap: db.SourceCountryLUT()}
+		return groupSpec{N: len(gdelt.Countries), Col: db.Mentions.Source, Remap: db.SourceCountry}
 	case "eventcountry":
-		return groupSpec{N: len(gdelt.Countries), Col: db.Mentions.EventRow, Remap: db.EventCountryLUT()}
+		return groupSpec{N: len(gdelt.Countries), Col: db.Mentions.EventRow, Remap: db.Events.Country}
 	case "quarter":
 		return groupSpec{N: db.NumQuarters(), Col: db.Mentions.Interval, Remap: db.QuarterLUT()}
 	}

@@ -41,10 +41,10 @@ func CountryQuery(e *engine.Engine) (*CountryReport, error) {
 	nc := countryCount
 
 	// Pass 1: cross-reporting over mentions (Table VI), as a typed kernel:
-	// row country = eventCountryLUT[EventRow[row]], column country =
-	// sourceCountryLUT[Source[row]], untagged (-1) rows skipped by the
+	// row country = Events.Country[EventRow[row]], column country =
+	// SourceCountry[Source[row]], untagged (-1) rows skipped by the
 	// kernel's range check.
-	cross := engine.CrossCountRemap(e, nc, nc,
+	cross := e.CrossCountRemap(nc, nc,
 		db.Mentions.EventRow, db.Events.Country,
 		db.Mentions.Source, db.SourceCountry)
 
@@ -96,7 +96,7 @@ func CountryQuery(e *engine.Engine) (*CountryReport, error) {
 		},
 	)
 
-	eventCounts := e.GroupCountEventsCol(nc, db.EventCountryLUT(), nil,
+	eventCounts := e.GroupCountEventsCol(nc, db.Events.Country, nil,
 		engine.PredGT(db.Events.NumArticles, 0))
 	return FinishCountryReport(cross, res.pair, res.counts, eventCounts)
 }

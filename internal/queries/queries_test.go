@@ -135,7 +135,7 @@ func TestTopPublishersAreMediaGroup(t *testing.T) {
 	}
 	uk := 0
 	for _, s := range ids {
-		if cachedDB.SourceCountry[s] == int16(gdelt.CountryIndex("UK")) {
+		if cachedDB.SourceCountry[s] == int32(gdelt.CountryIndex("UK")) {
 			uk++
 		}
 	}

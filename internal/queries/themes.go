@@ -150,8 +150,7 @@ func ThemeCooccurrences(e *engine.Engine, k int) (*ThemeCooccurrence, error) {
 	return out, nil
 }
 
-// EntityCount pairs an entity (person or organization) with its article
-// count.
+// EntityCount pairs an entity (a person) with its article count.
 type EntityCount struct {
 	Name     string
 	Articles int64

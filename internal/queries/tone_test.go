@@ -49,7 +49,7 @@ func TestToneByCountryMatchesSerial(t *testing.T) {
 	const q = 5
 	var sum float64
 	var n int64
-	ukIdx := int16(gdelt.CountryIndex("UK"))
+	ukIdx := int32(gdelt.CountryIndex("UK"))
 	for row := 0; row < db.Mentions.Len(); row++ {
 		if db.SourceCountry[db.Mentions.Source[row]] != ukIdx {
 			continue

@@ -32,8 +32,6 @@ func DiffFromRebuild(s *DB) error {
 			s.events.low, s.events.frozen.Len(), s.events.Len())
 	case !slices.Equal(a.ID, b.ID):
 		return fmt.Errorf("global event ids differ (%d vs %d events)", a.Len(), b.Len())
-	case !slices.Equal(a.Day, b.Day):
-		return fmt.Errorf("global Day column differs")
 	case !slices.Equal(a.Interval, b.Interval):
 		return fmt.Errorf("global Interval column differs")
 	case !slices.Equal(a.Country, b.Country):

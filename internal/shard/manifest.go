@@ -511,7 +511,8 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 }
 
 // readPart loads a part file once its bytes match the digest the manifest
-// recorded for it.
+// recorded for it. A part of an older format version is refused with the
+// re-run hint.
 func readPart(path string, want Digest) (*store.DB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -521,5 +522,9 @@ func readPart(path string, want Digest) (*store.DB, error) {
 		return nil, fmt.Errorf("part file holds %d bytes with crc %08x, the manifest records %d bytes with crc %08x",
 			got.Size, got.CRC, want.Size, want.CRC)
 	}
-	return binfmt.Read(bytes.NewReader(data))
+	db, err := binfmt.Read(bytes.NewReader(data))
+	if errors.Is(err, binfmt.ErrOldFormat) {
+		return nil, fmt.Errorf("%w; re-run gdeltconvert -shards to rewrite the layout", err)
+	}
+	return db, err
 }

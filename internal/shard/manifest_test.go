@@ -373,37 +373,31 @@ func recoded(t *testing.T, p *store.DB, srcs, themes *store.Dictionary) *store.D
 		t.Fatal(err)
 	}
 	g := p.GKG.Table
-	g.Source = make([]int32, len(p.GKG.Table.Source))
-	for r, s := range p.GKG.Table.Source {
-		g.Source[r] = srcs.Lookup(p.Sources.Name(s))
-	}
 	g.ThemeIDs = make([]int32, len(p.GKG.Table.ThemeIDs))
 	for i, id := range p.GKG.Table.ThemeIDs {
 		g.ThemeIDs[i] = themes.Lookup(p.GKG.Themes.Name(id))
 	}
-	if err := store.AssembleGKG(q, g, themes, p.GKG.Persons, p.GKG.Orgs); err != nil {
+	if err := store.AssembleGKG(q, g, themes, p.GKG.Persons); err != nil {
 		t.Fatal(err)
 	}
 	return q
 }
 
 // TestOldLayoutsRefused: a log directory whose part was encoded against a
-// dictionary that is not a prefix of the manifest's list must fail OpenLog
-// with an error naming the part and saying to re-run gdeltconvert -shards —
-// never load through a remap, never panic. Each tampered part is rewritten
-// with its manifest digest recomputed, so only the dictionary check can
-// catch it: a layout written before parts shared the world's ids (every
-// part over dictionaries of its own, interned in row order), a non-tail
-// part whose source dictionary has two names swapped, and a tail whose
-// theme dictionary does.
+// dictionary that is not a prefix of the manifest's list, or in an older
+// part format version, must fail OpenLog with an error naming the part and
+// saying to re-run gdeltconvert -shards — never load through a remap, never
+// panic. Each tampered part is rewritten with its manifest digest
+// recomputed, so only the dictionary or version check can catch it: a
+// layout written before parts shared the world's ids (every part over
+// dictionaries of its own, interned in row order), a non-tail part whose
+// source dictionary has two names swapped, a tail whose theme dictionary
+// does, and a non-tail part whose header says format version 1.
 func TestOldLayoutsRefused(t *testing.T) {
 	sdb, _ := tinyShardedWorld(t)
 	rowOrder := func(p *store.DB) (srcs, themes *store.Dictionary) {
 		srcs, themes = store.NewDictionary(), store.NewDictionary()
 		for _, s := range p.Mentions.Source {
-			srcs.Intern(p.Sources.Name(s))
-		}
-		for _, s := range p.GKG.Table.Source {
 			srcs.Intern(p.Sources.Name(s))
 		}
 		for _, id := range p.GKG.Table.ThemeIDs {
@@ -426,16 +420,20 @@ func TestOldLayoutsRefused(t *testing.T) {
 		parts []int // the parts rewritten
 		named int   // the part the error must name
 		dicts func(t *testing.T, p *store.DB) (srcs, themes *store.Dictionary)
+		v1    bool // rewrite the part's format version to 1
 	}{
 		{"local-dictionaries", []int{0, 1, ti}, ti, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return rowOrder(p)
-		}},
+		}, false},
 		{"permuted-sources", []int{1}, 1, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return swapped(t, p.Sources), p.GKG.Themes
-		}},
+		}, false},
 		{"permuted-tail-themes", []int{ti}, ti, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return p.Sources, swapped(t, p.GKG.Themes)
-		}},
+		}, false},
+		{"format-version-1", []int{1}, 1, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+			return p.Sources, p.GKG.Themes
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -457,6 +455,9 @@ func TestOldLayoutsRefused(t *testing.T) {
 				var buf bytes.Buffer
 				if err := binfmt.Write(&buf, recoded(t, p, srcs, themes)); err != nil {
 					t.Fatal(err)
+				}
+				if tc.v1 {
+					buf.Bytes()[4] = 1
 				}
 				if err := os.WriteFile(filepath.Join(dir, m.Entries[i].File), buf.Bytes(), 0o644); err != nil {
 					t.Fatal(err)

@@ -346,7 +346,7 @@ func (v *View) CountryFinish(a *CountryArchive) (*queries.CountryReport, error) 
 	parts := make([]*matrix.Int64, s.K())
 	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
 		p := s.parts[i]
-		parts[i] = engine.CrossCountRemap(e, nc, nc,
+		parts[i] = e.CrossCountRemap(nc, nc,
 			p.Mentions.EventRow, p.Events.Country,
 			p.Mentions.Source, p.SourceCountry)
 	})

@@ -182,13 +182,12 @@ func (s *DB) mergeEvents() error {
 			if first {
 				first = false
 				ev.ID = append(ev.ID, minID)
-				ev.Day = append(ev.Day, p.Events.Day[r])
 				ev.Interval = append(ev.Interval, p.Events.Interval[r])
 				ev.Country = append(ev.Country, p.Events.Country[r])
 				ev.NumArticles = append(ev.NumArticles, p.Events.NumArticles[r])
 				ev.FirstMention = append(ev.FirstMention, p.Events.FirstMention[r])
 				ev.SourceURL = append(ev.SourceURL, p.Events.SourceURL[r])
-			} else if p.Events.Day[r] != ev.Day[g] || p.Events.Interval[r] != ev.Interval[g] ||
+			} else if p.Events.Interval[r] != ev.Interval[g] ||
 				p.Events.Country[r] != ev.Country[g] || p.Events.NumArticles[r] != ev.NumArticles[g] ||
 				p.Events.FirstMention[r] != ev.FirstMention[g] || p.Events.SourceURL[r] != ev.SourceURL[g] {
 				return fmt.Errorf("shard: shards disagree on event %d", minID)

@@ -134,20 +134,15 @@ func sliceGKG(g *store.GKGStore, p *store.DB, lo, hi int32) error {
 	gHi := sort.Search(n, func(i int) bool { return src.Interval[i] >= hi })
 	themePtr, themeIDs := csrRows(src.ThemePtr, src.ThemeIDs, gLo, gHi)
 	personPtr, personIDs := csrRows(src.PersonPtr, src.PersonIDs, gLo, gHi)
-	orgPtr, orgIDs := csrRows(src.OrgPtr, src.OrgIDs, gLo, gHi)
 	t := store.GKGTable{
-		Source:     rows(src.Source, gLo, gHi),
 		Interval:   rows(src.Interval, gLo, gHi),
-		Tone:       rows(src.Tone, gLo, gHi),
 		Translated: rows(src.Translated, gLo, gHi),
 		ThemePtr:   themePtr,
 		ThemeIDs:   themeIDs,
 		PersonPtr:  personPtr,
 		PersonIDs:  personIDs,
-		OrgPtr:     orgPtr,
-		OrgIDs:     orgIDs,
 	}
-	return store.AssembleGKG(p, t, g.Themes, g.Persons, g.Orgs)
+	return store.AssembleGKG(p, t, g.Themes, g.Persons)
 }
 
 // rows returns a copy of s[lo:hi] with no spare capacity.

@@ -17,10 +17,10 @@ import (
 //
 // The dangerous part is not the column appends but the derived state: the
 // by-source postings, the event-major payload, the per-source event bitmaps
-// the selection queries read (srcEvBM/srcRepEvBM), the value bitmaps, the
-// quarter row index and the typed LUTs are all materialized from the
-// tables, so an append that extended the columns without rebuilding them
-// would leave the index-pruned plans answering from the pre-append snapshot
+// the selection queries read (srcEvBM/srcRepEvBM), the value bitmaps and
+// the quarter row index are all materialized from the tables, so an append
+// that extended the columns without rebuilding them would leave the
+// index-pruned plans answering from the pre-append snapshot
 // while the closure scan sees the new rows — a silent wrong-answer
 // divergence, not a crash. CloneAppend therefore runs buildDerived exactly
 // once, after all table mutation (event adoption included), and gives the
@@ -140,9 +140,8 @@ func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, e
 			ev := &newEvs[i]
 			iv := clampInterval(ev.DateAdded.IntervalIndex()-base, db.Meta.Intervals)
 			add.ID = append(add.ID, ev.GlobalEventID)
-			add.Day = append(add.Day, ev.Day)
 			add.Interval = append(add.Interval, iv)
-			add.Country = append(add.Country, int16(gdelt.CountryIndex(ev.ActionCountry)))
+			add.Country = append(add.Country, int32(gdelt.CountryIndex(ev.ActionCountry)))
 			add.NumArticles = append(add.NumArticles, 0)
 			add.FirstMention = append(add.FirstMention, iv)
 			add.SourceURL = append(add.SourceURL, ev.SourceURL)
@@ -235,7 +234,6 @@ func MergeEvents(old, add *EventTable) (merged EventTable, remap []int32) {
 		}
 		run := old.Slice(oi, end)
 		merged.ID = append(merged.ID, run.ID...)
-		merged.Day = append(merged.Day, run.Day...)
 		merged.Interval = append(merged.Interval, run.Interval...)
 		merged.Country = append(merged.Country, run.Country...)
 		merged.NumArticles = append(merged.NumArticles, run.NumArticles...)

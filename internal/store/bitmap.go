@@ -90,15 +90,15 @@ func (db *DB) buildValueBitmaps(prev *DB, newRow int) {
 	if prev != nil {
 		prevS, prevE = prev.ctryRowBM, prev.evCtryRowBM
 	}
-	db.ctryRowBM = db.countryBitmaps(prevS, newRow, func(row int) int16 { return db.SourceCountry[db.Mentions.Source[row]] })
-	db.evCtryRowBM = db.countryBitmaps(prevE, newRow, func(row int) int16 { return db.Events.Country[db.Mentions.EventRow[row]] })
+	db.ctryRowBM = db.countryBitmaps(prevS, newRow, func(row int) int32 { return db.SourceCountry[db.Mentions.Source[row]] })
+	db.evCtryRowBM = db.countryBitmaps(prevE, newRow, func(row int) int32 { return db.Events.Country[db.Mentions.EventRow[row]] })
 }
 
 // countryBitmaps returns one mention-row bitmap per country index, nil
 // where no row has the country. A row's country never changes and mention
 // rows never move, so only the countries of rows from newRow on are
 // rebuilt; the others are prev's (all nil without one).
-func (db *DB) countryBitmaps(prev []*bitmap.Bitmap, newRow int, country func(row int) int16) []*bitmap.Bitmap {
+func (db *DB) countryBitmaps(prev []*bitmap.Bitmap, newRow int, country func(row int) int32) []*bitmap.Bitmap {
 	nc, nm := len(gdelt.Countries), db.Mentions.Len()
 	dirty := make([]bool, nc)
 	for row := newRow; row < nm; row++ {

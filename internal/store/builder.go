@@ -21,7 +21,7 @@ type Builder struct {
 	// Event staging, keyed later by GlobalEventID.
 	evID    []int64
 	evDay   []int32
-	evCtry  []int16
+	evCtry  []int32
 	evURL   []string
 	evAdded []gdelt.Timestamp
 
@@ -78,7 +78,7 @@ func (b *Builder) Report() *gdelt.ValidationReport { return b.report }
 func (b *Builder) AddEvent(ev *gdelt.Event) {
 	b.evID = append(b.evID, ev.GlobalEventID)
 	b.evDay = append(b.evDay, ev.Day)
-	b.evCtry = append(b.evCtry, int16(gdelt.CountryIndex(ev.ActionCountry)))
+	b.evCtry = append(b.evCtry, int32(gdelt.CountryIndex(ev.ActionCountry)))
 	b.evURL = append(b.evURL, ev.SourceURL)
 	b.evAdded = append(b.evAdded, ev.DateAdded)
 }
@@ -134,7 +134,6 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		id := b.evID[o]
 		rowOf[id] = int32(db.Events.Len())
 		db.Events.ID = append(db.Events.ID, id)
-		db.Events.Day = append(db.Events.Day, b.evDay[o])
 		db.Events.Country = append(db.Events.Country, b.evCtry[o])
 		db.Events.SourceURL = append(db.Events.SourceURL, b.evURL[o])
 		// Event interval provisional from DateAdded; refined from mention
@@ -197,11 +196,12 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		}
 	}
 
-	// Per-event validation (missing URL, future event date).
-	for i := 0; i < ne; i++ {
+	// Per-event validation (missing URL, future event date). The recorded
+	// day comes from staging: no query reads it, so the store keeps none.
+	for i, o := range uniq {
 		ev := gdelt.Event{
 			GlobalEventID: db.Events.ID[i],
-			Day:           db.Events.Day[i],
+			Day:           b.evDay[o],
 			SourceURL:     db.Events.SourceURL[i],
 		}
 		gdelt.ValidateEvent(b.report, &ev, firstMentionTS[i])
@@ -235,8 +235,8 @@ func clampInterval(iv int64, n int32) int32 {
 // buildDerived (re)builds every derived index the query layers read from
 // the tables: source countries, row-list postings, the source and value
 // bitmaps (so the bitmap postings can never be stale relative to the
-// tables), the quarter index and the typed LUTs. It is the single rebuild
-// chain of assembly, batch build and appends.
+// tables) and the quarter index. It is the single rebuild chain of
+// assembly, batch build and appends.
 //
 // prev is nil, or the store CloneAppend cloned db from: db then holds
 // prev's mention rows — event rows renumbered past inserted events — and
@@ -258,7 +258,6 @@ func (db *DB) buildDerived(prev *DB) {
 	db.buildSourceBitmaps(prev, newRow, newSrc, movedEv)
 	db.buildValueBitmaps(prev, newRow)
 	db.buildQuarterIndex(prev)
-	db.buildTypedLUTs(prev)
 }
 
 // extend returns prev followed by f(i) for i in [len(prev), n): prev itself
@@ -279,12 +278,12 @@ func extend[T any](prev []T, n int, f func(i int) T) []T {
 // buildSourceCountries attributes each source to a country by its domain;
 // prev's sources keep their attribution.
 func (db *DB) buildSourceCountries(prev *DB) {
-	var sc []int16
+	var sc []int32
 	if prev != nil {
 		sc = prev.SourceCountry
 	}
-	db.SourceCountry = extend(sc, db.Sources.Len(), func(s int) int16 {
-		return int16(gdelt.CountryFromDomain(db.Sources.Name(int32(s))))
+	db.SourceCountry = extend(sc, db.Sources.Len(), func(s int) int32 {
+		return int32(gdelt.CountryFromDomain(db.Sources.Name(int32(s))))
 	})
 }
 
@@ -329,24 +328,6 @@ func (db *DB) buildPostings() {
 		db.byEventIv[j] = db.Mentions.Interval[i]
 		ecur[e]++
 	}
-}
-
-// buildTypedLUTs widens the int16 remap columns to the int32 lookup tables
-// the vectorized kernels index directly (country of source, country of
-// event; the quarter-of-interval LUT belongs to the calendar); ~4 bytes per
-// source/event, negligible next to the mention table. prev's entries carry
-// over: sources keep their ids, and event rows move only when an insert
-// adds one.
-func (db *DB) buildTypedLUTs(prev *DB) {
-	var src, ev []int32
-	if prev != nil {
-		src = prev.sourceCountryLUT
-		if prev.Events.Len() == db.Events.Len() {
-			ev = prev.eventCountryLUT
-		}
-	}
-	db.sourceCountryLUT = extend(src, len(db.SourceCountry), func(s int) int32 { return int32(db.SourceCountry[s]) })
-	db.eventCountryLUT = extend(ev, db.Events.Len(), func(e int) int32 { return int32(db.Events.Country[e]) })
 }
 
 // calendar maps every capture interval of an archive to its calendar

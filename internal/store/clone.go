@@ -22,7 +22,7 @@ import (
 //     validation report (the fold records defects);
 //   - shared until the fold inserts an event row, which rebuilds all event
 //     columns as fresh allocations (mergeEventRows never writes the old
-//     ones): the per-event identity columns ID, Day, Country, SourceURL;
+//     ones): the per-event identity columns ID, Country, SourceURL;
 //   - copied only if the chunk names a source the tail has not seen: the
 //     source dictionary, which the tail shares with the world and with
 //     the parts sealed from it (Intern writes the map readers range over);
@@ -30,7 +30,7 @@ import (
 //     GKG store (appends never extend it);
 //   - rebuilt, once, after all table mutation: the by-source postings and
 //     the event-major payload, and every keyed index — source event and
-//     country bitmaps, source countries, LUTs — where the tick changed its
+//     country bitmaps, source countries — where the tick changed its
 //     inputs; the other keys are shared (buildDerived's dirty-key rule).
 //
 // The cost is O(tail rows), bounded by the compactor's seal thresholds, and
@@ -100,7 +100,6 @@ func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Menti
 		Sources: sources,
 		Events: EventTable{
 			ID:           db.Events.ID,
-			Day:          db.Events.Day,
 			Interval:     slices.Clone(db.Events.Interval),
 			Country:      db.Events.Country,
 			NumArticles:  slices.Clone(db.Events.NumArticles),
@@ -136,7 +135,7 @@ func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Menti
 // buildDerived over the same tables builds — the oracle for the dirty-key
 // rule CloneAppend rebuilds by — and returns the first difference, or nil:
 // the by-source postings, the event payload and its offsets, quarterRow,
-// SourceCountry, the LUTs, and the two source-bitmap families and the
+// SourceCountry, the quarter LUT, and the two source-bitmap families and the
 // country and event-country bitmaps, nil exactly where the rebuild's are.
 // The payload is then checked against the mention columns directly, since
 // the rebuild shares its builder.
@@ -152,8 +151,6 @@ func (db *DB) DiffFromRebuild() error {
 			slices.Equal(db.byEventSrc, want.byEventSrc) && slices.Equal(db.byEventIv, want.byEventIv)},
 		{"quarterRow", slices.Equal(db.quarterRow, want.quarterRow)},
 		{"SourceCountry", slices.Equal(db.SourceCountry, want.SourceCountry)},
-		{"source country LUT", slices.Equal(db.sourceCountryLUT, want.sourceCountryLUT)},
-		{"event country LUT", slices.Equal(db.eventCountryLUT, want.eventCountryLUT)},
 		{"quarter LUT", slices.Equal(db.cal.lut, want.cal.lut)},
 	} {
 		if !c.equal {

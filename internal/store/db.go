@@ -20,9 +20,8 @@ type Meta struct {
 // EventTable is the columnar Events table, sorted by GlobalEventID.
 type EventTable struct {
 	ID           []int64
-	Day          []int32 // recorded event day, YYYYMMDD
 	Interval     []int32 // event capture interval (from mention EventTimeDate)
-	Country      []int16 // index into gdelt.Countries, -1 untagged
+	Country      []int32 // index into gdelt.Countries, -1 untagged
 	NumArticles  []int32 // recounted from the mentions table at build time
 	FirstMention []int32 // capture interval of the earliest mention
 	SourceURL    []string
@@ -33,9 +32,8 @@ type EventTable struct {
 func MakeEventTable(n int) EventTable {
 	return EventTable{
 		ID:           make([]int64, 0, n),
-		Day:          make([]int32, 0, n),
 		Interval:     make([]int32, 0, n),
-		Country:      make([]int16, 0, n),
+		Country:      make([]int32, 0, n),
 		NumArticles:  make([]int32, 0, n),
 		FirstMention: make([]int32, 0, n),
 		SourceURL:    make([]string, 0, n),
@@ -48,7 +46,6 @@ func (t *EventTable) Len() int { return len(t.ID) }
 // AppendRow appends row i of src, every column verbatim.
 func (t *EventTable) AppendRow(src *EventTable, i int) {
 	t.ID = append(t.ID, src.ID[i])
-	t.Day = append(t.Day, src.Day[i])
 	t.Interval = append(t.Interval, src.Interval[i])
 	t.Country = append(t.Country, src.Country[i])
 	t.NumArticles = append(t.NumArticles, src.NumArticles[i])
@@ -60,7 +57,6 @@ func (t *EventTable) AppendRow(src *EventTable, i int) {
 func (t *EventTable) Slice(lo, hi int) EventTable {
 	return EventTable{
 		ID:           t.ID[lo:hi:hi],
-		Day:          t.Day[lo:hi:hi],
 		Interval:     t.Interval[lo:hi:hi],
 		Country:      t.Country[lo:hi:hi],
 		NumArticles:  t.NumArticles[lo:hi:hi],
@@ -105,8 +101,10 @@ type DB struct {
 	Mentions MentionTable
 
 	// SourceCountry maps each source id to its TLD-attributed country index
-	// (into gdelt.Countries), or -1 when unattributable.
-	SourceCountry []int16
+	// (into gdelt.Countries), or -1 when unattributable. Like
+	// Events.Country it is int32, the width the scan kernels index, so both
+	// serve as their remap tables directly.
+	SourceCountry []int32
 
 	// bySource[s] lists mention rows of source s, ascending by interval.
 	// Offsets are int32 like the row ids they index.
@@ -141,14 +139,6 @@ type DB struct {
 	cal        *calendar
 	quarterRow []int64
 
-	// Typed lookup tables for the vectorized scan kernels (DESIGN.md §9):
-	// int32 remap columns the engine indexes directly inside its worker
-	// loops, avoiding per-row closure calls and int16→int conversions.
-	// Derived, immutable after assembly (like the postings); the
-	// quarter-of-interval LUT belongs to the calendar.
-	sourceCountryLUT []int32 // source id -> country index, -1 unattributable
-	eventCountryLUT  []int32 // event row -> country index, -1 untagged
-
 	// GKG holds the Global Knowledge Graph annotations, or nil when the
 	// dataset was converted without GKG files.
 	GKG *GKGStore
@@ -177,14 +167,6 @@ func (db *DB) NumQuarters() int { return db.cal.quarters }
 // QuarterLUT returns the capture-interval→quarter lookup table as an int32
 // remap column for the typed scan kernels. Read-only; do not mutate.
 func (db *DB) QuarterLUT() []int32 { return db.cal.lut }
-
-// SourceCountryLUT returns the source→country remap column (-1 for
-// unattributable sources) for the typed scan kernels. Read-only.
-func (db *DB) SourceCountryLUT() []int32 { return db.sourceCountryLUT }
-
-// EventCountryLUT returns the event-row→country remap column (-1 for
-// untagged events) for the typed scan kernels. Read-only.
-func (db *DB) EventCountryLUT() []int32 { return db.eventCountryLUT }
 
 // QuarterOfInterval maps a capture interval to a quarter index. Intervals
 // outside the archive clamp to the nearest quarter.
@@ -289,7 +271,7 @@ func AssembleDB(meta Meta, sources *Dictionary, ev EventTable, mn MentionTable, 
 // everything that must hold before derived indexes can be built safely.
 func (db *DB) validateTables() error {
 	ne, nm := db.Events.Len(), db.Mentions.Len()
-	if len(db.Events.Day) != ne || len(db.Events.Interval) != ne ||
+	if len(db.Events.Interval) != ne ||
 		len(db.Events.Country) != ne || len(db.Events.NumArticles) != ne ||
 		len(db.Events.FirstMention) != ne || len(db.Events.SourceURL) != ne {
 		return fmt.Errorf("store: event column lengths disagree")

@@ -8,24 +8,22 @@ import (
 )
 
 // GKGTable is the columnar Global Knowledge Graph table: one row per
-// annotated article, sorted by capture interval. Themes, persons and
-// organizations are dictionary-encoded with CSR-style per-row lists.
+// annotated article, sorted by capture interval. Themes and persons are
+// dictionary-encoded with CSR-style per-row lists. It holds only what a
+// query reads: a record's source, tone and organizations are parsed but not
+// stored.
 type GKGTable struct {
-	Source     []int32 // id in the shared source dictionary
 	Interval   []int32
-	Tone       []float32
 	Translated []bool
 
 	ThemePtr  []int64 // len rows+1
 	ThemeIDs  []int32
 	PersonPtr []int64
 	PersonIDs []int32
-	OrgPtr    []int64
-	OrgIDs    []int32
 }
 
 // Len returns the number of GKG rows.
-func (t *GKGTable) Len() int { return len(t.Source) }
+func (t *GKGTable) Len() int { return len(t.Interval) }
 
 // RowThemes returns the theme ids of row r (aliases storage).
 func (t *GKGTable) RowThemes(r int) []int32 { return t.ThemeIDs[t.ThemePtr[r]:t.ThemePtr[r+1]] }
@@ -34,12 +32,12 @@ func (t *GKGTable) RowThemes(r int) []int32 { return t.ThemeIDs[t.ThemePtr[r]:t.
 func (t *GKGTable) RowPersons(r int) []int32 { return t.PersonIDs[t.PersonPtr[r]:t.PersonPtr[r+1]] }
 
 // Validate checks the table's internal invariants against the dictionaries.
-func (t *GKGTable) Validate(sources, themes, persons, orgs *Dictionary) error {
+func (t *GKGTable) Validate(themes, persons *Dictionary) error {
 	n := t.Len()
-	if len(t.Interval) != n || len(t.Tone) != n || len(t.Translated) != n {
+	if len(t.Translated) != n {
 		return fmt.Errorf("store: gkg column lengths disagree")
 	}
-	if len(t.ThemePtr) != n+1 || len(t.PersonPtr) != n+1 || len(t.OrgPtr) != n+1 {
+	if len(t.ThemePtr) != n+1 || len(t.PersonPtr) != n+1 {
 		return fmt.Errorf("store: gkg csr pointer lengths disagree")
 	}
 	prev := int32(-1)
@@ -48,9 +46,6 @@ func (t *GKGTable) Validate(sources, themes, persons, orgs *Dictionary) error {
 			return fmt.Errorf("store: gkg rows not interval-sorted at %d", r)
 		}
 		prev = t.Interval[r]
-		if s := t.Source[r]; s < 0 || int(s) >= sources.Len() {
-			return fmt.Errorf("store: gkg row %d source %d out of range", r, s)
-		}
 	}
 	check := func(name string, ptr []int64, ids []int32, dict *Dictionary) error {
 		if ptr[0] != 0 || ptr[n] != int64(len(ids)) {
@@ -71,10 +66,7 @@ func (t *GKGTable) Validate(sources, themes, persons, orgs *Dictionary) error {
 	if err := check("theme", t.ThemePtr, t.ThemeIDs, themes); err != nil {
 		return err
 	}
-	if err := check("person", t.PersonPtr, t.PersonIDs, persons); err != nil {
-		return err
-	}
-	return check("org", t.OrgPtr, t.OrgIDs, orgs)
+	return check("person", t.PersonPtr, t.PersonIDs, persons)
 }
 
 // GKGStore bundles the GKG table with its dictionaries and theme postings.
@@ -83,7 +75,6 @@ type GKGStore struct {
 	Table   GKGTable
 	Themes  *Dictionary
 	Persons *Dictionary
-	Orgs    *Dictionary
 
 	// themePost[t] lists GKG rows carrying theme t, ascending by interval.
 	themePtr []int64
@@ -116,8 +107,8 @@ func (g *GKGStore) buildThemePostings() {
 }
 
 // Validate checks the store's invariants.
-func (g *GKGStore) Validate(sources *Dictionary) error {
-	if err := g.Table.Validate(sources, g.Themes, g.Persons, g.Orgs); err != nil {
+func (g *GKGStore) Validate() error {
+	if err := g.Table.Validate(g.Themes, g.Persons); err != nil {
 		return err
 	}
 	if got := g.themePtr[g.Themes.Len()]; got != int64(len(g.Table.ThemeIDs)) {
@@ -128,16 +119,16 @@ func (g *GKGStore) Validate(sources *Dictionary) error {
 
 // AssembleGKG attaches a deserialized GKG store to a DB, rebuilding the
 // postings and validating.
-func AssembleGKG(db *DB, table GKGTable, themes, persons, orgs *Dictionary) error {
-	g := &GKGStore{Table: table, Themes: themes, Persons: persons, Orgs: orgs}
+func AssembleGKG(db *DB, table GKGTable, themes, persons *Dictionary) error {
+	g := &GKGStore{Table: table, Themes: themes, Persons: persons}
 	// Validate the table before building postings: the counting sort in
 	// buildThemePostings indexes by theme id, so out-of-range ids from a
 	// corrupted binary load must fail here rather than panic there.
-	if err := g.Table.Validate(db.Sources, themes, persons, orgs); err != nil {
+	if err := g.Table.Validate(themes, persons); err != nil {
 		return err
 	}
 	g.buildThemePostings()
-	if err := g.Validate(db.Sources); err != nil {
+	if err := g.Validate(); err != nil {
 		return err
 	}
 	db.GKG = g
@@ -148,22 +139,19 @@ func AssembleGKG(db *DB, table GKGTable, themes, persons, orgs *Dictionary) erro
 type gkgStaging struct {
 	themes  *Dictionary
 	persons *Dictionary
-	orgs    *Dictionary
 
-	source     []int32
 	interval   []int32
-	tone       []float32
 	translated []bool
 	themeCnt   []int32
 	themeFlat  []int32
 	personCnt  []int32
 	personFlat []int32
-	orgCnt     []int32
-	orgFlat    []int32
 }
 
 // AddGKG stages one parsed GKG record. Records captured outside the archive
-// span are dropped and counted as bad rows.
+// span are dropped and counted as bad rows. The record's source is interned
+// like a mention's, so the source dictionary does not depend on what the
+// GKG table stores.
 func (b *Builder) AddGKG(rec *gdelt.GKGRecord) {
 	iv := rec.Date.IntervalIndex() - b.base
 	if iv < 0 || iv >= int64(b.meta.Intervals) {
@@ -172,16 +160,11 @@ func (b *Builder) AddGKG(rec *gdelt.GKGRecord) {
 		return
 	}
 	if b.gkg == nil {
-		b.gkg = &gkgStaging{
-			themes:  NewDictionary(),
-			persons: NewDictionary(),
-			orgs:    NewDictionary(),
-		}
+		b.gkg = &gkgStaging{themes: NewDictionary(), persons: NewDictionary()}
 	}
 	g := b.gkg
-	g.source = append(g.source, b.sources.Intern(rec.SourceName))
+	b.sources.Intern(rec.SourceName)
 	g.interval = append(g.interval, int32(iv))
-	g.tone = append(g.tone, rec.Tone)
 	g.translated = append(g.translated, rec.Translated)
 	g.themeCnt = append(g.themeCnt, int32(len(rec.Themes)))
 	for _, th := range rec.Themes {
@@ -191,19 +174,16 @@ func (b *Builder) AddGKG(rec *gdelt.GKGRecord) {
 	for _, p := range rec.Persons {
 		g.personFlat = append(g.personFlat, g.persons.Intern(p))
 	}
-	g.orgCnt = append(g.orgCnt, int32(len(rec.Organizations)))
-	for _, o := range rec.Organizations {
-		g.orgFlat = append(g.orgFlat, g.orgs.Intern(o))
-	}
 }
 
-// finishGKG sorts the staged rows by interval and assembles the GKG store.
+// finishGKG sorts the staged rows by interval and assembles the GKG store,
+// every column at its exact length.
 func (b *Builder) finishGKG(db *DB) error {
 	g := b.gkg
 	if g == nil {
 		return nil
 	}
-	n := len(g.source)
+	n := len(g.interval)
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
@@ -213,25 +193,24 @@ func (b *Builder) finishGKG(db *DB) error {
 	// Prefix offsets of the staged (unsorted) CSR lists.
 	themeOff := prefix(g.themeCnt)
 	personOff := prefix(g.personCnt)
-	orgOff := prefix(g.orgCnt)
 
-	var t GKGTable
-	t.ThemePtr = append(t.ThemePtr, 0)
-	t.PersonPtr = append(t.PersonPtr, 0)
-	t.OrgPtr = append(t.OrgPtr, 0)
+	t := GKGTable{
+		Interval:   make([]int32, 0, n),
+		Translated: make([]bool, 0, n),
+		ThemePtr:   append(make([]int64, 0, n+1), 0),
+		ThemeIDs:   make([]int32, 0, len(g.themeFlat)),
+		PersonPtr:  append(make([]int64, 0, n+1), 0),
+		PersonIDs:  make([]int32, 0, len(g.personFlat)),
+	}
 	for _, o := range order {
-		t.Source = append(t.Source, g.source[o])
 		t.Interval = append(t.Interval, g.interval[o])
-		t.Tone = append(t.Tone, g.tone[o])
 		t.Translated = append(t.Translated, g.translated[o])
 		t.ThemeIDs = append(t.ThemeIDs, g.themeFlat[themeOff[o]:themeOff[o]+int64(g.themeCnt[o])]...)
 		t.ThemePtr = append(t.ThemePtr, int64(len(t.ThemeIDs)))
 		t.PersonIDs = append(t.PersonIDs, g.personFlat[personOff[o]:personOff[o]+int64(g.personCnt[o])]...)
 		t.PersonPtr = append(t.PersonPtr, int64(len(t.PersonIDs)))
-		t.OrgIDs = append(t.OrgIDs, g.orgFlat[orgOff[o]:orgOff[o]+int64(g.orgCnt[o])]...)
-		t.OrgPtr = append(t.OrgPtr, int64(len(t.OrgIDs)))
 	}
-	return AssembleGKG(db, t, g.themes, g.persons, g.orgs)
+	return AssembleGKG(db, t, g.themes, g.persons)
 }
 
 func prefix(counts []int32) []int64 {

@@ -49,8 +49,8 @@ func TestGKGBuilderSortsAndIndexes(t *testing.T) {
 	if g.Table.Interval[0] != 1 || g.Table.Interval[1] != 5 {
 		t.Fatalf("intervals %v", g.Table.Interval)
 	}
-	// Row 0 is the r1 record (two themes, one org, tone -5).
-	if len(g.Table.RowThemes(0)) != 2 || g.Table.OrgPtr[1]-g.Table.OrgPtr[0] != 1 || g.Table.Tone[0] != -5 {
+	// Row 0 is the r1 record (two themes, no person), row 1 r2's.
+	if len(g.Table.RowThemes(0)) != 2 || len(g.Table.RowPersons(0)) != 0 || len(g.Table.RowPersons(1)) != 1 {
 		t.Fatalf("row 0 annotations wrong")
 	}
 	if g.Table.Translated[0] || !g.Table.Translated[1] {
@@ -78,18 +78,18 @@ func TestGKGBuilderSortsAndIndexes(t *testing.T) {
 func TestGKGValidateCatchesCorruption(t *testing.T) {
 	db := buildGKGDB(t)
 	g := db.GKG
-	if err := g.Validate(db.Sources); err != nil {
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	saved := g.Table.ThemeIDs[0]
 	g.Table.ThemeIDs[0] = 999
-	if err := g.Table.Validate(db.Sources, g.Themes, g.Persons, g.Orgs); err == nil {
+	if err := g.Table.Validate(g.Themes, g.Persons); err == nil {
 		t.Fatal("bad theme id not caught")
 	}
 	g.Table.ThemeIDs[0] = saved
 	savedIv := g.Table.Interval[1]
 	g.Table.Interval[1] = 0 // breaks sort order
-	if err := g.Table.Validate(db.Sources, g.Themes, g.Persons, g.Orgs); err == nil {
+	if err := g.Table.Validate(g.Themes, g.Persons); err == nil {
 		t.Fatal("unsorted rows not caught")
 	}
 	g.Table.Interval[1] = savedIv

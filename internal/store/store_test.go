@@ -189,10 +189,10 @@ func TestSourceCountries(t *testing.T) {
 	db, _ := buildTinyDB(t)
 	a := db.Sources.Lookup("a.com")
 	bsrc := db.Sources.Lookup("b.co.uk")
-	if got := db.SourceCountry[a]; got != int16(gdelt.CountryIndex("US")) {
+	if got := db.SourceCountry[a]; got != int32(gdelt.CountryIndex("US")) {
 		t.Fatalf("a.com country %d", got)
 	}
-	if got := db.SourceCountry[bsrc]; got != int16(gdelt.CountryIndex("UK")) {
+	if got := db.SourceCountry[bsrc]; got != int32(gdelt.CountryIndex("UK")) {
 		t.Fatalf("b.co.uk country %d", got)
 	}
 }

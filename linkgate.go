@@ -14,6 +14,17 @@
 // instantiations ([...]) count for the function that declares them. init
 // functions are not checked. It also fails on an allowlist entry that names
 // nothing declared, or a function some binary links.
+//
+// The field check does the same for data: every field of the store types in
+// stored (store.DB, EventTable, MentionTable, GKGStore, GKGTable) must be
+// selected by at least one linked function of the module that the plumbing
+// set below does not cover — the code that only moves a column between its
+// forms (codec, builder, row copies, splits, invariant checks). A field only
+// plumbing selects is resident bytes no query reads. Selections are resolved
+// with go/types over every package of the module, so a field is told apart
+// from a same-named field of another type; a selection anywhere in a
+// function's body, closures included, counts for that function. It also
+// fails on a plumbing entry that names nothing declared.
 package main
 
 import (
@@ -21,12 +32,16 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,6 +100,33 @@ var allowlist = map[string]string{
 // reasons are the categories an allowlist entry may give.
 var reasons = []string{"oracle:", "test seam:", "item-10 codec:", "X2:", "public API:", "test package:"}
 
+// plumbing maps the functions, types and packages (keyed like allowlist) whose
+// selections of a stored field do not count as reads, to why: they move every
+// column between its forms whether or not anything reads it.
+var plumbing = map[string]string{
+	"internal/binfmt": "codec: the part format writes and reads every stored column",
+
+	"internal/store.Builder":        "build: stages parsed records and fills every column",
+	"internal/store.DB.appendRows":  "build: the append path fills every column of a chunk's rows",
+	"internal/store.DB.CloneAppend": "copy: clones every column into the next tail",
+	"internal/store.EventTable":     "copy: AppendRow and Slice copy or alias every column of a row range",
+	"internal/store.MergeEvents":    "copy: merges two event tables column by column",
+	"internal/shard.slice":          "copy: a split part copies every column of its rows",
+	"internal/shard.sliceGKG":       "copy: a split part copies every GKG column of its rows",
+
+	"internal/store.DB.Validate":        "check: column lengths and references",
+	"internal/store.DB.validateTables":  "check: column lengths and references",
+	"internal/store.GKGTable.Validate":  "check: column lengths and references",
+	"internal/store.GKGStore.Validate":  "check: column lengths and references",
+	"internal/store.DB.DiffFromRebuild": "check: the append oracle compares every derived index",
+}
+
+// plumbingReasons are the categories a plumbing entry may give.
+var plumbingReasons = []string{"codec:", "build:", "copy:", "check:"}
+
+// stored names the types of internal/store whose every field needs a reader.
+var stored = []string{"DB", "EventTable", "MentionTable", "GKGStore", "GKGTable"}
+
 const module = "gdeltmine"
 
 func main() {
@@ -96,8 +138,13 @@ func main() {
 
 func run() error {
 	for key, why := range allowlist {
-		if !hasReason(why) {
+		if !hasReason(why, reasons) {
 			return fmt.Errorf("allowlist entry %s: reason %q names no category (%s)", key, why, strings.Join(reasons, " "))
+		}
+	}
+	for key, why := range plumbing {
+		if !hasReason(why, plumbingReasons) {
+			return fmt.Errorf("plumbing entry %s: reason %q names no category (%s)", key, why, strings.Join(plumbingReasons, " "))
 		}
 	}
 	tmp, err := os.MkdirTemp("", "linkgate")
@@ -120,10 +167,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	decls, err := declaredFuncs()
+	pkgs, err := loadPackages()
 	if err != nil {
 		return err
 	}
+	decls := declaredFuncs(pkgs)
 
 	var dead, stale []string
 	used := map[string]bool{}
@@ -131,7 +179,7 @@ func run() error {
 		if linked[key] {
 			continue
 		}
-		if entry, ok := allowed(key); ok {
+		if entry, ok := covering(allowlist, key); ok {
 			used[entry] = true
 			continue
 		}
@@ -145,22 +193,37 @@ func run() error {
 			stale = append(stale, key+" names no unlinked declaration")
 		}
 	}
+	unread, nfields := unreadFields(pkgs, linked)
+	plumbed := map[string]bool{}
+	for key := range decls {
+		if entry, ok := covering(plumbing, key); ok {
+			plumbed[entry] = true
+		}
+	}
+	for key := range plumbing {
+		if !plumbed[key] {
+			stale = append(stale, "plumbing "+key+" names no declaration")
+		}
+	}
 	sort.Strings(dead)
 	sort.Strings(stale)
 	for _, d := range dead {
 		fmt.Println("unlinked:", d)
 	}
+	for _, u := range unread {
+		fmt.Println("unread field:", u)
+	}
 	for _, s := range stale {
-		fmt.Println("stale allowlist entry:", s)
+		fmt.Println("stale entry:", s)
 	}
-	if len(dead)+len(stale) > 0 {
-		return fmt.Errorf("%d unlinked functions, %d stale allowlist entries", len(dead), len(stale))
+	if len(dead)+len(unread)+len(stale) > 0 {
+		return fmt.Errorf("%d unlinked functions, %d unread fields, %d stale entries", len(dead), len(unread), len(stale))
 	}
-	fmt.Printf("linkgate: %d functions declared under internal/, every one linked or allowlisted\n", len(decls))
+	fmt.Printf("linkgate: %d functions declared under internal/, every one linked or allowlisted; %d stored fields, every one read\n", len(decls), nfields)
 	return nil
 }
 
-func hasReason(why string) bool {
+func hasReason(why string, reasons []string) bool {
 	for _, r := range reasons {
 		if strings.HasPrefix(why, r) {
 			return true
@@ -169,11 +232,11 @@ func hasReason(why string) bool {
 	return false
 }
 
-// allowed reports the allowlist entry covering key: the function itself,
-// its receiver type or its package.
-func allowed(key string) (string, bool) {
+// covering reports the entry of m covering key: the function itself, its
+// receiver type or its package.
+func covering(m map[string]string, key string) (string, bool) {
 	for k := key; ; {
-		if _, ok := allowlist[k]; ok {
+		if _, ok := m[k]; ok {
 			return k, true
 		}
 		i := strings.LastIndex(k, ".")
@@ -198,8 +261,8 @@ func goCmd(dir string, args ...string) error {
 // closures, go/defer wrappers and method values.
 var suffix = regexp.MustCompile(`(\.(func|gowrap|deferwrap)\d+(\.\d+)*)+$|-fm$`)
 
-// linkedFuncs returns the internal functions any binary under dir links, keyed
-// like declaredFuncs.
+// linkedFuncs returns the module's functions any binary under dir links, keyed
+// like funcKey.
 func linkedFuncs(dir string) (map[string]bool, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -217,8 +280,11 @@ func linkedFuncs(dir string) (map[string]bool, error) {
 			if len(f) < 3 || f[len(f)-2] != "T" {
 				continue
 			}
-			sym, ok := strings.CutPrefix(f[len(f)-1], module+"/")
-			if !ok || !strings.HasPrefix(sym, "internal/") {
+			sym := f[len(f)-1]
+			switch {
+			case strings.HasPrefix(sym, module+"/"):
+				sym = strings.TrimPrefix(sym, module+"/")
+			case !strings.HasPrefix(sym, module+".") && !strings.HasPrefix(sym, "main."):
 				continue
 			}
 			linked[symbolKey(sym)] = true
@@ -245,44 +311,176 @@ func symbolKey(sym string) string {
 	return suffix.ReplaceAllString(b.String(), "")
 }
 
-// declaredFuncs returns every function declared in the compiled non-test
-// files of the packages under internal/, keyed "internal/p.F" or
-// "internal/p.T.M", with its position.
-func declaredFuncs() (map[string]string, error) {
-	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}{{range .GoFiles}} {{$.Dir}}/{{.}}{{end}}`, "./internal/...").Output()
+// pkg is one package of the module, parsed and type-checked from its
+// compiled non-test files.
+type pkg struct {
+	path  string
+	rel   string // the symbol prefix: path relative to the module, the module itself, or "main"
+	files []*ast.File
+	info  *types.Info
+	types *types.Package
+}
+
+var fset = token.NewFileSet()
+
+// loadPackages parses and type-checks every package of the module, importing
+// its dependencies from the export data `go list -export` leaves in the
+// build cache.
+func loadPackages() ([]*pkg, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f",
+		`{{.ImportPath}}	{{.Export}}	{{with .Module}}{{.Path}}{{end}}	{{.Name}}	{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}`, "./...").Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list: %w", err)
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	decls := map[string]string{}
-	fset := token.NewFileSet()
+	exports := map[string]string{}
+	var pkgs []*pkg
+	var files [][]string
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Fields(line)
-		pkg := strings.TrimPrefix(f[0], module+"/")
-		for _, path := range f[1:] {
+		f := strings.Split(line, "\t")
+		exports[f[0]] = f[1]
+		if f[2] != module {
+			continue
+		}
+		p := &pkg{path: f[0], rel: strings.TrimPrefix(f[0], module+"/")}
+		if f[3] == "main" {
+			p.rel = "main"
+		}
+		pkgs = append(pkgs, p)
+		files = append(files, strings.Fields(f[4]))
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	for i, p := range pkgs {
+		for _, path := range files[i] {
 			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return nil, err
 			}
+			p.files = append(p.files, file)
+		}
+		p.info = &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if p.types, err = conf.Check(p.path, fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+	}
+	return pkgs, nil
+}
+
+// funcKey keys a declared function like linkedFuncs keys a symbol:
+// "internal/p.F" or "internal/p.T.M".
+func funcKey(p *pkg, fd *ast.FuncDecl) string {
+	if fd.Recv != nil {
+		return p.rel + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+	}
+	return p.rel + "." + fd.Name.Name
+}
+
+// declaredFuncs returns every function declared in the compiled non-test
+// files of the packages under internal/, keyed by funcKey, with its position.
+func declaredFuncs(pkgs []*pkg) map[string]string {
+	wd, _ := os.Getwd()
+	decls := map[string]string{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		for _, file := range p.files {
 			for _, d := range file.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Name.Name == "init" {
-					continue
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
+					pos := fset.Position(fd.Pos())
+					rel, _ := filepath.Rel(wd, pos.Filename)
+					decls[funcKey(p, fd)] = fmt.Sprintf("%s:%d", rel, pos.Line)
 				}
-				key := pkg + "." + fd.Name.Name
-				if fd.Recv != nil {
-					key = pkg + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-				}
-				pos := fset.Position(fd.Pos())
-				rel, _ := filepath.Rel(wd, pos.Filename)
-				decls[key] = fmt.Sprintf("%s:%d", rel, pos.Line)
 			}
 		}
 	}
-	return decls, nil
+	return decls
+}
+
+// unreadFields returns the fields of the stored types that no linked function
+// outside the plumbing set selects, each with the functions that do, and the
+// number of fields checked.
+func unreadFields(pkgs []*pkg, linked map[string]bool) ([]string, int) {
+	selectors := map[string][]string{} // "internal/store.T.F" -> selecting functions
+	var fields []string
+	for _, p := range pkgs {
+		if p.path == module+"/internal/store" {
+			for _, name := range stored {
+				st := p.types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+				for i := range st.NumFields() {
+					key := p.rel + "." + name + "." + st.Field(i).Name()
+					fields = append(fields, key)
+					selectors[key] = nil
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, file := range p.files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := funcKey(p, fd)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if se, ok := n.(*ast.SelectorExpr); ok {
+						if sel := p.info.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+							if key, ok := fieldKey(sel); ok {
+								if fns, watched := selectors[key]; watched && !slices.Contains(fns, fn) {
+									selectors[key] = append(fns, fn)
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var unread []string
+	for _, key := range fields {
+		fns := selectors[key]
+		read := slices.ContainsFunc(fns, func(fn string) bool {
+			_, plumbed := covering(plumbing, fn)
+			return linked[fn] && !plumbed
+		})
+		if !read {
+			sort.Strings(fns)
+			unread = append(unread, fmt.Sprintf("%s (selected by: %s)", key, strings.Join(fns, ", ")))
+		}
+	}
+	return unread, len(fields)
+}
+
+// fieldKey names the field a selection picks as "pkg.Type.Field", package
+// path relative to the module, following embedded fields to the struct that
+// declares it.
+func fieldKey(sel *types.Selection) (string, bool) {
+	t := sel.Recv()
+	idx := sel.Index()
+	for _, i := range idx[:len(idx)-1] {
+		st, ok := deref(t).Underlying().(*types.Struct)
+		if !ok {
+			return "", false
+		}
+		t = st.Field(i).Type()
+	}
+	named, ok := deref(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	path := strings.TrimPrefix(named.Obj().Pkg().Path(), module+"/")
+	return path + "." + named.Obj().Name() + "." + sel.Obj().Name(), true
+}
+
+func deref(t types.Type) types.Type {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		return types.Unalias(p.Elem())
+	}
+	return t
 }
 
 func recvName(t ast.Expr) string {
