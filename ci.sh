@@ -189,14 +189,15 @@ rm -rf "$conv"
 # evaluator written in the test, over empty, one-row, odd-sized and full
 # windows, appending after an existing prefix; Refine must equal Select.
 #
-# Router chaos (internal/router, TestChaos*): a real 4-replica 2-group fleet
-# behind the scatter/gather router, with deterministic replica faults
-# (internal/faults.ReplicaChaos). Kill one replica per group and every query
-# kind must still answer bit-identical to the monolith with full coverage;
-# kill a whole group and every kind must degrade to an explicit
-# partial-coverage 200 (never a 5xx), with the partial result kept out of the
-# full-coverage cache entry. Hedging, per-try timeouts, breakers and
-# per-tenant admission run under the same battery, and
+# Router chaos (internal/router, TestChaos*): a real fleet of interchangeable
+# replicas, each serving the full K=4 world, behind the router, with
+# deterministic replica faults (internal/faults.ReplicaChaos). With any 3 of
+# 4 replicas down, and with each replica of a default-configured 3-replica
+# fleet as the sole survivor (probed or not), every query kind must answer
+# bit-identical to the monolith with no coverage metadata; with every
+# replica down the router answers the 503 envelope and /readyz 503.
+# Hedging, per-try timeouts, the MaxAttempts bound, breakers and per-tenant
+# admission run under the same battery, and
 # TestMonolithReplicasRouteAsOneShard fronts two K=1 replicas.
 #
 # Compaction differential (internal/baseline, TestCompactionDifferential*):

@@ -309,9 +309,8 @@ func fireParams(min, k int) func(string) []string {
 }
 
 // checkPublisherEdges checks the top-publishers plan over every source —
-// on v and on the monolith's engine — in each publisherWindows window
-// and, when v's world has three or more shards, on v with shard 1
-// excluded, against publisherRef over the monolith's rows.
+// on v and on the monolith's engine — in each publisherWindows window,
+// against publisherRef over the monolith's rows.
 func checkPublisherEdges(t *testing.T, db *store.DB, v *shard.View) {
 	t.Helper()
 	d := registry.MustLookup("top-publishers")
@@ -336,17 +335,6 @@ func checkPublisherEdges(t *testing.T, db *store.DB, v *shard.View) {
 		got, err = d.Run(engine.New(db).WithWorkers(1).WithInterval(w[0], w[1]), p)
 		check(what+" on the monolith", want, got, err)
 	}
-	sdb := v.DB()
-	if sdb.K() < 3 {
-		return
-	}
-	b := sdb.Bounds()
-	keep := []int{0}
-	for i := 2; i < sdb.K(); i++ {
-		keep = append(keep, i)
-	}
-	got, err := d.RunSharded(v.WithShards(keep), p)
-	check("without shard 1", publisherRef(db, func(iv int32) bool { return iv < b[1] || iv >= b[2] }), got, err)
 }
 
 // publisherRef is top-publishers over every source of db, counting the

@@ -46,20 +46,10 @@ type Key struct {
 	Window string
 	// Version is the store snapshot version the result was computed at.
 	Version uint64
-	// Scope distinguishes results computed over a restricted shard subset
-	// (degraded serving behind the routing tier) from full-coverage
-	// results. Empty means full coverage. Because Scope is part of the key,
-	// a partial result can never be served for — or overwrite — a
-	// full-coverage request, and vice versa.
-	Scope string
 }
 
-// String renders the key layout documented in DESIGN.md §8 (§11 for the
-// coverage scope).
+// String renders the key layout documented in DESIGN.md §8.
 func (k Key) String() string {
-	if k.Scope != "" {
-		return fmt.Sprintf("%s?%s@%s#v%d!%s", k.Kind, k.Params, k.Window, k.Version, k.Scope)
-	}
 	return fmt.Sprintf("%s?%s@%s#v%d", k.Kind, k.Params, k.Window, k.Version)
 }
 

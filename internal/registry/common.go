@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -19,20 +18,12 @@ const (
 	ParamWorkers = "workers"
 	ParamFrom    = "from"
 	ParamTo      = "to"
-	// ParamShards restricts a sharded execution to a comma-separated list
-	// of shard indices ("shards=0,1,3"). It is the degraded-serving
-	// parameter of the routing tier (internal/router): when a shard group
-	// has no live replica, the router forwards queries restricted to the
-	// surviving shards and flags the response as partial coverage. Only
-	// valid against a sharded dataset.
-	ParamShards = "shards"
 )
 
 // IsCommonParam reports whether name is one of the engine-view parameters
 // every kind accepts.
 func IsCommonParam(name string) bool {
-	return name == ParamWorkers || name == ParamFrom || name == ParamTo ||
-		name == ParamShards
+	return name == ParamWorkers || name == ParamFrom || name == ParamTo
 }
 
 // Query-shaping parameters shared by several kinds. One constructor per
@@ -137,31 +128,6 @@ func lastValue(get func(name string) []string, name string) string {
 	return v[len(v)-1]
 }
 
-// ParseShards decodes a ParamShards value ("0,1,3") against a dataset of k
-// shards. Errors are parameter errors (IsBadParam).
-func ParseShards(k int, raw string) ([]int, error) {
-	var out []int
-	seen := make(map[int]bool)
-	for _, part := range strings.Split(raw, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, BadParamf("invalid shards %q", raw)
-		}
-		if n < 0 || n >= k {
-			return nil, BadParamf("shard %d out of range [0, %d)", n, k)
-		}
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	if len(out) == 0 {
-		return nil, BadParamf("invalid shards %q", raw)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
 func parseCommon(meta store.Meta, get func(name string) []string) (commonParams, error) {
 	var c commonParams
 	one := func(name string) string { return lastValue(get, name) }
@@ -210,9 +176,6 @@ func parseCommon(meta store.Meta, get func(name string) []string) (commonParams,
 // Transport concerns (request context, kind label) stay with the caller;
 // errors are parameter errors (IsBadParam).
 func DeriveEngine(e *engine.Engine, get func(name string) []string) (*engine.Engine, error) {
-	if lastValue(get, ParamShards) != "" {
-		return nil, BadParamf("shards: only valid against a sharded dataset")
-	}
 	c, err := parseCommon(e.DB().Meta, get)
 	if err != nil {
 		return nil, err
@@ -238,13 +201,6 @@ func DeriveView(v *shard.View, get func(name string) []string) (*shard.View, err
 	}
 	if c.windowed {
 		v = v.WithWindow(c.lo, c.hi)
-	}
-	if raw := lastValue(get, ParamShards); raw != "" {
-		idx, err := ParseShards(v.DB().K(), raw)
-		if err != nil {
-			return nil, err
-		}
-		v = v.WithShards(idx)
 	}
 	return v, nil
 }

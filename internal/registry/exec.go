@@ -9,9 +9,9 @@ import (
 
 // Executor runs registered queries through an optional result cache. It is
 // the one place that knows how a descriptor execution becomes a cache key:
-// kind, canonical params, the view's interval window with the version
-// vector of the parts the answer reads, and the view's shard subset. A nil
-// Executor (or nil Cache) executes directly.
+// kind, canonical params, and the view's interval window with the version
+// vector of the parts the answer reads. A nil Executor (or nil Cache)
+// executes directly.
 type Executor struct {
 	Cache *qcache.Cache
 }
@@ -26,12 +26,9 @@ type Executor struct {
 // the max over them (shard.DB.CacheWindow): every part for most kinds, only
 // the shards the window overlaps for a WindowOnly kind, so a tail-shard
 // append invalidates every answer that could have changed while cold-shard
-// window-only entries stay warm. A view restricted to a shard subset
-// (degraded serving) additionally carries its subset as the key's Scope,
-// so a partial result is never stored under — or served for — the
-// full-coverage key. A kind with an Archive half computes it through the
-// cache too, under its own key (see archive), so only its Finish runs per
-// window and parameter set.
+// window-only entries stay warm. A kind with an Archive half computes it
+// through the cache too, under its own key (see archive), so only its
+// Finish runs per window and parameter set.
 func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, qcache.Outcome, error) {
 	if d.RunSharded == nil {
 		return nil, qcache.Bypass, fmt.Errorf("registry: kind %q has no sharded execution", d.Kind)
@@ -57,15 +54,14 @@ func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, 
 		Params:  d.Canonical(p),
 		Window:  window,
 		Version: version,
-		Scope:   v.ShardScope(),
 	}
 	return x.Cache.Do(v.Context(), key, func() (any, error) { return live(v, run) })
 }
 
 // archive returns d's Archive value for v's snapshot through the cache. The
-// value reads every part whatever the window, shard subset or parameters,
-// so its key carries no params, no scope, and the version vector of every
-// part (shard.DB.ArchiveWindow): one entry serves every window and k of a
+// value reads every part whatever the window or parameters, so its key
+// carries no params and the version vector of every part
+// (shard.DB.ArchiveWindow): one entry serves every window and k of a
 // snapshot, and any append retires it.
 func (x *Executor) archive(d *Descriptor, v *shard.View) (any, error) {
 	a, _, err := x.Cache.Do(v.Context(), archiveKey(d, v.DB()), func() (any, error) {

@@ -170,9 +170,9 @@ type Descriptor struct {
 	WindowOnly bool
 	// Archive and Finish, when set, split a kind whose answer is mostly
 	// window-independent into two halves. Archive computes the half that
-	// reads the whole archive whatever the view's window, shard subset or
-	// parameters, and returns a read-only value; Finish completes the
-	// answer for one view and parameter set from it. register derives
+	// reads the whole archive whatever the view's window or parameters,
+	// and returns a read-only value; Finish completes the answer for one
+	// view and parameter set from it. register derives
 	// RunSharded as Finish(v, p, Archive(v)), and a cached Executor keeps
 	// the Archive value under its own key, so a miss at a new window or
 	// parameter set computes only Finish.

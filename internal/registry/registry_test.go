@@ -107,8 +107,8 @@ func TestCheckKnown(t *testing.T) {
 	if err := d.CheckKnown([]string{"k", "workers", "from", "to"}); err != nil {
 		t.Fatalf("schema and common params must pass: %v", err)
 	}
-	// A stale client's plan= must fail loudly, like a typo.
-	for _, name := range []string{"kk", "plan"} {
+	// A stale client's plan= or shards= must fail loudly, like a typo.
+	for _, name := range []string{"kk", "plan", "shards"} {
 		err := d.CheckKnown([]string{name})
 		if err == nil || !IsBadParam(err) {
 			t.Fatalf("%q should be a bad-param error, got %v", name, err)

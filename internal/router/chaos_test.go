@@ -25,11 +25,11 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// The chaos battery drives a real 4-replica, 2-group fleet: every replica
-// is an httptest gdeltserve wrapped in a faults.ReplicaChaos middleware, so
-// scenarios kill, slow and partition replicas deterministically and the
-// router's failover is observed end to end against the kinds' Run on the
-// monolith.
+// The chaos battery drives a real replica fleet: every replica is an
+// httptest gdeltserve serving the full K=4 world, wrapped in a
+// faults.ReplicaChaos middleware, so scenarios kill, slow and partition
+// replicas deterministically and the router's failover is observed end to
+// end against the kinds' Run on the monolith.
 
 var chaosDB *store.DB
 
@@ -59,10 +59,10 @@ type chaosHarness struct {
 
 var chaosReplicaIDs = []string{"r0", "r1", "r2", "r3"}
 
-// newChaosHarness builds the fleet: K=4 shards, 2 groups (shards {0,1} on
-// r0/r1, shards {2,3} on r2/r3), every replica serving the full sharded
-// dataset; the monolith it was split from is the bit-identical reference.
-func newChaosHarness(t *testing.T, plan faults.ReplicaPlan, mut func(*Config)) *chaosHarness {
+// newFleet builds a fleet of the named replicas, each serving the full
+// K=4 split of the monolith (the bit-identical reference), behind a router
+// configured as Config{Replicas, Shards: 4} with mut applied.
+func newFleet(t *testing.T, ids []string, plan faults.ReplicaPlan, mut func(*Config)) *chaosHarness {
 	t.Helper()
 	db := chaosData(t)
 	sdb, err := shard.Split(db, 4)
@@ -75,25 +75,13 @@ func newChaosHarness(t *testing.T, plan faults.ReplicaPlan, mut func(*Config)) *
 		reps:  make(map[string]*httptest.Server),
 	}
 	var replicas []Replica
-	for _, id := range chaosReplicaIDs {
+	for _, id := range ids {
 		srv := httptest.NewServer(h.chaos.Middleware(id, serve.NewSharded(sdb, serve.Config{})))
 		t.Cleanup(srv.Close)
 		h.reps[id] = srv
 		replicas = append(replicas, Replica{ID: id, URL: srv.URL})
 	}
-	cfg := Config{
-		Replicas:         replicas,
-		Shards:           4,
-		Groups:           2,
-		Replication:      2,
-		Placement:        [][]string{{"r0", "r1"}, {"r2", "r3"}},
-		PerTryTimeout:    5 * time.Second,
-		MaxAttempts:      4,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-		ProbeTimeout:     2 * time.Second,
-		Seed:             42,
-	}
+	cfg := Config{Replicas: replicas, Shards: 4}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -105,6 +93,23 @@ func newChaosHarness(t *testing.T, plan faults.ReplicaPlan, mut func(*Config)) *
 	h.front = httptest.NewServer(h.rt)
 	t.Cleanup(h.front.Close)
 	return h
+}
+
+// newChaosHarness is the battery's 4-replica fleet with hair-trigger
+// breakers: one failure opens a replica's breaker for an hour, so a probe
+// round takes a dead replica out of routing at once, and every query may
+// try the whole fleet.
+func newChaosHarness(t *testing.T, plan faults.ReplicaPlan, mut func(*Config)) *chaosHarness {
+	t.Helper()
+	return newFleet(t, chaosReplicaIDs, plan, func(cfg *Config) {
+		cfg.PerTryTimeout = 5 * time.Second
+		cfg.MaxAttempts = 4
+		cfg.BreakerThreshold = 1
+		cfg.BreakerCooldown = time.Hour
+		if mut != nil {
+			mut(cfg)
+		}
+	})
 }
 
 // get fetches base+path+query and returns status, body and headers.
@@ -180,9 +185,10 @@ func queryFor(d *registry.Descriptor, theme string) string {
 }
 
 // requireMonolithMatch fetches every registered kind through the router and
-// requires a 200 whose body is bit-identical to the monolith's, with full
-// coverage of all `shards` shards advertised.
-func requireMonolithMatch(t *testing.T, front string, db *store.DB, shards int) {
+// requires a 200 whose body is bit-identical to the monolith's, naming the
+// replica that answered and carrying no coverage metadata: any replica
+// answers in full.
+func requireMonolithMatch(t *testing.T, front string, db *store.DB) {
 	t.Helper()
 	theme := topTheme(t, db)
 	for _, d := range registry.All() {
@@ -197,11 +203,10 @@ func requireMonolithMatch(t *testing.T, front string, db *store.DB, shards int) 
 			t.Fatalf("%s: routed body differs from monolith\nrouted:   %.200s\nmonolith: %.200s",
 				d.Kind, gotBody, wantBody)
 		}
-		if cov := hdr.Get("X-Gdelt-Coverage"); cov != "full" {
-			t.Fatalf("%s: coverage %q, want full", d.Kind, cov)
-		}
-		if sh, want := hdr.Get("X-Gdelt-Shards"), fmt.Sprintf("%d/%d", shards, shards); sh != want {
-			t.Fatalf("%s: shards %q, want %s", d.Kind, sh, want)
+		for _, name := range []string{"X-Gdelt-Coverage", "X-Gdelt-Shards", "X-Gdelt-Missing-Shards"} {
+			if v := hdr.Get(name); v != "" {
+				t.Fatalf("%s: routed answer carries %s: %s", d.Kind, name, v)
+			}
 		}
 		if hdr.Get("X-Gdelt-Replica") == "" {
 			t.Fatalf("%s: no X-Gdelt-Replica header", d.Kind)
@@ -211,152 +216,98 @@ func requireMonolithMatch(t *testing.T, front string, db *store.DB, shards int) 
 
 func TestChaosAllHealthyMatchesMonolith(t *testing.T) {
 	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
-	requireMonolithMatch(t, h.front.URL, h.db, 4)
+	requireMonolithMatch(t, h.front.URL, h.db)
 }
 
-func TestChaosOneReplicaPerGroupDownStaysFull(t *testing.T) {
+// TestChaosSoleSurvivorAnswersFull: in a 3-replica fleet with the default
+// configuration, whichever replica is the last one alive answers every
+// kind in full, whether a probe round has seen the other two die or not.
+func TestChaosSoleSurvivorAnswersFull(t *testing.T) {
+	ids := []string{"r0", "r1", "r2"}
+	for _, survivor := range ids {
+		for _, probed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/probed=%v", survivor, probed), func(t *testing.T) {
+				h := newFleet(t, ids, faults.ReplicaPlan{}, nil)
+				for _, id := range ids {
+					if id != survivor {
+						h.chaos.Set(id, faults.ReplicaDead)
+					}
+				}
+				if probed {
+					h.rt.ProbeAll(context.Background())
+				}
+				requireMonolithMatch(t, h.front.URL, h.db)
+			})
+		}
+	}
+}
+
+func TestChaosAnyThreeOfFourDownStaysFull(t *testing.T) {
 	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
-	// One replica of each group dies; the survivor keeps the group up, so
-	// every kind must still answer full-coverage and bit-identical.
-	h.chaos.Set("r1", faults.ReplicaDead)
-	h.chaos.Set("r3", faults.ReplicaDead)
-	requireMonolithMatch(t, h.front.URL, h.db, 4)
-	stats := h.chaos.Stats()
-	if stats[faults.ReplicaDead] == 0 {
-		t.Fatal("dead replicas were never consulted — failover untested")
+	for _, survivor := range chaosReplicaIDs {
+		// Three replicas die unannounced; queries fail over to the
+		// survivor, and every kind still answers bit-identical.
+		for _, id := range chaosReplicaIDs {
+			if id != survivor {
+				h.chaos.Set(id, faults.ReplicaDead)
+			}
+		}
+		deadBefore := h.chaos.Stats()[faults.ReplicaDead]
+		requireMonolithMatch(t, h.front.URL, h.db)
+		if h.chaos.Stats()[faults.ReplicaDead] == deadBefore {
+			t.Fatalf("survivor %s: dead replicas were never consulted — failover untested", survivor)
+		}
+		// Heal the fleet; a probe round closes the tripped breakers.
+		for _, id := range chaosReplicaIDs {
+			h.chaos.Heal(id)
+		}
+		h.rt.ProbeAll(context.Background())
 	}
 }
 
-func TestChaosWholeGroupDownDegradesToPartial(t *testing.T) {
-	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
-	// Kill both replicas of group 1 (shards 2,3) and let one probe round
-	// trip their breakers (threshold 1).
-	h.chaos.Set("r2", faults.ReplicaDead)
-	h.chaos.Set("r3", faults.ReplicaDead)
-	h.rt.ProbeAll(context.Background())
-
-	theme := topTheme(t, h.db)
-	partBefore := h.rt.met.coverPart.Value()
-	for _, d := range registry.All() {
-		path := "/api/v1/" + d.Kind
-		q := queryFor(d, theme)
-		gotCode, gotBody, hdr := get(t, h.front.URL, path, q, nil)
-		// The survivors answer restricted to shards 0,1 — never a 5xx.
-		wantQ := "shards=0,1"
-		if q != "" {
-			wantQ = q + "&" + wantQ
+func TestChaosFirstQueryAfterOutageStaysFullWithoutProbe(t *testing.T) {
+	// Before any probe or breaker has noticed the outage, the first query
+	// fails over within one request to the one live replica, and answers in
+	// full. MaxAttempts bounds the attempts: three dead replicas ahead of
+	// the survivor exhaust three attempts.
+	for _, attempts := range []int{3, 4} {
+		h := newChaosHarness(t, faults.ReplicaPlan{}, func(cfg *Config) {
+			cfg.BreakerThreshold = 100 // breakers stay closed: only in-request evidence
+			cfg.MaxAttempts = attempts
+		})
+		for _, id := range []string{"r1", "r2", "r3"} {
+			h.chaos.Set(id, faults.ReplicaDead)
 		}
-		wantCode, wantBody, _ := get(t, h.reps["r0"].URL, path, wantQ, nil)
-		if gotCode != wantCode || gotCode >= 500 {
-			t.Fatalf("%s: routed status %d, direct restricted %d: %s", d.Kind, gotCode, wantCode, gotBody)
+		// Find a query whose affinity order puts the survivor last. The
+		// workers parameter changes the affinity key but not the answer.
+		query := ""
+		for i := 1; i <= 256; i++ {
+			q := "workers=" + strconv.Itoa(i)
+			if h.rt.PreferenceOrder("/api/v1/stats", q)[3] == "r0" {
+				query = q
+				break
+			}
 		}
-		if !bytes.Equal(gotBody, wantBody) {
-			t.Fatalf("%s: routed partial body differs from direct shards=0,1 body\nrouted: %.200s\ndirect: %.200s",
-				d.Kind, gotBody, wantBody)
+		if query == "" {
+			t.Fatal("no affinity key puts the survivor last — widen the search")
 		}
-		if cov := hdr.Get("X-Gdelt-Coverage"); cov != "partial" {
-			t.Fatalf("%s: coverage %q, want partial", d.Kind, cov)
+		code, body, hdr := get(t, h.front.URL, "/api/v1/stats", query, nil)
+		if attempts == 3 {
+			if code != http.StatusBadGateway {
+				t.Fatalf("3 attempts on 3 dead replicas: status %d, want 502: %s", code, body)
+			}
+			continue
 		}
-		if sh := hdr.Get("X-Gdelt-Shards"); sh != "2/4" {
-			t.Fatalf("%s: shards %q, want 2/4", d.Kind, sh)
+		if code != http.StatusOK || hdr.Get("X-Gdelt-Replica") != "r0" {
+			t.Fatalf("first query after outage: status %d from %q: %s", code, hdr.Get("X-Gdelt-Replica"), body)
 		}
-		if miss := hdr.Get("X-Gdelt-Missing-Shards"); miss != "2,3" {
-			t.Fatalf("%s: missing shards %q, want 2,3", d.Kind, miss)
+		if want := monoBody(t, h.db, registry.MustLookup("stats"), query); !bytes.Equal(body, want) {
+			t.Fatalf("first query after outage: body differs from monolith\nrouted:   %.200s\nmonolith: %.200s", body, want)
 		}
-	}
-	if h.rt.met.coverPart.Value() == partBefore {
-		t.Fatal("partial coverage counter did not advance")
-	}
-
-	// The router's own /readyz reports the degradation.
-	code, body, _ := get(t, h.front.URL, "/readyz", "", nil)
-	if code != http.StatusOK {
-		t.Fatalf("degraded /readyz status %d", code)
-	}
-	var rz struct {
-		Status        string `json:"status"`
-		ShardsServing int    `json:"shardsServing"`
-		MissingShards []int  `json:"missingShards"`
-	}
-	if err := json.Unmarshal(body, &rz); err != nil {
-		t.Fatal(err)
-	}
-	if rz.Status != "degraded" || rz.ShardsServing != 2 || len(rz.MissingShards) != 2 {
-		t.Fatalf("degraded /readyz body %s", body)
 	}
 }
 
-func TestChaosFirstQueryAfterOutageDegradesWithoutProbe(t *testing.T) {
-	// Even before any probe or breaker has noticed the outage, the very
-	// first query must degrade within one request: round one burns its
-	// attempts on the dead group, round two recomputes coverage from those
-	// in-request failures and retries restricted to the surviving shards.
-	h := newChaosHarness(t, faults.ReplicaPlan{}, func(cfg *Config) {
-		cfg.BreakerThreshold = 100 // breakers stay closed: only in-request evidence
-		cfg.MaxAttempts = 2        // round one can exhaust on the dead pair
-	})
-	h.chaos.Set("r2", faults.ReplicaDead)
-	h.chaos.Set("r3", faults.ReplicaDead)
-	// Find a query whose top two affinity preferences are both dead, so
-	// round one genuinely exhausts its attempts before the degraded retry.
-	// The workers parameter changes the affinity key but not the answer.
-	query := ""
-	for i := 1; i <= 256; i++ {
-		q := "workers=" + strconv.Itoa(i)
-		ord := h.rt.PreferenceOrder("/api/v1/stats", q)
-		if (ord[0] == "r2" || ord[0] == "r3") && (ord[1] == "r2" || ord[1] == "r3") {
-			query = q
-			break
-		}
-	}
-	if query == "" {
-		t.Fatal("no affinity key front-loads the dead pair — widen the search")
-	}
-	code, body, hdr := get(t, h.front.URL, "/api/v1/stats", query, nil)
-	if code != http.StatusOK {
-		t.Fatalf("first query after outage: status %d: %s", code, body)
-	}
-	if cov := hdr.Get("X-Gdelt-Coverage"); cov != "partial" {
-		t.Fatalf("first query after outage: coverage %q, want partial", cov)
-	}
-	if miss := hdr.Get("X-Gdelt-Missing-Shards"); miss != "2,3" {
-		t.Fatalf("first query after outage: missing shards %q, want 2,3", miss)
-	}
-}
-
-func TestChaosHealRestoresFullCoverageAndCleanCache(t *testing.T) {
-	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
-
-	// Phase 1: group 1 down, a partial result is computed and cached on the
-	// survivors under a shard-scoped cache key.
-	h.chaos.Set("r2", faults.ReplicaDead)
-	h.chaos.Set("r3", faults.ReplicaDead)
-	h.rt.ProbeAll(context.Background())
-	code, partialBody, hdr := get(t, h.front.URL, "/api/v1/count", "", nil)
-	if code != http.StatusOK || hdr.Get("X-Gdelt-Coverage") != "partial" {
-		t.Fatalf("partial phase: status %d coverage %q", code, hdr.Get("X-Gdelt-Coverage"))
-	}
-
-	// Phase 2: heal; a probe round closes the breakers immediately.
-	h.chaos.Heal("r2")
-	h.chaos.Heal("r3")
-	h.rt.ProbeAll(context.Background())
-	wantBody := monoBody(t, h.db, registry.MustLookup("count"), "")
-	gotCode, gotBody, hdr := get(t, h.front.URL, "/api/v1/count", "", nil)
-	if gotCode != http.StatusOK || hdr.Get("X-Gdelt-Coverage") != "full" {
-		t.Fatalf("healed phase: status %d coverage %q", gotCode, hdr.Get("X-Gdelt-Coverage"))
-	}
-	// The partial result must not leak out of the cache as a full answer.
-	if !bytes.Equal(gotBody, wantBody) {
-		t.Fatalf("healed body differs from monolith — partial result served as full?\nrouted:   %.200s\nmonolith: %.200s",
-			gotBody, wantBody)
-	}
-	if bytes.Equal(gotBody, partialBody) {
-		t.Fatal("healed body equals the partial body — cache key collision across coverage scopes")
-	}
-}
-
-func TestChaosAllGroupsDown(t *testing.T) {
+func TestChaosAllReplicasDown(t *testing.T) {
 	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
 	for _, id := range chaosReplicaIDs {
 		h.chaos.Set(id, faults.ReplicaDead)
@@ -376,9 +327,12 @@ func TestChaosAllGroupsDown(t *testing.T) {
 	if env.Error == "" || env.Kind != "stats" {
 		t.Fatalf("total outage envelope %s", body)
 	}
-	code, _, _ = get(t, h.front.URL, "/readyz", "", nil)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("total outage /readyz status %d, want 503", code)
+	code, body, _ = get(t, h.front.URL, "/readyz", "", nil)
+	var rz struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal(body, &rz); err != nil || code != http.StatusServiceUnavailable || rz.Status != "unavailable" {
+		t.Fatalf("total outage /readyz: status %d body %s (%v), want 503 unavailable", code, body, err)
 	}
 }
 
@@ -386,7 +340,6 @@ func TestChaosSlowPrimaryHedges(t *testing.T) {
 	const slow = 400 * time.Millisecond
 	h := newChaosHarness(t, faults.ReplicaPlan{SlowDelay: slow}, func(cfg *Config) {
 		cfg.HedgeDelay = 20 * time.Millisecond
-		cfg.HedgeJitter = 0 // deterministic timing for the latency bound
 	})
 	// Slow exactly the replica the affinity hash prefers for this query.
 	primary := h.rt.PreferenceOrder("/api/v1/stats", "")[0]
@@ -501,43 +454,46 @@ func TestChaosUnknownKind(t *testing.T) {
 
 func TestChaosRoutezTopology(t *testing.T) {
 	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
+	h.chaos.Set("r2", faults.ReplicaDead)
+	h.rt.ProbeAll(context.Background())
 	code, body, _ := get(t, h.front.URL, "/routez", "", nil)
 	if code != http.StatusOK {
 		t.Fatalf("/routez status %d", code)
 	}
 	var rz struct {
-		Shards int `json:"shards"`
-		Groups []struct {
-			Shards   []int    `json:"shards"`
-			Replicas []string `json:"replicas"`
-			Up       bool     `json:"up"`
-		} `json:"groups"`
 		Replicas []struct {
 			ID      string `json:"id"`
+			URL     string `json:"url"`
 			Breaker string `json:"breaker"`
+			Ready   bool   `json:"ready"`
 		} `json:"replicas"`
 	}
 	if err := json.Unmarshal(body, &rz); err != nil {
 		t.Fatal(err)
 	}
-	if rz.Shards != 4 || len(rz.Groups) != 2 || len(rz.Replicas) != 4 {
-		t.Fatalf("/routez topology %s", body)
+	if len(rz.Replicas) != len(chaosReplicaIDs) {
+		t.Fatalf("/routez lists %d replicas, want %d: %s", len(rz.Replicas), len(chaosReplicaIDs), body)
 	}
-	if fmt.Sprint(rz.Groups[0].Shards) != "[0 1]" || fmt.Sprint(rz.Groups[1].Shards) != "[2 3]" {
-		t.Fatalf("/routez group shards %s", body)
-	}
-	for _, g := range rz.Groups {
-		if !g.Up {
-			t.Fatalf("healthy group reported down: %s", body)
+	for i, rep := range rz.Replicas {
+		id := chaosReplicaIDs[i]
+		wantBreaker, wantReady := "closed", true
+		if id == "r2" {
+			wantBreaker, wantReady = "open", false
 		}
+		if rep.ID != id || rep.URL != h.reps[id].URL || rep.Breaker != wantBreaker || rep.Ready != wantReady {
+			t.Fatalf("/routez replica %d: %+v, want %s %s breaker %s ready %v", i, rep, id, h.reps[id].URL, wantBreaker, wantReady)
+		}
+	}
+	// Three usable replicas keep the router ready.
+	if code, body, _ := get(t, h.front.URL, "/readyz", "", nil); code != http.StatusOK {
+		t.Fatalf("/readyz with 3 of 4 usable: status %d: %s", code, body)
 	}
 }
 
 // TestMonolithReplicasRouteAsOneShard: a router in front of replicas that
-// each serve a monolithic store (the K=1 world of shard.Single) must work
-// like any other fleet — discovery reads shard count 1 off /readyz, the
-// routed shards=0 restriction is valid, and every kind answers with full
-// coverage, bit-identical to Run on the monolith.
+// each serve a monolithic store (the K=1 world of shard.Single) works like
+// any other fleet — every kind answers bit-identical to Run on the
+// monolith.
 func TestMonolithReplicasRouteAsOneShard(t *testing.T) {
 	db := chaosData(t)
 	var replicas []Replica
@@ -550,16 +506,12 @@ func TestMonolithReplicasRouteAsOneShard(t *testing.T) {
 		t.Cleanup(srv.Close)
 		replicas = append(replicas, Replica{ID: id, URL: srv.URL})
 	}
-	k, err := DiscoverShards(replicas)
-	if err != nil || k != 1 {
-		t.Fatalf("DiscoverShards = %d, %v; want 1", k, err)
-	}
-	rt, err := New(Config{Replicas: replicas, Shards: k})
+	rt, err := New(Config{Replicas: replicas})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt)
 	t.Cleanup(front.Close)
-	requireMonolithMatch(t, front.URL, db, 1)
+	requireMonolithMatch(t, front.URL, db)
 }

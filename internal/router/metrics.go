@@ -12,9 +12,7 @@ type metrics struct {
 	hedges    *obs.Counter // hedge requests launched
 	hedgeWins *obs.Counter // hedges that returned first
 	retries   *obs.Counter // failure-driven retries (not hedges)
-	coverFull *obs.Counter // responses served with full coverage
-	coverPart *obs.Counter // responses served with partial coverage
-	unavail   *obs.Counter // requests refused: no shard reachable at all
+	unavail   *obs.Counter // requests refused: no replica usable, or every attempt failed
 	latency   *obs.Histogram
 }
 
@@ -26,12 +24,8 @@ func newMetrics() *metrics {
 			"hedged requests that won the race"),
 		retries: obs.Default.Counter("router_retries_total",
 			"failure-driven retries to another replica"),
-		coverFull: obs.Default.Counter("router_coverage_total",
-			"query responses by coverage", obs.L("state", "full")),
-		coverPart: obs.Default.Counter("router_coverage_total",
-			"query responses by coverage", obs.L("state", "partial")),
 		unavail: obs.Default.Counter("router_unavailable_total",
-			"queries refused because no shard group was reachable"),
+			"queries refused because no replica was usable or every attempt failed"),
 		latency: obs.Default.Histogram("router_request_seconds",
 			"routed query latency", obs.LatencyBuckets),
 	}

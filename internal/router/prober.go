@@ -2,11 +2,8 @@ package router
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,27 +19,18 @@ type replica struct {
 	brk     *breaker
 	fails   *obs.Counter // router_replica_failures_total{replica=id}
 
-	ready       atomic.Bool
-	shardCount  atomic.Int64 // shard count reported by /readyz, 0 if unknown
-	tailVersion atomic.Uint64
+	ready atomic.Bool
 }
 
-// readyz is what the router reads of a replica's /readyz body
-// (serve.ReadyStatus): every ready replica reports its world's shard count
-// and tail version; a monolithic .gdmb replica is a K=1 world.
-type readyz struct {
-	Shards struct {
-		Count       int    `json:"count"`
-		TailVersion uint64 `json:"tailVersion"`
-	} `json:"shards"`
-}
+// probeTimeout bounds each /readyz probe.
+const probeTimeout = 2 * time.Second
 
 // probeOnce checks a replica's /readyz, feeding the verdict into both the
 // readiness flag and the circuit breaker. Probes bypass canTry: they are the
 // mechanism that moves an open breaker back to closed, so they must run even
 // when the breaker would refuse traffic.
 func (rt *Router) probeOnce(ctx context.Context, rep *replica) {
-	cctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	cctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodGet, rep.baseURL+"/readyz", nil)
 	if err != nil {
@@ -57,18 +45,11 @@ func (rt *Router) probeOnce(ctx context.Context, rep *replica) {
 		return
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) // drain so the connection is reused
 	if resp.StatusCode != http.StatusOK {
 		rep.ready.Store(false)
 		rep.brk.Failure()
 		return
-	}
-	// Use the shard count and tail version for topology discovery and drift
-	// checks.
-	var st readyz
-	if json.Unmarshal(body, &st) == nil {
-		rep.shardCount.Store(int64(st.Shards.Count))
-		rep.tailVersion.Store(st.Shards.TailVersion)
 	}
 	rep.ready.Store(true)
 	rep.brk.Success()
@@ -112,30 +93,4 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 		}(rep)
 	}
 	wg.Wait()
-}
-
-// DiscoverShards asks each replica's /readyz for its shard count until one
-// answers.
-func DiscoverShards(replicas []Replica) (int, error) {
-	client := &http.Client{Timeout: 3 * time.Second}
-	var lastErr error
-	for _, rep := range replicas {
-		resp, err := client.Get(strings.TrimRight(rep.URL, "/") + "/readyz")
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var st readyz
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if st.Shards.Count > 0 {
-			return st.Shards.Count, nil
-		}
-		lastErr = fmt.Errorf("%s: /readyz carries no shard count (status %d)", rep.URL, resp.StatusCode)
-	}
-	return 0, lastErr
 }

@@ -1,14 +1,12 @@
-// Package router is the replicated scatter/gather tier in front of a fleet
-// of gdeltserve replicas. Shards are tiled into contiguous groups; each
-// group is an availability domain placed on R replicas by consistent
-// hashing. Queries are routed to one healthy replica by affinity hashing,
-// with jittered hedged retries against the next candidate when the primary
-// is slow ("The Tail at Scale"), per-try timeouts, and per-replica circuit
-// breakers fed by both live traffic and a background /readyz prober. When a
-// whole group is unreachable the router degrades gracefully: it restricts
-// the query to the shards that are still available and answers 200 with
-// explicit coverage metadata instead of a 5xx — a partial timeline beats a
-// dead API. Per-tenant admission control (token buckets plus concurrency
+// Package router is the replicated routing tier in front of a fleet of
+// gdeltserve replicas. Every replica serves the full world, so replicas
+// are interchangeable: a query goes to the usable replicas (circuit breaker
+// closed, or its cooldown elapsed) in affinity-hash order, with a hedged
+// duplicate against the next replica when the primary is slow ("The Tail
+// at Scale"), per-try timeouts, and per-replica circuit breakers fed by
+// both live traffic and a background /readyz prober. Any live replica
+// answers in full; the router refuses with 503 only when no replica is
+// usable. Per-tenant admission control (token buckets plus concurrency
 // caps on the X-Tenant header) sheds overload before it reaches the fleet.
 package router
 
@@ -17,10 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -30,43 +25,26 @@ import (
 
 // Replica names one upstream gdeltserve process.
 type Replica struct {
-	ID  string // stable identity used for placement and metrics
+	ID  string // stable identity used for affinity hashing and metrics
 	URL string // base URL, e.g. http://10.0.0.7:8080
 }
 
 // Config assembles a Router. Zero values get conservative defaults; only
-// Replicas and Shards are mandatory.
+// Replicas is mandatory.
 type Config struct {
-	// Replicas is the upstream fleet. Every replica serves the full sharded
-	// dataset; groups assign them availability responsibilities.
+	// Replicas is the upstream fleet. Every replica serves the full world,
+	// so any of them can answer any query.
 	Replicas []Replica
-	// Shards is the shard count K of the dataset the fleet serves.
+	// Shards is the shard count of the world the fleet serves. Routing
+	// ignores it: a replica answers for every shard it holds.
 	Shards int
-	// Groups tiles [0, Shards) into this many contiguous availability
-	// domains. Zero means 1 (the whole dataset is one failure domain).
-	Groups int
-	// Replication is how many replicas back each group. Zero means 2,
-	// clamped to the fleet size.
-	Replication int
-	// VNodes is the virtual nodes per replica on the placement ring. Zero
-	// means 64.
-	VNodes int
-	// Placement overrides ring placement: Placement[g] lists the replica IDs
-	// backing group g. Tests and hand-operated fleets use this; when nil the
-	// consistent hash ring decides.
-	Placement [][]string
 	// PerTryTimeout bounds each individual attempt. Zero means 5s.
 	PerTryTimeout time.Duration
 	// HedgeDelay is how long to wait on the primary before launching a
-	// duplicate attempt on the next candidate. Zero disables hedging.
+	// duplicate attempt on the next replica. Zero disables hedging.
 	HedgeDelay time.Duration
-	// HedgeJitter spreads the hedge delay by ±this fraction so a fleet of
-	// routers does not hedge in lockstep. Negative means 0.2; zero is
-	// honored (no jitter) when set explicitly via -1 semantics is avoided:
-	// values outside [0, 1] are clamped.
-	HedgeJitter float64
 	// MaxAttempts caps total attempts (first try + hedges + retries) per
-	// coverage round. Zero means 3.
+	// query. Zero means 3.
 	MaxAttempts int
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// replica's circuit breaker. Zero means 3.
@@ -77,12 +55,8 @@ type Config struct {
 	// ProbeInterval is the background /readyz polling period. Zero disables
 	// the prober; breakers are then fed by live traffic only.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe. Zero means 2s.
-	ProbeTimeout time.Duration
 	// Admission is the per-tenant rate and concurrency policy.
 	Admission AdmissionConfig
-	// Seed drives hedge jitter. Zero is a valid seed.
-	Seed int64
 	// Transport overrides the upstream HTTP transport (tests inject the
 	// httptest client); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -92,17 +66,11 @@ type Config struct {
 type Router struct {
 	cfg      Config
 	replicas []*replica
-	byID     map[string]int
 	ring     *ring
-	groups   [][]int // group -> shard indices
-	place    [][]int // group -> replica indices
 	adm      *admission
 	met      *metrics
 	client   *http.Client
 	mux      *http.ServeMux
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
@@ -110,55 +78,27 @@ type Router struct {
 	started     bool
 }
 
-// New validates the topology and builds a router. Call Start to begin
+// New validates the fleet and builds a router. Call Start to begin
 // background probing and Close to stop it.
 func New(cfg Config) (*Router, error) {
-	if cfg.Groups == 0 {
-		cfg.Groups = 1
-	}
-	if cfg.Replication == 0 {
-		cfg.Replication = 2
-	}
-	if cfg.Replication > len(cfg.Replicas) {
-		cfg.Replication = len(cfg.Replicas)
-	}
-	if err := validateTopology(cfg.Shards, cfg.Groups, cfg.Replication, len(cfg.Replicas)); err != nil {
+	if err := validateTopology(cfg.Replicas); err != nil {
 		return nil, err
 	}
 	if cfg.PerTryTimeout <= 0 {
 		cfg.PerTryTimeout = 5 * time.Second
 	}
-	if cfg.HedgeJitter < 0 {
-		cfg.HedgeJitter = 0.2
-	}
-	if cfg.HedgeJitter > 1 {
-		cfg.HedgeJitter = 1
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	rt := &Router{
 		cfg:    cfg,
-		byID:   make(map[string]int, len(cfg.Replicas)),
-		groups: groupShards(cfg.Shards, cfg.Groups),
 		adm:    newAdmission(cfg.Admission, nil),
 		met:    newMetrics(),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		client: &http.Client{Transport: cfg.Transport},
 	}
 	ids := make([]string, len(cfg.Replicas))
 	for i, rep := range cfg.Replicas {
-		if rep.ID == "" {
-			return nil, fmt.Errorf("router: replica %d has no ID", i)
-		}
-		if _, dup := rt.byID[rep.ID]; dup {
-			return nil, fmt.Errorf("router: duplicate replica ID %q", rep.ID)
-		}
 		ids[i] = rep.ID
-		rt.byID[rep.ID] = i
 		rt.replicas = append(rt.replicas, &replica{
 			id:      rep.ID,
 			baseURL: strings.TrimRight(rep.URL, "/"),
@@ -166,30 +106,7 @@ func New(cfg Config) (*Router, error) {
 			fails:   replicaFailures(rep.ID),
 		})
 	}
-	rt.ring = buildRing(ids, cfg.VNodes)
-	if cfg.Placement != nil {
-		if len(cfg.Placement) != cfg.Groups {
-			return nil, fmt.Errorf("router: placement names %d groups, topology has %d", len(cfg.Placement), cfg.Groups)
-		}
-		rt.place = make([][]int, cfg.Groups)
-		for g, members := range cfg.Placement {
-			if len(members) == 0 {
-				return nil, fmt.Errorf("router: group %d placement is empty", g)
-			}
-			for _, id := range members {
-				idx, ok := rt.byID[id]
-				if !ok {
-					return nil, fmt.Errorf("router: group %d placed on unknown replica %q", g, id)
-				}
-				rt.place[g] = append(rt.place[g], idx)
-			}
-		}
-	} else {
-		rt.place = make([][]int, cfg.Groups)
-		for g := range rt.place {
-			rt.place[g] = rt.ring.successors("g|"+strconv.Itoa(g), cfg.Replication)
-		}
-	}
+	rt.ring = buildRing(ids)
 	rt.probeCtx, rt.probeCancel = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/", rt.handleQuery)
@@ -202,6 +119,26 @@ func New(cfg Config) (*Router, error) {
 	mux.HandleFunc("/metrics", handleMetrics)
 	rt.mux = mux
 	return rt, nil
+}
+
+// validateTopology checks the fleet once at construction: at least one
+// replica, each with a distinct non-empty ID (the ring and the metrics key
+// on it).
+func validateTopology(reps []Replica) error {
+	if len(reps) == 0 {
+		return fmt.Errorf("router: no replicas configured")
+	}
+	seen := make(map[string]bool, len(reps))
+	for i, rep := range reps {
+		if rep.ID == "" {
+			return fmt.Errorf("router: replica %d has no ID", i)
+		}
+		if seen[rep.ID] {
+			return fmt.Errorf("router: duplicate replica ID %q", rep.ID)
+		}
+		seen[rep.ID] = true
+	}
+	return nil
 }
 
 // Start runs one synchronous probe round for an immediate health picture,
@@ -229,17 +166,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// Placement returns the replica IDs backing each group, in group order.
-func (rt *Router) Placement() [][]string {
-	out := make([][]string, len(rt.place))
-	for g, members := range rt.place {
-		for _, idx := range members {
-			out[g] = append(out[g], rt.replicas[idx].id)
-		}
-	}
-	return out
-}
-
 // PreferenceOrder returns the replica IDs in the affinity order a query for
 // (path, rawQuery) would try them — the introspection hook chaos tests use
 // to slow or kill "the primary" without guessing ring hashes.
@@ -256,83 +182,18 @@ func queryKey(path, rawQuery string) string {
 	return "q|" + path + "|" + rawQuery
 }
 
-// coverage is one routing round's view of shard availability.
-type coverage struct {
-	shards  []int // available shard indices, sorted
-	missing []int // unavailable shard indices, sorted
-	total   int
-}
-
-func (c coverage) full() bool { return len(c.missing) == 0 }
-
-// computeCoverage decides which shards are answerable right now: a group's
-// shards are available iff at least one of its replicas is usable. The
-// failed set carries replicas that already failed within this request, so
-// the second routing round can degrade without waiting for breakers or
-// probes to notice the outage.
-func (rt *Router) computeCoverage(failed map[int]bool) coverage {
-	c := coverage{total: rt.cfg.Shards}
-	for g, members := range rt.place {
-		up := false
-		for _, idx := range members {
-			if !failed[idx] && rt.replicas[idx].brk.canTry() {
-				up = true
-				break
-			}
-		}
-		if up {
-			c.shards = append(c.shards, rt.groups[g]...)
-		} else {
-			c.missing = append(c.missing, rt.groups[g]...)
-		}
-	}
-	sort.Ints(c.shards)
-	sort.Ints(c.missing)
-	return c
-}
-
-// candidates returns replica indices in affinity order, restricted to
-// usable replicas that belong to an available group — the authority
-// discipline: a replica whose every group is down is not consulted even if
-// its process still answers.
-func (rt *Router) candidates(path, rawQuery string, failed map[int]bool) []int {
-	usable := make(map[int]bool)
-	for _, members := range rt.place {
-		anyUp := false
-		for _, idx := range members {
-			if !failed[idx] && rt.replicas[idx].brk.canTry() {
-				anyUp = true
-			}
-		}
-		if anyUp {
-			for _, idx := range members {
-				if !failed[idx] && rt.replicas[idx].brk.canTry() {
-					usable[idx] = true
-				}
-			}
-		}
-	}
+// candidates returns the usable replica indices (breaker closed, or its
+// cooldown elapsed) in the query's affinity order. Every replica serves
+// the full world, so each candidate can answer in full.
+func (rt *Router) candidates(path, rawQuery string) []int {
 	order := rt.ring.successors(queryKey(path, rawQuery), len(rt.replicas))
-	out := make([]int, 0, len(usable))
+	out := order[:0]
 	for _, idx := range order {
-		if usable[idx] {
+		if rt.replicas[idx].brk.canTry() {
 			out = append(out, idx)
 		}
 	}
 	return out
-}
-
-// hedgeDelay returns the jittered delay before launching a duplicate
-// attempt: HedgeDelay * (1 - j + j*U), U uniform in [0, 1).
-func (rt *Router) hedgeDelay() time.Duration {
-	j := rt.cfg.HedgeJitter
-	if j == 0 {
-		return rt.cfg.HedgeDelay
-	}
-	rt.rngMu.Lock()
-	u := rt.rng.Float64()
-	rt.rngMu.Unlock()
-	return time.Duration(float64(rt.cfg.HedgeDelay) * (1 - j + j*u))
 }
 
 // upstreamResult is one attempt's outcome.
@@ -381,15 +242,11 @@ func (rt *Router) tryReplica(ctx context.Context, idx int, path, rawQuery string
 	return upstreamResult{idx: idx, hedged: hedged, status: resp.StatusCode, header: resp.Header, body: body}
 }
 
-// scatter races candidates for one coverage round: the first candidate
-// starts immediately, a jittered hedge timer duplicates the request onto
-// the next candidate, and any failure launches the next candidate at once.
-// The first success wins and cancels the rest. Replicas that failed are
-// recorded in failed for the caller's coverage recomputation.
-func (rt *Router) scatter(ctx context.Context, cand []int, path, rawQuery string, hdr http.Header, failed map[int]bool) (upstreamResult, bool) {
-	if len(cand) == 0 {
-		return upstreamResult{}, false
-	}
+// race runs one query against candidates: the first candidate starts immediately, a
+// hedge timer duplicates the request onto the next candidate after
+// HedgeDelay, and any failure launches the next candidate at once, up to
+// MaxAttempts attempts in all. The first success wins and cancels the rest.
+func (rt *Router) race(ctx context.Context, cand []int, path, rawQuery string, hdr http.Header) (upstreamResult, bool) {
 	max := rt.cfg.MaxAttempts
 	if max > len(cand) {
 		max = len(cand)
@@ -409,7 +266,7 @@ func (rt *Router) scatter(ctx context.Context, cand []int, path, rawQuery string
 	launch(false)
 	var hedge <-chan time.Time
 	if rt.cfg.HedgeDelay > 0 && launched < max {
-		t := time.NewTimer(rt.hedgeDelay())
+		t := time.NewTimer(rt.cfg.HedgeDelay)
 		defer t.Stop()
 		hedge = t.C
 	}
@@ -434,7 +291,6 @@ func (rt *Router) scatter(ctx context.Context, cand []int, path, rawQuery string
 			}
 			rt.replicas[res.idx].brk.Failure()
 			rt.replicas[res.idx].fails.Inc()
-			failed[res.idx] = true
 			if launched < max {
 				rt.met.retries.Inc()
 				launch(false)
@@ -444,7 +300,7 @@ func (rt *Router) scatter(ctx context.Context, cand []int, path, rawQuery string
 	return upstreamResult{}, false
 }
 
-// handleQuery is the scatter/gather entry point for /api/v1/<kind>.
+// handleQuery is the routing entry point for /api/v1/<kind>.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer rt.met.latency.ObserveSince(start)
@@ -461,46 +317,28 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Up to two coverage rounds: the first uses the breaker/probe view; if
-	// an undetected outage burned every attempt, the second recomputes
-	// coverage excluding the replicas that just failed and retries degraded.
-	failed := make(map[int]bool)
-	for round := 0; round < 2; round++ {
-		cov := rt.computeCoverage(failed)
-		if len(cov.shards) == 0 {
-			rt.met.unavail.Inc()
-			routerError(w, http.StatusServiceUnavailable, d.Kind, "no shard group reachable (%d shards down)", cov.total)
-			return
-		}
-		rawQuery := r.URL.RawQuery
-		if !cov.full() {
-			// Restrict the query to available shards; appended last, the
-			// restriction wins over any client-supplied shards parameter.
-			restrict := registry.ParamShards + "=" + joinInts(cov.shards)
-			if rawQuery != "" {
-				rawQuery += "&" + restrict
-			} else {
-				rawQuery = restrict
-			}
-		}
-		cand := rt.candidates(r.URL.Path, r.URL.RawQuery, failed)
-		res, won := rt.scatter(r.Context(), cand, r.URL.Path, rawQuery, r.Header, failed)
-		if won {
-			rt.writeResult(w, res, cov)
-			return
-		}
-		if r.Context().Err() != nil {
-			routerError(w, http.StatusServiceUnavailable, d.Kind, "request canceled")
-			return
-		}
+	cand := rt.candidates(r.URL.Path, r.URL.RawQuery)
+	if len(cand) == 0 {
+		rt.met.unavail.Inc()
+		routerError(w, http.StatusServiceUnavailable, d.Kind, "no replica reachable (%d down)", len(rt.replicas))
+		return
+	}
+	res, won := rt.race(r.Context(), cand, r.URL.Path, r.URL.RawQuery, r.Header)
+	if won {
+		rt.writeResult(w, res)
+		return
+	}
+	if r.Context().Err() != nil {
+		routerError(w, http.StatusServiceUnavailable, d.Kind, "request canceled")
+		return
 	}
 	rt.met.unavail.Inc()
 	routerError(w, http.StatusBadGateway, d.Kind, "all replicas failed")
 }
 
-// writeResult replays the winning upstream response with coverage metadata.
-// Full-coverage bodies are byte-identical to what the replica served.
-func (rt *Router) writeResult(w http.ResponseWriter, res upstreamResult, cov coverage) {
+// writeResult replays the winning upstream response, byte-identical to what
+// the replica served, naming the replica that answered.
+func (rt *Router) writeResult(w http.ResponseWriter, res upstreamResult) {
 	h := w.Header()
 	for _, name := range []string{"Content-Type", "X-Cache"} {
 		if v := res.header.Get(name); v != "" {
@@ -508,78 +346,42 @@ func (rt *Router) writeResult(w http.ResponseWriter, res upstreamResult, cov cov
 		}
 	}
 	h.Set("X-Gdelt-Replica", rt.replicas[res.idx].id)
-	h.Set("X-Gdelt-Shards", fmt.Sprintf("%d/%d", len(cov.shards), cov.total))
-	if cov.full() {
-		h.Set("X-Gdelt-Coverage", "full")
-		rt.met.coverFull.Inc()
-	} else {
-		h.Set("X-Gdelt-Coverage", "partial")
-		h.Set("X-Gdelt-Missing-Shards", joinInts(cov.missing))
-		rt.met.coverPart.Inc()
-	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }
 
-// handleReadyz reports the router's own readiness in coverage terms: ready
-// when every group is reachable, degraded (still 200 — the router can
-// answer, partially) when some are, 503 when none are.
+// handleReadyz reports the router's own readiness: ready while any replica
+// is usable, 503 unavailable when none is.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	cov := rt.computeCoverage(nil)
-	st := struct {
-		Status        string `json:"status"`
-		ShardsTotal   int    `json:"shardsTotal"`
-		ShardsServing int    `json:"shardsServing"`
-		MissingShards []int  `json:"missingShards,omitempty"`
-	}{Status: "ready", ShardsTotal: cov.total, ShardsServing: len(cov.shards), MissingShards: cov.missing}
-	code := http.StatusOK
-	switch {
-	case len(cov.shards) == 0:
-		st.Status = "unavailable"
-		code = http.StatusServiceUnavailable
-	case !cov.full():
-		st.Status = "degraded"
+	status, code := "unavailable", http.StatusServiceUnavailable
+	for _, rep := range rt.replicas {
+		if rep.brk.canTry() {
+			status, code = "ready", http.StatusOK
+			break
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(st)
+	json.NewEncoder(w).Encode(struct {
+		Status string `json:"status"`
+	}{status})
 }
 
-// handleRoutez dumps the routing topology and per-replica health for
-// operators: which shards each group holds, who backs it, breaker states.
+// handleRoutez dumps the fleet for operators: each replica's breaker state
+// and latest probed readiness.
 func (rt *Router) handleRoutez(w http.ResponseWriter, r *http.Request) {
 	type replicaz struct {
 		ID      string `json:"id"`
 		URL     string `json:"url"`
 		Breaker string `json:"breaker"`
 		Ready   bool   `json:"ready"`
-		Shards  int64  `json:"shards,omitempty"`
 	}
-	type groupz struct {
-		Shards   []int    `json:"shards"`
-		Replicas []string `json:"replicas"`
-		Up       bool     `json:"up"`
-	}
-	out := struct {
-		Shards   int        `json:"shards"`
-		Groups   []groupz   `json:"groups"`
+	var out struct {
 		Replicas []replicaz `json:"replicas"`
-	}{Shards: rt.cfg.Shards}
-	for g, members := range rt.place {
-		gz := groupz{Shards: rt.groups[g]}
-		for _, idx := range members {
-			rep := rt.replicas[idx]
-			gz.Replicas = append(gz.Replicas, rep.id)
-			if rep.brk.canTry() {
-				gz.Up = true
-			}
-		}
-		out.Groups = append(out.Groups, gz)
 	}
 	for _, rep := range rt.replicas {
 		out.Replicas = append(out.Replicas, replicaz{
-			ID: rep.id, URL: rep.baseURL, Breaker: rep.brk.State(),
-			Ready: rep.ready.Load(), Shards: rep.shardCount.Load(),
+			ID: rep.id, URL: rep.baseURL, Breaker: rep.brk.State(), Ready: rep.ready.Load(),
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -596,15 +398,4 @@ func routerError(w http.ResponseWriter, status int, kind, format string, args ..
 		Kind  string `json:"kind,omitempty"`
 		Query string `json:"query,omitempty"`
 	}{fmt.Sprintf(format, args...), kind, kind})
-}
-
-func joinInts(v []int) string {
-	var b strings.Builder
-	for i, n := range v {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(n))
-	}
-	return b.String()
 }

@@ -65,10 +65,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{"ok"})
 }
 
-// ShardStatus is the per-shard readiness detail a server reports on
-// /readyz. The routing tier's health prober reads it to learn the shard
-// count of a replica and to watch the tail shard's snapshot version advance
-// under stream appends — the shard-aware half of its failover decisions.
+// ShardStatus is the per-shard detail a server reports on /readyz, for
+// operators: how the served world is partitioned and each part's snapshot
+// version. The routing tier's prober reads only the /readyz status code.
 type ShardStatus struct {
 	// Count is the number of time-partition shards served.
 	Count int `json:"count"`
@@ -87,8 +86,7 @@ type ReadyStatus struct {
 }
 
 // handleReadyz reports readiness: liveness plus "not draining", with the
-// per-shard status of the current world so the router's prober can make
-// shard-aware decisions.
+// per-shard status of the current world.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		jsonError(w, http.StatusServiceUnavailable, "draining")

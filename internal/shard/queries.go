@@ -233,11 +233,11 @@ func (v *View) ActiveSourcesPerQuarter() queries.QuarterlySeries {
 // CountryArchive is the window-independent half of the aggregated country
 // query: Table V's per-event reporting-country pair and singleton counts,
 // and the per-country event counts. It reads every event of every part
-// whatever the view's window or shard subset (event-table and postings
-// scans ignore both), so one value serves every window of a snapshot and
-// the result cache keeps it under its own archive key. The pair-count
-// matrix is symmetric and stored once: Pairs holds its upper triangle with
-// the diagonal, row by row — (0,0), (0,1), …, (0,nc-1), (1,1), ….
+// whatever the view's window (event-table and postings scans ignore it),
+// so one value serves every window of a snapshot and the result cache
+// keeps it under its own archive key. The pair-count matrix is symmetric
+// and stored once: Pairs holds its upper triangle with the diagonal, row
+// by row — (0,0), (0,1), …, (0,nc-1), (1,1), ….
 type CountryArchive struct {
 	Pairs       []int64
 	Counts      []int64 // Counts[c]: events reported by some country-c source

@@ -2,9 +2,6 @@ package shard
 
 import (
 	"context"
-	"sort"
-	"strconv"
-	"strings"
 
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/parallel"
@@ -21,12 +18,6 @@ type View struct {
 	kind     string
 	from, to int32
 	windowed bool
-	// subset, when non-nil, restricts mention-scan fan-out to the marked
-	// shards (degraded serving: the routing tier excludes shards whose
-	// replica group is down). Excluded shards contribute an explicitly
-	// empty mention window; event-table, postings and GKG scans are
-	// unaffected, mirroring WithInterval's semantics.
-	subset []bool
 }
 
 // View returns an execution context over the sharded DB with default
@@ -64,65 +55,6 @@ func (v *View) WithWindow(from, to int32) *View {
 	w.from, w.to = from, to
 	w.windowed = true
 	return &w
-}
-
-// WithShards returns a copy restricted to the given shard indices: mention
-// scans fan out only over the selected shards, the rest contribute no rows.
-// Out-of-range indices are ignored; duplicates collapse. A nil or empty idx
-// removes the restriction. Like WithInterval on the engine, the restriction
-// applies to mention-window kernels — event-table, postings and GKG scans
-// still see the assembly-time global tables (the routing tier flags such
-// responses as partial by coverage metadata, not by value).
-func (v *View) WithShards(idx []int) *View {
-	w := *v
-	if len(idx) == 0 {
-		w.subset = nil
-		return &w
-	}
-	sel := make([]bool, v.s.K())
-	for _, i := range idx {
-		if i >= 0 && i < len(sel) {
-			sel[i] = true
-		}
-	}
-	w.subset = sel
-	return &w
-}
-
-// ShardSubset returns the restricted shard indices in ascending order, or
-// nil when the view covers every shard.
-func (v *View) ShardSubset() []int {
-	if v.subset == nil {
-		return nil
-	}
-	var out []int
-	for i, ok := range v.subset {
-		if ok {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// ShardScope renders the subset restriction as the cache-key scope
-// component ("shards=0,1"), or "" for a full-coverage view. Full and
-// partial executions of the same query therefore occupy distinct cache
-// entries — a degraded result is never served to a full-coverage request.
-func (v *View) ShardScope() string {
-	sub := v.ShardSubset()
-	if sub == nil {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("shards=")
-	for i, s := range sub {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(s))
-	}
-	return b.String()
 }
 
 // DB returns the underlying sharded store.
@@ -188,12 +120,7 @@ func (v *View) engines() []*engine.Engine {
 	es := make([]*engine.Engine, v.s.K())
 	for i, p := range v.s.parts {
 		e := engine.New(p).WithWorkers(v.workers).WithContext(v.ctx).WithKind(v.kind)
-		switch {
-		case v.subset != nil && !v.subset[i]:
-			// Excluded shard: an explicitly empty window, so its kernels
-			// run over zero rows and the reduction shape stays uniform.
-			e = e.WithInterval(0, 0)
-		case v.windowed:
+		if v.windowed {
 			e = e.WithInterval(v.from, v.to)
 		}
 		es[i] = e

@@ -89,7 +89,6 @@ var allowlist = map[string]string{
 	"internal/registry.Kinds":                "test seam: enumerates the registered kinds",
 	"internal/retry.Transient":               "test seam: fault injectors mark their errors retryable",
 	"internal/retry.Transientf":              "test seam: fault injectors mark their errors retryable",
-	"internal/router.Router.Placement":       "test seam: observes shard placement",
 	"internal/router.Router.PreferenceOrder": "test seam: observes replica preference order",
 	"internal/shard.Log.Gen":                 "test seam: observes the manifest generation",
 	"internal/shard.Log.SetStepHook":         "test seam: the crash harness fails the persist protocol at a named step",
