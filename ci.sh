@@ -81,6 +81,19 @@ stats=$(curl -sf http://127.0.0.1:18391/api/v1/stats) || true
 kill "$serve"
 wait "$serve" || true
 echo "$stats" | grep -q "\"Articles\": $articles,"
+# Damaged chunk: one byte of a listed mentions file flipped, its size kept.
+# The chunk fails its master-list CRC, so its tick folds nothing and the
+# replay exits 3 with that tick in its gap list.
+f=$(ls "$smoke"/ds/*.mentions.csv | sed -n 20p)
+ts=$(basename "$f" .mentions.csv)
+if grep -qx "  $ts" "$smoke/full.txt"; then exit 1; fi # not already a gap
+b=$(dd if="$f" bs=1 skip=100 count=1 2>/dev/null)
+if [ "$b" = x ]; then b=y; else b=x; fi
+printf '%s' "$b" | dd of="$f" bs=1 seek=100 count=1 conv=notrunc 2>/dev/null
+rc=0
+"$smoke/gdeltstream" -in "$smoke/ds" -progress 0 >"$smoke/damaged.txt" 2>"$smoke/damaged.err" || rc=$?
+test "$rc" -eq 3
+grep -qx "  $ts" "$smoke/damaged.txt"
 rm -rf "$smoke"
 
 # Convert smoke (small preset, ~10 s): the on-disk round trip of a converted

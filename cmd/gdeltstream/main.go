@@ -6,24 +6,26 @@
 // within one tick of ignition, the latency that matters when tracking
 // fast-spreading misinformation.
 //
-// The replay is fault-tolerant: a tick with an unreadable chunk is not
-// folded and is reported as a gap (local file reads fail permanently, so
-// they are not retried), a damaged but present chunk folds what parses,
-// and a tick caught up late within -grace intervals still folds when the
-// log can take it. With -checkpoint DIR the append log itself is durable: DIR is created
-// on the first run, every seal persists the log's world together with its
-// chunk ledger, and a rerun reopens DIR and folds only the ticks the
-// ledger lacks. gdeltserve -db DIR serves what the stream folded.
-//
-// Beyond replay, two production-cadence modes cover the live loop end to
-// end. -live polls a feed endpoint speaking the real GDELT convention
+// One loop folds every tick, replayed or live: a stream.LiveRunner polls a
+// feed and folds each tick whole or not at all. -in replays a dataset
+// directory through an in-process stream.FeedServer that advances one tick
+// per poll; -live polls a feed endpoint speaking the real GDELT convention
 // (lastupdate.txt for the newest tick, masterfilelist.txt for catch-up)
-// and folds every tick the same way. -serve-feed turns a raw dataset
-// directory into such an endpoint locally, advancing one tick per
-// -feed-tick with optional fault injection (outages, duplicate
-// advertisements, reordered drops) for resilience drills. In both folding
-// modes a compactor seals the log's mutable tail into immutable indexed
-// parts past -seal-rows rows or -seal-span intervals.
+// once per -poll period. A tick whose chunk cannot be read, or does not
+// match its master-list size and CRC, is retried on the next polls and
+// after three failed polls skipped: it stays a gap in the log's ledger. A
+// tick caught up late within -grace intervals still folds when the log can
+// take it. With -checkpoint DIR the append log itself is durable: DIR is
+// created on the first run, every seal persists the log's world together
+// with its chunk ledger, and a rerun reopens DIR and folds only the ticks
+// the ledger lacks. gdeltserve -db DIR serves what the stream folded. A
+// compactor seals the log's mutable tail into immutable indexed parts past
+// -seal-rows rows or -seal-span intervals.
+//
+// -serve-feed turns a raw dataset directory into a feed endpoint locally,
+// advancing one tick per -feed-tick with optional fault injection
+// (outages, duplicate advertisements, reordered drops) for resilience
+// drills.
 //
 // Usage:
 //
@@ -39,12 +41,12 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -53,12 +55,9 @@ import (
 
 	"gdeltmine/internal/faults"
 	"gdeltmine/internal/gdelt"
-	"gdeltmine/internal/gen"
-	"gdeltmine/internal/ingest"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
 	"gdeltmine/internal/report"
-	"gdeltmine/internal/retry"
 	"gdeltmine/internal/shard"
 	"gdeltmine/internal/store"
 	"gdeltmine/internal/stream"
@@ -81,7 +80,7 @@ func main() {
 		// replaying a local directory.
 		live     = flag.String("live", "", "live feed base URL; poll it instead of replaying -in")
 		poll     = flag.Duration("poll", 2*time.Second, "live mode: poll period")
-		maxPolls = flag.Int("max-polls", 0, "live mode: stop after N polls (0 = until interrupted)")
+		maxPolls = flag.Int("max-polls", 0, "stop after N polls (0 = until the replay ends or, live, until interrupted)")
 		tickIv   = flag.Int("tick-intervals", 1, "live mode: capture intervals per feed tick")
 
 		// Feed-server mode: serve -in over the live protocol for local drills.
@@ -101,101 +100,121 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	mcfg := stream.Config{Window: int32(*window), MinSources: *minSrc, GraceIntervals: int32(*grace)}
-	ccfg := stream.CompactorConfig{MaxTailRows: *sealRows, MaxTailSpan: int32(*sealSpan)}
-	switch {
-	case *serveFeed != "":
+	if *serveFeed != "" {
 		runFeedServer(ctx, *serveFeed, *in, *feedTick, &faults.FeedChaos{
 			Seed: *feedSeed, OutageProb: *feedOut, DuplicateProb: *feedDup, DropProb: *feedDrop,
 		})
-	case *live != "":
-		mcfg.ChunkIntervals = int32(*tickIv)
-		runLive(ctx, *live, mcfg, stream.LiveConfig{TickIntervals: int32(*tickIv)}, ccfg, *poll, *maxPolls, *ckptPath)
-	default:
-		runReplay(ctx, *in, mcfg, ccfg, *progress, *ckptPath)
+		return
 	}
+	// The feed and the step between polls are all that tell a replay from
+	// a live run: a replay advances its in-process feed by one tick (and
+	// keeps polling while the runner still holds ticks), a live run waits
+	// out the poll period.
+	var (
+		feed        stream.Feed
+		first, last gdelt.Timestamp
+		spacing     int32
+		next        func(*stream.LiveRunner) bool
+	)
+	if *live != "" {
+		cl := &stream.FeedClient{Base: *live}
+		// The feed's master list bounds the world the append log spans.
+		ml, err := cl.MasterList(ctx)
+		if err != nil {
+			log.Fatalf("reading feed master list: %v", err)
+		}
+		ticks := stream.Ticks(ml)
+		if len(ticks) == 0 {
+			log.Fatal("feed master list advertises no parseable chunks")
+		}
+		t := time.NewTicker(*poll)
+		defer t.Stop()
+		feed, first, last, spacing = cl, ticks[0].TS, ticks[len(ticks)-1].TS, int32(*tickIv)
+		next = func(*stream.LiveRunner) bool {
+			select {
+			case <-ctx.Done():
+				return false
+			case <-t.C:
+				return true
+			}
+		}
+	} else {
+		fs, err := stream.NewFeedServer(*in, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		n := fs.Ticks()
+		if n == 0 {
+			log.Fatal("master list advertises no parseable chunks")
+		}
+		// Ticks sit on a grid of the greatest common spacing, so the runner
+		// steps onto every one of them.
+		var g int64
+		for i := 1; i < n; i++ {
+			g = gcd(g, fs.TickTS(i).IntervalIndex()-fs.TickTS(i-1).IntervalIndex())
+		}
+		fs.Advance()
+		feed, first, last, spacing = fs, fs.TickTS(0), fs.TickTS(n-1), int32(max(g, 1))
+		next = func(r *stream.LiveRunner) bool {
+			return ctx.Err() == nil && (fs.Advance() || r.Pending() > 0)
+		}
+	}
+	fold(ctx, feed, next, first, last, spacing, *progress, *maxPolls, *ckptPath,
+		stream.Config{Window: int32(*window), MinSources: *minSrc, GraceIntervals: int32(*grace), ChunkIntervals: spacing},
+		stream.CompactorConfig{MaxTailRows: *sealRows, MaxTailSpan: int32(*sealSpan)})
 }
 
-// runReplay folds the dataset under dir tick by tick, in feed order.
-func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.CompactorConfig,
-	progress int, ckptPath string) {
-	f, err := os.Open(filepath.Join(dir, gen.MasterFileName))
-	if err != nil {
-		log.Fatal(err)
+// gcd returns the greatest common divisor of a and b.
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
 	}
-	ml, err := gdelt.ReadMasterList(bufio.NewReader(f))
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ticks := stream.Ticks(ml)
-	if len(ticks) == 0 {
-		log.Fatal("master list advertises no parseable chunks")
-	}
-	spacing := int32(1)
-	if len(ticks) > 1 {
-		spacing = int32(ticks[1].TS.IntervalIndex() - ticks[0].TS.IntervalIndex())
-	}
-	lg := openLog(ckptPath, ticks[0].TS, ticks[len(ticks)-1].TS, spacing)
+	return a
+}
+
+// fold polls feed with one LiveRunner, folding every tick into the append
+// log with the compactor sealing its tail as it grows, until next reports
+// false or maxPolls polls ran. It prints each alert as its tick folds and
+// a summary at the end. Exit codes: 0 clean, 1 fatal or interrupted, 3
+// finished with unresolved gaps.
+func fold(ctx context.Context, feed stream.Feed, next func(*stream.LiveRunner) bool,
+	first, last gdelt.Timestamp, spacing int32, progress, maxPolls int, ckptPath string,
+	mcfg stream.Config, ccfg stream.CompactorConfig) {
+	lg := openLog(ckptPath, first, last, spacing)
 	mon := stream.NewMonitor(lg, mcfg)
+	start := lg.Snapshot().Meta().Start
+	already := len(lg.Ledger())
+	if already > 0 {
+		start = mon.ResumePoint(start, spacing)
+		log.Printf("resuming feed at %s", start)
+	}
+	runner := stream.NewLiveRunner(feed, mon, start, stream.LiveConfig{TickIntervals: spacing})
 	comp := stream.NewCompactor(lg, ccfg)
 
-	reader := &ingest.Reader{Src: ingest.Dir(dir), Retry: retry.DefaultPolicy()}
-	read := func(ctx context.Context, e gdelt.MasterEntry) ([]byte, error) {
-		data, err := reader.Read(ctx, e)
-		var ce *ingest.ChecksumError
-		if errors.As(err, &ce) {
-			return data, nil // damaged but present: fold what survived
+	began := time.Now()
+	mentions := 0
+	for polls := 0; maxPolls <= 0 || polls < maxPolls; polls++ {
+		// Poll errors are feed weather (an outage beyond the protocol's
+		// 503, an unreadable or damaged chunk): log and keep polling — the
+		// runner retries and eventually skips a tick it cannot read,
+		// leaving a ledger gap that the exit code reports.
+		alerts, err := runner.PollOnce(ctx)
+		if err != nil && ctx.Err() == nil {
+			log.Printf("poll: %v", err)
 		}
-		return data, err
-	}
-
-	start := time.Now()
-	var folded, already, stale, unreadable, alerts int
-	var mentions, late int64
-	interrupted := false
-	for _, t := range ticks {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		if mon.SeenChunk(t.TS) {
-			already++
-			continue
-		}
-		if !mon.Foldable(t.TS) {
-			stale++ // stays a gap in the ledger
-			continue
-		}
-		evs, mns, err := stream.ReadTick(ctx, t.Entries, read)
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		if err != nil {
-			unreadable++
-			log.Printf("tick %s unreadable: %v", t.TS, err)
-			continue // the tick stays unmarked and shows up as a gap
-		}
-		fd, err := mon.Fold(t.TS, evs, mns)
-		if err != nil {
-			log.Fatalf("folding tick %s: %v", t.TS, err)
-		}
-		folded++
-		for _, a := range fd.Alerts {
+		for _, a := range alerts {
 			fmt.Printf("ALERT interval=%d event=%d sources=%d\n", a.FiredAt, a.EventID, a.Sources)
 		}
-		alerts += len(fd.Alerts)
-		n := int64(fd.AppendedMentions)
-		if fd.Late {
-			late += n
+		st := runner.Stats()
+		if progress > 0 && mentions/progress != st.Mentions/progress {
+			fmt.Printf("... %d ticks, %s articles folded, %d alerts\n", st.Ticks, report.Int(int64(st.Mentions)), st.Alerts)
 		}
-		if progress > 0 && mentions/int64(progress) != (mentions+n)/int64(progress) {
-			fmt.Printf("... %d ticks, %s articles folded, %d alerts\n", folded, report.Int(mentions+n), alerts)
-		}
-		mentions += n
+		mentions = st.Mentions
 		if _, err := comp.RunOnce(); err != nil {
 			log.Fatalf("compactor: %v", err)
+		}
+		if !next(runner) {
+			break
 		}
 	}
 	// Seal whatever the tail still holds: the final world is compacted and,
@@ -203,24 +222,19 @@ func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.
 	if _, err := lg.Seal(); err != nil {
 		log.Fatalf("final seal: %v", err)
 	}
-	if interrupted {
-		if ckptPath != "" {
-			log.Printf("interrupted after %d ticks; log sealed in %s — rerun to resume", folded, ckptPath)
-		} else {
-			log.Print("interrupted")
-		}
-		os.Exit(1)
-	}
 
+	st := runner.Stats()
 	fmt.Printf("\nfolded %d ticks (%s articles) in %v: %s late, %d wildfire alerts\n",
-		folded, report.Int(mentions), time.Since(start).Round(time.Millisecond), report.Int(late), alerts)
+		st.Ticks, report.Int(int64(st.Mentions)), time.Since(began).Round(time.Millisecond), report.Int(int64(st.Late)), st.Alerts)
+	fmt.Printf("feed: %d polls, %d duplicates, %d outages, %d catch-ups, %d ticks skipped\n",
+		st.Polls, st.Duplicates, st.Outages, st.CatchUps, len(st.Skipped))
 	if already > 0 {
 		fmt.Printf("resumed log: %d ticks already folded\n", already)
 	}
 	printTotals(lg.Snapshot())
-	if gaps := mon.Gaps(); len(gaps) > 0 {
-		fmt.Printf("\nWARNING: replay ended with %d unresolved missing ticks (%d unreadable, %d too old to fold):\n",
-			len(gaps), unreadable, stale)
+	gaps := mon.Gaps()
+	if len(gaps) > 0 {
+		fmt.Printf("\nWARNING: %d unresolved missing ticks:\n", len(gaps))
 		for i, g := range gaps {
 			if i == 10 {
 				fmt.Printf("  ... and %d more\n", len(gaps)-10)
@@ -228,7 +242,51 @@ func runReplay(ctx context.Context, dir string, mcfg stream.Config, ccfg stream.
 			}
 			fmt.Printf("  %s\n", g)
 		}
+	}
+	switch {
+	case ctx.Err() != nil && ckptPath != "":
+		log.Printf("interrupted after %d ticks; log sealed in %s — rerun to resume", st.Ticks, ckptPath)
+		os.Exit(1)
+	case ctx.Err() != nil:
+		log.Print("interrupted")
+		os.Exit(1)
+	case len(gaps) > 0:
 		os.Exit(3)
+	}
+}
+
+// runFeedServer serves a raw dataset directory over the live feed protocol,
+// advancing one tick per -feed-tick period — a local stand-in for the real
+// GDELT feed, with optional fault injection for drills: outages, duplicate
+// advertisements, reordered drops.
+func runFeedServer(ctx context.Context, addr, dir string, tick time.Duration, chaos *faults.FeedChaos) {
+	fs, err := stream.NewFeedServer(dir, chaos)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := &http.Server{Addr: addr, Handler: fs}
+	go func() {
+		<-ctx.Done()
+		srv.Close()
+	}()
+	go func() {
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if !fs.Advance() {
+					log.Printf("feed exhausted at tick %d/%d; still serving", fs.Pos()+1, fs.Ticks())
+					return
+				}
+			}
+		}
+	}()
+	log.Printf("serving %d feed ticks from %s on %s (one tick per %v)", fs.Ticks(), dir, addr, tick)
+	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		log.Fatal(err)
 	}
 }
 

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// The scheduling ablation: static blocked partitioning versus dynamic
-// chunk-stealing on uniform and skewed workloads. Dynamic scheduling is the
-// default because news data is skewed (headline events make some row ranges
-// far heavier than others).
+// Dynamic chunk-stealing on uniform and skewed workloads. News data is
+// skewed (headline events make some row ranges far heavier than others),
+// which is why loops claim grains from a shared cursor.
 
 func uniformWork(lo, hi int, sink *atomic.Int64) {
 	var s int64
@@ -40,24 +39,10 @@ func BenchmarkForDynamicUniform(b *testing.B) {
 	}
 }
 
-func BenchmarkForStaticUniform(b *testing.B) {
-	var sink atomic.Int64
-	for i := 0; i < b.N; i++ {
-		ForOpt(1_000_000, Options{Static: true}, func(lo, hi int) { uniformWork(lo, hi, &sink) })
-	}
-}
-
 func BenchmarkForDynamicSkewed(b *testing.B) {
 	var sink atomic.Int64
 	for i := 0; i < b.N; i++ {
 		ForOpt(1_000_000, Options{}, func(lo, hi int) { skewedWork(lo, hi, &sink) })
-	}
-}
-
-func BenchmarkForStaticSkewed(b *testing.B) {
-	var sink atomic.Int64
-	for i := 0; i < b.N; i++ {
-		ForOpt(1_000_000, Options{Static: true}, func(lo, hi int) { skewedWork(lo, hi, &sink) })
 	}
 }
 

@@ -10,11 +10,9 @@ func TestForOptCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	for _, static := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			ForOpt(1_000_000, Options{Workers: workers, Static: static, Context: ctx},
-				func(lo, hi int) { calls.Add(1) })
-		}
+	for _, workers := range []int{1, 4} {
+		ForOpt(1_000_000, Options{Workers: workers, Context: ctx},
+			func(lo, hi int) { calls.Add(1) })
 	}
 	if calls.Load() != 0 {
 		t.Fatalf("cancelled loop ran %d grains, want 0", calls.Load())
@@ -31,7 +29,6 @@ func TestForOptStopsEarly(t *testing.T) {
 		opt  Options
 	}{
 		{"dynamic", Options{Workers: 4, Grain: 64}},
-		{"static", Options{Workers: 4, Grain: 64, Static: true}},
 		{"single", Options{Workers: 1, Grain: 64}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,14 +58,11 @@ func TestForOptStopsEarly(t *testing.T) {
 
 func TestForOptWithoutContextUnchanged(t *testing.T) {
 	var visited atomic.Int64
-	for _, static := range []bool{false, true} {
-		visited.Store(0)
-		ForOpt(10_000, Options{Workers: 4, Static: static}, func(lo, hi int) {
-			visited.Add(int64(hi - lo))
-		})
-		if visited.Load() != 10_000 {
-			t.Fatalf("static=%v: visited %d, want 10000", static, visited.Load())
-		}
+	ForOpt(10_000, Options{Workers: 4}, func(lo, hi int) {
+		visited.Add(int64(hi - lo))
+	})
+	if visited.Load() != 10_000 {
+		t.Fatalf("visited %d, want 10000", visited.Load())
 	}
 }
 

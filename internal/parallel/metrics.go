@@ -22,8 +22,8 @@ var (
 )
 
 // recordScan folds one completed loop into the scan metrics. perWorker
-// holds the number of grains each worker claimed; it is nil for serial and
-// static loops, where balance is fixed by construction.
+// holds the number of grains each worker claimed; it is nil for serial
+// loops, where balance is fixed by construction.
 func recordScan(n int, perWorker []int64) {
 	mScans.Inc()
 	mItems.Add(int64(n))

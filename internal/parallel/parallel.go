@@ -1,5 +1,5 @@
 // Package parallel provides the data-parallel runtime used by the query
-// engine: chunked parallel-for loops with static or dynamic scheduling,
+// engine: chunked parallel-for loops with dynamic scheduling,
 // a map-reduce with pooled per-worker accumulators, and the shard fan-out.
 //
 // It plays the role OpenMP plays in the original C++ system: flat
@@ -11,7 +11,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"sync"
 )
 
 // minGrain is the floor of the automatic grain: chunks below it would pay
@@ -37,23 +36,19 @@ type Options struct {
 	// DefaultWorkers().
 	Workers int
 	// Grain is the minimum number of iterations handed to a worker at a
-	// time under dynamic scheduling. Zero means an automatic grain of
-	// roughly n/(4*workers) clamped to [64, 8192] — and never more than
-	// the ideal per-worker share, so small inputs still fan out to every
-	// worker instead of serializing behind one oversized chunk.
-	Grain int
-	// Static selects static (blocked) scheduling: the index space is cut
-	// into exactly Workers contiguous blocks. Dynamic scheduling (the
-	// default) hands out Grain-sized chunks from an atomic cursor, which
+	// time: workers claim Grain-sized chunks from an atomic cursor, which
 	// balances skewed workloads the way OpenMP schedule(dynamic) does.
-	Static bool
+	// Zero means an automatic grain of roughly n/(4*workers) clamped to
+	// [64, 8192] — and never more than the ideal per-worker share, so
+	// small inputs still fan out to every worker instead of serializing
+	// behind one oversized chunk.
+	Grain int
 	// Context, when non-nil, makes the loop cancellable: workers check it
 	// between grains and stop claiming work once it is done. A grain
 	// already handed to the body still runs to completion, so
-	// cancellation latency is bounded by one grain. Under static
-	// scheduling blocks are subdivided into grains to preserve that
-	// bound. The loop still returns normally; callers that need to
-	// distinguish a cancelled partial result check Context.Err().
+	// cancellation latency is bounded by one grain. The loop still
+	// returns normally; callers that need to distinguish a cancelled
+	// partial result check Context.Err().
 	Context context.Context
 	// Worker, when non-nil, binds the loop to the pool worker whose
 	// goroutine is making the call (as handed to FanOut jobs). The loop
@@ -135,41 +130,7 @@ func ForOpt(n int, opt Options, body func(lo, hi int)) {
 		}
 		return
 	}
-	if opt.Static {
-		defer recordScan(n, nil)
-		grain := 0
-		if opt.Context != nil {
-			grain = opt.grain(n, workers)
-		}
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			go func(lo, hi int) {
-				defer wg.Done()
-				if lo >= hi {
-					return
-				}
-				if grain == 0 {
-					body(lo, hi)
-					return
-				}
-				// Cancellable: walk the block one grain at a time so a
-				// cancelled context stops the worker promptly.
-				for ; lo < hi && !opt.cancelled(); lo += grain {
-					end := lo + grain
-					if end > hi {
-						end = hi
-					}
-					body(lo, end)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-		return
-	}
-	// Dynamic scheduling on the work-stealing pool: the loop becomes one
+	// On the work-stealing pool the loop becomes one
 	// scope of `workers` runners draining a shared grain cursor. The
 	// calling goroutine joins (it executes runners itself), idle pool
 	// workers pick up the advertisements; a runner claimed after the

@@ -22,24 +22,6 @@ func TestForCoversAllIndicesExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForStaticCoversAllIndices(t *testing.T) {
-	for _, n := range []int{1, 3, 64, 1000} {
-		for _, w := range []int{1, 2, 3, 7, 16, 100} {
-			seen := make([]int32, n)
-			ForOpt(n, Options{Workers: w, Static: true}, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d w=%d index %d visited %d times", n, w, i, c)
-				}
-			}
-		}
-	}
-}
-
 func TestForZeroAndNegative(t *testing.T) {
 	called := false
 	ForOpt(0, Options{}, func(lo, hi int) { called = true })

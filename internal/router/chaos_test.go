@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -449,6 +450,53 @@ func TestChaosUnknownKind(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &env); err != nil || env.Error == "" {
 		t.Fatalf("404 envelope %s (%v)", body, err)
+	}
+}
+
+// TestRouterForwardsPostedForm: a query POSTed through the router carries
+// its form to the replica, so the answer is the GET's and the replica's
+// own, byte for byte.
+func TestRouterForwardsPostedForm(t *testing.T) {
+	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
+	form := url.Values{"where": {"delay>2"}, "group": {"quarter"}}
+	resp, err := http.PostForm(h.front.URL+"/api/v1/query", form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST through the router: status %d: %s (%v)", resp.StatusCode, posted, err)
+	}
+	code, routed, _ := get(t, h.front.URL, "/api/v1/query", form.Encode(), nil)
+	if code != http.StatusOK || !bytes.Equal(posted, routed) {
+		t.Fatalf("POST answered %s, GET (status %d) %s", posted, code, routed)
+	}
+	code, direct, _ := get(t, h.reps["r0"].URL, "/api/v1/query", form.Encode(), nil)
+	if code != http.StatusOK || !bytes.Equal(posted, direct) {
+		t.Fatalf("POST answered %s, the replica (status %d) %s", posted, code, direct)
+	}
+}
+
+// TestRouterKeysOnCanonicalQuery: spellings of one query differing only in
+// parameter order share an affinity order, so the second spelling hits the
+// cache the first one filled.
+func TestRouterKeysOnCanonicalQuery(t *testing.T) {
+	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
+	const path = "/api/v1/top-publishers"
+	for k := 1; k <= 16; k++ {
+		a, b := fmt.Sprintf("k=%d&workers=1", k), fmt.Sprintf("workers=1&k=%d", k)
+		if pa, pb := h.rt.PreferenceOrder(path, a), h.rt.PreferenceOrder(path, b); !slices.Equal(pa, pb) {
+			t.Fatalf("%s routes %v, %s routes %v", a, pa, b, pb)
+		}
+	}
+	code, first, hdr := get(t, h.front.URL, path, "k=5&workers=1", nil)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("first spelling: status %d, X-Cache %q", code, hdr.Get("X-Cache"))
+	}
+	code, second, hdr := get(t, h.front.URL, path, "workers=1&k=5", nil)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "hit" || !bytes.Equal(first, second) {
+		t.Fatalf("second spelling: status %d, X-Cache %q, same body %v", code, hdr.Get("X-Cache"), bytes.Equal(first, second))
 	}
 }
 

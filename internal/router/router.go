@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -178,7 +179,24 @@ func (rt *Router) PreferenceOrder(path, rawQuery string) []string {
 	return out
 }
 
+// queryKey is a query's affinity key: its kind's canonical parameters plus
+// the last workers, from and to values, so every spelling of one query
+// shares a primary and so its cached answer. A query whose parameters do
+// not parse keys on its raw text; the replica answers it 400.
 func queryKey(path, rawQuery string) string {
+	d, ok := registry.Lookup(strings.TrimPrefix(path, "/api/v1/"))
+	q, err := url.ParseQuery(rawQuery)
+	if ok && err == nil {
+		if p, err := d.ParseURLValues(q); err == nil {
+			common := url.Values{}
+			for _, name := range []string{"workers", "from", "to"} {
+				if v := q[name]; len(v) > 0 {
+					common.Set(name, v[len(v)-1])
+				}
+			}
+			return "c|" + path + "|" + d.Canonical(p) + "|" + common.Encode()
+		}
+	}
 	return "q|" + path + "|" + rawQuery
 }
 
@@ -317,13 +335,24 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	cand := rt.candidates(r.URL.Path, r.URL.RawQuery)
+	// Upstream attempts are GETs: a POSTed form travels as their query,
+	// merged as the replica merges it (body first, then the URL, so the
+	// last-value-wins rule lets the URL override the body).
+	rawQuery := r.URL.RawQuery
+	if r.Method == http.MethodPost {
+		if err := r.ParseForm(); err != nil {
+			routerError(w, http.StatusBadRequest, d.Kind, "invalid form body: %v", err)
+			return
+		}
+		rawQuery = r.Form.Encode()
+	}
+	cand := rt.candidates(r.URL.Path, rawQuery)
 	if len(cand) == 0 {
 		rt.met.unavail.Inc()
 		routerError(w, http.StatusServiceUnavailable, d.Kind, "no replica reachable (%d down)", len(rt.replicas))
 		return
 	}
-	res, won := rt.race(r.Context(), cand, r.URL.Path, r.URL.RawQuery, r.Header)
+	res, won := rt.race(r.Context(), cand, r.URL.Path, rawQuery, r.Header)
 	if won {
 		rt.writeResult(w, res)
 		return

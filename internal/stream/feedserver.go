@@ -1,42 +1,41 @@
 package stream
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 
 	"gdeltmine/internal/faults"
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/ingest"
 )
 
 // FeedServer simulates the live GDELT feed over a raw dataset directory
-// (as written by internal/gen.WriteRaw): it serves the real protocol — a
-// /lastupdate.txt rewritten per 15-minute tick with the newest tick's
-// "size crc32 path" lines, a cumulative /masterfilelist.txt, and the chunk
-// files themselves — and advances tick by tick under test control.
-// An optional faults.FeedChaos injects outages (lastupdate returns 503 for
-// the tick), duplicate ticks (lastupdate republishes the previous tick;
-// the new one is only discoverable via the master list), and reordered
-// drops (the tick's files land faults.DropDelay ticks late, surfacing in
-// the master list after newer ticks were already advertised).
+// (as written by internal/gen.WriteRaw) and advances tick by tick under its
+// caller's control. It is a Feed in-process — the replay a LiveRunner
+// folds — and, through ServeHTTP, the real protocol: a /lastupdate.txt
+// rewritten per 15-minute tick with the newest tick's "size crc32 path"
+// lines, a cumulative /masterfilelist.txt, and the chunk files themselves.
+// An optional faults.FeedChaos injects outages (lastupdate reports the feed
+// down for the tick), duplicate ticks (lastupdate republishes the previous
+// tick; the new one is only discoverable via the master list), and
+// reordered drops (the tick's files land faults.DropDelay ticks late,
+// surfacing in the master list after newer ticks were already advertised).
 type FeedServer struct {
-	dir   string
+	src   ingest.Source
 	chaos *faults.FeedChaos
-	ticks []feedTick
-	byPth map[string]int // chunk path -> tick index
+	ticks []Tick
+	byPth map[string]int // chunk file name -> tick index
 	cur   atomic.Int64   // index of the newest published tick; -1 = nothing yet
 }
 
-type feedTick struct {
-	ts      gdelt.Timestamp
-	entries []gdelt.MasterEntry
-}
-
 // NewFeedServer reads the dataset's master list and groups its entries
-// into ticks by capture-interval timestamp.
+// into ticks with Ticks.
 func NewFeedServer(dir string, chaos *faults.FeedChaos) (*FeedServer, error) {
 	f, err := os.Open(filepath.Join(dir, "masterfilelist.txt"))
 	if err != nil {
@@ -47,22 +46,10 @@ func NewFeedServer(dir string, chaos *faults.FeedChaos) (*FeedServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	byTS := map[gdelt.Timestamp][]gdelt.MasterEntry{}
-	for _, e := range ml.Entries {
-		ts, err := e.Interval()
-		if err != nil {
-			return nil, fmt.Errorf("stream: feed dataset entry %q: %w", e.Path, err)
-		}
-		byTS[ts] = append(byTS[ts], e)
-	}
-	s := &FeedServer{dir: dir, chaos: chaos, byPth: map[string]int{}}
-	for ts := range byTS {
-		s.ticks = append(s.ticks, feedTick{ts: ts, entries: byTS[ts]})
-	}
-	sort.Slice(s.ticks, func(a, b int) bool { return s.ticks[a].ts < s.ticks[b].ts })
+	s := &FeedServer{src: ingest.Dir(dir), chaos: chaos, ticks: Ticks(ml), byPth: map[string]int{}}
 	for i, tk := range s.ticks {
-		for _, e := range tk.entries {
-			s.byPth[e.Path] = i
+		for _, e := range tk.Entries {
+			s.byPth[filepath.Base(e.Path)] = i
 		}
 	}
 	s.cur.Store(-1)
@@ -77,7 +64,7 @@ func (s *FeedServer) Ticks() int { return len(s.ticks) }
 func (s *FeedServer) Pos() int { return int(s.cur.Load()) }
 
 // TickTS returns the timestamp of tick i.
-func (s *FeedServer) TickTS(i int) gdelt.Timestamp { return s.ticks[i].ts }
+func (s *FeedServer) TickTS(i int) gdelt.Timestamp { return s.ticks[i].TS }
 
 // Advance publishes the next tick, reporting false once the feed is
 // exhausted.
@@ -94,7 +81,7 @@ func (s *FeedServer) Advance() bool {
 }
 
 func (s *FeedServer) fault(i int64) faults.FeedFault {
-	return s.chaos.FaultFor(s.ticks[i].ts.String())
+	return s.chaos.FaultFor(s.ticks[i].TS.String())
 }
 
 // published reports whether tick i's files are fetchable: normally as soon
@@ -110,28 +97,14 @@ func (s *FeedServer) published(i, cur int64) bool {
 	return true
 }
 
-func (s *FeedServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch filepath.Base(r.URL.Path) {
-	case "lastupdate.txt":
-		s.serveLastUpdate(w)
-	case "masterfilelist.txt":
-		s.serveMasterList(w)
-	default:
-		s.serveChunk(w, r)
-	}
-}
-
-func (s *FeedServer) serveLastUpdate(w http.ResponseWriter) {
+// LastUpdate returns the newest published tick's entries. Before the first
+// tick it reports fs.ErrNotExist, during an outage ErrFeedDown.
+func (s *FeedServer) LastUpdate(context.Context) ([]gdelt.MasterEntry, error) {
 	cur := s.cur.Load()
-	if cur < 0 {
-		http.Error(w, "no update yet", http.StatusNotFound)
-		return
-	}
 	// An outage takes the endpoint down for the tick's whole stint at the
 	// head of the feed.
-	if s.fault(cur) == faults.FeedOutage {
-		http.Error(w, "feed unavailable", http.StatusServiceUnavailable)
-		return
+	if cur >= 0 && s.fault(cur) == faults.FeedOutage {
+		return nil, ErrFeedDown
 	}
 	for i := cur; i >= 0; i-- {
 		switch {
@@ -141,31 +114,61 @@ func (s *FeedServer) serveLastUpdate(w http.ResponseWriter) {
 		case !s.published(i, cur):
 			continue
 		}
-		w.Header().Set("Content-Type", "text/plain")
-		gdelt.WriteMasterList(w, &gdelt.MasterList{Entries: s.ticks[i].entries})
-		return
+		return s.ticks[i].Entries, nil
 	}
-	http.Error(w, "no update yet", http.StatusNotFound)
+	return nil, fmt.Errorf("stream: feed has no update yet: %w", fs.ErrNotExist)
 }
 
-func (s *FeedServer) serveMasterList(w http.ResponseWriter) {
+// MasterList returns the entries of every published tick.
+func (s *FeedServer) MasterList(context.Context) (*gdelt.MasterList, error) {
 	cur := s.cur.Load()
 	ml := &gdelt.MasterList{}
-	for i := int64(0); i <= cur && i < int64(len(s.ticks)); i++ {
+	for i := int64(0); i <= cur; i++ {
 		if s.published(i, cur) {
-			ml.Entries = append(ml.Entries, s.ticks[i].entries...)
+			ml.Entries = append(ml.Entries, s.ticks[i].Entries...)
 		}
 	}
-	w.Header().Set("Content-Type", "text/plain")
-	gdelt.WriteMasterList(w, ml)
+	return ml, nil
 }
 
-func (s *FeedServer) serveChunk(w http.ResponseWriter, r *http.Request) {
-	name := filepath.Base(r.URL.Path)
+// ReadChunk returns a published chunk file's bytes; a chunk the feed does
+// not serve (yet) reports fs.ErrNotExist.
+func (s *FeedServer) ReadChunk(ctx context.Context, path string) ([]byte, error) {
+	name := filepath.Base(path)
 	i, ok := s.byPth[name]
 	if !ok || !s.published(int64(i), s.cur.Load()) {
-		http.Error(w, "not found", http.StatusNotFound)
-		return
+		return nil, fmt.Errorf("stream: feed chunk %s: %w", name, fs.ErrNotExist)
 	}
-	http.ServeFile(w, r, filepath.Join(s.dir, name))
+	return s.src.ReadChunk(ctx, name)
+}
+
+// ServeHTTP serves the feed over the GDELT protocol: ErrFeedDown answers
+// 503, a missing update or chunk 404.
+func (s *FeedServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	var ml *gdelt.MasterList
+	var data []byte
+	var err error
+	switch name := filepath.Base(r.URL.Path); name {
+	case "lastupdate.txt":
+		var entries []gdelt.MasterEntry
+		entries, err = s.LastUpdate(r.Context())
+		ml = &gdelt.MasterList{Entries: entries}
+	case "masterfilelist.txt":
+		ml, err = s.MasterList(r.Context())
+	default:
+		data, err = s.ReadChunk(r.Context(), name)
+	}
+	switch {
+	case errors.Is(err, ErrFeedDown):
+		http.Error(w, "feed unavailable", http.StatusServiceUnavailable)
+	case errors.Is(err, fs.ErrNotExist):
+		http.Error(w, "not found", http.StatusNotFound)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	case ml != nil:
+		w.Header().Set("Content-Type", "text/plain")
+		gdelt.WriteMasterList(w, ml)
+	default:
+		w.Write(data)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/ingest"
 	"gdeltmine/internal/obs"
 )
 
@@ -28,6 +29,18 @@ var (
 // ErrFeedDown reports that the feed's lastupdate endpoint answered with a
 // server error — the outage case, retryable by the next poll.
 var ErrFeedDown = errors.New("stream: feed unavailable")
+
+// Feed is what a LiveRunner polls: the GDELT lastupdate/masterfile
+// convention plus the chunk files it names. FeedClient speaks it over HTTP,
+// FeedServer in-process over a dataset directory.
+type Feed interface {
+	// LastUpdate returns the newest tick's entries; ErrFeedDown reports an
+	// outage the next poll may outlive.
+	LastUpdate(ctx context.Context) ([]gdelt.MasterEntry, error)
+	// MasterList returns every entry the feed has published so far.
+	MasterList(ctx context.Context) (*gdelt.MasterList, error)
+	ingest.Source
+}
 
 // FeedClient speaks the GDELT lastupdate/masterfile convention against a
 // feed base URL.
@@ -81,20 +94,10 @@ func (c *FeedClient) MasterList(ctx context.Context) (*gdelt.MasterList, error) 
 	return gdelt.ReadMasterList(bytes.NewReader(data))
 }
 
-// Fetch downloads one chunk file and verifies its advertised size and
-// CRC-32 before handing it over.
-func (c *FeedClient) Fetch(ctx context.Context, e gdelt.MasterEntry) ([]byte, error) {
-	data, err := c.get(ctx, e.Path)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) != e.Size {
-		return nil, fmt.Errorf("stream: chunk %s: %d bytes, master list says %d", e.Path, len(data), e.Size)
-	}
-	if got := gdelt.Checksum32(data); got != e.Checksum {
-		return nil, fmt.Errorf("stream: chunk %s: checksum %s, master list says %s", e.Path, got, e.Checksum)
-	}
-	return data, nil
+// ReadChunk downloads one chunk file. The runner checks it against its
+// master-list entry.
+func (c *FeedClient) ReadChunk(ctx context.Context, path string) ([]byte, error) {
+	return c.get(ctx, path)
 }
 
 // LiveConfig tunes the live poller.
@@ -125,8 +128,8 @@ func (c LiveConfig) withDefaults() LiveConfig {
 type LiveStats struct {
 	Polls      int // PollOnce calls
 	Ticks      int // ticks fetched, parsed and folded
-	Events     int // event records folded
-	Mentions   int // mention records folded
+	Events     int // event rows the folds appended
+	Mentions   int // mention rows the folds appended
 	Late       int // mentions folded from ticks behind the ledger's newest mark
 	Alerts     int // wildfire alerts the folds fired
 	Duplicates int // lastupdate polls re-advertising a known tick
@@ -135,16 +138,19 @@ type LiveStats struct {
 	Skipped    []gdelt.Timestamp
 }
 
-// LiveRunner polls a live feed and folds each tick, strictly in feed
-// order, through a Monitor into its log. Out-of-order arrivals — the
-// reordered-drop fault — are buffered until the missing tick is recovered
-// through the master list or given up on; duplicate advertisements are
-// dropped by tick timestamp. The runner is single-goroutine: call PollOnce
-// from one loop.
+// LiveRunner polls a feed and folds each tick, strictly in feed order,
+// through a Monitor into its log: the one loop that folds feed ticks, live
+// over a FeedClient or as a replay over an in-process FeedServer.
+// Out-of-order arrivals — the reordered-drop fault — are buffered until the
+// missing tick is recovered through the master list or given up on;
+// duplicate advertisements are dropped by tick timestamp. Every chunk is
+// read through an ingest.Reader, which checks it against its master-list
+// size and CRC: a damaged chunk fails its tick like an unreadable one. The
+// runner is single-goroutine: call PollOnce from one loop.
 type LiveRunner struct {
-	cl  *FeedClient
-	mon *Monitor
-	cfg LiveConfig
+	feed Feed
+	mon  *Monitor
+	cfg  LiveConfig
 
 	next    int64 // interval index of the next tick to apply
 	head    int64 // interval index of the newest tick advertised
@@ -158,9 +164,9 @@ type LiveRunner struct {
 // NewLiveRunner starts polling at the tick whose timestamp is start. Over
 // a reopened log, pass Monitor.ResumePoint's result as start so folded
 // ticks are not fetched again.
-func NewLiveRunner(cl *FeedClient, mon *Monitor, start gdelt.Timestamp, cfg LiveConfig) *LiveRunner {
+func NewLiveRunner(feed Feed, mon *Monitor, start gdelt.Timestamp, cfg LiveConfig) *LiveRunner {
 	return &LiveRunner{
-		cl: cl, mon: mon, cfg: cfg.withDefaults(),
+		feed: feed, mon: mon, cfg: cfg.withDefaults(),
 		next: start.IntervalIndex(), head: start.IntervalIndex(),
 		pending: map[int64][]gdelt.MasterEntry{},
 	}
@@ -180,10 +186,11 @@ func (r *LiveRunner) Pending() int { return len(r.pending) }
 // PollOnce performs one poll cycle: read lastupdate, buffer the advertised
 // tick, recover older missing ticks through the master list when newer
 // ones are already waiting, and apply every applicable tick in strict feed
-// order. A feed outage is not an error — it is counted and the cycle
-// continues with whatever is already buffered. Each cycle refreshes the
-// chunk-lag and missing-chunk gauges from the ledger.
-func (r *LiveRunner) PollOnce(ctx context.Context) error {
+// order. It returns the alerts the cycle's folds fired. A feed outage is
+// not an error — it is counted and the cycle continues with whatever is
+// already buffered. Each cycle refreshes the chunk-lag and missing-chunk
+// gauges from the ledger.
+func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 	r.stats.Polls++
 	defer func() {
 		if newest := r.mon.newest(); newest >= 0 {
@@ -191,13 +198,13 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 		}
 		r.mon.Gaps()
 	}()
-	entries, err := r.cl.LastUpdate(ctx)
+	entries, err := r.feed.LastUpdate(ctx)
 	switch {
 	case errors.Is(err, ErrFeedDown):
 		r.stats.Outages++
 		mLiveOutages.Inc()
 	case err != nil:
-		return err
+		return nil, err
 	default:
 		r.buffer(entries)
 	}
@@ -208,7 +215,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 	// SkipAfterPolls such polls declare the tick lost.
 	if r.aheadOfNext() {
 		r.stall++
-		ml, err := r.cl.MasterList(ctx)
+		ml, err := r.feed.MasterList(ctx)
 		if err == nil {
 			before := len(r.pending)
 			r.buffer(ml.Entries)
@@ -218,86 +225,95 @@ func (r *LiveRunner) PollOnce(ctx context.Context) error {
 			}
 		}
 		if _, ok := r.pending[r.next]; !ok && r.stall >= r.cfg.SkipAfterPolls {
-			ts := gdelt.IntervalStart(r.next)
-			r.stats.Skipped = append(r.stats.Skipped, ts)
-			mLiveSkipped.Inc()
-			r.next += int64(r.cfg.TickIntervals)
-			r.stall = 0
+			r.skip()
 		}
 	} else {
 		r.stall = 0
 	}
 
-	// Apply everything applicable, in order. Fetch and parse failures are
+	// Apply everything applicable, in order. Read and parse failures are
 	// retryable — the tick stays pending and the next poll tries again —
 	// but a tick that keeps failing for SkipAfterPolls polls (an advertised
-	// chunk the feed never actually serves) is given up on like a
-	// never-advertised one: dropped, recorded, its interval left as a gap
-	// in the log's ledger. Fold errors are returned undamped: the fold
-	// runs only after a fully successful fetch, and a failed fold leaves
-	// the log unmutated, so they signal a logic error, not feed weather.
+	// chunk the feed never actually serves, or one that fails its
+	// master-list check) is given up on like a never-advertised one:
+	// dropped, recorded, its interval left as a gap in the log's ledger.
+	// Fold errors are returned undamped: the fold runs only after a fully
+	// successful read, and a failed fold leaves the log unmutated, so they
+	// signal a logic error, not feed weather.
+	var alerts []Alert
 	for {
 		entries, ok := r.pending[r.next]
 		if !ok {
 			break
 		}
+		ts := gdelt.IntervalStart(r.next)
 		// A restarted poller resumes at the first UNSEEN tick (ResumePoint
 		// returns the earliest ledger gap), so every tick the reopened log
 		// already holds between that gap and the previous run's frontier
 		// comes past here again — folded ticks must be dropped like any
 		// duplicate, never re-fetched (the log would refuse them anyway).
-		if r.mon.SeenChunk(gdelt.IntervalStart(r.next)) {
+		if r.mon.SeenChunk(ts) {
 			r.stats.Duplicates++
 			mLiveDup.Inc()
-			delete(r.pending, r.next)
-			r.next += int64(r.cfg.TickIntervals)
-			r.stall = 0
+			r.advance()
 			continue
 		}
 		// An unseen tick the monitor can no longer fold (a ledger gap
 		// deeper than the grace window or behind the log's newest mention,
 		// surfacing only after a restart) is unrecoverable. Skip it BEFORE
 		// fetching; the gap stays on the ledger.
-		if !r.mon.Foldable(gdelt.IntervalStart(r.next)) {
-			r.stats.Skipped = append(r.stats.Skipped, gdelt.IntervalStart(r.next))
-			mLiveSkipped.Inc()
-			delete(r.pending, r.next)
-			r.next += int64(r.cfg.TickIntervals)
-			r.stall = 0
+		if !r.mon.Foldable(ts) {
+			r.skip()
 			continue
 		}
-		evs, mns, err := ReadTick(ctx, entries, r.cl.Fetch)
+		// The zero retry policy reads each chunk once per poll: retries
+		// span polls, bounded by SkipAfterPolls.
+		rd := ingest.Reader{Src: r.feed}
+		evs, mns, err := ReadTick(ctx, entries, rd.Read)
 		if err != nil {
+			if ctx.Err() != nil {
+				return alerts, ctx.Err()
+			}
 			if r.failIv != r.next {
 				r.failIv, r.fails = r.next, 0
 			}
 			if r.fails++; r.fails >= r.cfg.SkipAfterPolls {
-				delete(r.pending, r.next)
-				r.stats.Skipped = append(r.stats.Skipped, gdelt.IntervalStart(r.next))
-				mLiveSkipped.Inc()
-				r.next += int64(r.cfg.TickIntervals)
+				r.skip()
 				r.fails = 0
 			}
-			return err
+			return alerts, fmt.Errorf("stream: tick %s: %w", ts, err)
 		}
 		r.fails = 0
-		f, err := r.mon.Fold(gdelt.IntervalStart(r.next), evs, mns)
+		f, err := r.mon.Fold(ts, evs, mns)
 		if err != nil {
-			return fmt.Errorf("stream: folding tick %s: %w", gdelt.IntervalStart(r.next), err)
+			return alerts, fmt.Errorf("stream: folding tick %s: %w", ts, err)
 		}
 		r.stats.Ticks++
-		r.stats.Events += len(evs)
-		r.stats.Mentions += len(mns)
+		r.stats.Events += f.AppendedEvents
+		r.stats.Mentions += f.AppendedMentions
 		if f.Late {
 			r.stats.Late += f.AppendedMentions
 		}
 		r.stats.Alerts += len(f.Alerts)
+		alerts = append(alerts, f.Alerts...)
 		mLiveTicks.Inc()
-		delete(r.pending, r.next)
-		r.next += int64(r.cfg.TickIntervals)
-		r.stall = 0
+		r.advance()
 	}
-	return nil
+	return alerts, nil
+}
+
+// advance moves past the next tick, dropping it from the buffer.
+func (r *LiveRunner) advance() {
+	delete(r.pending, r.next)
+	r.next += int64(r.cfg.TickIntervals)
+	r.stall = 0
+}
+
+// skip gives up on the next tick: it stays a gap in the log's ledger.
+func (r *LiveRunner) skip() {
+	r.stats.Skipped = append(r.stats.Skipped, gdelt.IntervalStart(r.next))
+	mLiveSkipped.Inc()
+	r.advance()
 }
 
 // buffer files advertised entries under their tick, dropping ticks already

@@ -140,7 +140,7 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 
 	ctx := context.Background()
 	for fs.Advance() {
-		if err := runner.PollOnce(ctx); err != nil {
+		if _, err := runner.PollOnce(ctx); err != nil {
 			t.Fatalf("poll at tick %d: %v", fs.Pos(), err)
 		}
 		if _, err := comp.RunOnce(); err != nil {
@@ -150,7 +150,7 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 	// The drop tick surfaces in the master list a couple of ticks late;
 	// drain with extra polls at the feed head.
 	for i := 0; i < 4 && runner.Pending() > 0; i++ {
-		if err := runner.PollOnce(ctx); err != nil {
+		if _, err := runner.PollOnce(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,12 +248,12 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	drain := func(r *stream.LiveRunner, fs *stream.FeedServer, polls int) {
 		t.Helper()
 		for i := 0; i != polls && fs.Advance(); i++ {
-			if err := r.PollOnce(ctx); err != nil {
+			if _, err := r.PollOnce(ctx); err != nil {
 				t.Fatalf("poll at tick %d: %v", fs.Pos(), err)
 			}
 		}
 		for i := 0; polls < 0 && i < 4 && r.Pending() > 0; i++ {
-			if err := r.PollOnce(ctx); err != nil {
+			if _, err := r.PollOnce(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -92,8 +92,6 @@ var allowlist = map[string]string{
 	"internal/router.Router.PreferenceOrder": "test seam: observes replica preference order",
 	"internal/shard.Log.Gen":                 "test seam: observes the manifest generation",
 	"internal/shard.Log.SetStepHook":         "test seam: the crash harness fails the persist protocol at a named step",
-	"internal/stream.FeedServer.TickTS":      "test seam: names a feed tick to inject a fault at",
-	"internal/stream.LiveRunner.Pending":     "test seam: observes the live runner's out-of-order buffer",
 }
 
 // reasons are the categories an allowlist entry may give.
