@@ -35,8 +35,10 @@ done
 # Append-log smoke: three appends on the live.ingest-shaped world; a durable
 # log grown to K ≈ 50 and K ≈ 200 parts, three timed seals each (ns and
 # written bytes per seal); three cold reopens of a K ≈ 200 log, every part
-# checked against its manifest digest. Fails if any of them does.
+# checked against its manifest digest; one run each of wildfires, follow,
+# coreport and country on the K ≈ 200 log. Fails if any of them does.
 go test ./internal/shard -run '^$' -bench 'LogSeal|LogOpen|LogAppend' -benchtime 3x
+go test ./internal/shard -run '^$' -bench 'GrownLogKinds' -benchtime 1x
 
 # K=1 parity smoke (~3 s on 2 vCPUs): every kind, GKG ones included, runs
 # once on the monolith's engine and once on shard.Single; fails if either

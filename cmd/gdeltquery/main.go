@@ -289,6 +289,12 @@ func printKindList() {
 	fmt.Println("      -param workers=<int>  pin the engine's parallel worker count")
 	fmt.Println("      -param from=<YYYYMMDDHHMMSS>  restrict to captures at or after this time")
 	fmt.Println("      -param to=<YYYYMMDDHHMMSS>    restrict to captures before this time")
+	fmt.Println("  The window does not reach the kinds that scan the event table, walk")
+	fmt.Println("  postings or read the GKG: stats, defects, top-events, event-sizes,")
+	fmt.Println("  follow, coreport, delays, quarterly-delay, series-events,")
+	fmt.Println("  series-active-sources, wildfires, themes, theme-trends and")
+	fmt.Println("  translated-share answer over the whole archive; country windows its")
+	fmt.Println("  cross-reporting and article counts, not its per-country event counts.")
 	fmt.Println()
 	fmt.Println("Extra subcommands: list, graph, cluster (publisher panel size via -param k=N)")
 }

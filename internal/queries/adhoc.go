@@ -373,9 +373,10 @@ func MergeAdhocPlans(spec AdhocSpec, plans []AdhocPlan) AdhocPlan {
 
 // groupSpec describes the dictionary-encoded grouping column of one DB:
 // group id = Remap[Col[row]] (or Col[row] when Remap is nil), ids outside
-// [0, N) dropped. The zero groupSpec means no grouping. The sharded view
-// groups each part in the part's own id space and remaps the groups when
-// it merges.
+// [0, N) dropped. The zero groupSpec means no grouping. Every part of a
+// sharded view reads its columns in the world's id space, so the view
+// groups each part with this same spec and adds the groups up when it
+// merges.
 type groupSpec struct {
 	N     int
 	Col   []int32

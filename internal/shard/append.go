@@ -28,18 +28,17 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 //     global table first, so per-event metadata stays globally agreed), and
 //     its event remap is rebuilt at O(tail) cost. A source first seen in
 //     the tick is interned into a clone of the tail's dictionary, which
-//     becomes the world's; older parts keep the prefix they had. The tail
-//     has no flat s2lEv — adoption and inserts renumber its rows every
-//     tick, and a flat inverse costs O(global events) — so tail lookups go
-//     through localEvent's search of the ascending l2gEv.
+//     becomes the world's; older parts keep the prefix they had.
 //   - Per-event metadata (NumArticles, FirstMention, Interval) of events
 //     that gained mentions: a column of the global table's run holding the
 //     event, and of each non-tail part holding a copy of it, is copied once
-//     when the tick first changes a value in it.
+//     when the tick first changes a value in it. The copies are found by
+//     walking each part's l2gEv once with the tick's ascending rows
+//     (partCursor).
 //   - New events are merged into the global table by id (globalEvents.insert)
 //     wherever their ids fall; the feed does not deliver ids in order. Rows
 //     past an insert move up, so l2gEv of each part reaching past the lowest
-//     insert is rewritten; the flat inverses go by seq and stay.
+//     insert is rewritten.
 //
 // What a tick costs beyond its own rows and the tail is therefore set by how
 // far down the global table it reaches: the recent run and the remaps of
@@ -123,6 +122,12 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	ev := &next.events
 	frozen, recent := newMetaCow(&ev.frozen), newMetaCow(&ev.recent)
 	partCow := make(map[int]*metaCow)
+	var cs []partCursor // touched rows ascend by id, so their global rows do
+	if tr := st.TouchedEventRows; len(tr) > 0 {
+		lo, _ := s.events.search(te.ID[tr[0]])
+		hi, _ := s.events.search(te.ID[tr[len(tr)-1]])
+		cs = s.cursors(lo, hi)
+	}
 	var newRows []int32
 	for _, r := range st.TouchedEventRows {
 		g := s.events.row(te.ID[r])
@@ -132,9 +137,12 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		}
 		n, fm, iv := te.NumArticles[r], te.FirstMention[r], te.Interval[r]
 		ev.set(frozen, recent, g, n, fm, iv)
-		seq := s.events.seq(g)
-		for pi := 0; pi < ti; pi++ {
-			lr := s.localEvent(pi, seq, g)
+		for j := range cs {
+			pi := cs[j].part
+			if pi == ti {
+				break
+			}
+			lr := cs[j].find(g)
 			if lr < 0 {
 				continue
 			}
@@ -174,7 +182,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		}
 		return next, st, nil
 	}
-	tailRemap := make([]int32, 0, te.Len())
+	tailRemap := newRemap(te.Len())[:0]
 	h := 0
 	for j, r := range newRows {
 		for len(tailRemap) < int(r) {
@@ -184,10 +192,6 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		tailRemap = append(tailRemap, at[j]+int32(j))
 	}
 	next.l2gEv[ti] = append(tailRemap, held[h:]...)
-	if s.s2lEv[ti] != nil {
-		next.s2lEv = slices.Clone(s.s2lEv)
-		next.s2lEv[ti] = nil
-	}
 	return next, st, nil
 }
 
@@ -239,31 +243,4 @@ func mergeAscending(a, b []int32) []int32 {
 		}
 	}
 	return append(append(out, a...), b...)
-}
-
-// localEvent returns part i's local row of a global event, or -1 when the
-// part does not hold it. s2lEv[i] is the flat inverse of l2gEv[i] by event
-// seq, over the numbers handed out when the part was assembled or sealed.
-// The caller names the event both ways: by seq (globalEvents.seq) and row.
-func (s *DB) localEvent(i int, seq, row int32) int32 {
-	if f := s.s2lEv[i]; int(seq) < len(f) {
-		return f[seq]
-	}
-	return s.searchLocalEvent(i, row)
-}
-
-// searchLocalEvent is localEvent past the flat inverse; kept out of line so
-// the flat lookup inlines into the per-event kernel loops. A sealed part
-// gains no events, so an event numbered past its inverse is not in it; the
-// tail has no flat inverse (see appendTail) and is searched by row.
-//
-//go:noinline
-func (s *DB) searchLocalEvent(i int, row int32) int32 {
-	if s.s2lEv[i] != nil {
-		return -1
-	}
-	if lr, ok := slices.BinarySearch(s.l2gEv[i], row); ok {
-		return int32(lr)
-	}
-	return -1
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"slices"
 
 	"gdeltmine/internal/store"
@@ -26,17 +27,12 @@ import (
 // since the seal before — into the frozen run (freeze), so the recent run
 // holds what the feed is still writing, not what the log has taken in.
 //
-// An insert renumbers the rows above it, so each event also carries a seq:
-// its number in arrival order (the row, in a world New assembled), which it
-// keeps. The per-part flat inverses are indexed by seq and therefore never
-// move (see DB.localEvent).
+// An insert renumbers the rows above it; the parts' l2gEv remaps move with
+// them (shiftRows), and they are the only index from a global row to a
+// part's (see partCursor).
 type globalEvents struct {
 	frozen store.EventTable // rows [0, frozen.Len())
 	recent store.EventTable // rows [frozen.Len(), Len())
-	// frozenSeq and recentSeq are the runs' seq columns; seqs counts the
-	// numbers handed out.
-	frozenSeq, recentSeq []int32
-	seqs                 int32
 	// low is the lowest row of the recent run inserted or bumped since the
 	// last freeze, Len() when there was none.
 	low int32
@@ -63,14 +59,6 @@ func (e *globalEvents) ID(g int) int64          { t, r := e.at(g); return t.ID[r
 func (e *globalEvents) Interval(g int) int32    { t, r := e.at(g); return t.Interval[r] }
 func (e *globalEvents) NumArticles(g int) int32 { t, r := e.at(g); return t.NumArticles[r] }
 func (e *globalEvents) SourceURL(g int) string  { t, r := e.at(g); return t.SourceURL[r] }
-
-// seq returns the arrival number of global row g.
-func (e *globalEvents) seq(g int32) int32 {
-	if n := int32(len(e.frozenSeq)); g >= n {
-		return e.recentSeq[g-n]
-	}
-	return e.frozenSeq[g]
-}
 
 // search returns the global row of a GlobalEventID and whether the table
 // holds it; without it, the row it would be inserted at.
@@ -114,32 +102,13 @@ func (e *globalEvents) insert(te *store.EventTable, rows []int32) (at []int32) {
 		low = min(low, at[n]+int32(n))
 	}
 	e.low = low
-	e.frozen, e.frozenSeq = e.merge(&e.frozen, e.frozenSeq, &deep)
-	e.recent, e.recentSeq = e.merge(&e.recent, e.recentSeq, &late)
+	if deep.Len() > 0 {
+		e.frozen, _ = store.MergeEvents(&e.frozen, &deep)
+	}
+	if late.Len() > 0 {
+		e.recent, _ = store.MergeEvents(&e.recent, &late)
+	}
 	return at
-}
-
-// merge returns run merged with add and its seq column, the added rows
-// taking the next numbers; the run itself when add is empty.
-func (e *globalEvents) merge(run *store.EventTable, seq []int32, add *store.EventTable) (store.EventTable, []int32) {
-	if add.Len() == 0 {
-		return *run, seq
-	}
-	merged, remap := store.MergeEvents(run, add)
-	out := make([]int32, merged.Len())
-	for r := range out {
-		out[r] = -1
-	}
-	for r, to := range remap {
-		out[to] = seq[r]
-	}
-	for r := range out {
-		if out[r] < 0 {
-			out[r] = e.seqs
-			e.seqs++
-		}
-	}
-	return merged, out
 }
 
 // shiftRow maps an old global row across the inserts at the ascending old
@@ -151,7 +120,7 @@ func shiftRow(g int32, at []int32) int32 {
 
 // shiftRows is shiftRow over an ascending row list, in one pass.
 func shiftRows(rows, at []int32) []int32 {
-	out := make([]int32, len(rows))
+	out := newRemap(len(rows))
 	k := 0
 	for i, g := range rows {
 		for k < len(at) && at[k] <= g {
@@ -183,8 +152,64 @@ func (e globalEvents) freeze() globalEvents {
 		settled := e.recent.Slice(0, k)
 		e.frozen, _ = store.MergeEvents(&e.frozen, &settled)
 		e.recent = e.recent.Slice(k, e.recent.Len())
-		e.frozenSeq = slices.Concat(e.frozenSeq, e.recentSeq[:k])
-		e.recentSeq = e.recentSeq[k:]
 	}
 	return e
+}
+
+// newRemap returns an l2gEv of n rows whose capacity holds one row more,
+// set to math.MaxInt32: the stop a partCursor reads past the part's last
+// event instead of checking its length. Every l2gEv is made by it.
+func newRemap(n int) []int32 {
+	r := make([]int32, n+1)
+	r[n] = math.MaxInt32
+	return r[:n]
+}
+
+// partCursor finds global event rows in one part by walking the part's
+// ascending l2gEv. The rows asked for must ascend strictly, so each lookup
+// gallops on from where the last one stopped: a batch seeks once, then
+// only moves forward, and a dense batch steps without seeking.
+type partCursor struct {
+	part  int     // the part's index
+	remap []int32 // the part's l2gEv with the stop past its end
+	at    int     // every row of remap[:at] lies below the rows still to come
+}
+
+// cursors returns, in part order, a cursor into each part for a batch of
+// global rows that ascend strictly within [lo, hi]. A part whose remap
+// range misses [lo, hi] holds none of them and gets no cursor, so a batch
+// of recent rows visits only the parts sealed since.
+func (s *DB) cursors(lo, hi int32) []partCursor {
+	var cs []partCursor
+	for i, r := range s.l2gEv {
+		if n := len(r); n > 0 && r[0] <= hi && r[n-1] >= lo {
+			cs = append(cs, partCursor{part: i, remap: r[:n+1]})
+		}
+	}
+	return cs
+}
+
+// find returns the part's local row of global row g, or -1 when the part
+// does not hold it. g must lie above every row asked for before. The
+// cursor gallops: it jumps ahead by doubling strides while it stays below
+// g, halves the stride when a jump would not, and steps by one at the
+// end, so reaching a row d entries on costs O(log d) compares, a dense
+// batch one or two. It makes no call and inlines into the kernel loops.
+func (c *partCursor) find(g int32) int32 {
+	r, at := c.remap, c.at
+	for step := 1; r[at] < g; { // r[at] < g: at is not the stop
+		if n := at + step; n < len(r) && r[n] < g {
+			at, step = n, 2*step
+		} else if step > 1 {
+			step /= 2
+		} else {
+			at++
+		}
+	}
+	if r[at] != g {
+		c.at = at
+		return -1
+	}
+	c.at = at + 1
+	return int32(at)
 }

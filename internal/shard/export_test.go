@@ -14,9 +14,10 @@ func RecentEvents(s *DB) int { return s.events.recent.Len() }
 // parts and bounds (the cold-start K-way merge). It returns the first
 // difference in the global event table (column for column, the two runs of
 // each table read as one), l2gEv or the global→local event lookup, or nil.
-// The flat inverses are compared through localEvent, because an
-// incrementally maintained world numbers its events differently and keeps
-// none for the tail.
+// The lookup is compared three ways for every global row of every part: s's
+// cursors, the oracle's, and the part's own id index. It is walked twice,
+// once row by row and once with growing strides, so that the cursors both
+// step and gallop.
 func DiffFromRebuild(s *DB) error {
 	want, err := New(s.parts, s.bounds, s.report)
 	if err != nil {
@@ -47,12 +48,33 @@ func DiffFromRebuild(s *DB) error {
 		if !slices.Equal(s.l2gEv[i], want.l2gEv[i]) {
 			return fmt.Errorf("part %d: l2gEv differs", i)
 		}
-		for ev := range want.s2lEv[i] { // the oracle's seqs are its rows
-			if got := s.localEvent(i, s.events.seq(int32(ev)), int32(ev)); got != want.s2lEv[i][ev] {
-				return fmt.Errorf("part %d: global event %d resolves to local row %d, oracle %d",
-					i, ev, got, want.s2lEv[i][ev])
+	}
+	n := int32(want.events.Len())
+	for _, stride := range []int32{1, 0} { // 0: strides 1, 2, 3, ...
+		got, exp := s.cursors(0, n-1), want.cursors(0, n-1)
+		if len(got) != len(exp) {
+			return fmt.Errorf("%d parts hold events, oracle %d", len(got), len(exp))
+		}
+		for g, step := int32(0), int32(1); g < n; g, step = g+max(stride, step), step+1 {
+			for j := range got {
+				i := got[j].part
+				a, b := got[j].find(g), exp[j].find(g)
+				if c := s.parts[i].EventRowByID(want.events.ID(int(g))); a != b || a != c {
+					return fmt.Errorf("part %d: global event %d resolves to local row %d, oracle %d, the part's id index %d",
+						i, g, a, b, c)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// EventLocationBytes returns the bytes s keeps to find a global event in
+// its parts: the capacity of every part's l2gEv.
+func EventLocationBytes(s *DB) int {
+	n := 0
+	for _, r := range s.l2gEv {
+		n += 4 * cap(r)
+	}
+	return n
 }

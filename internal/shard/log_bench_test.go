@@ -7,6 +7,7 @@ import (
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/obs"
+	"gdeltmine/internal/queries"
 	"gdeltmine/internal/shard"
 )
 
@@ -51,52 +52,52 @@ func BenchmarkLogAppend(b *testing.B) {
 // an event only the oldest part holds, so the next seal follows a tick that
 // changed a sealed part's metadata; seal seals.
 type sealGrower struct {
-	b     *testing.B
+	tb    testing.TB
 	c     *gen.Corpus
 	lg    *shard.Log
 	ticks []feedTick
 	next  int
 }
 
-func newSealGrower(b *testing.B) *sealGrower {
+func newSealGrower(tb testing.TB) *sealGrower {
 	c, err := gen.Generate(gen.Bench())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	intervals := int32(c.World.Days() * gdelt.IntervalsPerDay)
 	cut := intervals - 720*gdelt.IntervalsPerDay
-	base, ticks := feedWorld(b, c, cut)
+	base, ticks := feedWorld(tb, c, cut)
 	sdb, err := shard.SplitAt(base, []int32{0, cut / 3, 2 * cut / 3, cut, intervals})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	lg, err := shard.CreateLog(b.TempDir(), sdb)
+	lg, err := shard.CreateLog(tb.TempDir(), sdb)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return &sealGrower{b: b, c: c, lg: lg, ticks: ticks}
+	return &sealGrower{tb: tb, c: c, lg: lg, ticks: ticks}
 }
 
 func (g *sealGrower) day() {
 	for g.lg.TailSpan() < gdelt.IntervalsPerDay {
 		if g.next >= len(g.ticks) {
-			g.b.Fatal("out of ticks")
+			g.tb.Fatal("out of ticks")
 		}
 		if _, err := g.lg.Append(g.ticks[g.next].evs, g.ticks[g.next].mns); err != nil {
-			g.b.Fatal(err)
+			g.tb.Fatal(err)
 		}
 		g.next++
 	}
 	s := g.lg.Snapshot()
 	last := s.Tail().Mentions.Interval[s.Tail().Mentions.Len()-1]
-	if _, err := g.lg.Append(nil, []gdelt.Mention{oldEventMention(g.b, g.c, s, last)}); err != nil {
-		g.b.Fatal(err)
+	if _, err := g.lg.Append(nil, []gdelt.Mention{oldEventMention(g.tb, g.c, s, last)}); err != nil {
+		g.tb.Fatal(err)
 	}
 }
 
 func (g *sealGrower) seal() {
 	if sealed, err := g.lg.Seal(); err != nil || !sealed {
-		g.b.Fatalf("seal: (%v, %v)", sealed, err)
+		g.tb.Fatalf("seal: (%v, %v)", sealed, err)
 	}
 }
 
@@ -156,3 +157,43 @@ func BenchmarkLogOpen(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGrownLogKinds times the kernels that find global events in the
+// parts — wildfires, follow, coreport and country (archive plus finish) —
+// on the log BenchmarkLogOpen reopens: the live.ingest-shaped world grown
+// by daily seals to K ≈ 200 parts. Parameters are the registry's defaults:
+// a panel of the 10 sources with the most articles, an 8-interval early
+// window with at least 5 sources, the top 10 fires.
+func BenchmarkGrownLogKinds(b *testing.B) {
+	g := newSealGrower(b)
+	g.growTo(200)
+	v := g.lg.Snapshot().View()
+	vec, err := v.AdhocVectors(queries.SourceCounts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	panel, _ := queries.TopGroups(vec.Counts, 10, true)
+	for _, k := range []struct {
+		name string
+		run  func() (any, error)
+	}{
+		{"wildfires", func() (any, error) { return v.FastSpreadingEvents(8, 5, 10), nil }},
+		{"follow", func() (any, error) { return v.FollowReport(panel), nil }},
+		{"coreport", func() (any, error) { return v.CoReport(panel) }},
+		{"country", func() (any, error) { return v.CountryFinish(v.CountryArchive()) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := k.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				kindSink = r
+			}
+		})
+	}
+}
+
+// kindSink keeps BenchmarkGrownLogKinds' answers alive, so no kernel call
+// can be optimized away.
+var kindSink any

@@ -421,3 +421,24 @@ func TestLogAppendAllocScaling(t *testing.T) {
 		t.Errorf("low-id tick allocated %d B, more than one re-merge of the global table allows (%d B)", large.deepInsert, limit)
 	}
 }
+
+// TestEventLocationBytes is the memory guard on finding a global event in a
+// part, as a count: on the live.ingest-shaped log grown by daily seals to
+// K = 50 parts, what the world keeps for it may total at most 8 B per part
+// event row. The l2gEv remaps take 4; anything per part that grows with the
+// global event table instead of the part's own rows fails.
+func TestEventLocationBytes(t *testing.T) {
+	g := newSealGrower(t)
+	g.growTo(50)
+	s := g.lg.Snapshot()
+	rows := 0
+	for i := 0; i < s.K(); i++ {
+		rows += s.Part(i).Events.Len()
+	}
+	got := shard.EventLocationBytes(s)
+	t.Logf("K=%d: %d B of event-location state for %d part event rows (%d global events)",
+		s.K(), got, rows, s.EventCount())
+	if got > 8*rows {
+		t.Errorf("event-location state %d B exceeds 8 B × %d part event rows", got, rows)
+	}
+}

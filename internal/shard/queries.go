@@ -494,11 +494,12 @@ func (v *View) contributingEvents(sources, slots []int32) []int32 {
 // shard's mention rows for global event ev, read from the event-major
 // payload, in shard (= time) order. Within a shard rows ascend by interval
 // and shards tile time in order, so the concatenation replays the
-// monolith's event-mention ordering.
-func (s *DB) shardEventRows(ev int32, f func(srcs, ivs []int32)) {
-	seq := s.events.seq(ev)
-	for i, p := range s.parts {
-		if lr := s.localEvent(i, seq, ev); lr >= 0 {
+// monolith's event-mention ordering. cs are the cursors of the strictly
+// ascending batch ev belongs to (DB.cursors).
+func (s *DB) shardEventRows(ev int32, cs []partCursor, f func(srcs, ivs []int32)) {
+	for j := range cs {
+		if lr := cs[j].find(ev); lr >= 0 {
+			p := s.parts[cs[j].part]
 			if srcs := p.EventMentionSources(lr); len(srcs) > 0 {
 				f(srcs, p.EventMentionIntervals(lr))
 			}
@@ -548,8 +549,9 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 				firstSeen[i] = -1
 			}
 			touched := make([]int32, 0, 16)
+			cs := s.cursors(evs[lo], evs[hi-1])
 			for _, ev := range evs[lo:hi] {
-				s.shardEventRows(ev, func(srcs, ivs []int32) {
+				s.shardEventRows(ev, cs, func(srcs, ivs []int32) {
 					for x, src := range srcs {
 						j := slots[src]
 						if j < 0 {
@@ -712,6 +714,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
 			stamp := make([]int32, s.Sources().Len())
 			floor := minSources
+			cs := s.cursors(int32(lo), int32(hi-1))
 			for ev := lo; ev < hi; ev++ {
 				// The event's article count is global metadata every part
 				// carries verbatim, so the threshold needs no recount; an
@@ -719,7 +722,7 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 				if int(s.events.NumArticles(ev)) < floor {
 					continue
 				}
-				distinct, early := s.earlySources(int32(ev), window, stamp, int32(ev)+1)
+				distinct, early := s.earlySources(int32(ev), window, cs, stamp, int32(ev)+1)
 				if distinct < floor {
 					continue
 				}
@@ -759,17 +762,19 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 // tag in stamp (indexed by source id), so the caller hands every event its
 // own tag and never clears stamp. The walk stops at the first
 // shard starting past the window: later shards hold only later mentions.
-func (s *DB) earlySources(ev, window int32, stamp []int32, tag int32) (distinct, early int) {
-	seq := s.events.seq(ev)
+// cs are the cursors of the strictly ascending batch ev belongs to
+// (DB.cursors).
+func (s *DB) earlySources(ev, window int32, cs []partCursor, stamp []int32, tag int32) (distinct, early int) {
 	cutoff := s.events.Interval(int(ev)) + window
-	for i, p := range s.parts {
-		if s.bounds[i] >= cutoff {
+	for j := range cs {
+		if s.bounds[cs[j].part] >= cutoff {
 			break
 		}
-		lr := s.localEvent(i, seq, ev)
+		lr := cs[j].find(ev)
 		if lr < 0 {
 			continue
 		}
+		p := s.parts[cs[j].part]
 		srcs := p.EventMentionSources(lr)
 		for x, iv := range p.EventMentionIntervals(lr) {
 			if iv >= cutoff {
@@ -791,12 +796,26 @@ func (s *DB) earlySources(ev, window int32, stamp []int32, tag int32) (distinct,
 // world does not hold.
 func (s *DB) EarlySources(ids []int64, window int32) []int {
 	window = max(window, 1)
-	stamp := make([]int32, s.Sources().Len())
 	out := make([]int, len(ids))
+	rows := make([]int32, len(ids))
+	var held []int // the indexes of ids the world holds, by ascending row
 	for i, id := range ids {
-		if ev := s.events.row(id); ev >= 0 {
-			out[i], _ = s.earlySources(ev, window, stamp, int32(i)+1)
+		if rows[i] = s.events.row(id); rows[i] >= 0 {
+			held = append(held, i)
 		}
+	}
+	if len(held) == 0 {
+		return out
+	}
+	slices.SortFunc(held, func(a, b int) int { return cmp.Compare(rows[a], rows[b]) })
+	stamp := make([]int32, s.Sources().Len())
+	cs := s.cursors(rows[held[0]], rows[held[len(held)-1]])
+	for k, i := range held {
+		if k > 0 && rows[held[k-1]] == rows[i] {
+			out[i] = out[held[k-1]] // a repeated id: cursors take each row once
+			continue
+		}
+		out[i], _ = s.earlySources(rows[i], window, cs, stamp, int32(i)+1)
 	}
 	return out
 }

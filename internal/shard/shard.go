@@ -48,10 +48,10 @@ type DB struct {
 	events globalEvents // K-way ID-merged global event table
 	report *gdelt.ValidationReport
 
-	l2gEv [][]int32 // per shard: local event row -> global event row, ascending
-	// per shard: event seq -> local event row, -1 absent; nil for a tail
-	// the log appended to. Read it through localEvent.
-	s2lEv [][]int32
+	// per shard: local event row -> global event row, ascending, made by
+	// newRemap. The other way, global row -> local row, is a walk of it
+	// (partCursor).
+	l2gEv [][]int32
 }
 
 // New assembles a sharded DB from time-ordered parts. bounds must tile
@@ -157,7 +157,7 @@ func (s *DB) mergeEvents() error {
 	cur := make([]int, K)
 	s.l2gEv = make([][]int32, K)
 	for i, p := range s.parts {
-		s.l2gEv[i] = make([]int32, p.Events.Len())
+		s.l2gEv[i] = newRemap(p.Events.Len())
 	}
 	ev := &s.events.frozen
 	for {
@@ -206,31 +206,8 @@ func (s *DB) mergeEvents() error {
 			break
 		}
 	}
-	n := int32(ev.Len())
-	s.events.low, s.events.seqs = n, n
-	s.events.frozenSeq = make([]int32, n)
-	for g := range s.events.frozenSeq {
-		s.events.frozenSeq[g] = int32(g)
-	}
-	s.s2lEv = make([][]int32, K)
-	for i := range s.parts {
-		s.s2lEv[i] = s.invertRemap(i)
-	}
+	s.events.low = int32(ev.Len())
 	return nil
-}
-
-// invertRemap returns the flat seq→local inverse of part i's local→global
-// event remap over the numbers handed out so far, -1 where the part lacks
-// the event.
-func (s *DB) invertRemap(i int) []int32 {
-	inv := make([]int32, s.events.seqs)
-	for q := range inv {
-		inv[q] = -1
-	}
-	for r, g := range s.l2gEv[i] {
-		inv[s.events.seq(g)] = int32(r)
-	}
-	return inv
 }
 
 // replaceTail returns the world in which the tail part gives way to the
@@ -240,9 +217,7 @@ func (s *DB) invertRemap(i int) []int32 {
 // the global event table keeps its rows, and every other part's remaps
 // are shared with s; only the two new parts' event remaps are built. The
 // seal is also where the global table's settled rows join its frozen run
-// (globalEvents.freeze), and the sealed part gets its flat s2lEv: O(tail)
-// work plus two O(global events) allocations per seal. The fresh tail gets
-// no flat inverse, like any tail an append produced (see localEvent).
+// (globalEvents.freeze): O(tail) work plus the frozen run's reallocation.
 //
 // The one way slicing can change the global table is by dropping an event:
 // a tail event with no mention in the tail and an event interval below the
@@ -256,10 +231,9 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 	next.parts = append(s.parts[:ti:ti], sealed, fresh)
 	next.bounds = append(s.bounds[:ti+1:ti+1], cut, s.meta.Intervals)
 	next.l2gEv = append(s.l2gEv[:ti:ti], nil, nil)
-	next.s2lEv = append(s.s2lEv[:ti:ti], nil, nil)
 	for i := ti; i < len(next.parts); i++ {
 		p := next.parts[i]
-		remap := make([]int32, p.Events.Len())
+		remap := newRemap(p.Events.Len())
 		for r, id := range p.Events.ID {
 			if remap[r] = s.events.row(id); remap[r] < 0 {
 				return nil, fmt.Errorf("shard: shard %d event %d missing from the global table", i, id)
@@ -267,17 +241,19 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 		}
 		next.l2gEv[i] = remap
 	}
-	for _, g := range s.l2gEv[ti] {
-		seq, held := s.events.seq(g), false
-		for i := len(next.parts) - 1; i >= 0 && !held; i-- {
-			held = next.localEvent(i, seq, g) >= 0
-		}
-		if !held {
-			return New(next.parts, next.bounds, s.report)
+	if old := s.l2gEv[ti]; len(old) > 0 {
+		cs := next.cursors(old[0], old[len(old)-1])
+		for _, g := range old {
+			held := false
+			for j := len(cs) - 1; j >= 0 && !held; j-- {
+				held = cs[j].find(g) >= 0
+			}
+			if !held {
+				return New(next.parts, next.bounds, s.report)
+			}
 		}
 	}
 	next.events = s.events.freeze()
-	next.s2lEv[ti] = next.invertRemap(ti)
 	return next, nil
 }
 

@@ -132,7 +132,7 @@ type LiveStats struct {
 	Mentions   int // mention rows the folds appended
 	Late       int // mentions folded from ticks behind the ledger's newest mark
 	Alerts     int // wildfire alerts the folds fired
-	Duplicates int // lastupdate polls re-advertising a known tick
+	Duplicates int // lastupdate polls re-advertising a known tick, and ticks the log already held
 	Outages    int // polls that found the feed down
 	CatchUps   int // ticks recovered via the master list
 	Skipped    []gdelt.Timestamp
@@ -206,7 +206,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 	case err != nil:
 		return nil, err
 	default:
-		r.buffer(entries)
+		r.buffer(entries, true)
 	}
 
 	// A tick is "missing" only when a newer one is already buffered — the
@@ -218,7 +218,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 		ml, err := r.feed.MasterList(ctx)
 		if err == nil {
 			before := len(r.pending)
-			r.buffer(ml.Entries)
+			r.buffer(ml.Entries, false)
 			if _, ok := r.pending[r.next]; ok {
 				r.stats.CatchUps += len(r.pending) - before
 				mLiveCatchup.Add(int64(len(r.pending) - before))
@@ -317,25 +317,19 @@ func (r *LiveRunner) skip() {
 }
 
 // buffer files advertised entries under their tick, dropping ticks already
-// applied or already buffered (duplicates).
-func (r *LiveRunner) buffer(entries []gdelt.MasterEntry) {
-	ticks := Ticks(&gdelt.MasterList{Entries: entries})
-	for _, tk := range ticks {
+// applied or already buffered. A tick lastUpdate re-advertises that way is a
+// duplicate; the master list lists every tick the feed has served, so its
+// sightings of them are the normal case and count for nothing.
+func (r *LiveRunner) buffer(entries []gdelt.MasterEntry, lastUpdate bool) {
+	for _, tk := range Ticks(&gdelt.MasterList{Entries: entries}) {
 		iv := tk.TS.IntervalIndex()
 		r.head = max(r.head, iv)
 		switch {
-		case iv < r.next:
+		case iv >= r.next && r.pending[iv] == nil:
+			r.pending[iv] = tk.Entries
+		case lastUpdate:
 			r.stats.Duplicates++
 			mLiveDup.Inc()
-		case r.pending[iv] != nil:
-			// Re-advertised while buffered: only lastupdate repeats count
-			// as duplicates; master-list sightings are the normal case.
-			if len(ticks) == 1 {
-				r.stats.Duplicates++
-				mLiveDup.Inc()
-			}
-		default:
-			r.pending[iv] = tk.Entries
 		}
 	}
 }

@@ -92,8 +92,8 @@ func TestReplayOverFeedServer(t *testing.T) {
 	lcfg := stream.LiveConfig{TickIntervals: int32(cfg.IntervalsPerFile)}
 	// replay folds the dataset into lg from the first tick its ledger
 	// lacks, for at most polls polls (all when negative), and returns the
-	// alerts it fired.
-	replay := func(lg *shard.Log, polls int) []stream.Alert {
+	// alerts it fired and the runner's counters.
+	replay := func(lg *shard.Log, polls int) ([]stream.Alert, stream.LiveStats) {
 		t.Helper()
 		fs, err := stream.NewFeedServer(dir, nil)
 		if err != nil {
@@ -119,14 +119,19 @@ func TestReplayOverFeedServer(t *testing.T) {
 		if _, err := lg.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		return alerts
+		return alerts, r.Stats()
 	}
 	byEvent := func(a, b stream.Alert) int { return int(a.EventID - b.EventID) }
 
 	refLog := shard.NewLog(emptyWorld(t, c, 96))
-	refAlerts := replay(refLog, -1)
+	refAlerts, refSt := replay(refLog, -1)
 	if g := stream.NewMonitor(refLog, mcfg).Gaps(); !slices.Equal(g, want) {
 		t.Fatalf("uninterrupted replay left gaps %v, want the withheld and damaged ticks %v", g, want)
+	}
+	// The feed advertises each tick once, and the master list's sightings
+	// of ticks already applied or buffered are no duplicates.
+	if refSt.Duplicates != 0 {
+		t.Errorf("uninterrupted replay counted %d duplicates over a feed that repeats nothing", refSt.Duplicates)
 	}
 
 	logDir := t.TempDir()
@@ -134,7 +139,7 @@ func TestReplayOverFeedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alerts := replay(lg, 8)
+	alerts, _ := replay(lg, 8)
 	if n := len(lg.Ledger()); n == 0 || n >= res.Chunks-len(want) {
 		t.Fatalf("interrupted replay folded %d ticks, want some but not all", n)
 	}
@@ -142,7 +147,8 @@ func TestReplayOverFeedServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alerts = append(alerts, replay(lg2, -1)...)
+	resumed, _ := replay(lg2, -1)
+	alerts = append(alerts, resumed...)
 	slices.SortFunc(alerts, byEvent)
 	slices.SortFunc(refAlerts, byEvent)
 	if !slices.Equal(alerts, refAlerts) {

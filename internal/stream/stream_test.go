@@ -262,6 +262,10 @@ func TestMonitorEviction(t *testing.T) {
 	if got := s.EarlySources([]int64{1}, 4); got[0] != 1 {
 		t.Fatalf("event 1 has %d early sources, want 1", got[0])
 	}
+	// Ids out of row order, repeated and unknown answer each in place.
+	if got, want := s.EarlySources([]int64{2, 1, 99, 1}, 4), []int{1, 1, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("early sources of events 2, 1, 99, 1: %v, want %v", got, want)
+	}
 	if fires := s.View().FastSpreadingEvents(4, 2, 10); len(fires) != 0 {
 		t.Fatalf("wildfires %+v on a world without any", fires)
 	}
