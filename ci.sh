@@ -82,7 +82,7 @@ for i in $(seq 50); do curl -sf http://127.0.0.1:18391/readyz >/dev/null && brea
 stats=$(curl -sf http://127.0.0.1:18391/api/v1/stats) || true
 kill "$serve"
 wait "$serve" || true
-echo "$stats" | grep -q "\"Articles\": $articles,"
+echo "$stats" | grep -q "\"Articles\":$articles,"
 # Damaged chunk: one byte of a listed mentions file flipped, its size kept.
 # The chunk fails its master-list CRC, so its tick folds nothing and the
 # replay exits 3 with that tick in its gap list.

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -246,6 +247,18 @@ func TestPanelKernelsExactEdges(t *testing.T) {
 				}
 				checkPublisherEdges(t, db, v)
 			})
+		}
+		// With a context set every runner folds grain after grain into one
+		// accumulator, so the floor a runner carries from its earlier
+		// grains decides what later grains skip.
+		for _, workers := range []int{1, 2, 4} {
+			v := sdb.View().WithWorkers(workers).WithContext(context.Background())
+			for i, c := range fireCases {
+				if got := runKindWith(t, "wildfires", fireParams(c.min, c.k), db, v); !reflect.DeepEqual(got, fireRefs[i]) {
+					t.Errorf("k%d/w%d grained: wildfires min %d k %d: shard kernel\n got %+v\nwant %+v",
+						k, workers, c.min, c.k, got, fireRefs[i])
+				}
+			}
 		}
 	}
 

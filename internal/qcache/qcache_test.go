@@ -144,6 +144,24 @@ func TestOversizedResultNotCached(t *testing.T) {
 	}
 }
 
+// TestBodyChargedItsBytes: an encoded body — any byte-slice type — is
+// charged its capacity plus the per-entry overhead, so a body whose
+// capacity is its length costs len + overheadBytes.
+func TestBodyChargedItsBytes(t *testing.T) {
+	type body []byte
+	c := New(0)
+	b := make(body, 1000)
+	if _, _, err := c.Do(context.Background(), key("b", 1), func() (any, error) { return b, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.UsedBytes(), int64(len(b))+overheadBytes; got != want {
+		t.Fatalf("body of %d bytes charged %d, want %d", len(b), got, want)
+	}
+	if got := Approx(make([]byte, 10, 64)); got != 64 {
+		t.Fatalf("Approx of a byte slice with capacity 64 = %d, want 64", got)
+	}
+}
+
 func TestVersionSweepRetiresOldEntries(t *testing.T) {
 	c := New(0)
 	compute := func() (any, error) { return 42, nil }

@@ -14,12 +14,18 @@ import "reflect"
 //     elements only when they can reach further memory;
 //   - maps cost a per-bucket overhead plus their keys and values;
 //   - pointers and interfaces add the pointee, deduplicated by address.
+//
+// A value that is itself a byte slice — an encoded response body — costs
+// its capacity alone: its header is part of the entry overhead.
 func Approx(v any) int64 {
 	if v == nil {
 		return 0
 	}
-	seen := make(map[uintptr]struct{})
-	return approx(reflect.ValueOf(v), seen)
+	rv := reflect.ValueOf(v)
+	if rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Uint8 {
+		return int64(rv.Cap())
+	}
+	return approx(rv, make(map[uintptr]struct{}))
 }
 
 // mapBucketOverhead approximates per-entry hash-table bookkeeping.

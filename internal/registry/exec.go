@@ -14,12 +14,23 @@ import (
 // executes directly.
 type Executor struct {
 	Cache *qcache.Cache
+	// Encode, when set, turns each computed answer into the bytes a
+	// transport sends: ExecuteSharded then returns a Body, encoded once
+	// per computation, and the cache and its single flight hold that body
+	// instead of the value, so a hit costs no encoding. Archive halves
+	// stay values under their archive key, because Finish reads them.
+	Encode func(any) (Body, error)
 }
 
+// Body is an answer as Executor.Encode encoded it. A cached Body is shared
+// by every request that hits it or joins its flight; callers only read it.
+type Body []byte
+
 // ExecuteSharded runs descriptor d with resolved params p against view v,
-// returning the (possibly shared, treat-as-immutable) result and how it was
-// obtained. Results of cancelled computations are never cached and surface
-// as the context's error, so transports keep their timeout semantics;
+// returning the (possibly shared, treat-as-immutable) result — a Body when
+// x has an encoder — and how it was obtained. Results of cancelled
+// computations are never encoded or cached and surface as the context's
+// error, so transports keep their timeout semantics;
 // waiters joining a cancelled leader retry as the new leader while their
 // own context is live (qcache.Do's retry loop). The cache key's Window
 // embeds the version vector of the parts the answer reads and Version is
@@ -35,7 +46,7 @@ func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, 
 	}
 	run := func() (any, error) { return d.RunSharded(v, p) }
 	if x == nil || x.Cache == nil {
-		val, err := live(v, run)
+		val, err := x.encode(live(v, run))
 		return val, qcache.Bypass, err
 	}
 	if d.Archive != nil {
@@ -55,7 +66,20 @@ func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, 
 		Window:  window,
 		Version: version,
 	}
-	return x.Cache.Do(v.Context(), key, func() (any, error) { return live(v, run) })
+	return x.Cache.Do(v.Context(), key, func() (any, error) { return x.encode(live(v, run)) })
+}
+
+// encode turns a live answer into its Body when x has an encoder and
+// passes values and errors through otherwise.
+func (x *Executor) encode(val any, err error) (any, error) {
+	if err != nil || x == nil || x.Encode == nil {
+		return val, err
+	}
+	body, err := x.Encode(val)
+	if err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // archive returns d's Archive value for v's snapshot through the cache. The

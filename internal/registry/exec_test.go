@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"sync"
@@ -323,6 +325,52 @@ func TestCancelledArchiveNotCached(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("answer over the recomputed archive differs from the uncached one")
+	}
+}
+
+// TestEncoderCachesBodies: with an encoder set, a miss encodes its answer
+// once and a hit returns the same stored Body without encoding, the
+// archive half stays a value under its own key, and an uncached executor
+// returns a Body too.
+func TestEncoderCachesBodies(t *testing.T) {
+	sdb := testWorld(t)
+	d := MustLookup("country")
+	p := defaultParams(t, d)
+	var encodes atomic.Int64
+	encode := func(v any) (Body, error) {
+		encodes.Add(1)
+		return json.Marshal(v)
+	}
+	ex := &Executor{Cache: qcache.New(0), Encode: encode}
+	v := sdb.View().WithKind(d.Kind)
+	miss, out, err := ex.ExecuteSharded(d, v, p)
+	if err != nil || out != qcache.Miss {
+		t.Fatalf("first execution: %v %v, want miss", out, err)
+	}
+	hit, out, err := ex.ExecuteSharded(d, v, p)
+	if err != nil || out != qcache.Hit {
+		t.Fatalf("second execution: %v %v, want hit", out, err)
+	}
+	mb, hb := miss.(Body), hit.(Body)
+	if &mb[0] != &hb[0] || encodes.Load() != 1 {
+		t.Fatalf("hit did not return the stored body (%d encodes)", encodes.Load())
+	}
+	if a, ok := ex.Cache.Get(archiveKey(d, sdb)); !ok {
+		t.Fatal("archive half not cached")
+	} else if _, isArchive := a.(*shard.CountryArchive); !isArchive {
+		t.Fatalf("archive half cached as %T, want *shard.CountryArchive", a)
+	}
+	ref, err := d.RunSharded(v, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(ref)
+	if !bytes.Equal(mb, want) {
+		t.Fatal("cached body differs from the encoded uncached answer")
+	}
+	direct, out, err := (&Executor{Encode: encode}).ExecuteSharded(d, v, p)
+	if err != nil || out != qcache.Bypass || !bytes.Equal(direct.(Body), want) {
+		t.Fatalf("uncached executor with an encoder: %T %v %v", direct, out, err)
 	}
 }
 

@@ -155,13 +155,11 @@ func monoBody(t *testing.T, db *store.DB, d *registry.Descriptor, query string) 
 	if err != nil {
 		t.Fatalf("%s: monolith: %v", d.Kind, err)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+	body, err := serve.Encode(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return body
 }
 
 // topTheme resolves a real theme name for theme-trends queries.

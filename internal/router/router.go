@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -253,11 +254,25 @@ func (rt *Router) tryReplica(ctx context.Context, idx int, path, rawQuery string
 		return upstreamResult{idx: idx, hedged: hedged, err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return upstreamResult{idx: idx, hedged: hedged, err: err}
 	}
 	return upstreamResult{idx: idx, hedged: hedged, status: resp.StatusCode, header: resp.Header, body: body}
+}
+
+// readBody reads a response body whole: into one buffer of the declared
+// length when the replica sent one (gdeltserve always does for a 200), so
+// the read is a single allocation, else by growing a buffer to fit.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // race runs one query against candidates: the first candidate starts immediately, a
@@ -375,6 +390,7 @@ func (rt *Router) writeResult(w http.ResponseWriter, res upstreamResult) {
 		}
 	}
 	h.Set("X-Gdelt-Replica", rt.replicas[res.idx].id)
+	h.Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }

@@ -99,7 +99,7 @@ func testRequestsAdvanceEndpointMetrics(t *testing.T, sdb *shard.DB) {
 }
 
 // TestTimeoutRecordsCounterAndKind exercises the hardened 504 path: a
-// nanosecond deadline expires before writeJSON, the envelope names the
+// nanosecond deadline expires before writeBody, the envelope names the
 // query, and queries_timeout_total{kind} advances.
 func TestTimeoutRecordsCounterAndKind(t *testing.T) { eachWorld(t, testTimeoutRecordsCounterAndKind) }
 

@@ -214,17 +214,15 @@ func testQueryEndpointMatchesRun(t *testing.T, sdb *shard.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+	want, err := Encode(v)
+	if err != nil {
 		t.Fatal(err)
 	}
 	resp, served := get(t, srv, "/api/v1/query?"+params.Encode())
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, served)
 	}
-	if !bytes.Equal(served, want.Bytes()) {
-		t.Fatalf("served result differs from Run on the monolith:\n%s\nvs\n%s", served, want.Bytes())
+	if !bytes.Equal(served, want) {
+		t.Fatalf("served result differs from Run on the monolith:\n%s\nvs\n%s", served, want)
 	}
 }

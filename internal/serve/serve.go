@@ -5,9 +5,10 @@
 // Routing is registry-driven: every query kind registered in
 // internal/registry is served under /api/v1/<kind>, parameters validated
 // against the kind's schema, results produced by the kind's RunSharded
-// function over the dataset's current shard.View and memoized in a
-// snapshot-keyed result cache (internal/qcache) with single-flight
-// execution — N concurrent identical requests cost one scan.
+// function over the dataset's current shard.View, encoded once (Encode)
+// and memoized as that body in a snapshot-keyed result cache
+// (internal/qcache) with single-flight execution — N concurrent identical
+// requests cost one scan, and a cache hit is a write of stored bytes.
 //
 // Every endpoint accepts the common workers, from and to parameters to pin
 // parallelism and restrict the capture-time window, and every failure path
@@ -19,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -72,10 +74,9 @@ func newServer(snap func() *shard.View, cfg Config) *Server {
 	if cfg.MaxInFlight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInFlight)
 	}
-	if cfg.CacheBytes < 0 {
-		s.exec = &registry.Executor{} // caching disabled: every query scans
-	} else {
-		s.exec = &registry.Executor{Cache: qcache.New(cfg.CacheBytes)}
+	s.exec = &registry.Executor{Encode: Encode}
+	if cfg.CacheBytes >= 0 { // negative disables caching: every query scans
+		s.exec.Cache = qcache.New(cfg.CacheBytes)
 		s.exec.Cache.SetStale(func(k qcache.Key) bool { return snap().DB().StaleKey(k) })
 	}
 	s.ready.Store(true)
@@ -124,9 +125,10 @@ func (s *Server) routeV1(w http.ResponseWriter, r *http.Request) {
 
 // serveQuery is the one code path every query endpoint runs: derive the
 // engine view from the common parameters, validate the kind's own
-// parameters against its schema, and execute through the cache. The
-// X-Cache header reports how the result was obtained (hit, miss,
-// coalesced) so clients and benchmarks can tell a scan from a lookup.
+// parameters against its schema, execute through the cache and write the
+// encoded answer it returns. The X-Cache header reports how the result was
+// obtained (hit, miss, coalesced) so clients and benchmarks can tell a
+// scan from a lookup.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, d *registry.Descriptor) {
 	kind := kindOf(r)
 	q := r.URL.Query()
@@ -152,7 +154,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, d *registry.
 		jsonErrorQuery(w, http.StatusBadRequest, kind, "%v", err)
 		return
 	}
-	v, outcome, err := s.exec.ExecuteSharded(d, sv, p)
+	body, outcome, err := s.exec.ExecuteSharded(d, sv, p)
 	if err != nil {
 		s.queryError(w, kind, err)
 		return
@@ -160,7 +162,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, d *registry.
 	if outcome != qcache.Bypass {
 		w.Header().Set("X-Cache", outcome.String())
 	}
-	writeJSON(w, r, v)
+	writeBody(w, r, body.(registry.Body))
 }
 
 // queryError maps an execution error to its transport status: cancellation
@@ -183,12 +185,37 @@ func (s *Server) queryError(w http.ResponseWriter, kind string, err error) {
 	}
 }
 
-// writeJSON sends v, unless the request was cancelled or timed out while
-// the query ran — a cancelled engine scan returns a partial aggregate, so
-// the result must not be served as if it were complete. The 504 names the
-// query kind in the error envelope and records queries_timeout_total so
-// timeout storms are visible on /metrics.
+// Encode is the wire form of every answer the server sends: compact JSON
+// and a trailing newline, the bytes json.Encoder.Encode writes without
+// indentation. The body's capacity is its length, so the result cache
+// charges exactly the bytes it holds.
+func Encode(v any) (registry.Body, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	body := make(registry.Body, len(b)+1)
+	copy(body, b)
+	body[len(b)] = '\n'
+	return body, nil
+}
+
+// writeJSON encodes v and sends it as writeBody does.
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
+	body, err := Encode(v)
+	if err != nil {
+		jsonError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	writeBody(w, r, body)
+}
+
+// writeBody sends an encoded answer with its length, unless the request
+// was cancelled or timed out while the query ran — a cancelled engine scan
+// returns a partial aggregate, so the result must not be served as if it
+// were complete. The 504 names the query kind in the error envelope and
+// records queries_timeout_total so timeout storms are visible on /metrics.
+func writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
 	if err := r.Context().Err(); err != nil {
 		kind := kindOf(r)
 		if kind != "" {
@@ -198,10 +225,8 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 		jsonErrorQuery(w, http.StatusGatewayTimeout, kind, "request cancelled: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		jsonError(w, http.StatusInternalServerError, "encoding response: %v", err)
-	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }

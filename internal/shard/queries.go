@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"gdeltmine/internal/bitmap"
 	"gdeltmine/internal/engine"
@@ -246,42 +245,45 @@ type CountryArchive struct {
 
 // CountryArchive computes the archive half of the country query. Each
 // event's reporting-country bitmask folds into the pair and singleton
-// counts, per shard where a shard holds the whole event and through a
-// shared mask table where an event spans shards.
+// counts, per shard where a shard holds the whole event and once the
+// fan-out is done where an event spans shards.
 func (v *View) CountryArchive() *CountryArchive {
 	s := v.s
 	nc := len(gdelt.Countries)
+	ntri := nc * (nc + 1) / 2
 
 	// An event's article count is global metadata every shard carries, so
 	// a shard can tell that it holds all of an event's mentions and folds
-	// that event's mask on the spot, like the monolith. Only an event whose
-	// mentions span shards goes through the shared mask table: each shard
-	// ORs its slice in — atomically, shards run concurrently; OR is
-	// commutative and idempotent, so any interleaving is exact — and notes
-	// the row, and the union folds once every shard is done.
+	// that event's mask on the spot, like the monolith. A shard holding
+	// only some of an event's mentions notes its slice of the mask with
+	// the event's global row; after the fan-out the notes sort by row, the
+	// masks of one row OR together (OR is commutative, so the shards'
+	// order does not matter) and each union folds once. Partials fold the
+	// pair counts' upper triangle only, in the archive's Pairs layout, into
+	// pooled buffers.
 	type partial struct {
-		pair     *matrix.Int64
-		counts   []int64
-		spanning []int32 // global rows ORed into masks
+		pairs, counts []int64
+		spanning      []spanMask
 	}
-	mergePartials := func(dst, src *partial) *partial {
-		if err := dst.pair.AddMatrix(src.pair); err != nil {
-			panic(err) // identical nc×nc shapes by construction
+	merge := func(dst, src *partial) *partial {
+		for i, c := range src.pairs {
+			dst.pairs[i] += c
 		}
 		for i, c := range src.counts {
 			dst.counts[i] += c
 		}
 		dst.spanning = append(dst.spanning, src.spanning...)
+		parallel.PutInt64(src.pairs)
+		parallel.PutInt64(src.counts)
 		return dst
 	}
-	masks := make([]uint64, s.events.Len())
 	perShard := make([]*partial, s.K())
 	v.forEachShard(func(w *parallel.Worker, i int, _ *engine.Engine) {
 		p := s.parts[i]
 		remap := s.l2gEv[i]
 		perShard[i] = parallel.MapReduce(p.Events.Len(), v.optW(w),
 			func() *partial {
-				return &partial{pair: matrix.NewInt64(nc, nc), counts: make([]int64, nc)}
+				return &partial{pairs: parallel.GetInt64(ntri), counts: parallel.GetInt64(nc)}
 			},
 			func(acc *partial, lo, hi int) *partial {
 				for le := lo; le < hi; le++ {
@@ -296,32 +298,33 @@ func (v *View) CountryArchive() *CountryArchive {
 						}
 					}
 					if len(srcs) == int(p.Events.NumArticles[le]) {
-						foldCountryMask(acc.pair, acc.counts, mask)
+						foldCountryMask(acc.pairs, acc.counts, nc, mask)
 					} else if mask != 0 {
-						atomic.OrUint64(&masks[remap[le]], mask)
-						acc.spanning = append(acc.spanning, remap[le])
+						acc.spanning = append(acc.spanning, spanMask{remap[le], mask})
 					}
 				}
 				return acc
 			},
-			mergePartials,
+			merge,
 		)
 	})
-	res := &partial{pair: matrix.NewInt64(nc, nc), counts: make([]int64, nc)}
+	res := &partial{pairs: make([]int64, ntri), counts: make([]int64, nc)}
 	for _, part := range perShard {
 		if part != nil { // nil: shard skipped by cancellation
-			mergePartials(res, part)
+			merge(res, part)
 		}
 	}
-	for _, g := range res.spanning {
-		foldCountryMask(res.pair, res.counts, masks[g])
-		masks[g] = 0 // several shards note the same row; fold it once
+	sp := res.spanning
+	slices.SortFunc(sp, func(a, b spanMask) int { return cmp.Compare(a.row, b.row) })
+	for i := 0; i < len(sp); {
+		mask, j := sp[i].mask, i+1
+		for ; j < len(sp) && sp[j].row == sp[i].row; j++ {
+			mask |= sp[j].mask
+		}
+		foldCountryMask(res.pairs, res.counts, nc, mask)
+		i = j
 	}
 
-	pairs := make([]int64, 0, nc*(nc+1)/2)
-	for i := 0; i < nc; i++ {
-		pairs = append(pairs, res.pair.Row(i)[i:]...)
-	}
 	eventCounts := v.groupCountEvents(nc, func(acc []int64, t *store.EventTable, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			if t.NumArticles[r] > 0 {
@@ -331,7 +334,14 @@ func (v *View) CountryArchive() *CountryArchive {
 			}
 		}
 	})
-	return &CountryArchive{Pairs: pairs, Counts: res.counts, EventCounts: eventCounts}
+	return &CountryArchive{Pairs: res.pairs, Counts: res.counts, EventCounts: eventCounts}
+}
+
+// spanMask is one shard's slice of the reporting-country mask of the event
+// at global row row, an event whose mentions span shards.
+type spanMask struct {
+	row  int32
+	mask uint64
 }
 
 // CountryFinish completes the country query (Tables V-VII) from its
@@ -388,17 +398,19 @@ func (v *View) CountryFinish(a *CountryArchive) (*queries.CountryReport, error) 
 }
 
 // foldCountryMask expands one event's reporting-country bitmask into the
-// singleton and pair counters — the same bit loops as the monolith.
-func foldCountryMask(pair *matrix.Int64, counts []int64, mask uint64) {
+// singleton counts and the upper triangle of the pair counts, in
+// CountryArchive.Pairs layout over nc countries — the same bit loops as
+// the monolith, counting each unordered pair once.
+func foldCountryMask(pairs, counts []int64, nc int, mask uint64) {
 	for m := mask; m != 0; {
 		i := bits.TrailingZeros64(m)
 		m &^= 1 << uint(i)
 		counts[i]++
+		row := pairs[i*nc-i*(i-1)/2-i:] // row[j] is pair (i, j), j ≥ i
 		for m2 := m; m2 != 0; {
 			j := bits.TrailingZeros64(m2)
 			m2 &^= 1 << uint(j)
-			pair.Inc(i, j)
-			pair.Inc(j, i)
+			row[j]++
 		}
 	}
 }
@@ -698,9 +710,11 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 // stamped and no set is cleared between events. The
 // shard walk reads the event-major payload and stops at the first shard
 // starting at or past the cutoff (later shards hold only later mentions).
-// Each grain and each merge keeps a bounded top-k (topFires); once a grain
-// has truncated, an event with fewer articles or early sources than its
-// k-th candidate cannot enter it and is skipped. Only the k winners look
+// Each grain and each merge keeps a bounded top-k (topFires); once a
+// runner's candidates reach k — carried over from its earlier grains or
+// truncated within this one — an event with fewer articles or early
+// sources than the k-th candidate cannot enter them and is skipped. Only
+// the k winners look
 // up their SourceURL. The per-event count is earlySources, which the live
 // stream's alerts share.
 func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wildfire {
@@ -714,6 +728,10 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
 			stamp := make([]int32, s.Sources().Len())
 			floor := minSources
+			if len(acc) >= k && k > 0 {
+				acc = topFires(acc, k)
+				floor = acc[k-1].EarlySources
+			}
 			cs := s.cursors(int32(lo), int32(hi-1))
 			for ev := lo; ev < hi; ev++ {
 				// The event's article count is global metadata every part
