@@ -129,7 +129,7 @@ func TestRegistryStaleKeyAfterAppend(t *testing.T) {
 	}
 	lg := shard.NewLog(sdb)
 	ex := &registry.Executor{Cache: qcache.New(0)}
-	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
+	ex.Cache.SetStale(func() func(qcache.Key) bool { return lg.Snapshot().Staleness() })
 	theme := themeParam(t, db)
 	view := func(d *registry.Descriptor) *shard.View {
 		return lg.Snapshot().View().WithWindow(from, to).WithKind(d.Kind)

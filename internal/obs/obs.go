@@ -42,6 +42,10 @@ const (
 	KindCounter   Kind = "counter"
 	KindGauge     Kind = "gauge"
 	KindHistogram Kind = "histogram"
+
+	// kindFloatCounter tells a FloatCounter's registry identity from a
+	// Counter's; both export as KindCounter.
+	kindFloatCounter Kind = "float counter"
 )
 
 // desc is the immutable identity of one registered metric.
@@ -88,6 +92,30 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// FloatCounter is a monotonically increasing real-valued total, such as
+// seconds accumulated across events.
+type FloatCounter struct {
+	d    desc
+	bits atomic.Uint64 // float64 bits
+}
+
+// Add adds delta; negative and NaN deltas are ignored to keep the total
+// monotone.
+func (c *FloatCounter) Add(delta float64) {
+	if !(delta > 0) {
+		return
+	}
+	for {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
+// Value returns the current total.
+func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+
 // Gauge is an instantaneous value that can move both ways.
 type Gauge struct {
 	d    desc
@@ -104,7 +132,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // NewRegistry or the package Default.
 type Registry struct {
 	mu      sync.RWMutex
-	ordered []any // *Counter | *Gauge | *Histogram, registration order
+	ordered []any // *Counter | *FloatCounter | *Gauge | *Histogram, registration order
 	index   map[string]any
 }
 
@@ -144,6 +172,8 @@ func checkKind(id string, want Kind, m any) {
 	switch m.(type) {
 	case *Counter:
 		got = KindCounter
+	case *FloatCounter:
+		got = kindFloatCounter
 	case *Gauge:
 		got = KindGauge
 	case *Histogram:
@@ -162,6 +192,16 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.lookup(id, KindCounter, func() any {
 		return &Counter{d: desc{name: name, help: help, kind: KindCounter, labels: labels}}
 	}).(*Counter)
+}
+
+// FloatCounter returns the real-valued counter with the given name and
+// labels, registering it on first use. It exports as a Prometheus counter;
+// one identity cannot be both a Counter and a FloatCounter.
+func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
+	id := metricID(name, labels)
+	return r.lookup(id, kindFloatCounter, func() any {
+		return &FloatCounter{d: desc{name: name, help: help, kind: KindCounter, labels: labels}}
+	}).(*FloatCounter)
 }
 
 // Gauge returns the gauge with the given name and labels, registering it on
@@ -202,6 +242,8 @@ func (r *Registry) each(fn func(m any)) {
 func descOf(m any) desc {
 	switch v := m.(type) {
 	case *Counter:
+		return v.d
+	case *FloatCounter:
 		return v.d
 	case *Gauge:
 		return v.d

@@ -23,6 +23,37 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
+func TestFloatCounter(t *testing.T) {
+	r := NewRegistry()
+	c := r.FloatCounter("saved_seconds_total", "seconds saved")
+	c.Add(0.25)
+	c.Add(0.5)
+	c.Add(-1)         // ignored: counters are monotone
+	c.Add(math.NaN()) // ignored
+	if got := c.Value(); got != 0.75 {
+		t.Fatalf("float counter = %v, want 0.75", got)
+	}
+	if again := r.FloatCounter("saved_seconds_total", ""); again != c {
+		t.Fatal("re-registration returned a different float counter")
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE saved_seconds_total counter\nsaved_seconds_total 0.75\n") {
+		t.Fatalf("exposition lacks the float counter:\n%s", buf.String())
+	}
+	if m := r.Snapshot().Find("saved_seconds_total"); m == nil || m.Kind != KindCounter || m.Value != 0.75 {
+		t.Fatalf("snapshot = %+v", m)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("requesting a float counter's identity as a Counter did not panic")
+		}
+	}()
+	r.Counter("saved_seconds_total", "")
+}
+
 func TestLabeledMetricsAreDistinct(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("queries_total", "", L("kind", "country"))

@@ -33,6 +33,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch v := m.(type) {
 		case *Counter:
 			_, err = fmt.Fprintf(w, "%s%s %d\n", d.name, promLabels(d.labels, "", ""), v.Value())
+		case *FloatCounter:
+			_, err = fmt.Fprintf(w, "%s%s %s\n", d.name, promLabels(d.labels, "", ""), formatFloat(v.Value()))
 		case *Gauge:
 			_, err = fmt.Fprintf(w, "%s%s %s\n", d.name, promLabels(d.labels, "", ""), formatFloat(v.Value()))
 		case *Histogram:

@@ -34,6 +34,11 @@ func (r *Registry) Snapshot() Snapshot {
 				Name: v.d.name, Kind: KindCounter, Help: v.d.help,
 				Labels: labelMap(v.d.labels), Value: float64(v.Value()),
 			})
+		case *FloatCounter:
+			s.Metrics = append(s.Metrics, MetricSnapshot{
+				Name: v.d.name, Kind: KindCounter, Help: v.d.help,
+				Labels: labelMap(v.d.labels), Value: v.Value(),
+			})
 		case *Gauge:
 			s.Metrics = append(s.Metrics, MetricSnapshot{
 				Name: v.d.name, Kind: KindGauge, Help: v.d.help,

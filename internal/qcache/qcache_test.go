@@ -92,43 +92,6 @@ func TestErrorsNeverCached(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionByMemoryBudget(t *testing.T) {
-	val := func() any { return make([]int64, 1024) }
-	cost := Approx(val()) + overheadBytes
-	c := New(3*cost + 16) // room for exactly three entries
-	mk := func(kind string) Key { return key(kind, 1) }
-
-	for _, k := range []string{"a", "b", "c"} {
-		if _, out, _ := c.Do(context.Background(), mk(k), func() (any, error) { return val(), nil }); out != Miss {
-			t.Fatalf("%s: outcome %v", k, out)
-		}
-	}
-	if c.Len() != 3 {
-		t.Fatalf("resident %d want 3", c.Len())
-	}
-	// Touch "a" so "b" is the LRU victim when "d" arrives.
-	if _, ok := c.Get(mk("a")); !ok {
-		t.Fatal("a missing before eviction")
-	}
-	if _, out, _ := c.Do(context.Background(), mk("d"), func() (any, error) { return val(), nil }); out != Miss {
-		t.Fatal("d should miss")
-	}
-	if c.Len() != 3 {
-		t.Fatalf("resident %d want 3 after eviction", c.Len())
-	}
-	if _, ok := c.Get(mk("b")); ok {
-		t.Fatal("b survived; LRU should have evicted it")
-	}
-	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(mk(k)); !ok {
-			t.Fatalf("%s evicted; only b should have been", k)
-		}
-	}
-	if used, max := c.UsedBytes(), c.maxBytes; used > max {
-		t.Fatalf("used %d exceeds budget %d", used, max)
-	}
-}
-
 func TestOversizedResultNotCached(t *testing.T) {
 	c := New(512)
 	big := make([]int64, 4096) // ~32KB, far past the 512-byte budget

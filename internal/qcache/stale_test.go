@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,9 @@ func TestSetStalePredicate(t *testing.T) {
 		}
 	}
 
-	c.SetStale(func(k Key) bool { return strings.Contains(k.Window, "v0.0.3") })
+	c.SetStale(func() func(Key) bool {
+		return func(k Key) bool { return strings.Contains(k.Window, "v0.0.3") }
+	})
 	sweep(c, 4) // sweep at a newer version: predicate decides, not age
 
 	if _, ok := c.Get(hot); ok {
@@ -44,6 +47,36 @@ func TestSweepDefaultWithoutPredicate(t *testing.T) {
 	sweep(c, 2)
 	if _, ok := c.Get(old); ok {
 		t.Error("stale-by-version entry survived a sweep with no predicate installed")
+	}
+}
+
+// TestSweepBuildsPredicateOnce: a sweep asks SetStale's factory for one
+// predicate and uses it for every resident entry, so a store resolves its
+// world once per sweep whatever the number of entries; an empty cache's
+// sweep resolves nothing.
+func TestSweepBuildsPredicateOnce(t *testing.T) {
+	c := New(0)
+	var built, asked int
+	c.SetStale(func() func(Key) bool {
+		built++
+		return func(Key) bool { asked++; return false }
+	})
+	sweep(c, 1)
+	if built != 0 {
+		t.Fatalf("sweep of an empty cache built %d predicates, want 0", built)
+	}
+	for i := range 50 {
+		k := Key{Kind: "count", Params: strconv.Itoa(i), Version: 1}
+		if _, _, err := c.Do(context.Background(), k, func() (any, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep(c, 2)
+	if built != 1 || asked != 50 {
+		t.Fatalf("one sweep over 50 entries built %d predicates and asked %d times, want 1 and 50", built, asked)
+	}
+	if c.Len() != 50 {
+		t.Fatalf("resident %d after a sweep that condemned nothing, want 50", c.Len())
 	}
 }
 

@@ -221,7 +221,7 @@ func TestLogAppendInvalidates(t *testing.T) {
 	lg := shard.NewLog(testWorld(t))
 	d := MustLookup("series-articles")
 	ex := &Executor{Cache: qcache.New(0)}
-	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
+	ex.Cache.SetStale(func() func(qcache.Key) bool { return lg.Snapshot().Staleness() })
 	p := defaultParams(t, d)
 	run := func() qcache.Outcome {
 		t.Helper()

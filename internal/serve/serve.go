@@ -65,10 +65,10 @@ func NewLive(lg *shard.Log, cfg Config) *Server {
 }
 
 // newServer builds the handler tree over snap. Cache keys embed the
-// per-shard version vector, and the cache's staleness predicate consults
-// the current world: an append bumps the tail shard's version, so exactly
-// the cached windows overlapping the tail retire while cold-shard results
-// stay warm.
+// per-shard version vector, and each cache sweep loads the current world
+// once for its staleness rule: an append bumps the tail shard's version,
+// so exactly the cached windows overlapping the tail retire while
+// cold-shard results stay warm.
 func newServer(snap func() *shard.View, cfg Config) *Server {
 	s := &Server{snap: snap, cfg: cfg, endpoints: make(map[string]*endpointMetrics)}
 	if cfg.MaxInFlight > 0 {
@@ -77,7 +77,7 @@ func newServer(snap func() *shard.View, cfg Config) *Server {
 	s.exec = &registry.Executor{Encode: Encode}
 	if cfg.CacheBytes >= 0 { // negative disables caching: every query scans
 		s.exec.Cache = qcache.New(cfg.CacheBytes)
-		s.exec.Cache.SetStale(func(k qcache.Key) bool { return snap().DB().StaleKey(k) })
+		s.exec.Cache.SetStale(func() func(qcache.Key) bool { return snap().DB().Staleness() })
 	}
 	s.ready.Store(true)
 	mux := http.NewServeMux()

@@ -54,7 +54,7 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // metadata change, so only answers that read nothing but their window's
 // mention rows may key on the overlapping shards alone: such entries over
 // cold windows stay warm, and every other entry goes stale through
-// StaleKey (see DB.CacheWindow).
+// Staleness (see DB.CacheWindow).
 func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st store.AppendStats, err error) {
 	ti := len(s.parts) - 1
 	tail := s.parts[ti]

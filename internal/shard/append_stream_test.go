@@ -47,7 +47,7 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	// way serve.NewLive wires the cache.
 	lg := shard.NewLog(sdb)
 	ex := &registry.Executor{Cache: qcache.New(0)}
-	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
+	ex.Cache.SetStale(func() func(qcache.Key) bool { return lg.Snapshot().Staleness() })
 	coreport := registry.MustLookup("coreport")
 	series := registry.MustLookup("series-articles") // window-only
 	full := func() *shard.View { return lg.Snapshot().View() }

@@ -35,11 +35,22 @@ func buildSharded(t *testing.T, k int) *shard.DB {
 // conservative direction.
 func TestStaleKeyUnparseableWindow(t *testing.T) {
 	sdb := buildSharded(t, 2)
+	stale := sdb.Staleness()
 	for _, win := range []string{"", "0:10", "iv0:10", "ivx:y/v0", "iv0:10/vnope", "iv0:10/anope", "anope", "a"} {
 		k := qcache.Key{Kind: "count", Window: win}
-		if !sdb.StaleKey(k) {
-			t.Errorf("StaleKey(%q) = false, want true for unparseable window", win)
+		if !stale(k) {
+			t.Errorf("Staleness()(%q) = false, want true for unparseable window", win)
 		}
+	}
+	// The keys the world itself mints are fresh.
+	for _, windowOnly := range []bool{false, true} {
+		w, _ := sdb.CacheWindow(0, 10, windowOnly)
+		if stale(qcache.Key{Kind: "count", Window: w}) {
+			t.Errorf("Staleness()(%q) = true for a key minted by the same world", w)
+		}
+	}
+	if w, _ := sdb.ArchiveWindow(); stale(qcache.Key{Kind: "country/archive", Window: w}) {
+		t.Errorf("Staleness()(%q) = true for the world's own archive key", w)
 	}
 }
 

@@ -285,7 +285,7 @@ func TestLogSealCacheKeySafety(t *testing.T) {
 	}
 
 	ex := &registry.Executor{Cache: qcache.New(0)}
-	ex.Cache.SetStale(func(k qcache.Key) bool { return lg.Snapshot().StaleKey(k) })
+	ex.Cache.SetStale(func() func(qcache.Key) bool { return lg.Snapshot().Staleness() })
 	d := registry.MustLookup("top-publishers")
 	p, err := d.ParseParams(func(string) []string { return nil })
 	if err != nil {

@@ -329,7 +329,7 @@ func (s *DB) overlapping(from, to int32) (lo, hi int) {
 // so it keys on the version vector of every part, "iv0:96/a0.3.4", and the
 // max over all of them. Embedding the per-shard versions (not just the
 // max) is what lets the staleness sweep keep warm entries whose shards did
-// not change — see StaleKey and qcache.Cache.SetStale.
+// not change — see Staleness and qcache.Cache.SetStale.
 func (s *DB) CacheWindow(from, to int32, windowOnly bool) (window string, version uint64) {
 	lo, hi := 0, len(s.parts)
 	tag := "/a"
@@ -373,38 +373,47 @@ func (s *DB) writeVersions(b *strings.Builder, lo, hi int) uint64 {
 	return top
 }
 
-// StaleKey reports whether a cached entry's key refers to part versions
-// that have moved on. It re-derives the expected Window from the entry's
-// own: an archive key ("a…") or an all-parts answer ("iv…/a…") is stale
-// once any part's version moved or a part was added; a window-only answer
-// ("iv…/v…") only once a shard its window overlaps did, so a tail-shard
-// append leaves entries over cold shards servable. Keys that do not parse
-// are conservatively stale.
-func (s *DB) StaleKey(k qcache.Key) bool {
-	if strings.HasPrefix(k.Window, "a") {
-		w, _ := s.ArchiveWindow()
+// Staleness returns the rule that tells which cached entries' keys refer
+// to part versions that have moved on in s, for qcache.Cache.SetStale. It
+// renders the version vector of every part once, so a sweep costs O(1) per
+// all-parts or archive entry rather than O(parts). The rule re-derives the
+// expected Window from the entry's own: an archive key ("a…") or an
+// all-parts answer ("iv…/a…") is stale once any part's version moved or a
+// part was added; a window-only answer ("iv…/v…") only once a shard its
+// window overlaps did, so a tail-shard append leaves entries over cold
+// shards servable. Keys that do not parse are conservatively stale.
+func (s *DB) Staleness() func(qcache.Key) bool {
+	var b strings.Builder
+	s.writeVersions(&b, 0, len(s.parts))
+	every := b.String()
+	return func(k qcache.Key) bool {
+		if versions, ok := strings.CutPrefix(k.Window, "a"); ok {
+			return versions != every
+		}
+		rest, ok := strings.CutPrefix(k.Window, "iv")
+		if !ok {
+			return true
+		}
+		fromStr, rest, ok := strings.Cut(rest, ":")
+		if !ok {
+			return true
+		}
+		toStr, versions, ok := strings.Cut(rest, "/")
+		if !ok {
+			return true
+		}
+		from, err := strconv.ParseInt(fromStr, 10, 32)
+		if err != nil {
+			return true
+		}
+		to, err := strconv.ParseInt(toStr, 10, 32)
+		if err != nil {
+			return true
+		}
+		if rest, ok := strings.CutPrefix(versions, "a"); ok {
+			return rest != every
+		}
+		w, _ := s.CacheWindow(int32(from), int32(to), strings.HasPrefix(versions, "v"))
 		return k.Window != w
 	}
-	rest, ok := strings.CutPrefix(k.Window, "iv")
-	if !ok {
-		return true
-	}
-	fromStr, rest, ok := strings.Cut(rest, ":")
-	if !ok {
-		return true
-	}
-	toStr, versions, ok := strings.Cut(rest, "/")
-	if !ok {
-		return true
-	}
-	from, err := strconv.ParseInt(fromStr, 10, 32)
-	if err != nil {
-		return true
-	}
-	to, err := strconv.ParseInt(toStr, 10, 32)
-	if err != nil {
-		return true
-	}
-	w, _ := s.CacheWindow(int32(from), int32(to), strings.HasPrefix(versions, "v"))
-	return k.Window != w
 }
