@@ -33,10 +33,13 @@ for f in $(grep -l '^func Fuzz' $(go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{
 done
 
 # Append-log smoke: three appends on the live.ingest-shaped world; a durable
-# log grown to K ≈ 50 and K ≈ 200 parts, three timed seals each (ns and
-# written bytes per seal); three cold reopens of a K ≈ 200 log, every part
-# checked against its manifest digest; one run each of wildfires, follow,
-# coreport and country on the K ≈ 200 log. Fails if any of them does.
+# log grown to K ≈ 50 and K ≈ 200 parts, three timed seals each; three cold
+# reopens of a K ≈ 200 log, every part checked against its manifest digest;
+# one run each of wildfires, follow, coreport and country on the K ≈ 200
+# log. Fails if any of them does. Three fsync-bound seals are a smoke, not a
+# measurement: their ns/seal spreads several-fold run to run, so compare
+# builds by the counted outputs (written-B/seal, manifest-B, B/op,
+# allocs/op).
 go test ./internal/shard -run '^$' -bench 'LogSeal|LogOpen|LogAppend' -benchtime 3x
 go test ./internal/shard -run '^$' -bench 'GrownLogKinds' -benchtime 1x
 

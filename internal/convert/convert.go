@@ -295,7 +295,11 @@ func ingestChunk(b *store.Builder, kind, path string, data []byte) error {
 // FromCorpus builds the store directly from an in-memory synthetic corpus,
 // bypassing raw files. This is the fast path for tests and benchmarks; the
 // resulting store is identical to converting the written files of the same
-// corpus except for the deliberately withheld (missing-archive) chunks.
+// corpus except for the deliberately withheld (missing-archive) chunks and
+// the mention tones, which the raw files carry at two decimals.
+// Mentions and GKG records arrive as the corpus's lean rows: the builder
+// reads none of the URLs and ids they leave out, so the store is also
+// identical to one built from the full records.
 func FromCorpus(c *gen.Corpus) (*Result, error) {
 	start := gdelt.Timestamp(c.World.Cfg.Start)
 	intervals := int32(c.World.Days() * gdelt.IntervalsPerDay)
@@ -303,15 +307,23 @@ func FromCorpus(c *gen.Corpus) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	withGKG := c.World.Cfg.GKG
+	gkgRows := 0
+	if withGKG {
+		gkgRows = len(c.Mentions)
+	}
+	b.Reserve(len(c.Events), len(c.Mentions), gkgRows)
 	for i := range c.Events {
 		ev := c.EventRecord(i)
 		b.AddEvent(&ev)
 	}
+	var mn gdelt.Mention
+	var rec gdelt.GKGRecord
 	for j := range c.Mentions {
-		mn := c.MentionRecord(j)
+		c.LeanMentionRecord(j, &mn)
 		b.AddMention(&mn)
-		if c.World.Cfg.GKG {
-			rec := c.GKGRecord(j)
+		if withGKG {
+			c.LeanGKGRecord(j, &rec)
 			b.AddGKG(&rec)
 		}
 	}

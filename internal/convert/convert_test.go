@@ -1,12 +1,18 @@
 package convert
 
 import (
+	"cmp"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
+	"gdeltmine/internal/store"
 )
 
 func generateSmall(t testing.TB) *gen.Corpus {
@@ -102,6 +108,12 @@ func TestFromRawDirReproducesTableII(t *testing.T) {
 	}
 }
 
+// TestRawAndCorpusAgreeWithoutDefects: with no archive withheld, the TSV
+// path gdeltconvert runs and FromCorpus build the same world. The event
+// table must match column for column; each capture interval's mention and
+// GKG rows are compared as sorted multisets, so the check does not hang on
+// the order rows of one interval arrive in. Tones are compared at the two
+// decimals the raw files carry.
 func TestRawAndCorpusAgreeWithoutDefects(t *testing.T) {
 	cfg := gen.Small()
 	cfg.DefectMalformedMaster = 0
@@ -122,32 +134,86 @@ func TestRawAndCorpusAgreeWithoutDefects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw.DB.Events.Len() != direct.DB.Events.Len() {
-		t.Fatalf("events %d vs %d", raw.DB.Events.Len(), direct.DB.Events.Len())
+	if raw.Stats != direct.Stats {
+		t.Fatalf("stats %+v vs %+v", raw.Stats, direct.Stats)
 	}
-	if raw.DB.Mentions.Len() != direct.DB.Mentions.Len() {
-		t.Fatalf("mentions %d vs %d", raw.DB.Mentions.Len(), direct.DB.Mentions.Len())
+	if raw.DB.Meta != direct.DB.Meta {
+		t.Fatalf("meta %+v vs %+v", raw.DB.Meta, direct.DB.Meta)
 	}
-	// Same per-event article counts.
-	for i := range raw.DB.Events.ID {
-		if raw.DB.Events.ID[i] != direct.DB.Events.ID[i] ||
-			raw.DB.Events.NumArticles[i] != direct.DB.Events.NumArticles[i] {
-			t.Fatalf("event %d differs: id %d/%d articles %d/%d", i,
-				raw.DB.Events.ID[i], direct.DB.Events.ID[i],
-				raw.DB.Events.NumArticles[i], direct.DB.Events.NumArticles[i])
+	re, de := &raw.DB.Events, &direct.DB.Events
+	for name, eq := range map[string]bool{
+		"ID":           slices.Equal(re.ID, de.ID),
+		"Interval":     slices.Equal(re.Interval, de.Interval),
+		"Country":      slices.Equal(re.Country, de.Country),
+		"SourceURL":    slices.Equal(re.SourceURL, de.SourceURL),
+		"NumArticles":  slices.Equal(re.NumArticles, de.NumArticles),
+		"FirstMention": slices.Equal(re.FirstMention, de.FirstMention),
+	} {
+		if !eq {
+			t.Errorf("event column %s differs", name)
 		}
 	}
-	// Same delay distribution (order may differ within an interval).
-	var sumRaw, sumDirect int64
-	for _, d := range raw.DB.Mentions.Delay {
-		sumRaw += int64(d)
+	if raw.DB.Report.Counts != direct.DB.Report.Counts {
+		t.Errorf("defect counts %v vs %v", raw.DB.Report.Counts, direct.DB.Report.Counts)
 	}
-	for _, d := range direct.DB.Mentions.Delay {
-		sumDirect += int64(d)
+	if a, b := mentionTuples(raw.DB), mentionTuples(direct.DB); !slices.Equal(a, b) {
+		t.Errorf("mention multisets differ (%d vs %d rows)", len(a), len(b))
 	}
-	if sumRaw != sumDirect {
-		t.Fatalf("delay sums differ: %d vs %d", sumRaw, sumDirect)
+	if a, b := gkgTuples(raw.DB), gkgTuples(direct.DB); !slices.Equal(a, b) {
+		t.Errorf("GKG multisets differ (%d vs %d rows)", len(a), len(b))
 	}
+}
+
+// mentionTuple is a mention row with its ids resolved to what they name.
+type mentionTuple struct {
+	Interval   int32
+	Event      int64
+	Source     string
+	Delay      int32
+	DocLen     int32
+	Tone       string // as the raw files spell it: two decimals
+	Confidence int8
+}
+
+// mentionTuples lists every mention row ordered by capture interval, then
+// by the remaining fields: per interval, the sorted multiset of its rows.
+func mentionTuples(db *store.DB) []mentionTuple {
+	m := &db.Mentions
+	out := make([]mentionTuple, m.Len())
+	for r := range out {
+		out[r] = mentionTuple{m.Interval[r], db.Events.ID[m.EventRow[r]], db.Sources.Name(m.Source[r]),
+			m.Delay[r], m.DocLen[r], strconv.FormatFloat(float64(m.Tone[r]), 'f', 2, 32), m.Confidence[r]}
+	}
+	slices.SortFunc(out, func(a, b mentionTuple) int {
+		return cmp.Or(cmp.Compare(a.Interval, b.Interval), cmp.Compare(a.Event, b.Event),
+			cmp.Compare(a.Source, b.Source), cmp.Compare(a.Delay, b.Delay), cmp.Compare(a.DocLen, b.DocLen),
+			cmp.Compare(a.Tone, b.Tone), cmp.Compare(a.Confidence, b.Confidence))
+	})
+	return out
+}
+
+// gkgTuples lists every GKG row as "interval translated themes persons",
+// theme and person names in row order, sorted: per interval, the multiset
+// of its rows (and so of its themes).
+func gkgTuples(db *store.DB) []string {
+	if db.GKG == nil {
+		return nil
+	}
+	g := db.GKG
+	out := make([]string, g.Table.Len())
+	for r := range out {
+		var themes, persons []string
+		for _, id := range g.Table.RowThemes(r) {
+			themes = append(themes, g.Themes.Name(id))
+		}
+		for _, id := range g.Table.RowPersons(r) {
+			persons = append(persons, g.Persons.Name(id))
+		}
+		out[r] = fmt.Sprintf("%010d %v %s %s", g.Table.Interval[r], g.Table.Translated[r],
+			strings.Join(themes, ";"), strings.Join(persons, ";"))
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestFromRawDirMissingMaster(t *testing.T) {
@@ -236,4 +302,24 @@ func TestFromRawDirDetectsTamperedChunk(t *testing.T) {
 		t.Fatalf("checksum mismatch count %d", conv.DB.Report.Counts[gdelt.DefectChecksumMismatch])
 	}
 	_ = res
+}
+
+// BenchmarkFromCorpus times the corpus → store build of the Bench preset
+// (~440 k mentions with GKG): rows/s counts event, mention and GKG rows
+// fed to the builder, and B/op and allocs/op show what staging and
+// assembly allocate.
+func BenchmarkFromCorpus(b *testing.B) {
+	c, err := gen.Generate(gen.Bench())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := len(c.Events) + 2*len(c.Mentions)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromCorpus(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -41,13 +41,34 @@ func BenchmarkAppendMentionRow(b *testing.B) {
 	}
 }
 
+// BenchmarkTimestampIntervalIndex times the calendar conversions every
+// ingested row pays: timestamp -> interval, interval -> timestamp, and the
+// validity check.
 func BenchmarkTimestampIntervalIndex(b *testing.B) {
 	ts := Timestamp(20171106221500)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += ts.IntervalIndex()
-	}
-	_ = sink
+	b.Run("IntervalIndex", func(b *testing.B) {
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			sink += (ts + Timestamp(i&15)).IntervalIndex()
+		}
+		_ = sink
+	})
+	b.Run("IntervalStart", func(b *testing.B) {
+		var sink Timestamp
+		for i := 0; i < b.N; i++ {
+			sink += IntervalStart(int64(i & 0x3ffff))
+		}
+		_ = sink
+	})
+	b.Run("Valid", func(b *testing.B) {
+		var sink int
+		for i := 0; i < b.N; i++ {
+			if (ts + Timestamp(i&15)).Valid() {
+				sink++
+			}
+		}
+		_ = sink
+	})
 }
 
 func BenchmarkCountryFromDomain(b *testing.B) {

@@ -66,26 +66,95 @@ func (ts Timestamp) Time() time.Time {
 		ts.Hour(), ts.Minute(), ts.Second(), 0, time.UTC)
 }
 
-// Valid reports whether the timestamp has plausible calendar components and
-// round-trips through time.Date unchanged.
+// Valid reports whether the timestamp has plausible calendar components
+// (years 1979..2100) naming a real instant: the day exists in its month, so
+// the timestamp round-trips through time.Date unchanged.
 func (ts Timestamp) Valid() bool {
-	if ts <= 0 {
-		return false
-	}
+	y := ts.Year()
+	return ts > 0 && y >= 1979 && y <= 2100 && ts.canonical()
+}
+
+// canonical reports whether the month, day, hour, minute and second name
+// a real instant of the timestamp's year, i.e. time.Date would not
+// normalize them. Negative timestamps have negative components and fail.
+func (ts Timestamp) canonical() bool {
 	y, mo, d := ts.Year(), ts.Month(), ts.Day()
-	h, mi, s := ts.Hour(), ts.Minute(), ts.Second()
-	if y < 1979 || y > 2100 || mo < 1 || mo > 12 || d < 1 || d > 31 ||
-		h > 23 || mi > 59 || s > 59 {
-		return false
+	return mo >= 1 && mo <= 12 && d >= 1 && (d <= 28 || d <= daysInMonth(y, mo)) &&
+		ts.Hour() <= 23 && ts.Minute() <= 59 && ts.Second() <= 59
+}
+
+// The calendar below is integer arithmetic on the proleptic Gregorian
+// calendar — the one time.Date uses — so converting between timestamps and
+// capture intervals costs a few multiplications instead of two time.Time
+// round trips. Only timestamps that are not canonical (month 13, 31 April,
+// hour 24, negative values) take the time.Date path in IntervalIndex, so
+// they normalize exactly as before.
+
+// epochDays is Epoch's day number (days since 1970-01-01).
+var epochDays = daysFromCivil(EpochTimestamp.Year(), EpochTimestamp.Month(), EpochTimestamp.Day())
+
+// daysInMonth returns the length of month mo (1..12) of year y.
+func daysInMonth(y, mo int) int {
+	if mo == 2 {
+		if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
+			return 29
+		}
+		return 28
 	}
-	return TimestampFromTime(ts.Time()) == ts
+	return 30 + (mo+mo/8)%2
+}
+
+// daysFromCivil returns the day number (days since 1970-01-01) of the
+// date y-mo-d, for mo in 1..12 and d in 1..31. It counts in 400-year eras
+// of 146097 days, with years starting in March so the leap day ends one.
+func daysFromCivil(y, mo, d int) int64 {
+	if mo <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 && y%400 != 0 {
+		era--
+	}
+	yoe := y - era*400                     // year of era, 0..399
+	mp := (mo + 9) % 12                    // month from March, 0..11
+	doy := (153*mp+2)/5 + d - 1            // day of the March-based year
+	doe := yoe*365 + yoe/4 - yoe/100 + doy // day of era, 0..146096
+	return int64(era)*146097 + int64(doe) - 719468
+}
+
+// civilFromDays is daysFromCivil's inverse. Within an era every quantity
+// is a small non-negative number, so it computes in uint32, where dividing
+// by a constant is one multiplication.
+func civilFromDays(z int64) (y, mo, d int) {
+	z += 719468
+	era := z / 146097
+	if z < 0 && z%146097 != 0 {
+		era--
+	}
+	doe := uint32(z - era*146097)
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153
+	d = int(doy - (153*mp+2)/5 + 1)
+	mo = int((mp+2)%12 + 1)
+	y = int(yoe) + int(era)*400
+	if mo <= 2 {
+		y++
+	}
+	return y, mo, d
 }
 
 // IntervalIndex returns the number of whole 15-minute capture intervals
 // between Epoch and the timestamp. Timestamps before Epoch yield negative
 // indexes.
 func (ts Timestamp) IntervalIndex() int64 {
-	sec := ts.Time().Unix() - Epoch.Unix()
+	var sec int64
+	if ts.canonical() {
+		days := daysFromCivil(ts.Year(), ts.Month(), ts.Day()) - epochDays
+		sec = days*86400 + int64(ts.Hour()*3600+ts.Minute()*60+ts.Second())
+	} else {
+		sec = ts.Time().Unix() - Epoch.Unix()
+	}
 	if sec >= 0 {
 		return sec / IntervalSeconds
 	}
@@ -94,7 +163,13 @@ func (ts Timestamp) IntervalIndex() int64 {
 
 // IntervalStart returns the timestamp of the start of capture interval idx.
 func IntervalStart(idx int64) Timestamp {
-	return TimestampFromTime(Epoch.Add(time.Duration(idx) * time.Duration(IntervalSeconds) * time.Second))
+	days := idx / IntervalsPerDay
+	if idx%IntervalsPerDay < 0 {
+		days--
+	}
+	sod := int(idx-days*IntervalsPerDay) * IntervalSeconds // second of the day
+	y, mo, d := civilFromDays(epochDays + days)
+	return MakeTimestamp(y, mo, d, sod/3600, sod/60%60, sod%60)
 }
 
 // String renders the timestamp in its canonical 14-digit form.

@@ -1,10 +1,12 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 
 	"gdeltmine/internal/gdelt"
 )
@@ -62,6 +64,11 @@ type Corpus struct {
 	Mentions []Mention
 	// dayYYYYMMDD caches the calendar date of each archive day.
 	dayYYYYMMDD []int32
+	// tailStart is the day offset of 1 January 2017, where the slow-tail
+	// decay of tailScale begins.
+	tailStart int
+	// base is the global interval index of the archive start.
+	base int64
 	// themes is the GKG annotation model.
 	themes *themeModel
 }
@@ -73,7 +80,7 @@ func Generate(cfg Config) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{World: w, themes: newThemeModel(cfg.Seed)}
+	c := &Corpus{World: w, themes: newThemeModel(cfg.Seed), base: cfg.Start.IntervalIndex()}
 	c.precomputeCalendar()
 
 	days := w.Days()
@@ -129,6 +136,7 @@ func (c *Corpus) precomputeCalendar() {
 		dt := t.AddDate(0, 0, d)
 		c.dayYYYYMMDD[d] = int32(dt.Year()*10000 + int(dt.Month())*100 + dt.Day())
 	}
+	c.tailStart = c.dayIndexOfYear(2017)
 }
 
 // rateTrend is the event-arrival trend: stable through 2017, slightly lower
@@ -157,7 +165,7 @@ func (c *Corpus) tailScale(day int) float64 {
 	if year < 2017 {
 		return 1.0
 	}
-	frac := float64(day-c.dayIndexOfYear(2017)) / float64(c.World.Days()-c.dayIndexOfYear(2017))
+	frac := float64(day-c.tailStart) / float64(c.World.Days()-c.tailStart)
 	if frac < 0 {
 		frac = 0
 	}
@@ -424,14 +432,17 @@ func sampleDelay(rng *rand.Rand, src *Source, tailScale float64) int64 {
 // counts and first-mention attribution, and drops nothing (events without
 // mentions were already dropped during generation).
 func (c *Corpus) finalize() {
-	sort.Slice(c.Mentions, func(i, j int) bool {
-		if c.Mentions[i].Interval != c.Mentions[j].Interval {
-			return c.Mentions[i].Interval < c.Mentions[j].Interval
+	// The sort is not stable: mentions equal in all three keys keep the
+	// order this pattern-defeating quicksort leaves, which golden_test.go
+	// pins. Changing the algorithm changes the corpus.
+	slices.SortFunc(c.Mentions, func(a, b Mention) int {
+		if c := cmp.Compare(a.Interval, b.Interval); c != 0 {
+			return c
 		}
-		if c.Mentions[i].Event != c.Mentions[j].Event {
-			return c.Mentions[i].Event < c.Mentions[j].Event
+		if c := cmp.Compare(a.Event, b.Event); c != 0 {
+			return c
 		}
-		return c.Mentions[i].Source < c.Mentions[j].Source
+		return cmp.Compare(a.Source, b.Source)
 	})
 	for i := range c.Events {
 		c.Events[i].NumArticles = 0
@@ -502,12 +513,7 @@ func (c *Corpus) EventDay(i int) int32 {
 // IntervalTimestamp returns the timestamp of the start of capture interval
 // iv within this corpus.
 func (c *Corpus) IntervalTimestamp(iv int32) gdelt.Timestamp {
-	return gdelt.IntervalStart(c.baseInterval() + int64(iv))
-}
-
-// baseInterval is the global interval index of the archive start.
-func (c *Corpus) baseInterval() int64 {
-	return gdelt.Timestamp(c.World.Cfg.Start).IntervalIndex()
+	return gdelt.IntervalStart(c.base + int64(iv))
 }
 
 // EventRecord materializes event i as a full gdelt.Event row.
@@ -552,22 +558,40 @@ func (c *Corpus) eventURL(ev *Event) string {
 
 // MentionRecord materializes mention j as a full gdelt.Mention row.
 func (c *Corpus) MentionRecord(j int) gdelt.Mention {
+	var rec gdelt.Mention
+	c.mentionRecord(j, &rec, true)
+	return rec
+}
+
+// LeanMentionRecord fills rec with mention j's row as store.Builder reads
+// it: MentionRecord without the article URL (Identifier), which the builder
+// never reads and which is most of the cost of a row.
+func (c *Corpus) LeanMentionRecord(j int, rec *gdelt.Mention) {
+	c.mentionRecord(j, rec, false)
+}
+
+// mentionRecord fills rec with mention j's row; the article URL only when
+// full is set.
+func (c *Corpus) mentionRecord(j int, rec *gdelt.Mention, full bool) {
 	m := &c.Mentions[j]
 	ev := &c.Events[m.Event]
-	return gdelt.Mention{
+	*rec = gdelt.Mention{
 		GlobalEventID: ev.ID,
 		EventTime:     c.IntervalTimestamp(ev.Interval),
 		MentionTime:   c.IntervalTimestamp(m.Interval),
 		MentionType:   gdelt.MentionTypeWeb,
 		SourceName:    c.World.Sources[m.Source].Name,
-		Identifier:    c.articleURL(m.Source, ev.ID, j),
 		SentenceID:    1,
 		Confidence:    m.Confidence,
 		DocLen:        m.DocLen,
 		DocTone:       m.Tone,
 	}
+	if full {
+		rec.Identifier = c.articleURL(m.Source, ev.ID, j)
+	}
 }
 
 func (c *Corpus) articleURL(src int32, eventID int64, k int) string {
-	return fmt.Sprintf("https://%s/article/%d-%d", c.World.Sources[src].Name, eventID, k)
+	return "https://" + c.World.Sources[src].Name + "/article/" +
+		strconv.FormatInt(eventID, 10) + "-" + strconv.Itoa(k)
 }

@@ -171,27 +171,49 @@ func englishSpeaking(country int16) bool {
 // the event; the translation flag reflects the source's country (non-anglo
 // press is machine-translated, Section III's 65-language feed).
 func (c *Corpus) GKGRecord(j int) gdelt.GKGRecord {
+	var rec gdelt.GKGRecord
+	c.gkgRecord(j, &rec, true)
+	return rec
+}
+
+// LeanGKGRecord fills rec with the GKG row of mention j as store.Builder
+// reads it: GKGRecord without the record id, the article URL (DocID) and
+// the organizations, none of which the builder reads. rec's Themes and
+// Persons arrays are reused, so a caller filling one record per row
+// allocates nothing; it must not keep those slices across calls.
+func (c *Corpus) LeanGKGRecord(j int, rec *gdelt.GKGRecord) {
+	c.gkgRecord(j, rec, false)
+}
+
+// gkgRecord fills rec with the GKG row of mention j, appending the themes
+// and persons to rec's own arrays; the record id, article URL and
+// organizations only when full is set.
+func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	m := &c.Mentions[j]
 	ev := &c.Events[m.Event]
 	src := &c.World.Sources[m.Source]
 	tm := c.themes
-	rec := gdelt.GKGRecord{
-		RecordID:   fmt.Sprintf("%s-%d", c.IntervalTimestamp(m.Interval), j),
+	themes, persons := rec.Themes[:0], rec.Persons[:0]
+	*rec = gdelt.GKGRecord{
 		Date:       c.IntervalTimestamp(m.Interval),
 		SourceName: src.Name,
-		DocID:      c.articleURL(m.Source, ev.ID, j),
 		Tone:       m.Tone,
 		Translated: !englishSpeaking(src.Country),
 	}
 	a := &ev.Notes
 	for i := uint8(0); i < a.NumThemes; i++ {
-		rec.Themes = append(rec.Themes, themeVocab[a.Themes[i]].Name)
+		themes = append(themes, themeVocab[a.Themes[i]].Name)
 	}
 	for i := uint8(0); i < a.NumPersons; i++ {
-		rec.Persons = append(rec.Persons, tm.persons[a.Persons[i]])
+		persons = append(persons, tm.persons[a.Persons[i]])
 	}
+	rec.Themes, rec.Persons = themes, persons
+	if !full {
+		return
+	}
+	rec.RecordID = fmt.Sprintf("%s-%d", rec.Date, j)
+	rec.DocID = c.articleURL(m.Source, ev.ID, j)
 	for i := uint8(0); i < a.NumOrgs; i++ {
 		rec.Organizations = append(rec.Organizations, tm.orgs[a.Orgs[i]])
 	}
-	return rec
 }

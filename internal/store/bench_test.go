@@ -44,6 +44,7 @@ var sourceNames = []string{
 func BenchmarkBuilderFinish(b *testing.B) {
 	const rows = 200000
 	events, mentions := benchRecords(rows)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		builder, err := NewBuilder(20150218000000, 96*1100)

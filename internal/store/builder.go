@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -37,7 +38,8 @@ type Builder struct {
 	dangling   int64
 	dropped    int64
 
-	gkg *gkgStaging
+	gkg        *gkgStaging
+	gkgReserve int // GKG rows the staging is sized for when the first arrives
 }
 
 // BuildStats reports what the builder ingested and discarded.
@@ -73,6 +75,30 @@ func NewBuilder(start gdelt.Timestamp, intervals int32) (*Builder, error) {
 // Report exposes the validation report being assembled; callers may record
 // master-list and archive-level defects into it before Finish.
 func (b *Builder) Report() *gdelt.ValidationReport { return b.report }
+
+// Reserve sizes the staging for the given numbers of event, mention and GKG
+// rows still to be added, so a caller that knows its counts pays no slice
+// growth. It is a capacity hint only: adding more or fewer rows is still
+// correct, and the built store is the same either way.
+func (b *Builder) Reserve(events, mentions, gkg int) {
+	b.evID = slices.Grow(b.evID, events)
+	b.evDay = slices.Grow(b.evDay, events)
+	b.evCtry = slices.Grow(b.evCtry, events)
+	b.evURL = slices.Grow(b.evURL, events)
+	b.evAdded = slices.Grow(b.evAdded, events)
+	b.mnEventID = slices.Grow(b.mnEventID, mentions)
+	b.mnSource = slices.Grow(b.mnSource, mentions)
+	b.mnEvIv = slices.Grow(b.mnEvIv, mentions)
+	b.mnIv = slices.Grow(b.mnIv, mentions)
+	b.mnDocLen = slices.Grow(b.mnDocLen, mentions)
+	b.mnTone = slices.Grow(b.mnTone, mentions)
+	b.mnConf = slices.Grow(b.mnConf, mentions)
+	if b.gkg != nil {
+		b.gkg.reserve(gkg)
+	} else {
+		b.gkgReserve = gkg
+	}
+}
 
 // AddEvent stages one parsed event row.
 func (b *Builder) AddEvent(ev *gdelt.Event) {

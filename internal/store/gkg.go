@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gdeltmine/internal/gdelt"
@@ -148,6 +149,14 @@ type gkgStaging struct {
 	personFlat []int32
 }
 
+// reserve sizes the per-row columns for n more rows.
+func (g *gkgStaging) reserve(n int) {
+	g.interval = slices.Grow(g.interval, n)
+	g.translated = slices.Grow(g.translated, n)
+	g.themeCnt = slices.Grow(g.themeCnt, n)
+	g.personCnt = slices.Grow(g.personCnt, n)
+}
+
 // AddGKG stages one parsed GKG record. Records captured outside the archive
 // span are dropped and counted as bad rows. The record's source is interned
 // like a mention's, so the source dictionary does not depend on what the
@@ -161,6 +170,7 @@ func (b *Builder) AddGKG(rec *gdelt.GKGRecord) {
 	}
 	if b.gkg == nil {
 		b.gkg = &gkgStaging{themes: NewDictionary(), persons: NewDictionary()}
+		b.gkg.reserve(b.gkgReserve)
 	}
 	g := b.gkg
 	b.sources.Intern(rec.SourceName)
