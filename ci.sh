@@ -104,10 +104,12 @@ rm -rf "$smoke"
 # Convert smoke (small preset, ~10 s): the on-disk round trip of a converted
 # sharded layout. gdeltconvert -shards 4 writes the monolith and its .shards
 # directory (every part over the world's dictionary ids); gdeltserve serves
-# each, and every kind below must answer byte-identically from the two. The
-# .shards server gets an 8 KB result cache, too small for these answers, so
-# the second pass over the kinds reads some from the cache and recomputes
-# the evicted rest, and /metrics must show that the cache evicted.
+# each, and every kind below must answer byte-identically from the two; the
+# three GKG kinds read the theme postings and translated flags each part
+# decodes from its GKG section. The .shards server gets an 8 KB result
+# cache, too small for these answers, so the second pass over the kinds
+# reads some from the cache and recomputes the evicted rest, and /metrics
+# must show that the cache evicted.
 conv=$(mktemp -d)
 go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve
 "$conv/gdeltgen" -out "$conv/ds" -preset small
@@ -121,7 +123,7 @@ for port in 18392 18393; do
 done
 rc=0
 for pass in 1 2; do
-	for kind in stats top-publishers coreport follow country wildfires themes series-active-sources; do
+	for kind in stats top-publishers coreport follow country wildfires themes 'theme-trends?theme=TERROR' translated-share series-active-sources; do
 		curl -sf "http://127.0.0.1:18392/api/v1/$kind" >"$conv/mono.json" || rc=1
 		curl -sf "http://127.0.0.1:18393/api/v1/$kind" >"$conv/sharded.json" || rc=1
 		{ test -s "$conv/mono.json" && cmp "$conv/mono.json" "$conv/sharded.json"; } || rc=1

@@ -97,6 +97,12 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote %s (%.1f MB) in %v\n", *out, float64(info.Size())/1e6, saveTime.Round(time.Millisecond))
+	resident := 0
+	for _, b := range ds.Engine().DB().Footprint() {
+		resident += b
+	}
+	fmt.Printf("resident when loaded: %.1f MB, %.1f B per article\n",
+		float64(resident)/1e6, float64(resident)/float64(max(ds.Articles(), 1)))
 	if *shards > 1 {
 		start = time.Now()
 		sdb, err := shard.Split(ds.Engine().DB(), *shards)

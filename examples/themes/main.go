@@ -3,9 +3,8 @@
 // GDELT 2.0 annotates every article with themes, people, organizations and
 // tone (Section III). This example exercises the GKG side of the system:
 // it surfaces the dominant themes, tracks their quarterly trends, shows the
-// theme co-occurrence structure, names the people attached to the top
-// theme, and measures the footprint of the machine-translated
-// (non-English) feed.
+// theme co-occurrence structure, and measures the footprint of the
+// machine-translated (non-English) feed.
 //
 // Run with:
 //
@@ -66,15 +65,6 @@ func main() {
 				fmt.Printf("  %-22s <-> %-22s %.3f\n", a, b, v)
 			}
 		}
-	}
-
-	people, err := ds.PersonsForTheme(top[0].Theme, 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\npeople most attached to %s:\n", top[0].Theme)
-	for _, p := range people {
-		fmt.Printf("  %-24s %6d articles\n", p.Name, p.Articles)
 	}
 
 	labels, share, err := ds.TranslatedShare()

@@ -232,7 +232,7 @@ func (d *Dataset) WithQueryKind(kind string) *Dataset {
 // DelayDistribution, PublisherDelays, CoReport, CoReportSliced,
 // FollowReport, ClusterSources, SourceGraph, FirstReports, Repeats,
 // SpeedGroups, FastSpreadingEvents, TopThemes, ThemeTrends,
-// ThemeCooccurrences, PersonsForTheme and TranslatedShare.
+// ThemeCooccurrences and TranslatedShare.
 func (d *Dataset) Window(from, to Timestamp) *Dataset {
 	base := d.db.Meta.Start.IntervalIndex()
 	lo := from.IntervalIndex() - base
@@ -363,8 +363,6 @@ type (
 	ThemeTrend = queries.ThemeTrend
 	// ThemeCooccurrence is the theme co-occurrence matrix result.
 	ThemeCooccurrence = queries.ThemeCooccurrence
-	// EntityCount pairs a person with its article count.
-	EntityCount = queries.EntityCount
 )
 
 // ErrNoGKG is returned by theme queries on datasets converted without
@@ -386,11 +384,6 @@ func (d *Dataset) ThemeTrends(themes []string) ([]ThemeTrend, error) {
 // ThemeCooccurrences computes co-occurrence among the top-k themes.
 func (d *Dataset) ThemeCooccurrences(k int) (*ThemeCooccurrence, error) {
 	return queries.ThemeCooccurrences(d.eng, k)
-}
-
-// PersonsForTheme returns the people most often mentioned alongside a theme.
-func (d *Dataset) PersonsForTheme(theme string, k int) ([]EntityCount, error) {
-	return queries.PersonsForTheme(d.eng, theme, k)
 }
 
 // TranslatedShare computes the per-quarter fraction of machine-translated
@@ -416,6 +409,9 @@ type (
 	FirstReportLatency = queries.FirstReportLatency
 	// RepeatedCoverage quantifies same-source repeat articles per event.
 	RepeatedCoverage = queries.RepeatedCoverage
+	// EntityCount pairs a source with its article count (RepeatedCoverage's
+	// TopRepeaters).
+	EntityCount = queries.EntityCount
 	// SpeedGroupBreakdown decomposes sources by publishing speed.
 	SpeedGroupBreakdown = queries.SpeedGroupBreakdown
 )

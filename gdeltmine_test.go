@@ -220,9 +220,6 @@ func TestGKGFacade(t *testing.T) {
 	if err != nil || len(co.Themes) != 4 {
 		t.Fatalf("cooccurrence: %v", err)
 	}
-	if _, err := ds.PersonsForTheme(top[0].Theme, 3); err != nil {
-		t.Fatal(err)
-	}
 	labels, share, err := ds.TranslatedShare()
 	if err != nil || len(labels) != len(share) {
 		t.Fatalf("translated share: %v", err)

@@ -33,8 +33,9 @@ import (
 
 // Version is the current format version. Version 2 dropped the columns no
 // query reads (the event day, the GKG source, tone and organizations) and
-// widened the event country to int32.
-const Version = 2
+// widened the event country to int32. Version 3 stores the GKG themes as
+// theme postings only, and no persons.
+const Version = 3
 
 // ErrOldFormat marks a file written in a format version older than Version,
 // which this build does not read: the file has to be converted again.
@@ -145,7 +146,7 @@ func Read(r io.Reader) (*store.DB, error) {
 			}
 			haveMeta = true
 		case tagSources:
-			names, err := decodeStrings(payload)
+			names, err := decodeStrings(&decoder{buf: payload})
 			if err != nil {
 				return nil, err
 			}
@@ -259,6 +260,19 @@ func putUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
+// putUvarints appends vs as uvarints, each less its predecessor when delta
+// is set, so a sorted column costs about a byte per value.
+func putUvarints[T int32 | int64](dst []byte, vs []T, delta bool) []byte {
+	var prev T
+	for _, v := range vs {
+		dst = putUvarint(dst, uint64(v-prev))
+		if delta {
+			prev = v
+		}
+	}
+	return dst
+}
+
 func putVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
@@ -293,6 +307,18 @@ func (d *decoder) varint() int64 {
 	}
 	d.pos += n
 	return v
+}
+
+// uvarints fills dst with the values putUvarints wrote and returns it.
+func uvarints[T int32 | int64](d *decoder, dst []T, delta bool) []T {
+	var prev T
+	for i := range dst {
+		dst[i] = prev + T(d.uvarint())
+		if delta {
+			prev = dst[i]
+		}
+	}
+	return dst
 }
 
 func (d *decoder) bytes(n int) []byte {
@@ -363,8 +389,7 @@ func encodeStrings(names []string) []byte {
 	return out
 }
 
-func decodeStrings(b []byte) ([]string, error) {
-	d := &decoder{buf: b}
+func decodeStrings(d *decoder) ([]string, error) {
 	n, ok := d.count(maxRows)
 	if !ok {
 		return nil, d.err
@@ -381,20 +406,12 @@ func encodeEvents(t *store.EventTable) []byte {
 	var out []byte
 	n := t.Len()
 	out = putUvarint(out, uint64(n))
-	var prev int64
-	for _, id := range t.ID { // strictly increasing: delta-encode
-		out = putUvarint(out, uint64(id-prev))
-		prev = id
-	}
-	for _, v := range t.Interval {
-		out = putUvarint(out, uint64(v))
-	}
+	out = putUvarints(out, t.ID, true) // strictly increasing
+	out = putUvarints(out, t.Interval, false)
 	for _, v := range t.Country {
 		out = putVarint(out, int64(v))
 	}
-	for _, v := range t.NumArticles {
-		out = putUvarint(out, uint64(v))
-	}
+	out = putUvarints(out, t.NumArticles, false)
 	for _, v := range t.FirstMention {
 		out = putVarint(out, int64(v))
 	}
@@ -412,16 +429,8 @@ func decodeEvents(b []byte) (store.EventTable, error) {
 	if !ok {
 		return t, d.err
 	}
-	t.ID = make([]int64, n)
-	var prev int64
-	for i := range t.ID {
-		prev += int64(d.uvarint())
-		t.ID[i] = prev
-	}
-	t.Interval = make([]int32, n)
-	for i := range t.Interval {
-		t.Interval[i] = int32(d.uvarint())
-	}
+	t.ID = uvarints(d, make([]int64, n), true)
+	t.Interval = uvarints(d, make([]int32, n), false)
 	// A country indexes per-country tables (the value bitmaps), so one
 	// outside gdelt.Countries is refused here, where it enters.
 	t.Country = make([]int32, n)
@@ -432,10 +441,7 @@ func decodeEvents(b []byte) (store.EventTable, error) {
 		}
 		t.Country[i] = int32(c)
 	}
-	t.NumArticles = make([]int32, n)
-	for i := range t.NumArticles {
-		t.NumArticles[i] = int32(d.uvarint())
-	}
+	t.NumArticles = uvarints(d, make([]int32, n), false)
 	t.FirstMention = make([]int32, n)
 	for i := range t.FirstMention {
 		t.FirstMention[i] = int32(d.varint())
@@ -452,23 +458,11 @@ func encodeMentions(t *store.MentionTable) []byte {
 	var out []byte
 	n := t.Len()
 	out = putUvarint(out, uint64(n))
-	for _, v := range t.EventRow {
-		out = putUvarint(out, uint64(v))
-	}
-	for _, v := range t.Source {
-		out = putUvarint(out, uint64(v))
-	}
-	var prev int32
-	for _, v := range t.Interval { // non-decreasing: delta-encode
-		out = putUvarint(out, uint64(v-prev))
-		prev = v
-	}
-	for _, v := range t.Delay {
-		out = putUvarint(out, uint64(v))
-	}
-	for _, v := range t.DocLen {
-		out = putUvarint(out, uint64(v))
-	}
+	out = putUvarints(out, t.EventRow, false)
+	out = putUvarints(out, t.Source, false)
+	out = putUvarints(out, t.Interval, true) // non-decreasing
+	out = putUvarints(out, t.Delay, false)
+	out = putUvarints(out, t.DocLen, false)
 	for _, v := range t.Tone {
 		var f4 [4]byte
 		binary.LittleEndian.PutUint32(f4[:], math.Float32bits(v))
@@ -487,28 +481,11 @@ func decodeMentions(b []byte) (store.MentionTable, error) {
 	if !ok {
 		return t, d.err
 	}
-	t.EventRow = make([]int32, n)
-	for i := range t.EventRow {
-		t.EventRow[i] = int32(d.uvarint())
-	}
-	t.Source = make([]int32, n)
-	for i := range t.Source {
-		t.Source[i] = int32(d.uvarint())
-	}
-	t.Interval = make([]int32, n)
-	var prev int32
-	for i := range t.Interval {
-		prev += int32(d.uvarint())
-		t.Interval[i] = prev
-	}
-	t.Delay = make([]int32, n)
-	for i := range t.Delay {
-		t.Delay[i] = int32(d.uvarint())
-	}
-	t.DocLen = make([]int32, n)
-	for i := range t.DocLen {
-		t.DocLen[i] = int32(d.uvarint())
-	}
+	t.EventRow = uvarints(d, make([]int32, n), false)
+	t.Source = uvarints(d, make([]int32, n), false)
+	t.Interval = uvarints(d, make([]int32, n), true)
+	t.Delay = uvarints(d, make([]int32, n), false)
+	t.DocLen = uvarints(d, make([]int32, n), false)
 	t.Tone = make([]float32, n)
 	for i := range t.Tone {
 		f := d.bytes(4)

@@ -3,6 +3,7 @@ package binfmt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -49,20 +50,23 @@ func tinyDBBytes(tb testing.TB) []byte {
 
 // fuzzSeeds are the interesting starting points: a fully valid database,
 // truncations at section boundaries and mid-payload, a corrupt header, and
-// bit flips that land in length fields, varint streams, and CRCs.
+// bit flips that land in length fields, varint streams, and CRCs. Their
+// names carry the format version they were written in, so the checked-in
+// seeds of older versions stay beside the current ones.
 func fuzzSeeds(tb testing.TB) map[string][]byte {
 	valid := tinyDBBytes(tb)
+	v := "v" + strconv.Itoa(Version) + "-"
 	seeds := map[string][]byte{
-		"valid":        valid,
-		"truncated":    valid[:len(valid)/2],
-		"header-only":  valid[:8],
-		"short-header": []byte("GDMB"),
-		"bad-magic":    append([]byte("XXXX"), valid[4:16]...),
+		v + "valid":        valid,
+		v + "truncated":    valid[:len(valid)/2],
+		v + "header-only":  valid[:8],
+		v + "short-header": []byte("GDMB"),
+		v + "bad-magic":    append([]byte("XXXX"), valid[4:16]...),
 	}
 	for _, off := range []int{8, 20, len(valid) / 3, 2 * len(valid) / 3, len(valid) - 5} {
 		mut := bytes.Clone(valid)
 		mut[off] ^= 0xff
-		seeds["flip-"+strconv.Itoa(off)] = mut
+		seeds[v+"flip-"+strconv.Itoa(off)] = mut
 	}
 	return seeds
 }
@@ -120,36 +124,56 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 	}
 }
 
-// TestVersion1Refused: the corpus keeps one version-1 file, a valid
-// database as the previous format wrote it. ReadFile must refuse it with
-// ErrOldFormat, naming the file and saying to re-run gdeltconvert.
-func TestVersion1Refused(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRead", "seed-v1-valid"))
+// readSeed returns the bytes of a checked-in FuzzRead corpus file.
+func readSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRead", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
 	if !ok {
-		t.Fatal("seed-v1-valid is not a fuzz corpus file")
+		t.Fatalf("%s is not a fuzz corpus file", name)
 	}
 	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := data[4]; v != 1 {
-		t.Fatalf("seed-v1-valid holds version %d", v)
+	return []byte(data)
+}
+
+// checkRefused writes data, a valid database of format version v, to a
+// .gdmb file: ReadFile must refuse it with ErrOldFormat, naming the file,
+// its version and this build's, and saying to re-run gdeltconvert.
+func checkRefused(t *testing.T, data []byte, v int) {
+	t.Helper()
+	if got := int(data[4]); got != v {
+		t.Fatalf("the seed holds version %d, want %d", got, v)
 	}
 	path := filepath.Join(t.TempDir(), "old.gdmb")
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadFile(path)
+	_, err := ReadFile(path)
 	if !errors.Is(err, ErrOldFormat) {
-		t.Fatalf("version-1 file: err %v, want ErrOldFormat", err)
+		t.Fatalf("version-%d file: err %v, want ErrOldFormat", v, err)
 	}
-	for _, want := range []string{path, "re-run gdeltconvert"} {
+	for _, want := range []string{path, fmt.Sprintf("version %d;", v), fmt.Sprintf("reads %d", Version), "re-run gdeltconvert"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not contain %q", err, want)
 		}
 	}
+}
+
+// TestVersion1Refused: the corpus keeps one version-1 file, a valid
+// database as the first format wrote it. ReadFile must refuse it.
+func TestVersion1Refused(t *testing.T) {
+	checkRefused(t, readSeed(t, "seed-v1-valid"), 1)
+}
+
+// TestVersion2Refused: seed-valid is a valid database as format version 2
+// wrote it (row-major GKG theme lists and persons). ReadFile must refuse
+// it.
+func TestVersion2Refused(t *testing.T) {
+	checkRefused(t, readSeed(t, "seed-valid"), 2)
 }

@@ -2,7 +2,10 @@ package binfmt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"gdeltmine/internal/store"
 )
 
 func TestGKGRoundTrip(t *testing.T) {
@@ -29,26 +32,13 @@ func TestGKGRoundTrip(t *testing.T) {
 		if a.Interval[r] != b.Interval[r] || a.Translated[r] != b.Translated[r] {
 			t.Fatalf("row %d scalar columns differ", r)
 		}
-		at, bt := a.RowThemes(r), b.RowThemes(r)
-		if len(at) != len(bt) {
-			t.Fatalf("row %d theme count", r)
-		}
-		for k := range at {
-			if db.GKG.Themes.Name(at[k]) != got.GKG.Themes.Name(bt[k]) {
-				t.Fatalf("row %d theme %d differs", r, k)
-			}
-		}
 	}
-	if got.GKG.Themes.Len() != db.GKG.Themes.Len() ||
-		got.GKG.Persons.Len() != db.GKG.Persons.Len() {
-		t.Fatal("dictionary sizes differ")
+	if !slices.Equal(got.GKG.Themes.Names(), db.GKG.Themes.Names()) {
+		t.Fatal("theme dictionaries differ")
 	}
-	// Theme postings rebuilt correctly.
 	for th := int32(0); th < int32(got.GKG.Themes.Len()); th++ {
-		name := got.GKG.Themes.Name(th)
-		orig := db.GKG.Themes.Lookup(name)
-		if len(got.GKG.ThemeRows(th)) != len(db.GKG.ThemeRows(orig)) {
-			t.Fatalf("theme %s postings differ", name)
+		if !slices.Equal(got.GKG.ThemeRows(th), db.GKG.ThemeRows(th)) {
+			t.Fatalf("theme %s postings differ", got.GKG.Themes.Name(th))
 		}
 	}
 }
@@ -86,5 +76,74 @@ func TestGKGCorruptionDetected(t *testing.T) {
 	data[idx+100] ^= 0xFF
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("corruption not detected")
+	}
+}
+
+// gkgSection lays out a GKG section payload as the format describes it,
+// from parts a test can tamper with: the theme names, the rows' intervals
+// and translated flags, the postings lists as written (each delta-encoded
+// from 0, so a descending list wraps) and the total of row ids the section
+// records.
+func gkgSection(names []string, iv []int32, tr []bool, lists [][]int32, total int) []byte {
+	out := encodeStrings(names)
+	out = putUvarint(out, uint64(len(iv)))
+	var prev int32
+	for _, v := range iv {
+		out = putUvarint(out, uint64(v-prev))
+		prev = v
+	}
+	for _, v := range tr {
+		b := byte(0)
+		if v {
+			b = 1
+		}
+		out = append(out, b)
+	}
+	out = putUvarint(out, uint64(len(lists)))
+	for _, l := range lists {
+		out = putUvarint(out, uint64(len(l)))
+	}
+	out = putUvarint(out, uint64(total))
+	for _, l := range lists {
+		prev = 0
+		for _, r := range l {
+			out = putUvarint(out, uint64(r-prev))
+			prev = r
+		}
+	}
+	return out
+}
+
+// TestDecodeGKGRejectsTampered: a GKG section whose postings break an
+// invariant is refused at load — a list for a theme the dictionary lacks,
+// rows descending within a theme, a row past the table, list lengths that
+// point past the ids the section holds — never assembled into a store.
+func TestDecodeGKGRejectsTampered(t *testing.T) {
+	names := []string{"A", "B"}
+	iv := []int32{1, 1, 5}
+	tr := []bool{false, true, false}
+	lists := [][]int32{{0, 0, 2}, {1}} // row 0 lists A twice
+	valid := gkgSection(names, iv, tr, lists, 4)
+	db := &store.DB{}
+	if err := decodeGKGInto(db, valid); err != nil {
+		t.Fatalf("untampered section: %v", err)
+	}
+	if !bytes.Equal(encodeGKG(db.GKG), valid) {
+		t.Fatal("gkgSection does not lay out what encodeGKG writes")
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"theme id out of range", gkgSection(names, iv, tr, append(lists, []int32{2}), 5)},
+		{"rows descending within a theme", gkgSection(names, iv, tr, [][]int32{{2, 0, 0}, {1}}, 4)},
+		{"row past the table", gkgSection(names, iv, tr, [][]int32{{0, 0, 3}, {1}}, 4)},
+		{"postings pointer past the ids", gkgSection(names, iv, tr, lists, 3)},
+	} {
+		if err := decodeGKGInto(&store.DB{}, tc.payload); err == nil {
+			t.Errorf("%s: section accepted", tc.name)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 const (
@@ -62,6 +63,16 @@ type Bitmap struct {
 
 // New returns an empty bitmap.
 func New() *Bitmap { return &Bitmap{} }
+
+// Footprint returns the bytes b holds resident: its header, its key and
+// container arrays at capacity, and each container's values.
+func (b *Bitmap) Footprint() int {
+	n := int(unsafe.Sizeof(*b)) + 2*cap(b.keys) + int(unsafe.Sizeof(container{}))*cap(b.cs)
+	for i := range b.cs {
+		n += 2*cap(b.cs[i].arr) + 8*cap(b.cs[i].bits)
+	}
+	return n
+}
 
 // runsInSorted counts the maximal consecutive runs of an ascending value
 // slice.

@@ -308,11 +308,14 @@ func FromCorpus(c *gen.Corpus) (*Result, error) {
 		return nil, err
 	}
 	withGKG := c.World.Cfg.GKG
-	gkgRows := 0
+	gkgRows, gkgThemes := 0, 0
 	if withGKG {
 		gkgRows = len(c.Mentions)
+		for j := range c.Mentions {
+			gkgThemes += int(c.Events[c.Mentions[j].Event].Notes.NumThemes)
+		}
 	}
-	b.Reserve(len(c.Events), len(c.Mentions), gkgRows)
+	b.Reserve(len(c.Events), len(c.Mentions), gkgRows, gkgThemes)
 	for i := range c.Events {
 		ev := c.EventRecord(i)
 		b.AddEvent(&ev)

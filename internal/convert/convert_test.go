@@ -192,25 +192,24 @@ func mentionTuples(db *store.DB) []mentionTuple {
 	return out
 }
 
-// gkgTuples lists every GKG row as "interval translated themes persons",
-// theme and person names in row order, sorted: per interval, the multiset
-// of its rows (and so of its themes).
+// gkgTuples lists every GKG row as "interval translated themes", the row's
+// theme names (gathered from the theme postings) sorted, and the rows
+// sorted: per interval, the multiset of its rows (and so of its themes).
 func gkgTuples(db *store.DB) []string {
 	if db.GKG == nil {
 		return nil
 	}
 	g := db.GKG
+	themes := make([][]string, g.Table.Len())
+	for th := range int32(g.Themes.Len()) {
+		for _, r := range g.ThemeRows(th) {
+			themes[r] = append(themes[r], g.Themes.Name(th))
+		}
+	}
 	out := make([]string, g.Table.Len())
 	for r := range out {
-		var themes, persons []string
-		for _, id := range g.Table.RowThemes(r) {
-			themes = append(themes, g.Themes.Name(id))
-		}
-		for _, id := range g.Table.RowPersons(r) {
-			persons = append(persons, g.Persons.Name(id))
-		}
-		out[r] = fmt.Sprintf("%010d %v %s %s", g.Table.Interval[r], g.Table.Translated[r],
-			strings.Join(themes, ";"), strings.Join(persons, ";"))
+		slices.Sort(themes[r])
+		out[r] = fmt.Sprintf("%010d %v %s", g.Table.Interval[r], g.Table.Translated[r], strings.Join(themes[r], ";"))
 	}
 	slices.Sort(out)
 	return out

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gdeltmine/internal/gen"
+	"gdeltmine/internal/store"
 )
 
 func TestGKGThroughRawPipeline(t *testing.T) {
@@ -44,7 +45,13 @@ func TestGKGThroughRawPipeline(t *testing.T) {
 		t.Fatal("theme dictionaries differ")
 	}
 	// Total theme annotations agree.
-	if len(db.GKG.Table.ThemeIDs) != len(direct.DB.GKG.Table.ThemeIDs) {
+	occurrences := func(g *store.GKGStore) (n int) {
+		for th := range int32(g.Themes.Len()) {
+			n += len(g.ThemeRows(th))
+		}
+		return n
+	}
+	if occurrences(db.GKG) != occurrences(direct.DB.GKG) {
 		t.Fatal("theme annotation totals differ")
 	}
 }

@@ -84,8 +84,7 @@ func TestLeanRowsBuildFullRowsStore(t *testing.T) {
 
 // TestLeanRecordsAreFullRecordsMinusUnreadFields pins what a lean row
 // leaves out: exactly the fields store.Builder never reads. It also shows
-// that the reused theme and person arrays carry nothing over from the
-// previous row.
+// that the reused theme array carries nothing over from the previous row.
 func TestLeanRecordsAreFullRecordsMinusUnreadFields(t *testing.T) {
 	c := generateSmall(t)
 	var mn gdelt.Mention
@@ -99,12 +98,9 @@ func TestLeanRecordsAreFullRecordsMinusUnreadFields(t *testing.T) {
 		}
 		c.LeanGKGRecord(j, &rec)
 		g := c.GKGRecord(j)
-		g.RecordID, g.DocID, g.Organizations = "", "", nil
-		if len(g.Persons) == 0 {
-			g.Persons = rec.Persons[:0] // an emptied reused array
-		}
+		g.RecordID, g.DocID, g.Persons, g.Organizations = "", "", nil, nil
 		if !reflect.DeepEqual(rec, g) {
-			t.Fatalf("gkg %d: lean %+v, full minus RecordID/DocID/Organizations %+v", j, rec, g)
+			t.Fatalf("gkg %d: lean %+v, full minus RecordID/DocID/Persons/Organizations %+v", j, rec, g)
 		}
 	}
 }

@@ -177,23 +177,22 @@ func (c *Corpus) GKGRecord(j int) gdelt.GKGRecord {
 }
 
 // LeanGKGRecord fills rec with the GKG row of mention j as store.Builder
-// reads it: GKGRecord without the record id, the article URL (DocID) and
-// the organizations, none of which the builder reads. rec's Themes and
-// Persons arrays are reused, so a caller filling one record per row
-// allocates nothing; it must not keep those slices across calls.
+// reads it: GKGRecord without the record id, the article URL (DocID), the
+// persons and the organizations, none of which the builder reads. rec's
+// Themes array is reused, so a caller filling one record per row
+// allocates nothing; it must not keep that slice across calls.
 func (c *Corpus) LeanGKGRecord(j int, rec *gdelt.GKGRecord) {
 	c.gkgRecord(j, rec, false)
 }
 
 // gkgRecord fills rec with the GKG row of mention j, appending the themes
-// and persons to rec's own arrays; the record id, article URL and
+// to rec's own array; the record id, article URL, persons and
 // organizations only when full is set.
 func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	m := &c.Mentions[j]
 	ev := &c.Events[m.Event]
 	src := &c.World.Sources[m.Source]
-	tm := c.themes
-	themes, persons := rec.Themes[:0], rec.Persons[:0]
+	themes := rec.Themes[:0]
 	*rec = gdelt.GKGRecord{
 		Date:       c.IntervalTimestamp(m.Interval),
 		SourceName: src.Name,
@@ -204,12 +203,13 @@ func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	for i := uint8(0); i < a.NumThemes; i++ {
 		themes = append(themes, themeVocab[a.Themes[i]].Name)
 	}
-	for i := uint8(0); i < a.NumPersons; i++ {
-		persons = append(persons, tm.persons[a.Persons[i]])
-	}
-	rec.Themes, rec.Persons = themes, persons
+	rec.Themes = themes
 	if !full {
 		return
+	}
+	tm := c.themes
+	for i := uint8(0); i < a.NumPersons; i++ {
+		rec.Persons = append(rec.Persons, tm.persons[a.Persons[i]])
 	}
 	rec.RecordID = fmt.Sprintf("%s-%d", rec.Date, j)
 	rec.DocID = c.articleURL(m.Source, ev.ID, j)

@@ -93,6 +93,12 @@ type RepeatedCoverage struct {
 	TopRepeaters []EntityCount
 }
 
+// EntityCount pairs a named entity (a source) with its article count.
+type EntityCount struct {
+	Name     string
+	Articles int64
+}
+
 // Repeats computes repeated-coverage statistics. k bounds TopRepeaters.
 func Repeats(e *engine.Engine, k int) RepeatedCoverage {
 	db := e.DB()

@@ -18,31 +18,19 @@ type ThemeCount struct {
 	Articles int64
 }
 
-// TopThemes returns the k most frequent GKG themes.
+// TopThemes returns the k most frequent GKG themes. A theme's count is its
+// postings length: one entry per (row, theme) occurrence, so a row listing
+// a theme twice counts twice.
 func TopThemes(e *engine.Engine, k int) ([]ThemeCount, error) {
 	db := e.DB()
 	if db.GKG == nil {
 		return nil, ErrNoGKG
 	}
 	g := db.GKG
-	nt := g.Themes.Len()
-	counts := parallel.MapReduce(g.Table.Len(), e.ScanOptions(),
-		func() []int64 { return make([]int64, nt) },
-		func(acc []int64, lo, hi int) []int64 {
-			for r := lo; r < hi; r++ {
-				for _, id := range g.Table.RowThemes(r) {
-					acc[id]++
-				}
-			}
-			return acc
-		},
-		func(dst, src []int64) []int64 {
-			for i, v := range src {
-				dst[i] += v
-			}
-			return dst
-		},
-	)
+	counts := make([]int64, g.Themes.Len())
+	for t := range counts {
+		counts[t] = int64(len(g.ThemeRows(int32(t))))
+	}
 	top := engine.TopK(counts, k)
 	out := make([]ThemeCount, 0, len(top))
 	for _, t := range top {
@@ -106,39 +94,26 @@ func ThemeCooccurrences(e *engine.Engine, k int) (*ThemeCooccurrence, error) {
 		return nil, err
 	}
 	n := len(top)
-	pos := make(map[int32]int, n)
+	post := make([][]int32, n)
 	totals := make([]int64, n)
 	for i, tc := range top {
-		pos[g.Themes.Lookup(tc.Theme)] = i
+		post[i] = g.ThemeRows(g.Themes.Lookup(tc.Theme))
 		totals[i] = tc.Articles
 	}
-	pair := parallel.MapReduce(g.Table.Len(), e.ScanOptions(),
-		func() *matrix.Int64 { return matrix.NewInt64(n, n) },
-		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {
-			var sel []int
-			for r := lo; r < hi; r++ {
-				sel = sel[:0]
-				for _, id := range g.Table.RowThemes(r) {
-					if i, ok := pos[id]; ok {
-						sel = append(sel, i)
-					}
-				}
-				for a := 0; a < len(sel); a++ {
-					for b := a + 1; b < len(sel); b++ {
-						acc.Inc(sel[a], sel[b])
-						acc.Inc(sel[b], sel[a])
-					}
-				}
+	pair := matrix.NewInt64(n, n)
+	parallel.ForOpt(n, scanOptGrain1(e), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			// A row listing theme i m times holds m(m-1) ordered pairs
+			// of distinct occurrences: the m² pairs less the m of one
+			// occurrence with itself.
+			pair.Set(i, i, sharedPairs(post[i], post[i])-int64(len(post[i])))
+			for j := i + 1; j < n; j++ {
+				c := sharedPairs(post[i], post[j])
+				pair.Set(i, j, c)
+				pair.Set(j, i, c)
 			}
-			return acc
-		},
-		func(dst, src *matrix.Int64) *matrix.Int64 {
-			if err := dst.AddMatrix(src); err != nil {
-				panic(err)
-			}
-			return dst
-		},
-	)
+		}
+	})
 	jac, err := matrix.JaccardFromPairCounts(pair, totals)
 	if err != nil {
 		return nil, err
@@ -150,39 +125,31 @@ func ThemeCooccurrences(e *engine.Engine, k int) (*ThemeCooccurrence, error) {
 	return out, nil
 }
 
-// EntityCount pairs an entity (a person) with its article count.
-type EntityCount struct {
-	Name     string
-	Articles int64
+// sharedPairs merges two themes' postings: a row listing the first theme a
+// times and the second b times contributes a·b pairs.
+func sharedPairs(x, y []int32) (c int64) {
+	for len(x) > 0 && len(y) > 0 {
+		switch {
+		case x[0] < y[0]:
+			x = x[1:]
+		case x[0] > y[0]:
+			y = y[1:]
+		default:
+			a, b := runLen(x), runLen(y)
+			c += int64(a) * int64(b)
+			x, y = x[a:], y[b:]
+		}
+	}
+	return c
 }
 
-// PersonsForTheme returns the k people most often mentioned in articles
-// carrying the theme.
-func PersonsForTheme(e *engine.Engine, theme string, k int) ([]EntityCount, error) {
-	db := e.DB()
-	if db.GKG == nil {
-		return nil, ErrNoGKG
+// runLen returns how many leading entries of the sorted x equal x[0].
+func runLen(x []int32) int {
+	a := 1
+	for a < len(x) && x[a] == x[0] {
+		a++
 	}
-	g := db.GKG
-	id := g.Themes.Lookup(theme)
-	if id < 0 {
-		return nil, nil
-	}
-	counts := make([]int64, g.Persons.Len())
-	for _, r := range g.ThemeRows(id) {
-		for _, p := range g.Table.RowPersons(int(r)) {
-			counts[p]++
-		}
-	}
-	top := engine.TopK(counts, k)
-	out := make([]EntityCount, 0, len(top))
-	for _, p := range top {
-		if counts[p] == 0 {
-			break
-		}
-		out = append(out, EntityCount{Name: g.Persons.Name(int32(p)), Articles: counts[p]})
-	}
-	return out, nil
+	return a
 }
 
 // TranslatedShare computes the per-quarter fraction of articles that were

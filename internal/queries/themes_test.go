@@ -85,11 +85,14 @@ func TestThemeTrendMatchesSerial(t *testing.T) {
 	if id < 0 {
 		t.Skip("SPORTS not in corpus")
 	}
+	// The serial reference walks the corpus's GKG records, not the store.
 	want := make([]int64, cachedDB.NumQuarters())
-	for r := 0; r < g.Table.Len(); r++ {
-		for _, th := range g.Table.RowThemes(r) {
-			if th == id {
-				want[cachedDB.QuarterOfInterval(g.Table.Interval[r])]++
+	base := cachedDB.Meta.Start.IntervalIndex()
+	for j := range cachedCorpus.Mentions {
+		rec := cachedCorpus.GKGRecord(j)
+		for _, th := range rec.Themes {
+			if th == "SPORTS" {
+				want[cachedDB.QuarterOfInterval(int32(rec.Date.IntervalIndex()-base))]++
 			}
 		}
 	}
@@ -117,29 +120,6 @@ func TestThemeCooccurrences(t *testing.T) {
 	// matrix median.
 	if total(co.Counts.Data) == 0 {
 		t.Fatal("no co-occurrence at all")
-	}
-}
-
-func TestPersonsForTheme(t *testing.T) {
-	e := testEngine(t)
-	top, err := TopThemes(e, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	people, err := PersonsForTheme(e, top[0].Theme, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(people) == 0 {
-		t.Fatal("no people for the top theme")
-	}
-	for i := 1; i < len(people); i++ {
-		if people[i].Articles > people[i-1].Articles {
-			t.Fatal("not descending")
-		}
-	}
-	if none, err := PersonsForTheme(e, "NO_SUCH_THEME", 5); err != nil || none != nil {
-		t.Fatalf("unknown theme: %v %v", none, err)
 	}
 }
 
@@ -181,9 +161,6 @@ func TestThemeQueriesWithoutGKG(t *testing.T) {
 	}
 	if _, err := ThemeCooccurrences(e, 3); err != ErrNoGKG {
 		t.Fatal("cooccurrence")
-	}
-	if _, err := PersonsForTheme(e, "X", 3); err != ErrNoGKG {
-		t.Fatal("persons")
 	}
 	if _, _, err := TranslatedShare(e); err != ErrNoGKG {
 		t.Fatal("translated")

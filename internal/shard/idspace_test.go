@@ -95,8 +95,7 @@ func TestOneIDSpace(t *testing.T) {
 	checkIDSpace(t, "Split", split, baseNames)
 	for i := range split.K() {
 		p := split.Part(i)
-		if p.Sources != base.Sources || p.GKG.Themes != base.GKG.Themes ||
-			p.GKG.Persons != base.GKG.Persons {
+		if p.Sources != base.Sources || p.GKG.Themes != base.GKG.Themes {
 			t.Errorf("Split part %d does not share the monolith's dictionary objects", i)
 		}
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -372,12 +373,15 @@ func recoded(t *testing.T, p *store.DB, srcs, themes *store.Dictionary) *store.D
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := p.GKG.Table
-	g.ThemeIDs = make([]int32, len(p.GKG.Table.ThemeIDs))
-	for i, id := range p.GKG.Table.ThemeIDs {
-		g.ThemeIDs[i] = themes.Lookup(p.GKG.Themes.Name(id))
+	ptr := []int64{0}
+	var idx []int32
+	for _, name := range themes.Names() {
+		if id := p.GKG.Themes.Lookup(name); id >= 0 {
+			idx = append(idx, p.GKG.ThemeRows(id)...)
+		}
+		ptr = append(ptr, int64(len(idx)))
 	}
-	if err := store.AssembleGKG(q, g, themes, p.GKG.Persons); err != nil {
+	if err := store.AssembleGKG(q, p.GKG.Table, themes, ptr, idx); err != nil {
 		t.Fatal(err)
 	}
 	return q
@@ -392,7 +396,9 @@ func recoded(t *testing.T, p *store.DB, srcs, themes *store.Dictionary) *store.D
 // layout written before parts shared the world's ids (every part over
 // dictionaries of its own, interned in row order), a non-tail part whose
 // source dictionary has two names swapped, a tail whose theme dictionary
-// does, and a non-tail part whose header says format version 1.
+// does, and non-tail parts whose header says format version 1 or 2 (the
+// error must name the part's version and this build's). A .gdmb file of
+// version 2 is refused the same way by binfmt.ReadFile.
 func TestOldLayoutsRefused(t *testing.T) {
 	sdb, _ := tinyShardedWorld(t)
 	rowOrder := func(p *store.DB) (srcs, themes *store.Dictionary) {
@@ -400,8 +406,15 @@ func TestOldLayoutsRefused(t *testing.T) {
 		for _, s := range p.Mentions.Source {
 			srcs.Intern(p.Sources.Name(s))
 		}
-		for _, id := range p.GKG.Table.ThemeIDs {
-			themes.Intern(p.GKG.Themes.Name(id))
+		var carried []int32
+		for th := range int32(p.GKG.Themes.Len()) {
+			if len(p.GKG.ThemeRows(th)) > 0 {
+				carried = append(carried, th)
+			}
+		}
+		slices.SortStableFunc(carried, func(a, b int32) int { return cmp.Compare(p.GKG.ThemeRows(a)[0], p.GKG.ThemeRows(b)[0]) })
+		for _, th := range carried {
+			themes.Intern(p.GKG.Themes.Name(th))
 		}
 		return srcs, themes
 	}
@@ -420,20 +433,23 @@ func TestOldLayoutsRefused(t *testing.T) {
 		parts []int // the parts rewritten
 		named int   // the part the error must name
 		dicts func(t *testing.T, p *store.DB) (srcs, themes *store.Dictionary)
-		v1    bool // rewrite the part's format version to 1
+		ver   byte // rewrite the part's format version to ver, unless 0
 	}{
 		{"local-dictionaries", []int{0, 1, ti}, ti, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return rowOrder(p)
-		}, false},
+		}, 0},
 		{"permuted-sources", []int{1}, 1, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return swapped(t, p.Sources), p.GKG.Themes
-		}, false},
+		}, 0},
 		{"permuted-tail-themes", []int{ti}, ti, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return p.Sources, swapped(t, p.GKG.Themes)
-		}, false},
+		}, 0},
 		{"format-version-1", []int{1}, 1, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return p.Sources, p.GKG.Themes
-		}, true},
+		}, 1},
+		{"format-version-2", []int{1}, 1, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+			return p.Sources, p.GKG.Themes
+		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -456,8 +472,8 @@ func TestOldLayoutsRefused(t *testing.T) {
 				if err := binfmt.Write(&buf, recoded(t, p, srcs, themes)); err != nil {
 					t.Fatal(err)
 				}
-				if tc.v1 {
-					buf.Bytes()[4] = 1
+				if tc.ver != 0 {
+					buf.Bytes()[4] = tc.ver
 				}
 				if err := os.WriteFile(filepath.Join(dir, m.Entries[i].File), buf.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
@@ -481,6 +497,39 @@ func TestOldLayoutsRefused(t *testing.T) {
 			if !strings.Contains(err.Error(), "re-run gdeltconvert -shards") {
 				t.Errorf("error %q does not say to re-run gdeltconvert -shards", err)
 			}
+			if tc.ver != 0 {
+				checkNamesVersions(t, err, int(tc.ver))
+			}
 		})
+	}
+	t.Run("gdmb-version-2", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := binfmt.Write(&buf, sdb.Part(0)); err != nil {
+			t.Fatal(err)
+		}
+		buf.Bytes()[4] = 2
+		path := filepath.Join(t.TempDir(), "old.gdmb")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := binfmt.ReadFile(path)
+		if err == nil {
+			t.Fatal("a version-2 .gdmb loaded")
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "re-run gdeltconvert") {
+			t.Errorf("error %q does not name %s and say to re-run gdeltconvert", err, path)
+		}
+		checkNamesVersions(t, err, 2)
+	})
+}
+
+// checkNamesVersions: err names the old format version v and the one this
+// build reads.
+func checkNamesVersions(t *testing.T, err error, v int) {
+	t.Helper()
+	for _, want := range []string{"version " + strconv.Itoa(v) + ";", "reads " + strconv.Itoa(binfmt.Version)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }

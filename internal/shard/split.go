@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gdeltmine/internal/store"
@@ -126,37 +127,38 @@ func slice(db *store.DB, lo, hi int32) (*store.DB, error) {
 }
 
 // sliceGKG carves the (interval-sorted, hence contiguous) GKG rows captured
-// in [lo, hi) into p's table over g's dictionaries.
+// in [lo, hi) into p's table over g's theme dictionary: each theme's
+// postings are cut to those rows by binary search and rebased to the
+// part's row numbers.
 func sliceGKG(g *store.GKGStore, p *store.DB, lo, hi int32) error {
 	src := &g.Table
 	n := src.Len()
 	gLo := sort.Search(n, func(i int) bool { return src.Interval[i] >= lo })
 	gHi := sort.Search(n, func(i int) bool { return src.Interval[i] >= hi })
-	themePtr, themeIDs := csrRows(src.ThemePtr, src.ThemeIDs, gLo, gHi)
-	personPtr, personIDs := csrRows(src.PersonPtr, src.PersonIDs, gLo, gHi)
 	t := store.GKGTable{
 		Interval:   rows(src.Interval, gLo, gHi),
 		Translated: rows(src.Translated, gLo, gHi),
-		ThemePtr:   themePtr,
-		ThemeIDs:   themeIDs,
-		PersonPtr:  personPtr,
-		PersonIDs:  personIDs,
 	}
-	return store.AssembleGKG(p, t, g.Themes, g.Persons)
+	nt := g.Themes.Len()
+	cut := make([][]int32, nt)
+	ptr := make([]int64, nt+1)
+	for th := range nt {
+		post := g.ThemeRows(int32(th))
+		a, _ := slices.BinarySearch(post, int32(gLo))
+		b, _ := slices.BinarySearch(post, int32(gHi))
+		cut[th] = post[a:b]
+		ptr[th+1] = ptr[th] + int64(b-a)
+	}
+	idx := make([]int32, 0, ptr[nt])
+	for _, post := range cut {
+		for _, r := range post {
+			idx = append(idx, r-int32(gLo))
+		}
+	}
+	return store.AssembleGKG(p, t, g.Themes, ptr, idx)
 }
 
 // rows returns a copy of s[lo:hi] with no spare capacity.
 func rows[T any, I int | int64](s []T, lo, hi I) []T {
 	return append(make([]T, 0, hi-lo), s[lo:hi]...)
-}
-
-// csrRows returns rows [lo, hi) of a CSR list column: the row pointers
-// rebased to start at 0, and the ids they cover.
-func csrRows(ptr []int64, ids []int32, lo, hi int) ([]int64, []int32) {
-	base := ptr[lo]
-	out := make([]int64, hi-lo+1)
-	for i, q := range ptr[lo : hi+1] {
-		out[i] = q - base
-	}
-	return out, rows(ids, base, ptr[hi])
 }

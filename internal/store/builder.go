@@ -39,7 +39,7 @@ type Builder struct {
 	dropped    int64
 
 	gkg        *gkgStaging
-	gkgReserve int // GKG rows the staging is sized for when the first arrives
+	gkgReserve struct{ rows, themes int } // what the GKG staging is sized for when its first row arrives
 }
 
 // BuildStats reports what the builder ingested and discarded.
@@ -77,10 +77,11 @@ func NewBuilder(start gdelt.Timestamp, intervals int32) (*Builder, error) {
 func (b *Builder) Report() *gdelt.ValidationReport { return b.report }
 
 // Reserve sizes the staging for the given numbers of event, mention and GKG
-// rows still to be added, so a caller that knows its counts pays no slice
-// growth. It is a capacity hint only: adding more or fewer rows is still
-// correct, and the built store is the same either way.
-func (b *Builder) Reserve(events, mentions, gkg int) {
+// rows still to be added, and of the theme occurrences those GKG rows
+// carry, so a caller that knows its counts pays no slice growth. It is a
+// capacity hint only: adding more or fewer rows is still correct, and the
+// built store is the same either way.
+func (b *Builder) Reserve(events, mentions, gkg, gkgThemes int) {
 	b.evID = slices.Grow(b.evID, events)
 	b.evDay = slices.Grow(b.evDay, events)
 	b.evCtry = slices.Grow(b.evCtry, events)
@@ -94,9 +95,9 @@ func (b *Builder) Reserve(events, mentions, gkg int) {
 	b.mnTone = slices.Grow(b.mnTone, mentions)
 	b.mnConf = slices.Grow(b.mnConf, mentions)
 	if b.gkg != nil {
-		b.gkg.reserve(gkg)
+		b.gkg.reserve(gkg, gkgThemes)
 	} else {
-		b.gkgReserve = gkg
+		b.gkgReserve.rows, b.gkgReserve.themes = gkg, gkgThemes
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/gdelt"
@@ -49,21 +50,18 @@ func TestGKGBuilderSortsAndIndexes(t *testing.T) {
 	if g.Table.Interval[0] != 1 || g.Table.Interval[1] != 5 {
 		t.Fatalf("intervals %v", g.Table.Interval)
 	}
-	// Row 0 is the r1 record (two themes, no person), row 1 r2's.
-	if len(g.Table.RowThemes(0)) != 2 || len(g.Table.RowPersons(0)) != 0 || len(g.Table.RowPersons(1)) != 1 {
-		t.Fatalf("row 0 annotations wrong")
-	}
+	// Row 0 is the r1 record (TERROR, KILL), row 1 r2's (KILL).
 	if g.Table.Translated[0] || !g.Table.Translated[1] {
 		t.Fatal("translation flags wrong")
 	}
-	// Theme postings: KILL appears in both rows, TERROR in one.
+	// Theme postings in row numbers: KILL carries both rows, TERROR row 0.
 	kill := g.Themes.Lookup("KILL")
 	terror := g.Themes.Lookup("TERROR")
 	if kill < 0 || terror < 0 {
 		t.Fatal("themes not interned")
 	}
-	if len(g.ThemeRows(kill)) != 2 || len(g.ThemeRows(terror)) != 1 {
-		t.Fatalf("postings: KILL %d TERROR %d", len(g.ThemeRows(kill)), len(g.ThemeRows(terror)))
+	if !slices.Equal(g.ThemeRows(kill), []int32{0, 1}) || !slices.Equal(g.ThemeRows(terror), []int32{0}) {
+		t.Fatalf("postings: KILL %v TERROR %v", g.ThemeRows(kill), g.ThemeRows(terror))
 	}
 	// GKG sources share the main dictionary; b.co.uk exists only via GKG.
 	if db.Sources.Lookup("b.co.uk") < 0 {
@@ -76,23 +74,29 @@ func TestGKGBuilderSortsAndIndexes(t *testing.T) {
 }
 
 func TestGKGValidateCatchesCorruption(t *testing.T) {
-	db := buildGKGDB(t)
-	g := db.GKG
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		tamper func(g *GKGStore)
+	}{
+		{"unsorted rows", func(g *GKGStore) { g.Table.Interval[1] = 0 }},
+		{"short column", func(g *GKGStore) { g.Table.Translated = g.Table.Translated[:1] }},
+		{"theme id out of range", func(g *GKGStore) { g.themePtr = append(g.themePtr, g.themePtr[len(g.themePtr)-1]) }},
+		{"rows descending", func(g *GKGStore) { g.themeIdx[0], g.themeIdx[1] = 1, 0 }},
+		{"row past the table", func(g *GKGStore) { g.themeIdx[len(g.themeIdx)-1] = 2 }},
+		{"pointer past the ids", func(g *GKGStore) { g.themePtr[len(g.themePtr)-1]++ }},
+		{"pointers not monotone", func(g *GKGStore) { g.themePtr[1] = g.themePtr[2] + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := buildGKGDB(t).GKG
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(g)
+			if err := g.Validate(); err == nil {
+				t.Fatal("corruption not caught")
+			}
+		})
 	}
-	saved := g.Table.ThemeIDs[0]
-	g.Table.ThemeIDs[0] = 999
-	if err := g.Table.Validate(g.Themes, g.Persons); err == nil {
-		t.Fatal("bad theme id not caught")
-	}
-	g.Table.ThemeIDs[0] = saved
-	savedIv := g.Table.Interval[1]
-	g.Table.Interval[1] = 0 // breaks sort order
-	if err := g.Table.Validate(g.Themes, g.Persons); err == nil {
-		t.Fatal("unsorted rows not caught")
-	}
-	g.Table.Interval[1] = savedIv
 }
 
 func TestBuilderWithoutGKG(t *testing.T) {

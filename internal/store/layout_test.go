@@ -25,7 +25,7 @@ type footprint struct{ bytes, spare int }
 
 // census returns the footprint of every structure db holds, keyed by field
 // path: one entry per column of Events, Mentions and GKG.Table ("Events.ID",
-// "GKG.Table.ThemeIDs"), one per other field of the DB and the GKG store
+// "GKG.Table.Interval"), one per other field of the DB and the GKG store
 // ("bySourceIdx", "GKG.Themes"). A slice counts capacity × element size
 // plus what its elements reach, a string (header included in its slice or
 // struct) its bytes, a pointer its target, a map its entries at key plus
@@ -174,11 +174,11 @@ func TestPostingsLayout(t *testing.T) {
 	t.Logf("postings of %d mentions, %d sources, %d events: %d B", nm, ns, ne, 12*nm+4*(ns+1)+4*(ne+1))
 }
 
-// TestColumnsExact: every column of the event, mention and GKG tables sits
-// at its exact length — no spare capacity stays resident — on a store that
-// Builder.Finish built, on one binfmt.Read decoded, and on every part of a
-// shard.Split. It logs the Small preset's census.
-func TestColumnsExact(t *testing.T) {
+// smallStores builds the Small preset's store with convert.FromCorpus and
+// returns it with its corpus and the stores derived from it: the built one,
+// one binfmt.Read decoded, and every part of a four-way shard.Split.
+func smallStores(t *testing.T) (*gen.Corpus, map[string]*store.DB) {
+	t.Helper()
 	c, err := gen.Generate(gen.Small())
 	if err != nil {
 		t.Fatal(err)
@@ -207,6 +207,15 @@ func TestColumnsExact(t *testing.T) {
 	for i := range sdb.K() {
 		dbs[fmt.Sprintf("part %d", i)] = sdb.Part(i)
 	}
+	return c, dbs
+}
+
+// TestColumnsExact: every column of the event, mention and GKG tables sits
+// at its exact length — no spare capacity stays resident — on a store that
+// Builder.Finish built, on one binfmt.Read decoded, and on every part of a
+// shard.Split. It logs the Small preset's census.
+func TestColumnsExact(t *testing.T) {
+	_, dbs := smallStores(t)
 	for what, db := range dbs {
 		columns := 0
 		for name, fp := range census(db) {
@@ -222,5 +231,64 @@ func TestColumnsExact(t *testing.T) {
 			t.Errorf("%s: the census holds %d table columns, the tables %d", what, columns, want)
 		}
 	}
-	logCensus(t, "Small preset", built)
+	logCensus(t, "Small preset", dbs["built"])
+}
+
+// TestFootprintMatchesCensus: DB.Footprint, which walks the store's
+// fields by hand, reports what the reflective census measures for every
+// structure that holds storage, on the built, the decoded and every split
+// store.
+func TestFootprintMatchesCensus(t *testing.T) {
+	_, dbs := smallStores(t)
+	for what, db := range dbs {
+		fp := db.Footprint()
+		c := census(db)
+		for name, f := range c {
+			if fp[name] != f.bytes {
+				t.Errorf("%s %s: Footprint %d B, census %d B", what, name, fp[name], f.bytes)
+			}
+		}
+		for name := range fp {
+			if _, ok := c[name]; !ok {
+				t.Errorf("%s: Footprint names %s, which the census does not", what, name)
+			}
+		}
+	}
+}
+
+// TestGKGLayout is the counted layout guard of the GKG store: on the Small
+// preset its resident bytes, beside the theme dictionary, must equal the
+// documented layout — 4 B per theme occurrence for the postings, one 8 B
+// postings pointer per theme plus one, and 4 B (interval) plus 1 B
+// (translated flag) per row. A GKG column added without updating these
+// figures fails here.
+func TestGKGLayout(t *testing.T) {
+	c, dbs := smallStores(t)
+	db := dbs["built"]
+	occurrences := 0
+	for j := range c.Mentions {
+		occurrences += int(c.Events[c.Mentions[j].Event].Notes.NumThemes)
+	}
+	n, nt := len(c.Mentions), db.GKG.Themes.Len()
+	want := map[string]int{
+		"GKG.themeIdx":         4 * occurrences,
+		"GKG.themePtr":         8 * (nt + 1),
+		"GKG.Table.Interval":   4 * n,
+		"GKG.Table.Translated": n,
+	}
+	got := map[string]int{}
+	for name, fp := range census(db) {
+		if strings.HasPrefix(name, "GKG.") && name != "GKG.Themes" {
+			got[name] = fp.bytes
+		}
+	}
+	if !slices.Equal(slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want))) {
+		t.Errorf("GKG structures %v, the layout names %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s holds %d B, the layout says %d B", name, got[name], w)
+		}
+	}
+	t.Logf("GKG of %d rows, %d theme occurrences, %d themes: %d B", n, occurrences, nt, 4*occurrences+8*(nt+1)+5*n)
 }

@@ -113,9 +113,9 @@ var plumbing = map[string]string{
 
 	"internal/store.DB.Validate":        "check: column lengths and references",
 	"internal/store.DB.validateTables":  "check: column lengths and references",
-	"internal/store.GKGTable.Validate":  "check: column lengths and references",
 	"internal/store.GKGStore.Validate":  "check: column lengths and references",
 	"internal/store.DB.DiffFromRebuild": "check: the append oracle compares every derived index",
+	"internal/store.DB.Footprint":       "check: measures the resident bytes of every structure",
 }
 
 // plumbingReasons are the categories a plumbing entry may give.

@@ -89,7 +89,6 @@ func TestDatasetWindowScope(t *testing.T) {
 		{"TopThemes", false, func(d *Dataset) any { return must(d.TopThemes(5)) }},
 		{"ThemeTrends", false, func(d *Dataset) any { return must(d.ThemeTrends(themes)) }},
 		{"ThemeCooccurrences", false, func(d *Dataset) any { return must(d.ThemeCooccurrences(4)) }},
-		{"PersonsForTheme", false, func(d *Dataset) any { return must(d.PersonsForTheme(themes[0], 5)) }},
 		{"TranslatedShare", false, func(d *Dataset) any {
 			labels, share, err := d.TranslatedShare()
 			return must([]any{labels, share}, err)
