@@ -109,16 +109,21 @@ rm -rf "$smoke"
 # decodes from its GKG section. The .shards server gets an 8 KB result
 # cache, too small for these answers, so the second pass over the kinds
 # reads some from the cache and recomputes the evicted rest, and /metrics
-# must show that the cache evicted.
+# must show that the cache evicted. gdeltrouter fronts the two servers:
+# every kind must answer through it byte-identically to the servers, and
+# the same request sent again at once must come back X-Cache: hit from the
+# router's cache of fresh answers, which /metrics must count.
 conv=$(mktemp -d)
-go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve
+go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve ./cmd/gdeltrouter
 "$conv/gdeltgen" -out "$conv/ds" -preset small
 "$conv/gdeltconvert" -in "$conv/ds" -out "$conv/db.gdmb" -shards 4
 "$conv/gdeltserve" -db "$conv/db.gdmb" -addr 127.0.0.1:18392 &
 mono=$!
 "$conv/gdeltserve" -db "$conv/db.gdmb.shards" -addr 127.0.0.1:18393 -cache-bytes 8192 &
 sharded=$!
-for port in 18392 18393; do
+"$conv/gdeltrouter" -replicas http://127.0.0.1:18392,http://127.0.0.1:18393 -addr 127.0.0.1:18394 &
+router=$!
+for port in 18392 18393 18394; do
 	for i in $(seq 50); do curl -sf "http://127.0.0.1:$port/readyz" >/dev/null && break; sleep 0.2; done
 done
 rc=0
@@ -127,12 +132,19 @@ for pass in 1 2; do
 		curl -sf "http://127.0.0.1:18392/api/v1/$kind" >"$conv/mono.json" || rc=1
 		curl -sf "http://127.0.0.1:18393/api/v1/$kind" >"$conv/sharded.json" || rc=1
 		{ test -s "$conv/mono.json" && cmp "$conv/mono.json" "$conv/sharded.json"; } || rc=1
+		curl -sf "http://127.0.0.1:18394/api/v1/$kind" >"$conv/routed.json" || rc=1
+		curl -sf -D "$conv/again.hdr" "http://127.0.0.1:18394/api/v1/$kind" >"$conv/again.json" || rc=1
+		cmp "$conv/mono.json" "$conv/routed.json" || rc=1
+		cmp "$conv/mono.json" "$conv/again.json" || rc=1
+		tr -d '\r' <"$conv/again.hdr" | grep -qix 'X-Cache: hit' || rc=1
 	done
 done
 curl -sf "http://127.0.0.1:18393/metrics" >"$conv/metrics.txt" || rc=1
 awk '$1 == "qcache_evictions_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$conv/metrics.txt" || rc=1
-kill "$mono" "$sharded"
-wait "$mono" "$sharded" || true
+curl -sf "http://127.0.0.1:18394/metrics" >"$conv/router-metrics.txt" || rc=1
+awk '$1 == "router_cache_hits_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$conv/router-metrics.txt" || rc=1
+kill "$mono" "$sharded" "$router"
+wait "$mono" "$sharded" "$router" || true
 test "$rc" -eq 0
 rm -rf "$conv"
 

@@ -6,15 +6,26 @@
 // background /readyz probing, and per-tenant admission control. The router
 // answers 503 only when no replica is usable.
 //
+// The router keeps the answers replicas mark fresh — a 200 with
+// Cache-Control: max-age=N, which gdeltserve sends for cached answers over
+// a frozen world (N = 1) — in a body cache of -cache-bytes, keyed on the
+// canonical query, for N seconds: a repeat inside that time is answered
+// from the stored bytes with X-Cache: hit and no upstream exchange, and
+// concurrent misses for one query make one upstream race. Live-world,
+// uncached and error answers carry no max-age and always reach a replica.
+//
 // Usage:
 //
 //	gdeltrouter -replicas http://h1:8321,http://h2:8321 [-addr :8322]
 //	            [-per-try-timeout 5s] [-hedge-delay 30ms] [-max-attempts 3]
 //	            [-breaker-failures 3] [-breaker-cooldown 5s]
 //	            [-probe-interval 2s] [-rate 0] [-burst 0] [-max-concurrent 0]
+//	            [-cache-bytes 268435456]
 //
 // Responses carry an X-Gdelt-Replica header naming the replica that
-// answered; /routez dumps each replica's breaker state and readiness.
+// answered (for a cached answer, the one that produced it); /routez dumps
+// each replica's breaker state and readiness and the cache's entries,
+// bytes and hit ratio.
 package main
 
 import (
@@ -29,6 +40,7 @@ import (
 	"syscall"
 	"time"
 
+	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/router"
 )
 
@@ -48,6 +60,8 @@ func main() {
 		burst       = flag.Int("burst", 0, "per-tenant token bucket capacity; 0 derives from -rate")
 		maxConc     = flag.Int("max-concurrent", 0, "per-tenant concurrent query cap; 0 disables")
 		grace       = flag.Duration("shutdown-grace", 15*time.Second, "time allowed for in-flight requests to drain on SIGTERM")
+		cacheBytes  = flag.Int64("cache-bytes", qcache.DefaultMaxBytes,
+			"approximate memory budget of the cache of fresh replica answers; 0 disables caching")
 	)
 	flag.Parse()
 	if *replicasRaw == "" {
@@ -62,6 +76,12 @@ func main() {
 		}
 		replicas = append(replicas, router.Replica{ID: fmt.Sprintf("r%d", i), URL: u})
 	}
+	// Flag semantics as gdeltserve's: 0 disables caching; Config uses
+	// negative for "off".
+	cacheBudget := *cacheBytes
+	if cacheBudget == 0 {
+		cacheBudget = -1
+	}
 	rt, err := router.New(router.Config{
 		Replicas:         replicas,
 		PerTryTimeout:    *perTry,
@@ -75,6 +95,7 @@ func main() {
 			Burst:         *burst,
 			MaxConcurrent: *maxConc,
 		},
+		CacheBytes: cacheBudget,
 	})
 	if err != nil {
 		log.Fatal(err)

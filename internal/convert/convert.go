@@ -295,8 +295,8 @@ func ingestChunk(b *store.Builder, kind, path string, data []byte) error {
 // FromCorpus builds the store directly from an in-memory synthetic corpus,
 // bypassing raw files. This is the fast path for tests and benchmarks; the
 // resulting store is identical to converting the written files of the same
-// corpus except for the deliberately withheld (missing-archive) chunks and
-// the mention tones, which the raw files carry at two decimals.
+// corpus except for the deliberately withheld (missing-archive) chunks.
+// Mention tones are the written rows' two-decimal tones (gdelt.WireTone).
 // Mentions and GKG records arrive as the corpus's lean rows: the builder
 // reads none of the URLs and ids they leave out, so the store is also
 // identical to one built from the full records.

@@ -3,10 +3,10 @@ package convert
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -112,8 +112,8 @@ func TestFromRawDirReproducesTableII(t *testing.T) {
 // path gdeltconvert runs and FromCorpus build the same world. The event
 // table must match column for column; each capture interval's mention and
 // GKG rows are compared as sorted multisets, so the check does not hang on
-// the order rows of one interval arrive in. Tones are compared at the two
-// decimals the raw files carry.
+// the order rows of one interval arrive in. Tones are compared bit for
+// bit: both paths store the two-decimal tone the raw files carry.
 func TestRawAndCorpusAgreeWithoutDefects(t *testing.T) {
 	cfg := gen.Small()
 	cfg.DefectMalformedMaster = 0
@@ -171,7 +171,7 @@ type mentionTuple struct {
 	Source     string
 	Delay      int32
 	DocLen     int32
-	Tone       string // as the raw files spell it: two decimals
+	Tone       uint32 // the stored float32's bits
 	Confidence int8
 }
 
@@ -182,7 +182,7 @@ func mentionTuples(db *store.DB) []mentionTuple {
 	out := make([]mentionTuple, m.Len())
 	for r := range out {
 		out[r] = mentionTuple{m.Interval[r], db.Events.ID[m.EventRow[r]], db.Sources.Name(m.Source[r]),
-			m.Delay[r], m.DocLen[r], strconv.FormatFloat(float64(m.Tone[r]), 'f', 2, 32), m.Confidence[r]}
+			m.Delay[r], m.DocLen[r], math.Float32bits(m.Tone[r]), m.Confidence[r]}
 	}
 	slices.SortFunc(out, func(a, b mentionTuple) int {
 		return cmp.Or(cmp.Compare(a.Interval, b.Interval), cmp.Compare(a.Event, b.Event),

@@ -2,6 +2,9 @@ package gdelt
 
 import (
 	"bytes"
+	"math"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -207,5 +210,34 @@ func TestEmptySourceURLSurvivesRoundTrip(t *testing.T) {
 	}
 	if got.SourceURL != "" || got.ActionCountry != "" {
 		t.Fatalf("expected empty url/country, got %+v", got)
+	}
+}
+
+// TestWireToneIsTheWrittenTone: WireTone equals, bit for bit, the tone a
+// mention row written by AppendMentionRow parses back to — on ties (exact
+// binary halves of a hundredth, where the formatting rounds to even),
+// signed zeros, the tone generator's range and far beyond it.
+func TestWireToneIsTheWrittenTone(t *testing.T) {
+	written := func(tone float32) float32 {
+		row := AppendMentionRow(nil, &Mention{DocTone: tone})
+		mn, err := ParseMentionFields(SplitTabs(row, nil))
+		if err != nil {
+			t.Fatalf("tone %v: %v", tone, err)
+		}
+		return mn.DocTone
+	}
+	tones := []float32{0, float32(math.Copysign(0, -1)), 0.005, -0.005, 0.125, -0.125, 0.375, 2.675, -1e-30, 1e30, 16777215}
+	for k := -4000; k <= 4000; k++ {
+		tones = append(tones, float32(k)/8, float32(k)/100, float32(k)/100+1e-4)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 200_000 {
+		tones = append(tones, float32(rng.NormFloat64()*2-1), float32((rng.Float64()-0.5)*2e5))
+	}
+	for _, tone := range tones {
+		if got, want := WireTone(tone), written(tone); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("WireTone(%v) = %v, the written row reads %v (%s)", tone, got, want,
+				strconv.FormatFloat(float64(tone), 'f', 2, 32))
+		}
 	}
 }

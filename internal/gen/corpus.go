@@ -584,7 +584,7 @@ func (c *Corpus) mentionRecord(j int, rec *gdelt.Mention, full bool) {
 		SentenceID:    1,
 		Confidence:    m.Confidence,
 		DocLen:        m.DocLen,
-		DocTone:       m.Tone,
+		DocTone:       gdelt.WireTone(m.Tone),
 	}
 	if full {
 		rec.Identifier = c.articleURL(m.Source, ev.ID, j)

@@ -23,6 +23,11 @@
 //   - Snapshot-version invalidation: the first lookup that carries a newer
 //     store version sweeps out every entry of older versions.
 //
+// A cache in front of answers that go stale by the clock instead — the
+// router's, holding replica answers for as long as their max-age — uses
+// DoFresh: each entry expires a computed time after its lookup, and the
+// first lookup past that retires it.
+//
 // Cached values are shared across goroutines by reference; callers must
 // treat them as immutable (the query layer returns freshly built,
 // read-only result structs, and the HTTP layer only encodes them).
@@ -66,6 +71,10 @@ const overheadBytes = 256
 // entry's priority the bare inflation value.
 const minComputeSeconds = 1e-6
 
+// forever is the freshness Do gives every result: it caches it, and with
+// no clock reading to count from the entry never expires.
+const forever = time.Duration(1<<63 - 1)
+
 // Outcome classifies how a Do call was satisfied.
 type Outcome int
 
@@ -108,6 +117,9 @@ type entry struct {
 	prio  float64
 	touch uint64 // insert or last hit, in cache order: ties evict oldest first
 	index int    // position in the heap
+	// expires is when a DoFresh entry goes stale; zero for Do's entries,
+	// which live until evicted or swept.
+	expires time.Time
 }
 
 // evictionHeap orders resident entries by priority, least first, ties by
@@ -169,6 +181,8 @@ type Cache struct {
 	touches     uint64
 	lastVersion uint64
 	stale       func() func(Key) bool
+	// This cache's own tally for Stats; the obs counters below are shared.
+	nHits, nMisses, nCoalesced int64
 
 	// Observability: process-wide counters (shared across Cache instances
 	// in one process, like the serve metrics) plus hit/miss latency split.
@@ -182,9 +196,15 @@ type Cache struct {
 // DefaultMaxBytes is the serve default for the -cache-bytes budget.
 const DefaultMaxBytes = 256 << 20 // 256 MB
 
-// New returns a cache bounded by approximately maxBytes of result memory.
-// maxBytes <= 0 selects DefaultMaxBytes.
-func New(maxBytes int64) *Cache {
+// New returns a cache bounded by approximately maxBytes of result memory,
+// reporting on obs.Default as qcache_*. maxBytes <= 0 selects
+// DefaultMaxBytes.
+func New(maxBytes int64) *Cache { return NewNamed("qcache", maxBytes) }
+
+// NewNamed is New with its metrics named prefix_* instead (prefix_hits_total,
+// prefix_bytes, ...), so two caches of one process — a router's in front of
+// its replicas' — report apart.
+func NewNamed(prefix string, maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
@@ -193,26 +213,26 @@ func New(maxBytes int64) *Cache {
 		now:      time.Now,
 		entries:  make(map[Key]*entry),
 		inflight: make(map[Key]*flight),
-		hits: obs.Default.Counter("qcache_hits_total",
-			"query results served from the cache"),
-		misses: obs.Default.Counter("qcache_misses_total",
-			"query executions run because no cached result existed"),
-		coalesced: obs.Default.Counter("qcache_coalesced_total",
-			"requests that joined an identical in-flight execution instead of scanning"),
-		evictions: obs.Default.Counter("qcache_evictions_total",
+		hits: obs.Default.Counter(prefix+"_hits_total",
+			"results served from the cache"),
+		misses: obs.Default.Counter(prefix+"_misses_total",
+			"computations run because no cached result existed"),
+		coalesced: obs.Default.Counter(prefix+"_coalesced_total",
+			"requests that joined an identical in-flight computation instead of running their own"),
+		evictions: obs.Default.Counter(prefix+"_evictions_total",
 			"entries evicted by the memory budget"),
-		invalidations: obs.Default.Counter("qcache_invalidated_total",
-			"entries retired by a store snapshot-version bump"),
-		savedSeconds: obs.Default.FloatCounter("qcache_saved_seconds_total",
+		invalidations: obs.Default.Counter(prefix+"_invalidated_total",
+			"entries retired as stale: by a store snapshot-version bump, or past their freshness"),
+		savedSeconds: obs.Default.FloatCounter(prefix+"_saved_seconds_total",
 			"compute seconds that hits and coalesced joins did not spend, by the entry's recorded compute time"),
-		bytesGauge: obs.Default.Gauge("qcache_bytes",
+		bytesGauge: obs.Default.Gauge(prefix+"_bytes",
 			"approximate memory held by cached results"),
-		entriesGauge: obs.Default.Gauge("qcache_entries",
+		entriesGauge: obs.Default.Gauge(prefix+"_entries",
 			"cached results currently resident"),
-		hitSeconds: obs.Default.Histogram("qcache_hit_seconds",
+		hitSeconds: obs.Default.Histogram(prefix+"_hit_seconds",
 			"latency of cache-hit lookups", obs.LatencyBuckets),
-		missSeconds: obs.Default.Histogram("qcache_miss_seconds",
-			"latency of cache-miss executions (leader's scan included)", obs.LatencyBuckets),
+		missSeconds: obs.Default.Histogram(prefix+"_miss_seconds",
+			"latency of cache-miss computations (the leader's included)", obs.LatencyBuckets),
 	}
 }
 
@@ -237,20 +257,45 @@ func (c *Cache) UsedBytes() int64 {
 // bounds only the caller's wait: a waiter whose own context expires
 // returns ctx.Err() while the leader's computation keeps running.
 func (c *Cache) Do(ctx context.Context, key Key, compute func() (any, error)) (any, Outcome, error) {
+	return c.do(ctx, key, time.Time{}, func() (any, time.Duration, error) {
+		val, err := compute()
+		return val, forever, err
+	})
+}
+
+// DoFresh is Do for results that go stale by the clock rather than by
+// store version: compute also says how long its result stays fresh, and
+// the entry expires that long after now, the caller's clock reading at
+// the lookup. A lookup at or after an entry's expiry retires it and
+// computes afresh. A result fresh for no time (ttl <= 0) is shared with
+// the callers waiting on its flight but not cached.
+func (c *Cache) DoFresh(ctx context.Context, key Key, now time.Time, compute func() (any, time.Duration, error)) (any, Outcome, error) {
+	return c.do(ctx, key, now, compute)
+}
+
+// do serves Do (now zero: entries never expire) and DoFresh.
+func (c *Cache) do(ctx context.Context, key Key, now time.Time, compute func() (any, time.Duration, error)) (any, Outcome, error) {
 	for {
 		start := time.Now()
 		c.mu.Lock()
 		c.sweepLocked(key.Version)
 		if en, ok := c.entries[key]; ok {
-			c.hitLocked(en)
-			val, secs := en.val, en.secs
-			c.mu.Unlock()
-			c.hits.Inc()
-			c.savedSeconds.Add(secs)
-			c.hitSeconds.ObserveSince(start)
-			return val, Hit, nil
+			if en.expires.IsZero() || now.Before(en.expires) {
+				c.hitLocked(en)
+				c.nHits++
+				val, secs := en.val, en.secs
+				c.mu.Unlock()
+				c.hits.Inc()
+				c.savedSeconds.Add(secs)
+				c.hitSeconds.ObserveSince(start)
+				return val, Hit, nil
+			}
+			c.removeLocked(en)
+			c.invalidations.Inc()
+			c.publishLocked()
 		}
 		if f, ok := c.inflight[key]; ok {
+			c.nCoalesced++
 			c.mu.Unlock()
 			c.coalesced.Inc()
 			select {
@@ -274,22 +319,53 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func() (any, error)) (a
 		}
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
+		c.nMisses++
 		c.mu.Unlock()
 		c.misses.Inc()
 
 		t0 := c.now()
-		f.val, f.err = compute()
+		var ttl time.Duration
+		f.val, ttl, f.err = compute()
 		f.secs = max(c.now().Sub(t0).Seconds(), minComputeSeconds)
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if f.err == nil {
-			c.insertLocked(key, f.val, f.secs)
+		if f.err == nil && ttl > 0 {
+			var expires time.Time
+			if !now.IsZero() {
+				expires = now.Add(ttl)
+			}
+			c.insertLocked(key, f.val, f.secs, expires)
 		}
 		c.mu.Unlock()
 		close(f.done)
 		c.missSeconds.ObserveSince(start)
 		return f.val, Miss, f.err
 	}
+}
+
+// Stats is a cache's own tally: what it holds and how its lookups went
+// since it was built.
+type Stats struct {
+	Entries                 int
+	Bytes                   int64
+	Hits, Misses, Coalesced int64
+}
+
+// HitRatio is the share of lookups that ran no computation of their own:
+// hits and coalesced joins over all lookups, 0 before the first.
+func (s Stats) HitRatio() float64 {
+	n := s.Hits + s.Coalesced + s.Misses
+	if n == 0 {
+		return 0
+	}
+	return float64(s.Hits+s.Coalesced) / float64(n)
+}
+
+// Stats returns the cache's tally.
+func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{len(c.entries), c.used, c.nHits, c.nMisses, c.nCoalesced}
 }
 
 // Get returns the cached value for key without computing anything. It is
@@ -328,7 +404,7 @@ func (c *Cache) priority(en *entry) float64 {
 // any other and may itself be the victim. A result whose cost alone
 // exceeds the budget is not cached at all — better one big recomputation
 // than an empty cache.
-func (c *Cache) insertLocked(key Key, val any, secs float64) {
+func (c *Cache) insertLocked(key Key, val any, secs float64, expires time.Time) {
 	if _, ok := c.entries[key]; ok {
 		return // a racing leader on the same key after a sweep; keep first
 	}
@@ -337,19 +413,26 @@ func (c *Cache) insertLocked(key Key, val any, secs float64) {
 		return
 	}
 	c.touches++
-	en := &entry{key: key, val: val, cost: cost, secs: secs, freq: 1, touch: c.touches}
+	en := &entry{key: key, val: val, cost: cost, secs: secs, freq: 1, touch: c.touches, expires: expires}
 	en.prio = c.priority(en)
 	heap.Push(&c.heap, en)
 	c.entries[key] = en
 	c.used += cost
 	for c.used > c.maxBytes {
-		victim := heap.Pop(&c.heap).(*entry)
+		victim := c.heap[0]
 		c.inflation = victim.prio
-		delete(c.entries, victim.key)
-		c.used -= victim.cost
+		c.removeLocked(victim)
 		c.evictions.Inc()
 	}
 	c.publishLocked()
+}
+
+// removeLocked drops a resident entry from the index, the heap and the
+// budget.
+func (c *Cache) removeLocked(en *entry) {
+	heap.Remove(&c.heap, en.index)
+	delete(c.entries, en.key)
+	c.used -= en.cost
 }
 
 // SetStale installs a store-specific staleness rule consulted during

@@ -1,15 +1,29 @@
 package router
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock is a manually advanced time source for breaker tests.
-type fakeClock struct{ t time.Time }
+// fakeClock is a manually advanced time source for breaker and cache
+// tests, safe to read from handler goroutines while a test advances it.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
 
 func TestBreakerTripsAfterThreshold(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}

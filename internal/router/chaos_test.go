@@ -241,8 +241,14 @@ func TestChaosSoleSurvivorAnswersFull(t *testing.T) {
 	}
 }
 
+// cacheOff is the Config mutation of a case that needs every request to
+// reach a replica: the router's cache would answer repeats itself.
+func cacheOff(cfg *Config) { cfg.CacheBytes = -1 }
+
 func TestChaosAnyThreeOfFourDownStaysFull(t *testing.T) {
-	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
+	// Each survivor's round repeats the last round's queries, and they must
+	// fail over again rather than come from the router's cache.
+	h := newChaosHarness(t, faults.ReplicaPlan{}, cacheOff)
 	for _, survivor := range chaosReplicaIDs {
 		// Three replicas die unannounced; queries fail over to the
 		// survivor, and every kind still answers bit-identical.
@@ -478,9 +484,10 @@ func TestRouterForwardsPostedForm(t *testing.T) {
 
 // TestRouterKeysOnCanonicalQuery: spellings of one query differing only in
 // parameter order share an affinity order, so the second spelling hits the
-// cache the first one filled.
+// replica cache the first one filled. The router's cache is off so that
+// the second spelling reaches the replica.
 func TestRouterKeysOnCanonicalQuery(t *testing.T) {
-	h := newChaosHarness(t, faults.ReplicaPlan{}, nil)
+	h := newChaosHarness(t, faults.ReplicaPlan{}, cacheOff)
 	const path = "/api/v1/top-publishers"
 	for k := 1; k <= 16; k++ {
 		a, b := fmt.Sprintf("k=%d&workers=1", k), fmt.Sprintf("workers=1&k=%d", k)

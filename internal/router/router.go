@@ -8,11 +8,18 @@
 // answers in full; the router refuses with 503 only when no replica is
 // usable. Per-tenant admission control (token buckets plus concurrency
 // caps on the X-Tenant header) sheds overload before it reaches the fleet.
+//
+// The router keeps the answers replicas mark fresh (a 200 with
+// Cache-Control: max-age=N) in its own body cache, an internal/qcache
+// keyed on the canonical query, for at most N seconds: a repeated query
+// inside that time is answered with the stored bytes and no upstream
+// exchange, and concurrent misses for one query make one upstream race.
 package router
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/registry"
 )
 
@@ -59,6 +67,10 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Admission is the per-tenant rate and concurrency policy.
 	Admission AdmissionConfig
+	// CacheBytes is the approximate memory budget of the router's cache of
+	// fresh replica answers. Zero selects qcache.DefaultMaxBytes; a
+	// negative value disables it, so every query reaches a replica.
+	CacheBytes int64
 	// Transport overrides the upstream HTTP transport (tests inject the
 	// httptest client); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -73,6 +85,9 @@ type Router struct {
 	met      *metrics
 	client   *http.Client
 	mux      *http.ServeMux
+	cache    *qcache.Cache // nil when Config.CacheBytes < 0
+	// now is the clock entries' freshness counts from; tests replace it.
+	now func() time.Time
 
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
@@ -97,6 +112,10 @@ func New(cfg Config) (*Router, error) {
 		adm:    newAdmission(cfg.Admission, nil),
 		met:    newMetrics(),
 		client: &http.Client{Transport: cfg.Transport},
+		now:    time.Now,
+	}
+	if cfg.CacheBytes >= 0 {
+		rt.cache = qcache.NewNamed("router_cache", cfg.CacheBytes)
 	}
 	ids := make([]string, len(cfg.Replicas))
 	for i, rep := range cfg.Replicas {
@@ -180,9 +199,10 @@ func (rt *Router) PreferenceOrder(path, rawQuery string) []string {
 	return out
 }
 
-// queryKey is a query's affinity key: its kind's canonical parameters plus
-// the last workers, from and to values, so every spelling of one query
-// shares a primary and so its cached answer. A query whose parameters do
+// queryKey is a query's affinity and cache key: its kind's canonical
+// parameters plus the last workers, from and to values, so every spelling
+// of one query shares a primary, the answer its cache holds and the
+// router's cached answer. A query whose parameters do
 // not parse keys on its raw text; the replica answers it 400.
 func queryKey(path, rawQuery string) string {
 	d, ok := registry.Lookup(strings.TrimPrefix(path, "/api/v1/"))
@@ -202,10 +222,10 @@ func queryKey(path, rawQuery string) string {
 }
 
 // candidates returns the usable replica indices (breaker closed, or its
-// cooldown elapsed) in the query's affinity order. Every replica serves
-// the full world, so each candidate can answer in full.
-func (rt *Router) candidates(path, rawQuery string) []int {
-	order := rt.ring.successors(queryKey(path, rawQuery), len(rt.replicas))
+// cooldown elapsed) in the affinity order of the query keyed key. Every
+// replica serves the full world, so each candidate can answer in full.
+func (rt *Router) candidates(key string) []int {
+	order := rt.ring.successors(key, len(rt.replicas))
 	out := order[:0]
 	for _, idx := range order {
 		if rt.replicas[idx].brk.canTry() {
@@ -361,38 +381,111 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		rawQuery = r.Form.Encode()
 	}
-	cand := rt.candidates(r.URL.Path, rawQuery)
-	if len(cand) == 0 {
+	key := queryKey(r.URL.Path, rawQuery)
+	fetch := func() (any, time.Duration, error) {
+		return rt.fetch(r.Context(), key, r.URL.Path, rawQuery, r.Header)
+	}
+	var (
+		v       any
+		outcome = qcache.Bypass
+		err     error
+	)
+	if rt.cache != nil {
+		v, outcome, err = rt.cache.DoFresh(r.Context(), qcache.Key{Params: key}, rt.now(), fetch)
+	} else {
+		v, _, err = fetch()
+	}
+	switch {
+	case err == nil:
+		rt.writeAnswer(w, v.(*answer), outcome)
+	case errors.Is(err, errNoReplica):
 		rt.met.unavail.Inc()
 		routerError(w, http.StatusServiceUnavailable, d.Kind, "no replica reachable (%d down)", len(rt.replicas))
-		return
-	}
-	res, won := rt.race(r.Context(), cand, r.URL.Path, rawQuery, r.Header)
-	if won {
-		rt.writeResult(w, res)
-		return
-	}
-	if r.Context().Err() != nil {
+	case r.Context().Err() != nil:
 		routerError(w, http.StatusServiceUnavailable, d.Kind, "request canceled")
-		return
+	default:
+		rt.met.unavail.Inc()
+		routerError(w, http.StatusBadGateway, d.Kind, "all replicas failed")
 	}
-	rt.met.unavail.Inc()
-	routerError(w, http.StatusBadGateway, d.Kind, "all replicas failed")
 }
 
-// writeResult replays the winning upstream response, byte-identical to what
-// the replica served, naming the replica that answered.
-func (rt *Router) writeResult(w http.ResponseWriter, res upstreamResult) {
-	h := w.Header()
-	for _, name := range []string{"Content-Type", "X-Cache"} {
-		if v := res.header.Get(name); v != "" {
-			h.Set(name, v)
+var (
+	errNoReplica = errors.New("router: no replica usable")
+	errAllFailed = errors.New("router: every attempt failed")
+)
+
+// answer is a won upstream response as the router replays it.
+type answer struct {
+	status      int
+	contentType string
+	xCache      string // the replica's X-Cache
+	replica     int    // index of the replica that produced it
+	body        []byte
+}
+
+// fetch races the query across its candidates and returns the winning
+// answer and how long it stays fresh: the max-age of a 200 the replica
+// marked so, else zero, and the router's cache does not hold it. The
+// error is errNoReplica, errAllFailed or the request's cancellation.
+func (rt *Router) fetch(ctx context.Context, key, path, rawQuery string, hdr http.Header) (any, time.Duration, error) {
+	cand := rt.candidates(key)
+	if len(cand) == 0 {
+		return nil, 0, errNoReplica
+	}
+	res, won := rt.race(ctx, cand, path, rawQuery, hdr)
+	if !won {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, errAllFailed
+	}
+	a := &answer{
+		status:      res.status,
+		contentType: res.header.Get("Content-Type"),
+		xCache:      res.header.Get("X-Cache"),
+		replica:     res.idx,
+		body:        res.body,
+	}
+	var ttl time.Duration
+	if res.status == http.StatusOK {
+		ttl = maxAge(res.header.Get("Cache-Control"))
+	}
+	return a, ttl, nil
+}
+
+// maxAge reads the max-age directive of a Cache-Control value; zero when
+// it has none or it does not parse.
+func maxAge(cc string) time.Duration {
+	for _, dir := range strings.Split(cc, ",") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(dir), "max-age="); ok {
+			if n, err := strconv.Atoi(v); err == nil && n > 0 {
+				return time.Duration(n) * time.Second
+			}
 		}
 	}
-	h.Set("X-Gdelt-Replica", rt.replicas[res.idx].id)
-	h.Set("Content-Length", strconv.Itoa(len(res.body)))
-	w.WriteHeader(res.status)
-	w.Write(res.body)
+	return 0
+}
+
+// writeAnswer replays an upstream answer, byte-identical to what the
+// replica served, naming the replica that produced it. X-Cache is the
+// replica's own unless the router's cache supplied the answer: hit for a
+// stored one, coalesced for one shared from a concurrent request's race.
+func (rt *Router) writeAnswer(w http.ResponseWriter, a *answer, outcome qcache.Outcome) {
+	h := w.Header()
+	if a.contentType != "" {
+		h.Set("Content-Type", a.contentType)
+	}
+	xCache := a.xCache
+	if outcome == qcache.Hit || outcome == qcache.Coalesced {
+		xCache = outcome.String()
+	}
+	if xCache != "" {
+		h.Set("X-Cache", xCache)
+	}
+	h.Set("X-Gdelt-Replica", rt.replicas[a.replica].id)
+	h.Set("Content-Length", strconv.Itoa(len(a.body)))
+	w.WriteHeader(a.status)
+	w.Write(a.body)
 }
 
 // handleReadyz reports the router's own readiness: ready while any replica
@@ -413,7 +506,8 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRoutez dumps the fleet for operators: each replica's breaker state
-// and latest probed readiness.
+// and latest probed readiness, and what the router's cache holds (absent
+// when it is off).
 func (rt *Router) handleRoutez(w http.ResponseWriter, r *http.Request) {
 	type replicaz struct {
 		ID      string `json:"id"`
@@ -421,8 +515,18 @@ func (rt *Router) handleRoutez(w http.ResponseWriter, r *http.Request) {
 		Breaker string `json:"breaker"`
 		Ready   bool   `json:"ready"`
 	}
+	type cachez struct {
+		Entries  int     `json:"entries"`
+		Bytes    int64   `json:"bytes"`
+		HitRatio float64 `json:"hitRatio"`
+	}
 	var out struct {
 		Replicas []replicaz `json:"replicas"`
+		Cache    *cachez    `json:"cache,omitempty"`
+	}
+	if rt.cache != nil {
+		st := rt.cache.Stats()
+		out.Cache = &cachez{st.Entries, st.Bytes, st.HitRatio()}
 	}
 	for _, rep := range rt.replicas {
 		out.Replicas = append(out.Replicas, replicaz{

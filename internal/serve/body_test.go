@@ -105,8 +105,8 @@ func testCancelledAnswerNotCached(t *testing.T, sdb *shard.DB) {
 	req := httptest.NewRequest(http.MethodGet, "/api/v1/country", nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("cancelled request: status %d, want 504", rec.Code)
+	if rec.Code != http.StatusGatewayTimeout || rec.Header().Get("Cache-Control") != "" {
+		t.Fatalf("cancelled request: status %d, Cache-Control %q; want 504 and none", rec.Code, rec.Header().Get("Cache-Control"))
 	}
 	if n, l := encodes.Load(), s.exec.Cache.Len(); n != 0 || l != 0 {
 		t.Fatalf("cancelled request: %d encodes, %d cached entries; want none", n, l)
@@ -115,6 +115,43 @@ func testCancelledAnswerNotCached(t *testing.T, sdb *shard.DB) {
 	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "miss" {
 		t.Fatalf("after a cancelled request: status %d, X-Cache %q; want 200 miss",
 			resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+}
+
+// TestFreshnessMarks: an answer the cache holds over a frozen world is
+// marked fresh for one second, miss or hit; a live world's answers, a
+// server without a cache and every error carry no Cache-Control, so a
+// router never holds them.
+func TestFreshnessMarks(t *testing.T) {
+	sdb, err := shard.Split(testDB(t), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, _ := heldBackLog(t)
+	serverOf := func(h http.Handler) *httptest.Server {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	frozen := serverOf(NewSharded(sdb, Config{}))
+	for _, tc := range []struct {
+		name string
+		srv  *httptest.Server
+		path string
+		code int
+		want string
+	}{
+		{"frozen miss", frozen, "/api/v1/stats", 200, "max-age=1"},
+		{"frozen hit", frozen, "/api/v1/stats", 200, "max-age=1"},
+		{"frozen bad parameter", frozen, "/api/v1/top-publishers?k=-1", 400, ""},
+		{"frozen unknown kind", frozen, "/api/v1/bogus", 404, ""},
+		{"frozen, cache off", serverOf(NewSharded(sdb, Config{CacheBytes: -1})), "/api/v1/stats", 200, ""},
+		{"live miss", serverOf(NewLive(lg, Config{})), "/api/v1/stats", 200, ""},
+	} {
+		resp, body := get(t, tc.srv, tc.path)
+		if got := resp.Header.Get("Cache-Control"); resp.StatusCode != tc.code || got != tc.want {
+			t.Errorf("%s: status %d, Cache-Control %q; want %d, %q: %.100s", tc.name, resp.StatusCode, got, tc.code, tc.want, body)
+		}
 	}
 }
 

@@ -37,7 +37,10 @@ import (
 type Server struct {
 	// snap resolves the world a request reads: the one prebuilt view of a
 	// static dataset, or the append log's snapshot as of the call.
-	snap      func() *shard.View
+	snap func() *shard.View
+	// frozen marks a world no append changes, whose cached answers the
+	// server marks fresh for a router to hold (freshAnswer).
+	frozen    bool
 	cfg       Config
 	handler   http.Handler
 	slots     chan struct{} // load-shedding semaphore, nil when unlimited
@@ -53,7 +56,9 @@ type Server struct {
 // NewSharded returns a server over an immutable time-partitioned shard set.
 func NewSharded(sdb *shard.DB, cfg Config) *Server {
 	v := sdb.View()
-	return newServer(func() *shard.View { return v }, cfg)
+	s := newServer(func() *shard.View { return v }, cfg)
+	s.frozen = true
+	return s
 }
 
 // NewLive returns a server over a live append log. Each request resolves
@@ -161,9 +166,19 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, d *registry.
 	}
 	if outcome != qcache.Bypass {
 		w.Header().Set("X-Cache", outcome.String())
+		if s.frozen {
+			w.Header().Set("Cache-Control", freshAnswer)
+		}
 	}
 	writeBody(w, r, body.(registry.Body))
 }
+
+// freshAnswer is the Cache-Control of an answer the server's cache holds
+// over a frozen world. The answer cannot change while this process runs,
+// so one second bounds how long a router may replay it after the replica
+// restarts on another world. Live-world, uncached and error answers carry
+// no Cache-Control, and a router never holds them.
+const freshAnswer = "max-age=1"
 
 // queryError maps an execution error to its transport status: cancellation
 // to 504 (with the timeout counter the dashboards watch), parameter errors
@@ -217,6 +232,7 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 // records queries_timeout_total so timeout storms are visible on /metrics.
 func writeBody(w http.ResponseWriter, r *http.Request, body []byte) {
 	if err := r.Context().Err(); err != nil {
+		w.Header().Del("Cache-Control") // a cut-short answer is fresh for no one
 		kind := kindOf(r)
 		if kind != "" {
 			obs.Default.Counter("queries_timeout_total",
