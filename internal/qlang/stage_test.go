@@ -112,7 +112,9 @@ func stageLiterals(db *store.DB) map[string][]string {
 		}
 	}
 	// tone renders a row's tone exactly, so = and the strict operators meet
-	// a value the column holds.
+	// a value the column holds. The two full-precision literals beside them
+	// lie just off two-decimal tones the column holds (-0.82, -1.5), so =
+	// meets nothing and the ordered operators must split between neighbours.
 	tone := func(row int) string {
 		return strconv.FormatFloat(float64(db.Mentions.Tone[row]), 'g', -1, 64)
 	}
@@ -125,7 +127,7 @@ func stageLiterals(db *store.DB) map[string][]string {
 		"confidence": i64(append([]int64{0, 20, 100, 127, 128, -128, -129}, lim...)...),
 		"articles":   i64(append([]int64{0, 1, 10}, lim...)...),
 		"tone": {"-2.5", "0", "-0", "3.25", "1e300", "-1e300", "NaN", "Inf", "-Inf",
-			tone(0), tone(db.Mentions.Len() / 2)},
+			tone(0), tone(db.Mentions.Len() / 2), "-0.8180182576179504", "-1.496586561203003"},
 		"quarter": {db.QuarterLabel(0), db.QuarterLabel(db.NumQuarters() / 2),
 			db.QuarterLabel(db.NumQuarters() - 1), fmt.Sprintf("%dQ1", y-3),
 			fmt.Sprintf("%dQ4", y+40)},
