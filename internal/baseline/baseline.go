@@ -8,7 +8,6 @@
 package baseline
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,42 +121,15 @@ func NewRawRescan(dir string) (*RawRescan, error) {
 // one-time binary conversion.
 func (rr *RawRescan) CrossCountry() (*matrix.Int64, error) {
 	eventCountry := make(map[int64]int32)
-	var fields [][]byte
-	for _, e := range rr.entries {
-		if e.Kind() != "export" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(rr.dir, e.Path))
-		if err != nil {
-			continue // missing archives are tolerated, as in conversion
-		}
-		forEachLine(data, func(line []byte) {
-			fields = gdelt.SplitTabs(line, fields)
-			ev, err := gdelt.ParseEventFields(fields)
-			if err != nil {
-				return
-			}
+	nc := len(gdelt.Countries)
+	out := matrix.NewInt64(nc, nc)
+	sink := gdelt.ChunkSink{
+		Event: func(ev gdelt.Event) {
 			if c := gdelt.CountryIndex(ev.ActionCountry); c >= 0 {
 				eventCountry[ev.GlobalEventID] = int32(c)
 			}
-		})
-	}
-	nc := len(gdelt.Countries)
-	out := matrix.NewInt64(nc, nc)
-	for _, e := range rr.entries {
-		if e.Kind() != "mentions" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(rr.dir, e.Path))
-		if err != nil {
-			continue
-		}
-		forEachLine(data, func(line []byte) {
-			fields = gdelt.SplitTabs(line, fields)
-			mn, err := gdelt.ParseMentionFields(fields)
-			if err != nil {
-				return
-			}
+		},
+		Mention: func(mn gdelt.Mention) {
 			r, ok := eventCountry[mn.GlobalEventID]
 			if !ok {
 				return
@@ -165,21 +137,19 @@ func (rr *RawRescan) CrossCountry() (*matrix.Int64, error) {
 			if c := gdelt.CountryFromDomain(mn.SourceName); c >= 0 {
 				out.Inc(int(r), c)
 			}
-		})
+		},
+	}
+	for _, kind := range []string{"export", "mentions"} {
+		for _, e := range rr.entries {
+			if e.Kind() != kind {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(rr.dir, e.Path))
+			if err != nil {
+				continue // missing archives are tolerated, as in conversion
+			}
+			_ = gdelt.ParseChunk(kind, data, sink) // kind is known: ParseChunk cannot fail
+		}
 	}
 	return out, nil
-}
-
-func forEachLine(data []byte, fn func(line []byte)) {
-	for len(data) > 0 {
-		var line []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			line, data = data, nil
-		}
-		if len(line) > 0 {
-			fn(line)
-		}
-	}
 }

@@ -7,7 +7,6 @@ package convert
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -148,6 +147,14 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 		res.Quarantined = append(res.Quarantined, QuarantinedChunk{Path: entry.Path, Class: class, Reason: err.Error()})
 		mQuarantined.Inc()
 	}
+	sink := func(path string) gdelt.ChunkSink {
+		return gdelt.ChunkSink{
+			Event:   func(ev gdelt.Event) { b.AddEvent(&ev) },
+			Mention: func(mn gdelt.Mention) { b.AddMention(&mn) },
+			GKG:     func(rec gdelt.GKGRecord) { b.AddGKG(&rec) },
+			BadRow:  func(err error) { report.Record(gdelt.DefectBadRow, fmt.Sprintf("%s: %v", path, err)) },
+		}
+	}
 	seen := make(map[string]bool, len(ml.Entries))
 	for _, entry := range ml.Entries {
 		if err := ctx.Err(); err != nil {
@@ -175,8 +182,10 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 			quarantine(entry, gdelt.DefectMissingArchive, err)
 			continue
 		}
-		if err := ingestChunk(b, entry.Kind(), entry.Path, data); err != nil {
-			quarantine(entry, gdelt.DefectBadRow, err)
+		// Unparseable rows are tallied, not fatal: the paper's tool tolerates
+		// dirty rows. A chunk of unknown kind quarantines.
+		if err := gdelt.ParseChunk(entry.Kind(), data, sink(entry.Path)); err != nil {
+			quarantine(entry, gdelt.DefectBadRow, fmt.Errorf("convert: %w for %s", err, entry.Path))
 			continue
 		}
 		res.Chunks++
@@ -244,52 +253,6 @@ func datasetSpan(dir string, ml *gdelt.MasterList) (gdelt.Timestamp, int64, erro
 		}
 	}
 	return first, last.IntervalIndex() - first.IntervalIndex() + chunkIntervals, nil
-}
-
-// ingestChunk parses one chunk file's rows into the builder. Unparseable
-// rows are recorded as defects, not fatal errors — the paper's tool
-// tolerates and tallies dirty rows.
-func ingestChunk(b *store.Builder, kind, path string, data []byte) error {
-	var fields [][]byte
-	report := b.Report()
-	for len(data) > 0 {
-		var line []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			line, data = data, nil
-		}
-		if len(line) == 0 {
-			continue
-		}
-		fields = gdelt.SplitTabs(line, fields)
-		switch kind {
-		case "export":
-			ev, err := gdelt.ParseEventFields(fields)
-			if err != nil {
-				report.Record(gdelt.DefectBadRow, fmt.Sprintf("%s: %v", path, err))
-				continue
-			}
-			b.AddEvent(&ev)
-		case "mentions":
-			mn, err := gdelt.ParseMentionFields(fields)
-			if err != nil {
-				report.Record(gdelt.DefectBadRow, fmt.Sprintf("%s: %v", path, err))
-				continue
-			}
-			b.AddMention(&mn)
-		case "gkg":
-			rec, err := gdelt.ParseGKGFields(fields)
-			if err != nil {
-				report.Record(gdelt.DefectBadRow, fmt.Sprintf("%s: %v", path, err))
-				continue
-			}
-			b.AddGKG(&rec)
-		default:
-			return fmt.Errorf("convert: unknown chunk kind %q for %s", kind, path)
-		}
-	}
-	return nil
 }
 
 // FromCorpus builds the store directly from an in-memory synthetic corpus,

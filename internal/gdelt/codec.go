@@ -1,6 +1,7 @@
 package gdelt
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -19,6 +20,67 @@ func SplitTabs(line []byte, dst [][]byte) [][]byte {
 		}
 	}
 	return append(dst, line[start:])
+}
+
+// ChunkSink receives what ParseChunk reads from a chunk: the row function
+// of the chunk's kind gets each row that parses, and BadRow, when set, the
+// error of each row that does not. Rows arrive by value, so a row a sink
+// does not keep never reaches the heap.
+type ChunkSink struct {
+	Event   func(Event)
+	Mention func(Mention)
+	GKG     func(GKGRecord)
+	BadRow  func(error)
+}
+
+// ParseChunk parses the rows of one chunk file of the given kind —
+// "export", "mentions" or "gkg", as MasterEntry.Kind names them — and hands
+// each to sink, in file order. Rows are the newline-separated lines of
+// data; empty lines are skipped and the last line needs no newline. A row
+// that does not parse goes to sink.BadRow with the Parse*Fields error and
+// the walk goes on. It is the one walk over chunk bytes: conversion, the
+// stream's ticks and the raw re-scan baseline all read chunks through it.
+//
+// The only error is an unknown kind, and it is raised at the chunk's first
+// row: a chunk with no rows holds nothing that could be lost.
+func ParseChunk(kind string, data []byte, sink ChunkSink) error {
+	var fields [][]byte
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(line) == 0 {
+			continue
+		}
+		fields = SplitTabs(line, fields)
+		var err error
+		switch kind {
+		case "export":
+			var ev Event
+			if ev, err = ParseEventFields(fields); err == nil {
+				sink.Event(ev)
+			}
+		case "mentions":
+			var mn Mention
+			if mn, err = ParseMentionFields(fields); err == nil {
+				sink.Mention(mn)
+			}
+		case "gkg":
+			var rec GKGRecord
+			if rec, err = ParseGKGFields(fields); err == nil {
+				sink.GKG(rec)
+			}
+		default:
+			return fmt.Errorf("unknown chunk kind %q", kind)
+		}
+		if err != nil && sink.BadRow != nil {
+			sink.BadRow(err)
+		}
+	}
+	return nil
 }
 
 func parseInt64Field(b []byte) (int64, error) {

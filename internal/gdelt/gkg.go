@@ -1,6 +1,7 @@
 package gdelt
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 )
@@ -93,7 +94,7 @@ func ParseGKGFields(fields [][]byte) (GKGRecord, error) {
 	r.Organizations = splitSemis(fields[GkgColOrgs])
 	// V2Tone is "tone,positive,negative,polarity,...": take the head.
 	tone := fields[GkgColTone]
-	if i := indexByte(tone, ','); i >= 0 {
+	if i := bytes.IndexByte(tone, ','); i >= 0 {
 		tone = tone[:i]
 	}
 	if r.Tone, err = parseFloat32Field(tone); err != nil {
@@ -101,15 +102,6 @@ func ParseGKGFields(fields [][]byte) (GKGRecord, error) {
 	}
 	r.Translated = len(fields[GkgColTranslation]) > 0
 	return r, nil
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // AppendGKGRow appends the 27-column tab-separated representation of r to

@@ -18,8 +18,8 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // copy-on-write, exactly what it does.
 //
 // Shared by reference with s: every sealed part the tick does not touch,
-// bounds, meta, report, the frozen run of the global event table and the
-// event remaps of every part that holds no row of the recent run.
+// bounds, meta, the frozen run of the global event table and the event
+// remaps of every part that holds no row of the recent run.
 //
 // Replaced:
 //
@@ -28,7 +28,9 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 //     global table first, so per-event metadata stays globally agreed), and
 //     its event remap is rebuilt at O(tail) cost. A source first seen in
 //     the tick is interned into a clone of the tail's dictionary, which
-//     becomes the world's; older parts keep the prefix they had.
+//     becomes the world's; older parts keep the prefix they had. The
+//     tail's defect report, the world's, is cloned too and records the
+//     tick's drops.
 //   - Per-event metadata (NumArticles, FirstMention, Interval) of events
 //     that gained mentions: a column of the global table's run holding the
 //     event, and of each non-tail part holding a copy of it, is copied once
@@ -60,24 +62,14 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	tail := s.parts[ti]
 	tailLo := s.bounds[ti]
 	base := s.meta.Start.IntervalIndex()
-	for i := range mns {
-		if mns[i].MentionType != gdelt.MentionTypeWeb {
-			continue
-		}
-		iv := mns[i].MentionTime.IntervalIndex() - base
-		if iv >= 0 && iv < int64(s.meta.Intervals) && int32(iv) < tailLo {
-			return nil, st, fmt.Errorf(
-				"shard: append mention at interval %d below the tail window [%d, %d)",
-				iv, tailLo, s.meta.Intervals)
-		}
-	}
 
-	// Home events the tick names — in a mention or as a re-delivered event
-	// record — that the world knows but the tail never held: copy their rows
-	// verbatim from the global table, so the store-level fold resolves the
-	// mentions, counts the records as duplicates, and leaves every copy of
-	// the event agreeing. Ids unknown globally too stay with the fold (new
-	// events; dangling mentions).
+	// Home events the tick names — in a web mention or as a re-delivered
+	// event record — that the world knows but the tail never held: copy
+	// their rows verbatim from the global table, so the store-level fold
+	// resolves the mentions, counts the records as duplicates, and leaves
+	// every copy of the event agreeing. Ids unknown globally too stay with
+	// the fold (new events; dangling mentions). A mention the store would
+	// keep below the tail window fails the tick before anything is built.
 	var adoptG []int32
 	considered := make(map[int64]bool)
 	consider := func(id int64) {
@@ -93,8 +85,14 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 		}
 	}
 	for i := range mns {
-		if mns[i].MentionType == gdelt.MentionTypeWeb {
-			consider(mns[i].GlobalEventID)
+		mn := &mns[i]
+		if iv := mn.MentionTime.IntervalIndex() - base; store.KeepMention(mn, iv, s.meta.Intervals) && iv < int64(tailLo) {
+			return nil, st, fmt.Errorf(
+				"shard: append mention at interval %d below the tail window [%d, %d)",
+				iv, tailLo, s.meta.Intervals)
+		}
+		if store.WebMention(mn) {
+			consider(mn.GlobalEventID)
 		}
 	}
 	for i := range evs {
@@ -176,7 +174,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	held := shiftRows(mergeAscending(s.l2gEv[ti], adoptG), at)
 	if len(held)+len(newRows) != te.Len() {
 		mAppendFallback.Inc()
-		next, err = New(next.parts, s.bounds, s.report)
+		next, err = New(next.parts, s.bounds)
 		if err != nil {
 			return nil, st, fmt.Errorf("shard: append left shards disagreeing: %w", err)
 		}

@@ -19,7 +19,7 @@ func RecentEvents(s *DB) int { return s.events.recent.Len() }
 // once row by row and once with growing strides, so that the cursors both
 // step and gallop.
 func DiffFromRebuild(s *DB) error {
-	want, err := New(s.parts, s.bounds, s.report)
+	want, err := New(s.parts, s.bounds)
 	if err != nil {
 		return fmt.Errorf("oracle rebuild: %w", err)
 	}

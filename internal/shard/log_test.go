@@ -384,3 +384,79 @@ func TestLogPersistRoundTrip(t *testing.T) {
 		t.Errorf("reopened generation %d below writer's %d; a future seal could collide", re.Gen(), lg.Gen())
 	}
 }
+
+// TestLogDefectsFollowTheTail: rows an append drops are defects of the
+// world. A log over a split monolith folds one tick carrying a mention
+// captured past the archive end; the defects answer live, after a seal and
+// after a reopen must equal that of one Builder over the same rows, the
+// dropped mention's bad row included.
+func TestLogDefectsFollowTheTail(t *testing.T) {
+	c, err := gen.Generate(logWorldCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := int32(c.World.Days() * gdelt.IntervalsPerDay)
+	cut := iv - 14*gdelt.IntervalsPerDay
+	sdb, err := shard.Split(buildPrefix(t, c, cut), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	lg, err := shard.CreateLog(dir, sdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := mentionChunks(c, cut, gdelt.IntervalsPerDay)[0]
+	past := tick[0]
+	past.MentionTime = gdelt.IntervalStart(c.World.Cfg.Start.IntervalIndex() + int64(iv) + 3)
+	tick = append(tick, past)
+	if _, err := lg.Append(nil, tick); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := store.NewBuilder(c.World.Cfg.Start, iv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.Events {
+		ev := c.EventRecord(i)
+		b.AddEvent(&ev)
+	}
+	for j := range c.Mentions {
+		if c.Mentions[j].Interval < cut {
+			mn := c.MentionRecord(j)
+			b.AddMention(&mn)
+		}
+	}
+	for i := range tick {
+		b.AddMention(&tick[i])
+	}
+	mono, _, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mono.Report.Counts[gdelt.DefectBadRow] != 1 {
+		t.Fatalf("builder filed %d bad rows, want the one past the archive end", mono.Report.Counts[gdelt.DefectBadRow])
+	}
+	single, err := shard.Single(mono)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runKind(t, single, "defects")
+	check := func(stage string, s *shard.DB) {
+		t.Helper()
+		if got := runKind(t, s, "defects"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: defects %+v, a builder over the same rows %+v", stage, got, want)
+		}
+	}
+	check("live", lg.Snapshot())
+	if sealed, err := lg.Seal(); err != nil || !sealed {
+		t.Fatalf("seal: (%v, %v)", sealed, err)
+	}
+	check("sealed", lg.Snapshot())
+	re, err := shard.OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", re.Snapshot())
+}

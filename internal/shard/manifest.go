@@ -507,7 +507,7 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 			return nil, rerun(i, err)
 		}
 	}
-	return New(sorted, bounds, sorted[0].Report)
+	return New(sorted, bounds)
 }
 
 // readPart loads a part file once its bytes match the digest the manifest

@@ -24,6 +24,10 @@
 //     prefixes of the tail's, which are the world's — a name has the same
 //     id in every part that holds it. A part's columns are therefore read
 //     with global ids and nothing is remapped by name.
+//   - One report: the tail's defect report is the world's. The parts of a
+//     split share the monolith's report, an append records its drops in a
+//     clone of the tail's, and a seal gives the tail's report to both parts
+//     it makes, so no part holds a defect the tail's report lacks.
 package shard
 
 import (
@@ -38,15 +42,14 @@ import (
 
 // DB is a time-partitioned sharded store: K independent store.DB shards
 // over one id space plus the assembly-time global event table and event
-// remaps. The tail's dictionaries are the world's. Immutable after New:
-// the append log derives each next world as a new DB (appendTail,
-// replaceTail) that shares what did not change.
+// remaps. The tail's dictionaries and defect report are the world's.
+// Immutable after New: the append log derives each next world as a new DB
+// (appendTail, replaceTail) that shares what did not change.
 type DB struct {
 	meta   store.Meta
 	bounds []int32      // K+1 interval boundaries tiling [0, Intervals]
 	parts  []*store.DB  // time-ordered shards
 	events globalEvents // K-way ID-merged global event table
-	report *gdelt.ValidationReport
 
 	// per shard: local event row -> global event row, ascending, made by
 	// newRemap. The other way, global row -> local row, is a walk of it
@@ -59,7 +62,7 @@ type DB struct {
 // dictionary must be a prefix of the tail's, which becomes the world's. All
 // inputs are validated — corrupt manifests and disagreeing shards error,
 // they never panic.
-func New(parts []*store.DB, bounds []int32, report *gdelt.ValidationReport) (*DB, error) {
+func New(parts []*store.DB, bounds []int32) (*DB, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("shard: no shards")
 	}
@@ -85,10 +88,6 @@ func New(parts []*store.DB, bounds []int32, report *gdelt.ValidationReport) (*DB
 		meta:   meta,
 		bounds: append([]int32(nil), bounds...),
 		parts:  append([]*store.DB(nil), parts...),
-		report: report,
-	}
-	if s.report == nil {
-		s.report = parts[0].Report
 	}
 	for i, p := range parts {
 		if p.Meta != meta {
@@ -249,7 +248,7 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 				held = cs[j].find(g) >= 0
 			}
 			if !held {
-				return New(next.parts, next.bounds, s.report)
+				return New(next.parts, next.bounds)
 			}
 		}
 	}
@@ -273,8 +272,11 @@ func (s *DB) Tail() *store.DB { return s.parts[len(s.parts)-1] }
 // Meta returns the shared dataset metadata.
 func (s *DB) Meta() store.Meta { return s.meta }
 
-// Report returns the shared conversion defect report.
-func (s *DB) Report() *gdelt.ValidationReport { return s.report }
+// Report returns the world's defect report: the tail's. Every part of a
+// split shares the monolith's report, and each append records its drops
+// in a clone of the tail's, so the tail's report holds every defect the
+// world's rows were built with.
+func (s *DB) Report() *gdelt.ValidationReport { return s.Tail().Report }
 
 // Sources returns the world's source dictionary: the tail's, of which every
 // part's is a prefix (monolith id order for a split monolith).

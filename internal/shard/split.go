@@ -13,7 +13,7 @@ import (
 // the tail, its dictionaries are the world's. It is how a server or test
 // runs a monolith through the sharded execution path.
 func Single(db *store.DB) (*DB, error) {
-	return New([]*store.DB{db}, []int32{0, db.Meta.Intervals}, db.Report)
+	return New([]*store.DB{db}, []int32{0, db.Meta.Intervals})
 }
 
 // Split re-slices a loaded monolithic store into k equal time-range shards
@@ -50,7 +50,7 @@ func SplitAt(db *store.DB, bounds []int32) (*DB, error) {
 		}
 		parts[i] = p
 	}
-	return New(parts, bounds, db.Report)
+	return New(parts, bounds)
 }
 
 // slice builds one shard: the monolith's mentions captured in [lo, hi)

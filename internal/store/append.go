@@ -9,11 +9,15 @@ import (
 )
 
 // Stream appends. A feed chunk is one 15-minute update: an events file and a
-// mentions file. CloneAppend (clone.go) is the one entry point over the
-// table-mutation core here (appendRows / mergeEventRows): it returns a new DB
-// holding the chunk and leaves the receiver untouched — the copy-on-write
-// step of the partitioned append log (internal/shard.Log), whose published
-// snapshots are immutable.
+// mentions file, whose rows gdelt.ParseChunk parses as it parses every
+// chunk the batch converter reads. CloneAppend (clone.go) is the one entry
+// point over the table-mutation core here (appendRows / mergeEventRows): it
+// returns a new DB holding the chunk and leaves the receiver untouched —
+// the copy-on-write step of the partitioned append log (internal/shard.Log),
+// whose published snapshots are immutable. appendRows turns rows into
+// stored rows by the row rules of rows.go, the ones Builder applies: which
+// mentions are kept, the defect a dropped one files, the delay clamp, an
+// event's interval and country, and what a first mention refines.
 //
 // The dangerous part is not the column appends but the derived state: the
 // by-source postings, the event-major payload, the per-source event bitmaps
@@ -52,30 +56,17 @@ type AppendStats struct {
 	TouchedEventRows []int32
 }
 
-// stagedMention is one accepted chunk mention, resolved against the
-// post-insert event table.
-type stagedMention struct {
-	row   int32 // event row
-	src   int32
-	iv    int32 // mention capture interval, archive-relative
-	evIv  int64 // event capture interval (may precede the archive)
-	dlen  int32
-	tone  float32
-	conf  int8
-	order int32 // input position, for the stable interval sort
-}
-
 // appendRows is the table half of an append: it stages and validates the
 // chunk, merges unknown events into the ID-sorted event table and appends
 // the accepted mentions. Chunk mentions must not regress: every accepted
 // mention's capture interval has to be at or past the last stored interval
 // (the tail-only contract of the time-ordered feed); a regression is an
-// error and nothing is mutated. Non-web, out-of-range, and dangling mentions
-// are dropped and counted exactly as Builder.Finish drops them, so appending
-// a suffix of a feed equals rebuilding from the whole feed. It reads and
-// writes only the tables, the source dictionary and the report — never a
-// derived index — so the caller must run buildDerived before the store is
-// queried again.
+// error and nothing is mutated. Rows become stored rows by the row rules
+// the Builder applies (rows.go), and dangling mentions are dropped and
+// counted as Builder.Finish drops them, so appending a suffix of a feed
+// equals rebuilding from the whole feed. It reads and writes only the
+// tables, the source dictionary and the report — never a derived index —
+// so the caller must run buildDerived before the store is queried again.
 func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, error) {
 	var st AppendStats
 	base := db.Meta.Start.IntervalIndex()
@@ -108,15 +99,10 @@ func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, e
 	var accept []pending
 	for i := range mns {
 		mn := &mns[i]
-		if mn.MentionType != gdelt.MentionTypeWeb {
-			st.DroppedMentions++
-			continue
-		}
 		iv := mn.MentionTime.IntervalIndex() - base
-		if iv < 0 || iv >= int64(db.Meta.Intervals) {
+		if !KeepMention(mn, iv, db.Meta.Intervals) {
 			st.DroppedMentions++
-			db.Report.Record(gdelt.DefectBadRow,
-				fmt.Sprintf("mention of event %d at %v outside archive", mn.GlobalEventID, mn.MentionTime))
+			dropMention(db.Report, mn)
 			continue
 		}
 		if int32(iv) < lastIv {
@@ -138,10 +124,10 @@ func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, e
 		var add EventTable
 		for i := range newEvs {
 			ev := &newEvs[i]
-			iv := clampInterval(ev.DateAdded.IntervalIndex()-base, db.Meta.Intervals)
+			iv := eventInterval(ev, base, db.Meta.Intervals)
 			add.ID = append(add.ID, ev.GlobalEventID)
 			add.Interval = append(add.Interval, iv)
-			add.Country = append(add.Country, int32(gdelt.CountryIndex(ev.ActionCountry)))
+			add.Country = append(add.Country, eventCountry(ev))
 			add.NumArticles = append(add.NumArticles, 0)
 			add.FirstMention = append(add.FirstMention, iv)
 			add.SourceURL = append(add.SourceURL, ev.SourceURL)
@@ -161,28 +147,14 @@ func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, e
 		mn := &mns[p.mi]
 		row := db.EventRowByID(mn.GlobalEventID)
 		evIv := mn.EventTime.IntervalIndex() - base
-		delay := int64(p.iv) - evIv + 1
-		if delay < 0 {
-			delay = 0
-		}
-		if delay > int64(gdelt.IntervalsPerYear+gdelt.IntervalsPerDay) {
-			delay = int64(gdelt.IntervalsPerYear + gdelt.IntervalsPerDay)
-		}
 		db.Mentions.EventRow = append(db.Mentions.EventRow, row)
 		db.Mentions.Source = append(db.Mentions.Source, db.Sources.Intern(mn.SourceName))
 		db.Mentions.Interval = append(db.Mentions.Interval, p.iv)
-		db.Mentions.Delay = append(db.Mentions.Delay, int32(delay))
+		db.Mentions.Delay = append(db.Mentions.Delay, mentionDelay(p.iv, evIv))
 		db.Mentions.DocLen = append(db.Mentions.DocLen, mn.DocLen)
 		db.Mentions.Tone = append(db.Mentions.Tone, mn.DocTone)
 		db.Mentions.Confidence = append(db.Mentions.Confidence, mn.Confidence)
-
-		// First mention of the event anywhere: pin FirstMention and refine
-		// the event interval from EventTimeDate, as Finish does.
-		if db.Events.NumArticles[row] == 0 {
-			db.Events.FirstMention[row] = p.iv
-			db.Events.Interval[row] = clampInterval(evIv, db.Meta.Intervals)
-		}
-		db.Events.NumArticles[row]++
+		db.Events.countMention(row, p.iv, evIv, db.Meta.Intervals)
 		touched[row] = true
 		st.AppendedMentions++
 	}

@@ -20,11 +20,11 @@ type Builder struct {
 	report  *gdelt.ValidationReport
 
 	// Event staging, keyed later by GlobalEventID.
-	evID    []int64
-	evDay   []int32
-	evCtry  []int32
-	evURL   []string
-	evAdded []gdelt.Timestamp
+	evID   []int64
+	evDay  []int32
+	evIv   []int32 // provisional event interval (eventInterval)
+	evCtry []int32
+	evURL  []string
 
 	// Mention staging.
 	mnEventID  []int64
@@ -84,9 +84,9 @@ func (b *Builder) Report() *gdelt.ValidationReport { return b.report }
 func (b *Builder) Reserve(events, mentions, gkg, gkgThemes int) {
 	b.evID = slices.Grow(b.evID, events)
 	b.evDay = slices.Grow(b.evDay, events)
+	b.evIv = slices.Grow(b.evIv, events)
 	b.evCtry = slices.Grow(b.evCtry, events)
 	b.evURL = slices.Grow(b.evURL, events)
-	b.evAdded = slices.Grow(b.evAdded, events)
 	b.mnEventID = slices.Grow(b.mnEventID, mentions)
 	b.mnSource = slices.Grow(b.mnSource, mentions)
 	b.mnEvIv = slices.Grow(b.mnEvIv, mentions)
@@ -105,23 +105,18 @@ func (b *Builder) Reserve(events, mentions, gkg, gkgThemes int) {
 func (b *Builder) AddEvent(ev *gdelt.Event) {
 	b.evID = append(b.evID, ev.GlobalEventID)
 	b.evDay = append(b.evDay, ev.Day)
-	b.evCtry = append(b.evCtry, int32(gdelt.CountryIndex(ev.ActionCountry)))
+	b.evIv = append(b.evIv, eventInterval(ev, b.base, b.meta.Intervals))
+	b.evCtry = append(b.evCtry, eventCountry(ev))
 	b.evURL = append(b.evURL, ev.SourceURL)
-	b.evAdded = append(b.evAdded, ev.DateAdded)
 }
 
-// AddMention stages one parsed mention row. Non-web mentions and mentions
-// captured outside the archive span are dropped and counted.
+// AddMention stages one parsed mention row. Mentions the mention rule
+// drops (KeepMention) are counted.
 func (b *Builder) AddMention(mn *gdelt.Mention) {
-	if mn.MentionType != gdelt.MentionTypeWeb {
-		b.dropped++
-		return
-	}
 	iv := mn.MentionTime.IntervalIndex() - b.base
-	if iv < 0 || iv >= int64(b.meta.Intervals) {
+	if !KeepMention(mn, iv, b.meta.Intervals) {
 		b.dropped++
-		b.report.Record(gdelt.DefectBadRow,
-			fmt.Sprintf("mention of event %d at %v outside archive", mn.GlobalEventID, mn.MentionTime))
+		dropMention(b.report, mn)
 		return
 	}
 	b.mnEventID = append(b.mnEventID, mn.GlobalEventID)
@@ -163,12 +158,9 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		db.Events.ID = append(db.Events.ID, id)
 		db.Events.Country = append(db.Events.Country, b.evCtry[o])
 		db.Events.SourceURL = append(db.Events.SourceURL, b.evURL[o])
-		// Event interval provisional from DateAdded; refined from mention
-		// EventTimeDate below (DateAdded is the first capture).
-		iv := b.evAdded[o].IntervalIndex() - b.base
-		db.Events.Interval = append(db.Events.Interval, clampInterval(iv, b.meta.Intervals))
+		db.Events.Interval = append(db.Events.Interval, b.evIv[o])
 		db.Events.NumArticles = append(db.Events.NumArticles, 0)
-		db.Events.FirstMention = append(db.Events.FirstMention, -1)
+		db.Events.FirstMention = append(db.Events.FirstMention, b.evIv[o])
 	}
 	ne := db.Events.Len()
 
@@ -199,27 +191,15 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		}
 		evIv := b.mnEvIv[o]
 		mnIv := b.mnIv[o]
-		delay := int64(mnIv) - evIv + 1
-		if delay < 0 {
-			delay = 0
-		}
-		if delay > int64(gdelt.IntervalsPerYear+gdelt.IntervalsPerDay) {
-			delay = int64(gdelt.IntervalsPerYear + gdelt.IntervalsPerDay)
-		}
 		db.Mentions.EventRow = append(db.Mentions.EventRow, row)
 		db.Mentions.Source = append(db.Mentions.Source, b.mnSource[o])
 		db.Mentions.Interval = append(db.Mentions.Interval, mnIv)
-		db.Mentions.Delay = append(db.Mentions.Delay, int32(delay))
+		db.Mentions.Delay = append(db.Mentions.Delay, mentionDelay(mnIv, evIv))
 		db.Mentions.DocLen = append(db.Mentions.DocLen, b.mnDocLen[o])
 		db.Mentions.Tone = append(db.Mentions.Tone, b.mnTone[o])
 		db.Mentions.Confidence = append(db.Mentions.Confidence, b.mnConf[o])
-
-		db.Events.NumArticles[row]++
-		if db.Events.FirstMention[row] < 0 {
-			db.Events.FirstMention[row] = mnIv
+		if db.Events.countMention(row, mnIv, evIv, b.meta.Intervals) {
 			firstMentionTS[row] = gdelt.IntervalStart(b.base + int64(mnIv))
-			// Refine the event interval from the mention's EventTimeDate.
-			db.Events.Interval[row] = clampInterval(evIv, b.meta.Intervals)
 		}
 	}
 
@@ -232,9 +212,6 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 			SourceURL:     db.Events.SourceURL[i],
 		}
 		gdelt.ValidateEvent(b.report, &ev, firstMentionTS[i])
-		if db.Events.FirstMention[i] < 0 {
-			db.Events.FirstMention[i] = db.Events.Interval[i]
-		}
 	}
 
 	db.buildDerived(nil)
@@ -247,16 +224,6 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		return nil, stats, err
 	}
 	return db, stats, nil
-}
-
-func clampInterval(iv int64, n int32) int32 {
-	if iv < 0 {
-		return 0
-	}
-	if iv >= int64(n) {
-		return n - 1
-	}
-	return int32(iv)
 }
 
 // buildDerived (re)builds every derived index the query layers read from

@@ -90,7 +90,7 @@ func (db *DB) CloneAppend(adopt EventTable, evs []gdelt.Event, mns []gdelt.Menti
 	}
 	sources := db.Sources
 	for i := range mns {
-		if mns[i].MentionType == gdelt.MentionTypeWeb && sources.Lookup(mns[i].SourceName) < 0 {
+		if WebMention(&mns[i]) && sources.Lookup(mns[i].SourceName) < 0 {
 			sources = sources.Clone()
 			break
 		}

@@ -14,7 +14,6 @@
 package stream
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -238,15 +237,19 @@ func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mentio
 }
 
 // ReadTick reads one tick's export and mentions files through read and
-// parses their rows; GKG files are ignored, since appends extend the event
-// and mention tables only. Rows that do not parse are skipped, as the batch
-// converter skips them. A read error fails the whole tick, so nothing of it
-// folds and a retry or a later run can fold it whole.
+// parses their rows with gdelt.ParseChunk; GKG files are not read, since
+// appends extend the event and mention tables only. Rows that do not parse
+// are dropped uncounted, where the batch converter files each as a Table II
+// bad row. A read error fails the whole tick, so nothing of it folds and a
+// retry or a later run can fold it whole.
 func ReadTick(ctx context.Context, entries []gdelt.MasterEntry,
 	read func(context.Context, gdelt.MasterEntry) ([]byte, error)) ([]gdelt.Event, []gdelt.Mention, error) {
 	var evs []gdelt.Event
 	var mns []gdelt.Mention
-	var fields [][]byte
+	sink := gdelt.ChunkSink{
+		Event:   func(ev gdelt.Event) { evs = append(evs, ev) },
+		Mention: func(mn gdelt.Mention) { mns = append(mns, mn) },
+	}
 	for _, e := range entries {
 		kind := e.Kind()
 		if kind != "export" && kind != "mentions" {
@@ -256,25 +259,7 @@ func ReadTick(ctx context.Context, entries []gdelt.MasterEntry,
 		if err != nil {
 			return nil, nil, err
 		}
-		for len(data) > 0 {
-			var line []byte
-			if i := bytes.IndexByte(data, '\n'); i >= 0 {
-				line, data = data[:i], data[i+1:]
-			} else {
-				line, data = data, nil
-			}
-			if len(line) == 0 {
-				continue
-			}
-			fields = gdelt.SplitTabs(line, fields[:0])
-			if kind == "export" {
-				if ev, err := gdelt.ParseEventFields(fields); err == nil {
-					evs = append(evs, ev)
-				}
-			} else if mn, err := gdelt.ParseMentionFields(fields); err == nil {
-				mns = append(mns, mn)
-			}
-		}
+		_ = gdelt.ParseChunk(kind, data, sink) // kind is known: ParseChunk cannot fail
 	}
 	return evs, mns, nil
 }
