@@ -112,11 +112,22 @@ rm -rf "$smoke"
 # must show that the cache evicted. gdeltrouter fronts the two servers:
 # every kind must answer through it byte-identically to the servers, and
 # the same request sent again at once must come back X-Cache: hit from the
-# router's cache of fresh answers, which /metrics must count.
+# router's cache of fresh answers, which /metrics must count. First,
+# gdeltgen, gdeltconvert and the raw re-scan handle chunks W at a time on
+# parallel.Ordered, and their output must not depend on W: gdeltgen and
+# gdeltconvert run again at GOMAXPROCS=1 must write an identical dataset
+# directory and .gdmb file and print the same Table II.
 conv=$(mktemp -d)
 go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve ./cmd/gdeltrouter
 "$conv/gdeltgen" -out "$conv/ds" -preset small
-"$conv/gdeltconvert" -in "$conv/ds" -out "$conv/db.gdmb" -shards 4
+"$conv/gdeltconvert" -in "$conv/ds" -out "$conv/db.gdmb" -shards 4 >"$conv/convert.txt"
+GOMAXPROCS=1 "$conv/gdeltgen" -out "$conv/ds1" -preset small
+GOMAXPROCS=1 "$conv/gdeltconvert" -in "$conv/ds1" -out "$conv/db1.gdmb" -shards 4 >"$conv/convert1.txt"
+diff -r "$conv/ds" "$conv/ds1"
+cmp "$conv/db.gdmb" "$conv/db1.gdmb"
+table() { sed -n '/^Table II:/,$p' "$1"; }
+test -n "$(table "$conv/convert.txt")"
+test "$(table "$conv/convert.txt")" = "$(table "$conv/convert1.txt")"
 "$conv/gdeltserve" -db "$conv/db.gdmb" -addr 127.0.0.1:18392 &
 mono=$!
 "$conv/gdeltserve" -db "$conv/db.gdmb.shards" -addr 127.0.0.1:18393 -cache-bytes 8192 &

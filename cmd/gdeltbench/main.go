@@ -372,7 +372,7 @@ func (h *harness) baselines() {
 			start = time.Now()
 			if _, err := rr.CrossCountry(); err == nil {
 				rescanTime := time.Since(start)
-				rows = append(rows, []string{"raw TSV re-scan (single-threaded)",
+				rows = append(rows, []string{"raw TSV re-scan (parallel parse)",
 					rescanTime.Round(time.Microsecond).String(),
 					report.F(float64(rescanTime)/float64(engineTime), 2)})
 			}

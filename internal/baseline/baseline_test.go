@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -93,5 +95,43 @@ func TestRawRescanMatchesConversion(t *testing.T) {
 func TestNewRawRescanMissingDir(t *testing.T) {
 	if _, err := NewRawRescan(t.TempDir()); err == nil {
 		t.Fatal("missing master list should fail")
+	}
+}
+
+// TestRawRescanWidthChangesNothing: the re-scan reads and parses files
+// parallel.DefaultWorkers() at a time, and its matrix at GOMAXPROCS 1
+// equals its matrix at 4 — on the Small preset, withheld archives
+// included.
+func TestRawRescanWidthChangesNothing(t *testing.T) {
+	c, err := gen.Generate(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := gen.WriteRaw(c, dir); err != nil {
+		t.Fatal(err)
+	}
+	rr, err := NewRawRescan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := func(procs int) []int64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m, err := rr.CrossCountry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Data
+	}
+	serial, wide := cross(1), cross(4)
+	if !slices.Equal(serial, wide) {
+		t.Fatal("cross-country matrix differs between widths 1 and 4")
+	}
+	var total int64
+	for _, v := range serial {
+		total += v
+	}
+	if total == 0 {
+		t.Fatal("empty matrix")
 	}
 }

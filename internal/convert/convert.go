@@ -7,6 +7,7 @@ package convert
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/ingest"
 	"gdeltmine/internal/obs"
+	"gdeltmine/internal/parallel"
 	"gdeltmine/internal/retry"
 	"gdeltmine/internal/store"
 )
@@ -109,8 +111,15 @@ func FromRawDir(dir string) (*Result, error) {
 // per opts.Retry, permanent failures quarantine the chunk (the build
 // completes partially, with the loss accounted in Result.Quarantined and
 // the defect report), and a damage level above opts.MaxQuarantineFrac
-// aborts with ErrTooManyQuarantined. Cancelling ctx stops the build between
-// chunks.
+// aborts with ErrTooManyQuarantined once every chunk has been read.
+//
+// Chunks are read and parsed on parallel.Ordered, up to
+// parallel.DefaultWorkers() at a time. One consumer takes them in
+// master-list order and records each chunk's outcome — its checksum
+// defect, its rows and bad rows in file order, its quarantine — before it
+// feeds the one Builder, so the store, the report and Result are the same
+// at every width. Cancelling ctx stops the build between chunks: it
+// returns ctx's error once every in-flight read has returned.
 func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, error) {
 	opts = opts.withDefaults(dir)
 	f, err := os.Open(filepath.Join(dir, gen.MasterFileName))
@@ -140,56 +149,69 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 		report.Record(gdelt.DefectMalformedMasterEntry, line)
 	}
 
-	reader := &ingest.Reader{Src: opts.Source, Retry: opts.Retry}
-	res := &Result{}
-	quarantine := func(entry gdelt.MasterEntry, class gdelt.DefectClass, err error) {
-		report.Record(class, entry.Path)
-		res.Quarantined = append(res.Quarantined, QuarantinedChunk{Path: entry.Path, Class: class, Reason: err.Error()})
-		mQuarantined.Inc()
-	}
-	sink := func(path string) gdelt.ChunkSink {
-		return gdelt.ChunkSink{
-			Event:   func(ev gdelt.Event) { b.AddEvent(&ev) },
-			Mention: func(mn gdelt.Mention) { b.AddMention(&mn) },
-			GKG:     func(rec gdelt.GKGRecord) { b.AddGKG(&rec) },
-			BadRow:  func(err error) { report.Record(gdelt.DefectBadRow, fmt.Sprintf("%s: %v", path, err)) },
-		}
-	}
+	// A path listed twice would double-ingest its rows; only its first
+	// occurrence is read, and the repeat is filed as a malformed entry.
+	dup := make([]bool, len(ml.Entries))
 	seen := make(map[string]bool, len(ml.Entries))
-	for _, entry := range ml.Entries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if seen[entry.Path] {
-			// A path listed twice would double-ingest its rows; keep the
-			// first occurrence and file the repeat as a malformed entry.
-			report.Record(gdelt.DefectMalformedMasterEntry, "duplicate master entry: "+entry.Path)
-			continue
-		}
+	for i, entry := range ml.Entries {
+		dup[i] = seen[entry.Path]
 		seen[entry.Path] = true
+	}
+
+	reader := &ingest.Reader{Src: opts.Source, Retry: opts.Retry}
+	read := func(ctx context.Context, i int) (*chunkRows, error) {
+		entry := ml.Entries[i]
+		ch := &chunkRows{}
+		if dup[i] {
+			return ch, nil
+		}
 		data, err := reader.Read(ctx, entry)
 		var ce *ingest.ChecksumError
 		switch {
 		case errors.As(err, &ce):
-			report.Record(gdelt.DefectChecksumMismatch, entry.Path)
 			// Parse it anyway; the checksum defect is informational and
 			// covers truncated and corrupted deliveries too.
+			ch.checksum = true
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			return nil, err
 		case err != nil:
 			// Permanently absent, unreadable, or transient past the retry
 			// budget: quarantine and degrade.
-			quarantine(entry, gdelt.DefectMissingArchive, err)
-			continue
+			ch.quarantine, ch.class = err, gdelt.DefectMissingArchive
+			return ch, nil
 		}
 		// Unparseable rows are tallied, not fatal: the paper's tool tolerates
 		// dirty rows. A chunk of unknown kind quarantines.
-		if err := gdelt.ParseChunk(entry.Kind(), data, sink(entry.Path)); err != nil {
-			quarantine(entry, gdelt.DefectBadRow, fmt.Errorf("convert: %w for %s", err, entry.Path))
-			continue
+		ch.reserve(entry.Kind(), bytes.Count(data, []byte{'\n'})+1)
+		if err := gdelt.ParseChunk(entry.Kind(), data, ch.sink(entry.Path)); err != nil {
+			ch.quarantine, ch.class = fmt.Errorf("convert: %w for %s", err, entry.Path), gdelt.DefectBadRow
+		}
+		return ch, nil
+	}
+
+	res := &Result{}
+	err = parallel.Ordered(ctx, len(ml.Entries), read, func(i int, ch *chunkRows) error {
+		entry := ml.Entries[i]
+		if dup[i] {
+			report.Record(gdelt.DefectMalformedMasterEntry, "duplicate master entry: "+entry.Path)
+			return nil
+		}
+		if ch.checksum {
+			report.Record(gdelt.DefectChecksumMismatch, entry.Path)
+		}
+		ch.feed(b)
+		if ch.quarantine != nil {
+			report.Record(ch.class, entry.Path)
+			res.Quarantined = append(res.Quarantined, QuarantinedChunk{Path: entry.Path, Class: ch.class, Reason: ch.quarantine.Error()})
+			mQuarantined.Inc()
+			return nil
 		}
 		res.Chunks++
 		mChunks.Inc()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	mQuarantineFrac.Set(res.QuarantineFrac())
 	if frac := res.QuarantineFrac(); frac > opts.MaxQuarantineFrac {
@@ -205,6 +227,80 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 	res.DB = db
 	res.Stats = stats
 	return res, nil
+}
+
+// chunkRows is one master-listed chunk as a worker read and parsed it:
+// the outcome the consumer records, in the order it records it.
+type chunkRows struct {
+	// checksum is set when the bytes differ from the master list's size or
+	// CRC; they were parsed anyway.
+	checksum bool
+	// quarantine, when set, is why the chunk was not ingested, filed under
+	// class.
+	quarantine error
+	class      gdelt.DefectClass
+	// The parsed rows of the chunk's one kind, in file order.
+	events   []gdelt.Event
+	mentions []gdelt.Mention
+	gkg      []gdelt.GKGRecord
+	// bad lists the rows that did not parse, each with the count of rows
+	// that parsed before it.
+	bad []badRow
+}
+
+type badRow struct {
+	at   int
+	text string
+}
+
+// reserve sizes the row slice of kind for at most rows rows, so a chunk's
+// rows are copied once.
+func (ch *chunkRows) reserve(kind string, rows int) {
+	switch kind {
+	case "export":
+		ch.events = make([]gdelt.Event, 0, rows)
+	case "mentions":
+		ch.mentions = make([]gdelt.Mention, 0, rows)
+	case "gkg":
+		ch.gkg = make([]gdelt.GKGRecord, 0, rows)
+	}
+}
+
+// sink collects ParseChunk's rows of the chunk at path.
+func (ch *chunkRows) sink(path string) gdelt.ChunkSink {
+	return gdelt.ChunkSink{
+		Event:   func(ev gdelt.Event) { ch.events = append(ch.events, ev) },
+		Mention: func(mn gdelt.Mention) { ch.mentions = append(ch.mentions, mn) },
+		GKG:     func(rec gdelt.GKGRecord) { ch.gkg = append(ch.gkg, rec) },
+		BadRow: func(err error) {
+			at := len(ch.events) + len(ch.mentions) + len(ch.gkg)
+			ch.bad = append(ch.bad, badRow{at, fmt.Sprintf("%s: %v", path, err)})
+		},
+	}
+}
+
+// feed hands the chunk's rows to b and files its bad rows in b's report,
+// interleaved in file order as the serial walk met them: the builder
+// files defects of its own for some rows it drops.
+func (ch *chunkRows) feed(b *store.Builder) {
+	row := 0
+	upTo := func(n int) {
+		for ; row < n; row++ {
+			switch {
+			case ch.events != nil:
+				b.AddEvent(&ch.events[row])
+			case ch.mentions != nil:
+				b.AddMention(&ch.mentions[row])
+			default:
+				b.AddGKG(&ch.gkg[row])
+			}
+		}
+	}
+	for _, bad := range ch.bad {
+		upTo(bad.at)
+		b.Report().Record(gdelt.DefectBadRow, bad.text)
+	}
+	upTo(len(ch.events) + len(ch.mentions) + len(ch.gkg))
 }
 
 // datasetSpan determines the archive start and interval count: from the

@@ -10,8 +10,8 @@ import (
 // parsedRows keeps the benchmark's row count live.
 var parsedRows int
 
-// BenchmarkParseChunk times ParseChunk over the export and the mentions
-// file of one generated chunk, the one halfway through the Small preset's
+// BenchmarkParseChunk times ParseChunk over the export, the mentions and
+// the GKG file of one generated chunk, the one halfway through the Small preset's
 // archive, with a sink that only counts rows: the walk, the split and the
 // parse, none of what a caller does with a row. MB/s is raw TSV.
 func BenchmarkParseChunk(b *testing.B) {
@@ -21,7 +21,7 @@ func BenchmarkParseChunk(b *testing.B) {
 	}
 	width := int32(c.World.Cfg.IntervalsPerFile)
 	lo := int32(c.World.Days()*gdelt.IntervalsPerDay) / width / 2 * width
-	var export, mentions []byte
+	var export, mentions, gkg []byte
 	for i := range c.Events {
 		if fm := c.Events[i].FirstMention; fm >= lo && fm < lo+width {
 			ev := c.EventRecord(i)
@@ -32,16 +32,19 @@ func BenchmarkParseChunk(b *testing.B) {
 		if iv := c.Mentions[j].Interval; iv >= lo && iv < lo+width {
 			mn := c.MentionRecord(j)
 			mentions = append(gdelt.AppendMentionRow(mentions, &mn), '\n')
+			rec := c.GKGRecord(j)
+			gkg = append(gdelt.AppendGKGRow(gkg, &rec), '\n')
 		}
 	}
 	sink := gdelt.ChunkSink{
 		Event:   func(gdelt.Event) { parsedRows++ },
 		Mention: func(gdelt.Mention) { parsedRows++ },
+		GKG:     func(gdelt.GKGRecord) { parsedRows++ },
 	}
 	for _, ch := range []struct {
 		kind string
 		data []byte
-	}{{"export", export}, {"mentions", mentions}} {
+	}{{"export", export}, {"mentions", mentions}, {"gkg", gkg}} {
 		b.Run(ch.kind, func(b *testing.B) {
 			b.SetBytes(int64(len(ch.data)))
 			b.ReportAllocs()

@@ -40,10 +40,14 @@ type GKGRecord struct {
 	Date Timestamp
 	// SourceName is the publishing domain.
 	SourceName string
-	// DocID is the article URL.
+	// DocID is the article URL. Only the raw writer fills it: no store
+	// reads it, so ParseGKGFields leaves it empty.
 	DocID string
-	// Themes, Persons and Organizations are the extracted annotations.
-	Themes        []string
+	// Themes are the extracted theme annotations.
+	Themes []string
+	// Persons and Organizations are the extracted entity annotations.
+	// Only the raw writer fills them: no store keeps them, so
+	// ParseGKGFields leaves them nil without splitting their columns.
 	Persons       []string
 	Organizations []string
 	// Tone is the V2Tone leading value (average document tone).
@@ -72,7 +76,9 @@ func splitSemis(b []byte) []string {
 	return out
 }
 
-// ParseGKGFields decodes a GKG row whose fields have been split on tabs.
+// ParseGKGFields decodes a GKG row whose fields have been split on tabs:
+// the fields a store reads. DocID, Persons and Organizations stay empty —
+// none of them can make a row bad, and no store keeps them.
 func ParseGKGFields(fields [][]byte) (GKGRecord, error) {
 	var r GKGRecord
 	if len(fields) != len(GKGColumns) {
@@ -88,10 +94,7 @@ func ParseGKGFields(fields [][]byte) (GKGRecord, error) {
 	}
 	r.Date = Timestamp(date)
 	r.SourceName = string(fields[GkgColSourceName])
-	r.DocID = string(fields[GkgColDocID])
 	r.Themes = splitSemis(fields[GkgColThemes])
-	r.Persons = splitSemis(fields[GkgColPersons])
-	r.Organizations = splitSemis(fields[GkgColOrgs])
 	// V2Tone is "tone,positive,negative,polarity,...": take the head.
 	tone := fields[GkgColTone]
 	if i := bytes.IndexByte(tone, ','); i >= 0 {
@@ -110,7 +113,7 @@ func AppendGKGRow(dst []byte, r *GKGRecord) []byte {
 	tab := func() { dst = append(dst, '\t') }
 	dst = append(dst, r.RecordID...)
 	tab()
-	dst = append(dst, r.Date.String()...)
+	dst = r.Date.Append(dst)
 	tab()
 	dst = append(dst, '1') // SourceCollectionIdentifier: web
 	tab()
@@ -131,7 +134,8 @@ func AppendGKGRow(dst []byte, r *GKGRecord) []byte {
 	dst = appendSemis(dst, r.Organizations)
 	tab() // V2Organizations
 	tab()
-	dst = append(dst, fmt.Sprintf("%.2f,0,0,0", r.Tone)...)
+	dst = appendFixed(dst, r.Tone, 2) // fmt's %.2f of the float32 tone
+	dst = append(dst, ",0,0,0"...)
 	for c := GkgColTone + 1; c < GkgColTranslation; c++ {
 		tab()
 	}

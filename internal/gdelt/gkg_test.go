@@ -2,6 +2,9 @@ package gdelt
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -25,22 +28,32 @@ func TestGKGRowRoundTrip(t *testing.T) {
 	if n := bytes.Count(row, []byte{'\t'}); n != len(GKGColumns)-1 {
 		t.Fatalf("gkg row has %d tabs, want %d", n, len(GKGColumns)-1)
 	}
-	got, err := ParseGKGFields(SplitTabs(row, nil))
+	fields := SplitTabs(row, nil)
+	for _, c := range []struct {
+		col  int
+		want string
+	}{
+		{GkgColDocID, r.DocID},
+		{GkgColPersons, "john smith;jane doe"},
+		{GkgColOrgs, "metropolitan police"},
+	} {
+		if string(fields[c.col]) != c.want {
+			t.Fatalf("column %s: %q, want %q", GKGColumns[c.col], fields[c.col], c.want)
+		}
+	}
+	got, err := ParseGKGFields(fields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RecordID != r.RecordID || got.Date != r.Date ||
-		got.SourceName != r.SourceName || got.DocID != r.DocID {
+	if got.RecordID != r.RecordID || got.Date != r.Date || got.SourceName != r.SourceName {
 		t.Fatalf("identity: %+v", got)
 	}
 	if len(got.Themes) != 3 || got.Themes[0] != "TERROR" || got.Themes[2] != "WB_2024_SECURITY" {
 		t.Fatalf("themes %v", got.Themes)
 	}
-	if len(got.Persons) != 2 || got.Persons[1] != "jane doe" {
-		t.Fatalf("persons %v", got.Persons)
-	}
-	if len(got.Organizations) != 1 {
-		t.Fatalf("orgs %v", got.Organizations)
+	// The parse leaves what no store keeps empty.
+	if got.DocID != "" || got.Persons != nil || got.Organizations != nil {
+		t.Fatalf("unread fields parsed: %+v", got)
 	}
 	if got.Tone != -7.25 {
 		t.Fatalf("tone %v", got.Tone)
@@ -101,5 +114,32 @@ func TestSplitSemis(t *testing.T) {
 	got := splitSemis([]byte("A;;B;"))
 	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
 		t.Fatalf("split %v", got)
+	}
+}
+
+// TestGKGToneMatchesSprintf: the V2Tone head AppendGKGRow writes is the
+// text fmt's %.2f gives the float32 tone, for every hundredth in
+// [-100, 100], for both zeros and for a million seeded random bit
+// patterns (NaN and the infinities included).
+func TestGKGToneMatchesSprintf(t *testing.T) {
+	r := sampleGKG()
+	var row []byte
+	var fields [][]byte
+	check := func(tone float32) {
+		r.Tone = tone
+		row = AppendGKGRow(row[:0], &r)
+		fields = SplitTabs(row, fields)
+		if got, want := string(fields[GkgColTone]), fmt.Sprintf("%.2f,0,0,0", tone); got != want {
+			t.Fatalf("tone %v (bits %#x): wrote %q, want %q", tone, math.Float32bits(tone), got, want)
+		}
+	}
+	for k := -10000; k <= 10000; k++ {
+		check(float32(k) / 100)
+	}
+	check(0)
+	check(float32(math.Copysign(0, -1)))
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float32frombits(rng.Uint32()))
 	}
 }

@@ -114,7 +114,7 @@ type Mention struct {
 	MentionTime   Timestamp // when the article was scraped
 	MentionType   int8
 	SourceName    string // news source domain, e.g. "example.co.uk"
-	Identifier    string // article URL
+	Identifier    string // article URL; only the raw writer fills it, a parsed row leaves it empty
 	SentenceID    int16
 	Confidence    int8 // 0..100
 	DocLen        int32

@@ -2,6 +2,7 @@ package gdelt
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -173,7 +174,23 @@ func IntervalStart(idx int64) Timestamp {
 }
 
 // String renders the timestamp in its canonical 14-digit form.
-func (ts Timestamp) String() string { return fmt.Sprintf("%014d", int64(ts)) }
+func (ts Timestamp) String() string { return string(ts.Append(make([]byte, 0, 14))) }
+
+// Append appends String's text to dst: the value zero-padded to 14
+// characters, sign included, as fmt's %014d writes it.
+func (ts Timestamp) Append(dst []byte) []byte {
+	u, width := uint64(ts), 14
+	if ts < 0 {
+		dst = append(dst, '-')
+		u, width = -u, 13
+	}
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], u, 10)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
 // ParseTimestamp parses a 14-digit YYYYMMDDHHMMSS string. It rejects
 // non-digit characters and wrong lengths but does not validate calendar

@@ -1,6 +1,8 @@
 package gdelt
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,6 +103,19 @@ func TestTimestampString(t *testing.T) {
 	// Padded to 14 digits even for (invalid) small values.
 	if s := Timestamp(5).String(); s != "00000000000005" {
 		t.Fatalf("string %q", s)
+	}
+	// String is fmt's %014d for every value, negative and overlong ones
+	// included.
+	check := func(v int64) bool {
+		return Timestamp(v).String() == fmt.Sprintf("%014d", v)
+	}
+	for _, v := range []int64{0, -1, -5, 1e13, 1e14, -1e13, -1e14, math.MaxInt64, math.MinInt64} {
+		if !check(v) {
+			t.Fatalf("%d: String %q, %%014d %q", v, Timestamp(v).String(), fmt.Sprintf("%014d", v))
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -592,6 +592,12 @@ func (c *Corpus) mentionRecord(j int, rec *gdelt.Mention, full bool) {
 }
 
 func (c *Corpus) articleURL(src int32, eventID int64, k int) string {
-	return "https://" + c.World.Sources[src].Name + "/article/" +
-		strconv.FormatInt(eventID, 10) + "-" + strconv.Itoa(k)
+	var buf [96]byte
+	b := append(buf[:0], "https://"...)
+	b = append(b, c.World.Sources[src].Name...)
+	b = append(b, "/article/"...)
+	b = strconv.AppendInt(b, eventID, 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(k), 10)
+	return string(b)
 }

@@ -4,7 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -92,5 +96,75 @@ func TestGenerateGoldenDigests(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// rawDirDigests pins WriteRaw's dataset directory byte for byte: the
+// SHA-256 over every file's name, size and bytes in name order — the chunk
+// files, the master list and dataset.info. A change to the writer, its
+// parallel schedule or the row codec that moves one byte moves a digest.
+var rawDirDigests = map[string]string{
+	"small/0": "b4da4073e2f48ffaffd956b2ad538bd3b883685c4760bdad0827b672ea4c4795",
+	"small/7": "c179d32ba4a5bb73ea1869ecd8f14c0c6aa4cbcd244c0c8c7303ac3c20dbe7ab",
+}
+
+// dirDigest hashes every regular file under dir, in name order.
+func dirDigest(t testing.TB, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestWriteRawDirDigests(t *testing.T) {
+	for _, seed := range []int64{0, 7} {
+		key := "small/" + strconv.FormatInt(seed, 10)
+		t.Run(key, func(t *testing.T) {
+			cfg := Small()
+			cfg.Seed = seed
+			c, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if _, err := WriteRaw(c, dir); err != nil {
+				t.Fatal(err)
+			}
+			if got := dirDigest(t, dir); got != rawDirDigests[key] {
+				t.Fatalf("directory digest moved:\n got %q\nwant %q", got, rawDirDigests[key])
+			}
+		})
+	}
+}
+
+// TestWriteRawWidthChangesNothing: WriteRaw renders and writes chunks
+// parallel.DefaultWorkers() at a time, and its directory at GOMAXPROCS 1
+// is byte-identical to its directory at 4.
+func TestWriteRawWidthChangesNothing(t *testing.T) {
+	c, err := Generate(Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		dir := t.TempDir()
+		if _, err := WriteRaw(c, dir); err != nil {
+			t.Fatal(err)
+		}
+		return dirDigest(t, dir)
+	}
+	if serial, wide := digest(1), digest(4); serial != wide {
+		t.Fatalf("directory digest %s at width 1, %s at width 4", serial, wide)
 	}
 }

@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"gdeltmine/internal/gdelt"
 )
@@ -187,12 +188,13 @@ func (c *Corpus) LeanGKGRecord(j int, rec *gdelt.GKGRecord) {
 
 // gkgRecord fills rec with the GKG row of mention j, appending the themes
 // to rec's own array; the record id, article URL, persons and
-// organizations only when full is set.
+// organizations only when full is set, the latter two into rec's own
+// arrays as well.
 func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	m := &c.Mentions[j]
 	ev := &c.Events[m.Event]
 	src := &c.World.Sources[m.Source]
-	themes := rec.Themes[:0]
+	themes, persons, orgs := rec.Themes[:0], rec.Persons[:0], rec.Organizations[:0]
 	*rec = gdelt.GKGRecord{
 		Date:       c.IntervalTimestamp(m.Interval),
 		SourceName: src.Name,
@@ -209,11 +211,18 @@ func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	}
 	tm := c.themes
 	for i := uint8(0); i < a.NumPersons; i++ {
-		rec.Persons = append(rec.Persons, tm.persons[a.Persons[i]])
+		persons = append(persons, tm.persons[a.Persons[i]])
 	}
-	rec.RecordID = fmt.Sprintf("%s-%d", rec.Date, j)
+	var id [40]byte
+	rec.RecordID = string(strconv.AppendInt(append(rec.Date.Append(id[:0]), '-'), int64(j), 10))
 	rec.DocID = c.articleURL(m.Source, ev.ID, j)
 	for i := uint8(0); i < a.NumOrgs; i++ {
-		rec.Organizations = append(rec.Organizations, tm.orgs[a.Orgs[i]])
+		orgs = append(orgs, tm.orgs[a.Orgs[i]])
+	}
+	if len(persons) > 0 {
+		rec.Persons = persons
+	}
+	if len(orgs) > 0 {
+		rec.Organizations = orgs
 	}
 }

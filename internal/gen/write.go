@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sort"
 
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/parallel"
 )
 
 // WriteResult summarizes a raw dataset written to disk.
@@ -47,6 +49,11 @@ const InfoFileName = "dataset.info"
 // Events/Mentions file pair per IntervalsPerFile capture intervals, plus the
 // master file list. The configured defects are injected: malformed master
 // lines, and master entries whose files are withheld.
+//
+// Chunks are rendered, checksummed and written on parallel.Ordered, up to
+// parallel.DefaultWorkers() at a time, each from its own slice of the
+// corpus. One consumer appends their master entries and tallies in chunk
+// order, so the directory is byte-identical at every width.
 func WriteRaw(c *Corpus, dir string) (*WriteResult, error) {
 	cfg := c.World.Cfg
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -72,73 +79,89 @@ func WriteRaw(c *Corpus, dir string) (*WriteResult, error) {
 	sort.Slice(evOrder, func(a, b int) bool {
 		return c.Events[evOrder[a]].FirstMention < c.Events[evOrder[b]].FirstMention
 	})
+	// Chunk k holds evOrder[evCut[k]:evCut[k+1]] and the mentions
+	// c.Mentions[mnCut[k]:mnCut[k+1]], captured in its intervals.
+	evCut := make([]int, numChunks+1)
+	mnCut := make([]int, numChunks+1)
+	for k, evPos, mnPos := 0, 0, 0; k < numChunks; k++ {
+		chunkEnd := int32((k + 1) * chunkIntervals) // exclusive
+		for evPos < len(evOrder) && c.Events[evOrder[evPos]].FirstMention < chunkEnd {
+			evPos++
+		}
+		for mnPos < len(c.Mentions) && c.Mentions[mnPos].Interval < chunkEnd {
+			mnPos++
+		}
+		evCut[k+1], mnCut[k+1] = evPos, mnPos
+	}
 
 	// Choose which master-listed files to withhold.
 	missing := pickMissingFiles(cfg, numChunks)
 
-	ml := &gdelt.MasterList{}
-	var evPos, mnPos int
-	var rowBuf []byte
-	for chunk := 0; chunk < numChunks; chunk++ {
-		chunkStart := int32(chunk * chunkIntervals)
-		chunkEnd := int32((chunk + 1) * chunkIntervals) // exclusive
-		ts := c.IntervalTimestamp(chunkStart)
-
-		// Collect event rows for this chunk.
-		var evData []byte
-		for evPos < len(evOrder) && c.Events[evOrder[evPos]].FirstMention < chunkEnd {
-			rowBuf = rowBuf[:0]
-			rec := c.EventRecord(int(evOrder[evPos]))
-			rowBuf = gdelt.AppendEventRow(rowBuf, &rec)
-			evData = append(evData, rowBuf...)
-			evData = append(evData, '\n')
-			evPos++
-		}
-		var mnData, gkgData []byte
-		mnStart := mnPos
-		for mnPos < len(c.Mentions) && c.Mentions[mnPos].Interval < chunkEnd {
-			rowBuf = rowBuf[:0]
-			rec := c.MentionRecord(mnPos)
-			rowBuf = gdelt.AppendMentionRow(rowBuf, &rec)
-			mnData = append(mnData, rowBuf...)
-			mnData = append(mnData, '\n')
-			mnPos++
-		}
-		parts := []struct {
-			kind string
-			data []byte
-		}{{"export", evData}, {"mentions", mnData}}
-		if cfg.GKG {
-			for j := mnStart; j < mnPos; j++ {
-				rowBuf = rowBuf[:0]
-				rec := c.GKGRecord(j)
-				rowBuf = gdelt.AppendGKGRow(rowBuf, &rec)
-				gkgData = append(gkgData, rowBuf...)
-				gkgData = append(gkgData, '\n')
-			}
-			parts = append(parts, struct {
-				kind string
-				data []byte
-			}{"gkg", gkgData})
-		}
-
-		for _, part := range parts {
-			name := fmt.Sprintf("%s.%s.csv", ts, part.kind)
-			ml.Entries = append(ml.Entries, gdelt.MasterEntry{
-				Size:     int64(len(part.data)),
-				Checksum: gdelt.Checksum32(part.data),
+	type chunkFiles struct {
+		entries []gdelt.MasterEntry
+		missing []string
+		written int
+		bytes   int64
+	}
+	render := func(_ context.Context, k int) (chunkFiles, error) {
+		var out chunkFiles
+		ts := c.IntervalTimestamp(int32(k * chunkIntervals))
+		var data []byte
+		emit := func(kind string) error {
+			name := ts.String() + "." + kind + ".csv"
+			out.entries = append(out.entries, gdelt.MasterEntry{
+				Size:     int64(len(data)),
+				Checksum: gdelt.Checksum32(data),
 				Path:     name,
 			})
+			defer func() { data = data[:0] }()
 			if missing[name] {
-				res.MissingFiles = append(res.MissingFiles, name)
-				continue
+				out.missing = append(out.missing, name)
+				return nil
 			}
-			if err := os.WriteFile(filepath.Join(dir, name), part.data, 0o644); err != nil {
-				return nil, fmt.Errorf("gen: writing chunk %s: %w", name, err)
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				return fmt.Errorf("gen: writing chunk %s: %w", name, err)
 			}
-			res.FilesWritten++
-			res.Bytes += int64(len(part.data))
+			out.written++
+			out.bytes += int64(len(data))
+			return nil
 		}
+		for _, i := range evOrder[evCut[k]:evCut[k+1]] {
+			rec := c.EventRecord(int(i))
+			data = append(gdelt.AppendEventRow(data, &rec), '\n')
+		}
+		if err := emit("export"); err != nil {
+			return out, err
+		}
+		for j := mnCut[k]; j < mnCut[k+1]; j++ {
+			rec := c.MentionRecord(j)
+			data = append(gdelt.AppendMentionRow(data, &rec), '\n')
+		}
+		if err := emit("mentions"); err != nil {
+			return out, err
+		}
+		if cfg.GKG {
+			var rec gdelt.GKGRecord // its annotation arrays serve every row
+			for j := mnCut[k]; j < mnCut[k+1]; j++ {
+				c.gkgRecord(j, &rec, true)
+				data = append(gdelt.AppendGKGRow(data, &rec), '\n')
+			}
+			if err := emit("gkg"); err != nil {
+				return out, err
+			}
+		}
+		return out, nil
+	}
+	ml := &gdelt.MasterList{}
+	err := parallel.Ordered(context.TODO(), numChunks, render, func(_ int, f chunkFiles) error {
+		ml.Entries = append(ml.Entries, f.entries...)
+		res.MissingFiles = append(res.MissingFiles, f.missing...)
+		res.FilesWritten += f.written
+		res.Bytes += f.bytes
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Malformed master lines, interleaved deterministically.

@@ -64,7 +64,10 @@ type AppendStats struct {
 // error and nothing is mutated. Rows become stored rows by the row rules
 // the Builder applies (rows.go), and dangling mentions are dropped and
 // counted as Builder.Finish drops them, so appending a suffix of a feed
-// equals rebuilding from the whole feed. It reads and writes only the
+// equals rebuilding from the whole feed. New events are validated as
+// Finish validates them (Table II's missing source URL and future event
+// date), the date only when the event's first mention is in the same
+// append. It reads and writes only the
 // tables, the source dictionary and the report — never a derived index —
 // so the caller must run buildDerived before the store is queried again.
 func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, error) {
@@ -157,6 +160,20 @@ func (db *DB) appendRows(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, e
 		db.Events.countMention(row, p.iv, evIv, db.Meta.Intervals)
 		touched[row] = true
 		st.AppendedMentions++
+	}
+
+	// Per-event validation, as Finish runs it: every new event's source
+	// URL, and its recorded day against its first mention. A new event
+	// whose first mention came in this append holds its interval in
+	// FirstMention; one whose mentions come later cannot be checked,
+	// because the store keeps no day.
+	for i := range newEvs {
+		ev := &newEvs[i]
+		var first gdelt.Timestamp
+		if row := db.EventRowByID(ev.GlobalEventID); db.Events.NumArticles[row] > 0 {
+			first = gdelt.IntervalStart(base + int64(db.Events.FirstMention[row]))
+		}
+		gdelt.ValidateEvent(db.Report, ev, first)
 	}
 
 	st.TouchedEventRows = make([]int32, 0, len(touched))

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"gdeltmine/internal/convert"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/registry"
@@ -201,5 +202,85 @@ func TestReplayOverFeedServer(t *testing.T) {
 		if ref := jsonKind(t, batch, d.Kind); got != ref {
 			t.Errorf("%s: resumed replay diverges from the batch build\n got  %.200s\n want %.200s", d.Kind, got, ref)
 		}
+	}
+}
+
+// TestReplayDefectsMatchConvert: a replay of a Small-preset directory
+// into a log directory, as gdeltstream -in DIR -checkpoint LOG runs it,
+// tallies the per-event defects a conversion of the same directory
+// tallies — events without a source URL, and events recorded after their
+// first mention — in the live log, after its last seal and in the log
+// reopened from disk. Seed 42 is the directory gdeltgen -preset small
+// writes, where no URL-less event survives conversion; seed 0 keeps one.
+func TestReplayDefectsMatchConvert(t *testing.T) {
+	classes := []gdelt.DefectClass{gdelt.DefectMissingSourceURL, gdelt.DefectFutureEventDate}
+	counts := func(rep *gdelt.ValidationReport) []int64 {
+		out := make([]int64, len(classes))
+		for i, cl := range classes {
+			out[i] = rep.Counts[cl]
+		}
+		return out
+	}
+	seen := make([]int64, len(classes))
+	for _, seed := range []int64{42, 0} {
+		cfg := gen.Small()
+		cfg.Seed = seed
+		c, err := gen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := gen.WriteRaw(c, dir); err != nil {
+			t.Fatal(err)
+		}
+		conv, err := convert.FromRawDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := counts(conv.DB.Report)
+		for i, n := range want {
+			seen[i] += n
+		}
+
+		spacing := int32(cfg.IntervalsPerFile)
+		logDir := t.TempDir()
+		lg, err := shard.CreateLog(logDir, emptyWorld(t, c, 366*gdelt.IntervalsPerDay))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := stream.NewFeedServer(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon := stream.NewMonitor(lg, stream.Config{ChunkIntervals: spacing, GraceIntervals: 8})
+		r := stream.NewLiveRunner(fs, mon, lg.Snapshot().Meta().Start, stream.LiveConfig{TickIntervals: spacing})
+		comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailSpan: 5 * spacing})
+		for fs.Advance() || r.Pending() > 0 {
+			// Polls that meet a withheld archive error until the runner
+			// skips its tick.
+			_, _ = r.PollOnce(context.Background())
+			if _, err := comp.RunOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := counts(lg.Snapshot().Report()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: live log tallies %v, conversion %v", seed, got, want)
+		}
+		if _, err := lg.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if got := counts(lg.Snapshot().Report()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: sealed log tallies %v, conversion %v", seed, got, want)
+		}
+		reopened, err := shard.OpenLog(logDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := counts(reopened.Snapshot().Report()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reopened log tallies %v, conversion %v", seed, got, want)
+		}
+	}
+	if slices.Contains(seen, 0) {
+		t.Fatalf("conversions tallied %v over both seeds: each class should show", seen)
 	}
 }
