@@ -243,37 +243,6 @@ func ParseMentionFields(fields [][]byte) (Mention, error) {
 	return mn, nil
 }
 
-// pow10 holds the scales appendFixed takes, 10^decimals.
-var pow10 = [...]float64{1, 10, 100, 1000, 10000}
-
-// appendFixed appends f with the given number of decimals (1 to 4): the
-// text strconv.AppendFloat(dst, float64(f), 'f', decimals, 32) and fmt's
-// %.Nf write, without the arbitrary-precision path strconv takes for a
-// fixed count of decimals. float64(f) times 10^decimals is exact — the
-// significand grows by at most 5^4, 10 bits, past a float32's 24 — so
-// rounding it half to even, as strconv rounds an exact tie, gives the
-// written digits as an integer. The sign is f's own, as strconv writes
-// "-0.00". Magnitudes whose scaled value reaches 2^53, and NaN and the
-// infinities, take strconv's path.
-func appendFixed(dst []byte, f float32, decimals int) []byte {
-	x := float64(f) * pow10[decimals]
-	if !(math.Abs(x) < 1<<53) {
-		return strconv.AppendFloat(dst, float64(f), 'f', decimals, 32)
-	}
-	k := uint64(math.Abs(math.RoundToEven(x)))
-	if math.Signbit(float64(f)) {
-		dst = append(dst, '-')
-	}
-	scale := uint64(pow10[decimals])
-	dst = strconv.AppendUint(dst, k/scale, 10)
-	dst = append(dst, '.')
-	frac := k % scale
-	for s := scale / 10; s > 0; s /= 10 {
-		dst = append(dst, byte('0'+frac/s%10))
-	}
-	return dst
-}
-
 // AppendEventRow appends the full 61-column tab-separated representation of
 // ev to dst (without a trailing newline) and returns the extended slice.
 // Columns the projection does not carry are written empty, as real GDELT
@@ -288,7 +257,7 @@ func AppendEventRow(dst []byte, ev *Event) []byte {
 	tab()
 	dst = strconv.AppendInt(dst, int64(ev.Day/10000), 10) // Year
 	tab()
-	dst = appendFixed(dst, float32(ev.Day/10000), 4) // FractionDate (approx)
+	dst = strconv.AppendFloat(dst, float64(ev.Day/10000), 'f', 4, 32) // FractionDate (approx)
 	for c := EvColFractionDate + 1; c < EvColIsRootEvent; c++ {
 		tab() // actor columns left empty
 	}
@@ -307,7 +276,7 @@ func AppendEventRow(dst []byte, ev *Event) []byte {
 	tab()
 	dst = strconv.AppendInt(dst, int64(ev.QuadClass), 10)
 	tab()
-	dst = appendFixed(dst, ev.Goldstein, 1)
+	dst = strconv.AppendFloat(dst, float64(ev.Goldstein), 'f', 1, 32)
 	tab()
 	dst = strconv.AppendInt(dst, int64(ev.NumMentions), 10)
 	tab()
@@ -315,7 +284,7 @@ func AppendEventRow(dst []byte, ev *Event) []byte {
 	tab()
 	dst = strconv.AppendInt(dst, int64(ev.NumArticles), 10)
 	tab()
-	dst = appendFixed(dst, ev.AvgTone, 2)
+	dst = strconv.AppendFloat(dst, float64(ev.AvgTone), 'f', 2, 32)
 	for c := EvColAvgTone + 1; c < EvColActionGeoType; c++ {
 		tab() // actor geo columns left empty
 	}
@@ -332,11 +301,11 @@ func AppendEventRow(dst []byte, ev *Event) []byte {
 	tab() // ADM2
 	tab()
 	if ev.ActionCountry != "" {
-		dst = appendFixed(dst, ev.ActionLat, 4)
+		dst = strconv.AppendFloat(dst, float64(ev.ActionLat), 'f', 4, 32)
 	}
 	tab()
 	if ev.ActionCountry != "" {
-		dst = appendFixed(dst, ev.ActionLong, 4)
+		dst = strconv.AppendFloat(dst, float64(ev.ActionLong), 'f', 4, 32)
 	}
 	tab() // FeatureID
 	tab()
@@ -390,7 +359,7 @@ func AppendMentionRow(dst []byte, mn *Mention) []byte {
 	tab()
 	dst = strconv.AppendInt(dst, int64(mn.DocLen), 10)
 	tab()
-	dst = appendFixed(dst, mn.DocTone, 2)
+	dst = strconv.AppendFloat(dst, float64(mn.DocTone), 'f', 2, 32)
 	tab() // MentionDocTranslationInfo
 	tab() // Extras
 	return dst

@@ -244,32 +244,3 @@ func TestWireToneIsTheWrittenTone(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendFixedMatchesStrconv: appendFixed writes what strconv's 'f'
-// formatting of a float32 writes, at every decimal count the row writers
-// use — for every hundredth in [-100, 100], both zeros, values around the
-// 2^53 cut-over, ties, and a million seeded random bit patterns.
-func TestAppendFixedMatchesStrconv(t *testing.T) {
-	var got, want []byte
-	check := func(f float32) {
-		for _, d := range []int{1, 2, 4} {
-			got = appendFixed(got[:0], f, d)
-			want = strconv.AppendFloat(want[:0], float64(f), 'f', d, 32)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%v (bits %#x) at %d decimals: %q, strconv %q", f, math.Float32bits(f), d, got, want)
-			}
-		}
-	}
-	for k := -10000; k <= 10000; k++ {
-		check(float32(k) / 100)
-	}
-	for _, f := range []float64{0, math.Copysign(0, -1), 0.125, -0.375, 2.5, 0.05, -0.00004, 9.007199e11, 9.007199e12, 9.007199e15, 1 << 53} {
-		check(float32(f))
-		check(math.Nextafter32(float32(f), 0))
-		check(math.Nextafter32(float32(f), float32(math.Inf(1))))
-	}
-	rng := rand.New(rand.NewPCG(47, 0))
-	for i := 0; i < 1_000_000; i++ {
-		check(math.Float32frombits(rng.Uint32()))
-	}
-}

@@ -3,6 +3,7 @@ package gdelt
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -134,7 +135,7 @@ func AppendGKGRow(dst []byte, r *GKGRecord) []byte {
 	dst = appendSemis(dst, r.Organizations)
 	tab() // V2Organizations
 	tab()
-	dst = appendFixed(dst, r.Tone, 2) // fmt's %.2f of the float32 tone
+	dst = strconv.AppendFloat(dst, float64(r.Tone), 'f', 2, 32) // fmt's %.2f of the float32 tone
 	dst = append(dst, ",0,0,0"...)
 	for c := GkgColTone + 1; c < GkgColTranslation; c++ {
 		tab()

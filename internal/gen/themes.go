@@ -188,13 +188,12 @@ func (c *Corpus) LeanGKGRecord(j int, rec *gdelt.GKGRecord) {
 
 // gkgRecord fills rec with the GKG row of mention j, appending the themes
 // to rec's own array; the record id, article URL, persons and
-// organizations only when full is set, the latter two into rec's own
-// arrays as well.
+// organizations only when full is set.
 func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	m := &c.Mentions[j]
 	ev := &c.Events[m.Event]
 	src := &c.World.Sources[m.Source]
-	themes, persons, orgs := rec.Themes[:0], rec.Persons[:0], rec.Organizations[:0]
+	themes := rec.Themes[:0]
 	*rec = gdelt.GKGRecord{
 		Date:       c.IntervalTimestamp(m.Interval),
 		SourceName: src.Name,
@@ -211,18 +210,12 @@ func (c *Corpus) gkgRecord(j int, rec *gdelt.GKGRecord, full bool) {
 	}
 	tm := c.themes
 	for i := uint8(0); i < a.NumPersons; i++ {
-		persons = append(persons, tm.persons[a.Persons[i]])
+		rec.Persons = append(rec.Persons, tm.persons[a.Persons[i]])
 	}
 	var id [40]byte
 	rec.RecordID = string(strconv.AppendInt(append(rec.Date.Append(id[:0]), '-'), int64(j), 10))
 	rec.DocID = c.articleURL(m.Source, ev.ID, j)
 	for i := uint8(0); i < a.NumOrgs; i++ {
-		orgs = append(orgs, tm.orgs[a.Orgs[i]])
-	}
-	if len(persons) > 0 {
-		rec.Persons = persons
-	}
-	if len(orgs) > 0 {
-		rec.Organizations = orgs
+		rec.Organizations = append(rec.Organizations, tm.orgs[a.Orgs[i]])
 	}
 }

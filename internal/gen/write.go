@@ -141,9 +141,8 @@ func WriteRaw(c *Corpus, dir string) (*WriteResult, error) {
 			return out, err
 		}
 		if cfg.GKG {
-			var rec gdelt.GKGRecord // its annotation arrays serve every row
 			for j := mnCut[k]; j < mnCut[k+1]; j++ {
-				c.gkgRecord(j, &rec, true)
+				rec := c.GKGRecord(j)
 				data = append(gdelt.AppendGKGRow(data, &rec), '\n')
 			}
 			if err := emit("gkg"); err != nil {

@@ -14,7 +14,7 @@ import (
 // Producers are plain goroutines behind that bound, not pool workers: a
 // produce step may block on I/O or sleep in a retry backoff, which would
 // stall the work-stealing pool the query kernels share. With one worker
-// Ordered is a serial loop on the calling goroutine.
+// the producer of i+1 starts only once i has been consumed.
 //
 // Because consume sees results in index order and is the only code that
 // touches the caller's state, the outcome cannot depend on the width: it
@@ -27,22 +27,6 @@ func Ordered[T any](ctx context.Context, n int,
 	produce func(ctx context.Context, i int) (T, error),
 	consume func(i int, v T) error) error {
 	width := min(DefaultWorkers(), n)
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			v, err := produce(ctx, i)
-			if err != nil {
-				return err
-			}
-			if err := consume(i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	type result struct {
 		v   T
 		err error

@@ -118,6 +118,12 @@ func TestOrderedStopsAndDrains(t *testing.T) {
 				if last != wantLast {
 					t.Fatalf("procs %d %s: last consumed %d, want %d", procs, tc.name, last, wantLast)
 				}
+				// A producer's wg.Done runs before its goroutine exits:
+				// give the exits a moment before counting.
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
 				if n := runtime.NumGoroutine(); n > before {
 					t.Fatalf("procs %d %s: %d goroutines after the call, %d before", procs, tc.name, n, before)
 				}

@@ -80,7 +80,6 @@ var allowlist = map[string]string{
 	"internal/convert.FromRawDir":            "test seam: builds a store from a raw dataset directory with default options",
 	"internal/engine.Engine.Context":         "test seam: observes a derived view's context",
 	"internal/engine.Engine.Workers":         "test seam: observes a derived view's worker count",
-	"internal/gen.Corpus.GKGRecord":          "test seam: one mention's full GKG row; WriteRaw refills one record per chunk",
 	"internal/ingest.Mem":                    "test seam: an in-memory chunk source",
 	"internal/ingest.memSource":              "test seam: Mem's chunk reads",
 	"internal/obs.Snapshot.Find":             "test seam: looks a metric up by name and labels",
