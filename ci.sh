@@ -24,7 +24,7 @@ go test ./...
 go run linkgate.go
 
 # Fuzz smoke: plain `go test` only replays each target's seed corpus; this
-# runs every Fuzz* target for 5 s of fresh inputs (seven targets, ~1 min on
+# runs every Fuzz* target for 5 s of fresh inputs (eight targets, ~1 min on
 # 2 vCPUs). A failure leaves its input under the package's testdata/fuzz.
 for f in $(grep -l '^func Fuzz' $(go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$.Dir}}/{{.}} {{end}}' ./...)); do
 	for fz in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$f"); do

@@ -3,11 +3,11 @@
 // validates the data, and writes the indexed binary database. The defect
 // tally it prints reproduces Table II.
 //
-// The conversion is fault-tolerant: unreadable chunks are quarantined (the
-// build completes partially and reports the loss), and a damage level
-// above -max-quarantine-frac aborts. Local file reads fail permanently, so
-// they are not retried; the retry schedule applies only to sources that
-// report transient failures.
+// The conversion is fault-tolerant: a missing or unreadable chunk is
+// quarantined (the build completes partially and reports the loss), a
+// chunk whose bytes differ from its master-list size or checksum is filed
+// as a checksum defect and parsed anyway, and a damage level above
+// -max-quarantine-frac aborts.
 //
 // Usage:
 //

@@ -159,7 +159,7 @@ func main() {
 			return ctx.Err() == nil && (fs.Advance() || r.Pending() > 0)
 		}
 	}
-	fold(ctx, feed, next, first, last, spacing, *progress, *maxPolls, *ckptPath,
+	fold(ctx, feed, next, first, last, *progress, *maxPolls, *ckptPath,
 		stream.Config{Window: int32(*window), MinSources: *minSrc, GraceIntervals: int32(*grace), ChunkIntervals: spacing},
 		stream.CompactorConfig{MaxTailRows: *sealRows, MaxTailSpan: int32(*sealSpan)})
 }
@@ -178,17 +178,17 @@ func gcd(a, b int64) int64 {
 // a summary at the end. Exit codes: 0 clean, 1 fatal or interrupted, 3
 // finished with unresolved gaps.
 func fold(ctx context.Context, feed stream.Feed, next func(*stream.LiveRunner) bool,
-	first, last gdelt.Timestamp, spacing int32, progress, maxPolls int, ckptPath string,
+	first, last gdelt.Timestamp, progress, maxPolls int, ckptPath string,
 	mcfg stream.Config, ccfg stream.CompactorConfig) {
-	lg := openLog(ckptPath, first, last, spacing)
+	lg := openLog(ckptPath, first, last, mcfg.ChunkIntervals)
 	mon := stream.NewMonitor(lg, mcfg)
 	start := lg.Snapshot().Meta().Start
 	already := len(lg.Ledger())
 	if already > 0 {
-		start = mon.ResumePoint(start, spacing)
+		start = mon.ResumePoint(start)
 		log.Printf("resuming feed at %s", start)
 	}
-	runner := stream.NewLiveRunner(feed, mon, start, stream.LiveConfig{TickIntervals: spacing})
+	runner := stream.NewLiveRunner(feed, mon, start, stream.LiveConfig{})
 	comp := stream.NewCompactor(lg, ccfg)
 
 	began := time.Now()

@@ -132,7 +132,7 @@ type Dataset struct {
 	// Build reports what conversion ingested and dropped.
 	Build BuildStats
 	// Quarantined lists master-listed chunks the conversion completed
-	// without (permanent read failures past the retry budget).
+	// without (chunk files that could not be read).
 	Quarantined []QuarantinedChunk
 }
 
@@ -151,8 +151,8 @@ func ConvertRaw(dir string) (*Dataset, error) {
 	return ConvertRawOpts(context.Background(), dir, ConvertOptions{})
 }
 
-// ConvertOptions configures a resilient conversion: the chunk source, the
-// transient-failure retry schedule, and the quarantine budget.
+// ConvertOptions configures a resilient conversion: the chunk source and
+// the quarantine budget.
 type ConvertOptions = convert.Options
 
 // QuarantinedChunk records a chunk the conversion completed without.
@@ -162,10 +162,10 @@ type QuarantinedChunk = convert.QuarantinedChunk
 // fraction exceeds ConvertOptions.MaxQuarantineFrac.
 var ErrTooManyQuarantined = convert.ErrTooManyQuarantined
 
-// ConvertRawOpts is ConvertRaw with explicit failure handling: transient
-// chunk-read errors are retried, permanent ones quarantine the chunk and
-// the build degrades gracefully unless the damage exceeds
-// opts.MaxQuarantineFrac. Cancelling ctx stops the conversion.
+// ConvertRawOpts is ConvertRaw with explicit failure handling: a chunk
+// that cannot be read quarantines and the build degrades gracefully unless
+// the damage exceeds opts.MaxQuarantineFrac. Cancelling ctx stops the
+// conversion.
 func ConvertRawOpts(ctx context.Context, dir string, opts ConvertOptions) (*Dataset, error) {
 	res, err := convert.FromRawDirOpts(ctx, dir, opts)
 	if err != nil {

@@ -109,8 +109,7 @@ func TestShardMetamorphicPermutation(t *testing.T) {
 	for pi, perm := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}} {
 		perm := perm
 		t.Run(fmt.Sprintf("perm%d", pi), func(t *testing.T) {
-			pm := &shard.Manifest{Meta: m.Meta, Sources: m.Sources, Themes: m.Themes,
-				Entries: make([]shard.ManifestEntry, len(perm))}
+			pm := &shard.Manifest{Meta: m.Meta, Entries: make([]shard.ManifestEntry, len(perm))}
 			parts := make([]*store.DB, len(perm))
 			for i, p := range perm {
 				pm.Entries[i] = m.Entries[p]

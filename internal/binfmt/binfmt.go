@@ -65,27 +65,27 @@ func Write(w io.Writer, db *store.DB) error {
 	if _, err := bw.Write(v4[:]); err != nil {
 		return err
 	}
-	if err := writeSection(bw, tagMeta, encodeMeta(db.Meta)); err != nil {
+	if err := WriteSection(bw, tagMeta, encodeMeta(db.Meta)); err != nil {
 		return err
 	}
-	if err := writeSection(bw, tagSources, encodeStrings(db.Sources.Names())); err != nil {
+	if err := WriteSection(bw, tagSources, encodeStrings(db.Sources.Names())); err != nil {
 		return err
 	}
-	if err := writeSection(bw, tagEvents, encodeEvents(&db.Events)); err != nil {
+	if err := WriteSection(bw, tagEvents, encodeEvents(&db.Events)); err != nil {
 		return err
 	}
-	if err := writeSection(bw, tagMentions, encodeMentions(&db.Mentions)); err != nil {
+	if err := WriteSection(bw, tagMentions, encodeMentions(&db.Mentions)); err != nil {
 		return err
 	}
-	if err := writeSection(bw, tagReport, encodeReport(db.Report)); err != nil {
+	if err := WriteSection(bw, tagReport, encodeReport(db.Report)); err != nil {
 		return err
 	}
 	if db.GKG != nil {
-		if err := writeSection(bw, tagGKG, encodeGKG(db.GKG)); err != nil {
+		if err := WriteSection(bw, tagGKG, encodeGKG(db.GKG)); err != nil {
 			return err
 		}
 	}
-	if err := writeSection(bw, tagEnd, nil); err != nil {
+	if err := WriteSection(bw, tagEnd, nil); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -120,7 +120,7 @@ func Read(r io.Reader) (*store.DB, error) {
 		haveMent   bool
 	)
 	for {
-		tag, payload, err := readSection(br)
+		tag, payload, err := ReadSection(br, maxSection)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +146,7 @@ func Read(r io.Reader) (*store.DB, error) {
 			}
 			haveMeta = true
 		case tagSources:
-			names, err := decodeStrings(&decoder{buf: payload})
+			names, err := decodeStrings(&Decoder{buf: payload})
 			if err != nil {
 				return nil, err
 			}
@@ -204,13 +204,14 @@ func ReadFile(path string) (*store.DB, error) {
 	return db, err
 }
 
-func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
-	if _, err := w.Write(tag[:]); err != nil {
-		return err
-	}
-	var l8 [8]byte
-	binary.LittleEndian.PutUint64(l8[:], uint64(len(payload)))
-	if _, err := w.Write(l8[:]); err != nil {
+// WriteSection writes one section of the container: its tag, the payload
+// length, the payload and a CRC-32 (IEEE) of the payload. The shard
+// manifest is framed the same way.
+func WriteSection(w io.Writer, tag [4]byte, payload []byte) error {
+	var hdr [12]byte
+	copy(hdr[:4], tag[:])
+	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -226,14 +227,16 @@ func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
 // length fields before allocating.
 const maxSection = 4 << 30
 
-func readSection(r io.Reader) ([4]byte, []byte, error) {
+// ReadSection reads one section WriteSection wrote, refusing a payload
+// longer than limit bytes and one whose checksum does not match.
+func ReadSection(r io.Reader, limit uint64) ([4]byte, []byte, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return [4]byte{}, nil, fmt.Errorf("binfmt: reading section header: %w", err)
 	}
 	tag := [4]byte(hdr[:4])
 	n := binary.LittleEndian.Uint64(hdr[4:])
-	if n > maxSection {
+	if n > limit {
 		return tag, nil, fmt.Errorf("binfmt: section %q length %d exceeds limit", tag, n)
 	}
 	// Grow the payload buffer as bytes actually arrive rather than trusting
@@ -277,13 +280,32 @@ func putVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
 
-type decoder struct {
+// AppendString appends s as its length, a uvarint, followed by its bytes.
+func AppendString(dst []byte, s string) []byte {
+	dst = putUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// Decoder reads varints, counts and strings from one section payload. The
+// first failure is latched: later reads return zero values, and Err
+// reports it.
+type Decoder struct {
 	buf []byte
 	pos int
 	err error
 }
 
-func (d *decoder) uvarint() uint64 {
+// NewDecoder returns a Decoder over payload.
+func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
+
+// Err returns the first decode failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Len returns the number of payload bytes not yet read.
+func (d *Decoder) Len() int { return len(d.buf) - d.pos }
+
+// Uvarint reads an unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -296,7 +318,8 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) varint() int64 {
+// Varint reads a signed (zig-zag) varint.
+func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -310,10 +333,10 @@ func (d *decoder) varint() int64 {
 }
 
 // uvarints fills dst with the values putUvarints wrote and returns it.
-func uvarints[T int32 | int64](d *decoder, dst []T, delta bool) []T {
+func uvarints[T int32 | int64](d *Decoder, dst []T, delta bool) []T {
 	var prev T
 	for i := range dst {
-		dst[i] = prev + T(d.uvarint())
+		dst[i] = prev + T(d.Uvarint())
 		if delta {
 			prev = dst[i]
 		}
@@ -321,7 +344,7 @@ func uvarints[T int32 | int64](d *decoder, dst []T, delta bool) []T {
 	return dst
 }
 
-func (d *decoder) bytes(n int) []byte {
+func (d *Decoder) bytes(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
@@ -334,8 +357,15 @@ func (d *decoder) bytes(n int) []byte {
 	return b
 }
 
-func (d *decoder) count(limit uint64) (int, bool) {
-	n := d.uvarint()
+// Str reads a string AppendString wrote.
+func (d *Decoder) Str() string {
+	return string(d.bytes(int(d.Uvarint())))
+}
+
+// Count reads an element count, refusing one above limit or above the
+// payload bytes left, since every element takes at least one byte.
+func (d *Decoder) Count(limit uint64) (int, bool) {
+	n := d.Uvarint()
 	if d.err != nil {
 		return 0, false
 	}
@@ -365,10 +395,10 @@ func encodeMeta(m store.Meta) []byte {
 }
 
 func decodeMeta(b []byte) (store.Meta, error) {
-	d := &decoder{buf: b}
+	d := &Decoder{buf: b}
 	m := store.Meta{
-		Start:     gdelt.Timestamp(d.varint()),
-		Intervals: int32(d.varint()),
+		Start:     gdelt.Timestamp(d.Varint()),
+		Intervals: int32(d.Varint()),
 	}
 	if d.err != nil {
 		return m, d.err
@@ -383,21 +413,19 @@ func encodeStrings(names []string) []byte {
 	var out []byte
 	out = putUvarint(out, uint64(len(names)))
 	for _, n := range names {
-		out = putUvarint(out, uint64(len(n)))
-		out = append(out, n...)
+		out = AppendString(out, n)
 	}
 	return out
 }
 
-func decodeStrings(d *decoder) ([]string, error) {
-	n, ok := d.count(maxRows)
+func decodeStrings(d *Decoder) ([]string, error) {
+	n, ok := d.Count(maxRows)
 	if !ok {
 		return nil, d.err
 	}
 	names := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		l := int(d.uvarint())
-		names = append(names, string(d.bytes(l)))
+		names = append(names, d.Str())
 	}
 	return names, d.err
 }
@@ -416,16 +444,15 @@ func encodeEvents(t *store.EventTable) []byte {
 		out = putVarint(out, int64(v))
 	}
 	for _, u := range t.SourceURL {
-		out = putUvarint(out, uint64(len(u)))
-		out = append(out, u...)
+		out = AppendString(out, u)
 	}
 	return out
 }
 
 func decodeEvents(b []byte) (store.EventTable, error) {
 	var t store.EventTable
-	d := &decoder{buf: b}
-	n, ok := d.count(maxRows)
+	d := &Decoder{buf: b}
+	n, ok := d.Count(maxRows)
 	if !ok {
 		return t, d.err
 	}
@@ -435,7 +462,7 @@ func decodeEvents(b []byte) (store.EventTable, error) {
 	// outside gdelt.Countries is refused here, where it enters.
 	t.Country = make([]int32, n)
 	for i := range t.Country {
-		c := d.varint()
+		c := d.Varint()
 		if c < -1 || c >= int64(len(gdelt.Countries)) {
 			return t, fmt.Errorf("binfmt: event %d has country %d of %d", i, c, len(gdelt.Countries))
 		}
@@ -444,12 +471,11 @@ func decodeEvents(b []byte) (store.EventTable, error) {
 	t.NumArticles = uvarints(d, make([]int32, n), false)
 	t.FirstMention = make([]int32, n)
 	for i := range t.FirstMention {
-		t.FirstMention[i] = int32(d.varint())
+		t.FirstMention[i] = int32(d.Varint())
 	}
 	t.SourceURL = make([]string, n)
 	for i := range t.SourceURL {
-		l := int(d.uvarint())
-		t.SourceURL[i] = string(d.bytes(l))
+		t.SourceURL[i] = d.Str()
 	}
 	return t, d.err
 }
@@ -476,8 +502,8 @@ func encodeMentions(t *store.MentionTable) []byte {
 
 func decodeMentions(b []byte) (store.MentionTable, error) {
 	var t store.MentionTable
-	d := &decoder{buf: b}
-	n, ok := d.count(maxRows)
+	d := &Decoder{buf: b}
+	n, ok := d.Count(maxRows)
 	if !ok {
 		return t, d.err
 	}
@@ -517,31 +543,29 @@ func encodeReport(r *gdelt.ValidationReport) []byte {
 	for _, exs := range r.Examples {
 		out = putUvarint(out, uint64(len(exs)))
 		for _, ex := range exs {
-			out = putUvarint(out, uint64(len(ex)))
-			out = append(out, ex...)
+			out = AppendString(out, ex)
 		}
 	}
 	return out
 }
 
 func decodeReport(b []byte) (*gdelt.ValidationReport, error) {
-	d := &decoder{buf: b}
+	d := &Decoder{buf: b}
 	r := &gdelt.ValidationReport{}
-	n, ok := d.count(uint64(len(r.Counts)))
+	n, ok := d.Count(uint64(len(r.Counts)))
 	if !ok {
 		return nil, d.err
 	}
 	for i := 0; i < n; i++ {
-		r.Counts[i] = int64(d.uvarint())
+		r.Counts[i] = int64(d.Uvarint())
 	}
 	for i := 0; i < n; i++ {
-		m, ok := d.count(1 << 20)
+		m, ok := d.Count(1 << 20)
 		if !ok {
 			return nil, d.err
 		}
 		for j := 0; j < m; j++ {
-			l := int(d.uvarint())
-			r.Examples[i] = append(r.Examples[i], string(d.bytes(l)))
+			r.Examples[i] = append(r.Examples[i], d.Str())
 		}
 	}
 	return r, d.err

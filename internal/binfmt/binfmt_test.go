@@ -153,10 +153,10 @@ func TestReadRejectsIncomplete(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(magic[:])
 	buf.Write([]byte{Version, 0, 0, 0})
-	if err := writeSection(&buf, tagMeta, encodeMeta(store.Meta{Start: 20150218000000, Intervals: 96})); err != nil {
+	if err := WriteSection(&buf, tagMeta, encodeMeta(store.Meta{Start: 20150218000000, Intervals: 96})); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSection(&buf, tagEnd, nil); err != nil {
+	if err := WriteSection(&buf, tagEnd, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(&buf); err == nil {
@@ -169,12 +169,12 @@ func TestUnknownSectionSkipped(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(magic[:])
 	buf.Write([]byte{Version, 0, 0, 0})
-	writeSection(&buf, [4]byte{'X', 'T', 'R', 'A'}, []byte("future extension"))
-	writeSection(&buf, tagMeta, encodeMeta(db.Meta))
-	writeSection(&buf, tagSources, encodeStrings(db.Sources.Names()))
-	writeSection(&buf, tagEvents, encodeEvents(&db.Events))
-	writeSection(&buf, tagMentions, encodeMentions(&db.Mentions))
-	writeSection(&buf, tagEnd, nil)
+	WriteSection(&buf, [4]byte{'X', 'T', 'R', 'A'}, []byte("future extension"))
+	WriteSection(&buf, tagMeta, encodeMeta(db.Meta))
+	WriteSection(&buf, tagSources, encodeStrings(db.Sources.Names()))
+	WriteSection(&buf, tagEvents, encodeEvents(&db.Events))
+	WriteSection(&buf, tagMentions, encodeMentions(&db.Mentions))
+	WriteSection(&buf, tagEnd, nil)
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func encodeGKG(g *store.GKGStore) []byte {
 }
 
 func decodeGKGInto(db *store.DB, payload []byte) error {
-	d := &decoder{buf: payload}
+	d := &Decoder{buf: payload}
 	names, err := decodeStrings(d)
 	if err != nil {
 		return err
@@ -50,7 +50,7 @@ func decodeGKGInto(db *store.DB, payload []byte) error {
 		return err
 	}
 
-	n, ok := d.count(maxRows)
+	n, ok := d.Count(maxRows)
 	if !ok {
 		return d.err
 	}
@@ -65,19 +65,19 @@ func decodeGKGInto(db *store.DB, payload []byte) error {
 		t.Translated[i] = tr[i] != 0
 	}
 
-	lists, ok := d.count(maxRows)
+	lists, ok := d.Count(maxRows)
 	if !ok {
 		return d.err
 	}
 	ptr := make([]int64, lists+1)
 	for th := range lists {
-		c := d.uvarint()
+		c := d.Uvarint()
 		if c > maxRows-uint64(ptr[th]) {
 			return fmt.Errorf("binfmt: gkg theme postings exceed %d row ids", uint64(maxRows))
 		}
 		ptr[th+1] = ptr[th] + int64(c)
 	}
-	total, ok := d.count(maxRows)
+	total, ok := d.Count(maxRows)
 	if !ok {
 		return d.err
 	}

@@ -19,7 +19,6 @@ import (
 	"gdeltmine/internal/ingest"
 	"gdeltmine/internal/obs"
 	"gdeltmine/internal/parallel"
-	"gdeltmine/internal/retry"
 	"gdeltmine/internal/store"
 )
 
@@ -76,9 +75,6 @@ type Options struct {
 	// Source supplies chunk bytes. Nil means reading from the dataset
 	// directory.
 	Source ingest.Source
-	// Retry is the transient-failure retry schedule. The zero value means
-	// retry.DefaultPolicy().
-	Retry retry.Policy
 	// MaxQuarantineFrac aborts the build with ErrTooManyQuarantined when
 	// more than this fraction of master-listed chunks quarantine. Zero
 	// means 1.0: always degrade gracefully, never abort.
@@ -88,9 +84,6 @@ type Options struct {
 func (o Options) withDefaults(dir string) Options {
 	if o.Source == nil {
 		o.Source = ingest.Dir(dir)
-	}
-	if o.Retry.MaxAttempts == 0 {
-		o.Retry = retry.DefaultPolicy()
 	}
 	if o.MaxQuarantineFrac == 0 {
 		o.MaxQuarantineFrac = 1
@@ -107,11 +100,11 @@ func FromRawDir(dir string) (*Result, error) {
 }
 
 // FromRawDirOpts is FromRawDir with failure handling under the caller's
-// control: chunk reads go through opts.Source with transient errors retried
-// per opts.Retry, permanent failures quarantine the chunk (the build
-// completes partially, with the loss accounted in Result.Quarantined and
-// the defect report), and a damage level above opts.MaxQuarantineFrac
-// aborts with ErrTooManyQuarantined once every chunk has been read.
+// control: chunk reads go through opts.Source, a failed read quarantines
+// the chunk (the build completes partially, with the loss accounted in
+// Result.Quarantined and the defect report), and a damage level above
+// opts.MaxQuarantineFrac aborts with ErrTooManyQuarantined once every chunk
+// has been read.
 //
 // Chunks are read and parsed on parallel.Ordered, up to
 // parallel.DefaultWorkers() at a time. One consumer takes them in
@@ -158,14 +151,13 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 		seen[entry.Path] = true
 	}
 
-	reader := &ingest.Reader{Src: opts.Source, Retry: opts.Retry}
 	read := func(ctx context.Context, i int) (*chunkRows, error) {
 		entry := ml.Entries[i]
 		ch := &chunkRows{}
 		if dup[i] {
 			return ch, nil
 		}
-		data, err := reader.Read(ctx, entry)
+		data, err := ingest.Read(ctx, opts.Source, entry)
 		var ce *ingest.ChecksumError
 		switch {
 		case errors.As(err, &ce):
@@ -175,17 +167,14 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			return nil, err
 		case err != nil:
-			// Permanently absent, unreadable, or transient past the retry
-			// budget: quarantine and degrade.
-			ch.quarantine, ch.class = err, gdelt.DefectMissingArchive
+			// Absent or unreadable: quarantine and degrade.
+			ch.quarantine = err
 			return ch, nil
 		}
 		// Unparseable rows are tallied, not fatal: the paper's tool tolerates
-		// dirty rows. A chunk of unknown kind quarantines.
+		// dirty rows.
 		ch.reserve(entry.Kind(), bytes.Count(data, []byte{'\n'})+1)
-		if err := gdelt.ParseChunk(entry.Kind(), data, ch.sink(entry.Path)); err != nil {
-			ch.quarantine, ch.class = fmt.Errorf("convert: %w for %s", err, entry.Path), gdelt.DefectBadRow
-		}
+		_ = gdelt.ParseChunk(entry.Kind(), data, ch.sink(entry.Path)) // kind is known: ParseChunk cannot fail
 		return ch, nil
 	}
 
@@ -201,8 +190,8 @@ func FromRawDirOpts(ctx context.Context, dir string, opts Options) (*Result, err
 		}
 		ch.feed(b)
 		if ch.quarantine != nil {
-			report.Record(ch.class, entry.Path)
-			res.Quarantined = append(res.Quarantined, QuarantinedChunk{Path: entry.Path, Class: ch.class, Reason: ch.quarantine.Error()})
+			report.Record(gdelt.DefectMissingArchive, entry.Path)
+			res.Quarantined = append(res.Quarantined, QuarantinedChunk{Path: entry.Path, Class: gdelt.DefectMissingArchive, Reason: ch.quarantine.Error()})
 			mQuarantined.Inc()
 			return nil
 		}
@@ -235,10 +224,9 @@ type chunkRows struct {
 	// checksum is set when the bytes differ from the master list's size or
 	// CRC; they were parsed anyway.
 	checksum bool
-	// quarantine, when set, is why the chunk was not ingested, filed under
-	// class.
+	// quarantine, when set, is why the chunk could not be read; it is
+	// filed as a missing archive.
 	quarantine error
-	class      gdelt.DefectClass
 	// The parsed rows of the chunk's one kind, in file order.
 	events   []gdelt.Event
 	mentions []gdelt.Mention

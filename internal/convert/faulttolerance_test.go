@@ -7,13 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"gdeltmine/internal/faults"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/ingest"
-	"gdeltmine/internal/retry"
 )
 
 // cleanDataset writes a Small corpus with gen's own defect injection off,
@@ -48,35 +46,24 @@ func readMaster(t testing.TB, dir string) *gdelt.MasterList {
 	return ml
 }
 
-func instantRetry(attempts int) retry.Policy {
-	return retry.Policy{MaxAttempts: attempts, Seed: 1,
-		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() }}
-}
-
 // TestFromRawDirOptsUnderInjectedFaults is the end-to-end fault drill:
 // a dataset is converted through an injector that makes one chunk vanish,
-// one truncate, one corrupt, one fail transiently and one arrive late.
-// Transient and delayed chunks must be retried to success, the missing one
-// must quarantine with the build completing partially, and the damaged
-// ones must land in the Table II checksum tally.
+// one truncate and one corrupt. The missing one must quarantine with the
+// build completing partially, and the damaged ones must land in the Table
+// II checksum tally.
 func TestFromRawDirOptsUnderInjectedFaults(t *testing.T) {
 	dir, _ := cleanDataset(t)
 	ml := readMaster(t, dir)
-	if len(ml.Entries) < 5 {
-		t.Fatalf("need at least 5 chunks, have %d", len(ml.Entries))
+	if len(ml.Entries) < 4 {
+		t.Fatalf("need at least 4 chunks, have %d", len(ml.Entries))
 	}
 	plan := map[string]faults.Fault{
-		ml.Entries[0].Path: faults.Transient,
 		ml.Entries[1].Path: faults.Missing,
 		ml.Entries[2].Path: faults.Truncated,
 		ml.Entries[3].Path: faults.Corrupted,
-		ml.Entries[4].Path: faults.Delayed,
 	}
-	inj := faults.New(ingest.Dir(dir), faults.Config{Seed: 7, Plan: plan, FailCount: 2})
-	res, err := FromRawDirOpts(context.Background(), dir, Options{
-		Source: inj,
-		Retry:  instantRetry(4), // budget covers FailCount=2
-	})
+	inj := faults.New(ingest.Dir(dir), faults.Config{Seed: 7, Plan: plan})
+	res, err := FromRawDirOpts(context.Background(), dir, Options{Source: inj})
 	if err != nil {
 		t.Fatalf("build must degrade gracefully, got %v", err)
 	}
@@ -97,13 +84,6 @@ func TestFromRawDirOptsUnderInjectedFaults(t *testing.T) {
 		t.Fatalf("missing-archive count %d want 1", got)
 	}
 
-	// Transient and delayed errors were retried to success: the injector
-	// saw its failures consumed, and neither chunk quarantined.
-	stats := inj.Stats()
-	if stats[faults.Transient] != 2 || stats[faults.Delayed] != 2 {
-		t.Fatalf("injector stats %v: want both flaky chunks to fail twice then heal", stats)
-	}
-
 	// Truncation and corruption land in the checksum tally, and their
 	// surviving rows were still parsed.
 	if got := report.Counts[gdelt.DefectChecksumMismatch]; got != 2 {
@@ -114,24 +94,6 @@ func TestFromRawDirOptsUnderInjectedFaults(t *testing.T) {
 	}
 	if err := res.DB.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFromRawDirOptsRetryBudgetExhaustion: a chunk that stays transient
-// past the retry budget quarantines instead of aborting the build.
-func TestFromRawDirOptsRetryBudgetExhaustion(t *testing.T) {
-	dir, _ := cleanDataset(t)
-	ml := readMaster(t, dir)
-	inj := faults.New(ingest.Dir(dir), faults.Config{
-		Plan:      map[string]faults.Fault{ml.Entries[0].Path: faults.Transient},
-		FailCount: 100, // never heals within any sane budget
-	})
-	res, err := FromRawDirOpts(context.Background(), dir, Options{Source: inj, Retry: instantRetry(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Quarantined) != 1 || res.Quarantined[0].Path != ml.Entries[0].Path {
-		t.Fatalf("quarantined %+v", res.Quarantined)
 	}
 }
 
@@ -147,14 +109,14 @@ func TestFromRawDirOptsQuarantineThreshold(t *testing.T) {
 	}
 	inj := faults.New(ingest.Dir(dir), faults.Config{Plan: plan})
 	_, err := FromRawDirOpts(context.Background(), dir, Options{
-		Source: inj, Retry: instantRetry(1), MaxQuarantineFrac: 0.1,
+		Source: inj, MaxQuarantineFrac: 0.1,
 	})
 	if !errors.Is(err, ErrTooManyQuarantined) {
 		t.Fatalf("err %v want ErrTooManyQuarantined", err)
 	}
 	// The same damage under the default threshold degrades gracefully.
 	res, err := FromRawDirOpts(context.Background(), dir,
-		Options{Source: faults.New(ingest.Dir(dir), faults.Config{Plan: plan}), Retry: instantRetry(1)})
+		Options{Source: faults.New(ingest.Dir(dir), faults.Config{Plan: plan})})
 	if err != nil {
 		t.Fatal(err)
 	}

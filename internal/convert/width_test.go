@@ -45,8 +45,8 @@ func tableIIText(rep *gdelt.ValidationReport) string {
 // files as malformed), and a mentions chunk whose middle
 // holds a row that does not parse followed by a mention captured outside
 // the archive, so the chunk's bad rows and the builder's own drops
-// interleave in the report. The returned plan makes chunks go missing,
-// arrive truncated or corrupted, and fail transiently.
+// interleave in the report. The returned plan makes chunks go missing
+// and arrive truncated or corrupted.
 func hostileDataset(t *testing.T) (string, map[string]faults.Fault) {
 	t.Helper()
 	c, err := gen.Generate(gen.Small())
@@ -106,11 +106,9 @@ func hostileDataset(t *testing.T) (string, map[string]faults.Fault) {
 		t.Fatal(err)
 	}
 	plan := map[string]faults.Fault{
-		mentions[0].Path: faults.Transient,
 		mentions[2].Path: faults.Missing,
 		mentions[3].Path: faults.Truncated,
 		mentions[4].Path: faults.Corrupted,
-		mentions[5].Path: faults.Delayed,
 	}
 	return dir, plan
 }
@@ -129,8 +127,8 @@ func TestFromRawDirWidthChangesNothing(t *testing.T) {
 	}
 	run := func(procs int) (o outcome) {
 		withProcs(t, procs, func() {
-			inj := faults.New(ingest.Dir(dir), faults.Config{Seed: 7, Plan: plan, FailCount: 2})
-			res, err := FromRawDirOpts(context.Background(), dir, Options{Source: inj, Retry: instantRetry(4)})
+			inj := faults.New(ingest.Dir(dir), faults.Config{Seed: 7, Plan: plan})
+			res, err := FromRawDirOpts(context.Background(), dir, Options{Source: inj})
 			if err != nil {
 				t.Fatal(err)
 			}

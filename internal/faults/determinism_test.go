@@ -15,8 +15,7 @@ import (
 func TestInjectorAssignmentDeterministicUnderConcurrency(t *testing.T) {
 	cfg := Config{
 		Seed:        7,
-		MissingProb: 0.15, TruncatedProb: 0.15, TransientProb: 0.15,
-		CorruptedProb: 0.15, DelayedProb: 0.15,
+		MissingProb: 0.15, TruncatedProb: 0.15, CorruptedProb: 0.15,
 	}
 	in := New(nil, cfg)
 	const n = 300

@@ -2,9 +2,8 @@
 // layer of the pipeline — distinct from internal/gen's data-defect
 // injector, which corrupts the *content* of an otherwise healthy dataset.
 // This package corrupts the *delivery*: chunks go missing, arrive
-// truncated, fail transiently EAGAIN-style, come back with flipped bytes,
-// or show up late, reproducing the feed failures the paper reports around
-// Table II. It wraps any ingest.Source, so the exact same conversion or
+// truncated or come back with flipped bytes, reproducing the feed failures
+// the paper reports in Table II. It wraps any ingest.Source, so the exact same conversion or
 // stream-replay code runs against a healthy directory and a hostile one.
 package faults
 
@@ -17,7 +16,6 @@ import (
 	"sync"
 
 	"gdeltmine/internal/ingest"
-	"gdeltmine/internal/retry"
 )
 
 // Fault enumerates the injectable delivery failures.
@@ -30,20 +28,12 @@ const (
 	Missing
 	// Truncated delivers only a prefix of the chunk.
 	Truncated
-	// Transient fails the first FailCount reads with a retryable
-	// EAGAIN-style error, then delivers the chunk intact.
-	Transient
 	// Corrupted delivers the chunk with bytes flipped (checksum breaks).
 	Corrupted
-	// Delayed makes the chunk look not-yet-published (retryable
-	// not-found) for the first FailCount reads, then delivers it — the
-	// late-interval failure mode of the live 15-minute feed.
-	Delayed
 )
 
 var faultNames = map[Fault]string{
-	None: "none", Missing: "missing", Truncated: "truncated",
-	Transient: "transient", Corrupted: "corrupted", Delayed: "delayed",
+	None: "none", Missing: "missing", Truncated: "truncated", Corrupted: "corrupted",
 }
 
 func (f Fault) String() string {
@@ -62,14 +52,10 @@ type Config struct {
 	Seed int64
 	// Plan pins specific paths to specific faults.
 	Plan map[string]Fault
-	// MissingProb, TruncatedProb, TransientProb, CorruptedProb and
-	// DelayedProb are per-path probabilities in [0, 1]; they are examined
-	// in that order against one uniform draw, so their sum should stay
-	// at or below 1.
-	MissingProb, TruncatedProb, TransientProb, CorruptedProb, DelayedProb float64
-	// FailCount is how many reads a Transient or Delayed chunk fails
-	// before succeeding. Zero means 2.
-	FailCount int
+	// MissingProb, TruncatedProb and CorruptedProb are per-path
+	// probabilities in [0, 1]; they are examined in that order against one
+	// uniform draw, so their sum should stay at or below 1.
+	MissingProb, TruncatedProb, CorruptedProb float64
 	// TruncateFrac is the fraction of bytes kept by Truncated. Zero
 	// means 0.5.
 	TruncateFrac float64
@@ -80,19 +66,15 @@ type Injector struct {
 	cfg  Config
 	src  ingest.Source
 	mu   sync.Mutex
-	seen map[string]int // per-path read attempts, for Transient/Delayed
-	hits map[Fault]int  // injected fault tally, for test assertions
+	hits map[Fault]int // injected fault tally, for test assertions
 }
 
 // New returns an injector over src with the given config.
 func New(src ingest.Source, cfg Config) *Injector {
-	if cfg.FailCount == 0 {
-		cfg.FailCount = 2
-	}
 	if cfg.TruncateFrac == 0 {
 		cfg.TruncateFrac = 0.5
 	}
-	return &Injector{cfg: cfg, src: src, seen: make(map[string]int), hits: make(map[Fault]int)}
+	return &Injector{cfg: cfg, src: src, hits: make(map[Fault]int)}
 }
 
 // FaultFor returns the fault assigned to a path. The assignment is pure:
@@ -108,9 +90,7 @@ func (in *Injector) FaultFor(path string) Fault {
 	}{
 		{in.cfg.MissingProb, Missing},
 		{in.cfg.TruncatedProb, Truncated},
-		{in.cfg.TransientProb, Transient},
 		{in.cfg.CorruptedProb, Corrupted},
-		{in.cfg.DelayedProb, Delayed},
 	} {
 		if u < c.p {
 			return c.f
@@ -134,7 +114,6 @@ func unitDraw(seed int64, label, key string) float64 {
 }
 
 // Stats returns how many reads each fault class intercepted so far.
-// Transient and Delayed count one hit per failed read.
 func (in *Injector) Stats() map[Fault]int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -151,30 +130,12 @@ func (in *Injector) record(f Fault) {
 	in.mu.Unlock()
 }
 
-// attempt bumps and returns the per-path read attempt counter (1-based).
-func (in *Injector) attempt(path string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.seen[path]++
-	return in.seen[path]
-}
-
 // ReadChunk implements ingest.Source.
 func (in *Injector) ReadChunk(ctx context.Context, path string) ([]byte, error) {
 	switch f := in.FaultFor(path); f {
 	case Missing:
 		in.record(f)
 		return nil, fmt.Errorf("faults: %s: %w", path, fs.ErrNotExist)
-	case Transient:
-		if in.attempt(path) <= in.cfg.FailCount {
-			in.record(f)
-			return nil, retry.Transientf("faults: %s: resource temporarily unavailable", path)
-		}
-	case Delayed:
-		if in.attempt(path) <= in.cfg.FailCount {
-			in.record(f)
-			return nil, retry.Transient(fmt.Errorf("faults: %s not yet published: %w", path, fs.ErrNotExist))
-		}
 	case Truncated:
 		data, err := in.src.ReadChunk(ctx, path)
 		if err != nil {

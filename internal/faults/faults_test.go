@@ -8,7 +8,6 @@ import (
 
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/ingest"
-	"gdeltmine/internal/retry"
 )
 
 func memSource() (ingest.Source, map[string][]byte) {
@@ -40,41 +39,6 @@ func TestPlanFaults(t *testing.T) {
 	}
 }
 
-func TestTransientFaultHealsAfterFailCount(t *testing.T) {
-	src, chunks := memSource()
-	in := New(src, Config{Plan: map[string]Fault{"a.export.csv": Transient}, FailCount: 2})
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		_, err := in.ReadChunk(ctx, "a.export.csv")
-		if err == nil || !retry.IsTransient(err) {
-			t.Fatalf("attempt %d: want transient error, got %v", i+1, err)
-		}
-	}
-	data, err := in.ReadChunk(ctx, "a.export.csv")
-	if err != nil {
-		t.Fatalf("third attempt should heal: %v", err)
-	}
-	if string(data) != string(chunks["a.export.csv"]) {
-		t.Fatal("healed chunk differs from original")
-	}
-	if got := in.Stats()[Transient]; got != 2 {
-		t.Fatalf("transient hits %d want 2", got)
-	}
-}
-
-func TestDelayedFaultIsRetryableNotFound(t *testing.T) {
-	src, _ := memSource()
-	in := New(src, Config{Plan: map[string]Fault{"a.export.csv": Delayed}, FailCount: 1})
-	ctx := context.Background()
-	_, err := in.ReadChunk(ctx, "a.export.csv")
-	if !retry.IsTransient(err) || !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("delayed chunk should look like a retryable not-found: %v", err)
-	}
-	if _, err := in.ReadChunk(ctx, "a.export.csv"); err != nil {
-		t.Fatalf("delayed chunk should arrive on attempt 2: %v", err)
-	}
-}
-
 func TestCorruptedFaultBreaksChecksum(t *testing.T) {
 	src, chunks := memSource()
 	orig := chunks["a.export.csv"]
@@ -103,7 +67,7 @@ func TestCorruptedFaultBreaksChecksum(t *testing.T) {
 
 func TestProbabilisticAssignmentDeterministic(t *testing.T) {
 	src, _ := memSource()
-	cfg := Config{Seed: 99, MissingProb: 0.3, TransientProb: 0.3}
+	cfg := Config{Seed: 99, MissingProb: 0.3, CorruptedProb: 0.3}
 	a, b := New(src, cfg), New(src, cfg)
 	paths := []string{"x1.csv", "x2.csv", "x3.csv", "x4.csv", "x5.csv", "x6.csv", "x7.csv", "x8.csv"}
 	var assigned []Fault
@@ -128,7 +92,7 @@ func TestProbabilisticAssignmentDeterministic(t *testing.T) {
 		t.Fatalf("degenerate assignment %v", assigned)
 	}
 	// A different seed reassigns.
-	c := New(src, Config{Seed: 100, MissingProb: 0.3, TransientProb: 0.3})
+	c := New(src, Config{Seed: 100, MissingProb: 0.3, CorruptedProb: 0.3})
 	diff := false
 	for i, p := range paths {
 		if c.FaultFor(p) != assigned[i] {

@@ -1,10 +1,9 @@
-// Package ingest abstracts how raw GDELT chunk files reach the pipeline
-// and layers fault handling on top: a Source yields chunk bytes by path, a
-// Reader wraps a Source with the retry policy and master-list verification
-// shared by the batch converter and the stream monitor. Fault injection
-// (internal/faults) and the real filesystem plug in behind the same
-// interface, so every failure mode of the live 15-minute feed is
-// exercisable in tests.
+// Package ingest abstracts how raw GDELT chunk files reach the pipeline: a
+// Source yields chunk bytes by path, and Read checks them against their
+// master-list entry, the verification the batch converter and the stream
+// monitor share. Fault injection (internal/faults) and the real filesystem
+// plug in behind the same interface, so every delivery failure of Table II
+// is exercisable in tests.
 package ingest
 
 import (
@@ -15,12 +14,10 @@ import (
 	"path/filepath"
 
 	"gdeltmine/internal/gdelt"
-	"gdeltmine/internal/retry"
 )
 
 // Source yields the bytes of one chunk file. Implementations must be safe
-// for concurrent use. Transient failures (chunk not yet published, I/O
-// hiccup) are reported with retry.Transient; anything else is permanent.
+// for concurrent use.
 type Source interface {
 	ReadChunk(ctx context.Context, path string) ([]byte, error)
 }
@@ -74,25 +71,12 @@ func (e *ChecksumError) Error() string {
 	return fmt.Sprintf("ingest: %s: size %d/%d checksum %s/%s", e.Path, e.GotSize, e.WantSize, e.GotSum, e.WantSum)
 }
 
-// Reader is the resilient chunk reader: it drives a Source through a retry
-// policy and verifies each chunk against its master-list entry.
-type Reader struct {
-	Src   Source
-	Retry retry.Policy
-}
-
-// Read fetches the chunk named by entry, retrying transient failures. On
-// success it verifies size and checksum; a mismatch returns the data
-// together with a *ChecksumError so the caller can both record the defect
-// and parse the bytes. Permanent read failures and exhausted retry budgets
-// return a nil slice and the underlying error.
-func (r *Reader) Read(ctx context.Context, entry gdelt.MasterEntry) ([]byte, error) {
-	var data []byte
-	err := r.Retry.Do(ctx, func() error {
-		var err error
-		data, err = r.Src.ReadChunk(ctx, entry.Path)
-		return err
-	})
+// Read fetches the chunk named by entry from src and verifies its size and
+// checksum. A mismatch returns the data together with a *ChecksumError so
+// the caller can both record the defect and parse the bytes. A failed read
+// returns a nil slice and the source's error.
+func Read(ctx context.Context, src Source, entry gdelt.MasterEntry) ([]byte, error) {
+	data, err := src.ReadChunk(ctx, entry.Path)
 	if err != nil {
 		return nil, err
 	}

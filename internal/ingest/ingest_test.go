@@ -7,10 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"gdeltmine/internal/gdelt"
-	"gdeltmine/internal/retry"
 )
 
 func entryFor(path string, data []byte) gdelt.MasterEntry {
@@ -40,54 +38,11 @@ func TestDirSource(t *testing.T) {
 	}
 }
 
-// flaky fails reads with a transient error until the remaining counter
-// drains, then delegates to the wrapped map.
-type flaky struct {
-	remaining int
-	chunks    map[string][]byte
-}
-
-func (f *flaky) ReadChunk(ctx context.Context, path string) ([]byte, error) {
-	if f.remaining > 0 {
-		f.remaining--
-		return nil, retry.Transientf("flaky: %s", path)
-	}
-	return Mem(f.chunks).ReadChunk(ctx, path)
-}
-
-func instantPolicy(attempts int) retry.Policy {
-	return retry.Policy{MaxAttempts: attempts,
-		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() }}
-}
-
-func TestReaderRetriesTransient(t *testing.T) {
-	data := []byte("r1\nr2\n")
-	src := &flaky{remaining: 2, chunks: map[string][]byte{"x.mentions.csv": data}}
-	r := &Reader{Src: src, Retry: instantPolicy(4)}
-	got, err := r.Read(context.Background(), entryFor("x.mentions.csv", data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(data) {
-		t.Fatalf("data %q", got)
-	}
-}
-
-func TestReaderBudgetExhaustion(t *testing.T) {
-	src := &flaky{remaining: 10, chunks: map[string][]byte{}}
-	r := &Reader{Src: src, Retry: instantPolicy(3)}
-	_, err := r.Read(context.Background(), entryFor("x.mentions.csv", nil))
-	if !errors.Is(err, retry.ErrBudgetExhausted) {
-		t.Fatalf("err %v", err)
-	}
-}
-
 func TestReaderChecksumMismatchKeepsData(t *testing.T) {
 	data := []byte("r1\nr2\n")
 	entry := entryFor("x.mentions.csv", data)
 	// Serve different bytes than the master list promises.
-	r := &Reader{Src: Mem(map[string][]byte{"x.mentions.csv": []byte("r1\n")}), Retry: instantPolicy(1)}
-	got, err := r.Read(context.Background(), entry)
+	got, err := Read(context.Background(), Mem(map[string][]byte{"x.mentions.csv": []byte("r1\n")}), entry)
 	var ce *ChecksumError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want ChecksumError, got %v", err)
@@ -101,8 +56,7 @@ func TestReaderChecksumMismatchKeepsData(t *testing.T) {
 }
 
 func TestReaderPermanentMissing(t *testing.T) {
-	r := &Reader{Src: Mem(nil), Retry: instantPolicy(5)}
-	_, err := r.Read(context.Background(), entryFor("gone.export.csv", nil))
+	_, err := Read(context.Background(), Mem(nil), entryFor("gone.export.csv", nil))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("err %v", err)
 	}
@@ -111,8 +65,7 @@ func TestReaderPermanentMissing(t *testing.T) {
 func TestReaderContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := &Reader{Src: Mem(map[string][]byte{"x.export.csv": nil}), Retry: retry.DefaultPolicy()}
-	if _, err := r.Read(ctx, entryFor("x.export.csv", nil)); !errors.Is(err, context.Canceled) {
+	if _, err := Read(ctx, Mem(map[string][]byte{"x.export.csv": nil}), entryFor("x.export.csv", nil)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v", err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // far a fast producer could run ahead.
 //
 // Producers are plain goroutines behind that bound, not pool workers: a
-// produce step may block on I/O or sleep in a retry backoff, which would
-// stall the work-stealing pool the query kernels share. With one worker
+// produce step blocks on file I/O, which would stall the work-stealing
+// pool the query kernels share. With one worker
 // the producer of i+1 starts only once i has been consumed.
 //
 // Because consume sees results in index order and is the only code that

@@ -85,8 +85,8 @@ func TestOrderedStopsAndDrains(t *testing.T) {
 						if !tc.inConsume && !tc.cancel && i == tc.failAt {
 							return 0, boom
 						}
-						// A producer that sleeps until cancelled, as one
-						// in a retry backoff does.
+						// A producer that blocks until cancelled, as one
+						// waiting on a slow read does.
 						if i > tc.failAt+procs {
 							<-ctx.Done()
 							return 0, ctx.Err()

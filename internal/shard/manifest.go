@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 	"sort"
 
 	"gdeltmine/internal/binfmt"
@@ -17,36 +16,33 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// The shard manifest is a small sectioned binary file (magic "GDSM",
-// mirroring the GDMB container of internal/binfmt): after the header, each
-// section is a tag byte, a uvarint payload length, the payload, and a
-// CRC32 (IEEE) of the payload. Sections: one meta, one entry per shard
-// (file name, interval range, and the part file's digest: its byte size
-// and a CRC-32C of the whole file), the global source-name list, an
-// optional global theme-name list, and an optional chunk ledger (the ticks
-// a log's world holds, written only when there are any, as runs of evenly
-// spaced marks). The global dictionaries travel as ordered name lists;
-// they restate the tail part's dictionaries, which assembly checks them
-// against (every other part's are prefixes of those). The decoder is
-// defensive end to end: every length is bounded before allocation and
-// every failure is an error, never a panic (FuzzManifestDecode pins this).
+// The shard manifest is a small sectioned binary file: magic "GDSM" and a
+// version byte, then sections in the container framing of internal/binfmt
+// (binfmt.WriteSection: tag, payload length, payload, CRC-32 of the
+// payload) read back with binfmt's bounded decoder. Sections: one meta, one
+// entry per shard (file name, interval range, and the part file's digest:
+// its byte size and a CRC-32C of the whole file), and an optional chunk
+// ledger (the ticks a log's world holds, written only when there are any,
+// as runs of evenly spaced marks). The world's source and theme
+// dictionaries are the tail part's, whose bytes its entry's digest pins.
+// The decoder is defensive end to end: every length is bounded before
+// allocation and every failure is an error, never a panic
+// (FuzzManifestDecode pins this).
 
 // Magic identifies a shard manifest file.
 var Magic = [4]byte{'G', 'D', 'S', 'M'}
 
 // manifestVersion is the one format version this package writes and reads.
-// Versions 1–3 (no part digests; 2 and 3 persisted per-part bitmaps the
-// loader rebuilds anyway) have no writer left and are rejected like any
-// unknown version.
-const manifestVersion = 4
+// Version 4 framed its sections on its own and restated the tail's
+// dictionaries as name lists; versions 1–3 had no part digests. None has a
+// writer left, and each is refused with the re-run hint.
+const manifestVersion = 5
 
-const (
-	secMeta    = 0x01
-	secEntry   = 0x02
-	secSources = 0x03
-	secThemes  = 0x04
-	secLedger  = 0x09 // 0x05–0x08 held the bitmaps of retired versions
-	secEnd     = 0xFF
+var (
+	tagMeta   = [4]byte{'M', 'E', 'T', 'A'}
+	tagEntry  = [4]byte{'P', 'A', 'R', 'T'}
+	tagLedger = [4]byte{'L', 'D', 'G', 'R'}
+	tagEnd    = [4]byte{'E', 'N', 'D', ' '}
 )
 
 // Decoder allocation caps: far above anything a real manifest holds, low
@@ -54,7 +50,6 @@ const (
 const (
 	maxPayload = 1 << 26
 	maxEntries = 1 << 16
-	maxNames   = 1 << 24
 	maxNameLen = 1 << 20
 	maxMarks   = 1 << 22
 )
@@ -102,13 +97,10 @@ func (dw *digestWriter) Write(p []byte) (int, error) {
 }
 
 // Manifest describes a sharded layout on disk: the shared dataset
-// geometry, the shard files with their interval ranges and digests, and
-// the global dictionaries as ordered name lists.
+// geometry and the shard files with their interval ranges and digests.
 type Manifest struct {
 	Meta    store.Meta
 	Entries []ManifestEntry
-	Sources []string
-	Themes  []string // nil when the shards carry no GKG data
 	// Ledger is the chunk ledger of the ticks the world holds (Log.Ledger):
 	// capture-interval offsets, ascending, inside the archive span.
 	Ledger []int32
@@ -121,17 +113,10 @@ func ManifestFromDB(s *DB, files []ManifestEntry) (*Manifest, error) {
 	if len(files) != s.K() {
 		return nil, fmt.Errorf("shard: %d file entries for %d shards", len(files), s.K())
 	}
-	m := &Manifest{
-		Meta:    s.meta,
-		Entries: make([]ManifestEntry, len(files)),
-		Sources: append([]string(nil), s.Sources().Names()...),
-	}
+	m := &Manifest{Meta: s.meta, Entries: make([]ManifestEntry, len(files))}
 	for i, e := range files {
 		e.Lo, e.Hi = s.bounds[i], s.bounds[i+1]
 		m.Entries[i] = e
-	}
-	if t := s.Themes(); t != nil {
-		m.Themes = append([]string(nil), t.Names()...)
 	}
 	return m, nil
 }
@@ -140,44 +125,27 @@ func ManifestFromDB(s *DB, files []ManifestEntry) (*Manifest, error) {
 // through one buffer: a section costs no syscall of its own.
 func EncodeManifest(w io.Writer, m *Manifest) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	// A bufio.Writer keeps the first write error and returns it from every
+	// later call, Flush included, so the writes before it go unchecked.
 	bw.Write(Magic[:])
 	bw.WriteByte(manifestVersion)
 	var buf []byte
 	buf = binary.AppendVarint(buf, int64(m.Meta.Start))
 	buf = binary.AppendVarint(buf, int64(m.Meta.Intervals))
-	writeSection(bw, secMeta, buf)
+	binfmt.WriteSection(bw, tagMeta, buf)
 	for _, e := range m.Entries {
-		buf = buf[:0]
-		buf = appendString(buf, e.File)
+		buf = binfmt.AppendString(buf[:0], e.File)
 		buf = binary.AppendVarint(buf, int64(e.Lo))
 		buf = binary.AppendVarint(buf, int64(e.Hi))
 		buf = binary.AppendVarint(buf, e.Size)
 		buf = binary.AppendUvarint(buf, uint64(e.CRC))
-		writeSection(bw, secEntry, buf)
-	}
-	writeSection(bw, secSources, appendStrings(nil, m.Sources))
-	if m.Themes != nil {
-		writeSection(bw, secThemes, appendStrings(nil, m.Themes))
+		binfmt.WriteSection(bw, tagEntry, buf)
 	}
 	if len(m.Ledger) > 0 {
-		writeSection(bw, secLedger, appendLedger(nil, m.Ledger))
+		binfmt.WriteSection(bw, tagLedger, appendLedger(nil, m.Ledger))
 	}
-	writeSection(bw, secEnd, nil)
-	// A bufio.Writer keeps the first write error and returns it from every
-	// later call, Flush included, so the writes above go unchecked.
+	binfmt.WriteSection(bw, tagEnd, nil)
 	return bw.Flush()
-}
-
-func writeSection(w *bufio.Writer, tag byte, payload []byte) {
-	w.WriteByte(tag)
-	w.Write(binary.AppendUvarint(nil, uint64(len(payload))))
-	w.Write(payload)
-	w.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)))
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
 }
 
 // appendLedger encodes ascending marks as a run count followed by runs of
@@ -201,16 +169,9 @@ func appendLedger(dst []byte, marks []int32) []byte {
 	return append(binary.AppendUvarint(dst, uint64(n)), runs...)
 }
 
-func appendStrings(dst []byte, names []string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	for _, n := range names {
-		dst = appendString(dst, n)
-	}
-	return dst
-}
-
 // DecodeManifest reads a manifest, validating structure, bounds and
-// checksums. Corrupt input of any shape returns an error.
+// checksums. Corrupt input of any shape returns an error, and a manifest
+// of another version one that says to re-run gdeltconvert -shards.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]byte
@@ -221,37 +182,41 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: bad manifest magic %q", hdr[:4])
 	}
 	if hdr[4] != manifestVersion {
-		return nil, fmt.Errorf("shard: unsupported manifest version %d", hdr[4])
+		return nil, fmt.Errorf("shard: unsupported manifest version %d (this build reads %d); "+
+			"re-run gdeltconvert -shards to rewrite the layout", hdr[4], manifestVersion)
 	}
 	m := &Manifest{}
-	var haveMeta, haveSources, haveThemes, haveLedger, haveEnd bool
-	for !haveEnd {
-		tag, payload, err := readSection(br)
+	var haveMeta, haveLedger bool
+	for {
+		tag, payload, err := binfmt.ReadSection(br, maxPayload)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard: manifest: %w", err)
 		}
-		d := &mdecoder{buf: payload}
+		d := binfmt.NewDecoder(payload)
 		switch tag {
-		case secMeta:
+		case tagMeta:
 			if haveMeta {
 				return nil, fmt.Errorf("shard: duplicate meta section")
 			}
 			haveMeta = true
-			m.Meta.Start = gdelt.Timestamp(d.varint())
-			iv := d.varint()
-			if iv <= 0 || iv > 1<<31-1 {
+			m.Meta.Start = gdelt.Timestamp(d.Varint())
+			iv := d.Varint()
+			if d.Err() == nil && (iv <= 0 || iv > 1<<31-1) {
 				return nil, fmt.Errorf("shard: manifest intervals %d out of range", iv)
 			}
 			m.Meta.Intervals = int32(iv)
-		case secEntry:
+		case tagEntry:
 			if len(m.Entries) >= maxEntries {
 				return nil, fmt.Errorf("shard: too many manifest entries")
 			}
 			var e ManifestEntry
-			e.File = d.str()
-			lo, hi := d.varint(), d.varint()
-			size, crc := d.varint(), d.uvarint()
-			if d.err == nil {
+			e.File = d.Str()
+			lo, hi := d.Varint(), d.Varint()
+			size, crc := d.Varint(), d.Uvarint()
+			if d.Err() == nil {
+				if len(e.File) > maxNameLen {
+					return nil, fmt.Errorf("shard: entry file name of %d bytes", len(e.File))
+				}
 				if lo < 0 || hi <= lo || hi > 1<<31-1 {
 					return nil, fmt.Errorf("shard: entry range [%d, %d) invalid", lo, hi)
 				}
@@ -262,19 +227,7 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 				e.Digest = Digest{Size: size, CRC: uint32(crc)}
 			}
 			m.Entries = append(m.Entries, e)
-		case secSources:
-			if haveSources {
-				return nil, fmt.Errorf("shard: duplicate sources section")
-			}
-			haveSources = true
-			m.Sources = d.strs()
-		case secThemes:
-			if haveThemes {
-				return nil, fmt.Errorf("shard: duplicate themes section")
-			}
-			haveThemes = true
-			m.Themes = d.strs()
-		case secLedger:
+		case tagLedger:
 			if haveLedger {
 				return nil, fmt.Errorf("shard: duplicate ledger section")
 			}
@@ -282,26 +235,25 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 			if !haveMeta {
 				return nil, fmt.Errorf("shard: ledger section before meta")
 			}
-			if m.Ledger, err = d.ledger(m.Meta.Intervals); err != nil {
+			if m.Ledger, err = decodeLedger(d, m.Meta.Intervals); err != nil {
 				return nil, err
 			}
-		case secEnd:
-			haveEnd = true
+		case tagEnd:
 		default:
-			return nil, fmt.Errorf("shard: unknown manifest section 0x%02x", tag)
+			return nil, fmt.Errorf("shard: unknown manifest section %q", tag)
 		}
-		if d.err != nil {
-			return nil, fmt.Errorf("shard: section 0x%02x: %w", tag, d.err)
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("shard: section %q: %w", tag, err)
 		}
-		if !haveEnd && d.rem() != 0 {
-			return nil, fmt.Errorf("shard: section 0x%02x has %d trailing bytes", tag, d.rem())
+		if d.Len() != 0 {
+			return nil, fmt.Errorf("shard: section %q has %d trailing bytes", tag, d.Len())
+		}
+		if tag == tagEnd {
+			break
 		}
 	}
 	if !haveMeta {
 		return nil, fmt.Errorf("shard: manifest has no meta section")
-	}
-	if !haveSources {
-		return nil, fmt.Errorf("shard: manifest has no sources section")
 	}
 	if len(m.Entries) == 0 {
 		return nil, fmt.Errorf("shard: manifest has no shard entries")
@@ -309,119 +261,19 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 	return m, nil
 }
 
-func readSection(r *bufio.Reader) (byte, []byte, error) {
-	var tag [1]byte
-	if _, err := io.ReadFull(r, tag[:]); err != nil {
-		return 0, nil, fmt.Errorf("shard: section tag: %w", err)
-	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: section length: %w", err)
-	}
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("shard: section 0x%02x claims %d bytes", tag[0], n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("shard: section payload: %w", err)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return 0, nil, fmt.Errorf("shard: section checksum: %w", err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != binary.LittleEndian.Uint32(sum[:]) {
-		return 0, nil, fmt.Errorf("shard: section 0x%02x checksum mismatch", tag[0])
-	}
-	return tag[0], payload, nil
-}
-
-// mdecoder decodes varints and length-prefixed strings from one section
-// payload, latching the first error instead of panicking.
-type mdecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *mdecoder) rem() int { return len(d.buf) }
-
-func (d *mdecoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *mdecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("truncated uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *mdecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail("truncated varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *mdecoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxNameLen || n > uint64(len(d.buf)) {
-		d.fail("string length %d exceeds payload", n)
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *mdecoder) strs() []string {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > maxNames || n > uint64(len(d.buf)) {
-		d.fail("name count %d exceeds payload", n)
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.str())
-	}
-	return out
-}
-
-// ledger decodes a chunk ledger and checks it against an archive of
+// decodeLedger decodes a chunk ledger and checks it against an archive of
 // intervals capture intervals: every run is non-empty, advances when it has
 // more than one mark, starts past the previous run's last mark and ends
-// inside the span. Truncation is latched in d.err like any other field.
-func (d *mdecoder) ledger(intervals int32) ([]int32, error) {
-	n := d.uvarint()
-	if n > uint64(d.rem()) {
-		d.fail("run count %d exceeds payload", n)
-	}
+// inside the span. Truncation is latched in d like any other field.
+func decodeLedger(d *binfmt.Decoder, intervals int32) ([]int32, error) {
+	n, _ := d.Count(maxMarks)
 	span := uint64(intervals)
 	var marks []int32
 	prevFirst := int32(-1)
-	for r := uint64(0); r < n; r++ {
-		first, step, count := d.uvarint(), d.uvarint(), d.uvarint()
+	for r := 0; r < n; r++ {
+		first, step, count := d.Uvarint(), d.Uvarint(), d.Uvarint()
 		switch {
-		case d.err != nil:
+		case d.Err() != nil:
 			return nil, nil
 		case count == 0:
 			return nil, fmt.Errorf("shard: ledger run %d is empty", r)
@@ -448,12 +300,12 @@ func (d *mdecoder) ledger(intervals int32) ([]int32, error) {
 // loaded part stores, given in entry order. Entries may arrive in any
 // time order (the permutation metamorphic property): parts are sorted
 // jointly with their entries by interval range before assembly. Every
-// manifest defect — ranges that do not tile the archive, dictionaries
-// that disagree with the manifest's lists, shards disagreeing on shared
-// events — is an error, never a panic. So is a part whose dictionary is
-// not a prefix of the manifest's list: parts share the world's ids, and a
-// layout whose parts were encoded against dictionaries of their own (one
-// written before they shared them) is refused by name, never remapped. The
+// manifest defect — ranges that do not tile the archive, shards
+// disagreeing on shared events — is an error, never a panic. So is a part
+// whose dictionary is not a prefix of the tail's, the world's: parts share
+// the world's ids, and a layout whose parts were encoded against
+// dictionaries of their own (one written before they shared them) is
+// refused by name, never remapped. The
 // parts' bytes were checked against the entries' digests when they were
 // read (readPart); their derived indexes are rebuilt from the tables on
 // load, so there is nothing else to check.
@@ -493,15 +345,7 @@ func AssembleSharded(m *Manifest, parts []*store.DB) (*DB, error) {
 		return fmt.Errorf("shard: part %s %w; re-run gdeltconvert -shards to rewrite the layout "+
 			"(parts share the world's dictionary ids)", m.Entries[order[i]].File, err)
 	}
-	ti := len(sorted) - 1
-	tail := sorted[ti]
-	var tailThemes []string
-	if tail.GKG != nil {
-		tailThemes = tail.GKG.Themes.Names()
-	}
-	if !slices.Equal(tail.Sources.Names(), m.Sources) || !slices.Equal(tailThemes, m.Themes) {
-		return nil, rerun(ti, errors.New("dictionaries differ from the manifest's lists"))
-	}
+	tail := sorted[len(sorted)-1]
 	for i, p := range sorted {
 		if err := sameIDSpace(p, tail); err != nil {
 			return nil, rerun(i, err)

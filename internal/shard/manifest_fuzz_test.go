@@ -92,14 +92,15 @@ func manifestFuzzSeeds(tb testing.TB) map[string][]byte {
 
 // FuzzManifestDecode asserts the manifest decoder's contract on arbitrary
 // bytes: DecodeManifest either errors or returns a manifest that (a) is a
-// version 4 one, (b) survives an encode/decode round trip and (c) can be
+// version 5 one, (b) survives an encode/decode round trip and (c) can be
 // fed to AssembleSharded without panicking, and holds a ledger of ascending
 // marks inside the archive span — corrupt manifests must surface
 // as errors, never as crashes, because OpenLog hands attacker-adjacent
 // disk bytes straight to this path. The checked-in corpus under
 // testdata/fuzz/FuzzManifestDecode replays known-interesting inputs on
-// every plain `go test` run: the seed-v4-* files, and the seeds of the
-// retired versions 1–3, which (a) makes must-error inputs.
+// every plain `go test` run: the seed-v5-* files, and the seeds of the
+// retired versions 1–4 (seed-v4-* and the unprefixed ones), which (a)
+// makes must-error inputs.
 func FuzzManifestDecode(f *testing.F) {
 	for _, seed := range manifestFuzzSeeds(f) {
 		f.Add(seed)
@@ -152,7 +153,7 @@ func TestWriteManifestFuzzSeedCorpus(t *testing.T) {
 	}
 	for name, data := range manifestFuzzSeeds(t) {
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, "seed-v4-"+name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "seed-v"+strconv.Itoa(manifestVersion)+"-"+name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

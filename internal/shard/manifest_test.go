@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/binary"
@@ -16,7 +15,7 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// Version 4 manifest coverage: entries round-trip with their part digests,
+// Version 5 manifest coverage: entries round-trip with their part digests,
 // every other version is rejected, and the digest check in OpenLog refuses
 // a tampered part before decoding it. See DESIGN.md §13.
 
@@ -61,7 +60,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal("re-encoding a decoded manifest changed its bytes")
 	}
 	if _, err := AssembleSharded(m, parts); err != nil {
-		t.Fatalf("assembling v4 manifest: %v", err)
+		t.Fatalf("assembling v5 manifest: %v", err)
 	}
 
 	// A chunk ledger round-trips, irregular runs included; an empty one
@@ -79,14 +78,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !slices.Equal(back.Ledger, m.Ledger) {
 		t.Fatalf("ledger %v decoded as %v", m.Ledger, back.Ledger)
 	}
-	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzManifestDecode", "seed-v4-valid"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := strconv.Unquote(strings.TrimSuffix(strings.SplitN(string(seed), "[]byte(", 2)[1], ")\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := string(fuzzSeed(t, "seed-v5-valid"))
 	pre, err := DecodeManifest(strings.NewReader(old))
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +92,20 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// fuzzSeed returns the bytes of a checked-in FuzzManifestDecode seed.
+func fuzzSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzManifestDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.SplitN(string(seed), "[]byte(", 2)[1], ")\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(data)
+}
+
 // ledgerManifest returns the tiny world's manifest with a ledger section
 // holding payload spliced in front of the end section, checksum intact.
 func ledgerManifest(tb testing.TB, payload []byte) []byte {
@@ -109,13 +115,19 @@ func ledgerManifest(tb testing.TB, payload []byte) []byte {
 	if err := EncodeManifest(&raw, m); err != nil {
 		tb.Fatal(err)
 	}
-	end := raw.Len() - 6 // tag, zero length, four checksum bytes
+	return spliced(raw.Bytes(), raw.Len()-endSectionLen, tagLedger, payload)
+}
+
+// endSectionLen is the size of the end section: its tag, a zero payload
+// length and the checksum.
+const endSectionLen = 4 + 8 + 4
+
+// spliced returns raw with a section of tag and payload inserted at off.
+func spliced(raw []byte, off int, tag [4]byte, payload []byte) []byte {
 	var out bytes.Buffer
-	out.Write(raw.Bytes()[:end])
-	w := bufio.NewWriter(&out)
-	writeSection(w, secLedger, payload)
-	w.Flush()
-	out.Write(raw.Bytes()[end:])
+	out.Write(raw[:off])
+	binfmt.WriteSection(&out, tag, payload)
+	out.Write(raw[off:])
 	return out.Bytes()
 }
 
@@ -167,40 +179,31 @@ func TestManifestLedgerRejectsMalformedRuns(t *testing.T) {
 	if _, err := DecodeManifest(bytes.NewReader(ledgerManifest(t, valid))); err != nil {
 		t.Fatalf("valid ledger refused: %v", err)
 	}
-	twice := ledgerManifest(t, valid)
-	end := len(twice) - 6
-	var spliced bytes.Buffer
-	spliced.Write(twice[:end])
-	w := bufio.NewWriter(&spliced)
-	writeSection(w, secLedger, valid)
-	w.Flush()
-	spliced.Write(twice[end:])
-	if _, err := DecodeManifest(&spliced); err == nil || !strings.Contains(err.Error(), "duplicate ledger") {
+	once := ledgerManifest(t, valid)
+	twice := spliced(once, len(once)-endSectionLen, tagLedger, valid)
+	if _, err := DecodeManifest(bytes.NewReader(twice)); err == nil || !strings.Contains(err.Error(), "duplicate ledger") {
 		t.Errorf("second ledger section: got %v", err)
 	}
-	var early bytes.Buffer
-	early.Write(twice[:5])
-	w = bufio.NewWriter(&early)
-	writeSection(w, secLedger, valid)
-	w.Flush()
-	early.Write(twice[5:])
-	if _, err := DecodeManifest(&early); err == nil || !strings.Contains(err.Error(), "before meta") {
+	early := spliced(once, 5, tagLedger, valid)
+	if _, err := DecodeManifest(bytes.NewReader(early)); err == nil || !strings.Contains(err.Error(), "before meta") {
 		t.Errorf("ledger before meta: got %v", err)
 	}
 }
 
 // TestManifestOtherVersionsRejected: the decoder must refuse versions it
-// does not read — the retired v1–v3 layouts nothing writes any more and
-// anything from the future — rather than silently skipping sections. The
-// version byte is not checksummed, so the test patches it in place.
+// does not read — the retired v1–v4 layouts nothing writes any more and
+// anything from the future — rather than silently skipping sections, and
+// say to re-run gdeltconvert -shards. The version byte is not
+// checksummed, so the test patches it in place.
 func TestManifestOtherVersionsRejected(t *testing.T) {
 	_, raw := tinyShardedWorld(t)
-	for _, v := range []byte{1, 2, 3, manifestVersion + 1} {
+	for _, v := range []byte{1, 2, 3, 4, manifestVersion + 1} {
 		mut := bytes.Clone(raw)
 		mut[4] = v
 		_, err := DecodeManifest(bytes.NewReader(mut))
-		if err == nil || !strings.Contains(err.Error(), "unsupported manifest version") {
-			t.Fatalf("version %d: got %v, want an unsupported-version error", v, err)
+		if err == nil || !strings.Contains(err.Error(), "unsupported manifest version") ||
+			!strings.Contains(err.Error(), "re-run gdeltconvert -shards") {
+			t.Fatalf("version %d: got %v, want an unsupported-version error with the re-run hint", v, err)
 		}
 	}
 }
@@ -304,7 +307,7 @@ func TestManifestDigestCatchesTampering(t *testing.T) {
 // larger than its buffer too.
 func TestEncodeManifestFileEqualsBuffer(t *testing.T) {
 	m, _ := tinyManifestAndParts(t)
-	m.Sources = append(m.Sources, strings.Repeat("x", 100<<10))
+	m.Entries[0].File = strings.Repeat("x", 100<<10)
 	var want bytes.Buffer
 	if err := EncodeManifest(&want, m); err != nil {
 		t.Fatal(err)
@@ -329,32 +332,28 @@ func TestEncodeManifestFileEqualsBuffer(t *testing.T) {
 	}
 }
 
-// TestManifestDuplicateSectionRejected: a second sources or themes section,
-// and a retired v3 bitmap section (0x05–0x08), are decode errors, each
-// spliced in front of the end section with a valid checksum.
+// TestManifestDuplicateSectionRejected: a second meta section, an end
+// section carrying a payload, and sections this version does not write —
+// the source and theme lists of version 4 among them — are decode errors,
+// each spliced in front of the end section with a valid checksum.
 func TestManifestDuplicateSectionRejected(t *testing.T) {
 	m, _ := tinyManifestAndParts(t)
 	var raw bytes.Buffer
 	if err := EncodeManifest(&raw, m); err != nil {
 		t.Fatal(err)
 	}
-	end := raw.Len() - 6 // tag, zero length, four checksum bytes
+	meta := binary.AppendVarint(binary.AppendVarint(nil, int64(m.Meta.Start)), int64(m.Meta.Intervals))
 	for _, sec := range []struct {
-		tag     byte
+		tag     [4]byte
 		payload []byte
 	}{
-		{secSources, appendStrings(nil, m.Sources)},
-		{secThemes, appendStrings(nil, m.Themes)},
-		{0x05, nil}, {0x06, nil}, {0x07, nil}, {0x08, nil},
+		{tagMeta, meta},
+		{tagEnd, []byte{0}},
+		{[4]byte{'S', 'R', 'C', 'S'}, binfmt.AppendString([]byte{1}, "a.example")},
+		{[4]byte{'T', 'H', 'M', 'S'}, nil},
 	} {
-		var spliced bytes.Buffer
-		spliced.Write(raw.Bytes()[:end])
-		w := bufio.NewWriter(&spliced)
-		writeSection(w, sec.tag, sec.payload)
-		w.Flush()
-		spliced.Write(raw.Bytes()[end:])
-		if _, err := DecodeManifest(&spliced); err == nil {
-			t.Fatalf("section 0x%02x accepted", sec.tag)
+		if _, err := DecodeManifest(bytes.NewReader(spliced(raw.Bytes(), raw.Len()-endSectionLen, sec.tag, sec.payload))); err == nil {
+			t.Fatalf("section %q accepted", sec.tag)
 		}
 	}
 }
@@ -388,8 +387,8 @@ func recoded(t *testing.T, p *store.DB, srcs, themes *store.Dictionary) *store.D
 }
 
 // TestOldLayoutsRefused: a log directory whose part was encoded against a
-// dictionary that is not a prefix of the manifest's list, or in an older
-// part format version, must fail OpenLog with an error naming the part and
+// dictionary that is not a prefix of the tail's, or in an older part
+// format version, must fail OpenLog with an error naming the part and
 // saying to re-run gdeltconvert -shards — never load through a remap, never
 // panic. Each tampered part is rewritten with its manifest digest
 // recomputed, so only the dictionary or version check can catch it: a
@@ -397,8 +396,11 @@ func recoded(t *testing.T, p *store.DB, srcs, themes *store.Dictionary) *store.D
 // dictionaries of its own, interned in row order), a non-tail part whose
 // source dictionary has two names swapped, a tail whose theme dictionary
 // does, and non-tail parts whose header says format version 1 or 2 (the
-// error must name the part's version and this build's). A .gdmb file of
-// version 2 is refused the same way by binfmt.ReadFile.
+// error must name the part's version and this build's). The tail's
+// dictionaries are the world's, so where the tail is rewritten the first
+// part off its id space is the one named. A .gdmb file of version 2 is
+// refused the same way by binfmt.ReadFile, and a version 4 manifest by
+// OpenLog.
 func TestOldLayoutsRefused(t *testing.T) {
 	sdb, _ := tinyShardedWorld(t)
 	rowOrder := func(p *store.DB) (srcs, themes *store.Dictionary) {
@@ -435,13 +437,13 @@ func TestOldLayoutsRefused(t *testing.T) {
 		dicts func(t *testing.T, p *store.DB) (srcs, themes *store.Dictionary)
 		ver   byte // rewrite the part's format version to ver, unless 0
 	}{
-		{"local-dictionaries", []int{0, 1, ti}, ti, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+		{"local-dictionaries", []int{0, 1, ti}, 0, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return rowOrder(p)
 		}, 0},
 		{"permuted-sources", []int{1}, 1, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return swapped(t, p.Sources), p.GKG.Themes
 		}, 0},
-		{"permuted-tail-themes", []int{ti}, ti, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
+		{"permuted-tail-themes", []int{ti}, 0, func(t *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
 			return p.Sources, swapped(t, p.GKG.Themes)
 		}, 0},
 		{"format-version-1", []int{1}, 1, func(_ *testing.T, p *store.DB) (*store.Dictionary, *store.Dictionary) {
@@ -520,6 +522,24 @@ func TestOldLayoutsRefused(t *testing.T) {
 			t.Errorf("error %q does not name %s and say to re-run gdeltconvert", err, path)
 		}
 		checkNamesVersions(t, err, 2)
+	})
+	t.Run("manifest-version-4", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := CreateLog(dir, sdb); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, LogManifestName), fuzzSeed(t, "seed-v4-valid"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenLog(dir)
+		if err == nil {
+			t.Fatal("a version 4 manifest loaded")
+		}
+		for _, want := range []string{"manifest version 4", "re-run gdeltconvert -shards"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		}
 	})
 }
 

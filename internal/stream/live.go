@@ -100,11 +100,9 @@ func (c *FeedClient) ReadChunk(ctx context.Context, path string) ([]byte, error)
 	return c.get(ctx, path)
 }
 
-// LiveConfig tunes the live poller.
+// LiveConfig tunes the live poller. The tick spacing is the monitor's
+// Config.ChunkIntervals.
 type LiveConfig struct {
-	// TickIntervals is the feed's tick spacing in capture intervals
-	// (how many 15-minute intervals one file pair covers). 0 means 1.
-	TickIntervals int32
 	// SkipAfterPolls is how many consecutive polls a tick may stay
 	// missing — while newer ticks are already buffered — before the
 	// poller declares it lost and moves on (the gap then shows in the
@@ -114,9 +112,6 @@ type LiveConfig struct {
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
-	if c.TickIntervals == 0 {
-		c.TickIntervals = 1
-	}
 	if c.SkipAfterPolls == 0 {
 		c.SkipAfterPolls = 3
 	}
@@ -144,7 +139,7 @@ type LiveStats struct {
 // Out-of-order arrivals — the reordered-drop fault — are buffered until the
 // missing tick is recovered through the master list or given up on;
 // duplicate advertisements are dropped by tick timestamp. Every chunk is
-// read through an ingest.Reader, which checks it against its master-list
+// read through ingest.Read, which checks it against its master-list
 // size and CRC: a damaged chunk fails its tick like an unreadable one. The
 // runner is single-goroutine: call PollOnce from one loop.
 type LiveRunner struct {
@@ -266,10 +261,9 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 			r.skip()
 			continue
 		}
-		// The zero retry policy reads each chunk once per poll: retries
-		// span polls, bounded by SkipAfterPolls.
-		rd := ingest.Reader{Src: r.feed}
-		evs, mns, err := ReadTick(ctx, entries, rd.Read)
+		// Each chunk is read once per poll: retries span polls, bounded by
+		// SkipAfterPolls.
+		evs, mns, err := ReadTick(ctx, r.feed, entries)
 		if err != nil {
 			if ctx.Err() != nil {
 				return alerts, ctx.Err()
@@ -305,7 +299,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 // advance moves past the next tick, dropping it from the buffer.
 func (r *LiveRunner) advance() {
 	delete(r.pending, r.next)
-	r.next += int64(r.cfg.TickIntervals)
+	r.next += int64(r.mon.cfg.ChunkIntervals)
 	r.stall = 0
 }
 

@@ -136,7 +136,7 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 	mon := stream.NewMonitor(lg, stream.Config{ChunkIntervals: 96, GraceIntervals: 96})
 	comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailRows: 1 << 30, MaxTailSpan: 5 * 96})
 	runner := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon,
-		start, stream.LiveConfig{TickIntervals: 96, SkipAfterPolls: 2})
+		start, stream.LiveConfig{SkipAfterPolls: 2})
 
 	ctx := context.Background()
 	for fs.Advance() {
@@ -241,7 +241,7 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 
 	start := gdelt.Timestamp(cfg.Start)
 	mcfg := stream.Config{ChunkIntervals: 96, GraceIntervals: 96}
-	lcfg := stream.LiveConfig{TickIntervals: 96, SkipAfterPolls: 1}
+	lcfg := stream.LiveConfig{SkipAfterPolls: 1}
 	ctx := context.Background()
 	// drain polls once per feed advance, up to polls advances (all when
 	// negative), then drains what is still buffered at the feed head.
@@ -294,7 +294,7 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon2 := stream.NewMonitor(lg2, mcfg)
-	resume := mon2.ResumePoint(start, lcfg.TickIntervals)
+	resume := mon2.ResumePoint(start)
 	if resume != fs.TickTS(1) {
 		t.Fatalf("resume point %s, want the gap %s", resume, fs.TickTS(1))
 	}

@@ -90,7 +90,6 @@ func TestReplayOverFeedServer(t *testing.T) {
 	}
 
 	mcfg := stream.Config{ChunkIntervals: int32(cfg.IntervalsPerFile), GraceIntervals: 8}
-	lcfg := stream.LiveConfig{TickIntervals: int32(cfg.IntervalsPerFile)}
 	// replay folds the dataset into lg from the first tick its ledger
 	// lacks, for at most polls polls (all when negative), and returns the
 	// alerts it fired and the runner's counters.
@@ -103,9 +102,9 @@ func TestReplayOverFeedServer(t *testing.T) {
 		mon := stream.NewMonitor(lg, mcfg)
 		from := lg.Snapshot().Meta().Start
 		if len(lg.Ledger()) > 0 {
-			from = mon.ResumePoint(from, lcfg.TickIntervals)
+			from = mon.ResumePoint(from)
 		}
-		r := stream.NewLiveRunner(fs, mon, from, lcfg)
+		r := stream.NewLiveRunner(fs, mon, from, stream.LiveConfig{})
 		comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailRows: 1 << 30, MaxTailSpan: 5 * 96})
 		var alerts []stream.Alert
 		for i := 0; i != polls && (fs.Advance() || r.Pending() > 0); i++ {
@@ -253,7 +252,7 @@ func TestReplayDefectsMatchConvert(t *testing.T) {
 			t.Fatal(err)
 		}
 		mon := stream.NewMonitor(lg, stream.Config{ChunkIntervals: spacing, GraceIntervals: 8})
-		r := stream.NewLiveRunner(fs, mon, lg.Snapshot().Meta().Start, stream.LiveConfig{TickIntervals: spacing})
+		r := stream.NewLiveRunner(fs, mon, lg.Snapshot().Meta().Start, stream.LiveConfig{})
 		comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailSpan: 5 * spacing})
 		for fs.Advance() || r.Pending() > 0 {
 			// Polls that meet a withheld archive error until the runner

@@ -33,7 +33,7 @@ func TestGapDetection(t *testing.T) {
 	if !m.SeenChunk(ivTS(2)) {
 		t.Fatal("SeenChunk missed a marked interval")
 	}
-	if got := m.ResumePoint(ivTS(0), 1); got != ivTS(5) {
+	if got := m.ResumePoint(ivTS(0)); got != ivTS(5) {
 		t.Fatalf("ResumePoint = %v, want %v", got, ivTS(5))
 	}
 }
@@ -111,7 +111,7 @@ func TestCheckpointResume(t *testing.T) {
 	c := streamCorpus(t)
 	spacing := int32(c.World.Cfg.IntervalsPerFile)
 	ticks := corpusTicks(c, spacing)
-	cfg := Config{Window: 16, MinSources: 3}
+	cfg := Config{Window: 16, MinSources: 3, ChunkIntervals: spacing}
 	start := gdelt.Timestamp(c.World.Cfg.Start)
 	// The seal of the last tick needs interval range left after its data.
 	intervals := int32(c.World.Days()*gdelt.IntervalsPerDay) + spacing
@@ -138,7 +138,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("reopened ledger %v, want %v", re.Ledger(), lg.Ledger())
 	}
 	resumed := NewMonitor(re, cfg)
-	if got := resumed.ResumePoint(start, spacing); got != ticks[gap].ts {
+	if got := resumed.ResumePoint(start); got != ticks[gap].ts {
 		t.Fatalf("resume point %s, want the gap %s", got, ticks[gap].ts)
 	}
 	if resumed.Foldable(ticks[gap].ts) {

@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"gdeltmine/internal/gdelt"
+	"gdeltmine/internal/ingest"
 	"gdeltmine/internal/obs"
 	"gdeltmine/internal/shard"
 	"gdeltmine/internal/store"
@@ -59,8 +60,10 @@ type Config struct {
 	// — its mentions must not fall behind the log's newest mention, the
 	// tail's time order — and is otherwise stale like one beyond grace.
 	GraceIntervals int32
-	// ChunkIntervals is the expected spacing of ticks, for gap detection.
-	// Zero infers it from the two closest marks in the ledger.
+	// ChunkIntervals is the feed's tick spacing in capture intervals (how
+	// many 15-minute intervals one file pair covers): where gap detection
+	// expects ticks, and how far a LiveRunner or ResumePoint steps.
+	// Values below 1 mean 1.
 	ChunkIntervals int32
 }
 
@@ -70,6 +73,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinSources == 0 {
 		c.MinSources = 5
+	}
+	if c.ChunkIntervals < 1 {
+		c.ChunkIntervals = 1
 	}
 	return c
 }
@@ -153,34 +159,25 @@ func (m *Monitor) Foldable(ts gdelt.Timestamp) bool {
 	return iv >= int64(floor)
 }
 
-// ResumePoint returns the first tick at or after start, stepping spacing
-// intervals, that the ledger does not hold: where a restarted feeder
+// ResumePoint returns the first tick at or after start, stepping
+// ChunkIntervals, that the ledger does not hold: where a restarted feeder
 // resumes so no folded tick is fetched again.
-func (m *Monitor) ResumePoint(start gdelt.Timestamp, spacing int32) gdelt.Timestamp {
+func (m *Monitor) ResumePoint(start gdelt.Timestamp) gdelt.Timestamp {
 	for m.SeenChunk(start) {
-		start = gdelt.IntervalStart(start.IntervalIndex() + int64(spacing))
+		start = gdelt.IntervalStart(start.IntervalIndex() + int64(m.cfg.ChunkIntervals))
 	}
 	return start
 }
 
 // Gaps returns the start of every expected tick between the ledger's first
 // and newest marks that the ledger lacks, in feed order, and refreshes the
-// stream_missing_chunks gauge. Expected ticks are ChunkIntervals apart, or
-// as far apart as the two closest marks when that is zero.
+// stream_missing_chunks gauge. Expected ticks are ChunkIntervals apart.
 func (m *Monitor) Gaps() []gdelt.Timestamp {
 	marks := m.lg.Ledger()
-	spacing := m.cfg.ChunkIntervals
-	if spacing <= 0 {
-		for i := 1; i < len(marks); i++ {
-			if d := marks[i] - marks[i-1]; spacing <= 0 || d < spacing {
-				spacing = d
-			}
-		}
-	}
 	var out []gdelt.Timestamp
-	if spacing > 0 && len(marks) > 0 {
+	if len(marks) > 0 {
 		i := 0
-		for iv := marks[0]; iv < marks[len(marks)-1]; iv += spacing {
+		for iv := marks[0]; iv < marks[len(marks)-1]; iv += m.cfg.ChunkIntervals {
 			for marks[i] < iv {
 				i++
 			}
@@ -236,14 +233,14 @@ func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mentio
 	return f, nil
 }
 
-// ReadTick reads one tick's export and mentions files through read and
+// ReadTick reads one tick's export and mentions files from src through
+// ingest.Read, which checks each against its master-list size and CRC, and
 // parses their rows with gdelt.ParseChunk; GKG files are not read, since
 // appends extend the event and mention tables only. Rows that do not parse
 // are dropped uncounted, where the batch converter files each as a Table II
 // bad row. A read error fails the whole tick, so nothing of it folds and a
 // retry or a later run can fold it whole.
-func ReadTick(ctx context.Context, entries []gdelt.MasterEntry,
-	read func(context.Context, gdelt.MasterEntry) ([]byte, error)) ([]gdelt.Event, []gdelt.Mention, error) {
+func ReadTick(ctx context.Context, src ingest.Source, entries []gdelt.MasterEntry) ([]gdelt.Event, []gdelt.Mention, error) {
 	var evs []gdelt.Event
 	var mns []gdelt.Mention
 	sink := gdelt.ChunkSink{
@@ -255,7 +252,7 @@ func ReadTick(ctx context.Context, entries []gdelt.MasterEntry,
 		if kind != "export" && kind != "mentions" {
 			continue
 		}
-		data, err := read(ctx, e)
+		data, err := ingest.Read(ctx, src, e)
 		if err != nil {
 			return nil, nil, err
 		}

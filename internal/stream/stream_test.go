@@ -336,7 +336,7 @@ func TestMonitorRejectsTimeRegression(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Window != 8 || c.MinSources != 5 || c.GraceIntervals != 0 || c.ChunkIntervals != 0 {
+	if c.Window != 8 || c.MinSources != 5 || c.GraceIntervals != 0 || c.ChunkIntervals != 1 {
 		t.Fatalf("defaults %+v", c)
 	}
 }

@@ -52,7 +52,7 @@ import (
 // of the categories in reasons.
 var allowlist = map[string]string{
 	"internal/baseline": "test package: reference implementations the differential batteries compare against",
-	"internal/faults":   "test package: fault injectors for the chaos, crash and retry batteries",
+	"internal/faults":   "test package: fault injectors for the chaos and crash batteries",
 
 	"internal/store.DB.DiffFromRebuild":   "oracle: an incrementally appended store must equal a cold rebuild",
 	"internal/store.DB.checkEventPayload": "oracle: DiffFromRebuild's per-event payload comparison",
@@ -87,8 +87,6 @@ var allowlist = map[string]string{
 	"internal/qcache.Cache.Get":              "test seam: probes residency without computing",
 	"internal/qcache.Cache.UsedBytes":        "test seam: observes the cache's byte accounting",
 	"internal/registry.Kinds":                "test seam: enumerates the registered kinds",
-	"internal/retry.Transient":               "test seam: fault injectors mark their errors retryable",
-	"internal/retry.Transientf":              "test seam: fault injectors mark their errors retryable",
 	"internal/router.Router.PreferenceOrder": "test seam: observes replica preference order",
 	"internal/shard.Log.Gen":                 "test seam: observes the manifest generation",
 	"internal/shard.Log.SetStepHook":         "test seam: the crash harness fails the persist protocol at a named step",
