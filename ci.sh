@@ -112,13 +112,16 @@ rm -rf "$smoke"
 # must show that the cache evicted. gdeltrouter fronts the two servers:
 # every kind must answer through it byte-identically to the servers, and
 # the same request sent again at once must come back X-Cache: hit from the
-# router's cache of fresh answers, which /metrics must count. First,
+# router's cache of fresh answers, which /metrics must count. gdeltquery
+# -json over the .gdmb answers on the served path, so its stdout must be
+# byte-identical to the monolith server's body for every kind below and
+# for count with a where. First,
 # gdeltgen, gdeltconvert and the raw re-scan handle chunks W at a time on
 # parallel.Ordered, and their output must not depend on W: gdeltgen and
 # gdeltconvert run again at GOMAXPROCS=1 must write an identical dataset
 # directory and .gdmb file and print the same Table II.
 conv=$(mktemp -d)
-go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve ./cmd/gdeltrouter
+go build -o "$conv/" ./cmd/gdeltgen ./cmd/gdeltconvert ./cmd/gdeltserve ./cmd/gdeltrouter ./cmd/gdeltquery
 "$conv/gdeltgen" -out "$conv/ds" -preset small
 "$conv/gdeltconvert" -in "$conv/ds" -out "$conv/db.gdmb" -shards 4 >"$conv/convert.txt"
 GOMAXPROCS=1 "$conv/gdeltgen" -out "$conv/ds1" -preset small
@@ -150,6 +153,17 @@ for pass in 1 2; do
 		tr -d '\r' <"$conv/again.hdr" | grep -qix 'X-Cache: hit' || rc=1
 	done
 done
+# cli KIND [NAME=VALUE]: gdeltquery's -json stdout equals the monolith's body.
+cli() {
+	curl -sfG "http://127.0.0.1:18392/api/v1/$1" ${2:+--data-urlencode "$2"} >"$conv/mono.json" || rc=1
+	"$conv/gdeltquery" -db "$conv/db.gdmb" "$1" ${2:+-param "$2"} -json >"$conv/cli.json" 2>/dev/null || rc=1
+	{ test -s "$conv/mono.json" && cmp "$conv/mono.json" "$conv/cli.json"; } || rc=1
+}
+for kind in stats top-publishers coreport follow country wildfires themes translated-share series-active-sources; do
+	cli "$kind"
+done
+cli theme-trends theme=TERROR
+cli count 'where=sourcecountry=US and delay>2'
 curl -sf "http://127.0.0.1:18393/metrics" >"$conv/metrics.txt" || rc=1
 awk '$1 == "qcache_evictions_total" && $2 > 0 { ok = 1 } END { exit !ok }' "$conv/metrics.txt" || rc=1
 curl -sf "http://127.0.0.1:18394/metrics" >"$conv/router-metrics.txt" || rc=1

@@ -229,8 +229,7 @@ func (h *harness) run() {
 }
 
 // extensions prints the artifacts beyond the paper's evaluation: the GKG
-// analyses, the Section VI-E follow-ups, and the distributed-memory
-// comparison.
+// analyses and the Section VI-E follow-ups.
 func (h *harness) extensions() {
 	ds := h.ds
 	fmt.Println("--- extensions beyond the paper's evaluation ---")
@@ -286,24 +285,6 @@ func (h *harness) extensions() {
 		}
 		return out
 	})
-
-	// Distributed-memory comparison (the §IV design-choice ablation).
-	var rows [][]string
-	for _, nodes := range []int{2, 4, 8} {
-		cl := ds.NewDistCluster(nodes)
-		start := time.Now()
-		if _, err := cl.CrossCountry(); err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		rows = append(rows, []string{fmt.Sprintf("%d", nodes),
-			elapsed.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1f KB", float64(cl.BytesTransferred())/1024)})
-		cl.Close()
-	}
-	fmt.Print(report.Table("Distributed-memory simulation: cross-country query (vs the shared-memory engine above)",
-		[]string{"Nodes", "Time", "Gathered message volume"}, rows))
-	fmt.Println()
 }
 
 // scalingSweep reproduces Figure 12: wall-clock time of the aggregated

@@ -35,7 +35,8 @@ import (
 	"syscall"
 	"time"
 
-	"gdeltmine"
+	"gdeltmine/internal/binfmt"
+	"gdeltmine/internal/convert"
 	"gdeltmine/internal/report"
 	"gdeltmine/internal/shard"
 )
@@ -59,20 +60,19 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	ds, err := gdeltmine.ConvertRawOpts(ctx, *in, gdeltmine.ConvertOptions{
-		MaxQuarantineFrac: *maxQuar,
-	})
+	res, err := convert.FromRawDirOpts(ctx, *in, convert.Options{MaxQuarantineFrac: *maxQuar})
 	if err != nil {
-		if errors.Is(err, gdeltmine.ErrTooManyQuarantined) {
+		if errors.Is(err, convert.ErrTooManyQuarantined) {
 			log.Print(err)
 			os.Exit(3)
 		}
 		log.Fatal(err)
 	}
 	convTime := time.Since(start)
+	db := res.DB
 
 	start = time.Now()
-	if err := ds.SaveBinary(*out); err != nil {
+	if err := binfmt.WriteFile(*out, db); err != nil {
 		log.Fatal(err)
 	}
 	saveTime := time.Since(start)
@@ -82,13 +82,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("converted %s articles, %s events, %s sources in %v\n",
-		report.Int(int64(ds.Articles())), report.Int(int64(ds.Events())),
-		report.Int(int64(ds.Sources())), convTime.Round(time.Millisecond))
+		report.Int(int64(db.Mentions.Len())), report.Int(int64(db.Events.Len())),
+		report.Int(int64(db.Sources.Len())), convTime.Round(time.Millisecond))
 	fmt.Printf("ingestion: %d duplicate events, %d dangling mentions, %d dropped mentions\n",
-		ds.Build.DuplicateEvents, ds.Build.DanglingMentions, ds.Build.DroppedMentions)
-	if n := len(ds.Quarantined); n > 0 {
+		res.Stats.DuplicateEvents, res.Stats.DanglingMentions, res.Stats.DroppedMentions)
+	if n := len(res.Quarantined); n > 0 {
 		fmt.Printf("quarantined %d chunks (build completed without them):\n", n)
-		for i, q := range ds.Quarantined {
+		for i, q := range res.Quarantined {
 			if i == 10 {
 				fmt.Printf("  ... and %d more\n", n-10)
 				break
@@ -98,14 +98,14 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%.1f MB) in %v\n", *out, float64(info.Size())/1e6, saveTime.Round(time.Millisecond))
 	resident := 0
-	for _, b := range ds.Engine().DB().Footprint() {
+	for _, b := range db.Footprint() {
 		resident += b
 	}
 	fmt.Printf("resident when loaded: %.1f MB, %.1f B per article\n",
-		float64(resident)/1e6, float64(resident)/float64(max(ds.Articles(), 1)))
+		float64(resident)/1e6, float64(resident)/float64(max(db.Mentions.Len(), 1)))
 	if *shards > 1 {
 		start = time.Now()
-		sdb, err := shard.Split(ds.Engine().DB(), *shards)
+		sdb, err := shard.Split(db, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -120,5 +120,5 @@ func main() {
 			sdb.K(), dir, time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Println()
-	fmt.Print(report.TableII(ds.Report()))
+	fmt.Print(report.TableII(db.Report))
 }

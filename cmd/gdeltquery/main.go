@@ -18,6 +18,10 @@
 // schema. Every kind also accepts the common engine parameters workers,
 // from and to (e.g. -param from=20160101000000).
 //
+// A kind runs on the path gdeltserve -db serves /api/v1/<kind> on, over
+// the same one-shard world, and -json prints exactly the server's response
+// body on stdout (the load and query-time lines then go to stderr).
+//
 // The graph and cluster subcommands are not part of the servable registry;
 // they size their publisher panel from -param k=N (default 10).
 package main
@@ -26,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -34,11 +39,15 @@ import (
 	"strings"
 	"time"
 
-	"gdeltmine"
+	"gdeltmine/internal/binfmt"
+	"gdeltmine/internal/graph"
+	"gdeltmine/internal/mcl"
 	"gdeltmine/internal/obs"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
 	"gdeltmine/internal/report"
+	"gdeltmine/internal/serve"
+	"gdeltmine/internal/shard"
 )
 
 // paramList collects repeated -param name=value flags.
@@ -101,23 +110,36 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The world is the one gdeltserve -db serves for a .gdmb file: the K=1
+	// shard set over the loaded store. Under -json stdout carries only the
+	// answer, so the load and timing lines go to stderr.
+	info := io.Writer(os.Stdout)
+	if *jsonOut {
+		info = os.Stderr
+	}
 	start := time.Now()
-	ds, err := gdeltmine.OpenBinary(*dbPath)
+	db, err := binfmt.ReadFile(*dbPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %s articles in %v\n\n", report.Int(int64(ds.Articles())), time.Since(start).Round(time.Millisecond))
+	sdb, err := shard.Single(db)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(info, "loaded %s articles in %v\n\n", report.Int(int64(db.Mentions.Len())), time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
+	// -param workers=N, when given, overrides -workers (DeriveView).
+	v := sdb.View().WithKind(kind).WithWorkers(*workers)
 	switch kind {
 	case "graph":
-		runGraph(ds.WithWorkers(*workers).WithQueryKind(kind), panelSize(&params))
+		runGraph(v, panelSize(&params))
 	case "cluster":
-		runCluster(ds.WithWorkers(*workers).WithQueryKind(kind), panelSize(&params))
+		runCluster(v, panelSize(&params))
 	default:
-		runRegistry(ds, kind, &params, *workers, *jsonOut)
+		runRegistry(v, kind, &params, *jsonOut)
 	}
-	fmt.Printf("\nquery time: %v (workers=%d)\n", time.Since(start).Round(time.Millisecond), workersOrDefault(*workers))
+	fmt.Fprintf(info, "\nquery time: %v (workers=%d)\n", time.Since(start).Round(time.Millisecond), workersOrDefault(*workers))
 	if *stats {
 		data, err := obs.Default.Snapshot().MarshalJSONIndent()
 		if err != nil {
@@ -127,9 +149,11 @@ func main() {
 	}
 }
 
-// runRegistry resolves kind against the registry, executes it, and renders
-// the result (human tables by default, raw JSON with -json).
-func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, workers int, jsonOut bool) {
+// runRegistry resolves kind against the registry and runs it as gdeltserve
+// answers /api/v1/<kind>: the common parameters derive the view, the kind
+// runs on it (RunSharded), and -json prints the server's response body
+// (serve.Encode). Without -json the answer renders as tables.
+func runRegistry(v *shard.View, kind string, params *paramList, jsonOut bool) {
 	d, ok := registry.Lookup(kind)
 	if !ok {
 		log.Fatalf("unknown query %q (run `gdeltquery list` for the inventory)", kind)
@@ -137,19 +161,8 @@ func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, workers 
 	if err := d.CheckKnown(params.names); err != nil {
 		log.Fatal(err)
 	}
-	// The -workers flag backfills the parameter when -param workers=N
-	// was not given.
-	get := func(name string) []string {
-		if vs, ok := params.vals[name]; ok {
-			return vs
-		}
-		if name == registry.ParamWorkers && workers > 0 {
-			return []string{strconv.Itoa(workers)}
-		}
-		return nil
-	}
-	e := ds.Engine().WithKind(d.Kind)
-	e, err := registry.DeriveEngine(e, get)
+	get := func(name string) []string { return params.vals[name] }
+	v, err := registry.DeriveView(v, get)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,30 +170,32 @@ func runRegistry(ds *gdeltmine.Dataset, kind string, params *paramList, workers 
 	if err != nil {
 		log.Fatal(err)
 	}
-	v, err := d.Run(e, p)
+	res, err := d.RunSharded(v, p)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(v); err != nil {
+		body, err := serve.Encode(res)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := os.Stdout.Write(body); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	render(ds, d.Kind, v)
+	render(v.DB(), d.Kind, res)
 }
 
 // render prints a registry result as the human-readable tables and figures
 // the CLI always produced; kinds without a bespoke renderer fall back to
 // indented JSON.
-func render(ds *gdeltmine.Dataset, kind string, v any) {
+func render(sdb *shard.DB, kind string, v any) {
 	switch res := v.(type) {
 	case queries.DatasetStats:
 		fmt.Print(report.TableI(res))
 		fmt.Println()
-		fmt.Print(report.TableII(ds.Report()))
+		fmt.Print(report.TableII(sdb.Report()))
 	case []queries.TopEvent:
 		fmt.Print(report.TableIII(res))
 	case []registry.PublisherRow:
@@ -299,13 +314,25 @@ func printKindList() {
 	fmt.Println("Extra subcommands: list, graph, cluster (publisher panel size via -param k=N)")
 }
 
-func runGraph(ds *gdeltmine.Dataset, k int) {
-	ids, _ := ds.TopPublishers(k)
-	g, err := ds.SourceGraph(ids, 0.01)
+// panel returns the co-reporting matrix of the view's k top publishers,
+// ranked as top-publishers ranks them (zero-count sources pad the panel).
+func panel(v *shard.View, k int) *queries.CoReporting {
+	vec, _ := v.AdhocVectors(queries.SourceCounts) // no clause to bind: cannot fail
+	ids, _ := queries.TopGroups(vec.Counts, k, true)
+	co, err := v.CoReport(ids)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr := g.PageRank(gdeltmine.PageRankOptions{})
+	return co
+}
+
+func runGraph(v *shard.View, k int) {
+	co := panel(v, k)
+	g, err := graph.FromSimilarity(co.Jaccard, 0.01)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pr := g.PageRank(graph.PageRankOptions{})
 	comps := g.Components()
 	fmt.Printf("co-reporting graph over top %d publishers: %d edges, %d components (largest %d)\n",
 		g.N, g.Edges(), len(comps), len(comps[0]))
@@ -316,23 +343,23 @@ func runGraph(ds *gdeltmine.Dataset, k int) {
 	sort.Slice(order, func(a, b int) bool { return pr[order[a]] > pr[order[b]] })
 	fmt.Println("most central sources (PageRank):")
 	for i := 0; i < 10 && i < len(order); i++ {
-		v := order[i]
-		fmt.Printf("  %2d. %-34s %.4f (degree %d)\n", i+1, ds.SourceName(ids[v]), pr[v], g.Degree(v))
+		n := order[i]
+		fmt.Printf("  %2d. %-34s %.4f (degree %d)\n", i+1, co.Names[n], pr[n], g.Degree(n))
 	}
 }
 
-func runCluster(ds *gdeltmine.Dataset, k int) {
-	ids, _ := ds.TopPublishers(k)
-	res, err := ds.ClusterSources(ids, gdeltmine.MCLOptions{Inflation: 1.6})
+func runCluster(v *shard.View, k int) {
+	co := panel(v, k)
+	res, err := mcl.Cluster(co.Jaccard, mcl.Options{Inflation: 1.6})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("MCL over the co-reporting matrix of the top %d publishers (%d iterations, converged=%v):\n",
-		len(ids), res.Iterations, res.Converged)
+		len(co.Names), res.Iterations, res.Converged)
 	for c, cl := range res.Clusters {
 		names := make([]string, len(cl))
 		for i, pos := range cl {
-			names[i] = ds.SourceName(ids[pos])
+			names[i] = co.Names[pos]
 		}
 		fmt.Printf("  cluster %d (%d members): %s\n", c+1, len(cl), strings.Join(names, ", "))
 	}

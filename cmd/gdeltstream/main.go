@@ -188,7 +188,7 @@ func fold(ctx context.Context, feed stream.Feed, next func(*stream.LiveRunner) b
 		start = mon.ResumePoint(start)
 		log.Printf("resuming feed at %s", start)
 	}
-	runner := stream.NewLiveRunner(feed, mon, start, stream.LiveConfig{})
+	runner := stream.NewLiveRunner(feed, mon, start)
 	comp := stream.NewCompactor(lg, ccfg)
 
 	began := time.Now()

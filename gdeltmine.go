@@ -21,12 +21,9 @@
 package gdeltmine
 
 import (
-	"context"
-
 	"gdeltmine/internal/baseline"
 	"gdeltmine/internal/binfmt"
 	"gdeltmine/internal/convert"
-	"gdeltmine/internal/dist"
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
@@ -141,33 +138,16 @@ func newDataset(db *store.DB, stats BuildStats) *Dataset {
 }
 
 // Engine exposes the dataset's engine view (workers, kind and window
-// already applied) for callers that dispatch through the query registry —
-// the CLI's registry-driven subcommands and the benchmark harness.
+// already applied). Only the benchmark harness calls it, for its oracle;
+// the tools answer on the sharded path gdeltserve serves.
 func (d *Dataset) Engine() *engine.Engine { return d.eng }
 
 // ConvertRaw reads a raw GDELT dataset directory (master file list plus
-// chunk files), cleans and validates it, and builds the in-memory store.
+// chunk files), cleans and validates it, and builds the in-memory store. A
+// chunk that cannot be read quarantines (listed in Quarantined) and the
+// build completes without it.
 func ConvertRaw(dir string) (*Dataset, error) {
-	return ConvertRawOpts(context.Background(), dir, ConvertOptions{})
-}
-
-// ConvertOptions configures a resilient conversion: the chunk source and
-// the quarantine budget.
-type ConvertOptions = convert.Options
-
-// QuarantinedChunk records a chunk the conversion completed without.
-type QuarantinedChunk = convert.QuarantinedChunk
-
-// ErrTooManyQuarantined is returned (wrapped) when the quarantined chunk
-// fraction exceeds ConvertOptions.MaxQuarantineFrac.
-var ErrTooManyQuarantined = convert.ErrTooManyQuarantined
-
-// ConvertRawOpts is ConvertRaw with explicit failure handling: a chunk
-// that cannot be read quarantines and the build degrades gracefully unless
-// the damage exceeds opts.MaxQuarantineFrac. Cancelling ctx stops the
-// conversion.
-func ConvertRawOpts(ctx context.Context, dir string, opts ConvertOptions) (*Dataset, error) {
-	res, err := convert.FromRawDirOpts(ctx, dir, opts)
+	res, err := convert.FromRawDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -175,6 +155,9 @@ func ConvertRawOpts(ctx context.Context, dir string, opts ConvertOptions) (*Data
 	ds.Quarantined = res.Quarantined
 	return ds, nil
 }
+
+// QuarantinedChunk records a chunk the conversion completed without.
+type QuarantinedChunk = convert.QuarantinedChunk
 
 // BuildDataset builds the in-memory store directly from a synthetic corpus,
 // bypassing the raw-file round trip.
@@ -204,15 +187,6 @@ func OpenBinary(path string) (*Dataset, error) {
 func (d *Dataset) WithWorkers(n int) *Dataset {
 	cp := *d
 	cp.eng = d.eng.WithWorkers(n)
-	return &cp
-}
-
-// WithQueryKind returns a view of the dataset whose engine scans are
-// attributed to kind in the obs metrics (engine_scans_total{kind=...} and
-// friends). Purely observational; query results are unchanged.
-func (d *Dataset) WithQueryKind(kind string) *Dataset {
-	cp := *d
-	cp.eng = d.eng.WithKind(kind)
 	return &cp
 }
 
@@ -510,15 +484,6 @@ func (d *Dataset) SourceGraph(sources []int32, threshold float64) (*Graph, error
 	}
 	return graph.FromSimilarity(co.Jaccard, threshold)
 }
-
-// DistCluster is a simulated distributed-memory deployment of the dataset
-// (the paper's MPI future work): row-sharded nodes answering queries
-// through serialized scatter/gather messages.
-type DistCluster = dist.Cluster
-
-// NewDistCluster partitions the dataset across n simulated nodes. Close the
-// cluster when done.
-func (d *Dataset) NewDistCluster(n int) *DistCluster { return dist.NewCluster(d.db, n) }
 
 // RowStoreBaseline materializes the generic row-store comparison system
 // over this dataset.

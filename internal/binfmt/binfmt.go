@@ -13,7 +13,10 @@
 //	terminator section tag "END "
 //
 // Sections: META (archive span), SRCS (source dictionary), EVTS (event
-// columns), MNTS (mention columns), REPT (validation report).
+// columns), MNTS (mention columns), REPT (validation report), GKGS (GKG
+// theme postings, optional). Read refuses a section it does not know and
+// one that repeats: the CRC does not cover the tag, so either means a
+// damaged file, never a newer writer (a newer format bumps the version).
 package binfmt
 
 import (
@@ -114,21 +117,24 @@ func Read(r io.Reader) (*store.DB, error) {
 		mentions   store.MentionTable
 		report     *gdelt.ValidationReport
 		gkgPayload []byte
-		haveMeta   bool
-		haveDict   bool
-		haveEvents bool
-		haveMent   bool
+		seen       = map[[4]byte]bool{}
 	)
 	for {
 		tag, payload, err := ReadSection(br, maxSection)
 		if err != nil {
 			return nil, err
 		}
+		// The CRC covers a section's payload, not its tag: a damaged tag
+		// must not turn a known section into one skipped or read twice.
+		if seen[tag] {
+			return nil, fmt.Errorf("binfmt: repeated section %q", tag)
+		}
+		seen[tag] = true
 		switch tag {
 		case tagEnd:
-			if !haveMeta || !haveDict || !haveEvents || !haveMent {
+			if !seen[tagMeta] || !seen[tagSources] || !seen[tagEvents] || !seen[tagMentions] {
 				return nil, fmt.Errorf("binfmt: incomplete database (meta=%v dict=%v events=%v mentions=%v)",
-					haveMeta, haveDict, haveEvents, haveMent)
+					seen[tagMeta], seen[tagSources], seen[tagEvents], seen[tagMentions])
 			}
 			db, err := store.AssembleDB(meta, dict, events, mentions, report)
 			if err != nil {
@@ -144,7 +150,6 @@ func Read(r io.Reader) (*store.DB, error) {
 			if meta, err = decodeMeta(payload); err != nil {
 				return nil, err
 			}
-			haveMeta = true
 		case tagSources:
 			names, err := decodeStrings(&Decoder{buf: payload})
 			if err != nil {
@@ -153,17 +158,14 @@ func Read(r io.Reader) (*store.DB, error) {
 			if dict, err = store.FromNames(names); err != nil {
 				return nil, err
 			}
-			haveDict = true
 		case tagEvents:
 			if events, err = decodeEvents(payload); err != nil {
 				return nil, err
 			}
-			haveEvents = true
 		case tagMentions:
 			if mentions, err = decodeMentions(payload); err != nil {
 				return nil, err
 			}
-			haveMent = true
 		case tagReport:
 			if report, err = decodeReport(payload); err != nil {
 				return nil, err
@@ -171,7 +173,7 @@ func Read(r io.Reader) (*store.DB, error) {
 		case tagGKG:
 			gkgPayload = payload
 		default:
-			// Unknown sections are skipped for forward compatibility.
+			return nil, fmt.Errorf("binfmt: unknown section %q", tag)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package binfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -164,12 +166,13 @@ func TestReadRejectsIncomplete(t *testing.T) {
 	}
 }
 
-func TestUnknownSectionSkipped(t *testing.T) {
+// TestAbsentReportLoadsEmpty: a database without a report section loads
+// with an empty report.
+func TestAbsentReportLoadsEmpty(t *testing.T) {
 	db := testDB(t)
 	var buf bytes.Buffer
 	buf.Write(magic[:])
 	buf.Write([]byte{Version, 0, 0, 0})
-	WriteSection(&buf, [4]byte{'X', 'T', 'R', 'A'}, []byte("future extension"))
 	WriteSection(&buf, tagMeta, encodeMeta(db.Meta))
 	WriteSection(&buf, tagSources, encodeStrings(db.Sources.Names()))
 	WriteSection(&buf, tagEvents, encodeEvents(&db.Events))
@@ -180,12 +183,70 @@ func TestUnknownSectionSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Events.Len() != db.Events.Len() {
-		t.Fatal("round trip with unknown section lost data")
+		t.Fatal("round trip without a report lost data")
 	}
-	// Absent report defaults to empty.
 	if got.Report == nil || got.Report.Total() != 0 {
 		t.Fatal("missing report should default to empty")
 	}
+}
+
+// TestDamagedSectionTagsRefused: the section CRC covers the payload, not
+// the tag, so one flipped byte in a tag leaves every CRC valid. A flipped
+// GKG or report tag must not load the database without its GKG or with an
+// empty Table II, and a section written twice must not replace the first:
+// Read refuses each, naming the tag.
+func TestDamagedSectionTagsRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range damagedTags(t, buf.Bytes()) {
+		_, err := Read(bytes.NewReader(c.data))
+		if err == nil || !strings.Contains(err.Error(), c.tag) {
+			t.Errorf("%s: err %v, want a refusal naming %s", name, err, c.tag)
+		}
+	}
+}
+
+// damagedFile is a written database with a damaged section tag, and the
+// tag Read's refusal names.
+type damagedFile struct {
+	data []byte
+	tag  string
+}
+
+// damagedTags derives from a written database the files whose section
+// tags are damaged: the GKG and the report tag each with one flipped byte,
+// and the meta section written twice.
+func damagedTags(tb testing.TB, valid []byte) map[string]damagedFile {
+	tb.Helper()
+	out := map[string]damagedFile{}
+	for name, tag := range map[string][4]byte{"flip-gkg-tag": tagGKG, "flip-report-tag": tagReport} {
+		data := bytes.Clone(valid)
+		off, _ := sectionSpan(tb, data, tag)
+		data[off] ^= 0x20 // "GKGS" -> "gKGS", "REPT" -> "rEPT"
+		out[name] = damagedFile{data, string(data[off : off+4])}
+	}
+	lo, hi := sectionSpan(tb, valid, tagMeta)
+	end, _ := sectionSpan(tb, valid, tagEnd)
+	repeated := append(append(bytes.Clone(valid[:end]), valid[lo:hi]...), valid[end:]...)
+	out["repeated-meta"] = damagedFile{repeated, string(tagMeta[:])}
+	return out
+}
+
+// sectionSpan returns the byte range [lo, hi) of the section tagged tag in
+// a written database: header, payload and CRC.
+func sectionSpan(tb testing.TB, data []byte, tag [4]byte) (lo, hi int) {
+	tb.Helper()
+	for off := 8; off+12 <= len(data); {
+		next := off + 12 + int(binary.LittleEndian.Uint64(data[off+4:])) + 4
+		if [4]byte(data[off:off+4]) == tag {
+			return off, next
+		}
+		off = next
+	}
+	tb.Fatalf("no section %q", tag)
+	return 0, 0
 }
 
 func TestDecodeMetaRejectsImplausible(t *testing.T) {

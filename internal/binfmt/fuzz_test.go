@@ -49,8 +49,9 @@ func tinyDBBytes(tb testing.TB) []byte {
 }
 
 // fuzzSeeds are the interesting starting points: a fully valid database,
-// truncations at section boundaries and mid-payload, a corrupt header, and
-// bit flips that land in length fields, varint streams, and CRCs. Their
+// truncations at section boundaries and mid-payload, a corrupt header, bit
+// flips that land in length fields, varint streams, and CRCs, and the
+// damaged section tags of damagedTags. Their
 // names carry the format version they were written in, so the checked-in
 // seeds of older versions stay beside the current ones.
 func fuzzSeeds(tb testing.TB) map[string][]byte {
@@ -67,6 +68,9 @@ func fuzzSeeds(tb testing.TB) map[string][]byte {
 		mut := bytes.Clone(valid)
 		mut[off] ^= 0xff
 		seeds[v+"flip-"+strconv.Itoa(off)] = mut
+	}
+	for name, d := range damagedTags(tb, valid) {
+		seeds[v+name] = d.data
 	}
 	return seeds
 }

@@ -55,34 +55,27 @@ func (rt *Router) probeOnce(ctx context.Context, rep *replica) {
 	rep.brk.Success()
 }
 
-// probeLoop polls every replica at ProbeInterval until the router closes.
-// Replicas are probed concurrently so one partitioned replica's timeout
-// does not delay the health verdict of the others.
+// probeLoop runs a ProbeAll round every ProbeInterval until the router
+// closes. Start ran the first round.
 func (rt *Router) probeLoop() {
 	defer rt.probeDone.Done()
 	tick := time.NewTicker(rt.cfg.ProbeInterval)
 	defer tick.Stop()
 	for {
-		var wg sync.WaitGroup
-		for _, rep := range rt.replicas {
-			wg.Add(1)
-			go func(rep *replica) {
-				defer wg.Done()
-				rt.probeOnce(rt.probeCtx, rep)
-			}(rep)
-		}
-		wg.Wait()
 		select {
 		case <-rt.probeCtx.Done():
 			return
 		case <-tick.C:
 		}
+		rt.ProbeAll(rt.probeCtx)
 	}
 }
 
-// ProbeAll runs one synchronous probe round against every replica — used by
-// tests and by Start for an immediate initial health picture instead of
-// waiting a full ProbeInterval.
+// ProbeAll runs one synchronous probe round against every replica: the
+// round probeLoop repeats, and what tests and Start run for an immediate
+// health picture instead of waiting a full ProbeInterval. Replicas are
+// probed concurrently so one partitioned replica's timeout does not delay
+// the health verdict of the others.
 func (rt *Router) ProbeAll(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, rep := range rt.replicas {

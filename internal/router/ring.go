@@ -1,82 +1,54 @@
 package router
 
 import (
+	"cmp"
 	"hash/fnv"
-	"sort"
-	"strconv"
+	"slices"
 )
 
-// The affinity ring orders the fleet per query with consistent hashing:
-// every replica contributes defaultVNodes virtual points, a query's key
-// hashes to a ring position, and its preference order is the distinct
-// replicas clockwise from there. Identical queries therefore hash to the
-// same primary replica, concentrating result-cache hits instead of
-// spraying them, and adding or removing one replica moves only the keys
-// whose arcs it owned.
+// The affinity order ranks the fleet per query by rendezvous (highest
+// random weight) hashing: every replica scores the query by hashing the
+// query key's hash with its own ID's, and the preference order is the
+// replicas by descending score. Identical queries therefore rank the same
+// primary replica first, concentrating result-cache hits instead of
+// spraying them, and removing one replica moves only the keys it was
+// primary for: every other replica's score for a key is unchanged.
 
-// ringPoint is one virtual node: a position on the 64-bit ring owned by a
-// replica index.
-type ringPoint struct {
-	hash    uint64
-	replica int
-}
-
-// ring is an immutable consistent hash ring over replica indices.
+// ring is an immutable rendezvous ranking over replica indices.
 type ring struct {
-	points []ringPoint
-	n      int // distinct replicas
+	ids []uint64 // hash64 of each replica ID, by index
 }
 
-// defaultVNodes balances primaries to within a few percent for small
-// fleets without making ring construction noticeable.
-const defaultVNodes = 64
-
-// buildRing places defaultVNodes virtual points per replica ID.
+// buildRing hashes each replica ID once.
 func buildRing(ids []string) *ring {
-	r := &ring{n: len(ids), points: make([]ringPoint, 0, len(ids)*defaultVNodes)}
+	r := &ring{ids: make([]uint64, len(ids))}
 	for i, id := range ids {
-		for v := 0; v < defaultVNodes; v++ {
-			r.points = append(r.points, ringPoint{hash: hash64(id + "#" + strconv.Itoa(v)), replica: i})
-		}
+		r.ids[i] = hash64(id)
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		p, q := r.points[a], r.points[b]
-		if p.hash != q.hash {
-			return p.hash < q.hash
-		}
-		return p.replica < q.replica // total order: ties never flip the order
-	})
 	return r
 }
 
-// successors returns the first n distinct replica indices clockwise from
-// key's ring position — a query's preference order when n covers every
-// replica.
+// successors returns the n highest-scoring replica indices for key,
+// best first, ties broken by index — a query's preference order when n
+// covers every replica.
 func (r *ring) successors(key string, n int) []int {
-	if r.n == 0 {
+	if len(r.ids) == 0 {
 		return nil
 	}
-	if n > r.n {
-		n = r.n
-	}
 	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.replica] {
-			seen[p.replica] = true
-			out = append(out, p.replica)
-		}
+	scores := make([]uint64, len(r.ids))
+	order := make([]int, len(r.ids))
+	for i, id := range r.ids {
+		scores[i] = mix64(h ^ id)
+		order[i] = i
 	}
-	return out
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(scores[b], scores[a]) })
+	return order[:min(n, len(order))]
 }
 
-// hash64 hashes a string onto the ring. FNV-1a alone clusters badly on
-// short strings that differ only in a suffix digit ("r0#1" vs "r0#2"),
-// which would hand one replica giant contiguous arcs; the murmur-style
-// finalizer scatters those near-collisions across the whole ring.
+// hash64 hashes a string to 64 bits. FNV-1a alone clusters badly on
+// short strings that differ only in a suffix digit ("r0" vs "r1"); the
+// murmur-style finalizer scatters those near-collisions.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

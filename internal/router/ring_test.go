@@ -50,6 +50,35 @@ func TestRingSuccessorsClampAndEmpty(t *testing.T) {
 	}
 }
 
+// TestRingRemovalMovesOnlyItsKeys: removing one replica of four changes
+// the primary of exactly the keys that replica was primary for, and each
+// of those keys moves to its old second choice.
+func TestRingRemovalMovesOnlyItsKeys(t *testing.T) {
+	ids := []string{"r0", "r1", "r2", "r3"}
+	full := buildRing(ids)
+	for gone := range ids {
+		rest := append(append([]string(nil), ids[:gone]...), ids[gone+1:]...)
+		less := buildRing(rest)
+		owned := 0
+		for i := 0; i < 2000; i++ {
+			key := "key-" + strconv.Itoa(i)
+			order := full.successors(key, len(ids))
+			before, after := ids[order[0]], rest[less.successors(key, 1)[0]]
+			if order[0] == gone {
+				owned++
+				if want := ids[order[1]]; after != want {
+					t.Fatalf("without %s: %s moved to %s, want its second choice %s", ids[gone], key, after, want)
+				}
+			} else if after != before {
+				t.Fatalf("without %s: %s moved from %s to %s", ids[gone], key, before, after)
+			}
+		}
+		if owned == 0 {
+			t.Fatalf("%s was primary for none of 2000 keys", ids[gone])
+		}
+	}
+}
+
 func TestValidateTopology(t *testing.T) {
 	if err := validateTopology([]Replica{{ID: "r0"}, {ID: "r1"}}); err != nil {
 		t.Fatalf("valid fleet rejected: %v", err)

@@ -30,7 +30,8 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 //     the tick is interned into a clone of the tail's dictionary, which
 //     becomes the world's; older parts keep the prefix they had. The
 //     tail's defect report, the world's, is cloned too and records the
-//     tick's drops.
+//     tick's drops, then the rows of its chunks that did not parse (bad,
+//     each filed as a Table II bad row).
 //   - Per-event metadata (NumArticles, FirstMention, Interval) of events
 //     that gained mentions: a column of the global table's run holding the
 //     event, and of each non-tail part holding a copy of it, is copied once
@@ -57,7 +58,7 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // mention rows may key on the overlapping shards alone: such entries over
 // cold windows stay warm, and every other entry goes stale through
 // Staleness (see DB.CacheWindow).
-func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st store.AppendStats, err error) {
+func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention, bad []string) (next *DB, st store.AppendStats, err error) {
 	ti := len(s.parts) - 1
 	tail := s.parts[ti]
 	tailLo := s.bounds[ti]
@@ -107,6 +108,9 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention) (next *DB, st st
 	newTail, st, err := tail.CloneAppend(adopt, evs, mns)
 	if err != nil {
 		return nil, st, err
+	}
+	for _, text := range bad {
+		newTail.Report.Record(gdelt.DefectBadRow, text)
 	}
 	c := *s
 	next = &c

@@ -83,7 +83,7 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 	fold := func(t *testing.T, lg *shard.Log, chunks [][]gdelt.Mention) {
 		t.Helper()
 		for _, ch := range chunks {
-			if _, err := lg.AppendTick(ch[0].MentionTime, nil, ch); err != nil {
+			if _, err := lg.AppendTick(ch[0].MentionTime, nil, ch, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,7 +174,7 @@ func TestLogCrashSafetyEveryStep(t *testing.T) {
 			got := captureWorld(t, re)
 			// The ledger decides what recovery folds: a tick it holds is
 			// refused, one it lacks goes back in.
-			if _, err := re.AppendTick(chunks[0][0].MentionTime, nil, chunks[0]); err == nil {
+			if _, err := re.AppendTick(chunks[0][0].MentionTime, nil, chunks[0], nil); err == nil {
 				t.Fatal("reopened log folded the durably sealed tick again")
 			}
 			switch {

@@ -271,16 +271,18 @@ func (lg *Log) TailSpan() int32 {
 func (lg *Log) Append(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	return lg.appendLocked(evs, mns)
+	return lg.appendLocked(evs, mns, nil)
 }
 
 // AppendTick is Append for one whole feed tick starting at ts: the tick
 // joins the chunk ledger in the critical section that publishes its rows,
 // so a seal persists both or neither — the marks of ticks that leave the
-// tail without mentions reach disk with the next seal that has some. A
-// tick the ledger already holds, or one starting outside the archive, is
-// refused before anything is appended.
-func (lg *Log) AppendTick(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
+// tail without mentions reach disk with the next seal that has some. bad
+// holds the tick's rows that did not parse, each as "<chunk path>: <error>";
+// the world's report files them as Table II bad rows, as gdeltconvert files
+// the same rows. A tick the ledger already holds, or one starting outside
+// the archive, is refused before anything is appended.
+func (lg *Log) AppendTick(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mention, bad []string) (store.AppendStats, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	meta := lg.cur.Load().meta
@@ -292,7 +294,7 @@ func (lg *Log) AppendTick(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Men
 	if found {
 		return store.AppendStats{}, fmt.Errorf("shard: tick %s already folded", ts)
 	}
-	st, err := lg.appendLocked(evs, mns)
+	st, err := lg.appendLocked(evs, mns, bad)
 	if err != nil {
 		return st, err
 	}
@@ -304,9 +306,9 @@ func (lg *Log) AppendTick(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Men
 	return st, nil
 }
 
-func (lg *Log) appendLocked(evs []gdelt.Event, mns []gdelt.Mention) (store.AppendStats, error) {
+func (lg *Log) appendLocked(evs []gdelt.Event, mns []gdelt.Mention, bad []string) (store.AppendStats, error) {
 	start := time.Now()
-	next, st, err := lg.cur.Load().appendTail(evs, mns)
+	next, st, err := lg.cur.Load().appendTail(evs, mns, bad)
 	if err != nil {
 		return st, err
 	}

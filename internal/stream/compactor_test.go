@@ -29,7 +29,7 @@ func TestCompactorFailedSealRetries(t *testing.T) {
 	// foldTicks seals after every tick; the last tick stays in the tail.
 	mon := NewMonitor(lg, Config{Window: 16, MinSources: 3})
 	foldTicks(t, mon, ticks[:11])
-	if _, err := mon.Fold(ticks[11].ts, ticks[11].evs, ticks[11].mns); err != nil {
+	if _, err := mon.Fold(ticks[11].ts, ticks[11].evs, ticks[11].mns, nil); err != nil {
 		t.Fatal(err)
 	}
 	comp := NewCompactor(lg, CompactorConfig{MaxTailRows: 1})

@@ -100,23 +100,12 @@ func (c *FeedClient) ReadChunk(ctx context.Context, path string) ([]byte, error)
 	return c.get(ctx, path)
 }
 
-// LiveConfig tunes the live poller. The tick spacing is the monitor's
-// Config.ChunkIntervals.
-type LiveConfig struct {
-	// SkipAfterPolls is how many consecutive polls a tick may stay
-	// missing — while newer ticks are already buffered — before the
-	// poller declares it lost and moves on (the gap then shows in the
-	// log's ledger). Catch-up via the master list is attempted on
-	// every such poll first. 0 means 3.
-	SkipAfterPolls int
-}
-
-func (c LiveConfig) withDefaults() LiveConfig {
-	if c.SkipAfterPolls == 0 {
-		c.SkipAfterPolls = 3
-	}
-	return c
-}
+// SkipAfterPolls is how many consecutive polls a tick may stay missing —
+// while newer ticks are already buffered — or keep failing to read before
+// the poller declares it lost and moves on (the gap then shows in the
+// log's ledger). Catch-up via the master list is attempted on every such
+// poll first.
+const SkipAfterPolls = 3
 
 // LiveStats counts what the poller has seen: the feed-health counters.
 // They describe one run; the data itself lives in the monitor's log.
@@ -145,7 +134,6 @@ type LiveStats struct {
 type LiveRunner struct {
 	feed Feed
 	mon  *Monitor
-	cfg  LiveConfig
 
 	next    int64 // interval index of the next tick to apply
 	head    int64 // interval index of the newest tick advertised
@@ -159,9 +147,9 @@ type LiveRunner struct {
 // NewLiveRunner starts polling at the tick whose timestamp is start. Over
 // a reopened log, pass Monitor.ResumePoint's result as start so folded
 // ticks are not fetched again.
-func NewLiveRunner(feed Feed, mon *Monitor, start gdelt.Timestamp, cfg LiveConfig) *LiveRunner {
+func NewLiveRunner(feed Feed, mon *Monitor, start gdelt.Timestamp) *LiveRunner {
 	return &LiveRunner{
-		feed: feed, mon: mon, cfg: cfg.withDefaults(),
+		feed: feed, mon: mon,
 		next: start.IntervalIndex(), head: start.IntervalIndex(),
 		pending: map[int64][]gdelt.MasterEntry{},
 	}
@@ -219,7 +207,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 				mLiveCatchup.Add(int64(len(r.pending) - before))
 			}
 		}
-		if _, ok := r.pending[r.next]; !ok && r.stall >= r.cfg.SkipAfterPolls {
+		if _, ok := r.pending[r.next]; !ok && r.stall >= SkipAfterPolls {
 			r.skip()
 		}
 	} else {
@@ -263,7 +251,7 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 		}
 		// Each chunk is read once per poll: retries span polls, bounded by
 		// SkipAfterPolls.
-		evs, mns, err := ReadTick(ctx, r.feed, entries)
+		evs, mns, bad, err := ReadTick(ctx, r.feed, entries)
 		if err != nil {
 			if ctx.Err() != nil {
 				return alerts, ctx.Err()
@@ -271,14 +259,14 @@ func (r *LiveRunner) PollOnce(ctx context.Context) ([]Alert, error) {
 			if r.failIv != r.next {
 				r.failIv, r.fails = r.next, 0
 			}
-			if r.fails++; r.fails >= r.cfg.SkipAfterPolls {
+			if r.fails++; r.fails >= SkipAfterPolls {
 				r.skip()
 				r.fails = 0
 			}
 			return alerts, fmt.Errorf("stream: tick %s: %w", ts, err)
 		}
 		r.fails = 0
-		f, err := r.mon.Fold(ts, evs, mns)
+		f, err := r.mon.Fold(ts, evs, mns, bad)
 		if err != nil {
 			return alerts, fmt.Errorf("stream: folding tick %s: %w", ts, err)
 		}

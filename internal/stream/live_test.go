@@ -135,8 +135,7 @@ func TestLiveFeedEndToEnd(t *testing.T) {
 	lg := shard.NewLog(emptyWorld(t, c, 0))
 	mon := stream.NewMonitor(lg, stream.Config{ChunkIntervals: 96, GraceIntervals: 96})
 	comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailRows: 1 << 30, MaxTailSpan: 5 * 96})
-	runner := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon,
-		start, stream.LiveConfig{SkipAfterPolls: 2})
+	runner := stream.NewLiveRunner(&stream.FeedClient{Base: srv.URL}, mon, start)
 
 	ctx := context.Background()
 	for fs.Advance() {
@@ -216,9 +215,10 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tick 1 is a reordered drop. With SkipAfterPolls=1 and one poll per
-	// advance, a run skips it before its files land (they surface at tick
-	// 3, by which point the runner moved on) — a durable ledger gap.
+	// Tick 1 is a reordered drop. A run that polls SkipAfterPolls times
+	// at each advance while it holds a newer tick skips it before its
+	// files land (they surface at tick 3, by which point the runner moved
+	// on) — a durable ledger gap.
 	probe, err := stream.NewFeedServer(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,15 +241,18 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 
 	start := gdelt.Timestamp(cfg.Start)
 	mcfg := stream.Config{ChunkIntervals: 96, GraceIntervals: 96}
-	lcfg := stream.LiveConfig{SkipAfterPolls: 1}
 	ctx := context.Background()
-	// drain polls once per feed advance, up to polls advances (all when
-	// negative), then drains what is still buffered at the feed head.
+	// drain polls at each feed advance, up to polls advances (all when
+	// negative), then drains what is still buffered at the feed head. At
+	// each advance it polls again, up to SkipAfterPolls polls, while the
+	// runner holds ticks waiting on a missing one.
 	drain := func(r *stream.LiveRunner, fs *stream.FeedServer, polls int) {
 		t.Helper()
 		for i := 0; i != polls && fs.Advance(); i++ {
-			if _, err := r.PollOnce(ctx); err != nil {
-				t.Fatalf("poll at tick %d: %v", fs.Pos(), err)
+			for p := 0; p == 0 || (p < stream.SkipAfterPolls && r.Pending() > 0); p++ {
+				if _, err := r.PollOnce(ctx); err != nil {
+					t.Fatalf("poll at tick %d: %v", fs.Pos(), err)
+				}
 			}
 		}
 		for i := 0; polls < 0 && i < 4 && r.Pending() > 0; i++ {
@@ -263,7 +266,7 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	refFS, refCl := feed()
 	refLog := shard.NewLog(emptyWorld(t, c, 96))
 	ref := stream.NewMonitor(refLog, mcfg)
-	refRun := stream.NewLiveRunner(refCl, ref, start, lcfg)
+	refRun := stream.NewLiveRunner(refCl, ref, start)
 	drain(refRun, refFS, -1)
 
 	// First run: consume the first 8 ticks into a log directory, skipping
@@ -274,7 +277,7 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := stream.NewLiveRunner(cl, stream.NewMonitor(lg, mcfg), start, lcfg)
+	runner := stream.NewLiveRunner(cl, stream.NewMonitor(lg, mcfg), start)
 	drain(runner, fs, 8)
 	st := runner.Stats()
 	if len(st.Skipped) != 1 || st.Skipped[0] != fs.TickTS(1) {
@@ -298,7 +301,7 @@ func TestLiveResumeFromCheckpoint(t *testing.T) {
 	if resume != fs.TickTS(1) {
 		t.Fatalf("resume point %s, want the gap %s", resume, fs.TickTS(1))
 	}
-	runner2 := stream.NewLiveRunner(cl, mon2, resume, lcfg)
+	runner2 := stream.NewLiveRunner(cl, mon2, resume)
 	drain(runner2, fs, -1)
 
 	st2 := runner2.Stats()

@@ -2,9 +2,11 @@ package stream_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -104,7 +106,7 @@ func TestReplayOverFeedServer(t *testing.T) {
 		if len(lg.Ledger()) > 0 {
 			from = mon.ResumePoint(from)
 		}
-		r := stream.NewLiveRunner(fs, mon, from, stream.LiveConfig{})
+		r := stream.NewLiveRunner(fs, mon, from)
 		comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailRows: 1 << 30, MaxTailSpan: 5 * 96})
 		var alerts []stream.Alert
 		for i := 0; i != polls && (fs.Advance() || r.Pending() > 0); i++ {
@@ -206,19 +208,30 @@ func TestReplayOverFeedServer(t *testing.T) {
 
 // TestReplayDefectsMatchConvert: a replay of a Small-preset directory
 // into a log directory, as gdeltstream -in DIR -checkpoint LOG runs it,
-// tallies the per-event defects a conversion of the same directory
-// tallies — events without a source URL, and events recorded after their
-// first mention — in the live log, after its last seal and in the log
-// reopened from disk. Seed 42 is the directory gdeltgen -preset small
-// writes, where no URL-less event survives conversion; seed 0 keeps one.
+// tallies the defects a conversion of the same directory tallies — events
+// without a source URL, events recorded after their first mention, and
+// rows that do not parse, with the same bad-row examples — in the live
+// log, after its last seal and in the log reopened from disk. Seed 42 is
+// the directory gdeltgen -preset small writes, where no URL-less event
+// survives conversion; seed 0 keeps one. Each directory gets one
+// unparseable row in a mentions chunk, listed with its new size and CRC.
 func TestReplayDefectsMatchConvert(t *testing.T) {
-	classes := []gdelt.DefectClass{gdelt.DefectMissingSourceURL, gdelt.DefectFutureEventDate}
+	classes := []gdelt.DefectClass{gdelt.DefectMissingSourceURL, gdelt.DefectFutureEventDate, gdelt.DefectBadRow}
 	counts := func(rep *gdelt.ValidationReport) []int64 {
 		out := make([]int64, len(classes))
 		for i, cl := range classes {
 			out[i] = rep.Counts[cl]
 		}
 		return out
+	}
+	check := func(seed int64, state string, got, want *gdelt.ValidationReport) {
+		t.Helper()
+		if g, w := counts(got), counts(want); !slices.Equal(g, w) {
+			t.Fatalf("seed %d: %s log tallies %v, conversion %v", seed, state, g, w)
+		}
+		if g, w := got.Examples[gdelt.DefectBadRow], want.Examples[gdelt.DefectBadRow]; !slices.Equal(g, w) {
+			t.Fatalf("seed %d: %s log files bad rows %q, conversion %q", seed, state, g, w)
+		}
 	}
 	seen := make([]int64, len(classes))
 	for _, seed := range []int64{42, 0} {
@@ -232,12 +245,12 @@ func TestReplayDefectsMatchConvert(t *testing.T) {
 		if _, err := gen.WriteRaw(c, dir); err != nil {
 			t.Fatal(err)
 		}
+		addBadRow(t, dir)
 		conv, err := convert.FromRawDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := counts(conv.DB.Report)
-		for i, n := range want {
+		for i, n := range counts(conv.DB.Report) {
 			seen[i] += n
 		}
 
@@ -252,7 +265,7 @@ func TestReplayDefectsMatchConvert(t *testing.T) {
 			t.Fatal(err)
 		}
 		mon := stream.NewMonitor(lg, stream.Config{ChunkIntervals: spacing, GraceIntervals: 8})
-		r := stream.NewLiveRunner(fs, mon, lg.Snapshot().Meta().Start, stream.LiveConfig{})
+		r := stream.NewLiveRunner(fs, mon, lg.Snapshot().Meta().Start)
 		comp := stream.NewCompactor(lg, stream.CompactorConfig{MaxTailSpan: 5 * spacing})
 		for fs.Advance() || r.Pending() > 0 {
 			// Polls that meet a withheld archive error until the runner
@@ -262,24 +275,56 @@ func TestReplayDefectsMatchConvert(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := counts(lg.Snapshot().Report()); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: live log tallies %v, conversion %v", seed, got, want)
-		}
+		check(seed, "live", lg.Snapshot().Report(), conv.DB.Report)
 		if _, err := lg.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		if got := counts(lg.Snapshot().Report()); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: sealed log tallies %v, conversion %v", seed, got, want)
-		}
+		check(seed, "sealed", lg.Snapshot().Report(), conv.DB.Report)
 		reopened, err := shard.OpenLog(logDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := counts(reopened.Snapshot().Report()); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: reopened log tallies %v, conversion %v", seed, got, want)
-		}
+		check(seed, "reopened", reopened.Snapshot().Report(), conv.DB.Report)
 	}
 	if slices.Contains(seen, 0) {
 		t.Fatalf("conversions tallied %v over both seeds: each class should show", seen)
 	}
+}
+
+// addBadRow appends a row that does not parse to the first mentions chunk
+// of the dataset in dir whose export chunk is on disk, so its tick folds,
+// and lists the chunk with its new size and CRC, so it still passes its
+// master-list check.
+func addBadRow(t *testing.T, dir string) {
+	t.Helper()
+	mlPath := filepath.Join(dir, gen.MasterFileName)
+	ml, err := os.ReadFile(mlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(ml), "\n")
+	for i, line := range lines {
+		e, err := gdelt.ParseMasterEntry(line)
+		if err != nil || e.Kind() != "mentions" {
+			continue
+		}
+		path := filepath.Join(dir, e.Path)
+		if _, err := os.Stat(strings.TrimSuffix(path, ".mentions.csv") + ".export.csv"); err != nil {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, "not\ta\trow\n"...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = fmt.Sprintf("%d %s %s", len(data), gdelt.Checksum32(data), e.Path)
+		if err := os.WriteFile(mlPath, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("no mentions chunk listed")
 }

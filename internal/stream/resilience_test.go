@@ -72,7 +72,7 @@ func TestGraceWindowAcceptsLateMentions(t *testing.T) {
 	stale := func(m *Monitor, iv int64) {
 		t.Helper()
 		before := m.lg.Snapshot()
-		_, err := m.Fold(ivTS(iv), []gdelt.Event{event(20+iv, iv)}, []gdelt.Mention{mention(20+iv, iv, iv, "b.example")})
+		_, err := m.Fold(ivTS(iv), []gdelt.Event{event(20+iv, iv)}, []gdelt.Mention{mention(20+iv, iv, iv, "b.example")}, nil)
 		if !errors.Is(err, ErrStale) {
 			t.Fatalf("tick %d: err %v, want ErrStale", iv, err)
 		}
@@ -144,7 +144,7 @@ func TestCheckpointResume(t *testing.T) {
 	if resumed.Foldable(ticks[gap].ts) {
 		t.Fatal("the stale gap reported foldable")
 	}
-	if _, err := re.AppendTick(ticks[3].ts, ticks[3].evs, ticks[3].mns); err == nil {
+	if _, err := re.AppendTick(ticks[3].ts, ticks[3].evs, ticks[3].mns, nil); err == nil {
 		t.Fatal("the log folded a tick its ledger already holds")
 	}
 	got = append(got, foldTicks(t, resumed, ticks)...)

@@ -191,12 +191,13 @@ func (m *Monitor) Gaps() []gdelt.Timestamp {
 }
 
 // Fold appends one whole tick starting at ts to the log, marking it in the
-// ledger, and returns the alerts it fired: the events it mentions whose
-// distinct early-source count (shard.DB.EarlySources, the wildfires
-// count) was below MinSources before the fold and is at least MinSources
-// after it. A stale tick is refused with ErrStale before anything is
+// ledger and filing bad, the tick's rows that did not parse (ReadTick), in
+// the world's report. It returns the alerts the tick fired: the events it
+// mentions whose distinct early-source count (shard.DB.EarlySources, the
+// wildfires count) was below MinSources before the fold and is at least
+// MinSources after it. A stale tick is refused with ErrStale before anything is
 // appended.
-func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mention) (Folded, error) {
+func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mention, bad []string) (Folded, error) {
 	if !m.Foldable(ts) {
 		return Folded{}, fmt.Errorf("%w: %s", ErrStale, ts)
 	}
@@ -211,7 +212,7 @@ func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mentio
 
 	before := m.lg.Snapshot()
 	var err error
-	if f.AppendStats, err = m.lg.AppendTick(ts, evs, mns); err != nil {
+	if f.AppendStats, err = m.lg.AppendTick(ts, evs, mns, bad); err != nil {
 		return Folded{}, err
 	}
 	var hot []int64
@@ -236,17 +237,12 @@ func (m *Monitor) Fold(ts gdelt.Timestamp, evs []gdelt.Event, mns []gdelt.Mentio
 // ReadTick reads one tick's export and mentions files from src through
 // ingest.Read, which checks each against its master-list size and CRC, and
 // parses their rows with gdelt.ParseChunk; GKG files are not read, since
-// appends extend the event and mention tables only. Rows that do not parse
-// are dropped uncounted, where the batch converter files each as a Table II
-// bad row. A read error fails the whole tick, so nothing of it folds and a
-// retry or a later run can fold it whole.
-func ReadTick(ctx context.Context, src ingest.Source, entries []gdelt.MasterEntry) ([]gdelt.Event, []gdelt.Mention, error) {
-	var evs []gdelt.Event
-	var mns []gdelt.Mention
-	sink := gdelt.ChunkSink{
-		Event:   func(ev gdelt.Event) { evs = append(evs, ev) },
-		Mention: func(mn gdelt.Mention) { mns = append(mns, mn) },
-	}
+// appends extend the event and mention tables only. A row that does not
+// parse is returned in bad as "<chunk path>: <error>", the text the batch
+// converter files as its Table II bad row. A read error fails the whole
+// tick, so nothing of it folds and a retry or a later run can fold it
+// whole.
+func ReadTick(ctx context.Context, src ingest.Source, entries []gdelt.MasterEntry) (evs []gdelt.Event, mns []gdelt.Mention, bad []string, err error) {
 	for _, e := range entries {
 		kind := e.Kind()
 		if kind != "export" && kind != "mentions" {
@@ -254,11 +250,15 @@ func ReadTick(ctx context.Context, src ingest.Source, entries []gdelt.MasterEntr
 		}
 		data, err := ingest.Read(ctx, src, e)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		_ = gdelt.ParseChunk(kind, data, sink) // kind is known: ParseChunk cannot fail
+		_ = gdelt.ParseChunk(kind, data, gdelt.ChunkSink{ // kind is known: ParseChunk cannot fail
+			Event:   func(ev gdelt.Event) { evs = append(evs, ev) },
+			Mention: func(mn gdelt.Mention) { mns = append(mns, mn) },
+			BadRow:  func(err error) { bad = append(bad, fmt.Sprintf("%s: %v", e.Path, err)) },
+		})
 	}
-	return evs, mns, nil
+	return evs, mns, bad, nil
 }
 
 // Tick is one feed update: where it starts and its chunk files.

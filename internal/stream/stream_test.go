@@ -85,7 +85,7 @@ func foldTicks(t *testing.T, m *Monitor, ticks []tickRows, skip ...int) []Alert 
 		if slices.Contains(skip, i) || m.SeenChunk(tk.ts) {
 			continue
 		}
-		f, err := m.Fold(tk.ts, tk.evs, tk.mns)
+		f, err := m.Fold(tk.ts, tk.evs, tk.mns, nil)
 		if errors.Is(err, ErrStale) {
 			continue
 		}
@@ -242,7 +242,7 @@ func testMonitor(t *testing.T, cfg Config) *Monitor {
 // fold folds one synthetic tick and fails the test on error.
 func fold(t *testing.T, m *Monitor, iv int64, evs []gdelt.Event, mns ...gdelt.Mention) Folded {
 	t.Helper()
-	f, err := m.Fold(ivTS(iv), evs, mns)
+	f, err := m.Fold(ivTS(iv), evs, mns, nil)
 	if err != nil {
 		t.Fatalf("tick %d: %v", iv, err)
 	}
@@ -325,7 +325,7 @@ func TestMonitorRejectsTimeRegression(t *testing.T) {
 	if m.Foldable(ivTS(5)) {
 		t.Fatal("a regressing tick reported foldable")
 	}
-	_, err := m.Fold(ivTS(5), []gdelt.Event{event(2, 5)}, []gdelt.Mention{mention(2, 5, 5, "a")})
+	_, err := m.Fold(ivTS(5), []gdelt.Event{event(2, 5)}, []gdelt.Mention{mention(2, 5, 5, "a")}, nil)
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("regression: err %v, want ErrStale", err)
 	}
