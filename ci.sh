@@ -115,7 +115,12 @@ rm -rf "$smoke"
 # router's cache of fresh answers, which /metrics must count. gdeltquery
 # -json over the .gdmb answers on the served path, so its stdout must be
 # byte-identical to the monolith server's body for every kind below and
-# for count with a where. First,
+# for count with a where. The windowed plan paths (a shard the window
+# misses is not run, index operands are clipped to the window, quarter
+# counts come from row offsets) answer series-articles, top-publishers,
+# country, count with a where and query with a where and a group over two
+# from/to windows, one inside a part and one across parts, and each body
+# must be byte-identical from the two servers and the router. First,
 # gdeltgen, gdeltconvert and the raw re-scan handle chunks W at a time on
 # parallel.Ordered, and their output must not depend on W: gdeltgen and
 # gdeltconvert run again at GOMAXPROCS=1 must write an identical dataset
@@ -151,6 +156,17 @@ for pass in 1 2; do
 		cmp "$conv/mono.json" "$conv/routed.json" || rc=1
 		cmp "$conv/mono.json" "$conv/again.json" || rc=1
 		tr -d '\r' <"$conv/again.hdr" | grep -qix 'X-Cache: hit' || rc=1
+	done
+done
+for q in 'series-articles?' 'top-publishers?' 'country?' \
+	'count?where=sourcecountry%3DUS%20and%20tone%3C0&' \
+	'query?where=sourcecountry%3DUK%20and%20delay%3E2&group=quarter&'; do
+	for win in 'from=20160101000000&to=20160701000000' 'from=20161115000000&to=20180301000000'; do
+		for port in 18392 18393 18394; do
+			curl -sf "http://127.0.0.1:$port/api/v1/$q$win" >"$conv/win$port.json" || rc=1
+		done
+		{ test -s "$conv/win18392.json" && cmp "$conv/win18392.json" "$conv/win18393.json" &&
+			cmp "$conv/win18392.json" "$conv/win18394.json"; } || rc=1
 	done
 done
 # cli KIND [NAME=VALUE]: gdeltquery's -json stdout equals the monolith's body.
@@ -243,7 +259,12 @@ rm -rf "$conv"
 # 1e-9 relative for float aggregates — every world's cases must reach the
 # pushdown, range and scan paths, and explain=1 must report a plan without
 # executing (DESIGN.md §13). TestQlangFusedScanMetrics pins the fused
-# fold's one scan per shard for a grouped mean with a residual clause.
+# fold's one scan per shard the window overlaps for a grouped mean with a
+# residual clause. The windowed-plan battery (TestQlangWindowCutsContainers,
+# TestQlangClippedEstimateFlipsToPushdown, TestQlangWindowedQuarterCounts)
+# checks windows whose edges cut 65,536-row bitmap containers, a head
+# country the clipped estimate pushes down, and quarter counts from row
+# offsets against the naive evaluator at K in {Single,1,3,5}.
 #
 # Qlang stage table (internal/qlang, TestStagesMatchNaiveEvaluator,
 # TestStagesUntaggedEvents): every field x every operator x edge literals

@@ -129,7 +129,8 @@ func main() {
 	fmt.Fprintf(info, "loaded %s articles in %v\n\n", report.Int(int64(db.Mentions.Len())), time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	// -param workers=N, when given, overrides -workers (DeriveView).
+	// -param workers=N, when given, overrides -workers (DeriveView), so
+	// the timing line names the view the query ran on.
 	v := sdb.View().WithKind(kind).WithWorkers(*workers)
 	switch kind {
 	case "graph":
@@ -137,9 +138,9 @@ func main() {
 	case "cluster":
 		runCluster(v, panelSize(&params))
 	default:
-		runRegistry(v, kind, &params, *jsonOut)
+		v = runRegistry(v, kind, &params, *jsonOut)
 	}
-	fmt.Fprintf(info, "\nquery time: %v (workers=%d)\n", time.Since(start).Round(time.Millisecond), workersOrDefault(*workers))
+	fmt.Fprintf(info, "\nquery time: %v (workers=%d)\n", time.Since(start).Round(time.Millisecond), workersOrDefault(v.Workers()))
 	if *stats {
 		data, err := obs.Default.Snapshot().MarshalJSONIndent()
 		if err != nil {
@@ -152,8 +153,9 @@ func main() {
 // runRegistry resolves kind against the registry and runs it as gdeltserve
 // answers /api/v1/<kind>: the common parameters derive the view, the kind
 // runs on it (RunSharded), and -json prints the server's response body
-// (serve.Encode). Without -json the answer renders as tables.
-func runRegistry(v *shard.View, kind string, params *paramList, jsonOut bool) {
+// (serve.Encode). Without -json the answer renders as tables. It returns
+// the derived view the kind ran on.
+func runRegistry(v *shard.View, kind string, params *paramList, jsonOut bool) *shard.View {
 	d, ok := registry.Lookup(kind)
 	if !ok {
 		log.Fatalf("unknown query %q (run `gdeltquery list` for the inventory)", kind)
@@ -182,9 +184,10 @@ func runRegistry(v *shard.View, kind string, params *paramList, jsonOut bool) {
 		if _, err := os.Stdout.Write(body); err != nil {
 			log.Fatal(err)
 		}
-		return
+		return v
 	}
 	render(v.DB(), d.Kind, res)
+	return v
 }
 
 // render prints a registry result as the human-readable tables and figures

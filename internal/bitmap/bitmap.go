@@ -234,34 +234,6 @@ func (c *container) orInto(dst []uint64) {
 	c.toBits(dst)
 }
 
-// appendRows appends the container's rows (offset by base) to dst with
-// direct per-representation loops — the extraction inner loop of the
-// ad-hoc pushdown and FollowReport's candidate events, kept free of
-// per-value closure calls.
-func (c *container) appendRows(base int32, dst []int32) []int32 {
-	switch c.typ {
-	case typeArray:
-		for _, v := range c.arr {
-			dst = append(dst, base|int32(v))
-		}
-	case typeRun:
-		for i := 0; i < len(c.arr); i += 2 {
-			for v := int32(c.arr[i]); v <= int32(c.arr[i+1]); v++ {
-				dst = append(dst, base|v)
-			}
-		}
-	case typeBitset:
-		for wi, w := range c.bits {
-			wordBase := base | int32(wi<<6)
-			for w != 0 {
-				dst = append(dst, wordBase|int32(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-	}
-	return dst
-}
-
 // FromSorted builds a bitmap from an ascending row list (duplicates
 // collapse). Postings lists are already ascending, so this is the store's
 // O(n) construction path. Rows must be non-negative.
@@ -388,9 +360,148 @@ func (b *Bitmap) AppendRows(dst []int32) []int32 {
 		return dst
 	}
 	for ci := range b.cs {
-		dst = b.cs[ci].appendRows(int32(b.keys[ci])<<chunkBits, dst)
+		dst = b.cs[ci].appendRange(int32(b.keys[ci])<<chunkBits, 0, chunkSize, dst)
 	}
 	return dst
+}
+
+// rank returns the number of the container's values below v, for v in
+// [0, chunkSize].
+func (c *container) rank(v int) int {
+	switch c.typ {
+	case typeArray:
+		if v >= chunkSize {
+			return len(c.arr)
+		}
+		i, _ := slices.BinarySearch(c.arr, uint16(v))
+		return i
+	case typeRun:
+		n := 0
+		for i := 0; i < len(c.arr) && int(c.arr[i]) < v; i += 2 {
+			n += min(int(c.arr[i+1])+1, v) - int(c.arr[i])
+		}
+		return n
+	case typeBitset:
+		w := v >> 6
+		n := 0
+		for _, x := range c.bits[:w] {
+			n += bits.OnesCount64(x)
+		}
+		if w < bitsetWords {
+			n += bits.OnesCount64(c.bits[w] & (1<<(v&63) - 1))
+		}
+		return n
+	}
+	return 0
+}
+
+// appendRange appends the container's values in [a, b) (0 <= a < b <=
+// chunkSize), offset by base, to dst in ascending order, with direct
+// per-representation loops — the extraction inner loop of the ad-hoc
+// pushdown and FollowReport's candidate events, kept free of per-value
+// closure calls.
+func (c *container) appendRange(base int32, a, b int, dst []int32) []int32 {
+	switch c.typ {
+	case typeArray:
+		i, _ := slices.BinarySearch(c.arr, uint16(a))
+		for _, v := range c.arr[i:] {
+			if int(v) >= b {
+				break
+			}
+			dst = append(dst, base|int32(v))
+		}
+	case typeRun:
+		for i := 0; i < len(c.arr) && int(c.arr[i]) < b; i += 2 {
+			for v := max(int(c.arr[i]), a); v <= min(int(c.arr[i+1]), b-1); v++ {
+				dst = append(dst, base|int32(v))
+			}
+		}
+	case typeBitset:
+		for wi := a >> 6; wi <= (b-1)>>6; wi++ {
+			w := c.bits[wi]
+			if wi == a>>6 {
+				w &^= 1<<(a&63) - 1
+			}
+			if wi == (b-1)>>6 && b&63 != 0 {
+				w &= 1<<(b&63) - 1
+			}
+			wordBase := base | int32(wi<<6)
+			for w != 0 {
+				dst = append(dst, wordBase|int32(bits.TrailingZeros64(w)))
+				w &= w - 1
+			}
+		}
+	}
+	return dst
+}
+
+// spans calls f for each container holding rows of [lo, hi), in key order,
+// with the container's index and the range clipped to the container as
+// local values [from, to). Every container but the (at most two) the
+// range edges cut gets the whole chunk [0, chunkSize).
+func (b *Bitmap) spans(lo, hi int32, f func(ci, from, to int)) {
+	if b == nil || hi <= 0 || lo >= hi {
+		return
+	}
+	lo = max(lo, 0)
+	first, last := uint16(lo>>chunkBits), uint16((hi-1)>>chunkBits)
+	ci, _ := slices.BinarySearch(b.keys, first)
+	for ; ci < len(b.keys) && b.keys[ci] <= last; ci++ {
+		base := int32(b.keys[ci]) << chunkBits
+		f(ci, int(max(lo-base, 0)), int(min(int64(hi)-int64(base), chunkSize)))
+	}
+}
+
+// RangeCardinality returns the number of set rows in [lo, hi): the
+// containers the range spans whole add their stored cardinality, and the
+// two it cuts count their values below each edge, so the cost is
+// O(containers in range) plus two container probes. An empty or inverted
+// range holds no rows.
+func (b *Bitmap) RangeCardinality(lo, hi int32) int64 {
+	var n int64
+	b.spans(lo, hi, func(ci, from, to int) {
+		c := &b.cs[ci]
+		if from == 0 && to == chunkSize {
+			n += int64(c.card)
+			return
+		}
+		n += int64(c.rank(to) - c.rank(from))
+	})
+	return n
+}
+
+// AppendRange appends the set rows in [lo, hi) to dst in ascending order
+// and returns the extended slice: AppendRows restricted to a row window,
+// visiting only the containers the window reaches.
+func (b *Bitmap) AppendRange(lo, hi int32, dst []int32) []int32 {
+	b.spans(lo, hi, func(ci, from, to int) {
+		dst = b.cs[ci].appendRange(int32(b.keys[ci])<<chunkBits, from, to, dst)
+	})
+	return dst
+}
+
+// Clip returns the bitmap of b's rows in [lo, hi), canonical like every
+// built bitmap: the containers the range spans whole are shared with b,
+// and the two it cuts are rebuilt from their values in range.
+func (b *Bitmap) Clip(lo, hi int32) *Bitmap {
+	out := New()
+	b.spans(lo, hi, func(ci, from, to int) {
+		c := b.cs[ci]
+		if from != 0 || to != chunkSize {
+			rows := c.appendRange(0, from, to, nil)
+			if len(rows) == 0 {
+				return
+			}
+			vals := make([]uint16, len(rows))
+			for i, r := range rows {
+				vals[i] = uint16(r)
+			}
+			c = fromValues(vals)
+		}
+		out.keys = append(out.keys, b.keys[ci])
+		out.cs = append(out.cs, c)
+	})
+	return out
 }
 
 // Union returns a ∪ b. Inputs are never modified; the result may share

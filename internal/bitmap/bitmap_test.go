@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -236,4 +237,88 @@ func TestConcurrentReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// shapedRef builds a row set whose chunks take every container shape in
+// turn — chunk 0 a sparse array, chunk 1 a dense bitset, chunk 2 runs,
+// chunk 3 empty, chunk 4 an array again — so the range calls meet each
+// representation at a chunk edge and inside it.
+func shapedRef() *refSet {
+	r := newRef(5 * chunkSize)
+	for v := int32(3); v < chunkSize; v += 97 {
+		r.add(v)
+	}
+	for i := int32(0); i < 9000; i++ {
+		r.add(chunkSize + i*7%chunkSize)
+	}
+	for _, run := range [][2]int32{{0, 5}, {63, 130}, {1000, 40000}, {chunkSize - 2, chunkSize - 1}} {
+		for v := run[0]; v <= run[1]; v++ {
+			r.add(2*chunkSize + v)
+		}
+	}
+	for v := int32(4 * chunkSize); v < 5*chunkSize; v += 1001 {
+		r.add(v)
+	}
+	return r
+}
+
+// TestRangeCallsAgainstReference checks RangeCardinality, AppendRange and
+// Clip against a naive filter of the reference rows: every container type,
+// ranges whose edges fall on and between chunks and words, and empty,
+// inverted, whole-table and out-of-domain ranges.
+func TestRangeCallsAgainstReference(t *testing.T) {
+	shaped := shapedRef()
+	b := fromRef(t, shaped)
+	var types []uint8
+	for _, c := range b.cs {
+		types = append(types, c.typ)
+	}
+	if want := []uint8{typeArray, typeBitset, typeRun, typeArray}; !slices.Equal(types, want) {
+		t.Fatalf("shaped set containers %v, want %v", types, want)
+	}
+	const domain = 5 * chunkSize
+	edges := []int32{-5, 0, 1, 63, 64, 65, 130, 131, 1000, 4095, chunkSize - 1, chunkSize, chunkSize + 1,
+		chunkSize + 64, chunkSize + 100, 2*chunkSize - 64, 2 * chunkSize, 2*chunkSize + 6,
+		2*chunkSize + 64, 2*chunkSize + 40001, 3*chunkSize - 1, 3 * chunkSize, 3*chunkSize + 17,
+		4 * chunkSize, 4*chunkSize + 1001, domain - 1, domain, domain + 9, math.MaxInt32}
+	check := func(tag string, ref *refSet, b *Bitmap, lo, hi int32) {
+		t.Helper()
+		var want []int32
+		for _, r := range ref.rows() {
+			if r >= lo && r < hi {
+				want = append(want, r)
+			}
+		}
+		if got := b.RangeCardinality(lo, hi); got != int64(len(want)) {
+			t.Fatalf("%s [%d,%d): RangeCardinality %d, want %d", tag, lo, hi, got, len(want))
+		}
+		got := b.AppendRange(lo, hi, []int32{-1})
+		if !slices.Equal(got, append([]int32{-1}, want...)) {
+			t.Fatalf("%s [%d,%d): AppendRange kept %d rows, want %d", tag, lo, hi, len(got)-1, len(want))
+		}
+		clip := b.Clip(lo, hi)
+		checkRows(t, tag+" clip", clip, want)
+		if !Equal(clip, FromSorted(want)) {
+			t.Fatalf("%s [%d,%d): Clip is not canonical", tag, lo, hi)
+		}
+	}
+	for _, lo := range edges {
+		for _, hi := range edges {
+			check("shaped", shaped, b, lo, hi) // hi <= lo covers empty and inverted
+		}
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ref := genRef(rng, 3*chunkSize)
+		rb := fromRef(t, ref)
+		for i := 0; i < 200; i++ {
+			lo := rng.Int31n(3*chunkSize+2) - 1
+			check("random", ref, rb, lo, lo+rng.Int31n(3*chunkSize))
+		}
+		check("random whole", ref, rb, 0, 3*chunkSize)
+	}
+	var nilB *Bitmap
+	if nilB.RangeCardinality(0, 10) != 0 || len(nilB.AppendRange(0, 10, nil)) != 0 || nilB.Clip(0, 10).Cardinality() != 0 {
+		t.Fatal("nil bitmap holds rows in range")
+	}
 }

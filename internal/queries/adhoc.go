@@ -119,7 +119,8 @@ const pushdownThreshold = 0.20
 
 // resolveAdhoc plans a spec against an engine view: range clauses always
 // narrow the window, and index clauses push down when the selectivity
-// estimated from their cardinalities is at or below pushdownThreshold.
+// estimated from their cardinalities inside the narrowed window is at or
+// below pushdownThreshold.
 func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 	db := e.DB()
 	r := adhocResolution{windowRows: int64(e.WindowSize())}
@@ -141,13 +142,14 @@ func resolveAdhoc(e *engine.Engine, spec AdhocSpec) adhocResolution {
 		return r
 	}
 	// The intersection can only shrink the smallest operand, so the
-	// smallest cardinality (a postings length, or an O(containers)
-	// register sum) bounds the rows the pushdown plan touches.
+	// smallest cardinality in the window (a clipped postings length, or a
+	// bitmap's range cardinality) bounds the rows the pushdown plan
+	// touches.
 	sets := make([]clauseRows, len(bm))
 	minCard := int64(-1)
 	for i, c := range bm {
-		sets[i] = indexClauseRows(db, c)
-		if card := sets[i].card(); minCard < 0 || card < minCard {
+		sets[i] = indexClauseRows(ne, c)
+		if card := sets[i].card; minCard < 0 || card < minCard {
 			minCard = card
 		}
 	}
@@ -259,43 +261,44 @@ func quarterRows(db *store.DB, fromQ, toQ int) (lo, hi int) {
 	return int(l), int(h)
 }
 
-// clauseRows is the mention rows one index clause admits: a source
-// clause's by-source postings (ascending; nil for a source absent from the
-// store), or a country clause's row bitmap.
+// clauseRows is the mention rows one index clause admits inside the
+// (range-narrowed) window: a source clause's by-source postings clipped to
+// the window (ascending; nil for a source absent from the store), or a
+// country clause's row bitmap, whole, with card its rows in the window.
 type clauseRows struct {
 	rows []int32
 	bm   *bitmap.Bitmap
-}
-
-// card is the clause's row count.
-func (c clauseRows) card() int64 {
-	if c.bm != nil {
-		return c.bm.Cardinality()
-	}
-	return int64(len(c.rows))
+	card int64
 }
 
 // indexClauseRows resolves one index clause to the store's index of its
-// rows. A literal absent from the store (unseen source) matches no row —
-// the same "matches nothing" the residual filter produces.
-func indexClauseRows(db *store.DB, c qlang.Clause) clauseRows {
+// rows, counted over e's window. A literal absent from the store (unseen
+// source) matches no row — the same "matches nothing" the residual filter
+// produces.
+func indexClauseRows(e *engine.Engine, c qlang.Clause) clauseRows {
+	db := e.DB()
+	var bm *bitmap.Bitmap
 	switch c.Field {
 	case "source":
 		if id := db.Sources.Lookup(c.Value.Str); id >= 0 {
-			return clauseRows{rows: db.SourceMentions(id)}
+			rows := e.ClipRows(db.SourceMentions(id))
+			return clauseRows{rows: rows, card: int64(len(rows))}
 		}
 		return clauseRows{}
 	case "sourcecountry":
-		return clauseRows{bm: db.CountryRowBitmap(gdelt.CountryIndex(c.Value.Str))}
+		bm = db.CountryRowBitmap(gdelt.CountryIndex(c.Value.Str))
 	default: // eventcountry; Classify admits no other field
-		return clauseRows{bm: db.EventCountryRowBitmap(gdelt.CountryIndex(c.Value.Str))}
+		bm = db.EventCountryRowBitmap(gdelt.CountryIndex(c.Value.Str))
 	}
+	lo, hi := e.Window()
+	return clauseRows{bm: bm, card: bm.RangeCardinality(int32(lo), int32(hi))}
 }
 
 // kernel names the aggregation kernel the resolved plan will run, for the
 // explain output. A count with nothing to filter takes a typed count fast
 // path — over a window, a group=source count reads postings lengths
-// (PostingsCount) — and everything else runs the fused selection fold:
+// (PostingsCount) and a group=quarter count the quarter row offsets
+// (QuarterOffsets) — and everything else runs the fused selection fold:
 // RefineFold over the pushdown row list, SelectFold over the window.
 func (r *adhocResolution) kernel(spec AdhocSpec) string {
 	grouped := spec.Group != ""
@@ -307,6 +310,8 @@ func (r *adhocResolution) kernel(spec AdhocSpec) string {
 			return "RowCount"
 		case spec.Group == "source":
 			return "PostingsCount"
+		case spec.Group == "quarter":
+			return "QuarterOffsets"
 		case grouped:
 			return "GroupCountCol"
 		default:
@@ -438,10 +443,11 @@ func AdhocVectors(e *engine.Engine, spec AdhocSpec) (AdhocVec, error) {
 
 // materialize returns the ascending rows of the (range-narrowed) window
 // that every pushdown clause admits. With a source clause the rows start
-// as its postings, clipped to the window (returned as is, read-only, when
-// the clause is alone), and every other clause filters them through its
-// bitmap; a second source clause's clipped postings become one
-// (FromSorted). Country clauses alone intersect their bitmaps.
+// as its clipped postings (returned as is, read-only, when the clause is
+// alone), and every other clause filters them through its bitmap; a second
+// source clause's clipped postings become one (FromSorted). Country
+// clauses alone list their one bitmap's rows in the window, or intersect
+// their bitmaps clipped to the window.
 func (r *adhocResolution) materialize() []int32 {
 	var rows []int32
 	var bms []*bitmap.Bitmap
@@ -451,9 +457,9 @@ func (r *adhocResolution) materialize() []int32 {
 		case c.bm != nil:
 			bms = append(bms, c.bm)
 		case !listed:
-			rows, listed = r.eng.ClipRows(c.rows), true
+			rows, listed = c.rows, true
 		default:
-			bms = append(bms, bitmap.FromSorted(r.eng.ClipRows(c.rows)))
+			bms = append(bms, bitmap.FromSorted(c.rows))
 		}
 	}
 	if listed {
@@ -462,11 +468,15 @@ func (r *adhocResolution) materialize() []int32 {
 		}
 		return rows
 	}
-	bm := bms[0]
-	for _, b := range bms[1:] {
-		bm = bitmap.Intersect(bm, b)
+	lo, hi := r.eng.Window()
+	if len(bms) == 1 {
+		return bms[0].AppendRange(int32(lo), int32(hi), make([]int32, 0, r.sets[0].card))
 	}
-	return r.eng.ClipRows(bm.AppendRows(make([]int32, 0, bm.Cardinality())))
+	bm := bms[0].Clip(int32(lo), int32(hi))
+	for _, b := range bms[1:] {
+		bm = bitmap.Intersect(bm, b.Clip(int32(lo), int32(hi)))
+	}
+	return bm.AppendRows(make([]int32, 0, bm.Cardinality()))
 }
 
 // selBatch is the number of rows a fused fold selects at a time: the
@@ -610,6 +620,8 @@ func adhocWindow(e *engine.Engine, spec AdhocSpec, g groupSpec, residual *qlang.
 		switch {
 		case spec.Group == "source":
 			vec.Counts = postingsCount(e)
+		case spec.Group == "quarter":
+			vec.Counts = quarterCounts(e)
 		case spec.Group != "":
 			vec.Counts = e.GroupCountCol(g.N, g.Col, g.Remap)
 		}
@@ -629,6 +641,9 @@ func postingsCount(e *engine.Engine) []int64 {
 	lo, hi := e.Window()
 	full := lo == 0 && hi == db.Mentions.Len()
 	counts := make([]int64, db.Sources.Len())
+	if lo == hi {
+		return counts
+	}
 	for s := range counts {
 		rows := db.SourceMentions(int32(s))
 		if !full {
@@ -637,6 +652,22 @@ func postingsCount(e *engine.Engine) []int64 {
 			rows = rows[a : a+b]
 		}
 		counts[s] = int64(len(rows))
+	}
+	return counts
+}
+
+// quarterCounts answers a group=quarter count over the window from the
+// quarter row offsets (DESIGN.md §10, "answer from the index"): mentions
+// are interval-sorted, so quarter q's rows are the one span
+// QuarterMentionRange(q), and its count is that span clipped to the
+// window. O(quarters); no mention row is read.
+func quarterCounts(e *engine.Engine) []int64 {
+	db := e.DB()
+	lo, hi := e.Window()
+	counts := make([]int64, db.NumQuarters())
+	for q := range counts {
+		qlo, qhi := db.QuarterMentionRange(q)
+		counts[q] = max(min(qhi, int64(hi))-max(qlo, int64(lo)), 0)
 	}
 	return counts
 }

@@ -9,24 +9,28 @@ import (
 
 // TestAdhocKernelNames pins explain's kernel over path × grouped × agg ×
 // residual: a count with nothing to filter names its typed count fast
-// path — postings lengths for a group=source count over a window — and
+// path — postings lengths for a group=source count over a window, the
+// quarter row offsets for a group=quarter one — and
 // every other plan names the fused fold that executes it: RefineFold over
 // a pushdown row list, SelectFold over a window.
 func TestAdhocKernelNames(t *testing.T) {
 	// Keyed path/group.
 	countOnly := map[string]string{
-		"pushdown/":        "RowCount",
-		"pushdown/source":  "GroupCountRows",
-		"pushdown/quarter": "GroupCountRows",
-		"range/":           "WindowSize",
-		"range/source":     "PostingsCount",
-		"range/quarter":    "GroupCountCol",
-		"scan/":            "WindowSize",
-		"scan/source":      "PostingsCount",
-		"scan/quarter":     "GroupCountCol",
+		"pushdown/":              "RowCount",
+		"pushdown/source":        "GroupCountRows",
+		"pushdown/quarter":       "GroupCountRows",
+		"pushdown/sourcecountry": "GroupCountRows",
+		"range/":                 "WindowSize",
+		"range/source":           "PostingsCount",
+		"range/quarter":          "QuarterOffsets",
+		"range/sourcecountry":    "GroupCountCol",
+		"scan/":                  "WindowSize",
+		"scan/source":            "PostingsCount",
+		"scan/quarter":           "QuarterOffsets",
+		"scan/sourcecountry":     "GroupCountCol",
 	}
 	for _, path := range []string{"pushdown", "range", "scan"} {
-		for _, group := range []string{"", "source", "quarter"} {
+		for _, group := range []string{"", "source", "quarter", "sourcecountry"} {
 			for _, agg := range []string{"count", "sum:doclen", "mean:tone"} {
 				for _, residual := range []bool{false, true} {
 					a, err := qlang.ParseAgg(agg)

@@ -82,7 +82,7 @@ func TestNilExecutorBypasses(t *testing.T) {
 }
 
 func TestExecutorMissThenHit(t *testing.T) {
-	d := MustLookup("series-articles")
+	d := MustLookup("series-slow-articles")
 	ex := &Executor{Cache: qcache.New(0)}
 	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
@@ -159,7 +159,7 @@ func TestExecutorWindowIsPartOfKey(t *testing.T) {
 // exactly one underlying scan, one miss, 31 hits or coalesced waiters, and
 // byte-identical results.
 func TestSingleFlight32Goroutines(t *testing.T) {
-	d := MustLookup("series-articles")
+	d := MustLookup("series-slow-articles")
 	ex := &Executor{Cache: qcache.New(0)}
 	e := testWorld(t).View().WithKind(d.Kind)
 	p := defaultParams(t, d)
@@ -219,7 +219,7 @@ func TestSingleFlight32Goroutines(t *testing.T) {
 func TestLogAppendInvalidates(t *testing.T) {
 	db := testDB(t)
 	lg := shard.NewLog(testWorld(t))
-	d := MustLookup("series-articles")
+	d := MustLookup("series-slow-articles")
 	ex := &Executor{Cache: qcache.New(0)}
 	ex.Cache.SetStale(func() func(qcache.Key) bool { return lg.Snapshot().Staleness() })
 	p := defaultParams(t, d)

@@ -32,18 +32,20 @@ func (v *View) AdhocKey(group string) func(g int) string {
 	return nil
 }
 
-// AdhocVectors fans the spec out over every shard concurrently and merges
-// the raw vectors in ascending shard order. Each shard runs the monolith's
-// spec, and its group ids are global ones: a part's source ids are a prefix
-// of the world's, and country and quarter ids agree because every part
-// shares the Meta. A grouped answer carries one count per global group id
-// even when no shard contributes, as the monolith's does.
+// AdhocVectors fans the spec out over the shards the window reaches,
+// concurrently, and merges the raw vectors in ascending shard order (a
+// shard the window misses adds nothing, so it is not run). Each shard runs
+// the monolith's spec, and its group ids are global ones: a part's source
+// ids are a prefix of the world's, and country and quarter ids agree
+// because every part shares the Meta. A grouped answer carries one count
+// per global group id even when no shard contributes, as the monolith's
+// does.
 func (v *View) AdhocVectors(spec queries.AdhocSpec) (queries.AdhocVec, error) {
 	s := v.s
 	k := s.K()
 	vecs := make([]queries.AdhocVec, k)
 	errs := make([]error, k)
-	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
+	v.forEachWindowShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
 		vecs[i], errs[i] = queries.AdhocVectors(e, spec)
 	})
 	// First error by shard index, matching the sequential loop's reporting.

@@ -347,14 +347,15 @@ type spanMask struct {
 // CountryFinish completes the country query (Tables V-VII) from its
 // archive half: it fans the per-shard typed cross-count matrices over the
 // view's window out across the pool (country ids are global, so no remap
-// is needed), folds them through a merge tree, and derives the report.
+// is needed; a shard the window misses is not run), folds them through a
+// merge tree, and derives the report.
 // The archive is only read, so a cached one serves concurrent requests.
 func (v *View) CountryFinish(a *CountryArchive) (*queries.CountryReport, error) {
 	s := v.s
 	nc := len(gdelt.Countries)
 
 	parts := make([]*matrix.Int64, s.K())
-	v.forEachShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
+	v.forEachWindowShard(func(_ *parallel.Worker, i int, e *engine.Engine) {
 		p := s.parts[i]
 		parts[i] = e.CrossCountRemap(nc, nc,
 			p.Mentions.EventRow, p.Events.Country,

@@ -57,6 +57,9 @@ func (v *View) WithWindow(from, to int32) *View {
 	return &w
 }
 
+// Workers returns the view's worker count (0 means the default).
+func (v *View) Workers() int { return v.workers }
+
 // DB returns the underlying sharded store.
 func (v *View) DB() *DB { return v.s }
 
@@ -105,25 +108,47 @@ func (v *View) optW(w *parallel.Worker) parallel.Options {
 // forEachShard still returns only after in-flight jobs finish, so no task
 // of the fan-out survives the call.
 func (v *View) forEachShard(job func(w *parallel.Worker, i int, e *engine.Engine)) {
-	engines := v.engines()
+	engines := make([]*engine.Engine, v.s.K())
+	for i := range engines {
+		engines[i] = v.engine(i)
+	}
 	parallel.FanOut(len(engines), v.opt(), func(w *parallel.Worker, i int) {
 		job(w, i, engines[i].WithWorker(w))
 	})
 }
 
-// engines returns one engine per shard, each carrying the view's workers,
-// context and kind, and — when the view is windowed — the window clipped
-// by each engine to its own mention rows. Every shard gets an engine even
-// if the window misses it entirely (its kernels then see no rows), which
-// keeps fan-out loops free of index bookkeeping.
-func (v *View) engines() []*engine.Engine {
-	es := make([]*engine.Engine, v.s.K())
-	for i, p := range v.s.parts {
-		e := engine.New(p).WithWorkers(v.workers).WithContext(v.ctx).WithKind(v.kind)
-		if v.windowed {
-			e = e.WithInterval(v.from, v.to)
-		}
-		es[i] = e
+// forEachWindowShard is forEachShard over the shards the view's mention
+// window reaches: a shard whose interval bounds miss the window, or whose
+// window holds no mention row, is never visited, and its slot stays zero.
+// The mention-window fan-outs (the ad-hoc plans, country's cross count)
+// use it, so a windowed query costs the parts it overlaps, not every part.
+func (v *View) forEachWindowShard(job func(w *parallel.Worker, i int, e *engine.Engine)) {
+	lo, hi := 0, v.s.K()
+	if v.windowed {
+		lo, hi = v.s.overlapping(v.from, v.to)
 	}
-	return es
+	var idx []int
+	var engines []*engine.Engine
+	for i := lo; i < hi; i++ {
+		if e := v.engine(i); e.WindowSize() > 0 {
+			idx, engines = append(idx, i), append(engines, e)
+		}
+	}
+	parallel.FanOut(len(engines), v.opt(), func(w *parallel.Worker, j int) {
+		job(w, idx[j], engines[j].WithWorker(w))
+	})
+}
+
+// engine returns shard i's engine, carrying the view's workers, context
+// and kind, and — when the view is windowed — the window clipped by the
+// engine to the shard's own mention rows. forEachShard gives a shard the
+// window misses an engine too, with an empty window, because its jobs
+// (event-table and postings kernels the window does not reach) fill every
+// shard's slot; forEachWindowShard skips it.
+func (v *View) engine(i int) *engine.Engine {
+	e := engine.New(v.s.parts[i]).WithWorkers(v.workers).WithContext(v.ctx).WithKind(v.kind)
+	if v.windowed {
+		e = e.WithInterval(v.from, v.to)
+	}
+	return e
 }
