@@ -39,8 +39,11 @@ done
 # log. Fails if any of them does. Three fsync-bound seals are a smoke, not a
 # measurement: their ns/seal spreads several-fold run to run, so compare
 # builds by the counted outputs (written-B/seal, manifest-B, B/op,
+# allocs/op). One shard.Split of the gen.Bench store at each of K = 4, 64
+# and 512 reports how slicing and the event merge grow with K (ns/op, B/op,
 # allocs/op).
 go test ./internal/shard -run '^$' -bench 'LogSeal|LogOpen|LogAppend' -benchtime 3x
+go test ./internal/shard -run '^$' -bench '^BenchmarkSplit$' -benchtime 1x -benchmem
 go test ./internal/shard -run '^$' -bench 'GrownLogKinds' -benchtime 1x
 
 # K=1 parity smoke (~3 s on 2 vCPUs): every kind, GKG ones included, runs

@@ -69,8 +69,9 @@ func main() {
 	}
 	fmt.Printf("generated %d events, %d articles from %d sources in %v\n",
 		len(corpus.Events), len(corpus.Mentions), len(corpus.World.Sources), genTime.Round(time.Millisecond))
-	fmt.Printf("wrote %d of %d chunk files (%.1f MB) to %s in %v\n",
-		res.FilesWritten, 2*res.Chunks, float64(res.Bytes)/1e6, res.Dir, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("wrote %d of %d chunk files, %d per tick over %d ticks (%.1f MB), to %s in %v\n",
+		res.FilesWritten, res.FilesPerChunk*res.Chunks, res.FilesPerChunk, res.Chunks,
+		float64(res.Bytes)/1e6, res.Dir, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("injected defects: %d malformed master lines, %d withheld archives\n",
 		res.MalformedLines, len(res.MissingFiles))
 }

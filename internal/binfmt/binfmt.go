@@ -94,9 +94,13 @@ func Write(w io.Writer, db *store.DB) error {
 	return bw.Flush()
 }
 
-// Read deserializes a database from r, rebuilding the derived indexes.
+// Read deserializes a database from r, rebuilding the derived indexes. A
+// *bytes.Reader is read as it is; any other reader through a 1 MB buffer.
 func Read(r io.Reader) (*store.DB, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := r
+	if _, inMemory := r.(*bytes.Reader); !inMemory {
+		br = bufio.NewReaderSize(r, 1<<20)
+	}
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("binfmt: reading header: %w", err)

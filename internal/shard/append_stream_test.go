@@ -7,10 +7,8 @@ import (
 	"reflect"
 	"testing"
 
-	"gdeltmine/internal/convert"
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
-	"gdeltmine/internal/gen"
 	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/queries"
 	"gdeltmine/internal/registry"
@@ -27,15 +25,7 @@ import (
 // cold windows stay warm, and (5) leave the sharded answers identical to a
 // monolith that folded the same chunk.
 func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
-	c, err := gen.Generate(gen.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := convert.FromCorpus(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono := res.DB
+	mono := smallStore(t)
 	sdb, err := shard.Split(mono, 3)
 	if err != nil {
 		t.Fatal(err)

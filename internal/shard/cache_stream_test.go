@@ -7,23 +7,13 @@ import (
 	"slices"
 	"testing"
 
-	"gdeltmine/internal/convert"
-	"gdeltmine/internal/gen"
 	"gdeltmine/internal/qcache"
 	"gdeltmine/internal/shard"
 )
 
 func buildSharded(t *testing.T, k int) *shard.DB {
 	t.Helper()
-	c, err := gen.Generate(gen.Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := convert.FromCorpus(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdb, err := shard.Split(res.DB, k)
+	sdb, err := shard.Split(smallStore(t), k)
 	if err != nil {
 		t.Fatal(err)
 	}

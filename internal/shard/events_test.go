@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"gdeltmine/internal/store"
 )
 
 // TestPartCursorFind checks DB.cursors and partCursor against a binary
@@ -42,6 +45,45 @@ func TestPartCursorFind(t *testing.T) {
 				t.Fatalf("trial %d: remap %v, batch [%d, %d]: find(%d) = %d, want %d",
 					trial, remap, lo, hi, g, got, want)
 			}
+		}
+	}
+}
+
+// TestWalkEventsOrder checks walkEvents against a sort of every part row by
+// (id, part): random part tables of up to 40 parts, each a random strictly
+// ascending id subset, some of them empty. Every run must hold one id,
+// runs must ascend by id, and the rows read in run order must be the sort.
+func TestWalkEventsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		parts := make([]*store.DB, 1+rng.Intn(40))
+		var want []eventRow
+		for i := range parts {
+			parts[i] = &store.DB{}
+			for id := int64(0); id < 300; id++ {
+				if rng.Intn(1+trial%9) == 0 {
+					want = append(want, eventRow{id, int32(i), int32(parts[i].Events.Len())})
+					parts[i].Events.ID = append(parts[i].Events.ID, id)
+				}
+			}
+		}
+		slices.SortFunc(want, func(a, b eventRow) int {
+			return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.part, b.part))
+		})
+		var got []eventRow
+		last := int64(-1)
+		walkEvents(parts, func(run []eventRow) error {
+			for _, e := range run {
+				if e.id != run[0].id || e.id <= last {
+					t.Fatalf("trial %d: run %v after id %d is not one new id", trial, run, last)
+				}
+			}
+			last = run[0].id
+			got = append(got, run...)
+			return nil
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d parts): walk yields %d rows, not the (id, part) order of %d", trial, len(parts), len(got), len(want))
 		}
 	}
 }

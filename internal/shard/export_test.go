@@ -3,11 +3,23 @@ package shard
 import (
 	"fmt"
 	"slices"
+
+	"gdeltmine/internal/store"
 )
 
 // RecentEvents returns how many rows of the global event table s keeps in
 // the run appends rebuild.
 func RecentEvents(s *DB) int { return s.events.recent.Len() }
+
+// GlobalEvents returns a copy of s's global event table, its two runs read
+// as one.
+func GlobalEvents(s *DB) store.EventTable {
+	t := s.events.frozen.Slice(0, s.events.frozen.Len())
+	for r := range s.events.recent.ID {
+		t.AppendRow(&s.events.recent, r)
+	}
+	return t
+}
 
 // DiffFromRebuild compares s — a world the append log maintained
 // incrementally — against the oracle: New run from scratch on the same
@@ -23,10 +35,7 @@ func DiffFromRebuild(s *DB) error {
 	if err != nil {
 		return fmt.Errorf("oracle rebuild: %w", err)
 	}
-	a, b := s.events.frozen.Slice(0, s.events.frozen.Len()), &want.events.frozen
-	for r := range s.events.recent.ID {
-		a.AppendRow(&s.events.recent, r)
-	}
+	a, b := GlobalEvents(s), &want.events.frozen
 	switch {
 	case s.events.low < int32(s.events.frozen.Len()) || int(s.events.low) > s.events.Len():
 		return fmt.Errorf("global table: low %d outside the recent run [%d, %d]",

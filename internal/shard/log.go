@@ -187,9 +187,8 @@ func OpenLog(dir string) (*Log, error) {
 
 // reconcileEventMeta overwrites the per-event metadata (NumArticles,
 // FirstMention, Interval) of every copy of an event with the values of the
-// copy in the highest-indexed part holding it. parts are a log's loaded
-// part files in time order; their event tables are merged by id in one
-// pass.
+// copy in the highest-indexed part holding it: the last row of each
+// walkEvents run. parts are a log's loaded part files in time order.
 //
 // Why the last holder is right: metadata changes only when a tick mentions
 // the event, the tick lands in the tail, and the tail holds the event from
@@ -201,26 +200,14 @@ func OpenLog(dir string) (*Log, error) {
 // An event no tick has changed since a file was written has the same values
 // in every copy written since.
 func reconcileEventMeta(parts []*store.DB) {
-	cur := make([]int, len(parts))
-	for {
-		id, last := int64(0), -1
-		for i, p := range parts {
-			if r := cur[i]; r < p.Events.Len() && (last < 0 || p.Events.ID[r] <= id) {
-				id, last = p.Events.ID[r], i
-			}
+	walkEvents(parts, func(run []eventRow) error {
+		src, sr := &parts[run[len(run)-1].part].Events, run[len(run)-1].row
+		for _, e := range run {
+			ev, r := &parts[e.part].Events, e.row
+			ev.NumArticles[r], ev.FirstMention[r], ev.Interval[r] = src.NumArticles[sr], src.FirstMention[sr], src.Interval[sr]
 		}
-		if last < 0 {
-			return
-		}
-		src, sr := &parts[last].Events, cur[last]
-		for i := 0; i <= last; i++ {
-			ev, r := &parts[i].Events, cur[i]
-			if r < ev.Len() && ev.ID[r] == id {
-				ev.NumArticles[r], ev.FirstMention[r], ev.Interval[r] = src.NumArticles[sr], src.FirstMention[sr], src.Interval[sr]
-				cur[i]++
-			}
-		}
-	}
+		return nil
+	})
 }
 
 // Snapshot returns the current published world. The result is immutable:
@@ -353,24 +340,18 @@ func (lg *Log) Seal() (bool, error) {
 	if cut >= cur.meta.Intervals {
 		return false, nil
 	}
-	tailLo := cur.bounds[len(cur.bounds)-2]
-	sealed, err := slice(tail, tailLo, cut)
+	cuts, err := slice(tail, []int32{cur.bounds[len(cur.bounds)-2], cut, cur.meta.Intervals})
 	if err != nil {
-		return false, fmt.Errorf("shard: sealing [%d, %d): %w", tailLo, cut, err)
+		return false, fmt.Errorf("shard: sealing the tail: %w", err)
 	}
-	fresh, err := slice(tail, cut, cur.meta.Intervals)
-	if err != nil {
-		return false, fmt.Errorf("shard: opening fresh tail [%d, %d): %w", cut, cur.meta.Intervals, err)
-	}
-	v := tail.Version()
-	sealed.SetVersion(v)
-	fresh.SetVersion(v)
+	sealed, fresh := cuts[0], cuts[1]
+	sealed.SetVersion(tail.Version())
+	fresh.SetVersion(tail.Version())
 
 	next, err := cur.replaceTail(sealed, fresh, cut)
 	if err != nil {
 		return false, fmt.Errorf("shard: rebuilding sharded view for seal: %w", err)
 	}
-	parts := next.parts
 
 	if lg.dir != "" {
 		// A failed attempt may leave temp files behind; never reuse its
@@ -396,7 +377,7 @@ func (lg *Log) Seal() (bool, error) {
 		mSealParts.Add(2)
 	}
 	lg.cur.Store(next)
-	mLogParts.Set(float64(len(parts)))
+	mLogParts.Set(float64(next.K()))
 	return true, nil
 }
 

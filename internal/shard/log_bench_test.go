@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gdeltmine/internal/convert"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/gen"
 	"gdeltmine/internal/obs"
@@ -141,6 +142,34 @@ func BenchmarkLogSeal(b *testing.B) {
 	}
 }
 
+// BenchmarkSplit times shard.Split of the gen.Bench store at K = 4, 64 and
+// 512: every part's slice plus New's merge of the parts' event tables. A
+// part costs its own rows and the merge O(rows log K), so ns/op, B/op and
+// allocs/op should grow with K by the parts' fixed costs, not by K times
+// the world.
+func BenchmarkSplit(b *testing.B) {
+	c, err := gen.Generate(gen.Bench())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := convert.FromCorpus(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{4, 64, 512} {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := shard.Split(res.DB, k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				kindSink = s
+			}
+		})
+	}
+}
+
 // BenchmarkLogOpen times OpenLog — manifest decode, a digest check and
 // decode of every part file, event-metadata reconciliation, assembly — on
 // a durable log grown to K ≈ 200 parts by daily seals.
@@ -197,6 +226,6 @@ func BenchmarkGrownLogKinds(b *testing.B) {
 	}
 }
 
-// kindSink keeps BenchmarkGrownLogKinds' answers alive, so no kernel call
-// can be optimized away.
+// kindSink keeps BenchmarkGrownLogKinds' answers and BenchmarkSplit's
+// worlds alive, so no timed call can be optimized away.
 var kindSink any

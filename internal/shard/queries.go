@@ -503,23 +503,6 @@ func (v *View) contributingEvents(sources, slots []int32) []int32 {
 	return u.AppendRows(make([]int32, 0, u.Cardinality()))
 }
 
-// shardEventRows calls f with the sources and intervals of each
-// shard's mention rows for global event ev, read from the event-major
-// payload, in shard (= time) order. Within a shard rows ascend by interval
-// and shards tile time in order, so the concatenation replays the
-// monolith's event-mention ordering. cs are the cursors of the strictly
-// ascending batch ev belongs to (DB.cursors).
-func (s *DB) shardEventRows(ev int32, cs []partCursor, f func(srcs, ivs []int32)) {
-	for j := range cs {
-		if lr := cs[j].find(ev); lr >= 0 {
-			p := s.parts[cs[j].part]
-			if srcs := p.EventMentionSources(lr); len(srcs) > 0 {
-				f(srcs, p.EventMentionIntervals(lr))
-			}
-		}
-	}
-}
-
 // CoReport computes co-reporting among the selected global sources by
 // event-bitmap algebra, as in the monolith: a source's event count is the
 // cardinality of its global event bitmap and a pair count the cardinality
@@ -548,7 +531,10 @@ func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 // sources over the events that can contribute (contributingEvents). The
 // per-event leader state (firstSeen/touched) persists across the event's
 // shard segments — one event's mentions may span several shards, and the
-// fold must see them as one ascending-interval stream.
+// fold must see them as one ascending-interval stream. Each segment is read
+// from a part's event-major payload in part (= time) order: rows ascend by
+// interval within a part and parts tile time in order, so the
+// concatenation replays the monolith's event-mention ordering.
 func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 	s := v.s
 	n := len(sources)
@@ -564,8 +550,13 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 			touched := make([]int32, 0, 16)
 			cs := s.cursors(evs[lo], evs[hi-1])
 			for _, ev := range evs[lo:hi] {
-				s.shardEventRows(ev, cs, func(srcs, ivs []int32) {
-					for x, src := range srcs {
+				for c := range cs {
+					p, lr := s.parts[cs[c].part], cs[c].find(ev)
+					if lr < 0 {
+						continue
+					}
+					ivs := p.EventMentionIntervals(lr)
+					for x, src := range p.EventMentionSources(lr) {
 						j := slots[src]
 						if j < 0 {
 							continue
@@ -584,7 +575,7 @@ func (v *View) FollowReport(sources []int32) *queries.FollowReporting {
 							touched = append(touched, j)
 						}
 					}
-				})
+				}
 				for _, l := range touched {
 					firstSeen[l] = -1
 				}

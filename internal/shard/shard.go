@@ -32,6 +32,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -147,65 +148,96 @@ func isPrefix(local, world *store.Dictionary) error {
 	return nil
 }
 
-// mergeEvents K-way merges the shards' ID-sorted event tables into the
-// global table, building the event row remaps. Shards holding the same
+// eventRow is one row of one part's event table, with the event's id.
+type eventRow struct {
+	id        int64
+	part, row int32
+}
+
+// walkEvents is the one K-way walk of the parts' ID-sorted event tables:
+// it calls fn once per event id, ascending, with the rows holding it in
+// part order. A binary heap of part heads, keyed by (id, part), makes it
+// O(rows log K). fn must not keep run, and an error from fn stops the walk.
+func walkEvents(parts []*store.DB, fn func(run []eventRow) error) error {
+	h := make([]eventRow, 0, len(parts))
+	for i, p := range parts {
+		if p.Events.Len() > 0 {
+			h = append(h, eventRow{p.Events.ID[0], int32(i), 0})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for run := []eventRow(nil); len(h) > 0; run = run[:0] {
+		for id := h[0].id; len(h) > 0 && h[0].id == id; siftDown(h, 0) {
+			run = append(run, h[0])
+			if ids, r := parts[h[0].part].Events.ID, h[0].row+1; int(r) < len(ids) {
+				h[0].id, h[0].row = ids[r], r
+			} else {
+				h[0], h = h[len(h)-1], h[:len(h)-1]
+			}
+		}
+		if err := fn(run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// siftDown restores the heap order of h, by (id, part), below node i.
+func siftDown(h []eventRow, i int) {
+	less := func(a, b int) bool { return h[a].id < h[b].id || h[a].id == h[b].id && h[a].part < h[b].part }
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && less(c+1, c) {
+			c++
+		}
+		if !less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+}
+
+// mergeEvents builds the global table and the event row remaps from one
+// walkEvents pass over the shards' event tables. Shards holding the same
 // event must agree on every column — they all copied it verbatim from the
-// same monolith row.
+// same monolith row. The table is filled once the walk has counted its
+// rows, so its columns are allocated at their final length.
 func (s *DB) mergeEvents() error {
-	K := len(s.parts)
-	cur := make([]int, K)
-	s.l2gEv = make([][]int32, K)
+	s.l2gEv = make([][]int32, len(s.parts))
 	for i, p := range s.parts {
 		s.l2gEv[i] = newRemap(p.Events.Len())
 	}
-	ev := &s.events.frozen
-	for {
-		minID, found := int64(0), false
-		for i, p := range s.parts {
-			if cur[i] < p.Events.Len() {
-				if id := p.Events.ID[cur[i]]; !found || id < minID {
-					minID, found = id, true
-				}
+	var first []eventRow // each event's row in the lowest part holding it
+	if err := walkEvents(s.parts, func(run []eventRow) error {
+		a, ra := &s.parts[run[0].part].Events, run[0].row
+		for _, e := range run {
+			p, r := &s.parts[e.part].Events, e.row
+			if p.Interval[r] != a.Interval[ra] || p.Country[r] != a.Country[ra] || p.NumArticles[r] != a.NumArticles[ra] ||
+				p.FirstMention[r] != a.FirstMention[ra] || p.SourceURL[r] != a.SourceURL[ra] {
+				return fmt.Errorf("shard: shards disagree on event %d", e.id)
 			}
+			s.l2gEv[e.part][r] = int32(len(first))
 		}
-		if !found {
-			break
-		}
-		g := ev.Len()
-		first := true
-		for i, p := range s.parts {
-			r := cur[i]
-			if r >= p.Events.Len() || p.Events.ID[r] != minID {
-				continue
-			}
-			if first {
-				first = false
-				ev.ID = append(ev.ID, minID)
-				ev.Interval = append(ev.Interval, p.Events.Interval[r])
-				ev.Country = append(ev.Country, p.Events.Country[r])
-				ev.NumArticles = append(ev.NumArticles, p.Events.NumArticles[r])
-				ev.FirstMention = append(ev.FirstMention, p.Events.FirstMention[r])
-				ev.SourceURL = append(ev.SourceURL, p.Events.SourceURL[r])
-			} else if p.Events.Interval[r] != ev.Interval[g] ||
-				p.Events.Country[r] != ev.Country[g] || p.Events.NumArticles[r] != ev.NumArticles[g] ||
-				p.Events.FirstMention[r] != ev.FirstMention[g] || p.Events.SourceURL[r] != ev.SourceURL[g] {
-				return fmt.Errorf("shard: shards disagree on event %d", minID)
-			}
-			s.l2gEv[i][r] = int32(g)
-			cur[i]++
-		}
+		first = append(first, run[0])
+		return nil
+	}); err != nil {
+		return err
 	}
 	// A shard that holds every event holds the merged table row for row —
-	// the loop above compared the columns — so the world shares its columns
+	// the walk above compared the columns — so the world shares its columns
 	// instead of keeping a copy (a Single world never has a second event
 	// table). Neither is ever written: appends copy what they change.
-	for _, p := range s.parts {
-		if p.Events.Len() == ev.Len() {
-			*ev = p.Events.Slice(0, ev.Len())
-			break
+	ev := &s.events.frozen
+	if i := slices.IndexFunc(s.parts, func(p *store.DB) bool { return p.Events.Len() == len(first) }); i >= 0 {
+		*ev = s.parts[i].Events.Slice(0, len(first))
+	} else {
+		*ev = store.MakeEventTable(len(first))
+		for _, f := range first {
+			ev.AppendRow(&s.parts[f.part].Events, int(f.row))
 		}
 	}
-	s.events.low = int32(ev.Len())
+	s.events.low = int32(len(first))
 	return nil
 }
 

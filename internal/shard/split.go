@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -42,88 +43,83 @@ func SplitAt(db *store.DB, bounds []int32) (*DB, error) {
 	if len(bounds) < 2 {
 		return nil, fmt.Errorf("shard: %d bounds", len(bounds))
 	}
-	parts := make([]*store.DB, len(bounds)-1)
-	for i := range parts {
-		p, err := slice(db, bounds[i], bounds[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("shard %d [%d, %d): %w", i, bounds[i], bounds[i+1], err)
-		}
-		parts[i] = p
+	parts, err := slice(db, bounds)
+	if err != nil {
+		return nil, err
 	}
 	return New(parts, bounds)
 }
 
-// slice builds one shard: the monolith's mentions captured in [lo, hi)
-// plus the events they reference and the events homed in the range (so the
-// union of shard event tables covers every event, including zero-mention
-// ones), and the GKG rows captured in the range. The shard shares db's
-// dictionaries, so every id column but the event rows is copied as it is.
-// Per-event metadata is copied verbatim — it stays global on purpose, so
-// queries reading it (event sizes, qlang's articles field, wildfire
-// thresholds) agree with the monolith without cross-shard recounting.
-func slice(db *store.DB, lo, hi int32) (*store.DB, error) {
-	rLo, rHi := db.MentionRowRange(lo, hi)
-
-	ne := db.Events.Len()
-	include := make([]bool, ne)
-	for ev := 0; ev < ne; ev++ {
-		iv := db.Events.Interval[ev]
-		if iv < 0 {
-			iv = 0
-		}
-		if iv >= db.Meta.Intervals {
-			iv = db.Meta.Intervals - 1
-		}
-		if iv >= lo && iv < hi {
-			include[ev] = true
+// slice cuts db into the parts the ascending bounds delimit. Part i holds
+// the mentions captured in [bounds[i], bounds[i+1]) plus the events they
+// reference and the events homed in the range (so the union of part event
+// tables covers every event, including zero-mention ones), and the GKG
+// rows captured in the range. The parts share db's dictionaries, so every
+// id column but the event rows is copied as it is. Per-event metadata is
+// copied verbatim — it stays global on purpose, so queries reading it
+// (event sizes, qlang's articles field, wildfire thresholds) agree with the
+// monolith without cross-shard recounting.
+//
+// A part costs its own rows: one pass lists db's events by home part (the
+// bounds at or below the clamped home interval, less one), and each part
+// marks the rows it holds in a bitset over db's event rows that all parts
+// share, then reads them back in row (= id) order, clearing the words.
+func slice(db *store.DB, bounds []int32) ([]*store.DB, error) {
+	k, ne := len(bounds)-1, db.Events.Len()
+	home := make([][]int32, k) // home[i]: the events homed in part i, ascending
+	for e, iv := range db.Events.Interval {
+		if i, _ := slices.BinarySearch(bounds, min(max(iv, 0), db.Meta.Intervals-1)+1); i > 0 && i <= k {
+			home[i-1] = append(home[i-1], int32(e))
 		}
 	}
-	for r := rLo; r < rHi; r++ {
-		include[db.Mentions.EventRow[r]] = true
-	}
-
-	// Every column is allocated at its final length: no spare capacity
-	// stays resident in a part.
-	g2l := make([]int32, ne)
-	nl := 0
-	for e := range ne {
-		g2l[e] = -1
-		if include[e] {
-			g2l[e] = int32(nl)
-			nl++
+	held := make([]uint64, (ne+63)/64)
+	g2l := make([]int32, ne) // db event row -> row in the part being cut, for the rows it holds
+	parts := make([]*store.DB, k)
+	for i := range parts {
+		lo, hi := bounds[i], bounds[i+1]
+		rLo, rHi := db.MentionRowRange(lo, hi)
+		nl, wLo, wHi := 0, len(held), 0
+		for _, rows := range [][]int32{home[i], db.Mentions.EventRow[rLo:rHi]} {
+			for _, e := range rows {
+				if w, b := e>>6, uint64(1)<<(e&63); held[w]&b == 0 {
+					held[w] |= b
+					nl, wLo, wHi = nl+1, min(wLo, int(w)), max(wHi, int(w)+1)
+				}
+			}
 		}
-	}
-	ev := store.MakeEventTable(nl)
-	for e := range ne {
-		if include[e] {
-			ev.AppendRow(&db.Events, e)
+		// Every column is allocated at its final length: no spare capacity
+		// stays resident in a part.
+		ev := store.MakeEventTable(nl)
+		for w := wLo; w < wHi; w++ {
+			for x := held[w]; x != 0; x &= x - 1 {
+				e := w<<6 | bits.TrailingZeros64(x)
+				g2l[e] = int32(ev.Len())
+				ev.AppendRow(&db.Events, e)
+			}
+			held[w] = 0
 		}
-	}
-
-	m := &db.Mentions
-	mn := store.MentionTable{
-		EventRow:   make([]int32, rHi-rLo),
-		Source:     rows(m.Source, rLo, rHi),
-		Interval:   rows(m.Interval, rLo, rHi),
-		Delay:      rows(m.Delay, rLo, rHi),
-		DocLen:     rows(m.DocLen, rLo, rHi),
-		Tone:       rows(m.Tone, rLo, rHi),
-		Confidence: rows(m.Confidence, rLo, rHi),
-	}
-	for i, e := range m.EventRow[rLo:rHi] {
-		mn.EventRow[i] = g2l[e]
-	}
-
-	p, err := store.AssembleDB(db.Meta, db.Sources, ev, mn, db.Report)
-	if err != nil {
-		return nil, err
-	}
-	if db.GKG != nil {
-		if err := sliceGKG(db.GKG, p, lo, hi); err != nil {
-			return nil, err
+		mn := store.MentionTable{
+			EventRow:   make([]int32, rHi-rLo),
+			Source:     rows(db.Mentions.Source, rLo, rHi),
+			Interval:   rows(db.Mentions.Interval, rLo, rHi),
+			Delay:      rows(db.Mentions.Delay, rLo, rHi),
+			DocLen:     rows(db.Mentions.DocLen, rLo, rHi),
+			Tone:       rows(db.Mentions.Tone, rLo, rHi),
+			Confidence: rows(db.Mentions.Confidence, rLo, rHi),
 		}
+		for r, e := range db.Mentions.EventRow[rLo:rHi] {
+			mn.EventRow[r] = g2l[e]
+		}
+		p, err := store.AssembleDB(db.Meta, db.Sources, ev, mn, db.Report)
+		if err == nil && db.GKG != nil {
+			err = sliceGKG(db.GKG, p, lo, hi)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("shard %d [%d, %d): %w", i, lo, hi, err)
+		}
+		parts[i] = p
 	}
-	return p, nil
+	return parts, nil
 }
 
 // sliceGKG carves the (interval-sorted, hence contiguous) GKG rows captured
