@@ -32,17 +32,21 @@ for f in $(grep -l '^func Fuzz' $(go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{
 	done
 done
 
-# Append-log smoke: three appends on the live.ingest-shaped world; a durable
-# log grown to K ≈ 50 and K ≈ 200 parts, three timed seals each; three cold
-# reopens of a K ≈ 200 log, every part checked against its manifest digest;
-# one run each of wildfires, follow, coreport and country on the K ≈ 200
-# log. Fails if any of them does. Three fsync-bound seals are a smoke, not a
-# measurement: their ns/seal spreads several-fold run to run, so compare
-# builds by the counted outputs (written-B/seal, manifest-B, B/op,
-# allocs/op). One shard.Split of the gen.Bench store at each of K = 4, 64
-# and 512 reports how slicing and the event merge grow with K (ns/op, B/op,
+# Append-log smoke: a durable log grown to K ≈ 50 and K ≈ 200 parts, three
+# timed seals each; three cold reopens of a K ≈ 200 log, every part checked
+# against its manifest digest; 2,000 appends on the live.ingest-shaped
+# world, seals between them; one run each of wildfires, follow, coreport and
+# country on the K ≈ 200 log. Fails if any of them does. Three fsync-bound
+# seals are a smoke, not a measurement: their ns/seal spreads several-fold
+# run to run, so compare builds by the counted outputs (written-B/seal,
+# manifest-B, B/op, allocs/op). The appends run on their own at 2,000 ticks:
+# by then the feed has inserted events below the newest rows and sealed
+# many times, and the B/op is the same every run (a few ticks see neither).
+# One shard.Split of the gen.Bench store at each of K = 4, 64 and 512
+# reports how slicing and the event merge grow with K (ns/op, B/op,
 # allocs/op).
-go test ./internal/shard -run '^$' -bench 'LogSeal|LogOpen|LogAppend' -benchtime 3x
+go test ./internal/shard -run '^$' -bench 'LogSeal|LogOpen' -benchtime 3x
+go test ./internal/shard -run '^$' -bench '^BenchmarkLogAppend$' -benchtime 2000x
 go test ./internal/shard -run '^$' -bench '^BenchmarkSplit$' -benchtime 1x -benchmem
 go test ./internal/shard -run '^$' -bench 'GrownLogKinds' -benchtime 1x
 

@@ -30,7 +30,7 @@ func BenchmarkReadDB(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := Read(bytes.NewReader(data))
+		got, err := ReadBytes(data)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,50 +57,63 @@ var (
 	tagEnd      = [4]byte{'E', 'N', 'D', ' '}
 )
 
-// Write serializes the database to w.
+// Write serializes the database to w. Each section is encoded whole before
+// it is written, so w gets a few writes per section and no buffer is
+// needed.
 func Write(w io.Writer, db *store.DB) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(magic[:4:4], Version)); err != nil {
 		return err
 	}
-	var v4 [4]byte
-	binary.LittleEndian.PutUint32(v4[:], Version)
-	if _, err := bw.Write(v4[:]); err != nil {
+	if err := WriteSection(w, tagMeta, encodeMeta(db.Meta)); err != nil {
 		return err
 	}
-	if err := WriteSection(bw, tagMeta, encodeMeta(db.Meta)); err != nil {
+	if err := WriteSection(w, tagSources, encodeStrings(db.Sources.Names())); err != nil {
 		return err
 	}
-	if err := WriteSection(bw, tagSources, encodeStrings(db.Sources.Names())); err != nil {
+	if err := WriteSection(w, tagEvents, encodeEvents(&db.Events)); err != nil {
 		return err
 	}
-	if err := WriteSection(bw, tagEvents, encodeEvents(&db.Events)); err != nil {
+	if err := WriteSection(w, tagMentions, encodeMentions(&db.Mentions)); err != nil {
 		return err
 	}
-	if err := WriteSection(bw, tagMentions, encodeMentions(&db.Mentions)); err != nil {
-		return err
-	}
-	if err := WriteSection(bw, tagReport, encodeReport(db.Report)); err != nil {
+	if err := WriteSection(w, tagReport, encodeReport(db.Report)); err != nil {
 		return err
 	}
 	if db.GKG != nil {
-		if err := WriteSection(bw, tagGKG, encodeGKG(db.GKG)); err != nil {
+		if err := WriteSection(w, tagGKG, encodeGKG(db.GKG)); err != nil {
 			return err
 		}
 	}
-	if err := WriteSection(bw, tagEnd, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return WriteSection(w, tagEnd, nil)
 }
 
-// Read deserializes a database from r, rebuilding the derived indexes. A
-// *bytes.Reader is read as it is; any other reader through a 1 MB buffer.
+// Read deserializes a database from r through a 1 MB buffer, rebuilding the
+// derived indexes. A file already held in memory is read by ReadBytes.
 func Read(r io.Reader) (*store.DB, error) {
-	br := r
-	if _, inMemory := r.(*bytes.Reader); !inMemory {
-		br = bufio.NewReaderSize(r, 1<<20)
+	return read(bufio.NewReaderSize(r, 1<<20))
+}
+
+// ReadBytes deserializes a database from a whole file held in memory, as
+// Read does, slicing each section's payload out of data instead of copying
+// it. The database keeps no reference to data.
+func ReadBytes(data []byte) (*store.DB, error) {
+	return read(&inMemory{data})
+}
+
+// inMemory is a file held whole in memory, read from the front;
+// ReadSection slices payloads out of it.
+type inMemory struct{ b []byte }
+
+func (m *inMemory) Read(p []byte) (int, error) {
+	if len(m.b) == 0 {
+		return 0, io.EOF
 	}
+	n := copy(p, m.b)
+	m.b = m.b[n:]
+	return n, nil
+}
+
+func read(br io.Reader) (*store.DB, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("binfmt: reading header: %w", err)
@@ -245,14 +258,25 @@ func ReadSection(r io.Reader, limit uint64) ([4]byte, []byte, error) {
 	if n > limit {
 		return tag, nil, fmt.Errorf("binfmt: section %q length %d exceeds limit", tag, n)
 	}
-	// Grow the payload buffer as bytes actually arrive rather than trusting
-	// the length field with one huge allocation: a corrupted length then
-	// fails at EOF instead of attempting a multi-gigabyte make.
-	var pbuf bytes.Buffer
-	if m, err := io.CopyN(&pbuf, r, int64(n)); err != nil {
-		return tag, nil, fmt.Errorf("binfmt: reading section %q (%d of %d bytes): %w", tag, m, n, err)
+	var payload []byte
+	if m, ok := r.(*inMemory); ok {
+		// The whole file is at hand: a length past its end is refused
+		// before anything is allocated, and the payload is a slice of it.
+		if n > uint64(len(m.b)) {
+			return tag, nil, fmt.Errorf("binfmt: reading section %q (%d of %d bytes): %w", tag, len(m.b), n, io.EOF)
+		}
+		payload, m.b = m.b[:n:n], m.b[n:]
+	} else {
+		// Grow the payload buffer as bytes actually arrive rather than
+		// trusting the length field with one huge allocation: a corrupted
+		// length then fails at EOF instead of attempting a multi-gigabyte
+		// make.
+		var pbuf bytes.Buffer
+		if m, err := io.CopyN(&pbuf, r, int64(n)); err != nil {
+			return tag, nil, fmt.Errorf("binfmt: reading section %q (%d of %d bytes): %w", tag, m, n, err)
+		}
+		payload = pbuf.Bytes()
 	}
-	payload := pbuf.Bytes()
 	var c4 [4]byte
 	if _, err := io.ReadFull(r, c4[:]); err != nil {
 		return tag, nil, fmt.Errorf("binfmt: reading section %q crc: %w", tag, err)

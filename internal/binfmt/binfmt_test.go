@@ -133,7 +133,7 @@ func TestReadDetectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip one byte in the middle of the payload area.
 	data[len(data)/2] ^= 0xFF
-	if _, err := Read(bytes.NewReader(data)); err == nil {
+	if _, err := readBoth(t, data); err == nil {
 		t.Fatal("corruption not detected")
 	}
 }
@@ -145,7 +145,7 @@ func TestReadDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)/3])); err == nil {
+	if _, err := readBoth(t, data[:len(data)/3]); err == nil {
 		t.Fatal("truncation not detected")
 	}
 }
@@ -201,7 +201,7 @@ func TestDamagedSectionTagsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, c := range damagedTags(t, buf.Bytes()) {
-		_, err := Read(bytes.NewReader(c.data))
+		_, err := readBoth(t, c.data)
 		if err == nil || !strings.Contains(err.Error(), c.tag) {
 			t.Errorf("%s: err %v, want a refusal naming %s", name, err, c.tag)
 		}

@@ -85,12 +85,37 @@ func FuzzRead(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := Read(bytes.NewReader(data))
+		db, err := readBoth(t, data)
 		if err != nil {
 			return // rejected input; the contract is only "no panic"
 		}
 		checkLoaded(t, db)
 	})
+}
+
+// readBoth reads data streamed (Read) and in memory (ReadBytes). The two
+// must agree: both refuse it with the same error, or both load databases
+// that encode to the same bytes.
+func readBoth(t *testing.T, data []byte) (*store.DB, error) {
+	t.Helper()
+	db, err := Read(bytes.NewReader(data))
+	mem, memErr := ReadBytes(data)
+	if (err == nil) != (memErr == nil) || err != nil && err.Error() != memErr.Error() {
+		t.Fatalf("streamed read: %v; in-memory read: %v", err, memErr)
+	}
+	if err == nil {
+		var a, b bytes.Buffer
+		if err := Write(&a, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := Write(&b, mem); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("streamed and in-memory reads loaded different databases")
+		}
+	}
+	return db, err
 }
 
 // checkLoaded asserts a database the loader accepted is safe to hand to the

@@ -30,7 +30,7 @@ func TestRandomCorruptionNeverPanics(t *testing.T) {
 					t.Fatalf("trial %d: reader panicked: %v", trial, r)
 				}
 			}()
-			_, _ = Read(bytes.NewReader(data))
+			_, _ = readBoth(t, data)
 		}()
 	}
 }
@@ -53,7 +53,7 @@ func TestRandomTruncationNeverPanics(t *testing.T) {
 					t.Fatalf("truncation at %d panicked: %v", n, r)
 				}
 			}()
-			if _, err := Read(bytes.NewReader(pristine[:n])); err == nil {
+			if _, err := readBoth(t, pristine[:n]); err == nil {
 				t.Fatalf("truncation at %d of %d accepted", n, len(pristine))
 			}
 		}()
@@ -78,7 +78,7 @@ func TestGarbageInputNeverPanics(t *testing.T) {
 					t.Fatalf("garbage trial %d panicked: %v", trial, r)
 				}
 			}()
-			_, _ = Read(bytes.NewReader(data))
+			_, _ = readBoth(t, data)
 		}()
 	}
 }

@@ -18,8 +18,9 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 // copy-on-write, exactly what it does.
 //
 // Shared by reference with s: every sealed part the tick does not touch,
-// bounds, meta, the frozen run of the global event table and the event
-// remaps of every part that holds no row of the recent run.
+// bounds, meta, every chunk of the global event table the tick does not
+// write and the event remaps of every part that holds no row past the
+// tick's lowest insert.
 //
 // Replaced:
 //
@@ -33,23 +34,22 @@ var mAppendFallback = obs.Default.Counter("shard_log_append_fallback_total",
 //     tick's drops, then the rows of its chunks that did not parse (bad,
 //     each filed as a Table II bad row).
 //   - Per-event metadata (NumArticles, FirstMention, Interval) of events
-//     that gained mentions: a column of the global table's run holding the
-//     event, and of each non-tail part holding a copy of it, is copied once
-//     when the tick first changes a value in it. The copies are found by
-//     walking each part's l2gEv once with the tick's ascending rows
-//     (partCursor).
+//     that gained mentions: a column of the global table's chunk holding
+//     the event, and of each non-tail part holding a copy of it, is copied
+//     once when the tick first changes a value in it (bumps, metaCow). The
+//     copies are found by walking each part's l2gEv once with the tick's
+//     ascending rows (partCursor).
 //   - New events are merged into the global table by id (globalEvents.insert)
-//     wherever their ids fall; the feed does not deliver ids in order. Rows
-//     past an insert move up, so l2gEv of each part reaching past the lowest
-//     insert is rewritten.
+//     wherever their ids fall; the feed does not deliver ids in order. Each
+//     chunk they fall in is copied, rows past an insert move up, and l2gEv
+//     of each part reaching past the lowest insert is rewritten.
 //
-// What a tick costs beyond its own rows and the tail is therefore set by how
-// far down the global table it reaches: the recent run and the remaps of
-// the parts sealed since for the usual tick, one int32 column of the frozen
-// run for a mention of an older event, the whole table for an event whose
-// id lies below the recent run (see globalEvents for the measured shares).
-// The cold-start constructor (New: full K-way re-merge) is reached only if
-// the result fails its own row count, counted in
+// What a tick costs beyond its own rows and the tail is therefore the
+// chunks it writes — at most chunkRows rows each, wherever in the table
+// they lie — the remaps of the parts reaching past its lowest insert (the
+// parts sealed since, for the usual tick), and the global table's chunk
+// list. The cold-start constructor (New: full K-way re-merge) is reached
+// only if the result fails its own row count, counted in
 // shard_log_append_fallback_total.
 //
 // Only the tail's snapshot version moves (CloneAppend bumps it). Non-tail
@@ -122,7 +122,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention, bad []string) (n
 	// the global table are this tick's new events.
 	te := &newTail.Events
 	ev := &next.events
-	frozen, recent := newMetaCow(&ev.frozen), newMetaCow(&ev.recent)
+	bumps := ev.bumps()
 	partCow := make(map[int]*metaCow)
 	var cs []partCursor // touched rows ascend by id, so their global rows do
 	if tr := st.TouchedEventRows; len(tr) > 0 {
@@ -138,7 +138,7 @@ func (s *DB) appendTail(evs []gdelt.Event, mns []gdelt.Mention, bad []string) (n
 			continue
 		}
 		n, fm, iv := te.NumArticles[r], te.FirstMention[r], te.Interval[r]
-		ev.set(frozen, recent, g, n, fm, iv)
+		bumps.set(g, n, fm, iv)
 		for j := range cs {
 			pi := cs[j].part
 			if pi == ti {

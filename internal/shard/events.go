@@ -1,74 +1,128 @@
 package shard
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
 	"gdeltmine/internal/store"
 )
 
+// chunkRows bounds the rows of one chunk of the global event table. A tick
+// copies each chunk it writes, so this sets what an insert or a metadata
+// bump costs beyond the tick's own rows: 40 B a row, ~48 KB a chunk with
+// allocation rounding.
+const chunkRows = 1024
+
 // globalEvents is the global event table: every event any part holds, once,
 // ascending by GlobalEventID — what the K-way merge of the parts' event
 // tables yields, and the row order every lower-row tie-break relies on.
 //
-// The rows are stored as two runs, frozen then recent, so that the append
-// log can change the table at a cost that does not grow with it. A feed
-// tick inserts events and bumps the metadata of events, and nearly all of
-// both land among the newest rows — on the synthetic feed 97 % of the
-// inserts within 100 rows of the end, though ids do not arrive in order —
-// so a tick rebuilds the short recent run and shares the frozen one with
-// the previous snapshot. Only a tick that reaches below the recent run pays
-// for the table: an insert re-merges the frozen run, a bump copies the
-// frozen metadata column it changes. No column of a published table is
-// ever written, not even past its length.
+// The rows are stored as a list of chunks of at most chunkRows rows, so
+// that the append log can change the table at a cost that does not grow
+// with it. No chunk of a published table is ever written, not even past its
+// length: a tick clones the list and replaces only the chunks it writes.
+// An insert merges the tick's new rows into a copy of the chunk they fall
+// in, split evenly when it outgrows chunkRows (splice); a metadata bump
+// copies the column it changes of the chunk holding the event (bumps). A
+// feed tick does both nearly always among the newest rows — on the
+// synthetic feed 97 % of the inserts land within 100 rows of the end,
+// though ids do not arrive in order — so it copies a chunk or two, and
+// every snapshot shares the rest.
 //
-// New puts every row in the frozen run. Appends grow the recent run, and a
-// seal moves its settled prefix — the rows below low, which nothing wrote
-// since the seal before — into the frozen run (freeze), so the recent run
-// holds what the feed is still writing, not what the log has taken in.
+// New cuts its merged table into chunks that share its storage. Rows
+// appended past the end join the open chunk, the last one, until a seal
+// closes it (seal); the next such row starts a new chunk, so the ticks
+// after a seal copy none of the rows appended before it.
 //
 // An insert renumbers the rows above it; the parts' l2gEv remaps move with
 // them (shiftRows), and they are the only index from a global row to a
 // part's (see partCursor).
 type globalEvents struct {
-	frozen store.EventTable // rows [0, frozen.Len())
-	recent store.EventTable // rows [frozen.Len(), Len())
-	// low is the lowest row of the recent run inserted or bumped since the
-	// last freeze, Len() when there was none.
-	low int32
+	chunks []*store.EventTable // in row order, none empty
+	ends   []int32             // ends[c]: the global row past chunk c's last
+	open   bool                // rows appended past the end join the last chunk
+}
+
+// cutEvents returns the table of t's rows, cut into closed chunks of
+// chunkRows rows that share t's storage.
+func cutEvents(t *store.EventTable) globalEvents {
+	views := make([]store.EventTable, (t.Len()+chunkRows-1)/chunkRows)
+	chunks := make([]*store.EventTable, len(views))
+	for c := range views {
+		views[c] = t.Slice(c*chunkRows, min((c+1)*chunkRows, t.Len()))
+		chunks[c] = &views[c]
+	}
+	return globalEvents{chunks: chunks, ends: chunkEnds(chunks)}
+}
+
+// chunkEnds returns the cumulative row ends of chunks.
+func chunkEnds(chunks []*store.EventTable) []int32 {
+	ends := make([]int32, len(chunks))
+	n := 0
+	for c, t := range chunks {
+		n += t.Len()
+		ends[c] = int32(n)
+	}
+	return ends
 }
 
 // Len returns the number of global events.
-func (e *globalEvents) Len() int { return len(e.frozen.ID) + len(e.recent.ID) }
-
-// at returns the run holding global row g and g's row within it.
-func (e *globalEvents) at(g int) (*store.EventTable, int) {
-	if n := len(e.frozen.ID); g >= n {
-		return &e.recent, g - n
+func (e *globalEvents) Len() int {
+	if n := len(e.ends); n > 0 {
+		return int(e.ends[n-1])
 	}
-	return &e.frozen, g
+	return 0
 }
 
-// runs returns the two runs in row order, for scans that read whole
-// columns: row r of runs()[1] is global row frozen.Len()+r.
-func (e *globalEvents) runs() [2]*store.EventTable {
-	return [2]*store.EventTable{&e.frozen, &e.recent}
+// start returns the global row of chunk c's first row.
+func (e *globalEvents) start(c int) int {
+	if c == 0 {
+		return 0
+	}
+	return int(e.ends[c-1])
 }
 
-func (e *globalEvents) ID(g int) int64          { t, r := e.at(g); return t.ID[r] }
-func (e *globalEvents) Interval(g int) int32    { t, r := e.at(g); return t.Interval[r] }
-func (e *globalEvents) NumArticles(g int) int32 { t, r := e.at(g); return t.NumArticles[r] }
-func (e *globalEvents) SourceURL(g int) string  { t, r := e.at(g); return t.SourceURL[r] }
+// chunkOf returns the chunk holding global row g, or len(chunks) for
+// g = Len().
+func (e *globalEvents) chunkOf(g int) int {
+	c, _ := slices.BinarySearch(e.ends, int32(g)+1)
+	return c
+}
+
+// at returns the chunk holding global row g and g's row within it.
+func (e *globalEvents) at(g int) (*store.EventTable, int) {
+	c := e.chunkOf(g)
+	return e.chunks[c], g - e.start(c)
+}
+
+// span calls fn for each chunk holding rows of [lo, hi), in row order, with
+// its rows [a, b) that fall in the range and base, the global row of its
+// first row. It searches for lo once and then walks, so a scan reads the
+// chunks in place.
+func (e *globalEvents) span(lo, hi int, fn func(t *store.EventTable, a, b, base int)) {
+	for c := e.chunkOf(lo); lo < hi; c++ {
+		base, end := e.start(c), min(int(e.ends[c]), hi)
+		fn(e.chunks[c], lo-base, end-base, base)
+		lo = end
+	}
+}
+
+func (e *globalEvents) ID(g int) int64         { t, r := e.at(g); return t.ID[r] }
+func (e *globalEvents) Interval(g int) int32   { t, r := e.at(g); return t.Interval[r] }
+func (e *globalEvents) SourceURL(g int) string { t, r := e.at(g); return t.SourceURL[r] }
 
 // search returns the global row of a GlobalEventID and whether the table
 // holds it; without it, the row it would be inserted at.
 func (e *globalEvents) search(id int64) (int32, bool) {
-	t, off := &e.frozen, 0
-	if n := len(t.ID); n == 0 || id > t.ID[n-1] {
-		t, off = &e.recent, n
+	c, _ := slices.BinarySearchFunc(e.chunks, id, func(t *store.EventTable, id int64) int {
+		return cmp.Compare(t.ID[t.Len()-1], id)
+	})
+	if c == len(e.chunks) {
+		return int32(e.Len()), false
 	}
-	r, ok := slices.BinarySearch(t.ID, id)
-	return int32(off + r), ok
+	r, ok := slices.BinarySearch(e.chunks[c].ID, id)
+	return int32(e.start(c) + r), ok
 }
 
 // row returns the global row of a GlobalEventID, or -1.
@@ -80,45 +134,122 @@ func (e *globalEvents) row(id int64) int32 {
 }
 
 // insert merges rows of te — ascending by id, none of them in the table —
-// into private copies of the runs they fall in and returns, ascending, the
-// old global row each was inserted at: old row g is afterwards row
-// g + |{at <= g}|.
+// into the table and returns, ascending, the old global row each was
+// inserted at: old row g is afterwards row g + |{at <= g}|. Every chunk the
+// rows fall in is replaced by spliced copies; a row past the end joins the
+// open chunk, or opens a new one.
 func (e *globalEvents) insert(te *store.EventTable, rows []int32) (at []int32) {
 	if len(rows) == 0 {
 		return nil
 	}
 	at = make([]int32, len(rows))
-	var deep, late store.EventTable
 	for j, r := range rows {
 		at[j], _ = e.search(te.ID[r])
-		if int(at[j]) < e.frozen.Len() {
-			deep.AppendRow(te, int(r))
-		} else {
-			late.AppendRow(te, int(r))
+	}
+	n := int32(e.Len())
+	// target returns the chunk old row p falls in: len(chunks) opens one.
+	target := func(p int32) int {
+		if p == n && e.open {
+			return len(e.chunks) - 1
 		}
+		return e.chunkOf(int(p))
 	}
-	low := shiftRow(e.low, at)
-	if n := deep.Len(); n < len(rows) {
-		low = min(low, at[n]+int32(n))
+	chunks := make([]*store.EventTable, 0, len(e.chunks)+2)
+	next := 0 // the first old chunk not yet in chunks
+	for j := 0; j < len(rows); {
+		c, k := target(at[j]), j+1
+		for k < len(rows) && target(at[k]) == c {
+			k++
+		}
+		chunks = append(chunks, e.chunks[next:c]...)
+		chunks = e.splice(chunks, c, te, rows[j:k], at[j:k])
+		next, j = c+1, k
 	}
-	e.low = low
-	if deep.Len() > 0 {
-		e.frozen, _ = store.MergeEvents(&e.frozen, &deep)
+	if next < len(e.chunks) {
+		chunks = append(chunks, e.chunks[next:]...)
 	}
-	if late.Len() > 0 {
-		e.recent, _ = store.MergeEvents(&e.recent, &late)
-	}
+	e.open = e.open || next > len(e.chunks)
+	e.chunks, e.ends = chunks, chunkEnds(chunks)
 	return at
 }
 
-// shiftRow maps an old global row across the inserts at the ascending old
-// rows at.
-func shiftRow(g int32, at []int32) int32 {
-	k, _ := slices.BinarySearch(at, g+1) // the first insert past g
-	return g + int32(k)
+// splice appends to list chunk c with the rows of te inserted before its
+// old global rows at — a new chunk of them for c = len(chunks) — cut into
+// even pieces of at most chunkRows rows that share one allocation.
+func (e *globalEvents) splice(list []*store.EventTable, c int, te *store.EventTable, rows, at []int32) []*store.EventTable {
+	var old store.EventTable
+	base := e.Len()
+	if c < len(e.chunks) {
+		old, base = *e.chunks[c], e.start(c)
+	}
+	m := store.MakeEventTable(old.Len() + len(rows))
+	prev := 0
+	for j, r := range rows {
+		p := int(at[j]) - base
+		m.AppendRows(&old, prev, p)
+		m.AppendRow(te, int(r))
+		prev = p
+	}
+	m.AppendRows(&old, prev, old.Len())
+	pieces := (m.Len() + chunkRows - 1) / chunkRows
+	for i := range pieces {
+		p := m.Slice(i*m.Len()/pieces, (i+1)*m.Len()/pieces)
+		list = append(list, &p)
+	}
+	return list
 }
 
-// shiftRows is shiftRow over an ascending row list, in one pass.
+// seal returns the table with its open chunk closed, merged into the chunk
+// before it when the two fit in one: O(chunkRows), the table's share of a
+// seal.
+func (e globalEvents) seal() globalEvents {
+	if !e.open {
+		return e
+	}
+	e.open = false
+	n := len(e.chunks)
+	if n < 2 || e.chunks[n-2].Len()+e.chunks[n-1].Len() > chunkRows {
+		return e
+	}
+	a, b := e.chunks[n-2], e.chunks[n-1]
+	m := store.MakeEventTable(a.Len() + b.Len())
+	m.AppendRows(a, 0, a.Len())
+	m.AppendRows(b, 0, b.Len())
+	e.chunks = append(e.chunks[:n-2:n-2], &m)
+	e.ends = append(e.ends[:n-2:n-2], e.ends[n-1])
+	return e
+}
+
+// bumps puts the per-event metadata of the table under copy-on-write for
+// one tick.
+type bumps struct {
+	e   *globalEvents
+	c   int      // the chunk of the last set, -1 before the first
+	cow *metaCow // over the tick's copy of chunk c
+}
+
+// bumps gives the table its own chunk list for the tick.
+func (e *globalEvents) bumps() *bumps {
+	e.chunks = slices.Clone(e.chunks)
+	return &bumps{e: e, c: -1}
+}
+
+// set overwrites the per-event metadata of global row g; rows must ascend.
+// The first set in a chunk swaps in a shallow copy of it, whose columns
+// metaCow copies when a value first changes.
+func (b *bumps) set(g, numArticles, firstMention, interval int32) {
+	e := b.e
+	if b.c < 0 || g >= e.ends[b.c] {
+		b.c = e.chunkOf(int(g))
+		cp := *e.chunks[b.c]
+		e.chunks[b.c] = &cp
+		b.cow = newMetaCow(&cp)
+	}
+	b.cow.set(g-int32(e.start(b.c)), numArticles, firstMention, interval)
+}
+
+// shiftRows maps an ascending list of old global rows across the inserts at
+// the ascending old rows at, in one pass.
 func shiftRows(rows, at []int32) []int32 {
 	out := newRemap(len(rows))
 	k := 0
@@ -129,31 +260,6 @@ func shiftRows(rows, at []int32) []int32 {
 		out[i] = g + int32(k)
 	}
 	return out
-}
-
-// set overwrites the per-event metadata of global row g, through the
-// copy-on-write columns of the run that holds it.
-func (e *globalEvents) set(frozen, recent *metaCow, g, numArticles, firstMention, interval int32) {
-	if n := int32(e.frozen.Len()); g >= n {
-		recent.set(g-n, numArticles, firstMention, interval)
-		e.low = min(e.low, g)
-		return
-	}
-	frozen.set(g, numArticles, firstMention, interval)
-}
-
-// freeze returns the table with the rows below low moved from the recent to
-// the frozen run and low reset. Global rows keep their numbers. The frozen
-// columns are reallocated — O(table), once per seal.
-func (e globalEvents) freeze() globalEvents {
-	k := int(e.low) - e.frozen.Len()
-	e.low = int32(e.Len())
-	if k > 0 {
-		settled := e.recent.Slice(0, k)
-		e.frozen, _ = store.MergeEvents(&e.frozen, &settled)
-		e.recent = e.recent.Slice(k, e.recent.Len())
-	}
-	return e
 }
 
 // newRemap returns an l2gEv of n rows whose capacity holds one row more,

@@ -7,25 +7,64 @@ import (
 	"gdeltmine/internal/store"
 )
 
-// RecentEvents returns how many rows of the global event table s keeps in
-// the run appends rebuild.
-func RecentEvents(s *DB) int { return s.events.recent.Len() }
+// ChunkRows is the most rows a chunk of the global event table holds.
+const ChunkRows = chunkRows
 
-// GlobalEvents returns a copy of s's global event table, its two runs read
-// as one.
+// OpenRows returns how many rows of s's global event table sit in its open
+// chunk, the one rows appended past the end join: 0 once a seal closed it.
+func OpenRows(s *DB) int {
+	if !s.events.open {
+		return 0
+	}
+	return s.events.chunks[len(s.events.chunks)-1].Len()
+}
+
+// EventChunks returns the number of chunks of s's global event table.
+func EventChunks(s *DB) int { return len(s.events.chunks) }
+
+// GlobalEvents returns a copy of s's global event table, its chunks read as
+// one, that shares no storage with s.
 func GlobalEvents(s *DB) store.EventTable {
-	t := s.events.frozen.Slice(0, s.events.frozen.Len())
-	for r := range s.events.recent.ID {
-		t.AppendRow(&s.events.recent, r)
+	t := store.MakeEventTable(s.events.Len())
+	for _, c := range s.events.chunks {
+		t.AppendRows(c, 0, c.Len())
 	}
 	return t
+}
+
+// checkChunks returns the first broken invariant of the chunked global
+// table: every chunk holds 1 to chunkRows rows in six columns of one
+// length, ends are their running sums, and an open table has a chunk.
+func checkChunks(e *globalEvents) error {
+	if len(e.ends) != len(e.chunks) {
+		return fmt.Errorf("global table: %d ends for %d chunks", len(e.ends), len(e.chunks))
+	}
+	if e.open && len(e.chunks) == 0 {
+		return fmt.Errorf("global table: open with no chunk")
+	}
+	n := 0
+	for c, t := range e.chunks {
+		l := t.Len()
+		if l == 0 || l > chunkRows {
+			return fmt.Errorf("global table: chunk %d holds %d rows, want 1 to %d", c, l, chunkRows)
+		}
+		if len(t.Interval) != l || len(t.Country) != l || len(t.NumArticles) != l ||
+			len(t.FirstMention) != l || len(t.SourceURL) != l {
+			return fmt.Errorf("global table: chunk %d columns disagree on its length", c)
+		}
+		if n += l; int(e.ends[c]) != n {
+			return fmt.Errorf("global table: chunk %d ends at %d, its rows at %d", c, e.ends[c], n)
+		}
+	}
+	return nil
 }
 
 // DiffFromRebuild compares s — a world the append log maintained
 // incrementally — against the oracle: New run from scratch on the same
 // parts and bounds (the cold-start K-way merge). It returns the first
-// difference in the global event table (column for column, the two runs of
-// each table read as one), l2gEv or the global→local event lookup, or nil.
+// difference in the global event table (its chunk invariants, then column
+// for column, the chunks of each table read as one), l2gEv or the
+// global→local event lookup, or nil.
 // The lookup is compared three ways for every global row of every part: s's
 // cursors, the oracle's, and the part's own id index. It is walked twice,
 // once row by row and once with growing strides, so that the cursors both
@@ -35,11 +74,11 @@ func DiffFromRebuild(s *DB) error {
 	if err != nil {
 		return fmt.Errorf("oracle rebuild: %w", err)
 	}
-	a, b := GlobalEvents(s), &want.events.frozen
+	if err := checkChunks(&s.events); err != nil {
+		return err
+	}
+	a, b := GlobalEvents(s), GlobalEvents(want)
 	switch {
-	case s.events.low < int32(s.events.frozen.Len()) || int(s.events.low) > s.events.Len():
-		return fmt.Errorf("global table: low %d outside the recent run [%d, %d]",
-			s.events.low, s.events.frozen.Len(), s.events.Len())
 	case !slices.Equal(a.ID, b.ID):
 		return fmt.Errorf("global event ids differ (%d vs %d events)", a.Len(), b.Len())
 	case !slices.Equal(a.Interval, b.Interval):

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -120,15 +121,13 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 			// the ticks that insert below the stored maximum, so the schedule
 			// is known to have exercised the insert.
 			var maxID int64
-			baseEvents := 0
 			for i := range c.Events {
 				if c.Events[i].FirstMention < cut {
 					maxID = max(maxID, c.Events[i].ID)
-					baseEvents++
 				}
 			}
 			fallbacks := appendFallbacks()
-			fed, seals, late, recent := 0, 0, 0, 0
+			fed, seals, late, opened := 0, 0, 0, 0
 			for i, tk := range ticks {
 				if len(tk.evs)+len(tk.mns) == 0 {
 					continue
@@ -152,12 +151,17 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 					check("after the odd ticks")
 				}
 				if lg.TailSpan() >= gdelt.IntervalsPerDay {
+					opened = max(opened, shard.OpenRows(lg.Snapshot()))
 					if sealed, err := lg.Seal(); err != nil || !sealed {
 						t.Fatalf("seal after tick %d: (%v, %v)", i, sealed, err)
 					}
 					seals++
 					check(fmt.Sprintf("after the seal following tick %d", i))
-					recent = max(recent, shard.RecentEvents(lg.Snapshot()))
+					// A seal closes the open chunk, so the ticks after it
+					// copy none of the rows appended before it.
+					if n := shard.OpenRows(lg.Snapshot()); n != 0 {
+						t.Fatalf("after the seal following tick %d: the open chunk still holds %d rows", i, n)
+					}
 				}
 			}
 			if fed < 200 || seals < 5 || late < 50 {
@@ -166,11 +170,15 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 			if got := appendFallbacks(); got != fallbacks {
 				t.Fatalf("%v appends took the full-merge fallback", got-fallbacks)
 			}
-			// Seals freeze what the feed stopped writing: 30 days of events
-			// must not all still sit in the run every tick rebuilds.
+			// Appends went to an open chunk, and seals merged the chunks
+			// they closed with their neighbours: a seal a day must not
+			// leave a day's chunk behind each time.
 			final := lg.Snapshot()
-			if n, grown := shard.RecentEvents(final), final.EventCount()-baseEvents; recent == 0 || 2*n > grown {
-				t.Fatalf("recent run holds %d of the %d events appended (peak %d after a seal)", n, grown, recent)
+			t.Logf("%d ticks, %d seals: %d events in %d chunks; the open chunk peaked at %d rows before a seal",
+				fed, seals, final.EventCount(), shard.EventChunks(final), opened)
+			if n, limit := shard.EventChunks(final), 2*final.EventCount()/shard.ChunkRows+2; opened == 0 || n > limit {
+				t.Fatalf("%d chunks for %d events (limit %d; open chunk peaked at %d rows before a seal)",
+					n, final.EventCount(), limit, opened)
 			}
 		})
 	}
@@ -178,7 +186,7 @@ func TestLogIncrementalEqualsRebuild(t *testing.T) {
 
 // appendOddTicks folds, at capture interval iv, the shapes the generated
 // feed does not carry: an event whose id lies below every stored one (an
-// insert at row 0 of the frozen run, moving every remap), a re-delivered
+// insert at row 0 of the first chunk, moving every remap), a re-delivered
 // record of an event only a sealed part holds, a first-seen source, and an
 // event that arrives with no mention and a DateAdded before the tail
 // window — which the next seal slices out of the world, so the seal cannot
@@ -231,6 +239,59 @@ func appendOddTicks(t *testing.T, c *gen.Corpus, lg *shard.Log, iv int32) {
 	}
 	if lg.Snapshot().Sources().Lookup("first-seen.example") < 0 || snap.Sources().Lookup("first-seen.example") >= 0 {
 		t.Fatal("first-seen source must reach the new world's global dictionary and only it")
+	}
+}
+
+// TestLogHeldSnapshotTable holds snapshots of a log — the first, one with
+// rows in the global table's open chunk, one just after a seal — while
+// ticks, seals and the odd ticks go in. Each held snapshot's global event
+// table must read row for row as it did when it was taken, and still equal
+// a rebuild from its own parts: no tick or seal wrote a chunk it shares.
+func TestLogHeldSnapshotTable(t *testing.T) {
+	c, lg, ticks, cut := feedLog(t, logWorldCfg(), 30, "")
+	type held struct {
+		name  string
+		s     *shard.DB
+		table store.EventTable
+	}
+	hold := func(name string) held {
+		s := lg.Snapshot()
+		return held{name, s, shard.GlobalEvents(s)}
+	}
+	snaps := []held{hold("the first snapshot")}
+	fed, seals := 0, 0
+	for i, tk := range ticks {
+		if len(tk.evs)+len(tk.mns) == 0 {
+			continue
+		}
+		if _, err := lg.Append(tk.evs, tk.mns); err != nil {
+			t.Fatalf("tick %d: %v", i, err)
+		}
+		if fed++; fed == 120 {
+			appendOddTicks(t, c, lg, cut+int32(i))
+		}
+		if len(snaps) == 2 && shard.OpenRows(lg.Snapshot()) > 0 {
+			snaps = append(snaps, hold(fmt.Sprintf("the snapshot after tick %d, its open chunk holding rows", i)))
+		}
+		if lg.TailSpan() >= gdelt.IntervalsPerDay {
+			if sealed, err := lg.Seal(); err != nil || !sealed {
+				t.Fatalf("seal after tick %d: (%v, %v)", i, sealed, err)
+			}
+			if seals++; seals == 1 {
+				snaps = append(snaps, hold(fmt.Sprintf("the snapshot after the seal following tick %d", i)))
+			}
+		}
+	}
+	if len(snaps) < 3 || seals < 5 || fed < 200 {
+		t.Fatalf("schedule too short: %d snapshots held, %d ticks, %d seals", len(snaps), fed, seals)
+	}
+	for _, h := range snaps {
+		if got := shard.GlobalEvents(h.s); !reflect.DeepEqual(got, h.table) {
+			t.Errorf("%s: its global event table changed while the log moved on", h.name)
+		}
+		if err := shard.DiffFromRebuild(h.s); err != nil {
+			t.Errorf("%s: %v", h.name, err)
+		}
 	}
 }
 
@@ -339,13 +400,15 @@ func TestLogSnapshotIsolationUnderAppends(t *testing.T) {
 // new events and their first mentions, with ids above the stored maximum
 // (fresh) or a little below it (late) — must allocate about the same in
 // both: nothing in them is proportional to the sealed world. The two ticks
-// that reach below the global table's recent run are allowed exactly the
-// documented copies: a mention of an old event one int32 metadata column
-// of the frozen run and of the sealed part holding the event, an event
-// with an id below the recent run the whole table and every event remap.
+// that reach the oldest rows are allowed exactly the documented copies,
+// neither of them the global table: a mention of an old event one int32
+// metadata column of the chunk and of the sealed part holding the event,
+// an event with an id below every stored one one chunk, spliced, and every
+// sealed part's event remap, shifted.
 func TestLogAppendAllocScaling(t *testing.T) {
 	type result struct {
 		articles, events  int
+		part0, partRows   int // part 0's event rows; every sealed part's
 		fresh, late       uint64
 		touch, deepInsert uint64
 	}
@@ -379,7 +442,10 @@ func TestLogAppendAllocScaling(t *testing.T) {
 			runtime.ReadMemStats(&b)
 			return b.TotalAlloc - a.TotalAlloc
 		}
-		r := result{articles: len(c.Mentions), events: snap.EventCount()}
+		r := result{articles: len(c.Mentions), events: snap.EventCount(), part0: snap.Part(0).Events.Len()}
+		for i := 0; i < snap.K()-1; i++ {
+			r.partRows += snap.Part(i).Events.Len()
+		}
 		const rounds, above = 5, int64(1) << 41
 		for i := int64(0); i < rounds; i++ {
 			r.fresh += tick(above+20*i, above+20*i+10)
@@ -395,8 +461,8 @@ func TestLogAppendAllocScaling(t *testing.T) {
 	}
 	small, large := measure(20150601000000), measure(20160401000000)
 	for _, r := range []result{small, large} {
-		t.Logf("N=%d articles/%d events: fresh tick %d B, late tick %d B, old-event tick %d B, low-id tick %d B",
-			r.articles, r.events, r.fresh, r.late, r.touch, r.deepInsert)
+		t.Logf("N=%d articles/%d events (%d sealed part event rows, %d in part 0): fresh tick %d B, late tick %d B, old-event tick %d B, low-id tick %d B",
+			r.articles, r.events, r.partRows, r.part0, r.fresh, r.late, r.touch, r.deepInsert)
 	}
 	if large.articles < 3*small.articles {
 		t.Fatalf("worlds too close: %d vs %d articles", small.articles, large.articles)
@@ -410,15 +476,14 @@ func TestLogAppendAllocScaling(t *testing.T) {
 				kind.name, float64(kind.large)/float64(kind.small), float64(large.articles)/float64(small.articles))
 		}
 	}
-	// Frozen NumArticles plus part 0's copy, which cannot hold more events
-	// than the world: at most 8 B per event.
-	if limit := large.fresh + 9*uint64(large.events) + 16<<10; large.touch > limit {
+	// NumArticles of the chunk holding the event and of part 0's copy.
+	if limit := large.fresh + 4*uint64(shard.ChunkRows+large.part0) + 8<<10; large.touch > limit {
 		t.Errorf("old-event tick allocated %d B, more than the documented copy-on-write allows (%d B)", large.touch, limit)
 	}
-	// The merged table with its row remap (56 B per event) plus the three
-	// base parts' shifted l2gEv (4 B per event each, at most).
-	if limit := large.fresh + 72*uint64(large.events) + 16<<10; large.deepInsert > limit {
-		t.Errorf("low-id tick allocated %d B, more than one re-merge of the global table allows (%d B)", large.deepInsert, limit)
+	// One chunk spliced with the new row, at most 56 B a row with its
+	// allocation rounding, plus every sealed part's l2gEv shifted.
+	if limit := large.fresh + 56*uint64(shard.ChunkRows+1) + 4*uint64(large.partRows) + 8<<10; large.deepInsert > limit {
+		t.Errorf("low-id tick allocated %d B, more than one chunk and the shifted remaps allow (%d B)", large.deepInsert, limit)
 	}
 }
 

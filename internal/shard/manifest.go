@@ -366,7 +366,7 @@ func readPart(path string, want Digest) (*store.DB, error) {
 		return nil, fmt.Errorf("part file holds %d bytes with crc %08x, the manifest records %d bytes with crc %08x",
 			got.Size, got.CRC, want.Size, want.CRC)
 	}
-	db, err := binfmt.Read(bytes.NewReader(data))
+	db, err := binfmt.ReadBytes(data)
 	if errors.Is(err, binfmt.ErrOldFormat) {
 		return nil, fmt.Errorf("%w; re-run gdeltconvert -shards to rewrite the layout", err)
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"cmp"
+	"container/heap"
 	"math/bits"
 	"slices"
 
@@ -46,34 +47,26 @@ func (v *View) quarterLabels() []string {
 }
 
 // groupCountEvents is the global-event-table analogue of the engine's
-// GroupCountEventsCol: a parallel scan over the merged event table, one run
-// at a time, where count adds rows [lo, hi) of run t to the counters — a
-// plain loop over the run's columns, no call per event. Event scans ignore
-// the mention window, matching the monolith.
+// GroupCountEventsCol: a parallel scan over the merged event table, where
+// count adds rows [lo, hi) of chunk t to the counters — a plain loop over
+// the chunk's columns, no call per event. Each grain walks the chunks it
+// covers in place (globalEvents.span). Event scans ignore the mention
+// window, matching the monolith.
 func (v *View) groupCountEvents(numGroups int, count func(acc []int64, t *store.EventTable, lo, hi int)) []int64 {
-	out := make([]int64, numGroups)
-	for _, t := range v.s.events.runs() {
-		if t.Len() == 0 {
-			continue
-		}
-		part := parallel.MapReduce(t.Len(), v.opt(),
-			func() []int64 { return make([]int64, numGroups) },
-			func(acc []int64, lo, hi int) []int64 {
-				count(acc, t, lo, hi)
-				return acc
-			},
-			func(dst, src []int64) []int64 {
-				for i, c := range src {
-					dst[i] += c
-				}
-				return dst
-			},
-		)
-		for i, c := range part {
-			out[i] += c
-		}
-	}
-	return out
+	ev := &v.s.events
+	return parallel.MapReduce(ev.Len(), v.opt(),
+		func() []int64 { return make([]int64, numGroups) },
+		func(acc []int64, lo, hi int) []int64 {
+			ev.span(lo, hi, func(t *store.EventTable, a, b, _ int) { count(acc, t, a, b) })
+			return acc
+		},
+		func(dst, src []int64) []int64 {
+			for i, c := range src {
+				dst[i] += c
+			}
+			return dst
+		},
+	)
 }
 
 // Dataset computes Table I over the sharded store.
@@ -88,7 +81,7 @@ func (v *View) Dataset() queries.DatasetStats {
 		out.Articles += int64(p.Mentions.Len())
 	}
 	var agg stats.IntSummary
-	for _, t := range s.events.runs() {
+	for _, t := range s.events.chunks {
 		for _, n := range t.NumArticles {
 			if n == 0 {
 				out.ZeroMentionEvents++
@@ -107,34 +100,57 @@ func (v *View) Dataset() queries.DatasetStats {
 
 // TopEvents returns the k most-reported events (Table III) from the merged
 // global event table, with the same lower-row tie-break as the monolith
-// (the merge preserves ID order, which is the monolith's row order). Each
-// run of the table is ranked on its own; the two candidate lists then merge
-// with the frozen run first on ties, since its rows precede the recent ones.
+// (the merge preserves ID order, which is the monolith's row order). One
+// pass over the chunks keeps the k best rows in a heap, the weakest on top;
+// rows arrive ascending, so a row that only ties the weakest stays out.
 func (v *View) TopEvents(k int) []queries.TopEvent {
 	ev := &v.s.events
-	runs := ev.runs()
-	a, b := engine.TopK(runs[0].NumArticles, k), engine.TopK(runs[1].NumArticles, k)
-	out := make([]queries.TopEvent, 0, len(a)+len(b))
-	for len(out) < k && len(a)+len(b) > 0 {
-		var g int
-		if len(b) == 0 || len(a) > 0 && runs[0].NumArticles[a[0]] >= runs[1].NumArticles[b[0]] {
-			g, a = a[0], a[1:]
-		} else {
-			g, b = runs[0].Len()+b[0], b[1:]
+	h := make(topRows, 0, max(k, 0))
+	for c, t := range ev.chunks {
+		base := int32(ev.start(c))
+		for r, n := range t.NumArticles {
+			if len(h) < k {
+				heap.Push(&h, topRow{n, base + int32(r)})
+			} else if k > 0 && n > h[0].n {
+				h[0] = topRow{n, base + int32(r)}
+				heap.Fix(&h, 0)
+			}
 		}
-		out = append(out, queries.TopEvent{
-			Mentions:  int64(ev.NumArticles(g)),
-			EventID:   ev.ID(g),
-			SourceURL: ev.SourceURL(g),
-		})
+	}
+	slices.SortFunc(h, func(a, b topRow) int { return cmp.Or(cmp.Compare(b.n, a.n), cmp.Compare(a.g, b.g)) })
+	out := make([]queries.TopEvent, len(h))
+	for i, r := range h {
+		out[i] = queries.TopEvent{
+			Mentions:  int64(r.n),
+			EventID:   ev.ID(int(r.g)),
+			SourceURL: ev.SourceURL(int(r.g)),
+		}
 	}
 	return out
+}
+
+// topRow is a global event row and its article count.
+type topRow struct{ n, g int32 }
+
+// topRows is a heap of topRow, weakest first: fewer articles, or the higher
+// row of two that tie.
+type topRows []topRow
+
+func (h topRows) Len() int           { return len(h) }
+func (h topRows) Less(i, j int) bool { return h[i].n < h[j].n || h[i].n == h[j].n && h[i].g > h[j].g }
+func (h topRows) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *topRows) Push(x any)        { *h = append(*h, x.(topRow)) }
+func (h *topRows) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // EventSizes computes the Figure 2 distribution over the global events.
 func (v *View) EventSizes(xmin int) queries.EventSizeDistribution {
 	var maxN int32
-	for _, t := range v.s.events.runs() {
+	for _, t := range v.s.events.chunks {
 		for _, n := range t.NumArticles {
 			maxN = max(maxN, n)
 		}
@@ -725,31 +741,35 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 				floor = acc[k-1].EarlySources
 			}
 			cs := s.cursors(int32(lo), int32(hi-1))
-			for ev := lo; ev < hi; ev++ {
-				// The event's article count is global metadata every part
-				// carries verbatim, so the threshold needs no recount; an
-				// event has no more distinct early sources than articles.
-				if int(s.events.NumArticles(ev)) < floor {
-					continue
-				}
-				distinct, early := s.earlySources(int32(ev), window, cs, stamp, int32(ev)+1)
-				if distinct < floor {
-					continue
-				}
-				acc = append(acc, queries.Wildfire{
-					EventRow:      int32(ev),
-					EventID:       s.events.ID(ev),
-					EarlySources:  distinct,
-					EarlyArticles: early,
-					TotalArticles: s.events.NumArticles(ev),
-					Velocity:      float64(distinct) / float64(window),
-				})
-				if len(acc) >= bound {
-					if acc = topFires(acc, k); len(acc) > 0 {
-						floor = acc[len(acc)-1].EarlySources
+			s.events.span(lo, hi, func(t *store.EventTable, a, b, base int) {
+				for r := a; r < b; r++ {
+					// The event's article count is global metadata every
+					// part carries verbatim, so the threshold needs no
+					// recount; an event has no more distinct early sources
+					// than articles.
+					if int(t.NumArticles[r]) < floor {
+						continue
+					}
+					ev := int32(base + r)
+					distinct, early := s.earlySources(ev, t.Interval[r]+window, cs, stamp, ev+1)
+					if distinct < floor {
+						continue
+					}
+					acc = append(acc, queries.Wildfire{
+						EventRow:      ev,
+						EventID:       t.ID[r],
+						EarlySources:  distinct,
+						EarlyArticles: early,
+						TotalArticles: t.NumArticles[r],
+						Velocity:      float64(distinct) / float64(window),
+					})
+					if len(acc) >= bound {
+						if acc = topFires(acc, k); len(acc) > 0 {
+							floor = acc[len(acc)-1].EarlySources
+						}
 					}
 				}
-			}
+			})
 			return acc
 		},
 		func(dst, src []queries.Wildfire) []queries.Wildfire {
@@ -767,15 +787,14 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 }
 
 // earlySources counts global event ev's early articles — those captured
-// within window intervals of the event — and their distinct sources, the
-// two numbers wildfires ranks by. A source counts once it is stamped with
-// tag in stamp (indexed by source id), so the caller hands every event its
-// own tag and never clears stamp. The walk stops at the first
-// shard starting past the window: later shards hold only later mentions.
-// cs are the cursors of the strictly ascending batch ev belongs to
-// (DB.cursors).
-func (s *DB) earlySources(ev, window int32, cs []partCursor, stamp []int32, tag int32) (distinct, early int) {
-	cutoff := s.events.Interval(int(ev)) + window
+// before cutoff, window intervals past the event's own interval — and their
+// distinct sources, the two numbers wildfires ranks by. A source counts
+// once it is stamped with tag in stamp (indexed by source id), so the
+// caller hands every event its own tag and never clears stamp. The walk
+// stops at the first shard starting past the window: later shards hold only
+// later mentions. cs are the cursors of the strictly ascending batch ev
+// belongs to (DB.cursors).
+func (s *DB) earlySources(ev, cutoff int32, cs []partCursor, stamp []int32, tag int32) (distinct, early int) {
 	for j := range cs {
 		if s.bounds[cs[j].part] >= cutoff {
 			break
@@ -825,7 +844,7 @@ func (s *DB) EarlySources(ids []int64, window int32) []int {
 			out[i] = out[held[k-1]] // a repeated id: cursors take each row once
 			continue
 		}
-		out[i], _ = s.earlySources(rows[i], window, cs, stamp, int32(i)+1)
+		out[i], _ = s.earlySources(rows[i], s.events.Interval(int(rows[i]))+window, cs, stamp, int32(i)+1)
 	}
 	return out
 }

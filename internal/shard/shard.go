@@ -228,16 +228,16 @@ func (s *DB) mergeEvents() error {
 	// the walk above compared the columns — so the world shares its columns
 	// instead of keeping a copy (a Single world never has a second event
 	// table). Neither is ever written: appends copy what they change.
-	ev := &s.events.frozen
+	var ev store.EventTable
 	if i := slices.IndexFunc(s.parts, func(p *store.DB) bool { return p.Events.Len() == len(first) }); i >= 0 {
-		*ev = s.parts[i].Events.Slice(0, len(first))
+		ev = s.parts[i].Events.Slice(0, len(first))
 	} else {
-		*ev = store.MakeEventTable(len(first))
+		ev = store.MakeEventTable(len(first))
 		for _, f := range first {
 			ev.AppendRow(&s.parts[f.part].Events, int(f.row))
 		}
 	}
-	s.events.low = int32(len(first))
+	s.events = cutEvents(&ev)
 	return nil
 }
 
@@ -247,8 +247,8 @@ func (s *DB) mergeEvents() error {
 // unchanged. Slicing neither adds events nor changes their metadata, so
 // the global event table keeps its rows, and every other part's remaps
 // are shared with s; only the two new parts' event remaps are built. The
-// seal is also where the global table's settled rows join its frozen run
-// (globalEvents.freeze): O(tail) work plus the frozen run's reallocation.
+// seal also closes the global table's open chunk (globalEvents.seal):
+// O(tail) work plus at most one chunk copied.
 //
 // The one way slicing can change the global table is by dropping an event:
 // a tail event with no mention in the tail and an event interval below the
@@ -284,7 +284,7 @@ func (s *DB) replaceTail(sealed, fresh *store.DB, cut int32) (*DB, error) {
 			}
 		}
 	}
-	next.events = s.events.freeze()
+	next.events = s.events.seal()
 	return next, nil
 }
 

@@ -221,13 +221,7 @@ func MergeEvents(old, add *EventTable) (merged EventTable, remap []int32) {
 		for r := oi; r < end; r++ {
 			remap[r] = int32(r + ai)
 		}
-		run := old.Slice(oi, end)
-		merged.ID = append(merged.ID, run.ID...)
-		merged.Interval = append(merged.Interval, run.Interval...)
-		merged.Country = append(merged.Country, run.Country...)
-		merged.NumArticles = append(merged.NumArticles, run.NumArticles...)
-		merged.FirstMention = append(merged.FirstMention, run.FirstMention...)
-		merged.SourceURL = append(merged.SourceURL, run.SourceURL...)
+		merged.AppendRows(old, oi, end)
 		oi = end
 		if ai < addN {
 			merged.AppendRow(add, ai)

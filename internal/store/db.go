@@ -53,6 +53,16 @@ func (t *EventTable) AppendRow(src *EventTable, i int) {
 	t.SourceURL = append(t.SourceURL, src.SourceURL[i])
 }
 
+// AppendRows appends rows [lo, hi) of src, every column verbatim.
+func (t *EventTable) AppendRows(src *EventTable, lo, hi int) {
+	t.ID = append(t.ID, src.ID[lo:hi]...)
+	t.Interval = append(t.Interval, src.Interval[lo:hi]...)
+	t.Country = append(t.Country, src.Country[lo:hi]...)
+	t.NumArticles = append(t.NumArticles, src.NumArticles[lo:hi]...)
+	t.FirstMention = append(t.FirstMention, src.FirstMention[lo:hi]...)
+	t.SourceURL = append(t.SourceURL, src.SourceURL[lo:hi]...)
+}
+
 // Slice returns rows [lo, hi) as a table sharing t's storage.
 func (t *EventTable) Slice(lo, hi int) EventTable {
 	return EventTable{
